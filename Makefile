@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test test-race lint check chaos chaos-ingest chaos-lifecycle fuzz-smoke bench bench-json bench-qps-json bench-ingest-json experiments examples fmt vet
+.PHONY: build test test-race lint check chaos chaos-ingest chaos-lifecycle fuzz-smoke bench bench-e2e bench-json bench-qps-json bench-ingest-json experiments examples fmt vet
 
 build:
 	go build ./...
@@ -72,6 +72,15 @@ check: build lint test test-race
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# The repository's one end-to-end benchmark (BENCHMARK.json; metric catalogue
+# in internal/e2ebench/README.md): every workload through the gateway, both
+# metric sets. This is the benchmark a PR is judged on.
+bench-e2e:
+	go run ./cmd/e2ebench
+
+# The three *-json targets below are per-layer micro-benchmarks: useful for
+# digging into one layer, but they no longer gate a PR — bench-e2e does.
 
 # Machine-readable results for the intra-task parallelism benchmark: runs
 # scan/aggregation/join workloads (vectorized and _rowwise baselines) at

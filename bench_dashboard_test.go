@@ -102,19 +102,14 @@ func dashCluster(b *testing.B, cached bool) (*cluster.Coordinator, *hive.Connect
 	return coord, hc, cleanup
 }
 
-// dashSession returns one client's session; the cold baseline also reverts
-// to the legacy round-robin split scheduling.
-func dashSession(cached bool) *planner.Session {
-	s := &planner.Session{Catalog: "hive", Schema: "tpch", User: "dash", Properties: map[string]string{}}
-	if !cached {
-		s.Properties["affinity_scheduling"] = "false"
-	}
-	return s
+// dashSession returns one client's session.
+func dashSession() *planner.Session {
+	return &planner.Session{Catalog: "hive", Schema: "tpch", User: "dash", Properties: map[string]string{}}
 }
 
 // runDashboard drives b.N dashboard refreshes through dashClients concurrent
 // closed-loop clients and reports queries per wall second.
-func runDashboard(b *testing.B, coord *cluster.Coordinator, cached bool) {
+func runDashboard(b *testing.B, coord *cluster.Coordinator) {
 	total := int64(b.N * len(dashboardQueries))
 	var next atomic.Int64
 	start := time.Now()
@@ -123,7 +118,7 @@ func runDashboard(b *testing.B, coord *cluster.Coordinator, cached bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := dashSession(cached)
+			s := dashSession()
 			for {
 				i := next.Add(1) - 1
 				if i >= total {
@@ -145,21 +140,21 @@ func BenchmarkDashboardQPS(b *testing.B) {
 		coord, _, cleanup := dashCluster(b, false)
 		defer cleanup()
 		b.ResetTimer()
-		runDashboard(b, coord, false)
+		runDashboard(b, coord)
 	})
 	b.Run("cache=on", func(b *testing.B) {
 		coord, hc, cleanup := dashCluster(b, true)
 		defer cleanup()
 		// One warm refresh first: the dashboard scenario is steady-state
 		// repeats, not a cold start.
-		s := dashSession(true)
+		s := dashSession()
 		for _, q := range dashboardQueries {
 			if _, err := coord.Query(s, q); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ResetTimer()
-		runDashboard(b, coord, true)
+		runDashboard(b, coord)
 		b.StopTimer()
 
 		// Hit rates for the acceptance criterion: the tier-2 result cache

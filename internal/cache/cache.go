@@ -1,7 +1,8 @@
-// Package cache implements the caching layer of §VII: a generic LRU with
-// TTL and hit/miss metrics, the coordinator-side file list cache (sealed
-// directories only, §VII.A) and the worker-side file handle + footer cache
-// (§VII.B).
+// Package cache implements the caching layer of §VII: one generic LRU
+// (count cap, TTL, shareable byte budget, hit/miss metrics) and the tiers
+// that are thin instances of it here — the coordinator-side file list cache
+// (sealed directories only, §VII.A), the worker-side file handle + footer
+// cache (§VII.B) and the sharded chunk cache.
 package cache
 
 import (
@@ -18,13 +19,22 @@ import (
 
 // Metrics counts cache effectiveness; experiments read these to reproduce
 // the "listFile calls reduced to less than 40%" and "90% of getFileInfo
-// calls reduced" results.
+// calls reduced" results. Every LRU built on the same Metrics (NewSizedLRU)
+// shares its counters and its byte budget.
 type Metrics struct {
 	Hits      atomic.Int64
 	Misses    atomic.Int64
-	Bypasses  atomic.Int64 // open partitions skip the cache entirely
+	Bypasses  atomic.Int64 // open partitions and oversized bodies skip the cache entirely
 	Evictions atomic.Int64 // capacity- or byte-pressure evictions, not TTL expiry
+	Bytes     atomic.Int64 // resident bytes, summing the sizes given to PutSized
+
+	maxBytes int64 // byte budget over Bytes; 0 = none. Fixed before first use.
 }
+
+// NewBudget returns metrics carrying a byte budget: the LRUs built on them
+// evict while their combined resident Bytes exceed maxBytes (<= 0 = no byte
+// bound).
+func NewBudget(maxBytes int64) *Metrics { return &Metrics{maxBytes: maxBytes} }
 
 // HitRate returns hits / (hits + misses), 0 when empty.
 func (m *Metrics) HitRate() float64 {
@@ -37,19 +47,24 @@ func (m *Metrics) HitRate() float64 {
 
 // RegisterObs publishes the cache counters and hit rate into an observability
 // registry under prefix (e.g. "hive.cache.footer"), so they show up in
-// /v1/stats snapshots and EXPLAIN ANALYZE cache footers. The existing
-// atomics stay the source of truth; the registry reads them at snapshot
-// time.
+// /v1/stats snapshots and EXPLAIN ANALYZE cache footers; byte-budgeted caches
+// also publish their resident bytes. The existing atomics stay the source of
+// truth; the registry reads them at snapshot time.
 func (m *Metrics) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+".hits", func() float64 { return float64(m.Hits.Load()) })
 	reg.GaugeFunc(prefix+".misses", func() float64 { return float64(m.Misses.Load()) })
 	reg.GaugeFunc(prefix+".bypasses", func() float64 { return float64(m.Bypasses.Load()) })
 	reg.GaugeFunc(prefix+".evictions", func() float64 { return float64(m.Evictions.Load()) })
 	reg.GaugeFunc(prefix+".hit_rate", m.HitRate)
+	if m.maxBytes > 0 {
+		reg.GaugeFunc(prefix+".bytes", func() float64 { return float64(m.Bytes.Load()) })
+	}
 }
 
-// LRU is a thread-safe LRU cache with optional TTL. Time flows through a
-// fault.Clock so TTL expiry is deterministic under CHAOS_SEED replay.
+// LRU is the module's one thread-safe LRU: bounded by entry count, optionally
+// by a byte budget (possibly shared with other LRUs) and a TTL. Every cache
+// tier of §VII is an instance. Time flows through a fault.Clock so TTL expiry
+// is deterministic under CHAOS_SEED replay.
 type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -57,18 +72,28 @@ type LRU[K comparable, V any] struct {
 	items    map[K]*list.Element
 	order    *list.List // front = most recent
 
-	Metrics Metrics
+	Metrics *Metrics
 	clock   fault.Clock
 }
 
 type lruEntry[K comparable, V any] struct {
 	key     K
 	value   V
+	size    int64
 	expires time.Time
 }
 
-// NewLRU creates a cache; ttl <= 0 disables expiry.
+// NewLRU creates a cache bounded by entry count only; ttl <= 0 disables
+// expiry.
 func NewLRU[K comparable, V any](capacity int, ttl time.Duration) *LRU[K, V] {
+	return NewSizedLRU[K, V](capacity, ttl, &Metrics{})
+}
+
+// NewSizedLRU creates a cache that counts into m and is additionally bounded
+// by m's byte budget (NewBudget), with per-entry sizes supplied at PutSized.
+// Eviction takes this cache's least recently used entries while the budget's
+// combined resident bytes are over, always leaving the newest entry in place.
+func NewSizedLRU[K comparable, V any](capacity int, ttl time.Duration, m *Metrics) *LRU[K, V] {
 	if capacity <= 0 {
 		capacity = 1024
 	}
@@ -77,6 +102,7 @@ func NewLRU[K comparable, V any](capacity int, ttl time.Duration) *LRU[K, V] {
 		ttl:      ttl,
 		items:    map[K]*list.Element{},
 		order:    list.New(),
+		Metrics:  m,
 		clock:    fault.RealClock{},
 	}
 }
@@ -93,8 +119,7 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	}
 	entry := el.Value.(*lruEntry[K, V])
 	if c.ttl > 0 && c.clock.Now().After(entry.expires) {
-		c.order.Remove(el)
-		delete(c.items, key)
+		c.removeLocked(el)
 		c.Metrics.Misses.Add(1)
 		return zero, false
 	}
@@ -103,25 +128,40 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	return entry.value, true
 }
 
-// Put inserts or refreshes a value.
-func (c *LRU[K, V]) Put(key K, value V) {
+// Put inserts or refreshes a value that does not count against a byte budget.
+func (c *LRU[K, V]) Put(key K, value V) { c.PutSized(key, value, 0) }
+
+// PutSized inserts or refreshes a value of the given size in bytes, then
+// evicts from the back while over the count cap, or over the byte budget with
+// more than one entry left.
+func (c *LRU[K, V]) PutSized(key K, value V, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var expires time.Time
+	if c.ttl > 0 {
+		expires = c.clock.Now().Add(c.ttl)
+	}
 	if el, ok := c.items[key]; ok {
 		entry := el.Value.(*lruEntry[K, V])
-		entry.value = value
-		entry.expires = c.clock.Now().Add(c.ttl)
+		c.Metrics.Bytes.Add(size - entry.size)
+		entry.value, entry.size, entry.expires = value, size, expires
 		c.order.MoveToFront(el)
-		return
+	} else {
+		c.items[key] = c.order.PushFront(&lruEntry[K, V]{key: key, value: value, size: size, expires: expires})
+		c.Metrics.Bytes.Add(size)
 	}
-	entry := &lruEntry[K, V]{key: key, value: value, expires: c.clock.Now().Add(c.ttl)}
-	c.items[key] = c.order.PushFront(entry)
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
+	max := c.Metrics.maxBytes
+	for c.order.Len() > c.capacity || (max > 0 && c.Metrics.Bytes.Load() > max && c.order.Len() > 1) {
+		c.removeLocked(c.order.Back())
 		c.Metrics.Evictions.Add(1)
 	}
+}
+
+func (c *LRU[K, V]) removeLocked(el *list.Element) {
+	entry := el.Value.(*lruEntry[K, V])
+	c.order.Remove(el)
+	delete(c.items, entry.key)
+	c.Metrics.Bytes.Add(-entry.size)
 }
 
 // Invalidate drops a key.
@@ -129,8 +169,7 @@ func (c *LRU[K, V]) Invalidate(key K) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		c.order.Remove(el)
-		delete(c.items, key)
+		c.removeLocked(el)
 	}
 }
 
@@ -143,8 +182,7 @@ func (c *LRU[K, V]) InvalidateFunc(pred func(K) bool) int {
 	dropped := 0
 	for key, el := range c.items {
 		if pred(key) {
-			c.order.Remove(el)
-			delete(c.items, key)
+			c.removeLocked(el)
 			dropped++
 		}
 	}
@@ -153,12 +191,7 @@ func (c *LRU[K, V]) InvalidateFunc(pred func(K) bool) int {
 
 // InvalidateAll empties the cache and returns the number of entries dropped.
 func (c *LRU[K, V]) InvalidateAll() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := c.order.Len()
-	c.items = map[K]*list.Element{}
-	c.order.Init()
-	return dropped
+	return c.InvalidateFunc(func(K) bool { return true })
 }
 
 // Len returns the current entry count.
@@ -188,9 +221,8 @@ type FileListCache struct {
 
 // NewFileListCache wraps fs.
 func NewFileListCache(fs fsys.FileSystem, capacity int, ttl time.Duration) *FileListCache {
-	c := &FileListCache{fs: fs, lru: NewLRU[string, []fsys.FileInfo](capacity, ttl)}
-	c.Metrics = &c.lru.Metrics
-	return c
+	lru := NewLRU[string, []fsys.FileInfo](capacity, ttl)
+	return &FileListCache{fs: fs, lru: lru, Metrics: lru.Metrics}
 }
 
 // List lists dir. sealed=false (open partition) always goes to the
@@ -241,13 +273,8 @@ type FooterCache[F any] struct {
 
 // NewFooterCache creates a worker-side cache.
 func NewFooterCache[F any](capacity int, ttl time.Duration) *FooterCache[F] {
-	c := &FooterCache[F]{
-		infos:   NewLRU[string, fsys.FileInfo](capacity, ttl),
-		footers: NewLRU[string, F](capacity, ttl),
-	}
-	c.InfoMetrics = &c.infos.Metrics
-	c.FooterMetrics = &c.footers.Metrics
-	return c
+	infos, footers := NewLRU[string, fsys.FileInfo](capacity, ttl), NewLRU[string, F](capacity, ttl)
+	return &FooterCache[F]{infos: infos, footers: footers, InfoMetrics: infos.Metrics, FooterMetrics: footers.Metrics}
 }
 
 // GetFileInfo stats through the cache.

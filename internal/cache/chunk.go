@@ -1,13 +1,9 @@
 package cache
 
 import (
-	"container/list"
 	"hash/fnv"
+	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
-
-	"prestolite/internal/obs"
 )
 
 // ChunkKey identifies one decompressed parquet column chunk: the file, the
@@ -26,30 +22,18 @@ type ChunkKey struct {
 // (tier 1 of the hierarchy). It is sharded to keep lock hold times short
 // under the many concurrent driver goroutines of a scan, and bounded by
 // total bytes rather than entry count because chunk sizes vary by orders of
-// magnitude. Eviction is LRU per shard.
+// magnitude. The shards are LRUs sharing one byte budget and one Metrics;
+// eviction is LRU within the shard being inserted into.
 //
 // Cached values are the decompressed chunk bodies. Decoders slice into them
 // without mutating, so a single copy is safely shared across queries.
 type ChunkCache struct {
-	shards   [chunkShards]chunkShard
-	maxBytes int64 // per-shard budget = maxBytes / chunkShards
+	shards [chunkShards]*LRU[ChunkKey, []byte]
 
 	Metrics Metrics
-	bytes   atomic.Int64
 }
 
 const chunkShards = 16
-
-type chunkShard struct {
-	mu    sync.Mutex
-	items map[ChunkKey]*list.Element
-	order *list.List // front = most recent
-}
-
-type chunkEntry struct {
-	key  ChunkKey
-	body []byte
-}
 
 // NewChunkCache creates a chunk cache bounded at maxBytes total (across all
 // shards). maxBytes <= 0 selects a 64 MiB default.
@@ -57,15 +41,16 @@ func NewChunkCache(maxBytes int64) *ChunkCache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	c := &ChunkCache{maxBytes: maxBytes}
+	c := &ChunkCache{}
+	c.Metrics.maxBytes = maxBytes
 	for i := range c.shards {
-		c.shards[i].items = map[ChunkKey]*list.Element{}
-		c.shards[i].order = list.New()
+		// No count cap and no TTL: bytes are the only bound.
+		c.shards[i] = NewSizedLRU[ChunkKey, []byte](math.MaxInt, 0, &c.Metrics)
 	}
 	return c
 }
 
-func (c *ChunkCache) shard(k ChunkKey) *chunkShard {
+func (c *ChunkCache) shard(k ChunkKey) *LRU[ChunkKey, []byte] {
 	h := fnv.New64a()
 	h.Write([]byte(k.Path))
 	h.Write([]byte{0})
@@ -74,58 +59,23 @@ func (c *ChunkCache) shard(k ChunkKey) *chunkShard {
 	if k.Dict {
 		h.Write([]byte{1})
 	}
-	return &c.shards[h.Sum64()%chunkShards]
+	return c.shards[h.Sum64()%chunkShards]
 }
 
 // Get returns the cached decompressed body for k. The returned slice is
 // shared: callers must treat it as read-only.
-func (c *ChunkCache) Get(k ChunkKey) ([]byte, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[k]
-	if !ok {
-		c.Metrics.Misses.Add(1)
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	c.Metrics.Hits.Add(1)
-	return el.Value.(*chunkEntry).body, true
-}
+func (c *ChunkCache) Get(k ChunkKey) ([]byte, bool) { return c.shard(k).Get(k) }
 
-// Put stores body under k, evicting least-recently-used chunks from the
-// shard until it fits its byte budget. Bodies larger than the whole shard
-// budget are not cached at all (they would evict everything for one entry
-// that cannot stay resident anyway).
+// Put stores body under k, evicting least-recently-used chunks from k's
+// shard while the cache as a whole is over its byte budget. Bodies larger
+// than one shard's share of the budget are not cached at all (they would
+// evict everything for one entry that cannot stay resident anyway).
 func (c *ChunkCache) Put(k ChunkKey, body []byte) {
-	budget := c.maxBytes / chunkShards
-	if int64(len(body)) > budget {
+	if int64(len(body)) > c.Metrics.maxBytes/chunkShards {
 		c.Metrics.Bypasses.Add(1)
 		return
 	}
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		old := el.Value.(*chunkEntry)
-		c.bytes.Add(int64(len(body)) - int64(len(old.body)))
-		old.body = body
-		s.order.MoveToFront(el)
-	} else {
-		s.items[k] = s.order.PushFront(&chunkEntry{key: k, body: body})
-		c.bytes.Add(int64(len(body)))
-	}
-	// Evict against the shard's share of the byte budget. Shard bytes are
-	// not tracked separately; approximate with the global counter scaled by
-	// shard count, which converges because keys hash uniformly.
-	for c.bytes.Load() > c.maxBytes && s.order.Len() > 1 {
-		oldest := s.order.Back()
-		entry := oldest.Value.(*chunkEntry)
-		s.order.Remove(oldest)
-		delete(s.items, entry.key)
-		c.bytes.Add(-int64(len(entry.body)))
-		c.Metrics.Evictions.Add(1)
-	}
+	c.shard(k).PutSized(k, body, int64(len(body)))
 }
 
 // GetChunk and PutChunk adapt the cache to the parquet reader's ChunkCache
@@ -146,19 +96,8 @@ func (c *ChunkCache) PutChunk(path, column string, rowGroup int, dict bool, body
 // a table or partition directory.
 func (c *ChunkCache) InvalidatePrefix(prefix string) int {
 	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, el := range s.items {
-			if strings.HasPrefix(k.Path, prefix) {
-				entry := el.Value.(*chunkEntry)
-				s.order.Remove(el)
-				delete(s.items, k)
-				c.bytes.Add(-int64(len(entry.body)))
-				dropped++
-			}
-		}
-		s.mu.Unlock()
+	for _, s := range c.shards {
+		dropped += s.InvalidateFunc(func(k ChunkKey) bool { return strings.HasPrefix(k.Path, prefix) })
 	}
 	return dropped
 }
@@ -166,21 +105,11 @@ func (c *ChunkCache) InvalidatePrefix(prefix string) int {
 // Len returns the total entry count across shards.
 func (c *ChunkCache) Len() int {
 	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
+	for _, s := range c.shards {
+		n += s.Len()
 	}
 	return n
 }
 
 // Bytes returns the resident decompressed bytes.
-func (c *ChunkCache) Bytes() int64 { return c.bytes.Load() }
-
-// RegisterObs publishes hit/miss/evict counters plus resident bytes under
-// prefix (e.g. "hive.cache.chunk"), alongside the standard Metrics gauges.
-func (c *ChunkCache) RegisterObs(reg *obs.Registry, prefix string) {
-	c.Metrics.RegisterObs(reg, prefix)
-	reg.GaugeFunc(prefix+".bytes", func() float64 { return float64(c.bytes.Load()) })
-}
+func (c *ChunkCache) Bytes() int64 { return c.Metrics.Bytes.Load() }

@@ -154,11 +154,11 @@ func TestChunkCacheEviction(t *testing.T) {
 // TestResultCache covers the version-stamped result cache: TTL expiry on the
 // injected clock, byte-bound eviction, and explicit full invalidation.
 func TestResultCache(t *testing.T) {
-	c := NewResultCache[string](8, 100, time.Minute)
+	c := NewSizedLRU[string, string](8, time.Minute, NewBudget(100))
 	clk := fault.NewManualClock(time.Unix(5000, 0))
 	c.SetClock(clk)
 
-	c.Put("q1@v1", "rows", 10)
+	c.PutSized("q1@v1", "rows", 10)
 	if v, ok := c.Get("q1@v1"); !ok || v != "rows" {
 		t.Fatalf("miss after put: %q %v", v, ok)
 	}
@@ -171,9 +171,9 @@ func TestResultCache(t *testing.T) {
 		t.Error("expired entry served")
 	}
 	// Byte bound: 3 entries of 40 bytes exceed 100; oldest goes.
-	c.Put("a", "x", 40)
-	c.Put("b", "y", 40)
-	c.Put("c", "z", 40)
+	c.PutSized("a", "x", 40)
+	c.PutSized("b", "y", 40)
+	c.PutSized("c", "z", 40)
 	if _, ok := c.Get("a"); ok {
 		t.Error("oldest entry should be evicted by byte pressure")
 	}
@@ -183,15 +183,15 @@ func TestResultCache(t *testing.T) {
 	if n := c.InvalidateAll(); n == 0 {
 		t.Error("invalidate-all dropped nothing")
 	}
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Errorf("len=%d bytes=%d after invalidate-all", c.Len(), c.Bytes())
+	if c.Len() != 0 || c.Metrics.Bytes.Load() != 0 {
+		t.Errorf("len=%d bytes=%d after invalidate-all", c.Len(), c.Metrics.Bytes.Load())
 	}
 }
 
 // TestResultCacheConcurrentStress runs parallel Get/Put/InvalidateAll under
 // -race.
 func TestResultCacheConcurrentStress(t *testing.T) {
-	c := NewResultCache[int](64, 1<<20, time.Minute)
+	c := NewSizedLRU[string, int](64, time.Minute, NewBudget(1<<20))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -203,7 +203,7 @@ func TestResultCacheConcurrentStress(t *testing.T) {
 				case 0:
 					c.Get(k)
 				case 1:
-					c.Put(k, i, 256)
+					c.PutSized(k, i, 256)
 				case 2:
 					if i%512 == 2 {
 						c.InvalidateAll()
@@ -215,7 +215,11 @@ func TestResultCacheConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Bytes() < 0 {
-		t.Errorf("negative bytes %d", c.Bytes())
+	if b := c.Metrics.Bytes.Load(); b < 0 || b > 1<<20 {
+		t.Errorf("resident bytes %d outside [0, budget]", b)
+	}
+	c.InvalidateAll()
+	if b := c.Metrics.Bytes.Load(); b != 0 {
+		t.Errorf("resident bytes %d after invalidate-all, want 0", b)
 	}
 }

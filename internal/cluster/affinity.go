@@ -58,21 +58,13 @@ func rankWorkers(desc string, workers []*workerClient) []int {
 	return ranked
 }
 
-// assignSplits distributes splits over workers. With affinity false it is
-// the legacy round-robin. With affinity true each split goes to its
+// assignSplits distributes splits over workers: each split goes to its
 // top-ranked worker, overflowing down the preference order when the target
 // is at the load cap; placed/overflow report how many splits landed on
 // their first choice versus degraded (the coordinator counts both).
-func assignSplits(splits []connector.Split, workers []*workerClient, affinity bool) (assignment [][]connector.Split, placed, overflow int) {
+func assignSplits(splits []connector.Split, workers []*workerClient) (assignment [][]connector.Split, placed, overflow int) {
 	assignment = make([][]connector.Split, len(workers))
 	if len(workers) == 0 {
-		return assignment, 0, 0
-	}
-	if !affinity {
-		for i, s := range splits {
-			wi := i % len(workers)
-			assignment[wi] = append(assignment[wi], s)
-		}
 		return assignment, 0, 0
 	}
 	capPer := loadCap(len(splits), len(workers))

@@ -37,7 +37,7 @@ func fakeSplits(n int) []connector.Split {
 func TestAffinityFirstChoicePlacement(t *testing.T) {
 	splits := fakeSplits(200)
 	workers := fakeWorkers(8)
-	assignment, placed, overflow := assignSplits(splits, workers, true)
+	assignment, placed, overflow := assignSplits(splits, workers)
 
 	total := 0
 	for _, set := range assignment {
@@ -82,8 +82,8 @@ func TestAffinityFirstChoicePlacement(t *testing.T) {
 func TestAffinityIsDeterministic(t *testing.T) {
 	splits := fakeSplits(64)
 	workers := fakeWorkers(5)
-	a1, _, _ := assignSplits(splits, workers, true)
-	a2, _, _ := assignSplits(splits, workers, true)
+	a1, _, _ := assignSplits(splits, workers)
+	a2, _, _ := assignSplits(splits, workers)
 	if fmt.Sprint(a1) != fmt.Sprint(a2) {
 		t.Error("repeated assignment diverged")
 	}
@@ -95,11 +95,11 @@ func TestAffinityIsDeterministic(t *testing.T) {
 func TestAffinityMinimalDisruption(t *testing.T) {
 	splits := fakeSplits(120)
 	workers := fakeWorkers(6)
-	before, _, _ := assignSplits(splits, workers, true)
+	before, _, _ := assignSplits(splits, workers)
 
 	// Drop worker 3 and reassign.
 	survivors := append(append([]*workerClient{}, workers[:3]...), workers[4:]...)
-	after, _, _ := assignSplits(splits, survivors, true)
+	after, _, _ := assignSplits(splits, survivors)
 
 	locate := func(assignment [][]connector.Split, ws []*workerClient, desc string) string {
 		for wi, set := range assignment {
@@ -126,25 +126,9 @@ func TestAffinityMinimalDisruption(t *testing.T) {
 	}
 }
 
-// TestAffinityRoundRobinFallback: affinity off is the legacy round-robin —
-// perfectly balanced, no affinity counters.
-func TestAffinityRoundRobinFallback(t *testing.T) {
-	splits := fakeSplits(9)
-	workers := fakeWorkers(3)
-	assignment, placed, overflow := assignSplits(splits, workers, false)
-	if placed != 0 || overflow != 0 {
-		t.Errorf("round-robin counted affinity: placed=%d overflow=%d", placed, overflow)
-	}
-	for wi, set := range assignment {
-		if len(set) != 3 {
-			t.Errorf("worker %d holds %d splits, want 3", wi, len(set))
-		}
-	}
-}
-
 // TestAffinitySchedulingEndToEnd: with the default session, repeated queries
 // place >= 90% of their splits on hashed workers (visible through the
-// coordinator counters), and affinity_scheduling=false suppresses them.
+// coordinator counters).
 func TestAffinitySchedulingEndToEnd(t *testing.T) {
 	coord, _ := newCluster(t, newCatalogs(t), 3)
 	s := session()
@@ -163,15 +147,6 @@ func TestAffinitySchedulingEndToEnd(t *testing.T) {
 	// at dashboard scale is TestAffinityFirstChoicePlacement's assertion.
 	if 100*placed/(placed+overflow) < 75 {
 		t.Errorf("placed=%d overflow=%d: fewer than 75%% of splits on their hashed worker", placed, overflow)
-	}
-
-	s.Properties["affinity_scheduling"] = "false"
-	if _, err := coord.Query(s, "SELECT count(*) FROM trips"); err != nil {
-		t.Fatal(err)
-	}
-	snap2 := coord.Obs().Snapshot()
-	if snap2.Counters["splits_affinity_placed"] != placed || snap2.Counters["splits_affinity_overflow"] != overflow {
-		t.Error("affinity_scheduling=false still moved the affinity counters")
 	}
 }
 

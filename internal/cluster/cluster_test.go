@@ -132,12 +132,23 @@ func TestDistributedPartialFinalAggregation(t *testing.T) {
 	}
 }
 
-func TestExplainDistributedShowsFragments(t *testing.T) {
-	coord, _ := newCluster(t, newCatalogs(t), 2)
-	out, err := coord.ExplainDistributed(session(), "SELECT city_id, count(*) FROM trips GROUP BY city_id")
+// explain runs EXPLAIN over query and returns the rendered fragmented plan.
+func explain(t *testing.T, coord *Coordinator, query string) string {
+	t.Helper()
+	res, err := coord.Query(session(), "EXPLAIN "+query)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, err := res.Rows()
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("EXPLAIN rows = %v, %v", rows, err)
+	}
+	return rows[0][0].(string)
+}
+
+func TestExplainDistributedShowsFragments(t *testing.T) {
+	coord, _ := newCluster(t, newCatalogs(t), 2)
+	out := explain(t, coord, "SELECT city_id, count(*) FROM trips GROUP BY city_id")
 	for _, want := range []string{"Fragment 0 (coordinator)", "Fragment 1 (source", "Aggregate(PARTIAL)", "Aggregate(FINAL)", "RemoteSource"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

@@ -74,7 +74,7 @@ type Coordinator struct {
 	// resultCache is tier 2 of the cache hierarchy: whole query results
 	// keyed by canonical plan text plus every scanned table's snapshot
 	// version. nil until EnableResultCache.
-	resultCache       *cache.ResultCache[cachedResult]
+	resultCache       *cache.LRU[string, cachedResult]
 	resultUncacheable *obs.Counter
 
 	submitted     *obs.Counter
@@ -157,9 +157,9 @@ type cachedResult struct {
 // residency. Queries over tables whose connectors cannot report a snapshot
 // version are never cached (counted in coordinator.cache.result.uncacheable).
 func (c *Coordinator) EnableResultCache(capacity int, maxBytes int64, ttl time.Duration) {
-	rc := cache.NewResultCache[cachedResult](capacity, maxBytes, ttl)
+	rc := cache.NewSizedLRU[string, cachedResult](capacity, ttl, cache.NewBudget(maxBytes))
 	rc.SetClock(c.cfg.Clock)
-	rc.RegisterObs(c.obs, "coordinator.cache.result")
+	rc.Metrics.RegisterObs(c.obs, "coordinator.cache.result")
 	c.resultUncacheable = c.obs.Counter("coordinator.cache.result.uncacheable")
 	c.resultCache = rc
 }
@@ -181,12 +181,12 @@ func (c *Coordinator) InvalidateResultCache() int {
 	return c.resultCache.InvalidateAll()
 }
 
-// resultCacheKey derives the cache key for an optimized plan: the canonical
-// plan text (handles render their pushed state, so two queries normalizing
-// to the same plan share a key) plus a sorted "catalog.schema.table@version"
-// stamp per scanned table. ok is false — the query is uncacheable — when the
-// plan scans no tables (nothing pins freshness) or any scanned catalog
-// cannot report a snapshot version.
+// resultCacheKey derives the cache key for an optimized plan: planCacheKey
+// over the plan (handles render their pushed state, so two queries
+// normalizing to the same plan share a key) and a sorted
+// "catalog.schema.table@version" stamp per scanned table. ok is false — the
+// query is uncacheable — when the plan scans no tables (nothing pins
+// freshness) or any scanned catalog cannot report a snapshot version.
 func (c *Coordinator) resultCacheKey(plan planner.Node) (string, bool) {
 	var stamps []string
 	ok := true
@@ -222,7 +222,32 @@ func (c *Coordinator) resultCacheKey(plan planner.Node) (string, bool) {
 		return "", false
 	}
 	sort.Strings(stamps)
-	return planner.Format(plan) + "\x00" + strings.Join(stamps, ","), true
+	return planCacheKey(plan, stamps, nil), true
+}
+
+// planCacheKey is the one key scheme of the plan-keyed cache tiers — the
+// coordinator's result cache and the workers' fragment cache: the full
+// canonical plan text, the version stamps that pin freshness, and (worker
+// tier) the description of every split the task covers. Each field is
+// length-prefixed and the stamp count is a field of its own, so no byte can
+// move between fields or lists and make two different inputs share a key;
+// nothing is digested, so equal keys mean equal inputs.
+func planCacheKey(plan planner.Node, stamps []string, splits []connector.Split) string {
+	var sb strings.Builder
+	field := func(s string) {
+		sb.WriteString(strconv.Itoa(len(s)))
+		sb.WriteByte(':')
+		sb.WriteString(s)
+	}
+	field(planner.Format(plan))
+	field(strconv.Itoa(len(stamps)))
+	for _, stamp := range stamps {
+		field(stamp)
+	}
+	for _, split := range splits {
+		field(split.Description())
+	}
+	return sb.String()
 }
 
 // fragmentSnapshotVersion resolves the snapshot version a source fragment's
@@ -433,7 +458,7 @@ func (c *Coordinator) Query(session *planner.Session, query string) (*QueryResul
 			return nil, fmt.Errorf("cluster: EXPLAIN supports only SELECT, got %T", t.Stmt)
 		}
 		if !t.Analyze {
-			plan, err := c.planQuery(session, q)
+			plan, err := planner.PlanQuery(c.Catalogs, session, q)
 			if err != nil {
 				return nil, err
 			}
@@ -448,20 +473,6 @@ func (c *Coordinator) Query(session *planner.Session, query string) (*QueryResul
 	default:
 		return nil, fmt.Errorf("cluster: unsupported statement %T", stmt)
 	}
-}
-
-func (c *Coordinator) planQuery(session *planner.Session, q *sql.Query) (planner.Node, error) {
-	analyzer := &planner.Analyzer{Catalogs: c.Catalogs, Session: session}
-	plan, err := analyzer.Analyze(q)
-	if err != nil {
-		return nil, err
-	}
-	optimizer := &planner.Optimizer{Catalogs: c.Catalogs, Session: session}
-	plan = optimizer.Optimize(plan)
-	if err := planner.CheckTypes(plan); err != nil {
-		return nil, err
-	}
-	return plan, nil
 }
 
 // planTextResult packages rendered plan text as a one-row result.
@@ -525,11 +536,12 @@ func (c *Coordinator) admitAndExec(session *planner.Session, q *sql.Query, query
 
 func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID string, analyze bool) (*QueryResult, string, error) {
 	c.queries.update(queryID, func(qi *QueryInfo) { qi.State = QueryPlanning; qi.Planning = c.cfg.Clock.Now() })
-	memLimit, err := queryMemoryLimit(session, c.groupFor(session))
+	props, err := session.ExecProperties()
 	if err != nil {
 		return nil, "", err
 	}
-	plan, err := c.planQuery(session, q)
+	memLimit := queryMemoryLimit(props, c.groupFor(session))
+	plan, err := planner.PlanQuery(c.Catalogs, session, q)
 	if err != nil {
 		return nil, "", err
 	}
@@ -581,33 +593,6 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 		c.liveMu.Unlock()
 	}()
 	remotes := map[int][]*taskHandle{}
-	// Intra-task parallelism requested by the session; 0 lets each worker
-	// apply its own -task-concurrency default.
-	taskDrivers := 0
-	if v := session.Property("task_concurrency", ""); v != "" {
-		d, err := strconv.Atoi(v)
-		if err != nil || d < 1 {
-			return nil, "", fmt.Errorf("cluster: bad task_concurrency %q: want a positive integer", v)
-		}
-		taskDrivers = d
-	}
-	noVector := session.Property("vectorized_execution", "true") == "false"
-	adaptiveRows := 0
-	if v := session.Property("adaptive_exchange_rows", ""); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, "", fmt.Errorf("cluster: bad adaptive_exchange_rows %q: want an integer", v)
-		}
-		adaptiveRows = r
-	}
-	bypassRows := 0
-	if v := session.Property("partial_aggregation_bypass_rows", ""); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, "", fmt.Errorf("cluster: bad partial_aggregation_bypass_rows %q: want an integer", v)
-		}
-		bypassRows = r
-	}
 	if !fp.SingleFragment() {
 		workers, err := c.waitActiveWorkers(qs)
 		if err != nil {
@@ -627,10 +612,8 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 			// default (§VII: RaptorX techniques) — the same split keeps
 			// landing on the same worker, maximizing that worker's footer,
 			// chunk and fragment-result cache hits — degrading to the next
-			// preferred worker at the load cap. affinity_scheduling=false
-			// restores plain round-robin.
-			affinity := session.Property("affinity_scheduling", "true") != "false"
-			assignment, placed, overflow := assignSplits(splits, workers, affinity)
+			// preferred worker at the load cap.
+			assignment, placed, overflow := assignSplits(splits, workers)
 			c.affinityPlaced.Add(int64(placed))
 			c.affinityOverflow.Add(int64(overflow))
 			snapVersion := c.fragmentSnapshotVersion(conn, frag.Scan)
@@ -640,16 +623,15 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 				}
 				taskID := fmt.Sprintf("%s.f%d.t%d", queryID, id, wi)
 				th, err := c.startTaskAnywhere(qs, workers, wi, TaskRequest{
-					TaskID:               taskID,
-					Fragment:             frag.Root,
-					TableKey:             frag.TableKey,
-					Splits:               splitSet,
-					Drivers:              taskDrivers,
-					DisableVectorized:    noVector,
-					AdaptiveExchangeRows: adaptiveRows,
-					PartialAggBypassRows: bypassRows,
-					Deadline:             deadlineNanos(qs.deadline),
-					SnapshotVersion:      snapVersion,
+					TaskID:   taskID,
+					Fragment: frag.Root,
+					TableKey: frag.TableKey,
+					Splits:   splitSet,
+					// 0 lets each worker apply its own -task-concurrency default.
+					Drivers:           props.TaskConcurrency,
+					DisableVectorized: props.DisableVectorized,
+					Deadline:          deadlineNanos(qs.deadline),
+					SnapshotVersion:   snapVersion,
 				})
 				if err != nil {
 					return nil, "", err
@@ -677,11 +659,9 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	// limit — and, when configured, the shared spill manager.
 	rootStats := obs.NewTaskStats()
 	ctx := &execution.Context{
-		Catalogs:             c.Catalogs,
-		Stats:                rootStats,
-		DisableVectorized:    noVector,
-		AdaptiveExchangeRows: adaptiveRows,
-		PartialAggBypassRows: bypassRows,
+		Catalogs:          c.Catalogs,
+		Stats:             rootStats,
+		DisableVectorized: props.DisableVectorized,
 		RemoteSources: func(fragmentID int, cols []planner.Column) (execution.Operator, error) {
 			return &remoteSourceOperator{c: c, qs: qs, tasks: remotes[fragmentID]}, nil
 		},
@@ -690,7 +670,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 		qpool := c.res.pool.Child(queryID, memLimit)
 		defer qpool.Close()
 		ctx.Memory = qpool
-		if c.res.spill != nil && session.Property("spill_enabled", "true") == "true" {
+		if c.res.spill != nil && props.SpillEnabled {
 			ctx.Spill = c.res.spill
 		}
 	} else {
@@ -757,12 +737,12 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 		for _, data := range res.Pages {
 			size += int64(len(data))
 		}
-		c.resultCache.Put(resultCacheKey, cachedResult{res: res, rows: rows}, size)
+		c.resultCache.PutSized(resultCacheKey, cachedResult{res: res, rows: rows}, size)
 	}
 
 	text := ""
 	if analyze {
-		text = formatAnalyzedFragments(fp, stages) + c.obs.Snapshot().CacheSection() + memFooter(ctx.Memory)
+		text = formatAnalyzedFragments(fp, stages) + c.obs.Snapshot().CacheSection() + execution.MemoryFooter(ctx.Memory)
 	}
 	return res, text, nil
 }
@@ -785,23 +765,6 @@ func formatAnalyzedFragments(fp *planner.FragmentedPlan, stages []StageInfo) str
 			id, frag.TableKey, stage.Tasks, execution.FormatAnnotated(frag.Root, stage.Operators))
 	}
 	return out
-}
-
-// ExplainDistributed renders the fragmented plan.
-func (c *Coordinator) ExplainDistributed(session *planner.Session, query string) (string, error) {
-	q, err := sql.ParseQuery(query)
-	if err != nil {
-		return "", err
-	}
-	analyzer := &planner.Analyzer{Catalogs: c.Catalogs, Session: session}
-	plan, err := analyzer.Analyze(q)
-	if err != nil {
-		return "", err
-	}
-	optimizer := &planner.Optimizer{Catalogs: c.Catalogs, Session: session}
-	plan = optimizer.Optimize(plan)
-	fragmenter := &planner.Fragmenter{}
-	return planner.FormatFragments(fragmenter.Fragment(plan)), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -78,10 +78,7 @@ func TestDistinctAggregateDistributed(t *testing.T) {
 	if rows[0][0] != int64(5) {
 		t.Fatalf("distinct count = %v", rows[0][0])
 	}
-	out, err := coord.ExplainDistributed(session(), "SELECT count(distinct city_id) FROM trips")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := explain(t, coord, "SELECT count(distinct city_id) FROM trips")
 	if !strings.Contains(out, "Aggregate(SINGLE)") {
 		t.Errorf("distinct should stay single:\n%s", out)
 	}
@@ -121,14 +118,12 @@ func TestTaskFailurePropagates(t *testing.T) {
 	}
 }
 
-// TestAffinitySchedulingIsSticky: with affinity_scheduling=true the same
-// split lands on the same worker across queries (maximizing per-worker cache
-// hits, §VII).
+// TestAffinitySchedulingIsSticky: the same split lands on the same worker
+// across queries (maximizing per-worker cache hits, §VII).
 func TestAffinitySchedulingIsSticky(t *testing.T) {
 	catalogs := newCatalogs(t)
 	coord, workers := newCluster(t, catalogs, 3)
 	s := session()
-	s.Properties["affinity_scheduling"] = "true"
 	countTasks := func() []int {
 		out := make([]int, len(workers))
 		for i, w := range workers {

@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"strconv"
-
 	"prestolite/internal/obs"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
@@ -119,26 +116,12 @@ func (c *Coordinator) groupFor(session *planner.Session) *resource.Group {
 
 // queryMemoryLimit resolves the per-query memory cap: the query_max_memory
 // session property wins, then the group's PerQueryMemory, else uncapped.
-func queryMemoryLimit(session *planner.Session, g *resource.Group) (int64, error) {
-	if v := session.Property("query_max_memory", ""); v != "" {
-		limit, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: bad query_max_memory %q: %w", v, err)
-		}
-		return limit, nil
+func queryMemoryLimit(props planner.ExecProperties, g *resource.Group) int64 {
+	if props.MaxMemorySet {
+		return props.MaxMemory
 	}
 	if g != nil {
-		return g.Config().PerQueryMemory, nil
+		return g.Config().PerQueryMemory
 	}
-	return 0, nil
-}
-
-// memFooter renders the EXPLAIN ANALYZE memory footer ("" without a memory
-// context): peak reservation and spilled bytes next to the plan they
-// belong to.
-func memFooter(p *resource.Pool) string {
-	if p == nil {
-		return ""
-	}
-	return fmt.Sprintf("\nMemory: peak %d B, spilled %d B\n", p.Peak(), p.Spilled())
+	return 0
 }

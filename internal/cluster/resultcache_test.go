@@ -11,7 +11,9 @@ import (
 	"prestolite/internal/connectors/memory"
 	"prestolite/internal/hdfs"
 	"prestolite/internal/metastore"
+	"prestolite/internal/obs"
 	"prestolite/internal/planner"
+	"prestolite/internal/sql"
 	"prestolite/internal/types"
 )
 
@@ -196,14 +198,114 @@ func TestResultCacheUncacheablePaths(t *testing.T) {
 	}
 }
 
-// TestResultCacheRespectsTaskRequestVersion: the worker fragment cache key
-// folds SnapshotVersion, so identical fragments over changed data miss.
-func TestResultCacheRespectsTaskRequestVersion(t *testing.T) {
-	req := TaskRequest{TaskID: "t", Fragment: &planner.Values{}, SnapshotVersion: 1}
-	k1 := fragmentCacheKey(&req)
-	req.SnapshotVersion = 2
-	k2 := fragmentCacheKey(&req)
-	if k1 == k2 {
-		t.Error("fragment cache key ignores SnapshotVersion")
+// TestPlanCacheKeySeparatesInputs: the key shared by the coordinator result
+// cache and the worker fragment cache is injective over its inputs — two
+// requests differing in one split description, in the snapshot version, or
+// only in where a field boundary falls never share a key.
+func TestPlanCacheKeySeparatesInputs(t *testing.T) {
+	splits := func(descs ...string) []connector.Split {
+		out := make([]connector.Split, len(descs))
+		for i, d := range descs {
+			out[i] = fakeSplit(d)
+		}
+		return out
+	}
+	type input struct {
+		stamps []string
+		splits []connector.Split
+	}
+	base := input{[]string{"7"}, splits("/t/part-0", "/t/part-1")}
+	others := map[string]input{
+		"one split description differs":      {[]string{"7"}, splits("/t/part-0", "/t/part-2")},
+		"snapshot version differs":           {[]string{"8"}, splits("/t/part-0", "/t/part-1")},
+		"byte moved across a split boundary": {[]string{"7"}, splits("/t/part-0/", "t/part-1")},
+		"split boundary dropped":             {[]string{"7"}, splits("/t/part-0/t/part-1")},
+		"stamp moved into the splits":        {nil, splits("7", "/t/part-0", "/t/part-1")},
+		"split moved into the stamps":        {[]string{"7", "/t/part-0"}, splits("/t/part-1")},
+		"length prefix forged in a field":    {[]string{"7"}, splits("/t/part-09:/t/part-1")},
+		"NUL and comma separators forged":    {[]string{"7"}, splits("/t/part-0\x00/t/part-1", ",")},
+	}
+	plan := &planner.Values{}
+	baseKey := planCacheKey(plan, base.stamps, base.splits)
+	if again := planCacheKey(plan, []string{"7"}, splits("/t/part-0", "/t/part-1")); again != baseKey {
+		t.Fatal("equal inputs produced different keys")
+	}
+	if !strings.Contains(baseKey, planner.Format(plan)) || !strings.Contains(baseKey, "/t/part-1") {
+		t.Errorf("key digests its inputs instead of carrying them: %q", baseKey)
+	}
+	seen := map[string]string{baseKey: "base"}
+	for name, in := range others {
+		key := planCacheKey(plan, in.stamps, in.splits)
+		if prev, dup := seen[key]; dup {
+			t.Errorf("%s: shares key %q with %s", name, key, prev)
+		}
+		seen[key] = name
+	}
+}
+
+// TestFragmentCacheIsByteBounded: distinct fragment results worth more than
+// the cache's byte budget leave it at or under the budget with the overflow
+// counted as evictions, and the worker's public hit counter is the cache's.
+func TestFragmentCacheIsByteBounded(t *testing.T) {
+	const pageRows = 128 << 10 // one bigint column: ~1 MiB per task result
+	vals := make([]any, pageRows)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	mem := memory.New("memory")
+	if err := mem.CreateTable("big", "t", []connector.Column{{Name: "v", Type: types.Bigint}},
+		[]*block.Page{block.NewPage(block.FromValues(types.Bigint, vals...))}); err != nil {
+		t.Fatal(err)
+	}
+	reg := connector.NewRegistry()
+	reg.Register("memory", mem)
+	q, err := sql.ParseQuery("SELECT v FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.PlanQuery(reg, &planner.Session{Catalog: "memory", Schema: "big"}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag := (&planner.Fragmenter{}).Fragment(plan).Sources[1]
+	splits, err := mem.SplitManager().Splits(frag.Scan.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := NewWorker(reg)
+	w.EnableFragmentResultCache = true
+	run := func(version int64) {
+		t.Helper()
+		task := &workerTask{stats: obs.NewTaskStats()}
+		w.runTask(&TaskRequest{TaskID: "t", Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits, Drivers: 1, SnapshotVersion: version}, task)
+		if task.err != nil {
+			t.Fatal(task.err)
+		}
+	}
+	// 96 distinct keys of ~1 MiB each against a 64 MiB budget — well under
+	// the 256-entry count cap, so only the byte bound can evict.
+	for v := int64(1); v <= 96; v++ {
+		run(v)
+	}
+	m := w.fragCache.Metrics
+	if got := m.Bytes.Load(); got <= 0 || got > fragmentCacheBytes {
+		t.Errorf("resident fragment bytes = %d, want in (0, %d]", got, int64(fragmentCacheBytes))
+	}
+	if m.Evictions.Load() == 0 || w.fragCache.Len() >= 96 {
+		t.Errorf("evictions = %d, len = %d: the byte budget evicted nothing", m.Evictions.Load(), w.fragCache.Len())
+	}
+	run(96) // most recent key: still resident
+	if w.FragmentCacheHits.Load() != 1 || m.Hits.Load() != 1 {
+		t.Errorf("FragmentCacheHits = %d, cache hits = %d, want both 1", w.FragmentCacheHits.Load(), m.Hits.Load())
+	}
+	snap := w.Obs.Snapshot()
+	for _, name := range []string{"hits", "misses", "evictions", "hit_rate", "bytes"} {
+		if _, ok := snap.Gauges["fragment_cache."+name]; !ok {
+			t.Errorf("gauge fragment_cache.%s not registered", name)
+		}
+	}
+	if got := snap.Gauges["fragment_cache.bytes"]; got != float64(m.Bytes.Load()) {
+		t.Errorf("fragment_cache.bytes = %v, want %d", got, m.Bytes.Load())
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	"runtime"
@@ -51,12 +50,6 @@ type TaskRequest struct {
 	// DisableVectorized pins the task to the row-at-a-time reference
 	// operators (the session's vectorized_execution=false).
 	DisableVectorized bool
-	// AdaptiveExchangeRows tunes the local exchange's skip-repartition
-	// threshold (0 = default, negative = always partition).
-	AdaptiveExchangeRows int
-	// PartialAggBypassRows tunes adaptive partial aggregation's trigger
-	// (0 = default, negative = never bypass).
-	PartialAggBypassRows int
 	// Deadline is the query's deadline in unix nanoseconds (0 = none). The
 	// worker refuses tasks that arrive already expired — the last hop of the
 	// coordinator's per-RPC deadline enforcement.
@@ -79,6 +72,10 @@ type TaskResultChunk struct {
 	Stats []obs.OperatorStatsSnapshot
 }
 
+// fragmentCacheBytes bounds each worker's fragment result cache, sized by
+// Page.SizeBytes: the same 64 MiB the chunk cache defaults to.
+const fragmentCacheBytes = 64 << 20
+
 // WorkerInfo is the status document.
 type WorkerInfo struct {
 	State       WorkerState
@@ -95,8 +92,9 @@ type Worker struct {
 	// re-reading files. Safe for sealed data; paired with the coordinator's
 	// affinity scheduling so repeats land on the same worker.
 	EnableFragmentResultCache bool
-	// FragmentCacheHits counts tasks served from the cache.
-	FragmentCacheHits atomic.Int64
+	// FragmentCacheHits counts tasks served from the cache (the fragment
+	// cache's own hit counter, also published as fragment_cache.hits).
+	FragmentCacheHits *atomic.Int64
 	// Obs is the worker's metrics registry, served as JSON at /v1/stats:
 	// task counters, a task wall-time histogram, and the §VII cache metrics
 	// of every connector that exposes them.
@@ -188,15 +186,16 @@ func NewWorker(catalogs *connector.Registry) *Worker {
 		state:       StateActive,
 		tasks:       map[string]*workerTask{},
 		closed:      make(chan struct{}),
-		fragCache:   cache.NewLRU[string, []*block.Page](256, 10*time.Minute),
+		fragCache:   cache.NewSizedLRU[string, []*block.Page](256, 10*time.Minute, cache.NewBudget(fragmentCacheBytes)),
 		Obs:         obs.NewRegistry(),
 	}
+	w.FragmentCacheHits = &w.fragCache.Metrics.Hits
+	w.fragCache.Metrics.RegisterObs(w.Obs, "fragment_cache")
 	w.tasksStarted = w.Obs.Counter("tasks_started")
 	w.tasksCompleted = w.Obs.Counter("tasks_completed")
 	w.tasksFailed = w.Obs.Counter("tasks_failed")
 	w.httpWriteErrs = w.Obs.Counter("http_write_errors")
 	w.taskWall = w.Obs.Histogram("task_wall")
-	w.Obs.GaugeFunc("fragment_cache.hits", func() float64 { return float64(w.FragmentCacheHits.Load()) })
 	w.Obs.GaugeFunc("active_tasks", func() float64 { return float64(w.activeTaskCount()) })
 	registerCatalogMetrics(catalogs, w.Obs)
 	return w
@@ -420,9 +419,8 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 	start := w.Clock.Now()
 	var cacheKey string
 	if w.EnableFragmentResultCache {
-		cacheKey = fragmentCacheKey(req)
+		cacheKey = planCacheKey(req.Fragment, []string{strconv.FormatInt(req.SnapshotVersion, 10)}, req.Splits)
 		if pages, ok := w.fragCache.Get(cacheKey); ok {
-			w.FragmentCacheHits.Add(1)
 			w.tasksCompleted.Inc()
 			task.mu.Lock()
 			task.pages = pages
@@ -439,14 +437,12 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 	defer cancel()
 	task.setCancel(cancel)
 	ctx := &execution.Context{
-		Catalogs:             w.Catalogs,
-		Splits:               map[string][]connector.Split{req.TableKey: req.Splits},
-		Stats:                task.stats,
-		Ctx:                  tctx,
-		Drivers:              w.taskDrivers(req),
-		DisableVectorized:    req.DisableVectorized,
-		AdaptiveExchangeRows: req.AdaptiveExchangeRows,
-		PartialAggBypassRows: req.PartialAggBypassRows,
+		Catalogs:          w.Catalogs,
+		Splits:            map[string][]connector.Split{req.TableKey: req.Splits},
+		Stats:             task.stats,
+		Ctx:               tctx,
+		Drivers:           w.taskDrivers(req),
+		DisableVectorized: req.DisableVectorized,
 	}
 	if w.pool != nil {
 		// Per-task memory context: tasks share the worker pool, and a failed
@@ -470,7 +466,11 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 		return
 	}
 	if w.EnableFragmentResultCache {
-		w.fragCache.Put(cacheKey, pages)
+		size := 0
+		for _, p := range pages {
+			size += p.SizeBytes()
+		}
+		w.fragCache.PutSized(cacheKey, pages, int64(size))
 	}
 	w.tasksCompleted.Inc()
 	task.mu.Lock()
@@ -490,21 +490,6 @@ func (w *Worker) taskDrivers(req *TaskRequest) int {
 		return w.TaskConcurrency
 	}
 	return runtime.NumCPU()
-}
-
-// fragmentCacheKey identifies a (fragment, splits) unit of work. Fragment
-// plans render deterministically and split descriptions identify the exact
-// files, so equal keys mean equal results over sealed data.
-func fragmentCacheKey(req *TaskRequest) string {
-	h := fnv.New64a()
-	h.Write([]byte(planner.Format(req.Fragment)))
-	h.Write([]byte(strconv.FormatInt(req.SnapshotVersion, 16)))
-	h.Write([]byte{0})
-	for _, s := range req.Splits {
-		h.Write([]byte(s.Description()))
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf("%x", h.Sum64())
 }
 
 func (t *workerTask) fail(err error) {

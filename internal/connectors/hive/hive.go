@@ -134,7 +134,7 @@ func (c *Connector) RegisterObsMetrics(reg *obs.Registry) {
 	c.listCache.Metrics.RegisterObs(reg, c.name+".cache.file_list")
 	c.footerCache.InfoMetrics.RegisterObs(reg, c.name+".cache.file_info")
 	c.footerCache.FooterMetrics.RegisterObs(reg, c.name+".cache.footer")
-	c.chunkCache.RegisterObs(reg, c.name+".cache.chunk")
+	c.chunkCache.Metrics.RegisterObs(reg, c.name+".cache.chunk")
 }
 
 // ChunkCacheMetrics exposes the tier-1 data cache effectiveness.

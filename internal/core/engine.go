@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
@@ -96,21 +95,7 @@ func (e *Engine) Plan(session *planner.Session, query string) (planner.Node, err
 	if !ok {
 		return nil, fmt.Errorf("core: Plan requires a SELECT query, got %T", stmt)
 	}
-	return e.planQuery(session, q)
-}
-
-func (e *Engine) planQuery(session *planner.Session, q *sql.Query) (planner.Node, error) {
-	analyzer := &planner.Analyzer{Catalogs: e.Catalogs, Session: session}
-	plan, err := analyzer.Analyze(q)
-	if err != nil {
-		return nil, err
-	}
-	optimizer := &planner.Optimizer{Catalogs: e.Catalogs, Session: session}
-	plan = optimizer.Optimize(plan)
-	if err := planner.CheckTypes(plan); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return planner.PlanQuery(e.Catalogs, session, q)
 }
 
 // Query executes a statement and materializes the result. EXPLAIN and SHOW
@@ -122,7 +107,7 @@ func (e *Engine) Query(session *planner.Session, query string) (*Result, error) 
 	}
 	switch t := stmt.(type) {
 	case *sql.Query:
-		plan, err := e.planQuery(session, t)
+		plan, err := planner.PlanQuery(e.Catalogs, session, t)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +117,7 @@ func (e *Engine) Query(session *planner.Session, query string) (*Result, error) 
 		if !ok {
 			return nil, fmt.Errorf("core: EXPLAIN supports only SELECT")
 		}
-		plan, err := e.planQuery(session, q)
+		plan, err := planner.PlanQuery(e.Catalogs, session, q)
 		if err != nil {
 			return nil, err
 		}
@@ -179,56 +164,30 @@ func textResult(column, text string) *Result {
 // run when the query finishes: it closes the per-query memory context so a
 // failed operator cannot leak reservations into the shared pool.
 func (e *Engine) execContext(session *planner.Session) (*execution.Context, func(), error) {
-	ctx := &execution.Context{Catalogs: e.Catalogs}
-	cleanup := func() {}
-	if v := session.Property("query_max_memory", ""); v != "" {
-		limit, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: bad query_max_memory %q: %w", v, err)
-		}
-		ctx.MemoryLimit = limit
+	props, err := session.ExecProperties()
+	if err != nil {
+		return nil, nil, err
 	}
+	ctx := &execution.Context{
+		Catalogs:          e.Catalogs,
+		MemoryLimit:       props.MaxMemory,
+		DisableVectorized: props.DisableVectorized,
+		// Intra-task parallelism: how many driver pipelines a query runs over
+		// its split queue. Defaults to the core count; task_concurrency=1
+		// forces serial execution.
+		Drivers: runtime.NumCPU(),
+	}
+	if props.TaskConcurrency > 0 {
+		ctx.Drivers = props.TaskConcurrency
+	}
+	cleanup := func() {}
 	if e.Mem != nil {
 		q := e.Mem.Child("query", ctx.MemoryLimit)
 		ctx.Memory = q
 		cleanup = q.Close
 	}
-	if e.Spill != nil && session.Property("spill_enabled", "true") == "true" {
+	if e.Spill != nil && props.SpillEnabled {
 		ctx.Spill = e.Spill
-	}
-	// Intra-task parallelism: how many driver pipelines a query runs over
-	// its split queue. Defaults to the core count; task_concurrency=1 forces
-	// serial execution.
-	ctx.Drivers = runtime.NumCPU()
-	if v := session.Property("task_concurrency", ""); v != "" {
-		d, err := strconv.Atoi(v)
-		if err != nil || d < 1 {
-			return nil, nil, fmt.Errorf("core: bad task_concurrency %q: want a positive integer", v)
-		}
-		ctx.Drivers = d
-	}
-	// vectorized_execution=false pins every aggregation and join to the
-	// row-at-a-time reference operators — the escape hatch, and the oracle
-	// the equivalence suite compares the kernels against.
-	ctx.DisableVectorized = session.Property("vectorized_execution", "true") == "false"
-	// adaptive_exchange_rows tunes the local exchange's skip-repartition
-	// threshold (0 = default, negative = always partition).
-	if v := session.Property("adaptive_exchange_rows", ""); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: bad adaptive_exchange_rows %q: want an integer", v)
-		}
-		ctx.AdaptiveExchangeRows = r
-	}
-	// partial_aggregation_bypass_rows tunes how much input a partial
-	// aggregation hashes before it may switch to pass-through
-	// (0 = default, negative = never bypass).
-	if v := session.Property("partial_aggregation_bypass_rows", ""); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: bad partial_aggregation_bypass_rows %q: want an integer", v)
-		}
-		ctx.PartialAggBypassRows = r
 	}
 	return ctx, cleanup, nil
 }
@@ -279,17 +238,7 @@ func (e *Engine) explainAnalyze(session *planner.Session, plan planner.Node) (st
 		block.MaterializePage(p)
 	}
 	text := execution.FormatAnnotated(plan, stats.Snapshot()) + CacheStatsFooter(e.Obs.Snapshot())
-	return text + MemoryFooter(ctx.Memory), nil
-}
-
-// MemoryFooter renders the per-query memory footer ("" without a memory
-// context) — peak reservation and spilled bytes, appended to EXPLAIN ANALYZE
-// so §XII.C resource behaviour shows up next to the plan.
-func MemoryFooter(pool *resource.Pool) string {
-	if pool == nil {
-		return ""
-	}
-	return fmt.Sprintf("\nMemory: peak %d B, spilled %d B\n", pool.Peak(), pool.Spilled())
+	return text + execution.MemoryFooter(ctx.Memory), nil
 }
 
 // CacheStatsFooter renders the cache-related gauges of a registry snapshot

@@ -8,6 +8,7 @@ import (
 	"prestolite/internal/block"
 	"prestolite/internal/obs"
 	"prestolite/internal/planner"
+	"prestolite/internal/resource"
 )
 
 // planOperatorIDs assigns stable pre-order ids to every node of a plan.
@@ -120,6 +121,16 @@ func FormatAnnotated(root planner.Node, snaps []obs.OperatorStatsSnapshot) strin
 	}
 	walk(root, 0)
 	return sb.String()
+}
+
+// MemoryFooter renders the EXPLAIN ANALYZE memory footer ("" without a memory
+// context) — peak reservation and spilled bytes, so §XII.C resource behaviour
+// shows up next to the plan it belongs to.
+func MemoryFooter(pool *resource.Pool) string {
+	if pool == nil {
+		return ""
+	}
+	return fmt.Sprintf("\nMemory: peak %d B, spilled %d B\n", pool.Peak(), pool.Spilled())
 }
 
 // formatOperatorStats renders one stats annotation line.

@@ -236,3 +236,26 @@ func TestConstantFolding(t *testing.T) {
 		t.Errorf("division by zero should stay:\n%s", Format(n2))
 	}
 }
+
+// TestExecProperties: the one parser behind the embedded engine and the
+// coordinator applies defaults, keeps "unset" apart from zero, and rejects
+// malformed values with one error text.
+func TestExecProperties(t *testing.T) {
+	got, err := (&Session{}).ExecProperties()
+	if err != nil || got != (ExecProperties{SpillEnabled: true}) {
+		t.Fatalf("defaults = %+v, %v", got, err)
+	}
+	s := &Session{Properties: map[string]string{
+		"task_concurrency": "4", "vectorized_execution": "false", "query_max_memory": "0", "spill_enabled": "false",
+	}}
+	got, err = s.ExecProperties()
+	if err != nil || got != (ExecProperties{TaskConcurrency: 4, DisableVectorized: true, MaxMemorySet: true}) {
+		t.Fatalf("parsed = %+v, %v", got, err)
+	}
+	for prop, bad := range map[string]string{"task_concurrency": "0", "query_max_memory": "lots"} {
+		s := &Session{Properties: map[string]string{prop: bad}}
+		if _, err := s.ExecProperties(); err == nil || !strings.Contains(err.Error(), "session: bad "+prop) {
+			t.Errorf("%s=%q: err = %v", prop, bad, err)
+		}
+	}
+}
