@@ -61,7 +61,7 @@ func newCatalogs(t *testing.T) *connector.Registry {
 }
 
 // newCluster starts a coordinator and n workers sharing catalogs.
-func newCluster(t *testing.T, catalogs *connector.Registry, n int) (*Coordinator, []*Worker) {
+func newCluster(t testing.TB, catalogs *connector.Registry, n int) (*Coordinator, []*Worker) {
 	t.Helper()
 	coord := NewCoordinator(catalogs)
 	var workers []*Worker

@@ -233,13 +233,22 @@ func (c *Coordinator) resultCacheKey(plan planner.Node) (string, bool) {
 // move between fields or lists and make two different inputs share a key;
 // nothing is digested, so equal keys mean equal inputs.
 func planCacheKey(plan planner.Node, stamps []string, splits []connector.Split) string {
+	text := planner.Format(plan)
+	size := len(text) + 16
+	for _, stamp := range stamps {
+		size += len(stamp) + 8
+	}
+	// The coordinator's key (no splits) is built in one allocation: this runs
+	// on every result-cache probe.
 	var sb strings.Builder
+	sb.Grow(size)
+	var num [20]byte
 	field := func(s string) {
-		sb.WriteString(strconv.Itoa(len(s)))
+		sb.Write(strconv.AppendInt(num[:0], int64(len(s)), 10))
 		sb.WriteByte(':')
 		sb.WriteString(s)
 	}
-	field(planner.Format(plan))
+	field(text)
 	field(strconv.Itoa(len(stamps)))
 	for _, stamp := range stamps {
 		field(stamp)

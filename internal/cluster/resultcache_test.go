@@ -20,7 +20,7 @@ import (
 // resultCacheFixture builds a partitioned hive table (so the metastore can
 // bump its snapshot version via AddPartition) plus a memory catalog (which
 // cannot report versions — the uncacheable case).
-func resultCacheFixture(t *testing.T) (*connector.Registry, *metastore.Metastore, *hive.Loader) {
+func resultCacheFixture(t testing.TB) (*connector.Registry, *metastore.Metastore, *hive.Loader) {
 	t.Helper()
 	fs := hdfs.New(hdfs.Config{})
 	ms := metastore.New()
@@ -195,6 +195,28 @@ func TestResultCacheUncacheablePaths(t *testing.T) {
 	}
 	if n := coord.ResultCacheLen(); n != 0 {
 		t.Errorf("EXPLAIN ANALYZE was cached (len %d)", n)
+	}
+}
+
+// BenchmarkResultCacheHit is the coordinator's share of a dashboard hit:
+// parse, plan, key and probe, no task. Its allocs/op and B/op repeat exactly
+// from run to run, which wall-clock percentiles through two HTTP hops on a
+// two-core host do not; compare those across commits when dashboard_repeat's
+// p50 is in question.
+func BenchmarkResultCacheHit(b *testing.B) {
+	catalogs, _, _ := resultCacheFixture(b)
+	coord, _ := newCluster(b, catalogs, 2)
+	coord.EnableResultCache(64, 8<<20, time.Hour)
+	q := "SELECT city_id, count(*) AS n, sum(fare) AS f FROM trips WHERE fare <= 7 GROUP BY city_id ORDER BY 1"
+	if _, err := coord.Query(session(), q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coord.Query(session(), q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

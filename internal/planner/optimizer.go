@@ -23,13 +23,20 @@ type Optimizer struct {
 func (o *Optimizer) Optimize(root Node) Node {
 	// Phase 0: constant folding (rule-based, no statistics — §XII.A).
 	root = rewrite(root, foldConstants)
-	// Phase 1: move predicates to where they can be absorbed.
+	// Phase 1: move predicates to where they can be absorbed, until no rule
+	// fires. A rule that does not apply returns the node it was given, so a
+	// round is judged by identity and not by rendering the plan: this runs on
+	// every statement, including every result-cache hit.
 	for i := 0; i < 5; i++ {
-		before := Format(root)
-		root = rewrite(root, mergeFilters)
-		root = rewrite(root, pushFilterThroughProject)
-		root = rewrite(root, pushFilterThroughJoin)
-		if Format(root) == before {
+		fired := false
+		for _, rule := range []func(Node) Node{mergeFilters, pushFilterThroughProject, pushFilterThroughJoin} {
+			root = rewrite(root, func(n Node) Node {
+				out := rule(n)
+				fired = fired || out != n
+				return out
+			})
+		}
+		if !fired {
 			break
 		}
 	}
