@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test test-race lint check chaos chaos-ingest chaos-lifecycle fuzz-smoke bench bench-e2e bench-json bench-qps-json bench-ingest-json experiments examples fmt vet
+.PHONY: build test test-race lint check chaos chaos-ingest chaos-lifecycle fuzz-smoke e2e-golden bench bench-e2e bench-json bench-qps-json bench-ingest-json experiments examples fmt vet
 
 build:
 	go build ./...
@@ -78,6 +78,14 @@ bench:
 # metric sets. This is the benchmark a PR is judged on.
 bench-e2e:
 	go run ./cmd/e2ebench
+
+# The benchmark's answer key, without the benchmark (~5 s): every adhoc
+# statement any seed can draw is re-run on a single-driver reference engine
+# and compared with internal/e2ebench/golden.json. A planner or reader change
+# that alters an answer fails here, on push, instead of as `"correct":false`
+# in the benchmark run that judges the PR.
+e2e-golden:
+	go run ./cmd/e2ebench -golden check
 
 # The three *-json targets below are per-layer micro-benchmarks: useful for
 # digging into one layer, but they no longer gate a PR — bench-e2e does.

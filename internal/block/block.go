@@ -592,8 +592,35 @@ type LazyBlock struct {
 	loaded Block
 }
 
+// LoadError is what a loader panics with when the column cannot be
+// materialized (a corrupt or unreadable chunk). Block's accessors have no
+// error result, so the failure unwinds to whoever drives the code that
+// touched the block, and is reported there as that query's error: the
+// drivers of a pipeline (execution.Drain, the local exchange's producers) and
+// the two places results leave the engine (EncodePage, core's result
+// materialization) recover it with RecoveredLoadError.
+type LoadError struct{ Err error }
+
+func (e *LoadError) Error() string { return e.Err.Error() }
+func (e *LoadError) Unwrap() error { return e.Err }
+
+// RecoveredLoadError interprets what recover() returned in a deferred
+// function at one of those boundaries: nil when nothing panicked, the error a
+// lazy column failed to load with, and any other panic raised again — that
+// one is a bug, not an input.
+func RecoveredLoadError(r any) error {
+	if r == nil {
+		return nil
+	}
+	if le, ok := r.(*LoadError); ok {
+		return le.Err
+	}
+	panic(r)
+}
+
 // NewLazyBlock builds a lazy block of n rows materialized by loader on first
-// access. Loader must return a block with exactly n rows.
+// access. Loader must return a block with exactly n rows, or panic with a
+// *LoadError.
 func NewLazyBlock(n int, loader func() Block) *LazyBlock {
 	return &LazyBlock{N: n, Loader: loader}
 }

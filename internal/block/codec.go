@@ -64,8 +64,14 @@ func MaterializePage(p *Page) *Page {
 	return &Page{Blocks: blocks, N: p.N}
 }
 
-// EncodePage serializes a page for the wire.
-func EncodePage(p *Page) ([]byte, error) {
+// EncodePage serializes a page for the wire. Lazy columns load here, so a
+// column that cannot be read is this call's error.
+func EncodePage(p *Page) (data []byte, err error) {
+	defer func() {
+		if lerr := RecoveredLoadError(recover()); lerr != nil {
+			data, err = nil, lerr
+		}
+	}()
 	blocks := make([]Block, len(p.Blocks))
 	for i, b := range p.Blocks {
 		blocks[i] = flatten(b)

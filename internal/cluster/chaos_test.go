@@ -177,7 +177,25 @@ func counter(coord *Coordinator, name string) int64 {
 	return coord.Obs().Snapshot().Counters[name]
 }
 
-// TestChaosWorkerDeathReschedules: worker 0 accepts tasks but every result
+// busiestWorker returns the worker that has started the most tasks: the one
+// to fault when a test needs a worker the split placement actually uses.
+// Placement rendezvous-hashes the workers' ephemeral addresses under a
+// fair-share+1 cap (4 of the suite's 8 splits), so two workers can hold every
+// split: on about one port draw in seventy a given worker — workers[0], say —
+// is dealt none, and killing it reschedules nothing. The placement is the
+// same for every query on the same addresses, so one clean query tells.
+func busiestWorker(workers []*Worker) *Worker {
+	started := func(w *Worker) int64 { return w.Obs.Snapshot().Counters["tasks_started"] }
+	busiest := workers[0]
+	for _, w := range workers[1:] {
+		if started(w) > started(busiest) {
+			busiest = w
+		}
+	}
+	return busiest
+}
+
+// TestChaosWorkerDeathReschedules: one worker accepts tasks but every result
 // fetch to it fails (the deterministic stand-in for a node dying mid-query).
 // Every query must still return the exact baseline rows, and the recovery
 // must be visible as task_retries — dead-worker splits re-executed on
@@ -188,7 +206,8 @@ func TestChaosWorkerDeathReschedules(t *testing.T) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
 		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
-		inj.FaultHTTP(fault.HTTPRule{Target: workers[0].Addr(), Path: "/results", DropProb: 1})
+		mustRows(t, coord, chaosQueries[0]) // a clean pass, so busiestWorker has something to read
+		inj.FaultHTTP(fault.HTTPRule{Target: busiestWorker(workers).Addr(), Path: "/results", DropProb: 1})
 
 		watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
@@ -537,6 +556,12 @@ func TestChaosOOMKillerUnderOverload(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		// Same contract as ever — one round of four sorts, the killer must
+		// fire — but every result fetch takes 5 ms, so the two admitted sorts
+		// are both holding pages while they wait. Without it a 7 ms sort can
+		// finish before the other gets a core (one run in four beside a CPU
+		// burner on the 2-core host, 0 of 150 with it).
+		inj.FaultHTTP(fault.HTTPRule{Path: "/results", DelayProb: 1, Delay: 5 * time.Millisecond})
 		const concurrent = 4
 		errs := make(chan error, concurrent)
 		watchdog(t, 120*time.Second, func() {

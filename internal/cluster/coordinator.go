@@ -751,7 +751,8 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 
 	text := ""
 	if analyze {
-		text = formatAnalyzedFragments(fp, stages) + c.obs.Snapshot().CacheSection() + execution.MemoryFooter(ctx.Memory)
+		snap := c.obs.Snapshot()
+		text = formatAnalyzedFragments(fp, stages) + snap.CacheSection() + snap.ReaderSection() + execution.MemoryFooter(ctx.Memory)
 	}
 	return res, text, nil
 }

@@ -137,7 +137,7 @@ func TestRemoveWorkerAbortsInflight(t *testing.T) {
 // actual row counts and timings, and GET /v1/query/{id} serves the same
 // statistics as JSON.
 func TestDistributedExplainAnalyze(t *testing.T) {
-	coord, _ := newCluster(t, newCatalogs(t), 2)
+	coord, workers := newCluster(t, newCatalogs(t), 2)
 	if err := coord.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +195,24 @@ func TestDistributedExplainAnalyze(t *testing.T) {
 	// Hive footer-cache gauges registered on the coordinator show up.
 	if !strings.Contains(text, "Cache:") || !strings.Contains(text, "hive.cache.") {
 		t.Errorf("cache footer missing:\n%s", text)
+	}
+
+	// So do the hive reader's work gauges, and a worker's /v1/stats serves
+	// them: 80 rows scanned, one leaf (city_id) decoded per row group.
+	if !strings.Contains(text, "Reader:") || !strings.Contains(text, "hive.reader.rows_scanned: 80\n") {
+		t.Errorf("reader footer missing:\n%s", text)
+	}
+	wresp, err := http.Get("http://" + workers[0].Addr() + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wresp.Body.Close()
+	var wsnap struct{ Gauges map[string]float64 }
+	if err := json.NewDecoder(wresp.Body).Decode(&wsnap); err != nil {
+		t.Fatal(err)
+	}
+	if rg := wsnap.Gauges["hive.reader.row_groups_read"]; rg == 0 || wsnap.Gauges["hive.reader.leaves_decoded"] != rg {
+		t.Errorf("worker /v1/stats reader gauges = %v", wsnap.Gauges)
 	}
 
 	// /v1/query/{id} serves the same stats as JSON.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"prestolite/internal/block"
@@ -75,6 +76,10 @@ type Connector struct {
 	listCache   *cache.FileListCache
 	footerCache *cache.FooterCache[footerEntry]
 	chunkCache  *cache.ChunkCache
+
+	// readerMetrics sums the work of every new-reader instance the connector
+	// opens (the legacy reader counts nothing).
+	readerMetrics parquet.Metrics
 }
 
 type footerEntry struct {
@@ -135,6 +140,23 @@ func (c *Connector) RegisterObsMetrics(reg *obs.Registry) {
 	c.footerCache.InfoMetrics.RegisterObs(reg, c.name+".cache.file_info")
 	c.footerCache.FooterMetrics.RegisterObs(reg, c.name+".cache.footer")
 	c.chunkCache.Metrics.RegisterObs(reg, c.name+".cache.chunk")
+	// What pushdown saved (row groups skipped by statistics and by
+	// dictionary) and what the scans still cost. leaves_decoded over
+	// row_groups_read is the width of the average scan: 26 when a query
+	// reads the whole trips.base struct, 2 when nested column pruning
+	// reached the scan.
+	m := &c.readerMetrics
+	for name, v := range map[string]*atomic.Int64{
+		"row_groups_read":          &m.RowGroupsRead,
+		"row_groups_skipped_stats": &m.RowGroupsSkippedStats,
+		"row_groups_skipped_dict":  &m.RowGroupsSkippedDict,
+		"leaves_decoded":           &m.LeavesDecoded,
+		"rows_scanned":             &m.RowsScanned,
+		"rows_matched":             &m.RowsMatched,
+	} {
+		v := v
+		reg.GaugeFunc(c.name+".reader."+name, func() float64 { return float64(v.Load()) })
+	}
 }
 
 // ChunkCacheMetrics exposes the tier-1 data cache effectiveness.
@@ -462,6 +484,7 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		DictionaryPushdown: !tog.NoDictionaryPushdown,
 		LazyReads:          !tog.NoLazyReads,
 		Vectorized:         !tog.NoVectorized,
+		Metrics:            &c.readerMetrics,
 	}
 	if !c.opts.DisableChunkCache {
 		opts.Path = sp.Path

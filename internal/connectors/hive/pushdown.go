@@ -151,6 +151,14 @@ func (c *Connector) PushProjection(handle connector.TableHandle, columns []int) 
 		return handle, false
 	}
 	nh := *h
+	if h.NestedPaths != nil {
+		// The scan's columns are already dotted paths: keep the selected ones.
+		nh.NestedPaths = make([]string, len(columns))
+		for i, col := range columns {
+			nh.NestedPaths[i] = h.NestedPaths[col]
+		}
+		return &nh, true
+	}
 	nh.Projection = append([]int(nil), columns...)
 	return &nh, true
 }

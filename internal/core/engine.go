@@ -206,12 +206,25 @@ func (e *Engine) execute(session *planner.Session, plan planner.Node) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	// Results leave the engine: force lazy columns (a client always reads
-	// what it asked for, so deferred decode must be charged here).
+	if err := materialize(pages); err != nil {
+		return nil, err
+	}
+	return &Result{Columns: plan.Outputs(), Pages: pages}, nil
+}
+
+// materialize forces the lazy columns of pages leaving the engine, in place:
+// a client always reads what it asked for, so deferred decode is charged —
+// and a column that cannot be read is reported — here.
+func materialize(pages []*block.Page) (err error) {
+	defer func() {
+		if lerr := block.RecoveredLoadError(recover()); lerr != nil {
+			err = lerr
+		}
+	}()
 	for i, p := range pages {
 		pages[i] = block.MaterializePage(p)
 	}
-	return &Result{Columns: plan.Outputs(), Pages: pages}, nil
+	return nil
 }
 
 // explainAnalyze executes plan with instrumentation enabled and renders the
@@ -234,10 +247,11 @@ func (e *Engine) explainAnalyze(session *planner.Session, plan planner.Node) (st
 		return "", err
 	}
 	// Charge deferred decode exactly as a real client read would.
-	for _, p := range pages {
-		block.MaterializePage(p)
+	if err := materialize(pages); err != nil {
+		return "", err
 	}
-	text := execution.FormatAnnotated(plan, stats.Snapshot()) + CacheStatsFooter(e.Obs.Snapshot())
+	snap := e.Obs.Snapshot()
+	text := execution.FormatAnnotated(plan, stats.Snapshot()) + CacheStatsFooter(snap) + snap.ReaderSection()
 	return text + execution.MemoryFooter(ctx.Memory), nil
 }
 

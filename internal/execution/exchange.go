@@ -254,6 +254,13 @@ func (ex *localExchange) produce(i int) {
 		pt = newPartitioner(ex)
 		defer pt.release()
 	}
+	// Deferred last, so it runs first: the failure is recorded before this
+	// producer's output closes and a consumer can take the close for EOF.
+	defer func() {
+		if err := block.RecoveredLoadError(recover()); err != nil {
+			ex.fail(err)
+		}
+	}()
 	for {
 		select {
 		case <-ex.done:

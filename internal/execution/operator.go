@@ -251,10 +251,16 @@ func (u *unionOperator) Close() error {
 	return first
 }
 
-// Drain pulls all pages from op, closing it afterwards.
-func Drain(op Operator) ([]*block.Page, error) {
+// Drain pulls all pages from op, closing it afterwards. It is the driver of
+// the pipeline under op: a lazy column that fails to load while an operator
+// reads it fails the drain.
+func Drain(op Operator) (out []*block.Page, err error) {
 	defer op.Close()
-	var out []*block.Page
+	defer func() {
+		if lerr := block.RecoveredLoadError(recover()); lerr != nil {
+			out, err = nil, lerr
+		}
+	}()
 	for {
 		p, err := op.Next()
 		if errors.Is(err, io.EOF) {

@@ -75,10 +75,24 @@ type FSRule struct {
 	// prefix of the buffer before failing — the torn/short write a power cut
 	// leaves behind. Only meaningful for the write op.
 	TornProb float64
+	// CorruptProb is the probability a "read" succeeds but hands back its
+	// bytes inverted: bit rot in a format without checksums, which every
+	// decoder above must answer with an error. Only meaningful for the read
+	// op.
+	CorruptProb float64
+	// Offset and Length, when Length > 0, narrow a "read" rule to reads
+	// that start inside [Offset, Offset+Length) of the file: one column
+	// chunk, say, and not the footer beside it.
+	Offset, Length int64
 }
 
-func (r *FSRule) matches(op, path string) bool {
+// matches reports whether the rule covers op on path; off is where a "read"
+// starts.
+func (r *FSRule) matches(op, path string, off int64) bool {
 	if r.Path != "" && !strings.Contains(path, r.Path) {
+		return false
+	}
+	if r.Length > 0 && (op != "read" || off < r.Offset || off >= r.Offset+r.Length) {
 		return false
 	}
 	if len(r.Ops) == 0 {
@@ -102,6 +116,8 @@ type Counters struct {
 	FSDelays   atomic.Int64
 	// FSTornWrites counts writes that persisted only a prefix before failing.
 	FSTornWrites atomic.Int64
+	// FSCorruptReads counts reads that returned inverted bytes.
+	FSCorruptReads atomic.Int64
 }
 
 // Injector is the seeded fault source shared by Transport and FS wrappers.
@@ -209,19 +225,21 @@ func (in *Injector) decideHTTP(host, path string) httpDecision {
 
 // fsDecision is what the FS wrapper should do with one operation.
 type fsDecision struct {
-	err   bool
-	torn  bool // write persists a prefix, then fails (implies err)
-	delay time.Duration
+	err     bool
+	torn    bool // write persists a prefix, then fails (implies err)
+	corrupt bool // read returns inverted bytes
+	delay   time.Duration
 }
 
-// decideFS evaluates every matching rule in order against one operation.
-func (in *Injector) decideFS(op, path string) fsDecision {
+// decideFS evaluates every matching rule in order against one operation
+// (off is the offset of a read, 0 otherwise).
+func (in *Injector) decideFS(op, path string, off int64) fsDecision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var d fsDecision
 	for i := range in.fsRules {
 		r := &in.fsRules[i]
-		if !r.matches(op, path) {
+		if !r.matches(op, path, off) {
 			continue
 		}
 		if r.DelayProb > 0 && r.Delay > 0 && in.rng.Float64() < r.DelayProb {
@@ -235,6 +253,9 @@ func (in *Injector) decideFS(op, path string) fsDecision {
 		if r.ErrProb > 0 && in.rng.Float64() < r.ErrProb {
 			d.err = true
 			return d
+		}
+		if op == "read" && r.CorruptProb > 0 && in.rng.Float64() < r.CorruptProb {
+			d.corrupt = true
 		}
 	}
 	return d

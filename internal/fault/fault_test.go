@@ -236,6 +236,23 @@ func TestFaultFS(t *testing.T) {
 	if n := in.Counters.FSErrors.Load(); n != 1 {
 		t.Fatalf("FSErrors = %d", n)
 	}
+
+	// A corruption rule with a byte range inverts the reads that start in
+	// the range and leaves the rest of the file alone.
+	in.Reset()
+	in.FaultFS(FSRule{Path: "b.parquet", Ops: []string{"read"}, CorruptProb: 1, Offset: 4, Length: 3})
+	if _, err := fb.ReadAt(buf, 0); err != nil || string(buf) != "0123" {
+		t.Fatalf("read before the range = %q, %v", buf, err)
+	}
+	if _, err := fb.ReadAt(buf, 5); err != nil || buf[0] != ^byte('5') || buf[3] != ^byte('8') {
+		t.Fatalf("read inside the range = %q, %v", buf, err)
+	}
+	if _, err := fb.ReadAt(buf[:2], 7); err != nil || string(buf[:2]) != "78" {
+		t.Fatalf("read after the range = %q, %v", buf[:2], err)
+	}
+	if n := in.Counters.FSCorruptReads.Load(); n != 1 {
+		t.Fatalf("FSCorruptReads = %d", n)
+	}
 }
 
 // TestManualClock: virtual time passes instantly, Sleep/After accumulate in

@@ -18,16 +18,23 @@ type FS struct {
 
 // apply charges the injected delay and returns the injected error, if any.
 func (f *FS) apply(op, path string) error {
-	d := f.Injector.decideFS(op, path)
+	_, err := f.decide(op, path, 0)
+	return err
+}
+
+// decide is apply for an operation whose decision the caller needs: a read
+// may come back corrupted rather than failed.
+func (f *FS) decide(op, path string, off int64) (fsDecision, error) {
+	d := f.Injector.decideFS(op, path, off)
 	if d.delay > 0 {
 		f.Injector.Counters.FSDelays.Add(1)
 		f.Injector.clock().Sleep(d.delay)
 	}
 	if d.err {
 		f.Injector.Counters.FSErrors.Add(1)
-		return &InjectedError{Op: "fs-" + op, Target: path}
+		return d, &InjectedError{Op: "fs-" + op, Target: path}
 	}
-	return nil
+	return d, nil
 }
 
 // ListFiles implements fsys.FileSystem.
@@ -84,7 +91,7 @@ type faultWriter struct {
 // prefix of p to the base writer, then reports failure — the caller sees an
 // error, but the prefix is on disk, exactly like a crash mid-write.
 func (fw *faultWriter) Write(p []byte) (int, error) {
-	d := fw.fs.Injector.decideFS("write", fw.path)
+	d := fw.fs.Injector.decideFS("write", fw.path, 0)
 	if d.delay > 0 {
 		fw.fs.Injector.Counters.FSDelays.Add(1)
 		fw.fs.Injector.clock().Sleep(d.delay)
@@ -130,8 +137,16 @@ type faultFile struct {
 
 // ReadAt implements io.ReaderAt.
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := f.fs.apply("read", f.path); err != nil {
+	d, err := f.fs.decide("read", f.path, off)
+	if err != nil {
 		return 0, err
 	}
-	return f.File.ReadAt(p, off)
+	n, err := f.File.ReadAt(p, off)
+	if d.corrupt {
+		for i := range p[:n] {
+			p[i] = ^p[i]
+		}
+		f.fs.Injector.Counters.FSCorruptReads.Add(1)
+	}
+	return n, err
 }

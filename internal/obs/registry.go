@@ -246,10 +246,21 @@ func (r *Registry) Snapshot() Snapshot {
 // indented "Cache:" block ("" when there are none) — appended to EXPLAIN
 // ANALYZE output so cache effectiveness shows up next to the operators it
 // accelerates.
-func (s Snapshot) CacheSection() string {
+func (s Snapshot) CacheSection() string { return s.gaugeSection("Cache", "cache") }
+
+// ReaderSection renders the file readers' work gauges (names containing
+// ".reader.") as a "Reader:" block — the EXPLAIN ANALYZE footer's answer to
+// "how much did the scans really read": row groups read and skipped, leaf
+// chunks decoded, rows scanned and matched. Like the cache gauges above them
+// they are process-wide running totals.
+func (s Snapshot) ReaderSection() string { return s.gaugeSection("Reader", ".reader.") }
+
+// gaugeSection renders the gauges whose name contains fragment under a title
+// line ("" when there are none).
+func (s Snapshot) gaugeSection(title, fragment string) string {
 	var keys []string
 	for k := range s.Gauges {
-		if strings.Contains(k, "cache") {
+		if strings.Contains(k, fragment) {
 			keys = append(keys, k)
 		}
 	}
@@ -258,7 +269,7 @@ func (s Snapshot) CacheSection() string {
 	}
 	sort.Strings(keys)
 	var sb strings.Builder
-	sb.WriteString("Cache:\n")
+	sb.WriteString(title + ":\n")
 	for _, k := range keys {
 		v := s.Gauges[k]
 		if strings.HasSuffix(k, "hit_rate") {

@@ -58,27 +58,34 @@ func (c *cursor) skipOne() {
 
 // assembler assembles records for one schema subtree.
 type assembler struct {
-	node    *Node
-	cursors map[int]*cursor // leaf index -> cursor
-	leaves  []int           // leaf indexes under node, leftmost first
+	node *Node
+	// cursors holds one cursor per leaf under node, leftmost first: the
+	// leaves of a subtree are a contiguous run, so leaf li is cursors[li -
+	// node.leaves[0]].
+	cursors []cursor
 }
 
 func newAssembler(node *Node, chunks map[int]*chunkData) *assembler {
-	a := &assembler{node: node, cursors: map[int]*cursor{}, leaves: LeavesUnder(node)}
-	for _, li := range a.leaves {
+	a := &assembler{node: node, cursors: make([]cursor, len(node.leaves))}
+	for i, li := range node.leaves {
 		cd, ok := chunks[li]
 		if !ok {
 			panic(fmt.Sprintf("parquet: assembler missing chunk for leaf %d", li))
 		}
-		a.cursors[li] = &cursor{data: cd}
+		a.cursors[i].data = cd
 	}
 	return a
 }
 
-func (a *assembler) leftmost() *cursor { return a.cursors[a.leaves[0]] }
+// cursor returns the cursor of leaf li.
+func (a *assembler) cursor(li int) *cursor { return &a.cursors[li-a.node.leaves[0]] }
+
+// leftmostOf returns the cursor of node's leftmost leaf, whose levels tell
+// whether node is present in the next record.
+func (a *assembler) leftmostOf(node *Node) *cursor { return a.cursor(node.leaves[0]) }
 
 // hasNext reports whether another record remains.
-func (a *assembler) hasNext() bool { return !a.leftmost().done() }
+func (a *assembler) hasNext() bool { return !a.cursors[0].done() }
 
 // nextValue assembles the next record's value for the subtree.
 func (a *assembler) nextValue() (any, error) {
@@ -89,8 +96,8 @@ func (a *assembler) nextValue() (any, error) {
 // skip decoding work for filtered-out rows at the value-construction level;
 // level streams must still advance).
 func (a *assembler) skipRecord() {
-	for _, li := range a.leaves {
-		c := a.cursors[li]
+	for i := range a.cursors {
+		c := &a.cursors[i]
 		c.skipOne()
 		for !c.done() && c.rep() > 0 {
 			c.skipOne()
@@ -100,19 +107,19 @@ func (a *assembler) skipRecord() {
 
 // consumeNull advances every leaf under node by one triplet.
 func (a *assembler) consumeNull(node *Node) {
-	for _, li := range LeavesUnder(node) {
-		a.cursors[li].skipOne()
+	for _, li := range node.leaves {
+		a.cursor(li).skipOne()
 	}
 }
 
 func (a *assembler) assemble(node *Node) (any, error) {
 	switch node.Kind {
 	case KindPrimitive:
-		return a.cursors[node.LeafIndex].advance(), nil
+		return a.cursor(node.LeafIndex).advance(), nil
 	case KindStruct:
 		// Present iff the leftmost descendant's def reaches this node's
 		// DefNotNull.
-		lm := a.cursors[LeavesUnder(node)[0]]
+		lm := a.leftmostOf(node)
 		if lm.def() < node.DefNotNull {
 			a.consumeNull(node)
 			return nil, nil
@@ -127,7 +134,7 @@ func (a *assembler) assemble(node *Node) (any, error) {
 		}
 		return fields, nil
 	case KindList:
-		lm := a.cursors[LeavesUnder(node)[0]]
+		lm := a.leftmostOf(node)
 		switch {
 		case lm.def() < node.DefNotNull:
 			a.consumeNull(node)
@@ -154,7 +161,7 @@ func (a *assembler) assemble(node *Node) (any, error) {
 		}
 		return items, nil
 	case KindMap:
-		lm := a.cursors[LeavesUnder(node)[0]]
+		lm := a.leftmostOf(node)
 		switch {
 		case lm.def() < node.DefNotNull:
 			a.consumeNull(node)
@@ -192,12 +199,6 @@ func (a *assembler) assemble(node *Node) (any, error) {
 // keep; other records are skipped without building values (§V.H lazy reads:
 // "build columnar blocks only if the predicate matches").
 func assembleBlock(node *Node, chunks map[int]*chunkData, numRecords int, selection []int) (block.Block, error) {
-	a := newAssembler(node, chunks)
-	t := TypeAt(node)
-	capacity := numRecords
-	if selection != nil {
-		capacity = len(selection)
-	}
 	// Fast paths: non-repeated primitive columns decode straight from
 	// levels + typed values, no boxed assembly (vectorized direct access;
 	// §V.I "seek to non-nullable and non-nested value directly").
@@ -208,7 +209,12 @@ func assembleBlock(node *Node, chunks map[int]*chunkData, numRecords int, select
 		}
 		return assembleNullableFlat(node, cd, selection)
 	}
-	builder := block.NewBuilder(t, capacity)
+	a := newAssembler(node, chunks)
+	capacity := numRecords
+	if selection != nil {
+		capacity = len(selection)
+	}
+	builder := block.NewBuilder(TypeAt(node), capacity)
 	selPos := 0
 	for rec := 0; rec < numRecords && a.hasNext(); rec++ {
 		if selection != nil {

@@ -191,8 +191,8 @@ func TestNestedColumnPruning(t *testing.T) {
 		t.Errorf("null struct row = %v", rows[3])
 	}
 	// Only the two requested leaves decoded.
-	if r.Metrics.LeavesDecoded != 2 {
-		t.Errorf("LeavesDecoded = %d, want 2", r.Metrics.LeavesDecoded)
+	if r.Metrics.LeavesDecoded.Load() != 2 {
+		t.Errorf("LeavesDecoded = %d, want 2", r.Metrics.LeavesDecoded.Load())
 	}
 	if tt := r.OutputTypes(); tt[0] != types.Varchar || tt[1] != types.Bigint {
 		t.Errorf("output types = %v", tt)
@@ -245,7 +245,7 @@ func TestPredicatePushdownSkipsRowGroups(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if r.Metrics.RowGroupsSkippedStats != 4 || r.Metrics.RowGroupsRead != 1 {
+	if r.Metrics.RowGroupsSkippedStats.Load() != 4 || r.Metrics.RowGroupsRead.Load() != 1 {
 		t.Errorf("metrics = %+v", r.Metrics)
 	}
 
@@ -254,7 +254,7 @@ func TestPredicatePushdownSkipsRowGroups(t *testing.T) {
 	if rows := drainReader(t, r2.Next); len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if r2.Metrics.RowGroupsSkippedStats != 5 {
+	if r2.Metrics.RowGroupsSkippedStats.Load() != 5 {
 		t.Errorf("metrics = %+v", r2.Metrics)
 	}
 
@@ -263,7 +263,7 @@ func TestPredicatePushdownSkipsRowGroups(t *testing.T) {
 	if rows := drainReader(t, r3.Next); len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if r3.Metrics.RowGroupsRead != 1 {
+	if r3.Metrics.RowGroupsRead.Load() != 1 {
 		t.Errorf("metrics = %+v", r3.Metrics)
 	}
 }
@@ -291,7 +291,7 @@ func TestDictionaryPushdownSkipsRowGroups(t *testing.T) {
 	if rows := drainReader(t, r.Next); len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if r.Metrics.RowGroupsSkippedDict != 1 || r.Metrics.RowGroupsSkippedStats != 0 {
+	if r.Metrics.RowGroupsSkippedDict.Load() != 1 || r.Metrics.RowGroupsSkippedStats.Load() != 0 {
 		t.Errorf("metrics = %+v", r.Metrics)
 	}
 
@@ -302,7 +302,7 @@ func TestDictionaryPushdownSkipsRowGroups(t *testing.T) {
 	if rows := drainReader(t, r2.Next); len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
 	}
-	if r2.Metrics.RowGroupsRead != 1 {
+	if r2.Metrics.RowGroupsRead.Load() != 1 {
 		t.Errorf("metrics = %+v", r2.Metrics)
 	}
 }
@@ -327,7 +327,7 @@ func TestLazyReads(t *testing.T) {
 		t.Error("lazy block materialized too early")
 	}
 	// datestr decoded only now:
-	before := r.Metrics.LeavesDecoded
+	before := r.Metrics.LeavesDecoded.Load()
 	if got := lazy.Value(0); got != "2017-03-02" {
 		t.Errorf("lazy value = %v", got)
 	}

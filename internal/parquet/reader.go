@@ -63,9 +63,9 @@ type chunkData struct {
 	floats []float64
 	bools  []bool
 	strs   []string
-	// valueIdx maps record index -> value index for flat nullable chunks
-	// (built lazily by flatValueAt).
+	// valueIdx and indexed belong to valueIndex.
 	valueIdx []int32
+	indexed  bool
 	entries  int
 }
 
@@ -105,11 +105,14 @@ type chunkFetch struct {
 }
 
 // body returns the decompressed bytes of the chunk's data pages
-// (dict=false) or dictionary page (dict=true).
-func (cf chunkFetch) body(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, dict bool) ([]byte, error) {
+// (dict=false) or dictionary page (dict=true), and whether they came from
+// the cache. Bytes read from the file are not cached here: the caller calls
+// keep once they have decoded, so a corrupt read fails one query instead of
+// being served from the cache to every later one.
+func (cf chunkFetch) body(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, dict bool) ([]byte, bool, error) {
 	if cf.cache != nil {
 		if b, ok := cf.cache.GetChunk(cf.path, leaf.Node.Path, cf.rowGroup, dict); ok {
-			return b, nil
+			return b, true, nil
 		}
 	}
 	off, n := cm.DataOffset, cm.DataLen
@@ -120,16 +123,20 @@ func (cf chunkFetch) body(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, d
 	}
 	raw := make([]byte, n)
 	if _, err := f.ReadAt(raw, off); err != nil {
-		return nil, fmt.Errorf("parquet: reading %s %s: %w", what, leaf.Node.Path, err)
+		return nil, false, fmt.Errorf("parquet: reading %s %s: %w", what, leaf.Node.Path, err)
 	}
 	body, err := decompress(codec, raw)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	return body, false, nil
+}
+
+// keep caches a body that body read from the file and the caller decoded.
+func (cf chunkFetch) keep(leaf *Leaf, dict bool, body []byte) {
 	if cf.cache != nil {
 		cf.cache.PutChunk(cf.path, leaf.Node.Path, cf.rowGroup, dict, body)
 	}
-	return body, nil
 }
 
 // readChunkDictionary reads and decodes only the dictionary page of a chunk
@@ -139,7 +146,7 @@ func readChunkDictionary(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, cf
 	if !cm.Dictionary {
 		return nil, nil
 	}
-	body, err := cf.body(f, codec, cm, leaf, true)
+	body, cached, err := cf.body(f, codec, cm, leaf, true)
 	if err != nil {
 		return nil, err
 	}
@@ -147,6 +154,9 @@ func readChunkDictionary(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, cf
 	n, err := dec.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if n > uint64(len(body)) { // every entry takes at least a byte
+		return nil, fmt.Errorf("parquet: dictionary of %s claims %d entries in %d bytes", leaf.Node.Path, n, len(body))
 	}
 	out := make([]any, n)
 	for i := range out {
@@ -164,6 +174,9 @@ func readChunkDictionary(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, cf
 			out[i] = v
 		}
 	}
+	if !cached {
+		cf.keep(leaf, true, body)
+	}
 	return out, nil
 }
 
@@ -175,14 +188,28 @@ func readChunkDictionary(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, cf
 // non-nested columns. The scalar path decodes one triplet per loop
 // iteration, re-checking stream state each time.
 func decodeChunk(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, vectorized bool, cf chunkFetch) (*chunkData, error) {
-	body, err := cf.body(f, codec, cm, leaf, false)
+	body, cached, err := cf.body(f, codec, cm, leaf, false)
 	if err != nil {
 		return nil, err
 	}
+	cd, err := decodeChunkBody(body, f, codec, cm, leaf, vectorized, cf)
+	if err != nil {
+		return nil, err
+	}
+	if !cached {
+		cf.keep(leaf, false, body)
+	}
+	return cd, nil
+}
+
+func decodeChunkBody(body []byte, f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, vectorized bool, cf chunkFetch) (*chunkData, error) {
 	dec := &valueDecoder{data: body}
 	n64, err := dec.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if n64 > uint64(len(body)) { // every entry has at least a level byte
+		return nil, fmt.Errorf("parquet: chunk %s claims %d entries in %d bytes", leaf.Node.Path, n64, len(body))
 	}
 	n := int(n64)
 	cd := &chunkData{leaf: leaf, entries: n}

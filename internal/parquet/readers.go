@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 
 	"prestolite/internal/block"
 	"prestolite/internal/expr"
@@ -142,6 +143,10 @@ type ReaderOptions struct {
 	// reader instances (the worker-local data cache, §VII). nil reads every
 	// chunk from the filesystem.
 	Chunks ChunkCache
+
+	// Metrics, when non-nil, is where the reader counts its work instead of
+	// a Metrics of its own: a connector passes the same one to every reader.
+	Metrics *Metrics
 }
 
 // AllOptimizations enables every new-reader feature.
@@ -157,15 +162,19 @@ func AllOptimizations(columns []string, preds []ColumnPredicate) ReaderOptions {
 	}
 }
 
-// Metrics counts reader work for tests and EXPLAIN ANALYZE-style output.
+// Metrics counts reader work. The fields are atomic because a lazily read
+// column is decoded by whichever goroutine first touches its block, possibly
+// after the reader has moved on to the next row group or been closed, and
+// because a connector sums all its readers into one Metrics
+// (ReaderOptions.Metrics).
 type Metrics struct {
-	RowGroupsTotal        int
-	RowGroupsSkippedStats int
-	RowGroupsSkippedDict  int
-	RowGroupsRead         int
-	LeavesDecoded         int
-	RowsMatched           int64
-	RowsScanned           int64
+	RowGroupsTotal        atomic.Int64
+	RowGroupsSkippedStats atomic.Int64
+	RowGroupsSkippedDict  atomic.Int64
+	RowGroupsRead         atomic.Int64
+	LeavesDecoded         atomic.Int64
+	RowsMatched           atomic.Int64
+	RowsScanned           atomic.Int64
 }
 
 // Reader is the brand-new columnar reader. It yields one page per surviving
@@ -176,9 +185,15 @@ type Reader struct {
 	schema  *Schema
 	opts    ReaderOptions
 	outputs []*Node // one per output column
+	// preds is opts.Predicate bound to the file's schema, once per file.
+	preds []leafPredicate
+	// eager[i] reports that output i shares a leaf with a predicate, so its
+	// chunks are decoded anyway and deferring it would save nothing.
+	eager   []bool
 	rgIndex int
 
-	Metrics Metrics
+	// Metrics is opts.Metrics, or the reader's own when that is nil.
+	Metrics *Metrics
 }
 
 // NewReader opens a file with the given options.
@@ -193,7 +208,10 @@ func NewReader(f fsys.File, opts ReaderOptions) (*Reader, error) {
 // NewReaderWithFooter opens a file whose footer was already parsed (workers
 // serve it from the footer cache, §VII.B, skipping the footer read).
 func NewReaderWithFooter(f fsys.File, meta *FileMeta, schema *Schema, opts ReaderOptions) (*Reader, error) {
-	r := &Reader{f: f, meta: meta, schema: schema, opts: opts}
+	r := &Reader{f: f, meta: meta, schema: schema, opts: opts, Metrics: opts.Metrics}
+	if r.Metrics == nil {
+		r.Metrics = &Metrics{}
+	}
 	cols := opts.Columns
 	if len(cols) == 0 {
 		cols = schema.Names
@@ -205,16 +223,22 @@ func NewReaderWithFooter(f fsys.File, meta *FileMeta, schema *Schema, opts Reade
 		}
 		r.outputs = append(r.outputs, n)
 	}
+	predicateLeaves := map[int]bool{}
 	for _, p := range opts.Predicate {
-		n := schema.Resolve(p.Path)
-		if n == nil {
-			return nil, fmt.Errorf("parquet: predicate column %q not in schema", p.Path)
+		lp, err := bindPredicate(p, schema)
+		if err != nil {
+			return nil, err
 		}
-		if n.Kind != KindPrimitive || n.RepLevel != 0 {
-			return nil, fmt.Errorf("parquet: predicate column %q must be a non-repeated primitive", p.Path)
+		r.preds = append(r.preds, lp)
+		predicateLeaves[lp.node.LeafIndex] = true
+	}
+	r.eager = make([]bool, len(r.outputs))
+	for i, out := range r.outputs {
+		for _, li := range out.leaves {
+			r.eager[i] = r.eager[i] || predicateLeaves[li]
 		}
 	}
-	r.Metrics.RowGroupsTotal = len(meta.RowGroups)
+	r.Metrics.RowGroupsTotal.Add(int64(len(meta.RowGroups)))
 	return r, nil
 }
 
@@ -263,14 +287,14 @@ func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
 	// 1. Predicate pushdown: skip the row group when stats cannot match
 	//    (Fig 7: "one row group city_id max is 10, skip this row group").
 	if r.opts.PredicatePushdown {
-		for _, p := range r.opts.Predicate {
-			leaf := r.schema.Resolve(p.Path)
-			cm := r.chunkFor(rg, leaf.LeafIndex)
+		for i := range r.preds {
+			p := &r.preds[i]
+			cm := r.chunkFor(rg, p.node.LeafIndex)
 			if cm == nil {
 				continue
 			}
-			if !p.overlapsStats(cm.Stats.Min(leaf.Prim), cm.Stats.Max(leaf.Prim)) {
-				r.Metrics.RowGroupsSkippedStats++
+			if !p.overlapsStats(cm.Stats.Min(p.node.Prim), cm.Stats.Max(p.node.Prim)) {
+				r.Metrics.RowGroupsSkippedStats.Add(1)
 				return nil, nil
 			}
 		}
@@ -278,16 +302,16 @@ func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
 	// 2. Dictionary pushdown: even if stats match, the dictionary may prove
 	//    no value matches (Fig 8).
 	if r.opts.DictionaryPushdown {
-		for _, p := range r.opts.Predicate {
+		for i := range r.preds {
+			p := &r.preds[i]
 			if p.Op != OpEq && p.Op != OpIn {
 				continue
 			}
-			leaf := r.schema.Resolve(p.Path)
-			cm := r.chunkFor(rg, leaf.LeafIndex)
+			cm := r.chunkFor(rg, p.node.LeafIndex)
 			if cm == nil || !cm.Dictionary {
 				continue
 			}
-			dict, err := readChunkDictionary(r.f, r.meta.Codec, cm, r.schema.Leaves[leaf.LeafIndex], cf)
+			dict, err := readChunkDictionary(r.f, r.meta.Codec, cm, r.schema.Leaves[p.node.LeafIndex], cf)
 			if err != nil {
 				return nil, err
 			}
@@ -299,38 +323,15 @@ func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
 				}
 			}
 			if !any {
-				r.Metrics.RowGroupsSkippedDict++
+				r.Metrics.RowGroupsSkippedDict.Add(1)
 				return nil, nil
 			}
 		}
 	}
-	r.Metrics.RowGroupsRead++
-	r.Metrics.RowsScanned += rg.NumRows
+	r.Metrics.RowGroupsRead.Add(1)
+	r.Metrics.RowsScanned.Add(rg.NumRows)
 	numRecords := int(rg.NumRows)
 
-	// Determine required leaves.
-	requiredLeaves := map[int]bool{}
-	predicateLeaves := map[int]bool{}
-	for _, p := range r.opts.Predicate {
-		li := r.schema.Resolve(p.Path).LeafIndex
-		requiredLeaves[li] = true
-		predicateLeaves[li] = true
-	}
-	for _, out := range r.outputs {
-		for _, li := range LeavesUnder(out) {
-			requiredLeaves[li] = true
-		}
-	}
-	if !r.opts.ColumnPruning {
-		// Nested column pruning off: read every leaf from disk (Fig 4),
-		// even those no output needs.
-		for li := range r.schema.Leaves {
-			requiredLeaves[li] = true
-		}
-	}
-
-	// 3. Decode predicate leaves first and evaluate the predicate on the
-	//    fly (Figs 7-9: read, evaluate, and build in one step).
 	chunks := map[int]*chunkData{}
 	decode := func(li int) error {
 		if _, ok := chunks[li]; ok {
@@ -343,69 +344,56 @@ func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
 			chunks[li] = nullChunk(r.schema.Leaves[li], numRecords)
 			return nil
 		}
-		cd, err := decodeChunk(r.f, r.meta.Codec, cm, r.schema.Leaves[li], r.opts.Vectorized, cf)
+		leaf := r.schema.Leaves[li]
+		cd, err := decodeChunk(r.f, r.meta.Codec, cm, leaf, r.opts.Vectorized, cf)
 		if err != nil {
 			return err
 		}
+		if leaf.MaxRep == 0 && cd.entries != numRecords {
+			return fmt.Errorf("parquet: chunk %s holds %d records in a row group of %d", leaf.Node.Path, cd.entries, numRecords)
+		}
 		chunks[li] = cd
-		r.Metrics.LeavesDecoded++
+		r.Metrics.LeavesDecoded.Add(1)
 		return nil
 	}
 
+	// 3. Decode predicate leaves first and evaluate the predicate on the
+	//    fly (Figs 7-9: read, evaluate, and build in one step): each
+	//    predicate narrows the selection with a typed loop over its chunk.
 	var selection []int
-	if len(r.opts.Predicate) > 0 {
-		for li := range predicateLeaves {
-			if err := decode(li); err != nil {
-				return nil, err
-			}
+	for i := range r.preds {
+		p := &r.preds[i]
+		if err := decode(p.node.LeafIndex); err != nil {
+			return nil, err
 		}
-		selection = make([]int, 0, numRecords)
-		for rec := 0; rec < numRecords; rec++ {
-			match := true
-			for _, p := range r.opts.Predicate {
-				leaf := r.schema.Resolve(p.Path)
-				cd := chunks[leaf.LeafIndex]
-				if !p.matchValue(flatValueAt(cd, rec)) {
-					match = false
-					break
-				}
-			}
-			if match {
-				selection = append(selection, rec)
-			}
-		}
+		selection = p.filter(chunks[p.node.LeafIndex], selection, numRecords)
 		if len(selection) == 0 {
 			return nil, nil
 		}
-		r.Metrics.RowsMatched += int64(len(selection))
-	} else {
-		r.Metrics.RowsMatched += int64(numRecords)
 	}
+	rows := numRecords
+	if selection != nil {
+		rows = len(selection)
+	}
+	r.Metrics.RowsMatched.Add(int64(rows))
 
 	// 4. Decode remaining required leaves and build columnar blocks
 	//    directly (Fig 6). With lazy reads, projected non-predicate columns
 	//    defer decoding until the engine actually touches the block (§V.H).
 	out := make([]block.Block, len(r.outputs))
-	rows := numRecords
-	if selection != nil {
-		rows = len(selection)
-	}
 	for i, node := range r.outputs {
 		node := node
-		needsEager := !r.opts.LazyReads || subtreeIntersects(node, predicateLeaves)
 		buildNow := func() (block.Block, error) {
-			for _, li := range LeavesUnder(node) {
+			sub := make(map[int]*chunkData, len(node.leaves))
+			for _, li := range node.leaves {
 				if err := decode(li); err != nil {
 					return nil, err
 				}
-			}
-			sub := map[int]*chunkData{}
-			for _, li := range LeavesUnder(node) {
 				sub[li] = chunks[li]
 			}
 			return assembleBlock(node, sub, numRecords, selection)
 		}
-		if needsEager {
+		if !r.opts.LazyReads || r.eager[i] {
 			b, err := buildNow()
 			if err != nil {
 				return nil, err
@@ -416,49 +404,24 @@ func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
 		out[i] = block.NewLazyBlock(rows, func() block.Block {
 			b, err := buildNow()
 			if err != nil {
-				// Lazy loads cannot return errors through the Block
-				// interface; surface decode corruption loudly.
-				panic(fmt.Sprintf("parquet: lazy column %s: %v", node.Path, err))
+				// Block's accessors cannot return an error: the failure
+				// unwinds to the driver running this pipeline, which fails
+				// the task with it.
+				panic(&block.LoadError{Err: fmt.Errorf("parquet: lazy column %s: %w", node.Path, err)})
 			}
 			return b
 		})
 	}
-	// Non-pruned mode decodes everything even if unused.
 	if !r.opts.ColumnPruning {
-		for li := range requiredLeaves {
+		// Nested column pruning off: read and decode every leaf (Fig 4),
+		// even those no output needs.
+		for li := range r.schema.Leaves {
 			if err := decode(li); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return &block.Page{Blocks: out, N: rows}, nil
-}
-
-// flatValueAt reads record rec's value from a non-repeated primitive chunk.
-func flatValueAt(cd *chunkData, rec int) any {
-	if cd.defs == nil {
-		return cd.valueAt(rec)
-	}
-	// With nulls present, value index != record index; precompute prefix on
-	// first use.
-	if cd.valueIdx == nil {
-		cd.valueIdx = make([]int32, cd.entries)
-		maxDef := uint8(cd.leaf.MaxDef)
-		vi := int32(0)
-		for i, d := range cd.defs {
-			if d == maxDef {
-				cd.valueIdx[i] = vi
-				vi++
-			} else {
-				cd.valueIdx[i] = -1
-			}
-		}
-	}
-	vi := cd.valueIdx[rec]
-	if vi < 0 {
-		return nil
-	}
-	return cd.valueAt(int(vi))
 }
 
 // nullChunk synthesizes an all-null chunk for schema-evolution reads.
@@ -469,15 +432,6 @@ func nullChunk(leaf *Leaf, numRecords int) *chunkData {
 		reps = make([]uint8, numRecords)
 	}
 	return &chunkData{leaf: leaf, reps: reps, defs: defs, entries: numRecords}
-}
-
-func subtreeIntersects(node *Node, leaves map[int]bool) bool {
-	for _, li := range LeavesUnder(node) {
-		if leaves[li] {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

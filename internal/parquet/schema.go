@@ -50,6 +50,10 @@ type Node struct {
 
 	// Path is the dotted path from the root, e.g. "base.city_id".
 	Path string
+
+	// leaves are the leaf indexes of the subtree, leftmost first: a
+	// contiguous run, since leaves are numbered in schema order.
+	leaves []int
 }
 
 // Leaf is a primitive column stored as one chunk per row group.
@@ -128,6 +132,12 @@ func (s *Schema) buildNode(name, path string, t *types.Type, rep, def int) (*Nod
 		n.LeafIndex = leaf.Index
 		s.Leaves = append(s.Leaves, leaf)
 	}
+	for _, c := range n.Children {
+		n.leaves = append(n.leaves, c.leaves...)
+	}
+	if n.Kind == KindPrimitive {
+		n.leaves = []int{n.LeafIndex}
+	}
 	return n, nil
 }
 
@@ -169,22 +179,9 @@ func (s *Schema) Resolve(path string) *Node {
 	return n
 }
 
-// LeavesUnder collects the leaf indexes in node's subtree, in order.
-func LeavesUnder(n *Node) []int {
-	var out []int
-	var walk func(*Node)
-	walk = func(x *Node) {
-		if x.Kind == KindPrimitive {
-			out = append(out, x.LeafIndex)
-			return
-		}
-		for _, c := range x.Children {
-			walk(c)
-		}
-	}
-	walk(n)
-	return out
-}
+// LeavesUnder returns the leaf indexes in node's subtree, in order. The slice
+// is the node's own, computed when the schema was built: callers only read it.
+func LeavesUnder(n *Node) []int { return n.leaves }
 
 // TypeAt returns the SQL type of the node's subtree.
 func TypeAt(n *Node) *types.Type {

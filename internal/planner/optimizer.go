@@ -50,11 +50,13 @@ func (o *Optimizer) Optimize(root Node) Node {
 	}
 	// Phase 3: predicate pushdown into connectors.
 	root = rewrite(root, o.pushFilterIntoScan)
+	// Phase 3b: dereference pushdown (nested column pruning, §V.D): subfield
+	// reads move down to the scans, after the filters the connectors absorb
+	// have left the plan and before pruning decides which channels live.
+	root = o.pushDereferencesKeepWidth(root)
 	// Phase 4: column pruning (projection pushdown).
 	root = pruneRoot(root, o.Catalogs)
 	root = rewrite(root, removeIdentityProject)
-	// Phase 4b: dereference pushdown (nested column pruning, §V.D).
-	root = rewrite(root, o.pushDereferences)
 	// Phase 5: aggregation pushdown into connectors.
 	root = rewrite(root, o.pushAggregationIntoScan)
 	root = rewrite(root, removeIdentityProject)
@@ -277,11 +279,22 @@ func (o *Optimizer) tableSchema(conn connector.Connector, scan *TableScan) *conn
 	return ts
 }
 
-// removeIdentityProject drops projections that pass all channels through.
+// removeIdentityProject drops projections that pass all channels through,
+// after folding a projection of plain channels (the reorder dereference
+// pushdown leaves above a join whose left side grew) into the one above it.
 func removeIdentityProject(n Node) Node {
 	p, ok := n.(*Project)
 	if !ok {
 		return n
+	}
+	if inner, ok := p.Child.(*Project); ok {
+		if forwarded := inner.forwardedChannels(); forwarded != nil {
+			folded := &Project{Child: inner.Child, Names: p.Names, Exprs: make([]expr.RowExpression, len(p.Exprs))}
+			for i, e := range p.Exprs {
+				folded.Exprs[i] = expr.RemapChannels(e, forwarded)
+			}
+			p, n = folded, folded
+		}
 	}
 	if !p.IsIdentity() {
 		return n

@@ -163,6 +163,20 @@ func (p *Project) IsIdentity() bool {
 	return true
 }
 
+// forwardedChannels maps each output to the child channel it forwards, when
+// every expression is a plain variable; nil otherwise.
+func (p *Project) forwardedChannels() map[int]int {
+	m := make(map[int]int, len(p.Exprs))
+	for i, e := range p.Exprs {
+		v, ok := e.(*expr.Variable)
+		if !ok {
+			return nil
+		}
+		m[i] = v.Channel
+	}
+	return m
+}
+
 // AggStep distinguishes single-node aggregation from the distributed
 // partial/final split (Fig 2).
 type AggStep int
