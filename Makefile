@@ -65,10 +65,12 @@ lint:
 	go vet ./...
 	go run ./cmd/prestolint ./...
 
-# The pre-commit gate: everything a PR must pass (lint includes go vet).
+# The pre-commit gate: everything a PR must pass, i.e. CI's check and lint
+# jobs (lint includes go vet; e2e-golden is the ~5 s guard that no benchmark
+# statement changed its answer).
 # test covers the chaos suite too (TestChaos* are ordinary go tests);
 # `make chaos` re-runs just that slice verbosely with seeds logged.
-check: build lint test test-race
+check: build lint test test-race e2e-golden
 
 bench:
 	go test -bench=. -benchmem ./...
@@ -91,11 +93,10 @@ e2e-golden:
 # digging into one layer, but they no longer gate a PR — bench-e2e does.
 
 # Machine-readable results for the intra-task parallelism benchmark: runs
-# scan/aggregation/join workloads (vectorized and _rowwise baselines) at
-# 1/2/4/8 drivers and writes ns/op, per-workload speedups (relative to
-# drivers=1) and vector_speedups (vectorized vs rowwise-at-1-driver) to
-# BENCH_PR8.json. The -compare gate fails on any benchmark >20% slower than
-# the previous checked-in trajectory point (override with BENCH_BASE=).
+# scan/aggregation/join workloads at 1/2/4/8 drivers and writes ns/op and
+# per-workload speedups (relative to drivers=1) to BENCH_PR8.json. The
+# -compare gate fails on any benchmark >20% slower than the previous
+# checked-in trajectory point (override with BENCH_BASE=).
 BENCH_BASE ?= BENCH_PR5.json
 bench-json:
 	go test -bench BenchmarkIntraTaskParallelism -benchmem -benchtime=50x -run '^$$' . | go run ./cmd/benchjson -o BENCH_PR8.json -compare $(BENCH_BASE)

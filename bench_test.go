@@ -455,34 +455,22 @@ func intraTaskSession(drivers int) *planner.Session {
 
 func BenchmarkIntraTaskParallelism(b *testing.B) {
 	const storageRTT = 400 * time.Microsecond
-	const groupbySQL = `SELECT l_orderkey, l_partkey, count(*) AS n FROM lineitem GROUP BY l_orderkey, l_partkey`
-	const joinSQL = `SELECT count(*) AS n FROM lineitem a JOIN lineitem b ON a.l_orderkey = b.l_orderkey`
 	workloads := []struct {
-		name    string
-		rtt     time.Duration
-		sql     string
-		rowwise bool // vectorized_execution=false: the row-at-a-time baseline
+		name string
+		rtt  time.Duration
+		sql  string
 	}{
 		{name: "storage_scan_agg", rtt: storageRTT, sql: `SELECT l_returnflag, l_linestatus, count(*) AS n, sum(l_quantity) AS q
 			FROM lineitem GROUP BY l_returnflag, l_linestatus`},
 		{name: "inmem_scan_filter", sql: `SELECT count(*) AS n FROM lineitem WHERE l_quantity < 25.0`},
-		{name: "inmem_groupby", sql: groupbySQL},
-		{name: "inmem_join", sql: joinSQL},
-		// The _rowwise twins pin the reference operators; benchjson derives
-		// vector_speedups (vectorized at N drivers vs rowwise at 1) from the
-		// pairing — the kernels' contribution measured against a fixed
-		// serial baseline, independent of the host's core count.
-		{name: "inmem_groupby_rowwise", sql: groupbySQL, rowwise: true},
-		{name: "inmem_join_rowwise", sql: joinSQL, rowwise: true},
+		{name: "inmem_groupby", sql: `SELECT l_orderkey, l_partkey, count(*) AS n FROM lineitem GROUP BY l_orderkey, l_partkey`},
+		{name: "inmem_join", sql: `SELECT count(*) AS n FROM lineitem a JOIN lineitem b ON a.l_orderkey = b.l_orderkey`},
 	}
 	for _, w := range workloads {
 		e := intraTaskEngine(b, 32, w.rtt)
 		for _, drivers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/drivers=%d", w.name, drivers), func(b *testing.B) {
 				session := intraTaskSession(drivers)
-				if w.rowwise {
-					session.Properties["vectorized_execution"] = "false"
-				}
 				for i := 0; i < b.N; i++ {
 					if _, err := e.Query(session, w.sql); err != nil {
 						b.Fatal(err)

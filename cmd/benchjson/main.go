@@ -7,10 +7,7 @@
 // ".../drivers=N" are additionally folded into a speedups section keyed by
 // workload, reporting each driver count's throughput relative to drivers=1 —
 // the number the intra-task parallelism acceptance criterion reads. Workload
-// pairs named X and X_rowwise additionally produce a vector_speedups section:
-// X at each driver count relative to X_rowwise at drivers=1, isolating the
-// vectorized kernels' contribution from driver parallelism. Workload pairs
-// named X/cache=on and X/cache=off produce a cache_speedups section: the
+// pairs named X/cache=on and X/cache=off produce a cache_speedups section: the
 // cache hierarchy's steady-state throughput over the cold baseline.
 //
 // With -compare OLD.json the report is additionally checked against a
@@ -44,10 +41,6 @@ type report struct {
 	Context  map[string]string             `json:"context,omitempty"`
 	Results  []result                      `json:"results"`
 	Speedups map[string]map[string]float64 `json:"speedups,omitempty"`
-	// VectorSpeedups compares each workload X (vectorized) at every driver
-	// count against its X_rowwise sibling at drivers=1 — the row-at-a-time
-	// serial baseline.
-	VectorSpeedups map[string]map[string]float64 `json:"vector_speedups,omitempty"`
 	// CacheSpeedups compares each workload X/cache=on against its
 	// X/cache=off sibling — steady-state throughput with the §VII cache
 	// hierarchy (chunk, fragment, result tiers + affinity scheduling)
@@ -113,7 +106,6 @@ func main() {
 		os.Exit(1)
 	}
 	rep.Speedups = speedups(rep.Results)
-	rep.VectorSpeedups = vectorSpeedups(rep.Results)
 	rep.CacheSpeedups = cacheSpeedups(rep.Results)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -177,42 +169,6 @@ func regressed(results []result, path string) bool {
 		fmt.Fprintf(os.Stderr, "benchjson: regressions vs %s\n", path)
 	}
 	return bad
-}
-
-// vectorSpeedups pairs each ".../X/drivers=N" workload with its
-// ".../X_rowwise/drivers=1" sibling and reports the vectorized path's
-// speedup over the serial row-at-a-time baseline at every driver count —
-// kernel contribution times driver scaling, against a fixed denominator.
-func vectorSpeedups(results []result) map[string]map[string]float64 {
-	byName := make(map[string]float64, len(results))
-	for _, r := range results {
-		if r.NsPerOp > 0 {
-			byName[r.Name] = r.NsPerOp
-		}
-	}
-	out := map[string]map[string]float64{}
-	for _, r := range results {
-		i := strings.LastIndex(r.Name, "/drivers=")
-		if i < 0 || r.NsPerOp <= 0 {
-			continue
-		}
-		workload := r.Name[:i]
-		if strings.HasSuffix(workload, "_rowwise") {
-			continue
-		}
-		base, ok := byName[workload+"_rowwise/drivers=1"]
-		if !ok {
-			continue
-		}
-		m := out[workload]
-		if m == nil {
-			m = map[string]float64{}
-			out[workload] = m
-		}
-		// Two decimal places: these are summary ratios, not raw data.
-		m["drivers="+r.Name[i+len("/drivers="):]] = float64(int(base/r.NsPerOp*100+0.5)) / 100
-	}
-	return out
 }
 
 // cacheSpeedups pairs each ".../cache=on" workload with its ".../cache=off"

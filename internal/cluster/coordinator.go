@@ -559,7 +559,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	// deliverable is the annotated plan, not the rows — and a session can opt
 	// out per query with result_cache=false.
 	resultCacheKey := ""
-	if c.resultCache != nil && !analyze && session.Property("result_cache", "true") != "false" {
+	if c.resultCache != nil && !analyze && props.ResultCache {
 		if key, cacheable := c.resultCacheKey(plan); cacheable {
 			if hit, found := c.resultCache.Get(key); found {
 				now := c.cfg.Clock.Now()
@@ -586,12 +586,8 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	// carries the shared retry budget its remote sources draw on, the
 	// query's deadline, and the abort latch the coordinator drain trips.
 	qs := newQueryState(&c.cfg)
-	if v := session.Property("query_max_run_ms", ""); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 1 {
-			return nil, "", fmt.Errorf("cluster: bad query_max_run_ms %q: want a positive integer", v)
-		}
-		qs.deadline = c.cfg.Clock.Now().Add(time.Duration(ms) * time.Millisecond)
+	if props.MaxRun > 0 {
+		qs.deadline = c.cfg.Clock.Now().Add(props.MaxRun)
 	}
 	c.liveMu.Lock()
 	c.live[queryID] = qs
@@ -637,10 +633,9 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 					TableKey: frag.TableKey,
 					Splits:   splitSet,
 					// 0 lets each worker apply its own -task-concurrency default.
-					Drivers:           props.TaskConcurrency,
-					DisableVectorized: props.DisableVectorized,
-					Deadline:          deadlineNanos(qs.deadline),
-					SnapshotVersion:   snapVersion,
+					Drivers:         props.TaskConcurrency,
+					Deadline:        deadlineNanos(qs.deadline),
+					SnapshotVersion: snapVersion,
 				})
 				if err != nil {
 					return nil, "", err
@@ -668,9 +663,8 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	// limit — and, when configured, the shared spill manager.
 	rootStats := obs.NewTaskStats()
 	ctx := &execution.Context{
-		Catalogs:          c.Catalogs,
-		Stats:             rootStats,
-		DisableVectorized: props.DisableVectorized,
+		Catalogs: c.Catalogs,
+		Stats:    rootStats,
 		RemoteSources: func(fragmentID int, cols []planner.Column) (execution.Operator, error) {
 			return &remoteSourceOperator{c: c, qs: qs, tasks: remotes[fragmentID]}, nil
 		},

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"prestolite/internal/fault"
+	"prestolite/internal/obs"
 )
 
 // TestCoordinatorDrainRefusesNewQueries: once the drain latches, new
@@ -216,16 +218,59 @@ func TestQueryDeadline(t *testing.T) {
 }
 
 // TestQueryDeadlineSessionProperty: the session property parses, propagates
-// into TaskRequests, and a bad value is rejected up front.
+// into TaskRequests, and a bad value is rejected up front — before planning,
+// so a statement the result cache could answer is rejected all the same.
 func TestQueryDeadlineSessionProperty(t *testing.T) {
 	coord, _ := newCluster(t, newCatalogs(t), 2)
+	coord.EnableResultCache(64, 8<<20, time.Hour)
+	const q = "SELECT count(*) FROM trips"
 	s := session()
 	s.Properties["query_max_run_ms"] = "60000"
-	if _, err := coord.Query(s, "SELECT count(*) FROM trips"); err != nil {
+	if _, err := coord.Query(s, q); err != nil {
 		t.Fatalf("query with generous deadline: %v", err)
 	}
-	s.Properties["query_max_run_ms"] = "banana"
-	if _, err := coord.Query(s, "SELECT count(*) FROM trips"); err == nil {
-		t.Fatal("bad query_max_run_ms must be rejected")
+	if coord.ResultCacheLen() != 1 {
+		t.Fatal("the first run should have filled the result cache")
+	}
+	for _, bad := range []string{"banana", "0"} {
+		s.Properties["query_max_run_ms"] = bad
+		_, err := coord.Query(s, q)
+		if err == nil || !strings.Contains(err.Error(), "session: bad query_max_run_ms") {
+			t.Fatalf("query_max_run_ms=%q on a cached statement = %v, want a session: bad … error", bad, err)
+		}
+	}
+	// The same bad value on a statement the cache has never seen.
+	_, err := coord.Query(s, "SELECT max(fare) FROM trips")
+	if err == nil || !strings.Contains(err.Error(), "session: bad query_max_run_ms") {
+		t.Fatalf("bad query_max_run_ms on a cache miss = %v, want a session: bad … error", err)
+	}
+}
+
+// TestTaskResultsRequirePage: the results protocol is paged by index only —
+// a GET that names no page (or a bad one) is a 400, not a cursor read that
+// would make a retried fetch skip a page.
+func TestTaskResultsRequirePage(t *testing.T) {
+	w := NewWorker(newCatalogs(t))
+	if err := w.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.mu.Lock()
+	w.tasks["t0"] = &workerTask{stats: obs.NewTaskStats(), done: true}
+	w.mu.Unlock()
+	for query, want := range map[string]int{
+		"":         http.StatusBadRequest,
+		"?page=-1": http.StatusBadRequest,
+		"?page=x":  http.StatusBadRequest,
+		"?page=0":  http.StatusOK,
+	} {
+		resp, err := http.Get("http://" + w.Addr() + "/v1/task/t0/results" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET results%s = %d, want %d", query, resp.StatusCode, want)
+		}
 	}
 }

@@ -47,9 +47,6 @@ type TaskRequest struct {
 	// Drivers requests a specific intra-task parallelism (the session's
 	// task_concurrency); 0 defers to the worker's own configuration.
 	Drivers int
-	// DisableVectorized pins the task to the row-at-a-time reference
-	// operators (the session's vectorized_execution=false).
-	DisableVectorized bool
 	// Deadline is the query's deadline in unix nanoseconds (0 = none). The
 	// worker refuses tasks that arrive already expired — the last hop of the
 	// coordinator's per-RPC deadline enforcement.
@@ -147,7 +144,6 @@ type workerTask struct {
 	pages     []*block.Page
 	done      bool
 	err       error
-	next      int
 	cancel    context.CancelFunc
 	cancelled bool
 }
@@ -437,12 +433,11 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 	defer cancel()
 	task.setCancel(cancel)
 	ctx := &execution.Context{
-		Catalogs:          w.Catalogs,
-		Splits:            map[string][]connector.Split{req.TableKey: req.Splits},
-		Stats:             task.stats,
-		Ctx:               tctx,
-		Drivers:           w.taskDrivers(req),
-		DisableVectorized: req.DisableVectorized,
+		Catalogs: w.Catalogs,
+		Splits:   map[string][]connector.Split{req.TableKey: req.Splits},
+		Stats:    task.stats,
+		Ctx:      tctx,
+		Drivers:  w.taskDrivers(req),
 	}
 	if w.pool != nil {
 		// Per-task memory context: tasks share the worker pool, and a failed
@@ -452,7 +447,7 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 		ctx.Memory = tpool
 		ctx.Spill = w.spill
 	}
-	op, err := execution.BuildParallel(req.Fragment, ctx)
+	op, err := execution.Build(req.Fragment, ctx)
 	if err != nil {
 		w.tasksFailed.Inc()
 		task.fail(err)
@@ -527,58 +522,32 @@ func (w *Worker) handleTaskResults(rw http.ResponseWriter, r *http.Request) {
 		w.replyGob(rw, task.stats.Snapshot())
 		return
 	}
-	// Idempotent paged protocol: GET ...?page=N serves page N by index and
-	// never advances the worker-side cursor, so retried and hedged duplicate
-	// fetches of the same page are safe. The cursor mode below stays as the
-	// fallback for clients that do not name a page.
-	if pageStr := r.URL.Query().Get("page"); pageStr != "" {
-		idx, err := strconv.Atoi(pageStr)
-		if err != nil || idx < 0 {
-			http.Error(rw, "bad page index", http.StatusBadRequest)
-			return
-		}
-		task.mu.Lock()
-		chunk := TaskResultChunk{}
-		switch {
-		case task.err != nil:
-			chunk.Err = task.err.Error()
-			chunk.Done = true
-		case idx < len(task.pages):
-			data, err := block.EncodePage(task.pages[idx])
-			if err != nil {
-				chunk.Err = err.Error()
-				chunk.Done = true
-			} else {
-				chunk.Page = data
-			}
-		case task.done:
-			chunk.Done = true
-		}
-		if chunk.Done {
-			chunk.Stats = task.stats.Snapshot()
-		}
-		task.mu.Unlock()
-		w.replyGob(rw, chunk)
+	// Idempotent paged protocol: GET ...?page=N serves page N by index, so
+	// retried and hedged duplicate fetches of the same page are safe. The
+	// worker keeps no read cursor; a request that names no page is malformed.
+	idx, err := strconv.Atoi(r.URL.Query().Get("page"))
+	if err != nil || idx < 0 {
+		http.Error(rw, "bad page index", http.StatusBadRequest)
 		return
 	}
-	// Poll one chunk. Build it under the task lock, then write it out with
-	// the lock released: the HTTP write can block on a slow client and must
-	// not stall the executor goroutine publishing pages into this task.
+	// Build the chunk under the task lock, then write it out with the lock
+	// released: the HTTP write can block on a slow client and must not stall
+	// the executor goroutine publishing pages into this task.
 	task.mu.Lock()
 	chunk := TaskResultChunk{}
-	if task.err != nil {
+	switch {
+	case task.err != nil:
 		chunk.Err = task.err.Error()
 		chunk.Done = true
-	} else if task.next < len(task.pages) {
-		data, err := block.EncodePage(task.pages[task.next])
+	case idx < len(task.pages):
+		data, err := block.EncodePage(task.pages[idx])
 		if err != nil {
 			chunk.Err = err.Error()
 			chunk.Done = true
 		} else {
 			chunk.Page = data
-			task.next++
 		}
-	} else if task.done {
+	case task.done:
 		chunk.Done = true
 	}
 	if chunk.Done {

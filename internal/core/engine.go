@@ -169,9 +169,8 @@ func (e *Engine) execContext(session *planner.Session) (*execution.Context, func
 		return nil, nil, err
 	}
 	ctx := &execution.Context{
-		Catalogs:          e.Catalogs,
-		MemoryLimit:       props.MaxMemory,
-		DisableVectorized: props.DisableVectorized,
+		Catalogs:    e.Catalogs,
+		MemoryLimit: props.MaxMemory,
 		// Intra-task parallelism: how many driver pipelines a query runs over
 		// its split queue. Defaults to the core count; task_concurrency=1
 		// forces serial execution.
@@ -198,7 +197,7 @@ func (e *Engine) execute(session *planner.Session, plan planner.Node) (*Result, 
 		return nil, err
 	}
 	defer cleanup()
-	op, err := execution.BuildParallel(plan, ctx)
+	op, err := execution.Build(plan, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +237,7 @@ func (e *Engine) explainAnalyze(session *planner.Session, plan planner.Node) (st
 	defer cleanup()
 	stats := obs.NewTaskStats()
 	ctx.Stats = stats
-	op, err := execution.BuildParallel(plan, ctx)
+	op, err := execution.Build(plan, ctx)
 	if err != nil {
 		return "", err
 	}

@@ -64,8 +64,7 @@ type aggregateOperator struct {
 // page at a time. Like the sort merge, read-back pages are transient engine
 // overhead (one bounded frame per open run), not user memory.
 type aggMergeCursor struct {
-	rr   *resource.RunReader
-	run  *resource.Run
+	src  *runSource
 	page *block.Page
 	row  int
 	key  string // current row's encoded group key
@@ -361,11 +360,7 @@ func newAggMerger(node *planner.Aggregate, fns []*expr.AggregateFunction) *aggMe
 func (o *aggMerger) open(runs []*resource.Run) error {
 	o.mergeKeys = make([]any, len(o.node.GroupBy))
 	for _, r := range runs {
-		rr, err := r.Open()
-		if err != nil {
-			return err
-		}
-		c := &aggMergeCursor{rr: rr, run: r}
+		c := &aggMergeCursor{src: &runSource{run: r}}
 		o.cursors = append(o.cursors, c)
 		if err := o.advanceCursor(c); err != nil {
 			return err
@@ -378,15 +373,13 @@ func (o *aggMerger) open(runs []*resource.Run) error {
 func (o *aggMerger) close() error {
 	var errs []error
 	for _, c := range o.cursors {
-		if c.rr != nil && !c.done {
-			errs = append(errs, c.rr.Close())
-		}
+		errs = append(errs, c.src.Close())
 	}
 	return errors.Join(errs...)
 }
 
-// advanceCursor moves a cursor to its next row, loading pages as needed; at
-// the end of the run the file is removed immediately.
+// advanceCursor moves a cursor to its next row, loading pages as needed (the
+// run source removes its file as soon as it is read to the end).
 func (o *aggMerger) advanceCursor(c *aggMergeCursor) error {
 	if c.page != nil {
 		c.row++
@@ -397,12 +390,10 @@ func (o *aggMerger) advanceCursor(c *aggMergeCursor) error {
 		c.page = nil
 	}
 	for {
-		p, err := c.rr.Next()
+		p, err := c.src.Next()
 		if errors.Is(err, io.EOF) {
 			c.done = true
-			err := c.rr.Close()
-			c.run.Remove()
-			return err
+			return nil
 		}
 		if err != nil {
 			return err

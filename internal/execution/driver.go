@@ -1,13 +1,14 @@
 // Intra-task parallelism (§III Fig 1): a task runs N concurrent pipeline
 // instances — drivers — over a shared split queue, the way Presto saturates
-// a worker's cores. BuildParallel translates one plan into N driver
-// pipelines joined by local exchanges; Build remains the serial (N=1) path
-// and every operator implementation is reused unchanged — a driver's slice
-// of an operator is still single-goroutine, and concurrency lives entirely
-// in the exchanges.
+// a worker's cores. Build translates one plan into N driver pipelines joined
+// by local exchanges; every operator implementation is single-goroutine — a
+// driver's slice of an operator — and concurrency lives entirely in the
+// exchanges. One driver is the same translation with no exchange in it.
 package execution
 
 import (
+	"fmt"
+
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
 	"prestolite/internal/types"
@@ -16,51 +17,75 @@ import (
 // maxDrivers bounds the per-task parallelism a session property can request.
 const maxDrivers = 64
 
-// BuildParallel builds the operator tree for a plan with ctx.Drivers
-// concurrent pipelines, gathered into one serial root stream. With Drivers
-// ≤ 1 — or a plan with no table scan to parallelize (see
-// planner.ParallelEligible) — it is exactly Build.
-func BuildParallel(node planner.Node, ctx *Context) (Operator, error) {
+// Build constructs the operator tree for a plan with ctx.Drivers concurrent
+// pipelines, gathered into one serial root stream; it is the only
+// plan→operator translator. With Drivers ≤ 1 the tree holds no exchange and
+// draining it starts no goroutine. With ctx.Stats set, every operator is
+// wrapped to record execution statistics keyed by its pre-order position in
+// the plan.
+func Build(node planner.Node, ctx *Context) (Operator, error) {
 	n := ctx.Drivers
 	if n > maxDrivers {
 		n = maxDrivers
 	}
-	if n <= 1 || !planner.ParallelEligible(node) {
-		return Build(node, ctx)
+	if n < 1 {
+		n = 1
 	}
 	if ctx.Memory == nil && ctx.MemoryLimit > 0 {
+		// Legacy callers that only set a byte limit get a standalone pool,
+		// so every blocking operator goes through one accounting path.
 		ctx.Memory = resource.NewPool("query", ctx.MemoryLimit)
 	}
 	if ctx.Stats != nil && ctx.ids == nil {
 		ctx.ids = planOperatorIDs(node)
 	}
-	streams, err := buildParallel(node, ctx, n)
+	return buildOne(node, ctx, n)
+}
+
+// buildOne builds node and gathers its streams into a single operator.
+func buildOne(node planner.Node, ctx *Context, n int) (Operator, error) {
+	streams, err := build(node, ctx, n)
 	if err != nil {
 		return nil, err
 	}
 	return gatherOne(ctx, streams), nil
 }
 
-// buildParallel builds node as k parallel streams (k ≤ n; k == 1 means the
-// segment is serial). Stateless operators (filter, project) replicate per
-// stream; stateful ones either partition their input so each driver owns a
-// disjoint key range, or fall back to a serial instance behind a gather.
-func buildParallel(node planner.Node, ctx *Context, n int) ([]Operator, error) {
+// build builds node as k parallel streams (k == 1 means the segment is
+// serial, which it always is when n == 1). Stateless operators (filter,
+// project) replicate per stream; stateful ones either partition their input
+// so each driver owns a disjoint key range, or run one instance behind a
+// gather. Every operator is instrumented under its plan node's id.
+func build(node planner.Node, ctx *Context, n int) ([]Operator, error) {
+	one := func(op Operator) []Operator { return []Operator{ctx.instrument(node, op)} }
 	switch t := node.(type) {
 	case *planner.Output:
-		// Like the serial path: the child is instrumented under its own id
-		// and the Output node layers its own accounting on the gathered root.
-		streams, err := buildParallel(t.Child, ctx, n)
+		// No operator of its own: the node layers its accounting on the
+		// gathered root.
+		child, err := buildOne(t.Child, ctx, n)
 		if err != nil {
 			return nil, err
 		}
-		return []Operator{ctx.instrument(t, gatherOne(ctx, streams))}, nil
+		return one(child), nil
+
+	case *planner.Values:
+		return one(newValuesOperator(t)), nil
+
+	case *planner.RemoteSource:
+		if ctx.RemoteSources == nil {
+			return nil, fmt.Errorf("execution: RemoteSource outside distributed execution")
+		}
+		op, err := ctx.RemoteSources(t.FragmentID, t.Cols)
+		if err != nil {
+			return nil, err
+		}
+		return one(op), nil
 
 	case *planner.TableScan:
-		return buildParallelScan(t, ctx, n)
+		return buildScan(t, ctx, n)
 
 	case *planner.Filter:
-		streams, err := buildParallel(t.Child, ctx, n)
+		streams, err := build(t.Child, ctx, n)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +95,7 @@ func buildParallel(node planner.Node, ctx *Context, n int) ([]Operator, error) {
 		return streams, nil
 
 	case *planner.Project:
-		streams, err := buildParallel(t.Child, ctx, n)
+		streams, err := build(t.Child, ctx, n)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +105,7 @@ func buildParallel(node planner.Node, ctx *Context, n int) ([]Operator, error) {
 		return streams, nil
 
 	case *planner.Limit:
-		streams, err := buildParallel(t.Child, ctx, n)
+		streams, err := build(t.Child, ctx, n)
 		if err != nil {
 			return nil, err
 		}
@@ -93,87 +118,82 @@ func buildParallel(node planner.Node, ctx *Context, n int) ([]Operator, error) {
 				streams[i] = &limitOperator{child: streams[i], remaining: t.N}
 			}
 		}
-		final := &limitOperator{child: gatherOne(ctx, streams), remaining: t.N}
-		return []Operator{ctx.instrument(t, final)}, nil
+		return one(&limitOperator{child: gatherOne(ctx, streams), remaining: t.N}), nil
 
 	case *planner.Sort:
-		return buildParallelSort(t, ctx, n)
+		return buildSort(t, ctx, n)
 
 	case *planner.Aggregate:
-		return buildParallelAggregate(t, ctx, n)
+		return buildAggregate(t, ctx, n)
 
 	case *planner.Join:
-		return buildParallelJoin(t, ctx, n)
+		return buildJoin(t, ctx, n)
+
+	case *planner.GeoJoin:
+		// No parallel form: both inputs build serially, scans included.
+		left, err := buildOne(t.Left, ctx, 1)
+		if err != nil {
+			return nil, err
+		}
+		right, err := buildOne(t.Right, ctx, 1)
+		if err != nil {
+			return nil, err
+		}
+		return one(newGeoJoinOperator(t, left, right)), nil
 
 	case *planner.Union:
-		// Concatenate the sides' streams (UNION ALL): each side keeps its
-		// own parallelism and downstream gathers/exchanges accept the
-		// combined stream set.
 		var streams []Operator
 		for _, src := range t.Sources {
-			srcStreams, err := buildParallel(src, ctx, n)
+			srcStreams, err := build(src, ctx, n)
 			if err != nil {
+				for _, s := range streams {
+					_ = s.Close() // already failing: the build error is the one to report
+				}
 				return nil, err
 			}
 			streams = append(streams, srcStreams...)
 		}
+		if n == 1 {
+			// One driver drains the sources in order on its own goroutine.
+			return one(&unionOperator{children: streams}), nil
+		}
+		// Concatenate the sides' streams (UNION ALL): each side keeps its
+		// own parallelism and downstream gathers/exchanges accept the
+		// combined stream set.
 		for i := range streams {
 			streams[i] = ctx.instrument(t, streams[i])
 		}
 		return streams, nil
 
 	default:
-		// Values, RemoteSource, GeoJoin, and anything new: build the whole
-		// subtree serially (instrumented by Build itself).
-		op, err := Build(node, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return []Operator{op}, nil
+		return nil, fmt.Errorf("execution: no operator for %T", node)
 	}
 }
 
-// buildParallelScan shares one split queue across up to n scan drivers, so
-// split assignment self-balances (a driver that drew a small split just
-// takes the next one). A table with fewer splits than drivers gets one scan
-// per split plus a round-robin fan-out, so downstream operators still run
-// n-wide.
-func buildParallelScan(t *planner.TableScan, ctx *Context, n int) ([]Operator, error) {
+// buildScan shares one split queue across up to n scan drivers, so split
+// assignment self-balances (a driver that drew a small split just takes the
+// next one). A table with fewer splits than drivers gets one scan per split
+// plus a round-robin fan-out, so downstream operators still run n-wide; one
+// driver, or a table with no splits, gets the bare scan.
+func buildScan(t *planner.TableScan, ctx *Context, n int) ([]Operator, error) {
 	provider, splits, err := scanSplits(t, ctx)
 	if err != nil {
 		return nil, err
 	}
-	k := n
-	if len(splits) < k {
-		k = len(splits)
-	}
-	if k <= 1 {
-		// 0 or 1 split: a single scan driver...
-		queue := &splitQueue{splits: splits}
-		op := ctx.instrument(t, &scanOperator{
-			scan: t, provider: provider, queue: queue, columns: t.ColumnOrdinals, ctx: ctx.Ctx,
-		})
-		if len(splits) == 0 {
-			return []Operator{op}, nil
-		}
-		// ...with its pages rebalanced across n streams so the pipeline
-		// above still runs parallel.
-		return newLocalExchange(ctx, []Operator{op}, exRoundRobin, nil, n), nil
-	}
 	queue := &splitQueue{splits: splits}
-	streams := make([]Operator, k)
+	streams := make([]Operator, max(1, min(n, len(splits))))
 	for i := range streams {
 		streams[i] = ctx.instrument(t, &scanOperator{
 			scan: t, provider: provider, queue: queue, columns: t.ColumnOrdinals, ctx: ctx.Ctx,
 		})
 	}
-	if k < n {
+	if len(streams) < n && len(splits) > 0 {
 		return newLocalExchange(ctx, streams, exRoundRobin, nil, n), nil
 	}
 	return streams, nil
 }
 
-// buildParallelAggregate is the partitioned parallel hash aggregation.
+// buildAggregate is the partitioned parallel hash aggregation.
 //
 // Grouped single-step (the common case): each driver pre-aggregates its own
 // stream into a partial hash map (driver-local — no shared map, no lock on
@@ -190,8 +210,8 @@ func buildParallelScan(t *planner.TableScan, ctx *Context, n int) ([]Operator, e
 // A global (no GROUP BY) single-step splits into per-driver partials plus
 // one serial final, mirroring the fragmenter's partial/final construction;
 // global DISTINCT and FINAL steps run serially behind a gather.
-func buildParallelAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, error) {
-	streams, err := buildParallel(t.Child, ctx, n)
+func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, error) {
+	streams, err := build(t.Child, ctx, n)
 	if err != nil {
 		return nil, err
 	}
@@ -327,20 +347,20 @@ func finalOverPartial(t *planner.Aggregate, partial *planner.Aggregate) *planner
 	}
 }
 
-// buildParallelJoin partitions both sides of an equi-join by join key with
-// the same hash, so matching keys meet on the same driver: n independent
+// buildJoin partitions both sides of an equi-join by join key with the
+// same hash, so matching keys meet on the same driver: n independent
 // joins, each building a hash table over its own key-disjoint build slice
 // (the parallel join build) and probing it with its own probe slice. NULL
 // keys route consistently too, which keeps LEFT-join null extension on
 // exactly one driver. Joins without equi keys (cross joins) stay serial —
 // the build side would have to be broadcast — but their inputs still scan in
 // parallel behind gathers.
-func buildParallelJoin(t *planner.Join, ctx *Context, n int) ([]Operator, error) {
-	ls, err := buildParallel(t.Left, ctx, n)
+func buildJoin(t *planner.Join, ctx *Context, n int) ([]Operator, error) {
+	ls, err := build(t.Left, ctx, n)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := buildParallel(t.Right, ctx, n)
+	rs, err := build(t.Right, ctx, n)
 	if err != nil {
 		return nil, err
 	}
@@ -358,14 +378,14 @@ func buildParallelJoin(t *planner.Join, ctx *Context, n int) ([]Operator, error)
 	return outs, nil
 }
 
-// buildParallelSort runs one in-memory/external sort per driver and merges
-// the sorted streams: the per-driver sorts are the "sorted runs" and the
-// k-way streaming merge is the same cursor dance the external sort already
-// does over spilled runs. The passthrough exchange exists purely to drive
-// the n sorts concurrently — each one buffers and sorts in its producer
-// goroutine while the merge waits for first pages.
-func buildParallelSort(t *planner.Sort, ctx *Context, n int) ([]Operator, error) {
-	streams, err := buildParallel(t.Child, ctx, n)
+// buildSort runs one in-memory/external sort per driver and merges the
+// sorted streams: the per-driver sorts are the "sorted runs" and the k-way
+// merge is the operator the external sort uses over its spilled runs. The
+// passthrough exchange exists purely to drive the n sorts concurrently —
+// each one buffers and sorts in its producer goroutine while the merge
+// waits for first pages.
+func buildSort(t *planner.Sort, ctx *Context, n int) ([]Operator, error) {
+	streams, err := build(t.Child, ctx, n)
 	if err != nil {
 		return nil, err
 	}

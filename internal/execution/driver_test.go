@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
 	"prestolite/internal/expr"
+	"prestolite/internal/obs"
 	"prestolite/internal/planner"
 	"prestolite/internal/types"
 )
@@ -428,12 +430,12 @@ func TestSplitQueueTakesEachSplitOnce(t *testing.T) {
 	}
 }
 
-func TestBuildParallelScanEquivalence(t *testing.T) {
+func TestBuildDriversScanEquivalence(t *testing.T) {
 	scan, conn, reg := testScan(t,
 		[]int64{1, 2, 3}, []int64{4, 5}, []int64{6}, []int64{7, 8, 9, 10})
 
 	serialCtx := &Context{Catalogs: reg, Drivers: 1}
-	op, err := BuildParallel(scan, serialCtx)
+	op, err := Build(scan, serialCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +447,7 @@ func TestBuildParallelScanEquivalence(t *testing.T) {
 	conn.opened.Store(0)
 	base := runtime.NumGoroutine()
 	parCtx := &Context{Catalogs: reg, Drivers: 4}
-	op, err = BuildParallel(scan, parCtx)
+	op, err = Build(scan, parCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,13 +472,13 @@ func TestBuildParallelScanEquivalence(t *testing.T) {
 	}
 }
 
-func TestBuildParallelFilterEquivalence(t *testing.T) {
+func TestBuildDriversFilterEquivalence(t *testing.T) {
 	scan, _, reg := testScan(t, []int64{1, 2, 3, 4}, []int64{5, 6, 7, 8})
 	plan := &planner.Filter{
 		Child:     scan,
 		Predicate: expr.MustCall("gte", expr.NewVariable("v", 0, types.Bigint), expr.NewConstant(int64(4), types.Bigint)),
 	}
-	op, err := BuildParallel(plan, &Context{Catalogs: reg, Drivers: 3})
+	op, err := Build(plan, &Context{Catalogs: reg, Drivers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,13 +498,13 @@ func TestBuildParallelFilterEquivalence(t *testing.T) {
 	}
 }
 
-func TestBuildParallelLimitStopsEarly(t *testing.T) {
+func TestBuildDriversLimitStopsEarly(t *testing.T) {
 	base := runtime.NumGoroutine()
 	scan, _, reg := testScan(t,
 		[]int64{1, 2, 3, 4, 5}, []int64{6, 7, 8, 9, 10},
 		[]int64{11, 12, 13, 14, 15}, []int64{16, 17, 18, 19, 20})
 	plan := &planner.Limit{Child: scan, N: 7}
-	op, err := BuildParallel(plan, &Context{Catalogs: reg, Drivers: 4})
+	op, err := Build(plan, &Context{Catalogs: reg, Drivers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +525,7 @@ func TestParallelScanCancellation(t *testing.T) {
 		[]int64{1, 2, 3, 4, 5}, []int64{6, 7, 8, 9, 10},
 		[]int64{11, 12, 13, 14, 15}, []int64{16, 17, 18, 19, 20})
 	conn.delay = 2 * time.Millisecond
-	op, err := BuildParallel(scan, &Context{Catalogs: reg, Ctx: cctx, Drivers: 2})
+	op, err := Build(scan, &Context{Catalogs: reg, Ctx: cctx, Drivers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +552,7 @@ func TestParallelScanCancelledBeforeStart(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	scan, _, reg := testScan(t, []int64{1, 2, 3})
-	op, err := BuildParallel(scan, &Context{Catalogs: reg, Ctx: cctx, Drivers: 1})
+	op, err := Build(scan, &Context{Catalogs: reg, Ctx: cctx, Drivers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,19 +564,19 @@ func TestParallelScanCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-func TestBuildParallelFallsBackWithoutScan(t *testing.T) {
-	// A plan with no TableScan (pure VALUES) is not parallel-eligible and
-	// must take the serial Build path even with Drivers > 1.
+func TestBuildDriversWithoutScanStaysSerial(t *testing.T) {
+	// A plan with no TableScan (pure VALUES) has nothing to fan out: even
+	// with Drivers > 1 it builds as one stream with no exchange in it.
 	vals := &planner.Values{
 		Cols: []planner.Column{{Name: "v", Type: types.Bigint}},
 		Rows: [][]any{{int64(1)}, {int64(2)}},
 	}
-	if planner.ParallelEligible(vals) {
-		t.Fatal("VALUES plan reported parallel-eligible")
-	}
-	op, err := BuildParallel(vals, &Context{Drivers: 8})
+	op, err := Build(vals, &Context{Drivers: 8})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := op.(*valuesOperator); !ok {
+		t.Fatalf("VALUES at 8 drivers built %T, want the bare valuesOperator", op)
 	}
 	pages, err := Drain(op)
 	if err != nil {
@@ -582,6 +584,89 @@ func TestBuildParallelFallsBackWithoutScan(t *testing.T) {
 	}
 	if n := len(col0Int64s(pages)); n != 2 {
 		t.Fatalf("got %d rows, want 2", n)
+	}
+}
+
+// reachesExchange reports whether a local exchange is reachable through the
+// fields of an operator tree.
+func reachesExchange(v reflect.Value, seen map[uintptr]bool) bool {
+	switch v.Kind() {
+	case reflect.Interface:
+		return !v.IsNil() && reachesExchange(v.Elem(), seen)
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return false
+		}
+		seen[v.Pointer()] = true
+		if t := v.Type(); t == reflect.TypeOf(&exchangeOut{}) || t == reflect.TypeOf(&localExchange{}) {
+			return true
+		}
+		return reachesExchange(v.Elem(), seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if reachesExchange(v.Field(i), seen) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if reachesExchange(v.Index(i), seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestBuildOneDriverHasNoExchange: with Drivers 0 or 1 the one builder yields
+// the plain operator tree — no exchange anywhere in it, so draining it starts
+// no goroutine — and a UNION ALL keeps its sources' order.
+func TestBuildOneDriverHasNoExchange(t *testing.T) {
+	scan, _, reg := testScan(t, []int64{1, 2, 3}, []int64{4, 5}, []int64{6})
+	count := planner.Aggregation{FuncName: "count", OutputName: "n", InterType: types.Bigint, FinalType: types.Bigint}
+	plans := map[string]planner.Node{
+		"scan":      scan,
+		"union":     &planner.Union{Sources: []planner.Node{scan, scan}},
+		"join":      &planner.Join{Kind: planner.JoinInner, Left: scan, Right: scan, LeftKeys: []int{0}, RightKeys: []int{0}},
+		"aggregate": &planner.Aggregate{Child: scan, GroupBy: []int{0}, Aggs: []planner.Aggregation{count}},
+		"global":    &planner.Aggregate{Child: scan, Aggs: []planner.Aggregation{count}},
+		"sort":      &planner.Sort{Child: scan, Keys: []planner.SortKey{{Channel: 0, Desc: true}}},
+	}
+	for name, plan := range plans {
+		for _, drivers := range []int{0, 1} {
+			base := runtime.NumGoroutine()
+			op, err := Build(plan, &Context{Catalogs: reg, Drivers: drivers, Stats: obs.NewTaskStats()})
+			if err != nil {
+				t.Fatalf("%s/drivers=%d: %v", name, drivers, err)
+			}
+			if reachesExchange(reflect.ValueOf(op), map[uintptr]bool{}) {
+				t.Errorf("%s/drivers=%d: a local exchange in a one-driver tree", name, drivers)
+			}
+			pages, err := Drain(op)
+			if err != nil {
+				t.Fatalf("%s/drivers=%d: %v", name, drivers, err)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%s/drivers=%d: %d goroutines after Drain, %d before Build", name, drivers, n, base)
+			}
+			if name == "union" {
+				want := []int64{1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6}
+				if got := col0Int64s(pages); !reflect.DeepEqual(got, want) {
+					t.Errorf("union/drivers=%d: rows %v, want the sources in order %v", drivers, got, want)
+				}
+			}
+		}
+		// The walk is not vacuous: the same plan at four drivers does hold one.
+		op, err := Build(plan, &Context{Catalogs: reg, Drivers: 4})
+		if err != nil {
+			t.Fatalf("%s/drivers=4: %v", name, err)
+		}
+		if !reachesExchange(reflect.ValueOf(op), map[uintptr]bool{}) {
+			t.Errorf("%s/drivers=4: no local exchange found", name)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -613,7 +698,7 @@ func TestAdaptiveExchangeGathersSmall(t *testing.T) {
 func TestAdaptiveExchangePartitionsLarge(t *testing.T) {
 	// Over the limit the exchange must fall back to hash partitioning: every
 	// occurrence of a key on one output, with real spread across outputs.
-	ctx := &Context{AdaptiveExchangeRows: 4}
+	ctx := &Context{adaptiveExchangeRows: 4}
 	sources := []Operator{
 		&pagesOperator{pages: []*block.Page{intPage(1, 2, 3, 4, 5, 6, 7, 8), intPage(1, 2, 3)}},
 		&pagesOperator{pages: []*block.Page{intPage(5, 6, 7, 8)}},
@@ -691,7 +776,7 @@ func TestAdaptiveExchangeBroadcastFollower(t *testing.T) {
 func TestAdaptiveExchangeFollowerPartitionsWithSameHash(t *testing.T) {
 	// A large build side partitions, and the follower must route matching
 	// keys to the same output index (the join co-location invariant).
-	ctx := &Context{AdaptiveExchangeRows: 2}
+	ctx := &Context{adaptiveExchangeRows: 2}
 	build, st := newAdaptiveExchange(ctx, []Operator{pagesOf(1, 2, 3, 4, 5, 6)}, []int{0}, 3, exBroadcast)
 	probe := newFollowerExchange(ctx, []Operator{pagesOf(1, 2, 3, 4, 5, 6)}, []int{0}, 3, st)
 
@@ -734,7 +819,7 @@ func TestAdaptiveExchangeFollowerPartitionsWithSameHash(t *testing.T) {
 }
 
 func TestAdaptiveExchangeDisabledIsPlainPartition(t *testing.T) {
-	ctx := &Context{AdaptiveExchangeRows: -1}
+	ctx := &Context{adaptiveExchangeRows: -1}
 	eps, st := newAdaptiveExchange(ctx, []Operator{pagesOf(1, 2, 3)}, []int{0}, 2, exGather)
 	if st != nil {
 		t.Fatal("disabled adaptive exchange still returned shared state")

@@ -92,7 +92,7 @@ type localExchange struct {
 }
 
 // defaultAdaptiveRows is the buffered-row threshold below which an adaptive
-// exchange skips repartitioning (Context.AdaptiveExchangeRows overrides).
+// exchange skips repartitioning (Context.adaptiveExchangeRows overrides).
 const defaultAdaptiveRows = 4096
 
 // adaptiveState is the decision shared between an adaptive exchange and its
@@ -111,7 +111,7 @@ type adaptiveState struct {
 }
 
 func newAdaptiveState(ctx *Context, small exchangeMode) *adaptiveState {
-	limit := ctx.AdaptiveExchangeRows
+	limit := ctx.adaptiveExchangeRows
 	if limit == 0 {
 		limit = defaultAdaptiveRows
 	}
@@ -175,10 +175,10 @@ func newLocalExchange(ctx *Context, sources []Operator, mode exchangeMode, keys 
 
 // newAdaptiveExchange wires a partition exchange that may skip partitioning:
 // it returns the endpoints plus the shared decision state a follower exchange
-// (the join probe side) can key off. A negative Context.AdaptiveExchangeRows
+// (the join probe side) can key off. A negative Context.adaptiveExchangeRows
 // disables adaptivity and yields a plain partition exchange (nil state).
 func newAdaptiveExchange(ctx *Context, sources []Operator, keys []int, outputs int, small exchangeMode) ([]Operator, *adaptiveState) {
-	if ctx.AdaptiveExchangeRows < 0 {
+	if ctx.adaptiveExchangeRows < 0 {
 		return newLocalExchange(ctx, sources, exPartition, keys, outputs), nil
 	}
 	st := newAdaptiveState(ctx, small)

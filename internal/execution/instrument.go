@@ -33,7 +33,7 @@ func planOperatorIDs(root planner.Node) map[planner.Node]int {
 // instrument wraps op so it records rows/bytes out, wall time, page count
 // and peak batch size into ctx.Stats. No-op when stats are disabled.
 //
-// Under BuildParallel one plan node becomes several driver instances; they
+// With several drivers one plan node becomes several driver instances; they
 // all record into one shared OperatorStats (its fields are atomics), each
 // through its own single-writer Recorder, and the node's driver count is
 // what EXPLAIN ANALYZE renders as "drivers: N". Wall time therefore sums

@@ -2,10 +2,12 @@ package execution
 
 import (
 	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"prestolite/internal/block"
 	"prestolite/internal/resource"
 )
 
@@ -206,4 +208,49 @@ func (m *opMem) fail(err error) error {
 		limit = ex.Limit
 	}
 	return ErrInsufficientResources{Operator: m.op, Limit: limit, Cause: err}
+}
+
+// runSource reads one spilled run back as an Operator, so a merge over runs
+// (external sort, spilled aggregation) is a merge over streams. The file is
+// removed as soon as it has been read to the end, or at Close. Read-back
+// pages are transient engine overhead (one bounded frame per open run), not
+// user memory: charging them against the query cap that just forced the
+// spill would deadlock the merge.
+type runSource struct {
+	run *resource.Run
+	rr  *resource.RunReader
+}
+
+func (s *runSource) Next() (*block.Page, error) {
+	if s.run == nil {
+		return nil, io.EOF
+	}
+	if s.rr == nil {
+		rr, err := s.run.Open()
+		if err != nil {
+			return nil, err
+		}
+		s.rr = rr
+	}
+	p, err := s.rr.Next()
+	if errors.Is(err, io.EOF) {
+		if err := s.Close(); err != nil {
+			return nil, err
+		}
+		return nil, io.EOF
+	}
+	return p, err
+}
+
+func (s *runSource) Close() error {
+	if s.run == nil {
+		return nil
+	}
+	var err error
+	if s.rr != nil {
+		err = s.rr.Close()
+	}
+	s.run.Remove()
+	s.run, s.rr = nil, nil
+	return err
 }

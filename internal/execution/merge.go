@@ -9,11 +9,10 @@ import (
 	"prestolite/internal/types"
 )
 
-// streamMergeOperator k-way merges already-sorted operator streams (the
-// per-driver sorts of a parallel ORDER BY) into one sorted stream. It is the
-// streaming sibling of sortOperator's spilled-run merge: same min-cursor
-// selection, same NULLS-LAST comparison, but cursors advance by pulling the
-// next page from a live stream instead of reading a run back from disk.
+// streamMergeOperator k-way merges already-sorted operator streams into one
+// sorted stream: the per-driver sorts of a parallel ORDER BY, or the spilled
+// runs of an external sort (runSource). Cursors advance by pulling the next
+// page from their stream; NULLs compare greatest (compareNullable).
 type streamMergeOperator struct {
 	keys     []planner.SortKey
 	outTypes []*types.Type
@@ -64,8 +63,8 @@ func (o *streamMergeOperator) Next() (*block.Page, error) {
 		return nil, io.EOF
 	}
 	if !o.opened {
-		// First pages block until each driver's sort finishes consuming —
-		// the sorts run concurrently in their exchange producers.
+		// Over per-driver sorts, first pages block until each sort finishes
+		// consuming — they run concurrently in their exchange producers.
 		for _, c := range o.cursors {
 			if err := o.advance(c); err != nil {
 				return nil, err
@@ -103,7 +102,7 @@ func (o *streamMergeOperator) Next() (*block.Page, error) {
 
 // minCursor picks the live cursor with the smallest current row; ties keep
 // the lowest stream index, so merging is deterministic for a given page
-// distribution.
+// distribution and stable when earlier streams hold earlier rows.
 func (o *streamMergeOperator) minCursor() *streamCursor {
 	var best *streamCursor
 	for _, c := range o.cursors {

@@ -57,27 +57,29 @@ type Context struct {
 	// cancelled task stops all of its drivers promptly. nil = never
 	// cancelled.
 	Ctx context.Context
-	// Drivers is the intra-task parallelism degree for BuildParallel: how
-	// many concurrent pipelines a task runs over its split queue (§III's
-	// drivers). ≤1 means serial; Build ignores it.
+	// Drivers is the intra-task parallelism degree: how many concurrent
+	// pipelines Build runs over the plan's split queues (§III's drivers).
+	// ≤1 means serial — no exchange, no goroutine.
 	Drivers int
-	// DisableVectorized forces every operator onto the row-at-a-time
-	// reference implementations (session property vectorized_execution =
-	// false). The vectorized kernels are the default; the reference path
-	// exists as the behavioral oracle for the equivalence suite and as the
-	// fallback for shapes the kernels do not cover.
-	DisableVectorized bool
-	// AdaptiveExchangeRows overrides the row threshold below which a
+
+	// The three fields below are set only by this package's tests.
+	//
+	// rowOperators sends every aggregation and join to the row-at-a-time
+	// operators — the ones vectorAggEligible/vectorJoinEligible already pick
+	// for the shapes the kernels do not cover — so the equivalence suite can
+	// use them as the oracle for the shapes the kernels do cover.
+	rowOperators bool
+	// adaptiveExchangeRows overrides the row threshold below which a
 	// partitioned local exchange collapses to a low-cardinality plan
 	// (gather or broadcast). 0 means the default; negative disables the
 	// adaptation entirely.
-	AdaptiveExchangeRows int
-	// PartialAggBypassRows overrides how many input rows a partial
+	adaptiveExchangeRows int
+	// partialAggBypassRows overrides how many input rows a partial
 	// aggregation hashes before checking its reduction ratio and, when
 	// nearly every row opens a new group, switching to pass-through
 	// (adaptive partial aggregation). 0 means the default; negative
 	// disables the bypass.
-	PartialAggBypassRows int
+	partialAggBypassRows int
 
 	// ids assigns pre-order plan-node ids, computed on the first Build call
 	// when Stats is enabled (see instrument.go).
@@ -113,108 +115,6 @@ func (e ErrInsufficientResources) Error() string {
 
 // Unwrap exposes the underlying resource error.
 func (e ErrInsufficientResources) Unwrap() error { return e.Cause }
-
-// Build constructs the operator tree for a plan. With ctx.Stats set, every
-// operator is wrapped to record execution statistics keyed by its pre-order
-// position in the plan.
-func Build(node planner.Node, ctx *Context) (Operator, error) {
-	if ctx.Memory == nil && ctx.MemoryLimit > 0 {
-		// Legacy callers that only set a byte limit get a standalone pool,
-		// so every blocking operator goes through one accounting path.
-		ctx.Memory = resource.NewPool("query", ctx.MemoryLimit)
-	}
-	if ctx.Stats != nil && ctx.ids == nil {
-		ctx.ids = planOperatorIDs(node)
-	}
-	op, err := build(node, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(node, op), nil
-}
-
-func build(node planner.Node, ctx *Context) (Operator, error) {
-	switch t := node.(type) {
-	case *planner.Output:
-		// Build (not build) so the child is instrumented under its own id;
-		// the Output wrapper then layers its own accounting on top.
-		return Build(t.Child, ctx)
-	case *planner.Values:
-		return newValuesOperator(t), nil
-	case *planner.TableScan:
-		return newScanOperator(t, ctx)
-	case *planner.Filter:
-		child, err := Build(t.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &filterOperator{child: child, predicate: t.Predicate}, nil
-	case *planner.Project:
-		child, err := Build(t.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &projectOperator{child: child, exprs: t.Exprs}, nil
-	case *planner.Limit:
-		child, err := Build(t.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &limitOperator{child: child, remaining: t.N}, nil
-	case *planner.Sort:
-		child, err := Build(t.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newSortOperator(t, child, newOpMem("ORDER BY buffering", ctx)), nil
-	case *planner.Aggregate:
-		child, err := Build(t.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newAggOp(ctx, t, child)
-	case *planner.Join:
-		left, err := Build(t.Left, ctx)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Build(t.Right, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newJoinOp(ctx, t, left, right), nil
-	case *planner.GeoJoin:
-		left, err := Build(t.Left, ctx)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Build(t.Right, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return newGeoJoinOperator(t, left, right), nil
-	case *planner.RemoteSource:
-		if ctx.RemoteSources == nil {
-			return nil, fmt.Errorf("execution: RemoteSource outside distributed execution")
-		}
-		return ctx.RemoteSources(t.FragmentID, t.Cols)
-	case *planner.Union:
-		children := make([]Operator, len(t.Sources))
-		for i, src := range t.Sources {
-			child, err := Build(src, ctx)
-			if err != nil {
-				for _, c := range children[:i] {
-					_ = c.Close() // already failing: the build error is the one to report
-				}
-				return nil, err
-			}
-			children[i] = child
-		}
-		return &unionOperator{children: children}, nil
-	default:
-		return nil, fmt.Errorf("execution: no operator for %T", node)
-	}
-}
 
 // unionOperator concatenates its children's streams (UNION ALL): drain one
 // source fully, then move to the next.
@@ -358,20 +258,6 @@ func scanSplits(t *planner.TableScan, ctx *Context) (connector.RecordSetProvider
 		}
 	}
 	return conn.RecordSetProvider(), splits, nil
-}
-
-func newScanOperator(t *planner.TableScan, ctx *Context) (Operator, error) {
-	provider, splits, err := scanSplits(t, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &scanOperator{
-		scan:     t,
-		provider: provider,
-		queue:    &splitQueue{splits: splits},
-		columns:  t.ColumnOrdinals,
-		ctx:      ctx.Ctx,
-	}, nil
 }
 
 func (o *scanOperator) Next() (*block.Page, error) {

@@ -17,7 +17,8 @@ import (
 // budget it emits one page of indirection blocks over the buffered input, so
 // sorting never copies or re-encodes values; when a reservation is refused
 // (and spill is enabled) it sorts what it holds, writes the sorted run to
-// disk, and k-way merges the runs on read-back — an external sort.
+// disk, and k-way merges the runs on read-back (the same streamMergeOperator
+// that merges a parallel ORDER BY's per-driver sorts) — an external sort.
 type sortOperator struct {
 	child    Operator
 	keys     []planner.SortKey
@@ -28,20 +29,7 @@ type sortOperator struct {
 	done     bool
 	pages    []*block.Page
 	runs     []*resource.Run
-	cursors  []*sortCursor
-	scratch  []any
-}
-
-// sortCursor reads one spilled run during the merge, holding one page at a
-// time. Read-back pages are transient engine overhead (one bounded frame per
-// open run), not user memory: charging them against the query cap that just
-// forced the spill would deadlock the merge.
-type sortCursor struct {
-	rr   *resource.RunReader
-	run  *resource.Run
-	page *block.Page
-	row  int
-	done bool
+	merge    *streamMergeOperator // over runs, once the input has spilled
 }
 
 func newSortOperator(node *planner.Sort, child Operator, mem *opMem) *sortOperator {
@@ -63,14 +51,14 @@ func (o *sortOperator) Next() (*block.Page, error) {
 		}
 		o.consumed = true
 	}
-	if len(o.runs) == 0 {
-		o.done = true
-		if len(o.pages) == 0 {
-			return nil, io.EOF
-		}
-		return o.sortedView(), nil
+	if o.merge != nil {
+		return o.merge.Next()
 	}
-	return o.mergeNext()
+	o.done = true
+	if len(o.pages) == 0 {
+		return nil, io.EOF
+	}
+	return o.sortedView(), nil
 }
 
 func (o *sortOperator) consume() error {
@@ -104,11 +92,18 @@ func (o *sortOperator) consume() error {
 		return nil
 	}
 	// Spilled at least once: the leftover buffer becomes the last run and
-	// the merge takes over.
+	// the merge takes over. Runs hold successively later input rows and the
+	// merge breaks ties toward the lowest stream, so the external sort is as
+	// stable as the in-memory one.
 	if err := o.spillBuffer(); err != nil {
 		return err
 	}
-	return o.openMerge()
+	sources := make([]Operator, len(o.runs))
+	for i, r := range o.runs {
+		sources[i] = &runSource{run: r}
+	}
+	o.merge = newStreamMergeOperator(o.keys, o.outTypes, sources)
+	return nil
 }
 
 // sortedView sorts the buffered pages and returns a zero-copy page of
@@ -189,100 +184,6 @@ func (o *sortOperator) spillBuffer() error {
 	return nil
 }
 
-func (o *sortOperator) openMerge() error {
-	for _, r := range o.runs {
-		rr, err := r.Open()
-		if err != nil {
-			return err
-		}
-		c := &sortCursor{rr: rr, run: r}
-		o.cursors = append(o.cursors, c)
-		if err := o.advancePage(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// advancePage drops the cursor's current page and loads the next one; at the
-// end of the run the file is removed immediately.
-func (o *sortOperator) advancePage(c *sortCursor) error {
-	c.page, c.row = nil, 0
-	p, err := c.rr.Next()
-	if errors.Is(err, io.EOF) {
-		c.done = true
-		err := c.rr.Close()
-		c.run.Remove()
-		return err
-	}
-	if err != nil {
-		return err
-	}
-	c.page = p
-	return nil
-}
-
-// mergeNext emits the next page of the k-way merge over the spilled runs.
-func (o *sortOperator) mergeNext() (*block.Page, error) {
-	pb := block.NewPageBuilder(o.outTypes)
-	if o.scratch == nil {
-		o.scratch = make([]any, len(o.outTypes))
-	}
-	row := o.scratch
-	for pb.Len() < spillPageRows {
-		c := o.minCursor()
-		if c == nil {
-			break
-		}
-		for ch := range o.outTypes {
-			row[ch] = c.page.Blocks[ch].Value(c.row)
-		}
-		pb.AppendRow(row)
-		c.row++
-		if c.row >= c.page.Count() {
-			if err := o.advancePage(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if pb.Len() == 0 {
-		o.done = true
-		return nil, io.EOF
-	}
-	return pb.Build(), nil
-}
-
-// minCursor picks the live cursor with the smallest current row. Ties stay
-// with the earliest run — runs hold earlier input rows, so the merge keeps
-// the stability of the in-memory sort.
-func (o *sortOperator) minCursor() *sortCursor {
-	var best *sortCursor
-	for _, c := range o.cursors {
-		if c.done {
-			continue
-		}
-		if best == nil || o.cursorLess(c, best) {
-			best = c
-		}
-	}
-	return best
-}
-
-func (o *sortOperator) cursorLess(a, b *sortCursor) bool {
-	for _, k := range o.keys {
-		va := a.page.Blocks[k.Channel].Value(a.row)
-		vb := b.page.Blocks[k.Channel].Value(b.row)
-		c := compareNullable(va, vb)
-		if k.Desc {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
-	}
-	return false
-}
-
 // compareNullable orders values with NULL greatest (NULLS LAST ascending).
 func compareNullable(a, b any) int {
 	switch {
@@ -297,18 +198,16 @@ func compareNullable(a, b any) int {
 }
 
 func (o *sortOperator) Close() error {
-	var errs []error
-	for _, c := range o.cursors {
-		if c.rr != nil && !c.done {
-			errs = append(errs, c.rr.Close())
-		}
+	var mergeErr error
+	if o.merge != nil {
+		mergeErr = o.merge.Close()
 	}
+	// Runs written before a failed consume have no merge to remove them.
 	for _, r := range o.runs {
 		r.Remove()
 	}
 	o.mem.releaseAll()
-	errs = append(errs, o.child.Close())
-	return errors.Join(errs...)
+	return errors.Join(mergeErr, o.child.Close())
 }
 
 // indirectBlock is a zero-copy view over rows scattered across multiple

@@ -3,6 +3,7 @@ package execution
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
@@ -106,6 +107,70 @@ func TestSortSpillEquivalence(t *testing.T) {
 	if pool.Spilled() == 0 {
 		t.Fatal("sort never spilled despite the tiny limit")
 	}
+}
+
+// The external sort's merge is the shared streamMergeOperator over run
+// sources: with duplicate keys, NULLs and a DESC key it must return exactly
+// the in-memory sort's order (ties keep input order across runs), and the
+// spill directory must be empty after EOF and after an early Close.
+func TestSortSpillMergeOrderAndCleanup(t *testing.T) {
+	cols := []planner.Column{
+		{Name: "k", Type: types.Bigint}, {Name: "d", Type: types.Bigint}, {Name: "seq", Type: types.Bigint},
+	}
+	node := &planner.Sort{
+		Child: &planner.Values{Cols: cols},
+		Keys:  []planner.SortKey{{Channel: 0}, {Channel: 1, Desc: true}},
+	}
+	var input []*block.Page
+	for start := 0; start < 4000; start += 128 {
+		pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Bigint, types.Bigint})
+		for i := start; i < start+128 && i < 4000; i++ {
+			var k, d any = int64((i*2654435761 + 7) % 9), int64(i % 3)
+			if i%7 == 0 {
+				k = nil
+			}
+			if i%11 == 0 {
+				d = nil
+			}
+			pb.AppendRow([]any{k, d, int64(i)})
+		}
+		input = append(input, pb.Build())
+	}
+	baseline := drainRows(t, newSortOperator(node, &pagesOperator{pages: input}, &opMem{op: "test"}))
+
+	spillDirEmpty := func(mgr *resource.SpillManager, when string) {
+		t.Helper()
+		entries, err := os.ReadDir(mgr.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 || len(mgr.LiveRuns()) != 0 {
+			t.Fatalf("%s: %d files, %d live runs left in the spill directory", when, len(entries), len(mgr.LiveRuns()))
+		}
+	}
+
+	pool, mgr := spillEnv(t, 8<<10)
+	got := drainRows(t, newSortOperator(node, &pagesOperator{pages: input}, &opMem{op: "test", pool: pool, spill: mgr}))
+	if !reflect.DeepEqual(got, baseline) {
+		t.Fatalf("spilled sort diverged: %d vs %d rows (first diff at %d)", len(got), len(baseline), firstDiff(got, baseline))
+	}
+	if pool.Spilled() == 0 {
+		t.Fatal("sort never spilled despite the tiny limit")
+	}
+	spillDirEmpty(mgr, "after EOF")
+
+	pool, mgr = spillEnv(t, 8<<10)
+	op := newSortOperator(node, &pagesOperator{pages: input}, &opMem{op: "test", pool: pool, spill: mgr})
+	if _, err := op.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if len(mgr.LiveRuns()) < 2 {
+		t.Fatalf("want several live runs mid-merge, have %d", len(mgr.LiveRuns()))
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spillDirEmpty(mgr, "after an early Close")
 }
 
 func firstDiff(a, b [][]any) int {

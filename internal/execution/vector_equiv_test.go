@@ -3,7 +3,7 @@ package execution
 // Property-based equivalence suite for the vectorized kernels: random
 // schemas, encodings, NULL densities, cardinalities and driver counts are
 // generated from a seed, run through the vectorized operators, and compared
-// row-exactly against the row-at-a-time reference path (DisableVectorized,
+// row-exactly against the row-at-a-time reference path (Context.rowOperators,
 // serial Build). Every failure logs its seed; replay one with
 // EQUIV_SEED=<seed> go test -run TestVector.*Equivalence ./internal/execution/.
 //
@@ -269,9 +269,9 @@ func maybeFilter(rng *rand.Rand, node planner.Node, specs []equivColSpec) planne
 type equivConfig struct {
 	name     string
 	drivers  int
-	disable  bool // DisableVectorized: row-at-a-time operators
-	adaptive int  // AdaptiveExchangeRows: 0 default, >0 low threshold, <0 off
-	bypass   int  // PartialAggBypassRows: 0 default, >0 eager trigger, <0 off
+	disable  bool // rowOperators: row-at-a-time operators
+	adaptive int  // adaptiveExchangeRows: 0 default, >0 low threshold, <0 off
+	bypass   int  // partialAggBypassRows: 0 default, >0 eager trigger, <0 off
 }
 
 // equivConfigs covers vectorized × driver counts × adaptive-exchange modes,
@@ -296,10 +296,10 @@ func runEquiv(t *testing.T, plan planner.Node, reg *connector.Registry, cfg equi
 	t.Helper()
 	ctx := &Context{
 		Catalogs: reg, Drivers: cfg.drivers,
-		DisableVectorized: cfg.disable, AdaptiveExchangeRows: cfg.adaptive,
-		PartialAggBypassRows: cfg.bypass,
+		rowOperators: cfg.disable, adaptiveExchangeRows: cfg.adaptive,
+		partialAggBypassRows: cfg.bypass,
 	}
-	op, err := BuildParallel(plan, ctx)
+	op, err := Build(plan, ctx)
 	if err != nil {
 		t.Fatalf("%s: build: %v", cfg.name, err)
 	}
@@ -399,9 +399,9 @@ func runEquivSpill(t *testing.T, plan planner.Node, reg *connector.Registry, lim
 	t.Helper()
 	pool, mgr := spillEnv(t, limit)
 	ctx := &Context{
-		Catalogs: reg, Drivers: 1, Memory: pool, Spill: mgr, DisableVectorized: disable,
+		Catalogs: reg, Drivers: 1, Memory: pool, Spill: mgr, rowOperators: disable,
 	}
-	op, err := BuildParallel(plan, ctx)
+	op, err := Build(plan, ctx)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -490,7 +490,7 @@ func TestPartialAggBypassStreams(t *testing.T) {
 			}},
 			Step: planner.AggPartial,
 		}
-		op, err := Build(partial, &Context{Catalogs: reg, Drivers: 1, PartialAggBypassRows: bypass})
+		op, err := Build(partial, &Context{Catalogs: reg, Drivers: 1, partialAggBypassRows: bypass})
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

@@ -34,7 +34,7 @@ func newAggOp(ctx *Context, node *planner.Aggregate, child Operator) (Operator, 
 // exactly the partial/final split's overhead when it cannot help.
 const (
 	// partialBypassMinRows is how much input the partial hashes before the
-	// reduction ratio is trusted (Context.PartialAggBypassRows overrides).
+	// reduction ratio is trusted (Context.partialAggBypassRows overrides).
 	// Small enough that a partial fed a few thin splits still gets to
 	// decide, large enough that early duplicates keep a reducing partial
 	// hashing.
@@ -50,10 +50,10 @@ const (
 // bypass is disabled.
 func partialBypassRows(ctx *Context) int {
 	switch {
-	case ctx.PartialAggBypassRows < 0:
+	case ctx.partialAggBypassRows < 0:
 		return -1
-	case ctx.PartialAggBypassRows > 0:
-		return ctx.PartialAggBypassRows
+	case ctx.partialAggBypassRows > 0:
+		return ctx.partialAggBypassRows
 	}
 	return partialBypassMinRows
 }
@@ -63,7 +63,7 @@ func partialBypassRows(ctx *Context) int {
 // types, and every aggregate covered by a typed kernel. DISTINCT and
 // approx_distinct stay on the reference path.
 func vectorAggEligible(ctx *Context, node *planner.Aggregate) bool {
-	if ctx.DisableVectorized || len(node.GroupBy) == 0 {
+	if ctx.rowOperators || len(node.GroupBy) == 0 {
 		return false
 	}
 	childCols := node.Child.Outputs()

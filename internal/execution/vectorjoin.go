@@ -22,7 +22,7 @@ func newJoinOp(ctx *Context, node *planner.Join, left, right Operator) Operator 
 }
 
 func vectorJoinEligible(ctx *Context, node *planner.Join) bool {
-	if ctx.DisableVectorized || len(node.LeftKeys) == 0 || node.Residual != nil {
+	if ctx.rowOperators || len(node.LeftKeys) == 0 || node.Residual != nil {
 		return false
 	}
 	if node.Kind != planner.JoinInner && node.Kind != planner.JoinLeft {

@@ -3,6 +3,7 @@ package planner
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"prestolite/internal/connector"
 	"prestolite/internal/connectors/memory"
@@ -242,17 +243,18 @@ func TestConstantFolding(t *testing.T) {
 // malformed values with one error text.
 func TestExecProperties(t *testing.T) {
 	got, err := (&Session{}).ExecProperties()
-	if err != nil || got != (ExecProperties{SpillEnabled: true}) {
+	if err != nil || got != (ExecProperties{SpillEnabled: true, ResultCache: true}) {
 		t.Fatalf("defaults = %+v, %v", got, err)
 	}
 	s := &Session{Properties: map[string]string{
-		"task_concurrency": "4", "vectorized_execution": "false", "query_max_memory": "0", "spill_enabled": "false",
+		"task_concurrency": "4", "query_max_memory": "0", "spill_enabled": "false",
+		"query_max_run_ms": "1500", "result_cache": "false",
 	}}
 	got, err = s.ExecProperties()
-	if err != nil || got != (ExecProperties{TaskConcurrency: 4, DisableVectorized: true, MaxMemorySet: true}) {
+	if err != nil || got != (ExecProperties{TaskConcurrency: 4, MaxMemorySet: true, MaxRun: 1500 * time.Millisecond}) {
 		t.Fatalf("parsed = %+v, %v", got, err)
 	}
-	for prop, bad := range map[string]string{"task_concurrency": "0", "query_max_memory": "lots"} {
+	for prop, bad := range map[string]string{"task_concurrency": "0", "query_max_memory": "lots", "query_max_run_ms": "banana"} {
 		s := &Session{Properties: map[string]string{prop: bad}}
 		if _, err := s.ExecProperties(); err == nil || !strings.Contains(err.Error(), "session: bad "+prop) {
 			t.Errorf("%s=%q: err = %v", prop, bad, err)

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"prestolite/internal/connector"
 	"prestolite/internal/sql"
@@ -32,10 +33,6 @@ type ExecProperties struct {
 	// TaskConcurrency is task_concurrency, the driver pipelines per task;
 	// 0 when the session does not set it.
 	TaskConcurrency int
-	// DisableVectorized is vectorized_execution=false: pin aggregations and
-	// joins to the row-at-a-time reference operators — the escape hatch, and
-	// the oracle the equivalence suite compares the kernels against.
-	DisableVectorized bool
 	// MaxMemory is query_max_memory in bytes, meaningful when MaxMemorySet
 	// (an unset property defers to the resource group's cap).
 	MaxMemory    int64
@@ -43,20 +40,23 @@ type ExecProperties struct {
 	// SpillEnabled is spill_enabled (default true): blocking operators may
 	// spill to a configured spill manager instead of failing.
 	SpillEnabled bool
+	// MaxRun is query_max_run_ms, the query's wall-clock budget; 0 when the
+	// session does not set it. Only the cluster coordinator enforces it.
+	MaxRun time.Duration
+	// ResultCache is result_cache (default true): the coordinator may answer
+	// from, and fill, its result cache.
+	ResultCache bool
 }
 
 // ExecProperties parses the session's execution properties.
 func (s *Session) ExecProperties() (ExecProperties, error) {
 	p := ExecProperties{
-		DisableVectorized: s.Property("vectorized_execution", "true") == "false",
-		SpillEnabled:      s.Property("spill_enabled", "true") == "true",
+		SpillEnabled: s.Property("spill_enabled", "true") == "true",
+		ResultCache:  s.Property("result_cache", "true") != "false",
 	}
-	if v := s.Property("task_concurrency", ""); v != "" {
-		d, err := strconv.Atoi(v)
-		if err != nil || d < 1 {
-			return p, fmt.Errorf("session: bad task_concurrency %q: want a positive integer", v)
-		}
-		p.TaskConcurrency = d
+	var err error
+	if p.TaskConcurrency, err = s.positiveInt("task_concurrency"); err != nil {
+		return p, err
 	}
 	if v := s.Property("query_max_memory", ""); v != "" {
 		limit, err := strconv.ParseInt(v, 10, 64)
@@ -65,5 +65,21 @@ func (s *Session) ExecProperties() (ExecProperties, error) {
 		}
 		p.MaxMemory, p.MaxMemorySet = limit, true
 	}
-	return p, nil
+	ms, err := s.positiveInt("query_max_run_ms")
+	p.MaxRun = time.Duration(ms) * time.Millisecond
+	return p, err
+}
+
+// positiveInt parses a property that, when set, must be a positive integer;
+// it is 0 when unset.
+func (s *Session) positiveInt(name string) (int, error) {
+	v := s.Property(name, "")
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("session: bad %s %q: want a positive integer", name, v)
+	}
+	return n, nil
 }
