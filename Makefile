@@ -41,17 +41,20 @@ chaos-ingest:
 chaos-lifecycle:
 	go test -race -count=1 -v -run TestChaosLifecycle ./internal/cluster ./internal/ingest
 
-# Brief randomized runs of the vector-kernel fuzz targets (open-addressing
-# hash tables, selection kernels) on top of their checked-in corpus under
-# internal/execution/vector/testdata/fuzz. CI runs this as a smoke; crank
-# -fuzztime locally to dig deeper. New crashers land in testdata/fuzz —
-# check them in.
+# Brief randomized runs of the fuzz targets on top of their checked-in
+# corpora (testdata/fuzz beside each): the vector kernels (open-addressing
+# hash tables, selection kernels) and the Parquet file decoder (a valid file
+# with bytes changed, read by the columnar and the legacy reader: same rows
+# or both refuse, no panic, no allocation the file's size does not cover). CI
+# runs this as a smoke; crank -fuzztime locally to dig deeper. New crashers
+# land in testdata/fuzz — check them in.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -fuzz '^FuzzGroupTable$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzJoinTable$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzSelectTrue$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzSelectConst$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
+	go test -fuzz '^FuzzReadFile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parquet/
 
 # Static analysis: go vet plus the project's own invariant suite
 # (internal/analysis, run by cmd/prestolint). prestolint enforces ten

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -153,6 +154,11 @@ func (c *Connector) RegisterObsMetrics(reg *obs.Registry) {
 		"leaves_decoded":           &m.LeavesDecoded,
 		"rows_scanned":             &m.RowsScanned,
 		"rows_matched":             &m.RowsMatched,
+		// What the scans asked of storage: batches of ranges fetched
+		// together (a round trip each), ranges (a ReadAt each) and bytes.
+		"fetch_batches": &m.FetchBatches,
+		"ranges_read":   &m.RangesRead,
+		"bytes_read":    &m.BytesRead,
 	} {
 		v := v
 		reg.GaugeFunc(c.name+".reader."+name, func() float64 { return float64(v.Load()) })
@@ -368,21 +374,20 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		}
 	}
 
-	// Stat + open the file through the worker caches (§VII.B).
-	var file fsys.File
+	// Stat the file through the worker caches (§VII.B). It is not opened
+	// here: the reader's I/O plan opens it with the first chunk the chunk
+	// cache does not hold (or the footer, on a footer-cache miss), so a split
+	// that is pruned or served from the caches costs no open at all.
+	var info fsys.FileInfo
 	if c.opts.DisableFooterCache {
-		if _, err := c.fs.GetFileInfo(sp.Path); err != nil {
-			return nil, err
-		}
+		info, err = c.fs.GetFileInfo(sp.Path)
 	} else {
-		if _, err := c.footerCache.GetFileInfo(c.fs, sp.Path); err != nil {
-			return nil, err
-		}
+		info, err = c.footerCache.GetFileInfo(c.fs, sp.Path)
 	}
-	file, err = c.fs.Open(sp.Path)
 	if err != nil {
 		return nil, err
 	}
+	file := &lazyFile{fs: c.fs, path: sp.Path, size: info.Size}
 	var entry footerEntry
 	if c.opts.DisableFooterCache {
 		meta, schema, ferr := parquet.ReadFooter(file)
@@ -458,7 +463,6 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 	src := &pageSource{
 		conn:        c,
 		split:       sp,
-		file:        file,
 		ordinals:    ordinals,
 		dataSlot:    dataSlot,
 		missingSlot: missingSlot,
@@ -471,7 +475,7 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 			_ = file.Close() // already failing: the reader error is the one to report
 			return nil, err
 		}
-		src.nextPage = legacy.Next
+		src.nextPage, src.closeReader = legacy.Next, legacy.Close
 		src.fileTypes = legacy.OutputTypes()
 		return src, nil
 	}
@@ -495,7 +499,7 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		_ = file.Close() // already failing: the reader error is the one to report
 		return nil, err
 	}
-	src.nextPage = reader.Next
+	src.nextPage, src.closeReader = reader.Next, reader.Close
 	src.fileTypes = reader.OutputTypes()
 	return src, nil
 }
@@ -505,8 +509,8 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 type pageSource struct {
 	conn        *Connector
 	split       *Split
-	file        fsys.File
 	nextPage    func() (*block.Page, error)
+	closeReader func() error // waits for reads in flight, releases the file
 	ordinals    []int
 	dataSlot    map[int]int
 	missingSlot map[int]bool
@@ -558,5 +562,41 @@ func (s *pageSource) Next() (*block.Page, error) {
 
 func (s *pageSource) Close() error {
 	s.done = true
-	return s.file.Close()
+	return s.closeReader()
+}
+
+// lazyFile is a fsys.File of known size that is opened by its first read —
+// one fs.Open however many reads race for it — and never when nothing reads.
+type lazyFile struct {
+	fs   fsys.FileSystem
+	path string
+	size int64
+
+	once sync.Once
+	f    fsys.File
+	err  error
+}
+
+// ReadAt implements io.ReaderAt.
+func (l *lazyFile) ReadAt(p []byte, off int64) (int, error) {
+	l.once.Do(func() { l.f, l.err = l.fs.Open(l.path) })
+	if l.err != nil {
+		return 0, l.err
+	}
+	return l.f.ReadAt(p, off)
+}
+
+// Size implements fsys.File.
+func (l *lazyFile) Size() int64 { return l.size }
+
+// Close implements io.Closer; the caller has no read in flight. A file that
+// was never read is never opened.
+func (l *lazyFile) Close() error {
+	l.once.Do(func() {})
+	f := l.f
+	l.f, l.err = nil, fmt.Errorf("hive: %s is closed", l.path)
+	if f == nil {
+		return nil
+	}
+	return f.Close()
 }

@@ -43,9 +43,30 @@ func TestHiveReaderMetrics(t *testing.T) {
 	// 200 cities (2 row groups). Both scans decode two leaves per row group;
 	// before dereferences crossed the join the trips scan decoded all 26
 	// leaves of base plus base.city_id.
-	d := run("SELECT c.region, sum(t.base.fare) FROM trips t JOIN cities c ON t.base.city_id = c.city_id WHERE t.datestr = '2017-03-01' GROUP BY c.region")
+	const q11 = "SELECT c.region, sum(t.base.fare) FROM trips t JOIN cities c ON t.base.city_id = c.city_id WHERE t.datestr = '2017-03-01' GROUP BY c.region"
+	reads := nn.Counters.ReadCalls.Load()
+	d := run(q11)
 	if d["row_groups_read"] != 6 || d["leaves_decoded"] != 2*d["row_groups_read"] {
 		t.Errorf("Q11 decoded %v leaves in %v row groups, want 2 per row group of 6", d["leaves_decoded"], d["row_groups_read"])
+	}
+	// What the scans asked of storage. No reader predicate, so each of the
+	// three files is read ahead whole: one batch per file, its ranges the
+	// ReadAts the filesystem served beyond the footers' two per file.
+	if d["fetch_batches"] != 3 || d["ranges_read"] < 3 || d["bytes_read"] <= 0 {
+		t.Errorf("Q11 cold: fetch_batches/ranges_read/bytes_read = %v/%v/%v, want 3 batches", d["fetch_batches"], d["ranges_read"], d["bytes_read"])
+	}
+	if got := float64(nn.Counters.ReadCalls.Load() - reads); got != d["ranges_read"]+2*3 {
+		t.Errorf("Q11 cold: the filesystem served %v reads, the readers planned %v ranges and read 3 footers", got, d["ranges_read"])
+	}
+	// The same statement again finds every chunk in the chunk cache: nothing
+	// is planned, nothing is read, no file is opened.
+	reads, opens := nn.Counters.ReadCalls.Load(), nn.Counters.OpenCalls.Load()
+	d = run(q11)
+	if d["fetch_batches"] != 0 || d["ranges_read"] != 0 || d["bytes_read"] != 0 {
+		t.Errorf("Q11 cached: fetch_batches/ranges_read/bytes_read = %v/%v/%v, want 0", d["fetch_batches"], d["ranges_read"], d["bytes_read"])
+	}
+	if r, o := nn.Counters.ReadCalls.Load()-reads, nn.Counters.OpenCalls.Load()-opens; r != 0 || o != 0 {
+		t.Errorf("Q11 cached: %d reads and %d opens reached the filesystem", r, o)
 	}
 	if d["rows_scanned"] != 512+200 || d["rows_matched"] != 512+200 {
 		t.Errorf("Q11 rows scanned/matched = %v/%v, want 712", d["rows_scanned"], d["rows_matched"])
@@ -60,6 +81,13 @@ func TestHiveReaderMetrics(t *testing.T) {
 	d = run("SELECT base.driver_uuid FROM trips WHERE base.city_id = 5000000")
 	if d["row_groups_skipped_stats"] != 8 || d["row_groups_read"] != 0 {
 		t.Errorf("stats skipping: %v", d)
+	}
+	// With the footers cached by now, a scan that statistics empty touches
+	// no file: the reader opens one for its first chunk read, not before.
+	opens = nn.Counters.OpenCalls.Load()
+	run("SELECT base.driver_uuid FROM trips WHERE base.city_id = 5000000")
+	if o := nn.Counters.OpenCalls.Load() - opens; o != 0 {
+		t.Errorf("stats skipping: %d files opened to read nothing", o)
 	}
 	// A value inside every row group's [200, 400] but in no dictionary
 	// (status codes are 200, 300 and 400): the dictionaries skip all 8.
@@ -79,7 +107,8 @@ func TestHiveReaderMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	footer := text.Rows()[0][0].(string)
-	for _, want := range []string{"Reader:\n", "hive.reader.leaves_decoded: ", "hive.reader.row_groups_skipped_dict: 8\n", "hive.reader.rows_matched: "} {
+	for _, want := range []string{"Reader:\n", "hive.reader.leaves_decoded: ", "hive.reader.row_groups_skipped_dict: 8\n", "hive.reader.rows_matched: ",
+		"hive.reader.fetch_batches: ", "hive.reader.ranges_read: ", "hive.reader.bytes_read: "} {
 		if !strings.Contains(footer, want) {
 			t.Errorf("EXPLAIN ANALYZE footer lacks %q:\n%s", want, footer)
 		}

@@ -331,14 +331,17 @@ func (ex *localExchange) adaptDispatch(pt *partitioner, p *block.Page) bool {
 	if st.isDecided() {
 		return ex.routeDecided(pt, p)
 	}
+	// Buffered pages outlive this producer and may be consumed from any
+	// driver; force lazy columns now, while a single goroutine owns them —
+	// and before taking the state lock: a loader that fails panics, and a
+	// panic under the lock would leave every other producer and the final
+	// flush waiting for it forever.
+	p = forceLazy(p)
 	st.mu.Lock()
 	if st.decided {
 		st.mu.Unlock()
 		return ex.routeDecided(pt, p)
 	}
-	// Buffered pages outlive this producer and may be consumed from any
-	// driver; force lazy columns now, while a single goroutine owns them.
-	p = forceLazy(p)
 	st.buf = append(st.buf, p)
 	st.rows += p.Count()
 	if st.rows <= st.limit {

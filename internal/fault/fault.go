@@ -81,18 +81,19 @@ type FSRule struct {
 	// op.
 	CorruptProb float64
 	// Offset and Length, when Length > 0, narrow a "read" rule to reads
-	// that start inside [Offset, Offset+Length) of the file: one column
-	// chunk, say, and not the footer beside it.
+	// that overlap [Offset, Offset+Length) of the file: one column chunk,
+	// say, and not the footer beside it — however the reader groups its
+	// chunks into reads.
 	Offset, Length int64
 }
 
-// matches reports whether the rule covers op on path; off is where a "read"
-// starts.
-func (r *FSRule) matches(op, path string, off int64) bool {
+// matches reports whether the rule covers op on path; a "read" covers
+// [off, off+n) of the file.
+func (r *FSRule) matches(op, path string, off, n int64) bool {
 	if r.Path != "" && !strings.Contains(path, r.Path) {
 		return false
 	}
-	if r.Length > 0 && (op != "read" || off < r.Offset || off >= r.Offset+r.Length) {
+	if r.Length > 0 && (op != "read" || off >= r.Offset+r.Length || off+n <= r.Offset) {
 		return false
 	}
 	if len(r.Ops) == 0 {
@@ -232,14 +233,14 @@ type fsDecision struct {
 }
 
 // decideFS evaluates every matching rule in order against one operation
-// (off is the offset of a read, 0 otherwise).
-func (in *Injector) decideFS(op, path string, off int64) fsDecision {
+// (off and n are the offset and length of a read, 0 otherwise).
+func (in *Injector) decideFS(op, path string, off, n int64) fsDecision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	var d fsDecision
 	for i := range in.fsRules {
 		r := &in.fsRules[i]
-		if !r.matches(op, path, off) {
+		if !r.matches(op, path, off, n) {
 			continue
 		}
 		if r.DelayProb > 0 && r.Delay > 0 && in.rng.Float64() < r.DelayProb {

@@ -237,8 +237,9 @@ func TestFaultFS(t *testing.T) {
 		t.Fatalf("FSErrors = %d", n)
 	}
 
-	// A corruption rule with a byte range inverts the reads that start in
-	// the range and leaves the rest of the file alone.
+	// A corruption rule with a byte range inverts the reads that overlap the
+	// range — wherever they start: a reader may fetch the targeted chunk as
+	// the tail of a longer read — and leaves the rest of the file alone.
 	in.Reset()
 	in.FaultFS(FSRule{Path: "b.parquet", Ops: []string{"read"}, CorruptProb: 1, Offset: 4, Length: 3})
 	if _, err := fb.ReadAt(buf, 0); err != nil || string(buf) != "0123" {
@@ -247,10 +248,13 @@ func TestFaultFS(t *testing.T) {
 	if _, err := fb.ReadAt(buf, 5); err != nil || buf[0] != ^byte('5') || buf[3] != ^byte('8') {
 		t.Fatalf("read inside the range = %q, %v", buf, err)
 	}
+	if _, err := fb.ReadAt(buf, 2); err != nil || buf[0] != ^byte('2') || buf[3] != ^byte('5') {
+		t.Fatalf("read running into the range = %q, %v", buf, err)
+	}
 	if _, err := fb.ReadAt(buf[:2], 7); err != nil || string(buf[:2]) != "78" {
 		t.Fatalf("read after the range = %q, %v", buf[:2], err)
 	}
-	if n := in.Counters.FSCorruptReads.Load(); n != 1 {
+	if n := in.Counters.FSCorruptReads.Load(); n != 2 {
 		t.Fatalf("FSCorruptReads = %d", n)
 	}
 }

@@ -18,14 +18,14 @@ type FS struct {
 
 // apply charges the injected delay and returns the injected error, if any.
 func (f *FS) apply(op, path string) error {
-	_, err := f.decide(op, path, 0)
+	_, err := f.decide(op, path, 0, 0)
 	return err
 }
 
 // decide is apply for an operation whose decision the caller needs: a read
 // may come back corrupted rather than failed.
-func (f *FS) decide(op, path string, off int64) (fsDecision, error) {
-	d := f.Injector.decideFS(op, path, off)
+func (f *FS) decide(op, path string, off, n int64) (fsDecision, error) {
+	d := f.Injector.decideFS(op, path, off, n)
 	if d.delay > 0 {
 		f.Injector.Counters.FSDelays.Add(1)
 		f.Injector.clock().Sleep(d.delay)
@@ -91,7 +91,7 @@ type faultWriter struct {
 // prefix of p to the base writer, then reports failure — the caller sees an
 // error, but the prefix is on disk, exactly like a crash mid-write.
 func (fw *faultWriter) Write(p []byte) (int, error) {
-	d := fw.fs.Injector.decideFS("write", fw.path, 0)
+	d := fw.fs.Injector.decideFS("write", fw.path, 0, 0)
 	if d.delay > 0 {
 		fw.fs.Injector.Counters.FSDelays.Add(1)
 		fw.fs.Injector.clock().Sleep(d.delay)
@@ -137,7 +137,7 @@ type faultFile struct {
 
 // ReadAt implements io.ReaderAt.
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	d, err := f.fs.decide("read", f.path, off)
+	d, err := f.fs.decide("read", f.path, off, int64(len(p)))
 	if err != nil {
 		return 0, err
 	}

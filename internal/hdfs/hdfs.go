@@ -24,7 +24,10 @@ type Counters struct {
 	ListFilesCalls   atomic.Int64
 	GetFileInfoCalls atomic.Int64
 	OpenCalls        atomic.Int64
-	BytesRead        atomic.Int64
+	// ReadCalls counts ReadAt calls on open files: the storage round trips
+	// of the read path, each charged Config.ReadLatency.
+	ReadCalls atomic.Int64
+	BytesRead atomic.Int64
 }
 
 // Config tunes the simulation.
@@ -175,6 +178,7 @@ type hdfsFile struct {
 }
 
 func (f *hdfsFile) ReadAt(p []byte, off int64) (int, error) {
+	f.nn.Counters.ReadCalls.Add(1)
 	if f.nn.cfg.ReadLatency > 0 {
 		time.Sleep(f.nn.cfg.ReadLatency)
 	}

@@ -88,6 +88,9 @@ func TestOpenReadStat(t *testing.T) {
 	if nn.Counters.BytesRead.Load() != 2 {
 		t.Errorf("bytes read = %d", nn.Counters.BytesRead.Load())
 	}
+	if nn.Counters.ReadCalls.Load() != 2 { // the failed read was a round trip too
+		t.Errorf("read calls = %d", nn.Counters.ReadCalls.Load())
+	}
 }
 
 func TestDelete(t *testing.T) {

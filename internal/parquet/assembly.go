@@ -12,21 +12,29 @@ import (
 // assembles full boxed row records across all columns; the new reader
 // assembles per column directly into columnar blocks.
 
-// cursor walks one decoded leaf chunk.
+// cursor walks one decoded leaf chunk. The level streams of sibling leaves
+// come from the file and need not agree: a cursor asked to move past its last
+// triplet stays there, reads as null and sets *short, which the assembler
+// turns into the record's error.
 type cursor struct {
-	data *chunkData
-	pos  int // triplet index
-	vpos int // value index (def == maxDef positions)
+	data  *chunkData
+	pos   int // triplet index
+	vpos  int // value index (def == maxDef positions)
+	short *bool
 }
 
 func (c *cursor) rep() int {
-	if c.data.reps == nil {
+	if c.data.reps == nil || c.done() {
 		return 0
 	}
 	return int(c.data.reps[c.pos])
 }
 
 func (c *cursor) def() int {
+	if c.done() {
+		*c.short = true
+		return 0
+	}
 	if c.data.defs == nil {
 		return c.data.leaf.MaxDef
 	}
@@ -38,6 +46,10 @@ func (c *cursor) done() bool { return c.pos >= c.data.entries }
 // advance consumes one triplet, returning its value (nil unless def ==
 // maxDef).
 func (c *cursor) advance() any {
+	if c.done() {
+		*c.short = true
+		return nil
+	}
 	def := c.def()
 	c.pos++
 	if def == c.data.leaf.MaxDef {
@@ -50,6 +62,10 @@ func (c *cursor) advance() any {
 
 // skipOne consumes one triplet without producing the value.
 func (c *cursor) skipOne() {
+	if c.done() {
+		*c.short = true
+		return
+	}
 	if c.def() == c.data.leaf.MaxDef {
 		c.vpos++
 	}
@@ -63,6 +79,8 @@ type assembler struct {
 	// leaves of a subtree are a contiguous run, so leaf li is cursors[li -
 	// node.leaves[0]].
 	cursors []cursor
+	// short: a leaf ran out of triplets before its siblings did.
+	short bool
 }
 
 func newAssembler(node *Node, chunks map[int]*chunkData) *assembler {
@@ -72,7 +90,7 @@ func newAssembler(node *Node, chunks map[int]*chunkData) *assembler {
 		if !ok {
 			panic(fmt.Sprintf("parquet: assembler missing chunk for leaf %d", li))
 		}
-		a.cursors[i].data = cd
+		a.cursors[i] = cursor{data: cd, short: &a.short}
 	}
 	return a
 }
@@ -89,12 +107,17 @@ func (a *assembler) hasNext() bool { return !a.cursors[0].done() }
 
 // nextValue assembles the next record's value for the subtree.
 func (a *assembler) nextValue() (any, error) {
-	return a.assemble(a.node)
+	v, err := a.assemble(a.node)
+	if err == nil && a.short {
+		err = fmt.Errorf("parquet: the level streams of %s disagree on where a record ends", a.node.Path)
+	}
+	return v, err
 }
 
 // skipRecord consumes the next record without building values (lazy reads
 // skip decoding work for filtered-out rows at the value-construction level;
-// level streams must still advance).
+// level streams must still advance). A leaf that runs short is reported by
+// the next nextValue.
 func (a *assembler) skipRecord() {
 	for i := range a.cursors {
 		c := &a.cursors[i]
@@ -216,7 +239,10 @@ func assembleBlock(node *Node, chunks map[int]*chunkData, numRecords int, select
 	}
 	builder := block.NewBuilder(TypeAt(node), capacity)
 	selPos := 0
-	for rec := 0; rec < numRecords && a.hasNext(); rec++ {
+	for rec := 0; rec < numRecords; rec++ {
+		if !a.hasNext() {
+			return nil, fmt.Errorf("parquet: column %s exhausted at record %d of %d", node.Path, rec, numRecords)
+		}
 		if selection != nil {
 			if selPos >= len(selection) || selection[selPos] != rec {
 				a.skipRecord()

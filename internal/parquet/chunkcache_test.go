@@ -2,6 +2,7 @@ package parquet
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"prestolite/internal/cache"
@@ -9,14 +10,15 @@ import (
 )
 
 // countingFile counts ReadAt calls so tests can prove the chunk cache
-// short-circuits filesystem reads.
+// short-circuits filesystem reads. The reader issues a batch's reads
+// concurrently, so the count is atomic.
 type countingFile struct {
 	*fsys.BytesFile
-	reads int
+	reads atomic.Int64
 }
 
 func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
-	f.reads++
+	f.reads.Add(1)
 	return f.BytesFile.ReadAt(p, off)
 }
 
@@ -30,7 +32,7 @@ func TestChunkCacheShortCircuitsReads(t *testing.T) {
 	base := writeFile(t, s, rows, WriterOptions{RowGroupRows: 2, Codec: CodecSnappy}, true)
 	cc := cache.NewChunkCache(1 << 20)
 
-	read := func() ([][]any, int) {
+	read := func() ([][]any, int64) {
 		f := &countingFile{BytesFile: &fsys.BytesFile{Data: base.Data}}
 		opts := AllOptimizations(nil, nil)
 		opts.LazyReads = false
@@ -41,7 +43,7 @@ func TestChunkCacheShortCircuitsReads(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := drainReader(t, r.Next)
-		return got, f.reads
+		return got, f.reads.Load()
 	}
 
 	cold, coldReads := read()

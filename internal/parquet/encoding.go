@@ -70,6 +70,19 @@ func decompress(c Codec, data []byte) ([]byte, error) {
 	return nil, fmt.Errorf("parquet: unknown codec %d", c)
 }
 
+// maxExpansion bounds the decompressed bytes one compressed byte can stand
+// for: what snappy.Decode accepts, and deflate's format limit. A footer that
+// claims more entries than that was not written by compress.
+func maxExpansion(c Codec) int64 {
+	switch c {
+	case CodecNone:
+		return 1
+	case CodecSnappy:
+		return 64
+	}
+	return 1032
+}
+
 // ---------------------------------------------------------------------------
 // Plain value encoding: int64 varint, float64 LE bits, bool bytes, varchar
 // length-prefixed.
@@ -153,7 +166,7 @@ func (d *valueDecoder) string() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if d.pos+int(n) > len(d.data) {
+	if n > uint64(len(d.data)-d.pos) {
 		return "", fmt.Errorf("parquet: truncated string at %d", d.pos)
 	}
 	s := string(d.data[d.pos : d.pos+int(n)])

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"prestolite/internal/block"
+	"prestolite/internal/cache"
 	"prestolite/internal/fsys"
 )
 
@@ -77,26 +78,53 @@ func TestReaderEquivalence(t *testing.T) {
 				file := &fsys.BytesFile{Data: buf.Bytes()}
 
 				for _, proj := range projectionsFor(si) {
-					newR, err := NewReader(file, AllOptimizations(proj, nil))
-					if err != nil {
-						t.Fatalf("seed %d schema %d proj %v: new reader: %v", seed, si, proj, err)
-					}
 					legacyR, err := NewLegacyReader(file, proj)
 					if err != nil {
 						t.Fatalf("seed %d schema %d proj %v: legacy reader: %v", seed, si, proj, err)
 					}
-					if !reflect.DeepEqual(newR.OutputTypes(), legacyR.OutputTypes()) {
-						t.Fatalf("seed %d schema %d proj %v: output types differ:\nnew    %v\nlegacy %v",
-							seed, si, proj, newR.OutputTypes(), legacyR.OutputTypes())
-					}
-					got := normalizeRows(drainReader(t, newR.Next))
 					want := normalizeRows(drainReader(t, legacyR.Next))
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d schema %d native=%v proj %v: readers disagree over %d rows:\nnew    %v\nlegacy %v",
-							seed, si, native, proj, nRows, got, want)
+					// Every optimization off in turn, and over every state of
+					// the chunk cache the I/O plan can meet: none, cold, warm
+					// (the second pass over one cache), and one too small to
+					// hold a row group, where hits and misses mix per chunk.
+					for toggle, opts := range readerToggles(proj) {
+						for _, cc := range []ChunkCache{nil, cache.NewChunkCache(1 << 20), cache.NewChunkCache(16 * 48)} {
+							for pass := 0; pass < 2; pass++ {
+								opts.Chunks, opts.Path = cc, "/t/part-0"
+								newR, err := NewReader(file, opts)
+								if err != nil {
+									t.Fatalf("seed %d schema %d proj %v: new reader: %v", seed, si, proj, err)
+								}
+								if !reflect.DeepEqual(newR.OutputTypes(), legacyR.OutputTypes()) {
+									t.Fatalf("seed %d schema %d proj %v: output types differ:\nnew    %v\nlegacy %v",
+										seed, si, proj, newR.OutputTypes(), legacyR.OutputTypes())
+								}
+								got := normalizeRows(drainReader(t, newR.Next))
+								if err := newR.Close(); err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("seed %d schema %d native=%v proj %v toggle %d cache %v pass %d: readers disagree over %d rows:\nnew    %v\nlegacy %v",
+										seed, si, native, proj, toggle, cc != nil, pass, nRows, got, want)
+								}
+							}
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// readerToggles returns the production configuration followed by each
+// optimization switched off on its own.
+func readerToggles(proj []string) []ReaderOptions {
+	all := AllOptimizations(proj, nil)
+	out := []ReaderOptions{all, all, all, all, all, all}
+	out[1].ColumnPruning = false
+	out[2].PredicatePushdown = false
+	out[3].DictionaryPushdown = false
+	out[4].LazyReads = false
+	out[5].Vectorized = false
+	return out
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // tripSchema mirrors the paper's nested trips table (§V.C).
-func tripSchema(t *testing.T) *Schema {
+func tripSchema(t testing.TB) *Schema {
 	t.Helper()
 	base := types.NewRow(
 		types.Field{Name: "driver_uuid", Type: types.Varchar},
@@ -43,7 +43,7 @@ func tripRows() [][]any {
 	}
 }
 
-func buildPage(t *testing.T, s *Schema, rows [][]any) *block.Page {
+func buildPage(t testing.TB, s *Schema, rows [][]any) *block.Page {
 	t.Helper()
 	pb := block.NewPageBuilder(s.Types)
 	for _, r := range rows {
@@ -52,7 +52,7 @@ func buildPage(t *testing.T, s *Schema, rows [][]any) *block.Page {
 	return pb.Build()
 }
 
-func writeFile(t *testing.T, s *Schema, rows [][]any, opts WriterOptions, native bool) *fsys.BytesFile {
+func writeFile(t testing.TB, s *Schema, rows [][]any, opts WriterOptions, native bool) *fsys.BytesFile {
 	t.Helper()
 	var buf bytes.Buffer
 	page := buildPage(t, s, rows)

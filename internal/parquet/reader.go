@@ -5,12 +5,17 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"prestolite/internal/fsys"
 	"prestolite/internal/types"
 )
 
-// ReadFooter parses the file footer (Fig 3) and reconstructs the schema.
+// ReadFooter parses the file footer (Fig 3), reconstructs the schema and
+// checks what the footer says of the row groups against the file: the readers
+// plan their reads from a footer this function returned, without looking at
+// the ranges again.
 func ReadFooter(f fsys.File) (*FileMeta, *Schema, error) {
 	size := f.Size()
 	if size < int64(2*len(magic)+4) {
@@ -45,6 +50,15 @@ func ReadFooter(f fsys.File) (*FileMeta, *Schema, error) {
 	}
 	schema, err := NewSchema(meta.Names, colTypes)
 	if err != nil {
+		return nil, nil, err
+	}
+	for i, name := range meta.Names {
+		// Readers find columns by name, case-insensitively and by dotted path.
+		if schema.Resolve(name) != schema.Roots[i] {
+			return nil, nil, fmt.Errorf("parquet: footer schema: column name %q is ambiguous", name)
+		}
+	}
+	if err := checkRowGroups(&meta, schema, size); err != nil {
 		return nil, nil, err
 	}
 	return &meta, schema, nil
@@ -94,59 +108,254 @@ type ChunkCache interface {
 	PutChunk(path, column string, rowGroup int, dict bool, body []byte)
 }
 
-// chunkFetch locates chunk bytes: through the data cache when one is
-// configured (a hit skips both the ReadAt and the decompression — the two
-// costs the Alluxio-style local cache exists to remove), straight from the
-// file otherwise. The zero value is the uncached baseline.
+// pages is one contiguous run of a column chunk in the file — its data pages
+// or its dictionary page — on the way from a byte range to a decompressed
+// body. The I/O plan fills it in two steps: the chunk cache is asked once
+// (chunkFetch.lookup), and what it did not hold is read as part of a
+// byteRange.
+type pages struct {
+	leaf *Leaf
+	dict bool
+	off  int64
+	n    int
+
+	raw    []byte // bytes of the file, set when the read covering them lands
+	body   []byte // decompressed: the cache's, or raw's at first use
+	cached bool   // the chunk cache holds body already
+	shared bool   // raw is a window on a read that covered other runs too
+}
+
+func (p *pages) String() string {
+	if p.dict {
+		return "dictionary of " + p.leaf.Node.Path
+	}
+	return "chunk " + p.leaf.Node.Path
+}
+
+// open returns the run's decompressed body.
+func (p *pages) open(codec Codec) ([]byte, error) {
+	if p.body == nil {
+		body, err := decompress(codec, p.raw)
+		if err != nil {
+			return nil, err
+		}
+		p.body, p.raw = body, nil
+	}
+	return p.body, nil
+}
+
+// chunkBytes is one leaf chunk of one row group in the I/O plan.
+type chunkBytes struct {
+	cm   *ChunkMeta
+	data pages
+	dict pages // only when cm.Dictionary
+}
+
+func newChunkBytes(cm *ChunkMeta, leaf *Leaf) chunkBytes {
+	cb := chunkBytes{cm: cm, data: pages{leaf: leaf, off: cm.DataOffset, n: int(cm.DataLen)}}
+	if cm.Dictionary {
+		cb.dict = pages{leaf: leaf, dict: true, off: cm.DictOffset, n: int(cm.DictLen)}
+	}
+	return cb
+}
+
+// size is what the chunk occupies in the file.
+func (cb *chunkBytes) size() int64 { return int64(cb.data.n + cb.dict.n) }
+
+// runs calls visit on the chunk's page runs in file order.
+func (cb *chunkBytes) runs(visit func(*pages)) {
+	if cb.cm.Dictionary {
+		visit(&cb.dict)
+	}
+	visit(&cb.data)
+}
+
+// chunkFetch keys one row group's chunks in the data cache. The zero value
+// is the uncached baseline: every lookup misses and nothing is kept.
 type chunkFetch struct {
 	cache    ChunkCache
 	path     string
 	rowGroup int
 }
 
-// body returns the decompressed bytes of the chunk's data pages
-// (dict=false) or dictionary page (dict=true), and whether they came from
-// the cache. Bytes read from the file are not cached here: the caller calls
-// keep once they have decoded, so a corrupt read fails one query instead of
-// being served from the cache to every later one.
-func (cf chunkFetch) body(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, dict bool) ([]byte, bool, error) {
-	if cf.cache != nil {
-		if b, ok := cf.cache.GetChunk(cf.path, leaf.Node.Path, cf.rowGroup, dict); ok {
-			return b, true, nil
+// lookup asks the cache for p's body: a hit skips both the read and the
+// decompression, the two costs the Alluxio-style local cache exists to
+// remove. Each run is looked up once, when its batch is planned.
+func (cf chunkFetch) lookup(p *pages) bool {
+	if cf.cache == nil {
+		return false
+	}
+	p.body, p.cached = cf.cache.GetChunk(cf.path, p.leaf.Node.Path, cf.rowGroup, p.dict)
+	return p.cached
+}
+
+// keep caches a body that was read from the file, once the caller has
+// decoded it: a corrupt read fails one query instead of being served from the
+// cache to every later one.
+func (cf chunkFetch) keep(p *pages, codec Codec) {
+	if cf.cache == nil || p.cached {
+		return
+	}
+	body := p.body
+	if p.shared && codec == CodecNone {
+		// Uncompressed, the body is the bytes read themselves: caching the
+		// window would pin the whole read beyond what the cache accounts.
+		body = bytes.Clone(body)
+	}
+	cf.cache.PutChunk(cf.path, p.leaf.Node.Path, cf.rowGroup, p.dict, body)
+	p.cached = true
+}
+
+// byteRange is one read of the I/O plan: page runs that touch in the file
+// and were not in the cache. Gaps are never bridged, so a plan reads exactly
+// the bytes the page-at-a-time reader did, in fewer calls.
+type byteRange struct {
+	off  int64
+	n    int
+	runs []*pages
+	done chan struct{} // closed when the read has landed or failed
+	err  error
+}
+
+func newByteRange(p *pages) *byteRange {
+	return &byteRange{off: p.off, n: p.n, runs: []*pages{p}, done: make(chan struct{})}
+}
+
+// extend adds p when it starts where the range ends.
+func (g *byteRange) extend(p *pages) bool {
+	if g.off+int64(g.n) != p.off {
+		return false
+	}
+	g.n += p.n
+	g.runs = append(g.runs, p)
+	return true
+}
+
+func (g *byteRange) read(f fsys.File) {
+	defer close(g.done)
+	buf := make([]byte, g.n)
+	if _, err := f.ReadAt(buf, g.off); err != nil {
+		what := g.runs[0].String()
+		if len(g.runs) > 1 {
+			what += " to " + g.runs[len(g.runs)-1].String()
+		}
+		g.err = fmt.Errorf("parquet: reading %s: %w", what, err)
+		return
+	}
+	for _, p := range g.runs {
+		at := int(p.off - g.off)
+		p.raw, p.shared = buf[at:at+p.n:at+p.n], len(g.runs) > 1
+	}
+}
+
+// waitRanges blocks until every range has landed and returns the first
+// failure.
+func waitRanges(ranges []*byteRange) error {
+	for _, g := range ranges {
+		<-g.done
+		if g.err != nil {
+			return g.err
 		}
 	}
-	off, n := cm.DataOffset, cm.DataLen
-	what := "chunk"
-	if dict {
-		off, n = cm.DictOffset, cm.DictLen
-		what = "dictionary of"
-	}
-	raw := make([]byte, n)
-	if _, err := f.ReadAt(raw, off); err != nil {
-		return nil, false, fmt.Errorf("parquet: reading %s %s: %w", what, leaf.Node.Path, err)
-	}
-	body, err := decompress(codec, raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return body, false, nil
+	return nil
 }
 
-// keep caches a body that body read from the file and the caller decoded.
-func (cf chunkFetch) keep(leaf *Leaf, dict bool, body []byte) {
-	if cf.cache != nil {
-		cf.cache.PutChunk(cf.path, leaf.Node.Path, cf.rowGroup, dict, body)
+// fetchConcurrency bounds the reads one fetch keeps in flight: the number of
+// ranges comes from the footer, the number of goroutines must not.
+const fetchConcurrency = 16
+
+// fetcher reads byte ranges of one file. It is the only place chunk bytes
+// are read, for the columnar and the legacy reader alike, and it owns the
+// file: close returns the handle only after the last read in flight landed.
+type fetcher struct {
+	f        fsys.File
+	m        *Metrics
+	inflight sync.WaitGroup
+}
+
+// fetch starts reading ranges; each range's done channel says when it has
+// landed. A single range is read inline on the caller's goroutine (nothing
+// to overlap, no goroutine to start); several are read concurrently —
+// io.ReaderAt allows parallel ReadAt — so a batch costs one storage round
+// trip instead of one per range.
+func (ft *fetcher) fetch(ranges []*byteRange) {
+	if len(ranges) == 0 {
+		return
+	}
+	var total int64
+	for _, g := range ranges {
+		total += int64(g.n)
+	}
+	ft.m.FetchBatches.Add(1)
+	ft.m.RangesRead.Add(int64(len(ranges)))
+	ft.m.BytesRead.Add(total)
+	if len(ranges) == 1 {
+		ranges[0].read(ft.f)
+		return
+	}
+	workers := min(len(ranges), fetchConcurrency)
+	next := new(atomic.Int64)
+	ft.inflight.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer ft.inflight.Done()
+			for i := next.Add(1) - 1; i < int64(len(ranges)); i = next.Add(1) - 1 {
+				ranges[i].read(ft.f)
+			}
+		}()
 	}
 }
 
-// readChunkDictionary reads and decodes only the dictionary page of a chunk
-// (the dictionary-pushdown probe, §V.G). Returns nil when not
-// dictionary-encoded.
-func readChunkDictionary(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, cf chunkFetch) ([]any, error) {
-	if !cm.Dictionary {
+// close waits for the reads in flight, then closes the file: no goroutine
+// of the reader outlives it.
+func (ft *fetcher) close() error {
+	ft.inflight.Wait()
+	return ft.f.Close()
+}
+
+// checkRowGroups validates what the footer says of every row group against
+// the file, once per footer: a chunk outside the file or with a negative
+// length is an error here instead of a panic or a short read per query, and a
+// row count the chunk bytes cannot hold is an error before anything is
+// allocated for it.
+func checkRowGroups(meta *FileMeta, schema *Schema, size int64) error {
+	expand := maxExpansion(meta.Codec)
+	outside := func(off int64, n int32) bool { return off < 0 || n <= 0 || int64(n) > size-off }
+	for i := range meta.RowGroups {
+		rg := &meta.RowGroups[i]
+		if rg.NumRows <= 0 || len(rg.Chunks) == 0 { // the writers flush no empty row group
+			return fmt.Errorf("parquet: row group %d claims %d rows in %d chunks", i, rg.NumRows, len(rg.Chunks))
+		}
+		for j := range rg.Chunks {
+			cm := &rg.Chunks[j]
+			// One chunk per leaf, in leaf order, which is file order.
+			if cm.LeafIndex < 0 || cm.LeafIndex >= len(schema.Leaves) || (j > 0 && cm.LeafIndex <= rg.Chunks[j-1].LeafIndex) {
+				return fmt.Errorf("parquet: row group %d has a chunk for leaf %d of %d out of order", i, cm.LeafIndex, len(schema.Leaves))
+			}
+			leaf := schema.Leaves[cm.LeafIndex]
+			if outside(cm.DataOffset, cm.DataLen) || (cm.Dictionary && outside(cm.DictOffset, cm.DictLen)) {
+				return fmt.Errorf("parquet: chunk %s of row group %d lies outside the file (data %d+%d, dictionary %d+%d, size %d)",
+					leaf.Node.Path, i, cm.DataOffset, cm.DataLen, cm.DictOffset, cm.DictLen, size)
+			}
+			// Every entry takes at least a byte of the decompressed body, a
+			// record at least an entry, and exactly one in a flat column.
+			if cm.NumEntries > int64(cm.DataLen)*expand || cm.NumEntries < rg.NumRows || (leaf.MaxRep == 0 && cm.NumEntries != rg.NumRows) {
+				return fmt.Errorf("parquet: chunk %s of row group %d claims %d entries for %d rows in %d bytes",
+					leaf.Node.Path, i, cm.NumEntries, rg.NumRows, cm.DataLen)
+			}
+		}
+	}
+	return nil
+}
+
+// readChunkDictionary decodes the dictionary page of a chunk (also the
+// dictionary-pushdown probe, §V.G). Returns nil when not dictionary-encoded.
+func readChunkDictionary(cb *chunkBytes, codec Codec, cf chunkFetch) ([]any, error) {
+	if !cb.cm.Dictionary {
 		return nil, nil
 	}
-	body, cached, err := cf.body(f, codec, cm, leaf, true)
+	leaf := cb.dict.leaf
+	body, err := cb.dict.open(codec)
 	if err != nil {
 		return nil, err
 	}
@@ -174,42 +383,41 @@ func readChunkDictionary(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, cf
 			out[i] = v
 		}
 	}
-	if !cached {
-		cf.keep(leaf, true, body)
-	}
+	cf.keep(&cb.dict, codec)
 	return out, nil
 }
 
-// decodeChunk reads and decodes one leaf chunk fully.
+// decodeChunk decodes one fetched leaf chunk fully.
 //
 // vectorized selects the batched triplet decoder (§V.I): levels and values
 // are decoded in batches of 1000 triplets with decoder state kept in locals
 // ("registers"), a cached dictionary, and a direct path for non-nullable
 // non-nested columns. The scalar path decodes one triplet per loop
 // iteration, re-checking stream state each time.
-func decodeChunk(f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, vectorized bool, cf chunkFetch) (*chunkData, error) {
-	body, cached, err := cf.body(f, codec, cm, leaf, false)
+func decodeChunk(cb *chunkBytes, codec Codec, vectorized bool, cf chunkFetch) (*chunkData, error) {
+	body, err := cb.data.open(codec)
 	if err != nil {
 		return nil, err
 	}
-	cd, err := decodeChunkBody(body, f, codec, cm, leaf, vectorized, cf)
+	cd, err := decodeChunkBody(body, cb, codec, vectorized, cf)
 	if err != nil {
 		return nil, err
 	}
-	if !cached {
-		cf.keep(leaf, false, body)
-	}
+	cf.keep(&cb.data, codec)
 	return cd, nil
 }
 
-func decodeChunkBody(body []byte, f fsys.File, codec Codec, cm *ChunkMeta, leaf *Leaf, vectorized bool, cf chunkFetch) (*chunkData, error) {
+func decodeChunkBody(body []byte, cb *chunkBytes, codec Codec, vectorized bool, cf chunkFetch) (*chunkData, error) {
+	leaf := cb.data.leaf
 	dec := &valueDecoder{data: body}
 	n64, err := dec.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n64 > uint64(len(body)) { // every entry has at least a level byte
-		return nil, fmt.Errorf("parquet: chunk %s claims %d entries in %d bytes", leaf.Node.Path, n64, len(body))
+	// The footer's count was checked against the row group when the reader
+	// opened (checkRowGroups); the chunk has to agree with its footer.
+	if n64 != uint64(cb.cm.NumEntries) || n64 > uint64(len(body)) { // every entry has at least a level byte
+		return nil, fmt.Errorf("parquet: chunk %s holds %d entries in %d bytes, its footer says %d", leaf.Node.Path, n64, len(body), cb.cm.NumEntries)
 	}
 	n := int(n64)
 	cd := &chunkData{leaf: leaf, entries: n}
@@ -245,7 +453,10 @@ func decodeChunkBody(body []byte, f fsys.File, codec Codec, cm *ChunkMeta, leaf 
 	}
 
 	if encoding == 1 {
-		dict, err := readChunkDictionary(f, codec, cm, leaf, cf)
+		if k := leaf.Node.Prim.Kind; k == types.KindDouble || k == types.KindBoolean {
+			return nil, fmt.Errorf("parquet: chunk %s is dictionary-encoded, which its type never is", leaf.Node.Path)
+		}
+		dict, err := readChunkDictionary(cb, codec, cf)
 		if err != nil {
 			return nil, err
 		}

@@ -175,12 +175,54 @@ type Metrics struct {
 	LeavesDecoded         atomic.Int64
 	RowsMatched           atomic.Int64
 	RowsScanned           atomic.Int64
+	// What the I/O plan asked of storage: batches of ranges read together
+	// (one round trip each), the ranges (one ReadAt each) and their bytes.
+	// All three stay 0 while the chunk cache holds everything a scan needs.
+	FetchBatches atomic.Int64
+	RangesRead   atomic.Int64
+	BytesRead    atomic.Int64
+}
+
+// readAheadBytes caps the file bytes of chunks a reader has requested for
+// row groups Next has not reached yet. The row group in hand is always
+// fetched, whatever its size.
+const readAheadBytes = 8 << 20
+
+// batch is the chunks of one row group that are looked up in the cache and
+// fetched together.
+type batch struct {
+	chunks []chunkBytes // in leaf order, which is file order
+	size   int64        // bytes in the file, were every chunk a cache miss
+	ranges []*byteRange // in flight or landed: what the cache did not hold
+}
+
+func (b *batch) chunk(leafIndex int) *chunkBytes {
+	for i := range b.chunks {
+		if b.chunks[i].cm.LeafIndex == leafIndex {
+			return &b.chunks[i]
+		}
+	}
+	return nil
+}
+
+// rowGroupPlan is a row group's part of the file's I/O plan, computed from
+// the footer when the reader opens.
+type rowGroupPlan struct {
+	// pruned: footer statistics prove that no row matches (§V.F, Fig 7: "one
+	// row group city_id max is 10, skip this row group"). Nothing is read.
+	pruned bool
+	// pred holds the predicate leaves, proj the other leaves the outputs
+	// need. pred is read ahead; proj is requested once the selection is known
+	// to be non-empty, so a row group the predicate empties costs no
+	// projected byte. Without a predicate proj is the whole row group and is
+	// read ahead itself.
+	pred, proj batch
 }
 
 // Reader is the brand-new columnar reader. It yields one page per surviving
 // row group.
 type Reader struct {
-	f       fsys.File
+	fetcher
 	meta    *FileMeta
 	schema  *Schema
 	opts    ReaderOptions
@@ -189,8 +231,12 @@ type Reader struct {
 	preds []leafPredicate
 	// eager[i] reports that output i shares a leaf with a predicate, so its
 	// chunks are decoded anyway and deferring it would save nothing.
-	eager   []bool
-	rgIndex int
+	eager []bool
+
+	plan    []rowGroupPlan
+	rgIndex int   // the next row group Next turns into a page
+	issued  int   // row groups below it have had their first batch requested
+	ahead   int64 // file bytes of first batches requested beyond rgIndex
 
 	// Metrics is opts.Metrics, or the reader's own when that is nil.
 	Metrics *Metrics
@@ -206,12 +252,16 @@ func NewReader(f fsys.File, opts ReaderOptions) (*Reader, error) {
 }
 
 // NewReaderWithFooter opens a file whose footer was already parsed (workers
-// serve it from the footer cache, §VII.B, skipping the footer read).
+// serve it from the footer cache, §VII.B, skipping the footer read); meta and
+// schema are what ReadFooter returned for this file. The reader owns f from
+// here on: it is first read when a chunk is needed that the chunk cache does
+// not hold, and closed by Close.
 func NewReaderWithFooter(f fsys.File, meta *FileMeta, schema *Schema, opts ReaderOptions) (*Reader, error) {
-	r := &Reader{f: f, meta: meta, schema: schema, opts: opts, Metrics: opts.Metrics}
+	r := &Reader{meta: meta, schema: schema, opts: opts, Metrics: opts.Metrics}
 	if r.Metrics == nil {
 		r.Metrics = &Metrics{}
 	}
+	r.fetcher.f, r.fetcher.m = f, r.Metrics
 	cols := opts.Columns
 	if len(cols) == 0 {
 		cols = schema.Names
@@ -238,8 +288,55 @@ func NewReaderWithFooter(f fsys.File, meta *FileMeta, schema *Schema, opts Reade
 			r.eager[i] = r.eager[i] || predicateLeaves[li]
 		}
 	}
+	r.planReads(predicateLeaves)
 	r.Metrics.RowGroupsTotal.Add(int64(len(meta.RowGroups)))
 	return r, nil
+}
+
+// planReads computes the file's I/O plan: per row group that statistics do
+// not exclude, the chunks of the predicate leaves and of the other leaves
+// the outputs need (every leaf when column pruning is off).
+func (r *Reader) planReads(predicateLeaves map[int]bool) {
+	needed := make([]bool, len(r.schema.Leaves))
+	for _, out := range r.outputs {
+		for _, li := range out.leaves {
+			needed[li] = true
+		}
+	}
+	r.plan = make([]rowGroupPlan, len(r.meta.RowGroups))
+	for i := range r.plan {
+		rp, rg := &r.plan[i], &r.meta.RowGroups[i]
+		if r.opts.PredicatePushdown && r.statsExclude(rg) {
+			rp.pruned = true
+			continue
+		}
+		// rg.Chunks is in leaf order, so the batches come out in file order.
+		for j := range rg.Chunks {
+			cm := &rg.Chunks[j]
+			b := &rp.proj
+			if predicateLeaves[cm.LeafIndex] {
+				b = &rp.pred
+			} else if r.opts.ColumnPruning && !needed[cm.LeafIndex] {
+				continue
+			}
+			cb := newChunkBytes(cm, r.schema.Leaves[cm.LeafIndex])
+			b.chunks = append(b.chunks, cb)
+			b.size += cb.size()
+		}
+	}
+}
+
+// statsExclude reports that a predicate cannot match any value between the
+// footer's min and max of its chunk.
+func (r *Reader) statsExclude(rg *RowGroupMeta) bool {
+	for i := range r.preds {
+		p := &r.preds[i]
+		cm := r.chunkFor(rg, p.node.LeafIndex)
+		if cm != nil && !p.overlapsStats(cm.Stats.Min(p.node.Prim), cm.Stats.Max(p.node.Prim)) {
+			return true
+		}
+	}
+	return false
 }
 
 // OutputTypes returns the SQL type of each output column.
@@ -253,10 +350,9 @@ func (r *Reader) OutputTypes() []*types.Type {
 
 // Next returns the next page, or io.EOF.
 func (r *Reader) Next() (*block.Page, error) {
-	for r.rgIndex < len(r.meta.RowGroups) {
-		rg := &r.meta.RowGroups[r.rgIndex]
+	for r.rgIndex < len(r.plan) {
 		r.rgIndex++
-		page, err := r.readRowGroup(rg)
+		page, err := r.readRowGroup(r.rgIndex - 1)
 		if err != nil {
 			return nil, err
 		}
@@ -268,8 +364,10 @@ func (r *Reader) Next() (*block.Page, error) {
 	return nil, io.EOF
 }
 
-// Close releases the file.
-func (r *Reader) Close() error { return r.f.Close() }
+// Close waits for the reads still in flight and releases the file. Pages
+// already handed out stay readable: a lazy column's bytes were fetched before
+// its page left Next.
+func (r *Reader) Close() error { return r.fetcher.close() }
 
 func (r *Reader) chunkFor(rg *RowGroupMeta, leafIndex int) *ChunkMeta {
 	for i := range rg.Chunks {
@@ -280,26 +378,79 @@ func (r *Reader) chunkFor(rg *RowGroupMeta, leafIndex int) *ChunkMeta {
 	return nil
 }
 
-func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
-	// rgIndex was advanced by Next before this call; the ordinal of the row
-	// group in hand keys its chunks in the data cache.
-	cf := chunkFetch{cache: r.opts.Chunks, path: r.opts.Path, rowGroup: r.rgIndex - 1}
-	// 1. Predicate pushdown: skip the row group when stats cannot match
-	//    (Fig 7: "one row group city_id max is 10, skip this row group").
-	if r.opts.PredicatePushdown {
-		for i := range r.preds {
-			p := &r.preds[i]
-			cm := r.chunkFor(rg, p.node.LeafIndex)
-			if cm == nil {
-				continue
-			}
-			if !p.overlapsStats(cm.Stats.Min(p.node.Prim), cm.Stats.Max(p.node.Prim)) {
-				r.Metrics.RowGroupsSkippedStats.Add(1)
-				return nil, nil
-			}
-		}
+// chunkFetch keys the chunks of a row group in the reader's chunk cache.
+func (r *Reader) chunkFetch(rgIndex int) chunkFetch {
+	return chunkFetch{cache: r.opts.Chunks, path: r.opts.Path, rowGroup: rgIndex}
+}
+
+// first is the batch a row group is read ahead by.
+func (r *Reader) first(rp *rowGroupPlan) *batch {
+	if len(r.preds) > 0 {
+		return &rp.pred
 	}
-	// 2. Dictionary pushdown: even if stats match, the dictionary may prove
+	return &rp.proj
+}
+
+// locate looks every page run of b up in the chunk cache — the one lookup a
+// chunk gets — and returns the reads for what is missing: a chunk's
+// dictionary page and data pages are adjacent in the file and become one
+// range, and so do neighbouring leaves (fare|surge|tip).
+func (r *Reader) locate(rgIndex int, b *batch) []*byteRange {
+	cf := r.chunkFetch(rgIndex)
+	for i := range b.chunks {
+		b.chunks[i].runs(func(p *pages) {
+			if cf.lookup(p) {
+				return
+			}
+			if n := len(b.ranges); n == 0 || !b.ranges[n-1].extend(p) {
+				b.ranges = append(b.ranges, newByteRange(p))
+			}
+		})
+	}
+	return b.ranges
+}
+
+// readAhead requests the first batch of row group cur and of the row groups
+// after it, as far as readAheadBytes allows, as one concurrent fetch: while
+// cur is decoded and its page consumed, the reads of the following row
+// groups are in flight.
+func (r *Reader) readAhead(cur int) {
+	var ranges []*byteRange
+	for ; r.issued < len(r.plan); r.issued++ {
+		rp := &r.plan[r.issued]
+		if rp.pruned {
+			continue
+		}
+		b := r.first(rp)
+		if r.issued > cur && r.ahead+b.size > readAheadBytes {
+			break
+		}
+		r.ahead += b.size
+		ranges = append(ranges, r.locate(r.issued, b)...)
+	}
+	r.fetch(ranges)
+}
+
+func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
+	rp, rg := &r.plan[rgIndex], &r.meta.RowGroups[rgIndex]
+	if rp.pruned {
+		r.Metrics.RowGroupsSkippedStats.Add(1)
+		return nil, nil
+	}
+	r.readAhead(rgIndex)
+	first := r.first(rp)
+	r.ahead -= first.size
+	if err := waitRanges(first.ranges); err != nil {
+		return nil, err
+	}
+	// The row group's bytes leave the plan here: what outlives this call
+	// (a lazy column) holds its own row group's chunks, not the file's.
+	pred, proj := rp.pred, rp.proj
+	rp.pred, rp.proj = batch{}, batch{}
+	cf := r.chunkFetch(rgIndex)
+	codec := r.meta.Codec
+
+	// 1. Dictionary pushdown: even if stats match, the dictionary may prove
 	//    no value matches (Fig 8).
 	if r.opts.DictionaryPushdown {
 		for i := range r.preds {
@@ -307,11 +458,11 @@ func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
 			if p.Op != OpEq && p.Op != OpIn {
 				continue
 			}
-			cm := r.chunkFor(rg, p.node.LeafIndex)
-			if cm == nil || !cm.Dictionary {
+			cb := pred.chunk(p.node.LeafIndex)
+			if cb == nil || !cb.cm.Dictionary {
 				continue
 			}
-			dict, err := readChunkDictionary(r.f, r.meta.Codec, cm, r.schema.Leaves[p.node.LeafIndex], cf)
+			dict, err := readChunkDictionary(cb, codec, cf)
 			if err != nil {
 				return nil, err
 			}
@@ -337,27 +488,26 @@ func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
 		if _, ok := chunks[li]; ok {
 			return nil
 		}
-		cm := r.chunkFor(rg, li)
-		if cm == nil {
+		cb := pred.chunk(li)
+		if cb == nil {
+			cb = proj.chunk(li)
+		}
+		if cb == nil {
 			// Schema evolution: this leaf is absent in the file; synthesize
 			// an all-null chunk (§V.A: new fields read as NULL in old data).
 			chunks[li] = nullChunk(r.schema.Leaves[li], numRecords)
 			return nil
 		}
-		leaf := r.schema.Leaves[li]
-		cd, err := decodeChunk(r.f, r.meta.Codec, cm, leaf, r.opts.Vectorized, cf)
+		cd, err := decodeChunk(cb, codec, r.opts.Vectorized, cf)
 		if err != nil {
 			return err
-		}
-		if leaf.MaxRep == 0 && cd.entries != numRecords {
-			return fmt.Errorf("parquet: chunk %s holds %d records in a row group of %d", leaf.Node.Path, cd.entries, numRecords)
 		}
 		chunks[li] = cd
 		r.Metrics.LeavesDecoded.Add(1)
 		return nil
 	}
 
-	// 3. Decode predicate leaves first and evaluate the predicate on the
+	// 2. Decode predicate leaves first and evaluate the predicate on the
 	//    fly (Figs 7-9: read, evaluate, and build in one step): each
 	//    predicate narrows the selection with a typed loop over its chunk.
 	var selection []int
@@ -377,9 +527,19 @@ func (r *Reader) readRowGroup(rg *RowGroupMeta) (*block.Page, error) {
 	}
 	r.Metrics.RowsMatched.Add(int64(rows))
 
-	// 4. Decode remaining required leaves and build columnar blocks
-	//    directly (Fig 6). With lazy reads, projected non-predicate columns
-	//    defer decoding until the engine actually touches the block (§V.H).
+	// 3. Rows survive: fetch the projected leaves, all of them at once, and
+	//    wait — the page must not leave with bytes still in the file, or a
+	//    lazy column would need the handle after Close.
+	if len(r.preds) > 0 {
+		r.fetch(r.locate(rgIndex, &proj))
+	}
+	if err := waitRanges(proj.ranges); err != nil {
+		return nil, err
+	}
+
+	// 4. Build columnar blocks directly (Fig 6). With lazy reads, projected
+	//    non-predicate columns defer decompression and decoding until the
+	//    engine actually touches the block (§V.H).
 	out := make([]block.Block, len(r.outputs))
 	for i, node := range r.outputs {
 		node := node
@@ -442,7 +602,7 @@ func nullChunk(leaf *Leaf, numRecords int) *chunkData {
 // LegacyReader mimics the original open source reader's behavior on the
 // same file format.
 type LegacyReader struct {
-	f       fsys.File
+	fetcher
 	meta    *FileMeta
 	schema  *Schema
 	columns []string
@@ -458,7 +618,7 @@ func NewLegacyReader(f fsys.File, columns []string) (*LegacyReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &LegacyReader{f: f, meta: meta, schema: schema, columns: columns}
+	r := &LegacyReader{fetcher: fetcher{f: f, m: &Metrics{}}, meta: meta, schema: schema, columns: columns}
 	if len(columns) == 0 {
 		r.columns = schema.Names
 	}
@@ -496,10 +656,21 @@ func (r *LegacyReader) Next() (*block.Page, error) {
 		found := false
 		for i := range rg.Chunks {
 			if rg.Chunks[i].LeafIndex == li {
+				// The legacy reader stays the sequential, uncached baseline:
+				// one read per page run, each waited for before the next.
+				cb := newChunkBytes(&rg.Chunks[i], leaf)
 				var err error
-				// The legacy reader stays the uncached baseline: zero-value
-				// chunkFetch reads straight from the filesystem.
-				cd, err = decodeChunk(r.f, r.meta.Codec, &rg.Chunks[i], leaf, false, chunkFetch{})
+				cb.runs(func(p *pages) {
+					if err == nil {
+						one := []*byteRange{newByteRange(p)}
+						r.fetch(one)
+						err = waitRanges(one)
+					}
+				})
+				if err != nil {
+					return nil, err
+				}
+				cd, err = decodeChunk(&cb, r.meta.Codec, false, chunkFetch{})
 				if err != nil {
 					return nil, err
 				}
@@ -556,7 +727,7 @@ func (r *LegacyReader) Next() (*block.Page, error) {
 }
 
 // Close releases the file.
-func (r *LegacyReader) Close() error { return r.f.Close() }
+func (r *LegacyReader) Close() error { return r.fetcher.close() }
 
 // extractPath digs a nested output path out of an assembled record.
 func extractPath(record []any, schema *Schema, node *Node) any {
