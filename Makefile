@@ -43,9 +43,11 @@ chaos-lifecycle:
 
 # Brief randomized runs of the fuzz targets on top of their checked-in
 # corpora (testdata/fuzz beside each): the vector kernels (open-addressing
-# hash tables, selection kernels) and the Parquet file decoder (a valid file
+# hash tables, selection kernels), the Parquet file decoder (a valid file
 # with bytes changed, read by the columnar and the legacy reader: same rows
-# or both refuse, no panic, no allocation the file's size does not cover). CI
+# or both refuse, no panic, no allocation the file's size does not cover) and
+# the rendering of pushed comparisons (two decoded from the input: equal
+# strings only from equal comparisons, since the plan text keys a cache). CI
 # runs this as a smoke; crank -fuzztime locally to dig deeper. New crashers
 # land in testdata/fuzz — check them in.
 FUZZTIME ?= 30s
@@ -55,6 +57,7 @@ fuzz-smoke:
 	go test -fuzz '^FuzzSelectTrue$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzSelectConst$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzReadFile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parquet/
+	go test -fuzz '^FuzzComparisonString$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/expr/
 
 # Static analysis: go vet plus the project's own invariant suite
 # (internal/analysis, run by cmd/prestolint). prestolint enforces ten

@@ -141,6 +141,41 @@ func TestCoordinatorResultCache(t *testing.T) {
 	}
 }
 
+// TestResultCacheSeparatesPushedPredicates: the plan text is the cache key and
+// a pushed predicate is only in the handle's description, so two IN lists that
+// differ only in where a string ends must not render alike: the second
+// statement matches no partition and must not be served the first one's rows.
+func TestResultCacheSeparatesPushedPredicates(t *testing.T) {
+	catalogs, _, _ := resultCacheFixture(t)
+	coord, _ := newCluster(t, catalogs, 2)
+	coord.EnableResultCache(64, 8<<20, time.Hour)
+
+	for _, tc := range []struct {
+		in   string
+		rows int
+	}{
+		{"'2017-03-01', '2017-03-02'", 10},
+		{"'2017-03-01,2017-03-02'", 0},
+		{"'2017-03-01', '2017-03-02'", 10}, // the first entry is still there, and still right
+	} {
+		res, err := coord.Query(session(), "SELECT city_id, fare FROM trips WHERE datestr IN ("+tc.in+")")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := res.Rows()
+		if len(rows) != tc.rows {
+			t.Errorf("IN (%s): %d rows, want %d", tc.in, len(rows), tc.rows)
+		}
+	}
+	infos := coord.QueryInfos() // most recent first
+	if infos[1].FromCache {
+		t.Errorf("IN ('2017-03-01,2017-03-02') was served from the cache: %+v", infos[1])
+	}
+	if !infos[0].FromCache {
+		t.Errorf("the repeated statement missed the cache: %+v", infos[0])
+	}
+}
+
 // TestResultCacheUncacheablePaths: queries over versionless catalogs, session
 // opt-outs and EXPLAIN ANALYZE never populate the cache.
 func TestResultCacheUncacheablePaths(t *testing.T) {

@@ -12,6 +12,9 @@
 // (FilterPushdown, ProjectionPushdown, LimitPushdown, AggregationPushdown);
 // the optimizer probes for these and rewrites scans so the underlying system
 // does the work and only result rows stream into the engine (§IV.A, §IV.B).
+// A pushed predicate reaches every store as expr.Comparisons: a connector's
+// PushFilter is PushComparisons with its column resolver and the routing of
+// what it takes.
 package connector
 
 import (
@@ -53,8 +56,11 @@ func (t *TableSchema) ColumnIndex(name string) int {
 // state (predicate, projection, limit, aggregation). Handles must be
 // serializable with encoding/gob (register concrete types in init).
 type TableHandle interface {
-	// Description renders the handle for EXPLAIN output, including pushed
-	// state.
+	// Description renders the handle, including pushed state, for EXPLAIN.
+	// The plan text is also the coordinator's result-cache key, so two
+	// handles that select different rows must never render alike: pushed
+	// comparisons go through expr.Comparison.String, and pushed state is
+	// rendered in a fixed order.
 	Description() string
 }
 
@@ -119,12 +125,50 @@ type SnapshotVersioner interface {
 // whose Variable channels are table-column ordinals, so they are
 // self-contained for the connector.
 
-// FilterPushdown lets a connector absorb (part of) a predicate.
+// FilterPushdown lets a connector absorb (part of) a predicate. A connector
+// whose store evaluates comparisons implements it with PushComparisons; one
+// that evaluates whole expressions (memory) keeps the RowExpression.
 type FilterPushdown interface {
 	// PushFilter returns an updated handle, the residual predicate the
 	// engine must still apply (nil if fully absorbed), and whether anything
 	// was pushed.
-	PushFilter(handle TableHandle, predicate expr.RowExpression, schema *TableSchema) (TableHandle, expr.RowExpression, bool)
+	PushFilter(handle TableHandle, predicate expr.RowExpression) (TableHandle, expr.RowExpression, bool)
+}
+
+// PushComparisons is the body of a PushFilter over a store that evaluates
+// expr.Comparisons: each conjunct of predicate that expr.LowerComparison can
+// lower under columnOf is offered to accept, which records the ones it takes
+// in the new handle. It returns the conjunction of everything not taken (nil
+// when nothing is left) and whether anything was taken.
+func PushComparisons(predicate expr.RowExpression, columnOf func(expr.RowExpression) (string, bool), accept func(expr.Comparison) bool) (residual expr.RowExpression, pushed bool) {
+	var rest []expr.RowExpression
+	for _, conj := range expr.Conjuncts(predicate) {
+		if cmp, ok := expr.LowerComparison(conj, columnOf); ok && accept(cmp) {
+			pushed = true
+			continue
+		}
+		rest = append(rest, conj)
+	}
+	switch {
+	case !pushed:
+		return predicate, false
+	case len(rest) == 0:
+		return nil, true
+	}
+	return expr.And(rest...), true
+}
+
+// ColumnByOrdinal is the column resolver of a connector whose pushed
+// predicates name whole table columns: a Variable is the column at its
+// channel.
+func ColumnByOrdinal(cols []Column) func(expr.RowExpression) (string, bool) {
+	return func(e expr.RowExpression) (string, bool) {
+		v, ok := e.(*expr.Variable)
+		if !ok || v.Channel < 0 || v.Channel >= len(cols) {
+			return "", false
+		}
+		return cols[v.Channel].Name, true
+	}
 }
 
 // ProjectionPushdown lets a connector read only required columns.

@@ -21,7 +21,6 @@ import (
 func init() {
 	gob.Register(&TableHandle{})
 	gob.Register(&Split{})
-	gob.Register(driver.Filter{})
 	gob.Register(driver.Aggregation{})
 }
 
@@ -93,7 +92,7 @@ type TableHandle struct {
 	// Columns is the table schema (resolved once at GetTable).
 	Columns []connector.Column
 	// Filters are pushed predicates.
-	Filters []driver.Filter
+	Filters []expr.Comparison
 	// Projection lists retained ordinals (nil = all).
 	Projection []int
 	// Aggregations + GroupBy when an aggregation was pushed.
@@ -110,7 +109,7 @@ type TableHandle struct {
 func (h *TableHandle) Description() string {
 	s := "druid:" + h.Table
 	for _, f := range h.Filters {
-		s += fmt.Sprintf(" filter[%s %s %v]", f.Column, f.Op, f.Values)
+		s += " filter[" + f.String() + "]"
 	}
 	if h.Projection != nil {
 		s += fmt.Sprintf(" columns=%v", h.Projection)
@@ -244,30 +243,18 @@ var (
 )
 
 // PushFilter lowers supported conjuncts to native druid filters.
-func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression, schema *connector.TableSchema) (connector.TableHandle, expr.RowExpression, bool) {
+func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression) (connector.TableHandle, expr.RowExpression, bool) {
 	h, ok := handle.(*TableHandle)
 	if !ok || h.AggPushed {
 		return handle, predicate, false
 	}
 	nh := *h
-	var residual []expr.RowExpression
-	pushed := false
-	for _, conj := range conjuncts(predicate) {
-		f, ok := toNativeFilter(conj, h.Columns)
-		if !ok {
-			residual = append(residual, conj)
-			continue
-		}
-		nh.Filters = append(nh.Filters, f)
-		pushed = true
-	}
-	if !pushed {
-		return handle, predicate, false
-	}
-	if len(residual) == 0 {
-		return &nh, nil, true
-	}
-	return &nh, expr.And(residual...), true
+	nh.Filters = append([]expr.Comparison(nil), h.Filters...)
+	residual, pushed := connector.PushComparisons(predicate, connector.ColumnByOrdinal(h.Columns), func(cmp expr.Comparison) bool {
+		nh.Filters = append(nh.Filters, cmp)
+		return true
+	})
+	return &nh, residual, pushed
 }
 
 // PushProjection narrows the native select list.
@@ -335,80 +322,4 @@ func resolveOrdinal(h *TableHandle, ch int) int {
 		return h.Projection[ch]
 	}
 	return ch
-}
-
-func conjuncts(e expr.RowExpression) []expr.RowExpression {
-	if sf, ok := e.(*expr.SpecialForm); ok && sf.Form == expr.FormAnd {
-		var out []expr.RowExpression
-		for _, a := range sf.Args {
-			out = append(out, conjuncts(a)...)
-		}
-		return out
-	}
-	return []expr.RowExpression{e}
-}
-
-var druidOps = map[string]string{
-	"eq": "eq", "neq": "neq", "lt": "lt", "lte": "lte", "gt": "gt", "gte": "gte",
-}
-
-var druidFlipped = map[string]string{
-	"eq": "eq", "neq": "neq", "lt": "gt", "lte": "gte", "gt": "lt", "gte": "lte",
-}
-
-// toNativeFilter lowers col-vs-constant comparisons and IN lists. Variable
-// channels are table ordinals relative to the handle's effective projection.
-func toNativeFilter(e expr.RowExpression, cols []connector.Column) (driver.Filter, bool) {
-	colName := func(x expr.RowExpression) (string, bool) {
-		v, ok := x.(*expr.Variable)
-		if !ok || v.Channel < 0 || v.Channel >= len(cols) {
-			return "", false
-		}
-		return cols[v.Channel].Name, true
-	}
-	constVal := func(x expr.RowExpression) (any, bool) {
-		cst, ok := x.(*expr.Constant)
-		if !ok || cst.Value == nil {
-			return nil, false
-		}
-		switch cst.Value.(type) {
-		case int64, float64, string, bool:
-			return cst.Value, true
-		}
-		return nil, false
-	}
-	switch t := e.(type) {
-	case *expr.Call:
-		op, known := druidOps[t.Handle.Name]
-		if !known || len(t.Args) != 2 {
-			return driver.Filter{}, false
-		}
-		if name, ok := colName(t.Args[0]); ok {
-			if v, ok := constVal(t.Args[1]); ok {
-				return driver.Filter{Column: name, Op: op, Values: []any{v}}, true
-			}
-		}
-		if name, ok := colName(t.Args[1]); ok {
-			if v, ok := constVal(t.Args[0]); ok {
-				return driver.Filter{Column: name, Op: druidFlipped[op], Values: []any{v}}, true
-			}
-		}
-	case *expr.SpecialForm:
-		if t.Form == expr.FormIn {
-			name, ok := colName(t.Args[0])
-			if !ok {
-				return driver.Filter{}, false
-			}
-			var values []any
-			for _, a := range t.Args[1:] {
-				v, ok := constVal(a)
-				if !ok {
-					return driver.Filter{}, false
-				}
-				values = append(values, v)
-			}
-			return driver.Filter{Column: name, Op: "in", Values: values}, true
-		}
-	}
-	return driver.Filter{}, false
 }

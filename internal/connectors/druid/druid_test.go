@@ -62,7 +62,7 @@ func TestAggregationPushdownPlan(t *testing.T) {
 	if !strings.Contains(plan, "aggregationPushdown=[max(clicks)]") {
 		t.Errorf("plan missing aggregation pushdown:\n%s", plan)
 	}
-	if !strings.Contains(plan, "filter[device eq [ios]]") {
+	if !strings.Contains(plan, `filter[device = "ios"]`) {
 		t.Errorf("plan missing filter pushdown:\n%s", plan)
 	}
 	// No engine-side Aggregate remains: druid does the aggregation.

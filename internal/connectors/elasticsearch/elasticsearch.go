@@ -18,7 +18,6 @@ import (
 func init() {
 	gob.Register(&TableHandle{})
 	gob.Register(&Split{})
-	gob.Register(elastic.RangeFilter{})
 }
 
 // Connector maps one elastic store into a catalog under a single schema.
@@ -49,9 +48,9 @@ func (c *Connector) RecordSetProvider() connector.RecordSetProvider { return (*e
 type TableHandle struct {
 	Index   string
 	Columns []connector.Column
-	// Terms and Ranges are pushed filters.
-	Terms  map[string]string
-	Ranges []elastic.RangeFilter
+	// Filters are the pushed comparisons in the order they were pushed; the
+	// search query splits them into term and range filters.
+	Filters []expr.Comparison
 	// Projection lists retained ordinals (nil = all).
 	Projection []int
 	// Limit (-1 = none) maps to the search size.
@@ -61,11 +60,12 @@ type TableHandle struct {
 // Description implements connector.TableHandle.
 func (h *TableHandle) Description() string {
 	s := "elasticsearch:" + h.Index
-	for f, v := range h.Terms {
-		s += fmt.Sprintf(" term[%s=%s]", f, v)
-	}
-	for _, r := range h.Ranges {
-		s += fmt.Sprintf(" range[%s %s %v]", r.Field, r.Op, r.Value)
+	for _, f := range h.Filters {
+		kind := " range["
+		if isTerm(f) {
+			kind = " term["
+		}
+		s += kind + f.String() + "]"
 	}
 	if h.Projection != nil {
 		s += fmt.Sprintf(" source=%v", h.Projection)
@@ -146,13 +146,15 @@ func (r *esRecords) CreatePageSource(handle connector.TableHandle, split connect
 		// count(*)-style scans still need hit counts: fetch one field.
 		source = []string{h.Columns[0].Name}
 	}
-	_, hits, err := c.store.Search(elastic.Query{
-		Index:  h.Index,
-		Terms:  h.Terms,
-		Ranges: h.Ranges,
-		Source: source,
-		Size:   h.Limit,
-	})
+	q := elastic.Query{Index: h.Index, Terms: map[string]string{}, Source: source, Size: h.Limit}
+	for _, f := range h.Filters {
+		if isTerm(f) {
+			q.Terms[f.Column] = f.Values[0].(string)
+		} else {
+			q.Ranges = append(q.Ranges, f)
+		}
+	}
+	_, hits, err := c.store.Search(q)
 	if err != nil {
 		return nil, err
 	}
@@ -172,75 +174,39 @@ var (
 	_ connector.LimitPushdown      = (*Connector)(nil)
 )
 
+// isTerm reports whether a pushed comparison runs as a term query (string
+// equality, served by the inverted index) rather than as a range filter.
+func isTerm(f expr.Comparison) bool {
+	_, isStr := f.Values[0].(string)
+	return f.Op == expr.OpEq && isStr
+}
+
 // PushFilter lowers conjuncts to term queries (varchar equality) and range
-// filters (numeric/boolean comparisons).
-func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression, schema *connector.TableSchema) (connector.TableHandle, expr.RowExpression, bool) {
+// filters (the other comparisons against one constant).
+func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression) (connector.TableHandle, expr.RowExpression, bool) {
 	h, ok := handle.(*TableHandle)
 	if !ok {
 		return handle, predicate, false
 	}
 	nh := *h
-	nh.Terms = map[string]string{}
-	for k, v := range h.Terms {
-		nh.Terms[k] = v
-	}
-	var residual []expr.RowExpression
-	pushed := false
-	for _, conj := range conjuncts(predicate) {
-		call, ok := conj.(*expr.Call)
-		if !ok || len(call.Args) != 2 {
-			residual = append(residual, conj)
-			continue
+	nh.Filters = append([]expr.Comparison(nil), h.Filters...)
+	residual, pushed := connector.PushComparisons(predicate, connector.ColumnByOrdinal(h.Columns), func(cmp expr.Comparison) bool {
+		if cmp.Op == expr.OpIn {
+			return false
 		}
-		op, known := esOps[call.Handle.Name]
-		if !known {
-			residual = append(residual, conj)
-			continue
-		}
-		v, c1 := call.Args[0].(*expr.Variable)
-		cst, c2 := call.Args[1].(*expr.Constant)
-		if !c1 || !c2 || cst.Value == nil {
-			// try flipped
-			v2, f1 := call.Args[1].(*expr.Variable)
-			cst2, f2 := call.Args[0].(*expr.Constant)
-			if !f1 || !f2 || cst2.Value == nil {
-				residual = append(residual, conj)
-				continue
+		if isTerm(cmp) {
+			// Two different terms on one field can never both match; the
+			// second stays with the engine, which then produces zero rows.
+			for _, f := range nh.Filters {
+				if isTerm(f) && f.Column == cmp.Column {
+					return f.Values[0] == cmp.Values[0]
+				}
 			}
-			v, cst = v2, cst2
-			op = esFlipped[op]
 		}
-		if v.Channel < 0 || v.Channel >= len(h.Columns) {
-			residual = append(residual, conj)
-			continue
-		}
-		field := h.Columns[v.Channel]
-		if op == "eq" && field.Type.Kind == types.KindVarchar {
-			term, isStr := cst.Value.(string)
-			if !isStr {
-				residual = append(residual, conj)
-				continue
-			}
-			// Two different terms on one field can never both match; keep
-			// the second as residual so the engine produces zero rows.
-			if existing, dup := nh.Terms[field.Name]; dup && existing != term {
-				residual = append(residual, conj)
-				continue
-			}
-			nh.Terms[field.Name] = term
-			pushed = true
-			continue
-		}
-		nh.Ranges = append(nh.Ranges, elastic.RangeFilter{Field: field.Name, Op: op, Value: cst.Value})
-		pushed = true
-	}
-	if !pushed {
-		return handle, predicate, false
-	}
-	if len(residual) == 0 {
-		return &nh, nil, true
-	}
-	return &nh, expr.And(residual...), true
+		nh.Filters = append(nh.Filters, cmp)
+		return true
+	})
+	return &nh, residual, pushed
 }
 
 // PushProjection implements source filtering.
@@ -265,23 +231,4 @@ func (c *Connector) PushLimit(handle connector.TableHandle, limit int64) (connec
 		nh.Limit = limit
 	}
 	return &nh, true, true
-}
-
-var esOps = map[string]string{
-	"eq": "eq", "neq": "neq", "lt": "lt", "lte": "lte", "gt": "gt", "gte": "gte",
-}
-
-var esFlipped = map[string]string{
-	"eq": "eq", "neq": "neq", "lt": "gt", "lte": "gte", "gt": "lt", "gte": "lte",
-}
-
-func conjuncts(e expr.RowExpression) []expr.RowExpression {
-	if sf, ok := e.(*expr.SpecialForm); ok && sf.Form == expr.FormAnd {
-		var out []expr.RowExpression
-		for _, a := range sf.Args {
-			out = append(out, conjuncts(a)...)
-		}
-		return out
-	}
-	return []expr.RowExpression{e}
 }

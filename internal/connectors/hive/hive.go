@@ -23,6 +23,7 @@ import (
 	"prestolite/internal/block"
 	"prestolite/internal/cache"
 	"prestolite/internal/connector"
+	"prestolite/internal/expr"
 	"prestolite/internal/fsys"
 	"prestolite/internal/metastore"
 	"prestolite/internal/obs"
@@ -33,10 +34,6 @@ import (
 func init() {
 	gob.Register(&TableHandle{})
 	gob.Register(&Split{})
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register(false)
-	gob.Register("")
 }
 
 // Options configures reader strategy and caches.
@@ -198,9 +195,9 @@ type TableHandle struct {
 	Schema string
 	Table  string
 	// PartitionPreds prune partitions by key value.
-	PartitionPreds []parquet.ColumnPredicate
+	PartitionPreds []expr.Comparison
 	// DataPreds evaluate inside the reader (§V.F/§V.G).
-	DataPreds []parquet.ColumnPredicate
+	DataPreds []expr.Comparison
 	// Projection lists retained table ordinals (nil = all).
 	Projection []int
 	// NestedPaths, when set, replaces the scan's output with these dotted
@@ -334,13 +331,9 @@ func parsePartitionName(name string) (map[string]string, error) {
 	return out, nil
 }
 
-func partitionMatches(values map[string]string, preds []parquet.ColumnPredicate) bool {
+func partitionMatches(values map[string]string, preds []expr.Comparison) bool {
 	for _, p := range preds {
-		v, ok := values[p.Path]
-		if !ok {
-			continue
-		}
-		if !p.MatchBoxed(v) {
+		if v, ok := values[p.Column]; ok && !p.Match(v) {
 			return false
 		}
 	}
@@ -454,7 +447,7 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 	// Predicates on columns missing from the file never match rows with a
 	// non-null requirement... except OpNeq, which still cannot match NULL.
 	for _, p := range h.DataPreds {
-		if entry.schema.Resolve(p.Path) == nil {
+		if entry.schema.Resolve(p.Column) == nil {
 			_ = file.Close() // pruned split: nothing was read, nothing to report
 			return &connector.SlicePageSource{}, nil
 		}

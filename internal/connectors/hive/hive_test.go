@@ -107,7 +107,7 @@ func TestPartitionPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "partition[datestr = 2017-03-02]") {
+	if !strings.Contains(plan, `partition[datestr = "2017-03-02"]`) {
 		t.Errorf("plan missing partition pushdown:\n%s", plan)
 	}
 	if strings.Contains(plan, "- Filter[") {

@@ -85,7 +85,7 @@ func typeAtPath(t *metastore.Table, path string) *types.Type {
 }
 
 // PushFilter implements connector.FilterPushdown.
-func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression, schema *connector.TableSchema) (connector.TableHandle, expr.RowExpression, bool) {
+func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression) (connector.TableHandle, expr.RowExpression, bool) {
 	h, ok := handle.(*TableHandle)
 	if !ok {
 		return handle, predicate, false
@@ -109,39 +109,26 @@ func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowE
 	if err != nil {
 		return handle, predicate, false
 	}
-	all := allColumns(t)
+	byOrdinal := connector.ColumnByOrdinal(allColumns(t))
 
 	nh := *h
-	var residual []expr.RowExpression
-	pushedAny := false
-	for _, conj := range splitAnd(predicate) {
-		pred, ok := toColumnPredicate(conj, all)
-		if !ok {
-			residual = append(residual, conj)
-			continue
+	nh.PartitionPreds = append([]expr.Comparison(nil), h.PartitionPreds...)
+	nh.DataPreds = append([]expr.Comparison(nil), h.DataPreds...)
+	columnOf := func(e expr.RowExpression) (string, bool) { return leafPath(e, byOrdinal) }
+	residual, pushed := connector.PushComparisons(predicate, columnOf, func(cmp expr.Comparison) bool {
+		switch {
+		case partitionKeys[cmp.Column]:
+			nh.PartitionPreds = append(nh.PartitionPreds, cmp)
+		case fileSchema.Resolve(cmp.Column) != nil && !c.opts.UseLegacyReader:
+			// Data predicates need the new reader (the legacy reader cannot
+			// evaluate predicates while scanning, §V.C).
+			nh.DataPreds = append(nh.DataPreds, cmp)
+		default:
+			return false
 		}
-		if partitionKeys[pred.Path] {
-			nh.PartitionPreds = append(nh.PartitionPreds, pred)
-			pushedAny = true
-			continue
-		}
-		// Data predicates need the new reader (the legacy reader cannot
-		// evaluate predicates while scanning, §V.C).
-		node := fileSchema.Resolve(pred.Path)
-		if node == nil || c.opts.UseLegacyReader {
-			residual = append(residual, conj)
-			continue
-		}
-		nh.DataPreds = append(nh.DataPreds, pred)
-		pushedAny = true
-	}
-	if !pushedAny {
-		return handle, predicate, false
-	}
-	if len(residual) == 0 {
-		return &nh, nil, true
-	}
-	return &nh, expr.And(residual...), true
+		return true
+	})
+	return &nh, residual, pushed
 }
 
 // PushProjection implements connector.ProjectionPushdown.
@@ -177,111 +164,21 @@ func (c *Connector) PushLimit(handle connector.TableHandle, limit int64) (connec
 	return &nh, false, true
 }
 
-func splitAnd(e expr.RowExpression) []expr.RowExpression {
-	if sf, ok := e.(*expr.SpecialForm); ok && sf.Form == expr.FormAnd {
-		var out []expr.RowExpression
-		for _, a := range sf.Args {
-			out = append(out, splitAnd(a)...)
-		}
-		return out
+// leafPath is the hive column resolver: a dereference chain over a column
+// (as root resolves it) is a dotted column path.
+func leafPath(e expr.RowExpression, root func(expr.RowExpression) (string, bool)) (string, bool) {
+	sf, ok := e.(*expr.SpecialForm)
+	if !ok || sf.Form != expr.FormDereference {
+		return root(e)
 	}
-	return []expr.RowExpression{e}
-}
-
-// leafPath extracts a dotted column path from a Variable or a
-// Dereference chain rooted at a Variable; returns "" otherwise.
-func leafPath(e expr.RowExpression, cols []connector.Column) string {
-	switch t := e.(type) {
-	case *expr.Variable:
-		if t.Channel < 0 || t.Channel >= len(cols) {
-			return ""
-		}
-		return cols[t.Channel].Name
-	case *expr.SpecialForm:
-		if t.Form != expr.FormDereference {
-			return ""
-		}
-		base := leafPath(t.Args[0], cols)
-		if base == "" {
-			return ""
-		}
-		field, ok := t.Args[1].(*expr.Constant)
-		if !ok {
-			return ""
-		}
-		name, ok := field.Value.(string)
-		if !ok {
-			return ""
-		}
-		return base + "." + name
+	base, ok := leafPath(sf.Args[0], root)
+	if !ok {
+		return "", false
 	}
-	return ""
-}
-
-var opByName = map[string]parquet.Op{
-	"eq": parquet.OpEq, "neq": parquet.OpNeq,
-	"lt": parquet.OpLt, "lte": parquet.OpLte,
-	"gt": parquet.OpGt, "gte": parquet.OpGte,
-}
-
-var flippedOp = map[parquet.Op]parquet.Op{
-	parquet.OpEq: parquet.OpEq, parquet.OpNeq: parquet.OpNeq,
-	parquet.OpLt: parquet.OpGt, parquet.OpLte: parquet.OpGte,
-	parquet.OpGt: parquet.OpLt, parquet.OpGte: parquet.OpLte,
-}
-
-// toColumnPredicate converts a conjunct to a simple column predicate:
-// col <op> const, const <op> col, or col IN (consts).
-func toColumnPredicate(e expr.RowExpression, cols []connector.Column) (parquet.ColumnPredicate, bool) {
-	switch t := e.(type) {
-	case *expr.Call:
-		op, ok := opByName[t.Handle.Name]
-		if !ok || len(t.Args) != 2 {
-			return parquet.ColumnPredicate{}, false
-		}
-		if path := leafPath(t.Args[0], cols); path != "" {
-			if c, ok := constValue(t.Args[1]); ok {
-				return parquet.ColumnPredicate{Path: path, Op: op, Values: []any{c}}, true
-			}
-		}
-		if path := leafPath(t.Args[1], cols); path != "" {
-			if c, ok := constValue(t.Args[0]); ok {
-				return parquet.ColumnPredicate{Path: path, Op: flippedOp[op], Values: []any{c}}, true
-			}
-		}
-	case *expr.SpecialForm:
-		if t.Form == expr.FormIn {
-			path := leafPath(t.Args[0], cols)
-			if path == "" {
-				return parquet.ColumnPredicate{}, false
-			}
-			var values []any
-			for _, arg := range t.Args[1:] {
-				c, ok := constValue(arg)
-				if !ok {
-					return parquet.ColumnPredicate{}, false
-				}
-				values = append(values, c)
-			}
-			return parquet.ColumnPredicate{Path: path, Op: parquet.OpIn, Values: values}, true
-		}
-		if t.Form == expr.FormBetween {
-			// col BETWEEN a AND b is not expressible as one ColumnPredicate;
-			// the optimizer will have already split it if rewritten, so skip.
-			return parquet.ColumnPredicate{}, false
-		}
+	field, ok := sf.Args[1].(*expr.Constant)
+	if !ok {
+		return "", false
 	}
-	return parquet.ColumnPredicate{}, false
-}
-
-func constValue(e expr.RowExpression) (any, bool) {
-	c, ok := e.(*expr.Constant)
-	if !ok || c.Value == nil {
-		return nil, false
-	}
-	switch c.Value.(type) {
-	case int64, float64, string, bool:
-		return c.Value, true
-	}
-	return nil, false
+	name, ok := field.Value.(string)
+	return base + "." + name, ok
 }

@@ -290,7 +290,7 @@ var (
 
 // PushFilter absorbs the full predicate (channels are table ordinals, which
 // the page filter evaluates directly against full-width pages).
-func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression, schema *connector.TableSchema) (connector.TableHandle, expr.RowExpression, bool) {
+func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression) (connector.TableHandle, expr.RowExpression, bool) {
 	h, ok := handle.(*TableHandle)
 	if !ok || h.Projection != nil || h.Limit >= 0 {
 		// Keep the simple invariant: filter is pushed before projection and

@@ -94,7 +94,7 @@ func TestPushdownsApplyInSource(t *testing.T) {
 	_, handle, _ := c.Metadata().GetTable("s", "t")
 
 	pred := expr.MustCall("gte", expr.NewVariable("id", 0, types.Bigint), expr.NewConstant(int64(3), types.Bigint))
-	h2, residual, pushed := c.PushFilter(handle, pred, nil)
+	h2, residual, pushed := c.PushFilter(handle, pred)
 	if !pushed || residual != nil {
 		t.Fatalf("filter pushdown: pushed=%v residual=%v", pushed, residual)
 	}

@@ -19,7 +19,6 @@ import (
 func init() {
 	gob.Register(&TableHandle{})
 	gob.Register(&Split{})
-	gob.Register(mysqlite.Predicate{})
 }
 
 // Connector maps a mysqlite database into the engine under one schema.
@@ -50,7 +49,7 @@ func (c *Connector) RecordSetProvider() connector.RecordSetProvider { return (*m
 type TableHandle struct {
 	Table      string
 	Columns    []connector.Column
-	Predicates []mysqlite.Predicate
+	Predicates []expr.Comparison
 	Projection []int
 	Limit      int64
 }
@@ -59,7 +58,7 @@ type TableHandle struct {
 func (h *TableHandle) Description() string {
 	s := "mysql:" + h.Table
 	for _, p := range h.Predicates {
-		s += fmt.Sprintf(" filter[%s %s %v]", p.Column, p.Op, p.Values)
+		s += " filter[" + p.String() + "]"
 	}
 	if h.Projection != nil {
 		s += fmt.Sprintf(" columns=%v", h.Projection)
@@ -155,39 +154,19 @@ var (
 	_ connector.LimitPushdown      = (*Connector)(nil)
 )
 
-var sqlOps = map[string]string{
-	"eq": "eq", "neq": "neq", "lt": "lt", "lte": "lte", "gt": "gt", "gte": "gte",
-}
-
-var sqlFlipped = map[string]string{
-	"eq": "eq", "neq": "neq", "lt": "gt", "lte": "gte", "gt": "lt", "gte": "lte",
-}
-
 // PushFilter lowers supported conjuncts to store predicates.
-func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression, schema *connector.TableSchema) (connector.TableHandle, expr.RowExpression, bool) {
+func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression) (connector.TableHandle, expr.RowExpression, bool) {
 	h, ok := handle.(*TableHandle)
 	if !ok {
 		return handle, predicate, false
 	}
 	nh := *h
-	var residual []expr.RowExpression
-	pushed := false
-	for _, conj := range conjuncts(predicate) {
-		p, ok := lowerPredicate(conj, h.Columns)
-		if !ok {
-			residual = append(residual, conj)
-			continue
-		}
-		nh.Predicates = append(nh.Predicates, p)
-		pushed = true
-	}
-	if !pushed {
-		return handle, predicate, false
-	}
-	if len(residual) == 0 {
-		return &nh, nil, true
-	}
-	return &nh, expr.And(residual...), true
+	nh.Predicates = append([]expr.Comparison(nil), h.Predicates...)
+	residual, pushed := connector.PushComparisons(predicate, connector.ColumnByOrdinal(h.Columns), func(cmp expr.Comparison) bool {
+		nh.Predicates = append(nh.Predicates, cmp)
+		return true
+	})
+	return &nh, residual, pushed
 }
 
 // PushProjection implements connector.ProjectionPushdown.
@@ -213,70 +192,4 @@ func (c *Connector) PushLimit(handle connector.TableHandle, limit int64) (connec
 		nh.Limit = limit
 	}
 	return &nh, true, true
-}
-
-func conjuncts(e expr.RowExpression) []expr.RowExpression {
-	if sf, ok := e.(*expr.SpecialForm); ok && sf.Form == expr.FormAnd {
-		var out []expr.RowExpression
-		for _, a := range sf.Args {
-			out = append(out, conjuncts(a)...)
-		}
-		return out
-	}
-	return []expr.RowExpression{e}
-}
-
-func lowerPredicate(e expr.RowExpression, cols []connector.Column) (mysqlite.Predicate, bool) {
-	colName := func(x expr.RowExpression) (string, bool) {
-		v, ok := x.(*expr.Variable)
-		if !ok || v.Channel < 0 || v.Channel >= len(cols) {
-			return "", false
-		}
-		return cols[v.Channel].Name, true
-	}
-	constVal := func(x expr.RowExpression) (any, bool) {
-		cst, ok := x.(*expr.Constant)
-		if !ok || cst.Value == nil {
-			return nil, false
-		}
-		switch cst.Value.(type) {
-		case int64, float64, string, bool:
-			return cst.Value, true
-		}
-		return nil, false
-	}
-	switch t := e.(type) {
-	case *expr.Call:
-		op, known := sqlOps[t.Handle.Name]
-		if !known || len(t.Args) != 2 {
-			return mysqlite.Predicate{}, false
-		}
-		if name, ok := colName(t.Args[0]); ok {
-			if v, ok := constVal(t.Args[1]); ok {
-				return mysqlite.Predicate{Column: name, Op: op, Values: []any{v}}, true
-			}
-		}
-		if name, ok := colName(t.Args[1]); ok {
-			if v, ok := constVal(t.Args[0]); ok {
-				return mysqlite.Predicate{Column: name, Op: sqlFlipped[op], Values: []any{v}}, true
-			}
-		}
-	case *expr.SpecialForm:
-		if t.Form == expr.FormIn {
-			name, ok := colName(t.Args[0])
-			if !ok {
-				return mysqlite.Predicate{}, false
-			}
-			var values []any
-			for _, a := range t.Args[1:] {
-				v, ok := constVal(a)
-				if !ok {
-					return mysqlite.Predicate{}, false
-				}
-				values = append(values, v)
-			}
-			return mysqlite.Predicate{Column: name, Op: "in", Values: values}, true
-		}
-	}
-	return mysqlite.Predicate{}, false
 }

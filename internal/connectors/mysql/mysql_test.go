@@ -61,7 +61,7 @@ func TestMySQLBasicsAndPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"filter[city_id eq [12]]", "columns=[1]", "limit=1"} {
+	for _, want := range []string{"filter[city_id = 12]", "columns=[1]", "limit=1"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"prestolite/internal/expr"
 	"prestolite/internal/fault"
 	"prestolite/internal/obs"
 	"prestolite/internal/types"
@@ -146,7 +147,7 @@ func TestCompaction(t *testing.T) {
 	// and return every row.
 	res, err := tab.store.Execute(Query{
 		Table:        "events",
-		Filters:      []Filter{{Column: "country", Op: "eq", Values: []any{"us"}}},
+		Filters:      []expr.Comparison{{Column: "country", Op: expr.OpEq, Values: []any{"us"}}},
 		Aggregations: []Aggregation{{Func: "count", Name: "n"}},
 	})
 	if err != nil {
@@ -171,7 +172,7 @@ func TestOpenSegmentVisibleToQueries(t *testing.T) {
 	}
 	res, err := tab.store.Execute(Query{
 		Table:        "events",
-		Filters:      []Filter{{Column: "country", Op: "eq", Values: []any{"de"}}},
+		Filters:      []expr.Comparison{{Column: "country", Op: expr.OpEq, Values: []any{"de"}}},
 		Aggregations: []Aggregation{{Func: "sum", Column: "clicks", Name: "s"}},
 	})
 	if err != nil {

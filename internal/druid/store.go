@@ -230,13 +230,6 @@ func errCellType(col string, ri int, want string, got any) error {
 // ---------------------------------------------------------------------------
 // Native query engine.
 
-// Filter is a native predicate.
-type Filter struct {
-	Column string
-	Op     string // eq, neq, lt, lte, gt, gte, in
-	Values []any
-}
-
 // Aggregation is a native aggregate.
 type Aggregation struct {
 	Func   string // count, sum, min, max, avg (count with empty Column = count(*))
@@ -247,7 +240,7 @@ type Aggregation struct {
 // Query is the native query shape: scan/select or grouped aggregation.
 type Query struct {
 	Table        string
-	Filters      []Filter
+	Filters      []expr.Comparison // ANDed
 	GroupBy      []string
 	Aggregations []Aggregation
 	// Columns selects raw columns when there are no aggregations.
@@ -288,14 +281,14 @@ func (s *Store) Execute(q Query) (*Result, error) {
 
 // selection computes the matching-row bitmap for a segment, using inverted
 // indexes for string equality/in filters.
-func (seg *segment) selection(filters []Filter, colType map[string]*types.Type) (*Bitmap, error) {
+func (seg *segment) selection(filters []expr.Comparison, colType map[string]*types.Type) (*Bitmap, error) {
 	sel := NewBitmap(seg.n)
 	sel.SetAll()
 	for _, f := range filters {
 		fb := NewBitmap(seg.n)
 		ct := colType[f.Column]
 		sc := seg.strs[f.Column]
-		if ct.Kind == types.KindVarchar && (f.Op == "eq" || f.Op == "in") && sc != nil && sc.index != nil {
+		if ct.Kind == types.KindVarchar && (f.Op == expr.OpEq || f.Op == expr.OpIn) && sc != nil && sc.index != nil {
 			// Inverted index path: union the per-value bitmaps. Frozen views
 			// of the open segment have no indexes yet and take the scan path.
 			for _, v := range f.Values {
@@ -310,11 +303,7 @@ func (seg *segment) selection(filters []Filter, colType map[string]*types.Type) 
 		} else {
 			// Scan path.
 			for i := 0; i < seg.n; i++ {
-				v := seg.value(f.Column, ct, i)
-				if v == nil {
-					continue
-				}
-				if matchFilter(f, v) {
+				if f.Match(seg.value(f.Column, ct, i)) {
 					fb.Set(i)
 				}
 			}
@@ -322,35 +311,6 @@ func (seg *segment) selection(filters []Filter, colType map[string]*types.Type) 
 		sel.And(fb)
 	}
 	return sel, nil
-}
-
-func matchFilter(f Filter, v any) bool {
-	switch f.Op {
-	case "in":
-		for _, w := range f.Values {
-			if expr.CompareValues(v, w) == 0 {
-				return true
-			}
-		}
-		return false
-	default:
-		c := expr.CompareValues(v, f.Values[0])
-		switch f.Op {
-		case "eq":
-			return c == 0
-		case "neq":
-			return c != 0
-		case "lt":
-			return c < 0
-		case "lte":
-			return c <= 0
-		case "gt":
-			return c > 0
-		case "gte":
-			return c >= 0
-		}
-	}
-	return false
 }
 
 func (seg *segment) value(col string, t *types.Type, i int) any {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prestolite/internal/expr"
 	"prestolite/internal/types"
 )
 
@@ -41,7 +42,7 @@ func TestSelectWithInvertedIndex(t *testing.T) {
 	s := testStore(t)
 	res, err := s.Execute(Query{
 		Table:   "events",
-		Filters: []Filter{{Column: "country", Op: "eq", Values: []any{"us"}}},
+		Filters: []expr.Comparison{{Column: "country", Op: expr.OpEq, Values: []any{"us"}}},
 		Columns: []string{"device", "clicks"},
 	})
 	if err != nil {
@@ -58,17 +59,17 @@ func TestSelectWithInvertedIndex(t *testing.T) {
 func TestFilterOps(t *testing.T) {
 	s := testStore(t)
 	cases := []struct {
-		f    Filter
+		f    expr.Comparison
 		want int
 	}{
-		{Filter{Column: "clicks", Op: "gt", Values: []any{int64(5)}}, 3},
-		{Filter{Column: "clicks", Op: "lte", Values: []any{int64(5)}}, 3},
-		{Filter{Column: "country", Op: "in", Values: []any{"de", "jp"}}, 2},
-		{Filter{Column: "country", Op: "neq", Values: []any{"us"}}, 2}, // null country never matches
-		{Filter{Column: "revenue", Op: "gte", Values: []any{1.5}}, 2},
+		{expr.Comparison{Column: "clicks", Op: expr.OpGt, Values: []any{int64(5)}}, 3},
+		{expr.Comparison{Column: "clicks", Op: expr.OpLte, Values: []any{int64(5)}}, 3},
+		{expr.Comparison{Column: "country", Op: expr.OpIn, Values: []any{"de", "jp"}}, 2},
+		{expr.Comparison{Column: "country", Op: expr.OpNeq, Values: []any{"us"}}, 2}, // null country never matches
+		{expr.Comparison{Column: "revenue", Op: expr.OpGte, Values: []any{1.5}}, 2},
 	}
 	for _, c := range cases {
-		res, err := s.Execute(Query{Table: "events", Filters: []Filter{c.f}, Columns: []string{"clicks"}})
+		res, err := s.Execute(Query{Table: "events", Filters: []expr.Comparison{c.f}, Columns: []string{"clicks"}})
 		if err != nil {
 			t.Fatalf("%+v: %v", c.f, err)
 		}
@@ -107,7 +108,7 @@ func TestGlobalAggregationAndLimit(t *testing.T) {
 	s := testStore(t)
 	res, err := s.Execute(Query{
 		Table:        "events",
-		Filters:      []Filter{{Column: "device", Op: "eq", Values: []any{"ios"}}},
+		Filters:      []expr.Comparison{{Column: "device", Op: expr.OpEq, Values: []any{"ios"}}},
 		Aggregations: []Aggregation{{Func: "sum", Column: "revenue", Name: "rev"}, {Func: "avg", Column: "clicks", Name: "ac"}},
 	})
 	if err != nil {
@@ -135,7 +136,7 @@ func TestStoreErrors(t *testing.T) {
 	if _, err := s.Execute(Query{Table: "missing"}); err == nil {
 		t.Error("missing table accepted")
 	}
-	if _, err := s.Execute(Query{Table: "events", Filters: []Filter{{Column: "nope", Op: "eq", Values: []any{int64(1)}}}}); err == nil {
+	if _, err := s.Execute(Query{Table: "events", Filters: []expr.Comparison{{Column: "nope", Op: expr.OpEq, Values: []any{int64(1)}}}}); err == nil {
 		t.Error("bad filter column accepted")
 	}
 	if _, err := s.Execute(Query{Table: "events", Columns: []string{"nope"}}); err == nil {
@@ -177,7 +178,7 @@ func TestHTTPServerRoundTrip(t *testing.T) {
 	}
 	res, err := client.Execute(Query{
 		Table:        "events",
-		Filters:      []Filter{{Column: "country", Op: "eq", Values: []any{"us"}}},
+		Filters:      []expr.Comparison{{Column: "country", Op: expr.OpEq, Values: []any{"us"}}},
 		GroupBy:      []string{"device"},
 		Aggregations: []Aggregation{{Func: "sum", Column: "clicks", Name: "c"}},
 	})

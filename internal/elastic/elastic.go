@@ -141,20 +141,13 @@ type Query struct {
 	Index string
 	// Terms are exact-match filters on varchar fields (term query).
 	Terms map[string]string
-	// Ranges are numeric/boolean comparisons: field -> op -> value
-	// (ops: eq, neq, lt, lte, gt, gte).
-	Ranges []RangeFilter
+	// Ranges are comparisons evaluated per candidate document; Column names
+	// the field.
+	Ranges []expr.Comparison
 	// Source lists the fields to return (nil = all mapped fields).
 	Source []string
 	// Size bounds hits (<= 0: unlimited).
 	Size int64
-}
-
-// RangeFilter is one comparison filter.
-type RangeFilter struct {
-	Field string
-	Op    string
-	Value any
 }
 
 // Hit is one matching document projected to Source order.
@@ -187,8 +180,8 @@ func (s *Store) Search(q Query) ([]string, []Hit, error) {
 		}
 	}
 	for _, r := range q.Ranges {
-		if fieldType[r.Field] == nil {
-			return nil, nil, fmt.Errorf("elastic: unknown range field %q", r.Field)
+		if fieldType[r.Column] == nil {
+			return nil, nil, fmt.Errorf("elastic: unknown range field %q", r.Column)
 		}
 	}
 
@@ -220,8 +213,7 @@ func (s *Store) Search(q Query) ([]string, []Hit, error) {
 		doc := idx.docs[id]
 		ok := true
 		for _, r := range q.Ranges {
-			v := doc[r.Field]
-			if v == nil || !matchRange(r, v) {
+			if !r.Match(doc[r.Column]) {
 				ok = false
 				break
 			}
@@ -239,25 +231,6 @@ func (s *Store) Search(q Query) ([]string, []Hit, error) {
 		}
 	}
 	return source, hits, nil
-}
-
-func matchRange(r RangeFilter, v any) bool {
-	c := expr.CompareValues(v, r.Value)
-	switch r.Op {
-	case "eq":
-		return c == 0
-	case "neq":
-		return c != 0
-	case "lt":
-		return c < 0
-	case "lte":
-		return c <= 0
-	case "gt":
-		return c > 0
-	case "gte":
-		return c >= 0
-	}
-	return false
 }
 
 func intersectSorted(a, b []int) []int {

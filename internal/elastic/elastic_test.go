@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"prestolite/internal/expr"
 	"prestolite/internal/types"
 )
 
@@ -53,7 +54,7 @@ func ids(t *testing.T, s *Store, q Query) []int64 {
 
 func TestSearchFilters(t *testing.T) {
 	s := logsStore(t)
-	gt40 := RangeFilter{Field: "latency", Op: "gt", Value: 40.0}
+	gt40 := expr.Comparison{Column: "latency", Op: expr.OpGt, Values: []any{40.0}}
 	for _, tc := range []struct {
 		name string
 		q    Query
@@ -63,11 +64,11 @@ func TestSearchFilters(t *testing.T) {
 		{"term", Query{Terms: map[string]string{"service": "api"}}, []int64{0, 1, 3, 4}},
 		{"term with no posting list", Query{Terms: map[string]string{"service": "cache"}}, []int64{}},
 		{"two terms intersect", Query{Terms: map[string]string{"service": "api", "level": "error"}}, []int64{0, 3, 4}},
-		{"range skips NULL", Query{Ranges: []RangeFilter{gt40}}, []int64{0, 2, 3}},
-		{"two ranges are a conjunction", Query{Ranges: []RangeFilter{gt40, {Field: "latency", Op: "lte", Value: 120.0}}}, []int64{0, 3}},
-		{"neq on a bigint", Query{Ranges: []RangeFilter{{Field: "id", Op: "neq", Value: int64(2)}}}, []int64{0, 1, 3, 4, 5}},
-		{"term and range intersect", Query{Terms: map[string]string{"level": "error"}, Ranges: []RangeFilter{gt40}}, []int64{0, 2, 3}},
-		{"size cuts after filtering, keeping order", Query{Terms: map[string]string{"level": "error"}, Ranges: []RangeFilter{gt40}, Size: 2}, []int64{0, 2}},
+		{"range skips NULL", Query{Ranges: []expr.Comparison{gt40}}, []int64{0, 2, 3}},
+		{"two ranges are a conjunction", Query{Ranges: []expr.Comparison{gt40, {Column: "latency", Op: expr.OpLte, Values: []any{120.0}}}}, []int64{0, 3}},
+		{"neq on a bigint", Query{Ranges: []expr.Comparison{{Column: "id", Op: expr.OpNeq, Values: []any{int64(2)}}}}, []int64{0, 1, 3, 4, 5}},
+		{"term and range intersect", Query{Terms: map[string]string{"level": "error"}, Ranges: []expr.Comparison{gt40}}, []int64{0, 2, 3}},
+		{"size cuts after filtering, keeping order", Query{Terms: map[string]string{"level": "error"}, Ranges: []expr.Comparison{gt40}, Size: 2}, []int64{0, 2}},
 	} {
 		if got := ids(t, s, tc.q); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: hits %v, want %v", tc.name, got, tc.want)
@@ -87,7 +88,7 @@ func TestSearchSourceProjection(t *testing.T) {
 	if want := []Hit{{int64(2), "db", "error", 300.0}, {int64(5), "db", "info", 5.0}}; !reflect.DeepEqual(hits, want) {
 		t.Fatalf("hits = %v, want %v", hits, want)
 	}
-	cols, hits, err = s.Search(Query{Index: "logs", Source: []string{"latency", "id"}, Ranges: []RangeFilter{{Field: "id", Op: "eq", Value: int64(4)}}})
+	cols, hits, err = s.Search(Query{Index: "logs", Source: []string{"latency", "id"}, Ranges: []expr.Comparison{{Column: "id", Op: expr.OpEq, Values: []any{int64(4)}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestSearchRejectsUnknownNames(t *testing.T) {
 		{Query{Index: "logs", Source: []string{"host"}}, `unknown source field "host"`},
 		{Query{Index: "logs", Terms: map[string]string{"host": "a"}}, `term filter needs a varchar field, got "host"`},
 		{Query{Index: "logs", Terms: map[string]string{"latency": "5"}}, `term filter needs a varchar field, got "latency"`},
-		{Query{Index: "logs", Ranges: []RangeFilter{{Field: "host", Op: "eq", Value: "a"}}}, `unknown range field "host"`},
+		{Query{Index: "logs", Ranges: []expr.Comparison{{Column: "host", Op: expr.OpEq, Values: []any{"a"}}}}, `unknown range field "host"`},
 	} {
 		if _, _, err := s.Search(tc.q); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Search(%+v) error = %v, want one containing %q", tc.q, err, tc.want)

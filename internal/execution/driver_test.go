@@ -85,7 +85,6 @@ func testScan(t *testing.T, splitVals ...[]int64) (*planner.TableScan, *testConn
 		Catalog: "t", Schema: "s", Table: "x", Handle: testHandle{},
 		Cols:           []planner.Column{{Name: "v", Type: types.Bigint}},
 		ColumnOrdinals: []int{0},
-		PushedLimit:    -1,
 	}
 	return scan, c, reg
 }

@@ -207,7 +207,7 @@ func equivScan(rng *rand.Rand, catalog string, specs []equivColSpec, target int)
 	}
 	scan := &planner.TableScan{
 		Catalog: catalog, Schema: "s", Table: catalog, Handle: equivHandle{catalog},
-		Cols: cols, ColumnOrdinals: ords, PushedLimit: -1,
+		Cols: cols, ColumnOrdinals: ords,
 	}
 	return scan, c
 }

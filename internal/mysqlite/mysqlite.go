@@ -21,13 +21,6 @@ type Column struct {
 	Type *types.Type
 }
 
-// Predicate is a scan filter: Column <Op> Values.
-type Predicate struct {
-	Column string
-	Op     string // eq, neq, lt, lte, gt, gte, in
-	Values []any
-}
-
 // Table is a row-oriented table with an optional primary key index.
 type Table struct {
 	Name    string
@@ -188,7 +181,7 @@ func (db *DB) GetByPK(table string, pk any) ([]any, bool, error) {
 // Scan returns rows matching all predicates, projected to the given column
 // ordinals (nil = all), stopping at limit (<=0 = unlimited). Point lookups
 // on the primary key use the index.
-func (db *DB) Scan(table string, preds []Predicate, projection []int, limit int64) ([][]any, error) {
+func (db *DB) Scan(table string, preds []expr.Comparison, projection []int, limit int64) ([][]any, error) {
 	t, err := db.Table(table)
 	if err != nil {
 		return nil, err
@@ -217,7 +210,7 @@ func (db *DB) Scan(table string, preds []Predicate, projection []int, limit int6
 	}
 
 	// Index fast path: single eq predicate on the primary key.
-	if t.PKCol >= 0 && len(preds) == 1 && preds[0].Op == "eq" && colIdx[preds[0].Column] == t.PKCol {
+	if t.PKCol >= 0 && len(preds) == 1 && preds[0].Op == expr.OpEq && colIdx[preds[0].Column] == t.PKCol {
 		off, exists := t.index[preds[0].Values[0]]
 		if !exists || off < 0 {
 			return nil, nil
@@ -232,8 +225,7 @@ func (db *DB) Scan(table string, preds []Predicate, projection []int, limit int6
 		}
 		ok := true
 		for _, p := range preds {
-			v := row[colIdx[p.Column]]
-			if v == nil || !matchPredicate(p, v) {
+			if !p.Match(row[colIdx[p.Column]]) {
 				ok = false
 				break
 			}
@@ -258,33 +250,4 @@ func (db *DB) Count(table string) (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return t.live, nil
-}
-
-func matchPredicate(p Predicate, v any) bool {
-	switch p.Op {
-	case "in":
-		for _, w := range p.Values {
-			if expr.CompareValues(v, w) == 0 {
-				return true
-			}
-		}
-		return false
-	default:
-		c := expr.CompareValues(v, p.Values[0])
-		switch p.Op {
-		case "eq":
-			return c == 0
-		case "neq":
-			return c != 0
-		case "lt":
-			return c < 0
-		case "lte":
-			return c <= 0
-		case "gt":
-			return c > 0
-		case "gte":
-			return c >= 0
-		}
-		return false
-	}
 }

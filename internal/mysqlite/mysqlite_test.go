@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prestolite/internal/expr"
 	"prestolite/internal/types"
 )
 
@@ -77,7 +78,7 @@ func TestUpsertDelete(t *testing.T) {
 
 func TestScan(t *testing.T) {
 	db := testDB(t)
-	rows, err := db.Scan("users", []Predicate{{Column: "grp", Op: "eq", Values: []any{"adhoc"}}}, []int{1}, 0)
+	rows, err := db.Scan("users", []expr.Comparison{{Column: "grp", Op: expr.OpEq, Values: []any{"adhoc"}}}, []int{1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestScan(t *testing.T) {
 		t.Errorf("rows = %v", rows)
 	}
 	// PK point lookup path.
-	rows, err = db.Scan("users", []Predicate{{Column: "id", Op: "eq", Values: []any{int64(3)}}}, nil, 0)
+	rows, err = db.Scan("users", []expr.Comparison{{Column: "id", Op: expr.OpEq, Values: []any{int64(3)}}}, nil, 0)
 	if err != nil || len(rows) != 1 || rows[0][1] != "carol" {
 		t.Errorf("pk scan = %v, %v", rows, err)
 	}
-	if _, err := db.Scan("users", []Predicate{{Column: "nope", Op: "eq", Values: []any{int64(1)}}}, nil, 0); err == nil {
+	if _, err := db.Scan("users", []expr.Comparison{{Column: "nope", Op: expr.OpEq, Values: []any{int64(1)}}}, nil, 0); err == nil {
 		t.Error("bad predicate column accepted")
 	}
 	if _, err := db.Scan("missing", nil, nil, 0); err == nil {
@@ -107,16 +108,16 @@ func TestScan(t *testing.T) {
 func TestPredicateOps(t *testing.T) {
 	db := testDB(t)
 	cases := []struct {
-		p    Predicate
+		p    expr.Comparison
 		want int
 	}{
-		{Predicate{Column: "id", Op: "gt", Values: []any{int64(1)}}, 2},
-		{Predicate{Column: "id", Op: "lte", Values: []any{int64(2)}}, 2},
-		{Predicate{Column: "name", Op: "in", Values: []any{"alice", "carol"}}, 2},
-		{Predicate{Column: "grp", Op: "neq", Values: []any{"etl"}}, 2},
+		{expr.Comparison{Column: "id", Op: expr.OpGt, Values: []any{int64(1)}}, 2},
+		{expr.Comparison{Column: "id", Op: expr.OpLte, Values: []any{int64(2)}}, 2},
+		{expr.Comparison{Column: "name", Op: expr.OpIn, Values: []any{"alice", "carol"}}, 2},
+		{expr.Comparison{Column: "grp", Op: expr.OpNeq, Values: []any{"etl"}}, 2},
 	}
 	for _, c := range cases {
-		rows, err := db.Scan("users", []Predicate{c.p}, nil, 0)
+		rows, err := db.Scan("users", []expr.Comparison{c.p}, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

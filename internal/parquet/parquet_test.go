@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/fsys"
 	"prestolite/internal/types"
 )
@@ -202,7 +203,7 @@ func TestNestedColumnPruning(t *testing.T) {
 func TestPredicateInsideReader(t *testing.T) {
 	s := tripSchema(t)
 	f := writeFile(t, s, tripRows(), WriterOptions{}, true)
-	preds := []ColumnPredicate{{Path: "base.city_id", Op: OpIn, Values: []any{int64(12)}}}
+	preds := []expr.Comparison{{Column: "base.city_id", Op: expr.OpIn, Values: []any{int64(12)}}}
 	r, err := NewReader(f, AllOptimizations([]string{"base.driver_uuid", "datestr"}, preds))
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +237,7 @@ func TestPredicatePushdownSkipsRowGroups(t *testing.T) {
 	}
 	f := &fsys.BytesFile{Data: buf.Bytes()}
 
-	preds := []ColumnPredicate{{Path: "city_id", Op: OpEq, Values: []any{int64(12)}}}
+	preds := []expr.Comparison{{Column: "city_id", Op: expr.OpEq, Values: []any{int64(12)}}}
 	r, err := NewReader(f, AllOptimizations([]string{"name"}, preds))
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ func TestPredicatePushdownSkipsRowGroups(t *testing.T) {
 	}
 
 	// Needle not present at all: every group skipped by stats.
-	r2, _ := NewReader(f, AllOptimizations([]string{"name"}, []ColumnPredicate{{Path: "city_id", Op: OpEq, Values: []any{int64(999)}}}))
+	r2, _ := NewReader(f, AllOptimizations([]string{"name"}, []expr.Comparison{{Column: "city_id", Op: expr.OpEq, Values: []any{int64(999)}}}))
 	if rows := drainReader(t, r2.Next); len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
 	}
@@ -259,7 +260,7 @@ func TestPredicatePushdownSkipsRowGroups(t *testing.T) {
 	}
 
 	// Range predicates.
-	r3, _ := NewReader(f, AllOptimizations([]string{"city_id"}, []ColumnPredicate{{Path: "city_id", Op: OpGte, Values: []any{int64(40)}}}))
+	r3, _ := NewReader(f, AllOptimizations([]string{"city_id"}, []expr.Comparison{{Column: "city_id", Op: expr.OpGte, Values: []any{int64(40)}}}))
 	if rows := drainReader(t, r3.Next); len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -286,7 +287,7 @@ func TestDictionaryPushdownSkipsRowGroups(t *testing.T) {
 	w.Close()
 	f := &fsys.BytesFile{Data: buf.Bytes()}
 
-	preds := []ColumnPredicate{{Path: "city_id", Op: OpEq, Values: []any{int64(12)}}}
+	preds := []expr.Comparison{{Column: "city_id", Op: expr.OpEq, Values: []any{int64(12)}}}
 	r, _ := NewReader(f, AllOptimizations([]string{"city_id"}, preds))
 	if rows := drainReader(t, r.Next); len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
@@ -310,7 +311,7 @@ func TestDictionaryPushdownSkipsRowGroups(t *testing.T) {
 func TestLazyReads(t *testing.T) {
 	s := tripSchema(t)
 	f := writeFile(t, s, tripRows(), WriterOptions{}, true)
-	preds := []ColumnPredicate{{Path: "base.city_id", Op: OpEq, Values: []any{int64(12)}}}
+	preds := []expr.Comparison{{Column: "base.city_id", Op: expr.OpEq, Values: []any{int64(12)}}}
 	r, err := NewReader(f, AllOptimizations([]string{"datestr", "base.city_id"}, preds))
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +456,7 @@ func TestCorruptFiles(t *testing.T) {
 	if _, err := NewReader(f, AllOptimizations([]string{"nope"}, nil)); err == nil {
 		t.Error("unknown column succeeded")
 	}
-	if _, err := NewReader(f, AllOptimizations(nil, []ColumnPredicate{{Path: "tags", Op: OpEq, Values: []any{int64(1)}}})); err == nil {
+	if _, err := NewReader(f, AllOptimizations(nil, []expr.Comparison{{Column: "tags", Op: expr.OpEq, Values: []any{int64(1)}}})); err == nil {
 		t.Error("predicate on repeated column succeeded")
 	}
 }

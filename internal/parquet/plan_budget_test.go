@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/hdfs"
 	"prestolite/internal/metastore"
 	"prestolite/internal/parquet"
@@ -60,7 +61,7 @@ func TestPlanReadBudgetOnTripsFile(t *testing.T) {
 	// predicate leaf of all four ahead; each row group then asks once for
 	// city_id — dictionary page and data pages in one range.
 	rows, m, reads := scan(parquet.AllOptimizations([]string{"base.city_id"},
-		[]parquet.ColumnPredicate{{Path: "base.duration_s", Op: parquet.OpGte, Values: []any{int64(150)}}}))
+		[]expr.Comparison{{Column: "base.duration_s", Op: expr.OpGte, Values: []any{int64(150)}}}))
 	if rows == 0 || m.RowGroupsRead.Load() != rowGroups {
 		t.Fatalf("Q05 shape: %d rows from %d row groups", rows, m.RowGroupsRead.Load())
 	}
@@ -85,7 +86,7 @@ func TestPlanReadBudgetOnTripsFile(t *testing.T) {
 	// city_id is decoded, three selections come out empty, and only the row
 	// group holding the needle fetches the projected leaf.
 	needle := parquet.AllOptimizations([]string{"base.client_uuid"},
-		[]parquet.ColumnPredicate{{Path: "base.city_id", Op: parquet.OpEq, Values: []any{int64(99999)}}})
+		[]expr.Comparison{{Column: "base.city_id", Op: expr.OpEq, Values: []any{int64(99999)}}})
 	needle.PredicatePushdown, needle.DictionaryPushdown = false, false
 	rows, m, reads = scan(needle)
 	if rows != 1 || m.RowGroupsRead.Load() != rowGroups {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/fsys"
 	"prestolite/internal/types"
 )
@@ -82,7 +83,7 @@ func (f *gateFile) ReadAt(p []byte, off int64) (int, error) {
 func TestPlanReadsRangesTogetherAndAhead(t *testing.T) {
 	f, meta, schema := fiveColumns(t, 8, 4)
 	gate := &gateFile{BytesFile: f, k: 2}
-	opts := AllOptimizations([]string{"c", "e"}, []ColumnPredicate{{Path: "a", Op: OpGte, Values: []any{int64(0)}}})
+	opts := AllOptimizations([]string{"c", "e"}, []expr.Comparison{{Column: "a", Op: expr.OpGte, Values: []any{int64(0)}}})
 	r, err := NewReaderWithFooter(gate, meta, schema, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"prestolite/internal/block"
 	"prestolite/internal/cache"
+	"prestolite/internal/expr"
 	"prestolite/internal/fsys"
 	"prestolite/internal/types"
 )
@@ -198,18 +199,18 @@ func TestQuickPredicateEquivalence(t *testing.T) {
 		w.Close()
 		file := &fsys.BytesFile{Data: buf.Bytes()}
 
-		op := []Op{OpEq, OpNeq, OpLt, OpLte, OpGt, OpGte}[int(opIdx)%6]
-		pred := ColumnPredicate{Path: "k", Op: op, Values: []any{int64(needle) % 100}}
+		op := []expr.CompareOp{expr.OpEq, expr.OpNeq, expr.OpLt, expr.OpLte, expr.OpGt, expr.OpGte}[int(opIdx)%6]
+		pred := expr.Comparison{Column: "k", Op: op, Values: []any{int64(needle) % 100}}
 		var want []any
 		for _, k := range keys {
-			if pred.matchValue(k) {
+			if pred.Match(k) {
 				want = append(want, k)
 			}
 		}
 		// v is projected only: its chunks are fetched after the selection is
 		// known. No chunk cache, a roomy one, or one that holds a few chunks;
 		// the second pass meets whatever the first left in it.
-		opts := AllOptimizations([]string{"k", "v"}, []ColumnPredicate{pred})
+		opts := AllOptimizations([]string{"k", "v"}, []expr.Comparison{pred})
 		opts.Path = "/t/part-0"
 		switch uint64(seed) % 3 {
 		case 1:

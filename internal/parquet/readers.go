@@ -12,106 +12,6 @@ import (
 	"prestolite/internal/types"
 )
 
-// Op enumerates reader-level predicate comparisons.
-type Op int
-
-const (
-	OpEq Op = iota
-	OpNeq
-	OpLt
-	OpLte
-	OpGt
-	OpGte
-	OpIn
-)
-
-// ColumnPredicate is a simple comparison on a (possibly nested, non-repeated)
-// primitive column, e.g. base.city_id = 12. These are what the hive
-// connector extracts from pushed-down RowExpressions for the reader.
-type ColumnPredicate struct {
-	// Path is the dotted leaf path.
-	Path string
-	Op   Op
-	// Values holds one value (or several for OpIn), boxed.
-	Values []any
-}
-
-func (p ColumnPredicate) String() string {
-	ops := map[Op]string{OpEq: "=", OpNeq: "<>", OpLt: "<", OpLte: "<=", OpGt: ">", OpGte: ">=", OpIn: "IN"}
-	vals := make([]string, len(p.Values))
-	for i, v := range p.Values {
-		vals[i] = fmt.Sprintf("%v", v)
-	}
-	return fmt.Sprintf("%s %s %s", p.Path, ops[p.Op], strings.Join(vals, ","))
-}
-
-// MatchBoxed evaluates the predicate on a single boxed value (nil never
-// matches). Exported for partition pruning in connectors.
-func (p ColumnPredicate) MatchBoxed(v any) bool { return p.matchValue(v) }
-
-// matchValue evaluates the predicate on one value (nil never matches).
-func (p ColumnPredicate) matchValue(v any) bool {
-	if v == nil {
-		return false
-	}
-	switch p.Op {
-	case OpIn:
-		for _, w := range p.Values {
-			if expr.CompareValues(v, w) == 0 {
-				return true
-			}
-		}
-		return false
-	default:
-		c := expr.CompareValues(v, p.Values[0])
-		switch p.Op {
-		case OpEq:
-			return c == 0
-		case OpNeq:
-			return c != 0
-		case OpLt:
-			return c < 0
-		case OpLte:
-			return c <= 0
-		case OpGt:
-			return c > 0
-		case OpGte:
-			return c >= 0
-		}
-	}
-	return false
-}
-
-// overlapsStats reports whether any value in [min, max] can match (the
-// row-group skipping test of §V.F, Fig 7).
-func (p ColumnPredicate) overlapsStats(min, max any) bool {
-	if min == nil || max == nil {
-		return true // no stats: cannot skip
-	}
-	switch p.Op {
-	case OpEq:
-		v := p.Values[0]
-		return expr.CompareValues(v, min) >= 0 && expr.CompareValues(v, max) <= 0
-	case OpIn:
-		for _, v := range p.Values {
-			if expr.CompareValues(v, min) >= 0 && expr.CompareValues(v, max) <= 0 {
-				return true
-			}
-		}
-		return false
-	case OpLt:
-		return expr.CompareValues(min, p.Values[0]) < 0
-	case OpLte:
-		return expr.CompareValues(min, p.Values[0]) <= 0
-	case OpGt:
-		return expr.CompareValues(max, p.Values[0]) > 0
-	case OpGte:
-		return expr.CompareValues(max, p.Values[0]) >= 0
-	default: // OpNeq: stats can only prove min==max==v
-		return !(expr.CompareValues(min, max) == 0 && expr.CompareValues(min, p.Values[0]) == 0)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // New reader (§V.D–§V.I).
 
@@ -121,8 +21,10 @@ type ReaderOptions struct {
 	// Columns lists the output paths (top-level column names or nested
 	// struct paths). Empty means all top-level columns.
 	Columns []string
-	// Predicate is a conjunction evaluated inside the reader.
-	Predicate []ColumnPredicate
+	// Predicate is a conjunction evaluated inside the reader. Each Column is
+	// the dotted path of a (possibly nested, non-repeated) primitive leaf,
+	// e.g. base.city_id = 12.
+	Predicate []expr.Comparison
 
 	// ColumnPruning reads only required leaves from disk (§V.D). When off,
 	// every leaf is read and decoded (like the old reader).
@@ -150,7 +52,7 @@ type ReaderOptions struct {
 }
 
 // AllOptimizations enables every new-reader feature.
-func AllOptimizations(columns []string, preds []ColumnPredicate) ReaderOptions {
+func AllOptimizations(columns []string, preds []expr.Comparison) ReaderOptions {
 	return ReaderOptions{
 		Columns:            columns,
 		Predicate:          preds,
@@ -332,7 +234,7 @@ func (r *Reader) statsExclude(rg *RowGroupMeta) bool {
 	for i := range r.preds {
 		p := &r.preds[i]
 		cm := r.chunkFor(rg, p.node.LeafIndex)
-		if cm != nil && !p.overlapsStats(cm.Stats.Min(p.node.Prim), cm.Stats.Max(p.node.Prim)) {
+		if cm != nil && !p.OverlapsStats(cm.Stats.Min(p.node.Prim), cm.Stats.Max(p.node.Prim)) {
 			return true
 		}
 	}
@@ -455,7 +357,7 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 	if r.opts.DictionaryPushdown {
 		for i := range r.preds {
 			p := &r.preds[i]
-			if p.Op != OpEq && p.Op != OpIn {
+			if p.Op != expr.OpEq && p.Op != expr.OpIn {
 				continue
 			}
 			cb := pred.chunk(p.node.LeafIndex)
@@ -468,7 +370,7 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 			}
 			any := false
 			for _, dv := range dict {
-				if p.matchValue(dv) {
+				if p.Match(dv) {
 					any = true
 					break
 				}

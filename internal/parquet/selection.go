@@ -4,23 +4,25 @@ import (
 	"bytes"
 	"fmt"
 
+	"prestolite/internal/expr"
 	"prestolite/internal/types"
 )
 
 // Typed evaluation of pushed predicates (§V.F, Figs 7-9: read, evaluate and
-// build in one step). The reader binds each ColumnPredicate to the file
+// build in one step). The reader binds each expr.Comparison to the file
 // schema once per file, then narrows a selection of record indexes with one
 // loop per predicate over the decoded chunk's typed values: no path lookup
-// and no boxed value per record. The boxed matchValue stays for the places
-// that hold a single boxed value: dictionary probing and partition pruning.
+// and no boxed value per record. The boxed Comparison.Match stays for the
+// places that hold a single boxed value: dictionary probing and partition
+// pruning.
 
-// leafPredicate is a ColumnPredicate bound to a file schema: the leaf it
+// leafPredicate is a Comparison bound to a file schema: the leaf it
 // reads, and a matcher over that leaf's storage kind with the literals
 // already converted the way expr.CompareValues converts its right operand
 // (an int64 literal against a double column compares as double, a double
 // literal against a bigint column truncates).
 type leafPredicate struct {
-	ColumnPredicate
+	expr.Comparison
 	node *Node
 	// Exactly one matcher is set, by the leaf's storage kind.
 	ints   func(int64) bool
@@ -31,18 +33,18 @@ type leafPredicate struct {
 
 // bindPredicate resolves p against schema. A literal the column's kind cannot
 // be compared with is an error here rather than a panic per record.
-func bindPredicate(p ColumnPredicate, schema *Schema) (leafPredicate, error) {
-	n := schema.Resolve(p.Path)
+func bindPredicate(p expr.Comparison, schema *Schema) (leafPredicate, error) {
+	n := schema.Resolve(p.Column)
 	if n == nil {
-		return leafPredicate{}, fmt.Errorf("parquet: predicate column %q not in schema", p.Path)
+		return leafPredicate{}, fmt.Errorf("parquet: predicate column %q not in schema", p.Column)
 	}
 	if n.Kind != KindPrimitive || n.RepLevel != 0 {
-		return leafPredicate{}, fmt.Errorf("parquet: predicate column %q must be a non-repeated primitive", p.Path)
+		return leafPredicate{}, fmt.Errorf("parquet: predicate column %q must be a non-repeated primitive", p.Column)
 	}
-	if len(p.Values) == 0 && p.Op != OpIn {
-		return leafPredicate{}, fmt.Errorf("parquet: predicate on %q has no value", p.Path)
+	if len(p.Values) == 0 && p.Op != expr.OpIn {
+		return leafPredicate{}, fmt.Errorf("parquet: predicate on %q has no value", p.Column)
 	}
-	lp := leafPredicate{ColumnPredicate: p, node: n}
+	lp := leafPredicate{Comparison: p, node: n}
 	mismatch := func(v any) error {
 		return fmt.Errorf("parquet: predicate %s: cannot compare a %s column with %T", p, n.Prim, v)
 	}
@@ -109,8 +111,8 @@ func boolRank(b bool) int64 {
 // orderedMatcher builds the comparison for one operator. Equality is "neither
 // less nor greater", which is what CompareValues' three-way result gives a
 // NaN: it compares equal to everything.
-func orderedMatcher[T int64 | float64 | string](op Op, lits []T) func(T) bool {
-	if op == OpIn {
+func orderedMatcher[T int64 | float64 | string](op expr.CompareOp, lits []T) func(T) bool {
+	if op == expr.OpIn {
 		return func(v T) bool {
 			for _, w := range lits {
 				if !(v < w) && !(v > w) {
@@ -122,17 +124,17 @@ func orderedMatcher[T int64 | float64 | string](op Op, lits []T) func(T) bool {
 	}
 	lit := lits[0]
 	switch op {
-	case OpEq:
+	case expr.OpEq:
 		return func(v T) bool { return !(v < lit) && !(v > lit) }
-	case OpNeq:
+	case expr.OpNeq:
 		return func(v T) bool { return v < lit || v > lit }
-	case OpLt:
+	case expr.OpLt:
 		return func(v T) bool { return v < lit }
-	case OpLte:
+	case expr.OpLte:
 		return func(v T) bool { return !(v > lit) }
-	case OpGt:
+	case expr.OpGt:
 		return func(v T) bool { return v > lit }
-	case OpGte:
+	case expr.OpGte:
 		return func(v T) bool { return !(v < lit) }
 	}
 	return func(T) bool { return false }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/fsys"
 	"prestolite/internal/types"
 )
@@ -73,7 +74,7 @@ func flatChunk(t *testing.T, typ *types.Type, values []any, withDefs bool) (*chu
 // makes special: a NaN (equal to everything), an int64 literal against a
 // double column and a double literal against a bigint column.
 func TestTypedSelectionMatchesBoxed(t *testing.T) {
-	ops := []Op{OpEq, OpNeq, OpLt, OpLte, OpGt, OpGte, OpIn}
+	ops := []expr.CompareOp{expr.OpEq, expr.OpNeq, expr.OpLt, expr.OpLte, expr.OpGt, expr.OpGte, expr.OpIn}
 	kinds := []*types.Type{types.Bigint, types.Double, types.Varchar, types.Boolean}
 	for ki, typ := range kinds {
 		for _, nulls := range []string{"none", "nodefs", "some", "all"} {
@@ -116,19 +117,19 @@ func TestTypedSelectionMatchesBoxed(t *testing.T) {
 				case typ == types.Bigint:
 					lits[1] = 2.9 // CompareValues truncates it
 				}
-				if op != OpIn {
+				if op != expr.OpIn {
 					lits = lits[r.Intn(3):][:1]
 				}
-				name := fmt.Sprintf("%s/%s/nulls=%s/%v", typ, ColumnPredicate{Op: op}, nulls, lits)
+				name := fmt.Sprintf("%s/%s/nulls=%s/%v", typ, expr.Comparison{Op: op}, nulls, lits)
 				cd, schema := flatChunk(t, typ, values, nulls != "nodefs")
-				p, err := bindPredicate(ColumnPredicate{Path: "c", Op: op, Values: lits}, schema)
+				p, err := bindPredicate(expr.Comparison{Column: "c", Op: op, Values: lits}, schema)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				for _, from := range [][]int{nil, earlier} {
 					var want []int
 					keep := func(rec int) {
-						if p.matchValue(boxedAt(cd, rec)) {
+						if p.Match(boxedAt(cd, rec)) {
 							want = append(want, rec)
 						}
 					}
@@ -155,10 +156,10 @@ func TestTypedSelectionMatchesBoxed(t *testing.T) {
 // panic per record.
 func TestBindPredicateRejectsMismatchedLiteral(t *testing.T) {
 	schema, _ := NewSchema([]string{"s", "n"}, []*types.Type{types.Varchar, types.Bigint})
-	for _, p := range []ColumnPredicate{
-		{Path: "s", Op: OpEq, Values: []any{int64(1)}},
-		{Path: "n", Op: OpIn, Values: []any{int64(1), "x"}},
-		{Path: "n", Op: OpLt},
+	for _, p := range []expr.Comparison{
+		{Column: "s", Op: expr.OpEq, Values: []any{int64(1)}},
+		{Column: "n", Op: expr.OpIn, Values: []any{int64(1), "x"}},
+		{Column: "n", Op: expr.OpLt},
 	} {
 		if _, err := bindPredicate(p, schema); err == nil {
 			t.Errorf("%s: bound", p)
@@ -195,10 +196,10 @@ func TestReaderTypedPredicatesOnNestedLeaves(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	preds := []ColumnPredicate{
-		{Path: "s.x", Op: OpGte, Values: []any{int64(3)}},
-		{Path: "s.y", Op: OpLt, Values: []any{int64(7)}},
-		{Path: "s.tag", Op: OpIn, Values: []any{"a", "c"}},
+	preds := []expr.Comparison{
+		{Column: "s.x", Op: expr.OpGte, Values: []any{int64(3)}},
+		{Column: "s.y", Op: expr.OpLt, Values: []any{int64(7)}},
+		{Column: "s.tag", Op: expr.OpIn, Values: []any{"a", "c"}},
 	}
 	rd, err := NewReader(&fsys.BytesFile{Data: buf.Bytes()}, AllOptimizations([]string{"id", "s.y"}, preds))
 	if err != nil {
@@ -211,7 +212,7 @@ func TestReaderTypedPredicatesOnNestedLeaves(t *testing.T) {
 		if s == nil {
 			continue
 		}
-		if preds[0].matchValue(s[0]) && preds[1].matchValue(s[1]) && preds[2].matchValue(s[2]) {
+		if preds[0].Match(s[0]) && preds[1].Match(s[1]) && preds[2].Match(s[2]) {
 			want = append(want, []any{row[0], s[1]})
 		}
 	}

@@ -345,7 +345,6 @@ func (a *Analyzer) planTableName(t *sql.TableName) (Node, *scope, error) {
 		Handle:         handle,
 		Cols:           cols,
 		ColumnOrdinals: ordinals,
-		PushedLimit:    -1,
 	}, sc, nil
 }
 
@@ -392,7 +391,7 @@ func buildJoinWithCondition(node *Join, on expr.RowExpression, leftN int) (Node,
 	rightN := len(node.Right.Outputs())
 	var extraLeft, extraRight []expr.RowExpression
 	var rest []expr.RowExpression
-	for _, c := range splitConjuncts(on) {
+	for _, c := range expr.Conjuncts(on) {
 		call, ok := c.(*expr.Call)
 		if !ok || call.Handle.Name != "eq" {
 			rest = append(rest, c)
@@ -521,18 +520,6 @@ func (a *Analyzer) joinStrategy() JoinStrategy {
 		return JoinBroadcast
 	}
 	return JoinPartitioned
-}
-
-// splitConjuncts flattens nested ANDs.
-func splitConjuncts(e expr.RowExpression) []expr.RowExpression {
-	if sf, ok := e.(*expr.SpecialForm); ok && sf.Form == expr.FormAnd {
-		var out []expr.RowExpression
-		for _, a := range sf.Args {
-			out = append(out, splitConjuncts(a)...)
-		}
-		return out
-	}
-	return []expr.RowExpression{e}
 }
 
 // analyzeSelectItems expands * and analyzes each projection.

@@ -152,11 +152,10 @@ func (o *Optimizer) buildSideScan(scan *TableScan, part connector.HybridPart, ti
 		return nil, err
 	}
 	side := &TableScan{
-		Catalog:     part.Catalog,
-		Schema:      part.Schema,
-		Table:       part.Table,
-		Handle:      handle,
-		PushedLimit: -1,
+		Catalog: part.Catalog,
+		Schema:  part.Schema,
+		Table:   part.Table,
+		Handle:  handle,
 	}
 	timeCh := -1
 	for i, c := range scan.Cols {
@@ -229,52 +228,32 @@ func timeInterval(pred expr.RowExpression, timeCh int) (lo, hi *int64) {
 			hi = &v
 		}
 	}
-	for _, conj := range splitConjuncts(pred) {
-		call, ok := conj.(*expr.Call)
-		if !ok || len(call.Args) != 2 {
+	onTime := func(e expr.RowExpression) (string, bool) { // the one column, so no name
+		v, ok := e.(*expr.Variable)
+		return "", ok && v.Channel == timeCh
+	}
+	for _, conj := range expr.Conjuncts(pred) {
+		cmp, ok := expr.LowerComparison(conj, onTime)
+		if !ok || len(cmp.Values) != 1 {
 			continue
 		}
-		op := call.Handle.Name
-		v, c, flipped := varConstArgs(call)
-		if v == nil || v.Channel != timeCh {
-			continue
-		}
-		cv, ok := c.Value.(int64)
+		cv, ok := cmp.Values[0].(int64)
 		if !ok {
 			continue
 		}
-		if flipped {
-			op = map[string]string{"eq": "eq", "lt": "gt", "lte": "gte", "gt": "lt", "gte": "lte"}[op]
-		}
-		switch op {
-		case "eq":
+		switch cmp.Op {
+		case expr.OpEq:
 			raiseLo(cv)
 			lowerHi(cv + 1)
-		case "lt":
+		case expr.OpLt:
 			lowerHi(cv)
-		case "lte":
+		case expr.OpLte:
 			lowerHi(cv + 1)
-		case "gt":
+		case expr.OpGt:
 			raiseLo(cv + 1)
-		case "gte":
+		case expr.OpGte:
 			raiseLo(cv)
 		}
 	}
 	return lo, hi
-}
-
-// varConstArgs decomposes a binary call into (variable, constant); flipped
-// reports the constant came first (const OP var).
-func varConstArgs(call *expr.Call) (*expr.Variable, *expr.Constant, bool) {
-	if v, ok := call.Args[0].(*expr.Variable); ok {
-		if c, ok := call.Args[1].(*expr.Constant); ok {
-			return v, c, false
-		}
-	}
-	if v, ok := call.Args[1].(*expr.Variable); ok {
-		if c, ok := call.Args[0].(*expr.Constant); ok {
-			return v, c, true
-		}
-	}
-	return nil, nil, false
 }

@@ -160,7 +160,7 @@ func pushFilterThroughJoin(n Node) Node {
 	leftN := len(j.Left.Outputs())
 	totalN := leftN + len(j.Right.Outputs())
 	var leftPreds, rightPreds, joinPreds []expr.RowExpression
-	for _, c := range splitConjuncts(f.Predicate) {
+	for _, c := range expr.Conjuncts(f.Predicate) {
 		chans := expr.ReferencedChannels(c)
 		onlyLeft, onlyRight := true, true
 		for _, ch := range chans {
@@ -189,7 +189,7 @@ func pushFilterThroughJoin(n Node) Node {
 			joinPreds = append(joinPreds, c)
 		}
 	}
-	if len(leftPreds) == 0 && len(rightPreds) == 0 && len(joinPreds) == len(splitConjuncts(f.Predicate)) {
+	if len(leftPreds) == 0 && len(rightPreds) == 0 && len(joinPreds) == len(expr.Conjuncts(f.Predicate)) {
 		return n // nothing moved
 	}
 	nj := *j
@@ -252,14 +252,12 @@ func (o *Optimizer) pushFilterIntoScan(n Node) Node {
 		}
 	}
 	tablePred := expr.RemapChannels(f.Predicate, remap)
-	schema := o.tableSchema(conn, scan)
-	newHandle, residual, pushed := fp.PushFilter(scan.Handle, tablePred, schema)
+	newHandle, residual, pushed := fp.PushFilter(scan.Handle, tablePred)
 	if !pushed {
 		return n
 	}
 	ns := *scan
 	ns.Handle = newHandle
-	ns.PushedFilter = tablePred.String()
 	if residual == nil {
 		return &ns
 	}
@@ -269,14 +267,6 @@ func (o *Optimizer) pushFilterIntoScan(n Node) Node {
 		back[ord] = out
 	}
 	return &Filter{Child: &ns, Predicate: expr.RemapChannels(residual, back)}
-}
-
-func (o *Optimizer) tableSchema(conn connector.Connector, scan *TableScan) *connector.TableSchema {
-	ts, _, err := conn.Metadata().GetTable(scan.Schema, scan.Table)
-	if err != nil {
-		return &connector.TableSchema{Catalog: scan.Catalog, Schema: scan.Schema, Table: scan.Table}
-	}
-	return ts
 }
 
 // removeIdentityProject drops projections that pass all channels through,
@@ -438,7 +428,6 @@ func (o *Optimizer) pushLimitIntoScan(n Node) Node {
 	}
 	ns := *scan
 	ns.Handle = newHandle
-	ns.PushedLimit = l.N
 	var rebuilt Node = &ns
 	for i := len(projs) - 1; i >= 0; i-- {
 		rebuilt = &Project{Child: rebuilt, Exprs: projs[i].Exprs, Names: projs[i].Names}
@@ -464,7 +453,7 @@ func rewriteGeoJoin(n Node) Node {
 		return n
 	}
 	leftN := len(j.Left.Outputs())
-	conjuncts := splitConjuncts(j.Residual)
+	conjuncts := expr.Conjuncts(j.Residual)
 	for i, c := range conjuncts {
 		call, ok := c.(*expr.Call)
 		if !ok || call.Handle.Name != "st_contains" || len(call.Args) != 2 {

@@ -70,9 +70,9 @@ func (v *Values) Outputs() []Column { return v.Cols }
 func (v *Values) Children() []Node  { return nil }
 func (v *Values) Describe() string  { return fmt.Sprintf("Values[%d rows]", len(v.Rows)) }
 
-// TableScan reads a table through a connector. Pushdown rules mutate the
-// Handle and the pushed-state fields (which exist for EXPLAIN and for the
-// executor's column mapping).
+// TableScan reads a table through a connector. Pushdown rules replace the
+// Handle, which carries and describes what the connector absorbed, and keep
+// Cols and ColumnOrdinals (the executor's column mapping) in step.
 type TableScan struct {
 	Catalog string
 	Schema  string
@@ -84,10 +84,9 @@ type TableScan struct {
 	// ordinal (post any projection pushdown these are indexes into the
 	// pushed projection).
 	ColumnOrdinals []int
-	// PushedFilter, PushedLimit, PushedAgg document absorbed work.
-	PushedFilter string
-	PushedLimit  int64 // -1 when none
-	PushedAgg    string
+	// PushedAgg describes an aggregation the connector absorbed; filters,
+	// projections and limits it absorbed are in the handle's description.
+	PushedAgg string
 }
 
 func (t *TableScan) Outputs() []Column { return t.Cols }

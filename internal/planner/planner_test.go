@@ -192,7 +192,7 @@ func TestSessionProperties(t *testing.T) {
 
 func TestCheckTypesCatchesBadChannels(t *testing.T) {
 	scan := &TableScan{Catalog: "x", Schema: "s", Table: "t",
-		Cols: []Column{{Name: "a", Type: types.Bigint}}, ColumnOrdinals: []int{0}, PushedLimit: -1}
+		Cols: []Column{{Name: "a", Type: types.Bigint}}, ColumnOrdinals: []int{0}}
 	bad := &Filter{Child: scan, Predicate: expr.MustCall("eq",
 		expr.NewVariable("ghost", 7, types.Bigint), expr.NewConstant(int64(1), types.Bigint))}
 	if err := CheckTypes(bad); err == nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/parquet"
 	"prestolite/internal/types"
 )
@@ -231,8 +232,8 @@ func TestParquetOnS3EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := parquet.NewReader(f, parquet.AllOptimizations([]string{"id"}, []parquet.ColumnPredicate{
-		{Path: "id", Op: parquet.OpGte, Values: []any{int64(90)}},
+	r, err := parquet.NewReader(f, parquet.AllOptimizations([]string{"id"}, []expr.Comparison{
+		{Column: "id", Op: expr.OpGte, Values: []any{int64(90)}},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +266,8 @@ func TestS3Select(t *testing.T) {
 	w.Close()
 
 	before := s.Counters.BytesReturned.Load()
-	pages, err := s.SelectObject("lake/sel/part-0", []string{"id"}, []parquet.ColumnPredicate{
-		{Path: "id", Op: parquet.OpLt, Values: []any{int64(10)}},
+	pages, err := s.SelectObject("lake/sel/part-0", []string{"id"}, []expr.Comparison{
+		{Column: "id", Op: expr.OpLt, Values: []any{int64(10)}},
 	})
 	if err != nil {
 		t.Fatal(err)

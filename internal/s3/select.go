@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/parquet"
 )
 
@@ -14,7 +15,7 @@ import (
 // object server-side and returns only the requested data. BytesReturned
 // counts only the shipped result, so experiments can compare against
 // fetching whole objects.
-func (s *Store) SelectObject(key string, columns []string, preds []parquet.ColumnPredicate) ([]*block.Page, error) {
+func (s *Store) SelectObject(key string, columns []string, preds []expr.Comparison) ([]*block.Page, error) {
 	if err := s.maybeFail(); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"prestolite/internal/druid"
+	"prestolite/internal/expr"
 	"prestolite/internal/types"
 )
 
@@ -77,34 +78,34 @@ func EventQueries() []EventQuery {
 	agg := func(name, col string, f string) druid.Aggregation {
 		return druid.Aggregation{Func: f, Column: col, Name: name}
 	}
-	eq := func(col string, v any) druid.Filter {
-		return druid.Filter{Column: col, Op: "eq", Values: []any{v}}
+	eq := func(col string, v any) expr.Comparison {
+		return expr.Comparison{Column: col, Op: expr.OpEq, Values: []any{v}}
 	}
 	qs := []EventQuery{
 		// Aggregations with predicates (the real-time dashboard shape).
 		{Name: "q01", SQL: "SELECT country, sum(clicks) FROM events WHERE device = 'ios' GROUP BY country",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("device", "ios")}, GroupBy: []string{"country"}, Aggregations: []druid.Aggregation{agg("sum(clicks)", "clicks", "sum")}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("device", "ios")}, GroupBy: []string{"country"}, Aggregations: []druid.Aggregation{agg("sum(clicks)", "clicks", "sum")}},
 			HasPredicate: true, IsAggregation: true},
 		{Name: "q02", SQL: "SELECT service, count(*) FROM events WHERE country = 'us' GROUP BY service",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("country", "us")}, GroupBy: []string{"service"}, Aggregations: []druid.Aggregation{agg("count(*)", "", "count")}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("country", "us")}, GroupBy: []string{"service"}, Aggregations: []druid.Aggregation{agg("count(*)", "", "count")}},
 			HasPredicate: true, IsAggregation: true},
 		{Name: "q03", SQL: "SELECT device, avg(latency_ms) FROM events WHERE service = 'rides' GROUP BY device",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("service", "rides")}, GroupBy: []string{"device"}, Aggregations: []druid.Aggregation{agg("avg(latency_ms)", "latency_ms", "avg")}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("service", "rides")}, GroupBy: []string{"device"}, Aggregations: []druid.Aggregation{agg("avg(latency_ms)", "latency_ms", "avg")}},
 			HasPredicate: true, IsAggregation: true},
 		{Name: "q04", SQL: "SELECT country, max(latency_ms) FROM events WHERE status = 500 GROUP BY country",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("status", int64(500))}, GroupBy: []string{"country"}, Aggregations: []druid.Aggregation{agg("max(latency_ms)", "latency_ms", "max")}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("status", int64(500))}, GroupBy: []string{"country"}, Aggregations: []druid.Aggregation{agg("max(latency_ms)", "latency_ms", "max")}},
 			HasPredicate: true, IsAggregation: true},
 		{Name: "q05", SQL: "SELECT sum(revenue) FROM events WHERE country = 'de'",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("country", "de")}, Aggregations: []druid.Aggregation{agg("sum(revenue)", "revenue", "sum")}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("country", "de")}, Aggregations: []druid.Aggregation{agg("sum(revenue)", "revenue", "sum")}},
 			HasPredicate: true, IsAggregation: true},
 		{Name: "q06", SQL: "SELECT count(*) FROM events WHERE device = 'web' AND service = 'eats'",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("device", "web"), eq("service", "eats")}, Aggregations: []druid.Aggregation{agg("count(*)", "", "count")}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("device", "web"), eq("service", "eats")}, Aggregations: []druid.Aggregation{agg("count(*)", "", "count")}},
 			HasPredicate: true, IsAggregation: true},
 		{Name: "q07", SQL: "SELECT service, sum(clicks), sum(revenue) FROM events WHERE country IN ('us', 'ca', 'mx') GROUP BY service",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{{Column: "country", Op: "in", Values: []any{"us", "ca", "mx"}}}, GroupBy: []string{"service"}, Aggregations: []druid.Aggregation{agg("sum(clicks)", "clicks", "sum"), agg("sum(revenue)", "revenue", "sum")}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{{Column: "country", Op: expr.OpIn, Values: []any{"us", "ca", "mx"}}}, GroupBy: []string{"service"}, Aggregations: []druid.Aggregation{agg("sum(clicks)", "clicks", "sum"), agg("sum(revenue)", "revenue", "sum")}},
 			HasPredicate: true, IsAggregation: true},
 		{Name: "q08", SQL: "SELECT country, device, count(*) FROM events WHERE clicks > 40 GROUP BY country, device",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{{Column: "clicks", Op: "gt", Values: []any{int64(40)}}}, GroupBy: []string{"country", "device"}, Aggregations: []druid.Aggregation{agg("count(*)", "", "count")}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{{Column: "clicks", Op: expr.OpGt, Values: []any{int64(40)}}}, GroupBy: []string{"country", "device"}, Aggregations: []druid.Aggregation{agg("count(*)", "", "count")}},
 			HasPredicate: true, IsAggregation: true},
 		{Name: "q09", SQL: "SELECT min(latency_ms), max(latency_ms), avg(latency_ms) FROM events",
 			Native:        druid.Query{Table: "events", Aggregations: []druid.Aggregation{agg("min(latency_ms)", "latency_ms", "min"), agg("max(latency_ms)", "latency_ms", "max"), agg("avg(latency_ms)", "latency_ms", "avg")}},
@@ -120,28 +121,28 @@ func EventQueries() []EventQuery {
 			IsAggregation: true},
 		// Select queries with predicates + limits (monitoring drill-downs).
 		{Name: "q13", SQL: "SELECT country, device, latency_ms FROM events WHERE status = 500 LIMIT 100",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("status", int64(500))}, Columns: []string{"country", "device", "latency_ms"}, Limit: 100},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("status", int64(500))}, Columns: []string{"country", "device", "latency_ms"}, Limit: 100},
 			HasPredicate: true, HasLimit: true},
 		{Name: "q14", SQL: "SELECT country, clicks FROM events WHERE device = 'android' LIMIT 50",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("device", "android")}, Columns: []string{"country", "clicks"}, Limit: 50},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("device", "android")}, Columns: []string{"country", "clicks"}, Limit: 50},
 			HasPredicate: true, HasLimit: true},
 		{Name: "q15", SQL: "SELECT service, revenue FROM events WHERE revenue > 9.5 LIMIT 20",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{{Column: "revenue", Op: "gt", Values: []any{9.5}}}, Columns: []string{"service", "revenue"}, Limit: 20},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{{Column: "revenue", Op: expr.OpGt, Values: []any{9.5}}}, Columns: []string{"service", "revenue"}, Limit: 20},
 			HasPredicate: true, HasLimit: true},
 		{Name: "q16", SQL: "SELECT country, service FROM events LIMIT 10",
 			Native:   druid.Query{Table: "events", Columns: []string{"country", "service"}, Limit: 10},
 			HasLimit: true},
 		{Name: "q17", SQL: "SELECT device FROM events WHERE country = 'jp' LIMIT 200",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("country", "jp")}, Columns: []string{"device"}, Limit: 200},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("country", "jp")}, Columns: []string{"device"}, Limit: 200},
 			HasPredicate: true, HasLimit: true},
 		// Plain filtered selects.
 		{Name: "q18", SQL: "SELECT clicks, latency_ms FROM events WHERE country = 'fr' AND device = 'ios'",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("country", "fr"), eq("device", "ios")}, Columns: []string{"clicks", "latency_ms"}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("country", "fr"), eq("device", "ios")}, Columns: []string{"clicks", "latency_ms"}},
 			HasPredicate: true},
 		{Name: "q19", SQL: "SELECT country, status FROM events",
 			Native: druid.Query{Table: "events", Columns: []string{"country", "status"}}},
 		{Name: "q20", SQL: "SELECT device, clicks FROM events WHERE status = 400",
-			Native:       druid.Query{Table: "events", Filters: []druid.Filter{eq("status", int64(400))}, Columns: []string{"device", "clicks"}},
+			Native:       druid.Query{Table: "events", Filters: []expr.Comparison{eq("status", int64(400))}, Columns: []string{"device", "clicks"}},
 			HasPredicate: true},
 	}
 	// Sanity: the paper's category counts.
