@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test test-race lint check chaos chaos-ingest chaos-lifecycle fuzz-smoke e2e-golden bench bench-e2e bench-json bench-qps-json bench-ingest-json experiments examples fmt vet
+.PHONY: build test test-race lint check chaos chaos-ingest chaos-lifecycle fuzz-smoke e2e-golden bench bench-smoke bench-e2e experiments examples fmt vet
 
 build:
 	go build ./...
@@ -43,10 +43,10 @@ chaos-lifecycle:
 
 # Brief randomized runs of the fuzz targets on top of their checked-in
 # corpora (testdata/fuzz beside each): the vector kernels (open-addressing
-# hash tables, selection kernels), the Parquet file decoder (a valid file
-# with bytes changed, read by the columnar and the legacy reader: same rows
-# or both refuse, no panic, no allocation the file's size does not cover) and
-# the rendering of pushed comparisons (two decoded from the input: equal
+# hash tables, the WHERE selection kernel), the Parquet file decoder (a valid
+# file with bytes changed, read by the columnar and the legacy reader: same
+# rows or both refuse, no panic, no allocation the file's size does not cover)
+# and the rendering of pushed comparisons (two decoded from the input: equal
 # strings only from equal comparisons, since the plan text keys a cache). CI
 # runs this as a smoke; crank -fuzztime locally to dig deeper. New crashers
 # land in testdata/fuzz — check them in.
@@ -55,7 +55,6 @@ fuzz-smoke:
 	go test -fuzz '^FuzzGroupTable$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzJoinTable$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzSelectTrue$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
-	go test -fuzz '^FuzzSelectConst$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzReadFile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parquet/
 	go test -fuzz '^FuzzComparisonString$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/expr/
 
@@ -73,13 +72,23 @@ lint:
 
 # The pre-commit gate: everything a PR must pass, i.e. CI's check and lint
 # jobs (lint includes go vet; e2e-golden is the ~5 s guard that no benchmark
-# statement changed its answer).
+# statement changed its answer; bench-smoke runs the package-local benchmark
+# bodies once, which `go test` never does).
 # test covers the chaos suite too (TestChaos* are ordinary go tests);
 # `make chaos` re-runs just that slice verbosely with seeds logged.
-check: build lint test test-race e2e-golden
+check: build lint test test-race e2e-golden bench-smoke
 
+# Three ways to measure, one job each: bench-e2e (cmd/e2ebench) judges a PR,
+# experiments (cmd/prestobench) reproduces the paper's figures, and a
+# package-local `go test -bench` digs into one layer.
 bench:
 	go test -bench=. -benchmem ./...
+
+# One iteration of the four layer benchmarks nothing else measures —
+# driver-count scaling, the cache hierarchy off/on, vectorized vs row
+# expression evaluation, QuadTree fan-out — so their bodies cannot rot unseen.
+bench-smoke:
+	go test -run '^$$' -bench 'IntraTaskParallelism|DashboardQPS|ExprVectorizedVsRow|GeoQuadTreeParams' -benchtime=1x ./internal/core ./internal/cluster ./internal/expr ./internal/geo
 
 # The repository's one end-to-end benchmark (BENCHMARK.json; metric catalogue
 # in internal/e2ebench/README.md): every workload through the gateway, both
@@ -94,36 +103,6 @@ bench-e2e:
 # in the benchmark run that judges the PR.
 e2e-golden:
 	go run ./cmd/e2ebench -golden check
-
-# The three *-json targets below are per-layer micro-benchmarks: useful for
-# digging into one layer, but they no longer gate a PR — bench-e2e does.
-
-# Machine-readable results for the intra-task parallelism benchmark: runs
-# scan/aggregation/join workloads at 1/2/4/8 drivers and writes ns/op and
-# per-workload speedups (relative to drivers=1) to BENCH_PR8.json. The
-# -compare gate fails on any benchmark >20% slower than the previous
-# checked-in trajectory point (override with BENCH_BASE=).
-BENCH_BASE ?= BENCH_PR5.json
-bench-json:
-	go test -bench BenchmarkIntraTaskParallelism -benchmem -benchtime=50x -run '^$$' . | go run ./cmd/benchjson -o BENCH_PR8.json -compare $(BENCH_BASE)
-	@cat BENCH_PR8.json
-
-# Machine-readable results for the dashboard-QPS benchmark: a fixed dashboard
-# of aggregate queries refreshes in a closed loop against an embedded cluster
-# with the §VII cache hierarchy off and on, and writes qps, result/chunk-cache
-# hit rates and the cache_speedups ratio (cache=on vs cache=off — the >= 10x
-# acceptance number) to BENCH_PR10.json. The -compare gate fails on any shared
-# benchmark >20% slower than the checked-in trajectory point.
-bench-qps-json:
-	go test -bench BenchmarkDashboardQPS -benchmem -benchtime=20x -run '^$$' . | go run ./cmd/benchjson -o BENCH_PR10.json -compare $(BENCH_BASE)
-	@cat BENCH_PR10.json
-
-# Machine-readable results for the real-time ingestion benchmark: streams a
-# fixed event load under 0/4/16 concurrent hybrid queries and writes freshness
-# p50/p95/p99 (ms) plus sustained rows/s to BENCH_PR6.json.
-bench-ingest-json:
-	go test -bench BenchmarkIngestFreshness -benchtime=1x -run '^$$' . | go run ./cmd/benchjson -o BENCH_PR6.json
-	@cat BENCH_PR6.json
 
 experiments:
 	go run ./cmd/prestobench -experiment all

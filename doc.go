@@ -10,6 +10,6 @@
 // See README.md for the architecture overview, DESIGN.md for the system
 // inventory and per-experiment index, and EXPERIMENTS.md for paper-vs-
 // measured results. The public surface lives under internal/ packages and
-// the cmd/ binaries; bench_test.go regenerates every figure as Go
-// benchmarks, and cmd/prestobench prints them as tables.
+// the cmd/ binaries; cmd/prestobench regenerates the paper's figures as
+// tables, and cmd/e2ebench is the benchmark a change is judged on.
 package prestolite

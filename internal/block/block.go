@@ -115,9 +115,6 @@ type Float64Block struct {
 	Nulls  []bool
 }
 
-// NewFloat64Block wraps values (no nulls).
-func NewFloat64Block(values []float64) *Float64Block { return &Float64Block{Values: values} }
-
 func (b *Float64Block) Count() int        { return len(b.Values) }
 func (b *Float64Block) IsNull(i int) bool { return b.Nulls != nil && b.Nulls[i] }
 
@@ -163,9 +160,6 @@ type BoolBlock struct {
 	Values []bool
 	Nulls  []bool
 }
-
-// NewBoolBlock wraps values (no nulls).
-func NewBoolBlock(values []bool) *BoolBlock { return &BoolBlock{Values: values} }
 
 func (b *BoolBlock) Count() int        { return len(b.Values) }
 func (b *BoolBlock) IsNull(i int) bool { return b.Nulls != nil && b.Nulls[i] }
@@ -682,15 +676,6 @@ func NewPage(blocks ...Block) *Page {
 		}
 	}
 	return &Page{Blocks: blocks, N: n}
-}
-
-// EmptyPage returns a zero-row page with the given channel count.
-func EmptyPage(channels int) *Page {
-	blocks := make([]Block, channels)
-	for i := range blocks {
-		blocks[i] = &Int64Block{}
-	}
-	return &Page{Blocks: blocks}
 }
 
 // Count returns the number of rows.

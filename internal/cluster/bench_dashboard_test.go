@@ -1,18 +1,16 @@
-package prestolite_test
+package cluster
 
-// Dashboard QPS benchmark (BENCH_PR10.json via `make bench-qps-json`): a
-// fixed dashboard of aggregate queries refreshes in a closed loop against an
-// embedded multi-worker cluster, with a few concurrent clients — the §VII
-// "same queries every few seconds" traffic shape. cache=off runs every
-// refresh cold (chunk, footer, file-list, fragment and result caches all
-// disabled, round-robin scheduling); cache=on is the PR10 hierarchy:
-// affinity split scheduling keeps each split's repeats on one worker whose
-// chunk cache stays hot, workers serve repeated fragments from their
-// fragment-result cache, and the coordinator answers byte-identical repeats
-// from the tier-2 result cache without scheduling a task at all. Each op is
-// one full dashboard refresh; the qps metric is queries per wall second, and
-// the cache=on run also reports the result/chunk hit rates the acceptance
-// criterion reads.
+// Dashboard QPS benchmark: a fixed dashboard of aggregate queries refreshes in
+// a closed loop against an embedded multi-worker cluster, with a few
+// concurrent clients — the §VII "same queries every few seconds" traffic
+// shape. cache=off runs every refresh cold (chunk, footer, file-list, fragment
+// and result caches all disabled); cache=on is the whole hierarchy: affinity
+// split scheduling keeps each split's repeats on one worker whose chunk cache
+// stays hot, workers serve repeated fragments from their fragment-result
+// cache, and the coordinator answers byte-identical repeats from the tier-2
+// result cache without scheduling a task at all. Each op is one full dashboard
+// refresh; the qps metric is queries per wall second, and the cache=on run
+// also reports the result/chunk hit rates.
 
 import (
 	"sync"
@@ -21,7 +19,6 @@ import (
 	"time"
 
 	"prestolite/internal/block"
-	"prestolite/internal/cluster"
 	"prestolite/internal/connector"
 	"prestolite/internal/connectors/hive"
 	"prestolite/internal/hdfs"
@@ -51,9 +48,8 @@ var dashboardQueries = []string{
 }
 
 // dashCluster builds a lineitem warehouse and a coordinator + workers on top,
-// with every cache tier either on (the PR10 hierarchy) or off (the cold
-// baseline).
-func dashCluster(b *testing.B, cached bool) (*cluster.Coordinator, *hive.Connector, func()) {
+// with every cache tier either on or off (the cold baseline).
+func dashCluster(b *testing.B, cached bool) (*Coordinator, *hive.Connector, func()) {
 	b.Helper()
 	fs := hdfs.New(hdfs.Config{})
 	ms := metastore.New()
@@ -79,13 +75,13 @@ func dashCluster(b *testing.B, cached bool) (*cluster.Coordinator, *hive.Connect
 	reg := connector.NewRegistry()
 	reg.Register("hive", hc)
 
-	coord := cluster.NewCoordinator(reg)
+	coord := NewCoordinator(reg)
 	if cached {
 		coord.EnableResultCache(256, 64<<20, time.Hour)
 	}
-	var workers []*cluster.Worker
+	var workers []*Worker
 	for i := 0; i < dashWorkers; i++ {
-		w := cluster.NewWorker(reg)
+		w := NewWorker(reg)
 		w.GracePeriod = 20 * time.Millisecond
 		w.EnableFragmentResultCache = cached
 		if err := w.Start("127.0.0.1:0"); err != nil {
@@ -109,7 +105,7 @@ func dashSession() *planner.Session {
 
 // runDashboard drives b.N dashboard refreshes through dashClients concurrent
 // closed-loop clients and reports queries per wall second.
-func runDashboard(b *testing.B, coord *cluster.Coordinator) {
+func runDashboard(b *testing.B, coord *Coordinator) {
 	total := int64(b.N * len(dashboardQueries))
 	var next atomic.Int64
 	start := time.Now()
@@ -157,9 +153,9 @@ func BenchmarkDashboardQPS(b *testing.B) {
 		runDashboard(b, coord)
 		b.StopTimer()
 
-		// Hit rates for the acceptance criterion: the tier-2 result cache
-		// should be serving nearly every steady-state refresh, with the
-		// tier-1 chunk cache absorbing whatever still reads Parquet.
+		// The tier-2 result cache should be serving nearly every steady-state
+		// refresh, with the tier-1 chunk cache absorbing whatever still reads
+		// Parquet.
 		snap := coord.Obs().Snapshot()
 		hits, misses := snap.Gauges["coordinator.cache.result.hits"], snap.Gauges["coordinator.cache.result.misses"]
 		if hits+misses > 0 {

@@ -1042,11 +1042,11 @@ func (c *Coordinator) handleStatement(rw http.ResponseWriter, r *http.Request) {
 			http.Error(rw, err.Error(), http.StatusTooManyRequests)
 			return
 		}
-		if errors.Is(err, ErrCoordinatorDraining) {
-			// Refused (or aborted mid-drain) by the lifecycle, not by the
-			// statement: the query is safe to replay verbatim elsewhere.
-			// X-Presto-Retryable is what the gateway's transparent
-			// resubmission keys on.
+		if IsRetryable(err) {
+			// Refused or lost for availability reasons (drain, no active
+			// worker, no worker took the task), not by the statement: the
+			// query is safe to replay verbatim elsewhere. X-Presto-Retryable
+			// is what the gateway's transparent resubmission keys on.
 			rw.Header().Set("Retry-After", "1")
 			rw.Header().Set("X-Presto-Retryable", "true")
 			http.Error(rw, err.Error(), http.StatusServiceUnavailable)

@@ -244,6 +244,16 @@ func TestQueryDeadlineSessionProperty(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "session: bad query_max_run_ms") {
 		t.Fatalf("bad query_max_run_ms on a cache miss = %v, want a session: bad … error", err)
 	}
+	// A name no property has (misspelt, or retired) is refused the same way,
+	// and buys the same execution no second cache entry.
+	s = session()
+	s.Properties["query_max_run_msec"] = "60000"
+	if _, err := coord.Query(s, q); err == nil || !strings.Contains(err.Error(), `unknown property "query_max_run_msec"`) {
+		t.Fatalf("unknown property on a cached statement = %v, want it refused by name", err)
+	}
+	if coord.ResultCacheLen() != 1 {
+		t.Fatalf("result cache holds %d entries, want 1", coord.ResultCacheLen())
+	}
 }
 
 // TestTaskResultsRequirePage: the results protocol is paged by index only —

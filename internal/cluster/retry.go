@@ -51,8 +51,9 @@ func IsUnavailable(err error) bool {
 
 // IsRetryable reports whether a failed query may be resubmitted elsewhere
 // without risking duplicate effects: the coordinator refused or lost the
-// query for availability reasons rather than rejecting its content. The
-// gateway's transparent-resubmission path keys on this.
+// query for availability reasons rather than rejecting its content. The HTTP
+// front end answers these 503 + X-Presto-Retryable, which the gateway's
+// transparent-resubmission path keys on.
 func IsRetryable(err error) bool {
 	return errors.Is(err, ErrCoordinatorDraining) ||
 		errors.Is(err, ErrNoActiveWorkers) ||

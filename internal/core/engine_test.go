@@ -461,6 +461,12 @@ func TestInsufficientResources(t *testing.T) {
 	if _, err := e.Query(s, "SELECT 1"); err == nil {
 		t.Error("bad query_max_memory accepted")
 	}
+	// So is a name no property has.
+	s = DefaultSession("memory", "rawdata")
+	s.Properties["task_concurency"] = "4"
+	if _, err := e.Query(s, "SELECT 1"); err == nil || !strings.Contains(err.Error(), `unknown property "task_concurency"`) {
+		t.Errorf("misspelt property: err = %v, want it refused by name", err)
+	}
 }
 
 func TestQueryWithBatchFallback(t *testing.T) {

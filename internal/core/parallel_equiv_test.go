@@ -61,7 +61,7 @@ var equivQueries = []struct {
 
 // equivEngine builds an embedded engine over a hive LINEITEM warehouse with
 // `files` files, so a scan has real splits for the drivers to share.
-func equivEngine(t *testing.T, files int) *Engine {
+func equivEngine(t testing.TB, files int) *Engine {
 	t.Helper()
 	fs := hdfs.New(hdfs.Config{})
 	ms := metastore.New()

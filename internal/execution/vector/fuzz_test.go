@@ -1,9 +1,9 @@
 package vector
 
-// Fuzz harnesses for the open-addressing hash tables and the
-// selection-vector filter kernels. Each target decodes the fuzz input into
-// batched operations, runs them through the vectorized structure, and
-// checks every observable result against a straightforward reference
+// Fuzz harnesses for the open-addressing hash tables and the WHERE
+// selection kernel. Each target decodes the fuzz input into batched
+// operations, runs them through the vectorized structure, and checks
+// every observable result against a straightforward reference
 // (a Go map, or the boxed block.Value path). The `dampen` selector shrinks
 // the stored hash space down to a handful of values, forcing the collision
 // and slot-growth paths that random 64-bit hashes would almost never take.
@@ -286,86 +286,6 @@ func FuzzSelectTrue(f *testing.F) {
 		for i := range sel {
 			if sel[i] != want[i] {
 				t.Fatalf("position %d: selected row %d, want %d", i, sel[i], want[i])
-			}
-		}
-	})
-}
-
-// fuzzInt64Block decodes shape+data into a BIGINT block in one of the
-// encodings SelectConst special-cases (flat / dictionary / run-length, with
-// and without nulls).
-func fuzzInt64Block(shape uint8, data []byte, n int) block.Block {
-	switch shape % 4 {
-	case 0: // flat, no nulls
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(data[i]%31) - 15
-		}
-		return &block.Int64Block{Values: vals}
-	case 1: // flat with nulls
-		blk, _ := decodeKeys(data[:n])
-		return blk
-	case 2: // dictionary
-		ids := make([]int32, n)
-		for i := range ids {
-			if data[i] >= 0xf0 {
-				ids[i] = -1
-			} else {
-				ids[i] = int32(data[i] % 8)
-			}
-		}
-		return &block.DictionaryBlock{
-			Dictionary: &block.Int64Block{Values: []int64{-3, 0, 1, 2, 2, 5, 8, 13}},
-			Ids:        ids,
-		}
-	default: // run-length
-		var v any
-		if data[0] < 0xf0 {
-			v = int64(data[0]%31) - 15
-		}
-		return block.NewRunLengthBlock(block.SingleValue(types.Bigint, v), n)
-	}
-}
-
-// FuzzSelectConst checks the typed comparison selection kernels against the
-// boxed reference across operators, encodings, NULLs and constants: the
-// selection vector holds exactly the non-null rows whose comparison with
-// the constant is true.
-func FuzzSelectConst(f *testing.F) {
-	f.Add(uint8(0), uint8(2), int64(0), []byte{1, 5, 9, 200, 13})
-	f.Add(uint8(2), uint8(0), int64(2), []byte{0, 1, 2, 3, 4, 0xf0})
-	f.Add(uint8(3), uint8(5), int64(-3), []byte{7, 7})
-	f.Fuzz(func(t *testing.T, shape, opByte uint8, c int64, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		if len(data) > 4096 {
-			data = data[:4096]
-		}
-		n := len(data)
-		blk := fuzzInt64Block(shape, data, n)
-		var view View
-		if !Of(blk, &view) {
-			t.Fatal("no view over bigint block")
-		}
-		op := CmpOp(opByte % 6)
-		var flt Filter
-		sel, ok := flt.SelectConst(&view, n, op, c, nil)
-		if !ok {
-			t.Fatalf("SelectConst rejected int64 constant for kind %v", view.Kind)
-		}
-		var want []int
-		for r := 0; r < n; r++ {
-			if v, okv := blk.Value(r).(int64); okv && cmpOrd(op, v, c) {
-				want = append(want, r)
-			}
-		}
-		if len(sel) != len(want) {
-			t.Fatalf("op %s const %d: selected %d rows, want %d", op.Name(), c, len(sel), len(want))
-		}
-		for i := range sel {
-			if sel[i] != want[i] {
-				t.Fatalf("op %s const %d, position %d: row %d, want %d", op.Name(), c, i, sel[i], want[i])
 			}
 		}
 	})

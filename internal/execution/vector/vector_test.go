@@ -227,52 +227,6 @@ func TestJoinTableVsNestedLoop(t *testing.T) {
 	}
 }
 
-func TestSelectConstMatchesBoxed(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 128
-	vals := make([]int64, n)
-	nulls := make([]bool, n)
-	for r := range vals {
-		vals[r] = int64(rng.Intn(10))
-		nulls[r] = rng.Intn(4) == 0
-	}
-	blocks := encodeInt64(vals, nulls)
-	blocks = append(blocks, block.NewRunLengthBlock(&block.Int64Block{Values: []int64{5}}, n))
-	var f Filter
-	for _, b := range blocks {
-		for op := CmpEq; op <= CmpGe; op++ {
-			v := &View{}
-			if !Of(b, v) {
-				t.Fatalf("Of failed on %T", b)
-			}
-			sel, ok := f.SelectConst(v, n, op, int64(5), nil)
-			if !ok {
-				t.Fatalf("SelectConst rejected %T", b)
-			}
-			var want []int
-			for r := 0; r < n; r++ {
-				if x := b.Value(r); x != nil && cmpOrd(op, x.(int64), 5) {
-					want = append(want, r)
-				}
-			}
-			if len(sel) != len(want) {
-				t.Fatalf("%T op %s: %d rows, want %d", b, op.Name(), len(sel), len(want))
-			}
-			for i := range sel {
-				if sel[i] != want[i] {
-					t.Fatalf("%T op %s row %d: %d != %d", b, op.Name(), i, sel[i], want[i])
-				}
-			}
-		}
-	}
-	// Null constant selects nothing.
-	v := &View{}
-	Of(blocks[0], v)
-	if sel, ok := f.SelectConst(v, n, CmpEq, nil, nil); !ok || len(sel) != 0 {
-		t.Fatalf("null constant: ok=%v len=%d", ok, len(sel))
-	}
-}
-
 func TestSelectTrue(t *testing.T) {
 	b := &block.BoolBlock{Values: []bool{true, false, true, true}, Nulls: []bool{false, false, true, false}}
 	v := &View{}

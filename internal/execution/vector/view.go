@@ -1,7 +1,8 @@
 // Package vector implements the batch-at-a-time kernel layer of the
 // execution engine: typed views over the block encodings, value-based batch
 // hashing, flat open-addressing hash tables keyed on pre-hashed column
-// vectors, selection-vector filter kernels, and typed batch aggregators.
+// vectors, the WHERE selection kernel (SelectTrue), and typed batch
+// aggregators.
 //
 // The row-at-a-time operators in internal/execution pay one interface
 // dispatch (Block.Value) plus one boxed key encoding per row per column;

@@ -212,6 +212,40 @@ func TestVectorizedFilter(t *testing.T) {
 	}
 }
 
+// Vectorized vs row-at-a-time expression evaluation.
+func BenchmarkExprVectorizedVsRow(b *testing.B) {
+	n := 8192
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i % 100)
+	}
+	page := block.NewPage(block.NewInt64Block(vals))
+	pred := MustCall("eq", col(0, types.Bigint), bigint(42))
+	b.Run("Vectorized", func(b *testing.B) {
+		b.SetBytes(int64(8 * n))
+		for i := 0; i < b.N; i++ {
+			if _, err := EvalFilter(pred, page); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("RowAtATime", func(b *testing.B) {
+		b.SetBytes(int64(8 * n))
+		for i := 0; i < b.N; i++ {
+			count := 0
+			for r := 0; r < n; r++ {
+				v, err := EvalRowValue(pred, page.Row(r))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if v == true {
+					count++
+				}
+			}
+		}
+	})
+}
+
 func TestStringFunctions(t *testing.T) {
 	cases := []struct {
 		expr RowExpression

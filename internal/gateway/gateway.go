@@ -527,12 +527,12 @@ func IsIdempotentStatement(query string) bool {
 
 // handleExecute is the proxying front end with transparent resubmission:
 // unlike /v1/statement's redirect, the gateway forwards the statement
-// itself, and when the target cluster fails mid-flight for a lifecycle
-// reason — coordinator drain (503 + X-Presto-Retryable) or abrupt process
-// death (transport error) — it replays the identical statement onto the
-// next healthy cluster, bounded by ResubmitBudget. Only idempotent
-// statements resubmit; failures trip the per-cluster circuit breaker so a
-// down cluster stops consuming budget.
+// itself, and when the target cluster fails mid-flight for an availability
+// reason — coordinator drain or no worker to run on (503 +
+// X-Presto-Retryable), or abrupt process death (transport error) — it
+// replays the identical statement onto the next healthy cluster, bounded by
+// ResubmitBudget. Only idempotent statements resubmit; failures trip the
+// per-cluster circuit breaker so a down cluster stops consuming budget.
 //
 // The §XII.B lesson that a proxying gateway becomes the bottleneck is why
 // /v1/statement (redirect) stays the default path; /v1/execute is for
@@ -588,8 +588,8 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if status == http.StatusServiceUnavailable && hdr.Get("X-Presto-Retryable") == "true" {
-			// The coordinator refused for lifecycle reasons (drain): safe to
-			// replay verbatim on the next cluster.
+			// The coordinator refused for availability reasons (drain, no
+			// active worker): safe to replay verbatim on the next cluster.
 			br.Failure()
 			lastErr = fmt.Errorf("cluster %s: %s", addr, strings.TrimSpace(string(respBody)))
 			continue

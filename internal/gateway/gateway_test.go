@@ -16,6 +16,10 @@ import (
 // startCluster creates a one-worker cluster whose memory catalog carries a
 // marker value so tests can see which cluster served a query.
 func startCluster(t *testing.T, marker string) *cluster.Coordinator {
+	return startClusterWithWorkers(t, marker, 1)
+}
+
+func startClusterWithWorkers(t *testing.T, marker string, workers int) *cluster.Coordinator {
 	t.Helper()
 	mem := memory.New("memory")
 	if err := mem.CreateTable("meta", "whoami", []connector.Column{
@@ -26,13 +30,15 @@ func startCluster(t *testing.T, marker string) *cluster.Coordinator {
 	reg := connector.NewRegistry()
 	reg.Register("memory", mem)
 	coord := cluster.NewCoordinator(reg)
-	w := cluster.NewWorker(reg)
-	w.GracePeriod = 10 * time.Millisecond
-	if err := w.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
+	for i := 0; i < workers; i++ {
+		w := cluster.NewWorker(reg)
+		w.GracePeriod = 10 * time.Millisecond
+		if err := w.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		coord.AddWorker(w.Addr())
 	}
-	t.Cleanup(func() { w.Close() })
-	coord.AddWorker(w.Addr())
 	if err := coord.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -177,6 +177,64 @@ func TestExecuteRelaysStatementErrors(t *testing.T) {
 	}
 }
 
+// TestExecuteResubmitsOffWorkerlessCluster: the routed cluster's coordinator
+// is up and plans the statement but has no worker to run it. That is the
+// cluster's condition, not the statement's, so the coordinator answers the
+// retryable 503 and /v1/execute replays the statement on the healthy cluster;
+// a statement the gateway cannot prove idempotent still gets one attempt, and
+// a planning error is still the statement's own 400.
+func TestExecuteResubmitsOffWorkerlessCluster(t *testing.T) {
+	c0 := startClusterWithWorkers(t, "c0", 0)
+	c1 := startCluster(t, "c1")
+	gw, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{{"c0", c0.Addr()}, {"c1", c1.Addr()}} {
+		if err := gw.AddCluster(c[0], c[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gw.SetRoute("default", "c0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	resubmissions := func() int64 { return gw.Obs().Snapshot().Counters["gateway_resubmissions"] }
+
+	cl := NewClient(gw.Addr())
+	req := cluster.StatementRequest{Query: "SELECT cluster FROM whoami", Catalog: "memory", Schema: "meta", User: "bob"}
+	res, err := cl.Execute(req, "bob", "")
+	if err != nil {
+		t.Fatalf("execute routed to a worker-less cluster: %v", err)
+	}
+	rows, err := res.Rows()
+	if err != nil || len(rows) != 1 || rows[0][0] != "c1" {
+		t.Fatalf("rows = %v, %v; want one row served by c1", rows, err)
+	}
+	if got := resubmissions(); got != 1 {
+		t.Fatalf("gateway_resubmissions = %d, want 1", got)
+	}
+
+	// The leading comment hides the SELECT from IsIdempotentStatement.
+	req.Query = "-- tile 7\nSELECT cluster FROM whoami"
+	if _, err := cl.Execute(req, "bob", ""); err == nil || !strings.Contains(err.Error(), "no active workers") {
+		t.Fatalf("statement not known to be idempotent: err = %v, want c0's refusal", err)
+	}
+	req.Query = "SELECT nope FROM whoami"
+	if _, err := cl.Execute(req, "bob", ""); err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("planning error: err = %v, want the coordinator's 400 relayed", err)
+	}
+	if got := resubmissions(); got != 1 {
+		t.Fatalf("gateway_resubmissions = %d after two statements that must not resubmit, want 1", got)
+	}
+	if got := c1.Obs().Snapshot().Counters["queries_submitted"]; got != 1 {
+		t.Fatalf("c1 queries_submitted = %d, want 1", got)
+	}
+}
+
 // TestExecuteBreakerOpensOnDeadCluster: repeated transport failures against
 // a killed coordinator open its circuit, and while it is open the gateway
 // stops offering that cluster resubmission attempts.

@@ -332,6 +332,41 @@ func BenchmarkStContains(b *testing.B) {
 	}
 }
 
+// QuadTree parameter sweep (design-choice ablation).
+func BenchmarkGeoQuadTreeParams(b *testing.B) {
+	var wkts []string
+	for i := 0; i < 500; i++ {
+		c := float64(i%25)*10 + 5
+		r := float64(i/25)*10 + 5
+		wkts = append(wkts, fmt.Sprintf("POLYGON ((%v %v, %v %v, %v %v, %v %v, %v %v))",
+			c-4, r-4, c+4, r-4, c+4, r+4, c-4, r+4, c-4, r-4))
+	}
+	for _, maxEntries := range []int{2, 8, 32, 128} {
+		b.Run(fmt.Sprintf("maxEntries=%d", maxEntries), func(b *testing.B) {
+			var boxes []BBox
+			bounds := EmptyBBox()
+			for _, w := range wkts {
+				g, err := ParseWKT(w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bb := BoundsOf(g)
+				boxes = append(boxes, bb)
+				bounds = bounds.Union(bb)
+			}
+			tree := NewQuadTree(bounds, QuadTreeOptions{MaxEntries: maxEntries})
+			for i, bb := range boxes {
+				tree.Insert(int32(i), bb)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := Point{Lng: float64(i%250) + 0.5, Lat: float64((i*7)%200) + 0.5}
+				tree.Candidates(p, nil)
+			}
+		})
+	}
+}
+
 func ExampleFormatPoint() {
 	fmt.Println(FormatPoint(Point{Lng: 77.3548351, Lat: 28.6973627}))
 	// Output: POINT (77.3548351 28.6973627)

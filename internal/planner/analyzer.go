@@ -11,14 +11,13 @@ import (
 )
 
 // Session carries per-query context: default catalog/schema for unqualified
-// table names and session properties (e.g. join strategy, §XII.A).
+// table names and session properties (§XII.A).
 type Session struct {
 	Catalog string
 	Schema  string
 	User    string
-	// Properties holds session properties such as "join_distribution_type"
-	// ("partitioned" or "broadcast") and "geospatial_optimization"
-	// ("true"/"false").
+	// Properties holds session properties; sessionProperties (session.go)
+	// lists the names a session may set.
 	Properties map[string]string
 }
 
@@ -367,7 +366,7 @@ func (a *Analyzer) planJoin(j *sql.Join) (Node, *scope, error) {
 		kind = JoinCross
 	}
 
-	node := &Join{Kind: kind, Left: left, Right: right, Strategy: a.joinStrategy()}
+	node := &Join{Kind: kind, Left: left, Right: right}
 	if j.On != nil {
 		on, err := a.analyzeExpr(j.On, combined, false)
 		if err != nil {
@@ -513,13 +512,6 @@ func projectWithExtras(child Node, extras []expr.RowExpression) Node {
 		names = append(names, fmt.Sprintf("$joinkey%d", i))
 	}
 	return &Project{Child: child, Exprs: exprs, Names: names}
-}
-
-func (a *Analyzer) joinStrategy() JoinStrategy {
-	if a.Session.Property("join_distribution_type", "partitioned") == "broadcast" {
-		return JoinBroadcast
-	}
-	return JoinPartitioned
 }
 
 // analyzeSelectItems expands * and analyzes each projection.

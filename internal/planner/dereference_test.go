@@ -150,7 +150,7 @@ func TestDereferencePushdownThroughJoinPlan(t *testing.T) {
 	want := `- Output[region, sum(t.base.fare)]
     - Aggregate(SINGLE)[keys=[region]; sum(t.base.fare) := sum(fare)]
         - Project[region := c.region, fare := base.fare]
-            - INNERJoin(PARTITIONED)[$joinkey0 = city_id]
+            - INNERJoin[$joinkey0 = city_id]
                 - Project[$joinkey0 := base.city_id, base.fare := base.fare]
                     - TableScan[hive.rawdata.trips, hive:rawdata.trips partition[datestr = "2017-03-01"] nestedPaths=[base.city_id base.fare]] => [base.city_id, base.fare]
                 - TableScan[hive.rawdata.cities, hive:rawdata.cities columns=[0 2]] => [city_id, region]

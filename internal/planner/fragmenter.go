@@ -82,52 +82,10 @@ func (f *Fragmenter) rewrite(n Node, fp *FragmentedPlan) Node {
 		frag := f.newSourceFragment(n, fp)
 		return &RemoteSource{FragmentID: frag.ID, Cols: n.Outputs()}
 	}
-	switch t := n.(type) {
-	case *Output:
-		t2 := *t
-		t2.Child = f.rewrite(t.Child, fp)
-		return &t2
-	case *Filter:
-		t2 := *t
-		t2.Child = f.rewrite(t.Child, fp)
-		return &t2
-	case *Project:
-		t2 := *t
-		t2.Child = f.rewrite(t.Child, fp)
-		return &t2
-	case *Aggregate:
-		t2 := *t
-		t2.Child = f.rewrite(t.Child, fp)
-		return &t2
-	case *Join:
-		t2 := *t
-		t2.Left = f.rewrite(t.Left, fp)
-		t2.Right = f.rewrite(t.Right, fp)
-		return &t2
-	case *GeoJoin:
-		t2 := *t
-		t2.Left = f.rewrite(t.Left, fp)
-		t2.Right = f.rewrite(t.Right, fp)
-		return &t2
-	case *Sort:
-		t2 := *t
-		t2.Child = f.rewrite(t.Child, fp)
-		return &t2
-	case *Limit:
-		t2 := *t
-		t2.Child = f.rewrite(t.Child, fp)
-		return &t2
-	case *Union:
-		// Each union side becomes its own source fragment (hybrid tables:
-		// one per connector), read back through RemoteSources.
-		t2 := Union{Sources: make([]Node, len(t.Sources))}
-		for i, src := range t.Sources {
-			t2.Sources[i] = f.rewrite(src, fp)
-		}
-		return &t2
-	default:
-		return n
-	}
+	// Anything else stays on the coordinator over its fragmented children; a
+	// union's sides each become their own source fragment (hybrid tables: one
+	// per connector), read back through RemoteSources.
+	return mapChildren(n, func(c Node) Node { return f.rewrite(c, fp) })
 }
 
 // finalOver builds the AggFinal matching agg over the given (remote) child.

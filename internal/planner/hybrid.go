@@ -25,55 +25,12 @@ func (o *Optimizer) expandHybridScans(n Node) Node {
 			}
 		}
 	}
-	switch t := n.(type) {
-	case *TableScan:
-		if spec, isHybrid := o.hybridSpec(t); isHybrid {
-			return o.expandHybrid(t, spec, nil)
+	if scan, isScan := n.(*TableScan); isScan {
+		if spec, isHybrid := o.hybridSpec(scan); isHybrid {
+			return o.expandHybrid(scan, spec, nil)
 		}
-		return t
-	case *Filter:
-		t2 := *t
-		t2.Child = o.expandHybridScans(t.Child)
-		return &t2
-	case *Project:
-		t2 := *t
-		t2.Child = o.expandHybridScans(t.Child)
-		return &t2
-	case *Aggregate:
-		t2 := *t
-		t2.Child = o.expandHybridScans(t.Child)
-		return &t2
-	case *Join:
-		t2 := *t
-		t2.Left = o.expandHybridScans(t.Left)
-		t2.Right = o.expandHybridScans(t.Right)
-		return &t2
-	case *GeoJoin:
-		t2 := *t
-		t2.Left = o.expandHybridScans(t.Left)
-		t2.Right = o.expandHybridScans(t.Right)
-		return &t2
-	case *Sort:
-		t2 := *t
-		t2.Child = o.expandHybridScans(t.Child)
-		return &t2
-	case *Limit:
-		t2 := *t
-		t2.Child = o.expandHybridScans(t.Child)
-		return &t2
-	case *Output:
-		t2 := *t
-		t2.Child = o.expandHybridScans(t.Child)
-		return &t2
-	case *Union:
-		t2 := Union{Sources: make([]Node, len(t.Sources))}
-		for i, src := range t.Sources {
-			t2.Sources[i] = o.expandHybridScans(src)
-		}
-		return &t2
-	default:
-		return n
 	}
+	return mapChildren(n, o.expandHybridScans)
 }
 
 func (o *Optimizer) hybridSpec(scan *TableScan) (connector.HybridSpec, bool) {

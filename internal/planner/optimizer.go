@@ -67,50 +67,7 @@ func (o *Optimizer) Optimize(root Node) Node {
 
 // rewrite applies fn bottom-up over the tree.
 func rewrite(n Node, fn func(Node) Node) Node {
-	switch t := n.(type) {
-	case *Filter:
-		t2 := *t
-		t2.Child = rewrite(t.Child, fn)
-		return fn(&t2)
-	case *Project:
-		t2 := *t
-		t2.Child = rewrite(t.Child, fn)
-		return fn(&t2)
-	case *Aggregate:
-		t2 := *t
-		t2.Child = rewrite(t.Child, fn)
-		return fn(&t2)
-	case *Join:
-		t2 := *t
-		t2.Left = rewrite(t.Left, fn)
-		t2.Right = rewrite(t.Right, fn)
-		return fn(&t2)
-	case *GeoJoin:
-		t2 := *t
-		t2.Left = rewrite(t.Left, fn)
-		t2.Right = rewrite(t.Right, fn)
-		return fn(&t2)
-	case *Sort:
-		t2 := *t
-		t2.Child = rewrite(t.Child, fn)
-		return fn(&t2)
-	case *Limit:
-		t2 := *t
-		t2.Child = rewrite(t.Child, fn)
-		return fn(&t2)
-	case *Output:
-		t2 := *t
-		t2.Child = rewrite(t.Child, fn)
-		return fn(&t2)
-	case *Union:
-		t2 := Union{Sources: make([]Node, len(t.Sources))}
-		for i, src := range t.Sources {
-			t2.Sources[i] = rewrite(src, fn)
-		}
-		return fn(&t2)
-	default:
-		return fn(n)
-	}
+	return fn(mapChildren(n, func(c Node) Node { return rewrite(c, fn) }))
 }
 
 // mergeFilters collapses Filter(Filter(x)) into one conjunction.
@@ -736,7 +693,7 @@ func pruneNode(n Node, required []int, catalogs *connector.Registry) (Node, []in
 		}
 		newLeft, leftMap := pruneNode(t.Left, keys(leftNeeds), catalogs)
 		newRight, rightMap := pruneNode(t.Right, keys(rightNeeds), catalogs)
-		nj := &Join{Kind: t.Kind, Strategy: t.Strategy, Left: newLeft, Right: newRight}
+		nj := &Join{Kind: t.Kind, Left: newLeft, Right: newRight}
 		for i := range t.LeftKeys {
 			nj.LeftKeys = append(nj.LeftKeys, leftMap[t.LeftKeys[i]])
 			nj.RightKeys = append(nj.RightKeys, rightMap[t.RightKeys[i]])

@@ -288,27 +288,10 @@ func (k JoinKind) String() string {
 	return "INNER"
 }
 
-// JoinStrategy selects how the build side distributes (§XII.A discussion:
-// broadcast vs distributed hash join chosen by session property).
-type JoinStrategy int
-
-const (
-	JoinPartitioned JoinStrategy = iota
-	JoinBroadcast
-)
-
-func (s JoinStrategy) String() string {
-	if s == JoinBroadcast {
-		return "BROADCAST"
-	}
-	return "PARTITIONED"
-}
-
 // Join is a hash join. Equi-keys pair LeftKeys[i] with RightKeys[i];
 // Residual (over concatenated left+right channels) applies afterwards.
 type Join struct {
 	Kind      JoinKind
-	Strategy  JoinStrategy
 	Left      Node
 	Right     Node
 	LeftKeys  []int
@@ -328,7 +311,7 @@ func (j *Join) Describe() string {
 	for i := range j.LeftKeys {
 		conds[i] = lo[j.LeftKeys[i]].Name + " = " + ro[j.RightKeys[i]].Name
 	}
-	s := fmt.Sprintf("%sJoin(%s)[%s]", j.Kind, j.Strategy, strings.Join(conds, " AND "))
+	s := fmt.Sprintf("%sJoin[%s]", j.Kind, strings.Join(conds, " AND "))
 	if j.Residual != nil {
 		s += " filter=" + j.Residual.String()
 	}
@@ -440,6 +423,57 @@ func (r *RemoteSource) Describe() string {
 }
 
 // ---------------------------------------------------------------------------
+
+// mapChildren returns a copy of n whose children are f of n's children; a
+// leaf is returned as it is. The passes that treat every node type alike
+// (rewrite, the fragmenter, the hybrid expansion) recurse through here, so a
+// node type with children is listed once for all of them.
+func mapChildren(n Node, f func(Node) Node) Node {
+	switch t := n.(type) {
+	case *Filter:
+		t2 := *t
+		t2.Child = f(t.Child)
+		return &t2
+	case *Project:
+		t2 := *t
+		t2.Child = f(t.Child)
+		return &t2
+	case *Aggregate:
+		t2 := *t
+		t2.Child = f(t.Child)
+		return &t2
+	case *Join:
+		t2 := *t
+		t2.Left = f(t.Left)
+		t2.Right = f(t.Right)
+		return &t2
+	case *GeoJoin:
+		t2 := *t
+		t2.Left = f(t.Left)
+		t2.Right = f(t.Right)
+		return &t2
+	case *Sort:
+		t2 := *t
+		t2.Child = f(t.Child)
+		return &t2
+	case *Limit:
+		t2 := *t
+		t2.Child = f(t.Child)
+		return &t2
+	case *Output:
+		t2 := *t
+		t2.Child = f(t.Child)
+		return &t2
+	case *Union:
+		t2 := Union{Sources: make([]Node, len(t.Sources))}
+		for i, src := range t.Sources {
+			t2.Sources[i] = f(src)
+		}
+		return &t2
+	default:
+		return n
+	}
+}
 
 // Format renders a plan tree for EXPLAIN.
 func Format(n Node) string {

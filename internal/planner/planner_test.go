@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -165,8 +167,8 @@ func TestFragmenterConstantQuery(t *testing.T) {
 }
 
 func TestSessionProperties(t *testing.T) {
-	s := &Session{Properties: map[string]string{"join_distribution_type": "broadcast"}}
-	if s.Property("join_distribution_type", "partitioned") != "broadcast" {
+	s := &Session{Properties: map[string]string{"geospatial_optimization": "false"}}
+	if s.Property("geospatial_optimization", "true") != "false" {
 		t.Error("property lookup failed")
 	}
 	if s.Property("missing", "dflt") != "dflt" {
@@ -176,17 +178,32 @@ func TestSessionProperties(t *testing.T) {
 	if nilSession.Property("x", "d") != "d" {
 		t.Error("nil session should return default")
 	}
-	n := plan(t, "SELECT t.b FROM t JOIN u ON t.a = u.a", false)
-	_ = n // strategy checked via Describe below
-	q, _ := sql.ParseQuery("SELECT t.b FROM t JOIN u ON t.a = u.a")
-	a := &Analyzer{Catalogs: testCatalogs(t), Session: &Session{Catalog: "memory", Schema: "s",
-		Properties: map[string]string{"join_distribution_type": "broadcast"}}}
-	bn, err := a.Analyze(q)
+}
+
+// README's "Session properties" table has one row per name in
+// sessionProperties and none extra, so the documented set is the accepted set.
+func TestREADMEListsEverySessionProperty(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(Format(bn), "BROADCAST") {
-		t.Errorf("broadcast strategy missing:\n%s", Format(bn))
+	_, section, ok := strings.Cut(string(readme), "\n## Session properties\n")
+	if !ok {
+		t.Fatal(`README.md has no "## Session properties" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if rest, isRow := strings.CutPrefix(line, "| `"); isRow {
+			name, _, _ := strings.Cut(rest, "`")
+			rows = append(rows, name)
+		}
+	}
+	want := slices.Clone(sessionProperties)
+	slices.Sort(rows)
+	slices.Sort(want)
+	if !slices.Equal(rows, want) {
+		t.Errorf("README rows %v\nsessionProperties %v", rows, want)
 	}
 }
 
@@ -240,7 +257,7 @@ func TestConstantFolding(t *testing.T) {
 
 // TestExecProperties: the one parser behind the embedded engine and the
 // coordinator applies defaults, keeps "unset" apart from zero, and rejects
-// malformed values with one error text.
+// malformed values and unknown names with one error text.
 func TestExecProperties(t *testing.T) {
 	got, err := (&Session{}).ExecProperties()
 	if err != nil || got != (ExecProperties{SpillEnabled: true, ResultCache: true}) {
@@ -259,5 +276,12 @@ func TestExecProperties(t *testing.T) {
 		if _, err := s.ExecProperties(); err == nil || !strings.Contains(err.Error(), "session: bad "+prop) {
 			t.Errorf("%s=%q: err = %v", prop, bad, err)
 		}
+	}
+	// A name outside the list (misspelt, or retired) is refused, not ignored.
+	s = &Session{Properties: map[string]string{"task_concurency": "4", "task_concurrency": "4"}}
+	_, err = s.ExecProperties()
+	if err == nil || !strings.Contains(err.Error(), `unknown property "task_concurency"`) ||
+		!strings.Contains(err.Error(), strings.Join(sessionProperties, ", ")) {
+		t.Errorf("err = %v, want the unknown name and the known ones listed", err)
 	}
 }

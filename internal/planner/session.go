@@ -2,7 +2,9 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"prestolite/internal/connector"
@@ -48,8 +50,37 @@ type ExecProperties struct {
 	ResultCache bool
 }
 
-// ExecProperties parses the session's execution properties.
+// sessionProperties are the names a session may set, all of them. README's
+// "Session properties" table has one row per name (a test holds it to this
+// list); the first five are ExecProperties' own, the planner reads
+// geospatial_optimization and the coordinator's admission reads
+// resource_group.
+var sessionProperties = []string{
+	"task_concurrency",
+	"query_max_memory",
+	"spill_enabled",
+	"query_max_run_ms",
+	"result_cache",
+	"geospatial_optimization",
+	"resource_group",
+}
+
+// ExecProperties parses the session's execution properties. A name outside
+// sessionProperties is an error: a misspelt property must not run with the
+// default and say nothing.
 func (s *Session) ExecProperties() (ExecProperties, error) {
+	if s != nil {
+		var unknown []string
+		for name := range s.Properties {
+			if !slices.Contains(sessionProperties, name) {
+				unknown = append(unknown, name)
+			}
+		}
+		if len(unknown) > 0 {
+			slices.Sort(unknown) // the same error whichever way the map iterates
+			return ExecProperties{}, fmt.Errorf("session: unknown property %q (known: %s)", unknown[0], strings.Join(sessionProperties, ", "))
+		}
+	}
 	p := ExecProperties{
 		SpillEnabled: s.Property("spill_enabled", "true") == "true",
 		ResultCache:  s.Property("result_cache", "true") != "false",
