@@ -307,26 +307,3 @@ func TestEncodeDecodePageRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestEncodePageFlattensEncodedBlocks(t *testing.T) {
-	dict := FromValues(types.Varchar, "sf", "nyc")
-	p := NewPage(
-		&DictionaryBlock{Dictionary: dict, Ids: []int32{0, 1, 0}},
-		NewRunLengthBlock(SingleValue(types.Bigint, int64(7)), 3),
-		NewLazyBlock(3, func() Block { return FromValues(types.Double, 1.0, 2.0, 3.0) }),
-	)
-	data, err := EncodePage(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePage(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]any{{"sf", int64(7), 1.0}, {"nyc", int64(7), 2.0}, {"sf", int64(7), 3.0}}
-	for i, w := range want {
-		if !reflect.DeepEqual(got.Row(i), w) {
-			t.Errorf("row %d = %v, want %v", i, got.Row(i), w)
-		}
-	}
-}

@@ -158,38 +158,114 @@ func TestQuickRegionConsistent(t *testing.T) {
 	}
 }
 
-// Property: pages survive the wire codec.
+// randomColumn builds a column of count rows of a random type in one of the
+// shapes the codec is handed: flat, dictionary (small or larger than its
+// ids), run length, lazy, or a window of a larger block (nested offsets that
+// do not start at zero). keeps names the kind that must survive the codec.
+func randomColumn(r *rand.Rand, count int) (b Block, keeps string) {
+	typ := quickTypes[r.Intn(len(quickTypes))]
+	flat := func(n int) Block {
+		vals := make([]any, n)
+		for i := range vals {
+			vals[i] = randomValue(r, typ, 2)
+		}
+		return FromValues(typ, vals...)
+	}
+	switch r.Intn(6) {
+	case 0:
+		size := r.Intn(count+3) + 1 // now and then larger than its ids
+		ids := make([]int32, count)
+		for i := range ids {
+			ids[i] = int32(r.Intn(size+1)) - 1 // -1 = null
+		}
+		if size <= count {
+			keeps = "dictionary"
+		}
+		return &DictionaryBlock{Dictionary: flat(size), Ids: ids}, keeps
+	case 1:
+		if count >= 2 {
+			keeps = "runlength"
+		}
+		return NewRunLengthBlock(flat(1), count), keeps
+	case 2:
+		return NewLazyBlock(count, func() Block { return flat(count) }), ""
+	case 3:
+		off := r.Intn(5)
+		return flat(off+count+r.Intn(5)).Region(off, count), ""
+	case 4:
+		inner, _ := randomColumn(r, count)
+		return NewRowBlock(count, []Block{inner, flat(count)}, nil), ""
+	default:
+		return flat(count), ""
+	}
+}
+
+// Property: DecodePage(EncodePage(p)) equals p value for value and null for
+// null for every kind, nested and empty pages included; dictionary and
+// run-length columns come back as what they were; and the page reads the same
+// as what the gob codec this one replaced hands back.
 func TestQuickCodecRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		count := r.Intn(30) + 1
-		cols := r.Intn(3) + 1
-		blocks := make([]Block, cols)
+		count := r.Intn(31) // empty pages too
+		blocks := make([]Block, r.Intn(4))
+		keeps := make([]string, len(blocks))
 		for c := range blocks {
-			typ := quickTypes[r.Intn(len(quickTypes))]
-			vals := make([]any, count)
-			for i := range vals {
-				vals[i] = randomValue(r, typ, 2)
-			}
-			blocks[c] = FromValues(typ, vals...)
+			blocks[c], keeps[c] = randomColumn(r, count)
 		}
-		p := NewPage(blocks...)
+		p := &Page{Blocks: blocks, N: count}
 		data, err := EncodePage(p)
 		if err != nil {
+			t.Log(err)
 			return false
 		}
 		got, err := DecodePage(data)
 		if err != nil {
+			t.Log(err)
 			return false
 		}
+		oracleData, err := gobEncodePage(p)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		oracle, err := gobDecodePage(oracleData)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if got.N != count || len(got.Blocks) != len(blocks) || oracle.N != count {
+			t.Logf("decoded %d x %d, want %d x %d", got.N, len(got.Blocks), count, len(blocks))
+			return false
+		}
+		for c, b := range got.Blocks {
+			_, isDict := b.(*DictionaryBlock)
+			_, isRLE := b.(*RunLengthBlock)
+			if isDict != (keeps[c] == "dictionary") || isRLE != (keeps[c] == "runlength") {
+				t.Logf("column %d (%T) decoded as %T, want it to keep %q", c, Unwrap(blocks[c]), b, keeps[c])
+				return false
+			}
+			for i := 0; i < count; i++ {
+				if b.IsNull(i) != blocks[c].IsNull(i) {
+					t.Logf("column %d row %d: null = %v, want %v", c, i, b.IsNull(i), blocks[c].IsNull(i))
+					return false
+				}
+			}
+		}
 		for i := 0; i < count; i++ {
-			if !reflect.DeepEqual(normalize(got.Row(i)), normalize(p.Row(i))) {
+			want := normalize(p.Row(i))
+			if !reflect.DeepEqual(normalize(got.Row(i)), want) {
+				t.Logf("row %d = %v, want %v", i, got.Row(i), p.Row(i))
+				return false
+			}
+			if !reflect.DeepEqual(normalize(oracle.Row(i)), want) {
+				t.Logf("row %d: the gob oracle reads %v, want %v", i, oracle.Row(i), p.Row(i))
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -713,7 +713,9 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	}
 	var rows int64
 	for _, p := range pages {
-		data, err := block.EncodePage(p)
+		// Worker pages arrive with their dictionary and run-length columns
+		// intact; what a client is sent is flat, as it always was.
+		data, err := block.EncodePage(block.MaterializePage(p))
 		if err != nil {
 			return nil, "", err
 		}
@@ -782,7 +784,7 @@ type taskHandle struct {
 	req TaskRequest
 
 	mu       sync.Mutex
-	stats    []obs.OperatorStatsSnapshot // from the Done chunk, if seen
+	stats    []obs.OperatorStatsSnapshot // from the response that reported done, if seen
 	abortErr error
 }
 
@@ -809,7 +811,7 @@ func (t *taskHandle) setStats(s []obs.OperatorStatsSnapshot) {
 }
 
 // taskStats returns the task's operator statistics. Tasks drained to
-// completion shipped them on the Done chunk; tasks abandoned early (LIMIT
+// completion shipped them with their last pages; tasks abandoned early (LIMIT
 // satisfied upstream) are asked for a live snapshot.
 func (t *taskHandle) taskStats() []obs.OperatorStatsSnapshot {
 	t.mu.Lock()
@@ -849,25 +851,27 @@ func (w *workerClient) startTask(req TaskRequest) (*taskHandle, error) {
 	return &taskHandle{worker: w, taskID: req.TaskID, req: req}, nil
 }
 
-// fetchPage fetches result page n by index. Naming the page (instead of the
-// worker keeping a cursor) makes the fetch idempotent, which is what allows
-// the retry and hedging layers to fire duplicates safely.
-func (t *taskHandle) fetchPage(page int) (TaskResultChunk, error) {
-	resp, err := t.worker.http.Get(fmt.Sprintf("http://%s/v1/task/%s/results?page=%d", t.worker.addr, t.taskID, page))
+// fetchResults fetches the task's published pages from index page on.
+// Naming the page (instead of the worker keeping a cursor) makes the fetch
+// idempotent, which is what allows the retry and hedging layers to fire
+// duplicates safely. The response is checked and decoded here, so one damaged
+// in flight is this fetch's error and is retried like any other.
+func (t *taskHandle) fetchResults(page int) (taskResults, error) {
+	resp, err := t.worker.http.Get("http://" + t.worker.addr + "/v1/task/" + t.taskID + "/results?page=" + strconv.Itoa(page))
 	if err != nil {
-		return TaskResultChunk{}, err
+		return taskResults{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024)) // best-effort error detail
-		return TaskResultChunk{}, fmt.Errorf("task %s on %s: status %d: %s",
+		return taskResults{}, fmt.Errorf("task %s on %s: status %d: %s",
 			t.taskID, t.worker.addr, resp.StatusCode, bytes.TrimSpace(body))
 	}
-	var chunk TaskResultChunk
-	if err := gob.NewDecoder(resp.Body).Decode(&chunk); err != nil {
-		return TaskResultChunk{}, err
+	body := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		return taskResults{}, err
 	}
-	return chunk, nil
+	return readResults(body.Bytes(), page)
 }
 
 func (t *taskHandle) delete() {

@@ -14,6 +14,7 @@ import (
 	"prestolite/internal/metastore"
 	"prestolite/internal/parquet"
 	"prestolite/internal/planner"
+	"prestolite/internal/sql"
 	"prestolite/internal/types"
 )
 
@@ -25,29 +26,22 @@ import (
 // nothing to recover it, taking the whole worker process down.)
 func TestCorruptLazyChunkFailsTheQueryNotTheWorker(t *testing.T) {
 	inj := fault.NewInjector(1)
-	base := hdfs.New(hdfs.Config{})
-	var fs fsys.FileSystem = &fault.FS{Injector: inj, Base: base}
-	ms := metastore.New()
-	loader := &hive.Loader{MS: ms, FS: fs}
-	cols := []metastore.Column{{Name: "k", Type: types.Bigint}, {Name: "v", Type: types.Varchar}}
-	var pages []*block.Page
-	for f := 0; f < 4; f++ {
-		pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Varchar})
-		for i := 0; i < 64; i++ {
-			pb.AppendRow([]any{int64(f*64 + i), fmt.Sprintf("v-%d", i%5)})
+	reg, base, victim := lazyColumnCatalogs(t, inj)
+	coord := NewCoordinatorWithConfig(reg, ClientConfig{})
+	var workers []*Worker
+	for i := 0; i < 2; i++ {
+		w := NewWorker(reg)
+		w.EnableFragmentResultCache = true // a task that failed must leave nothing in it
+		if err := w.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
 		}
-		pages = append(pages, pb.Build())
+		t.Cleanup(func() { w.Close() })
+		coord.AddWorker(w.Addr())
+		workers = append(workers, w)
 	}
-	if err := loader.CreateTable("s", "t", cols, pages); err != nil {
-		t.Fatal(err)
-	}
-	reg := connector.NewRegistry()
-	reg.Register("hive", hive.New("hive", ms, fs, hive.Options{}))
-	coord, workers := chaosCluster(t, reg, 2, ClientConfig{})
 	session := &planner.Session{Catalog: "hive", Schema: "s", User: "corrupt", Properties: map[string]string{"task_concurrency": "4"}}
 
 	// Where v's chunk sits in one of the files.
-	const victim = "/warehouse/s/t/part-00002"
 	file, err := base.Open(victim)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +73,14 @@ func TestCorruptLazyChunkFailsTheQueryNotTheWorker(t *testing.T) {
 	inj.FaultFS(fault.FSRule{Path: victim, Ops: []string{"read"}, CorruptProb: 1, Offset: chunk.DataOffset, Length: int64(chunk.DataLen)})
 	// The rule names v's data pages; the reader fetches them in one read with
 	// v's dictionary page in front, which the rule must still catch.
+	workerCounter := func(name string) (n int64) {
+		for _, w := range workers {
+			n += w.Obs.Snapshot().Counters[name]
+		}
+		return n
+	}
 	for _, q := range queries {
-		before := inj.Counters.FSCorruptReads.Load()
+		before, failedBefore := inj.Counters.FSCorruptReads.Load(), workerCounter("tasks_failed")
 		_, err := coord.Query(session, q)
 		if err == nil {
 			t.Fatalf("%s: succeeded over a corrupt chunk", q)
@@ -91,13 +91,23 @@ func TestCorruptLazyChunkFailsTheQueryNotTheWorker(t *testing.T) {
 		if inj.Counters.FSCorruptReads.Load() == before {
 			t.Fatalf("%s: nothing was corrupted: the test was a no-op", q)
 		}
+		// The column is loaded inside the task, when its output is encoded:
+		// the task that could not read it is a failed task, not a completed
+		// one whose results request failed later.
+		if workerCounter("tasks_failed") == failedBefore {
+			t.Errorf("%s: no worker counted a failed task", q)
+		}
+	}
+	// So nothing of it was cached: a worker holds no more fragment results
+	// than tasks it completed, and the failed ones are not among those.
+	for _, w := range workers {
+		if n, completed := int64(w.fragCache.Len()), w.Obs.Snapshot().Counters["tasks_completed"]; n > completed {
+			t.Errorf("worker %s cached %d fragment results but completed %d tasks", w.Addr(), n, completed)
+		}
 	}
 
 	inj.Reset()
-	started := int64(0)
-	for _, w := range workers {
-		started -= w.Obs.Snapshot().Counters["tasks_started"]
-	}
+	started := -workerCounter("tasks_started")
 	for _, q := range queries {
 		res, err := coord.Query(session, q)
 		if err != nil {
@@ -111,10 +121,61 @@ func TestCorruptLazyChunkFailsTheQueryNotTheWorker(t *testing.T) {
 			t.Errorf("%s: %d rows, want %d", q, len(rows), want)
 		}
 	}
-	for _, w := range workers {
-		started += w.Obs.Snapshot().Counters["tasks_started"]
-	}
-	if started == 0 {
+	if started += workerCounter("tasks_started"); started == 0 {
 		t.Error("the second round ran no task on the original workers")
 	}
+}
+
+// lazyColumnCatalogs builds hive table s.t (k bigint, v varchar; 4 files of 64
+// rows) over the simulated HDFS, behind the fault-injecting filesystem when
+// inj != nil. A pushed predicate on k makes the reader decode k eagerly and
+// hand v out as a lazy block. victim is one of the table's files.
+func lazyColumnCatalogs(t *testing.T, inj *fault.Injector) (reg *connector.Registry, base *hdfs.NameNode, victim string) {
+	t.Helper()
+	base = hdfs.New(hdfs.Config{})
+	var fs fsys.FileSystem = base
+	if inj != nil {
+		fs = &fault.FS{Injector: inj, Base: base}
+	}
+	ms := metastore.New()
+	loader := &hive.Loader{MS: ms, FS: fs}
+	cols := []metastore.Column{{Name: "k", Type: types.Bigint}, {Name: "v", Type: types.Varchar}}
+	var pages []*block.Page
+	for f := 0; f < 4; f++ {
+		pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Varchar})
+		for i := 0; i < 64; i++ {
+			pb.AppendRow([]any{int64(f*64 + i), fmt.Sprintf("v-%d", i%5)})
+		}
+		pages = append(pages, pb.Build())
+	}
+	if err := loader.CreateTable("s", "t", cols, pages); err != nil {
+		t.Fatal(err)
+	}
+	reg = connector.NewRegistry()
+	reg.Register("hive", hive.New("hive", ms, fs, hive.Options{}))
+	return reg, base, "/warehouse/s/t/part-00002"
+}
+
+// sourceFragment plans query (catalog hive, schema s) and returns its one
+// source fragment with the splits of the table it scans.
+func sourceFragment(t *testing.T, reg *connector.Registry, query string) (*planner.Fragment, []connector.Split) {
+	t.Helper()
+	q, err := sql.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.PlanQuery(reg, &planner.Session{Catalog: "hive", Schema: "s"}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag := (&planner.Fragmenter{}).Fragment(plan).Sources[1]
+	conn, err := reg.Get("hive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, err := conn.SplitManager().Splits(frag.Scan.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frag, splits
 }

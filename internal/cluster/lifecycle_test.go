@@ -141,7 +141,7 @@ func TestWorkerGoneFastReschedule(t *testing.T) {
 		taskID: "t0",
 	}
 	before := coord.Obs().Snapshot().Counters["rpc_retries"]
-	_, err = coord.fetchChunk(nil, th, 0)
+	_, err = coord.fetchResults(nil, th, 0)
 	if !errors.Is(err, ErrWorkerGone) {
 		t.Fatalf("fetch from dead worker = %v, want ErrWorkerGone", err)
 	}

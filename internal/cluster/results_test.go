@@ -1,0 +1,233 @@
+package cluster
+
+import (
+	"fmt"
+	"net/http"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"prestolite/internal/block"
+	"prestolite/internal/core"
+	"prestolite/internal/fault"
+	"prestolite/internal/obs"
+)
+
+// roundTripperFunc adapts a function to http.RoundTripper.
+type roundTripperFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripperFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestResultsServeManyPagesUpToTheByteCap: one GET answers with every
+// published frame from the requested index on, up to resultsByteCap — and with
+// one frame when that one alone is larger — so a task's output costs a round
+// trip per MiB, not per page; the pages arrive in order and unchanged, and
+// the operator stats ride on the last response only.
+func TestResultsServeManyPagesUpToTheByteCap(t *testing.T) {
+	const rows = 50_000 // one bigint column: ~400 KB a frame
+	w := NewWorker(newCatalogs(t))
+	if err := w.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	task := &workerTask{stats: obs.NewTaskStats()}
+	task.stats.Register(0, "Output", nil)
+	var frames [][]byte
+	for p, n := range []int{rows, rows, rows, rows, rows, 4 * rows, 1} { // the sixth is over the cap by itself
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(p*rows + i)
+		}
+		data, err := block.EncodePage(block.NewPage(block.NewInt64Block(vals)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, data)
+	}
+	task.finish(frames)
+	w.mu.Lock()
+	w.tasks["t0"] = task
+	w.mu.Unlock()
+
+	var gets atomic.Int64
+	coord := NewCoordinatorWithConfig(newCatalogs(t), ClientConfig{Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
+		gets.Add(1)
+		return http.DefaultTransport.RoundTrip(r)
+	})})
+	th := &taskHandle{worker: &workerClient{addr: w.Addr(), http: coord.cfg.workerHTTPClient()}, taskID: "t0"}
+
+	first, err := th.fetchResults(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.pages) != 2 || first.Done || first.Stats != nil {
+		t.Errorf("GET page=0: %d pages, done=%v, stats=%v; want the 2 frames that fit %d bytes, not done, no stats", len(first.pages), first.Done, first.Stats, resultsByteCap)
+	}
+	if big, err := th.fetchResults(5); err != nil || len(big.pages) != 1 || big.pages[0].Count() != 4*rows {
+		t.Errorf("GET page=5 (one frame over the cap): %d pages, err %v; want that frame alone", len(big.pages), err)
+	}
+	if end, err := th.fetchResults(7); err != nil || len(end.pages) != 0 || !end.Done {
+		t.Errorf("GET page=7 (past the end of a finished task): %+v, err %v; want done and empty", end.resultsHeader, err)
+	}
+
+	gets.Store(0)
+	pages, err := coord.drainOnce(nil, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) != len(frames) {
+		t.Fatalf("drained %d pages, want %d", len(pages), len(frames))
+	}
+	for p, page := range pages {
+		if got := page.Blocks[0].Value(page.Count() - 1); got != int64(p*rows+page.Count()-1) {
+			t.Errorf("page %d ends in %v: out of order or damaged", p, got)
+		}
+	}
+	if got := gets.Load(); got != 5 { // {0,1} {2,3} {4} {5} {6, done}
+		t.Errorf("draining %d frames took %d GETs, want 5", len(frames), got)
+	}
+	if th.taskStats() == nil {
+		t.Error("the operator stats did not arrive with the last pages")
+	}
+}
+
+// TestChaosCorruptedResultsAreRejected: one byte of one worker's first K
+// results responses is flipped in flight. Every one of them must be refused —
+// a checksum covers each byte of the response — and take the ordinary
+// retry → reschedule path, so the query is row-exact against the embedded
+// engine (or fails typed). Before pages were framed a flip inside an int64 or
+// float64 buffer decoded into a different number and was served.
+func TestChaosCorruptedResultsAreRejected(t *testing.T) {
+	embedded := core.New()
+	reg := chaosCatalogs(t, nil)
+	conn, err := reg.Get("hive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	embedded.Register("hive", conn)
+	want := make([]string, len(chaosQueries))
+	for i, q := range chaosQueries {
+		res, err := embedded.Query(chaosSession(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprint(res.Rows())
+	}
+	for _, seed := range chaosSeeds(t) {
+		for _, k := range []int64{1, 3, 9} { // a retry suffices; the last attempt succeeds; tasks are rescheduled
+			t.Logf("chaos seed %d, first %d responses corrupted (re-run with CHAOS_SEED=%d)", seed, k, seed)
+			inj := fault.NewInjector(seed)
+			cfg := chaosConfig(inj)
+			var victim atomic.Value // the faulted worker's address, once chosen
+			var left atomic.Int64
+			faulty := cfg.Transport
+			cfg.Transport = roundTripperFunc(func(r *http.Request) (*http.Response, error) {
+				if r.URL.Host == victim.Load() && strings.HasSuffix(r.URL.Path, "/results") && left.Add(-1) >= 0 {
+					return faulty.RoundTrip(r)
+				}
+				return http.DefaultTransport.RoundTrip(r)
+			})
+			coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, cfg)
+			mustRows(t, coord, chaosQueries[0]) // a clean pass, so busiestWorker has something to read
+			addr := busiestWorker(workers).Addr()
+			inj.FaultHTTP(fault.HTTPRule{Target: addr, Path: "/results", CorruptProb: 1})
+			left.Store(k)
+			victim.Store(addr)
+
+			watchdog(t, 60*time.Second, func() {
+				for i, q := range chaosQueries {
+					res, err := coord.Query(chaosSession(), q)
+					if err != nil {
+						if !IsUnavailable(err) {
+							t.Errorf("seed %d k %d query %d: untyped failure: %v", seed, k, i, err)
+						}
+						continue
+					}
+					rows, err := res.Rows()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := fmt.Sprint(rows); got != want[i] {
+						t.Errorf("seed %d k %d query %d: rows diverged from the embedded engine\ngot  %s\nwant %s", seed, k, i, got, want[i])
+					}
+				}
+			})
+			corrupted := inj.Counters.Corrupted.Load()
+			if corrupted != k {
+				t.Errorf("seed %d: %d responses corrupted, want %d: the fault did not fire as set up", seed, corrupted, k)
+			}
+			// Each refused response is one failed fetch attempt, and a failed
+			// attempt is followed by an RPC retry or, after the last, by a
+			// reschedule of the task.
+			if refused := counter(coord, "rpc_retries") + counter(coord, "task_retries"); refused != corrupted {
+				t.Errorf("seed %d k %d: %d corrupted responses but %d refused (rpc_retries %d + task_retries %d)",
+					seed, k, corrupted, refused, counter(coord, "rpc_retries"), counter(coord, "task_retries"))
+			}
+		}
+	}
+}
+
+// TestConcurrentIdenticalTasksShareFrames: with the fragment result cache on,
+// two tasks over the same fragment and splits are served the same cached
+// output at the same time. What they share is immutable encoded frames whose
+// lazy columns were loaded when the first task published them; it used to be
+// unloaded pages, loaded by whichever results handler came first under two
+// different task locks. Meant for -race.
+func TestConcurrentIdenticalTasksShareFrames(t *testing.T) {
+	reg, _, _ := lazyColumnCatalogs(t, nil)
+	frag, splits := sourceFragment(t, reg, "SELECT v FROM t WHERE k >= 0")
+	w := NewWorker(reg)
+	w.EnableFragmentResultCache = true
+	if err := w.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	req := TaskRequest{TaskID: "warm", Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits, Drivers: 2}
+	warm := &workerTask{stats: obs.NewTaskStats()}
+	w.runTask(&req, warm) // fills the cache; nobody fetches it
+	if warm.err != nil {
+		t.Fatal(warm.err)
+	}
+	var size int64
+	for _, f := range warm.frames {
+		size += int64(len(f))
+	}
+	if got := w.fragCache.Metrics.Bytes.Load(); got != size || size == 0 {
+		t.Errorf("the cache charges %d bytes for an entry of %d frame bytes", got, size)
+	}
+
+	coord := NewCoordinator(reg)
+	wc := &workerClient{addr: w.Addr(), http: coord.cfg.workerHTTPClient()}
+	rows := make([]int, 4)
+	var wg sync.WaitGroup
+	for i := range rows {
+		req.TaskID = fmt.Sprintf("t%d", i)
+		th, err := wc.startTask(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pages, err := coord.drainOnce(nil, th)
+			if err != nil {
+				t.Error(err)
+			}
+			for _, p := range pages {
+				rows[i] += p.Count()
+				_ = p.Row(p.Count() - 1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, n := range rows {
+		if n != 256 {
+			t.Errorf("task t%d returned %d rows, want 256", i, n)
+		}
+	}
+	if hits := w.FragmentCacheHits.Load(); hits != int64(len(rows)) {
+		t.Errorf("fragment cache hits = %d, want %d", hits, len(rows))
+	}
+}

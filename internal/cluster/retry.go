@@ -153,95 +153,87 @@ func (c *Coordinator) drainTask(qs *queryState, tasks []*taskHandle, i int) ([]*
 // drainOnce fetches the complete page stream of one task attempt.
 func (c *Coordinator) drainOnce(qs *queryState, th *taskHandle) ([]*block.Page, error) {
 	var pages []*block.Page
-	for n := 0; ; {
-		chunk, err := c.fetchChunk(qs, th, n)
+	for {
+		res, err := c.fetchResults(qs, th, len(pages))
 		if err != nil {
 			return nil, err
 		}
-		if chunk.Err != "" {
-			return nil, fmt.Errorf("cluster: task %s failed on %s: %s", th.taskID, th.worker.addr, chunk.Err)
+		if res.Err != "" {
+			return nil, fmt.Errorf("cluster: task %s failed on %s: %s", th.taskID, th.worker.addr, res.Err)
 		}
-		if len(chunk.Page) > 0 {
-			p, err := block.DecodePage(chunk.Page)
-			if err != nil {
-				// A corrupted page that slipped past gob decoding: treat it
-				// like any other failed attempt and re-execute elsewhere.
-				return nil, fmt.Errorf("cluster: decoding page %d of task %s from %s: %w", n, th.taskID, th.worker.addr, err)
-			}
-			pages = append(pages, p)
-			n++
-			continue
-		}
-		if chunk.Done {
-			if chunk.Stats != nil {
-				th.setStats(chunk.Stats)
+		pages = append(pages, res.pages...)
+		if res.Done {
+			if res.Stats != nil {
+				th.setStats(res.Stats)
 			}
 			return pages, nil
 		}
-		c.cfg.Clock.Sleep(c.cfg.PollInterval) // task still running
+		if len(res.pages) == 0 {
+			c.cfg.Clock.Sleep(c.cfg.PollInterval) // task still running
+		}
 	}
 }
 
-// fetchChunk fetches page n of a task with per-RPC retries (exponential
-// backoff + jitter) and hedging. Page fetches are idempotent — the request
-// names the page index, the worker keeps no cursor — so retried and hedged
-// copies of the same fetch are safe. A connection-refused/reset failure
-// short-circuits the retry loop as ErrWorkerGone: the process is dead,
-// and rescheduling should engage on the first failed fetch, not after
+// fetchResults fetches a task's pages from index page on with per-RPC
+// retries (exponential backoff + jitter) and hedging. Fetches are idempotent
+// — the request names the page index, the worker keeps no cursor — so retried
+// and hedged copies of the same fetch are safe. A connection-refused/reset
+// failure short-circuits the retry loop as ErrWorkerGone: the process is
+// dead, and rescheduling should engage on the first failed fetch, not after
 // MaxAttempts rounds of backoff against a corpse.
-func (c *Coordinator) fetchChunk(qs *queryState, th *taskHandle, page int) (TaskResultChunk, error) {
+func (c *Coordinator) fetchResults(qs *queryState, th *taskHandle, page int) (taskResults, error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if err := c.checkQuery(qs); err != nil {
-			return TaskResultChunk{}, err
+			return taskResults{}, err
 		}
 		if err := th.aborted(); err != nil {
-			return TaskResultChunk{}, err
+			return taskResults{}, err
 		}
 		if attempt > 1 {
 			c.rpcRetries.Inc()
 			c.cfg.Clock.Sleep(c.cfg.backoff(attempt - 1))
 		}
-		chunk, err := c.fetchChunkHedged(th, page)
+		res, err := c.fetchResultsHedged(th, page)
 		if err == nil {
-			return chunk, nil
+			return res, nil
 		}
 		if isWorkerGone(err) {
-			return TaskResultChunk{}, fmt.Errorf("%w: fetching results of task %s from %s: %v",
+			return taskResults{}, fmt.Errorf("%w: fetching results of task %s from %s: %v",
 				ErrWorkerGone, th.taskID, th.worker.addr, err)
 		}
 		lastErr = err
 	}
-	return TaskResultChunk{}, fmt.Errorf("cluster: fetching results from %s: %w", th.worker.addr, lastErr)
+	return taskResults{}, fmt.Errorf("cluster: fetching results from %s: %w", th.worker.addr, lastErr)
 }
 
-// fetchChunkHedged fires the fetch and, if no response arrives within
+// fetchResultsHedged fires the fetch and, if no response arrives within
 // HedgeDelay, races a duplicate against it (§VII straggler mitigation for
 // result pulls). First response wins; an abandoned copy finishes on its own
 // within the client timeout and is discarded.
-func (c *Coordinator) fetchChunkHedged(th *taskHandle, page int) (TaskResultChunk, error) {
+func (c *Coordinator) fetchResultsHedged(th *taskHandle, page int) (taskResults, error) {
 	if c.cfg.HedgeDelay <= 0 {
-		return th.fetchPage(page)
+		return th.fetchResults(page)
 	}
 	type result struct {
-		chunk TaskResultChunk
-		err   error
+		res taskResults
+		err error
 	}
 	ch := make(chan result, 2) // buffered: the loser's send never blocks
 	fetch := func() {
-		chunk, err := th.fetchPage(page)
-		ch <- result{chunk, err}
+		res, err := th.fetchResults(page)
+		ch <- result{res, err}
 	}
 	go fetch()
 	select {
 	case r := <-ch:
-		return r.chunk, r.err
+		return r.res, r.err
 	case <-c.cfg.Clock.After(c.cfg.HedgeDelay):
 		c.hedgedFetches.Inc()
 		go fetch()
 	}
 	r := <-ch
-	return r.chunk, r.err
+	return r.res, r.err
 }
 
 // rescheduleTask restarts a failed task attempt on a surviving worker,

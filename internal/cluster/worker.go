@@ -58,19 +58,8 @@ type TaskRequest struct {
 	SnapshotVersion int64
 }
 
-// TaskResultChunk is one page (or the end-of-stream marker) of task output.
-type TaskResultChunk struct {
-	Page []byte // encoded page; empty when none ready yet
-	Done bool
-	Err  string
-	// Stats ships the task's per-operator statistics back with the results
-	// (populated on Done chunks), so the coordinator can aggregate QueryInfo
-	// without extra round trips.
-	Stats []obs.OperatorStatsSnapshot
-}
-
-// fragmentCacheBytes bounds each worker's fragment result cache, sized by
-// Page.SizeBytes: the same 64 MiB the chunk cache defaults to.
+// fragmentCacheBytes bounds each worker's fragment result cache, sized by the
+// encoded frames it holds: the same 64 MiB the chunk cache defaults to.
 const fragmentCacheBytes = 64 << 20
 
 // WorkerInfo is the status document.
@@ -128,7 +117,7 @@ type Worker struct {
 	tasks    map[string]*workerTask
 	closed   chan struct{}
 
-	fragCache *cache.LRU[string, []*block.Page]
+	fragCache *cache.LRU[string, [][]byte]
 
 	tasksStarted   *obs.Counter
 	tasksCompleted *obs.Counter
@@ -140,8 +129,11 @@ type Worker struct {
 type workerTask struct {
 	stats *obs.TaskStats // live; snapshot at any time
 
-	mu        sync.Mutex
-	pages     []*block.Page
+	mu sync.Mutex
+	// frames is the task's whole output, one encoded page each, published
+	// together with done and immutable from then on: a retried or hedged
+	// fetch is served the same bytes, and nothing is encoded twice.
+	frames    [][]byte
 	done      bool
 	err       error
 	cancel    context.CancelFunc
@@ -182,7 +174,7 @@ func NewWorker(catalogs *connector.Registry) *Worker {
 		state:       StateActive,
 		tasks:       map[string]*workerTask{},
 		closed:      make(chan struct{}),
-		fragCache:   cache.NewSizedLRU[string, []*block.Page](256, 10*time.Minute, cache.NewBudget(fragmentCacheBytes)),
+		fragCache:   cache.NewSizedLRU[string, [][]byte](256, 10*time.Minute, cache.NewBudget(fragmentCacheBytes)),
 		Obs:         obs.NewRegistry(),
 	}
 	w.FragmentCacheHits = &w.fragCache.Metrics.Hits
@@ -416,12 +408,9 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 	var cacheKey string
 	if w.EnableFragmentResultCache {
 		cacheKey = planCacheKey(req.Fragment, []string{strconv.FormatInt(req.SnapshotVersion, 10)}, req.Splits)
-		if pages, ok := w.fragCache.Get(cacheKey); ok {
+		if frames, ok := w.fragCache.Get(cacheKey); ok {
 			w.tasksCompleted.Inc()
-			task.mu.Lock()
-			task.pages = pages
-			task.done = true
-			task.mu.Unlock()
+			task.finish(frames)
 			return
 		}
 	}
@@ -453,7 +442,7 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 		task.fail(err)
 		return
 	}
-	pages, err := execution.Drain(op)
+	frames, size, err := drainFrames(op)
 	w.taskWall.Observe(w.Clock.Now().Sub(start))
 	if err != nil {
 		w.tasksFailed.Inc()
@@ -461,17 +450,30 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 		return
 	}
 	if w.EnableFragmentResultCache {
-		size := 0
-		for _, p := range pages {
-			size += p.SizeBytes()
-		}
-		w.fragCache.PutSized(cacheKey, pages, int64(size))
+		w.fragCache.PutSized(cacheKey, frames, size)
 	}
 	w.tasksCompleted.Inc()
-	task.mu.Lock()
-	task.pages = pages
-	task.done = true
-	task.mu.Unlock()
+	task.finish(frames)
+}
+
+// drainFrames runs a task's operator tree to completion and encodes each
+// output page, once, into the frame every fetch of it will be served. Lazy
+// columns load here — in the task's goroutine, under its memory pool and
+// inside its wall time — so a column that cannot be read fails the task.
+func drainFrames(op execution.Operator) (frames [][]byte, size int64, err error) {
+	pages, err := execution.Drain(op)
+	if err != nil {
+		return nil, 0, err
+	}
+	frames = make([][]byte, len(pages))
+	for i, p := range pages {
+		if frames[i], err = block.EncodePage(p); err != nil {
+			return nil, 0, err
+		}
+		size += int64(len(frames[i]))
+		pages[i] = nil // the frame replaces the page: do not hold a task's output twice
+	}
+	return frames, size, nil
 }
 
 // taskDrivers resolves a task's intra-task parallelism: the request's
@@ -485,6 +487,13 @@ func (w *Worker) taskDrivers(req *TaskRequest) int {
 		return w.TaskConcurrency
 	}
 	return runtime.NumCPU()
+}
+
+func (t *workerTask) finish(frames [][]byte) {
+	t.mu.Lock()
+	t.frames = frames
+	t.done = true
+	t.mu.Unlock()
 }
 
 func (t *workerTask) fail(err error) {
@@ -522,37 +531,25 @@ func (w *Worker) handleTaskResults(rw http.ResponseWriter, r *http.Request) {
 		w.replyGob(rw, task.stats.Snapshot())
 		return
 	}
-	// Idempotent paged protocol: GET ...?page=N serves page N by index, so
-	// retried and hedged duplicate fetches of the same page are safe. The
-	// worker keeps no read cursor; a request that names no page is malformed.
+	// Idempotent paged protocol: GET ...?page=N serves the published frames
+	// from index N on (results.go), so retried and hedged duplicates of a
+	// fetch are safe: a duplicate gets the same immutable frames, or a longer
+	// prefix of them. The worker keeps no read cursor; a request that names
+	// no page is malformed.
 	idx, err := strconv.Atoi(r.URL.Query().Get("page"))
 	if err != nil || idx < 0 {
 		http.Error(rw, "bad page index", http.StatusBadRequest)
 		return
 	}
-	// Build the chunk under the task lock, then write it out with the lock
-	// released: the HTTP write can block on a slow client and must not stall
-	// the executor goroutine publishing pages into this task.
 	task.mu.Lock()
-	chunk := TaskResultChunk{}
-	switch {
-	case task.err != nil:
-		chunk.Err = task.err.Error()
-		chunk.Done = true
-	case idx < len(task.pages):
-		data, err := block.EncodePage(task.pages[idx])
-		if err != nil {
-			chunk.Err = err.Error()
-			chunk.Done = true
-		} else {
-			chunk.Page = data
-		}
-	case task.done:
-		chunk.Done = true
-	}
-	if chunk.Done {
-		chunk.Stats = task.stats.Snapshot()
-	}
+	frames, done, taskErr := task.frames, task.done, task.err
 	task.mu.Unlock()
-	w.replyGob(rw, chunk)
+	// Built and written with the lock released: the HTTP write can block on
+	// a slow client and must not stall the task's goroutine. The length is
+	// announced so the reader can take the body in one exact-size read.
+	body := encodeResults(frames, idx, done, taskErr, task.stats)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := rw.Write(body); err != nil {
+		w.httpWriteErrs.Inc()
+	}
 }

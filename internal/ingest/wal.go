@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	iofs "io/fs"
 	"math"
@@ -23,6 +22,7 @@ import (
 	"time"
 
 	"prestolite/internal/fault"
+	"prestolite/internal/frame"
 	"prestolite/internal/fsys"
 	"prestolite/internal/obs"
 )
@@ -120,39 +120,6 @@ func (w *WAL) RegisterObsMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("wal_fsyncs", func() float64 { return float64(w.fsyncs.Load()) })
 	reg.GaugeFunc("wal_recovered_records", func() float64 { return float64(w.recoveredRecords.Load()) })
 	reg.GaugeFunc("wal_truncated_tail_bytes", func() float64 { return float64(w.truncatedTailBytes.Load()) })
-}
-
-// ---------------------------------------------------------------------------
-// Frame format: [len uint32 LE][crc32(payload) uint32 LE][payload]. A frame
-// is written with a single Write call, so a torn write can only leave a
-// partial frame — never interleave two.
-
-const frameHeader = 8
-
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// nextFrame extracts the first frame of b, returning the payload and total
-// bytes consumed. ok is false on a short or corrupt frame — the torn tail a
-// crash leaves behind.
-func nextFrame(b []byte) (payload []byte, n int, ok bool) {
-	if len(b) < frameHeader {
-		return nil, 0, false
-	}
-	plen := int(binary.LittleEndian.Uint32(b[0:4]))
-	if len(b) < frameHeader+plen {
-		return nil, 0, false
-	}
-	payload = b[frameHeader : frameHeader+plen]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:8]) {
-		return nil, 0, false
-	}
-	return payload, frameHeader + plen, true
 }
 
 // ---------------------------------------------------------------------------
@@ -398,8 +365,9 @@ func (s *walStream) append(payload []byte, forceSync bool) error {
 			return err
 		}
 	}
-	frame := appendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
-	n, err := s.w.Write(frame)
+	// One Write call per frame, so a torn write can only leave a partial
+	// frame — never interleave two.
+	n, err := s.w.Write(frame.Append(make([]byte, 0, frame.HeaderSize+len(payload)), payload))
 	s.size += int64(n)
 	if n > 0 {
 		s.dirty = true
@@ -721,7 +689,7 @@ func (w *WAL) replayFile(fi fsys.FileInfo, fn func(payload []byte) error) error 
 	}
 	consumed := 0
 	for consumed < len(buf) {
-		payload, n, ok := nextFrame(buf[consumed:])
+		payload, n, ok := frame.Next(buf[consumed:])
 		if !ok {
 			break
 		}

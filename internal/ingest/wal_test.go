@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"prestolite/internal/fault"
+	"prestolite/internal/frame"
 	"prestolite/internal/fsys"
 	"prestolite/internal/obs"
 )
@@ -364,7 +365,7 @@ func TestChaosLifecycleWALTornTail(t *testing.T) {
 			// Frame boundaries: frameEnds[i] = bytes holding records 0..i.
 			var frameEnds []int
 			for off := 0; off < len(data); {
-				_, fn, ok := nextFrame(data[off:])
+				_, fn, ok := frame.Next(data[off:])
 				if !ok {
 					t.Fatalf("clean WAL has corrupt frame at %d", off)
 				}
@@ -374,7 +375,7 @@ func TestChaosLifecycleWALTornTail(t *testing.T) {
 			if len(frameEnds) != n {
 				t.Fatalf("clean WAL holds %d frames, want %d", len(frameEnds), n)
 			}
-			cuts := []int{0, 1, frameHeader - 1, len(data) - 1, len(data)}
+			cuts := []int{0, 1, frame.HeaderSize - 1, len(data) - 1, len(data)}
 			for i := 0; i < 12; i++ {
 				cuts = append(cuts, rng.Intn(len(data)+1))
 			}

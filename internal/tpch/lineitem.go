@@ -4,7 +4,6 @@
 package tpch
 
 import (
-	"fmt"
 	"math/rand"
 
 	"prestolite/internal/block"
@@ -62,20 +61,28 @@ var (
 		"express", "regular", "ironic", "pending", "bold", "accounts", "packages", "theodolites"}
 )
 
+// date and comment build their strings in a small buffer, one allocation
+// each: they run four times a row, and GenerateRows is most of what building
+// a lineitem table costs. The draws and their order are part of the
+// generator's output and must not change.
 func date(r *rand.Rand) string {
-	return fmt.Sprintf("%04d-%02d-%02d", 1992+r.Intn(7), 1+r.Intn(12), 1+r.Intn(28))
+	y, m, d := 1992+r.Intn(7), 1+r.Intn(12), 1+r.Intn(28)
+	return string([]byte{
+		byte('0' + y/1000), byte('0' + y/100%10), byte('0' + y/10%10), byte('0' + y%10), '-',
+		byte('0' + m/10), byte('0' + m%10), '-',
+		byte('0' + d/10), byte('0' + d%10),
+	})
 }
 
 func comment(r *rand.Rand) string {
-	n := 2 + r.Intn(6)
-	out := ""
-	for i := 0; i < n; i++ {
+	out := make([]byte, 0, 96) // seven of the longest word and six spaces are 83
+	for i, n := 0, 2+r.Intn(6); i < n; i++ {
 		if i > 0 {
-			out += " "
+			out = append(out, ' ')
 		}
-		out += commentWords[r.Intn(len(commentWords))]
+		out = append(out, commentWords[r.Intn(len(commentWords))]...)
 	}
-	return out
+	return string(out)
 }
 
 // GenerateRows produces n deterministic LINEITEM rows for a seed.
