@@ -22,6 +22,10 @@ var goldenCases = []struct {
 	{"errdrop", "prestolite/internal/analysis/testdata/errdrop", []string{"errdrop"}},
 	{"atomicmix", "prestolite/internal/analysis/testdata/atomicmix", []string{"atomicmix"}},
 	{"hotalloc", "prestolite/internal/execution/testfixture", []string{"hotalloc"}},
+	// druidhot loads under the real-time store's import path, which hotalloc
+	// covers since the store's read path moved onto the vector kernels: the
+	// fixture is the per-row boxing that path was rid of.
+	{"druidhot", "prestolite/internal/druid/hotfixture", []string{"hotalloc"}},
 	{"goleak", "prestolite/internal/analysis/testdata/goleak", []string{"goleak"}},
 	{"chanmisuse", "prestolite/internal/execution/chanmisusefixture", []string{"chanmisuse"}},
 	{"clockdet", "prestolite/internal/cluster/clockfixture", []string{"clockdet"}},

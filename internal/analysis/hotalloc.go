@@ -6,15 +6,17 @@ import (
 	"strings"
 )
 
-// hotPackagePaths marks the vectorized kernels: packages whose loop bodies
-// are per-row or per-page hot paths. A fixture package can opt in by using
-// an import path containing one of these fragments.
-var hotPackagePaths = []string{"internal/execution", "internal/block"}
+// hotPackagePaths marks the vectorized kernels and the real-time store that
+// runs on them: packages whose loop bodies are per-row or per-page hot paths.
+// A fixture package can opt in by using an import path containing one of
+// these fragments.
+var hotPackagePaths = []string{"internal/execution", "internal/block", "internal/druid", "internal/connectors/druid"}
 
 // HotAlloc flags per-row allocation creep inside the loops of the
-// vectorized kernels (internal/execution, internal/block). The engine's
-// whole performance story is "process a vector per call, allocate per
-// batch"; one fmt.Sprintf or []any box inside a row loop turns a
+// vectorized kernels (internal/execution, internal/block) and of the druid
+// store and its connector, whose read path is those kernels over segments.
+// The engine's whole performance story is "process a vector per call,
+// allocate per batch"; one fmt.Sprintf or []any box inside a row loop turns a
 // memory-bandwidth workload into a garbage-collection workload and
 // regresses silently until a profile catches it. Inside any for/range body
 // of a hot package the analyzer reports:

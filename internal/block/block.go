@@ -492,13 +492,11 @@ func (b *DictionaryBlock) SizeBytes() int { return b.Dictionary.SizeBytes() + 4*
 // Decode flattens the dictionary encoding into a plain block.
 func (b *DictionaryBlock) Decode() Block {
 	pos := make([]int, len(b.Ids))
-	nullAt := -1
 	var nullPads []int
 	for i, id := range b.Ids {
 		if id < 0 {
-			// remember positions that need explicit nulls
+			// Gathers position 0 as a stand-in; forced to NULL below.
 			nullPads = append(nullPads, i)
-			pos[i] = 0
 			continue
 		}
 		pos[i] = int(id)
@@ -506,9 +504,41 @@ func (b *DictionaryBlock) Decode() Block {
 	if len(nullPads) == 0 {
 		return b.Dictionary.Mask(pos)
 	}
-	_ = nullAt
-	flat := b.Dictionary.Mask(pos)
-	return withNulls(flat, nullPads)
+	if b.Dictionary.Count() == 0 {
+		// A column that is NULL in every row has no entry to stand in.
+		return allNull(b.Dictionary, len(b.Ids))
+	}
+	return withNulls(flatten(b.Dictionary.Mask(pos)), nullPads)
+}
+
+// allNull returns n NULL positions of like's kind.
+func allNull(like Block, n int) Block {
+	nulls := make([]bool, n)
+	for i := range nulls {
+		nulls[i] = true
+	}
+	switch t := flatten(like).(type) {
+	case *Int64Block:
+		return &Int64Block{Values: make([]int64, n), Nulls: nulls}
+	case *Float64Block:
+		return &Float64Block{Values: make([]float64, n), Nulls: nulls}
+	case *BoolBlock:
+		return &BoolBlock{Values: make([]bool, n), Nulls: nulls}
+	case *VarcharBlock:
+		return &VarcharBlock{Values: make([]string, n), Nulls: nulls}
+	case *ArrayBlock:
+		return &ArrayBlock{Elements: t.Elements, Offsets: make([]int32, n+1), Nulls: nulls}
+	case *MapBlock:
+		return &MapBlock{Keys: t.Keys, Values: t.Values, Offsets: make([]int32, n+1), Nulls: nulls}
+	case *RowBlock:
+		fields := make([]Block, len(t.Fields))
+		for i, f := range t.Fields {
+			fields[i] = allNull(f, n)
+		}
+		return &RowBlock{Fields: fields, Nulls: nulls, N: n}
+	default:
+		panic(fmt.Sprintf("block: allNull unsupported %T", like))
+	}
 }
 
 // withNulls returns a copy of b with the given positions forced to null.

@@ -150,6 +150,43 @@ func TestDictionaryBlock(t *testing.T) {
 	if m.Value(0) != "y" || !m.IsNull(1) {
 		t.Error("dictionary mask wrong")
 	}
+	// A dictionary that is itself encoded (the wire format admits it) still
+	// decodes to a flat block with its NULL ids forced.
+	nested := &DictionaryBlock{Dictionary: NewRunLengthBlock(SingleValue(types.Varchar, "x"), 2), Ids: []int32{0, -1, 1}}
+	if dec := nested.Decode(); dec.Value(0) != "x" || !dec.IsNull(1) || dec.Value(2) != "x" {
+		t.Errorf("nested dictionary decoded to %v", NewPage(dec))
+	}
+}
+
+// TestDictionaryBlockAllNull: a column that is NULL in every row has ids but
+// no dictionary entry (the druid store wraps such a segment column as is, and
+// the wire format admits it). It flattens to NULLs of the dictionary's kind.
+func TestDictionaryBlockAllNull(t *testing.T) {
+	row := types.NewRow(types.Field{Name: "a", Type: types.Bigint}, types.Field{Name: "b", Type: types.Varchar})
+	for _, typ := range []*types.Type{types.Bigint, types.Double, types.Boolean, types.Varchar,
+		types.NewArray(types.Bigint), types.NewMap(types.Varchar, types.Double), row} {
+		b := &DictionaryBlock{Dictionary: FromValues(typ), Ids: []int32{-1, -1, -1}}
+		dec := b.Decode()
+		if _, still := dec.(*DictionaryBlock); still || dec.Count() != 3 {
+			t.Fatalf("%s: decoded to %T over %d positions", typ, dec, dec.Count())
+		}
+		page := NewPage(b, NewInt64Block([]int64{1, 2, 3}))
+		data, err := EncodePage(page)
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		got, err := DecodePage(data)
+		if err != nil {
+			t.Fatalf("%s: %v", typ, err)
+		}
+		for _, p := range []*Page{page, got, MaterializePage(page), MaterializePage(got)} {
+			for i := 0; i < 3; i++ {
+				if r := p.Row(i); r[0] != nil || r[1] != int64(i+1) {
+					t.Errorf("%s: row %d = %v", typ, i, r)
+				}
+			}
+		}
+	}
 }
 
 func TestRunLengthBlock(t *testing.T) {

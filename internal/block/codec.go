@@ -256,6 +256,28 @@ func DecodePage(data []byte) (*Page, error) {
 	return &Page{Blocks: blocks, N: rows}, nil
 }
 
+// DecodePages decodes page frames laid end to end in body, whose byte lengths
+// a response header announced (the task-results response, the druid broker's
+// answer). A length the body does not cover, a frame DecodePage refuses and
+// bytes left over are errors: a damaged response is never a shorter result.
+func DecodePages(body []byte, lens []int) ([]*Page, error) {
+	var pages []*Page
+	for i, l := range lens {
+		if l < 0 || l > len(body) {
+			return nil, fmt.Errorf("block: page frame %d of %d cut short", i, len(lens))
+		}
+		p, err := DecodePage(body[:l])
+		if err != nil {
+			return nil, fmt.Errorf("page frame %d: %w", i, err)
+		}
+		pages, body = append(pages, p), body[l:]
+	}
+	if len(body) != 0 {
+		return nil, errors.New("block: trailing bytes after the page frames")
+	}
+	return pages, nil
+}
+
 // pageReader is a cursor over one frame payload; the first error sticks and
 // empties the input, so every later read fails without allocating.
 type pageReader struct {

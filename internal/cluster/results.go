@@ -81,19 +81,8 @@ func readResults(body []byte, first int) (res taskResults, err error) {
 	if res.First != first {
 		return res, fmt.Errorf("cluster: results response starts at page %d, asked for %d", res.First, first)
 	}
-	body = body[n:]
-	for i, l := range res.Lens {
-		if l < 0 || l > len(body) {
-			return res, errors.New("cluster: results response: page frames cut short")
-		}
-		p, err := block.DecodePage(body[:l])
-		if err != nil {
-			return res, fmt.Errorf("cluster: results response: page %d: %w", first+i, err)
-		}
-		res.pages, body = append(res.pages, p), body[l:]
-	}
-	if len(body) != 0 {
-		return res, errors.New("cluster: results response: trailing bytes")
+	if res.pages, err = block.DecodePages(body[n:], res.Lens); err != nil {
+		return res, fmt.Errorf("cluster: results response from page %d: %w", first, err)
 	}
 	return res, nil
 }

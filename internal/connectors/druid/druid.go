@@ -15,7 +15,6 @@ import (
 	"prestolite/internal/connector"
 	driver "prestolite/internal/druid"
 	"prestolite/internal/expr"
-	"prestolite/internal/types"
 )
 
 func init() {
@@ -99,8 +98,6 @@ type TableHandle struct {
 	Aggregations []driver.Aggregation
 	GroupByNames []string
 	AggPushed    bool
-	// AggOutputs are the scan output columns after aggregation pushdown.
-	AggOutputs []connector.Column
 	// Limit (-1 none).
 	Limit int64
 }
@@ -171,8 +168,9 @@ func (sm *druidSplits) Splits(handle connector.TableHandle) ([]connector.Split, 
 	if !ok {
 		return nil, fmt.Errorf("druid: foreign table handle %T", handle)
 	}
-	// One split: the broker parallelizes internally, and pushed
-	// aggregations must be global.
+	// One split: the store answers a query over its segments one after
+	// another on the calling goroutine, and a pushed aggregation or limit is
+	// applied once, over the whole table.
 	return []connector.Split{&Split{Handle: h}}, nil
 }
 
@@ -188,15 +186,11 @@ func (r *druidRecords) CreatePageSource(handle connector.TableHandle, split conn
 
 	// Build the native query from the handle.
 	q := driver.Query{Table: h.Table, Filters: h.Filters, Limit: h.Limit}
-	var outCols []connector.Column
 	if h.AggPushed {
 		q.GroupBy = h.GroupByNames
 		q.Aggregations = h.Aggregations
-		outCols = h.AggOutputs
 	} else {
-		effective := effectiveColumns(h)
-		for _, ord := range effective {
-			outCols = append(outCols, h.Columns[ord])
+		for _, ord := range effectiveColumns(h) {
 			q.Columns = append(q.Columns, h.Columns[ord].Name)
 		}
 	}
@@ -205,20 +199,19 @@ func (r *druidRecords) CreatePageSource(handle connector.TableHandle, split conn
 		return nil, fmt.Errorf("druid: executing native query: %w", err)
 	}
 
-	// Project requested output channels out of the native result.
-	outTypes := make([]*types.Type, len(columns))
-	for i, col := range columns {
-		outTypes[i] = outCols[col].Type
-	}
-	pb := block.NewPageBuilder(outTypes)
-	for _, row := range res.Rows {
-		out := make([]any, len(columns))
-		for i, col := range columns {
-			out[i] = row[col]
+	// Select the requested output channels out of the native result's pages:
+	// the blocks pass through as the store built them, aliasing its segments.
+	pages := make([]*block.Page, len(res.Pages))
+	for i, p := range res.Pages {
+		pages[i] = &block.Page{Blocks: make([]block.Block, len(columns)), N: p.N}
+		for ch, col := range columns {
+			if col < 0 || col >= len(p.Blocks) {
+				return nil, fmt.Errorf("druid: native result has %d columns, the scan reads column %d", len(p.Blocks), col)
+			}
+			pages[i].Blocks[ch] = p.Blocks[col]
 		}
-		pb.AppendRow(out)
 	}
-	return &connector.SlicePageSource{Pages: []*block.Page{pb.Build()}}, nil
+	return &connector.SlicePageSource{Pages: pages}, nil
 }
 
 func effectiveColumns(h *TableHandle) []int {
@@ -297,7 +290,6 @@ func (c *Connector) PushAggregation(handle connector.TableHandle, aggs []connect
 		// projection.
 		ord := resolveOrdinal(h, g)
 		nh.GroupByNames = append(nh.GroupByNames, cols[ord].Name)
-		nh.AggOutputs = append(nh.AggOutputs, cols[ord])
 	}
 	for _, a := range aggs {
 		na := driver.Aggregation{Func: a.Function, Name: a.OutputName}
@@ -311,7 +303,6 @@ func (c *Connector) PushAggregation(handle connector.TableHandle, aggs []connect
 			return handle, false
 		}
 		nh.Aggregations = append(nh.Aggregations, na)
-		nh.AggOutputs = append(nh.AggOutputs, connector.Column{Name: a.OutputName, Type: a.OutputType})
 	}
 	nh.Projection = nil
 	return &nh, true

@@ -1,9 +1,14 @@
 package druid
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"prestolite/internal/block"
+	"prestolite/internal/cluster"
+	"prestolite/internal/connector"
 	"prestolite/internal/core"
 	driver "prestolite/internal/druid"
 	"prestolite/internal/types"
@@ -177,8 +182,9 @@ func TestHTTPConnector(t *testing.T) {
 	}
 	defer srv.Close()
 
+	conn := New("druid", driver.NewHTTPClient(srv.Addr()))
 	e := core.New()
-	e.Register("druid", New("druid", driver.NewHTTPClient(srv.Addr())))
+	e.Register("druid", conn)
 	s := core.DefaultSession("druid", "default")
 	res, err := e.Query(s, "SELECT service, sum(errors) FROM metrics GROUP BY service ORDER BY 2 DESC")
 	if err != nil {
@@ -187,5 +193,139 @@ func TestHTTPConnector(t *testing.T) {
 	rows := res.Rows()
 	if len(rows) != 2 || rows[0][0] != "api" || rows[0][1] != int64(5) {
 		t.Fatalf("rows = %v", rows)
+	}
+
+	// A raw scan hands the engine the broker's pages as they came: the
+	// string column is still the store's dictionary block.
+	_, handle, err := conn.Metadata().GetTable("default", "metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, err := conn.SplitManager().Splits(handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := conn.RecordSetProvider().CreatePageSource(handle, splits[0], []int{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	page, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := page.Blocks[1].(*block.DictionaryBlock); !ok || page.Count() != 3 {
+		t.Errorf("service arrived as %T over %d rows, want a dictionary block over 3", page.Blocks[1], page.Count())
+	}
+	if got := page.Row(2); got[0] != int64(2) || got[1] != "api" {
+		t.Errorf("row 2 = %v, want [2 api]", got)
+	}
+}
+
+// TestSelectAllNullStringColumn: a varchar column that is NULL in every row of
+// a segment has ids and an empty dictionary, and the store hands that out as
+// it is. Every way a result leaves — flattened by the embedded engine, framed
+// by the broker, encoded by a worker and flattened by the coordinator — reads
+// it as NULLs, in a compacted, a sealed and the open segment alike.
+func TestSelectAllNullStringColumn(t *testing.T) {
+	store := driver.NewStore()
+	tab, err := store.CreateTable("t", []driver.Column{
+		{Name: "ts", Type: types.Bigint},
+		{Name: "s", Type: types.Varchar},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.SetSegmentConfig(driver.SegmentConfig{SealRows: 3, CompactBelowRows: 4, CompactBatch: 2})
+	next := int64(0)
+	grow := func(vals ...any) {
+		t.Helper()
+		rows := make([][]any, len(vals))
+		for i, v := range vals {
+			rows[i] = []any{next, v}
+			next++
+		}
+		if err := tab.Append(rows, time.Unix(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grow(nil, nil, nil, nil, nil, nil)
+	tab.Maintain(time.Unix(0, 0)) // ts 0–5: two sealed segments compacted into one
+	grow(nil, nil, nil)           // ts 6–8: sealed
+	grow("a", nil, "b")           // ts 9–11: sealed, the one segment with a dictionary
+	grow(nil, nil)                // ts 12–13: open
+	if st := tab.Stats(); st.Compacted != 1 || st.Sealed != 2 || st.OpenRows != 2 {
+		t.Fatalf("fixture is not in all three states: %+v", st)
+	}
+
+	srv := driver.NewServer(store)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	embedded, overHTTP := core.New(), core.New()
+	embedded.Register("druid", New("druid", &driver.EmbeddedClient{Store: store}))
+	overHTTP.Register("druid", New("druid", driver.NewHTTPClient(srv.Addr())))
+	reg := connector.NewRegistry()
+	reg.Register("druid", New("druid", &driver.EmbeddedClient{Store: store}))
+	coord, worker := cluster.NewCoordinator(reg), cluster.NewWorker(reg)
+	if err := worker.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
+	defer coord.Close()
+	coord.AddWorker(worker.Addr())
+
+	session := core.DefaultSession("druid", "default")
+	engines := map[string]func(sql string) ([][]any, error){
+		"embedded": func(sql string) ([][]any, error) {
+			res, err := embedded.Query(session, sql)
+			if err != nil {
+				return nil, err
+			}
+			return res.Rows(), nil
+		},
+		"http broker": func(sql string) ([][]any, error) {
+			res, err := overHTTP.Query(session, sql)
+			if err != nil {
+				return nil, err
+			}
+			return res.Rows(), nil
+		},
+		"cluster": func(sql string) ([][]any, error) {
+			res, err := coord.Query(session, sql)
+			if err != nil {
+				return nil, err
+			}
+			return res.Rows()
+		},
+	}
+	nulls := func(n int) []any { return make([]any, n) }
+	for _, tc := range []struct {
+		sql  string
+		want []any // column s, in ts order
+	}{
+		{"SELECT s, ts FROM t ORDER BY ts", append(append(nulls(9), "a", nil, "b"), nulls(2)...)},
+		{"SELECT s, ts FROM t WHERE ts >= 0 ORDER BY ts", append(append(nulls(9), "a", nil, "b"), nulls(2)...)}, // covers every segment
+		{"SELECT s, ts FROM t WHERE ts IN (1, 4, 7, 10, 13) ORDER BY ts", nulls(5)},                             // a Mask of each segment
+		{"SELECT s, ts FROM t WHERE ts < 8 ORDER BY ts", nulls(8)},
+		{"SELECT s, ts FROM t WHERE s IS NULL ORDER BY ts", nulls(12)}, // the engine's filter over the dictionary
+		{"SELECT s, ts FROM t WHERE s = 'a' ORDER BY ts", []any{"a"}},
+		{"SELECT s FROM t LIMIT 4", nulls(4)}, // a Region of the compacted segment
+	} {
+		for name, query := range engines {
+			rows, err := query(tc.sql)
+			if err != nil {
+				t.Errorf("%s: %s: %v", name, tc.sql, err)
+				continue
+			}
+			got := make([]any, len(rows))
+			for i, r := range rows {
+				got[i] = r[0]
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s: %s:\n got %v\nwant %v", name, tc.sql, got, tc.want)
+			}
+		}
 	}
 }

@@ -151,6 +151,14 @@ func TestHybridExpansionExplain(t *testing.T) {
 	if !strings.Contains(plan, "events_rt") {
 		t.Errorf("ts >= 1500 lost the real-time side:\n%s", plan)
 	}
+	// The predicate implies the side's bound, so the scan carries it alone:
+	// the plan text is the result-cache key and the store runs every filter.
+	for where, pushed := range map[string]string{"ts >= 1500": "filter[", "ts >= 1000": "filter[", "ts < 1000": "predicate[", "ts < 500": "predicate["} {
+		plan = explain("SELECT count(*) FROM events WHERE " + where)
+		if n := strings.Count(plan, pushed); n != 1 {
+			t.Errorf("WHERE %s: the scan carries %d comparisons, want exactly one:\n%s", where, n, plan)
+		}
+	}
 }
 
 func TestHybridResultsRowExact(t *testing.T) {

@@ -290,6 +290,10 @@ func TestPushdownOnOffDifferential(t *testing.T) {
 					"SELECT " + sel + " FROM t WHERE " + tc.where,
 					"SELECT count(*), count(n), sum(id) FROM t WHERE " + tc.where,
 					"SELECT id FROM t WHERE " + tc.where + " ORDER BY id LIMIT 3",
+					// Grouped, every absorbable aggregate and avg beside them:
+					// on the hybrid table this is partial pushdown on and off,
+					// with NULLs on both sides of the boundary.
+					"SELECT s, count(*), count(n), sum(n), min(d), max(d), avg(d) FROM t WHERE " + tc.where + " GROUP BY s",
 				} {
 					got, err := pushed.Query(session, stmt)
 					if err != nil {

@@ -73,32 +73,26 @@ func (t *Table) SetSegmentConfig(cfg SegmentConfig) {
 type openSegment struct {
 	n           int
 	firstAppend time.Time
-	longs       map[string][]int64
-	doubles     map[string][]float64
-	strs        map[string]*openStrColumn
-	nulls       map[string][]bool
+	cols        []openColumn // by table ordinal
 }
 
-// openStrColumn is the mutable form of strColumn: dictionary plus ids, no
-// per-value bitmaps yet.
-type openStrColumn struct {
-	dict    []string
-	dictIdx map[string]int32
-	ids     []int32 // -1 = null
+// openColumn is the mutable form of segColumn: the same buffers, still
+// growing, plus what appending needs — the dictionary's reverse map and the
+// running statistics in typed form (boxing a new maximum per row would
+// allocate per row on a monotonic time column).
+type openColumn struct {
+	segColumn
+	dictIdx    map[string]int32
+	seen       bool // a non-NULL numeric value has been appended
+	minL, maxL int64
+	minD, maxD float64
 }
 
 func newOpenSegment(cols []Column, now time.Time) *openSegment {
-	o := &openSegment{
-		firstAppend: now,
-		longs:       map[string][]int64{},
-		doubles:     map[string][]float64{},
-		strs:        map[string]*openStrColumn{},
-		nulls:       map[string][]bool{},
-	}
-	for _, c := range cols {
-		switch c.Type.Kind {
-		case types.KindVarchar:
-			o.strs[c.Name] = &openStrColumn{dictIdx: map[string]int32{}}
+	o := &openSegment{firstAppend: now, cols: make([]openColumn, len(cols))}
+	for i, c := range cols {
+		if c.Type.Kind == types.KindVarchar {
+			o.cols[i].dictIdx = map[string]int32{}
 		}
 	}
 	return o
@@ -106,66 +100,97 @@ func newOpenSegment(cols []Column, now time.Time) *openSegment {
 
 // appendRow adds one pre-validated row. Caller holds the table write lock.
 func (o *openSegment) appendRow(cols []Column, row []any) {
-	for ci, col := range cols {
-		null := row[ci] == nil
-		o.nulls[col.Name] = append(o.nulls[col.Name], null)
-		switch col.Type.Kind {
-		case types.KindBigint:
-			var v int64
-			if !null {
-				v = row[ci].(int64)
+	for ci := range cols {
+		c := &o.cols[ci]
+		switch v := row[ci].(type) {
+		case int64:
+			c.longs = append(c.longs, v)
+			c.seen = widen(&c.minL, &c.maxL, v, c.seen)
+		case float64:
+			c.doubles = append(c.doubles, v)
+			c.stats.nan = c.stats.nan || v != v
+			c.seen = widen(&c.minD, &c.maxD, v, c.seen)
+		case string:
+			id, known := c.dictIdx[v]
+			if !known {
+				id = int32(len(c.dict))
+				c.dictIdx[v] = id
+				c.dict = append(c.dict, v)
 			}
-			o.longs[col.Name] = append(o.longs[col.Name], v)
-		case types.KindDouble:
-			var v float64
-			if !null {
-				v = row[ci].(float64)
+			c.ids = append(c.ids, id)
+		default: // NULL
+			c.stats.nulls++
+			switch cols[ci].Type.Kind {
+			case types.KindBigint:
+				c.longs = append(c.longs, 0)
+			case types.KindDouble:
+				c.doubles = append(c.doubles, 0)
+			default:
+				c.ids = append(c.ids, -1)
+				continue
 			}
-			o.doubles[col.Name] = append(o.doubles[col.Name], v)
-		case types.KindVarchar:
-			sc := o.strs[col.Name]
-			if null {
-				sc.ids = append(sc.ids, -1)
-				break
+			if c.nulls == nil {
+				// The column's first NULL: the mask starts here, all false
+				// up to this row. Views frozen earlier keep their nil mask.
+				c.nulls = make([]bool, o.n, max(cap(c.longs), cap(c.doubles)))
 			}
-			s := row[ci].(string)
-			id, seen := sc.dictIdx[s]
-			if !seen {
-				id = int32(len(sc.dict))
-				sc.dictIdx[s] = id
-				sc.dict = append(sc.dict, s)
-			}
-			sc.ids = append(sc.ids, id)
+		}
+		if c.nulls != nil {
+			c.nulls = append(c.nulls, row[ci] == nil)
 		}
 	}
 	o.n++
 }
 
+// widen takes v into the running [lo, hi], which holds nothing until seen.
+func widen[T int64 | float64](lo, hi *T, v T, seen bool) bool {
+	if !seen || v < *lo {
+		*lo = v
+	}
+	if !seen || v > *hi {
+		*hi = v
+	}
+	return true
+}
+
 // freeze returns an immutable segment view of the first n rows. The view
 // shares the open buffers: appends only write past n (or reallocate), so the
-// view's prefix never changes under it. The view carries no inverted indexes
-// (index == nil routes string filters down the scan path).
+// view's prefix never changes under it. Statistics are copied by value in the
+// same critical section as n, so they describe exactly the view's rows. The
+// view carries no inverted indexes (index == nil routes string = and IN down
+// the dictionary scan).
 func (o *openSegment) freeze() *segment {
-	seg := &segment{
-		n:       o.n,
-		longs:   map[string][]int64{},
-		doubles: map[string][]float64{},
-		strs:    map[string]*strColumn{},
-		nulls:   map[string][]bool{},
-	}
-	for name, vals := range o.longs {
-		seg.longs[name] = vals[:o.n]
-	}
-	for name, vals := range o.doubles {
-		seg.doubles[name] = vals[:o.n]
-	}
-	for name, sc := range o.strs {
-		seg.strs[name] = &strColumn{dict: sc.dict[:len(sc.dict)], ids: sc.ids[:o.n]}
-	}
-	for name, vals := range o.nulls {
-		seg.nulls[name] = vals[:o.n]
+	seg := &segment{n: o.n, cols: make([]segColumn, len(o.cols))}
+	for i := range o.cols {
+		c, f := &o.cols[i], &seg.cols[i]
+		f.stats = c.frozenStats()
+		switch {
+		case c.longs != nil:
+			f.longs = c.longs[:o.n]
+		case c.doubles != nil:
+			f.doubles = c.doubles[:o.n]
+		default:
+			f.dict, f.ids = c.dict[:len(c.dict):len(c.dict)], c.ids[:o.n]
+		}
+		if c.nulls != nil {
+			f.nulls = c.nulls[:o.n]
+		}
+		f.wrap()
 	}
 	return seg
+}
+
+// frozenStats boxes the running statistics, once per frozen view.
+func (c *openColumn) frozenStats() colStats {
+	st := c.stats
+	switch {
+	case !c.seen || st.nan:
+	case c.longs != nil:
+		st.min, st.max = c.minL, c.maxL
+	default:
+		st.min, st.max = c.minD, c.maxD
+	}
+	return st
 }
 
 // seal converts the open segment into an immutable segment with inverted
@@ -173,18 +198,28 @@ func (o *openSegment) freeze() *segment {
 // discarded afterwards, so no writer ever touches them again.
 func (o *openSegment) seal() *segment {
 	seg := o.freeze()
-	for _, sc := range seg.strs {
-		sc.index = map[string]*Bitmap{}
-		for v := range sc.dict {
-			sc.index[sc.dict[v]] = NewBitmap(seg.n)
-		}
-		for i, id := range sc.ids {
-			if id >= 0 {
-				sc.index[sc.dict[id]].Set(i)
-			}
-		}
+	for i := range seg.cols {
+		seg.cols[i].buildIndex(seg.n)
 	}
 	return seg
+}
+
+// buildIndex builds a string column's per-value bitmaps.
+func (c *segColumn) buildIndex(n int) {
+	if c.ids == nil {
+		return
+	}
+	byID := make([]*Bitmap, len(c.dict))
+	c.index = make(map[string]*Bitmap, len(c.dict))
+	for id, v := range c.dict {
+		byID[id] = NewBitmap(n)
+		c.index[v] = byID[id]
+	}
+	for i, id := range c.ids {
+		if id >= 0 {
+			byID[id].Set(i)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -393,63 +428,56 @@ func (t *Table) compactLocked() {
 }
 
 // mergeSegments concatenates the given sealed segments into one compacted
-// segment with a merged dictionary and rebuilt inverted indexes.
+// segment with a merged dictionary, merged statistics and rebuilt inverted
+// indexes.
 func (t *Table) mergeSegments(idxs []int) *segment {
 	total := 0
 	for _, i := range idxs {
 		total += t.segments[i].n
 	}
-	merged := &segment{
-		n:         total,
-		compacted: true,
-		longs:     map[string][]int64{},
-		doubles:   map[string][]float64{},
-		strs:      map[string]*strColumn{},
-		nulls:     map[string][]bool{},
-	}
-	for _, col := range t.Columns {
+	merged := &segment{n: total, compacted: true, cols: make([]segColumn, len(t.Columns))}
+	for ci, col := range t.Columns {
+		m := &merged.cols[ci]
 		switch col.Type.Kind {
 		case types.KindBigint:
-			vals := make([]int64, 0, total)
-			for _, i := range idxs {
-				vals = append(vals, t.segments[i].longs[col.Name]...)
-			}
-			merged.longs[col.Name] = vals
+			m.longs = make([]int64, 0, total)
 		case types.KindDouble:
-			vals := make([]float64, 0, total)
-			for _, i := range idxs {
-				vals = append(vals, t.segments[i].doubles[col.Name]...)
-			}
-			merged.doubles[col.Name] = vals
-		case types.KindVarchar:
-			sc := &strColumn{ids: make([]int32, 0, total), index: map[string]*Bitmap{}}
-			dictIdx := map[string]int32{}
-			for _, i := range idxs {
-				src := t.segments[i].strs[col.Name]
-				for _, id := range src.ids {
-					if id < 0 {
-						sc.ids = append(sc.ids, -1)
-						continue
-					}
-					v := src.dict[id]
-					nid, seen := dictIdx[v]
-					if !seen {
-						nid = int32(len(sc.dict))
-						dictIdx[v] = nid
-						sc.dict = append(sc.dict, v)
-						sc.index[v] = NewBitmap(total)
-					}
-					sc.index[v].Set(len(sc.ids))
-					sc.ids = append(sc.ids, nid)
-				}
-			}
-			merged.strs[col.Name] = sc
+			m.doubles = make([]float64, 0, total)
+		default:
+			m.ids = make([]int32, 0, total)
 		}
-		nulls := make([]bool, 0, total)
+		dictIdx := map[string]int32{}
+		rows := 0
 		for _, i := range idxs {
-			nulls = append(nulls, t.segments[i].nulls[col.Name]...)
+			src := &t.segments[i].cols[ci]
+			m.stats.merge(src.stats)
+			m.longs = append(m.longs, src.longs...)
+			m.doubles = append(m.doubles, src.doubles...)
+			for _, id := range src.ids {
+				if id < 0 {
+					m.ids = append(m.ids, -1)
+					continue
+				}
+				v := src.dict[id]
+				nid, seen := dictIdx[v]
+				if !seen {
+					nid = int32(len(m.dict))
+					dictIdx[v] = nid
+					m.dict = append(m.dict, v)
+				}
+				m.ids = append(m.ids, nid)
+			}
+			if src.nulls != nil && m.nulls == nil {
+				m.nulls = make([]bool, rows, total) // the sources so far had no NULL
+			}
+			rows += t.segments[i].n
+			if m.nulls != nil {
+				// A source without a mask contributes its rows as false.
+				m.nulls = append(m.nulls, src.nulls...)[:rows]
+			}
 		}
-		merged.nulls[col.Name] = nulls
+		m.buildIndex(total)
+		m.wrap()
 	}
 	return merged
 }

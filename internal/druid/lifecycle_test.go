@@ -153,7 +153,7 @@ func TestCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0]; got != int64(20) {
+	if got := res.Rows()[0][0]; got != int64(20) {
 		t.Fatalf("count(country='us') over compacted = %v, want 20", got)
 	}
 }
@@ -184,7 +184,7 @@ func TestOpenSegmentVisibleToQueries(t *testing.T) {
 			want += int64(i % 7)
 		}
 	}
-	if got := res.Rows[0][0]; got != want {
+	if got := res.Rows()[0][0]; got != want {
 		t.Fatalf("sum over open segment = %v, want %d", got, want)
 	}
 }
@@ -240,7 +240,7 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			n := res.Rows[0][0].(int64)
+			n := res.Rows()[0][0].(int64)
 			if n < prev || n > total {
 				t.Errorf("query %d: count %d (prev %d)", q, n, prev)
 				return
@@ -254,7 +254,7 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0]; got != int64(total) {
+	if got := res.Rows()[0][0]; got != int64(total) {
 		t.Fatalf("final count = %v, want %d", got, total)
 	}
 }

@@ -1,20 +1,28 @@
 package druid
 
 import (
+	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
 	"time"
 
+	"prestolite/internal/block"
 	"prestolite/internal/fault"
+	"prestolite/internal/frame"
 	"prestolite/internal/types"
 )
 
 // Server exposes the store over HTTP (the broker endpoint a Presto-Druid
-// connector talks to). The wire format is gob: this is our own substrate,
-// and gob preserves int64/float64 boxing exactly.
+// connector talks to). A query is a gob Query in the request body; its answer
+// is one frame (internal/frame: length + CRC32) holding a gob resultHeader,
+// followed by the page frames the header announces, as block.EncodePage wrote
+// them — dictionary columns stay dictionary-encoded on the wire, and every
+// byte is under a checksum.
 type Server struct {
 	store *Store
 	http  *http.Server
@@ -23,11 +31,14 @@ type Server struct {
 	once  sync.Once
 }
 
-func init() {
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
+// maxQueryBytes bounds the request body handleQuery decodes: a Query is a
+// table name, a few column names and a few literals.
+const maxQueryBytes = 1 << 20
+
+// resultHeader precedes a result's page frames.
+type resultHeader struct {
+	Columns []string
+	Lens    []int // byte length of each page frame that follows
 }
 
 // NewServer wraps a store.
@@ -68,8 +79,12 @@ func (s *Server) Close() error {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q Query
-	if err := gob.NewDecoder(r.Body).Decode(&q); err != nil {
-		http.Error(w, "bad query: "+err.Error(), http.StatusBadRequest)
+	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&q); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad query: "+err.Error(), status)
 		return
 	}
 	res, err := s.store.Execute(q)
@@ -77,8 +92,56 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-gob")
-	_ = gob.NewEncoder(w).Encode(res) // client went away mid-response; nothing to send it
+	body, err := encodeResult(res)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(body) // client went away mid-response; nothing to send it
+}
+
+func encodeResult(res *Result) ([]byte, error) {
+	hdr := resultHeader{Columns: res.Columns, Lens: make([]int, len(res.Pages))}
+	frames := make([][]byte, len(res.Pages))
+	for i, p := range res.Pages {
+		f, err := block.EncodePage(p)
+		if err != nil {
+			return nil, fmt.Errorf("druid: encode result page %d: %w", i, err)
+		}
+		frames[i], hdr.Lens[i] = f, len(f)
+	}
+	buf := bytes.NewBuffer(make([]byte, frame.HeaderSize, 1024))
+	_ = gob.NewEncoder(buf).Encode(hdr) // plain struct into memory: cannot fail
+	frame.Seal(buf.Bytes())
+	for _, f := range frames {
+		buf.Write(f)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeResult checks and decodes what encodeResult wrote. Anything else — a
+// truncation, a flipped byte, a header announcing frames that are not there —
+// is an error, never a shorter result.
+func decodeResult(body []byte) (*Result, error) {
+	payload, n, ok := frame.Next(body)
+	if !ok {
+		return nil, errors.New("short or corrupt header")
+	}
+	var hdr resultHeader
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr); err != nil {
+		return nil, fmt.Errorf("header: %w", err)
+	}
+	pages, err := block.DecodePages(body[n:], hdr.Lens)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range pages {
+		if len(p.Blocks) != len(hdr.Columns) {
+			return nil, fmt.Errorf("page %d has %d columns, the header names %d", i, len(p.Blocks), len(hdr.Columns))
+		}
+	}
+	return &Result{Columns: hdr.Columns, Pages: pages}, nil
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -136,11 +199,15 @@ func (c *HTTPClient) Execute(q Query) (*Result, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("druid: query failed: %s", readError(resp))
 	}
-	var res Result
-	if err := gob.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("druid: decode result: %w", err)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("druid: broker %s: reading result: %w", c.BaseURL, err)
 	}
-	return &res, nil
+	res, err := decodeResult(body)
+	if err != nil {
+		return nil, fmt.Errorf("druid: broker %s: result: %w", c.BaseURL, err)
+	}
+	return res, nil
 }
 
 // Tables implements Client.

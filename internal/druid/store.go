@@ -10,10 +10,10 @@ package druid
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"prestolite/internal/block"
 	"prestolite/internal/expr"
 	"prestolite/internal/fault"
 	"prestolite/internal/types"
@@ -77,17 +77,63 @@ const (
 type segment struct {
 	n         int
 	compacted bool
-	longs     map[string][]int64
-	doubles   map[string][]float64
-	strs      map[string]*strColumn
-	nulls     map[string][]bool
+	cols      []segColumn // by table ordinal
 }
 
-// strColumn is dictionary-encoded with a per-value inverted index.
-type strColumn struct {
-	dict  []string
-	ids   []int32 // -1 = null
-	index map[string]*Bitmap
+// segColumn is one column of a segment, laid out field for field as the block
+// a query wraps it in: longs or doubles with an optional null mask for the
+// numeric kinds, a dictionary plus ids (-1 = NULL) for varchar.
+type segColumn struct {
+	longs   []int64
+	doubles []float64
+	nulls   []bool // numeric kinds only; nil while the column holds no NULL
+	dict    []string
+	ids     []int32
+	index   map[string]*Bitmap // per-value inverted index, sealed segments only
+	stats   colStats
+	blk     block.Block // the slices above, wrapped once (wrap)
+}
+
+// colStats is what a segment knows of a column without visiting a row. They
+// are maintained at append and carried through freeze, seal and compaction.
+type colStats struct {
+	nulls int
+	// nan: a double column holds a NaN, which compares equal to everything,
+	// so no [min, max] describes what its rows can match.
+	nan bool
+	// min and max of the non-NULL values, boxed int64 or float64 as
+	// expr.Comparison's statistics tests take them; nil for varchar, when
+	// every row is NULL, and when nan.
+	min, max any
+}
+
+func (s *colStats) merge(o colStats) {
+	s.nulls += o.nulls
+	s.nan = s.nan || o.nan
+	if o.min != nil && (s.min == nil || expr.CompareValues(o.min, s.min) < 0) {
+		s.min = o.min
+	}
+	if o.max != nil && (s.max == nil || expr.CompareValues(o.max, s.max) > 0) {
+		s.max = o.max
+	}
+	if s.nan {
+		s.min, s.max = nil, nil
+	}
+}
+
+// wrap sets blk: the column as the engine's block of its kind, without
+// copying. The block aliases segment memory, which is immutable (a sealed
+// segment) or immutable up to the frozen row count (a view of the open one),
+// exactly as cached Parquet chunks are aliased by the pages read from them.
+func (c *segColumn) wrap() {
+	switch {
+	case c.longs != nil:
+		c.blk = &block.Int64Block{Values: c.longs, Nulls: c.nulls}
+	case c.doubles != nil:
+		c.blk = &block.Float64Block{Values: c.doubles, Nulls: c.nulls}
+	default:
+		c.blk = &block.DictionaryBlock{Dictionary: &block.VarcharBlock{Values: c.dict}, Ids: c.ids}
+	}
 }
 
 // Store is the embedded druid instance.
@@ -228,7 +274,7 @@ func errCellType(col string, ri int, want string, got any) error {
 }
 
 // ---------------------------------------------------------------------------
-// Native query engine.
+// Native query engine (query.go runs it).
 
 // Aggregation is a native aggregate.
 type Aggregation struct {
@@ -248,222 +294,22 @@ type Query struct {
 	Limit   int64 // <= 0: unlimited
 }
 
-// Result carries rows with boxed values.
+// Result is a query's answer in columns: a select returns one page per
+// segment that has a matching row, an aggregation one page of its groups in
+// ascending key order (NULL first).
 type Result struct {
 	Columns []string
-	Types   []string
-	Rows    [][]any
+	Pages   []*block.Page
 }
 
-// Execute runs a native query.
-func (s *Store) Execute(q Query) (*Result, error) {
-	t, err := s.GetTable(q.Table)
-	if err != nil {
-		return nil, err
-	}
-	segs := t.snapshotSegments()
-
-	colType := map[string]*types.Type{}
-	for _, c := range t.Columns {
-		colType[c.Name] = c.Type
-	}
-	for _, f := range q.Filters {
-		if colType[f.Column] == nil {
-			return nil, fmt.Errorf("druid: unknown filter column %q", f.Column)
+// Rows boxes the result row by row, for tests and examples; the connector
+// reads Pages.
+func (r *Result) Rows() [][]any {
+	var rows [][]any
+	for _, p := range r.Pages {
+		for i := 0; i < p.Count(); i++ {
+			rows = append(rows, p.Row(i))
 		}
 	}
-
-	if len(q.Aggregations) == 0 {
-		return s.executeSelect(t, segs, q, colType)
-	}
-	return s.executeGroupBy(t, segs, q, colType)
-}
-
-// selection computes the matching-row bitmap for a segment, using inverted
-// indexes for string equality/in filters.
-func (seg *segment) selection(filters []expr.Comparison, colType map[string]*types.Type) (*Bitmap, error) {
-	sel := NewBitmap(seg.n)
-	sel.SetAll()
-	for _, f := range filters {
-		fb := NewBitmap(seg.n)
-		ct := colType[f.Column]
-		sc := seg.strs[f.Column]
-		if ct.Kind == types.KindVarchar && (f.Op == expr.OpEq || f.Op == expr.OpIn) && sc != nil && sc.index != nil {
-			// Inverted index path: union the per-value bitmaps. Frozen views
-			// of the open segment have no indexes yet and take the scan path.
-			for _, v := range f.Values {
-				str, ok := v.(string)
-				if !ok {
-					return nil, fmt.Errorf("druid: filter on %s: want string, got %T", f.Column, v)
-				}
-				if bm, exists := sc.index[str]; exists {
-					fb.Or(bm)
-				}
-			}
-		} else {
-			// Scan path.
-			for i := 0; i < seg.n; i++ {
-				if f.Match(seg.value(f.Column, ct, i)) {
-					fb.Set(i)
-				}
-			}
-		}
-		sel.And(fb)
-	}
-	return sel, nil
-}
-
-func (seg *segment) value(col string, t *types.Type, i int) any {
-	if seg.nulls[col][i] {
-		return nil
-	}
-	switch t.Kind {
-	case types.KindBigint:
-		return seg.longs[col][i]
-	case types.KindDouble:
-		return seg.doubles[col][i]
-	default:
-		sc := seg.strs[col]
-		return sc.dict[sc.ids[i]]
-	}
-}
-
-func (s *Store) executeSelect(t *Table, segs []*segment, q Query, colType map[string]*types.Type) (*Result, error) {
-	cols := q.Columns
-	if len(cols) == 0 {
-		for _, c := range t.Columns {
-			cols = append(cols, c.Name)
-		}
-	}
-	res := &Result{Columns: cols}
-	for _, c := range cols {
-		ct := colType[c]
-		if ct == nil {
-			return nil, fmt.Errorf("druid: unknown column %q", c)
-		}
-		res.Types = append(res.Types, ct.String())
-	}
-	for _, seg := range segs {
-		sel, err := seg.selection(q.Filters, colType)
-		if err != nil {
-			return nil, err
-		}
-		done := false
-		sel.ForEach(func(i int) bool {
-			row := make([]any, len(cols))
-			for ci, c := range cols {
-				row[ci] = seg.value(c, colType[c], i)
-			}
-			res.Rows = append(res.Rows, row)
-			if q.Limit > 0 && int64(len(res.Rows)) >= q.Limit {
-				done = true
-				return false
-			}
-			return true
-		})
-		if done {
-			break
-		}
-	}
-	return res, nil
-}
-
-func (s *Store) executeGroupBy(t *Table, segs []*segment, q Query, colType map[string]*types.Type) (*Result, error) {
-	type groupAgg struct {
-		keys   []any
-		states []expr.AggState
-	}
-	fns := make([]*expr.AggregateFunction, len(q.Aggregations))
-	argTypes := make([][]*types.Type, len(q.Aggregations))
-	for i, a := range q.Aggregations {
-		var at []*types.Type
-		if a.Column != "" {
-			ct := colType[a.Column]
-			if ct == nil {
-				return nil, fmt.Errorf("druid: unknown aggregation column %q", a.Column)
-			}
-			at = []*types.Type{ct}
-		}
-		fn, err := expr.ResolveAggregate(a.Func, at)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = fn
-		argTypes[i] = at
-	}
-	for _, g := range q.GroupBy {
-		if colType[g] == nil {
-			return nil, fmt.Errorf("druid: unknown group column %q", g)
-		}
-	}
-	groups := map[string]*groupAgg{}
-	var order []string
-	for _, seg := range segs {
-		sel, err := seg.selection(q.Filters, colType)
-		if err != nil {
-			return nil, err
-		}
-		sel.ForEach(func(i int) bool {
-			keys := make([]any, len(q.GroupBy))
-			var kb strings.Builder
-			for ki, g := range q.GroupBy {
-				keys[ki] = seg.value(g, colType[g], i)
-				fmt.Fprintf(&kb, "%T\x00%v\x01", keys[ki], keys[ki])
-			}
-			k := kb.String()
-			ga, ok := groups[k]
-			if !ok {
-				ga = &groupAgg{keys: keys, states: make([]expr.AggState, len(fns))}
-				for fi, fn := range fns {
-					ga.states[fi] = fn.NewState(argTypes[fi])
-				}
-				groups[k] = ga
-				order = append(order, k)
-			}
-			for fi, a := range q.Aggregations {
-				if a.Column == "" {
-					ga.states[fi].Add(nil)
-					continue
-				}
-				ga.states[fi].Add([]any{seg.value(a.Column, colType[a.Column], i)})
-			}
-			return true
-		})
-	}
-	if len(q.GroupBy) == 0 && len(groups) == 0 {
-		ga := &groupAgg{states: make([]expr.AggState, len(fns))}
-		for fi, fn := range fns {
-			ga.states[fi] = fn.NewState(argTypes[fi])
-		}
-		groups[""] = ga
-		order = append(order, "")
-	}
-	res := &Result{}
-	for _, g := range q.GroupBy {
-		res.Columns = append(res.Columns, g)
-		res.Types = append(res.Types, colType[g].String())
-	}
-	for i, a := range q.Aggregations {
-		name := a.Name
-		if name == "" {
-			name = a.Func
-		}
-		res.Columns = append(res.Columns, name)
-		res.Types = append(res.Types, fns[i].FinalType(argTypes[i]).String())
-	}
-	// Deterministic output: sort groups by key string.
-	sort.Strings(order)
-	for _, k := range order {
-		ga := groups[k]
-		row := make([]any, 0, len(res.Columns))
-		row = append(row, ga.keys...)
-		for _, st := range ga.states {
-			row = append(row, st.Final())
-		}
-		res.Rows = append(res.Rows, row)
-		if q.Limit > 0 && int64(len(res.Rows)) >= q.Limit {
-			break
-		}
-	}
-	return res, nil
+	return rows
 }

@@ -1,9 +1,13 @@
 package druid
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
+	"prestolite/internal/block"
 	"prestolite/internal/expr"
 	"prestolite/internal/types"
 )
@@ -48,11 +52,12 @@ func TestSelectWithInvertedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
+	rows := res.Rows()
+	if len(rows) != 3 {
+		t.Fatalf("rows = %v", rows)
 	}
-	if res.Rows[0][0] != "ios" || res.Rows[0][1] != int64(10) {
-		t.Errorf("rows = %v", res.Rows)
+	if rows[0][0] != "ios" || rows[0][1] != int64(10) {
+		t.Errorf("rows = %v", rows)
 	}
 }
 
@@ -73,8 +78,8 @@ func TestFilterOps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", c.f, err)
 		}
-		if len(res.Rows) != c.want {
-			t.Errorf("filter %+v: got %d rows, want %d", c.f, len(res.Rows), c.want)
+		if got := len(res.Rows()); got != c.want {
+			t.Errorf("filter %+v: got %d rows, want %d", c.f, got, c.want)
 		}
 	}
 }
@@ -90,7 +95,7 @@ func TestGroupByAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[any][]any{}
-	for _, r := range res.Rows {
+	for _, r := range res.Rows() {
 		got[r[0]] = r[1:]
 	}
 	if !reflect.DeepEqual(got["us"], []any{int64(37), int64(3)}) {
@@ -114,10 +119,11 @@ func TestGlobalAggregationAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
+	rows := res.Rows()
+	if len(rows) != 1 {
+		t.Fatalf("rows = %v", rows)
 	}
-	rev := res.Rows[0][0].(float64)
+	rev := rows[0][0].(float64)
 	if rev < 2.89 || rev > 2.91 {
 		t.Errorf("rev = %v", rev)
 	}
@@ -126,8 +132,8 @@ func TestGlobalAggregationAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(limited.Rows) != 2 {
-		t.Errorf("limit rows = %v", limited.Rows)
+	if rows := limited.Rows(); len(rows) != 2 {
+		t.Errorf("limit rows = %v", rows)
 	}
 }
 
@@ -185,14 +191,94 @@ func TestHTTPServerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if rows := res.Rows(); len(rows) != 2 {
+		t.Fatalf("rows = %v", rows)
+	}
+	// A select's string column crosses the wire as the dictionary block the
+	// store wrapped, not as flattened strings.
+	res, err = client.Execute(Query{Table: "events", Columns: []string{"country", "clicks"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pages) != 1 {
+		t.Fatalf("pages = %d, want the one open segment's", len(res.Pages))
+	}
+	if _, ok := res.Pages[0].Blocks[0].(*block.DictionaryBlock); !ok {
+		t.Errorf("country arrived as %T, want a dictionary block", res.Pages[0].Blocks[0])
+	}
+	if want, _ := s.Execute(Query{Table: "events", Columns: []string{"country", "clicks"}}); !reflect.DeepEqual(res.Rows(), want.Rows()) {
+		t.Errorf("over HTTP: %v\nembedded:  %v", res.Rows(), want.Rows())
 	}
 	if _, err := client.Schema("missing"); err == nil {
 		t.Error("missing table schema accepted")
 	}
 	if _, err := client.Execute(Query{Table: "missing"}); err == nil {
 		t.Error("missing table query accepted")
+	}
+}
+
+// TestHTTPClientRejectsDamagedResults: the client decodes frames it did not
+// write. A damaged response is an error naming the broker — never a panic,
+// never a shorter result.
+func TestHTTPClientRejectsDamagedResults(t *testing.T) {
+	good, err := testStore(t).Execute(Query{Table: "events", Columns: []string{"country", "clicks"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := encodeResult(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A header that announces the page twice, followed by the page once.
+	frame, err := block.EncodePage(good.Pages[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := encodeResult(&Result{Columns: good.Columns, Pages: []*block.Page{good.Pages[0], good.Pages[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(i int) []byte {
+		out := append([]byte(nil), body...)
+		out[i] ^= 0x40
+		return out
+	}
+	for name, damaged := range map[string][]byte{
+		"empty":                      {},
+		"truncated in the header":    body[:5],
+		"truncated in a frame":       body[:len(body)-3],
+		"flipped byte in a frame":    flip(len(body) - 9),
+		"flipped byte in the header": flip(9),
+		"more frames promised":       twice[:len(twice)-len(frame)],
+		"trailing bytes":             append(append([]byte(nil), body...), 0),
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { _, _ = w.Write(damaged) }))
+		client := &HTTPClient{BaseURL: srv.URL, HTTP: srv.Client()}
+		res, err := client.Execute(Query{Table: "events"})
+		srv.Close()
+		if err == nil {
+			t.Errorf("%s: accepted, %d rows", name, len(res.Rows()))
+		} else if !strings.Contains(err.Error(), "broker "+srv.URL) {
+			t.Errorf("%s: the error does not name the broker: %v", name, err)
+		}
+	}
+}
+
+// TestHTTPServerBoundsQueryBody: the broker reads a bounded request.
+func TestHTTPServerBoundsQueryBody(t *testing.T) {
+	srv := NewServer(testStore(t))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	huge := Query{Table: "events", Columns: []string{strings.Repeat("x", maxQueryBytes)}}
+	resp, err := http.Post("http://"+srv.Addr()+"/druid/v2/query", "application/x-gob", pipeEncode(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("a %d-byte query answered %s, want 413", maxQueryBytes, resp.Status)
 	}
 }
 

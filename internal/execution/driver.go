@@ -266,7 +266,7 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 				keys[i] = i
 			}
 			endpoints, _ := newAdaptiveExchange(ctx, partials, keys, n, exGather)
-			final := finalOverPartial(t, partial)
+			final := planner.FinalOver(&planner.Values{Cols: partial.Outputs()}, t)
 			outs := make([]Operator, n)
 			for i, ep := range endpoints {
 				op, err := newAggOp(ctx, final, ep)
@@ -316,35 +316,12 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 		}
 		return partials, nil
 	}
-	final := finalOverPartial(t, partial)
+	final := planner.FinalOver(&planner.Values{Cols: partial.Outputs()}, t)
 	op, err := newAggOp(ctx, final, gatherOne(ctx, partials))
 	if err != nil {
 		return nil, err
 	}
 	return []Operator{ctx.instrument(t, op)}, nil
-}
-
-// finalOverPartial derives the FINAL aggregation node that merges partial's
-// intermediate output back to t's result — the same construction the
-// fragmenter uses for the distributed partial/final split.
-func finalOverPartial(t *planner.Aggregate, partial *planner.Aggregate) *planner.Aggregate {
-	groups := len(t.GroupBy)
-	finalAggs := make([]planner.Aggregation, len(t.Aggs))
-	for i, a := range t.Aggs {
-		fa := a
-		fa.Args = []int{groups + i} // the intermediate channel
-		finalAggs[i] = fa
-	}
-	finalGroups := make([]int, groups)
-	for i := range finalGroups {
-		finalGroups[i] = i
-	}
-	return &planner.Aggregate{
-		Child:   &planner.Values{Cols: partial.Outputs()},
-		GroupBy: finalGroups,
-		Aggs:    finalAggs,
-		Step:    planner.AggFinal,
-	}
 }
 
 // buildJoin partitions both sides of an equi-join by join key with the

@@ -355,6 +355,56 @@ func TestVectorAggEquivalence(t *testing.T) {
 	}
 }
 
+// TestVectorGlobalAggEquivalence: a global aggregate is the vector operator's
+// keyless group 0. Over empty input, all-NULL input and random input it must
+// agree with the row operators at 1 to 8 drivers — one output row whatever
+// came in, count 0 and max NULL when nothing did.
+func TestVectorGlobalAggEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		rows    int
+		nullDen float64
+		want    string // the single row, when it is known in advance
+	}{
+		{name: "empty", rows: 0, want: "[0 <nil> <nil> 0 <nil>]"},
+		{name: "all NULL", rows: 700, nullDen: 1, want: "[700 <nil> <nil> 0 <nil>]"},
+		{name: "random", rows: 2500, nullDen: 0.3},
+	} {
+		for _, seed := range equivSeeds(t) {
+			rng := rand.New(rand.NewSource(seed))
+			specs := []equivColSpec{
+				{name: "a", typ: types.Bigint, card: 1000, nullDen: tc.nullDen},
+				{name: "b", typ: types.Double, card: 500, nullDen: tc.nullDen},
+				{name: "c", typ: types.Varchar, card: 40, nullDen: tc.nullDen},
+			}
+			scan, conn := equivScan(rng, "t", specs, tc.rows)
+			reg := connector.NewRegistry()
+			reg.Register("t", conn)
+			agg := func(name string, ch int) planner.Aggregation {
+				argTypes := []*types.Type{specs[ch].typ}
+				fn, err := expr.ResolveAggregate(name, argTypes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return planner.Aggregation{FuncName: name, Args: []int{ch}, ArgTypes: argTypes, OutputName: name,
+					InterType: fn.IntermediateType(argTypes), FinalType: fn.FinalType(argTypes)}
+			}
+			plan := &planner.Aggregate{Child: maybeFilter(rng, scan, specs), Step: planner.AggSingle, Aggs: []planner.Aggregation{
+				{FuncName: "count", OutputName: "cnt", InterType: types.Bigint, FinalType: types.Bigint},
+				agg("sum", 0), agg("avg", 1), agg("count", 2), agg("max", 2),
+			}}
+			if !vectorAggEligible(&Context{}, plan) {
+				t.Fatal("a global aggregate is not on the vector operator: the comparison is row against row")
+			}
+			checkEquivalence(t, seed, plan, reg)
+			got := runEquiv(t, plan, reg, equivConfig{name: "vector-8", drivers: 8})
+			if _, filtered := plan.Child.(*planner.Filter); len(got) != 1 || (tc.want != "" && !filtered && got[0] != tc.want) {
+				t.Errorf("%s, seed %d: got %v, want the one row %s", tc.name, seed, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestVectorJoinEquivalence: random inner/left equi-joins (shared key
 // domains so matches actually occur, mixed encodings and NULL keys) must
 // produce row-identical results on the vectorized path at any driver count,

@@ -58,12 +58,13 @@ func partialBypassRows(ctx *Context) int {
 	return partialBypassMinRows
 }
 
-// vectorAggEligible gates the vectorized aggregation: grouped (a global
-// aggregate is one constant-size state — nothing to vectorize), scalar key
-// types, and every aggregate covered by a typed kernel. DISTINCT and
-// approx_distinct stay on the reference path.
+// vectorAggEligible gates the vectorized aggregation: scalar key types (none
+// for a global aggregate, which is the one group 0 — its state is constant
+// size, but the row operator boxed every input value to reach it) and every
+// aggregate covered by a typed kernel. DISTINCT, multi-argument aggregates
+// and approx_distinct stay on the reference path.
 func vectorAggEligible(ctx *Context, node *planner.Aggregate) bool {
-	if ctx.rowOperators || len(node.GroupBy) == 0 {
+	if ctx.rowOperators {
 		return false
 	}
 	childCols := node.Child.Outputs()
@@ -272,12 +273,20 @@ func (o *vectorAggOperator) consume() error {
 		// consuming — Next drains the hashed groups, then streams the rest
 		// of the input through in intermediate layout. Spilled operators
 		// never bypass: their emission already belongs to the run merger.
-		if o.bypassRows >= 0 && o.node.Step == planner.AggPartial && len(o.runs) == 0 {
+		if o.bypassRows >= 0 && o.node.Step == planner.AggPartial && len(o.runs) == 0 && len(o.node.GroupBy) > 0 {
 			o.rowsIn += n
 			if o.rowsIn >= o.bypassRows && o.table.Len()*partialBypassDen >= o.rowsIn*partialBypassNum {
 				o.bypass = true
 				return nil
 			}
+		}
+	}
+	if len(o.node.GroupBy) == 0 && o.table.Len() == 0 {
+		// A global aggregate over empty input still produces its one group:
+		// a keyless row opens it, and no aggregator sees a value.
+		o.table.Assign(nil, 1, []uint64{0}, make([]int32, 1))
+		for _, agg := range o.aggs {
+			agg.Grow(1)
 		}
 	}
 	if len(o.runs) > 0 {
@@ -293,10 +302,14 @@ func (o *vectorAggOperator) consume() error {
 }
 
 // chargeGrowth accounts the page's new groups (same per-group costs as the
-// row operator, charged per batch instead of per row). A refused reservation
-// flushes the whole table to a sorted run — including the groups just
-// assigned, so unlike the row path nothing is re-reserved afterwards.
+// row operator, charged per batch instead of per row; like it, nothing for a
+// global aggregate's one constant-size group). A refused reservation flushes
+// the whole table to a sorted run — including the groups just assigned, so
+// unlike the row path nothing is re-reserved afterwards.
 func (o *vectorAggOperator) chargeGrowth(groups int) error {
+	if len(o.node.GroupBy) == 0 {
+		return nil
+	}
 	keyBytes := o.table.KeyBytes()
 	cost := int64(groups-o.chargedGroups)*(aggGroupBaseCost+int64(len(o.aggs))*aggStateCost) +
 		(keyBytes - o.chargedKeyBytes)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"prestolite/internal/types"
 )
 
 // The one pushable predicate (§IV.A, §V.F): what the optimizer hands a
@@ -107,12 +109,14 @@ func (c Comparison) Match(v any) bool {
 
 // OverlapsStats reports whether any value in [min, max] can match (the
 // row-group skipping test of §V.F, Fig 7). Without statistics (nil) nothing
-// can be excluded.
+// can be excluded. The statistic is always the left operand of CompareValues,
+// as the column's value is in Match, so a literal of another numeric kind is
+// converted the same way in both.
 func (c Comparison) OverlapsStats(min, max any) bool {
 	if min == nil || max == nil {
 		return true
 	}
-	within := func(v any) bool { return CompareValues(v, min) >= 0 && CompareValues(v, max) <= 0 }
+	within := func(v any) bool { return CompareValues(min, v) <= 0 && CompareValues(max, v) >= 0 }
 	switch c.Op {
 	case OpEq:
 		return within(c.Values[0])
@@ -134,6 +138,150 @@ func (c Comparison) OverlapsStats(min, max any) bool {
 	default: // OpNeq: stats can only prove min==max==v
 		return !(CompareValues(min, max) == 0 && CompareValues(min, c.Values[0]) == 0)
 	}
+}
+
+// CoversStats is the dual of OverlapsStats: it reports whether every non-NULL
+// value in [min, max] must match, so a store may skip evaluating the
+// comparison over a unit that holds no NULL. Without statistics (nil) nothing
+// can be proven.
+func (c Comparison) CoversStats(min, max any) bool {
+	if min == nil || max == nil {
+		return false
+	}
+	only := func(v any) bool { return CompareValues(min, v) == 0 && CompareValues(max, v) == 0 }
+	switch c.Op {
+	case OpEq:
+		return only(c.Values[0])
+	case OpIn:
+		for _, v := range c.Values {
+			if only(v) {
+				return true
+			}
+		}
+		return false
+	case OpLt:
+		return CompareValues(max, c.Values[0]) < 0
+	case OpLte:
+		return CompareValues(max, c.Values[0]) <= 0
+	case OpGt:
+		return CompareValues(min, c.Values[0]) > 0
+	case OpGte:
+		return CompareValues(min, c.Values[0]) >= 0
+	default: // OpNeq
+		return CompareValues(min, c.Values[0]) > 0 || CompareValues(max, c.Values[0]) < 0
+	}
+}
+
+// Matcher is a Comparison bound to a column's storage kind: exactly one field
+// is set, and the literals are already converted the way CompareValues
+// converts its right operand (an int64 literal against a double column
+// compares as double, a double literal against a bigint column truncates).
+// Stores evaluate it in typed loops: no boxed value per row.
+type Matcher struct {
+	Ints   func(int64) bool
+	Floats func(float64) bool
+	Strs   func(string) bool
+	Bools  func(bool) bool
+}
+
+// Bind builds c's Matcher for a column of type t. A literal the column's kind
+// cannot be compared with is an error here rather than a panic per row.
+func (c Comparison) Bind(t *types.Type) (Matcher, error) {
+	if len(c.Values) == 0 && c.Op != OpIn {
+		return Matcher{}, fmt.Errorf("expr: comparison on %q has no value", c.Column)
+	}
+	mismatch := func(v any) error {
+		return fmt.Errorf("expr: comparison %s: cannot compare a %s column with %T", c, t, v)
+	}
+	switch t.Kind {
+	case types.KindDouble:
+		lits := make([]float64, len(c.Values))
+		for i, v := range c.Values {
+			switch x := v.(type) {
+			case float64:
+				lits[i] = x
+			case int64:
+				lits[i] = float64(x)
+			default:
+				return Matcher{}, mismatch(v)
+			}
+		}
+		return Matcher{Floats: orderedMatcher(c.Op, lits)}, nil
+	case types.KindVarchar:
+		lits := make([]string, len(c.Values))
+		for i, v := range c.Values {
+			x, ok := v.(string)
+			if !ok {
+				return Matcher{}, mismatch(v)
+			}
+			lits[i] = x
+		}
+		return Matcher{Strs: orderedMatcher(c.Op, lits)}, nil
+	case types.KindBoolean:
+		// false < true, as CompareValues orders them.
+		lits := make([]int64, len(c.Values))
+		for i, v := range c.Values {
+			x, ok := v.(bool)
+			if !ok {
+				return Matcher{}, mismatch(v)
+			}
+			lits[i] = boolRank(x)
+		}
+		m := orderedMatcher(c.Op, lits)
+		return Matcher{Bools: func(v bool) bool { return m(boolRank(v)) }}, nil
+	default: // the integer kinds
+		lits := make([]int64, len(c.Values))
+		for i, v := range c.Values {
+			switch x := v.(type) {
+			case int64:
+				lits[i] = x
+			case float64:
+				lits[i] = int64(x)
+			default:
+				return Matcher{}, mismatch(v)
+			}
+		}
+		return Matcher{Ints: orderedMatcher(c.Op, lits)}, nil
+	}
+}
+
+func boolRank(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// orderedMatcher builds the comparison for one operator. Equality is "neither
+// less nor greater", which is what CompareValues' three-way result gives a
+// NaN: it compares equal to everything.
+func orderedMatcher[T int64 | float64 | string](op CompareOp, lits []T) func(T) bool {
+	if op == OpIn {
+		return func(v T) bool {
+			for _, w := range lits {
+				if !(v < w) && !(v > w) {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	lit := lits[0]
+	switch op {
+	case OpEq:
+		return func(v T) bool { return !(v < lit) && !(v > lit) }
+	case OpNeq:
+		return func(v T) bool { return v < lit || v > lit }
+	case OpLt:
+		return func(v T) bool { return v < lit }
+	case OpLte:
+		return func(v T) bool { return !(v > lit) }
+	case OpGt:
+		return func(v T) bool { return v > lit }
+	case OpGte:
+		return func(v T) bool { return !(v < lit) }
+	}
+	return func(T) bool { return false }
 }
 
 // String renders the comparison for TableHandle.Description, which is part of

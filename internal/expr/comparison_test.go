@@ -87,7 +87,8 @@ func TestConjuncts(t *testing.T) {
 }
 
 // TestOverlapsStatsIsSound: a row group may only be skipped when no value
-// within its [min, max] matches.
+// within its [min, max] matches — and, CoversStats being the dual, the
+// comparison may only be skipped when every value within it does.
 func TestOverlapsStatsIsSound(t *testing.T) {
 	for op := OpEq; op <= OpIn; op++ {
 		for lit := int64(-1); lit <= 4; lit++ {
@@ -97,19 +98,33 @@ func TestOverlapsStatsIsSound(t *testing.T) {
 			}
 			for min := int64(0); min <= 3; min++ {
 				for max := min; max <= 3; max++ {
-					any := false
+					some, all := false, true
 					for v := min; v <= max; v++ {
-						any = any || c.Match(v)
+						some, all = some || c.Match(v), all && c.Match(v)
 					}
-					if got := c.OverlapsStats(min, max); any && !got {
+					if got := c.OverlapsStats(min, max); some && !got {
 						t.Errorf("%s excludes [%d, %d], which holds a match", c, min, max)
-					} else if !any && got && op != OpIn { // a gap inside an IN list's span is allowed to overlap
+					} else if !some && got && op != OpIn { // a gap inside an IN list's span is allowed to overlap
 						t.Errorf("%s keeps [%d, %d], which holds no match", c, min, max)
+					}
+					if got := c.CoversStats(min, max); got && !all {
+						t.Errorf("%s covers [%d, %d], which holds a value it does not match", c, min, max)
+					} else if all && !got && (op != OpIn || min == max) { // an IN list is not searched for a run of values
+						t.Errorf("%s does not cover [%d, %d], every value of which it matches", c, min, max)
+					}
+					// A literal of the other numeric kind is converted as Match
+					// converts it, whichever test is asked.
+					f := Comparison{Column: "n", Op: op, Values: []any{float64(lit) + 0.5}}
+					if f.Match(min) && f.Match(max) && min == max && !f.OverlapsStats(min, max) {
+						t.Errorf("%s excludes [%d, %d], which it matches", f, min, max)
+					}
+					if f.CoversStats(min, max) && !(f.Match(min) && f.Match(max)) {
+						t.Errorf("%s covers [%d, %d] and does not match its ends", f, min, max)
 					}
 				}
 			}
-			if !c.OverlapsStats(nil, nil) {
-				t.Errorf("%s excludes a row group without statistics", c)
+			if !c.OverlapsStats(nil, nil) || c.CoversStats(nil, nil) {
+				t.Errorf("%s decides a row group without statistics", c)
 			}
 			if c.Match(nil) {
 				t.Errorf("%s matches NULL", c)

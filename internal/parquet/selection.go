@@ -5,30 +5,23 @@ import (
 	"fmt"
 
 	"prestolite/internal/expr"
-	"prestolite/internal/types"
 )
 
 // Typed evaluation of pushed predicates (§V.F, Figs 7-9: read, evaluate and
 // build in one step). The reader binds each expr.Comparison to the file
-// schema once per file, then narrows a selection of record indexes with one
-// loop per predicate over the decoded chunk's typed values: no path lookup
-// and no boxed value per record. The boxed Comparison.Match stays for the
+// schema once per file (expr.Comparison.Bind: the matcher the druid store
+// runs too), then narrows a selection of record indexes with one loop per
+// predicate over the decoded chunk's typed values: no path lookup and no
+// boxed value per record. The boxed Comparison.Match stays for the
 // places that hold a single boxed value: dictionary probing and partition
 // pruning.
 
-// leafPredicate is a Comparison bound to a file schema: the leaf it
-// reads, and a matcher over that leaf's storage kind with the literals
-// already converted the way expr.CompareValues converts its right operand
-// (an int64 literal against a double column compares as double, a double
-// literal against a bigint column truncates).
+// leafPredicate is a Comparison bound to a file schema: the leaf it reads,
+// and expr's matcher over that leaf's storage kind (as chunkData stores it).
 type leafPredicate struct {
 	expr.Comparison
 	node *Node
-	// Exactly one matcher is set, by the leaf's storage kind.
-	ints   func(int64) bool
-	floats func(float64) bool
-	strs   func(string) bool
-	bools  func(bool) bool
+	m    expr.Matcher
 }
 
 // bindPredicate resolves p against schema. A literal the column's kind cannot
@@ -41,103 +34,11 @@ func bindPredicate(p expr.Comparison, schema *Schema) (leafPredicate, error) {
 	if n.Kind != KindPrimitive || n.RepLevel != 0 {
 		return leafPredicate{}, fmt.Errorf("parquet: predicate column %q must be a non-repeated primitive", p.Column)
 	}
-	if len(p.Values) == 0 && p.Op != expr.OpIn {
-		return leafPredicate{}, fmt.Errorf("parquet: predicate on %q has no value", p.Column)
+	m, err := p.Bind(n.Prim)
+	if err != nil {
+		return leafPredicate{}, fmt.Errorf("parquet: %w", err)
 	}
-	lp := leafPredicate{Comparison: p, node: n}
-	mismatch := func(v any) error {
-		return fmt.Errorf("parquet: predicate %s: cannot compare a %s column with %T", p, n.Prim, v)
-	}
-	switch n.Prim.Kind { // as chunkData stores them
-	case types.KindDouble:
-		lits := make([]float64, len(p.Values))
-		for i, v := range p.Values {
-			switch x := v.(type) {
-			case float64:
-				lits[i] = x
-			case int64:
-				lits[i] = float64(x)
-			default:
-				return leafPredicate{}, mismatch(v)
-			}
-		}
-		lp.floats = orderedMatcher(p.Op, lits)
-	case types.KindVarchar:
-		lits := make([]string, len(p.Values))
-		for i, v := range p.Values {
-			x, ok := v.(string)
-			if !ok {
-				return leafPredicate{}, mismatch(v)
-			}
-			lits[i] = x
-		}
-		lp.strs = orderedMatcher(p.Op, lits)
-	case types.KindBoolean:
-		// false < true, as CompareValues orders them.
-		lits := make([]int64, len(p.Values))
-		for i, v := range p.Values {
-			x, ok := v.(bool)
-			if !ok {
-				return leafPredicate{}, mismatch(v)
-			}
-			lits[i] = boolRank(x)
-		}
-		m := orderedMatcher(p.Op, lits)
-		lp.bools = func(v bool) bool { return m(boolRank(v)) }
-	default:
-		lits := make([]int64, len(p.Values))
-		for i, v := range p.Values {
-			switch x := v.(type) {
-			case int64:
-				lits[i] = x
-			case float64:
-				lits[i] = int64(x)
-			default:
-				return leafPredicate{}, mismatch(v)
-			}
-		}
-		lp.ints = orderedMatcher(p.Op, lits)
-	}
-	return lp, nil
-}
-
-func boolRank(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// orderedMatcher builds the comparison for one operator. Equality is "neither
-// less nor greater", which is what CompareValues' three-way result gives a
-// NaN: it compares equal to everything.
-func orderedMatcher[T int64 | float64 | string](op expr.CompareOp, lits []T) func(T) bool {
-	if op == expr.OpIn {
-		return func(v T) bool {
-			for _, w := range lits {
-				if !(v < w) && !(v > w) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	lit := lits[0]
-	switch op {
-	case expr.OpEq:
-		return func(v T) bool { return !(v < lit) && !(v > lit) }
-	case expr.OpNeq:
-		return func(v T) bool { return v < lit || v > lit }
-	case expr.OpLt:
-		return func(v T) bool { return v < lit }
-	case expr.OpLte:
-		return func(v T) bool { return !(v > lit) }
-	case expr.OpGt:
-		return func(v T) bool { return v > lit }
-	case expr.OpGte:
-		return func(v T) bool { return !(v < lit) }
-	}
-	return func(T) bool { return false }
+	return leafPredicate{Comparison: p, node: n, m: m}, nil
 }
 
 // filter narrows sel — record indexes in ascending order, nil meaning every
@@ -146,14 +47,14 @@ func orderedMatcher[T int64 | float64 | string](op expr.CompareOp, lits []T) fun
 func (p *leafPredicate) filter(cd *chunkData, sel []int, n int) []int {
 	idx := cd.valueIndex()
 	switch {
-	case p.floats != nil:
-		return filterValues(cd.floats, idx, sel, n, p.floats)
-	case p.strs != nil:
-		return filterValues(cd.strs, idx, sel, n, p.strs)
-	case p.bools != nil:
-		return filterValues(cd.bools, idx, sel, n, p.bools)
+	case p.m.Floats != nil:
+		return filterValues(cd.floats, idx, sel, n, p.m.Floats)
+	case p.m.Strs != nil:
+		return filterValues(cd.strs, idx, sel, n, p.m.Strs)
+	case p.m.Bools != nil:
+		return filterValues(cd.bools, idx, sel, n, p.m.Bools)
 	default:
-		return filterValues(cd.ints, idx, sel, n, p.ints)
+		return filterValues(cd.ints, idx, sel, n, p.m.Ints)
 	}
 }
 

@@ -54,26 +54,12 @@ func (f *Fragmenter) Fragment(root Node) *FragmentedPlan {
 // rewrite replaces maximal scan-local subtrees with RemoteSources.
 func (f *Fragmenter) rewrite(n Node, fp *FragmentedPlan) Node {
 	// Partial/final aggregation split (Fig 2): Aggregate over a scan-local
-	// subtree becomes AggPartial on workers + AggFinal on the coordinator.
+	// subtree becomes AggPartial on workers + AggFinal on the coordinator. (An
+	// aggregate over a union was already split per side by the optimizer.)
 	if agg, ok := n.(*Aggregate); ok && agg.Step == AggSingle && isScanLocal(agg.Child) && scanOf(agg.Child) != nil && !hasDistinct(agg) {
 		partial := &Aggregate{Child: agg.Child, GroupBy: agg.GroupBy, Aggs: agg.Aggs, Step: AggPartial}
 		frag := f.newSourceFragment(partial, fp)
-		remote := &RemoteSource{FragmentID: frag.ID, Cols: partial.Outputs()}
-		return finalOver(remote, agg)
-	}
-	// The same split over a hybrid union: one partial-aggregation source
-	// fragment per union side, one final aggregation over the concatenated
-	// partials.
-	if agg, ok := n.(*Aggregate); ok && agg.Step == AggSingle && !hasDistinct(agg) {
-		if u, isUnion := agg.Child.(*Union); isUnion && allScanLocal(u.Sources) {
-			remotes := make([]Node, len(u.Sources))
-			for i, src := range u.Sources {
-				partial := &Aggregate{Child: src, GroupBy: agg.GroupBy, Aggs: agg.Aggs, Step: AggPartial}
-				frag := f.newSourceFragment(partial, fp)
-				remotes[i] = &RemoteSource{FragmentID: frag.ID, Cols: partial.Outputs()}
-			}
-			return finalOver(&Union{Sources: remotes}, agg)
-		}
+		return FinalOver(&RemoteSource{FragmentID: frag.ID, Cols: partial.Outputs()}, agg)
 	}
 	if isScanLocal(n) {
 		if scanOf(n) == nil {
@@ -88,8 +74,12 @@ func (f *Fragmenter) rewrite(n Node, fp *FragmentedPlan) Node {
 	return mapChildren(n, func(c Node) Node { return f.rewrite(c, fp) })
 }
 
-// finalOver builds the AggFinal matching agg over the given (remote) child.
-func finalOver(child Node, agg *Aggregate) *Aggregate {
+// FinalOver builds the AggFinal that merges, over child, the output of agg's
+// PARTIAL form back to agg's result: the group keys are child's first
+// channels and each aggregate reads its intermediate from the channel after
+// them. The optimizer's union rule, the fragmenter and the execution layer's
+// per-driver split all build their FINAL here.
+func FinalOver(child Node, agg *Aggregate) *Aggregate {
 	groups := len(agg.GroupBy)
 	finalAggs := make([]Aggregation, len(agg.Aggs))
 	for i, a := range agg.Aggs {
@@ -97,20 +87,7 @@ func finalOver(child Node, agg *Aggregate) *Aggregate {
 		fa.Args = []int{groups + i} // the intermediate channel
 		finalAggs[i] = fa
 	}
-	finalGroups := make([]int, groups)
-	for i := range finalGroups {
-		finalGroups[i] = i
-	}
-	return &Aggregate{Child: child, GroupBy: finalGroups, Aggs: finalAggs, Step: AggFinal}
-}
-
-func allScanLocal(nodes []Node) bool {
-	for _, n := range nodes {
-		if !isScanLocal(n) || scanOf(n) == nil {
-			return false
-		}
-	}
-	return true
+	return &Aggregate{Child: child, GroupBy: identityChannels(groups), Aggs: finalAggs, Step: AggFinal}
 }
 
 func (f *Fragmenter) newSourceFragment(root Node, fp *FragmentedPlan) *Fragment {
@@ -128,7 +105,8 @@ func (f *Fragmenter) newSourceFragment(root Node, fp *FragmentedPlan) *Fragment 
 }
 
 // isScanLocal reports whether the subtree is a scan with only per-row
-// operators above it (safe to run independently per split).
+// operators above it, or a partial aggregation of one: safe to run
+// independently per split, since whatever reads a PARTIAL merges it.
 func isScanLocal(n Node) bool {
 	switch t := n.(type) {
 	case *TableScan:
@@ -139,6 +117,8 @@ func isScanLocal(n Node) bool {
 		return isScanLocal(t.Child)
 	case *Project:
 		return isScanLocal(t.Child)
+	case *Aggregate:
+		return t.Step == AggPartial && isScanLocal(t.Child)
 	default:
 		return false
 	}

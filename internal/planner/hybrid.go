@@ -68,15 +68,26 @@ func (o *Optimizer) expandHybrid(scan *TableScan, spec connector.HybridSpec, pre
 	needHist := lo == nil || *lo < spec.Boundary
 	needRT := hi == nil || *hi > spec.Boundary
 	var sources []Node
+	// A side whose bound the query's own predicate already proves gets no
+	// boundary conjunct: the store would evaluate the same comparison twice
+	// per row, and the plan text — the result-cache key — would carry it twice.
 	if needHist {
-		side, err := o.buildSideScan(scan, spec.Historical, spec.TimeColumn, pred, "lt", spec.Boundary)
+		op := "lt"
+		if hi != nil && *hi <= spec.Boundary {
+			op = ""
+		}
+		side, err := o.buildSideScan(scan, spec.Historical, spec.TimeColumn, pred, op, spec.Boundary)
 		if err != nil {
 			return orig()
 		}
 		sources = append(sources, side)
 	}
 	if needRT {
-		side, err := o.buildSideScan(scan, spec.Realtime, spec.TimeColumn, pred, "gte", spec.Boundary)
+		op := "gte"
+		if lo != nil && *lo >= spec.Boundary {
+			op = ""
+		}
+		side, err := o.buildSideScan(scan, spec.Realtime, spec.TimeColumn, pred, op, spec.Boundary)
 		if err != nil {
 			return orig()
 		}
@@ -96,9 +107,9 @@ func (o *Optimizer) expandHybrid(scan *TableScan, spec connector.HybridSpec, pre
 
 // buildSideScan plans one side: a scan of the part's table producing the
 // hybrid scan's columns, filtered by the boundary predicate (boundaryOp is
-// "lt" for the historical side, "gte" for real-time) plus the user
-// predicate. If the hybrid scan does not output the time column, it is
-// scanned additionally and projected away after the filter.
+// "lt" for the historical side, "gte" for real-time, "" when pred implies
+// it) plus the user predicate. If the hybrid scan does not output the time
+// column, it is scanned additionally and projected away after the filter.
 func (o *Optimizer) buildSideScan(scan *TableScan, part connector.HybridPart, timeCol string, pred expr.RowExpression, boundaryOp string, boundary int64) (Node, error) {
 	conn, err := o.Catalogs.Get(part.Catalog)
 	if err != nil {
@@ -137,12 +148,14 @@ func (o *Optimizer) buildSideScan(scan *TableScan, part connector.HybridPart, ti
 		timeCh = len(side.Cols) - 1
 		appended = true
 	}
-	boundaryPred := expr.MustCall(boundaryOp,
-		expr.NewVariable(timeCol, timeCh, side.Cols[timeCh].Type),
-		expr.NewConstant(boundary, types.Bigint))
-	full := expr.RowExpression(boundaryPred)
-	if pred != nil {
-		full = expr.And(boundaryPred, pred)
+	full := pred
+	if boundaryOp != "" {
+		full = expr.MustCall(boundaryOp,
+			expr.NewVariable(timeCol, timeCh, side.Cols[timeCh].Type),
+			expr.NewConstant(boundary, types.Bigint))
+		if pred != nil {
+			full = expr.And(full, pred)
+		}
 	}
 	var out Node = &Filter{Child: side, Predicate: full}
 	if appended {

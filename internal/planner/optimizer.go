@@ -57,7 +57,9 @@ func (o *Optimizer) Optimize(root Node) Node {
 	// Phase 4: column pruning (projection pushdown).
 	root = pruneRoot(root, o.Catalogs)
 	root = rewrite(root, removeIdentityProject)
-	// Phase 5: aggregation pushdown into connectors.
+	// Phase 5: aggregation pushdown — first through a union to each of its
+	// sides in partial form, then into connectors.
+	root = rewrite(root, pushAggregationThroughUnion)
 	root = rewrite(root, o.pushAggregationIntoScan)
 	root = rewrite(root, removeIdentityProject)
 	// Phase 6: limit pushdown into connectors.
@@ -255,31 +257,56 @@ func removeIdentityProject(n Node) Node {
 	return p.Child
 }
 
+// pushAggregationThroughUnion splits an aggregate over a union (a hybrid
+// table's two sides) — directly, or through a projection of plain columns —
+// into a FINAL over the union of one PARTIAL per side, the projection
+// re-applied under each. Each side then aggregates where its rows are: in
+// the source fragment the fragmenter cuts around it, or inside the connector
+// when pushAggregationIntoScan can hand the partial over (Fig 2), and only
+// partial rows reach the final. DISTINCT aggregates do not merge and stay
+// whole.
+func pushAggregationThroughUnion(n Node) Node {
+	agg, ok := n.(*Aggregate)
+	if !ok || agg.Step != AggSingle || hasDistinct(agg) {
+		return n
+	}
+	child, via := agg.Child, (*Project)(nil)
+	if p, isProj := child.(*Project); isProj && p.forwardedChannels() != nil {
+		child, via = p.Child, p
+	}
+	u, ok := child.(*Union)
+	if !ok {
+		return n
+	}
+	sides := make([]Node, len(u.Sources))
+	for i, src := range u.Sources {
+		if via != nil {
+			src = &Project{Child: src, Exprs: via.Exprs, Names: via.Names}
+		}
+		sides[i] = &Aggregate{Child: src, GroupBy: agg.GroupBy, Aggs: agg.Aggs, Step: AggPartial}
+	}
+	return FinalOver(&Union{Sources: sides}, agg)
+}
+
 // pushAggregationIntoScan absorbs Aggregate(TableScan) into connectors that
 // implement AggregationPushdown (§IV.B): Druid/Pinot-style stores execute
 // the aggregation natively and only aggregated rows stream into the engine.
+// A PARTIAL (one side of a split union) is absorbed too when every aggregate's
+// intermediate type is its final type — count, sum, min, max: the connector
+// runs the aggregation it always ran and the FINAL above merges it. avg, whose
+// intermediate is a (sum, count) pair, stays an engine-side partial over the
+// scan.
 func (o *Optimizer) pushAggregationIntoScan(n Node) Node {
 	agg, ok := n.(*Aggregate)
-	if !ok || agg.Step != AggSingle {
+	if !ok || agg.Step == AggFinal {
 		return n
 	}
 	// Look through a pure column-selection projection (the pre-aggregation
 	// projection frequently just reorders scan outputs).
 	child := agg.Child
-	var viaProject []int
+	var viaProject map[int]int
 	if p, isProj := child.(*Project); isProj {
-		perm := make([]int, len(p.Exprs))
-		pure := true
-		for i, e := range p.Exprs {
-			v, isVar := e.(*expr.Variable)
-			if !isVar {
-				pure = false
-				break
-			}
-			perm[i] = v.Channel
-		}
-		if pure {
-			viaProject = perm
+		if viaProject = p.forwardedChannels(); viaProject != nil {
 			child = p.Child
 		}
 	}
@@ -303,7 +330,7 @@ func (o *Optimizer) pushAggregationIntoScan(n Node) Node {
 	}
 	var specs []connector.AggregateSpec
 	for _, a := range agg.Aggs {
-		if a.Distinct {
+		if a.Distinct || (agg.Step == AggPartial && !a.InterType.Equals(a.FinalType)) {
 			return n
 		}
 		spec := connector.AggregateSpec{Function: a.FuncName, ArgColumn: -1, OutputName: a.OutputName, OutputType: a.FinalType}
