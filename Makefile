@@ -63,11 +63,15 @@ fuzz-smoke:
 	go test -fuzz '^FuzzComparisonString$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/expr/
 
 # Static analysis: go vet plus the project's own invariant suite
-# (internal/analysis, run by cmd/prestolint). prestolint enforces ten
+# (internal/analysis, run by cmd/prestolint). prestolint enforces eleven
 # analyzers — lockheld, ctxflow, errdrop, atomicmix, hotalloc, goleak,
-# chanmisuse, clockdet, closeleak, obshygiene — and exits non-zero on any
-# unsuppressed finding (hotalloc covers the vector kernels, the block package
-# and the druid store and connector that run on them). Suppress individual
+# chanmisuse, clockdet, closeleak, obshygiene, reachability — and exits
+# non-zero on any unsuppressed finding (hotalloc covers the vector kernels, the
+# block package and the druid store and connector that run on them;
+# reachability flags what no binary under cmd/ or examples/ reaches, and needs
+# the whole module: on a sub-tree without a package main it says nothing, so
+# filter instead — `go run ./cmd/prestolint -only reachability ./... | grep
+# internal/druid`). Suppress individual
 # findings only with `//lint:ignore <analyzer> <reason>`; a directive missing
 # its reason (or naming an unknown analyzer) is itself a finding. CI runs this
 # as its own cached job; locally it is part of `make check`.
@@ -114,6 +118,10 @@ e2e-golden:
 experiments:
 	go run ./cmd/prestobench -experiment all
 
+# Every example end to end (CI's check job runs this): what prestolint's
+# reachability pass counts as reached because an example uses it — the druid
+# broker over HTTP in examples/federation, the gateway's proxying client in
+# examples/federation_gateway — is exercised here, so it cannot rot.
 examples:
 	go run ./examples/quickstart
 	go run ./examples/federation

@@ -1,12 +1,13 @@
 // Command prestolint runs the project's static-analysis suite
-// (internal/analysis) over the module: machine-checked concurrency, context
-// and hot-path invariants that gate every PR via `make lint`.
+// (internal/analysis) over the module: machine-checked concurrency, context,
+// hot-path and reachability invariants that gate every PR via `make lint`.
 //
 // Usage:
 //
 //	prestolint [-only a,b] [-list] [packages]
 //
-// Packages default to ./... . Exit status: 0 clean, 1 findings, 2 load or
+// Packages default to ./... (reachability judges only what is loaded beside a
+// package main, so it needs the whole module). Exit status: 0 clean, 1 findings, 2 load or
 // usage error. Findings are suppressed — always with a written reason —
 // via `//lint:ignore <analyzer> <reason>` on or directly above the line.
 package main
@@ -27,7 +28,7 @@ func main() {
 
 	if *list {
 		for _, a := range analysis.All() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}

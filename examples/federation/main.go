@@ -1,7 +1,8 @@
 // Federation: one SQL query joining three heterogeneous systems — a hive
 // warehouse (columnar files on simulated HDFS), MySQL (row store) and Druid
-// (real-time OLAP) — with no data copy (§IV). EXPLAIN shows each connector
-// absorbing its pushdowns, including aggregation pushdown into druid.
+// (real-time OLAP, dialled over its broker's HTTP API) — with no data copy
+// (§IV). EXPLAIN shows each connector absorbing its pushdowns, including
+// aggregation pushdown into druid.
 //
 //	go run ./examples/federation
 package main
@@ -53,12 +54,19 @@ func main() {
 	}
 	engine.Register("mysql", mysql.New("mysql", "ops", db))
 
-	// Catalog 3: druid — real-time events.
+	// Catalog 3: druid — real-time events, behind the broker's HTTP API as a
+	// Presto-Druid connector finds them: native queries go out as requests,
+	// answers come back as checksummed page frames.
 	store := druid.NewStore()
 	if err := workload.BuildEventsTable(store, workload.EventsConfig{Rows: 20000, Segments: 2}); err != nil {
 		log.Fatal(err)
 	}
-	engine.Register("druid", druidconn.New("druid", &druid.EmbeddedClient{Store: store}))
+	broker := druid.NewServer(store)
+	if err := broker.Start("127.0.0.1:0"); err != nil {
+		log.Fatal(err)
+	}
+	defer broker.Close()
+	engine.Register("druid", druidconn.New("druid", druid.NewHTTPClient(broker.Addr())))
 
 	session := core.DefaultSession("hive", "rawdata")
 

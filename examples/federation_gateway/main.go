@@ -82,6 +82,16 @@ func main() {
 	fmt.Println("maintenance done")
 	fmt.Printf("pricing-bot        -> %s\n", ask("pricing-bot", ""))
 	fmt.Printf("\n%d redirects issued\n", gw.Redirects.Load())
+
+	// The proxying endpoint relays the statement and its answer instead of
+	// redirecting, so the gateway can replay an idempotent statement on
+	// another cluster when a coordinator drains or dies mid-query.
+	res, err := gateway.NewClient(gw.Addr()).Execute(cluster.StatementRequest{
+		Query: "SELECT cluster FROM whoami", Catalog: "memory", Schema: "meta", User: "bob",
+	}, "bob", "etl")
+	check(err)
+	rows, _ := res.Rows() // the query just succeeded; Rows cannot fail here
+	fmt.Printf("bob via /v1/execute -> %s\n", rows[0][0])
 }
 
 func check(err error) {

@@ -36,6 +36,12 @@
 //   - obshygiene: no obs metrics that are registered but never updated,
 //     constructed outside a registry, or registered under colliding names.
 //
+// and one about the shape of the module rather than its behaviour:
+//
+//   - reachability: no function, method or package that no package main
+//     under cmd/ or examples/ reaches — what only tests call is deleted,
+//     reached, or (a test fake) excused by name.
+//
 // The framework is deliberately free of golang.org/x/tools: packages are
 // loaded with `go list -export` plus go/types (see load.go), analyzers are
 // plain functions over a Pass, cross-package reasoning goes through a fact
@@ -49,7 +55,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 )
 
@@ -111,6 +116,7 @@ func All() []*Analyzer {
 	all := []*Analyzer{
 		AtomicMix, CtxFlow, ErrDrop, HotAlloc, LockHeld,
 		ChanMisuse, ClockDet, CloseLeak, GoLeak, ObsHygiene,
+		Reachability,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all
@@ -169,19 +175,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		return a.Analyzer < b.Analyzer
 	})
 	return diags
-}
-
-// Format renders diagnostics one per line. With baseNames set, file paths
-// are reduced to their base name (used by the golden-file test harness so
-// expectations are machine-independent).
-func Format(diags []Diagnostic, baseNames bool) string {
-	var out []byte
-	for _, d := range diags {
-		if baseNames {
-			d.Pos.Filename = filepath.Base(d.Pos.Filename)
-		}
-		out = append(out, d.String()...)
-		out = append(out, '\n')
-	}
-	return string(out)
 }

@@ -34,7 +34,9 @@ import (
 // Alongside the function facts, the store aggregates every obs metric
 // registration site (Registry.Counter/Gauge/Histogram/GaugeFunc with a
 // constant name) across the loaded packages, which is what lets obshygiene
-// detect name collisions between packages.
+// detect name collisions between packages, and — when a package main is among
+// the loaded packages — the reached fact: which functions and packages some
+// main can reach (reachability.go).
 type Facts struct {
 	unstoppable   map[string]token.Position
 	blockingChan  map[string]token.Position
@@ -43,6 +45,10 @@ type Facts struct {
 	// obsRegs maps a metric name to every registration site seen across the
 	// loaded packages.
 	obsRegs map[string][]obsReg
+
+	// reach is the reached fact (see reachability.go): nil when no package
+	// main is among the loaded packages.
+	reach *reachFacts
 }
 
 // obsReg is one metric registration site.
@@ -64,6 +70,7 @@ func ComputeFacts(pkgs []*Package) *Facts {
 		blockingChan:  map[string]token.Position{},
 		returnsCloser: map[string]bool{},
 		obsRegs:       map[string][]obsReg{},
+		reach:         computeReached(pkgs),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,9 @@ var goldenCases = []struct {
 	// recovery (clockdet) and dropped fsync/commit errors (errdrop) — the
 	// lint surface the PR9 WAL code is held to.
 	{"wal", "prestolite/internal/ingest/walfixture", []string{"closeleak", "clockdet", "errdrop"}},
+	// reachability is a package main, the only kind of fixture the analyzer
+	// has roots for; its main_test.go is loaded too, and must reach nothing.
+	{"reachability", "prestolite/internal/analysis/testdata/reachability", []string{"reachability"}},
 	{"suppress", "prestolite/internal/analysis/testdata/suppress", nil},
 }
 
@@ -130,5 +134,74 @@ func TestSuppressGolden(t *testing.T) {
 	// mismatch) but not in suppressed() or wildcard().
 	if byAnalyzer["errdrop"] != 2 {
 		t.Errorf("want exactly 2 surviving errdrop findings, got %d", byAnalyzer["errdrop"])
+	}
+}
+
+// TestReachabilityNeedsAMain: a package no loaded main imports is one finding
+// (not one per function), and without a package main among the loaded
+// packages there are no roots to judge by, so the analyzer says nothing.
+func TestReachabilityNeedsAMain(t *testing.T) {
+	load := func(dir string) *Package {
+		t.Helper()
+		abs, err := filepath.Abs(filepath.Join("testdata", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := LoadDir(abs, "prestolite/internal/analysis/testdata/"+dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkg
+	}
+	orphan := load("reachability_orphan")
+	if diags := Run([]*Package{orphan}, []*Analyzer{Reachability}); len(diags) != 0 {
+		t.Errorf("no package main loaded, want silence, got:\n%s", Format(diags, true))
+	}
+	var got []string
+	for _, d := range Run([]*Package{load("reachability"), orphan}, []*Analyzer{Reachability}) {
+		if filepath.Base(d.Pos.Filename) == "orphan.go" {
+			got = append(got, d.Message)
+		}
+	}
+	if len(got) != 1 || !strings.HasPrefix(got[0], "package prestolite/internal/analysis/testdata/reachability_orphan is imported by no binary") {
+		t.Errorf("orphan package findings = %q, want the one package finding", got)
+	}
+}
+
+// TestReachabilitySuppressionsAreFew holds "excuse" to the exception it is
+// meant to be: deleting the code or reaching it from a binary come first, so
+// the tree may carry at most 20 reachability directives.
+func TestReachabilitySuppressionsAreFew(t *testing.T) {
+	const max = 20
+	var sites []string
+	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "//"+ignorePrefix+" "+Reachability.Name) {
+				sites = append(sites, fmt.Sprintf("%s:%d", path, i+1))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) == 0 {
+		t.Error("found no reachability directive: the walk is looking in the wrong place")
+	}
+	if len(sites) > max {
+		t.Errorf("%d reachability suppressions, at most %d allowed — delete the code or reach it from a binary instead:\n%s", len(sites), max, strings.Join(sites, "\n"))
 	}
 }

@@ -14,7 +14,7 @@ import (
 //  1. A Counter/Gauge/Histogram registration whose handle is discarded — the
 //     metric appears in snapshots but can never move.
 //  2. A handle bound to a variable or struct field that no code ever updates
-//     (no Inc/Add/Set/Observe on it anywhere in the package; any escape of
+//     (no Inc/Add/Observe on it anywhere in the package; any escape of
 //     the handle silences the rule).
 //  3. obs.Counter/Gauge/Histogram constructed directly (composite literal or
 //     new) outside internal/obs — the value bypasses the registry and never
@@ -36,7 +36,7 @@ var ObsHygiene = &Analyzer{
 const obsPkgPath = "prestolite/internal/obs"
 
 var obsUpdateMethods = map[string]bool{
-	"Inc": true, "Add": true, "Set": true, "Observe": true,
+	"Inc": true, "Add": true, "Observe": true,
 }
 
 // obsHandle is one registration bound to an object (var or field).
@@ -239,7 +239,7 @@ const (
 )
 
 // classifyObsUse decides what one mention of a bound handle does: an
-// Inc/Add/Set/Observe call updates it, other method calls (Load, Snapshot)
+// Inc/Add/Observe call updates it, other method calls (Load, Snapshot)
 // merely read it, and anything else — argument, return, reassignment —
 // escapes the analyzer's view and is assumed to update.
 func classifyObsUse(parents map[ast.Node]ast.Node, id *ast.Ident) obsUse {

@@ -31,7 +31,7 @@ func badConstructed() *obs.Gauge {
 // writes gauge-funcs last and the gauge's value silently vanishes.
 func badCollision(reg *obs.Registry, depth func() float64) {
 	g := reg.Gauge("depth")
-	g.Set(1)
+	g.Add(1)
 	reg.GaugeFunc("depth", depth)
 }
 

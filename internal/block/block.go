@@ -65,9 +65,6 @@ type Int64Block struct {
 	Nulls  []bool // nil means no nulls
 }
 
-// NewInt64Block wraps values (no nulls).
-func NewInt64Block(values []int64) *Int64Block { return &Int64Block{Values: values} }
-
 func (b *Int64Block) Count() int { return len(b.Values) }
 
 func (b *Int64Block) IsNull(i int) bool { return b.Nulls != nil && b.Nulls[i] }
@@ -206,9 +203,6 @@ type VarcharBlock struct {
 	Values []string
 	Nulls  []bool
 }
-
-// NewVarcharBlock wraps values (no nulls).
-func NewVarcharBlock(values []string) *VarcharBlock { return &VarcharBlock{Values: values} }
 
 func (b *VarcharBlock) Count() int        { return len(b.Values) }
 func (b *VarcharBlock) IsNull(i int) bool { return b.Nulls != nil && b.Nulls[i] }
@@ -659,9 +653,6 @@ func (b *LazyBlock) Load() Block {
 	}
 	return b.loaded
 }
-
-// Loaded reports whether the block has been materialized yet.
-func (b *LazyBlock) Loaded() bool { return b.loaded != nil }
 
 func (b *LazyBlock) Count() int        { return b.N }
 func (b *LazyBlock) IsNull(i int) bool { return b.Load().IsNull(i) }

@@ -170,7 +170,7 @@ func TestDictionaryBlockAllNull(t *testing.T) {
 		if _, still := dec.(*DictionaryBlock); still || dec.Count() != 3 {
 			t.Fatalf("%s: decoded to %T over %d positions", typ, dec, dec.Count())
 		}
-		page := NewPage(b, NewInt64Block([]int64{1, 2, 3}))
+		page := NewPage(b, &Int64Block{Values: []int64{1, 2, 3}})
 		data, err := EncodePage(page)
 		if err != nil {
 			t.Fatalf("%s: %v", typ, err)
@@ -213,7 +213,7 @@ func TestLazyBlock(t *testing.T) {
 		loads++
 		return FromValues(types.Bigint, int64(1), int64(2), int64(3))
 	})
-	if b.Loaded() {
+	if b.loaded != nil {
 		t.Error("should not be loaded yet")
 	}
 	if b.Count() != 3 {
@@ -232,7 +232,7 @@ func TestLazyBlock(t *testing.T) {
 	// Region of an unloaded lazy block stays lazy.
 	b2 := NewLazyBlock(3, func() Block { return FromValues(types.Bigint, int64(1), int64(2), int64(3)) })
 	r := b2.Region(1, 2).(*LazyBlock)
-	if r.Loaded() {
+	if r.loaded != nil {
 		t.Error("region should stay lazy")
 	}
 	if r.Value(0) != int64(2) {

@@ -331,9 +331,6 @@ func (pb *PageBuilder) AppendRow(row []any) {
 	pb.rows++
 }
 
-// Channel returns the builder for channel i for column-wise appends.
-func (pb *PageBuilder) Channel(i int) Builder { return pb.builders[i] }
-
 // Len returns the number of buffered rows.
 func (pb *PageBuilder) Len() int { return pb.rows }
 

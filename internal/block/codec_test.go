@@ -75,7 +75,7 @@ func TestEncodePageKeepsEncodedBlocks(t *testing.T) {
 // column's values is an error. (The gob codec decoded it into a page with a
 // different number in it and no complaint.)
 func TestDecodePageRejectsFlippedPayloadByte(t *testing.T) {
-	p := NewPage(NewInt64Block([]int64{1000, 2000, 3000, 4000}))
+	p := NewPage(&Int64Block{Values: []int64{1000, 2000, 3000, 4000}})
 	data, err := EncodePage(p)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestEncodePageConcurrently(t *testing.T) {
 			for i := range vals {
 				vals[i] = int64(g)
 			}
-			p := NewPage(NewInt64Block(vals))
+			p := NewPage(&Int64Block{Values: vals})
 			for i := 0; i < 200; i++ {
 				data, err := EncodePage(p)
 				if err != nil {

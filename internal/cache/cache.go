@@ -189,11 +189,6 @@ func (c *LRU[K, V]) InvalidateFunc(pred func(K) bool) int {
 	return dropped
 }
 
-// InvalidateAll empties the cache and returns the number of entries dropped.
-func (c *LRU[K, V]) InvalidateAll() int {
-	return c.InvalidateFunc(func(K) bool { return true })
-}
-
 // Len returns the current entry count.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
@@ -253,9 +248,6 @@ func (c *FileListCache) InvalidatePrefix(prefix string) int {
 	return c.lru.InvalidateFunc(func(dir string) bool { return strings.HasPrefix(dir, prefix) })
 }
 
-// SetClock overrides the TTL time source (tests, chaos replay).
-func (c *FileListCache) SetClock(clk fault.Clock) { c.lru.SetClock(clk) }
-
 // ---------------------------------------------------------------------------
 // File handle + footer cache (§VII.B): workers cache file descriptors
 // (avoiding getFileInfo calls) and the decoded footers, which have a very
@@ -304,21 +296,9 @@ func (c *FooterCache[F]) GetFooter(path string, load func() (F, error)) (F, erro
 	return f, nil
 }
 
-// Invalidate drops one path from both the info and footer tiers.
-func (c *FooterCache[F]) Invalidate(path string) {
-	c.infos.Invalidate(path)
-	c.footers.Invalidate(path)
-}
-
 // InvalidatePrefix drops every info and footer entry whose path starts with
 // prefix (a table or partition directory being rewritten or sealed).
 func (c *FooterCache[F]) InvalidatePrefix(prefix string) int {
 	pred := func(path string) bool { return strings.HasPrefix(path, prefix) }
 	return c.infos.InvalidateFunc(pred) + c.footers.InvalidateFunc(pred)
-}
-
-// SetClock overrides the TTL time source (tests, chaos replay).
-func (c *FooterCache[F]) SetClock(clk fault.Clock) {
-	c.infos.SetClock(clk)
-	c.footers.SetClock(clk)
 }

@@ -110,6 +110,3 @@ func (c *ChunkCache) Len() int {
 	}
 	return n
 }
-
-// Bytes returns the resident decompressed bytes.
-func (c *ChunkCache) Bytes() int64 { return c.Metrics.Bytes.Load() }

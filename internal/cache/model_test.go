@@ -154,8 +154,9 @@ func TestLRUMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: InvalidateFunc dropped %d, model says %d", seed, step, got, want)
 				}
 			case op < 18:
-				if got, want := lrus[l].InvalidateAll(), m.invalidate(l, func(int) bool { return true }); got != want {
-					t.Fatalf("seed %d step %d: InvalidateAll dropped %d, model says %d", seed, step, got, want)
+				all := func(int) bool { return true }
+				if got, want := lrus[l].InvalidateFunc(all), m.invalidate(l, all); got != want {
+					t.Fatalf("seed %d step %d: invalidate-all dropped %d, model says %d", seed, step, got, want)
 				}
 			default:
 				clk.Advance(time.Duration(rng.Intn(40)) * time.Second)

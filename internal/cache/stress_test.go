@@ -93,15 +93,15 @@ func TestChunkCacheConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Bytes() < 0 {
-		t.Errorf("negative resident bytes %d", c.Bytes())
+	if c.Metrics.Bytes.Load() < 0 {
+		t.Errorf("negative resident bytes %d", c.Metrics.Bytes.Load())
 	}
 	c.InvalidatePrefix("/")
 	if c.Len() != 0 {
 		t.Errorf("len %d after full invalidation", c.Len())
 	}
-	if c.Bytes() != 0 {
-		t.Errorf("resident bytes %d after full invalidation, want 0", c.Bytes())
+	if c.Metrics.Bytes.Load() != 0 {
+		t.Errorf("resident bytes %d after full invalidation, want 0", c.Metrics.Bytes.Load())
 	}
 }
 
@@ -143,13 +143,15 @@ func TestChunkCacheEviction(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		c.PutChunk("/t/f", fmt.Sprintf("c%d", i), 0, false, body)
 	}
-	if c.Bytes() > 32*1024 {
-		t.Errorf("resident %d bytes exceeds budget", c.Bytes())
+	if c.Metrics.Bytes.Load() > 32*1024 {
+		t.Errorf("resident %d bytes exceeds budget", c.Metrics.Bytes.Load())
 	}
 	if c.Metrics.Evictions.Load() == 0 {
 		t.Error("expected evictions under byte pressure")
 	}
 }
+
+func everyKey(string) bool { return true }
 
 // TestResultCache covers the version-stamped result cache: TTL expiry on the
 // injected clock, byte-bound eviction, and explicit full invalidation.
@@ -180,7 +182,7 @@ func TestResultCache(t *testing.T) {
 	if c.Metrics.Evictions.Load() == 0 {
 		t.Error("eviction not counted")
 	}
-	if n := c.InvalidateAll(); n == 0 {
+	if n := c.InvalidateFunc(everyKey); n == 0 {
 		t.Error("invalidate-all dropped nothing")
 	}
 	if c.Len() != 0 || c.Metrics.Bytes.Load() != 0 {
@@ -188,7 +190,7 @@ func TestResultCache(t *testing.T) {
 	}
 }
 
-// TestResultCacheConcurrentStress runs parallel Get/Put/InvalidateAll under
+// TestResultCacheConcurrentStress runs parallel Get/Put/invalidate-all under
 // -race.
 func TestResultCacheConcurrentStress(t *testing.T) {
 	c := NewSizedLRU[string, int](64, time.Minute, NewBudget(1<<20))
@@ -206,7 +208,7 @@ func TestResultCacheConcurrentStress(t *testing.T) {
 					c.PutSized(k, i, 256)
 				case 2:
 					if i%512 == 2 {
-						c.InvalidateAll()
+						c.InvalidateFunc(everyKey)
 					} else {
 						c.Get(k)
 					}
@@ -218,7 +220,7 @@ func TestResultCacheConcurrentStress(t *testing.T) {
 	if b := c.Metrics.Bytes.Load(); b < 0 || b > 1<<20 {
 		t.Errorf("resident bytes %d outside [0, budget]", b)
 	}
-	c.InvalidateAll()
+	c.InvalidateFunc(everyKey)
 	if b := c.Metrics.Bytes.Load(); b != 0 {
 		t.Errorf("resident bytes %d after invalidate-all, want 0", b)
 	}

@@ -17,11 +17,11 @@ import (
 // task_retries.
 func TestChaosAffinityCachedWorkerDeath(t *testing.T) {
 	want := chaosBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
 		catalogs := chaosCatalogs(t, inj)
-		coord := NewCoordinatorWithConfig(catalogs, chaosConfig(inj))
+		coord := NewCoordinatorWithConfig(catalogs, ChaosConfig(inj))
 		var workers []*Worker
 		for i := 0; i < 3; i++ {
 			w := NewWorker(catalogs)
@@ -37,7 +37,7 @@ func TestChaosAffinityCachedWorkerDeath(t *testing.T) {
 
 		// Warm pass: no faults. Affinity places splits, workers fill their
 		// fragment caches (and the shared hive chunk cache fills underneath).
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
 				if got := mustRows(t, coord, q); got != want[i] {
 					t.Errorf("seed %d query %d: warm pass diverged\ngot  %s\nwant %s", seed, i, got, want[i])
@@ -65,7 +65,7 @@ func TestChaosAffinityCachedWorkerDeath(t *testing.T) {
 
 		retriesBefore := counter(coord, "task_retries")
 		hitsBefore := survivorHits()
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
 				if got := mustRows(t, coord, q); got != want[i] {
 					t.Errorf("seed %d query %d: rows diverged after cached-worker death\ngot  %s\nwant %s", seed, i, got, want[i])

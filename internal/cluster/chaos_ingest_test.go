@@ -6,20 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"prestolite/internal/block"
-	"prestolite/internal/connector"
-	druidconn "prestolite/internal/connectors/druid"
-	"prestolite/internal/connectors/hive"
-	"prestolite/internal/connectors/hybrid"
 	"prestolite/internal/druid"
 	"prestolite/internal/fault"
-	"prestolite/internal/fsys"
-	"prestolite/internal/hdfs"
 	"prestolite/internal/ingest"
-	"prestolite/internal/metastore"
 	"prestolite/internal/obs"
 	"prestolite/internal/planner"
-	"prestolite/internal/types"
 	"prestolite/internal/workload"
 )
 
@@ -33,73 +24,11 @@ import (
 // underneath the queries.
 
 const (
-	ingestBoundary  = int64(1000) // watermark: hive below, druid at or above
-	ingestHistRows  = 500
-	ingestEvents    = 4000
-	ingestRate      = 2000 // events/sec
-	ingestSLA       = 5 * time.Second
-	ingestTopicName = "events"
+	ingestHistRows = 500
+	ingestEvents   = 4000
+	ingestRate     = 2000 // events/sec
+	ingestSLA      = 5 * time.Second
 )
-
-// ingestHistClicks is the clicks value of historical row i (ts == i).
-func ingestHistClicks(i int) int64 { return int64(i % 10) }
-
-// ingestCatalogs builds the hybrid stack: hive historical (behind the fault
-// FS), a live druid store fed by the segment writer, and the hybrid catalog
-// splitting "events" on the watermark.
-func ingestCatalogs(t *testing.T, inj *fault.Injector) (*connector.Registry, *druid.Table) {
-	t.Helper()
-	var fs fsys.FileSystem = hdfs.New(hdfs.Config{})
-	if inj != nil {
-		fs = &fault.FS{Injector: inj, Base: fs}
-	}
-	ms := metastore.New()
-	loader := &hive.Loader{MS: ms, FS: fs}
-	cols := []metastore.Column{
-		{Name: "ts", Type: types.Bigint},
-		{Name: "country", Type: types.Varchar},
-		{Name: "clicks", Type: types.Bigint},
-	}
-	pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Varchar, types.Bigint})
-	for i := 0; i < ingestHistRows; i++ {
-		pb.AppendRow([]any{int64(i), []string{"us", "de", "jp"}[i%3], ingestHistClicks(i)})
-	}
-	if err := loader.CreateTable("web", "events_hist", cols, []*block.Page{pb.Build()}); err != nil {
-		t.Fatal(err)
-	}
-
-	store := druid.NewStore()
-	rt, err := store.CreateTable("events_rt", []druid.Column{
-		{Name: "ts", Type: types.Bigint},
-		{Name: "country", Type: types.Varchar},
-		{Name: "clicks", Type: types.Bigint},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Small segments so the stream exercises seal + compaction mid-query.
-	rt.SetSegmentConfig(druid.SegmentConfig{
-		SealRows:         1500,
-		SealAge:          500 * time.Millisecond,
-		CompactBelowRows: 1000,
-		CompactBatch:     8,
-	})
-
-	reg := connector.NewRegistry()
-	reg.Register("hive", hive.New("hive", ms, fs, hive.Options{}))
-	reg.Register("druid", druidconn.New("druid", &druid.EmbeddedClient{Store: store}))
-	hc := hybrid.New("hybrid", reg)
-	if err := hc.AddTable("events", hybrid.TableConfig{
-		Historical: connector.HybridPart{Catalog: "hive", Schema: "web", Table: "events_hist"},
-		Realtime:   connector.HybridPart{Catalog: "druid", Schema: "default", Table: "events_rt"},
-		TimeColumn: "ts",
-		Boundary:   ingestBoundary,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	reg.Register("hybrid", hc)
-	return reg, rt
-}
 
 func ingestSession() *planner.Session {
 	return &planner.Session{Catalog: "hybrid", Schema: "default", User: "chaos", Properties: map[string]string{}}
@@ -139,16 +68,22 @@ func ingestCount(t *testing.T, coord *Coordinator, query string) int64 {
 //  4. after quiesce, counts and sums are exact against the replayable
 //     stream definition, and the freshness histogram p99 is within SLA.
 func TestChaosIngestFreshnessAndExactness(t *testing.T) {
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		catalogs, rt := ingestCatalogs(t, inj)
-		coord, workers := chaosCluster(t, catalogs, 3, chaosConfig(inj))
+		// Small segments so the stream exercises seal + compaction mid-query.
+		catalogs, rt := ChaosEventsCatalogs(t, inj, ingestHistRows, druid.SegmentConfig{
+			SealRows:         1500,
+			SealAge:          500 * time.Millisecond,
+			CompactBelowRows: 1000,
+			CompactBatch:     8,
+		})
+		coord, workers := chaosCluster(t, catalogs, 3, ChaosConfig(inj))
 		inj.FaultHTTP(fault.HTTPRule{Target: workers[0].Addr(), Path: "/results", DropProb: 1})
 		inj.FaultFS(fault.FSRule{Path: "events_hist", Ops: []string{"read"}, DelayProb: 0.2, Delay: 2 * time.Millisecond})
 
 		log := ingest.NewLog()
-		topic, err := log.CreateTopic(ingestTopicName, 4)
+		topic, err := log.CreateTopic(ChaosEventsTable, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +96,7 @@ func TestChaosIngestFreshnessAndExactness(t *testing.T) {
 		writer.Start()
 
 		var markers, markerClicks int64
-		watchdog(t, 120*time.Second, func() {
+		Watchdog(t, 120*time.Second, func() {
 			ctx := context.Background()
 			streamDone := make(chan int64, 1)
 			go func() {
@@ -170,7 +105,7 @@ func TestChaosIngestFreshnessAndExactness(t *testing.T) {
 					MaxEvents:    ingestEvents,
 					Seed:         seed,
 				}, func(ev workload.StreamEvent) error {
-					return producer.Send(ev.Key, ev.Time, []any{ingestBoundary + ev.Seq, ev.Country, ev.Clicks})
+					return producer.Send(ev.Key, ev.Time, []any{ChaosEventsBoundary + ev.Seq, ev.Country, ev.Clicks})
 				})
 				if err != nil {
 					t.Errorf("seed %d: stream stopped early after %d events: %v", seed, sent, err)
@@ -191,7 +126,10 @@ func TestChaosIngestFreshnessAndExactness(t *testing.T) {
 					if n < prev {
 						t.Errorf("seed %d: count went backwards: %d -> %d", seed, prev, n)
 					}
-					ceiling := ingestHistRows + producer.Sent()
+					ceiling := int64(ingestHistRows)
+					for p := 0; p < topic.Partitions(); p++ {
+						ceiling += topic.EndOffset(p)
+					}
 					if n > ceiling {
 						t.Errorf("seed %d: count %d exceeds rows produced so far (%d) — duplicates", seed, n, ceiling)
 					}
@@ -224,9 +162,9 @@ func TestChaosIngestFreshnessAndExactness(t *testing.T) {
 				t.Fatalf("seed %d: producer close: %v", seed, err)
 			}
 			deadline := time.Now().Add(ingestSLA)
-			for log.Lag(ingest.DefaultWriterGroup, ingestTopicName) > 0 {
+			for log.Lag(ingest.DefaultWriterGroup, ChaosEventsTable) > 0 {
 				if time.Now().After(deadline) {
-					t.Fatalf("seed %d: lag %d not drained within %v", seed, log.Lag(ingest.DefaultWriterGroup, ingestTopicName), ingestSLA)
+					t.Fatalf("seed %d: lag %d not drained within %v", seed, log.Lag(ingest.DefaultWriterGroup, ChaosEventsTable), ingestSLA)
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
@@ -242,15 +180,15 @@ func TestChaosIngestFreshnessAndExactness(t *testing.T) {
 		if got := ingestCount(t, coord, "SELECT count(*) AS n FROM events"); got != wantTotal {
 			t.Errorf("seed %d: final count(*) = %d, want %d", seed, got, wantTotal)
 		}
-		if got := ingestCount(t, coord, fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts < %d", ingestBoundary)); got != int64(ingestHistRows) {
+		if got := ingestCount(t, coord, fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts < %d", ChaosEventsBoundary)); got != int64(ingestHistRows) {
 			t.Errorf("seed %d: historical count = %d, want %d", seed, got, ingestHistRows)
 		}
-		if got := ingestCount(t, coord, fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts >= %d", ingestBoundary)); got != ingestEvents+markers {
+		if got := ingestCount(t, coord, fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts >= %d", ChaosEventsBoundary)); got != ingestEvents+markers {
 			t.Errorf("seed %d: real-time count = %d, want %d", seed, got, ingestEvents+markers)
 		}
 		var wantClicks int64
 		for i := 0; i < ingestHistRows; i++ {
-			wantClicks += ingestHistClicks(i)
+			wantClicks += ChaosHistClicks(i)
 		}
 		wantClicks += streamClicks + markerClicks
 		if got := ingestCount(t, coord, "SELECT sum(clicks) AS s FROM events"); got != wantClicks {

@@ -7,27 +7,18 @@ package cluster_test
 import (
 	"fmt"
 	"net/http"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"prestolite/internal/block"
 	"prestolite/internal/cluster"
 	"prestolite/internal/connector"
-	druidconn "prestolite/internal/connectors/druid"
-	"prestolite/internal/connectors/hive"
-	"prestolite/internal/connectors/hybrid"
 	"prestolite/internal/druid"
 	"prestolite/internal/fault"
 	"prestolite/internal/fsys"
 	"prestolite/internal/gateway"
-	"prestolite/internal/hdfs"
 	"prestolite/internal/ingest"
-	"prestolite/internal/metastore"
-	"prestolite/internal/types"
 )
 
 // The scenario: a continuous per-record-acked producer streams events into a
@@ -44,96 +35,16 @@ import (
 //   - freshness recovers after each restart: a marker event becomes
 //     queryable through the gateway within the 5s SLA.
 const (
-	lcBoundary  = int64(1000)
-	lcHistRows  = 300
-	lcBatch     = 250 // events streamed between lifecycle events
-	lcSLA       = 5 * time.Second
-	lcTopicName = "events"
+	lcHistRows = 300
+	lcBatch    = 250 // events streamed between lifecycle events
+	lcSLA      = 5 * time.Second
 )
-
-func lifecycleSeeds(t *testing.T) []int64 {
-	if env := os.Getenv("CHAOS_SEED"); env != "" {
-		seed, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad CHAOS_SEED %q: %v", env, err)
-		}
-		return []int64{seed}
-	}
-	return []int64{1, 7, 42}
-}
-
-func lcHistClicks(i int) int64 { return int64(i % 10) }
-
-// lifecycleCatalogs builds the hybrid stack shared by both clusters: hive
-// historical below the boundary, the live druid table at or above it.
-func lifecycleCatalogs(t *testing.T) (*connector.Registry, *druid.Table) {
-	t.Helper()
-	fs := hdfs.New(hdfs.Config{})
-	ms := metastore.New()
-	loader := &hive.Loader{MS: ms, FS: fs}
-	cols := []metastore.Column{
-		{Name: "ts", Type: types.Bigint},
-		{Name: "country", Type: types.Varchar},
-		{Name: "clicks", Type: types.Bigint},
-	}
-	pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Varchar, types.Bigint})
-	for i := 0; i < lcHistRows; i++ {
-		pb.AppendRow([]any{int64(i), []string{"us", "de", "jp"}[i%3], lcHistClicks(i)})
-	}
-	if err := loader.CreateTable("web", "events_hist", cols, []*block.Page{pb.Build()}); err != nil {
-		t.Fatal(err)
-	}
-
-	store := druid.NewStore()
-	rt, err := store.CreateTable("events_rt", []druid.Column{
-		{Name: "ts", Type: types.Bigint},
-		{Name: "country", Type: types.Varchar},
-		{Name: "clicks", Type: types.Bigint},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetSegmentConfig(druid.SegmentConfig{
-		SealRows:         400,
-		SealAge:          200 * time.Millisecond,
-		CompactBelowRows: 300,
-		CompactBatch:     8,
-	})
-
-	reg := connector.NewRegistry()
-	reg.Register("hive", hive.New("hive", ms, fs, hive.Options{}))
-	reg.Register("druid", druidconn.New("druid", &druid.EmbeddedClient{Store: store}))
-	hc := hybrid.New("hybrid", reg)
-	if err := hc.AddTable(lcTopicName, hybrid.TableConfig{
-		Historical: connector.HybridPart{Catalog: "hive", Schema: "web", Table: "events_hist"},
-		Realtime:   connector.HybridPart{Catalog: "druid", Schema: "default", Table: "events_rt"},
-		TimeColumn: "ts",
-		Boundary:   lcBoundary,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	reg.Register("hybrid", hc)
-	return reg, rt
-}
-
-func lifecycleClientConfig() cluster.ClientConfig {
-	return cluster.ClientConfig{
-		WorkerTimeout:    2 * time.Second,
-		StatementTimeout: 10 * time.Second,
-		MaxAttempts:      4,
-		BaseBackoff:      2 * time.Millisecond,
-		MaxBackoff:       20 * time.Millisecond,
-		RetryBudget:      32,
-		HedgeDelay:       -1,
-		PollInterval:     time.Millisecond,
-	}
-}
 
 // startLifecycleCoordinator starts a coordinator serving HTTP over the given
 // (already running) workers.
 func startLifecycleCoordinator(t *testing.T, catalogs *connector.Registry, workers []*cluster.Worker) *cluster.Coordinator {
 	t.Helper()
-	coord := cluster.NewCoordinatorWithConfig(catalogs, lifecycleClientConfig())
+	coord := cluster.NewCoordinatorWithConfig(catalogs, cluster.ChaosConfig(nil))
 	coord.DrainGrace = 3 * time.Second
 	for _, w := range workers {
 		coord.AddWorker(w.Addr())
@@ -187,7 +98,11 @@ func (b *lcBroker) boot(partitions int) {
 	if err != nil {
 		b.t.Fatalf("durable log: %v", err)
 	}
-	topic, err := log.EnsureTopic(lcTopicName, partitions)
+	// The first boot creates the topic; recovery rebuilt it for every later one.
+	topic, err := log.Topic(cluster.ChaosEventsTable)
+	if err != nil {
+		topic, err = log.CreateTopic(cluster.ChaosEventsTable, partitions)
+	}
 	if err != nil {
 		b.t.Fatal(err)
 	}
@@ -213,7 +128,7 @@ func (b *lcBroker) send(key string, eventTime time.Time, row []any) error {
 func (b *lcBroker) lag() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.log.Lag(ingest.DefaultWriterGroup, lcTopicName)
+	return b.log.Lag(ingest.DefaultWriterGroup, cluster.ChaosEventsTable)
 }
 
 func (b *lcBroker) walStats() ingest.WALStats {
@@ -267,30 +182,22 @@ func lcExecute(cl *gateway.Client, query string) (int64, error) {
 	return v, nil
 }
 
-func lifecycleWatchdog(t *testing.T, d time.Duration, fn func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fn()
-	}()
-	select {
-	case <-done:
-	case <-time.After(d):
-		t.Fatalf("lifecycle chaos still running after %v — the stack hung instead of failing cleanly", d)
-	}
-}
-
 // TestChaosLifecycleRollingRestart is the PR's headline suite. Per seed it
 // streams acked events while (1) crash-restarting the ingest process and
 // (2) rolling both coordinators through drain-and-replace, with hybrid
 // queries running concurrently through the gateway the whole time. Post
 // quiesce the table must be row-exact against the acked set.
 func TestChaosLifecycleRollingRestart(t *testing.T) {
-	for _, seed := range lifecycleSeeds(t) {
+	for _, seed := range cluster.ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 
-		catalogs, rt := lifecycleCatalogs(t)
+		// One hybrid stack shared by both clusters.
+		catalogs, rt := cluster.ChaosEventsCatalogs(t, nil, lcHistRows, druid.SegmentConfig{
+			SealRows:         400,
+			SealAge:          200 * time.Millisecond,
+			CompactBelowRows: 300,
+			CompactBatch:     8,
+		})
 		inj := fault.NewInjector(seed)
 		walFS := &fault.FS{Injector: inj, Base: fsys.NewLocal(t.TempDir())}
 		broker := newLCBroker(t, walFS, rt)
@@ -323,7 +230,7 @@ func TestChaosLifecycleRollingRestart(t *testing.T) {
 
 		var acked atomic.Int64   // events durably acked (Send returned nil)
 		var ackedClicks int64    // written by the stream loop only
-		var markers atomic.Int64 // freshness probes, ts >= lcBoundary too
+		var markers atomic.Int64 // freshness probes, ts >= cluster.ChaosEventsBoundary too
 		seq := int64(0)
 
 		// streamBatch sends n events, counting only acked ones. A Send may
@@ -335,7 +242,7 @@ func TestChaosLifecycleRollingRestart(t *testing.T) {
 				seq++
 				clicks := (s*7 + seed) % 11
 				err := broker.send(fmt.Sprintf("k%d", s%17), time.Now(),
-					[]any{lcBoundary + s, []string{"us", "de", "jp"}[s%3], clicks})
+					[]any{cluster.ChaosEventsBoundary + s, []string{"us", "de", "jp"}[s%3], clicks})
 				if err == nil {
 					acked.Add(1)
 					ackedClicks += clicks
@@ -413,7 +320,7 @@ func TestChaosLifecycleRollingRestart(t *testing.T) {
 			}()
 		}
 
-		lifecycleWatchdog(t, 120*time.Second, func() {
+		cluster.Watchdog(t, 120*time.Second, func() {
 			streamBatch(lcBatch)
 			probeFreshness("warmup")
 
@@ -475,15 +382,15 @@ func TestChaosLifecycleRollingRestart(t *testing.T) {
 		if got, err := lcExecute(cl, "SELECT count(*) AS n FROM events"); err != nil || got != wantTotal {
 			t.Errorf("seed %d: final count(*) = %d (err %v), want %d", seed, got, err, wantTotal)
 		}
-		if got, err := lcExecute(cl, fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts < %d", lcBoundary)); err != nil || got != int64(lcHistRows) {
+		if got, err := lcExecute(cl, fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts < %d", cluster.ChaosEventsBoundary)); err != nil || got != int64(lcHistRows) {
 			t.Errorf("seed %d: historical count = %d (err %v), want %d", seed, got, err, lcHistRows)
 		}
-		if got, err := lcExecute(cl, fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts >= %d", lcBoundary)); err != nil || got != wantRT {
+		if got, err := lcExecute(cl, fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts >= %d", cluster.ChaosEventsBoundary)); err != nil || got != wantRT {
 			t.Errorf("seed %d: real-time count = %d (err %v), want %d", seed, got, err, wantRT)
 		}
 		var wantClicks int64
 		for i := 0; i < lcHistRows; i++ {
-			wantClicks += lcHistClicks(i)
+			wantClicks += cluster.ChaosHistClicks(i)
 		}
 		wantClicks += ackedClicks + markers.Load()
 		if got, err := lcExecute(cl, "SELECT sum(clicks) AS s FROM events"); err != nil || got != wantClicks {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,18 +30,6 @@ import (
 // row-exact correct results or a clean typed error, never a hang and never
 // wrong rows. Each failure logs its seed; re-run one with
 // CHAOS_SEED=<seed> make chaos.
-
-// chaosSeeds returns the seeds to run, honoring a CHAOS_SEED override.
-func chaosSeeds(t *testing.T) []int64 {
-	if env := os.Getenv("CHAOS_SEED"); env != "" {
-		seed, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad CHAOS_SEED %q: %v", env, err)
-		}
-		return []int64{seed}
-	}
-	return []int64{1, 7, 42}
-}
 
 const (
 	chaosDataSeed    = 99 // data is fixed; chaos seeds vary only the faults
@@ -88,23 +75,6 @@ func chaosCatalogs(t *testing.T, inj *fault.Injector) *connector.Registry {
 	reg := connector.NewRegistry()
 	reg.Register("hive", hive.New("hive", ms, fs, hive.Options{}))
 	return reg
-}
-
-// chaosConfig is the tightened client config chaos runs use: short timeouts
-// so black holes resolve quickly, fast backoff, a roomy reschedule budget,
-// and hedging off by default (the hedging test turns it on).
-func chaosConfig(inj *fault.Injector) ClientConfig {
-	return ClientConfig{
-		WorkerTimeout:    2 * time.Second,
-		StatementTimeout: 10 * time.Second,
-		Transport:        &fault.Transport{Injector: inj},
-		MaxAttempts:      4,
-		BaseBackoff:      2 * time.Millisecond,
-		MaxBackoff:       20 * time.Millisecond,
-		RetryBudget:      32,
-		HedgeDelay:       -1,
-		PollInterval:     time.Millisecond,
-	}
 }
 
 // chaosCluster starts a coordinator with cfg plus n workers.
@@ -155,23 +125,6 @@ func mustRows(t *testing.T, coord *Coordinator, query string) string {
 	return fmt.Sprint(rows)
 }
 
-// watchdog fails the test if fn has not returned within d — the "never a
-// hang" half of the chaos contract, enforced with a deadline well under the
-// go test timeout so the seed gets logged.
-func watchdog(t *testing.T, d time.Duration, fn func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fn()
-	}()
-	select {
-	case <-done:
-	case <-time.After(d):
-		t.Fatalf("chaos query still running after %v — the cluster hung instead of failing cleanly", d)
-	}
-}
-
 // counter reads one counter from the coordinator's metrics registry.
 func counter(coord *Coordinator, name string) int64 {
 	return coord.Obs().Snapshot().Counters[name]
@@ -202,14 +155,14 @@ func busiestWorker(workers []*Worker) *Worker {
 // survivors.
 func TestChaosWorkerDeathReschedules(t *testing.T) {
 	want := chaosBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
+		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		mustRows(t, coord, chaosQueries[0]) // a clean pass, so busiestWorker has something to read
 		inj.FaultHTTP(fault.HTTPRule{Target: busiestWorker(workers).Addr(), Path: "/results", DropProb: 1})
 
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
 				if got := mustRows(t, coord, q); got != want[i] {
 					t.Errorf("seed %d query %d: rows diverged from clean baseline\ngot  %s\nwant %s", seed, i, got, want[i])
@@ -227,10 +180,10 @@ func TestChaosWorkerDeathReschedules(t *testing.T) {
 // and retry layers route around the corpse.
 func TestChaosWorkerKilledMidQuery(t *testing.T) {
 	want := chaosBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
+		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 
 		var once sync.Once
 		kill := func() { once.Do(func() { workers[0].Close() }) }
@@ -238,7 +191,7 @@ func TestChaosWorkerKilledMidQuery(t *testing.T) {
 			time.Sleep(time.Duration(5+seed%10) * time.Millisecond)
 			kill()
 		}()
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
 				if got := mustRows(t, coord, q); got != want[i] {
 					t.Errorf("seed %d query %d: rows diverged after worker kill\ngot  %s\nwant %s", seed, i, got, want[i])
@@ -254,13 +207,13 @@ func TestChaosWorkerKilledMidQuery(t *testing.T) {
 // task rescheduling) must absorb all of it: every query exact.
 func TestChaosDroppedRPCs(t *testing.T) {
 	want := chaosBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
+		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		inj.FaultHTTP(fault.HTTPRule{DropProb: 0.1})
 
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
 				if got := mustRows(t, coord, q); got != want[i] {
 					t.Errorf("seed %d query %d: rows diverged under 10%% RPC drops\ngot  %s\nwant %s", seed, i, got, want[i])
@@ -279,16 +232,16 @@ func TestChaosDroppedRPCs(t *testing.T) {
 // and hedged_fetches shows the mitigation actually fired.
 func TestChaosStragglerHedging(t *testing.T) {
 	want := chaosBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		cfg := chaosConfig(inj)
+		cfg := ChaosConfig(inj)
 		cfg.HedgeDelay = 40 * time.Millisecond
 		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, cfg)
 		inj.FaultFS(fault.FSRule{Ops: []string{"read"}, DelayProb: 0.3, Delay: 20 * time.Millisecond})
 		inj.FaultHTTP(fault.HTTPRule{Path: "/results", DelayProb: 0.75, Delay: 250 * time.Millisecond})
 
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			if got := mustRows(t, coord, chaosQueries[0]); got != want[0] {
 				t.Errorf("seed %d: rows diverged under stalled reads\ngot  %s\nwant %s", seed, got, want[0])
 			}
@@ -304,15 +257,15 @@ func TestChaosStragglerHedging(t *testing.T) {
 // attempt lands; rows stay exact.
 func TestChaosFlakyStorage(t *testing.T) {
 	want := chaosBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		cfg := chaosConfig(inj)
+		cfg := ChaosConfig(inj)
 		cfg.RetryBudget = 64
 		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, cfg)
 		inj.FaultFS(fault.FSRule{Path: "lineitem/part-00003", Ops: []string{"read"}, ErrProb: 0.02})
 
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
 				if got := mustRows(t, coord, q); got != want[i] {
 					t.Errorf("seed %d query %d: rows diverged under flaky storage\ngot  %s\nwant %s", seed, i, got, want[i])
@@ -326,20 +279,20 @@ func TestChaosFlakyStorage(t *testing.T) {
 // from all workers. The query must fail with a typed availability error
 // within the retry budget. Hanging (or a wrong answer) is the bug.
 func TestChaosFullPartition(t *testing.T) {
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
+		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		inj.FaultHTTP(fault.HTTPRule{DropProb: 1})
 
-		watchdog(t, 30*time.Second, func() {
+		Watchdog(t, 30*time.Second, func() {
 			_, err := coord.Query(chaosSession(), chaosQueries[0])
 			if err == nil {
 				t.Errorf("seed %d: query succeeded with every RPC dropped", seed)
 				return
 			}
-			if !IsUnavailable(err) {
-				t.Errorf("seed %d: err = %v, want a typed availability error (IsUnavailable)", seed, err)
+			if !isUnavailable(err) {
+				t.Errorf("seed %d: err = %v, want a typed availability error (isUnavailable)", seed, err)
 			}
 		})
 	}
@@ -354,13 +307,13 @@ func TestChaosFullPartition(t *testing.T) {
 // baseline.
 func TestChaosParallelDriversDroppedRPCs(t *testing.T) {
 	want := chaosBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
 		catalogs := chaosCatalogs(t, inj)
 
 		baseGoroutines := runtime.NumGoroutine()
-		coord := NewCoordinatorWithConfig(catalogs, chaosConfig(inj))
+		coord := NewCoordinatorWithConfig(catalogs, ChaosConfig(inj))
 		var workers []*Worker
 		for i := 0; i < 3; i++ {
 			w := NewWorker(catalogs)
@@ -375,7 +328,7 @@ func TestChaosParallelDriversDroppedRPCs(t *testing.T) {
 		}
 		inj.FaultHTTP(fault.HTTPRule{DropProb: 0.1})
 
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
 				if got := mustRows(t, coord, q); got != want[i] {
 					t.Errorf("seed %d query %d: rows diverged with 4 drivers under 10%% RPC drops\ngot  %s\nwant %s", seed, i, got, want[i])
@@ -453,10 +406,10 @@ func chaosMemBaseline(t *testing.T) []string {
 // file may survive.
 func TestChaosMemoryPressure(t *testing.T) {
 	want := chaosMemBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
+		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		spillDir := t.TempDir()
 		if err := coord.ConfigureResources(ResourceConfig{
 			MemoryLimit: 256 << 10,
@@ -473,7 +426,7 @@ func TestChaosMemoryPressure(t *testing.T) {
 		const concurrent = 8
 		errs := make(chan error, concurrent)
 		var successes atomic.Int64
-		watchdog(t, 120*time.Second, func() {
+		Watchdog(t, 120*time.Second, func() {
 			var wg sync.WaitGroup
 			for i := 0; i < concurrent; i++ {
 				qi := i % len(chaosMemQueries)
@@ -515,7 +468,7 @@ func TestChaosMemoryPressure(t *testing.T) {
 			t.Errorf("seed %d: spills = %d, want >= 1 (the pressure never reached the spill rung)", seed, n)
 		}
 		// Satellite (b): no spill file outlives its query.
-		if runs := coord.SpillManager().LiveRuns(); len(runs) != 0 {
+		if runs := coord.res.spill.LiveRuns(); len(runs) != 0 {
 			t.Errorf("seed %d: leaked coordinator spill runs: %v", seed, runs)
 		}
 		entries, err := os.ReadDir(spillDir)
@@ -542,10 +495,10 @@ func TestChaosMemoryPressure(t *testing.T) {
 // zero so the next workload starts clean.
 func TestChaosOOMKillerUnderOverload(t *testing.T) {
 	want := chaosMemBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
+		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		if err := coord.ConfigureResources(ResourceConfig{
 			MemoryLimit: 64 << 10,
 			OOMKill:     true,
@@ -564,7 +517,7 @@ func TestChaosOOMKillerUnderOverload(t *testing.T) {
 		inj.FaultHTTP(fault.HTTPRule{Path: "/results", DelayProb: 1, Delay: 5 * time.Millisecond})
 		const concurrent = 4
 		errs := make(chan error, concurrent)
-		watchdog(t, 120*time.Second, func() {
+		Watchdog(t, 120*time.Second, func() {
 			var wg sync.WaitGroup
 			for i := 0; i < concurrent; i++ {
 				wg.Add(1)
@@ -610,10 +563,10 @@ func TestChaosOOMKillerUnderOverload(t *testing.T) {
 // usable.
 func TestChaosAdmissionRejects(t *testing.T) {
 	want := chaosMemBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
+		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		if err := coord.ConfigureResources(ResourceConfig{
 			Groups: []resource.GroupConfig{{Name: "adhoc", MaxConcurrency: 1, MaxQueued: 1}},
 		}); err != nil {
@@ -623,7 +576,7 @@ func TestChaosAdmissionRejects(t *testing.T) {
 		const concurrent = 6
 		errs := make(chan error, concurrent)
 		var successes, rejects atomic.Int64
-		watchdog(t, 120*time.Second, func() {
+		Watchdog(t, 120*time.Second, func() {
 			var wg sync.WaitGroup
 			for i := 0; i < concurrent; i++ {
 				wg.Add(1)
@@ -677,11 +630,11 @@ func TestChaosAdmissionRejects(t *testing.T) {
 // scratch file (satellite b at the worker layer).
 func TestChaosWorkerSpillCleanup(t *testing.T) {
 	want := chaosMemBaseline(t)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
 		catalogs := chaosCatalogs(t, inj)
-		coord := NewCoordinatorWithConfig(catalogs, chaosConfig(inj))
+		coord := NewCoordinatorWithConfig(catalogs, ChaosConfig(inj))
 		var workers []*Worker
 		var dirs []string
 		for i := 0; i < 3; i++ {
@@ -698,7 +651,7 @@ func TestChaosWorkerSpillCleanup(t *testing.T) {
 			workers = append(workers, w)
 		}
 
-		watchdog(t, 60*time.Second, func() {
+		Watchdog(t, 60*time.Second, func() {
 			if got := mustRows(t, coord, chaosMemQueries[1]); got != want[1] {
 				t.Errorf("seed %d: rows diverged with worker-side spill\ngot  %s\nwant %s", seed, got, want[1])
 			}
@@ -708,7 +661,7 @@ func TestChaosWorkerSpillCleanup(t *testing.T) {
 			if w.Obs.Snapshot().Counters["spills"] > 0 {
 				spilled = true
 			}
-			if runs := w.SpillManager().LiveRuns(); len(runs) != 0 {
+			if runs := w.spill.LiveRuns(); len(runs) != 0 {
 				t.Errorf("seed %d: worker %s leaked spill runs: %v", seed, w.Addr(), runs)
 			}
 			w.Close()

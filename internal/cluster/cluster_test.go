@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"encoding/gob"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -323,12 +326,11 @@ func TestHTTPStatementEndpoint(t *testing.T) {
 	}
 	defer coord.Close()
 	client := NewClient(coord.Addr())
-	res, err := client.Query(StatementRequest{
+	res, err := client.QueryWithIdentity(StatementRequest{
 		Query:   "SELECT city_id, count(*) FROM trips GROUP BY city_id ORDER BY 1",
 		Catalog: "hive",
 		Schema:  "rawdata",
-		User:    "cli",
-	})
+	}, "cli", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +342,7 @@ func TestHTTPStatementEndpoint(t *testing.T) {
 		t.Fatalf("rows = %v, cols = %v", rows, res.Columns)
 	}
 	// Errors propagate.
-	if _, err := client.Query(StatementRequest{Query: "SELECT nope FROM trips", Catalog: "hive", Schema: "rawdata"}); err == nil {
+	if _, err := client.QueryWithIdentity(StatementRequest{Query: "SELECT nope FROM trips", Catalog: "hive", Schema: "rawdata"}, "cli", ""); err == nil {
 		t.Error("bad query accepted")
 	}
 }
@@ -349,4 +351,90 @@ func TestHTTPStatementEndpoint(t *testing.T) {
 func (cl *Client) announce(coordAddr, workerAddr string) (string, error) {
 	resp, err := httpGet("http://" + coordAddr + "/v1/announce?addr=" + workerAddr)
 	return "", errOr(resp, err)
+}
+
+// hostCounter is a transport that counts round trips by the host they dial.
+type hostCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (h *hostCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	h.mu.Lock()
+	h.n[req.URL.Host]++
+	h.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+func (h *hostCounter) count(host string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.n[host]
+}
+
+// TestShutDownWorkerIsForgotten: a worker whose process is gone is dropped
+// from the registry by the first liveness poll that finds it refused (or
+// answering SHUTDOWN), so later queries never dial the dead address again.
+func TestShutDownWorkerIsForgotten(t *testing.T) {
+	catalogs := newCatalogs(t)
+	counter := &hostCounter{n: map[string]int{}}
+	coord := NewCoordinatorWithConfig(catalogs, ClientConfig{Transport: counter})
+	var workers []*Worker
+	for i := 0; i < 3; i++ {
+		w := NewWorker(catalogs)
+		w.GracePeriod = time.Millisecond
+		if err := w.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		coord.AddWorker(w.Addr())
+		workers = append(workers, w)
+	}
+	rows := func(query string) string {
+		t.Helper()
+		res, err := coord.Query(session(), query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		rows, err := res.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rows)
+	}
+	const q = "SELECT city_id, count(*), sum(fare) FROM trips GROUP BY city_id ORDER BY city_id"
+	want := rows(q)
+
+	dead := workers[0].Addr()
+	workers[0].Close()
+	if got := rows(q); got != want {
+		t.Fatalf("after the worker shut down:\n got %s\nwant %s", got, want)
+	}
+	for _, addr := range coord.Workers() {
+		if addr == dead {
+			t.Fatalf("the shut-down worker %s is still registered: %v", dead, coord.Workers())
+		}
+	}
+	dialed := counter.count(dead)
+	if got := rows(q); got != want {
+		t.Fatalf("on the survivors:\n got %s\nwant %s", got, want)
+	}
+	if n := counter.count(dead); n != dialed {
+		t.Errorf("%d more request(s) to the forgotten worker %s", n-dialed, dead)
+	}
+
+	// A worker that still answers, but says SHUTDOWN, is forgotten too.
+	leaving := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if err := gob.NewEncoder(rw).Encode(WorkerInfo{State: StateShutdown}); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer leaving.Close()
+	coord.AddWorker(leaving.Listener.Addr().String())
+	if got := rows(q); got != want {
+		t.Fatalf("beside a SHUTDOWN worker:\n got %s\nwant %s", got, want)
+	}
+	if got := coord.Workers(); len(got) != 2 {
+		t.Errorf("workers = %v, want the two survivors", got)
+	}
 }

@@ -164,23 +164,6 @@ func (c *Coordinator) EnableResultCache(capacity int, maxBytes int64, ttl time.D
 	c.resultCache = rc
 }
 
-// ResultCacheLen returns the resident entry count (0 when disabled).
-func (c *Coordinator) ResultCacheLen() int {
-	if c.resultCache == nil {
-		return 0
-	}
-	return c.resultCache.Len()
-}
-
-// InvalidateResultCache is the explicit escape hatch: it empties the result
-// cache and returns the number of entries dropped.
-func (c *Coordinator) InvalidateResultCache() int {
-	if c.resultCache == nil {
-		return 0
-	}
-	return c.resultCache.InvalidateAll()
-}
-
 // resultCacheKey derives the cache key for an optimized plan: planCacheKey
 // over the plan (handles render their pushed state, so two queries
 // normalizing to the same plan share a key) and a sorted
@@ -377,7 +360,12 @@ func (c *Coordinator) startTaskAnywhere(qs *queryState, workers []*workerClient,
 }
 
 // activeWorkers polls worker states, returning only ACTIVE ones — a worker
-// in SHUTTING_DOWN stops receiving new tasks (§IX).
+// in SHUTTING_DOWN stops receiving new tasks (§IX). A worker whose process
+// is gone (the poll is refused or reset) or that answers SHUTDOWN is
+// forgotten, so no later query dials the dead address again and its
+// in-flight tasks are rescheduled at once; a restarted worker re-registers
+// through /v1/announce. A poll that merely times out or is dropped keeps the
+// worker: slow is not dead.
 func (c *Coordinator) activeWorkers() []*workerClient {
 	c.mu.Lock()
 	all := make([]*workerClient, 0, len(c.workers))
@@ -389,8 +377,11 @@ func (c *Coordinator) activeWorkers() []*workerClient {
 	var active []*workerClient
 	for _, w := range all {
 		info, err := w.info()
-		if err == nil && info.State == StateActive {
+		switch {
+		case err == nil && info.State == StateActive:
 			active = append(active, w)
+		case err == nil && info.State == StateShutdown, err != nil && isWorkerGone(err):
+			c.RemoveWorker(w.addr)
 		}
 	}
 	return active
@@ -968,9 +959,6 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// Draining reports whether the coordinator has begun its graceful drain.
-func (c *Coordinator) Draining() bool { return c.draining.Load() }
-
 // deadlineNanos encodes a query deadline for the wire: unix nanos, 0 = none.
 func deadlineNanos(t time.Time) int64 {
 	if t.IsZero() {
@@ -1137,11 +1125,6 @@ func NewClient(addr string) *Client {
 func NewClientWithConfig(addr string, cfg ClientConfig) *Client {
 	cfg = cfg.WithDefaults()
 	return &Client{Addr: addr, HTTP: cfg.statementHTTPClient()}
-}
-
-// Query runs one statement.
-func (cl *Client) Query(req StatementRequest) (*QueryResult, error) {
-	return cl.QueryWithIdentity(req, req.User, "")
 }
 
 // QueryWithIdentity runs a statement carrying user/group headers, which a

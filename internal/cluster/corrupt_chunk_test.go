@@ -160,11 +160,11 @@ func lazyColumnCatalogs(t *testing.T, inj *fault.Injector) (reg *connector.Regis
 // source fragment with the splits of the table it scans.
 func sourceFragment(t *testing.T, reg *connector.Registry, query string) (*planner.Fragment, []connector.Split) {
 	t.Helper()
-	q, err := sql.ParseQuery(query)
+	stmt, err := sql.Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planner.PlanQuery(reg, &planner.Session{Catalog: "hive", Schema: "s"}, q)
+	plan, err := planner.PlanQuery(reg, &planner.Session{Catalog: "hive", Schema: "s"}, stmt.(*sql.Query))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,10 @@ func TestCoordinatorDrainRefusesNewQueries(t *testing.T) {
 	// The latch flips synchronously at the head of GracefulDrain; poll
 	// briefly for the goroutine to get there.
 	deadline := time.Now().Add(time.Second)
-	for !coord.Draining() && time.Now().Before(deadline) {
+	for !coord.draining.Load() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if !coord.Draining() {
+	if !coord.draining.Load() {
 		t.Fatal("coordinator never entered draining")
 	}
 
@@ -229,7 +229,7 @@ func TestQueryDeadlineSessionProperty(t *testing.T) {
 	if _, err := coord.Query(s, q); err != nil {
 		t.Fatalf("query with generous deadline: %v", err)
 	}
-	if coord.ResultCacheLen() != 1 {
+	if coord.resultCache.Len() != 1 {
 		t.Fatal("the first run should have filled the result cache")
 	}
 	for _, bad := range []string{"banana", "0"} {
@@ -251,8 +251,8 @@ func TestQueryDeadlineSessionProperty(t *testing.T) {
 	if _, err := coord.Query(s, q); err == nil || !strings.Contains(err.Error(), `unknown property "query_max_run_msec"`) {
 		t.Fatalf("unknown property on a cached statement = %v, want it refused by name", err)
 	}
-	if coord.ResultCacheLen() != 1 {
-		t.Fatalf("result cache holds %d entries, want 1", coord.ResultCacheLen())
+	if coord.resultCache.Len() != 1 {
+		t.Fatalf("result cache holds %d entries, want 1", coord.resultCache.Len())
 	}
 }
 

@@ -90,15 +90,6 @@ func (c *Coordinator) ConfigureResources(cfg ResourceConfig) error {
 	return nil
 }
 
-// SpillManager exposes the coordinator's spill manager (nil when spill is
-// not configured) — tests use it to assert no runs leak.
-func (c *Coordinator) SpillManager() *resource.SpillManager {
-	if c.res == nil {
-		return nil
-	}
-	return c.res.spill
-}
-
 // groupFor resolves the session's admission group: the resource_group
 // session property when it names a configured group, else the first
 // configured group. nil = admission disabled.

@@ -81,7 +81,7 @@ func TestSpillTurnsFailureIntoCompletion(t *testing.T) {
 	if n := counter(coord, "spills"); n < 1 {
 		t.Errorf("spills counter = %d, want >= 1", n)
 	}
-	if runs := coord.SpillManager().LiveRuns(); len(runs) != 0 {
+	if runs := coord.res.spill.LiveRuns(); len(runs) != 0 {
 		t.Errorf("leaked spill runs: %v", runs)
 	}
 }

@@ -71,7 +71,7 @@ func TestCoordinatorResultCache(t *testing.T) {
 	if len(r1) != 5 {
 		t.Fatalf("rows = %v", r1)
 	}
-	if n := coord.ResultCacheLen(); n != 1 {
+	if n := coord.resultCache.Len(); n != 1 {
 		t.Fatalf("cache len after first run = %d, want 1", n)
 	}
 
@@ -131,13 +131,8 @@ func TestCoordinatorResultCache(t *testing.T) {
 	if total != 15 {
 		t.Errorf("after partition add: total count = %d, want 15 (stale cache served?)", total)
 	}
-	if n := coord.ResultCacheLen(); n != 2 {
+	if n := coord.resultCache.Len(); n != 2 {
 		t.Errorf("cache len = %d, want 2 (old + new version keys)", n)
-	}
-
-	// Explicit invalidation empties the cache.
-	if dropped := coord.InvalidateResultCache(); dropped != 2 {
-		t.Errorf("InvalidateResultCache dropped %d, want 2", dropped)
 	}
 }
 
@@ -189,7 +184,7 @@ func TestResultCacheUncacheablePaths(t *testing.T) {
 	if _, err := coord.Query(s, "SELECT count(*) FROM cities"); err != nil {
 		t.Fatal(err)
 	}
-	if n := coord.ResultCacheLen(); n != 0 {
+	if n := coord.resultCache.Len(); n != 0 {
 		t.Errorf("versionless query was cached (len %d)", n)
 	}
 	if n := coord.Obs().Snapshot().Counters["coordinator.cache.result.uncacheable"]; n != 1 {
@@ -200,7 +195,7 @@ func TestResultCacheUncacheablePaths(t *testing.T) {
 	if _, err := coord.Query(session(), "SELECT 1 + 2"); err != nil {
 		t.Fatal(err)
 	}
-	if n := coord.ResultCacheLen(); n != 0 {
+	if n := coord.resultCache.Len(); n != 0 {
 		t.Errorf("constant query was cached (len %d)", n)
 	}
 
@@ -210,7 +205,7 @@ func TestResultCacheUncacheablePaths(t *testing.T) {
 	if _, err := coord.Query(s2, "SELECT count(*) FROM trips"); err != nil {
 		t.Fatal(err)
 	}
-	if n := coord.ResultCacheLen(); n != 0 {
+	if n := coord.resultCache.Len(); n != 0 {
 		t.Errorf("opted-out query was cached (len %d)", n)
 	}
 
@@ -228,7 +223,7 @@ func TestResultCacheUncacheablePaths(t *testing.T) {
 	if !strings.Contains(text, "hive.cache.chunk") {
 		t.Errorf("EXPLAIN ANALYZE cache footer missing chunk-cache tier:\n%s", text)
 	}
-	if n := coord.ResultCacheLen(); n != 0 {
+	if n := coord.resultCache.Len(); n != 0 {
 		t.Errorf("EXPLAIN ANALYZE was cached (len %d)", n)
 	}
 }
@@ -316,11 +311,11 @@ func TestFragmentCacheIsByteBounded(t *testing.T) {
 	}
 	reg := connector.NewRegistry()
 	reg.Register("memory", mem)
-	q, err := sql.ParseQuery("SELECT v FROM t")
+	stmt, err := sql.Parse("SELECT v FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planner.PlanQuery(reg, &planner.Session{Catalog: "memory", Schema: "big"}, q)
+	plan, err := planner.PlanQuery(reg, &planner.Session{Catalog: "memory", Schema: "big"}, stmt.(*sql.Query))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestResultsServeManyPagesUpToTheByteCap(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(p*rows + i)
 		}
-		data, err := block.EncodePage(block.NewPage(block.NewInt64Block(vals)))
+		data, err := block.EncodePage(block.NewPage(&block.Int64Block{Values: vals}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +115,11 @@ func TestChaosCorruptedResultsAreRejected(t *testing.T) {
 		}
 		want[i] = fmt.Sprint(res.Rows())
 	}
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range ChaosSeeds(t) {
 		for _, k := range []int64{1, 3, 9} { // a retry suffices; the last attempt succeeds; tasks are rescheduled
 			t.Logf("chaos seed %d, first %d responses corrupted (re-run with CHAOS_SEED=%d)", seed, k, seed)
 			inj := fault.NewInjector(seed)
-			cfg := chaosConfig(inj)
+			cfg := ChaosConfig(inj)
 			var victim atomic.Value // the faulted worker's address, once chosen
 			var left atomic.Int64
 			faulty := cfg.Transport
@@ -136,11 +136,11 @@ func TestChaosCorruptedResultsAreRejected(t *testing.T) {
 			left.Store(k)
 			victim.Store(addr)
 
-			watchdog(t, 60*time.Second, func() {
+			Watchdog(t, 60*time.Second, func() {
 				for i, q := range chaosQueries {
 					res, err := coord.Query(chaosSession(), q)
 					if err != nil {
-						if !IsUnavailable(err) {
+						if !isUnavailable(err) {
 							t.Errorf("seed %d k %d query %d: untyped failure: %v", seed, k, i, err)
 						}
 						continue

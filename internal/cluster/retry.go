@@ -38,17 +38,6 @@ var (
 	ErrDeadlineExceeded = errors.New("cluster: query deadline exceeded")
 )
 
-// IsUnavailable reports whether err is one of the typed cluster-availability
-// errors, as opposed to a planning or semantic error. Chaos tests use it to
-// assert that a partitioned cluster fails cleanly.
-func IsUnavailable(err error) bool {
-	return errors.Is(err, ErrNoActiveWorkers) ||
-		errors.Is(err, ErrSchedulingFailed) ||
-		errors.Is(err, ErrRetryBudgetExhausted) ||
-		errors.Is(err, ErrCoordinatorDraining) ||
-		errors.Is(err, ErrWorkerGone)
-}
-
 // IsRetryable reports whether a failed query may be resubmitted elsewhere
 // without risking duplicate effects: the coordinator refused or lost the
 // query for availability reasons rather than rejecting its content. The HTTP

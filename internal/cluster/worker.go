@@ -282,10 +282,6 @@ func (w *Worker) Close() error {
 	return nil
 }
 
-// SpillManager exposes the worker's spill manager (nil when spill is not
-// configured) — tests use it to assert no runs leak.
-func (w *Worker) SpillManager() *resource.SpillManager { return w.spill }
-
 func (w *Worker) handleInfo(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	info := WorkerInfo{State: w.state, ActiveTasks: 0}

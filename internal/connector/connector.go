@@ -81,8 +81,6 @@ type PageSource interface {
 
 // Metadata exposes schema information (ConnectorMetadata).
 type Metadata interface {
-	// ListSchemas returns schema names in sorted order.
-	ListSchemas() ([]string, error)
 	// ListTables returns table names in a schema in sorted order.
 	ListTables(schema string) ([]string, error)
 	// GetTable resolves a table, returning its schema and a fresh handle.

@@ -41,7 +41,7 @@ func TestTableSchemaColumnIndex(t *testing.T) {
 }
 
 func TestSlicePageSource(t *testing.T) {
-	p := block.NewPage(block.NewInt64Block([]int64{1, 2}))
+	p := block.NewPage(&block.Int64Block{Values: []int64{1, 2}})
 	src := &SlicePageSource{Pages: []*block.Page{p}}
 	got, err := src.Next()
 	if err != nil || got.Count() != 2 {

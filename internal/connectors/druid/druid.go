@@ -140,8 +140,6 @@ func (s *Split) Description() string { return "druid:" + s.Handle.Table }
 
 type druidMetadata Connector
 
-func (m *druidMetadata) ListSchemas() ([]string, error) { return []string{m.schema}, nil }
-
 func (m *druidMetadata) ListTables(schema string) ([]string, error) {
 	if schema != m.schema {
 		return nil, fmt.Errorf("druid: schema %q does not exist", schema)

@@ -103,16 +103,14 @@ func New(name string, ms *metastore.Metastore, fs fsys.FileSystem, opts Options)
 		if ch.Location == "" {
 			return
 		}
-		c.InvalidateLocation(ch.Location)
+		c.invalidateLocation(ch.Location)
 	})
 	return c
 }
 
-// InvalidateLocation drops every cache entry under dir: the file listing,
-// stat/footer entries for its files, and their decompressed chunks. Also
-// called by hybrid-table bindings when the realtime side seals segments
-// into this connector's warehouse.
-func (c *Connector) InvalidateLocation(dir string) {
+// invalidateLocation drops every cache entry under dir: the file listing,
+// stat/footer entries for its files, and their decompressed chunks.
+func (c *Connector) invalidateLocation(dir string) {
 	c.listCache.Invalidate(dir)
 	c.listCache.InvalidatePrefix(dir)
 	c.footerCache.InvalidatePrefix(dir)
@@ -241,10 +239,6 @@ func (s *Split) Description() string { return "hive:" + s.Path }
 // ---------------------------------------------------------------------------
 
 type hiveMetadata Connector
-
-func (m *hiveMetadata) ListSchemas() ([]string, error) {
-	return (*Connector)(m).ms.ListSchemas(), nil
-}
 
 func (m *hiveMetadata) ListTables(schema string) ([]string, error) {
 	return (*Connector)(m).ms.ListTables(schema), nil

@@ -240,7 +240,11 @@ func TestOpenPartitionBypassesCacheAndSeesNewFiles(t *testing.T) {
 	pb2 := block.NewPageBuilder([]*types.Type{types.Bigint})
 	pb2.AppendRow([]any{int64(2)})
 	pb2.AppendRow([]any{int64(3)})
-	if err := loader.AppendFile("rt", "events", "datestr=today", pb2.Build(), "part-99999"); err != nil {
+	tab, err := ms.GetTable("rt", "events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loader.writeOne(tab.Location+"/datestr=today/part-99999", cols, []*block.Page{pb2.Build()}); err != nil {
 		t.Fatal(err)
 	}
 	res, err = e.Query(s, "SELECT count(*) FROM events")

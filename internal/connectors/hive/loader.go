@@ -64,20 +64,6 @@ func (l *Loader) AddPartition(schema, table, key, value string, pages []*block.P
 	return l.MS.AddPartition(schema, table, metastore.Partition{Name: name, Location: dir, Sealed: isSealed})
 }
 
-// AppendFile writes one more file into an existing partition directory
-// (simulating near-real-time micro-batch ingestion into open partitions).
-func (l *Loader) AppendFile(schema, table, partitionName string, page *block.Page, fileName string) error {
-	t, err := l.MS.GetTable(schema, table)
-	if err != nil {
-		return err
-	}
-	dir := t.Location
-	if partitionName != "" {
-		dir += "/" + partitionName
-	}
-	return l.writeOne(dir+"/"+fileName, t.Columns, []*block.Page{page})
-}
-
 func (l *Loader) writeFiles(dir string, cols []metastore.Column, pages []*block.Page) error {
 	if len(pages) == 0 {
 		// Touch the directory with an empty file so listings succeed.

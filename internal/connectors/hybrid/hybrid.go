@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"prestolite/internal/connector"
-	"prestolite/internal/druid"
 	"prestolite/internal/types"
 )
 
@@ -42,10 +41,6 @@ type Connector struct {
 
 	mu     sync.RWMutex
 	tables map[string]TableConfig
-	// boundaryGen counts watermark moves; folded into SnapshotVersion so a
-	// backfill that shifts the boundary invalidates cached results even
-	// when neither side's own version moved.
-	boundaryGen int64
 }
 
 // New creates a hybrid connector resolving parts through the given catalog
@@ -69,37 +64,21 @@ func (c *Connector) AddTable(table string, cfg TableConfig) error {
 	return nil
 }
 
-// SetBoundary moves a table's watermark (e.g. after a batch backfill
-// absorbs older real-time segments).
-func (c *Connector) SetBoundary(table string, boundary int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cfg, ok := c.tables[table]
-	if !ok {
-		return fmt.Errorf("hybrid: table %q does not exist", table)
-	}
-	cfg.Boundary = boundary
-	c.tables[table] = cfg
-	c.boundaryGen++
-	return nil
-}
-
 // SnapshotVersion implements connector.SnapshotVersioner by folding both
-// sides' versions with the boundary generation: the hybrid table's visible
-// data changes exactly when one of the three does. ok is false when either
-// side's connector cannot report a version.
+// sides' versions (a table's boundary is fixed when it is declared): the
+// hybrid table's visible data changes exactly when one side's does. ok is
+// false when either side's connector cannot report a version.
 func (c *Connector) SnapshotVersion(schema, table string) (int64, bool) {
 	if schema != c.schema {
 		return 0, false
 	}
 	c.mu.RLock()
 	cfg, ok := c.tables[table]
-	gen := c.boundaryGen
 	c.mu.RUnlock()
 	if !ok {
 		return 0, false
 	}
-	sum := gen
+	var sum int64
 	for _, part := range []connector.HybridPart{cfg.Historical, cfg.Realtime} {
 		conn, err := c.catalogs.Get(part.Catalog)
 		if err != nil {
@@ -116,30 +95,6 @@ func (c *Connector) SnapshotVersion(schema, table string) (int64, bool) {
 		sum += v
 	}
 	return sum, true
-}
-
-// HistoricalInvalidator drops cached filesystem state under a directory.
-// hive.Connector implements it; the small interface keeps this package from
-// importing hive.
-type HistoricalInvalidator interface {
-	InvalidateLocation(dir string)
-}
-
-// BindRealtimeInvalidation wires a druid store's lifecycle events into
-// historical-side cache invalidation for one hybrid table: every segment
-// seal and ingest-watermark advance (append) on druidTable drops the file
-// listings, footers and chunks cached under historicalDir. Without this,
-// a backfill landing as segments seal is invisible to the historical side
-// until the file-list TTL expires — the staleness window this PR closes.
-func BindRealtimeInvalidation(store *druid.Store, druidTable string, inv HistoricalInvalidator, historicalDir string) {
-	store.OnChange(func(ev druid.TableEvent) {
-		if ev.Table != druidTable {
-			return
-		}
-		if ev.Kind == druid.EventSeal || ev.Kind == druid.EventAppend {
-			inv.InvalidateLocation(historicalDir)
-		}
-	})
 }
 
 // TableHandle names a hybrid table plus its resolved spec.
@@ -182,8 +137,6 @@ func (c *Connector) HybridSpec(handle connector.TableHandle) (connector.HybridSp
 var _ connector.HybridTable = (*Connector)(nil)
 
 type hybridMetadata Connector
-
-func (m *hybridMetadata) ListSchemas() ([]string, error) { return []string{m.schema}, nil }
 
 func (m *hybridMetadata) ListTables(schema string) ([]string, error) {
 	if schema != m.schema {

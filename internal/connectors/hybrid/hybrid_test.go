@@ -2,7 +2,6 @@ package hybrid
 
 import (
 	"testing"
-	"time"
 
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
@@ -14,126 +13,9 @@ import (
 	"prestolite/internal/types"
 )
 
-// histFixture builds a hive connector over a one-partition sealed table and
-// returns the connector plus a loader for landing backfill files.
-func histFixture(t *testing.T) (*hive.Connector, *hive.Loader, connector.TableHandle, string) {
-	t.Helper()
-	ms := metastore.New()
-	fs := hdfs.New(hdfs.Config{})
-	loader := &hive.Loader{MS: ms, FS: fs}
-	cols := []metastore.Column{
-		{Name: "ts", Type: types.Bigint},
-		{Name: "country", Type: types.Varchar},
-	}
-	pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Varchar})
-	pb.AppendRow([]any{int64(1), "us"})
-	pb.AppendRow([]any{int64(2), "de"})
-	page := pb.Build()
-	if err := loader.CreatePartitionedTable("rt", "events_hist", cols, "datestr",
-		map[string][]*block.Page{"2017-03-02": {page}}, map[string]bool{"2017-03-02": true}); err != nil {
-		t.Fatal(err)
-	}
-	hc := hive.New("hive", ms, fs, hive.Options{})
-	_, handle, err := hc.Metadata().GetTable("rt", "events_hist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := ms.GetTable("rt", "events_hist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hc, loader, handle, tab.Location
-}
-
-func countSplits(t *testing.T, hc *hive.Connector, handle connector.TableHandle) int {
-	t.Helper()
-	splits, err := hc.SplitManager().Splits(handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(splits)
-}
-
-func backfillPage() *block.Page {
-	pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Varchar})
-	pb.AppendRow([]any{int64(3), "fr"})
-	return pb.Build()
-}
-
-// TestRealtimeSealInvalidatesHistoricalCache is the staleness regression
-// test: a backfill file landing in a sealed partition (written directly to
-// the filesystem, as the seal pipeline does — no metastore event) is
-// invisible through the warm file-list cache until the druid seal event
-// fires the invalidation binding.
-func TestRealtimeSealInvalidatesHistoricalCache(t *testing.T) {
-	hc, loader, handle, location := histFixture(t)
-
-	if n := countSplits(t, hc, handle); n != 1 {
-		t.Fatalf("initial splits = %d, want 1", n)
-	}
-
-	// Backfill lands on disk without a metastore event.
-	if err := loader.AppendFile("rt", "events_hist", "datestr=2017-03-02", backfillPage(), "part-backfill-0"); err != nil {
-		t.Fatal(err)
-	}
-	// The cached listing is stale: this is the bug being fixed — without
-	// invalidation the new file stays invisible until TTL.
-	if n := countSplits(t, hc, handle); n != 1 {
-		t.Fatalf("expected stale cached listing (1 split), got %d", n)
-	}
-
-	// Wire the binding and drive a druid segment seal.
-	store := druid.NewStore()
-	rt, err := store.CreateTable("events", []druid.Column{
-		{Name: "ts", Type: types.Bigint},
-		{Name: "country", Type: types.Varchar},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.SetSegmentConfig(druid.SegmentConfig{SealRows: 2})
-	BindRealtimeInvalidation(store, "events", hc, location)
-
-	if err := rt.Ingest([][]any{{int64(10), "us"}, {int64(11), "de"}}); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Stats().Sealed == 0 {
-		t.Fatal("fixture bug: ingest did not seal a segment")
-	}
-	if n := countSplits(t, hc, handle); n != 2 {
-		t.Errorf("after seal event: splits = %d, want 2 (backfill visible)", n)
-	}
-
-	// Watermark advance (a duplicate AppendFrom delivery) also invalidates.
-	if err := loader.AppendFile("rt", "events_hist", "datestr=2017-03-02", backfillPage(), "part-backfill-1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.AppendFrom("topic-0", 0, [][]any{{int64(12), "fr"}}, time.Unix(0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if n := countSplits(t, hc, handle); n != 3 {
-		t.Errorf("after watermark advance: splits = %d, want 3", n)
-	}
-
-	// Events for other druid tables must not touch this binding.
-	other, err := store.CreateTable("other", []druid.Column{{Name: "x", Type: types.Bigint}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loader.AppendFile("rt", "events_hist", "datestr=2017-03-02", backfillPage(), "part-backfill-2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Ingest([][]any{{int64(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	if n := countSplits(t, hc, handle); n != 3 {
-		t.Errorf("foreign-table event invalidated the cache: splits = %d, want stale 3", n)
-	}
-}
-
-// TestSnapshotVersionFoldsSidesAndBoundary checks the hybrid connector's
-// SnapshotVersion moves when either side's data or the boundary moves.
-func TestSnapshotVersionFoldsSidesAndBoundary(t *testing.T) {
+// TestSnapshotVersionFoldsBothSides checks the hybrid connector's
+// SnapshotVersion moves when either side's data moves.
+func TestSnapshotVersionFoldsBothSides(t *testing.T) {
 	ms := metastore.New()
 	fs := hdfs.New(hdfs.Config{})
 	loader := &hive.Loader{MS: ms, FS: fs}
@@ -187,14 +69,6 @@ func TestSnapshotVersionFoldsSidesAndBoundary(t *testing.T) {
 	v2, _ := hc.SnapshotVersion("default", "events")
 	if v2 <= v1 {
 		t.Errorf("partition add did not move version: %d -> %d", v1, v2)
-	}
-	// Boundary move moves it.
-	if err := hc.SetBoundary("events", 200); err != nil {
-		t.Fatal(err)
-	}
-	v3, _ := hc.SnapshotVersion("default", "events")
-	if v3 <= v2 {
-		t.Errorf("boundary move did not move version: %d -> %d", v2, v3)
 	}
 	if _, ok := hc.SnapshotVersion("default", "missing"); ok {
 		t.Error("missing table should not version")

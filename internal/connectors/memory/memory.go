@@ -147,18 +147,6 @@ func (s *Split) Description() string {
 
 type metadata Connector
 
-func (m *metadata) ListSchemas() ([]string, error) {
-	c := (*Connector)(m)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for s := range c.tables {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 func (m *metadata) ListTables(schema string) ([]string, error) {
 	c := (*Connector)(m)
 	c.mu.RLock()

@@ -51,10 +51,6 @@ func drain(t *testing.T, src connector.PageSource) [][]any {
 
 func TestMetadataAndSplits(t *testing.T) {
 	c := newConn(t)
-	schemas, _ := c.Metadata().ListSchemas()
-	if len(schemas) != 1 || schemas[0] != "s" {
-		t.Fatalf("schemas = %v", schemas)
-	}
 	tables, _ := c.Metadata().ListTables("s")
 	if len(tables) != 1 || tables[0] != "t" {
 		t.Fatalf("tables = %v", tables)

@@ -77,8 +77,6 @@ func (s *Split) Description() string { return "mysql:" + s.Handle.Table }
 
 type mysqlMetadata Connector
 
-func (m *mysqlMetadata) ListSchemas() ([]string, error) { return []string{m.schema}, nil }
-
 func (m *mysqlMetadata) ListTables(schema string) ([]string, error) {
 	if schema != m.schema {
 		return nil, fmt.Errorf("mysql: schema %q does not exist", schema)

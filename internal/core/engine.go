@@ -5,7 +5,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 
@@ -266,33 +265,4 @@ func (e *Engine) Explain(session *planner.Session, query string) (string, error)
 		return "", err
 	}
 	return planner.Format(plan), nil
-}
-
-// QueryWithBatchFallback implements the §XII.C recommendation: users write
-// one SQL dialect, and a query that fails with "Insufficient Resources" is
-// automatically re-run on a batch path (standing in for Presto on Spark)
-// instead of bouncing the error to the user. The batch path here is the same
-// engine with the interactive memory limit lifted — the property that
-// matters is the transparent retry, not the other engine's internals.
-// It reports whether the fallback path served the query.
-func (e *Engine) QueryWithBatchFallback(session *planner.Session, query string) (*Result, bool, error) {
-	res, err := e.Query(session, query)
-	if err == nil {
-		return res, false, nil
-	}
-	var insufficient execution.ErrInsufficientResources
-	if !errors.As(err, &insufficient) {
-		return nil, false, err
-	}
-	batch := &planner.Session{
-		Catalog: session.Catalog, Schema: session.Schema, User: session.User,
-		Properties: map[string]string{},
-	}
-	for k, v := range session.Properties {
-		if k != "query_max_memory" {
-			batch.Properties[k] = v
-		}
-	}
-	res, err = e.Query(batch, query)
-	return res, true, err
 }

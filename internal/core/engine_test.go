@@ -469,31 +469,6 @@ func TestInsufficientResources(t *testing.T) {
 	}
 }
 
-func TestQueryWithBatchFallback(t *testing.T) {
-	e := testEngine(t)
-	s := DefaultSession("memory", "rawdata")
-	s.Properties["query_max_memory"] = "16"
-	q := "SELECT count(*) FROM trips a JOIN trips b ON a.city_id = b.city_id"
-	res, usedFallback, err := e.QueryWithBatchFallback(s, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !usedFallback {
-		t.Error("expected fallback to the batch path")
-	}
-	if res.Rows()[0][0] != int64(14) { // 3*3 + 2*2 + 1*1
-		t.Errorf("count = %v", res.Rows()[0][0])
-	}
-	// Non-resource errors do not fall back.
-	if _, used, err := e.QueryWithBatchFallback(s, "SELECT nope FROM trips"); err == nil || used {
-		t.Errorf("bad query should fail without fallback: %v %v", used, err)
-	}
-	// Queries under the limit never fall back.
-	if _, used, err := e.QueryWithBatchFallback(s, "SELECT count(*) FROM trips"); err != nil || used {
-		t.Errorf("small query fell back: %v %v", used, err)
-	}
-}
-
 // TestOptimizedMatchesUnoptimized: the optimizer (pushdowns, pruning,
 // rewrites) must never change results — run each query through the raw
 // analyzed plan and the optimized plan and compare.
@@ -534,7 +509,13 @@ func TestOptimizedMatchesUnoptimized(t *testing.T) {
 }
 
 // sqlparse is a test helper returning the query AST.
-func sqlparse(q string) (*sql.Query, error) { return sql.ParseQuery(q) }
+func sqlparse(q string) (*sql.Query, error) {
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return stmt.(*sql.Query), nil
+}
 
 func TestLeftJoinWithNestedKey(t *testing.T) {
 	// LEFT JOIN keyed on a struct dereference exercises the computed-key

@@ -37,14 +37,6 @@ func (b *Bitmap) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Get reports whether row i is set; rows beyond the capacity are unset.
-func (b *Bitmap) Get(i int) bool {
-	if i < 0 || i >= b.n {
-		return false
-	}
-	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
 // Len returns the row capacity.
 func (b *Bitmap) Len() int { return b.n }
 
@@ -57,18 +49,6 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
-// And intersects in place. Rows beyond the other bitmap's capacity are
-// treated as unset there, so they clear here.
-func (b *Bitmap) And(o *Bitmap) {
-	for i := range b.words {
-		if i < len(o.words) {
-			b.words[i] &= o.words[i]
-		} else {
-			b.words[i] = 0
-		}
-	}
-}
-
 // Or unions in place, growing to the other bitmap's capacity if larger.
 func (b *Bitmap) Or(o *Bitmap) {
 	if o.n > b.n {
@@ -76,23 +56,6 @@ func (b *Bitmap) Or(o *Bitmap) {
 	}
 	for i := range o.words {
 		b.words[i] |= o.words[i]
-	}
-}
-
-// SetAll marks every row.
-func (b *Bitmap) SetAll() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	if rem := b.n & 63; rem != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] = (1 << uint(rem)) - 1
-	}
-}
-
-// Clear unsets every row, keeping the capacity.
-func (b *Bitmap) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
 	}
 }
 

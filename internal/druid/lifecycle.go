@@ -240,32 +240,8 @@ func (t *Table) Append(rows [][]any, now time.Time) error {
 	}
 	t.mu.Lock()
 	t.appendLocked(rows, now)
-	events := t.drainEventsLocked()
 	t.mu.Unlock()
-	t.publishEvents(events)
 	return nil
-}
-
-// recordEventLocked bumps the snapshot version and queues a lifecycle event
-// for publication after the lock is released. Caller holds the write lock.
-func (t *Table) recordEventLocked(kind EventKind) {
-	t.version++
-	t.pending = append(t.pending, TableEvent{Table: t.Name, Kind: kind, Version: t.version})
-}
-
-// drainEventsLocked takes the queued events. Caller holds the write lock.
-func (t *Table) drainEventsLocked() []TableEvent {
-	events := t.pending
-	t.pending = nil
-	return events
-}
-
-// publishEvents delivers drained events through the store. Caller must hold
-// no locks.
-func (t *Table) publishEvents(events []TableEvent) {
-	if t.store != nil {
-		t.store.publish(events)
-	}
 }
 
 // AppendFrom appends a batch delivered from an offset-addressed source —
@@ -298,24 +274,13 @@ func (t *Table) AppendFrom(source string, next int64, rows [][]any, now time.Tim
 	if end := next + int64(len(rows)); end > t.srcNext[source] {
 		t.srcNext[source] = end
 		if skip >= len(rows) {
-			// The rows were all duplicates but the watermark still advanced;
-			// record that as an append-kind event so watermark-driven
-			// invalidation fires.
-			t.recordEventLocked(EventAppend)
+			// The rows were all duplicates but the watermark still advanced:
+			// that is a visible-state change too.
+			t.version++
 		}
 	}
-	events := t.drainEventsLocked()
 	t.mu.Unlock()
-	t.publishEvents(events)
 	return len(rows) - skip, nil
-}
-
-// SourceWatermark returns the next offset the table expects from source (0
-// when the source has never delivered).
-func (t *Table) SourceWatermark(source string) int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.srcNext[source]
 }
 
 // validateRows type-checks a batch against the table schema.
@@ -359,7 +324,7 @@ func (t *Table) appendLocked(rows [][]any, now time.Time) {
 			t.sealLocked()
 		}
 	}
-	t.recordEventLocked(EventAppend)
+	t.version++
 }
 
 // sealLocked moves the open segment to the sealed list. Caller holds the
@@ -370,7 +335,7 @@ func (t *Table) sealLocked() {
 	}
 	t.segments = append(t.segments, t.open.seal())
 	t.open = nil
-	t.recordEventLocked(EventSeal)
+	t.version++
 	if m := t.metrics(); m != nil {
 		m.seals.Inc()
 	}
@@ -386,9 +351,7 @@ func (t *Table) Maintain(now time.Time) {
 		t.sealLocked()
 	}
 	t.compactLocked()
-	events := t.drainEventsLocked()
 	t.mu.Unlock()
-	t.publishEvents(events)
 }
 
 // compactLocked merges small sealed segments (fewer than CompactBelowRows
@@ -420,7 +383,7 @@ func (t *Table) compactLocked() {
 		}
 	}
 	t.segments = append(kept, merged)
-	t.recordEventLocked(EventCompact)
+	t.version++
 	if m := t.metrics(); m != nil {
 		m.compactions.Inc()
 		m.compactedSegments.Add(int64(len(candidates)))
@@ -523,13 +486,6 @@ func (t *Table) Stats() SegmentStats {
 		s.Rows += seg.n
 	}
 	return s
-}
-
-// SegmentCount returns the total number of segments (open + sealed +
-// compacted) — the regression guard against one-segment-per-Ingest-call.
-func (t *Table) SegmentCount() int {
-	s := t.Stats()
-	return s.Open + s.Sealed + s.Compacted
 }
 
 // ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ func TestIngestSmallBatchesSegmentCount(t *testing.T) {
 	}
 	// 1000 rows in 500 calls: exactly one seal, nothing open.
 	st := tab.Stats()
-	if got := tab.SegmentCount(); got != 1 {
+	if got := st.Open + st.Sealed + st.Compacted; got != 1 {
 		t.Fatalf("500 small ingest calls produced %d segments (%+v), want 1", got, st)
 	}
 	if st.Rows != 1000 {
@@ -86,7 +86,7 @@ func TestSealOnAge(t *testing.T) {
 func TestSealOnAgeInjectedClock(t *testing.T) {
 	s := NewStore()
 	clk := fault.NewManualClock(time.Unix(0, 0))
-	s.SetClock(clk)
+	s.clock = clk
 	tab, err := s.CreateTable("events", []Column{
 		{Name: "ts", Type: types.Bigint},
 		{Name: "country", Type: types.Varchar},
@@ -139,8 +139,8 @@ func TestCompaction(t *testing.T) {
 	}
 	// A single small segment is never "compacted" alone.
 	tab.Maintain(now)
-	if got := tab.SegmentCount(); got != 1 {
-		t.Fatalf("compaction of a lone segment changed count to %d", got)
+	if st := tab.Stats(); st.Open+st.Sealed+st.Compacted != 1 {
+		t.Fatalf("compaction of a lone segment changed the segments to %+v", st)
 	}
 
 	// Queries over the compacted segment still use the rebuilt inverted index

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -226,7 +227,7 @@ func (c *HTTPClient) Tables() ([]string, error) {
 
 // Schema implements Client.
 func (c *HTTPClient) Schema(table string) ([]Column, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/druid/v2/schema?table=" + table)
+	resp, err := c.HTTP.Get(c.BaseURL + "/druid/v2/schema?" + url.Values{"table": {table}}.Encode())
 	if err != nil {
 		return nil, err
 	}

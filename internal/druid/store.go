@@ -43,33 +43,7 @@ type Table struct {
 	// advance, seal, compaction) — the snapshot version result-cache keys
 	// are stamped with (§VII).
 	version int64
-	// pending accumulates lifecycle events recorded under the lock;
-	// public entry points drain and publish them after unlocking so
-	// listeners never run inside the table lock.
-	pending []TableEvent
 }
-
-// TableEvent describes one lifecycle transition, delivered to Store
-// OnChange listeners (hybrid-table cache invalidation subscribes here).
-type TableEvent struct {
-	Table string
-	Kind  EventKind
-	// Version is the table's snapshot version after the transition.
-	Version int64
-}
-
-// EventKind enumerates lifecycle transitions.
-type EventKind int
-
-const (
-	// EventAppend fires when rows land (including watermark-advancing
-	// AppendFrom deliveries).
-	EventAppend EventKind = iota
-	// EventSeal fires when the open segment seals into an immutable one.
-	EventSeal
-	// EventCompact fires when small sealed segments merge.
-	EventCompact
-)
 
 // segment is one horizontal shard with columnar storage. Sealed segments
 // are immutable; frozen views of the open segment share its buffers but
@@ -142,33 +116,6 @@ type Store struct {
 	tables  map[string]*Table
 	metrics atomic.Pointer[storeMetrics]
 	clock   fault.Clock
-
-	listenerMu sync.RWMutex
-	listeners  []func(TableEvent)
-}
-
-// OnChange registers a listener invoked after every table lifecycle
-// transition (append, seal, compact). Listeners run synchronously, outside
-// all store and table locks, in registration order.
-func (s *Store) OnChange(fn func(TableEvent)) {
-	s.listenerMu.Lock()
-	defer s.listenerMu.Unlock()
-	s.listeners = append(s.listeners, fn)
-}
-
-// publish delivers events to listeners. Callers must hold no locks.
-func (s *Store) publish(events []TableEvent) {
-	if len(events) == 0 {
-		return
-	}
-	s.listenerMu.RLock()
-	fns := s.listeners
-	s.listenerMu.RUnlock()
-	for _, ev := range events {
-		for _, fn := range fns {
-			fn(ev)
-		}
-	}
 }
 
 // TableVersion returns the table's snapshot version: bumped on every
@@ -194,15 +141,6 @@ func (t *Table) Version() int64 {
 // NewStore creates an empty store on the real clock.
 func NewStore() *Store {
 	return &Store{tables: map[string]*Table{}, clock: fault.RealClock{}}
-}
-
-// SetClock injects the time source Ingest stamps appends with — and so the
-// base of every SealAge decision. Chaos and replay harnesses point it at
-// the same fault.Clock the rest of the cluster runs on.
-func (s *Store) SetClock(c fault.Clock) {
-	if c != nil {
-		s.clock = c
-	}
 }
 
 // clockOrReal is the table-level accessor: tables created without a store
@@ -300,16 +238,4 @@ type Query struct {
 type Result struct {
 	Columns []string
 	Pages   []*block.Page
-}
-
-// Rows boxes the result row by row, for tests and examples; the connector
-// reads Pages.
-func (r *Result) Rows() [][]any {
-	var rows [][]any
-	for _, p := range r.Pages {
-		for i := 0; i < p.Count(); i++ {
-			rows = append(rows, p.Row(i))
-		}
-	}
-	return rows
 }

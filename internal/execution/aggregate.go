@@ -137,9 +137,6 @@ func appendGroupKey(dst []byte, vals []any) []byte {
 	return dst
 }
 
-// groupKey is the convenience (allocating) form of appendGroupKey.
-func groupKey(vals []any) string { return string(appendGroupKey(nil, vals)) }
-
 func (o *aggregateOperator) Next() (*block.Page, error) {
 	if !o.consumed {
 		if err := o.consume(); err != nil {

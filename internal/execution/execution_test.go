@@ -31,7 +31,7 @@ func (o *pagesOperator) Next() (*block.Page, error) {
 func (o *pagesOperator) Close() error { return nil }
 
 func intPage(vals ...int64) *block.Page {
-	return block.NewPage(block.NewInt64Block(vals))
+	return block.NewPage(&block.Int64Block{Values: vals})
 }
 
 func TestFilterOperator(t *testing.T) {
@@ -119,8 +119,8 @@ func TestAggregateOperatorPartialFinal(t *testing.T) {
 		Step: planner.AggPartial,
 	}
 	input := block.NewPage(
-		block.NewInt64Block([]int64{1, 1, 2}),
-		block.NewInt64Block([]int64{10, 20, 30}),
+		&block.Int64Block{Values: []int64{1, 1, 2}},
+		&block.Int64Block{Values: []int64{10, 20, 30}},
 	)
 	partialOp, err := newAggregateOperator(agg, &pagesOperator{pages: []*block.Page{input}}, &opMem{op: "test"})
 	if err != nil {

@@ -140,22 +140,6 @@ func (c *Column) equalRow(i int, v *View, r int) bool {
 	}
 }
 
-// hashRow hashes stored row i, consistently with Hasher's value hashing.
-func (c *Column) hashRow(i int) uint64 {
-	if c.nulls[i] {
-		return nullHash
-	}
-	switch c.kind {
-	case KindString:
-		return hashString(c.str[i])
-	case KindBool:
-		return hashBool(c.i64[i] != 0)
-	default:
-		// Int64 stores raw values, Float64 stores bits: both hash mix64.
-		return mix64(uint64(c.i64[i]))
-	}
-}
-
 // ValueAt boxes stored row i (cold paths: spill encoding, debugging).
 func (c *Column) ValueAt(i int) any {
 	if c.nulls[i] {

@@ -50,15 +50,6 @@ func newSlots(n int) []int32 {
 // Len is the number of distinct groups.
 func (t *GroupTable) Len() int { return len(t.hashes) }
 
-// Bytes estimates retained memory: key stores plus hash/slot arrays.
-func (t *GroupTable) Bytes() int64 {
-	n := int64(8*len(t.hashes) + 4*len(t.slots))
-	for _, c := range t.cols {
-		n += c.Bytes()
-	}
-	return n
-}
-
 // KeyBytes is the retained size of the key stores alone.
 func (t *GroupTable) KeyBytes() int64 {
 	var n int64

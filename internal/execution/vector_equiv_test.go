@@ -221,7 +221,7 @@ func equivAggs(rng *rand.Rand, specs []equivColSpec, nKeys int) []planner.Aggreg
 	for j := nKeys; j < len(specs); j++ {
 		t := specs[j].typ
 		fns := []string{"count", "min", "max"}
-		if t.IsNumeric() {
+		if t.Kind == types.KindInteger || t.Kind == types.KindBigint || t.Kind == types.KindDouble {
 			fns = []string{"count", "sum", "min", "max", "avg"}
 		}
 		name := fns[rng.Intn(len(fns))]

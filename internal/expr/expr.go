@@ -68,11 +68,6 @@ type FunctionHandle struct {
 	ReturnType string
 }
 
-// Signature renders name(argtypes):ret.
-func (h FunctionHandle) Signature() string {
-	return h.Name + "(" + strings.Join(h.ArgTypes, ", ") + "):" + h.ReturnType
-}
-
 // Call is a function invocation: arithmetic, casts, UDFs, geo functions.
 type Call struct {
 	Handle FunctionHandle

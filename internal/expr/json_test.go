@@ -99,8 +99,9 @@ func TestFunctionHandleIsSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.(*Call).Handle.Signature() != "eq(varchar, varchar):boolean" {
-		t.Errorf("signature = %s", back.(*Call).Handle.Signature())
+	want := FunctionHandle{Name: "eq", ArgTypes: []string{"varchar", "varchar"}, ReturnType: "boolean"}
+	if got := back.(*Call).Handle; !reflect.DeepEqual(got, want) {
+		t.Errorf("handle = %+v, want %+v", got, want)
 	}
 }
 

@@ -106,13 +106,6 @@ func Resolve(name string, argTypes []*types.Type) (*ScalarFunction, error) {
 	return nil, fmt.Errorf("expr: no overload of %q for (%s)", name, strings.Join(strs, ", "))
 }
 
-// IsRegistered reports whether any overload of name exists.
-func IsRegistered(name string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	return len(registry[strings.ToLower(name)]) > 0
-}
-
 func fixedReturn(t *types.Type) func([]*types.Type) *types.Type {
 	return func([]*types.Type) *types.Type { return t }
 }
@@ -253,11 +246,6 @@ func EpochDate(s string) (int64, error) {
 		return 0, fmt.Errorf("expr: bad date %q: %w", s, err)
 	}
 	return t.Unix() / 86400, nil
-}
-
-// FormatDate renders days-since-epoch as 'YYYY-MM-DD'.
-func FormatDate(days int64) string {
-	return time.Unix(days*86400, 0).UTC().Format("2006-01-02")
 }
 
 func init() {

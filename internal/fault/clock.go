@@ -32,6 +32,8 @@ func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 // Sleep and After advance the clock and return immediately, recording how
 // much virtual time was requested. That makes backoff schedules assertable
 // (and fast) without real sleeping.
+//
+//lint:ignore reachability the fake clock tests substitute for RealClock; no binary runs on virtual time
 type ManualClock struct {
 	mu    sync.Mutex
 	now   time.Time
@@ -39,6 +41,8 @@ type ManualClock struct {
 }
 
 // NewManualClock starts a manual clock at start.
+//
+//lint:ignore reachability constructor of the test clock
 func NewManualClock(start time.Time) *ManualClock {
 	return &ManualClock{now: start}
 }

@@ -123,6 +123,8 @@ type Counters struct {
 
 // Injector is the seeded fault source shared by Transport and FS wrappers.
 // All methods are safe for concurrent use.
+//
+//lint:ignore reachability the fault source of the chaos suites; no binary injects faults into itself
 type Injector struct {
 	// Clock is used for injected delays; defaults to RealClock. Set before
 	// the injector is shared across goroutines.
@@ -141,6 +143,8 @@ type Injector struct {
 
 // NewInjector creates an injector whose every probabilistic decision comes
 // from a rand.Rand seeded with seed.
+//
+//lint:ignore reachability constructor of the chaos suites' fault source
 func NewInjector(seed int64) *Injector {
 	return &Injector{Clock: RealClock{}, seed: seed, rng: rand.New(rand.NewSource(seed))}
 }

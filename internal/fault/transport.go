@@ -10,6 +10,8 @@ import (
 // after) delegating to Base. Install it as the Transport of any HTTP client
 // whose network hops should be chaos-testable — the cluster's ClientConfig
 // threads it through every coordinator, gateway and client connection.
+//
+//lint:ignore reachability the faulty network chaos tests install as ClientConfig.Transport; binaries keep the default transport
 type Transport struct {
 	Injector *Injector
 	// Base performs the real round trip; nil means http.DefaultTransport.

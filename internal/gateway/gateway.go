@@ -182,10 +182,6 @@ func NewWithConfig(cfg cluster.ClientConfig) (*Gateway, error) {
 // Obs exposes the gateway's metrics registry (gateway_failovers, redirects).
 func (g *Gateway) Obs() *obs.Registry { return g.obs }
 
-// DB exposes the routing store — "Presto administrators could play with
-// MySQL to dynamically redirect any traffic to any cluster".
-func (g *Gateway) DB() *mysqlite.DB { return g.db }
-
 // AddCluster registers a cluster coordinator address, wiring up its circuit
 // breaker and the breaker_state.<name> gauge (0 = closed, 1 = half-open,
 // 2 = open). Re-registering a cluster overwrites the gauge in place.
@@ -230,18 +226,6 @@ func (g *Gateway) SetClusterEnabled(name string, enabled bool) error {
 // cluster name.
 func (g *Gateway) SetRoute(principal, cluster string) error {
 	return g.db.Upsert("routes", []any{principal, cluster})
-}
-
-// DeleteRoute removes a mapping.
-func (g *Gateway) DeleteRoute(principal string) error {
-	_, err := g.db.DeleteByPK("routes", principal)
-	return err
-}
-
-// Resolve returns the target cluster address for a user and group. Sticky
-// routes key on the user (no session header on this path).
-func (g *Gateway) Resolve(user, group string) (string, error) {
-	return g.ResolveSession(user, group, "")
 }
 
 // ResolveSession resolves with an explicit session key for sticky routes; an

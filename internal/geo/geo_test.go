@@ -34,9 +34,6 @@ func TestParsePolygon(t *testing.T) {
 	if len(g.Polygons) != 1 || len(g.Polygons[0].Outer) != 5 {
 		t.Fatalf("polygons = %+v", g.Polygons)
 	}
-	if g.VertexCount() != 5 {
-		t.Errorf("vertex count = %d", g.VertexCount())
-	}
 }
 
 func TestParseMultiPolygonAndHoles(t *testing.T) {
@@ -206,10 +203,22 @@ func TestGeoIndexLookup(t *testing.T) {
 	}
 	// Brute force agrees.
 	for _, p := range []Point{{15, 25}, {10, 10}, {95, 95}, {0.1, 0.1}} {
-		if !reflect.DeepEqual(idx.Lookup(p), idx.LookupBrute(p)) {
-			t.Errorf("quadtree and brute force disagree at %v: %v vs %v", p, idx.Lookup(p), idx.LookupBrute(p))
+		if !reflect.DeepEqual(idx.Lookup(p), lookupBrute(idx, p)) {
+			t.Errorf("quadtree and brute force disagree at %v: %v vs %v", p, idx.Lookup(p), lookupBrute(idx, p))
 		}
 	}
+}
+
+// lookupBrute is the oracle: test every shape (what the un-rewritten
+// st_contains join does per row).
+func lookupBrute(idx *GeoIndex, p Point) []int {
+	var out []int
+	for i, g := range idx.Shapes {
+		if Contains(g, p) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Property: QuadTree lookup == brute force for random polygons and points
@@ -233,7 +242,7 @@ func TestQuickQuadTreeEquivalence(t *testing.T) {
 		}
 		for k := 0; k < 50; k++ {
 			p := Point{r.Float64()*110 - 5, r.Float64()*110 - 5}
-			if !reflect.DeepEqual(idx.Lookup(p), idx.LookupBrute(p)) {
+			if !reflect.DeepEqual(idx.Lookup(p), lookupBrute(idx, p)) {
 				t.Logf("mismatch at %v", p)
 				return false
 			}
@@ -300,9 +309,6 @@ func TestBBox(t *testing.T) {
 	}
 	if !b.ContainsPoint(Point{3, 3}) || b.ContainsPoint(Point{7, 3}) {
 		t.Error("ContainsPoint wrong")
-	}
-	if !b.Intersects(BBox{0.5, 0.5, 2, 2}) || b.Intersects(BBox{10, 10, 11, 11}) {
-		t.Error("Intersects wrong")
 	}
 	g, _ := ParseWKT("POLYGON ((1 2, 5 2, 5 8, 1 8, 1 2))")
 	bb := BoundsOf(g)

@@ -30,11 +30,6 @@ func (b BBox) ContainsPoint(p Point) bool {
 	return p.Lng >= b.MinLng && p.Lng <= b.MaxLng && p.Lat >= b.MinLat && p.Lat <= b.MaxLat
 }
 
-// Intersects reports whether the boxes overlap.
-func (b BBox) Intersects(o BBox) bool {
-	return b.MinLng <= o.MaxLng && o.MinLng <= b.MaxLng && b.MinLat <= o.MaxLat && o.MinLat <= b.MaxLat
-}
-
 // BoundsOf computes the bounding box of a geometry.
 func BoundsOf(g *Geometry) BBox {
 	out := EmptyBBox()
@@ -225,17 +220,5 @@ func (idx *GeoIndex) Lookup(p Point) []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-// LookupBrute is the baseline: test every shape (what the un-rewritten
-// st_contains join does per row).
-func (idx *GeoIndex) LookupBrute(p Point) []int {
-	var out []int
-	for i, g := range idx.Shapes {
-		if Contains(g, p) {
-			out = append(out, i)
-		}
-	}
 	return out
 }

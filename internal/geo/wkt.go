@@ -39,22 +39,6 @@ type Geometry struct {
 	Polygons MultiPolygon
 }
 
-// VertexCount returns the total number of vertices (cost driver for
-// st_contains, §VI.C).
-func (g *Geometry) VertexCount() int {
-	n := 0
-	if g.Point != nil {
-		n++
-	}
-	for _, p := range g.Polygons {
-		n += len(p.Outer)
-		for _, h := range p.Holes {
-			n += len(h)
-		}
-	}
-	return n
-}
-
 // ParseWKT parses POINT, POLYGON and MULTIPOLYGON text.
 func ParseWKT(s string) (*Geometry, error) {
 	p := &wktParser{input: s}

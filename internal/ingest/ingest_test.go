@@ -99,9 +99,6 @@ func TestProducerKeyedPartitioningAndBatching(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Sent() != 100 {
-		t.Errorf("sent = %d, want 100", p.Sent())
-	}
 	var total int64
 	for part := 0; part < topic.Partitions(); part++ {
 		total += topic.EndOffset(part)
@@ -282,7 +279,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 		t.Errorf("ingest_rows_written = %d, want %d", got, total)
 	}
 	// The lifecycle kept segment count far below the 5000 rows appended.
-	if n := tab.SegmentCount(); n > 30 {
-		t.Errorf("segment count after streaming = %d, want bounded", n)
+	if st := tab.Stats(); st.Open+st.Sealed+st.Compacted > 30 {
+		t.Errorf("segments after streaming = %+v, want bounded", st)
 	}
 }

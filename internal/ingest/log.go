@@ -74,34 +74,6 @@ func (l *Log) RegisterObsMetrics(reg *obs.Registry) {
 	}
 }
 
-// SyncWAL forces every buffered WAL frame to stable storage — the durability
-// barrier callers need before reporting a batch acked under FsyncInterval or
-// FsyncNever.
-func (l *Log) SyncWAL() error {
-	if l.wal == nil {
-		return nil
-	}
-	if err := l.wal.syncStreams(); err != nil {
-		return err
-	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var first error
-	for _, t := range l.topics {
-		for p := range t.parts {
-			part := &t.parts[p]
-			part.mu.Lock()
-			if part.seg != nil {
-				if err := part.seg.sync(); err != nil && first == nil {
-					first = err
-				}
-			}
-			part.mu.Unlock()
-		}
-	}
-	return first
-}
-
 // Close syncs and closes every WAL file. The log remains readable but
 // further durable appends reopen fresh files; callers treat Close as
 // end-of-life.
@@ -146,22 +118,6 @@ func (l *Log) CreateTopic(name string, partitions int) (*Topic, error) {
 	t := &Topic{name: name, parts: make([]partition, partitions), wal: l.wal}
 	l.topics[name] = t
 	return t, nil
-}
-
-// EnsureTopic returns the existing topic or creates it — the idempotent
-// variant restart flows use, since recovery may have rebuilt the topic
-// already. An existing topic with a different partition count is an error.
-func (l *Log) EnsureTopic(name string, partitions int) (*Topic, error) {
-	l.mu.RLock()
-	t, ok := l.topics[name]
-	l.mu.RUnlock()
-	if ok {
-		if t.Partitions() != partitions {
-			return nil, fmt.Errorf("ingest: topic %q has %d partitions, want %d", name, t.Partitions(), partitions)
-		}
-		return t, nil
-	}
-	return l.CreateTopic(name, partitions)
 }
 
 // Topic resolves a topic by name.

@@ -46,7 +46,6 @@ type Producer struct {
 	mu     sync.Mutex
 	buf    [][]Record // per-partition pending batch
 	rr     int        // round-robin cursor for unkeyed sends
-	sent   int64
 	closed bool
 	stopCh chan struct{}
 	doneCh chan struct{}
@@ -110,9 +109,6 @@ func (p *Producer) Send(key string, eventTime time.Time, row []any) error {
 		if _, err := p.topic.Append(part, flush...); err != nil {
 			return err
 		}
-		p.mu.Lock()
-		p.sent += int64(len(flush))
-		p.mu.Unlock()
 	}
 	return nil
 }
@@ -123,7 +119,6 @@ func (p *Producer) Flush() error {
 	pending := p.buf
 	p.buf = make([][]Record, p.topic.Partitions())
 	p.mu.Unlock()
-	var n int64
 	for part, batch := range pending {
 		if len(batch) == 0 {
 			continue
@@ -131,20 +126,8 @@ func (p *Producer) Flush() error {
 		if _, err := p.topic.Append(part, batch...); err != nil {
 			return err
 		}
-		n += int64(len(batch))
 	}
-	p.mu.Lock()
-	p.sent += n
-	p.mu.Unlock()
 	return nil
-}
-
-// Sent returns how many records have been appended to the log (flushed,
-// not merely buffered).
-func (p *Producer) Sent() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sent
 }
 
 // Close flushes pending batches and stops the linger flusher. The producer

@@ -515,24 +515,6 @@ func (w *WAL) closeStreams() error {
 	return first
 }
 
-// Sync forces every buffered frame of the manifest and offsets streams to
-// stable storage (partition streams sync through Log.SyncWAL, which holds
-// the partition locks).
-func (w *WAL) syncStreams() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var first error
-	for _, s := range []*walStream{w.manifest, w.offsets} {
-		if s == nil {
-			continue
-		}
-		if err := s.sync(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // ---------------------------------------------------------------------------
 // Recovery.
 

@@ -126,13 +126,6 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 	if off != 2 {
 		t.Errorf("post-recovery append offset = %d, want 2", off)
 	}
-	// EnsureTopic is idempotent against the recovered topology.
-	if _, err := r.EnsureTopic("events", 2); err != nil {
-		t.Errorf("EnsureTopic on recovered topic: %v", err)
-	}
-	if _, err := r.EnsureTopic("events", 5); err == nil {
-		t.Error("EnsureTopic accepted a partition-count mismatch")
-	}
 }
 
 // TestWALSegmentRotation forces rotation with a tiny segment size and

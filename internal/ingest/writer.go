@@ -142,6 +142,8 @@ func (w *SegmentWriter) Stop() {
 // maintenance pass. This is the simulated SIGKILL the rolling-restart chaos
 // suite uses; whatever was fetched-but-uncommitted is redelivered (and
 // deduplicated) after recovery.
+//
+//lint:ignore reachability the SIGKILL the lifecycle chaos suite injects; a binary is killed by its operating system
 func (w *SegmentWriter) Kill() {
 	w.mu.Lock()
 	stop := w.stopCh

@@ -87,10 +87,6 @@ type ChangeKind int
 const (
 	// ChangePartitionAdded fires when a partition directory is registered.
 	ChangePartitionAdded ChangeKind = iota
-	// ChangePartitionSealed fires when a partition becomes immutable —
-	// the moment its file listing becomes cacheable but any listing cached
-	// while it was open is stale.
-	ChangePartitionSealed
 	// ChangeSchemaEvolved fires when EvolveTable records a new version.
 	ChangeSchemaEvolved
 )
@@ -187,22 +183,6 @@ func (m *Metastore) ListTables(schema string) []string {
 	return out
 }
 
-// ListSchemas lists schema names, sorted.
-func (m *Metastore) ListSchemas() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	seen := map[string]bool{}
-	for _, t := range m.tables {
-		seen[t.Schema] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AddPartition registers a partition directory.
 func (m *Metastore) AddPartition(schema, table string, p Partition) error {
 	m.mu.Lock()
@@ -215,28 +195,6 @@ func (m *Metastore) AddPartition(schema, table string, p Partition) error {
 	t.partitions[p.Name] = &cp
 	t.changeVersion++
 	ch := Change{Schema: schema, Table: table, Kind: ChangePartitionAdded, Location: p.Location, Version: t.changeVersion}
-	m.mu.Unlock()
-	m.notify(ch)
-	return nil
-}
-
-// SealPartition marks a partition immutable (eligible for file list
-// caching).
-func (m *Metastore) SealPartition(schema, table, partition string) error {
-	m.mu.Lock()
-	t, ok := m.tables[key(schema, table)]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("metastore: table %s.%s does not exist", schema, table)
-	}
-	p, ok := t.partitions[partition]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("metastore: partition %s of %s.%s does not exist", partition, schema, table)
-	}
-	p.Sealed = true
-	t.changeVersion++
-	ch := Change{Schema: schema, Table: table, Kind: ChangePartitionSealed, Location: p.Location, Version: t.changeVersion}
 	m.mu.Unlock()
 	m.notify(ch)
 	return nil

@@ -49,9 +49,6 @@ func TestCreateAndGet(t *testing.T) {
 	if got := ms.ListTables("rawdata"); len(got) != 1 || got[0] != "trips" {
 		t.Errorf("tables = %v", got)
 	}
-	if got := ms.ListSchemas(); len(got) != 1 || got[0] != "rawdata" {
-		t.Errorf("schemas = %v", got)
-	}
 }
 
 func TestPartitions(t *testing.T) {
@@ -69,13 +66,8 @@ func TestPartitions(t *testing.T) {
 	if len(parts) != 2 || parts[0].Name != "datestr=2017-03-01" {
 		t.Fatalf("partitions = %v", parts)
 	}
-	check(ms.SealPartition("rawdata", "trips", "datestr=2017-03-02"))
-	parts = tab.Partitions()
-	if !parts[1].Sealed {
-		t.Error("seal did not stick")
-	}
-	if err := ms.SealPartition("rawdata", "trips", "nope"); err == nil {
-		t.Error("sealing missing partition accepted")
+	if parts[0].Sealed != true || parts[1].Sealed != false {
+		t.Errorf("sealed flags = %v, %v", parts[0].Sealed, parts[1].Sealed)
 	}
 	if err := ms.AddPartition("rawdata", "missing", Partition{}); err == nil {
 		t.Error("partition on missing table accepted")

@@ -28,8 +28,7 @@ type Table struct {
 	PKCol   int // -1 when no primary key
 
 	rows  [][]any
-	index map[any]int // pk value -> row offset (-1 entries are tombstones)
-	live  int
+	index map[any]int // pk value -> row offset
 }
 
 // DB is the embedded database.
@@ -107,13 +106,12 @@ func (db *DB) Insert(table string, row []any) error {
 		if pk == nil {
 			return fmt.Errorf("mysqlite: %s primary key cannot be NULL", table)
 		}
-		if old, exists := t.index[pk]; exists && old >= 0 {
+		if _, exists := t.index[pk]; exists {
 			return fmt.Errorf("mysqlite: duplicate primary key %v in %s", pk, table)
 		}
 		t.index[pk] = len(t.rows)
 	}
 	t.rows = append(t.rows, append([]any(nil), row...))
-	t.live++
 	return nil
 }
 
@@ -129,35 +127,13 @@ func (db *DB) Upsert(table string, row []any) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	pk := row[t.PKCol]
-	if old, exists := t.index[pk]; exists && old >= 0 {
+	if old, exists := t.index[pk]; exists {
 		t.rows[old] = append([]any(nil), row...)
 		return nil
 	}
 	t.index[pk] = len(t.rows)
 	t.rows = append(t.rows, append([]any(nil), row...))
-	t.live++
 	return nil
-}
-
-// DeleteByPK removes a row; returns whether it existed.
-func (db *DB) DeleteByPK(table string, pk any) (bool, error) {
-	t, err := db.Table(table)
-	if err != nil {
-		return false, err
-	}
-	if t.PKCol < 0 {
-		return false, fmt.Errorf("mysqlite: %s has no primary key", table)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	off, exists := t.index[pk]
-	if !exists || off < 0 {
-		return false, nil
-	}
-	t.rows[off] = nil // tombstone
-	t.index[pk] = -1
-	t.live--
-	return true, nil
 }
 
 // GetByPK does a point lookup through the index.
@@ -172,7 +148,7 @@ func (db *DB) GetByPK(table string, pk any) ([]any, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	off, exists := t.index[pk]
-	if !exists || off < 0 {
+	if !exists {
 		return nil, false, nil
 	}
 	return append([]any(nil), t.rows[off]...), true, nil
@@ -212,7 +188,7 @@ func (db *DB) Scan(table string, preds []expr.Comparison, projection []int, limi
 	// Index fast path: single eq predicate on the primary key.
 	if t.PKCol >= 0 && len(preds) == 1 && preds[0].Op == expr.OpEq && colIdx[preds[0].Column] == t.PKCol {
 		off, exists := t.index[preds[0].Values[0]]
-		if !exists || off < 0 {
+		if !exists {
 			return nil, nil
 		}
 		return [][]any{project(t.rows[off])}, nil
@@ -220,9 +196,6 @@ func (db *DB) Scan(table string, preds []expr.Comparison, projection []int, limi
 
 	var out [][]any
 	for _, row := range t.rows {
-		if row == nil {
-			continue // tombstone
-		}
 		ok := true
 		for _, p := range preds {
 			if !p.Match(row[colIdx[p.Column]]) {
@@ -241,7 +214,7 @@ func (db *DB) Scan(table string, preds []expr.Comparison, projection []int, limi
 	return out, nil
 }
 
-// Count returns live row count.
+// Count returns the table's row count.
 func (db *DB) Count(table string) (int, error) {
 	t, err := db.Table(table)
 	if err != nil {
@@ -249,5 +222,5 @@ func (db *DB) Count(table string) (int, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return t.live, nil
+	return len(t.rows), nil
 }

@@ -51,7 +51,7 @@ func TestInsertAndPKLookup(t *testing.T) {
 	}
 }
 
-func TestUpsertDelete(t *testing.T) {
+func TestUpsert(t *testing.T) {
 	db := testDB(t)
 	if err := db.Upsert("users", []any{int64(2), "bobby", "etl"}); err != nil {
 		t.Fatal(err)
@@ -60,19 +60,14 @@ func TestUpsertDelete(t *testing.T) {
 	if row[1] != "bobby" {
 		t.Errorf("upsert did not replace: %v", row)
 	}
-	ok, err := db.DeleteByPK("users", int64(1))
-	if err != nil || !ok {
-		t.Fatalf("delete: %v %v", ok, err)
+	if n, _ := db.Count("users"); n != 3 {
+		t.Errorf("count = %d: an upsert of an existing key added a row", n)
 	}
-	if _, found, _ := db.GetByPK("users", int64(1)); found {
-		t.Error("deleted row still visible")
+	if err := db.Upsert("users", []any{int64(9), "zed", "etl"}); err != nil {
+		t.Fatal(err)
 	}
-	if n, _ := db.Count("users"); n != 2 {
-		t.Errorf("count = %d", n)
-	}
-	// Reinsert after delete works.
-	if err := db.Insert("users", []any{int64(1), "alice2", "adhoc"}); err != nil {
-		t.Errorf("reinsert: %v", err)
+	if n, _ := db.Count("users"); n != 4 {
+		t.Errorf("count = %d after upserting a new key", n)
 	}
 }
 

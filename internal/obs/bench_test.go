@@ -29,16 +29,6 @@ func BenchmarkRecordWall(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordPageDirect measures the unbatched atomic path (what a
-// Recorder flush amortizes away).
-func BenchmarkRecordPageDirect(b *testing.B) {
-	s := &sinkStats
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.RecordPage(1024, 8192)
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()

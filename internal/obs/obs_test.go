@@ -108,12 +108,13 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 			defer writerWG.Done()
 			c := r.Counter("pages")
 			h := r.Histogram("lat")
-			op := ts.Register(w, "Scan", nil)
+			rec := NewRecorder(ts.Register(w, "Scan", nil))
+			defer rec.Flush()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				h.Observe(time.Duration(i) * time.Nanosecond)
-				op.RecordPage(10, 80)
-				op.RecordWall(time.Microsecond)
+				rec.RecordPage(10, 80)
+				rec.RecordWall(time.Microsecond)
 			}
 		}(w)
 	}
@@ -148,9 +149,14 @@ func TestTaskStatsDerivedInputs(t *testing.T) {
 	filter := ts.Register(1, "Filter[x > 1]", []int{2})
 	out := ts.Register(0, "Output[x]", []int{1})
 
-	scan.RecordPage(100, 800)
-	filter.RecordPage(40, 320)
-	out.RecordPage(40, 320)
+	record := func(op *OperatorStats, rows int, bytes int64) {
+		rec := NewRecorder(op)
+		rec.RecordPage(rows, bytes)
+		rec.Flush()
+	}
+	record(scan, 100, 800)
+	record(filter, 40, 320)
+	record(out, 40, 320)
 
 	snap := ts.Snapshot()
 	if snap[0].ID != 0 || snap[1].ID != 1 || snap[2].ID != 2 {

@@ -37,9 +37,6 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // outstanding queries, active tasks).
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the gauge by n (negative to decrement).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 

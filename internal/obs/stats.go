@@ -28,26 +28,6 @@ type OperatorStats struct {
 // operator's stats (intra-task parallelism); registration counts the first.
 func (s *OperatorStats) AddDriver() { s.drivers.Add(1) }
 
-// RecordPage accounts one output page.
-func (s *OperatorStats) RecordPage(rows int, bytes int64) {
-	s.pages.Add(1)
-	s.rowsOut.Add(int64(rows))
-	s.bytesOut.Add(bytes)
-	r := int64(rows)
-	for {
-		cur := s.peakBatchRows.Load()
-		if r <= cur || s.peakBatchRows.CompareAndSwap(cur, r) {
-			return
-		}
-	}
-}
-
-// RecordWall adds wall-clock time spent inside the operator's Next (it is
-// cumulative: a parent's wall time includes its children's).
-func (s *OperatorStats) RecordWall(d time.Duration) {
-	s.wallNanos.Add(int64(d))
-}
-
 // Recorder is the single-writer front end to an OperatorStats: the driving
 // goroutine accumulates in plain fields (no atomics, ~2ns/page) and flushes
 // to the shared atomics every flushEvery pages and at Flush. Concurrent

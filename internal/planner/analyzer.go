@@ -63,14 +63,6 @@ type scope struct {
 	entries []scopeEntry
 }
 
-func (s *scope) columns() []Column {
-	out := make([]Column, len(s.entries))
-	for i, e := range s.entries {
-		out[i] = Column{Name: e.name, Type: e.typ}
-	}
-	return out
-}
-
 // resolve finds the channel and residual dereference path for an identifier.
 func (s *scope) resolve(parts []string) (channel int, rest []string, err error) {
 	// Qualified match: parts[0] is a table qualifier.

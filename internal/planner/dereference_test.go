@@ -8,7 +8,6 @@ import (
 	"prestolite/internal/connectors/hive"
 	"prestolite/internal/hdfs"
 	"prestolite/internal/metastore"
-	"prestolite/internal/sql"
 	"prestolite/internal/types"
 	"prestolite/internal/workload"
 )
@@ -30,10 +29,7 @@ func tripsCatalogs(t *testing.T) *connector.Registry {
 
 func planTrips(t *testing.T, reg *connector.Registry, query string) Node {
 	t.Helper()
-	stmt, err := sql.ParseQuery(query)
-	if err != nil {
-		t.Fatalf("%s: %v", query, err)
-	}
+	stmt := parseQuery(t, query)
 	session := &Session{Catalog: "hive", Schema: "rawdata", Properties: map[string]string{}}
 	n, err := PlanQuery(reg, session, stmt)
 	if err != nil {
@@ -186,10 +182,7 @@ func TestDereferencePushdownIdentity(t *testing.T) {
 		"SELECT t.b, count(*) FROM t JOIN u ON t.a = u.a AND t.c > 1.0 GROUP BY t.b",
 		"SELECT x.a FROM (SELECT a, count(*) AS n FROM t GROUP BY a) x WHERE x.n > 1",
 	} {
-		stmt, err := sql.ParseQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		stmt := parseQuery(t, q)
 		n, err := (&Analyzer{Catalogs: catalogs, Session: session}).Analyze(stmt)
 		if err != nil {
 			t.Fatal(err)

@@ -35,12 +35,19 @@ func testCatalogs(t *testing.T) *connector.Registry {
 	return reg
 }
 
+// parseQuery parses a statement that must be a SELECT.
+func parseQuery(t *testing.T, query string) *sql.Query {
+	t.Helper()
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		t.Fatalf("%s: %v", query, err)
+	}
+	return stmt.(*sql.Query)
+}
+
 func plan(t *testing.T, query string, optimize bool) Node {
 	t.Helper()
-	q, err := sql.ParseQuery(query)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := parseQuery(t, query)
 	session := &Session{Catalog: "memory", Schema: "s", Properties: map[string]string{}}
 	catalogs := testCatalogs(t)
 	a := &Analyzer{Catalogs: catalogs, Session: session}

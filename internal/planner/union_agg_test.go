@@ -9,7 +9,6 @@ import (
 	"prestolite/internal/connectors/hybrid"
 	"prestolite/internal/connectors/memory"
 	"prestolite/internal/druid"
-	"prestolite/internal/sql"
 	"prestolite/internal/types"
 )
 
@@ -43,10 +42,7 @@ func hybridFragments(t *testing.T, query string) []string {
 	}
 	reg.Register("hybrid", hc)
 
-	q, err := sql.ParseQuery(query)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := parseQuery(t, query)
 	session := &Session{Catalog: "hybrid", Schema: "default", Properties: map[string]string{}}
 	n, err := (&Analyzer{Catalogs: reg, Session: session}).Analyze(q)
 	if err != nil {

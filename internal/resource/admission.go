@@ -74,13 +74,6 @@ func NewGroup(cfg GroupConfig, clock fault.Clock) *Group {
 // Config returns the group's configuration.
 func (g *Group) Config() GroupConfig { return g.cfg }
 
-// Running returns the number of queries currently holding slots.
-func (g *Group) Running() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.running
-}
-
 // Depth returns the number of queries queued (the queue_depth gauge).
 func (g *Group) Depth() int {
 	g.mu.Lock()

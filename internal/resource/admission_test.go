@@ -13,8 +13,8 @@ func TestAdmissionZeroConcurrencyRejects(t *testing.T) {
 	if _, err := g.Acquire(nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	if g.Running() != 0 || g.Depth() != 0 {
-		t.Fatalf("rejected acquire mutated state: running=%d depth=%d", g.Running(), g.Depth())
+	if running(g) != 0 || g.Depth() != 0 {
+		t.Fatalf("rejected acquire mutated state: running=%d depth=%d", running(g), g.Depth())
 	}
 }
 
@@ -78,8 +78,8 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 		t.Fatalf("acquire after cancel: %v", err)
 	}
 	rel2()
-	if g.Running() != 0 {
-		t.Fatalf("running = %d after release", g.Running())
+	if running(g) != 0 {
+		t.Fatalf("running = %d after release", running(g))
 	}
 }
 
@@ -115,4 +115,11 @@ func waitDepth(t *testing.T, g *Group, want int) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// running reads the number of queries holding slots.
+func running(g *Group) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.running
 }

@@ -57,15 +57,11 @@ func (m *SpillManager) SetCounters(spills, spilledBytes *obs.Counter) {
 	m.spilledBytes = spilledBytes
 }
 
-// Dir returns the spill directory.
-func (m *SpillManager) Dir() string { return m.dir }
-
-// UsedBytes returns the bytes currently on disk across live runs.
-func (m *SpillManager) UsedBytes() int64 { return m.used.Load() }
-
 // LiveRuns returns the relative paths of runs not yet removed, sorted —
 // the leak-check hook: after a query (or the whole suite) finishes it must
 // be empty.
+//
+//lint:ignore reachability the leak check: how tests in execution, core and cluster assert a query removed every run it spilled
 func (m *SpillManager) LiveRuns() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -193,9 +189,6 @@ type Run struct {
 
 // Bytes returns the run's on-disk size.
 func (r *Run) Bytes() int64 { return r.bytes }
-
-// Pages returns the number of page frames in the run.
-func (r *Run) Pages() int { return r.pages }
 
 // Open starts a sequential read of the run's pages.
 func (r *Run) Open() (*RunReader, error) {

@@ -41,10 +41,10 @@ func TestSpillRunRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Pages() != 2 || run.Bytes() <= 0 {
-		t.Fatalf("run pages=%d bytes=%d", run.Pages(), run.Bytes())
+	if run.pages != 2 || run.Bytes() <= 0 {
+		t.Fatalf("run pages=%d bytes=%d", run.pages, run.Bytes())
 	}
-	if got := m.UsedBytes(); got != run.Bytes() {
+	if got := m.used.Load(); got != run.Bytes() {
 		t.Fatalf("used = %d, want %d", got, run.Bytes())
 	}
 	if got := m.LiveRuns(); len(got) != 1 {
@@ -81,10 +81,10 @@ func TestSpillRunRoundTrip(t *testing.T) {
 	if got := m.LiveRuns(); len(got) != 0 {
 		t.Fatalf("live runs after remove = %v", got)
 	}
-	if got := m.UsedBytes(); got != 0 {
+	if got := m.used.Load(); got != 0 {
 		t.Fatalf("used after remove = %d", got)
 	}
-	entries, err := os.ReadDir(m.Dir())
+	entries, err := os.ReadDir(m.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSpillBudgetExhaustedAbandons(t *testing.T) {
 	if got := m.LiveRuns(); len(got) != 0 {
 		t.Fatalf("abandoned run still live: %v", got)
 	}
-	if got := m.UsedBytes(); got != 0 {
+	if got := m.used.Load(); got != 0 {
 		t.Fatalf("used after abandon = %d", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestSpillRemoveAll(t *testing.T) {
 	if got := m.LiveRuns(); len(got) != 0 {
 		t.Fatalf("live runs after RemoveAll = %v", got)
 	}
-	entries, err := os.ReadDir(m.Dir())
+	entries, err := os.ReadDir(m.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

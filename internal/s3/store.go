@@ -174,13 +174,6 @@ type ObjectInfo struct {
 	Size int64
 }
 
-// Delete removes an object.
-func (s *Store) Delete(key string) {
-	s.mu.Lock()
-	delete(s.objects, key)
-	s.mu.Unlock()
-}
-
 // ---------------------------------------------------------------------------
 // Multipart upload (§IX: "when loading a big object, break it up into
 // multiple parts and upload in parallel").

@@ -27,19 +27,6 @@ func Parse(input string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseQuery parses a statement and requires it to be a SELECT query.
-func ParseQuery(input string) (*Query, error) {
-	stmt, err := Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	q, ok := stmt.(*Query)
-	if !ok {
-		return nil, fmt.Errorf("sql: not a query: %T", stmt)
-	}
-	return q, nil
-}
-
 type parser struct {
 	toks  []Token
 	pos   int

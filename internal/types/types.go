@@ -64,53 +64,6 @@ func NewRow(fields ...Field) *Type {
 	return &Type{Kind: KindRow, Fields: fields}
 }
 
-// IsPrimitive reports whether t is a non-nested type.
-func (t *Type) IsPrimitive() bool {
-	switch t.Kind {
-	case KindArray, KindMap, KindRow:
-		return false
-	}
-	return true
-}
-
-// IsNumeric reports whether t supports arithmetic.
-func (t *Type) IsNumeric() bool {
-	switch t.Kind {
-	case KindInteger, KindBigint, KindDouble:
-		return true
-	}
-	return false
-}
-
-// IsOrderable reports whether values of t can be compared with < / >.
-func (t *Type) IsOrderable() bool {
-	switch t.Kind {
-	case KindBoolean, KindInteger, KindBigint, KindDouble, KindVarchar, KindDate:
-		return true
-	}
-	return false
-}
-
-// IsComparable reports whether values of t can be compared for equality.
-func (t *Type) IsComparable() bool {
-	switch t.Kind {
-	case KindArray:
-		return t.Elem.IsComparable()
-	case KindMap:
-		return false
-	case KindRow:
-		for _, f := range t.Fields {
-			if !f.Type.IsComparable() {
-				return false
-			}
-		}
-		return true
-	case KindUnknown:
-		return true
-	}
-	return true
-}
-
 // FieldIndex returns the index of the named field of a ROW type, or -1.
 // Field names are case-insensitive, matching SQL identifier semantics.
 func (t *Type) FieldIndex(name string) int {
@@ -235,15 +188,6 @@ func Parse(s string) (*Type, error) {
 		return nil, fmt.Errorf("types: trailing input at %d in %q", p.pos, s)
 	}
 	return t, nil
-}
-
-// MustParse is Parse that panics; for tests and static schemas.
-func MustParse(s string) *Type {
-	t, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 type typeParser struct {

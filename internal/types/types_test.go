@@ -65,16 +65,24 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseAliases(t *testing.T) {
-	if got := MustParse("int"); got != Integer {
+	parse := func(s string) *Type {
+		t.Helper()
+		got, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", s, err)
+		}
+		return got
+	}
+	if got := parse("int"); got != Integer {
 		t.Errorf("int parsed to %v", got)
 	}
-	if got := MustParse("string"); got != Varchar {
+	if got := parse("string"); got != Varchar {
 		t.Errorf("string parsed to %v", got)
 	}
-	if got := MustParse("varchar(255)"); got != Varchar {
+	if got := parse("varchar(255)"); got != Varchar {
 		t.Errorf("varchar(255) parsed to %v", got)
 	}
-	if got := MustParse("ROW(A BIGINT)"); got.Kind != KindRow || got.Fields[0].Name != "a" {
+	if got := parse("ROW(A BIGINT)"); got.Kind != KindRow || got.Fields[0].Name != "a" {
 		t.Errorf("case-insensitive row parse failed: %v", got)
 	}
 }
@@ -140,27 +148,6 @@ func TestCommonSuperType(t *testing.T) {
 		if (got == nil) != (c.want == nil) || (got != nil && !got.Equals(c.want)) {
 			t.Errorf("CommonSuperType(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestPredicates(t *testing.T) {
-	if !Bigint.IsNumeric() || !Double.IsNumeric() || Varchar.IsNumeric() {
-		t.Error("IsNumeric wrong")
-	}
-	if !Varchar.IsOrderable() || NewArray(Bigint).IsOrderable() {
-		t.Error("IsOrderable wrong")
-	}
-	if !NewArray(Bigint).IsComparable() || NewMap(Varchar, Bigint).IsComparable() {
-		t.Error("IsComparable wrong")
-	}
-	if !NewRow(Field{Name: "a", Type: Bigint}).IsComparable() {
-		t.Error("row of comparable fields should be comparable")
-	}
-	if NewRow(Field{Name: "a", Type: NewMap(Varchar, Bigint)}).IsComparable() {
-		t.Error("row containing map should not be comparable")
-	}
-	if !Bigint.IsPrimitive() || NewArray(Bigint).IsPrimitive() {
-		t.Error("IsPrimitive wrong")
 	}
 }
 

@@ -33,10 +33,6 @@ type StreamEvent struct {
 	Clicks  int64
 }
 
-// Row renders the event as a druid-ingestable row; the sequence number is
-// the ts column, so replays produce identical tables.
-func (e StreamEvent) Row() []any { return []any{e.Seq, e.Country, e.Clicks} }
-
 // streamCountries is the keyed dimension; keys hash to partitions, so a
 // small fixed set exercises per-key ordering.
 var streamCountries = []string{"us", "de", "jp", "br", "in", "fr", "uk", "mx"}
