@@ -48,8 +48,11 @@ chaos-lifecycle:
 # rows or both refuse, no panic, no allocation the file's size does not cover),
 # the page codec's decoder (any bytes, as they come and sealed into a valid
 # frame: a page or an error, no panic, nothing allocated that the input's size
-# does not cover, and a decoded page encodes back to itself) and the
-# rendering of pushed comparisons (two decoded from the input: equal strings
+# does not cover, and a decoded page encodes back to itself), the envelope
+# every response that carries pages is read from (any bytes, as they come and
+# sealed into a valid header frame so the gob header decoder sees them: a
+# result or an error, no panic, nothing returned that the input does not
+# cover) and the rendering of pushed comparisons (two decoded from the input: equal strings
 # only from equal comparisons, since the plan text keys a cache). CI
 # runs this as a smoke; crank -fuzztime locally to dig deeper. New crashers
 # land in testdata/fuzz — check them in.
@@ -60,6 +63,7 @@ fuzz-smoke:
 	go test -fuzz '^FuzzSelectTrue$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzReadFile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parquet/
 	go test -fuzz '^FuzzDecodePage$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/block/
+	go test -fuzz '^FuzzReadEnvelope$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/block/
 	go test -fuzz '^FuzzComparisonString$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/expr/
 
 # Static analysis: go vet plus the project's own invariant suite

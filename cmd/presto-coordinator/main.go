@@ -21,7 +21,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8080", "listen address")
-	memoryLimit := flag.Int64("memory-limit", 0, "process-wide memory pool in bytes (0 = unlimited)")
+	memoryLimit := flag.Int64("memory-limit", 0, "process-wide memory pool in bytes (0 = unlimited, still accounted)")
 	spillDir := flag.String("spill-dir", "", "enable spill-to-disk under this directory")
 	spillBudget := flag.Int64("spill-budget", 0, "disk cap for live spill runs in bytes (0 = unlimited)")
 	oomKill := flag.Bool("oom-kill", false, "kill the largest query when the shared pool is exhausted")
@@ -36,25 +36,23 @@ func main() {
 		os.Exit(1)
 	}
 	coord := cluster.NewCoordinator(catalogs)
-	if *memoryLimit > 0 || *spillDir != "" || *maxConcurrency > 0 {
-		cfg := cluster.ResourceConfig{
-			MemoryLimit: *memoryLimit,
-			SpillDir:    *spillDir,
-			SpillBudget: *spillBudget,
-			OOMKill:     *oomKill,
-		}
-		if *maxConcurrency > 0 {
-			cfg.Groups = []resource.GroupConfig{{
-				Name:           "default",
-				MaxConcurrency: *maxConcurrency,
-				MaxQueued:      *maxQueued,
-				PerQueryMemory: *perQueryMemory,
-			}}
-		}
-		if err := coord.ConfigureResources(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "presto-coordinator:", err)
-			os.Exit(1)
-		}
+	cfg := cluster.ResourceConfig{
+		MemoryLimit: *memoryLimit,
+		SpillDir:    *spillDir,
+		SpillBudget: *spillBudget,
+		OOMKill:     *oomKill,
+	}
+	if *maxConcurrency > 0 {
+		cfg.Groups = []resource.GroupConfig{{
+			Name:           "default",
+			MaxConcurrency: *maxConcurrency,
+			MaxQueued:      *maxQueued,
+			PerQueryMemory: *perQueryMemory,
+		}}
+	}
+	if err := coord.ConfigureResources(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "presto-coordinator:", err)
+		os.Exit(1)
 	}
 	if err := coord.Start(*listen); err != nil {
 		fmt.Fprintln(os.Stderr, "presto-coordinator:", err)

@@ -24,7 +24,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
 	coordinator := flag.String("coordinator", "", "coordinator address to announce to")
 	grace := flag.Duration("grace-period", 2*time.Minute, "shutdown.grace-period")
-	memoryLimit := flag.Int64("memory-limit", 0, "process-wide memory pool in bytes (0 = unlimited)")
+	memoryLimit := flag.Int64("memory-limit", 0, "process-wide memory pool in bytes (0 = unlimited, still accounted)")
 	spillDir := flag.String("spill-dir", "", "enable spill-to-disk under this directory")
 	spillBudget := flag.Int64("spill-budget", 0, "disk cap for live spill runs in bytes (0 = unlimited)")
 	taskConcurrency := flag.Int("task-concurrency", 0, "driver pipelines per task (0 = one per CPU core); the task_concurrency session property overrides it")

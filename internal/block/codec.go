@@ -234,12 +234,9 @@ func appendColumn(dst []byte, b Block) []byte {
 // left before anything is allocated, so a hostile frame cannot make the
 // decoder allocate more than a small multiple of its own size.
 func DecodePage(data []byte) (*Page, error) {
-	if len(data) == 0 || data[0] != pageFormat {
-		return nil, errors.New("block: decode page: not a page frame")
-	}
-	payload, n, ok := frame.Next(data[1:])
-	if !ok || n != len(data)-1 {
-		return nil, errors.New("block: decode page: short or corrupt frame")
+	payload, err := pagePayload(data)
+	if err != nil {
+		return nil, err
 	}
 	r := pageReader{b: payload}
 	rows := r.count()
@@ -256,26 +253,17 @@ func DecodePage(data []byte) (*Page, error) {
 	return &Page{Blocks: blocks, N: rows}, nil
 }
 
-// DecodePages decodes page frames laid end to end in body, whose byte lengths
-// a response header announced (the task-results response, the druid broker's
-// answer). A length the body does not cover, a frame DecodePage refuses and
-// bytes left over are errors: a damaged response is never a shorter result.
-func DecodePages(body []byte, lens []int) ([]*Page, error) {
-	var pages []*Page
-	for i, l := range lens {
-		if l < 0 || l > len(body) {
-			return nil, fmt.Errorf("block: page frame %d of %d cut short", i, len(lens))
-		}
-		p, err := DecodePage(body[:l])
-		if err != nil {
-			return nil, fmt.Errorf("page frame %d: %w", i, err)
-		}
-		pages, body = append(pages, p), body[l:]
+// pagePayload checks that data is exactly one page frame — the format byte,
+// the announced length, the checksum — and returns what the frame holds.
+func pagePayload(data []byte) ([]byte, error) {
+	if len(data) == 0 || data[0] != pageFormat {
+		return nil, errors.New("block: decode page: not a page frame")
 	}
-	if len(body) != 0 {
-		return nil, errors.New("block: trailing bytes after the page frames")
+	payload, n, ok := frame.Next(data[1:])
+	if !ok || n != len(data)-1 {
+		return nil, errors.New("block: decode page: short or corrupt frame")
 	}
-	return pages, nil
+	return payload, nil
 }
 
 // pageReader is a cursor over one frame payload; the first error sticks and

@@ -77,14 +77,18 @@ func chaosCatalogs(t *testing.T, inj *fault.Injector) *connector.Registry {
 	return reg
 }
 
-// chaosCluster starts a coordinator with cfg plus n workers.
-func chaosCluster(t *testing.T, catalogs *connector.Registry, n int, cfg ClientConfig) (*Coordinator, []*Worker) {
+// chaosCluster starts a coordinator with cfg plus n workers, each handed to
+// setup before it starts.
+func chaosCluster(t *testing.T, catalogs *connector.Registry, n int, cfg ClientConfig, setup ...func(*Worker)) (*Coordinator, []*Worker) {
 	t.Helper()
 	coord := NewCoordinatorWithConfig(catalogs, cfg)
 	var workers []*Worker
 	for i := 0; i < n; i++ {
 		w := NewWorker(catalogs)
 		w.GracePeriod = 20 * time.Millisecond
+		for _, fn := range setup {
+			fn(w)
+		}
 		if err := w.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +413,10 @@ func TestChaosMemoryPressure(t *testing.T) {
 	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
+		// The group's per-query cap reaches the worker tasks too, so the
+		// workers need somewhere to spill their partial aggregations.
+		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj),
+			func(w *Worker) { w.SpillDir = t.TempDir() })
 		spillDir := t.TempDir()
 		if err := coord.ConfigureResources(ResourceConfig{
 			MemoryLimit: 256 << 10,
@@ -470,6 +477,11 @@ func TestChaosMemoryPressure(t *testing.T) {
 		// Satellite (b): no spill file outlives its query.
 		if runs := coord.res.spill.LiveRuns(); len(runs) != 0 {
 			t.Errorf("seed %d: leaked coordinator spill runs: %v", seed, runs)
+		}
+		for _, w := range workers {
+			if runs := w.spill.LiveRuns(); len(runs) != 0 {
+				t.Errorf("seed %d: worker %s leaked spill runs: %v", seed, w.Addr(), runs)
+			}
 		}
 		entries, err := os.ReadDir(spillDir)
 		if err != nil {
@@ -633,23 +645,12 @@ func TestChaosWorkerSpillCleanup(t *testing.T) {
 	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		catalogs := chaosCatalogs(t, inj)
-		coord := NewCoordinatorWithConfig(catalogs, ChaosConfig(inj))
-		var workers []*Worker
 		var dirs []string
-		for i := 0; i < 3; i++ {
-			w := NewWorker(catalogs)
-			w.GracePeriod = 20 * time.Millisecond
+		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj), func(w *Worker) {
 			w.MemoryLimit = 32 << 10
 			w.SpillDir = t.TempDir()
 			dirs = append(dirs, w.SpillDir)
-			if err := w.Start("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { w.Close() })
-			coord.AddWorker(w.Addr())
-			workers = append(workers, w)
-		}
+		})
 
 		Watchdog(t, 60*time.Second, func() {
 			if got := mustRows(t, coord, chaosMemQueries[1]); got != want[1] {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -436,5 +437,60 @@ func TestShutDownWorkerIsForgotten(t *testing.T) {
 	}
 	if got := coord.Workers(); len(got) != 2 {
 		t.Errorf("workers = %v, want the two survivors", got)
+	}
+}
+
+// firstTaskOnly lets the first POST /v1/task through and fails every later
+// one; everything else passes.
+type firstTaskOnly struct {
+	mu      sync.Mutex
+	started int
+}
+
+func (f *firstTaskOnly) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/task" {
+		f.mu.Lock()
+		f.started++
+		n := f.started
+		f.mu.Unlock()
+		if n > 1 {
+			return nil, fmt.Errorf("injected: task start %d refused", n)
+		}
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestFailedSchedulingReleasesStartedTasks: a query that fails while it is
+// still scheduling deletes the tasks it had already started. They used to stay
+// in the worker's task map and the coordinator's inflight set for good, and a
+// worker shrinking gracefully waited on them forever.
+func TestFailedSchedulingReleasesStartedTasks(t *testing.T) {
+	catalogs := newCatalogs(t)
+	coord := NewCoordinatorWithConfig(catalogs, ClientConfig{Transport: &firstTaskOnly{}, MaxAttempts: 1})
+	var workers []*Worker
+	for i := 0; i < 3; i++ {
+		w := NewWorker(catalogs)
+		if err := w.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		coord.AddWorker(w.Addr())
+		workers = append(workers, w)
+	}
+	if _, err := coord.Query(session(), "SELECT city_id, fare FROM trips"); !errors.Is(err, ErrSchedulingFailed) {
+		t.Fatalf("err = %v, want ErrSchedulingFailed", err)
+	}
+	for _, w := range workers {
+		w.mu.Lock()
+		left := len(w.tasks)
+		w.mu.Unlock()
+		if left != 0 {
+			t.Errorf("worker %s still holds %d tasks of the failed query", w.Addr(), left)
+		}
+	}
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if len(coord.inflight) != 0 {
+		t.Errorf("coordinator still tracks tasks of the failed query: %v", coord.inflight)
 	}
 }

@@ -22,9 +22,6 @@ type ClientConfig struct {
 	// StatementTimeout bounds a client→coordinator statement round trip
 	// (was a hardcoded 120s literal).
 	StatementTimeout time.Duration
-	// StatsTimeout bounds gateway health/load polls of coordinator
-	// /v1/stats endpoints.
-	StatsTimeout time.Duration
 
 	// Transport is the base RoundTripper for every client this config
 	// builds; nil means http.DefaultTransport. Chaos tests install a
@@ -59,7 +56,6 @@ func DefaultClientConfig() ClientConfig {
 	return ClientConfig{
 		WorkerTimeout:    30 * time.Second,
 		StatementTimeout: 120 * time.Second,
-		StatsTimeout:     2 * time.Second,
 		Clock:            fault.RealClock{},
 		MaxAttempts:      3,
 		BaseBackoff:      25 * time.Millisecond,
@@ -80,9 +76,6 @@ func (cfg ClientConfig) WithDefaults() ClientConfig {
 	}
 	if cfg.StatementTimeout == 0 {
 		cfg.StatementTimeout = def.StatementTimeout
-	}
-	if cfg.StatsTimeout == 0 {
-		cfg.StatsTimeout = def.StatsTimeout
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = def.Clock
@@ -126,10 +119,14 @@ func (cfg *ClientConfig) StatementHTTPClient() *http.Client {
 	return cfg.statementHTTPClient()
 }
 
+// statsTimeout bounds a gateway's health/load poll of a coordinator's
+// /v1/stats.
+const statsTimeout = 2 * time.Second
+
 // StatsHTTPClient builds the short-deadline client gateways use to poll
 // coordinator stats and health.
 func (cfg *ClientConfig) StatsHTTPClient() *http.Client {
-	return &http.Client{Timeout: cfg.StatsTimeout, Transport: cfg.Transport}
+	return &http.Client{Timeout: statsTimeout, Transport: cfg.Transport}
 }
 
 // backoff returns the sleep before retry attempt n (n >= 1): exponential

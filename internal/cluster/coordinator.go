@@ -68,7 +68,8 @@ type Coordinator struct {
 	obs          *obs.Registry
 
 	// res is the resource-management subsystem (memory pool, admission
-	// groups, spill, OOM killer); nil until ConfigureResources is called.
+	// groups, spill, OOM killer): the zero ResourceConfig's until
+	// ConfigureResources replaces it.
 	res *coordResources
 
 	// resultCache is tier 2 of the cache hierarchy: whole query results
@@ -134,6 +135,7 @@ func NewCoordinatorWithConfig(catalogs *connector.Registry, cfg ClientConfig) *C
 		}
 		return 0
 	})
+	_ = c.ConfigureResources(ResourceConfig{}) // no spill directory to make: cannot fail
 	registerCatalogMetrics(catalogs, c.obs)
 	return c
 }
@@ -412,11 +414,18 @@ func (w *workerClient) info() (WorkerInfo, error) {
 	return info, nil
 }
 
-// QueryResult is what clients receive.
+// QueryResult is what clients receive. Over HTTP it travels as one envelope
+// (block.EncodeEnvelope): a statementHeader, then Pages as they are.
 type QueryResult struct {
 	Columns []string
 	Types   []string
 	Pages   [][]byte // encoded pages
+}
+
+// statementHeader precedes a statement answer's page frames.
+type statementHeader struct {
+	Columns []string
+	Types   []string
 }
 
 // Rows decodes all pages into boxed rows.
@@ -589,6 +598,15 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 		c.liveMu.Unlock()
 	}()
 	remotes := map[int][]*taskHandle{}
+	// Registered before the first task starts: a query that fails while
+	// scheduling must still delete the tasks it already placed.
+	defer func() {
+		for _, ths := range remotes {
+			for _, th := range ths {
+				c.releaseTask(th)
+			}
+		}
+	}()
 	if !fp.SingleFragment() {
 		workers, err := c.waitActiveWorkers(qs)
 		if err != nil {
@@ -625,6 +643,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 					Splits:   splitSet,
 					// 0 lets each worker apply its own -task-concurrency default.
 					Drivers:         props.TaskConcurrency,
+					MaxMemory:       memLimit,
 					Deadline:        deadlineNanos(qs.deadline),
 					SnapshotVersion: snapVersion,
 				})
@@ -640,35 +659,23 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 			}
 		}
 	}
-	defer func() {
-		for _, ths := range remotes {
-			for _, th := range ths {
-				c.releaseTask(th)
-			}
-		}
-	}()
-
 	// Execute the root fragment locally, pulling remote pages, with the
 	// coordinator-side operators instrumented. The query gets its own memory
 	// context — a child of the process-wide pool capped at its session/group
 	// limit — and, when configured, the shared spill manager.
 	rootStats := obs.NewTaskStats()
+	qpool := c.res.pool.Child(queryID, memLimit)
+	defer qpool.Close()
 	ctx := &execution.Context{
 		Catalogs: c.Catalogs,
 		Stats:    rootStats,
+		Memory:   qpool,
 		RemoteSources: func(fragmentID int, cols []planner.Column) (execution.Operator, error) {
 			return &remoteSourceOperator{c: c, qs: qs, tasks: remotes[fragmentID]}, nil
 		},
 	}
-	if c.res != nil {
-		qpool := c.res.pool.Child(queryID, memLimit)
-		defer qpool.Close()
-		ctx.Memory = qpool
-		if c.res.spill != nil && props.SpillEnabled {
-			ctx.Spill = c.res.spill
-		}
-	} else {
-		ctx.MemoryLimit = memLimit
+	if props.SpillEnabled {
+		ctx.Spill = c.res.spill
 	}
 	op, err := execution.Build(fp.Root.Root, ctx)
 	if err != nil {
@@ -715,10 +722,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	}
 
 	now := c.cfg.Clock.Now()
-	peak, spilled := int64(0), int64(0)
-	if ctx.Memory != nil {
-		peak, spilled = ctx.Memory.Peak(), ctx.Memory.Spilled()
-	}
+	peak, spilled := qpool.Peak(), qpool.Spilled()
 	c.queries.update(queryID, func(qi *QueryInfo) {
 		qi.State = QueryFinished
 		qi.Finished = now
@@ -739,7 +743,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	text := ""
 	if analyze {
 		snap := c.obs.Snapshot()
-		text = formatAnalyzedFragments(fp, stages) + snap.CacheSection() + snap.ReaderSection() + execution.MemoryFooter(ctx.Memory)
+		text = formatAnalyzedFragments(fp, stages) + snap.CacheSection() + snap.ReaderSection() + execution.MemoryFooter(qpool)
 	}
 	return res, text, nil
 }
@@ -858,11 +862,19 @@ func (t *taskHandle) fetchResults(page int) (taskResults, error) {
 		return taskResults{}, fmt.Errorf("task %s on %s: status %d: %s",
 			t.taskID, t.worker.addr, resp.StatusCode, bytes.TrimSpace(body))
 	}
-	body := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
-	if _, err := body.ReadFrom(resp.Body); err != nil {
+	body, err := readBody(resp)
+	if err != nil {
 		return taskResults{}, err
 	}
-	return readResults(body.Bytes(), page)
+	return readResults(body, page)
+}
+
+// readBody reads an envelope response whole; when its length was announced,
+// in one exact-size buffer.
+func readBody(resp *http.Response) ([]byte, error) {
+	body := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
+	_, err := body.ReadFrom(resp.Body)
+	return body.Bytes(), err
 }
 
 func (t *taskHandle) delete() {
@@ -1018,10 +1030,33 @@ func (c *Coordinator) handleShutdown(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusAccepted)
 }
 
+// Request bodies are gob documents from outside the process; each handler
+// decodes at most this much. A statement is SQL text and a few properties; a
+// task is a plan fragment and the descriptions of its splits.
+const (
+	maxStatementBytes = 1 << 20
+	maxTaskBytes      = 16 << 20
+)
+
+// decodeBody gob-decodes a request body of at most limit bytes into v. It
+// answers 413 for a longer body, 400 for one that does not decode, and
+// reports whether the handler should go on.
+func decodeBody(rw http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := gob.NewDecoder(http.MaxBytesReader(rw, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(rw, "bad request: "+err.Error(), status)
+	return false
+}
+
 func (c *Coordinator) handleStatement(rw http.ResponseWriter, r *http.Request) {
 	var req StatementRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(rw, r, maxStatementBytes, &req) {
 		return
 	}
 	session := &planner.Session{Catalog: req.Catalog, Schema: req.Schema, User: req.User, Properties: req.Properties}
@@ -1047,7 +1082,14 @@ func (c *Coordinator) handleStatement(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	c.replyGob(rw, res)
+	// The result's pages — fresh, or a result-cache entry's — go out as the
+	// frames they already are.
+	body := block.EncodeEnvelope(statementHeader{Columns: res.Columns, Types: res.Types}, res.Pages)
+	rw.Header().Set("Content-Type", "application/octet-stream")
+	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := rw.Write(body); err != nil {
+		c.httpWriteErrs.Inc()
+	}
 }
 
 // replyGob encodes v to the client. A client that disconnects mid-response
@@ -1138,11 +1180,19 @@ func (cl *Client) QueryWithIdentity(req StatementRequest, user, group string) (*
 // gateway with a sticky route hashes the key to a preferred cluster so a
 // dashboard's repeated statements keep landing where its caches are warm.
 func (cl *Client) QueryWithSession(req StatementRequest, user, group, session string) (*QueryResult, error) {
+	return PostStatement(cl.HTTP, "http://"+cl.Addr+"/v1/statement", req, user, group, session)
+}
+
+// PostStatement posts one statement document with its identity headers to a
+// coordinator's /v1/statement or a gateway's /v1/execute and checks the
+// answer: a response cut short or damaged on the way is an error, never a
+// shorter result. A nil hc means the default statement client.
+func PostStatement(hc *http.Client, url string, req StatementRequest, user, group, session string) (*QueryResult, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
 		return nil, err
 	}
-	httpReq, err := http.NewRequest(http.MethodPost, "http://"+cl.Addr+"/v1/statement", bytes.NewReader(buf.Bytes()))
+	httpReq, err := http.NewRequest(http.MethodPost, url, &buf)
 	if err != nil {
 		return nil, err
 	}
@@ -1152,7 +1202,6 @@ func (cl *Client) QueryWithSession(req StatementRequest, user, group, session st
 	if session != "" {
 		httpReq.Header.Set("X-Presto-Session", session)
 	}
-	hc := cl.HTTP
 	if hc == nil {
 		def := DefaultClientConfig()
 		hc = def.statementHTTPClient()
@@ -1164,11 +1213,15 @@ func (cl *Client) QueryWithSession(req StatementRequest, user, group, session st
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) // best-effort error detail
-		return nil, fmt.Errorf("query failed: %s", bytes.TrimSpace(body))
+		return nil, fmt.Errorf("query failed (status %d): %s", resp.StatusCode, bytes.TrimSpace(body))
 	}
-	var out QueryResult
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
+	body, err := readBody(resp)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: reading the answer from %s: %w", url, err)
 	}
-	return &out, nil
+	hdr, frames, err := block.ReadEnvelope[statementHeader](body)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: answer from %s: %w", url, err)
+	}
+	return &QueryResult{Columns: hdr.Columns, Types: hdr.Types, Pages: frames}, nil
 }

@@ -215,6 +215,22 @@ func TestDistributedExplainAnalyze(t *testing.T) {
 		t.Errorf("worker /v1/stats reader gauges = %v", wsnap.Gauges)
 	}
 
+	// Nothing was configured, and the query was accounted all the same: the
+	// plan ends in the coordinator pool's footer, and each worker's pool held
+	// its partial aggregation's groups and gave them back when the task was
+	// deleted.
+	if !regexp.MustCompile(`\nMemory: peak [1-9]\d* B, spilled 0 B\n$`).MatchString(text) {
+		t.Errorf("plan does not end in a memory footer with a nonzero peak:\n%s", text)
+	}
+	if reserved, ok := wsnap.Gauges["pool_reserved_bytes"]; !ok || reserved != 0 {
+		t.Errorf("worker pool_reserved_bytes = %v (present: %v) after its tasks were deleted", reserved, ok)
+	}
+	for _, w := range workers {
+		if w.pool.Peak() == 0 {
+			t.Errorf("worker %s ran a grouped task and its pool never moved", w.Addr())
+		}
+	}
+
 	// /v1/query/{id} serves the same stats as JSON.
 	local := coord.QueryInfos()[0]
 	resp, err := http.Get("http://" + coord.Addr() + "/v1/query/" + local.ID)

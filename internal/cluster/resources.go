@@ -9,9 +9,9 @@ import (
 // ResourceConfig configures the coordinator's resource-management subsystem
 // (§XII.C): a process-wide memory pool every query's context is a child of,
 // admission-controlled resource groups, spill-to-disk for blocking
-// operators, and the last-resort OOM killer. The zero value (no call to
-// ConfigureResources) leaves the coordinator in its legacy mode: no pooling,
-// no queueing, no spill.
+// operators, and the last-resort OOM killer. The zero value is what
+// NewCoordinator installs: an unlimited pool that still accounts every query,
+// no queueing, no spill, no killer.
 type ResourceConfig struct {
 	// MemoryLimit caps the process-wide pool in bytes. 0 = unlimited.
 	MemoryLimit int64
@@ -40,8 +40,10 @@ type coordResources struct {
 	admissionRejects *obs.Counter
 }
 
-// ConfigureResources installs memory pools, admission control, spill-to-disk
-// and the OOM killer on the coordinator. Call once, before Start.
+// ConfigureResources replaces the coordinator's resource subsystem — the
+// memory pool's limit, admission control, spill-to-disk and the OOM killer —
+// with one built from cfg; it fails only when cfg.SpillDir cannot be made.
+// Call before Start.
 func (c *Coordinator) ConfigureResources(cfg ResourceConfig) error {
 	res := &coordResources{groups: map[string]*resource.Group{}}
 	res.pool = resource.NewPool("coordinator", cfg.MemoryLimit)
@@ -94,9 +96,6 @@ func (c *Coordinator) ConfigureResources(cfg ResourceConfig) error {
 // session property when it names a configured group, else the first
 // configured group. nil = admission disabled.
 func (c *Coordinator) groupFor(session *planner.Session) *resource.Group {
-	if c.res == nil {
-		return nil
-	}
 	if name := session.Property("resource_group", ""); name != "" {
 		if g, ok := c.res.groups[name]; ok {
 			return g

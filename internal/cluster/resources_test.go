@@ -9,9 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"prestolite/internal/core"
 	"prestolite/internal/execution"
+	"prestolite/internal/obs"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
+	"prestolite/internal/sql"
 )
 
 // sessionWith builds a chaos session carrying extra session properties.
@@ -158,5 +161,125 @@ func TestQueryMaxMemoryValidation(t *testing.T) {
 	_, err := coord.Query(sessionWith(map[string]string{"query_max_memory": "lots"}), chaosQueries[1])
 	if err == nil || !strings.Contains(err.Error(), "query_max_memory") {
 		t.Fatalf("err = %v, want query_max_memory parse error", err)
+	}
+}
+
+// TestQueryMaxMemoryWithNothingConfigured: no ConfigureResources, no worker
+// MemoryLimit, no Engine.Mem — and query_max_memory still bounds a join's build
+// side, typed, wherever the join runs: every operator tree runs in a pool.
+func TestQueryMaxMemoryWithNothingConfigured(t *testing.T) {
+	const join = "SELECT count(*) FROM trips a JOIN trips b ON a.city_id = b.city_id"
+	reg := newCatalogs(t)
+	coord, workers := newCluster(t, reg, 2)
+	engine := core.New()
+	engine.Catalogs = reg
+
+	// The worker row hands a worker the whole join as one task, the way the
+	// coordinator hands it a source fragment.
+	workerTask := func(s *planner.Session) error {
+		stmt, err := sql.Parse(join)
+		if err != nil {
+			return err
+		}
+		plan, err := planner.PlanQuery(reg, s, stmt.(*sql.Query))
+		if err != nil {
+			return err
+		}
+		props, err := s.ExecProperties()
+		if err != nil {
+			return err
+		}
+		n := plan
+		for len(n.Children()) > 0 {
+			n = n.Children()[0]
+		}
+		scan := n.(*planner.TableScan)
+		hive, err := reg.Get("hive")
+		if err != nil {
+			return err
+		}
+		splits, err := hive.SplitManager().Splits(scan.Handle)
+		if err != nil {
+			return err
+		}
+		task := &workerTask{stats: obs.NewTaskStats()}
+		workers[0].runTask(&TaskRequest{
+			TaskID: "join", Fragment: plan, TableKey: "hive.rawdata.trips", Splits: splits, MaxMemory: props.MaxMemory,
+		}, task)
+		return task.err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*planner.Session) error
+	}{
+		{"engine", func(s *planner.Session) error { _, err := engine.Query(s, join); return err }},
+		{"coordinator root", func(s *planner.Session) error { _, err := coord.Query(s, join); return err }},
+		{"worker task", workerTask},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(session()); err != nil {
+				t.Fatalf("uncapped: %v", err)
+			}
+			capped := session()
+			capped.Properties["query_max_memory"] = "16"
+			var insufficient execution.ErrInsufficientResources
+			if err := tc.run(capped); !errors.As(err, &insufficient) || insufficient.Limit != 16 {
+				t.Fatalf("query_max_memory=16: err = %v, want ErrInsufficientResources with limit 16", err)
+			}
+		})
+	}
+
+	// And the coordinator ships the cap with the tasks it schedules: a grouped
+	// aggregation's partial step runs out inside a worker.
+	capped := session()
+	capped.Properties["query_max_memory"] = "16"
+	_, err := coord.Query(capped, "SELECT city_id, count(*) FROM trips GROUP BY city_id")
+	if err == nil || !strings.Contains(err.Error(), "failed on") || !strings.Contains(err.Error(), "Insufficient Resources") {
+		t.Fatalf("grouped query under query_max_memory=16: err = %v, want a worker task refused for memory", err)
+	}
+	for _, w := range workers {
+		if got := w.pool.Reserved(); got != 0 {
+			t.Errorf("worker %s still holds %d bytes", w.Addr(), got)
+		}
+	}
+}
+
+// TestRequestBodiesAreBounded: the two handlers that gob-decode a request
+// body stop reading at their limit and answer 413; a short body that is not
+// gob is still a 400.
+func TestRequestBodiesAreBounded(t *testing.T) {
+	coord, workers := newCluster(t, newCatalogs(t), 1)
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	for _, tc := range []struct {
+		url  string
+		huge any
+	}{
+		{"http://" + coord.Addr() + "/v1/statement", &StatementRequest{Query: strings.Repeat("x", maxStatementBytes)}},
+		{"http://" + workers[0].Addr() + "/v1/task", &TaskRequest{TaskID: strings.Repeat("x", maxTaskBytes)}},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tc.huge); err != nil {
+			t.Fatal(err)
+		}
+		for body, want := range map[*bytes.Buffer]int{
+			&buf:                          http.StatusRequestEntityTooLarge,
+			bytes.NewBufferString("junk"): http.StatusBadRequest,
+		} {
+			size := body.Len()
+			resp, err := http.Post(tc.url, "application/x-gob", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s: a %d-byte body answered %s, want %d", tc.url, size, resp.Status, want)
+			}
+		}
+	}
+	if n := workers[0].activeTaskCount(); n != 0 {
+		t.Errorf("the refused task requests left %d tasks on the worker", n)
 	}
 }

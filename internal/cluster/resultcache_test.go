@@ -327,6 +327,10 @@ func TestFragmentCacheIsByteBounded(t *testing.T) {
 
 	w := NewWorker(reg)
 	w.EnableFragmentResultCache = true
+	if err := w.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
 	run := func(version int64) {
 		t.Helper()
 		task := &workerTask{stats: obs.NewTaskStats()}

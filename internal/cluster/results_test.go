@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,8 +15,10 @@ import (
 
 	"prestolite/internal/block"
 	"prestolite/internal/core"
+	"prestolite/internal/druid"
 	"prestolite/internal/fault"
 	"prestolite/internal/obs"
+	"prestolite/internal/types"
 )
 
 // roundTripperFunc adapts a function to http.RoundTripper.
@@ -229,5 +235,127 @@ func TestConcurrentIdenticalTasksShareFrames(t *testing.T) {
 	}
 	if hits := w.FragmentCacheHits.Load(); hits != int64(len(rows)) {
 		t.Errorf("fragment cache hits = %d, want %d", hits, len(rows))
+	}
+}
+
+// TestDamagedResponsesAreErrorsAtEveryHop: the three responses that carry
+// pages — a task's results to the coordinator, a broker's answer to the druid
+// connector, a statement's answer to the client — are one envelope, and at
+// each hop every truncation and every flipped byte of it is an error: never a
+// shorter result, never other values.
+func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
+	// serving returns a check that serves the body it is given to every
+	// request and reads it back through the hop's own client.
+	serving := func(read func(addr string) (rows int, err error)) func([]byte) (int, error) {
+		var body atomic.Pointer[[]byte]
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { _, _ = w.Write(*body.Load()) }))
+		t.Cleanup(srv.Close)
+		return func(b []byte) (int, error) {
+			body.Store(&b)
+			return read(strings.TrimPrefix(srv.URL, "http://"))
+		}
+	}
+	post := func(url string, doc any) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(doc); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url, "application/x-gob", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %s, %v", url, resp.Status, err)
+		}
+		return body
+	}
+
+	coord, _ := newCluster(t, newCatalogs(t), 2)
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	statement := StatementRequest{Query: "SELECT city_id, fare FROM trips", Catalog: "hive", Schema: "rawdata", User: "test"}
+
+	store := druid.NewStore()
+	events, err := store.CreateTable("events", []druid.Column{{Name: "country", Type: types.Varchar}, {Name: "clicks", Type: types.Bigint}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := events.Ingest([][]any{{"us", int64(10)}, {"de", int64(5)}, {nil, int64(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	broker := druid.NewServer(store)
+	if err := broker.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { broker.Close() })
+	query := druid.Query{Table: "events", Columns: []string{"country", "clicks"}}
+
+	frame, err := block.EncodePage(block.NewPage(&block.Int64Block{Values: []int64{1, 2, 3}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, hop := range []struct {
+		name string
+		body []byte
+		rows int
+		read func([]byte) (int, error)
+	}{
+		{"worker to coordinator", encodeResults([][]byte{frame, frame}, 0, true, nil, obs.NewTaskStats()), 6,
+			func(b []byte) (int, error) {
+				res, err := readResults(b, 0)
+				n := 0
+				for _, p := range res.pages {
+					n += p.Count()
+				}
+				return n, err
+			}},
+		{"broker to connector", post("http://"+broker.Addr()+"/druid/v2/query", query), 3,
+			serving(func(addr string) (int, error) {
+				res, err := druid.NewHTTPClient(addr).Execute(query)
+				if err != nil {
+					return 0, err
+				}
+				n := 0
+				for _, p := range res.Pages {
+					n += p.Count()
+				}
+				return n, nil
+			})},
+		{"coordinator to client", post("http://"+coord.Addr()+"/v1/statement", &statement), 80,
+			serving(func(addr string) (int, error) {
+				res, err := NewClient(addr).QueryWithSession(statement, "test", "", "")
+				if err != nil {
+					return 0, err
+				}
+				rows, err := res.Rows()
+				return len(rows), err
+			})},
+	} {
+		t.Run(hop.name, func(t *testing.T) {
+			if n, err := hop.read(hop.body); err != nil || n != hop.rows {
+				t.Fatalf("the undamaged response: %d rows, %v; want %d", n, err, hop.rows)
+			}
+			for cut := 0; cut < len(hop.body); cut++ {
+				if n, err := hop.read(hop.body[:cut]); err == nil {
+					t.Fatalf("cut to %d of %d bytes: accepted as %d rows", cut, len(hop.body), n)
+				}
+			}
+			for i := range hop.body {
+				damaged := bytes.Clone(hop.body)
+				damaged[i] ^= 0x10
+				if n, err := hop.read(damaged); err == nil {
+					t.Fatalf("byte %d of %d flipped: accepted as %d rows", i, len(hop.body), n)
+				}
+			}
+			if n, err := hop.read(append(bytes.Clone(hop.body), 0)); err == nil {
+				t.Fatalf("a trailing byte: accepted as %d rows", n)
+			}
+		})
 	}
 }

@@ -47,6 +47,10 @@ type TaskRequest struct {
 	// Drivers requests a specific intra-task parallelism (the session's
 	// task_concurrency); 0 defers to the worker's own configuration.
 	Drivers int
+	// MaxMemory is the query's memory cap in bytes (query_max_memory, else
+	// its resource group's PerQueryMemory; 0 = uncapped): the limit of the
+	// task's child of the worker pool.
+	MaxMemory int64
 	// Deadline is the query's deadline in unix nanoseconds (0 = none). The
 	// worker refuses tasks that arrive already expired — the last hop of the
 	// coordinator's per-RPC deadline enforcement.
@@ -89,9 +93,9 @@ type Worker struct {
 	// defaults to real time. Fault-injection tests substitute a manual
 	// clock.
 	Clock fault.Clock
-	// MemoryLimit caps the worker's process-wide memory pool (§XII.C); every
-	// task runs in a child context. 0 with no SpillDir = legacy unaccounted
-	// execution.
+	// MemoryLimit caps the worker's process-wide memory pool (§XII.C), which
+	// Start creates; every task runs in, and is accounted by, a child of it.
+	// 0 = unlimited.
 	MemoryLimit int64
 	// SpillDir, when set, lets task operators spill to disk when a memory
 	// reservation is refused. Runs are removed as tasks close; anything left
@@ -219,11 +223,9 @@ func (w *Worker) activeTaskCount() int {
 
 // Start listens on addr (use "127.0.0.1:0" for tests).
 func (w *Worker) Start(addr string) error {
-	if w.MemoryLimit > 0 || w.SpillDir != "" {
-		w.pool = resource.NewPool("worker", w.MemoryLimit)
-		w.pool.SetClock(w.Clock)
-		w.Obs.GaugeFunc("pool_reserved_bytes", func() float64 { return float64(w.pool.Reserved()) })
-	}
+	w.pool = resource.NewPool("worker", w.MemoryLimit)
+	w.pool.SetClock(w.Clock)
+	w.Obs.GaugeFunc("pool_reserved_bytes", func() float64 { return float64(w.pool.Reserved()) })
 	if w.SpillDir != "" {
 		mgr, err := resource.NewSpillManager(w.SpillDir, w.SpillBudget)
 		if err != nil {
@@ -379,8 +381,7 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	var req TaskRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, "bad task: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(rw, r, maxTaskBytes, &req) {
 		return
 	}
 	if req.Deadline > 0 && w.Clock.Now().UnixNano() >= req.Deadline {
@@ -417,20 +418,18 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 	tctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	task.setCancel(cancel)
+	// Per-task memory context: tasks share the worker pool, and a failed
+	// task cannot leak reservations past its Close.
+	tpool := w.pool.Child(req.TaskID, req.MaxMemory)
+	defer tpool.Close()
 	ctx := &execution.Context{
 		Catalogs: w.Catalogs,
 		Splits:   map[string][]connector.Split{req.TableKey: req.Splits},
 		Stats:    task.stats,
 		Ctx:      tctx,
 		Drivers:  w.taskDrivers(req),
-	}
-	if w.pool != nil {
-		// Per-task memory context: tasks share the worker pool, and a failed
-		// task cannot leak reservations past its Close.
-		tpool := w.pool.Child(req.TaskID, 0)
-		defer tpool.Close()
-		ctx.Memory = tpool
-		ctx.Spill = w.spill
+		Memory:   tpool,
+		Spill:    w.spill,
 	}
 	op, err := execution.Build(req.Fragment, ctx)
 	if err != nil {

@@ -52,6 +52,10 @@ func TestExplainAnalyzeEmbedded(t *testing.T) {
 	if strings.Contains(text, "batches: 0") {
 		t.Errorf("operator with zero batches:\n%s", text)
 	}
+	// No pool was configured on this engine; the query ran in one anyway.
+	if !regexp.MustCompile(`\nMemory: peak [1-9]\d* B, spilled 0 B\n$`).MatchString(text) {
+		t.Errorf("plan does not end in a memory footer with a nonzero peak:\n%s", text)
+	}
 }
 
 func TestExplainAnalyzeStillReturnsPlainExplainShape(t *testing.T) {

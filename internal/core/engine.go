@@ -28,9 +28,10 @@ type Engine struct {
 	// metrics publish into it at Register time, and EXPLAIN ANALYZE appends
 	// its cache section from it.
 	Obs *obs.Registry
-	// Mem, when non-nil, is the engine-wide memory pool; every query runs in
-	// a child context so concurrent queries share one budget. nil = queries
-	// are bounded only by their own query_max_memory.
+	// Mem is the engine-wide memory pool: every query runs in, and is
+	// accounted by, a child of it capped at its query_max_memory, so
+	// concurrent queries share one budget. New installs an unlimited one;
+	// replace it to set a limit.
 	Mem *resource.Pool
 	// Spill, when non-nil, lets blocking operators spill to disk instead of
 	// failing when a reservation is refused (subject to the spill_enabled
@@ -38,9 +39,10 @@ type Engine struct {
 	Spill *resource.SpillManager
 }
 
-// New creates an engine with an empty catalog registry.
+// New creates an engine with an empty catalog registry and an unlimited
+// memory pool.
 func New() *Engine {
-	return &Engine{Catalogs: connector.NewRegistry(), Obs: obs.NewRegistry()}
+	return &Engine{Catalogs: connector.NewRegistry(), Obs: obs.NewRegistry(), Mem: resource.NewPool("engine", 0)}
 }
 
 // Register installs a connector under a catalog name. Connectors that
@@ -157,19 +159,24 @@ func textResult(column, text string) *Result {
 	}
 }
 
-// execContext builds the runtime context for a session (§XII.C: queries
-// exceeding the session memory limit fail with the "Insufficient Resources"
-// error — unless spill is available and enabled). The cleanup function must
-// run when the query finishes: it closes the per-query memory context so a
-// failed operator cannot leak reservations into the shared pool.
-func (e *Engine) execContext(session *planner.Session) (*execution.Context, func(), error) {
+// run executes plan for a session and materializes what it returns. Every
+// query runs in its own child of the engine's pool, capped at
+// query_max_memory (§XII.C: exceeding it fails with the "Insufficient
+// Resources" error — unless spill is available and enabled) and closed when
+// the query ends, so a failed operator cannot leak reservations into the
+// shared pool. With stats set, every operator is instrumented (EXPLAIN
+// ANALYZE); footer is the pool's "Memory:" line.
+func (e *Engine) run(session *planner.Session, plan planner.Node, stats *obs.TaskStats) (pages []*block.Page, footer string, err error) {
 	props, err := session.ExecProperties()
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
+	pool := e.queryPool(props.MaxMemory)
+	defer pool.Close()
 	ctx := &execution.Context{
-		Catalogs:    e.Catalogs,
-		MemoryLimit: props.MaxMemory,
+		Catalogs: e.Catalogs,
+		Memory:   pool,
+		Stats:    stats,
 		// Intra-task parallelism: how many driver pipelines a query runs over
 		// its split queue. Defaults to the core count; task_concurrency=1
 		// forces serial execution.
@@ -178,41 +185,45 @@ func (e *Engine) execContext(session *planner.Session) (*execution.Context, func
 	if props.TaskConcurrency > 0 {
 		ctx.Drivers = props.TaskConcurrency
 	}
-	cleanup := func() {}
-	if e.Mem != nil {
-		q := e.Mem.Child("query", ctx.MemoryLimit)
-		ctx.Memory = q
-		cleanup = q.Close
-	}
-	if e.Spill != nil && props.SpillEnabled {
+	if props.SpillEnabled {
 		ctx.Spill = e.Spill
 	}
-	return ctx, cleanup, nil
+	op, err := execution.Build(plan, ctx)
+	if err != nil {
+		return nil, "", err
+	}
+	if pages, err = execution.Drain(op); err != nil {
+		return nil, "", err
+	}
+	// A client always reads what it asked for, so deferred decode is charged
+	// — and a column that cannot be read is reported — here.
+	if err := materialize(pages); err != nil {
+		return nil, "", err
+	}
+	if stats != nil {
+		footer = execution.MemoryFooter(pool)
+	}
+	return pages, footer, nil
+}
+
+// queryPool opens one query's memory context. An Engine built as a literal
+// rather than by New has no pool of its own; its queries' pools are roots.
+func (e *Engine) queryPool(limit int64) *resource.Pool {
+	if e.Mem == nil {
+		return resource.NewPool("query", limit)
+	}
+	return e.Mem.Child("query", limit)
 }
 
 func (e *Engine) execute(session *planner.Session, plan planner.Node) (*Result, error) {
-	ctx, cleanup, err := e.execContext(session)
+	pages, _, err := e.run(session, plan, nil)
 	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	op, err := execution.Build(plan, ctx)
-	if err != nil {
-		return nil, err
-	}
-	pages, err := execution.Drain(op)
-	if err != nil {
-		return nil, err
-	}
-	if err := materialize(pages); err != nil {
 		return nil, err
 	}
 	return &Result{Columns: plan.Outputs(), Pages: pages}, nil
 }
 
-// materialize forces the lazy columns of pages leaving the engine, in place:
-// a client always reads what it asked for, so deferred decode is charged —
-// and a column that cannot be read is reported — here.
+// materialize forces the lazy columns of pages leaving the engine, in place.
 func materialize(pages []*block.Page) (err error) {
 	defer func() {
 		if lerr := block.RecoveredLoadError(recover()); lerr != nil {
@@ -227,30 +238,15 @@ func materialize(pages []*block.Page) (err error) {
 
 // explainAnalyze executes plan with instrumentation enabled and renders the
 // physical tree annotated with actual rows, bytes, wall time and batch
-// counts per operator, plus a cache-statistics footer.
+// counts per operator, plus the cache, reader and memory footers.
 func (e *Engine) explainAnalyze(session *planner.Session, plan planner.Node) (string, error) {
-	ctx, cleanup, err := e.execContext(session)
-	if err != nil {
-		return "", err
-	}
-	defer cleanup()
 	stats := obs.NewTaskStats()
-	ctx.Stats = stats
-	op, err := execution.Build(plan, ctx)
+	_, memory, err := e.run(session, plan, stats)
 	if err != nil {
-		return "", err
-	}
-	pages, err := execution.Drain(op)
-	if err != nil {
-		return "", err
-	}
-	// Charge deferred decode exactly as a real client read would.
-	if err := materialize(pages); err != nil {
 		return "", err
 	}
 	snap := e.Obs.Snapshot()
-	text := execution.FormatAnnotated(plan, stats.Snapshot()) + CacheStatsFooter(snap) + snap.ReaderSection()
-	return text + execution.MemoryFooter(ctx.Memory), nil
+	return execution.FormatAnnotated(plan, stats.Snapshot()) + CacheStatsFooter(snap) + snap.ReaderSection() + memory, nil
 }
 
 // CacheStatsFooter renders the cache-related gauges of a registry snapshot

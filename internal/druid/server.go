@@ -1,7 +1,6 @@
 package druid
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -14,16 +13,14 @@ import (
 
 	"prestolite/internal/block"
 	"prestolite/internal/fault"
-	"prestolite/internal/frame"
 	"prestolite/internal/types"
 )
 
 // Server exposes the store over HTTP (the broker endpoint a Presto-Druid
 // connector talks to). A query is a gob Query in the request body; its answer
-// is one frame (internal/frame: length + CRC32) holding a gob resultHeader,
-// followed by the page frames the header announces, as block.EncodePage wrote
-// them — dictionary columns stay dictionary-encoded on the wire, and every
-// byte is under a checksum.
+// is one envelope (block.EncodeEnvelope): a checksummed resultHeader followed
+// by the result's pages as block.EncodePage wrote them — dictionary columns
+// stay dictionary-encoded on the wire, and every byte is under a checksum.
 type Server struct {
 	store *Store
 	http  *http.Server
@@ -39,7 +36,6 @@ const maxQueryBytes = 1 << 20
 // resultHeader precedes a result's page frames.
 type resultHeader struct {
 	Columns []string
-	Lens    []int // byte length of each page frame that follows
 }
 
 // NewServer wraps a store.
@@ -103,37 +99,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func encodeResult(res *Result) ([]byte, error) {
-	hdr := resultHeader{Columns: res.Columns, Lens: make([]int, len(res.Pages))}
 	frames := make([][]byte, len(res.Pages))
 	for i, p := range res.Pages {
 		f, err := block.EncodePage(p)
 		if err != nil {
 			return nil, fmt.Errorf("druid: encode result page %d: %w", i, err)
 		}
-		frames[i], hdr.Lens[i] = f, len(f)
+		frames[i] = f
 	}
-	buf := bytes.NewBuffer(make([]byte, frame.HeaderSize, 1024))
-	_ = gob.NewEncoder(buf).Encode(hdr) // plain struct into memory: cannot fail
-	frame.Seal(buf.Bytes())
-	for _, f := range frames {
-		buf.Write(f)
-	}
-	return buf.Bytes(), nil
+	return block.EncodeEnvelope(resultHeader{Columns: res.Columns}, frames), nil
 }
 
 // decodeResult checks and decodes what encodeResult wrote. Anything else — a
 // truncation, a flipped byte, a header announcing frames that are not there —
 // is an error, never a shorter result.
 func decodeResult(body []byte) (*Result, error) {
-	payload, n, ok := frame.Next(body)
-	if !ok {
-		return nil, errors.New("short or corrupt header")
+	hdr, frames, err := block.ReadEnvelope[resultHeader](body)
+	if err != nil {
+		return nil, err
 	}
-	var hdr resultHeader
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("header: %w", err)
-	}
-	pages, err := block.DecodePages(body[n:], hdr.Lens)
+	pages, err := block.DecodePages(frames)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@
 package execution
 
 import (
+	"context"
 	"fmt"
 
 	"prestolite/internal/planner"
@@ -31,10 +32,13 @@ func Build(node planner.Node, ctx *Context) (Operator, error) {
 	if n < 1 {
 		n = 1
 	}
-	if ctx.Memory == nil && ctx.MemoryLimit > 0 {
-		// Legacy callers that only set a byte limit get a standalone pool,
-		// so every blocking operator goes through one accounting path.
-		ctx.Memory = resource.NewPool("query", ctx.MemoryLimit)
+	// The one place a bare context (tests, mostly) gets its defaults: below
+	// Build every operator has a pool to account in and a context to watch.
+	if ctx.Memory == nil {
+		ctx.Memory = resource.NewPool("query", 0)
+	}
+	if ctx.Ctx == nil {
+		ctx.Ctx = context.Background()
 	}
 	if ctx.Stats != nil && ctx.ids == nil {
 		ctx.ids = planOperatorIDs(node)

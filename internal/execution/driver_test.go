@@ -181,9 +181,13 @@ func expectGoroutines(t *testing.T, baseline int) {
 // ---------------------------------------------------------------------------
 // Exchange semantics.
 
+// bare is the context of a test that wires exchanges by hand: Build, which
+// would have supplied the cancellation context, is not on its path.
+func bare() *Context { return &Context{Ctx: context.Background()} }
+
 func TestLocalExchangeGather(t *testing.T) {
 	sources := []Operator{pagesOf(1, 2, 3), pagesOf(4, 5), pagesOf(6)}
-	eps := newLocalExchange(&Context{}, sources, exGather, nil, 1)
+	eps := newLocalExchange(bare(), sources, exGather, nil, 1)
 	vals, errs := drainAll(t, eps)
 	if errs[0] != nil {
 		t.Fatal(errs[0])
@@ -202,7 +206,7 @@ func TestLocalExchangeGather(t *testing.T) {
 
 func TestLocalExchangeRoundRobin(t *testing.T) {
 	sources := []Operator{pagesOf(1, 2, 3, 4, 5, 6, 7, 8)}
-	eps := newLocalExchange(&Context{}, sources, exRoundRobin, nil, 4)
+	eps := newLocalExchange(bare(), sources, exRoundRobin, nil, 4)
 	vals, errs := drainAll(t, eps)
 	var all []int64
 	nonEmpty := 0
@@ -232,7 +236,7 @@ func TestLocalExchangeRoundRobin(t *testing.T) {
 
 func TestLocalExchangePassthroughOrder(t *testing.T) {
 	sources := []Operator{pagesOf(1, 2, 3), pagesOf(10, 20, 30)}
-	eps := newLocalExchange(&Context{}, sources, exPassthrough, nil, 2)
+	eps := newLocalExchange(bare(), sources, exPassthrough, nil, 2)
 	vals, errs := drainAll(t, eps)
 	want := [][]int64{{1, 2, 3}, {10, 20, 30}}
 	for i := range eps {
@@ -261,7 +265,7 @@ func TestLocalExchangePartitionDisjoint(t *testing.T) {
 			intPage(5, 6, 7, 8), intPage(42),
 		}},
 	}
-	eps := newLocalExchange(&Context{}, sources, exPartition, []int{0}, 3)
+	eps := newLocalExchange(bare(), sources, exPartition, []int{0}, 3)
 	vals, errs := drainAll(t, eps)
 	home := map[int64]int{}
 	total := 0
@@ -287,7 +291,7 @@ func TestLocalExchangeErrorPropagation(t *testing.T) {
 	boom := errors.New("split went away")
 	big := &countingOperator{n: 100000}
 	sources := []Operator{big, &failingOperator{err: boom}}
-	eps := newLocalExchange(&Context{}, sources, exRoundRobin, nil, 2)
+	eps := newLocalExchange(bare(), sources, exRoundRobin, nil, 2)
 	_, errs := drainAll(t, eps)
 	for i, err := range errs {
 		if !errors.Is(err, boom) {
@@ -315,7 +319,7 @@ func TestLocalExchangeEarlyCloseUnstarted(t *testing.T) {
 	// ever starting producers.
 	base := runtime.NumGoroutine()
 	srcs := []*countingOperator{{n: 10}, {n: 10}}
-	eps := newLocalExchange(&Context{}, []Operator{srcs[0], srcs[1]}, exRoundRobin, nil, 2)
+	eps := newLocalExchange(bare(), []Operator{srcs[0], srcs[1]}, exRoundRobin, nil, 2)
 	for _, ep := range eps {
 		if err := ep.Close(); err != nil {
 			t.Fatal(err)
@@ -337,7 +341,7 @@ func TestLocalExchangeEarlyCloseRunning(t *testing.T) {
 	// producers must stop and be joined; the source must be closed.
 	base := runtime.NumGoroutine()
 	src := &countingOperator{n: 1 << 30}
-	eps := newLocalExchange(&Context{}, []Operator{src}, exRoundRobin, nil, 2)
+	eps := newLocalExchange(bare(), []Operator{src}, exRoundRobin, nil, 2)
 	if _, err := eps[0].Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +368,7 @@ func TestLocalExchangeEndpointEarlyClose(t *testing.T) {
 		}
 		return vals
 	}()...)
-	eps := newLocalExchange(&Context{}, []Operator{src}, exRoundRobin, nil, 2)
+	eps := newLocalExchange(bare(), []Operator{src}, exRoundRobin, nil, 2)
 	if err := eps[1].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +680,7 @@ func TestAdaptiveExchangeGathersSmall(t *testing.T) {
 	// Under the row limit every page must land on output 0 (no partitioning),
 	// leaving the sibling endpoints empty.
 	sources := []Operator{pagesOf(1, 2, 3), pagesOf(4, 5)}
-	eps, st := newAdaptiveExchange(&Context{}, sources, []int{0}, 3, exGather)
+	eps, st := newAdaptiveExchange(bare(), sources, []int{0}, 3, exGather)
 	vals, errs := drainAll(t, eps)
 	for i := range eps {
 		if errs[i] != nil {
@@ -697,7 +701,8 @@ func TestAdaptiveExchangeGathersSmall(t *testing.T) {
 func TestAdaptiveExchangePartitionsLarge(t *testing.T) {
 	// Over the limit the exchange must fall back to hash partitioning: every
 	// occurrence of a key on one output, with real spread across outputs.
-	ctx := &Context{adaptiveExchangeRows: 4}
+	ctx := bare()
+	ctx.adaptiveExchangeRows = 4
 	sources := []Operator{
 		&pagesOperator{pages: []*block.Page{intPage(1, 2, 3, 4, 5, 6, 7, 8), intPage(1, 2, 3)}},
 		&pagesOperator{pages: []*block.Page{intPage(5, 6, 7, 8)}},
@@ -735,7 +740,7 @@ func TestAdaptiveExchangePartitionsLarge(t *testing.T) {
 func TestAdaptiveExchangeBroadcastFollower(t *testing.T) {
 	// A small build side broadcasts to every output, and the follower (probe)
 	// side round-robins — together each output can join any probe row.
-	ctx := &Context{}
+	ctx := bare()
 	build, st := newAdaptiveExchange(ctx, []Operator{pagesOf(10, 20)}, []int{0}, 2, exBroadcast)
 	probe := newFollowerExchange(ctx, []Operator{pagesOf(1, 2, 3, 4)}, []int{0}, 2, st)
 
@@ -775,7 +780,8 @@ func TestAdaptiveExchangeBroadcastFollower(t *testing.T) {
 func TestAdaptiveExchangeFollowerPartitionsWithSameHash(t *testing.T) {
 	// A large build side partitions, and the follower must route matching
 	// keys to the same output index (the join co-location invariant).
-	ctx := &Context{adaptiveExchangeRows: 2}
+	ctx := bare()
+	ctx.adaptiveExchangeRows = 2
 	build, st := newAdaptiveExchange(ctx, []Operator{pagesOf(1, 2, 3, 4, 5, 6)}, []int{0}, 3, exBroadcast)
 	probe := newFollowerExchange(ctx, []Operator{pagesOf(1, 2, 3, 4, 5, 6)}, []int{0}, 3, st)
 
@@ -818,7 +824,8 @@ func TestAdaptiveExchangeFollowerPartitionsWithSameHash(t *testing.T) {
 }
 
 func TestAdaptiveExchangeDisabledIsPlainPartition(t *testing.T) {
-	ctx := &Context{adaptiveExchangeRows: -1}
+	ctx := bare()
+	ctx.adaptiveExchangeRows = -1
 	eps, st := newAdaptiveExchange(ctx, []Operator{pagesOf(1, 2, 3)}, []int{0}, 2, exGather)
 	if st != nil {
 		t.Fatal("disabled adaptive exchange still returned shared state")

@@ -267,11 +267,9 @@ func (ex *localExchange) produce(i int) {
 			return
 		default:
 		}
-		if ex.ctx != nil {
-			if err := ex.ctx.Err(); err != nil {
-				ex.fail(err)
-				return
-			}
+		if err := ex.ctx.Err(); err != nil {
+			ex.fail(err)
+			return
 		}
 		p, err := src.Next()
 		if errors.Is(err, io.EOF) {
@@ -399,15 +397,11 @@ func (ex *localExchange) flushAdaptive() {
 // round-robin against the broadcast build table.
 func (ex *localExchange) followDispatch(pt *partitioner, p *block.Page) bool {
 	st := ex.adapt
-	var cancelled <-chan struct{}
-	if ex.ctx != nil {
-		cancelled = ex.ctx.Done()
-	}
 	select {
 	case <-st.ch:
 	case <-ex.done:
 		return false
-	case <-cancelled:
+	case <-ex.ctx.Done():
 		ex.fail(ex.ctx.Err())
 		return false
 	}
@@ -424,10 +418,6 @@ func (ex *localExchange) followDispatch(pt *partitioner, p *block.Page) bool {
 // dropped (true) — that consumer declared it needs nothing more.
 func (ex *localExchange) send(j int, p *block.Page) bool {
 	out := ex.outs[j]
-	var cancelled <-chan struct{}
-	if ex.ctx != nil {
-		cancelled = ex.ctx.Done()
-	}
 	select {
 	case out.ch <- p:
 		return true
@@ -435,7 +425,7 @@ func (ex *localExchange) send(j int, p *block.Page) bool {
 		return true
 	case <-ex.done:
 		return false
-	case <-cancelled:
+	case <-ex.ctx.Done():
 		ex.fail(ex.ctx.Err())
 		return false
 	}

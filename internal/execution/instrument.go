@@ -123,13 +123,10 @@ func FormatAnnotated(root planner.Node, snaps []obs.OperatorStatsSnapshot) strin
 	return sb.String()
 }
 
-// MemoryFooter renders the EXPLAIN ANALYZE memory footer ("" without a memory
-// context) — peak reservation and spilled bytes, so §XII.C resource behaviour
-// shows up next to the plan it belongs to.
+// MemoryFooter renders the EXPLAIN ANALYZE memory footer — the query pool's
+// peak reservation and spilled bytes, so §XII.C resource behaviour shows up
+// next to the plan it belongs to.
 func MemoryFooter(pool *resource.Pool) string {
-	if pool == nil {
-		return ""
-	}
 	return fmt.Sprintf("\nMemory: peak %d B, spilled %d B\n", pool.Peak(), pool.Spilled())
 }
 

@@ -64,8 +64,7 @@ func (h *revokeHub) requestExcept(me *opMem) bool {
 // opMem is a blocking operator's handle on the query memory context: it
 // tracks how many bytes the operator holds, answers "reserve or spill?", and
 // turns pool/spill refusals into the user-visible Insufficient Resources
-// error (§XII.C). A nil pool means the operator runs unaccounted (no
-// query_max_memory and no worker pool) — every reserve succeeds.
+// error (§XII.C).
 type opMem struct {
 	op       string
 	pool     *resource.Pool
@@ -84,7 +83,7 @@ type opMem struct {
 // single-threaded.
 func newOpMem(op string, ctx *Context) *opMem {
 	m := &opMem{op: op, pool: ctx.Memory, spill: ctx.Spill}
-	if m.pool != nil && m.spill != nil {
+	if m.spill != nil {
 		if ctx.revoke == nil {
 			ctx.revoke = &revokeHub{}
 		}
@@ -108,7 +107,7 @@ func (m *opMem) newRun(tag string) (*resource.RunWriter, error) {
 // buffer; it is only returned when spilling is possible. A non-nil error
 // means the query must fail (already wrapped for the user).
 func (m *opMem) reserve(n int64) (ok bool, err error) {
-	if m.pool == nil || n <= 0 {
+	if n <= 0 {
 		return true, nil
 	}
 	// A starved sibling asked for memory back: yield by reporting this
@@ -135,7 +134,7 @@ func (m *opMem) reserve(n int64) (ok bool, err error) {
 // hardReserve charges n bytes with no spill fallback: the pool may escalate
 // to the root's OOM killer; a refusal fails the query.
 func (m *opMem) hardReserve(n int64) error {
-	if m.pool == nil || n <= 0 {
+	if n <= 0 {
 		return nil
 	}
 	return m.hardReserveErr(n)
@@ -169,9 +168,6 @@ func (m *opMem) hardReserveErr(n int64) error {
 
 // release returns n bytes (clamped to what the operator holds).
 func (m *opMem) release(n int64) {
-	if m.pool == nil {
-		return
-	}
 	if n > m.reserved {
 		n = m.reserved
 	}
@@ -187,11 +183,7 @@ func (m *opMem) releaseAll() { m.release(m.reserved) }
 
 // addSpilled records spilled bytes against the query (the spilled_bytes
 // stat aggregated up the pool tree).
-func (m *opMem) addSpilled(n int64) {
-	if m.pool != nil {
-		m.pool.AddSpilled(n)
-	}
-}
+func (m *opMem) addSpilled(n int64) { m.pool.AddSpilled(n) }
 
 // fail wraps a pool or spill-budget refusal into the §XII.C user-visible
 // error; OOM kills pass through typed so the coordinator can report them.
@@ -199,10 +191,7 @@ func (m *opMem) fail(err error) error {
 	if errors.Is(err, resource.ErrQueryKilledOOM) {
 		return err
 	}
-	var limit int64
-	if m.pool != nil {
-		limit = m.pool.Limit()
-	}
+	limit := m.pool.Limit()
 	var ex resource.ExhaustedError
 	if errors.As(err, &ex) {
 		limit = ex.Limit

@@ -34,15 +34,11 @@ type Context struct {
 	// Splits optionally pins the splits a TableScan should process (used by
 	// distributed tasks); nil means "enumerate all splits".
 	Splits map[string][]connector.Split // key: catalog.schema.table
-	// MemoryLimit bounds bytes buffered by blocking operators (join build,
-	// sort, hash aggregation). 0 = unlimited. It is the legacy form of
-	// Memory: when Memory is nil and MemoryLimit > 0, Build creates a
-	// standalone pool with this limit, so exceeding it still fails the query
-	// with the §XII.C "Insufficient Resources" error.
-	MemoryLimit int64
 	// Memory is the query's memory context (a child of the process-wide
-	// pool). All blocking operators reserve their buffered bytes through it;
-	// nil (with MemoryLimit 0) means unaccounted.
+	// pool, limited to query_max_memory). Every blocking operator — join
+	// build, sort, hash aggregation — reserves its buffered bytes through it,
+	// and a refusal is the §XII.C "Insufficient Resources" error. Build gives
+	// a context that has none an unlimited pool of its own.
 	Memory *resource.Pool
 	// Spill, when non-nil, lets blocking operators spill buffered pages to
 	// disk instead of failing when a reservation is refused — the §XII.C
@@ -52,10 +48,10 @@ type Context struct {
 	// rows/bytes, wall time and batch counts (the observability subsystem;
 	// used by EXPLAIN ANALYZE and worker task reporting).
 	Stats *obs.TaskStats
-	// Ctx, when non-nil, cancels the query: scans check it between pages and
-	// splits, and local-exchange producers check it between sends, so a
-	// cancelled task stops all of its drivers promptly. nil = never
-	// cancelled.
+	// Ctx cancels the query: scans check it between pages and splits, and
+	// local-exchange producers check it between sends, so a cancelled task
+	// stops all of its drivers promptly. Build replaces nil with
+	// context.Background().
 	Ctx context.Context
 	// Drivers is the intra-task parallelism degree: how many concurrent
 	// pipelines Build runs over the plan's split queues (§III's drivers).
@@ -264,10 +260,8 @@ func (o *scanOperator) Next() (*block.Page, error) {
 	for {
 		// Cancellation check per split and per page: long scans of a
 		// cancelled query must stop instead of reading on to EOF.
-		if o.ctx != nil {
-			if err := o.ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := o.ctx.Err(); err != nil {
+			return nil, err
 		}
 		if o.current == nil {
 			split, idx, ok := o.queue.take()

@@ -226,25 +226,46 @@ func fastKernel(name string, args []block.Block, n int) block.Block {
 	}
 	switch av := a.(type) {
 	case *block.Int64Block:
-		if bv, ok := b.(*block.Int64Block); ok {
-			return int64Kernel(name, av, bv, n)
+		if name == "divide" {
+			return nil // integer division can fail: the row loop reports it
 		}
-		if bIsRLE && !rb.Single.IsNull(0) {
-			if c, ok := rb.Single.Value(0).(int64); ok {
-				return int64ConstKernel(name, av, c, n)
-			}
+		if bools, nums, nulls := flatKernel(name, av.Values[:n], av.Nulls, b, n); bools != nil {
+			return &block.BoolBlock{Values: bools, Nulls: nulls}
+		} else if nums != nil {
+			return &block.Int64Block{Values: nums, Nulls: nulls}
 		}
 	case *block.Float64Block:
-		if bv, ok := b.(*block.Float64Block); ok {
-			return float64Kernel(name, av, bv, n)
-		}
-		if bIsRLE && !rb.Single.IsNull(0) {
-			if c, ok := rb.Single.Value(0).(float64); ok {
-				return float64ConstKernel(name, av, c, n)
-			}
+		if bools, nums, nulls := flatKernel(name, av.Values[:n], av.Nulls, b, n); bools != nil {
+			return &block.BoolBlock{Values: bools, Nulls: nulls}
+		} else if nums != nil {
+			return &block.Float64Block{Values: nums, Nulls: nulls}
 		}
 	}
 	return nil
+}
+
+// flatKernel runs name over a flat column and b, which is a flat column of
+// the same type or a non-null constant of it (a run-length block): a
+// comparison answers bools, arithmetic nums, anything else neither.
+func flatKernel[T int64 | float64](name string, av []T, aNulls []bool, b block.Block, n int) (bools []bool, nums []T, nulls []bool) {
+	switch bv := b.(type) {
+	case *block.Int64Block:
+		if vals, ok := any(bv.Values).([]T); ok {
+			bools, nums = colKernel(name, av, vals[:n])
+			return bools, nums, mergeNulls(aNulls, bv.Nulls, n)
+		}
+	case *block.Float64Block:
+		if vals, ok := any(bv.Values).([]T); ok {
+			bools, nums = colKernel(name, av, vals[:n])
+			return bools, nums, mergeNulls(aNulls, bv.Nulls, n)
+		}
+	case *block.RunLengthBlock:
+		if c, ok := bv.Single.Value(0).(T); ok && !bv.Single.IsNull(0) {
+			bools, nums = constKernel(name, av, c)
+			return bools, nums, aNulls
+		}
+	}
+	return nil, nil, nil
 }
 
 func mergeNulls(a, b []bool, n int) []bool {
@@ -258,232 +279,120 @@ func mergeNulls(a, b []bool, n int) []bool {
 	return out
 }
 
-func int64Kernel(name string, a, b *block.Int64Block, n int) block.Block {
-	nulls := mergeNulls(a.Nulls, b.Nulls, n)
+// colKernel is col ⊗ col over equally long flat values. The operator is
+// chosen outside the loops, so each is a tight typed loop in either
+// instantiation.
+func colKernel[T int64 | float64](name string, av, bv []T) ([]bool, []T) {
 	switch name {
 	case "eq", "neq", "lt", "lte", "gt", "gte":
-		out := make([]bool, n)
-		av, bv := a.Values, b.Values
+		out := make([]bool, len(av))
 		switch name {
 		case "eq":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] == bv[i]
+			for i, a := range av {
+				out[i] = a == bv[i]
 			}
 		case "neq":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] != bv[i]
+			for i, a := range av {
+				out[i] = a != bv[i]
 			}
 		case "lt":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] < bv[i]
+			for i, a := range av {
+				out[i] = a < bv[i]
 			}
 		case "lte":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] <= bv[i]
+			for i, a := range av {
+				out[i] = a <= bv[i]
 			}
 		case "gt":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] > bv[i]
+			for i, a := range av {
+				out[i] = a > bv[i]
 			}
 		case "gte":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] >= bv[i]
+			for i, a := range av {
+				out[i] = a >= bv[i]
 			}
 		}
-		return &block.BoolBlock{Values: out, Nulls: nulls}
-	case "add", "subtract", "multiply":
-		out := make([]int64, n)
-		av, bv := a.Values, b.Values
-		switch name {
-		case "add":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] + bv[i]
-			}
-		case "subtract":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] - bv[i]
-			}
-		case "multiply":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] * bv[i]
-			}
-		}
-		return &block.Int64Block{Values: out, Nulls: nulls}
-	}
-	return nil
-}
-
-func int64ConstKernel(name string, a *block.Int64Block, c int64, n int) block.Block {
-	switch name {
-	case "eq", "neq", "lt", "lte", "gt", "gte":
-		out := make([]bool, n)
-		av := a.Values
-		switch name {
-		case "eq":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] == c
-			}
-		case "neq":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] != c
-			}
-		case "lt":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] < c
-			}
-		case "lte":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] <= c
-			}
-		case "gt":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] > c
-			}
-		case "gte":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] >= c
-			}
-		}
-		var nulls []bool
-		if a.Nulls != nil {
-			nulls = a.Nulls
-		}
-		return &block.BoolBlock{Values: out, Nulls: nulls}
-	case "add", "subtract", "multiply":
-		out := make([]int64, n)
-		av := a.Values
-		switch name {
-		case "add":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] + c
-			}
-		case "subtract":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] - c
-			}
-		case "multiply":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] * c
-			}
-		}
-		return &block.Int64Block{Values: out, Nulls: a.Nulls}
-	}
-	return nil
-}
-
-func float64ConstKernel(name string, a *block.Float64Block, c float64, n int) block.Block {
-	av := a.Values
-	switch name {
-	case "eq", "neq", "lt", "lte", "gt", "gte":
-		out := make([]bool, n)
-		switch name {
-		case "eq":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] == c
-			}
-		case "neq":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] != c
-			}
-		case "lt":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] < c
-			}
-		case "lte":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] <= c
-			}
-		case "gt":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] > c
-			}
-		case "gte":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] >= c
-			}
-		}
-		return &block.BoolBlock{Values: out, Nulls: a.Nulls}
+		return out, nil
 	case "add", "subtract", "multiply", "divide":
-		out := make([]float64, n)
+		out := make([]T, len(av))
 		switch name {
 		case "add":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] + c
+			for i, a := range av {
+				out[i] = a + bv[i]
 			}
 		case "subtract":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] - c
+			for i, a := range av {
+				out[i] = a - bv[i]
 			}
 		case "multiply":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] * c
+			for i, a := range av {
+				out[i] = a * bv[i]
 			}
 		case "divide":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] / c
+			for i, a := range av {
+				out[i] = a / bv[i]
 			}
 		}
-		return &block.Float64Block{Values: out, Nulls: a.Nulls}
+		return nil, out
 	}
-	return nil
+	return nil, nil
 }
 
-func float64Kernel(name string, a, b *block.Float64Block, n int) block.Block {
-	nulls := mergeNulls(a.Nulls, b.Nulls, n)
-	av, bv := a.Values, b.Values
+// constKernel is col ⊗ const, loop for loop like colKernel.
+func constKernel[T int64 | float64](name string, av []T, c T) ([]bool, []T) {
 	switch name {
-	case "add", "subtract", "multiply", "divide":
-		out := make([]float64, n)
-		switch name {
-		case "add":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] + bv[i]
-			}
-		case "subtract":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] - bv[i]
-			}
-		case "multiply":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] * bv[i]
-			}
-		case "divide":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] / bv[i]
-			}
-		}
-		return &block.Float64Block{Values: out, Nulls: nulls}
 	case "eq", "neq", "lt", "lte", "gt", "gte":
-		out := make([]bool, n)
+		out := make([]bool, len(av))
 		switch name {
 		case "eq":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] == bv[i]
+			for i, a := range av {
+				out[i] = a == c
 			}
 		case "neq":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] != bv[i]
+			for i, a := range av {
+				out[i] = a != c
 			}
 		case "lt":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] < bv[i]
+			for i, a := range av {
+				out[i] = a < c
 			}
 		case "lte":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] <= bv[i]
+			for i, a := range av {
+				out[i] = a <= c
 			}
 		case "gt":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] > bv[i]
+			for i, a := range av {
+				out[i] = a > c
 			}
 		case "gte":
-			for i := 0; i < n; i++ {
-				out[i] = av[i] >= bv[i]
+			for i, a := range av {
+				out[i] = a >= c
 			}
 		}
-		return &block.BoolBlock{Values: out, Nulls: nulls}
+		return out, nil
+	case "add", "subtract", "multiply", "divide":
+		out := make([]T, len(av))
+		switch name {
+		case "add":
+			for i, a := range av {
+				out[i] = a + c
+			}
+		case "subtract":
+			for i, a := range av {
+				out[i] = a - c
+			}
+		case "multiply":
+			for i, a := range av {
+				out[i] = a * c
+			}
+		case "divide":
+			for i, a := range av {
+				out[i] = a / c
+			}
+		}
+		return nil, out
 	}
-	return nil
+	return nil, nil
 }
 
 func evalSpecialForm(s *SpecialForm, page *block.Page) (block.Block, error) {

@@ -29,7 +29,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,9 +72,14 @@ const Sticky = "sticky"
 // defaultLoadTTL bounds how stale a cached cluster load may be.
 const defaultLoadTTL = 250 * time.Millisecond
 
-// defaultResubmitBudget caps how many times /v1/execute resubmits one
-// idempotent statement onto another cluster before giving up.
-const defaultResubmitBudget = 3
+// resubmitBudget caps how many times /v1/execute resubmits one idempotent
+// statement onto another cluster before giving up; everything else gets
+// exactly one attempt.
+const resubmitBudget = 3
+
+// breakerThreshold is the consecutive-failure count that opens a cluster's
+// circuit.
+const breakerThreshold = 3
 
 // maxStatementBody bounds the statement document /v1/execute buffers for
 // replay across resubmission attempts.
@@ -92,15 +99,9 @@ type Gateway struct {
 	// LoadTTL bounds how stale a cached cluster load may be.
 	LoadTTL time.Duration
 
-	// ResubmitBudget caps per-statement resubmission attempts on the
-	// /v1/execute path (0 = default 3). The budget spends only on
-	// idempotent statements — everything else gets exactly one attempt.
-	ResubmitBudget int
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// cluster's circuit (0 = default 3); BreakerCooldown is how long the
-	// circuit stays open before admitting a probe (0 = default 1s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long a cluster's circuit stays open before
+	// admitting a probe (0 = default 1s).
+	BreakerCooldown time.Duration
 
 	// loadMu guards the per-cluster outstanding-query cache.
 	loadMu    sync.Mutex
@@ -200,7 +201,7 @@ func (g *Gateway) breakerFor(addr string) *Breaker {
 	defer g.breakMu.Unlock()
 	b, ok := g.breakers[addr]
 	if !ok {
-		b = NewBreaker(g.BreakerThreshold, g.BreakerCooldown, g.clock)
+		b = NewBreaker(breakerThreshold, g.BreakerCooldown, g.clock)
 		g.breakers[addr] = b
 	}
 	return b
@@ -242,11 +243,7 @@ func (g *Gateway) ResolveSession(user, group, session string) (string, error) {
 		}
 		cluster := row[1].(string)
 		if cluster == LeastLoaded {
-			addr, err := g.leastLoadedCluster()
-			if err != nil {
-				return "", err
-			}
-			return addr, nil
+			return g.leastLoadedCluster()
 		}
 		if cluster == Sticky {
 			key := session
@@ -267,70 +264,42 @@ func (g *Gateway) ResolveSession(user, group, session string) (string, error) {
 			// default), achieving no-downtime maintenance.
 			continue
 		}
-		return g.healthyAddr(cluster, crow[1].(string))
+		return g.healthyAddr(candidate{name: cluster, addr: crow[1].(string)})
 	}
 	return "", fmt.Errorf("gateway: no route for user %q group %q", user, group)
 }
 
-// healthyAddr returns the primary cluster's address when its coordinator
-// answers health polls and has admission headroom, and otherwise fails the
-// principal over to the next enabled, reachable, unsaturated cluster (by name
-// order, for determinism). Failovers are counted in the gateway_failovers
-// metric. A routed cluster whose coordinator is down — or whose admission
-// queues are full and would answer only 429 — thus costs one redirect
-// elsewhere, not an error back to the client. When every reachable cluster is
-// saturated the typed ErrAllSaturated surfaces (handleStatement maps it to
-// 429 + Retry-After).
-func (g *Gateway) healthyAddr(primaryName, primaryAddr string) (string, error) {
-	primary := g.pollCluster(primaryAddr)
-	if primary.ok && !primary.saturated && !primary.draining {
-		return primaryAddr, nil
-	}
+// candidate is one enabled cluster, at its place in the order a route wants
+// the clusters tried.
+type candidate struct{ name, addr string }
+
+// candidates lists the enabled clusters by name — the order every route's
+// own order starts from, so each choice is deterministic.
+func (g *Gateway) candidates() ([]candidate, error) {
 	rows, err := g.db.Scan("clusters", nil, nil, -1)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0].(string) < rows[j][0].(string) })
-	sawReachable := primary.ok
+	var out []candidate
 	for _, row := range rows {
-		if row[0].(string) == primaryName || row[2].(int64) == 0 {
-			continue
+		if row[2].(int64) != 0 {
+			out = append(out, candidate{name: row[0].(string), addr: row[1].(string)})
 		}
-		load := g.pollCluster(row[1].(string))
-		if !load.ok {
-			continue
-		}
-		sawReachable = true
-		if load.saturated || load.draining {
-			continue
-		}
-		g.failovers.Inc()
-		return row[1].(string), nil
 	}
-	if sawReachable {
-		return "", fmt.Errorf("%w (primary %q)", ErrAllSaturated, primaryName)
-	}
-	return "", fmt.Errorf("gateway: cluster %q is unreachable and no enabled cluster can take over", primaryName)
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out, nil
 }
 
-// leastLoadedCluster polls every enabled cluster's /v1/stats and picks the
-// one with the fewest outstanding queries, skipping clusters whose admission
-// queues are full. Ties break by cluster name so the choice is deterministic;
-// unreachable clusters are skipped.
-func (g *Gateway) leastLoadedCluster() (string, error) {
-	rows, err := g.db.Scan("clusters", nil, nil, -1)
-	if err != nil {
-		return "", err
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0].(string) < rows[j][0].(string) })
-	best, bestLoad := "", 0.0
+// walk is the one pass every routing decision makes: it polls the candidates
+// in order and offers take each one that can be sent a statement now — its
+// coordinator answers, its admission queues have room, it is not draining —
+// until take accepts one. When none is accepted the error says whether any
+// was reachable: ErrAllSaturated (handleStatement maps it to 429 +
+// Retry-After) or plain unreachable.
+func (g *Gateway) walk(order []candidate, take func(pos int, c candidate, load clusterLoad) bool) error {
 	sawReachable := false
-	for _, row := range rows {
-		if row[2].(int64) == 0 {
-			continue
-		}
-		addr := row[1].(string)
-		load := g.pollCluster(addr)
+	for pos, c := range order {
+		load := g.pollCluster(c.addr)
 		if !load.ok {
 			continue
 		}
@@ -338,15 +307,59 @@ func (g *Gateway) leastLoadedCluster() (string, error) {
 		if load.saturated || load.draining {
 			continue
 		}
-		if best == "" || load.outstanding < bestLoad {
-			best, bestLoad = addr, load.outstanding
+		if take(pos, c, load) {
+			return nil
 		}
 	}
-	if best == "" {
-		if sawReachable {
-			return "", ErrAllSaturated
+	if sawReachable {
+		return ErrAllSaturated
+	}
+	return errors.New("gateway: no enabled cluster is reachable")
+}
+
+// healthyAddr returns the routed cluster's address when it can take the
+// statement, and otherwise fails the principal over to the next enabled
+// cluster that can (by name order, for determinism; counted in
+// gateway_failovers). A routed cluster whose coordinator is down — or whose
+// admission queues are full and would answer only 429 — thus costs one
+// redirect elsewhere, not an error back to the client.
+func (g *Gateway) healthyAddr(primary candidate) (string, error) {
+	// The routed cluster alone first: the common case reads no cluster table.
+	err := g.walk([]candidate{primary}, func(int, candidate, clusterLoad) bool { return true })
+	if err == nil {
+		return primary.addr, nil
+	}
+	rest, cerr := g.candidates()
+	if cerr != nil {
+		return "", cerr
+	}
+	rest = slices.DeleteFunc(rest, func(c candidate) bool { return c.name == primary.name })
+	var addr string
+	if rerr := g.walk(rest, func(_ int, c candidate, _ clusterLoad) bool { addr = c.addr; return true }); rerr == nil {
+		g.failovers.Inc()
+		return addr, nil
+	} else if !errors.Is(err, ErrAllSaturated) {
+		err = rerr // the routed cluster was not even reachable: the others decide
+	}
+	return "", fmt.Errorf("%w (routed to %q)", err, primary.name)
+}
+
+// leastLoadedCluster picks the cluster with the fewest outstanding queries
+// among those that can take a statement; ties break by cluster name.
+func (g *Gateway) leastLoadedCluster() (string, error) {
+	order, err := g.candidates()
+	if err != nil {
+		return "", err
+	}
+	best, bestLoad := "", 0.0
+	err = g.walk(order, func(_ int, c candidate, load clusterLoad) bool {
+		if best == "" || load.outstanding < bestLoad {
+			best, bestLoad = c.addr, load.outstanding
 		}
-		return "", fmt.Errorf("gateway: no enabled cluster is reachable for least-loaded routing")
+		return false // look at every cluster
+	})
+	if best == "" {
+		return "", err
 	}
 	return best, nil
 }
@@ -364,54 +377,28 @@ func stickyScore(key, name string) uint64 {
 }
 
 // stickyCluster redirects a session key to its highest-ranked enabled cluster
-// that is reachable, unsaturated and not draining. Hash rank — not load —
-// decides, so the same key lands on the same cluster as long as that cluster
-// stays healthy; only then does the session fall down its own deterministic
-// preference list (gateway_sticky_fallbacks counts those degradations).
+// that can take a statement. Hash rank — not load — decides, so the same key
+// lands on the same cluster as long as that cluster stays healthy; only then
+// does the session fall down its own deterministic preference list
+// (gateway_sticky_fallbacks counts those degradations).
 func (g *Gateway) stickyCluster(key string) (string, error) {
-	rows, err := g.db.Scan("clusters", nil, nil, -1)
+	order, err := g.candidates()
 	if err != nil {
 		return "", err
 	}
-	type ranked struct {
-		name, addr string
-		score      uint64
-	}
-	var order []ranked
-	for _, row := range rows {
-		if row[2].(int64) == 0 {
-			continue
-		}
-		name := row[0].(string)
-		order = append(order, ranked{name: name, addr: row[1].(string), score: stickyScore(key, name)})
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].score != order[j].score {
-			return order[i].score > order[j].score
-		}
-		return order[i].name < order[j].name
-	})
-	sawReachable := false
-	for pos, cand := range order {
-		load := g.pollCluster(cand.addr)
-		if !load.ok {
-			continue
-		}
-		sawReachable = true
-		if load.saturated || load.draining {
-			continue
-		}
+	// Stable over the name order, so equal scores rank by name.
+	sort.SliceStable(order, func(i, j int) bool { return stickyScore(key, order[i].name) > stickyScore(key, order[j].name) })
+	var addr string
+	err = g.walk(order, func(pos int, c candidate, _ clusterLoad) bool {
 		if pos == 0 {
 			g.stickyRoutes.Inc()
 		} else {
 			g.stickyFallbacks.Inc()
 		}
-		return cand.addr, nil
-	}
-	if sawReachable {
-		return "", ErrAllSaturated
-	}
-	return "", fmt.Errorf("gateway: no enabled cluster is reachable for sticky routing")
+		addr = c.addr
+		return true
+	})
+	return addr, err
 }
 
 // pollCluster returns a cluster's load snapshot (outstanding queries and
@@ -515,7 +502,7 @@ func IsIdempotentStatement(query string) bool {
 // reason — coordinator drain or no worker to run on (503 +
 // X-Presto-Retryable), or abrupt process death (transport error) — it
 // replays the identical statement onto the next healthy cluster, bounded by
-// ResubmitBudget. Only idempotent statements resubmit; failures trip the
+// resubmitBudget. Only idempotent statements resubmit; failures trip the
 // per-cluster circuit breaker so a down cluster stops consuming budget.
 //
 // The §XII.B lesson that a proxying gateway becomes the bottleneck is why
@@ -538,11 +525,7 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 	attempts := 1
 	if IsIdempotentStatement(req.Query) {
-		budget := g.ResubmitBudget
-		if budget <= 0 {
-			budget = defaultResubmitBudget
-		}
-		attempts = 1 + budget
+		attempts = 1 + resubmitBudget
 	}
 	tried := map[string]bool{}
 	var lastErr error
@@ -567,7 +550,8 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 		}
 		if status == http.StatusOK {
 			br.Success()
-			w.Header().Set("Content-Type", "application/x-gob")
+			w.Header().Set("Content-Type", hdr.Get("Content-Type"))
+			w.Header().Set("Content-Length", strconv.Itoa(len(respBody)))
 			_, _ = w.Write(respBody) // best-effort: client hung up mid-result
 			return
 		}
@@ -598,37 +582,30 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 
 // executeTarget picks the next cluster for one /v1/execute attempt: the
 // routed target first, then the remaining enabled clusters in name order —
-// skipping already-tried addresses, open circuit breakers, and clusters
-// whose health poll says unreachable, saturated or draining.
+// skipping already-tried addresses, clusters that cannot take a statement and
+// open circuit breakers.
 func (g *Gateway) executeTarget(user, group, session string, tried map[string]bool) (string, error) {
 	if addr, err := g.ResolveSession(user, group, session); err == nil && !tried[addr] && g.breakerFor(addr).Allow() {
 		return addr, nil
 	}
-	rows, err := g.db.Scan("clusters", nil, nil, -1)
+	all, err := g.candidates()
 	if err != nil {
 		return "", err
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0].(string) < rows[j][0].(string) })
-	for _, row := range rows {
-		if row[2].(int64) == 0 {
-			continue
+	var order []candidate
+	for _, c := range all {
+		if !tried[c.addr] {
+			order = append(order, c)
 		}
-		addr := row[1].(string)
-		if tried[addr] {
-			continue
-		}
-		load := g.pollCluster(addr)
-		if !load.ok || load.saturated || load.draining {
-			continue
-		}
-		// Breaker last: Allow on an open circuit consumes the half-open
-		// probe slot, so only ask once the cluster already looks usable.
-		if !g.breakerFor(addr).Allow() {
-			continue
-		}
-		return addr, nil
 	}
-	return "", fmt.Errorf("gateway: no healthy cluster left to try")
+	var addr string
+	err = g.walk(order, func(_ int, c candidate, _ clusterLoad) bool {
+		// Asked last, of a cluster that already looks usable: Allow on an open
+		// circuit consumes the half-open probe slot.
+		addr = c.addr
+		return g.breakerFor(c.addr).Allow()
+	})
+	return addr, err
 }
 
 // forward replays the statement document against one coordinator.
@@ -679,37 +656,5 @@ func (cl *Client) Execute(req cluster.StatementRequest, user, group string) (*cl
 // ExecuteSession additionally carries a session key so sticky routes pin the
 // statement to the cluster whose caches this session warmed.
 func (cl *Client) ExecuteSession(req cluster.StatementRequest, user, group, session string) (*cluster.QueryResult, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequest(http.MethodPost, "http://"+cl.Addr+"/v1/execute", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/x-gob")
-	httpReq.Header.Set("X-Presto-User", user)
-	httpReq.Header.Set("X-Presto-Group", group)
-	if session != "" {
-		httpReq.Header.Set("X-Presto-Session", session)
-	}
-	hc := cl.HTTP
-	if hc == nil {
-		def := cluster.DefaultClientConfig()
-		hc = def.StatementHTTPClient()
-	}
-	resp, err := hc.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) // best-effort error detail
-		return nil, fmt.Errorf("execute failed (status %d): %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var out cluster.QueryResult
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return cluster.PostStatement(cl.HTTP, "http://"+cl.Addr+"/v1/execute", req, user, group, session)
 }

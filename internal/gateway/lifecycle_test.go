@@ -246,7 +246,6 @@ func TestExecuteBreakerOpensOnDeadCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Breaker knobs must be set before AddCluster creates the breakers.
-	gw.BreakerThreshold = 3
 	gw.BreakerCooldown = time.Hour // stays open for the rest of the test
 	gw.LoadTTL = time.Hour         // death below stays invisible to health polls
 	for _, c := range [][2]string{{"dedicated", dedicated.Addr()}, {"shared", shared.Addr()}} {
