@@ -4,8 +4,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -219,6 +221,60 @@ func TestMatchesEmbeddedEngine(t *testing.T) {
 		}
 		if fmt.Sprint(distRows) != fmt.Sprint(singleRows) {
 			t.Errorf("%s: distributed %v vs single %v", q, distRows, singleRows)
+		}
+	}
+}
+
+// TestDistributedDoubleKeys: the doubles −0.0, +0.0 and NaN, in two files
+// so that different workers' partial aggregations see different zeros,
+// must key joins, GROUP BY and DISTINCT through a coordinator as `=` does:
+// each keyed statement returns its reference's rows (core's
+// TestDoubleKeysAgreeWithEquals holds the same pairs embedded).
+func TestDistributedDoubleKeys(t *testing.T) {
+	nn := hdfs.New(hdfs.Config{})
+	ms := metastore.New()
+	loader := &hive.Loader{MS: ms, FS: nn}
+	file := func(rows ...[]any) *block.Page {
+		pb := block.NewPageBuilder([]*types.Type{types.Double, types.Varchar})
+		for _, r := range rows {
+			pb.AppendRow(r)
+		}
+		return pb.Build()
+	}
+	if err := loader.CreateTable("s", "c", []metastore.Column{{Name: "x", Type: types.Double}, {Name: "tag", Type: types.Varchar}},
+		[]*block.Page{file([]any{math.Copysign(0, -1), "neg"}, []any{math.NaN(), "nan"}), file([]any{0.0, "pos"})}); err != nil {
+		t.Fatal(err)
+	}
+	reg := connector.NewRegistry()
+	reg.Register("hive", hive.New("hive", ms, nn, hive.Options{}))
+	coord, _ := newCluster(t, reg, 2)
+	run := func(sql string) []string {
+		res, err := coord.Query(&planner.Session{Catalog: "hive", Schema: "s", User: "test", Properties: map[string]string{}}, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		rows, err := res.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprint(r)
+		}
+		sort.Strings(out)
+		return out
+	}
+	const residual = `SELECT c1.tag, c2.tag FROM c c1 JOIN c c2 ON c1.x = c2.x OR c1.tag = 'zzz'`
+	for _, pair := range [][2]string{
+		{`SELECT c1.tag, c2.tag FROM c c1 JOIN c c2 ON c1.x = c2.x`, residual},
+		{`SELECT c1.tag, c2.tag FROM c c1, c c2 WHERE c1.x = c2.x`, residual},
+		{`SELECT c1.tag, c2.tag FROM c c1 LEFT JOIN c c2 ON c1.x = c2.x`,
+			`SELECT c1.tag, c2.tag FROM c c1 LEFT JOIN c c2 ON c1.x = c2.x OR c1.tag = 'zzz'`},
+		{`SELECT x, count(*) FROM c GROUP BY x`, `SELECT x + 0.0, count(*) FROM c GROUP BY x + 0.0`},
+		{`SELECT count(DISTINCT x) FROM c`, `SELECT count(DISTINCT x + 0.0) FROM c`},
+	} {
+		if got, want := run(pair[0]), run(pair[1]); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s\n got  %v\n want %v (%s)", pair[0], got, want, pair[1])
 		}
 	}
 }

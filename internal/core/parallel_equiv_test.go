@@ -164,7 +164,8 @@ func TestParallelEquivalenceOrdered(t *testing.T) {
 // third query stacks 24 concurrent spillable operators (8 aggregation
 // partials, 8 finals, 8 sorts) in one pool — the shape that starves without
 // cooperative memory revocation (memory.go's revokeHub), so it pins that
-// mechanism down.
+// mechanism down. The fourth is a LEFT self-join with a residual whose
+// build side outgrows the pool at either driver count: the multi-pass join.
 func TestParallelEquivalenceUnderSpill(t *testing.T) {
 	// 16x the files of the main suite: the sort's working set (~1 MB) and the
 	// aggregation's group table (~2 MB) dwarf the 512 KiB cap at any driver
@@ -187,6 +188,8 @@ func TestParallelEquivalenceUnderSpill(t *testing.T) {
 			ORDER BY l_orderkey, l_partkey, l_suppkey, l_quantity`,
 		`SELECT l_orderkey, l_partkey, count(*) AS n, sum(l_quantity) AS q FROM lineitem
 			GROUP BY l_orderkey, l_partkey ORDER BY l_orderkey, l_partkey`,
+		`SELECT a.l_partkey, a.l_orderkey, b.l_orderkey FROM lineitem a
+			LEFT JOIN lineitem b ON a.l_partkey = b.l_partkey AND a.l_orderkey < b.l_orderkey`,
 	}
 	for _, sql := range hungry {
 		want := normalizeRows(runEquiv(t, baseline, sql, 1))

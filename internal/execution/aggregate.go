@@ -101,9 +101,10 @@ func newAggregateOperator(node *planner.Aggregate, child Operator, mem *opMem) (
 }
 
 // appendGroupKey appends a hashable key for vals onto dst. It sits on the
-// per-row hot path of hash aggregation and hash join, so each supported
-// scalar gets a type-tag byte plus a strconv append instead of reflective
-// formatting; strings are length-prefixed so separator bytes cannot collide.
+// per-row hot path of hash aggregation, so each supported scalar gets a
+// type-tag byte plus a strconv append instead of reflective formatting;
+// strings are length-prefixed so separator bytes cannot collide. A double
+// is keyed as keyFloat leaves it.
 func appendGroupKey(dst []byte, vals []any) []byte {
 	for _, v := range vals {
 		switch t := v.(type) {
@@ -120,7 +121,7 @@ func appendGroupKey(dst []byte, vals []any) []byte {
 			dst = strconv.AppendInt(dst, t, 36)
 		case float64:
 			dst = append(dst, 'f')
-			dst = strconv.AppendUint(dst, math.Float64bits(t), 36)
+			dst = strconv.AppendUint(dst, math.Float64bits(keyFloat(t)), 36)
 		case string:
 			dst = append(dst, 's')
 			dst = strconv.AppendInt(dst, int64(len(t)), 36)
@@ -135,6 +136,22 @@ func appendGroupKey(dst []byte, vals []any) []byte {
 		dst = append(dst, 0x01)
 	}
 	return dst
+}
+
+// positiveZero is +0.0, boxed once.
+var positiveZero any = 0.0
+
+// keyFloat is the group key double f stands for: −0.0 is +0.0, because the
+// two are `=`, and every NaN is one NaN, so GROUP BY and DISTINCT keep the
+// NaNs together (the vector kernels key doubles the same way).
+func keyFloat(f float64) float64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.NaN()
+	}
+	return f
 }
 
 func (o *aggregateOperator) Next() (*block.Page, error) {
@@ -177,7 +194,13 @@ func (o *aggregateOperator) newGroup(k string, keys []any) (*groupState, error) 
 			return nil, err
 		}
 	}
-	g := &groupState{keys: append([]any(nil), keys...), states: make([]expr.AggState, len(o.fns))}
+	g := &groupState{keys: make([]any, len(keys)), states: make([]expr.AggState, len(o.fns))}
+	for i, k := range keys {
+		if f, ok := k.(float64); ok && f == 0 {
+			k = positiveZero // the group of both zeros emits +0.0
+		}
+		g.keys[i] = k
+	}
 	for i, fn := range o.fns {
 		g.states[i] = fn.NewState(o.node.Aggs[i].ArgTypes)
 	}

@@ -332,10 +332,10 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 // same hash, so matching keys meet on the same driver: n independent
 // joins, each building a hash table over its own key-disjoint build slice
 // (the parallel join build) and probing it with its own probe slice. NULL
-// keys route consistently too, which keeps LEFT-join null extension on
-// exactly one driver. Joins without equi keys (cross joins) stay serial —
-// the build side would have to be broadcast — but their inputs still scan in
-// parallel behind gathers.
+// and NaN keys route consistently too, which keeps LEFT-join null
+// extension on exactly one driver. Joins without equi keys (cross joins)
+// stay serial — the build side would have to be broadcast — but their
+// inputs still scan in parallel behind gathers.
 func buildJoin(t *planner.Join, ctx *Context, n int) ([]Operator, error) {
 	ls, err := build(t.Left, ctx, n)
 	if err != nil {
@@ -345,16 +345,17 @@ func buildJoin(t *planner.Join, ctx *Context, n int) ([]Operator, error) {
 	if err != nil {
 		return nil, err
 	}
+	join := func(probe, build Operator) Operator {
+		return ctx.instrument(t, newVectorJoinOperator(t, probe, build, newOpMem("the build side of a join", ctx)))
+	}
 	if len(t.LeftKeys) == 0 || (len(ls) == 1 && len(rs) == 1) {
-		op := newJoinOp(ctx, t, gatherOne(ctx, ls), gatherOne(ctx, rs))
-		return []Operator{ctx.instrument(t, op)}, nil
+		return []Operator{join(gatherOne(ctx, ls), gatherOne(ctx, rs))}, nil
 	}
 	buildEnds, st := newAdaptiveExchange(ctx, rs, t.RightKeys, n, exBroadcast)
 	probeEnds := newFollowerExchange(ctx, ls, t.LeftKeys, n, st)
 	outs := make([]Operator, n)
 	for i := range outs {
-		op := newJoinOp(ctx, t, probeEnds[i], buildEnds[i])
-		outs[i] = ctx.instrument(t, op)
+		outs[i] = join(probeEnds[i], buildEnds[i])
 	}
 	return outs, nil
 }

@@ -160,29 +160,31 @@ func TestAggregateOperatorPartialFinal(t *testing.T) {
 	}
 }
 
+// TestJoinOperatorNullKeysNeverMatch: a NULL key matches nothing, on
+// either side — including a key typed as a bare NULL literal, which has no
+// vector kind and holds nothing but NULLs.
 func TestJoinOperatorNullKeysNeverMatch(t *testing.T) {
-	left := block.NewPage(block.FromValues(types.Bigint, int64(1), nil, int64(2)))
-	right := block.NewPage(block.FromValues(types.Bigint, nil, int64(1)))
-	join := &planner.Join{
-		Kind:     planner.JoinInner,
-		Left:     &planner.Values{Cols: []planner.Column{{Name: "l", Type: types.Bigint}}},
-		Right:    &planner.Values{Cols: []planner.Column{{Name: "r", Type: types.Bigint}}},
-		LeftKeys: []int{0}, RightKeys: []int{0},
-	}
-	op := newJoinOperator(join,
-		&pagesOperator{pages: []*block.Page{left}},
-		&pagesOperator{pages: []*block.Page{right}},
-		&opMem{op: "test"})
-	pages, err := Drain(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, p := range pages {
-		total += p.Count()
-	}
-	if total != 1 { // only 1=1; NULL keys match nothing
-		t.Fatalf("matched rows = %d", total)
+	for _, tc := range []struct {
+		typ         *types.Type
+		left, right []any
+		want        int
+	}{
+		{types.Bigint, []any{int64(1), nil, int64(2)}, []any{nil, int64(1)}, 1}, // only 1=1
+		{types.Unknown, []any{nil, nil}, []any{nil, nil, nil}, 0},
+	} {
+		join := &planner.Join{
+			Kind:     planner.JoinInner,
+			Left:     &planner.Values{Cols: []planner.Column{{Name: "l", Type: tc.typ}}},
+			Right:    &planner.Values{Cols: []planner.Column{{Name: "r", Type: tc.typ}}},
+			LeftKeys: []int{0}, RightKeys: []int{0},
+		}
+		op := newVectorJoinOperator(join,
+			&pagesOperator{pages: []*block.Page{block.NewPage(block.FromValues(tc.typ, tc.left...))}},
+			&pagesOperator{pages: []*block.Page{block.NewPage(block.FromValues(tc.typ, tc.right...))}},
+			&opMem{op: "test"})
+		if got := len(drainRows(t, op)); got != tc.want {
+			t.Errorf("%v keys: %d rows matched, want %d", tc.typ, got, tc.want)
+		}
 	}
 }
 

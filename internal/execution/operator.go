@@ -60,10 +60,10 @@ type Context struct {
 
 	// The three fields below are set only by this package's tests.
 	//
-	// rowOperators sends every aggregation and join to the row-at-a-time
-	// operators — the ones vectorAggEligible/vectorJoinEligible already pick
-	// for the shapes the kernels do not cover — so the equivalence suite can
-	// use them as the oracle for the shapes the kernels do cover.
+	// rowOperators sends every aggregation to the row-at-a-time operator —
+	// the one vectorAggEligible already picks for the shapes the kernels do
+	// not cover — so the equivalence suite can use it as the oracle for the
+	// shapes the kernels do cover.
 	rowOperators bool
 	// adaptiveExchangeRows overrides the row threshold below which a
 	// partitioned local exchange collapses to a low-cardinality plan

@@ -10,12 +10,14 @@ import (
 // Column is an appendable typed column store: the group table stores its
 // key columns in them and the vector join compacts its whole build side
 // into them, so probing and emission touch flat slices instead of chasing
-// per-row page references. Floats are stored as their bit patterns
-// (math.Float64bits) so equality and hashing agree with the row engine's
-// encoded group keys (NaN == NaN, +0.0 != -0.0).
+// per-row page references. Doubles are stored as their bit patterns and
+// compare by floatKey, as they hash: −0.0 equals +0.0 and NaN equals NaN.
 type Column struct {
-	typ      *types.Type
-	kind     Kind
+	typ  *types.Type
+	kind Kind
+	// key stores doubles by floatKey, so a group table emits each key the
+	// way it compares: −0.0 as +0.0, every NaN as one NaN.
+	key      bool
 	i64      []int64 // KindInt64, KindFloat64 (bits), KindBool (0/1)
 	str      []string
 	nulls    []bool
@@ -67,7 +69,7 @@ func (c *Column) AppendRow(v *View, r int) {
 	case KindInt64:
 		c.i64 = append(c.i64, v.I64[i])
 	case KindFloat64:
-		c.i64 = append(c.i64, int64(math.Float64bits(v.F64[i])))
+		c.i64 = append(c.i64, int64(c.floatBits(v.F64[i])))
 	case KindBool:
 		var x int64
 		if v.B[i] {
@@ -92,7 +94,7 @@ func (c *Column) Append(v *View, n int) {
 			c.i64 = append(c.i64, v.I64[:n]...)
 		case KindFloat64:
 			for _, x := range v.F64[:n] {
-				c.i64 = append(c.i64, int64(math.Float64bits(x)))
+				c.i64 = append(c.i64, int64(c.floatBits(x)))
 			}
 		case KindBool:
 			for _, x := range v.B[:n] {
@@ -117,9 +119,17 @@ func (c *Column) Append(v *View, n int) {
 	}
 }
 
+// floatBits is the stored form of double x.
+func (c *Column) floatBits(x float64) uint64 {
+	if c.key {
+		return floatKey(x)
+	}
+	return math.Float64bits(x)
+}
+
 // equalRow reports whether stored row i equals row r of view v, with nulls
 // comparing equal to nulls (group-key semantics; join probes never reach
-// here with null keys).
+// here with null or NaN keys).
 func (c *Column) equalRow(i int, v *View, r int) bool {
 	j := v.at(r)
 	if c.nulls[i] {
@@ -132,7 +142,7 @@ func (c *Column) equalRow(i int, v *View, r int) bool {
 	case KindInt64:
 		return c.i64[i] == v.I64[j]
 	case KindFloat64:
-		return uint64(c.i64[i]) == math.Float64bits(v.F64[j])
+		return floatKey(math.Float64frombits(uint64(c.i64[i]))) == floatKey(v.F64[j])
 	case KindBool:
 		return (c.i64[i] != 0) == v.B[j]
 	default:
@@ -223,25 +233,5 @@ func (c *Column) Gather(rows []int32) block.Block {
 			vals[out] = c.str[r]
 		}
 		return &block.VarcharBlock{Values: vals, Nulls: nulls}
-	}
-}
-
-// NullBlock builds an all-null block of n rows for type t (LEFT-join null
-// extension). Only supported scalar types reach it.
-func NullBlock(t *types.Type, n int) block.Block {
-	k, _ := kindOf(t)
-	nulls := make([]bool, n)
-	for i := range nulls {
-		nulls[i] = true
-	}
-	switch k {
-	case KindFloat64:
-		return &block.Float64Block{Values: make([]float64, n), Nulls: nulls}
-	case KindBool:
-		return &block.BoolBlock{Values: make([]bool, n), Nulls: nulls}
-	case KindString:
-		return &block.VarcharBlock{Values: make([]string, n), Nulls: nulls}
-	default:
-		return &block.Int64Block{Values: make([]int64, n), Nulls: nulls}
 	}
 }

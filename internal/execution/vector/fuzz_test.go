@@ -13,6 +13,7 @@ package vector
 // digs deeper locally.
 
 import (
+	"math"
 	"testing"
 
 	"prestolite/internal/block"
@@ -127,60 +128,125 @@ func FuzzGroupTable(f *testing.F) {
 	})
 }
 
+// fuzzDoubles is the DOUBLE join-key domain: both zeros, which are `=`;
+// two NaNs of different payload, which are `=` to nothing; plain values.
+var fuzzDoubles = []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000bad), 1.5, -2.25, 3}
+
+// decodeJoinKeys decodes one row per byte into k ≤ 2 key columns: column 0
+// is BIGINT (b%61 - 7) or, with dbl, DOUBLE from fuzzDoubles; column 1 is
+// BIGINT (b%3). A byte ≥ 0xf0 is NULL in every column. ids[r] is the
+// identity of row r's key under `=` (−0.0 and +0.0 share one), or nil when
+// the key is `=` to nothing: a NULL or a NaN. With no key columns every row
+// has the same identity — the cross product.
+func decodeJoinKeys(chunk []byte, k int, dbl bool) ([]block.Block, []*[2]any) {
+	n := len(chunk)
+	ints, doubles, small := make([]int64, n), make([]float64, n), make([]int64, n)
+	var nulls []bool
+	ids := make([]*[2]any, n)
+	for r, b := range chunk {
+		if k > 0 && b >= 0xf0 {
+			if nulls == nil {
+				nulls = make([]bool, n)
+			}
+			nulls[r] = true
+			continue
+		}
+		ints[r], doubles[r], small[r] = int64(b%61)-7, fuzzDoubles[int(b)%len(fuzzDoubles)], int64(b%3)
+		var id [2]any
+		switch {
+		case k == 0:
+		case !dbl:
+			id[0] = ints[r]
+		case doubles[r] != doubles[r]:
+			continue
+		case doubles[r] == 0:
+			id[0] = 0.0
+		default:
+			id[0] = doubles[r]
+		}
+		if k > 1 {
+			id[1] = small[r]
+		}
+		ids[r] = &id
+	}
+	var blocks []block.Block
+	switch {
+	case k == 0:
+	case dbl:
+		blocks = append(blocks, &block.Float64Block{Values: doubles, Nulls: nulls})
+	default:
+		blocks = append(blocks, &block.Int64Block{Values: ints, Nulls: nulls})
+	}
+	if k > 1 {
+		blocks = append(blocks, &block.Int64Block{Values: small, Nulls: nulls})
+	}
+	return blocks, ids
+}
+
 // FuzzJoinTable drives JoinTable.Insert/Probe through random build and
-// probe streams — duplicate keys chained through next, NULL keys on both
-// sides (never matching), forced collisions and slot growth — checking the
-// matched pairs against a map from key to build-row set.
+// probe streams — zero keys (the cross product), one or two key columns,
+// BIGINT or DOUBLE keys with ±0.0 and NaN, duplicate keys chained through
+// next, NULL and NaN keys on both sides (never matching), forced
+// collisions and slot growth — checking the matched pairs against a map
+// from key identity to build-row set.
 func FuzzJoinTable(f *testing.F) {
-	f.Add(uint8(0), []byte{1, 2, 3, 1}, []byte{1, 4, 0xf0})
-	f.Add(uint8(1), []byte("same-hash-different-keys"), []byte("probe-it-all"))
-	f.Fuzz(func(t *testing.T, d uint8, buildData, probeData []byte) {
-		if len(buildData) > 2048 {
-			buildData = buildData[:2048]
+	f.Add(uint8(0), uint8(1), false, []byte{1, 2, 3, 1}, []byte{1, 4, 0xf0})
+	f.Add(uint8(1), uint8(1), false, []byte("same-hash-different-keys"), []byte("probe-it-all"))
+	f.Fuzz(func(t *testing.T, d, nkeys uint8, dbl bool, buildData, probeData []byte) {
+		k := int(nkeys % 3)
+		limit := 2048
+		if k == 0 {
+			limit = 256 // every probe row meets every build row
 		}
-		if len(probeData) > 2048 {
-			probeData = probeData[:2048]
+		buildData, probeData = buildData[:min(len(buildData), limit)], probeData[:min(len(probeData), limit)]
+		keyTypes := []*types.Type{types.Bigint, types.Bigint}[:k]
+		if dbl && k > 0 {
+			keyTypes[0] = types.Double
 		}
-		col, ok := NewColumn(types.Bigint)
-		if !ok {
-			t.Fatal("bigint column rejected")
+		cols := make([]*Column, k)
+		for c, kt := range keyTypes {
+			cols[c], _ = NewColumn(kt)
 		}
-		jt := NewJoinTable([]*Column{col})
+		jt := NewJoinTable(cols)
 		jt.dampen = fuzzDampens[int(d)%len(fuzzDampens)]
-		ref := map[int64]map[int32]bool{}
+		keys := []int{0, 1}[:k]
 		var hasher Hasher
+		batch := func(data []byte) ([]*View, []*[2]any, []uint64, int) {
+			n := min(len(data), 32)
+			blocks, ids := decodeJoinKeys(data[:n], k, dbl)
+			views := make([]*View, k)
+			for c := range views {
+				views[c] = &View{}
+				Of(blocks[c], views[c])
+			}
+			hashes := make([]uint64, n)
+			hasher.HashPage(&block.Page{Blocks: blocks, N: n}, keys, hashes)
+			return views, ids, hashes, n
+		}
+		ref := map[[2]any]map[int32]bool{}
 		base := 0
 		for len(buildData) > 0 {
-			n := min(len(buildData), 32)
-			blk, keys := decodeKeys(buildData[:n])
+			views, ids, hashes, n := batch(buildData)
 			buildData = buildData[n:]
-			var view View
-			Of(blk, &view)
-			hashes := make([]uint64, n)
-			hasher.HashPage(block.NewPage(blk), []int{0}, hashes)
-			col.Append(&view, n)
-			jt.Insert([]*View{&view}, n, hashes, base)
-			for i, k := range keys {
-				if k.null {
+			for c, col := range cols {
+				col.Append(views[c], n)
+			}
+			jt.Insert(views, n, hashes, base)
+			for i, id := range ids {
+				if id == nil {
 					continue
 				}
-				if ref[k.v] == nil {
-					ref[k.v] = map[int32]bool{}
+				if ref[*id] == nil {
+					ref[*id] = map[int32]bool{}
 				}
-				ref[k.v][int32(base+i)] = true
+				ref[*id][int32(base+i)] = true
 			}
 			base += n
 		}
 		for len(probeData) > 0 {
-			n := min(len(probeData), 32)
-			blk, keys := decodeKeys(probeData[:n])
+			views, ids, hashes, n := batch(probeData)
 			probeData = probeData[n:]
-			var view View
-			Of(blk, &view)
-			hashes := make([]uint64, n)
-			hasher.HashPage(block.NewPage(blk), []int{0}, hashes)
-			matched := make([]bool, n)
-			probeSel, buildRows := jt.Probe([]*View{&view}, n, hashes, nil, nil, matched)
+			probeSel, buildRows := jt.Probe(views, n, hashes, nil, nil)
 			got := make([]map[int32]bool, n)
 			for i := range probeSel {
 				r := probeSel[i]
@@ -192,21 +258,18 @@ func FuzzJoinTable(f *testing.F) {
 				}
 				got[r][buildRows[i]] = true
 			}
-			for r, k := range keys {
+			for r, id := range ids {
 				var want map[int32]bool
-				if !k.null {
-					want = ref[k.v]
+				if id != nil {
+					want = ref[*id]
 				}
 				if len(got[r]) != len(want) {
-					t.Fatalf("probe row %d (key %v): %d matches, want %d", r, k, len(got[r]), len(want))
+					t.Fatalf("probe row %d (key %v): %d matches, want %d", r, id, len(got[r]), len(want))
 				}
 				for row := range want {
 					if !got[r][row] {
-						t.Fatalf("probe row %d (key %v): missing build row %d", r, k, row)
+						t.Fatalf("probe row %d (key %v): missing build row %d", r, id, row)
 					}
-				}
-				if matched[r] != (len(want) > 0) {
-					t.Fatalf("probe row %d (key %v): matched=%v, want %v", r, k, matched[r], len(want) > 0)
 				}
 			}
 		}

@@ -46,14 +46,30 @@ func hashBool(b bool) uint64 {
 	return mix64(0)
 }
 
+// canonicalNaN is the one bit pattern every NaN key hashes as.
+const canonicalNaN uint64 = 0x7ff8000000000001
+
+// floatKey is the bit pattern a double hashes by as a key: −0.0 folds into
+// +0.0, because the two are `=`, and every NaN into one pattern, because
+// GROUP BY keeps the NaNs in one group (a join never matches a NaN key).
+func floatKey(x float64) uint64 {
+	switch {
+	case x == 0:
+		return 0
+	case x != x:
+		return canonicalNaN
+	}
+	return math.Float64bits(x)
+}
+
 // Hasher computes per-row hash vectors over key columns. All paths hash the
 // VALUE, never the encoding: an int64 hashes the same whether it arrived
 // flat, dictionary-encoded, run-length-encoded, or boxed through the
 // fallback — that invariant is what keeps partition routing consistent
 // across pages and across both sides of a join, and what lets the group
-// table compare pre-hashed keys from differently encoded pages. Floats hash
-// (and compare) by bit pattern, matching the row engine's encoded group
-// keys, so NaN groups with NaN and -0.0 stays distinct from +0.0.
+// table compare pre-hashed keys from differently encoded pages. A double
+// hashes by floatKey, so −0.0 and +0.0 land together, as they must for
+// every key compared with `=`, and all NaNs land together.
 //
 // The zero Hasher is ready to use; it holds reusable scratch (dictionary
 // hash vectors, a byte buffer for rare compound values) so hashing a page
@@ -126,7 +142,7 @@ func (h *Hasher) HashBlock(b block.Block, n int, out []uint64) {
 			}
 		case KindFloat64:
 			for r, x := range v.F64[:n] {
-				out[r] = combine(out[r], mix64(math.Float64bits(x)))
+				out[r] = combine(out[r], mix64(floatKey(x)))
 			}
 		case KindBool:
 			for r, x := range v.B[:n] {
@@ -168,7 +184,7 @@ func (v *View) hashAt(i int) uint64 {
 	case KindInt64:
 		return mix64(uint64(v.I64[i]))
 	case KindFloat64:
-		return mix64(math.Float64bits(v.F64[i]))
+		return mix64(floatKey(v.F64[i]))
 	case KindBool:
 		return hashBool(v.B[i])
 	default:
@@ -184,7 +200,7 @@ func (h *Hasher) hashValue(val any) uint64 {
 	case int64:
 		return mix64(uint64(t))
 	case float64:
-		return mix64(math.Float64bits(t))
+		return mix64(floatKey(t))
 	case bool:
 		return hashBool(t)
 	case string:

@@ -32,6 +32,7 @@ func NewGroupTable(keyTypes []*types.Type) (*GroupTable, bool) {
 		if !ok {
 			return nil, false
 		}
+		c.key = true
 		t.cols = append(t.cols, c)
 	}
 	t.slots = newSlots(initialSlots)
@@ -128,8 +129,7 @@ func (t *GroupTable) KeyValues(g int, dst []any) {
 // rebuild).
 func (t *GroupTable) Reset() {
 	for i, c := range t.cols {
-		nc, _ := NewColumn(c.typ)
-		t.cols[i] = nc
+		t.cols[i] = &Column{typ: c.typ, kind: c.kind, key: true}
 	}
 	t.hashes = t.hashes[:0]
 	t.slots = newSlots(initialSlots)
@@ -141,7 +141,7 @@ func (t *GroupTable) Reset() {
 // JoinTable maps join keys to chains of build-side row indices. The build
 // rows themselves live in the caller's Column stores; the table keeps one
 // entry per distinct key (hash + first row) and threads equal-keyed rows
-// through next, so probing walks an int32 chain instead of a []*rowRef.
+// through next, so probing walks an int32 chain.
 type JoinTable struct {
 	keyCols []*Column // the caller's key-column stores (shared, not owned)
 	hashes  []uint64  // per entry
@@ -170,14 +170,16 @@ func (jt *JoinTable) Bytes() int64 {
 }
 
 // Insert indexes rows [base, base+n) of the build store, whose key columns
-// were just appended from views with the given hashes. Rows with any null
-// key are skipped — NULL never matches in an equi-join.
+// were just appended from views with the given hashes. Rows with a null or
+// NaN key are skipped: neither is `=` to anything. With no key columns at
+// all every row hashes to 0 and chains under one entry, so a probe row
+// meets the whole build side — the cross join.
 func (jt *JoinTable) Insert(views []*View, n int, hashes []uint64, base int) {
 	jt.next = grown(jt.next, base+n)
 	for r := 0; r < n; r++ {
 		row := int32(base + r)
 		jt.next[row] = -1
-		if nullKey(views, r) {
+		if unmatchable(views, r) {
 			continue
 		}
 		h := hashes[r] & jt.dampen
@@ -229,10 +231,12 @@ func (jt *JoinTable) growSlots() {
 	jt.slots, jt.mask = slots, mask
 }
 
-// nullKey reports whether row r has a null in any key view.
-func nullKey(views []*View, r int) bool {
+// unmatchable reports whether row r's key is `=` to nothing: a null in any
+// key view, or a NaN double.
+func unmatchable(views []*View, r int) bool {
 	for _, v := range views {
-		if v.at(r) < 0 {
+		i := v.at(r)
+		if i < 0 || v.Kind == KindFloat64 && v.F64[i] != v.F64[i] {
 			return true
 		}
 	}
@@ -241,12 +245,10 @@ func nullKey(views []*View, r int) bool {
 
 // Probe matches n pre-hashed probe rows (key columns in views) against the
 // table, appending one (probe row, build row) pair per match to probeSel
-// and buildRows. matched (when non-nil, length ≥ n) records probe rows with
-// at least one match — the LEFT-join null-extension input. Probe rows with
-// null keys never match.
-func (jt *JoinTable) Probe(views []*View, n int, hashes []uint64, probeSel []int, buildRows []int32, matched []bool) ([]int, []int32) {
+// and buildRows. Probe rows with a null or NaN key never match.
+func (jt *JoinTable) Probe(views []*View, n int, hashes []uint64, probeSel []int, buildRows []int32) ([]int, []int32) {
 	for r := 0; r < n; r++ {
-		if nullKey(views, r) {
+		if unmatchable(views, r) {
 			continue
 		}
 		h := hashes[r] & jt.dampen
@@ -260,9 +262,6 @@ func (jt *JoinTable) Probe(views []*View, n int, hashes []uint64, probeSel []int
 				for row := jt.head[e]; row >= 0; row = jt.next[row] {
 					probeSel = append(probeSel, r)
 					buildRows = append(buildRows, row)
-				}
-				if matched != nil {
-					matched[r] = true
 				}
 				break
 			}

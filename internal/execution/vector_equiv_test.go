@@ -3,8 +3,9 @@ package execution
 // Property-based equivalence suite for the vectorized kernels: random
 // schemas, encodings, NULL densities, cardinalities and driver counts are
 // generated from a seed, run through the vectorized operators, and compared
-// row-exactly against the row-at-a-time reference path (Context.rowOperators,
-// serial Build). Every failure logs its seed; replay one with
+// row-exactly against an oracle: the row-at-a-time aggregation
+// (Context.rowOperators, serial Build) for aggregations, and a boxed
+// nested-loop join for joins. Every failure logs its seed; replay one with
 // EQUIV_SEED=<seed> go test -run TestVector.*Equivalence ./internal/execution/.
 //
 // DOUBLE columns only hold multiples of 0.5 with small magnitudes, so
@@ -13,6 +14,7 @@ package execution
 // splits that add values in different orders.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -104,6 +106,9 @@ var equivTypes = []*types.Type{
 	types.Bigint, types.Integer, types.Double, types.Varchar, types.Boolean, types.Date,
 }
 
+// equivRowType is the nested column type join build sides carry.
+var equivRowType = types.NewRow(types.Field{Name: "n", Type: types.Bigint}, types.Field{Name: "s", Type: types.Varchar})
+
 func equivColSpecs(rng *rand.Rand, prefix string, n int, cards []int) []equivColSpec {
 	dens := []float64{0, 0.05, 0.3}
 	specs := make([]equivColSpec, n)
@@ -132,6 +137,10 @@ func equivValue(t *types.Type, d int) any {
 		return float64(d) + 0.5
 	case types.KindBoolean:
 		return d%2 == 0
+	case types.KindUnknown:
+		return nil
+	case types.KindRow:
+		return []any{int64(d), "v" + strconv.Itoa(d)}
 	default:
 		return "v" + strconv.Itoa(d)
 	}
@@ -306,12 +315,68 @@ func runEquiv(t *testing.T, plan planner.Node, reg *connector.Registry, cfg equi
 	return sortedMultiset(drainRows(t, op))
 }
 
-// equivReference is the oracle: serial row-at-a-time Build.
+// equivReference is the aggregation oracle: serial row-at-a-time Build.
 var equivReference = equivConfig{name: "reference", drivers: 1, disable: true}
+
+// equivOracle is what every configuration must reproduce: the nested-loop
+// join for a join, the serial row operators for anything else.
+func equivOracle(t *testing.T, plan planner.Node, reg *connector.Registry) []string {
+	t.Helper()
+	if j, ok := plan.(*planner.Join); ok {
+		return nestedLoopJoin(t, j, reg)
+	}
+	return runEquiv(t, plan, reg, equivReference)
+}
+
+// nestedLoopJoin is the join oracle. It drains both sides serially, boxes
+// every row and tests every (left, right) pair: the keys with == on the
+// boxed values (so a NULL or NaN key equals nothing and −0.0 equals +0.0),
+// then the residual through expr.EvalRowValue. A LEFT join's left rows that
+// no pair kept get NULLs for the right columns. It shares no hash table,
+// key encoding or batch code with the join under test.
+func nestedLoopJoin(t *testing.T, j *planner.Join, reg *connector.Registry) []string {
+	t.Helper()
+	side := func(n planner.Node) [][]any {
+		op, err := Build(n, &Context{Catalogs: reg, Drivers: 1})
+		if err != nil {
+			t.Fatalf("oracle: build: %v", err)
+		}
+		return drainRows(t, op)
+	}
+	left, right := side(j.Left), side(j.Right)
+	var out [][]any
+	for _, l := range left {
+		matched := false
+	pairs:
+		for _, r := range right {
+			for i, lk := range j.LeftKeys {
+				if a, b := l[lk], r[j.RightKeys[i]]; a == nil || b == nil || a != b {
+					continue pairs
+				}
+			}
+			row := append(append([]any{}, l...), r...)
+			if j.Residual != nil {
+				v, err := expr.EvalRowValue(j.Residual, row)
+				if err != nil {
+					t.Fatalf("oracle: residual: %v", err)
+				}
+				if v != true {
+					continue
+				}
+			}
+			matched = true
+			out = append(out, row)
+		}
+		if !matched && j.Kind == planner.JoinLeft {
+			out = append(out, append(append([]any{}, l...), make([]any, len(j.Right.Outputs()))...))
+		}
+	}
+	return sortedMultiset(out)
+}
 
 func checkEquivalence(t *testing.T, seed int64, plan planner.Node, reg *connector.Registry) {
 	t.Helper()
-	want := runEquiv(t, plan, reg, equivReference)
+	want := equivOracle(t, plan, reg)
 	for _, cfg := range equivConfigs {
 		got := runEquiv(t, plan, reg, cfg)
 		if !reflect.DeepEqual(got, want) {
@@ -405,38 +470,61 @@ func TestVectorGlobalAggEquivalence(t *testing.T) {
 	}
 }
 
-// TestVectorJoinEquivalence: random inner/left equi-joins (shared key
-// domains so matches actually occur, mixed encodings and NULL keys) must
-// produce row-identical results on the vectorized path at any driver count,
-// under every adaptive-exchange mode (broadcast-small and partitioned).
+// equivJoin generates a join of kind over fresh random tables. Both sides
+// share key domains, so matches occur; inner and left joins get zero to
+// two keys (zero is the keyless join an ON clause without `=` plans), a
+// cross join none. The build side also carries a nested column and a
+// NULL-literal column, which no vector kind stores. With residual, the
+// join keeps only pairs where the probe's lv < the build's rv.
+func equivJoin(rng *rand.Rand, kind planner.JoinKind, residual bool) (*planner.Join, *connector.Registry) {
+	var keys []equivColSpec
+	if kind != planner.JoinCross {
+		keys = equivColSpecs(rng, "k", rng.Intn(3), []int{10, 50, 200})
+	}
+	maxLeft, maxRight := 600, 250
+	if len(keys) == 0 {
+		maxLeft, maxRight = 120, 60 // every pair is a candidate
+	}
+	left := append(append([]equivColSpec{}, keys...),
+		equivColSpec{name: "lv", typ: types.Bigint, card: 100, nullDen: 0.1})
+	right := append(append([]equivColSpec{}, keys...),
+		equivColSpec{name: "rv", typ: types.Bigint, card: 100, nullDen: 0.1},
+		equivColSpec{name: "rrow", typ: equivRowType, card: 50, nullDen: 0.1},
+		equivColSpec{name: "rnull", typ: types.Unknown, card: 1, nullDen: 1})
+	scanL, connL := equivScan(rng, "l", left, rng.Intn(maxLeft))
+	scanR, connR := equivScan(rng, "r", right, rng.Intn(maxRight))
+	reg := connector.NewRegistry()
+	reg.Register("l", connL)
+	reg.Register("r", connR)
+	jk := make([]int, len(keys))
+	for i := range jk {
+		jk[i] = i
+	}
+	plan := &planner.Join{
+		Kind: kind, Left: scanL, Right: scanR,
+		LeftKeys: jk, RightKeys: append([]int{}, jk...),
+	}
+	if residual {
+		plan.Residual = expr.MustCall("lt",
+			expr.NewVariable("lv", len(keys), types.Bigint),
+			expr.NewVariable("rv", len(left)+len(keys), types.Bigint))
+	}
+	return plan, reg
+}
+
+// TestVectorJoinEquivalence: random inner, left and cross joins, each with
+// and without a residual, over mixed encodings and NULL keys, must return
+// the nested-loop oracle's rows at any driver count, under every
+// adaptive-exchange mode (broadcast-small and partitioned).
 func TestVectorJoinEquivalence(t *testing.T) {
 	for _, seed := range equivSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			for trial := 0; trial < 2; trial++ {
-				keys := equivColSpecs(rng, "k", 1+rng.Intn(2), []int{10, 50, 200})
-				left := append(append([]equivColSpec{}, keys...),
-					equivColSpecs(rng, "lv", 1, []int{1000})...)
-				right := append(append([]equivColSpec{}, keys...),
-					equivColSpecs(rng, "rv", 1, []int{1000})...)
-				scanL, connL := equivScan(rng, "l", left, rng.Intn(600))
-				scanR, connR := equivScan(rng, "r", right, rng.Intn(250))
-				reg := connector.NewRegistry()
-				reg.Register("l", connL)
-				reg.Register("r", connR)
-				kind := planner.JoinInner
-				if rng.Intn(2) == 0 {
-					kind = planner.JoinLeft
+			for _, kind := range []planner.JoinKind{planner.JoinInner, planner.JoinLeft, planner.JoinCross} {
+				for _, residual := range []bool{false, true} {
+					plan, reg := equivJoin(rng, kind, residual)
+					checkEquivalence(t, seed, plan, reg)
 				}
-				jk := make([]int, len(keys))
-				for i := range jk {
-					jk[i] = i
-				}
-				plan := &planner.Join{
-					Kind: kind, Left: scanL, Right: scanR,
-					LeftKeys: jk, RightKeys: append([]int{}, jk...),
-				}
-				checkEquivalence(t, seed, plan, reg)
 			}
 		})
 	}
@@ -445,12 +533,10 @@ func TestVectorJoinEquivalence(t *testing.T) {
 // runEquivSpill executes plan serially with a capped pool and a spill
 // manager, returning the sorted row multiset and the pool (for spill
 // assertions). Serial keeps spill triggering deterministic.
-func runEquivSpill(t *testing.T, plan planner.Node, reg *connector.Registry, limit int64, disable bool) ([]string, *resource.Pool) {
+func runEquivSpill(t *testing.T, plan planner.Node, reg *connector.Registry, limit int64) ([]string, *resource.Pool) {
 	t.Helper()
 	pool, mgr := spillEnv(t, limit)
-	ctx := &Context{
-		Catalogs: reg, Drivers: 1, Memory: pool, Spill: mgr, rowOperators: disable,
-	}
+	ctx := &Context{Catalogs: reg, Drivers: 1, Memory: pool, Spill: mgr}
 	op, err := Build(plan, ctx)
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -477,7 +563,7 @@ func TestVectorAggSpillEquivalence(t *testing.T) {
 		Aggs: equivAggs(rng, specs, 1), Step: planner.AggSingle,
 	}
 	want := runEquiv(t, plan, reg, equivReference)
-	got, pool := runEquivSpill(t, plan, reg, 32<<10, false)
+	got, pool := runEquivSpill(t, plan, reg, 32<<10)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("spilled vector aggregation diverged: %d vs %d rows", len(got), len(want))
 	}
@@ -486,32 +572,72 @@ func TestVectorAggSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestVectorJoinSpillEquivalence: the vectorized join under memory pressure
-// degrades to the spilling row join; results must match the unlimited
-// reference exactly.
+// TestVectorJoinSpillEquivalence: under a cap far below its build side the
+// join must spill, not fail, and its multi-pass join must return the
+// nested-loop oracle's rows — for a keyed LEFT join, a LEFT join with a
+// residual, a cross join and a LEFT join with only a residual (keyless
+// joins probe a slice of rows at a time), each with a nested build column
+// that the runs carry as it is. Without a spill manager the same join fails typed,
+// naming the build side.
 func TestVectorJoinSpillEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	keys := []equivColSpec{{name: "k0", typ: types.Bigint, card: 400, nullDen: 0.05}}
-	left := append(append([]equivColSpec{}, keys...),
-		equivColSpec{name: "lv", typ: types.Varchar, card: 1000})
-	right := append(append([]equivColSpec{}, keys...),
-		equivColSpec{name: "rv", typ: types.Double, card: 1000})
-	scanL, connL := equivScan(rng, "l", left, 1500)
-	scanR, connR := equivScan(rng, "r", right, 3000)
-	reg := connector.NewRegistry()
-	reg.Register("l", connL)
-	reg.Register("r", connR)
-	plan := &planner.Join{
-		Kind: planner.JoinLeft, Left: scanL, Right: scanR,
-		LeftKeys: []int{0}, RightKeys: []int{0},
-	}
-	want := runEquiv(t, plan, reg, equivReference)
-	got, pool := runEquivSpill(t, plan, reg, 32<<10, false)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("spilled vector join diverged: %d vs %d rows", len(got), len(want))
-	}
-	if pool.Spilled() == 0 {
-		t.Fatal("vector join never spilled despite the tiny limit")
+	key := equivColSpec{name: "k0", typ: types.Bigint, card: 400, nullDen: 0.05}
+	for _, tc := range []struct {
+		name            string
+		kind            planner.JoinKind
+		keyed, residual bool
+		probeRows       int
+	}{
+		{"left", planner.JoinLeft, true, false, 1500},
+		{"left with residual", planner.JoinLeft, true, true, 1500},
+		{"cross", planner.JoinCross, false, false, 40},
+		{"left without keys", planner.JoinLeft, false, true, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(13))
+			left := []equivColSpec{{name: "lv", typ: types.Bigint, card: 1000}}
+			right := []equivColSpec{
+				{name: "rv", typ: types.Bigint, card: 1000, nullDen: 0.1},
+				{name: "rd", typ: types.Double, card: 1000},
+				{name: "rrow", typ: equivRowType, card: 50, nullDen: 0.1},
+			}
+			var keys []int
+			if tc.keyed {
+				left, right, keys = append([]equivColSpec{key}, left...), append([]equivColSpec{key}, right...), []int{0}
+			}
+			scanL, connL := equivScan(rng, "l", left, tc.probeRows)
+			scanR, connR := equivScan(rng, "r", right, 3000)
+			reg := connector.NewRegistry()
+			reg.Register("l", connL)
+			reg.Register("r", connR)
+			plan := &planner.Join{Kind: tc.kind, Left: scanL, Right: scanR, LeftKeys: keys, RightKeys: keys}
+			if tc.residual {
+				plan.Residual = expr.MustCall("lt",
+					expr.NewVariable("lv", len(keys), types.Bigint),
+					expr.NewVariable("rv", len(left)+len(keys), types.Bigint))
+			}
+			want := nestedLoopJoin(t, plan, reg)
+			got, pool := runEquivSpill(t, plan, reg, 32<<10)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("spilled join diverged: %d vs %d rows", len(got), len(want))
+			}
+			if pool.Spilled() == 0 {
+				t.Fatal("join never spilled despite the tiny limit")
+			}
+
+			pool = resource.NewPool("query", 32<<10)
+			op, err := Build(plan, &Context{Catalogs: reg, Drivers: 1, Memory: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Drain(op)
+			var insufficient ErrInsufficientResources
+			if !errors.As(err, &insufficient) || insufficient.Operator != "the build side of a join" {
+				t.Fatalf("without spill: err = %v, want Insufficient Resources for the build side of a join", err)
+			}
+			if pool.Reserved() != 0 {
+				t.Fatalf("failed join leaked %d bytes", pool.Reserved())
+			}
+		})
 	}
 }
 

@@ -6,54 +6,41 @@ import (
 
 	"prestolite/internal/block"
 	"prestolite/internal/execution/vector"
+	"prestolite/internal/expr"
 	"prestolite/internal/planner"
+	"prestolite/internal/resource"
 	"prestolite/internal/types"
 )
 
-// newJoinOp picks the join implementation for a plan node: the vectorized
-// operator for residual-free INNER/LEFT equi-joins over scalar columns,
-// otherwise the row-at-a-time reference operator (cross joins, residual
-// predicates, nested build-side types).
-func newJoinOp(ctx *Context, node *planner.Join, left, right Operator) Operator {
-	if vectorJoinEligible(ctx, node) {
-		return newVectorJoinOperator(node, left, right, newOpMem("the build side of a join", ctx))
-	}
-	return newJoinOperator(node, left, right, newOpMem("the build side of a join", ctx))
-}
+// crossJoinBatch bounds the candidate pairs one cross-join probe step
+// builds: every probe row pairs with every build row, so a probe page is
+// joined a slice of rows at a time.
+const crossJoinBatch = 1 << 14
 
-func vectorJoinEligible(ctx *Context, node *planner.Join) bool {
-	if ctx.rowOperators || len(node.LeftKeys) == 0 || node.Residual != nil {
-		return false
-	}
-	if node.Kind != planner.JoinInner && node.Kind != planner.JoinLeft {
-		return false
-	}
-	// Every build-side column lands in a typed store; probe-side keys need
-	// typed views. Probe non-key columns pass through untouched.
-	for _, c := range node.Right.Outputs() {
-		if !vector.Supported(c.Type) {
-			return false
-		}
-	}
-	leftCols := node.Left.Outputs()
-	for _, ch := range node.LeftKeys {
-		if !vector.Supported(leftCols[ch].Type) {
-			return false
-		}
-	}
-	return true
-}
-
-// vectorJoinOperator is a hash equi-join over the vector kernels: the build
+// vectorJoinOperator is the hash join, over the vector kernels: the build
 // side is compacted into flat typed column stores indexed by a chained
 // open-addressing JoinTable, and probe pages are hashed and matched in
 // batch — matches come out as (probe selection vector, build row gather),
 // so output columns are built with two typed copies instead of per-row
-// boxing.
+// boxing. It runs every join shape the planner emits:
 //
-// Memory pressure degrades to the reference operator: the compacted store
-// is synthesized back into pages and replayed into a row joinOperator,
-// whose multi-pass spill machinery takes over.
+//   - a residual predicate is evaluated over each page of candidate pairs
+//     and narrows them; a LEFT join counts a probe row as matched only when
+//     one of its pairs passes;
+//   - a cross join has no keys, so every build row chains under the one
+//     table entry and each probe row meets all of them;
+//   - a build column whose type has no vector kind (row, array, map, a bare
+//     NULL) keeps its blocks, concatenated once the build is complete and
+//     masked on output.
+//
+// Under memory pressure (with spill enabled) it becomes a multi-pass join:
+// each refused reservation writes the build rows held before the refused
+// page out as one run and starts a fresh table with that page, the probe
+// side is buffered into runs too, and then each build run in turn is
+// loaded into a fresh table and the whole probe stream replayed against it. LEFT joins carry match flags by
+// global probe row across the passes and emit the null-extended rows in a
+// last one. Output order differs from the streaming path (hash-join output
+// order is unspecified).
 type vectorJoinOperator struct {
 	node  *planner.Join
 	left  Operator
@@ -62,71 +49,152 @@ type vectorJoinOperator struct {
 
 	leftTypes  []*types.Type
 	rightTypes []*types.Type
+	rightKinds []vector.Kind
 	keyKinds   []vector.Kind
 
-	cols    []*vector.Column
-	jt      *vector.JoinTable
-	rows    int
-	charged int64
-	built   bool
+	// The build rows in memory (a chunk), from the pages that brought them:
+	// ends[i] is the row after the chunk's page i. cols[c] stores build
+	// column c, or is nil when its type has no vector kind — then parts[c][i]
+	// is the column's block of page i, until finishChunk concatenates them
+	// into kept[c].
+	ends      []int
+	cols      []*vector.Column
+	parts     [][]block.Block
+	kept      []block.Block
+	keptBytes int64
+	jt        *vector.JoinTable
+	rows      int
+	charged   int64
+	built     bool
 
-	hasher   vector.Hasher
-	hashes   []uint64
-	rowViews []*vector.View
-	keyViews []*vector.View
-	probeSel []int
-	extraSel []int
-	matched  []bool
+	hasher    vector.Hasher
+	hashes    []uint64
+	rowViews  []*vector.View
+	insViews  []*vector.View // rowViews of the build keys
+	keyViews  []*vector.View
+	probeSel  []int
+	buildRows []int32
+	buildPos  []int
+	passSel   []int
+	extraSel  []int
+	matched   []bool
 
-	pending  []*block.Page
-	fallback Operator
+	pending []*block.Page
+
+	// Multi-pass state: the spilled build chunks (next is the one to load),
+	// the buffered probe side and the replay of it in progress, whose next
+	// page starts at global probe row base; hits holds a LEFT join's match
+	// flags by global probe row, and final marks its null-extension pass.
+	buildRuns []*resource.Run
+	probeRuns []*resource.Run
+	replay    *runReplay
+	next      int
+	base      int
+	hits      []bool
+	final     bool
 }
 
-func newVectorJoinOperator(node *planner.Join, left, right Operator, mem *opMem) Operator {
-	lo, ro := node.Left.Outputs(), node.Right.Outputs()
-	lt := make([]*types.Type, len(lo))
-	for i, c := range lo {
-		lt[i] = c.Type
+func newVectorJoinOperator(node *planner.Join, left, right Operator, mem *opMem) *vectorJoinOperator {
+	o := &vectorJoinOperator{node: node, left: left, right: right, mem: mem}
+	for _, c := range node.Left.Outputs() {
+		o.leftTypes = append(o.leftTypes, c.Type)
 	}
-	rt := make([]*types.Type, len(ro))
-	cols := make([]*vector.Column, len(ro))
-	for i, c := range ro {
-		rt[i] = c.Type
-		cols[i], _ = vector.NewColumn(c.Type)
+	for _, c := range node.Right.Outputs() {
+		k, _ := vector.KindOf(c.Type)
+		o.rightTypes = append(o.rightTypes, c.Type)
+		o.rightKinds = append(o.rightKinds, k)
 	}
-	keyCols := make([]*vector.Column, len(node.RightKeys))
-	for i, ch := range node.RightKeys {
-		keyCols[i] = cols[ch]
+	for _, ch := range node.LeftKeys {
+		k, _ := vector.KindOf(o.leftTypes[ch])
+		o.keyKinds = append(o.keyKinds, k)
 	}
-	keyKinds := make([]vector.Kind, len(node.LeftKeys))
-	for i, ch := range node.LeftKeys {
-		keyKinds[i], _ = vector.KindOf(lt[ch])
+	o.rowViews = newViews(len(o.rightTypes))
+	o.keyViews = newViews(len(node.LeftKeys))
+	for _, ch := range node.RightKeys {
+		o.insViews = append(o.insViews, o.rowViews[ch])
 	}
-	return &vectorJoinOperator{
-		node:       node,
-		left:       left,
-		right:      right,
-		mem:        mem,
-		leftTypes:  lt,
-		rightTypes: rt,
-		keyKinds:   keyKinds,
-		cols:       cols,
-		jt:         vector.NewJoinTable(keyCols),
-		rowViews:   newViews(len(ro)),
-		keyViews:   newViews(len(node.LeftKeys)),
+	o.resetChunk()
+	return o
+}
+
+// resetChunk empties the build rows in memory: fresh stores, a fresh table.
+func (o *vectorJoinOperator) resetChunk() {
+	o.cols = make([]*vector.Column, len(o.rightTypes))
+	o.parts = make([][]block.Block, len(o.rightTypes))
+	o.kept = make([]block.Block, len(o.rightTypes))
+	for c, t := range o.rightTypes {
+		o.cols[c], _ = vector.NewColumn(t)
+	}
+	keyCols := make([]*vector.Column, len(o.node.RightKeys))
+	for i, ch := range o.node.RightKeys {
+		keyCols[i] = o.cols[ch]
+	}
+	o.jt = vector.NewJoinTable(keyCols)
+	o.ends, o.rows, o.charged, o.keptBytes = nil, 0, 0, 0
+}
+
+// add appends build page p to the chunk and returns how many bytes the
+// chunk grew by, for the caller to reserve.
+func (o *vectorJoinOperator) add(p *block.Page) (int64, error) {
+	n := p.Count()
+	hashes := o.scratchHashes(n)
+	o.hasher.HashPage(p, o.node.RightKeys, hashes)
+	held := int64(0)
+	for c, col := range o.cols {
+		if col == nil {
+			b := block.Unwrap(p.Blocks[c])
+			o.parts[c] = append(o.parts[c], b)
+			o.keptBytes += int64(b.SizeBytes())
+			continue
+		}
+		if err := viewOf(p.Blocks[c], o.rightKinds[c], n, o.rowViews[c]); err != nil {
+			return 0, err
+		}
+		col.Append(o.rowViews[c], n)
+		held += col.Bytes()
+	}
+	for _, ch := range o.node.RightKeys {
+		if o.cols[ch] == nil {
+			// A key with no vector kind is a bare NULL (`=` takes no other
+			// such type): viewed, every row inserts as a null key.
+			if err := viewOf(p.Blocks[ch], o.rightKinds[ch], n, o.rowViews[ch]); err != nil {
+				return 0, err
+			}
+		}
+	}
+	o.jt.Insert(o.insViews, n, hashes, o.rows)
+	o.rows += n
+	o.ends = append(o.ends, o.rows)
+	held += o.keptBytes + o.jt.Bytes()
+	grown := held - o.charged
+	o.charged = held
+	return grown, nil
+}
+
+// finishChunk concatenates the kept blocks of the build columns with no
+// vector kind, so output can mask them by build row.
+func (o *vectorJoinOperator) finishChunk() {
+	for c, parts := range o.parts {
+		if o.cols[c] == nil {
+			o.kept[c] = block.Concat(parts)
+			o.parts[c] = nil
+		}
 	}
 }
 
-// build consumes the build side into the column stores and join table,
-// charging retained bytes as it grows. The first refused reservation hands
-// the operator over to the row reference implementation (degrade), whose
-// spill machinery is built for exactly that regime.
+func (o *vectorJoinOperator) scratchHashes(n int) []uint64 {
+	if cap(o.hashes) < n {
+		o.hashes = make([]uint64, n)
+	}
+	return o.hashes[:n]
+}
+
+// build consumes the build side into the chunk, reserving what it retains.
+// A refused reservation spills the chunk as it was before the page that
+// did not fit — a chunk the budget held, so a pass can load it back — and
+// starts the next chunk with that page. Once any chunk spilled, the last
+// one is spilled too and the probe side buffered, for the multi-pass join.
 func (o *vectorJoinOperator) build() error {
-	rightKinds := make([]vector.Kind, len(o.rightTypes))
-	for i, t := range o.rightTypes {
-		rightKinds[i], _ = vector.KindOf(t)
-	}
-	insViews := make([]*vector.View, len(o.node.RightKeys))
 	for {
 		p, err := o.right.Next()
 		if errors.Is(err, io.EOF) {
@@ -135,70 +203,168 @@ func (o *vectorJoinOperator) build() error {
 		if err != nil {
 			return err
 		}
-		n := p.Count()
-		if n == 0 {
+		if p.Count() == 0 {
 			continue
 		}
-		if cap(o.hashes) < n {
-			o.hashes = make([]uint64, n)
+		fit := len(o.ends)
+		grown, err := o.add(p)
+		if err != nil {
+			return err
 		}
-		hashes := o.hashes[:n]
-		o.hasher.HashPage(p, o.node.RightKeys, hashes)
-		for c := range o.cols {
-			if err := viewOf(p.Blocks[c], rightKinds[c], n, o.rowViews[c]); err != nil {
-				return err
-			}
+		ok, err := o.mem.reserve(grown)
+		if err != nil {
+			return err
 		}
-		base := o.rows
-		for c, col := range o.cols {
-			col.Append(o.rowViews[c], n)
+		if ok {
+			continue
 		}
-		for i, ch := range o.node.RightKeys {
-			insViews[i] = o.rowViews[ch]
+		if err := o.spillChunk(fit); err != nil {
+			return err
 		}
-		o.jt.Insert(insViews, n, hashes, base)
-		o.rows += n
+		if grown, err = o.add(p); err != nil {
+			return err
+		}
+		if err := o.mem.hardReserve(grown); err != nil {
+			return err
+		}
+	}
+	if o.buildRuns == nil {
+		o.finishChunk()
+		return nil
+	}
+	// Loading a build run back hard-reserves it whole, so nothing else may
+	// stay charged: the last chunk goes to disk, then the probe side.
+	if err := o.spillChunk(len(o.ends)); err != nil {
+		return err
+	}
+	return o.bufferProbe()
+}
 
-		var held int64
-		for _, col := range o.cols {
-			held += col.Bytes()
+// spillChunk writes the chunk's first pages out as one run — page by page
+// as they came, so a pass that loads the run back holds what the chunk held
+// — then empties the chunk, freeing its reservation.
+func (o *vectorJoinOperator) spillChunk(pages int) error {
+	if pages > 0 {
+		out := make([]*block.Page, pages)
+		from := 0
+		for i, to := range o.ends[:pages] {
+			blocks := make([]block.Block, len(o.cols))
+			for c, col := range o.cols {
+				if col == nil {
+					blocks[c] = o.parts[c][i]
+				} else {
+					blocks[c] = col.Block(from, to)
+				}
+			}
+			out[i] = &block.Page{Blocks: blocks, N: to - from}
+			from = to
 		}
-		held += o.jt.Bytes()
-		delta := held - o.charged
-		o.charged = held
-		if delta <= 0 {
+		run, err := o.spill("join-build", out)
+		if err != nil {
+			return err
+		}
+		o.buildRuns = append(o.buildRuns, run)
+	}
+	o.resetChunk()
+	o.mem.releaseAll()
+	return nil
+}
+
+// bufferProbe consumes the probe side into runs for the passes to replay:
+// buffered pages are spilled whenever a reservation is refused, and at the
+// end, since every pass loads a build run with the whole budget.
+func (o *vectorJoinOperator) bufferProbe() error {
+	var pages []*block.Page
+	flush := func() error {
+		if len(pages) == 0 {
+			return nil
+		}
+		run, err := o.spill("join-probe", pages)
+		if err != nil {
+			return err
+		}
+		o.probeRuns = append(o.probeRuns, run)
+		pages = nil
+		o.mem.releaseAll()
+		return nil
+	}
+	for {
+		p, err := o.left.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if p.Count() == 0 {
 			continue
 		}
-		ok, err := o.mem.reserve(delta)
+		sz := int64(p.SizeBytes())
+		ok, err := o.mem.reserve(sz)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return o.degrade()
+			if err := flush(); err != nil {
+				return err
+			}
+			if err := o.mem.hardReserve(sz); err != nil {
+				return err
+			}
 		}
+		pages = append(pages, p)
 	}
-	return nil
+	return flush()
 }
 
-// degrade synthesizes the compacted build side back into pages, releases
-// the vector state, and replays everything (plus the unread remainder of
-// the build stream) into a row joinOperator — which immediately faces the
-// same memory pressure and takes its multi-pass spill path.
-func (o *vectorJoinOperator) degrade() error {
-	var pages []*block.Page
-	for from := 0; from < o.rows; from += spillPageRows {
-		to := min(from+spillPageRows, o.rows)
-		blocks := make([]block.Block, len(o.cols))
-		for c, col := range o.cols {
-			blocks[c] = col.Block(from, to)
-		}
-		pages = append(pages, &block.Page{Blocks: blocks, N: to - from})
+// spill writes pages out as one run.
+func (o *vectorJoinOperator) spill(tag string, pages []*block.Page) (*resource.Run, error) {
+	w, err := o.mem.newRun(tag)
+	if err != nil {
+		return nil, err
 	}
-	o.cols, o.jt = nil, nil
-	o.charged = 0
-	o.mem.releaseAll()
-	replay := &pageReplayOperator{pages: pages, rest: o.right}
-	o.fallback = newJoinOperator(o.node, o.left, replay, o.mem)
+	for _, p := range pages {
+		if err := w.WritePage(p); err != nil {
+			w.Abandon()
+			return nil, o.mem.fail(err)
+		}
+	}
+	run, err := w.Finish()
+	if err != nil {
+		return nil, err
+	}
+	o.mem.addSpilled(run.Bytes())
+	return run, nil
+}
+
+// loadRun reads a spilled build run back into the empty chunk and removes
+// it. It reserves without a spill fallback: the multi-pass join has
+// nothing left to spill.
+func (o *vectorJoinOperator) loadRun(run *resource.Run) error {
+	rr, err := run.Open()
+	if err != nil {
+		return err
+	}
+	for {
+		p, err := rr.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err == nil {
+			var grown int64
+			if grown, err = o.add(p); err == nil {
+				err = o.mem.hardReserve(grown)
+			}
+		}
+		if err != nil {
+			return errors.Join(err, rr.Close())
+		}
+	}
+	if err := rr.Close(); err != nil {
+		return err
+	}
+	run.Remove()
+	o.finishChunk()
 	return nil
 }
 
@@ -209,112 +375,261 @@ func (o *vectorJoinOperator) Next() (*block.Page, error) {
 		}
 		o.built = true
 	}
-	if o.fallback != nil {
-		return o.fallback.Next()
-	}
-	for {
-		if len(o.pending) > 0 {
-			p := o.pending[0]
-			o.pending = o.pending[1:]
-			return p, nil
+	for len(o.pending) == 0 {
+		var err error
+		if o.buildRuns != nil {
+			err = o.replayNext()
+		} else {
+			err = o.streamNext()
 		}
-		p, err := o.left.Next()
 		if err != nil {
 			return nil, err
 		}
-		if err := o.probePage(p); err != nil {
-			return nil, err
-		}
 	}
+	p := o.pending[0]
+	o.pending[0] = nil
+	o.pending = o.pending[1:]
+	return p, nil
 }
 
-// probePage matches one probe page, queueing the matched page and (for LEFT
-// joins) the null-extended unmatched page.
-func (o *vectorJoinOperator) probePage(p *block.Page) error {
+// streamNext joins the next probe page against the in-memory build side; a
+// LEFT join null-extends the page's unmatched rows right away.
+func (o *vectorJoinOperator) streamNext() error {
+	p, err := o.left.Next()
+	if err != nil {
+		return err
+	}
+	if o.node.Kind != planner.JoinLeft {
+		return o.probe(p, nil)
+	}
 	n := p.Count()
-	if n == 0 {
+	if cap(o.matched) < n {
+		o.matched = make([]bool, n)
+	}
+	hits := o.matched[:n]
+	clear(hits)
+	if err := o.probe(p, hits); err != nil {
+		return err
+	}
+	o.nullExtend(p, hits)
+	return nil
+}
+
+// replayNext advances the multi-pass join by one buffered probe page: it
+// joins the page against the loaded build run or, in a LEFT join's last
+// pass, null-extends the page's rows no pass matched. When a replay ends
+// the next one starts over the next build run.
+func (o *vectorJoinOperator) replayNext() error {
+	if o.replay == nil {
+		switch {
+		case o.next < len(o.buildRuns):
+			if err := o.loadRun(o.buildRuns[o.next]); err != nil {
+				return err
+			}
+			o.next++
+		case o.node.Kind == planner.JoinLeft && !o.final:
+			o.final = true
+		default:
+			return io.EOF
+		}
+		o.replay = &runReplay{runs: o.probeRuns}
+		o.base = 0
+	}
+	p, err := o.replay.next()
+	if errors.Is(err, io.EOF) {
+		o.replay = nil
+		o.resetChunk()
+		o.mem.releaseAll()
 		return nil
 	}
-	if cap(o.hashes) < n {
-		o.hashes = make([]uint64, n)
+	if err != nil {
+		return err
 	}
-	hashes := o.hashes[:n]
+	var hits []bool
+	if o.node.Kind == planner.JoinLeft {
+		if end := o.base + p.Count(); end > len(o.hits) {
+			o.hits = append(o.hits, make([]bool, end-len(o.hits))...)
+		}
+		hits = o.hits[o.base : o.base+p.Count()]
+	}
+	o.base += p.Count()
+	if o.final {
+		o.nullExtend(p, hits)
+		return nil
+	}
+	return o.probe(p, hits)
+}
+
+// probe joins probe page p against the chunk, queueing the joined rows; for
+// a LEFT join it sets hits[r] for every row r of p that one of them came
+// from. A cross join goes crossJoinBatch pairs at a time.
+func (o *vectorJoinOperator) probe(p *block.Page, hits []bool) error {
+	n := p.Count()
+	step := n
+	if len(o.node.LeftKeys) == 0 && o.rows > 0 {
+		step = max(1, crossJoinBatch/o.rows)
+	}
+	for from := 0; from < n; from += step {
+		m := min(step, n-from)
+		slice, sliceHits := p, hits
+		if m < n {
+			slice = p.Region(from, m)
+			if hits != nil {
+				sliceHits = hits[from : from+m]
+			}
+		}
+		if err := o.probeSlice(slice, sliceHits); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (o *vectorJoinOperator) probeSlice(p *block.Page, hits []bool) error {
+	n := p.Count()
+	hashes := o.scratchHashes(n)
 	o.hasher.HashPage(p, o.node.LeftKeys, hashes)
 	for i, ch := range o.node.LeftKeys {
 		if err := viewOf(p.Blocks[ch], o.keyKinds[i], n, o.keyViews[i]); err != nil {
 			return err
 		}
 	}
-	isLeft := o.node.Kind == planner.JoinLeft
-	var matched []bool
-	if isLeft {
-		if cap(o.matched) < n {
-			o.matched = make([]bool, n)
+	probeSel, buildRows := o.jt.Probe(o.keyViews, n, hashes, o.probeSel[:0], o.buildRows[:0])
+	o.probeSel, o.buildRows = probeSel, buildRows // keep the capacity for the next page
+	if len(probeSel) == 0 {
+		return nil
+	}
+	out := o.joined(p, probeSel, buildRows)
+	if o.node.Residual != nil {
+		pass, err := expr.EvalFilterInto(o.node.Residual, out, o.passSel)
+		if err != nil {
+			return err
 		}
-		matched = o.matched[:n]
-		for r := range matched {
-			matched[r] = false
+		o.passSel = pass
+		if len(pass) == 0 {
+			return nil
+		}
+		if len(pass) < out.N {
+			out = out.Mask(pass)
+			for i, s := range pass {
+				probeSel[i] = probeSel[s]
+			}
+			probeSel = probeSel[:len(pass)]
 		}
 	}
-	probeSel, buildRows := o.jt.Probe(o.keyViews, n, hashes, o.probeSel[:0], nil, matched)
-	o.probeSel = probeSel[:0] // retain capacity for the next page
-	if len(probeSel) > 0 {
-		blocks := make([]block.Block, len(o.leftTypes)+len(o.rightTypes))
-		for c := range o.leftTypes {
-			blocks[c] = p.Blocks[c].Mask(probeSel)
-		}
-		for c, col := range o.cols {
-			blocks[len(o.leftTypes)+c] = col.Gather(buildRows)
-		}
-		o.pending = append(o.pending, &block.Page{Blocks: blocks, N: len(probeSel)})
-	}
-	if isLeft {
-		unmatched := o.extraSel[:0]
-		for r := 0; r < n; r++ {
-			if !matched[r] {
-				unmatched = append(unmatched, r)
-			}
-		}
-		o.extraSel = unmatched[:0]
-		if len(unmatched) > 0 {
-			blocks := make([]block.Block, len(o.leftTypes)+len(o.rightTypes))
-			for c := range o.leftTypes {
-				blocks[c] = p.Blocks[c].Mask(unmatched)
-			}
-			for c, t := range o.rightTypes {
-				blocks[len(o.leftTypes)+c] = vector.NullBlock(t, len(unmatched))
-			}
-			o.pending = append(o.pending, &block.Page{Blocks: blocks, N: len(unmatched)})
+	if hits != nil {
+		for _, r := range probeSel {
+			hits[r] = true
 		}
 	}
+	o.pending = append(o.pending, out)
 	return nil
 }
 
+// joined builds the page of pairs (probe row probeSel[i], build row
+// buildRows[i]).
+func (o *vectorJoinOperator) joined(p *block.Page, probeSel []int, buildRows []int32) *block.Page {
+	nl := len(o.leftTypes)
+	blocks := make([]block.Block, nl+len(o.cols))
+	for c := 0; c < nl; c++ {
+		blocks[c] = p.Blocks[c].Mask(probeSel)
+	}
+	var pos []int
+	for c, col := range o.cols {
+		if col != nil {
+			blocks[nl+c] = col.Gather(buildRows)
+			continue
+		}
+		if pos == nil {
+			pos = o.buildPos[:0]
+			for _, r := range buildRows {
+				pos = append(pos, int(r))
+			}
+			o.buildPos = pos
+		}
+		blocks[nl+c] = o.kept[c].Mask(pos)
+	}
+	return &block.Page{Blocks: blocks, N: len(probeSel)}
+}
+
+// nullExtend queues the rows of p whose hits flag is unset, each with a
+// NULL in every build column.
+func (o *vectorJoinOperator) nullExtend(p *block.Page, hits []bool) {
+	sel := o.extraSel[:0]
+	for r, hit := range hits {
+		if !hit {
+			sel = append(sel, r)
+		}
+	}
+	o.extraSel = sel
+	if len(sel) == 0 {
+		return
+	}
+	nl := len(o.leftTypes)
+	blocks := make([]block.Block, nl+len(o.rightTypes))
+	for c := 0; c < nl; c++ {
+		blocks[c] = p.Blocks[c].Mask(sel)
+	}
+	for c, t := range o.rightTypes {
+		blocks[nl+c] = block.NewRunLengthBlock(block.SingleValue(t, nil), len(sel))
+	}
+	o.pending = append(o.pending, &block.Page{Blocks: blocks, N: len(sel)})
+}
+
 func (o *vectorJoinOperator) Close() error {
-	if o.fallback != nil {
-		// The fallback owns left and (via the replay wrapper) right.
-		return o.fallback.Close()
+	var errs []error
+	if o.replay != nil {
+		errs = append(errs, o.replay.close())
+		o.replay = nil
+	}
+	for _, r := range o.buildRuns {
+		r.Remove()
+	}
+	for _, r := range o.probeRuns {
+		r.Remove()
 	}
 	o.mem.releaseAll()
-	return errors.Join(o.left.Close(), o.right.Close())
+	errs = append(errs, o.left.Close(), o.right.Close())
+	return errors.Join(errs...)
 }
 
-// pageReplayOperator serves buffered pages, then streams from rest — the
-// degrade path's bridge from the compacted store back to a page stream.
-type pageReplayOperator struct {
-	pages []*block.Page
-	idx   int
-	rest  Operator
+// runReplay reads spill runs back in order, one page at a time, and leaves
+// them in place for the next replay. The page read back is transient engine
+// overhead (one bounded frame), not user memory: charging it against the
+// cap that forced the spill would deadlock the replay.
+type runReplay struct {
+	runs []*resource.Run
+	idx  int
+	rr   *resource.RunReader
 }
 
-func (o *pageReplayOperator) Next() (*block.Page, error) {
-	if o.idx < len(o.pages) {
-		p := o.pages[o.idx]
-		o.pages[o.idx] = nil
-		o.idx++
-		return p, nil
+func (it *runReplay) next() (*block.Page, error) {
+	for it.idx < len(it.runs) {
+		if it.rr == nil {
+			rr, err := it.runs[it.idx].Open()
+			if err != nil {
+				return nil, err
+			}
+			it.rr = rr
+		}
+		p, err := it.rr.Next()
+		if errors.Is(err, io.EOF) {
+			if err := it.close(); err != nil {
+				return nil, err
+			}
+			it.idx++
+			continue
+		}
+		return p, err
 	}
-	return o.rest.Next()
+	return nil, io.EOF
 }
 
-func (o *pageReplayOperator) Close() error { return o.rest.Close() }
+func (it *runReplay) close() error {
+	if it.rr == nil {
+		return nil
+	}
+	err := it.rr.Close()
+	it.rr = nil
+	return err
+}

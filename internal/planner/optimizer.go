@@ -148,8 +148,8 @@ func pushFilterThroughJoin(n Node) Node {
 			joinPreds = append(joinPreds, c)
 		}
 	}
-	if len(leftPreds) == 0 && len(rightPreds) == 0 && len(joinPreds) == len(expr.Conjuncts(f.Predicate)) {
-		return n // nothing moved
+	if j.Kind == JoinLeft && len(leftPreds) == 0 && len(rightPreds) == 0 {
+		return n // nothing moved: a LEFT join keeps mixed conjuncts above it
 	}
 	nj := *j
 	if len(leftPreds) > 0 {
