@@ -43,9 +43,11 @@ chaos-lifecycle:
 
 # Brief randomized runs of the fuzz targets on top of their checked-in
 # corpora (testdata/fuzz beside each): the vector kernels (open-addressing
-# hash tables, the WHERE selection kernel), the Parquet file decoder (a valid
-# file with bytes changed, read by the columnar and the legacy reader: same
-# rows or both refuse, no panic, no allocation the file's size does not cover),
+# hash tables, the WHERE selection kernel, and the key encoder: equal bytes
+# exactly when two values are equal, and then equal hashes), the Parquet
+# file decoder (a valid file with bytes changed, read by the columnar and the
+# legacy reader: same rows or both refuse, no panic, no allocation the file's
+# size does not cover),
 # the page codec's decoder (any bytes, as they come and sealed into a valid
 # frame: a page or an error, no panic, nothing allocated that the input's size
 # does not cover, and a decoded page encodes back to itself), the envelope
@@ -61,6 +63,7 @@ fuzz-smoke:
 	go test -fuzz '^FuzzGroupTable$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzJoinTable$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzSelectTrue$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
+	go test -fuzz '^FuzzAppendKey$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
 	go test -fuzz '^FuzzReadFile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parquet/
 	go test -fuzz '^FuzzDecodePage$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/block/
 	go test -fuzz '^FuzzReadEnvelope$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/block/

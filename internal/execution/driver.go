@@ -204,7 +204,7 @@ func buildScan(t *planner.TableScan, ctx *Context, n int) ([]Operator, error) {
 // the hot path), a hash-partition exchange routes the partials by group key,
 // and per-partition FINAL aggregations merge them. Every group key lands
 // wholly in one partition, so results are exact and each final map holds a
-// disjoint key subset. Both layers are ordinary aggregateOperators with
+// disjoint key subset. Both layers are ordinary hash aggregations with
 // their own memory handles, so spill-under-pressure works per driver.
 //
 // Grouped DISTINCT cannot pre-aggregate (seen-sets do not merge), so raw
@@ -220,7 +220,7 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 		return nil, err
 	}
 	serial := func() ([]Operator, error) {
-		op, err := newAggOp(ctx, t, gatherOne(ctx, streams))
+		op, err := newVectorAggOperator(ctx, t, gatherOne(ctx, streams))
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +243,7 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 			// the downstream FINAL (same contract as across tasks).
 			outs := make([]Operator, len(streams))
 			for i, s := range streams {
-				op, err := newAggOp(ctx, t, s)
+				op, err := newVectorAggOperator(ctx, t, s)
 				if err != nil {
 					return nil, err
 				}
@@ -257,7 +257,7 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 			partial := &planner.Aggregate{Child: t.Child, GroupBy: t.GroupBy, Aggs: t.Aggs, Step: planner.AggPartial}
 			partials := make([]Operator, len(streams))
 			for i, s := range streams {
-				op, err := newAggOp(ctx, partial, s)
+				op, err := newVectorAggOperator(ctx, partial, s)
 				if err != nil {
 					return nil, err
 				}
@@ -273,7 +273,7 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 			final := planner.FinalOver(&planner.Values{Cols: partial.Outputs()}, t)
 			outs := make([]Operator, n)
 			for i, ep := range endpoints {
-				op, err := newAggOp(ctx, final, ep)
+				op, err := newVectorAggOperator(ctx, final, ep)
 				if err != nil {
 					return nil, err
 				}
@@ -287,7 +287,7 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 			endpoints := newLocalExchange(ctx, streams, exPartition, t.GroupBy, n)
 			outs := make([]Operator, n)
 			for i, ep := range endpoints {
-				op, err := newAggOp(ctx, t, ep)
+				op, err := newVectorAggOperator(ctx, t, ep)
 				if err != nil {
 					return nil, err
 				}
@@ -307,7 +307,7 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 	partial := &planner.Aggregate{Child: t.Child, Aggs: t.Aggs, Step: planner.AggPartial}
 	partials := make([]Operator, len(streams))
 	for i, s := range streams {
-		op, err := newAggOp(ctx, partial, s)
+		op, err := newVectorAggOperator(ctx, partial, s)
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +321,7 @@ func buildAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operator, erro
 		return partials, nil
 	}
 	final := planner.FinalOver(&planner.Values{Cols: partial.Outputs()}, t)
-	op, err := newAggOp(ctx, final, gatherOne(ctx, partials))
+	op, err := newVectorAggOperator(ctx, final, gatherOne(ctx, partials))
 	if err != nil {
 		return nil, err
 	}

@@ -122,7 +122,7 @@ func TestAggregateOperatorPartialFinal(t *testing.T) {
 		&block.Int64Block{Values: []int64{1, 1, 2}},
 		&block.Int64Block{Values: []int64{10, 20, 30}},
 	)
-	partialOp, err := newAggregateOperator(agg, &pagesOperator{pages: []*block.Page{input}}, &opMem{op: "test"})
+	partialOp, err := newVectorAggOperator(&Context{}, agg, &pagesOperator{pages: []*block.Page{input}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAggregateOperatorPartialFinal(t *testing.T) {
 		}},
 		Step: planner.AggFinal,
 	}
-	finalOp, err := newAggregateOperator(finalAgg, &pagesOperator{pages: partials}, &opMem{op: "test"})
+	finalOp, err := newVectorAggOperator(&Context{}, finalAgg, &pagesOperator{pages: partials})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,11 +93,8 @@ func newOpMem(op string, ctx *Context) *opMem {
 	return m
 }
 
-// canSpill reports whether spilling is enabled for this query.
-func (m *opMem) canSpill() bool { return m.spill != nil }
-
 // newRun opens a spill run tagged with the operator name. Only call when
-// canSpill.
+// spilling is enabled (reserve has refused a reservation).
 func (m *opMem) newRun(tag string) (*resource.RunWriter, error) {
 	return m.spill.NewRun(tag)
 }

@@ -58,13 +58,8 @@ type Context struct {
 	// ≤1 means serial — no exchange, no goroutine.
 	Drivers int
 
-	// The three fields below are set only by this package's tests.
+	// The two fields below are set only by this package's tests.
 	//
-	// rowOperators sends every aggregation to the row-at-a-time operator —
-	// the one vectorAggEligible already picks for the shapes the kernels do
-	// not cover — so the equivalence suite can use it as the oracle for the
-	// shapes the kernels do cover.
-	rowOperators bool
 	// adaptiveExchangeRows overrides the row threshold below which a
 	// partitioned local exchange collapses to a low-cardinality plan
 	// (gather or broadcast). 0 means the default; negative disables the

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
 	"prestolite/internal/types"
@@ -248,31 +249,69 @@ func aggNode() *planner.Aggregate {
 	}
 }
 
+// TestAggregateSpillEquivalence: a grouped aggregation far over its cap
+// spills its table and merges the runs back, and must still return the
+// boxed oracle's rows — with a nested key, whose groups are sorted and
+// merged by their key bytes, and an approx_distinct, whose boxed states
+// travel through the runs and aggMerger. A DISTINCT aggregation over the
+// same cap cannot spill: it fails typed, spilling nothing and holding
+// nothing.
 func TestAggregateSpillEquivalence(t *testing.T) {
-	input := twoColPages(4000, 128, 600) // 600 groups: real hash-table pressure
-
-	base, err := newAggregateOperator(aggNode(), &pagesOperator{pages: input}, &opMem{op: "test"})
-	if err != nil {
-		t.Fatal(err)
+	arr := types.NewArray(types.Bigint)
+	cols := []planner.Column{{Name: "k", Type: types.Bigint}, {Name: "seq", Type: types.Bigint}, {Name: "arr", Type: arr}}
+	var input []*block.Page
+	var rows [][]any
+	for _, p := range twoColPages(4000, 128, 600) { // 600 keys: real hash-table pressure
+		pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Bigint, arr})
+		for i := 0; i < p.Count(); i++ {
+			row := append(p.Row(i), []any{p.Row(i)[1].(int64) / 2000, nil})
+			pb.AppendRow(row)
+			rows = append(rows, row)
+		}
+		input = append(input, pb.Build())
 	}
-	baseline := drainRows(t, base)
-
+	agg := func(name string, distinct bool) planner.Aggregation {
+		fn, err := expr.ResolveAggregate(name, []*types.Type{types.Bigint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planner.Aggregation{FuncName: name, Args: []int{1}, ArgTypes: []*types.Type{types.Bigint}, Distinct: distinct,
+			OutputName: name, InterType: fn.IntermediateType(nil), FinalType: fn.FinalType(nil)}
+	}
+	node := &planner.Aggregate{
+		Child: &planner.Values{Cols: cols}, GroupBy: []int{0, 2},
+		Aggs: []planner.Aggregation{agg("sum", false), agg("approx_distinct", false)}, Step: planner.AggSingle,
+	}
 	pool, mgr := spillEnv(t, 24<<10)
-	op, err := newAggregateOperator(aggNode(), &pagesOperator{pages: input},
-		&opMem{op: "test", pool: pool, spill: mgr})
+	op, err := newVectorAggOperator(&Context{Memory: pool, Spill: mgr}, node, &pagesOperator{pages: input})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := drainRows(t, op)
-
-	// Group emission order may differ after a spill/merge round trip;
-	// compare group → sum as sets.
-	if !reflect.DeepEqual(sortedMultiset(got), sortedMultiset(baseline)) {
-		t.Fatalf("spilled aggregation diverged: %d vs %d groups", len(got), len(baseline))
+	got := sortedMultiset(drainRows(t, op))
+	// Group emission order differs after a spill/merge round trip; compare
+	// the groups as sets.
+	if want := boxedAggregate(t, node, rows); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spilled aggregation diverged: %d vs %d groups", len(got), len(want))
 	}
 	if pool.Spilled() == 0 {
 		t.Fatal("aggregation never spilled despite the tiny limit")
 	}
+
+	node = &planner.Aggregate{Child: node.Child, GroupBy: []int{0}, Aggs: []planner.Aggregation{agg("count", true)}, Step: planner.AggSingle}
+	pool, mgr = spillEnv(t, 24<<10)
+	op, err = newVectorAggOperator(&Context{Memory: pool, Spill: mgr}, node, &pagesOperator{pages: input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Drain(op)
+	var insufficient ErrInsufficientResources
+	if !errors.As(err, &insufficient) {
+		t.Fatalf("DISTINCT over the cap: want ErrInsufficientResources, got %v", err)
+	}
+	if pool.Spilled() != 0 {
+		t.Fatalf("a DISTINCT aggregation spilled %d bytes", pool.Spilled())
+	}
+	// spillEnv's cleanup asserts that nothing stays reserved or on disk.
 }
 
 // Satellite (a): hash aggregation must respect the memory limit through the
@@ -280,8 +319,7 @@ func TestAggregateSpillEquivalence(t *testing.T) {
 // a many-group aggregation must fail typed instead of buffering unbounded.
 func TestAggregateEnforcesLimitWithoutSpill(t *testing.T) {
 	pool := resource.NewPool("query", 4<<10)
-	op, err := newAggregateOperator(aggNode(), &pagesOperator{pages: twoColPages(4000, 128, 600)},
-		&opMem{op: "hash aggregation", pool: pool})
+	op, err := newVectorAggOperator(&Context{Memory: pool}, aggNode(), &pagesOperator{pages: twoColPages(4000, 128, 600)})
 	if err != nil {
 		t.Fatal(err)
 	}

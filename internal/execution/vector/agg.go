@@ -11,9 +11,9 @@ import (
 // Agg is a typed batch aggregator: one flat state slice indexed by group
 // id, updated a page at a time. Intermediate and final emissions build
 // typed blocks straight from the state slices (no boxing), and the
-// intermediate formats match the row engine's expr.AggState contract
-// exactly, so vector partials merge into row finals (and vice versa) across
-// local exchanges, spill runs, and the distributed partial/final split:
+// intermediate formats match the expr.AggState contract exactly, so the
+// spill merge, which combines boxed expr states, reads what a typed state
+// spilled:
 //
 //	count            -> int64 (never null)
 //	sum(bigint)      -> int64 or null
@@ -37,16 +37,16 @@ type Agg interface {
 }
 
 // NewAgg builds the typed aggregator for a function name and argument type
-// (nil for count(*)); ok is false for shapes the vector path does not
-// cover (DISTINCT is handled by the caller, approx_distinct and nested
-// argument types fall back to the row engine).
+// (nil for count(*)); ok is false for aggregates with no typed kernel
+// (approx_distinct, plugins, nested argument types), which the caller runs
+// on boxed expr states. DISTINCT is the caller's too.
 func NewAgg(name string, argType *types.Type) (Agg, bool) {
 	switch strings.ToLower(name) {
 	case "count":
 		if argType == nil {
 			return &countAgg{star: true}, true
 		}
-		if _, ok := kindOf(argType); !ok {
+		if _, ok := KindOf(argType); !ok {
 			return nil, false
 		}
 		return &countAgg{}, true
@@ -59,7 +59,7 @@ func NewAgg(name string, argType *types.Type) (Agg, bool) {
 		}
 		return nil, false
 	case "min", "max":
-		k, ok := kindOf(argType)
+		k, ok := KindOf(argType)
 		if !ok {
 			return nil, false
 		}
@@ -241,7 +241,7 @@ func (a *sumFloat64Agg) Reset() { a.sums, a.set = a.sums[:0], a.set[:0] }
 // minMaxAgg keeps the best value per group in a typed Column-like layout.
 // Float comparisons use real float ordering (not bit order) to match
 // expr.CompareValues: NaN never replaces a best value, and a NaN best is
-// never replaced — exactly the row engine's behavior.
+// never replaced — exactly expr's min/max behavior.
 type minMaxAgg struct {
 	kind  Kind
 	typ   *types.Type

@@ -28,7 +28,7 @@ type Column struct {
 // NewColumn builds an empty store for type t; ok is false for unsupported
 // (nested) types.
 func NewColumn(t *types.Type) (*Column, bool) {
-	k, ok := kindOf(t)
+	k, ok := KindOf(t)
 	if !ok {
 		return nil, false
 	}

@@ -1,18 +1,20 @@
 package vector
 
-// Fuzz harnesses for the open-addressing hash tables and the WHERE
-// selection kernel. Each target decodes the fuzz input into batched
-// operations, runs them through the vectorized structure, and checks
-// every observable result against a straightforward reference
-// (a Go map, or the boxed block.Value path). The `dampen` selector shrinks
-// the stored hash space down to a handful of values, forcing the collision
-// and slot-growth paths that random 64-bit hashes would almost never take.
+// Fuzz harnesses for the open-addressing hash tables, the WHERE selection
+// kernel and the key encoder. Each target decodes the fuzz input into
+// batched operations or values, runs them through the vectorized
+// structure, and checks every observable result against a straightforward
+// reference (a Go map, the boxed block.Value path, or a recursive
+// equality). The `dampen` selector shrinks the stored hash space down to a
+// handful of values, forcing the collision and slot-growth paths that
+// random 64-bit hashes would almost never take.
 //
 // Seed corpus lives in testdata/fuzz/<Target>/; CI runs each target briefly
 // (make fuzz-smoke), and `go test -fuzz=<Target> ./internal/execution/vector/`
 // digs deeper locally.
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -350,6 +352,155 @@ func FuzzSelectTrue(f *testing.F) {
 			if sel[i] != want[i] {
 				t.Fatalf("position %d: selected row %d, want %d", i, sel[i], want[i])
 			}
+		}
+	})
+}
+
+// keyDecoder builds SQL types and boxed values from fuzz bytes; once the
+// input runs out every byte reads as 0.
+type keyDecoder struct{ data []byte }
+
+func (d *keyDecoder) next() byte {
+	if len(d.data) == 0 {
+		return 0
+	}
+	b := d.data[0]
+	d.data = d.data[1:]
+	return b
+}
+
+// fuzzKeyStrings holds the strings whose %v renderings collide once they
+// sit in an array or row: the space, "[", and "<nil>", which %v also prints
+// for NULL.
+var fuzzKeyStrings = []string{"", "a", "b", "c", "x", "a b", "b c", "<nil>", "[", " ", "[a b]"}
+
+// typ decodes a type: bigint, double, varchar or boolean, or — above depth
+// 3 — an array, a row of one to three fields, or a map with a scalar key.
+func (d *keyDecoder) typ(depth int) *types.Type {
+	scalars := []*types.Type{types.Bigint, types.Double, types.Varchar, types.Boolean}
+	k := int(d.next() % 7)
+	if depth >= 3 {
+		k %= len(scalars)
+	}
+	switch k {
+	case 4:
+		return types.NewArray(d.typ(depth + 1))
+	case 5:
+		fields := make([]types.Field, 1+d.next()%3)
+		for i := range fields {
+			fields[i] = types.Field{Name: string(rune('a' + i)), Type: d.typ(depth + 1)}
+		}
+		return types.NewRow(fields...)
+	case 6:
+		return types.NewMap(scalars[d.next()%4], d.typ(depth+1))
+	}
+	return scalars[k]
+}
+
+// value decodes a value of type t: NULL when the first byte is a multiple
+// of 5, else from a small domain chosen by the second byte, so equal values
+// are common.
+func (d *keyDecoder) value(t *types.Type) any {
+	if d.next()%5 == 0 {
+		return nil
+	}
+	b := d.next()
+	switch t.Kind {
+	case types.KindBigint:
+		return int64(b%4) - 1
+	case types.KindDouble:
+		return fuzzDoubles[int(b)%len(fuzzDoubles)]
+	case types.KindVarchar:
+		return fuzzKeyStrings[int(b)%len(fuzzKeyStrings)]
+	case types.KindBoolean:
+		return b%2 == 0
+	case types.KindArray:
+		elems := make([]any, b%4)
+		for i := range elems {
+			elems[i] = d.value(t.Elem)
+		}
+		return elems
+	case types.KindRow:
+		fields := make([]any, len(t.Fields))
+		for i, f := range t.Fields {
+			fields[i] = d.value(f.Type)
+		}
+		return fields
+	default:
+		entries := make([][2]any, b%3)
+		for i := range entries {
+			entries[i] = [2]any{d.value(t.Key), d.value(t.Value)}
+		}
+		return entries
+	}
+}
+
+// keyEqual is the reference equality keys must follow: NULL equals NULL,
+// −0.0 equals +0.0, a NaN equals a NaN, and arrays, rows and maps are equal
+// element by element.
+func keyEqual(a, b any) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && (x == y || x != x && y != y)
+	case []any:
+		y, ok := b.([]any)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !keyEqual(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	case [][2]any:
+		y, ok := b.([][2]any)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !keyEqual(x[i][0], y[i][0]) || !keyEqual(x[i][1], y[i][1]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a == b
+}
+
+// FuzzAppendKey decodes a type and two values of it — scalars including
+// ±0.0, NaN, NULL and strings holding "[", a space and "<nil>"; arrays, rows
+// and maps up to depth 3 — and checks that AppendKey gives the two equal
+// bytes exactly when keyEqual calls them equal, and that equal values hash
+// equal through Hasher.HashBlock.
+func FuzzAppendKey(f *testing.F) {
+	// ['a b'] and ['a', 'b']; [NULL] and ['<nil>']; ('a b', 'c') and
+	// ('a', 'b c'); (NULL, 'x') and ('<nil>', 'x'); [-0.0] and [0.0].
+	f.Add([]byte{4, 2, 1, 1, 1, 5, 1, 2, 1, 1, 1, 2})
+	f.Add([]byte{4, 2, 1, 1, 0, 1, 1, 1, 7})
+	f.Add([]byte{5, 1, 2, 2, 1, 0, 1, 5, 1, 3, 1, 0, 1, 1, 1, 6})
+	f.Add([]byte{5, 1, 2, 2, 1, 0, 0, 1, 4, 1, 0, 1, 7, 1, 4})
+	f.Add([]byte{4, 1, 1, 1, 1, 1, 1, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		d := &keyDecoder{data: data}
+		typ := d.typ(0)
+		a, b := d.value(typ), d.value(typ)
+		equal := keyEqual(a, b)
+		if ka, kb := AppendKey(nil, a), AppendKey(nil, b); bytes.Equal(ka, kb) != equal {
+			t.Fatalf("%v and %v of %s: equal %v, but keys %x and %x", a, b, typ, equal, ka, kb)
+		}
+		if !equal {
+			return
+		}
+		var h Hasher
+		hashes := make([]uint64, 2)
+		h.HashBlock(block.FromValues(typ, a, b), 2, hashes)
+		if hashes[0] != hashes[1] {
+			t.Fatalf("equal %v and %v of %s hash %x and %x", a, b, typ, hashes[0], hashes[1])
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -62,6 +63,46 @@ func floatKey(x float64) uint64 {
 	return math.Float64bits(x)
 }
 
+// AppendKey appends the canonical key bytes of boxed value v to dst: two
+// values get the same bytes exactly when GROUP BY, DISTINCT and a hash
+// partition must treat them as one key. Every value is a type tag and then a
+// fixed-width or length-prefixed body, so the bytes of a tuple are its
+// values' bytes one after another. Arrays and rows (both boxed as []any) and
+// maps recurse, a map entry by entry in stored order. A double is keyed by
+// floatKey; NULL has a tag of its own, so a NULL element is not the string
+// "<nil>".
+func AppendKey(dst []byte, v any) []byte {
+	switch t := v.(type) {
+	case nil:
+		return append(dst, 'n')
+	case bool:
+		if t {
+			return append(dst, 'b', 1)
+		}
+		return append(dst, 'b', 0)
+	case int64:
+		return binary.BigEndian.AppendUint64(append(dst, 'i'), uint64(t))
+	case float64:
+		return binary.BigEndian.AppendUint64(append(dst, 'd'), floatKey(t))
+	case string:
+		return append(binary.AppendUvarint(append(dst, 's'), uint64(len(t))), t...)
+	case []any:
+		dst = binary.AppendUvarint(append(dst, 'a'), uint64(len(t)))
+		for _, e := range t {
+			dst = AppendKey(dst, e)
+		}
+		return dst
+	case [][2]any:
+		dst = binary.AppendUvarint(append(dst, 'm'), uint64(len(t)))
+		for _, e := range t {
+			dst = AppendKey(AppendKey(dst, e[0]), e[1])
+		}
+		return dst
+	}
+	// Blocks box values as the cases above and nothing else.
+	panic(fmt.Sprintf("vector: no key encoding for %T", v))
+}
+
 // Hasher computes per-row hash vectors over key columns. All paths hash the
 // VALUE, never the encoding: an int64 hashes the same whether it arrived
 // flat, dictionary-encoded, run-length-encoded, or boxed through the
@@ -69,11 +110,12 @@ func floatKey(x float64) uint64 {
 // across pages and across both sides of a join, and what lets the group
 // table compare pre-hashed keys from differently encoded pages. A double
 // hashes by floatKey, so −0.0 and +0.0 land together, as they must for
-// every key compared with `=`, and all NaNs land together.
+// every key compared with `=`, and all NaNs land together. An array, map or
+// row hashes its AppendKey bytes, so equal nested values land together too.
 //
 // The zero Hasher is ready to use; it holds reusable scratch (dictionary
-// hash vectors, a byte buffer for rare compound values) so hashing a page
-// allocates nothing in steady state.
+// hash vectors, a byte buffer for nested values) so hashing a page of
+// scalars allocates nothing in steady state.
 type Hasher struct {
 	view View
 	dict []uint64
@@ -97,8 +139,7 @@ func (h *Hasher) HashBlock(b block.Block, n int, out []uint64) {
 	v := &h.view
 	if !Of(b, v) {
 		// Boxed fallback for shapes outside the typed kernels (nested
-		// types). Values hash by their boxed scalar identity, consistent
-		// with the typed paths below.
+		// types), consistent with the typed paths below.
 		for r := 0; r < n; r++ {
 			out[r] = combine(out[r], h.hashValue(b.Value(r)))
 		}
@@ -206,17 +247,8 @@ func (h *Hasher) hashValue(val any) uint64 {
 	case string:
 		return hashString(t)
 	default:
-		// Compound values (arrays, maps, rows) as keys are rare; a
-		// deterministic rendered form keeps equal values hashing equal.
-		//lint:ignore hotalloc compound-typed keys never take the typed kernels; scalar kinds are handled above and this branch is per distinct compound value
-		h.buf = fmt.Appendf(h.buf[:0], "%T\x00%v", val, val)
-		const offset64, prime64 = 14695981039346656037, 1099511628211
-		fh := uint64(offset64)
-		for _, c := range h.buf {
-			fh ^= uint64(c)
-			fh *= prime64
-		}
-		return mix64(fh)
+		h.buf = AppendKey(h.buf[:0], val)
+		return hashString(string(h.buf))
 	}
 }
 

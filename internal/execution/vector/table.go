@@ -11,8 +11,7 @@ const initialSlots = 64
 // GroupTable is a flat open-addressing (linear probe) hash table mapping
 // group keys to dense group ids 0..Len()-1. Keys live in typed Column
 // stores and rows arrive pre-hashed, so assigning a batch of rows does no
-// per-row interface dispatch and no per-row key encoding — the two costs
-// that dominate the row-at-a-time aggregation path.
+// per-row interface dispatch and no per-row key encoding.
 type GroupTable struct {
 	cols   []*Column
 	hashes []uint64 // per group

@@ -278,7 +278,7 @@ func TestAggsMatchSemantics(t *testing.T) {
 			t.Fatalf("%s merge round-trip: got (%v, %v), want (%v, %v)",
 				tc.name, fin2.Value(0), fin2.Value(1), tc.wantG0, tc.wantG1)
 		}
-		// Boxed intermediates match the row engine's spill encoding shapes.
+		// Boxed intermediates match expr.AggState's, which the spill merge reads.
 		switch tc.name {
 		case "count":
 			if a.IntermediateValue(1) != int64(0) {

@@ -4,13 +4,12 @@
 // vectors, the WHERE selection kernel (SelectTrue), and typed batch
 // aggregators.
 //
-// The row-at-a-time operators in internal/execution pay one interface
-// dispatch (Block.Value) plus one boxed key encoding per row per column;
-// this package replaces those inner loops with typed slice traversals that
-// dispatch once per block. Dictionary and run-length encodings are first
-// class: a kernel touches each distinct dictionary value once and maps the
-// result through the id vector, and an RLE block costs one evaluation for
-// the whole batch.
+// A row-at-a-time operator pays one interface dispatch (Block.Value) plus
+// one boxed key encoding per row per column; this package replaces those
+// inner loops with typed slice traversals that dispatch once per block.
+// Dictionary and run-length encodings are first class: a kernel touches each
+// distinct dictionary value once and maps the result through the id vector,
+// and an RLE block costs one evaluation for the whole batch.
 //
 // Everything here is deliberately dependency-light (block and types only):
 // the execution operators, the expression evaluator, and the local exchange
@@ -37,9 +36,9 @@ const (
 	KindString
 )
 
-// kindOf maps a SQL type to its storage kind; ok is false for nested and
-// unknown types (those stay on the row-at-a-time reference path).
-func kindOf(t *types.Type) (Kind, bool) {
+// KindOf maps a SQL type to its storage kind; ok is false for nested and
+// unknown types.
+func KindOf(t *types.Type) (Kind, bool) {
 	if t == nil {
 		return 0, false
 	}
@@ -56,16 +55,6 @@ func kindOf(t *types.Type) (Kind, bool) {
 		return 0, false
 	}
 }
-
-// Supported reports whether columns of type t can flow through the vector
-// kernels (hash tables, aggregators, join stores).
-func Supported(t *types.Type) bool {
-	_, ok := kindOf(t)
-	return ok
-}
-
-// KindOf exposes the type→kind mapping to the operators layer.
-func KindOf(t *types.Type) (Kind, bool) { return kindOf(t) }
 
 // View is a typed, allocation-free window onto one block. Exactly one of
 // the value slices (I64/F64/B/S) is populated, according to Kind. Row r of
@@ -93,7 +82,8 @@ type View struct {
 
 // Of fills v with a typed view of b, forcing lazy blocks. It reports false
 // for shapes the kernels do not understand (nested types, nested
-// encodings); callers then take the boxed Value fallback.
+// encodings); callers then flatten the block or take the boxed Value
+// fallback.
 func Of(b block.Block, v *View) bool {
 	b = block.Unwrap(b)
 	switch t := b.(type) {
@@ -146,70 +136,3 @@ func (v *View) at(r int) int {
 // flat reports whether the view is a plain null-free slice — the shape the
 // specialized inner loops handle without per-row branching.
 func (v *View) flat() bool { return v.Ids == nil && !v.Const && v.Nulls == nil }
-
-// Materialize fills v with a flat typed copy of b's first n rows through the
-// boxed Value path — the slow lane for encodings Of rejects (e.g. nested
-// dictionaries). It allocates per call; callers reach it only off the hot
-// path. ok is false when a boxed value does not match the storage kind.
-func Materialize(b block.Block, k Kind, n int, v *View) bool {
-	*v = View{Kind: k, N: n}
-	var nulls []bool
-	setNull := func(r int) {
-		if nulls == nil {
-			nulls = make([]bool, n)
-		}
-		nulls[r] = true
-	}
-	switch k {
-	case KindInt64:
-		v.I64 = make([]int64, n)
-		for r := 0; r < n; r++ {
-			switch t := b.Value(r).(type) {
-			case nil:
-				setNull(r)
-			case int64:
-				v.I64[r] = t
-			default:
-				return false
-			}
-		}
-	case KindFloat64:
-		v.F64 = make([]float64, n)
-		for r := 0; r < n; r++ {
-			switch t := b.Value(r).(type) {
-			case nil:
-				setNull(r)
-			case float64:
-				v.F64[r] = t
-			default:
-				return false
-			}
-		}
-	case KindBool:
-		v.B = make([]bool, n)
-		for r := 0; r < n; r++ {
-			switch t := b.Value(r).(type) {
-			case nil:
-				setNull(r)
-			case bool:
-				v.B[r] = t
-			default:
-				return false
-			}
-		}
-	default:
-		v.S = make([]string, n)
-		for r := 0; r < n; r++ {
-			switch t := b.Value(r).(type) {
-			case nil:
-				setNull(r)
-			case string:
-				v.S[r] = t
-			default:
-				return false
-			}
-		}
-	}
-	v.Nulls = nulls
-	return true
-}

@@ -14,18 +14,6 @@ import (
 	"prestolite/internal/types"
 )
 
-// newAggOp picks the aggregation implementation for a plan node: the
-// vectorized operator when the shape fits its kernels, otherwise the
-// row-at-a-time reference operator. Both honor the same memory accounting,
-// spill format and intermediate-value contracts, so the choice is invisible
-// to the rest of the plan.
-func newAggOp(ctx *Context, node *planner.Aggregate, child Operator) (Operator, error) {
-	if vectorAggEligible(ctx, node) {
-		return newVectorAggOperator(ctx, node, child, newOpMem("hash aggregation", ctx))
-	}
-	return newAggregateOperator(node, child, newOpMem("hash aggregation", ctx))
-}
-
 // Adaptive partial aggregation: a partial step that observes almost no
 // reduction — nearly every input row opens a new group — stops hashing and
 // streams the rest of its input through in intermediate layout, leaving the
@@ -58,62 +46,52 @@ func partialBypassRows(ctx *Context) int {
 	return partialBypassMinRows
 }
 
-// vectorAggEligible gates the vectorized aggregation: scalar key types (none
-// for a global aggregate, which is the one group 0 — its state is constant
-// size, but the row operator boxed every input value to reach it) and every
-// aggregate covered by a typed kernel. DISTINCT, multi-argument aggregates
-// and approx_distinct stay on the reference path.
-func vectorAggEligible(ctx *Context, node *planner.Aggregate) bool {
-	if ctx.rowOperators {
-		return false
-	}
-	childCols := node.Child.Outputs()
-	for _, ch := range node.GroupBy {
-		if !vector.Supported(childCols[ch].Type) {
-			return false
-		}
-	}
-	for _, a := range node.Aggs {
-		if a.Distinct || len(a.Args) > 1 {
-			return false
-		}
-		if _, ok := vector.NewAgg(a.FuncName, aggArgType(a)); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// aggArgType is the aggregate's raw argument type, nil for count(*).
-func aggArgType(a planner.Aggregation) *types.Type {
-	if len(a.ArgTypes) == 0 {
-		return nil
-	}
-	return a.ArgTypes[0]
-}
-
-// vectorAggOperator is hash aggregation over the vector kernels: pages are
-// hashed in batch, group ids assigned through the open-addressing
-// GroupTable, and per-group state lives in flat typed slices updated a
-// column at a time. It implements the same three step modes, memory
-// accounting and spill protocol as aggregateOperator — including writing
-// the identical key-sorted spill schema, so both operators share aggMerger
-// for the post-spill streaming merge.
+// vectorAggOperator is the hash aggregation, over the vector kernels, with
+// three step modes (Fig 2): SINGLE consumes raw rows and emits finals;
+// PARTIAL consumes raw rows and emits intermediates; FINAL consumes
+// intermediates and emits finals. Pages are hashed in batch, group ids
+// assigned through the open-addressing GroupTable, and each aggregate's
+// per-group state is updated a column at a time. It runs every aggregation
+// the planner emits:
+//
+//   - an aggregate with no typed kernel runs on boxed expr states
+//     (boxedAgg);
+//   - a DISTINCT aggregate owns a seen table keyed on (group id, argument),
+//     and a row reaches the aggregate only when it opens an entry there;
+//   - a row, array or map key is grouped on its vector.AppendKey bytes and
+//     emits its first-seen value; a bare NULL key is a column of nulls.
+//
+// Grouped aggregations account every page's new groups against the query
+// memory context; when a reservation is refused (and spill is enabled) the
+// whole table is flushed to a spill run as pages of [group keys...,
+// intermediate states...], sorted by encoded key, and rebuilt empty. Once
+// input is exhausted aggMerger k-way merges the runs, combining equal keys
+// with AddIntermediate — the same round trip the distributed partial→final
+// path uses — and streams pages out, so the full set of groups (which by
+// construction exceeded the budget) is never rebuilt in memory. Emission
+// order after a spill is key-encoding order, not first-seen (grouped output
+// order is unspecified). DISTINCT seen tables cannot spill (they cannot be
+// merged without double counting), so an aggregation with one reserves hard
+// and fails with Insufficient Resources over the limit.
 type vectorAggOperator struct {
-	node  *planner.Aggregate
-	child Operator
-	fns   []*expr.AggregateFunction // row-engine states, used by the spill merge
-	aggs  []vector.Agg
-	table *vector.GroupTable
-	mem   *opMem
+	node   *planner.Aggregate
+	child  Operator
+	fns    []*expr.AggregateFunction // boxed states, for the spill merge
+	aggs   []aggregator
+	groups *keyTable
+	mem    *opMem
 
-	hasher   vector.Hasher
-	hashes   []uint64
-	ids      []int32
-	keyViews []*vector.View
-	keyKinds []vector.Kind
-	argViews []*vector.View
-	argKinds []vector.Kind
+	keyCols []block.Block   // the page's GROUP BY columns
+	args    [][]block.Block // per aggregate: its argument columns
+	// distinct[i] is aggregate i's seen table, keyed on (group id,
+	// arguments...), or nil unless it is DISTINCT.
+	distinct    []*keyTable
+	hasDistinct bool
+	seenCols    []block.Block
+	gids        []int64
+	sel         []int
+	selIDs      []int32
+	passIDs     []int32
 
 	consumed bool
 	emitFrom int
@@ -127,61 +105,43 @@ type vectorAggOperator struct {
 	bypass     bool
 	passing    bool
 
-	chargedGroups   int
-	chargedKeyBytes int64
-	runs            []*resource.Run
-	merger          *aggMerger
+	charged int64
+	runs    []*resource.Run
+	merger  *aggMerger
 }
 
-func newVectorAggOperator(ctx *Context, node *planner.Aggregate, child Operator, mem *opMem) (Operator, error) {
+// newVectorAggOperator builds the hash aggregation for a plan node, with its
+// own memory handle.
+func newVectorAggOperator(ctx *Context, node *planner.Aggregate, child Operator) (Operator, error) {
 	childCols := node.Child.Outputs()
 	keyTypes := make([]*types.Type, len(node.GroupBy))
-	keyKinds := make([]vector.Kind, len(node.GroupBy))
 	for i, ch := range node.GroupBy {
 		keyTypes[i] = childCols[ch].Type
-		keyKinds[i], _ = vector.KindOf(keyTypes[i])
-	}
-	table, ok := vector.NewGroupTable(keyTypes)
-	if !ok {
-		return nil, fmt.Errorf("execution: vector aggregation over unsupported key types")
 	}
 	o := &vectorAggOperator{
 		node:       node,
 		child:      child,
-		mem:        mem,
-		table:      table,
+		mem:        newOpMem("hash aggregation", ctx),
+		groups:     newKeyTable(keyTypes),
+		keyCols:    make([]block.Block, len(node.GroupBy)),
 		bypassRows: partialBypassRows(ctx),
-		keyKinds:   keyKinds,
-		keyViews:   newViews(len(node.GroupBy)),
-		argViews:   newViews(len(node.Aggs)),
-		argKinds:   make([]vector.Kind, len(node.Aggs)),
+		args:       make([][]block.Block, len(node.Aggs)),
+		distinct:   make([]*keyTable, len(node.Aggs)),
 	}
-	for _, a := range node.Aggs {
+	for i, a := range node.Aggs {
 		fn, err := expr.ResolveAggregate(a.FuncName, a.ArgTypes)
 		if err != nil {
 			return nil, err
 		}
 		o.fns = append(o.fns, fn)
-		agg, ok := vector.NewAgg(a.FuncName, aggArgType(a))
-		if !ok {
-			return nil, fmt.Errorf("execution: vector aggregation has no kernel for %s", a.FuncName)
-		}
-		o.aggs = append(o.aggs, agg)
-	}
-	for i, a := range node.Aggs {
-		if node.Step != planner.AggFinal && len(a.Args) == 1 {
-			o.argKinds[i], _ = vector.KindOf(a.ArgTypes[0])
+		o.aggs = append(o.aggs, newAggregator(a, fn))
+		o.args[i] = make([]block.Block, len(a.Args))
+		if a.Distinct {
+			o.distinct[i] = newKeyTable(append([]*types.Type{types.Bigint}, a.ArgTypes...))
+			o.hasDistinct = true
 		}
 	}
 	return o, nil
-}
-
-func newViews(n int) []*vector.View {
-	vs := make([]*vector.View, n)
-	for i := range vs {
-		vs[i] = &vector.View{}
-	}
-	return vs
 }
 
 func (o *vectorAggOperator) Next() (*block.Page, error) {
@@ -208,13 +168,14 @@ func (o *vectorAggOperator) Next() (*block.Page, error) {
 	return p, err
 }
 
-// viewOf fills v from b, falling back to boxed materialization for exotic
-// encodings the typed views reject.
+// viewOf fills v from b, flattening first the encodings the typed views
+// reject (a dictionary over a dictionary, the sort's indirection blocks).
 func viewOf(b block.Block, k vector.Kind, n int, v *vector.View) error {
 	if vector.Of(b, v) {
 		return nil
 	}
-	if !vector.Materialize(b, k, n, v) {
+	flat := block.MaterializePage(&block.Page{Blocks: []block.Block{b}, N: n}).Blocks[0]
+	if !vector.Of(flat, v) || v.Kind != k {
 		return fmt.Errorf("execution: block %T does not match its declared column type", b)
 	}
 	return nil
@@ -233,39 +194,7 @@ func (o *vectorAggOperator) consume() error {
 		if n == 0 {
 			continue
 		}
-		if cap(o.hashes) < n {
-			o.hashes = make([]uint64, n)
-			o.ids = make([]int32, n)
-		}
-		hashes, ids := o.hashes[:n], o.ids[:n]
-		o.hasher.HashPage(p, o.node.GroupBy, hashes)
-		for i, ch := range o.node.GroupBy {
-			if err := viewOf(p.Blocks[ch], o.keyKinds[i], n, o.keyViews[i]); err != nil {
-				return err
-			}
-		}
-		o.table.Assign(o.keyViews, n, hashes, ids)
-		after := o.table.Len()
-		for i, a := range o.node.Aggs {
-			agg := o.aggs[i]
-			agg.Grow(after)
-			if o.node.Step == planner.AggFinal {
-				// The input channel holds the intermediate value.
-				if err := agg.AddIntermediate(ids, p.Blocks[a.Args[0]], n); err != nil {
-					return err
-				}
-				continue
-			}
-			if len(a.Args) == 0 {
-				agg.AddRaw(ids, nil, n)
-				continue
-			}
-			if err := viewOf(p.Blocks[a.Args[0]], o.argKinds[i], n, o.argViews[i]); err != nil {
-				return err
-			}
-			agg.AddRaw(ids, o.argViews[i], n)
-		}
-		if err := o.chargeGrowth(after); err != nil {
+		if err := o.addPage(p, n); err != nil {
 			return err
 		}
 		// Adaptive partial aggregation: once enough input has been hashed,
@@ -275,16 +204,18 @@ func (o *vectorAggOperator) consume() error {
 		// never bypass: their emission already belongs to the run merger.
 		if o.bypassRows >= 0 && o.node.Step == planner.AggPartial && len(o.runs) == 0 && len(o.node.GroupBy) > 0 {
 			o.rowsIn += n
-			if o.rowsIn >= o.bypassRows && o.table.Len()*partialBypassDen >= o.rowsIn*partialBypassNum {
+			if o.rowsIn >= o.bypassRows && o.groups.Len()*partialBypassDen >= o.rowsIn*partialBypassNum {
 				o.bypass = true
 				return nil
 			}
 		}
 	}
-	if len(o.node.GroupBy) == 0 && o.table.Len() == 0 {
+	if len(o.node.GroupBy) == 0 && o.groups.Len() == 0 {
 		// A global aggregate over empty input still produces its one group:
 		// a keyless row opens it, and no aggregator sees a value.
-		o.table.Assign(nil, 1, []uint64{0}, make([]int32, 1))
+		if _, err := o.groups.assign(nil, 1); err != nil {
+			return err
+		}
 		for _, agg := range o.aggs {
 			agg.Grow(1)
 		}
@@ -295,27 +226,106 @@ func (o *vectorAggOperator) consume() error {
 		if err := o.spillGroups(); err != nil {
 			return err
 		}
-		o.merger = newAggMerger(o.node, o.fns)
+		o.merger = &aggMerger{node: o.node, fns: o.fns}
 		return o.merger.open(o.runs)
 	}
 	return nil
 }
 
-// chargeGrowth accounts the page's new groups (same per-group costs as the
-// row operator, charged per batch instead of per row; like it, nothing for a
-// global aggregate's one constant-size group). A refused reservation flushes
-// the whole table to a sorted run — including the groups just assigned, so
-// unlike the row path nothing is re-reserved afterwards.
-func (o *vectorAggOperator) chargeGrowth(groups int) error {
-	if len(o.node.GroupBy) == 0 {
-		return nil
+// addPage assigns the rows of p to groups, feeds every aggregate and
+// charges what the page added.
+func (o *vectorAggOperator) addPage(p *block.Page, n int) error {
+	for i, ch := range o.node.GroupBy {
+		o.keyCols[i] = p.Blocks[ch]
 	}
-	keyBytes := o.table.KeyBytes()
-	cost := int64(groups-o.chargedGroups)*(aggGroupBaseCost+int64(len(o.aggs))*aggStateCost) +
-		(keyBytes - o.chargedKeyBytes)
-	o.chargedGroups, o.chargedKeyBytes = groups, keyBytes
-	if cost <= 0 {
-		return nil
+	ids, err := o.groups.assign(o.keyCols, n)
+	if err != nil {
+		return err
+	}
+	for i, k := range o.groups.keys {
+		k.record(o.keyCols[i], ids)
+	}
+	groups := o.groups.Len()
+	for i, a := range o.node.Aggs {
+		agg := o.aggs[i]
+		agg.Grow(groups)
+		if o.node.Step == planner.AggFinal {
+			// The input channel holds the intermediate value.
+			if err := agg.AddIntermediate(ids, p.Blocks[a.Args[0]], n); err != nil {
+				return err
+			}
+			continue
+		}
+		args := o.args[i]
+		for j, ch := range a.Args {
+			args[j] = p.Blocks[ch]
+		}
+		rowIDs, rows := ids, n
+		if seen := o.distinct[i]; seen != nil {
+			if rowIDs, err = o.distinctRows(seen, ids, args, n); err != nil {
+				return err
+			}
+			rows = len(rowIDs)
+		}
+		if err := agg.addRaw(rowIDs, args, rows); err != nil {
+			return err
+		}
+	}
+	return o.chargeGrowth()
+}
+
+// distinctRows narrows the rows of a DISTINCT aggregate — group ids ids,
+// argument columns args, masked in place — to those that open an entry in
+// its seen table and have a non-NULL first argument, and returns their
+// group ids.
+func (o *vectorAggOperator) distinctRows(seen *keyTable, ids []int32, args []block.Block, n int) ([]int32, error) {
+	o.gids = o.gids[:0]
+	for _, g := range ids {
+		o.gids = append(o.gids, int64(g))
+	}
+	o.seenCols = append(append(o.seenCols[:0], &block.Int64Block{Values: o.gids}), args...)
+	next := int32(seen.Len())
+	entries, err := seen.assign(o.seenCols, n)
+	if err != nil {
+		return nil, err
+	}
+	o.sel, o.selIDs = o.sel[:0], o.selIDs[:0]
+	for r, e := range entries {
+		if e != next {
+			continue
+		}
+		next++
+		if !args[0].IsNull(r) {
+			o.sel = append(o.sel, r)
+			o.selIDs = append(o.selIDs, ids[r])
+		}
+	}
+	for j, b := range args {
+		args[j] = b.Mask(o.sel)
+	}
+	return o.selIDs, nil
+}
+
+// chargeGrowth accounts what the groups and the DISTINCT entries grew by
+// since the last charge. Groups are charged for grouped aggregations only: a
+// global aggregate's one group is constant size. A refused reservation
+// flushes the whole table to a sorted run, including the groups just
+// assigned, so nothing is re-reserved afterwards. With a DISTINCT aggregate
+// nothing may spill, so the charge is hard.
+func (o *vectorAggOperator) chargeGrowth() error {
+	var held int64
+	if len(o.node.GroupBy) > 0 {
+		held = int64(o.groups.Len())*(aggGroupBaseCost+int64(len(o.aggs))*aggStateCost) + o.groups.KeyBytes()
+	}
+	for _, seen := range o.distinct {
+		if seen != nil {
+			held += int64(seen.Len())*aggDistinctCost + seen.KeyBytes()
+		}
+	}
+	cost := held - o.charged
+	o.charged = held
+	if o.hasDistinct {
+		return o.mem.hardReserve(cost)
 	}
 	ok, err := o.mem.reserve(cost)
 	if err != nil {
@@ -327,10 +337,21 @@ func (o *vectorAggOperator) chargeGrowth(groups int) error {
 	return nil
 }
 
+// keyValues boxes group g's key into dst: the first-seen value of a nested
+// key column, the stored key otherwise.
+func (o *vectorAggOperator) keyValues(g int, dst []any) {
+	o.groups.KeyValues(g, dst)
+	for c, k := range o.groups.keys {
+		if k.nested {
+			dst[c] = k.first[g]
+		}
+	}
+}
+
 // spillGroups writes every group to one key-sorted run (the aggMerger wire
 // format) and resets the table and aggregator state, freeing their memory.
 func (o *vectorAggOperator) spillGroups() error {
-	ng := o.table.Len()
+	ng := o.groups.Len()
 	if ng == 0 {
 		return nil
 	}
@@ -341,8 +362,11 @@ func (o *vectorAggOperator) spillGroups() error {
 	keyVals := make([]any, nk)
 	var buf []byte
 	for g := 0; g < ng; g++ {
-		o.table.KeyValues(g, keyVals)
-		buf = appendGroupKey(buf[:0], keyVals)
+		o.keyValues(g, keyVals)
+		buf = buf[:0]
+		for _, v := range keyVals {
+			buf = vector.AppendKey(buf, v)
+		}
 		enc[g] = string(buf)
 	}
 	order := make([]int, ng)
@@ -361,7 +385,7 @@ func (o *vectorAggOperator) spillGroups() error {
 		end := min(off+spillPageRows, ng)
 		pb := block.NewPageBuilder(ts)
 		for _, g := range order[off:end] {
-			o.table.KeyValues(g, row[:nk])
+			o.keyValues(g, row[:nk])
 			for i, agg := range o.aggs {
 				row[nk+i] = agg.IntermediateValue(g)
 			}
@@ -378,20 +402,23 @@ func (o *vectorAggOperator) spillGroups() error {
 	}
 	o.runs = append(o.runs, run)
 	o.mem.addSpilled(run.Bytes())
-	o.table.Reset()
+	o.groups.Reset()
+	for _, k := range o.groups.keys {
+		k.first = nil
+	}
 	for _, agg := range o.aggs {
 		agg.Reset()
 	}
-	o.chargedGroups, o.chargedKeyBytes = 0, 0
+	o.charged = 0
 	o.mem.releaseAll()
 	return nil
 }
 
 // emitNext streams the in-memory result a page at a time, building each
-// column directly from the table's key stores and the aggregators' state
-// slices — no per-row boxing on the way out.
+// column directly from the table's key stores and the aggregators' state —
+// no per-row boxing on the way out, but for nested keys and boxed states.
 func (o *vectorAggOperator) emitNext() (*block.Page, error) {
-	ng := o.table.Len()
+	ng := o.groups.Len()
 	if o.emitFrom >= ng {
 		return nil, io.EOF
 	}
@@ -400,8 +427,12 @@ func (o *vectorAggOperator) emitNext() (*block.Page, error) {
 	o.emitFrom = to
 	nk := len(o.node.GroupBy)
 	blocks := make([]block.Block, nk+len(o.aggs))
-	for c := 0; c < nk; c++ {
-		blocks[c] = o.table.KeyBlock(c, from, to)
+	for c, k := range o.groups.keys {
+		if k.nested {
+			blocks[c] = block.FromValues(k.typ, k.first[from:to]...)
+		} else {
+			blocks[c] = o.groups.KeyBlock(c, from, to)
+		}
 	}
 	for i, agg := range o.aggs {
 		if o.node.Step == planner.AggPartial {
@@ -429,15 +460,15 @@ func (o *vectorAggOperator) passNext() (*block.Page, error) {
 
 // passThrough converts one raw page to the partial output layout by
 // treating every row as its own group: key columns pass through unchanged
-// and each aggregate's intermediate column is produced by a single AddRaw
+// and each aggregate's intermediate column is produced by a single addRaw
 // over identity group ids. Fresh aggregator instances per page keep the
 // emitted blocks from aliasing state slices that the next page would
 // overwrite — exchange sinks buffer emitted pages.
 func (o *vectorAggOperator) passThrough(p *block.Page, n int) (*block.Page, error) {
-	if cap(o.ids) < n {
-		o.ids = make([]int32, n)
+	if cap(o.passIDs) < n {
+		o.passIDs = make([]int32, n)
 	}
-	ids := o.ids[:n]
+	ids := o.passIDs[:n]
 	for i := range ids {
 		ids[i] = int32(i)
 	}
@@ -447,18 +478,14 @@ func (o *vectorAggOperator) passThrough(p *block.Page, n int) (*block.Page, erro
 		blocks[i] = p.Blocks[ch]
 	}
 	for i, a := range o.node.Aggs {
-		agg, ok := vector.NewAgg(a.FuncName, aggArgType(a))
-		if !ok {
-			return nil, fmt.Errorf("execution: vector aggregation has no kernel for %s", a.FuncName)
-		}
+		agg := newAggregator(a, o.fns[i])
 		agg.Grow(n)
-		if len(a.Args) == 0 {
-			agg.AddRaw(ids, nil, n)
-		} else {
-			if err := viewOf(p.Blocks[a.Args[0]], o.argKinds[i], n, o.argViews[i]); err != nil {
-				return nil, err
-			}
-			agg.AddRaw(ids, o.argViews[i], n)
+		args := o.args[i]
+		for j, ch := range a.Args {
+			args[j] = p.Blocks[ch]
+		}
+		if err := agg.addRaw(ids, args, n); err != nil {
+			return nil, err
 		}
 		blocks[nk+i] = agg.EmitIntermediate(0, n)
 	}
@@ -477,4 +504,103 @@ func (o *vectorAggOperator) Close() error {
 	o.mem.releaseAll()
 	errs = append(errs, o.child.Close())
 	return errors.Join(errs...)
+}
+
+// keyTable is a GroupTable over key columns of any type — the GROUP BY
+// keys, or a DISTINCT aggregate's (group id, arguments...) — each viewed as
+// its keyColumn stores it.
+type keyTable struct {
+	*vector.GroupTable
+	keys   []*keyColumn
+	views  []*vector.View
+	hasher vector.Hasher
+	hashes []uint64
+	ids    []int32
+}
+
+func newKeyTable(keyTypes []*types.Type) *keyTable {
+	t := &keyTable{}
+	stored := make([]*types.Type, len(keyTypes))
+	for i, typ := range keyTypes {
+		k := newKeyColumn(typ)
+		t.keys = append(t.keys, k)
+		t.views = append(t.views, &k.view)
+		stored[i] = k.stored
+	}
+	t.GroupTable, _ = vector.NewGroupTable(stored) // every stored type has a vector kind
+	return t
+}
+
+// assign maps n rows of the key columns cols to entry ids, opening an entry
+// for each key not seen before; the ids are valid until the next call.
+func (t *keyTable) assign(cols []block.Block, n int) ([]int32, error) {
+	if cap(t.hashes) < n {
+		t.hashes = make([]uint64, n)
+		t.ids = make([]int32, n)
+	}
+	hashes, ids := t.hashes[:n], t.ids[:n]
+	clear(hashes)
+	for i, b := range cols {
+		t.hasher.HashBlock(b, n, hashes)
+		if err := t.keys[i].fill(b, n); err != nil {
+			return nil, err
+		}
+	}
+	t.Assign(t.views, n, hashes, ids)
+	return ids, nil
+}
+
+// keyColumn views one key column as a GroupTable stores it: a scalar by its
+// vector kind, a bare NULL as a bigint column of nulls (as the join treats
+// it), and an array, map or row as the varchar of its vector.AppendKey
+// bytes.
+type keyColumn struct {
+	typ    *types.Type // declared
+	stored *types.Type // what the table stores
+	kind   vector.Kind
+	nested bool
+	view   vector.View
+	strs   []string
+	buf    []byte
+	// first is a nested GROUP BY key's first-seen value per group, which is
+	// what the group emits.
+	first []any
+}
+
+func newKeyColumn(t *types.Type) *keyColumn {
+	if kind, ok := vector.KindOf(t); ok {
+		return &keyColumn{typ: t, stored: t, kind: kind}
+	}
+	if t.Kind == types.KindUnknown {
+		return &keyColumn{typ: t, stored: types.Bigint, kind: vector.KindInt64}
+	}
+	return &keyColumn{typ: t, stored: types.Varchar, nested: true}
+}
+
+// fill views rows [0, n) of b.
+func (k *keyColumn) fill(b block.Block, n int) error {
+	if !k.nested {
+		return viewOf(b, k.kind, n, &k.view)
+	}
+	// NULL has key bytes of its own, so it needs no null mask.
+	k.strs = k.strs[:0]
+	for r := 0; r < n; r++ {
+		k.buf = vector.AppendKey(k.buf[:0], b.Value(r))
+		k.strs = append(k.strs, string(k.buf))
+	}
+	k.view = vector.View{Kind: vector.KindString, N: n, S: k.strs}
+	return nil
+}
+
+// record keeps, for a nested key, the value of b in each row that opened a
+// group (ids from the assign that viewed b).
+func (k *keyColumn) record(b block.Block, ids []int32) {
+	if !k.nested {
+		return
+	}
+	for r, g := range ids {
+		if int(g) == len(k.first) {
+			k.first = append(k.first, b.Value(r))
+		}
+	}
 }

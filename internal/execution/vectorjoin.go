@@ -117,6 +117,14 @@ func newVectorJoinOperator(node *planner.Join, left, right Operator, mem *opMem)
 	return o
 }
 
+func newViews(n int) []*vector.View {
+	vs := make([]*vector.View, n)
+	for i := range vs {
+		vs[i] = &vector.View{}
+	}
+	return vs
+}
+
 // resetChunk empties the build rows in memory: fresh stores, a fresh table.
 func (o *vectorJoinOperator) resetChunk() {
 	o.cols = make([]*vector.Column, len(o.rightTypes))

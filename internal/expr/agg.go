@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"prestolite/internal/execution/vector"
 	"prestolite/internal/types"
 )
 
@@ -221,18 +222,19 @@ func (s *avgState) Final() any {
 }
 
 // approxDistinctState implements approx_distinct with a simple linear
-// counting fallback (exact over a hash set) — good enough for a simulator.
+// counting fallback (exact over a set of vector.AppendKey bytes) — good
+// enough for a simulator.
 type approxDistinctState struct {
 	seen map[string]struct{}
+	buf  []byte
 }
-
-func distinctKey(v any) string { return fmt.Sprintf("%T:%v", v, v) }
 
 func (s *approxDistinctState) Add(vals []any) {
 	if vals[0] == nil {
 		return
 	}
-	s.seen[distinctKey(vals[0])] = struct{}{}
+	s.buf = vector.AppendKey(s.buf[:0], vals[0])
+	s.seen[string(s.buf)] = struct{}{}
 }
 
 func (s *approxDistinctState) AddIntermediate(v any) {

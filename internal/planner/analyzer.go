@@ -161,6 +161,9 @@ func (a *Analyzer) planQuery(q *sql.Query) (Node, *scope, error) {
 				projExprs = append(projExprs, e)
 				projNames = append(projNames, fmt.Sprintf("$sort%d", ch))
 			}
+			if err := orderable("ORDER BY", projExprs[ch].TypeOf()); err != nil {
+				return nil, nil, err
+			}
 			sortKeys = append(sortKeys, SortKey{Channel: ch, Desc: item.Desc})
 		}
 	}
@@ -244,6 +247,28 @@ func containsAggregate(e any) bool {
 }
 
 func anyExprs(in []sql.Expr) []sql.Expr { return in }
+
+// orderable refuses to order by a type with no order — an array, map or
+// row — for an ORDER BY key or a min/max argument (what). GROUP BY,
+// DISTINCT and count over those types compare only for equality and stay
+// legal.
+func orderable(what string, t *types.Type) error {
+	switch t.Kind {
+	case types.KindArray, types.KindMap, types.KindRow:
+		return &notOrderableError{what: what, typ: t}
+	}
+	return nil
+}
+
+// notOrderableError is the analyzer's refusal to order values of typ.
+type notOrderableError struct {
+	what string
+	typ  *types.Type
+}
+
+func (e *notOrderableError) Error() string {
+	return fmt.Sprintf("planner: %s over %s: values of the type have no order", e.what, e.typ)
+}
 
 // resolveOrderTarget maps an ORDER BY expression to an output channel via
 // alias, ordinal, or textual match against a select item.

@@ -184,6 +184,9 @@ func (a *Analyzer) planAggregation(q *sql.Query, plan Node, srcScope *scope) (No
 			projExprs = append(projExprs, e)
 			projNames = append(projNames, fmt.Sprintf("$sort%d", ch))
 		}
+		if err := orderable("ORDER BY", projExprs[ch].TypeOf()); err != nil {
+			return nil, nil, err
+		}
 		sortKeys = append(sortKeys, SortKey{Channel: ch, Desc: item.Desc})
 	}
 
@@ -363,6 +366,11 @@ func (c *aggCollector) recordAggregate(f *sql.FuncCall) (sql.Expr, error) {
 		// Try widening numeric args (avg over integer etc. already matches;
 		// this covers sum(varchar) style errors cleanly).
 		return nil, err
+	}
+	if fn.Name == "min" || fn.Name == "max" {
+		if err := orderable(fn.Name, argTypes[0]); err != nil {
+			return nil, err
+		}
 	}
 	item.fn = fn
 	c.aggs = append(c.aggs, item)

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -27,6 +29,13 @@ func testCatalogs(t *testing.T) *connector.Registry {
 	if err := mem.CreateTable("s", "u", []connector.Column{
 		{Name: "a", Type: types.Bigint},
 		{Name: "d", Type: types.Varchar},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.CreateTable("s", "n", []connector.Column{
+		{Name: "a", Type: types.NewArray(types.Bigint)},
+		{Name: "m", Type: types.NewMap(types.Varchar, types.Bigint)},
+		{Name: "r", Type: types.NewRow(types.Field{Name: "x", Type: types.Bigint})},
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -290,5 +299,36 @@ func TestExecProperties(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown property "task_concurency"`) ||
 		!strings.Contains(err.Error(), strings.Join(sessionProperties, ", ")) {
 		t.Errorf("err = %v, want the unknown name and the known ones listed", err)
+	}
+}
+
+// TestOrderingNestedTypesRefused: the sort and min/max compare scalars
+// only, so ORDER BY, min and max over an array, map or row fail analysis
+// with an error naming the type, while GROUP BY, DISTINCT and count over
+// them still plan.
+func TestOrderingNestedTypesRefused(t *testing.T) {
+	analyze := func(query string) error {
+		a := &Analyzer{Catalogs: testCatalogs(t), Session: &Session{Catalog: "memory", Schema: "s"}}
+		_, err := a.Analyze(parseQuery(t, query))
+		return err
+	}
+	for col, typ := range map[string]string{"a": "array(bigint)", "m": "map(varchar, bigint)", "r": "row(x bigint)"} {
+		for _, q := range []string{
+			"SELECT %[1]s FROM n ORDER BY %[1]s",
+			"SELECT %[1]s FROM n ORDER BY 1 DESC",
+			"SELECT %[1]s, count(*) FROM n GROUP BY %[1]s ORDER BY %[1]s",
+			"SELECT min(%[1]s) FROM n",
+			"SELECT max(%[1]s) FROM n",
+		} {
+			query := fmt.Sprintf(q, col)
+			var refused *notOrderableError
+			if err := analyze(query); !errors.As(err, &refused) || !strings.Contains(err.Error(), typ) {
+				t.Errorf("%s: err = %v, want a refusal naming %s", query, err, typ)
+			}
+		}
+		query := fmt.Sprintf("SELECT %[1]s, count(%[1]s), count(DISTINCT %[1]s) FROM n GROUP BY %[1]s", col)
+		if err := analyze(query); err != nil {
+			t.Errorf("%s: %v", query, err)
+		}
 	}
 }
