@@ -72,8 +72,9 @@ type segColumn struct {
 // are maintained at append and carried through freeze, seal and compaction.
 type colStats struct {
 	nulls int
-	// nan: a double column holds a NaN, which compares equal to everything,
-	// so no [min, max] describes what its rows can match.
+	// nan: a double column holds a NaN. min and max are then nil, so no
+	// statistics test (OverlapsStats, CoversStats, addFromStats) decides
+	// anything about the segment from them.
 	nan bool
 	// min and max of the non-NULL values, boxed int64 or float64 as
 	// expr.Comparison's statistics tests take them; nil for varchar, when

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"prestolite/internal/block"
@@ -239,9 +240,9 @@ func (a *sumFloat64Agg) Reset() { a.sums, a.set = a.sums[:0], a.set[:0] }
 // min / max
 
 // minMaxAgg keeps the best value per group in a typed Column-like layout.
-// Float comparisons use real float ordering (not bit order) to match
-// expr.CompareValues: NaN never replaces a best value, and a NaN best is
-// never replaced — exactly expr's min/max behavior.
+// Doubles order as numbers, with NaN below every number (floatBetter), as
+// expr's min/max order them: the answer does not depend on the order rows or
+// partial states arrive in.
 type minMaxAgg struct {
 	kind  Kind
 	typ   *types.Type
@@ -280,7 +281,7 @@ func (a *minMaxAgg) AddRaw(ids []int32, arg *View, n int) {
 			}
 		case KindFloat64:
 			x := arg.F64[i]
-			if !a.set[g] || (a.isMax && x > a.f64[g]) || (!a.isMax && x < a.f64[g]) {
+			if !a.set[g] || floatBetter(x, a.f64[g], a.isMax) {
 				a.f64[g] = x
 			}
 		case KindBool:
@@ -299,6 +300,15 @@ func (a *minMaxAgg) AddRaw(ids []int32, arg *View, n int) {
 		}
 		a.set[g] = true
 	}
+}
+
+// floatBetter reports whether x replaces best: min is NaN once any input is,
+// max only when every input is.
+func floatBetter(x, best float64, isMax bool) bool {
+	if isMax {
+		return x > best || math.IsNaN(best) && !math.IsNaN(x)
+	}
+	return x < best || math.IsNaN(x) && !math.IsNaN(best)
 }
 
 func (a *minMaxAgg) AddIntermediate(ids []int32, b block.Block, n int) error {

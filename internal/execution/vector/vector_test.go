@@ -306,7 +306,7 @@ func TestMinMaxFloatNaN(t *testing.T) {
 	if got := a.EmitFinal(0, 1).Value(0); got != 2.5 {
 		t.Fatalf("max with NaN = %v, want 2.5", got)
 	}
-	// A NaN first value sticks (CompareValues semantics: NaN never loses).
+	// NaN orders below every number, wherever it arrives: min is NaN.
 	b, _ := NewAgg("min", types.Double)
 	b.Grow(1)
 	Of(&block.Float64Block{Values: []float64{math.NaN(), 1.0}}, v)

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -174,10 +175,23 @@ func (s *minMaxState) consider(v any) {
 		return
 	}
 	c := CompareValues(v, s.best)
+	if x, ok := v.(float64); ok && c == 0 {
+		// NaN orders below every number, so the answer does not depend on
+		// the order values arrive in.
+		c = nanRank(x) - nanRank(s.best.(float64))
+	}
 	if (s.max && c > 0) || (!s.max && c < 0) {
 		s.best = v
 	}
 }
+
+func nanRank(x float64) int {
+	if math.IsNaN(x) {
+		return -1
+	}
+	return 0
+}
+
 func (s *minMaxState) Add(vals []any)        { s.consider(vals[0]) }
 func (s *minMaxState) AddIntermediate(v any) { s.consider(v) }
 func (s *minMaxState) Intermediate() any     { return s.best }

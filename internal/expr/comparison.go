@@ -83,11 +83,14 @@ func (c Comparison) Match(v any) bool {
 	}
 	if c.Op == OpIn {
 		for _, w := range c.Values {
-			if CompareValues(v, w) == 0 {
+			if !unordered(v, w) && CompareValues(v, w) == 0 {
 				return true
 			}
 		}
 		return false
+	}
+	if unordered(v, c.Values[0]) {
+		return c.Op == OpNeq
 	}
 	cmp := CompareValues(v, c.Values[0])
 	switch c.Op {
@@ -111,7 +114,9 @@ func (c Comparison) Match(v any) bool {
 // row-group skipping test of §V.F, Fig 7). Without statistics (nil) nothing
 // can be excluded. The statistic is always the left operand of CompareValues,
 // as the column's value is in Match, so a literal of another numeric kind is
-// converted the same way in both.
+// converted the same way in both. Double statistics describe the values that
+// are not NaN; a NaN matches only <>, which therefore never skips a double
+// unit.
 func (c Comparison) OverlapsStats(min, max any) bool {
 	if min == nil || max == nil {
 		return true
@@ -135,7 +140,10 @@ func (c Comparison) OverlapsStats(min, max any) bool {
 		return CompareValues(max, c.Values[0]) > 0
 	case OpGte:
 		return CompareValues(max, c.Values[0]) >= 0
-	default: // OpNeq: stats can only prove min==max==v
+	default: // OpNeq: stats can only prove min==max==v, and not that no NaN is there
+		if _, double := min.(float64); double {
+			return true
+		}
 		return !(CompareValues(min, max) == 0 && CompareValues(min, c.Values[0]) == 0)
 	}
 }
@@ -147,6 +155,11 @@ func (c Comparison) OverlapsStats(min, max any) bool {
 func (c Comparison) CoversStats(min, max any) bool {
 	if min == nil || max == nil {
 		return false
+	}
+	for _, v := range c.Values {
+		if unordered(v, v) { // a NaN literal (0.0/0.0 folds to one): only <> matches, and every number
+			return c.Op == OpNeq
+		}
 	}
 	only := func(v any) bool { return CompareValues(min, v) == 0 && CompareValues(max, v) == 0 }
 	switch c.Op {
@@ -252,14 +265,13 @@ func boolRank(b bool) int64 {
 	return 0
 }
 
-// orderedMatcher builds the comparison for one operator. Equality is "neither
-// less nor greater", which is what CompareValues' three-way result gives a
-// NaN: it compares equal to everything.
+// orderedMatcher builds the comparison for one operator with Go's operators,
+// which on doubles are IEEE 754's: a NaN matches only <>.
 func orderedMatcher[T int64 | float64 | string](op CompareOp, lits []T) func(T) bool {
 	if op == OpIn {
 		return func(v T) bool {
 			for _, w := range lits {
-				if !(v < w) && !(v > w) {
+				if v == w {
 					return true
 				}
 			}
@@ -269,17 +281,17 @@ func orderedMatcher[T int64 | float64 | string](op CompareOp, lits []T) func(T) 
 	lit := lits[0]
 	switch op {
 	case OpEq:
-		return func(v T) bool { return !(v < lit) && !(v > lit) }
+		return func(v T) bool { return v == lit }
 	case OpNeq:
-		return func(v T) bool { return v < lit || v > lit }
+		return func(v T) bool { return v != lit }
 	case OpLt:
 		return func(v T) bool { return v < lit }
 	case OpLte:
-		return func(v T) bool { return !(v > lit) }
+		return func(v T) bool { return v <= lit }
 	case OpGt:
 		return func(v T) bool { return v > lit }
 	case OpGte:
-		return func(v T) bool { return !(v < lit) }
+		return func(v T) bool { return v >= lit }
 	}
 	return func(T) bool { return false }
 }

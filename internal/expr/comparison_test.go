@@ -133,6 +133,32 @@ func TestOverlapsStatsIsSound(t *testing.T) {
 	}
 }
 
+// A NaN on either side of a comparison matches only <> (IEEE 754), and the
+// statistics tests agree: a unit with no NaN among its numbers is covered
+// by <> NaN and by no other comparison with a NaN literal, and a double
+// unit is never skipped for <>, since it may hold a NaN.
+func TestNaNComparisons(t *testing.T) {
+	nan := math.NaN()
+	for op := OpEq; op <= OpIn; op++ {
+		lit := Comparison{Column: "d", Op: op, Values: []any{nan}}
+		for _, m := range []struct {
+			c Comparison
+			v any
+		}{{lit, 0.5}, {lit, nan}, {Comparison{Column: "d", Op: op, Values: []any{0.5}}, nan}} {
+			if got, want := m.c.Match(m.v), op == OpNeq; got != want {
+				t.Errorf("%s matches %v: %v, want %v", m.c, m.v, got, want)
+			}
+		}
+		if got, want := lit.CoversStats(0.0, 1.0), op == OpNeq; got != want {
+			t.Errorf("%s covers [0, 1]: %v, want %v", lit, got, want)
+		}
+	}
+	neq := Comparison{Column: "d", Op: OpNeq, Values: []any{0.0}}
+	if !neq.OverlapsStats(0.0, 0.0) {
+		t.Errorf("%s skips a double unit of zeros, which may hold a NaN", neq)
+	}
+}
+
 func TestComparisonStringSeparates(t *testing.T) {
 	pairs := [][2]Comparison{
 		{{"name", OpIn, []any{"san francisco"}}, {"name", OpIn, []any{"san", "francisco"}}},

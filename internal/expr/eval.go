@@ -602,7 +602,7 @@ func evalSpecialForm(s *SpecialForm, page *block.Page) (block.Block, error) {
 					sawNull = true
 					continue
 				}
-				if CompareValues(nv, hv) == 0 {
+				if !unordered(nv, hv) && CompareValues(nv, hv) == 0 {
 					found = true
 					break
 				}
@@ -642,7 +642,7 @@ func evalSpecialForm(s *SpecialForm, page *block.Page) (block.Block, error) {
 				nulls[i] = true
 				continue
 			}
-			vals[i] = CompareValues(vv, lv) >= 0 && CompareValues(vv, hv) <= 0
+			vals[i] = !unordered(vv, lv) && !unordered(vv, hv) && CompareValues(vv, lv) >= 0 && CompareValues(vv, hv) <= 0
 		}
 		return &block.BoolBlock{Values: vals, Nulls: nulls}, nil
 	default:

@@ -161,8 +161,18 @@ func registerBinaryNumeric(name string, intFn func(a, b int64) (int64, error), f
 	})
 }
 
+// unordered reports whether a NaN double takes part in a comparison: under
+// IEEE 754 none of =, <, <=, >, >= then holds, and <> does. CompareValues
+// alone would call the NaN equal.
+func unordered(a, b any) bool {
+	x, xok := a.(float64)
+	y, yok := b.(float64)
+	return xok && math.IsNaN(x) || yok && math.IsNaN(y)
+}
+
 // CompareValues orders two non-null values of the same primitive type:
-// -1, 0 or 1. Exported for use by ORDER BY and min/max aggregates.
+// -1, 0 or 1; a NaN compares 0 with everything. Exported for use by ORDER BY
+// and min/max aggregates.
 func CompareValues(a, b any) int {
 	switch x := a.(type) {
 	case int64:
@@ -205,6 +215,9 @@ func registerComparison(name string, pred func(cmp int) bool) {
 			Name: name, Params: []*types.Type{t, t},
 			ReturnType: fixedReturn(types.Boolean),
 			EvalRow: func(args []any) (any, error) {
+				if unordered(args[0], args[1]) {
+					return name == "neq", nil
+				}
 				return pred(CompareValues(args[0], args[1])), nil
 			},
 		})

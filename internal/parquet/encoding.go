@@ -198,7 +198,12 @@ func (st *Stats) updateInt(v int64) {
 	st.HasMinMax = true
 }
 
+// updateFloat leaves a NaN out: the statistics bound the values a comparison
+// other than <> can match, and a NaN matches none of them.
 func (st *Stats) updateFloat(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	if !st.HasMinMax || v < st.MinF {
 		st.MinF = v
 	}

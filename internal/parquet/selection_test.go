@@ -71,7 +71,7 @@ func flatChunk(t *testing.T, typ *types.Type, values []any, withDefs bool) (*chu
 // records the boxed matchValue accepts — from "every record" and from a
 // selection an earlier predicate left. Values and literals come from
 // quick_test.go's randomValue under fixed seeds, plus the cases CompareValues
-// makes special: a NaN (equal to everything), an int64 literal against a
+// makes special: a NaN (which matches only <>), an int64 literal against a
 // double column and a double literal against a bigint column.
 func TestTypedSelectionMatchesBoxed(t *testing.T) {
 	ops := []expr.CompareOp{expr.OpEq, expr.OpNeq, expr.OpLt, expr.OpLte, expr.OpGt, expr.OpGte, expr.OpIn}

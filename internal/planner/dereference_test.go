@@ -139,16 +139,18 @@ func TestWholeStructStaysWhole(t *testing.T) {
 	}
 }
 
-// Q11 end to end: the join's probe side carries two primitive columns.
+// Q11 end to end: the join's probe side carries two primitive columns, which
+// the partial aggregation below the join reads.
 func TestDereferencePushdownThroughJoinPlan(t *testing.T) {
 	n := planTrips(t, tripsCatalogs(t), derefShapes[10])
 	got := Format(n)
 	want := `- Output[region, sum(t.base.fare)]
-    - Aggregate(SINGLE)[keys=[region]; sum(t.base.fare) := sum(fare)]
-        - Project[region := c.region, fare := base.fare]
+    - Aggregate(FINAL)[keys=[region]; sum(t.base.fare) := sum(sum(t.base.fare))]
+        - Project[region := c.region, sum(t.base.fare) := sum(t.base.fare)]
             - INNERJoin[$joinkey0 = city_id]
-                - Project[$joinkey0 := base.city_id, base.fare := base.fare]
-                    - TableScan[hive.rawdata.trips, hive:rawdata.trips partition[datestr = "2017-03-01"] nestedPaths=[base.city_id base.fare]] => [base.city_id, base.fare]
+                - Aggregate(PARTIAL)[keys=[$joinkey0]; sum(t.base.fare) := sum(fare)]
+                    - Project[$joinkey0 := base.city_id, fare := base.fare]
+                        - TableScan[hive.rawdata.trips, hive:rawdata.trips partition[datestr = "2017-03-01"] nestedPaths=[base.city_id base.fare]] => [base.city_id, base.fare]
                 - TableScan[hive.rawdata.cities, hive:rawdata.cities columns=[0 2]] => [city_id, region]
 `
 	if got != want {

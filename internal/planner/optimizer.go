@@ -2,6 +2,8 @@ package planner
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
 	"prestolite/internal/connector"
@@ -57,8 +59,9 @@ func (o *Optimizer) Optimize(root Node) Node {
 	// Phase 4: column pruning (projection pushdown).
 	root = pruneRoot(root, o.Catalogs)
 	root = rewrite(root, removeIdentityProject)
-	// Phase 5: aggregation pushdown — first through a union to each of its
-	// sides in partial form, then into connectors.
+	// Phase 5: aggregation pushdown — in partial form below a join and through
+	// a union to each of its sides, then into connectors.
+	root = rewrite(root, pushAggregationThroughJoin)
 	root = rewrite(root, pushAggregationThroughUnion)
 	root = rewrite(root, o.pushAggregationIntoScan)
 	root = rewrite(root, removeIdentityProject)
@@ -231,6 +234,8 @@ func (o *Optimizer) pushFilterIntoScan(n Node) Node {
 // removeIdentityProject drops projections that pass all channels through,
 // after folding a projection of plain channels (the reorder dereference
 // pushdown leaves above a join whose left side grew) into the one above it.
+// A folded variable keeps its name unless that was only the column's; then it
+// is the inner variable, which says what it reads ($joinkey0 := base.city_id).
 func removeIdentityProject(n Node) Node {
 	p, ok := n.(*Project)
 	if !ok {
@@ -240,7 +245,14 @@ func removeIdentityProject(n Node) Node {
 		if forwarded := inner.forwardedChannels(); forwarded != nil {
 			folded := &Project{Child: inner.Child, Names: p.Names, Exprs: make([]expr.RowExpression, len(p.Exprs))}
 			for i, e := range p.Exprs {
-				folded.Exprs[i] = expr.RemapChannels(e, forwarded)
+				folded.Exprs[i] = expr.Rewrite(e, func(x expr.RowExpression) expr.RowExpression {
+					if v, ok := x.(*expr.Variable); ok && v.Name == inner.Names[v.Channel] {
+						return inner.Exprs[v.Channel]
+					} else if ok {
+						return expr.NewVariable(v.Name, forwarded[v.Channel], v.Type)
+					}
+					return x
+				})
 			}
 			p, n = folded, folded
 		}
@@ -255,6 +267,141 @@ func removeIdentityProject(n Node) Node {
 		}
 	}
 	return p.Child
+}
+
+// column is a variable reading cols[ch], named after it.
+func column(cols []Column, ch int) *expr.Variable {
+	return expr.NewVariable(cols[ch].Name, ch, cols[ch].Type)
+}
+
+// cannotFail reports whether e evaluates without error on every row: it reads
+// columns, constants and fields, and its arithmetic never divides integers.
+func cannotFail(e expr.RowExpression) bool {
+	ok := true
+	expr.Walk(e, func(x expr.RowExpression) bool {
+		switch t := x.(type) {
+		case *expr.Call:
+			name := t.Handle.Name
+			ok = slices.Contains([]string{"add", "subtract", "multiply", "negate"}, name) ||
+				(name == "divide" || name == "modulus") && t.Ret.Equals(types.Double)
+		case *expr.SpecialForm:
+			ok = t.Form == expr.FormDereference
+		}
+		return ok
+	})
+	return ok
+}
+
+// pushAggregationThroughJoin splits an aggregate over an inner equi-join (or a
+// projection of one) whose arguments all read one side (the left when none
+// do) into a FINAL above the join over a PARTIAL below it, grouped by that
+// side's join and group keys (Presto's PushPartialAggregationThroughJoin). A
+// partial row joins the rows each of its input rows would have, so the FINAL
+// merges k copies of its state where the original merged k copies of a row.
+// What moves below also runs on rows the join drops: it must not be able to
+// fail (cannotFail). Over a scan, the partial runs on the workers.
+func pushAggregationThroughJoin(n Node) Node {
+	agg, ok := n.(*Aggregate)
+	if !ok || agg.Step != AggSingle || hasDistinct(agg) {
+		return n
+	}
+	child, exprs := agg.Child, []expr.RowExpression(nil)
+	if p, isProj := child.(*Project); isProj {
+		child, exprs = p.Child, p.Exprs
+	}
+	j, ok := child.(*Join)
+	if !ok || j.Kind != JoinInner || j.Residual != nil || len(j.LeftKeys) == 0 {
+		return n
+	}
+	outs, leftN := j.Outputs(), len(j.Left.Outputs())
+	if exprs == nil { // the aggregate reads the join's columns
+		for i := range outs {
+			exprs = append(exprs, column(outs, i))
+		}
+	}
+	sides := func(ch int) int { // bit 1: reads the left side, bit 2: the right
+		if !cannotFail(exprs[ch]) {
+			return 3 // stays above the join, like what reads both sides
+		}
+		s := 0
+		for _, c := range expr.ReferencedChannels(exprs[ch]) {
+			s |= 1 + min(c/leftN, 1)
+		}
+		return s
+	}
+	side := 0
+	for _, a := range agg.Aggs {
+		for _, ch := range a.Args {
+			side |= sides(ch)
+		}
+	}
+	if side == 3 || slices.ContainsFunc(agg.GroupBy, func(ch int) bool { return sides(ch) == 3 }) {
+		return n
+	}
+	side = max(side, 1) // no argument: the left side
+	src, keys, off := j.Left, j.LeftKeys, 0
+	if side == 2 {
+		src, keys, off = j.Right, j.RightKeys, leftN
+	}
+
+	// Below the join: a PARTIAL over the side's keys and arguments, each once.
+	shifted := func(by int) map[int]int { // every join output channel, moved by by
+		m := make(map[int]int, len(outs))
+		for c := range outs {
+			m[c] = c + by
+		}
+		return m
+	}
+	srcCols, aggIn, toSrc := src.Outputs(), agg.Child.Outputs(), shifted(-off)
+	below := &Project{Child: src}
+	add := func(e expr.RowExpression, name string) int {
+		e = expr.RemapChannels(e, toSrc)
+		if i := slices.IndexFunc(below.Exprs, func(have expr.RowExpression) bool { return reflect.DeepEqual(have, e) }); i >= 0 {
+			return i
+		}
+		below.Exprs, below.Names = append(below.Exprs, e), append(below.Names, name)
+		return len(below.Exprs) - 1
+	}
+	partial := &Aggregate{Child: below, Aggs: make([]Aggregation, len(agg.Aggs)), Step: AggPartial}
+	for _, k := range keys { // the join keys are the partial's first keys
+		partial.GroupBy = append(partial.GroupBy, add(column(outs, off+k), srcCols[k].Name))
+	}
+	pushedKey := map[int]int{} // agg group key → partial key position
+	for g, ch := range agg.GroupBy {
+		if sides(ch) == side {
+			pushedKey[g] = len(partial.GroupBy)
+			partial.GroupBy = append(partial.GroupBy, add(exprs[ch], aggIn[ch].Name))
+		}
+	}
+	for i, a := range agg.Aggs {
+		a.Args = append([]int(nil), a.Args...)
+		for k, ch := range a.Args {
+			a.Args[k] = add(exprs[ch], aggIn[ch].Name)
+		}
+		partial.Aggs[i] = a
+	}
+
+	// The partial's columns start at channel at; the other side's move by shift.
+	joinKeys := identityChannels(len(keys))
+	nj := &Join{Kind: JoinInner, Left: partial, Right: j.Right, LeftKeys: joinKeys, RightKeys: j.RightKeys}
+	at, shift := 0, len(partial.GroupBy)+len(agg.Aggs)-leftN
+	if side == 2 {
+		nj = &Join{Kind: JoinInner, Left: j.Left, Right: partial, LeftKeys: j.LeftKeys, RightKeys: joinKeys}
+		at, shift = leftN, 0
+	}
+	njOuts, other := nj.Outputs(), shifted(shift)
+	above := &Project{Child: nj}
+	for g, ch := range agg.GroupBy {
+		e := expr.RemapChannels(exprs[ch], other)
+		if pos, ok := pushedKey[g]; ok { // named t.g, not g: plan text is the result-cache key
+			e = expr.NewVariable(exprs[ch].String(), at+pos, exprs[ch].TypeOf())
+		}
+		above.Exprs, above.Names = append(above.Exprs, e), append(above.Names, aggIn[ch].Name)
+	}
+	for i, a := range agg.Aggs {
+		above.Exprs, above.Names = append(above.Exprs, column(njOuts, at+len(partial.GroupBy)+i)), append(above.Names, a.OutputName)
+	}
+	return FinalOver(above, agg)
 }
 
 // pushAggregationThroughUnion splits an aggregate over a union (a hybrid
