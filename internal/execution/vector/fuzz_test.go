@@ -56,15 +56,46 @@ func decodeKeys(chunk []byte) (*block.Int64Block, []fuzzKey) {
 	return &block.Int64Block{Values: vals, Nulls: nulls}, keys
 }
 
+// fuzzDictionary is the dictionary of the dictionary mode's pages: duplicate
+// entries, and a NULL entry besides the -1 id.
+var fuzzDictionary = &block.Int64Block{
+	Values: []int64{-7, 0, 5, -7, 0, 12, 3, 0},
+	Nulls:  []bool{false, false, false, false, true, false, false, false},
+}
+
+// decodeDictKeys turns a chunk of fuzz bytes into ids over fuzzDictionary
+// (a byte ≥ 0xf0 is id -1) and the matching reference keys.
+func decodeDictKeys(chunk []byte) (*block.DictionaryBlock, []fuzzKey) {
+	ids := make([]int32, len(chunk))
+	keys := make([]fuzzKey, len(chunk))
+	for i, b := range chunk {
+		id := int32(-1)
+		if b < 0xf0 {
+			id = int32(b) % int32(fuzzDictionary.Count())
+		}
+		ids[i] = id
+		if id < 0 || fuzzDictionary.IsNull(int(id)) {
+			keys[i] = fuzzKey{null: true}
+		} else {
+			keys[i] = fuzzKey{v: fuzzDictionary.Values[id]}
+		}
+	}
+	return &block.DictionaryBlock{Dictionary: fuzzDictionary, Ids: ids}, keys
+}
+
 // FuzzGroupTable drives GroupTable.Assign through random key streams —
 // duplicates, NULL keys, forced hash collisions, slot growth past the
 // initial 64, and Reset (the post-spill rebuild) — checking the key→id
 // mapping against a map: same key, same dense id; new key, next id; stored
-// keys round-trip through KeyValues.
+// keys round-trip through KeyValues. In dictionary mode (bit 2 of the
+// selector) every other page is ids over fuzzDictionary and goes through
+// DictMemo, which must assign exactly as the row path: an entry no row uses
+// opens no group, and ids come out first-seen.
 func FuzzGroupTable(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 2, 3, 1, 2, 3, 0xf0})
 	f.Add(uint8(1), []byte("collide-all-hashes-through-equality"))
 	f.Add(uint8(2), []byte{0, 61, 122, 0xff, 0, 61, 122}) // dup values, then Reset
+	f.Add(uint8(4), []byte("dictionary ids then flat keys: 0123456789abcdef0123456789abcdef"))
 	f.Fuzz(func(t *testing.T, d uint8, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -74,9 +105,11 @@ func FuzzGroupTable(f *testing.F) {
 			t.Fatal("bigint key rejected")
 		}
 		gt.dampen = fuzzDampens[int(d)%len(fuzzDampens)]
+		dictMode := d&4 != 0
 		ref := map[fuzzKey]int32{}
 		var hasher Hasher
-		for len(data) > 0 {
+		var memo DictMemo
+		for page := 0; len(data) > 0; page++ {
 			if data[0] == 0xff { // spill boundary: drop all state, rebuild
 				gt.Reset()
 				ref = map[fuzzKey]int32{}
@@ -84,16 +117,24 @@ func FuzzGroupTable(f *testing.F) {
 				continue
 			}
 			n := min(len(data), 32)
-			blk, keys := decodeKeys(data[:n])
+			var blk block.Block
+			var keys []fuzzKey
+			if dictMode && page%2 == 0 {
+				blk, keys = decodeDictKeys(data[:n])
+			} else {
+				blk, keys = decodeKeys(data[:n])
+			}
 			data = data[n:]
 			var view View
 			if !Of(blk, &view) {
-				t.Fatal("no view over flat int64")
+				t.Fatalf("no view over %T", blk)
 			}
-			hashes := make([]uint64, n)
-			hasher.HashPage(block.NewPage(blk), []int{0}, hashes)
 			ids := make([]int32, n)
-			gt.Assign([]*View{&view}, n, hashes, ids)
+			if !memo.Assign(gt, []*View{&view}, n, ids) {
+				hashes := make([]uint64, n)
+				hasher.HashPage(block.NewPage(blk), []int{0}, hashes)
+				gt.Assign([]*View{&view}, n, hashes, ids)
+			}
 			for i, k := range keys {
 				if want, seen := ref[k]; seen {
 					if ids[i] != want {

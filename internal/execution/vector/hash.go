@@ -136,15 +136,19 @@ func (h *Hasher) HashPage(p *block.Page, keys []int, out []uint64) {
 
 // HashBlock combines the value hashes of column b into out[:n].
 func (h *Hasher) HashBlock(b block.Block, n int, out []uint64) {
-	v := &h.view
-	if !Of(b, v) {
+	if !Of(b, &h.view) {
 		// Boxed fallback for shapes outside the typed kernels (nested
-		// types), consistent with the typed paths below.
+		// types), consistent with the typed paths of HashView.
 		for r := 0; r < n; r++ {
 			out[r] = combine(out[r], h.hashValue(b.Value(r)))
 		}
 		return
 	}
+	h.HashView(&h.view, n, out)
+}
+
+// HashView combines the value hashes of rows [0, n) of v into out[:n].
+func (h *Hasher) HashView(v *View, n int, out []uint64) {
 	switch {
 	case v.Const:
 		var hv uint64

@@ -135,6 +135,97 @@ func (t *GroupTable) Reset() {
 	t.mask = initialSlots - 1
 }
 
+// DictMemo assigns rows to groups once per distinct combination of
+// dictionary ids instead of once per row, when every key column of a batch
+// is dictionary-encoded. The zero value is ready to use; it keeps its scratch
+// from batch to batch.
+//
+// The ids of a row combine into one code, id+1 per column in mixed radix
+// (dictionary size + 1), so that NULL (id -1) is a code of its own. The
+// first row of each code, in first-use order, goes through the hash/Assign
+// path; every row then takes its code's group. Entries no row uses never
+// open a group, and group ids come out first-seen, as the row path assigns
+// them: a key's first row is its first code's first row.
+type DictMemo struct {
+	slot   []int32 // per code: its place among the codes in use, or -1
+	codes  []int32 // per row: its code, then its code's place
+	first  []int32 // per code in use: its first row
+	ids    [][]int32
+	views  []View
+	vptrs  []*View
+	hashes []uint64
+	groups []int32
+	hasher Hasher
+}
+
+// Assign maps the n rows of views to groups of t, as t.Assign over their
+// hashes would, and reports true — when every view is a dictionary view and
+// the product of (dictionary size + 1) over them is at most n: a memo that
+// size costs no more than the rows it saves. Otherwise it does nothing and
+// reports false.
+func (m *DictMemo) Assign(t *GroupTable, views []*View, n int, ids []int32) bool {
+	if len(views) == 0 {
+		return false
+	}
+	codes := 1
+	for _, v := range views {
+		if v.Ids == nil || v.Const {
+			return false
+		}
+		if codes *= v.dictLen() + 1; codes > n {
+			return false
+		}
+	}
+	m.slot = grown(m.slot, codes)[:codes]
+	for c := range m.slot {
+		m.slot[c] = -1
+	}
+	m.codes = grown(m.codes, n)[:n]
+	for r, id := range views[0].Ids[:n] {
+		m.codes[r] = id + 1
+	}
+	stride := int32(views[0].dictLen() + 1)
+	for _, v := range views[1:] {
+		for r, id := range v.Ids[:n] {
+			m.codes[r] += (id + 1) * stride
+		}
+		stride *= int32(v.dictLen() + 1)
+	}
+	m.first = m.first[:0]
+	for r, c := range m.codes {
+		if m.slot[c] < 0 {
+			m.slot[c] = int32(len(m.first))
+			m.first = append(m.first, int32(r))
+		}
+		m.codes[r] = m.slot[c]
+	}
+
+	k := len(m.first)
+	if len(m.views) != len(views) {
+		m.ids = make([][]int32, len(views))
+		m.views = make([]View, len(views))
+		m.vptrs = make([]*View, len(views))
+	}
+	m.hashes = grown(m.hashes, k)[:k]
+	clear(m.hashes)
+	for c, v := range views {
+		m.ids[c] = m.ids[c][:0]
+		for _, r := range m.first {
+			m.ids[c] = append(m.ids[c], v.Ids[r])
+		}
+		m.views[c] = *v
+		m.views[c].Ids, m.views[c].N = m.ids[c], k
+		m.vptrs[c] = &m.views[c]
+		m.hasher.HashView(m.vptrs[c], k, m.hashes)
+	}
+	m.groups = grown(m.groups, k)[:k]
+	t.Assign(m.vptrs, k, m.hashes, m.groups)
+	for r, i := range m.codes {
+		ids[r] = m.groups[i]
+	}
+	return true
+}
+
 // ---------------------------------------------------------------------------
 
 // JoinTable maps join keys to chains of build-side row indices. The build

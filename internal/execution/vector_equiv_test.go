@@ -821,3 +821,129 @@ func TestPartialAggBypassStreams(t *testing.T) {
 		t.Fatalf("partial bypass never engaged: %d output rows with eager trigger, %d groups without", passed, groups)
 	}
 }
+
+// dictionaryKeyPages are the pages of TestVectorAggDictionaryKeyEquivalence,
+// 64 rows each, over key columns k0 BIGINT and k1 VARCHAR and a value v:
+//
+//   - pages 0 and 1 share one k0 dictionary of 8 entries, entry 5 NULL,
+//     whose ids use entries 0, 1, 2 and 5 (page 0) and 2 and 3 (page 1), and
+//     NULL as id -1 too; k1 is ids over 3 entries: (8+1)·(3+1) fits a page;
+//   - page 2 is flat, the same key values as the dictionaries hold;
+//   - page 3's k0 has 70 entries, more than a page has rows;
+//   - page 4's k0 has 20 entries and its k1 4: one key fits, two do not.
+func dictionaryKeyPages(rng *rand.Rand) []*block.Page {
+	const n = 64
+	shared := &block.Int64Block{
+		Values: []int64{10, 20, 30, 40, 50, 0, 70, 80},
+		Nulls:  []bool{false, false, false, false, false, true, false, false},
+	}
+	ids := func(pick ...int32) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = pick[rng.Intn(len(pick))]
+		}
+		return out
+	}
+	strs := func(m int) *block.VarcharBlock {
+		vals := make([]string, m)
+		for i := range vals {
+			vals[i] = string(rune('a' + i%26))
+		}
+		return &block.VarcharBlock{Values: vals}
+	}
+	ints := func(m int) *block.Int64Block {
+		vals := make([]int64, m)
+		for i := range vals {
+			vals[i] = int64(10 * (i % 9))
+		}
+		return &block.Int64Block{Values: vals}
+	}
+	values := func() block.Block {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(rng.Intn(100))
+		}
+		return &block.Int64Block{Values: vals}
+	}
+	flatK0 := make([]any, n)
+	flatK1 := make([]any, n)
+	for i := range flatK0 {
+		if rng.Intn(6) > 0 {
+			flatK0[i] = int64(10 * rng.Intn(9))
+		}
+		flatK1[i] = string(rune('a' + rng.Intn(4)))
+	}
+	return []*block.Page{
+		block.NewPage(&block.DictionaryBlock{Dictionary: shared, Ids: ids(0, 1, 2, 5, -1)},
+			&block.DictionaryBlock{Dictionary: strs(3), Ids: ids(0, 1, 2)}, values()),
+		block.NewPage(&block.DictionaryBlock{Dictionary: shared, Ids: ids(2, 3, -1)},
+			&block.DictionaryBlock{Dictionary: strs(3), Ids: ids(0, 2, -1)}, values()),
+		block.NewPage(block.FromValues(types.Bigint, flatK0...), block.FromValues(types.Varchar, flatK1...), values()),
+		block.NewPage(&block.DictionaryBlock{Dictionary: ints(70), Ids: ids(3, 9, 27, 61, 69, -1)},
+			&block.DictionaryBlock{Dictionary: strs(3), Ids: ids(1, 2)}, values()),
+		block.NewPage(&block.DictionaryBlock{Dictionary: ints(20), Ids: ids(0, 4, 8, 12, 19)},
+			&block.DictionaryBlock{Dictionary: strs(4), Ids: ids(0, 3, -1)}, values()),
+	}
+}
+
+// TestVectorAggDictionaryKeyEquivalence: grouping on dictionary-encoded keys
+// — entries no row uses, NULL both as id -1 and inside the dictionary, one
+// dictionary shared by consecutive pages, a dictionary page followed by a
+// flat page of the same key, and one or two keys whose dictionaries fit a
+// page or do not — must return boxedAggregate's rows at any driver count,
+// and assign exactly the group ids the row path assigns: the same groups,
+// numbered first-seen.
+func TestVectorAggDictionaryKeyEquivalence(t *testing.T) {
+	scan := &planner.TableScan{
+		Catalog: "t", Schema: "s", Table: "t", Handle: equivHandle{"t"},
+		Cols:           []planner.Column{{Name: "k0", Type: types.Bigint}, {Name: "k1", Type: types.Varchar}, {Name: "v", Type: types.Bigint}},
+		ColumnOrdinals: []int{0, 1, 2},
+	}
+	argTypes := []*types.Type{types.Bigint}
+	sum, err := expr.ResolveAggregate("sum", argTypes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := []planner.Aggregation{
+		{FuncName: "count", OutputName: "cnt", InterType: types.Bigint, FinalType: types.Bigint},
+		{FuncName: "sum", Args: []int{2}, ArgTypes: argTypes, OutputName: "s",
+			InterType: sum.IntermediateType(argTypes), FinalType: sum.FinalType(argTypes)},
+	}
+	for _, seed := range equivSeeds(t) {
+		pages := dictionaryKeyPages(rand.New(rand.NewSource(seed)))
+		reg := connector.NewRegistry()
+		reg.Register("t", &equivConnector{splits: []connector.Split{&equivSplit{pages: pages[:2]}, &equivSplit{pages: pages[2:]}}})
+		for _, groupBy := range [][]int{{0}, {0, 1}, {1, 0}} {
+			keyTypes := make([]*types.Type, len(groupBy))
+			for i, ch := range groupBy {
+				keyTypes[i] = scan.Cols[ch].Type
+			}
+			encoded, flat := newKeyTable(keyTypes), newKeyTable(keyTypes)
+			for pi, p := range pages {
+				cols := make([]block.Block, len(groupBy))
+				for i, ch := range groupBy {
+					cols[i] = p.Blocks[ch]
+				}
+				got, err := encoded.assign(cols, p.Count())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = slices.Clone(got)
+				want, err := flat.assign(block.MaterializePage(block.NewPage(cols...)).Blocks, p.Count())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) || encoded.Len() != flat.Len() {
+					t.Fatalf("seed %d, keys %v, page %d: group ids %v over %d groups, the row path %v over %d",
+						seed, groupBy, pi, got, encoded.Len(), want, flat.Len())
+				}
+			}
+
+			agg := &planner.Aggregate{Child: scan, GroupBy: groupBy, Aggs: aggs, Step: planner.AggSingle}
+			partial := *agg
+			partial.Step = planner.AggPartial
+			checkEquivalence(t, seed, agg, reg)
+			checkEquivalence(t, seed, planner.FinalOver(&partial, agg), reg)
+		}
+	}
+}

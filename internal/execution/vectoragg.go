@@ -514,6 +514,7 @@ type keyTable struct {
 	keys   []*keyColumn
 	views  []*vector.View
 	hasher vector.Hasher
+	memo   vector.DictMemo
 	hashes []uint64
 	ids    []int32
 }
@@ -532,19 +533,27 @@ func newKeyTable(keyTypes []*types.Type) *keyTable {
 }
 
 // assign maps n rows of the key columns cols to entry ids, opening an entry
-// for each key not seen before; the ids are valid until the next call.
+// for each key not seen before; the ids are valid until the next call. When
+// every key column is dictionary-encoded over few enough entries, the memo
+// assigns each combination of ids once; otherwise every row is hashed and
+// probed.
 func (t *keyTable) assign(cols []block.Block, n int) ([]int32, error) {
 	if cap(t.hashes) < n {
 		t.hashes = make([]uint64, n)
 		t.ids = make([]int32, n)
 	}
 	hashes, ids := t.hashes[:n], t.ids[:n]
-	clear(hashes)
 	for i, b := range cols {
-		t.hasher.HashBlock(b, n, hashes)
 		if err := t.keys[i].fill(b, n); err != nil {
 			return nil, err
 		}
+	}
+	if t.memo.Assign(t.GroupTable, t.views, n, ids) {
+		return ids, nil
+	}
+	clear(hashes)
+	for _, v := range t.views {
+		t.hasher.HashView(v, n, hashes)
 	}
 	t.Assign(t.views, n, hashes, ids)
 	return ids, nil

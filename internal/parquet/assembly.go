@@ -227,7 +227,7 @@ func assembleBlock(node *Node, chunks map[int]*chunkData, numRecords int, select
 	// §V.I "seek to non-nullable and non-nested value directly").
 	if node.Kind == KindPrimitive && node.RepLevel == 0 {
 		cd := chunks[node.LeafIndex]
-		if cd.defs == nil || cd.stats().NullCount == 0 {
+		if cd.present == cd.entries {
 			return flatBlock(node, cd, selection)
 		}
 		return assembleNullableFlat(node, cd, selection)
@@ -259,32 +259,19 @@ func assembleBlock(node *Node, chunks map[int]*chunkData, numRecords int, select
 	return builder.Build(), nil
 }
 
-func (c *chunkData) stats() Stats {
-	// Null count can be derived from levels; recompute cheaply.
-	if c.defs == nil {
-		return Stats{NumValues: int64(c.entries)}
-	}
-	var st Stats
-	maxDef := uint8(c.leaf.MaxDef)
-	for _, d := range c.defs {
-		if d == maxDef {
-			st.NumValues++
-		} else {
-			st.NullCount++
-		}
-	}
-	return st
-}
-
-// flatBlock wraps a flat no-null primitive chunk as a block directly.
+// flatBlock wraps a flat no-null primitive chunk as a block directly: a
+// dictionary-encoded chunk as a DictionaryBlock over its ids, which a
+// selection masks without touching the dictionary.
 func flatBlock(node *Node, cd *chunkData, selection []int) (block.Block, error) {
 	var b block.Block
-	switch node.Prim.Kind {
-	case types.KindDouble:
+	switch {
+	case cd.ids != nil:
+		b = &block.DictionaryBlock{Dictionary: cd.dictionaryBlock(), Ids: cd.ids}
+	case node.Prim.Kind == types.KindDouble:
 		b = &block.Float64Block{Values: cd.floats}
-	case types.KindBoolean:
+	case node.Prim.Kind == types.KindBoolean:
 		b = &block.BoolBlock{Values: cd.bools}
-	case types.KindVarchar:
+	case node.Prim.Kind == types.KindVarchar:
 		b = &block.VarcharBlock{Values: cd.strs}
 	default:
 		b = &block.Int64Block{Values: cd.ints}
@@ -295,13 +282,38 @@ func flatBlock(node *Node, cd *chunkData, selection []int) (block.Block, error) 
 	return b, nil
 }
 
+// dictionaryBlock is a dictionary-encoded chunk's dictionary as a block.
+func (c *chunkData) dictionaryBlock() block.Block {
+	if c.leaf.Node.Prim.Kind == types.KindVarchar {
+		return &block.VarcharBlock{Values: c.strs}
+	}
+	return &block.Int64Block{Values: c.ints}
+}
+
 // assembleNullableFlat builds a flat nullable primitive block straight from
 // levels + values (no boxed assembly).
 func assembleNullableFlat(node *Node, cd *chunkData, selection []int) (block.Block, error) {
 	n := cd.entries
-	nulls := make([]bool, n)
 	maxDef := uint8(node.DefNotNull)
 	vpos := 0
+	if cd.ids != nil {
+		// NULL is id -1.
+		ids := make([]int32, n)
+		for i, d := range cd.defs {
+			if d == maxDef {
+				ids[i] = cd.ids[vpos]
+				vpos++
+			} else {
+				ids[i] = -1
+			}
+		}
+		b := block.Block(&block.DictionaryBlock{Dictionary: cd.dictionaryBlock(), Ids: ids})
+		if selection != nil {
+			b = b.Mask(selection)
+		}
+		return b, nil
+	}
+	nulls := make([]bool, n)
 	switch node.Prim.Kind {
 	case types.KindDouble:
 		vals := make([]float64, n)

@@ -2,13 +2,16 @@ package parquet
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"prestolite/internal/block"
 	"prestolite/internal/cache"
+	"prestolite/internal/expr"
 	"prestolite/internal/fsys"
+	"prestolite/internal/types"
 )
 
 // projectionsFor returns the column projections exercised for a quickSchemas
@@ -35,6 +38,7 @@ func projectionsFor(schemaIdx int) [][]string {
 // legacy record-assembly reader must return identical rows for identical
 // projections. Any divergence is a correctness bug in one of them.
 func TestReaderEquivalence(t *testing.T) {
+	t.Run("mixed dictionary", readerEquivalenceMixedDictionary)
 	for _, seed := range []int64{1, 2, 3, 4} {
 		for si, sc := range quickSchemas {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(si)))
@@ -109,6 +113,86 @@ func TestReaderEquivalence(t *testing.T) {
 								}
 							}
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// readerEquivalenceMixedDictionary is TestReaderEquivalence's other file:
+// city and n are dictionary-encoded in the first row group and plain in the
+// second (every value there distinct), both with NULLs. Read with predicates
+// pushed on them, the columnar reader must return the legacy reader's rows
+// that the predicates keep, under every toggle, from either writer.
+func readerEquivalenceMixedDictionary(t *testing.T) {
+	schema, err := NewSchema([]string{"id", "city", "n"}, []*types.Type{types.Bigint, types.Varchar, types.Bigint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]any
+	for i := 0; i < 80; i++ {
+		row := []any{int64(i), []string{"sf", "nyc", "la"}[i%3], int64(i % 4)}
+		if i >= 40 {
+			row[1], row[2] = fmt.Sprintf("c-%d", i), int64(i*1000)
+		}
+		if i%7 == 3 {
+			row[1] = nil
+		}
+		if i%5 == 1 {
+			row[2] = nil
+		}
+		rows = append(rows, row)
+	}
+	predicates := [][]expr.Comparison{
+		{{Column: "city", Op: expr.OpIn, Values: []any{"nyc", "c-45", "c-59", "la"}}},
+		{{Column: "city", Op: expr.OpEq, Values: []any{"tokyo"}}},
+		{{Column: "n", Op: expr.OpGte, Values: []any{int64(2)}}, {Column: "city", Op: expr.OpNeq, Values: []any{"sf"}}},
+	}
+	for _, native := range []bool{true, false} {
+		file := writeFile(t, schema, rows, WriterOptions{RowGroupRows: 40}, native)
+		meta, _, err := ReadFooter(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, leaf := range []int{1, 2} {
+			if !meta.RowGroups[0].Chunks[leaf].Dictionary || meta.RowGroups[1].Chunks[leaf].Dictionary {
+				t.Fatalf("leaf %d: want a dictionary in row group 0 and plain values in row group 1", leaf)
+			}
+		}
+		legacy, err := NewLegacyReader(file, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := normalizeRows(drainReader(t, legacy.Next))
+		for _, preds := range predicates {
+			for _, proj := range [][]string{nil, {"id"}, {"n", "id"}} {
+				var want [][]any
+				for _, row := range all {
+					keep := true
+					for _, p := range preds {
+						keep = keep && p.Match(row[schema.ColumnIndex(p.Column)])
+					}
+					if keep {
+						out := row
+						if proj != nil {
+							out = nil
+							for _, c := range proj {
+								out = append(out, row[schema.ColumnIndex(c)])
+							}
+						}
+						want = append(want, out)
+					}
+				}
+				for toggle, opts := range readerToggles(proj) {
+					opts.Predicate = preds
+					r, err := NewReader(file, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := normalizeRows(drainReader(t, r.Next))
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Errorf("native=%v %v proj %v toggle %d:\nnew    %v\nlegacy %v", native, preds, proj, toggle, got, want)
 					}
 				}
 			}

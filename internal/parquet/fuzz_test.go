@@ -1,14 +1,17 @@
 package parquet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/fsys"
 	"prestolite/internal/types"
 )
@@ -81,6 +84,79 @@ func fuzzSeedFiles(t testing.TB) [][]byte {
 	write(nested, tripRows(), WriterOptions{RowGroupRows: 2}, true)
 	write(nested, tripRows(), WriterOptions{Codec: CodecSnappy}, false)
 	return out
+}
+
+// hostileDictionaryFiles are a valid file of a BIGINT, a VARCHAR and a
+// DOUBLE column, 24 rows in one row group, with one dictionary made hostile
+// each: an id past the end of the VARCHAR chunk's dictionary, a dictionary
+// entry whose length runs past its page, and the DOUBLE chunk claiming a
+// dictionary (its encoding byte and its footer). Their checked-in copies
+// seed FuzzReadFile (testdata/fuzz/FuzzReadFile/dict-*).
+func hostileDictionaryFiles(t testing.TB) map[string][]byte {
+	s, err := NewSchema([]string{"k", "s", "d"}, []*types.Type{types.Bigint, types.Varchar, types.Double})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]any
+	for i := 0; i < 24; i++ {
+		rows = append(rows, []any{int64(i % 3), []string{"x", "y", "z"}[i%3], float64(i) / 2})
+	}
+	file := writeFile(t, s, rows, WriterOptions{}, true).Data
+	meta, _, err := ReadFooter(&fsys.BytesFile{Data: file})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs, dbls := &meta.RowGroups[0].Chunks[1], &meta.RowGroups[0].Chunks[2]
+	if !strs.Dictionary || dbls.Dictionary {
+		t.Fatalf("want s dictionary-encoded and d plain: %+v", meta.RowGroups[0].Chunks)
+	}
+	// A data page is the entry count (one byte for 24), a definition level
+	// per entry, the encoding byte and then the values; a dictionary page is
+	// the entry count and then the entries.
+	const values = 1 + 24 + 1
+	out := map[string][]byte{}
+	bad := bytes.Clone(file)
+	bad[strs.DataOffset+values] = 0x7f // id 127 of a 3-entry dictionary
+	out["dict-id-out-of-range"] = bad
+	bad = bytes.Clone(file)
+	bad[strs.DictOffset+1] = 0x7f // the first entry is 127 bytes long
+	out["dict-entry-past-page"] = bad
+	bad = bytes.Clone(file)
+	bad[dbls.DataOffset+values-1] = 1
+	dbls.Dictionary, dbls.DictOffset, dbls.DictLen = true, strs.DictOffset, strs.DictLen
+	out["dict-encoded-double"] = withFooter(t, bad, meta).Data
+	return out
+}
+
+// Hostile dictionaries are each reader's error — for the columnar reader
+// also behind a pushed predicate on the column, where the dictionary-pushdown
+// probe reads the dictionary first — and never a panic.
+func TestHostileDictionaryPages(t *testing.T) {
+	for name, data := range hostileDictionaryFiles(t) {
+		for _, legacy := range []bool{false, true} {
+			if _, err := readAllRows(data, legacy); err == nil || !strings.HasPrefix(err.Error(), "parquet: ") {
+				t.Errorf("%s (legacy %v): got %v, want the reader's error", name, legacy, err)
+			}
+		}
+		column := "s"
+		if name == "dict-encoded-double" {
+			column = "d"
+		}
+		pred := expr.Comparison{Column: column, Op: expr.OpEq, Values: []any{"y"}}
+		if column == "d" {
+			pred.Values = []any{1.5}
+		}
+		r, err := NewReader(&fsys.BytesFile{Data: data}, AllOptimizations([]string{"k"}, []expr.Comparison{pred}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			_, err = r.Next()
+		}
+		if !strings.HasPrefix(err.Error(), "parquet: ") {
+			t.Errorf("%s, predicate %s: got %v, want the reader's error", name, pred, err)
+		}
+	}
 }
 
 // FuzzReadFile feeds both readers a file with arbitrary bytes changed —

@@ -2,7 +2,9 @@ package parquet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -370,7 +372,7 @@ func TestSchemaEvolutionNewFieldReadsNull(t *testing.T) {
 	// and that a missing chunk for a known leaf yields nulls (nullChunk).
 	leaf := sOld.Leaves[0]
 	nc := nullChunk(leaf, 3)
-	if nc.entries != 3 || nc.stats().NullCount != 3 {
+	if nc.entries != 3 || nc.present != 0 {
 		t.Errorf("nullChunk = %+v", nc)
 	}
 }
@@ -474,5 +476,87 @@ func TestEmptyFile(t *testing.T) {
 	}
 	if rows := drainReader(t, r.Next); len(rows) != 0 {
 		t.Fatalf("rows = %v", rows)
+	}
+}
+
+// The writer dictionary-encodes a chunk with at most half as many distinct
+// values as values, and otherwise when its dictionary page and ids are
+// smaller than the plain values; a chunk of distinct values never.
+func TestWriterChoosesDictionaryBySize(t *testing.T) {
+	long := func(i int) any { return fmt.Sprintf("%036d", i) }
+	for _, tc := range []struct {
+		name  string
+		typ   *types.Type
+		value func(i int) any
+		dict  bool
+	}{
+		{"few distinct", types.Bigint, func(i int) any { return int64(i % 5) }, true},
+		{"long strings, 12 of 20 distinct", types.Varchar, func(i int) any { return long(i % 12) }, true},
+		{"small integers, 12 of 20 distinct", types.Bigint, func(i int) any { return int64(i % 12) }, false},
+		{"all distinct", types.Varchar, long, false},
+	} {
+		s, err := NewSchema([]string{"c"}, []*types.Type{tc.typ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]any
+		for i := 0; i < 20; i++ {
+			rows = append(rows, []any{tc.value(i)})
+		}
+		f := writeFile(t, s, rows, WriterOptions{}, true)
+		meta, _, err := ReadFooter(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := meta.RowGroups[0].Chunks[0].Dictionary; got != tc.dict {
+			t.Errorf("%s: dictionary-encoded %v, want %v", tc.name, got, tc.dict)
+		}
+		r, err := NewReader(f, AllOptimizations(nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainReader(t, r.Next); !reflect.DeepEqual(got, rows) {
+			t.Errorf("%s: read back %v", tc.name, got)
+		}
+	}
+	var buf [binary.MaxVarintLen64]byte
+	for _, x := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 62, ^uint64(0)} {
+		if got, want := uvarintLen(x), binary.PutUvarint(buf[:], x); got != want {
+			t.Errorf("uvarintLen(%d) = %d, want %d", x, got, want)
+		}
+	}
+}
+
+// Dictionary ids of every width decode as binary.Uvarint reads them, and an
+// id cut short or past the dictionary is an error.
+func TestDecodeDictionaryIds(t *testing.T) {
+	s, err := NewSchema([]string{"c"}, []*types.Type{types.Bigint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := &dictionary{ints: make([]int64, 20001)}
+	want := []int32{0, 1, 127, 128, 129, 300, 16383, 16384, 20000, 5}
+	var data []byte
+	for _, id := range want {
+		data = binary.AppendUvarint(data, uint64(id))
+	}
+	cd, err := decodeDictChunk(&chunkData{leaf: s.Leaves[0], present: len(want)}, &valueDecoder{data: data}, dict)
+	if err != nil || !reflect.DeepEqual(cd.ids, want) {
+		t.Fatalf("ids %v (%v), want %v", cd.ids, err, want)
+	}
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		present int
+		size    int
+	}{
+		{"cut short", data[:len(data)-3], len(want), 20001}, // ends inside 20000
+		{"past the dictionary", binary.AppendUvarint(nil, 20001), 1, 20001},
+		{"two-byte id past the dictionary", binary.AppendUvarint(nil, 16000), 1, 200},
+	} {
+		cd := &chunkData{leaf: s.Leaves[0], present: tc.present}
+		if _, err := decodeDictChunk(cd, &valueDecoder{data: tc.data}, &dictionary{ints: make([]int64, tc.size)}); err == nil {
+			t.Errorf("%s: decoded", tc.name)
+		}
 	}
 }

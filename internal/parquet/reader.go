@@ -73,17 +73,30 @@ type chunkData struct {
 	reps []uint8 // nil when MaxRep == 0
 	defs []uint8 // nil when MaxDef == 0
 
+	// The typed values, one per present entry; for a dictionary-encoded
+	// chunk, the dictionary's entries instead, which ids index.
 	ints   []int64
 	floats []float64
 	bools  []bool
 	strs   []string
+	// ids holds, when the chunk is dictionary-encoded, one dictionary index
+	// per present entry.
+	ids []int32
+	// present counts the entries with a value (def == MaxDef), once, when
+	// the chunk is decoded.
+	present int
 	// valueIdx and indexed belong to valueIndex.
 	valueIdx []int32
 	indexed  bool
 	entries  int
 }
 
+// valueAt boxes present value i (the nested assembly and the legacy reader),
+// reading a dictionary-encoded chunk through its ids.
 func (c *chunkData) valueAt(i int) any {
+	if c.ids != nil {
+		i = int(c.ids[i])
+	}
 	switch c.leaf.Node.Prim.Kind {
 	case types.KindDouble:
 		return c.floats[i]
@@ -149,6 +162,9 @@ type chunkBytes struct {
 	cm   *ChunkMeta
 	data pages
 	dict pages // only when cm.Dictionary
+	// entries is the dictionary page decoded, by whichever of the
+	// dictionary-pushdown probe and the chunk's decode needs it first.
+	entries *dictionary
 }
 
 func newChunkBytes(cm *ChunkMeta, leaf *Leaf) chunkBytes {
@@ -348,52 +364,81 @@ func checkRowGroups(meta *FileMeta, schema *Schema, size int64) error {
 	return nil
 }
 
-// readChunkDictionary decodes the dictionary page of a chunk (also the
-// dictionary-pushdown probe, §V.G). Returns nil when not dictionary-encoded.
-func readChunkDictionary(cb *chunkBytes, codec Codec, cf chunkFetch) ([]any, error) {
-	if !cb.cm.Dictionary {
-		return nil, nil
+// dictionary is a decoded dictionary page: its entries as the leaf's kind
+// stores them (varchar in strs, the integer kinds in ints; the writer
+// dictionary-encodes no other kind).
+type dictionary struct {
+	ints []int64
+	strs []string
+}
+
+// readDictionary decodes the dictionary page of a dictionary-encoded chunk,
+// once per chunk read: the dictionary-pushdown probe (§V.G) and the chunk's
+// decode share the result. A varchar dictionary is one string copy of the
+// page body, every entry a substring of it.
+func (cb *chunkBytes) readDictionary(codec Codec, cf chunkFetch) (*dictionary, error) {
+	if cb.entries != nil {
+		return cb.entries, nil
 	}
-	leaf := cb.dict.leaf
+	leaf := cb.data.leaf
+	if !cb.cm.Dictionary {
+		return nil, fmt.Errorf("parquet: chunk %s dict-encoded without dictionary page", leaf.Node.Path)
+	}
+	if k := leaf.Node.Prim.Kind; k == types.KindDouble || k == types.KindBoolean {
+		return nil, fmt.Errorf("parquet: chunk %s is dictionary-encoded, which its type never is", leaf.Node.Path)
+	}
 	body, err := cb.dict.open(codec)
 	if err != nil {
 		return nil, err
 	}
-	dec := &valueDecoder{data: body}
-	n, err := dec.uvarint()
-	if err != nil {
-		return nil, err
+	n, pos := binary.Uvarint(body)
+	if pos <= 0 {
+		return nil, fmt.Errorf("parquet: bad dictionary size in %s", leaf.Node.Path)
 	}
 	if n > uint64(len(body)) { // every entry takes at least a byte
 		return nil, fmt.Errorf("parquet: dictionary of %s claims %d entries in %d bytes", leaf.Node.Path, n, len(body))
 	}
-	out := make([]any, n)
-	for i := range out {
-		if leaf.Node.Prim.Kind == types.KindVarchar {
-			s, err := dec.string()
-			if err != nil {
-				return nil, err
+	d := &dictionary{}
+	if leaf.Node.Prim.Kind == types.KindVarchar {
+		all := string(body[pos:])
+		d.strs = make([]string, n)
+		at := 0 // into all
+		for i := range d.strs {
+			size, k := binary.Uvarint(body[pos+at:])
+			if k <= 0 || size > uint64(len(all)-at-k) {
+				return nil, fmt.Errorf("parquet: dictionary of %s: entry %d runs past the page", leaf.Node.Path, i)
 			}
-			out[i] = s
-		} else {
-			v, err := dec.int64()
-			if err != nil {
-				return nil, err
+			at += k
+			d.strs[i] = all[at : at+int(size)]
+			at += int(size)
+		}
+	} else {
+		d.ints = make([]int64, n)
+		for i := range d.ints {
+			v, k := binary.Varint(body[pos:])
+			if k <= 0 {
+				return nil, fmt.Errorf("parquet: dictionary of %s: bad varint at entry %d", leaf.Node.Path, i)
 			}
-			out[i] = v
+			d.ints[i] = v
+			pos += k
 		}
 	}
 	cf.keep(&cb.dict, codec)
-	return out, nil
+	cb.entries = d
+	return d, nil
 }
+
+// size is the number of entries.
+func (d *dictionary) size() int { return len(d.ints) + len(d.strs) }
 
 // decodeChunk decodes one fetched leaf chunk fully.
 //
-// vectorized selects the batched triplet decoder (§V.I): levels and values
-// are decoded in batches of 1000 triplets with decoder state kept in locals
-// ("registers"), a cached dictionary, and a direct path for non-nullable
-// non-nested columns. The scalar path decodes one triplet per loop
-// iteration, re-checking stream state each time.
+// vectorized selects the batched triplet decoder (§V.I) for plain values:
+// they are decoded in batches of 1000 with decoder state kept in locals
+// ("registers"), and a direct path for non-nullable non-nested columns. The
+// scalar path decodes one value per loop iteration, re-checking stream
+// state each time. A dictionary-encoded chunk decodes the same way for
+// both: its dictionary once, then its ids in one loop, never expanded.
 func decodeChunk(cb *chunkBytes, codec Codec, vectorized bool, cf chunkFetch) (*chunkData, error) {
 	body, err := cb.data.open(codec)
 	if err != nil {
@@ -441,34 +486,23 @@ func decodeChunkBody(body []byte, cb *chunkBytes, codec Codec, vectorized bool, 
 	encoding := body[dec.pos]
 	dec.pos++
 
-	numValues := n
+	cd.present = n
 	if cd.defs != nil {
-		numValues = 0
-		maxDef := uint8(leaf.MaxDef)
-		for _, d := range cd.defs {
-			if d == maxDef {
-				numValues++
-			}
-		}
+		cd.present = bytes.Count(cd.defs, []byte{uint8(leaf.MaxDef)})
 	}
 
 	if encoding == 1 {
-		if k := leaf.Node.Prim.Kind; k == types.KindDouble || k == types.KindBoolean {
-			return nil, fmt.Errorf("parquet: chunk %s is dictionary-encoded, which its type never is", leaf.Node.Path)
-		}
-		dict, err := readChunkDictionary(cb, codec, cf)
+		dict, err := cb.readDictionary(codec, cf)
 		if err != nil {
 			return nil, err
 		}
-		if dict == nil {
-			return nil, fmt.Errorf("parquet: chunk %s dict-encoded without dictionary page", leaf.Node.Path)
-		}
-		return decodeDictChunk(cd, dec, dict, numValues, vectorized)
+		return decodeDictChunk(cd, dec, dict)
 	}
-	return decodePlainChunk(cd, dec, numValues, vectorized)
+	return decodePlainChunk(cd, dec, vectorized)
 }
 
-func decodePlainChunk(cd *chunkData, dec *valueDecoder, numValues int, vectorized bool) (*chunkData, error) {
+func decodePlainChunk(cd *chunkData, dec *valueDecoder, vectorized bool) (*chunkData, error) {
+	numValues := cd.present
 	kind := cd.leaf.Node.Prim.Kind
 	if vectorized {
 		// Batched decode: values land directly in the typed slice with one
@@ -554,42 +588,35 @@ func decodePlainChunk(cd *chunkData, dec *valueDecoder, numValues int, vectorize
 	return cd, nil
 }
 
-func decodeDictChunk(cd *chunkData, dec *valueDecoder, dict []any, numValues int, vectorized bool) (*chunkData, error) {
-	kind := cd.leaf.Node.Prim.Kind
-	if kind == types.KindVarchar {
-		// Cached dictionary: decode ids, then one lookup per value
-		// (vectorized keeps the dict in a local slice of the concrete type).
-		strDict := make([]string, len(dict))
-		for i, v := range dict {
-			strDict[i] = v.(string)
-		}
-		cd.strs = make([]string, numValues)
-		for i := 0; i < numValues; i++ {
-			id, err := dec.uvarint()
-			if err != nil {
-				return nil, err
+// decodeDictChunk decodes the ids of a dictionary-encoded chunk, one per
+// present entry, in one loop, and keeps them beside the dictionary instead of
+// expanding them into values.
+func decodeDictChunk(cd *chunkData, dec *valueDecoder, dict *dictionary) (*chunkData, error) {
+	size := uint64(dict.size())
+	ids := make([]int32, cd.present)
+	data, pos := dec.data, dec.pos
+	for i := range ids {
+		var id uint64
+		switch {
+		case pos < len(data) && data[pos] < 0x80: // an id under 128 is one byte
+			id = uint64(data[pos])
+			pos++
+		case pos+1 < len(data) && data[pos+1] < 0x80: // under 16384, two
+			id = uint64(data[pos]&0x7f) | uint64(data[pos+1])<<7
+			pos += 2
+		default:
+			var k int
+			if id, k = binary.Uvarint(data[pos:]); k <= 0 {
+				return nil, fmt.Errorf("parquet: bad dictionary id in %s", cd.leaf.Node.Path)
 			}
-			if int(id) >= len(strDict) {
-				return nil, fmt.Errorf("parquet: dict id %d out of range in %s", id, cd.leaf.Node.Path)
-			}
-			cd.strs[i] = strDict[id]
+			pos += k
 		}
-		return cd, nil
-	}
-	intDict := make([]int64, len(dict))
-	for i, v := range dict {
-		intDict[i] = v.(int64)
-	}
-	cd.ints = make([]int64, numValues)
-	for i := 0; i < numValues; i++ {
-		id, err := dec.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if int(id) >= len(intDict) {
+		if id >= size {
 			return nil, fmt.Errorf("parquet: dict id %d out of range in %s", id, cd.leaf.Node.Path)
 		}
-		cd.ints[i] = intDict[id]
+		ids[i] = int32(id)
 	}
+	dec.pos = pos
+	cd.ids, cd.ints, cd.strs = ids, dict.ints, dict.strs
 	return cd, nil
 }

@@ -3,6 +3,7 @@ package parquet
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -364,18 +365,11 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 			if cb == nil || !cb.cm.Dictionary {
 				continue
 			}
-			dict, err := readChunkDictionary(cb, codec, cf)
+			dict, err := cb.readDictionary(codec, cf)
 			if err != nil {
 				return nil, err
 			}
-			any := false
-			for _, dv := range dict {
-				if p.Match(dv) {
-					any = true
-					break
-				}
-			}
-			if !any {
+			if !slices.Contains(p.entryMatches(dict), true) {
 				r.Metrics.RowGroupsSkippedDict.Add(1)
 				return nil, nil
 			}

@@ -1,7 +1,6 @@
 package parquet
 
 import (
-	"bytes"
 	"fmt"
 
 	"prestolite/internal/expr"
@@ -12,9 +11,11 @@ import (
 // schema once per file (expr.Comparison.Bind: the matcher the druid store
 // runs too), then narrows a selection of record indexes with one loop per
 // predicate over the decoded chunk's typed values: no path lookup and no
-// boxed value per record. The boxed Comparison.Match stays for the
-// places that hold a single boxed value: dictionary probing and partition
-// pruning.
+// boxed value per record. Over a dictionary-encoded chunk the matcher runs
+// once per dictionary entry, and records are mapped through their ids; the
+// dictionary-pushdown probe asks the same per-entry answer whether any entry
+// matches at all. The boxed Comparison.Match stays for the place that holds
+// a single boxed value: partition pruning.
 
 // leafPredicate is a Comparison bound to a file schema: the leaf it reads,
 // and expr's matcher over that leaf's storage kind (as chunkData stores it).
@@ -46,6 +47,10 @@ func bindPredicate(p expr.Comparison, schema *Schema) (leafPredicate, error) {
 // never matches. A non-nil sel is narrowed in place.
 func (p *leafPredicate) filter(cd *chunkData, sel []int, n int) []int {
 	idx := cd.valueIndex()
+	if cd.ids != nil {
+		hits := p.entryMatches(&dictionary{ints: cd.ints, strs: cd.strs})
+		return filterValues(cd.ids, idx, sel, n, func(id int32) bool { return hits[id] })
+	}
 	switch {
 	case p.m.Floats != nil:
 		return filterValues(cd.floats, idx, sel, n, p.m.Floats)
@@ -56,6 +61,21 @@ func (p *leafPredicate) filter(cd *chunkData, sel []int, n int) []int {
 	default:
 		return filterValues(cd.ints, idx, sel, n, p.m.Ints)
 	}
+}
+
+// entryMatches evaluates p once per entry of d.
+func (p *leafPredicate) entryMatches(d *dictionary) []bool {
+	hits := make([]bool, d.size())
+	if p.m.Strs != nil {
+		for i, s := range d.strs {
+			hits[i] = p.m.Strs(s)
+		}
+		return hits
+	}
+	for i, v := range d.ints {
+		hits[i] = p.m.Ints(v)
+	}
+	return hits
 }
 
 // filterValues is filter over one typed value slice. idx maps a record to its
@@ -99,10 +119,10 @@ func (c *chunkData) valueIndex() []int32 {
 		return c.valueIdx
 	}
 	c.indexed = true
-	maxDef := uint8(c.leaf.MaxDef)
-	if bytes.Count(c.defs, []byte{maxDef}) == c.entries {
+	if c.present == c.entries {
 		return nil // no NULL, the common case: nothing to allocate
 	}
+	maxDef := uint8(c.leaf.MaxDef)
 	c.valueIdx = make([]int32, c.entries)
 	vi := int32(0)
 	for i, d := range c.defs {

@@ -49,6 +49,7 @@ func flatChunk(t *testing.T, typ *types.Type, values []any, withDefs bool) (*chu
 		if v == nil {
 			continue
 		}
+		cd.present++
 		if withDefs {
 			cd.defs[i] = uint8(leaf.MaxDef)
 		}
@@ -66,10 +67,46 @@ func flatChunk(t *testing.T, typ *types.Type, values []any, withDefs bool) (*chu
 	return cd, schema
 }
 
+// dictionaryEncoded returns cd with its values replaced by a dictionary of
+// them, entries in reverse first-seen order plus one no value uses, and one
+// id per value: the layout of a dictionary-encoded chunk.
+func dictionaryEncoded(cd *chunkData) *chunkData {
+	out := *cd
+	out.ids = make([]int32, 0, cd.present)
+	index := map[any]int32{}
+	var ints []int64
+	var strs []string
+	for i := 0; i < cd.present; i++ {
+		v := cd.valueAt(i)
+		if _, ok := index[v]; !ok {
+			index[v] = int32(len(index))
+			ints, strs = append(ints, 0), append(strs, "")
+		}
+		out.ids = append(out.ids, index[v])
+	}
+	for v, id := range index {
+		at := len(index) - 1 - int(id)
+		for i := range out.ids {
+			if out.ids[i] == id {
+				out.ids[i] = int32(at)
+			}
+		}
+		switch x := v.(type) {
+		case int64:
+			ints[at] = x
+		case string:
+			strs[at] = x
+		}
+	}
+	out.ints, out.strs = append(ints, 99), append(strs, "unused")
+	return &out
+}
+
 // TestTypedSelectionMatchesBoxed: for every operator, storage kind and null
 // pattern, narrowing a selection with the typed loops keeps exactly the
 // records the boxed matchValue accepts — from "every record" and from a
-// selection an earlier predicate left. Values and literals come from
+// selection an earlier predicate left, over BIGINT and VARCHAR chunks also
+// dictionary-encoded. Values and literals come from
 // quick_test.go's randomValue under fixed seeds, plus the cases CompareValues
 // makes special: a NaN (which matches only <>), an int64 literal against a
 // double column and a double literal against a bigint column.
@@ -126,25 +163,31 @@ func TestTypedSelectionMatchesBoxed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				for _, from := range [][]int{nil, earlier} {
-					var want []int
-					keep := func(rec int) {
-						if p.Match(boxedAt(cd, rec)) {
-							want = append(want, rec)
+				chunks := []*chunkData{cd}
+				if typ == types.Bigint || typ == types.Varchar {
+					chunks = append(chunks, dictionaryEncoded(cd))
+				}
+				for ci, cd := range chunks {
+					for _, from := range [][]int{nil, earlier} {
+						var want []int
+						keep := func(rec int) {
+							if p.Match(boxedAt(cd, rec)) {
+								want = append(want, rec)
+							}
 						}
-					}
-					if from == nil {
-						for rec := range values {
-							keep(rec)
+						if from == nil {
+							for rec := range values {
+								keep(rec)
+							}
+						} else {
+							for _, rec := range from {
+								keep(rec)
+							}
 						}
-					} else {
-						for _, rec := range from {
-							keep(rec)
+						got := p.filter(cd, append([]int(nil), from...), len(values))
+						if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+							t.Errorf("%s dictionary=%v from=%v:\ntyped %v\nboxed %v", name, ci == 1, from != nil, got, want)
 						}
-					}
-					got := p.filter(cd, append([]int(nil), from...), len(values))
-					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-						t.Errorf("%s from=%v:\ntyped %v\nboxed %v", name, from != nil, got, want)
 					}
 				}
 			}

@@ -201,66 +201,13 @@ func (c *chunkWriter) serialize(allowDict bool) (dict []byte, data []byte, usedD
 
 	kind := c.leaf.Node.Prim.Kind
 	n := c.count()
-	// Dictionary decision: few distinct values relative to count.
 	if allowDict && n >= 8 && (kind == types.KindVarchar || kind == types.KindBigint || kind == types.KindInteger || kind == types.KindDate) {
-		var ids []uint32
-		var dictEnc valueEncoder
-		distinct := 0
-		ok := false
-		switch kind {
-		case types.KindVarchar:
-			index := map[string]uint32{}
-			ids = make([]uint32, n)
-			for i, s := range c.strs {
-				id, seen := index[s]
-				if !seen {
-					id = uint32(len(index))
-					index[s] = id
-				}
-				ids[i] = id
-			}
-			distinct = len(index)
-			if distinct <= 4096 && distinct*2 <= n {
-				ordered := make([]string, distinct)
-				for s, id := range index {
-					ordered[id] = s
-				}
-				dictEnc.putUvarint(uint64(distinct))
-				for _, s := range ordered {
-					dictEnc.putString(s)
-				}
-				ok = true
-			}
-		default:
-			index := map[int64]uint32{}
-			ids = make([]uint32, n)
-			for i, v := range c.ints {
-				id, seen := index[v]
-				if !seen {
-					id = uint32(len(index))
-					index[v] = id
-				}
-				ids[i] = id
-			}
-			distinct = len(index)
-			if distinct <= 4096 && distinct*2 <= n {
-				ordered := make([]int64, distinct)
-				for v, id := range index {
-					ordered[id] = v
-				}
-				dictEnc.putUvarint(uint64(distinct))
-				for _, v := range ordered {
-					dictEnc.putInt64(v)
-				}
-				ok = true
-			}
-		}
-		if ok {
+		if dictPage, ids, ok := c.dictionaryEncode(n); ok {
 			enc.buf.WriteByte(1) // dictionary-encoded data
 			for _, id := range ids {
 				enc.putUvarint(uint64(id))
 			}
-			return dictEnc.buf.Bytes(), enc.buf.Bytes(), true, nil
+			return dictPage, enc.buf.Bytes(), true, nil
 		}
 	}
 
@@ -284,6 +231,106 @@ func (c *chunkWriter) serialize(allowDict bool) (dict []byte, data []byte, usedD
 		}
 	}
 	return nil, enc.buf.Bytes(), false, nil
+}
+
+// dictionaryEncode builds the chunk's dictionary page and one id per value,
+// and reports whether the chunk should be written that way (dictionaryPays).
+func (c *chunkWriter) dictionaryEncode(n int) (dictPage []byte, ids []uint32, ok bool) {
+	ids = make([]uint32, n)
+	var dict valueEncoder
+	if c.leaf.Node.Prim.Kind == types.KindVarchar {
+		index := map[string]uint32{}
+		for i, v := range c.strs {
+			id, seen := index[v]
+			if !seen {
+				id = uint32(len(index))
+				index[v] = id
+			}
+			ids[i] = id
+		}
+		size := func(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+		if !dictionaryPays(len(index), ids, func() (plain, entries int) {
+			for _, s := range c.strs {
+				plain += size(s)
+			}
+			for s := range index {
+				entries += size(s)
+			}
+			return plain, entries
+		}) {
+			return nil, nil, false
+		}
+		ordered := make([]string, len(index))
+		for s, id := range index {
+			ordered[id] = s
+		}
+		dict.putUvarint(uint64(len(ordered)))
+		for _, s := range ordered {
+			dict.putString(s)
+		}
+	} else {
+		index := map[int64]uint32{}
+		for i, v := range c.ints {
+			id, seen := index[v]
+			if !seen {
+				id = uint32(len(index))
+				index[v] = id
+			}
+			ids[i] = id
+		}
+		size := func(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) } // zigzag, as binary.PutVarint
+		if !dictionaryPays(len(index), ids, func() (plain, entries int) {
+			for _, v := range c.ints {
+				plain += size(v)
+			}
+			for v := range index {
+				entries += size(v)
+			}
+			return plain, entries
+		}) {
+			return nil, nil, false
+		}
+		ordered := make([]int64, len(index))
+		for v, id := range index {
+			ordered[id] = v
+		}
+		dict.putUvarint(uint64(len(ordered)))
+		for _, v := range ordered {
+			dict.putInt64(v)
+		}
+	}
+	return dict.buf.Bytes(), ids, true
+}
+
+// dictionaryPays decides whether a chunk of len(ids) values over distinct
+// values is dictionary-encoded: when the dictionary has at most 4096 entries
+// and either at most half as many entries as values, or a dictionary page
+// and ids smaller than the plain values (parquet-mr's fallback, too, is
+// decided by size). sizes returns the plain values' size and the entries'
+// (each encoded plainly), and runs only when the ratio does not decide.
+func dictionaryPays(distinct int, ids []uint32, sizes func() (plain, entries int)) bool {
+	n := len(ids)
+	switch {
+	case distinct > 4096 || distinct == n: // every value distinct: never smaller
+		return false
+	case 2*distinct <= n:
+		return true
+	}
+	plain, entries := sizes()
+	encoded := uvarintLen(uint64(distinct)) + entries
+	for _, id := range ids {
+		encoded += uvarintLen(uint64(id))
+	}
+	return encoded < plain
+}
+
+// uvarintLen is the size of x as binary.PutUvarint writes it.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------
