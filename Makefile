@@ -43,9 +43,10 @@ chaos-lifecycle:
 
 # Brief randomized runs of the fuzz targets on top of their checked-in
 # corpora (testdata/fuzz beside each): the vector kernels (open-addressing
-# hash tables, the WHERE selection kernel, and the key encoder: equal bytes
-# exactly when two values are equal, and then equal hashes), the Parquet
-# file decoder (a valid file with bytes changed, read by the columnar and the
+# hash tables, the WHERE selection kernel, and the key encoder, which is
+# also the sort order: equal bytes exactly when two values are equal, and
+# then equal hashes; bytewise order is ORDER BY's, complemented for DESC),
+# the Parquet file decoder (a valid file with bytes changed, read by the columnar and the
 # legacy reader: same rows or both refuse, no panic, no allocation the file's
 # size does not cover),
 # the page codec's decoder (any bytes, as they come and sealed into a valid

@@ -1,14 +1,10 @@
 package execution
 
 import (
-	"errors"
-	"io"
-
 	"prestolite/internal/block"
 	"prestolite/internal/execution/vector"
 	"prestolite/internal/expr"
 	"prestolite/internal/planner"
-	"prestolite/internal/resource"
 	"prestolite/internal/types"
 )
 
@@ -35,7 +31,7 @@ type aggregator interface {
 	AddIntermediate(ids []int32, b block.Block, n int) error
 	EmitIntermediate(from, to int) block.Block
 	EmitFinal(from, to int) block.Block
-	IntermediateValue(g int) any
+	// Reset drops all state; blocks emitted before it keep their values.
 	Reset()
 }
 
@@ -129,170 +125,4 @@ func (b *boxedAgg) emit(t *types.Type, from, to int, value func(expr.AggState) a
 	return out.Build()
 }
 
-func (b *boxedAgg) IntermediateValue(g int) any { return b.states[g].Intermediate() }
-
-func (b *boxedAgg) Reset() {
-	clear(b.states)
-	b.states = b.states[:0]
-}
-
-// aggSpillTypes is the schema of a spilled aggregation page: the group-by
-// key columns followed by one intermediate-state column per aggregate.
-func aggSpillTypes(node *planner.Aggregate, fns []*expr.AggregateFunction) []*types.Type {
-	childCols := node.Child.Outputs()
-	ts := make([]*types.Type, 0, len(node.GroupBy)+len(fns))
-	for _, ch := range node.GroupBy {
-		ts = append(ts, childCols[ch].Type)
-	}
-	for i, fn := range fns {
-		ts = append(ts, fn.IntermediateType(node.Aggs[i].ArgTypes))
-	}
-	return ts
-}
-
-// aggMergeCursor reads one sorted spill run during the merge, holding one
-// page at a time. Like the sort merge, read-back pages are transient engine
-// overhead (one bounded frame per open run), not user memory.
-type aggMergeCursor struct {
-	src  *runSource
-	page *block.Page
-	row  int
-	key  string // current row's encoded group key
-	done bool
-}
-
-// aggMerger k-way merges the hash aggregation's key-sorted spill runs
-// (pages of [group keys..., intermediate states...], sorted by the keys'
-// vector.AppendKey bytes), combining equal keys across runs with
-// AddIntermediate on boxed expr states and streaming result pages out.
-type aggMerger struct {
-	node     *planner.Aggregate
-	fns      []*expr.AggregateFunction
-	cursors  []*aggMergeCursor
-	mergeBuf []byte
-}
-
-// open starts a cursor per sorted run and positions each on its first row.
-// The merge holds only the cursor pages plus one group's states at a time,
-// so it fits any budget — unlike rebuilding the full distinct-group table,
-// which by construction cannot fit (that is why it spilled).
-func (o *aggMerger) open(runs []*resource.Run) error {
-	for _, r := range runs {
-		c := &aggMergeCursor{src: &runSource{run: r}}
-		o.cursors = append(o.cursors, c)
-		if err := o.advanceCursor(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// close releases any cursors still holding open run readers.
-func (o *aggMerger) close() error {
-	var errs []error
-	for _, c := range o.cursors {
-		errs = append(errs, c.src.Close())
-	}
-	return errors.Join(errs...)
-}
-
-// advanceCursor moves a cursor to its next row, loading pages as needed (the
-// run source removes its file as soon as it is read to the end).
-func (o *aggMerger) advanceCursor(c *aggMergeCursor) error {
-	if c.page != nil {
-		c.row++
-		if c.row < c.page.Count() {
-			o.cursorKey(c)
-			return nil
-		}
-		c.page = nil
-	}
-	for {
-		p, err := c.src.Next()
-		if errors.Is(err, io.EOF) {
-			c.done = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if p.Count() == 0 {
-			continue
-		}
-		c.page, c.row = p, 0
-		o.cursorKey(c)
-		return nil
-	}
-}
-
-// cursorKey recomputes the cursor's encoded group key for its current row.
-func (o *aggMerger) cursorKey(c *aggMergeCursor) {
-	o.mergeBuf = o.mergeBuf[:0]
-	for i := range o.node.GroupBy {
-		o.mergeBuf = vector.AppendKey(o.mergeBuf, c.page.Blocks[i].Value(c.row))
-	}
-	c.key = string(o.mergeBuf)
-}
-
-// next emits the next page of the k-way merge: the smallest key across
-// the live cursors is combined (AddIntermediate over every run holding it)
-// into one transient group and appended, until the page fills or the runs
-// drain.
-func (o *aggMerger) next() (*block.Page, error) {
-	outs := o.node.Outputs()
-	colTypes := make([]*types.Type, len(outs))
-	for i, col := range outs {
-		colTypes[i] = col.Type
-	}
-	nk := len(o.node.GroupBy)
-	pb := block.NewPageBuilder(colTypes)
-	row := make([]any, 0, len(outs))
-	keys := make([]any, nk) // scratch: AppendRow copies per value
-	for pb.Len() < spillPageRows {
-		var best string
-		found := false
-		for _, c := range o.cursors {
-			if !c.done && (!found || c.key < best) {
-				best, found = c.key, true
-			}
-		}
-		if !found {
-			break
-		}
-		states := make([]expr.AggState, len(o.fns))
-		for i, fn := range o.fns {
-			states[i] = fn.NewState(o.node.Aggs[i].ArgTypes)
-		}
-		haveKeys := false
-		for _, c := range o.cursors {
-			for !c.done && c.key == best {
-				if !haveKeys {
-					haveKeys = true
-					for i := 0; i < nk; i++ {
-						keys[i] = c.page.Blocks[i].Value(c.row)
-					}
-				}
-				for i := range o.fns {
-					states[i].AddIntermediate(c.page.Blocks[nk+i].Value(c.row))
-				}
-				if err := o.advanceCursor(c); err != nil {
-					return nil, err
-				}
-			}
-		}
-		row = row[:0]
-		row = append(row, keys...)
-		for _, st := range states {
-			if o.node.Step == planner.AggPartial {
-				row = append(row, st.Intermediate())
-			} else {
-				row = append(row, st.Final())
-			}
-		}
-		pb.AppendRow(row)
-	}
-	if pb.Len() == 0 {
-		return nil, io.EOF
-	}
-	return pb.Build(), nil
-}
+func (b *boxedAgg) Reset() { b.states = nil }

@@ -12,7 +12,6 @@ import (
 
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
-	"prestolite/internal/types"
 )
 
 // maxDrivers bounds the per-task parallelism a session property can request.
@@ -381,11 +380,6 @@ func buildSort(t *planner.Sort, ctx *Context, n int) ([]Operator, error) {
 		sorts[i] = newSortOperator(t, s, newOpMem("ORDER BY buffering", ctx))
 	}
 	endpoints := newLocalExchange(ctx, sorts, exPassthrough, nil, len(sorts))
-	outs := t.Outputs()
-	ts := make([]*types.Type, len(outs))
-	for i, c := range outs {
-		ts[i] = c.Type
-	}
-	merge := newStreamMergeOperator(t.Keys, ts, endpoints)
+	merge := newStreamMergeOperator(t.Keys, endpoints)
 	return []Operator{ctx.instrument(t, merge)}, nil
 }

@@ -1,50 +1,69 @@
 package execution
 
 import (
+	"bytes"
 	"errors"
 	"io"
 
 	"prestolite/internal/block"
+	"prestolite/internal/execution/vector"
 	"prestolite/internal/planner"
-	"prestolite/internal/types"
+	"prestolite/internal/resource"
 )
 
-// streamMergeOperator k-way merges already-sorted operator streams into one
+// streamMergeOperator k-way merges streams already sorted by keys into one
 // sorted stream: the per-driver sorts of a parallel ORDER BY, or the spilled
-// runs of an external sort (runSource). Cursors advance by pulling the next
-// page from their stream; NULLs compare greatest (compareNullable).
+// runs (runSource) of an external sort or a hash aggregation. A cursor holds
+// one page of its stream and that page's order keys (orderKeys, the bytes the
+// sort ordered by), and rows compare by those bytes alone. Output pages are
+// indirection pages over the cursor pages, which is safe because a stream
+// never changes a page it has handed out.
 type streamMergeOperator struct {
-	keys     []planner.SortKey
-	outTypes []*types.Type
-	cursors  []*streamCursor
-	opened   bool
-	done     bool
-	scratch  []any
+	keys    []planner.SortKey
+	cursors []*streamCursor
+	// wholeKeys ends a page only between two different keys, so a page may
+	// pass spillPageRows by the rest of a run of equal keys — at most one row
+	// per stream for the aggregation spill, whose runs hold each key once.
+	wholeKeys bool
+	// rowKeys[i] is the order key of row i of the page Next last returned.
+	rowKeys [][]byte
+	opened  bool
+	done    bool
 }
 
-// streamCursor tracks one sorted input stream, holding one page at a time.
+// streamCursor tracks one sorted input stream, holding one page at a time
+// (none once the stream is drained).
 type streamCursor struct {
 	src  Operator
 	page *block.Page
+	keys *vector.Keys // page's order keys
 	row  int
-	done bool
+	slot int32 // page's index among the sources of the page being built, or -1
 }
 
-func newStreamMergeOperator(keys []planner.SortKey, outTypes []*types.Type, sources []Operator) *streamMergeOperator {
+func newStreamMergeOperator(keys []planner.SortKey, sources []Operator) *streamMergeOperator {
 	cursors := make([]*streamCursor, len(sources))
 	for i, s := range sources {
 		cursors[i] = &streamCursor{src: s}
 	}
-	return &streamMergeOperator{keys: keys, outTypes: outTypes, cursors: cursors}
+	return &streamMergeOperator{keys: keys, cursors: cursors}
 }
 
-// advance loads the cursor's next non-empty page.
+// mergeRuns merges spilled runs, each sorted by keys.
+func mergeRuns(keys []planner.SortKey, runs []*resource.Run) *streamMergeOperator {
+	sources := make([]Operator, len(runs))
+	for i, r := range runs {
+		sources[i] = &runSource{run: r}
+	}
+	return newStreamMergeOperator(keys, sources)
+}
+
+// advance loads the cursor's next non-empty page and its keys.
 func (o *streamMergeOperator) advance(c *streamCursor) error {
-	c.page, c.row = nil, 0
+	c.page, c.keys, c.row, c.slot = nil, nil, 0, -1
 	for {
 		p, err := c.src.Next()
 		if errors.Is(err, io.EOF) {
-			c.done = true
 			return nil
 		}
 		if err != nil {
@@ -53,7 +72,7 @@ func (o *streamMergeOperator) advance(c *streamCursor) error {
 		if p.Count() == 0 {
 			continue
 		}
-		c.page = p
+		c.page, c.keys = p, orderKeys(p, o.keys)
 		return nil
 	}
 }
@@ -72,63 +91,56 @@ func (o *streamMergeOperator) Next() (*block.Page, error) {
 		}
 		o.opened = true
 	}
-	pb := block.NewPageBuilder(o.outTypes)
-	if o.scratch == nil {
-		o.scratch = make([]any, len(o.outTypes))
+	for _, c := range o.cursors {
+		c.slot = -1
 	}
-	row := o.scratch
-	for pb.Len() < spillPageRows {
+	var pages []*block.Page
+	var pageIdx, rowIdx []int32
+	o.rowKeys = o.rowKeys[:0]
+	for {
 		c := o.minCursor()
 		if c == nil {
 			break
 		}
-		for ch := range o.outTypes {
-			row[ch] = c.page.Blocks[ch].Value(c.row)
+		key := c.keys.At(c.row)
+		if len(pageIdx) >= spillPageRows && !(o.wholeKeys && bytes.Equal(key, o.rowKeys[len(o.rowKeys)-1])) {
+			break
 		}
-		pb.AppendRow(row)
+		if c.slot < 0 {
+			c.slot = int32(len(pages))
+			pages = append(pages, c.page)
+		}
+		pageIdx = append(pageIdx, c.slot)
+		rowIdx = append(rowIdx, int32(c.row))
+		o.rowKeys = append(o.rowKeys, key)
 		c.row++
-		if c.row >= c.page.Count() {
+		if c.row == c.page.Count() {
 			if err := o.advance(c); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if pb.Len() == 0 {
+	if len(pageIdx) == 0 {
 		o.done = true
 		return nil, io.EOF
 	}
-	return pb.Build(), nil
+	return indirectPage(pages, pageIdx, rowIdx), nil
 }
 
-// minCursor picks the live cursor with the smallest current row; ties keep
+// minCursor picks the live cursor with the smallest current key; ties keep
 // the lowest stream index, so merging is deterministic for a given page
 // distribution and stable when earlier streams hold earlier rows.
 func (o *streamMergeOperator) minCursor() *streamCursor {
 	var best *streamCursor
 	for _, c := range o.cursors {
-		if c.done || c.page == nil {
+		if c.page == nil {
 			continue
 		}
-		if best == nil || o.cursorLess(c, best) {
+		if best == nil || bytes.Compare(c.keys.At(c.row), best.keys.At(best.row)) < 0 {
 			best = c
 		}
 	}
 	return best
-}
-
-func (o *streamMergeOperator) cursorLess(a, b *streamCursor) bool {
-	for _, k := range o.keys {
-		va := a.page.Blocks[k.Channel].Value(a.row)
-		vb := b.page.Blocks[k.Channel].Value(b.row)
-		c := compareNullable(va, vb)
-		if k.Desc {
-			c = -c
-		}
-		if c != 0 {
-			return c < 0
-		}
-	}
-	return false
 }
 
 func (o *streamMergeOperator) Close() error {

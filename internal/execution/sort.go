@@ -1,44 +1,61 @@
 package execution
 
 import (
+	"bytes"
 	"errors"
 	"io"
-	"sort"
+	"slices"
 
 	"prestolite/internal/block"
-	"prestolite/internal/expr"
+	"prestolite/internal/execution/vector"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
-	"prestolite/internal/types"
 )
 
-// sortOperator buffers its input and emits sorted output. NULLs sort last
-// ascending / first descending. When everything fits the query's memory
-// budget it emits one page of indirection blocks over the buffered input, so
-// sorting never copies or re-encodes values; when a reservation is refused
-// (and spill is enabled) it sorts what it holds, writes the sorted run to
-// disk, and k-way merges the runs on read-back (the same streamMergeOperator
-// that merges a parallel ORDER BY's per-driver sorts) — an external sort.
+// sortOperator buffers its input and emits it in order. A row's order is its
+// key bytes (orderKeys), computed once as its page arrives and held, with the
+// page, under the operator's reservation; sorting compares them bytewise, so
+// it boxes nothing per comparison. NULLs sort last ascending and first
+// descending, a NaN below every number. When everything fits the query's
+// memory budget it emits one page of indirection blocks over the buffered
+// input, so sorting never copies or re-encodes values; when a reservation is
+// refused (and spill is enabled) it sorts what it holds, the refused page
+// included, writes the sorted run to disk, and k-way merges the runs on
+// read-back (the same streamMergeOperator that merges a parallel ORDER BY's
+// per-driver sorts) — an external sort.
 type sortOperator struct {
-	child    Operator
-	keys     []planner.SortKey
-	outTypes []*types.Type
-	mem      *opMem
+	child Operator
+	keys  []planner.SortKey
+	mem   *opMem
 
 	consumed bool
 	done     bool
 	pages    []*block.Page
+	pageKeys []*vector.Keys // per buffered page: its rows' order keys
+	rows     []sortRow
 	runs     []*resource.Run
 	merge    *streamMergeOperator // over runs, once the input has spilled
 }
 
+// sortRow is where one buffered row lives.
+type sortRow struct{ page, row int32 }
+
+// sortRowBytes is a sortRow's size.
+const sortRowBytes = 8
+
 func newSortOperator(node *planner.Sort, child Operator, mem *opMem) *sortOperator {
-	outs := node.Outputs()
-	ts := make([]*types.Type, len(outs))
-	for i, c := range outs {
-		ts[i] = c.Type
+	return &sortOperator{child: child, keys: node.Keys, mem: mem}
+}
+
+// orderKeys is the order key of every row of p: the vector.RowKeys bytes of
+// its sort columns, a DESC column's complemented.
+func orderKeys(p *block.Page, keys []planner.SortKey) *vector.Keys {
+	cols := make([]block.Block, len(keys))
+	desc := make([]bool, len(keys))
+	for i, k := range keys {
+		cols[i], desc[i] = p.Blocks[k.Channel], k.Desc
 	}
-	return &sortOperator{child: child, keys: node.Keys, outTypes: ts, mem: mem}
+	return vector.RowKeys(cols, desc, p.Count())
 }
 
 func (o *sortOperator) Next() (*block.Page, error) {
@@ -73,20 +90,24 @@ func (o *sortOperator) consume() error {
 		if p.Count() == 0 {
 			continue
 		}
-		sz := int64(p.SizeBytes())
+		keys := orderKeys(p, o.keys)
+		sz := int64(p.SizeBytes()) + keys.Bytes() + int64(p.Count())*sortRowBytes
 		ok, err := o.mem.reserve(sz)
 		if err != nil {
 			return err
 		}
+		page := int32(len(o.pages))
+		o.pages, o.pageKeys = append(o.pages, p), append(o.pageKeys, keys)
+		for r := 0; r < p.Count(); r++ {
+			o.rows = append(o.rows, sortRow{page: page, row: int32(r)})
+		}
 		if !ok {
+			// Refused: the buffer goes to disk with this page in it, so a
+			// page larger than the whole budget spills as a run of its own.
 			if err := o.spillBuffer(); err != nil {
 				return err
 			}
-			if err := o.mem.hardReserve(sz); err != nil {
-				return err
-			}
 		}
-		o.pages = append(o.pages, p)
 	}
 	if len(o.runs) == 0 {
 		return nil
@@ -98,58 +119,36 @@ func (o *sortOperator) consume() error {
 	if err := o.spillBuffer(); err != nil {
 		return err
 	}
-	sources := make([]Operator, len(o.runs))
-	for i, r := range o.runs {
-		sources[i] = &runSource{run: r}
-	}
-	o.merge = newStreamMergeOperator(o.keys, o.outTypes, sources)
+	o.merge = mergeRuns(o.keys, o.runs)
 	return nil
 }
 
-// sortedView sorts the buffered pages and returns a zero-copy page of
-// indirection blocks over them.
+// sortedView stably sorts the buffered rows by key and returns a zero-copy
+// page of indirection blocks over them.
 func (o *sortOperator) sortedView() *block.Page {
-	pages := o.pages
-	type idx struct {
-		page int32
-		row  int32
-	}
-	var rows []idx
-	for pi, p := range pages {
-		for r := 0; r < p.Count(); r++ {
-			rows = append(rows, idx{page: int32(pi), row: int32(r)})
-		}
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, k := range o.keys {
-			va := pages[rows[a].page].Blocks[k.Channel].Value(int(rows[a].row))
-			vb := pages[rows[b].page].Blocks[k.Channel].Value(int(rows[b].row))
-			c := compareNullable(va, vb)
-			if k.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
+	slices.SortStableFunc(o.rows, func(a, b sortRow) int {
+		return bytes.Compare(o.pageKeys[a.page].At(int(a.row)), o.pageKeys[b.page].At(int(b.row)))
 	})
-	pageIdx := make([]int32, len(rows))
-	rowIdx := make([]int32, len(rows))
-	for i, r := range rows {
-		pageIdx[i] = r.page
-		rowIdx[i] = r.row
+	pageIdx := make([]int32, len(o.rows))
+	rowIdx := make([]int32, len(o.rows))
+	for i, r := range o.rows {
+		pageIdx[i], rowIdx[i] = r.page, r.row
 	}
-	width := len(pages[0].Blocks)
-	blocks := make([]block.Block, width)
-	for ch := 0; ch < width; ch++ {
+	return indirectPage(o.pages, pageIdx, rowIdx)
+}
+
+// indirectPage is a zero-copy page whose row i is row rowIdx[i] of
+// pages[pageIdx[i]].
+func indirectPage(pages []*block.Page, pageIdx, rowIdx []int32) *block.Page {
+	blocks := make([]block.Block, len(pages[0].Blocks))
+	for ch := range blocks {
 		sources := make([]block.Block, len(pages))
 		for pi, p := range pages {
 			sources[pi] = p.Blocks[ch]
 		}
 		blocks[ch] = &indirectBlock{sources: sources, pageIdx: pageIdx, rowIdx: rowIdx}
 	}
-	return &block.Page{Blocks: blocks, N: len(rows)}
+	return &block.Page{Blocks: blocks, N: len(pageIdx)}
 }
 
 // spillBuffer sorts the buffered pages and writes the sorted rows out as one
@@ -179,22 +178,9 @@ func (o *sortOperator) spillBuffer() error {
 	}
 	o.runs = append(o.runs, run)
 	o.mem.addSpilled(run.Bytes())
-	o.pages = o.pages[:0]
+	o.pages, o.pageKeys, o.rows = nil, nil, nil
 	o.mem.releaseAll()
 	return nil
-}
-
-// compareNullable orders values with NULL greatest (NULLS LAST ascending).
-func compareNullable(a, b any) int {
-	switch {
-	case a == nil && b == nil:
-		return 0
-	case a == nil:
-		return 1
-	case b == nil:
-		return -1
-	}
-	return expr.CompareValues(a, b)
 }
 
 func (o *sortOperator) Close() error {

@@ -253,7 +253,7 @@ func aggNode() *planner.Aggregate {
 // spills its table and merges the runs back, and must still return the
 // boxed oracle's rows — with a nested key, whose groups are sorted and
 // merged by their key bytes, and an approx_distinct, whose boxed states
-// travel through the runs and aggMerger. A DISTINCT aggregation over the
+// travel through the runs and the merge. A DISTINCT aggregation over the
 // same cap cannot spill: it fails typed, spilling nothing and holding
 // nothing.
 func TestAggregateSpillEquivalence(t *testing.T) {

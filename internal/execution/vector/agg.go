@@ -11,10 +11,8 @@ import (
 
 // Agg is a typed batch aggregator: one flat state slice indexed by group
 // id, updated a page at a time. Intermediate and final emissions build
-// typed blocks straight from the state slices (no boxing), and the
-// intermediate formats match the expr.AggState contract exactly, so the
-// spill merge, which combines boxed expr states, reads what a typed state
-// spilled:
+// typed blocks straight from the state slices (no boxing), at the plan's
+// intermediate types:
 //
 //	count            -> int64 (never null)
 //	sum(bigint)      -> int64 or null
@@ -31,9 +29,8 @@ type Agg interface {
 	// EmitIntermediate / EmitFinal emit groups [from, to) as a column.
 	EmitIntermediate(from, to int) block.Block
 	EmitFinal(from, to int) block.Block
-	// IntermediateValue boxes group g's intermediate (spill encoding).
-	IntermediateValue(g int) any
-	// Reset drops all state (post-spill rebuild).
+	// Reset drops all state (post-spill rebuild, a spill merge's next
+	// page). Blocks emitted before it keep their values.
 	Reset()
 }
 
@@ -127,8 +124,7 @@ func (a *countAgg) EmitIntermediate(from, to int) block.Block {
 	return &block.Int64Block{Values: a.counts[from:to]}
 }
 func (a *countAgg) EmitFinal(from, to int) block.Block { return a.EmitIntermediate(from, to) }
-func (a *countAgg) IntermediateValue(g int) any        { return a.counts[g] }
-func (a *countAgg) Reset()                             { a.counts = a.counts[:0] }
+func (a *countAgg) Reset()                             { a.counts = nil }
 
 // ---------------------------------------------------------------------------
 // sum(bigint)
@@ -175,13 +171,7 @@ func (a *sumInt64Agg) EmitIntermediate(from, to int) block.Block {
 	return &block.Int64Block{Values: a.sums[from:to], Nulls: nullsFromSet(a.set[from:to])}
 }
 func (a *sumInt64Agg) EmitFinal(from, to int) block.Block { return a.EmitIntermediate(from, to) }
-func (a *sumInt64Agg) IntermediateValue(g int) any {
-	if !a.set[g] {
-		return nil
-	}
-	return a.sums[g]
-}
-func (a *sumInt64Agg) Reset() { a.sums, a.set = a.sums[:0], a.set[:0] }
+func (a *sumInt64Agg) Reset()                             { a.sums, a.set = nil, nil }
 
 // ---------------------------------------------------------------------------
 // sum(double)
@@ -228,13 +218,7 @@ func (a *sumFloat64Agg) EmitIntermediate(from, to int) block.Block {
 	return &block.Float64Block{Values: a.sums[from:to], Nulls: nullsFromSet(a.set[from:to])}
 }
 func (a *sumFloat64Agg) EmitFinal(from, to int) block.Block { return a.EmitIntermediate(from, to) }
-func (a *sumFloat64Agg) IntermediateValue(g int) any {
-	if !a.set[g] {
-		return nil
-	}
-	return a.sums[g]
-}
-func (a *sumFloat64Agg) Reset() { a.sums, a.set = a.sums[:0], a.set[:0] }
+func (a *sumFloat64Agg) Reset()                             { a.sums, a.set = nil, nil }
 
 // ---------------------------------------------------------------------------
 // min / max
@@ -339,25 +323,7 @@ func (a *minMaxAgg) EmitIntermediate(from, to int) block.Block {
 }
 func (a *minMaxAgg) EmitFinal(from, to int) block.Block { return a.EmitIntermediate(from, to) }
 
-func (a *minMaxAgg) IntermediateValue(g int) any {
-	if !a.set[g] {
-		return nil
-	}
-	switch a.kind {
-	case KindFloat64:
-		return a.f64[g]
-	case KindString:
-		return a.str[g]
-	case KindBool:
-		return a.i64[g] != 0
-	default:
-		return a.i64[g]
-	}
-}
-
-func (a *minMaxAgg) Reset() {
-	a.i64, a.f64, a.str, a.set = a.i64[:0], a.f64[:0], a.str[:0], a.set[:0]
-}
+func (a *minMaxAgg) Reset() { a.i64, a.f64, a.str, a.set = nil, nil, nil, nil }
 
 // ---------------------------------------------------------------------------
 // avg
@@ -390,8 +356,8 @@ func (a *avgAgg) AddRaw(ids []int32, arg *View, n int) {
 }
 
 // AddIntermediate merges row(sum double, count bigint) intermediates. The
-// typed path reads the RowBlock fields directly; other producers (spill
-// read-back through generic builders) fall back to boxed pairs.
+// typed path reads flat RowBlock fields directly; any other shape falls
+// back to boxed pairs.
 func (a *avgAgg) AddIntermediate(ids []int32, b block.Block, n int) error {
 	if rb, ok := block.Unwrap(b).(*block.RowBlock); ok && len(rb.Fields) == 2 {
 		sums, sok := block.Unwrap(rb.Fields[0]).(*block.Float64Block)
@@ -448,8 +414,7 @@ func (a *avgAgg) EmitFinal(from, to int) block.Block {
 	return &block.Float64Block{Values: vals, Nulls: nulls}
 }
 
-func (a *avgAgg) IntermediateValue(g int) any { return []any{a.sums[g], a.counts[g]} }
-func (a *avgAgg) Reset()                      { a.sums, a.counts = a.sums[:0], a.counts[:0] }
+func (a *avgAgg) Reset() { a.sums, a.counts = nil, nil }
 
 // ---------------------------------------------------------------------------
 

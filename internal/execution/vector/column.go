@@ -150,23 +150,6 @@ func (c *Column) equalRow(i int, v *View, r int) bool {
 	}
 }
 
-// ValueAt boxes stored row i (cold paths: spill encoding, debugging).
-func (c *Column) ValueAt(i int) any {
-	if c.nulls[i] {
-		return nil
-	}
-	switch c.kind {
-	case KindInt64:
-		return c.i64[i]
-	case KindFloat64:
-		return math.Float64frombits(uint64(c.i64[i]))
-	case KindBool:
-		return c.i64[i] != 0
-	default:
-		return c.str[i]
-	}
-}
-
 // nullsFor returns the null mask for [from, to), or nil when clean.
 func (c *Column) nullsFor(from, to int) []bool {
 	if !c.hasNulls {

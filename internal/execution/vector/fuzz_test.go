@@ -15,6 +15,7 @@ package vector
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -87,7 +88,7 @@ func decodeDictKeys(chunk []byte) (*block.DictionaryBlock, []fuzzKey) {
 // duplicates, NULL keys, forced hash collisions, slot growth past the
 // initial 64, and Reset (the post-spill rebuild) — checking the key→id
 // mapping against a map: same key, same dense id; new key, next id; stored
-// keys round-trip through KeyValues. In dictionary mode (bit 2 of the
+// keys round-trip through KeyBlock. In dictionary mode (bit 2 of the
 // selector) every other page is ids over fuzzDictionary and goes through
 // DictMemo, which must assign exactly as the row path: an entry no row uses
 // opens no group, and ids come out first-seen.
@@ -157,15 +158,14 @@ func FuzzGroupTable(f *testing.F) {
 		for k, g := range ref {
 			inv[g] = k
 		}
-		dst := make([]any, 1)
+		stored := gt.KeyBlock(0, 0, gt.Len())
 		for g := 0; g < gt.Len(); g++ {
-			gt.KeyValues(g, dst)
-			k := inv[int32(g)]
+			got, k := stored.Value(g), inv[int32(g)]
 			switch {
-			case k.null && dst[0] != nil:
-				t.Fatalf("group %d: stored %v, want NULL", g, dst[0])
-			case !k.null && dst[0] != k.v:
-				t.Fatalf("group %d: stored %v, want %d", g, dst[0], k.v)
+			case k.null && got != nil:
+				t.Fatalf("group %d: stored %v, want NULL", g, got)
+			case !k.null && got != k.v:
+				t.Fatalf("group %d: stored %v, want %d", g, got, k.v)
 			}
 		}
 	})
@@ -412,8 +412,18 @@ func (d *keyDecoder) next() byte {
 
 // fuzzKeyStrings holds the strings whose %v renderings collide once they
 // sit in an array or row: the space, "[", and "<nil>", which %v also prints
-// for NULL.
-var fuzzKeyStrings = []string{"", "a", "b", "c", "x", "a b", "b c", "<nil>", "[", " ", "[a b]"}
+// for NULL; and, for the order, strings that are prefixes of others, hold a
+// 0x00 (the byte the key escapes) or end in 0x01 or 0xff.
+var fuzzKeyStrings = []string{"", "a", "b", "c", "x", "a b", "b c", "<nil>", "[", " ", "[a b]",
+	"ab", "a\x00", "a\x00b", "\x00", "a\x01", "a\xff", "\xff"}
+
+// fuzzKeyInts and fuzzKeyDoubles are the BIGINT and DOUBLE key domains:
+// both signs, the extremes and, for doubles, both zeros, NaNs of two
+// payloads and both infinities.
+var (
+	fuzzKeyInts    = []int64{-1, 0, 1, 2, math.MinInt64, math.MaxInt64, -256, 256}
+	fuzzKeyDoubles = append(fuzzDoubles[:len(fuzzDoubles):len(fuzzDoubles)], math.Inf(1), math.Inf(-1), -math.SmallestNonzeroFloat64)
+)
 
 // typ decodes a type: bigint, double, varchar or boolean, or — above depth
 // 3 — an array, a row of one to three fields, or a map with a scalar key.
@@ -448,9 +458,9 @@ func (d *keyDecoder) value(t *types.Type) any {
 	b := d.next()
 	switch t.Kind {
 	case types.KindBigint:
-		return int64(b%4) - 1
+		return fuzzKeyInts[int(b)%len(fuzzKeyInts)]
 	case types.KindDouble:
-		return fuzzDoubles[int(b)%len(fuzzDoubles)]
+		return fuzzKeyDoubles[int(b)%len(fuzzKeyDoubles)]
 	case types.KindVarchar:
 		return fuzzKeyStrings[int(b)%len(fuzzKeyStrings)]
 	case types.KindBoolean:
@@ -510,11 +520,64 @@ func keyEqual(a, b any) bool {
 	return a == b
 }
 
+// keyOrder is the order ORDER BY gives two scalar values of one type,
+// written from the decision table rather than from the encoder: NULL after
+// everything, integers numerically, a NaN below every number and equal to
+// a NaN, −0.0 equal to +0.0, strings bytewise, false before true.
+func keyOrder(a, b any) int {
+	switch {
+	case a == nil && b == nil:
+		return 0
+	case a == nil:
+		return 1
+	case b == nil:
+		return -1
+	}
+	less := func(lt, gt bool) int {
+		switch {
+		case lt:
+			return -1
+		case gt:
+			return 1
+		}
+		return 0
+	}
+	switch x := a.(type) {
+	case int64:
+		y := b.(int64)
+		return less(x < y, x > y)
+	case float64:
+		y := b.(float64)
+		if xn, yn := x != x, y != y; xn || yn {
+			return less(xn && !yn, yn && !xn)
+		}
+		return less(x < y, x > y)
+	case string:
+		y := b.(string)
+		return less(x < y, x > y)
+	case bool:
+		y := b.(bool)
+		return less(!x && y, x && !y)
+	}
+	panic(fmt.Sprintf("keyOrder: %T is not a scalar", a))
+}
+
+func complemented(k []byte) []byte {
+	out := make([]byte, len(k))
+	for i, c := range k {
+		out[i] = ^c
+	}
+	return out
+}
+
 // FuzzAppendKey decodes a type and two values of it — scalars including
-// ±0.0, NaN, NULL and strings holding "[", a space and "<nil>"; arrays, rows
-// and maps up to depth 3 — and checks that AppendKey gives the two equal
-// bytes exactly when keyEqual calls them equal, and that equal values hash
-// equal through Hasher.HashBlock.
+// ±0.0, NaN, ±Inf, NULL, the integer extremes and strings holding "[", a
+// space, "<nil>" or 0x00; arrays, rows and maps up to depth 3 — and checks
+// that AppendKey gives the two equal bytes exactly when keyEqual calls them
+// equal, that equal values hash equal through Hasher.HashBlock, that
+// RowKeys writes the same bytes (complemented for DESC), and, for scalars,
+// that bytes.Compare orders the keys as keyOrder orders the values and the
+// complemented keys the other way round.
 func FuzzAppendKey(f *testing.F) {
 	// ['a b'] and ['a', 'b']; [NULL] and ['<nil>']; ('a b', 'c') and
 	// ('a', 'b c'); (NULL, 'x') and ('<nil>', 'x'); [-0.0] and [0.0].
@@ -523,6 +586,12 @@ func FuzzAppendKey(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 2, 1, 0, 1, 5, 1, 3, 1, 0, 1, 1, 1, 6})
 	f.Add([]byte{5, 1, 2, 2, 1, 0, 0, 1, 4, 1, 0, 1, 7, 1, 4})
 	f.Add([]byte{4, 1, 1, 1, 1, 1, 1, 1, 1, 0})
+	// MinInt64 and 2; 'a' and 'a\x00'; NaN and -Inf; -0.0 and +0.0; NULL and 'ab'.
+	f.Add([]byte{0, 1, 4, 1, 3})
+	f.Add([]byte{2, 1, 1, 1, 12})
+	f.Add([]byte{1, 1, 2, 1, 8})
+	f.Add([]byte{1, 1, 1, 1, 0})
+	f.Add([]byte{2, 0, 1, 11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -531,15 +600,33 @@ func FuzzAppendKey(f *testing.F) {
 		typ := d.typ(0)
 		a, b := d.value(typ), d.value(typ)
 		equal := keyEqual(a, b)
-		if ka, kb := AppendKey(nil, a), AppendKey(nil, b); bytes.Equal(ka, kb) != equal {
+		ka, kb := AppendKey(nil, a), AppendKey(nil, b)
+		if bytes.Equal(ka, kb) != equal {
 			t.Fatalf("%v and %v of %s: equal %v, but keys %x and %x", a, b, typ, equal, ka, kb)
+		}
+		col := []block.Block{block.FromValues(typ, a, b)}
+		asc, desc := RowKeys(col, nil, 2), RowKeys(col, []bool{true}, 2)
+		if !bytes.Equal(asc.At(0), ka) || !bytes.Equal(asc.At(1), kb) {
+			t.Fatalf("%v and %v of %s: RowKeys %x %x, AppendKey %x %x", a, b, typ, asc.At(0), asc.At(1), ka, kb)
+		}
+		if !bytes.Equal(desc.At(0), complemented(ka)) || !bytes.Equal(desc.At(1), complemented(kb)) {
+			t.Fatalf("%v and %v of %s: DESC RowKeys %x %x are not the complemented keys", a, b, typ, desc.At(0), desc.At(1))
+		}
+		if _, scalar := KindOf(typ); scalar {
+			want := keyOrder(a, b)
+			if got := bytes.Compare(ka, kb); got != want {
+				t.Fatalf("%v and %v of %s: keys %x and %x compare %d, want %d", a, b, typ, ka, kb, got, want)
+			}
+			if got := bytes.Compare(complemented(ka), complemented(kb)); got != -want {
+				t.Fatalf("%v and %v of %s: complemented keys compare %d, want %d", a, b, typ, got, -want)
+			}
 		}
 		if !equal {
 			return
 		}
 		var h Hasher
 		hashes := make([]uint64, 2)
-		h.HashBlock(block.FromValues(typ, a, b), 2, hashes)
+		h.HashBlock(col[0], 2, hashes)
 		if hashes[0] != hashes[1] {
 			t.Fatalf("equal %v and %v of %s hash %x and %x", a, b, typ, hashes[0], hashes[1])
 		}

@@ -1,8 +1,6 @@
 package vector
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
 	"prestolite/internal/block"
@@ -61,46 +59,6 @@ func floatKey(x float64) uint64 {
 		return canonicalNaN
 	}
 	return math.Float64bits(x)
-}
-
-// AppendKey appends the canonical key bytes of boxed value v to dst: two
-// values get the same bytes exactly when GROUP BY, DISTINCT and a hash
-// partition must treat them as one key. Every value is a type tag and then a
-// fixed-width or length-prefixed body, so the bytes of a tuple are its
-// values' bytes one after another. Arrays and rows (both boxed as []any) and
-// maps recurse, a map entry by entry in stored order. A double is keyed by
-// floatKey; NULL has a tag of its own, so a NULL element is not the string
-// "<nil>".
-func AppendKey(dst []byte, v any) []byte {
-	switch t := v.(type) {
-	case nil:
-		return append(dst, 'n')
-	case bool:
-		if t {
-			return append(dst, 'b', 1)
-		}
-		return append(dst, 'b', 0)
-	case int64:
-		return binary.BigEndian.AppendUint64(append(dst, 'i'), uint64(t))
-	case float64:
-		return binary.BigEndian.AppendUint64(append(dst, 'd'), floatKey(t))
-	case string:
-		return append(binary.AppendUvarint(append(dst, 's'), uint64(len(t))), t...)
-	case []any:
-		dst = binary.AppendUvarint(append(dst, 'a'), uint64(len(t)))
-		for _, e := range t {
-			dst = AppendKey(dst, e)
-		}
-		return dst
-	case [][2]any:
-		dst = binary.AppendUvarint(append(dst, 'm'), uint64(len(t)))
-		for _, e := range t {
-			dst = AppendKey(AppendKey(dst, e[0]), e[1])
-		}
-		return dst
-	}
-	// Blocks box values as the cases above and nothing else.
-	panic(fmt.Sprintf("vector: no key encoding for %T", v))
 }
 
 // Hasher computes per-row hash vectors over key columns. All paths hash the

@@ -117,13 +117,6 @@ func (t *GroupTable) growSlots() {
 // KeyBlock emits key column c for groups [from, to).
 func (t *GroupTable) KeyBlock(c, from, to int) block.Block { return t.cols[c].Block(from, to) }
 
-// KeyValues boxes group g's key into dst (cold paths: spill encoding).
-func (t *GroupTable) KeyValues(g int, dst []any) {
-	for c, col := range t.cols {
-		dst[c] = col.ValueAt(g)
-	}
-}
-
 // Reset empties the table, retaining allocations where cheap (post-spill
 // rebuild).
 func (t *GroupTable) Reset() {

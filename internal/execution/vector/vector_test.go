@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,10 +145,9 @@ func TestGroupTableVsMapReference(t *testing.T) {
 	}
 	// Key emission round-trips the stored values.
 	for key, id := range ref {
-		dst := make([]any, 2)
-		gt.KeyValues(int(id), dst)
-		if dst[0] != key[0] || dst[1] != key[1] {
-			t.Fatalf("group %d: KeyValues %v, want %v", id, dst, key)
+		got := [2]any{gt.KeyBlock(0, int(id), int(id)+1).Value(0), gt.KeyBlock(1, int(id), int(id)+1).Value(0)}
+		if got != key {
+			t.Fatalf("group %d: KeyBlock %v, want %v", id, got, key)
 		}
 	}
 }
@@ -278,18 +278,18 @@ func TestAggsMatchSemantics(t *testing.T) {
 			t.Fatalf("%s merge round-trip: got (%v, %v), want (%v, %v)",
 				tc.name, fin2.Value(0), fin2.Value(1), tc.wantG0, tc.wantG1)
 		}
-		// Boxed intermediates match expr.AggState's, which the spill merge reads.
-		switch tc.name {
+		// The intermediate of a group that saw only NULLs.
+		switch empty := inter.Value(1); tc.name {
 		case "count":
-			if a.IntermediateValue(1) != int64(0) {
-				t.Fatalf("count intermediate for empty group must be 0, got %v", a.IntermediateValue(1))
+			if empty != int64(0) {
+				t.Fatalf("count intermediate for empty group must be 0, got %v", empty)
 			}
 		case "sum", "min", "max":
-			if a.IntermediateValue(1) != nil {
-				t.Fatalf("%s intermediate for null group must be nil, got %v", tc.name, a.IntermediateValue(1))
+			if empty != nil {
+				t.Fatalf("%s intermediate for null group must be nil, got %v", tc.name, empty)
 			}
 		case "avg":
-			pair := a.IntermediateValue(1).([]any)
+			pair := empty.([]any)
 			if pair[0] != 0.0 || pair[1] != int64(0) {
 				t.Fatalf("avg intermediate = %v, want [0 0]", pair)
 			}
@@ -386,19 +386,27 @@ func TestAggResetClearsState(t *testing.T) {
 		arg := &View{Kind: KindInt64, N: 3, I64: []int64{7, 8, 9}}
 		agg.Grow(3)
 		agg.AddRaw([]int32{0, 1, 2}, arg, 3)
+		before := agg.EmitIntermediate(0, 3)
+		wantBefore := fmt.Sprint(before.Value(0), before.Value(1), before.Value(2))
 		agg.Reset()
 		agg.Grow(3)
+		stale := agg.EmitIntermediate(0, 3)
 		for g := 0; g < 3; g++ {
-			if v := agg.IntermediateValue(g); v != nil && v != int64(0) {
+			if v := stale.Value(g); v != nil && v != int64(0) {
 				if pair, ok := v.([]any); !ok || pair[0] != float64(0) || pair[1] != int64(0) {
 					t.Errorf("%s: group %d holds stale state %v after Reset+Grow", name, g, v)
 				}
 			}
 		}
-		agg.AddRaw([]int32{0, 1, 2}, arg, 3)
-		want := map[string]any{"count": int64(1), "sum": int64(8), "min": int64(8), "max": int64(8)}
+		agg.AddRaw([]int32{0, 1, 2}, &View{Kind: KindInt64, N: 3, I64: []int64{1, 2, 3}}, 3)
+		// A block emitted before Reset keeps its values: a spill merge
+		// resets the aggregators between the pages it emits.
+		if got := fmt.Sprint(before.Value(0), before.Value(1), before.Value(2)); got != wantBefore {
+			t.Errorf("%s: block emitted before Reset changed from %s to %s", name, wantBefore, got)
+		}
+		want := map[string]any{"count": int64(1), "sum": int64(2), "min": int64(2), "max": int64(2)}
 		if w, ok := want[name]; ok {
-			if got := agg.IntermediateValue(1); got != w {
+			if got := agg.EmitIntermediate(1, 2).Value(0); got != w {
 				t.Errorf("%s: group 1 after Reset = %v, want %v", name, got, w)
 			}
 		}

@@ -17,10 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
 	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -101,6 +103,15 @@ type equivColSpec struct {
 	typ     *types.Type
 	card    int
 	nullDen float64
+	values  []any // the value domain, when not equivValue's
+}
+
+// value is the column's value for domain index d.
+func (s equivColSpec) value(d int) any {
+	if s.values != nil {
+		return s.values[d%len(s.values)]
+	}
+	return equivValue(s.typ, d)
 }
 
 var equivTypes = []*types.Type{
@@ -158,7 +169,7 @@ func equivBlock(rng *rand.Rand, spec equivColSpec, n int) block.Block {
 	case 0: // run-length: the whole page shares one value (or NULL)
 		var v any
 		if rng.Float64() >= spec.nullDen {
-			v = equivValue(spec.typ, rng.Intn(spec.card))
+			v = spec.value(rng.Intn(spec.card))
 		}
 		return block.NewRunLengthBlock(block.SingleValue(spec.typ, v), n)
 	case 1: // dictionary
@@ -177,7 +188,7 @@ func equivBlock(rng *rand.Rand, spec equivColSpec, n int) block.Block {
 		vals := make([]any, n)
 		for i := range vals {
 			if rng.Float64() >= spec.nullDen {
-				vals[i] = equivValue(spec.typ, rng.Intn(spec.card))
+				vals[i] = spec.value(rng.Intn(spec.card))
 			}
 		}
 		return block.FromValues(spec.typ, vals...)
@@ -410,7 +421,12 @@ func boxedAggregate(t *testing.T, node *planner.Aggregate, rows [][]any) []strin
 	}
 	out := make([][]any, len(groups))
 	for i, g := range groups {
-		out[i] = g.key
+		for _, k := range g.key {
+			if x, ok := k.(float64); ok && x == 0 {
+				k = 0.0 // −0.0 and +0.0 are one group, which emits +0.0
+			}
+			out[i] = append(out[i], k)
+		}
 		for _, st := range g.states {
 			out[i] = append(out[i], st.Final())
 		}
@@ -686,29 +702,50 @@ func runEquivSpill(t *testing.T, plan planner.Node, reg *connector.Registry, lim
 
 // TestVectorAggSpillEquivalence: the vectorized aggregation under memory
 // pressure must spill (not fail), and the post-spill merge must reproduce
-// boxedAggregate's rows exactly — including the grown-slice reuse after
-// Reset that the spill path exercises.
+// boxedAggregate's rows exactly — across the aggregators' Reset after each
+// spill and between merged pages — for a bigint, a double (NaN, −0.0
+// and +0.0 among its values) and a varchar key, with min and max over a
+// double that holds NaN, so the runs' key order and the typed aggregators'
+// combine both meet the values they could get wrong.
 func TestVectorAggSpillEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	specs := []equivColSpec{
+	doubleKeys := []any{math.NaN(), math.Copysign(0, -1), 0.0}
+	for d := 0; d < 600; d++ {
+		doubleKeys = append(doubleKeys, float64(d)/2-100)
+	}
+	nanDoubles := []any{math.NaN(), 1.5, -2.5, math.Copysign(0, -1), 0.0, math.Inf(1), 7.0}
+	for _, key := range []equivColSpec{
 		{name: "k0", typ: types.Bigint, card: 600, nullDen: 0.05},
-		{name: "v0", typ: types.Bigint, card: 1000},
-		{name: "v1", typ: types.Double, card: 500, nullDen: 0.1},
-	}
-	scan, conn := equivScan(rng, "t", specs, 4000)
-	reg := connector.NewRegistry()
-	reg.Register("t", conn)
-	plan := &planner.Aggregate{
-		Child: scan, GroupBy: []int{0},
-		Aggs: equivAggs(rng, specs, 1, false), Step: planner.AggSingle,
-	}
-	want := equivOracle(t, plan, reg)
-	got, pool := runEquivSpill(t, plan, reg, 32<<10)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("spilled vector aggregation diverged: %d vs %d rows", len(got), len(want))
-	}
-	if pool.Spilled() == 0 {
-		t.Fatal("vector aggregation never spilled despite the tiny limit")
+		{name: "k0", typ: types.Double, card: len(doubleKeys), nullDen: 0.05, values: doubleKeys},
+		{name: "k0", typ: types.Varchar, card: 600, nullDen: 0.05},
+	} {
+		t.Run(key.typ.String()+" key", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			specs := []equivColSpec{
+				key,
+				{name: "v0", typ: types.Bigint, card: 1000},
+				{name: "v1", typ: types.Double, card: 500, nullDen: 0.1},
+				{name: "v2", typ: types.Double, card: len(nanDoubles), nullDen: 0.1, values: nanDoubles},
+			}
+			scan, conn := equivScan(rng, "t", specs, 4000)
+			reg := connector.NewRegistry()
+			reg.Register("t", conn)
+			aggs := equivAggs(rng, specs, 1, false)
+			for _, name := range []string{"min", "max"} {
+				aggs = append(aggs, planner.Aggregation{
+					FuncName: name, Args: []int{3}, ArgTypes: []*types.Type{types.Double},
+					OutputName: name + "_v2", InterType: types.Double, FinalType: types.Double,
+				})
+			}
+			plan := &planner.Aggregate{Child: scan, GroupBy: []int{0}, Aggs: aggs, Step: planner.AggSingle}
+			want := equivOracle(t, plan, reg)
+			got, pool := runEquivSpill(t, plan, reg, 32<<10)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("spilled vector aggregation diverged: %d vs %d rows", len(got), len(want))
+			}
+			if pool.Spilled() == 0 {
+				t.Fatal("vector aggregation never spilled despite the tiny limit")
+			}
+		})
 	}
 }
 
@@ -945,5 +982,161 @@ func TestVectorAggDictionaryKeyEquivalence(t *testing.T) {
 			checkEquivalence(t, seed, agg, reg)
 			checkEquivalence(t, seed, planner.FinalOver(&partial, agg), reg)
 		}
+	}
+}
+
+// sortDomains are the values TestSortEquivalence's columns draw from: the
+// doubles ORDER BY can get wrong (NaN, both zeros, both infinities), a
+// string that is a prefix of another and strings holding 0x00, and the
+// integer extremes.
+var sortDomains = map[types.Kind][]any{
+	types.KindBigint:  {int64(3), int64(-7), int64(0), int64(math.MaxInt64), int64(math.MinInt64), int64(42)},
+	types.KindDouble:  {2.0, math.NaN(), 1.0, math.Copysign(0, -1), 0.0, math.Inf(1), math.Inf(-1), -1.5, 0.5},
+	types.KindVarchar: {"b", "a", "ab", "a\x00", "a\x00b", "", "\x00", "B"},
+	types.KindBoolean: {true, false},
+	types.KindDate:    {int64(18000), int64(-1), int64(18001), int64(0)},
+}
+
+// sortOrder is the order ORDER BY gives two values of one column, written
+// from the decision table rather than from the key encoder: NULL after
+// every value; integers and dates numerically; doubles numerically, with a
+// NaN below every number and equal to a NaN, and −0.0 equal to +0.0;
+// strings bytewise; false before true.
+func sortOrder(a, b any) int {
+	switch {
+	case a == nil && b == nil:
+		return 0
+	case a == nil:
+		return 1
+	case b == nil:
+		return -1
+	}
+	less := func(lt, gt bool) int {
+		switch {
+		case lt:
+			return -1
+		case gt:
+			return 1
+		}
+		return 0
+	}
+	switch x := a.(type) {
+	case int64:
+		y := b.(int64)
+		return less(x < y, x > y)
+	case float64:
+		y := b.(float64)
+		if xn, yn := x != x, y != y; xn || yn {
+			return less(xn && !yn, yn && !xn)
+		}
+		return less(x < y, x > y)
+	case string:
+		y := b.(string)
+		return less(x < y, x > y)
+	case bool:
+		y := b.(bool)
+		return less(!x && y, x && !y)
+	}
+	panic(fmt.Sprintf("sortOrder: %T", a))
+}
+
+// sortOracle stably sorts rows by keys; DESC reverses a column's order,
+// NULL's place included.
+func sortOracle(rows [][]any, keys []planner.SortKey) [][]any {
+	out := slices.Clone(rows)
+	sort.SliceStable(out, func(i, j int) bool {
+		for _, k := range keys {
+			c := sortOrder(out[i][k.Channel], out[j][k.Channel])
+			if k.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	return out
+}
+
+// sortKeyClasses renders each row's sort-key values, with −0.0 as +0.0:
+// rows that tie under ORDER BY render alike.
+func sortKeyClasses(rows [][]any, keys []planner.SortKey) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		for _, k := range keys {
+			v := row[k.Channel]
+			if x, ok := v.(float64); ok && x == 0 {
+				v = 0.0
+			}
+			out[i] += fmt.Sprint(v) + "|"
+		}
+	}
+	return out
+}
+
+// TestSortEquivalence: ORDER BY over random pages — bigint, double, varchar,
+// boolean and date columns in every encoding, with NULLs and duplicate keys,
+// sorted by one to three of them ASC or DESC — must return sortOracle's rows
+// in memory and forced to spill, in exactly the oracle's order (so ties keep
+// input order), and on 8 drivers, whose per-driver sorts the merge combines,
+// in the oracle's key order (which rows of a tie came first depends on which
+// driver drew which split).
+func TestSortEquivalence(t *testing.T) {
+	kinds := []*types.Type{types.Bigint, types.Double, types.Varchar, types.Boolean, types.Date}
+	for _, seed := range equivSeeds(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < 3; trial++ {
+				var specs []equivColSpec
+				for i, typ := range kinds {
+					dom := sortDomains[typ.Kind]
+					specs = append(specs, equivColSpec{
+						name: fmt.Sprintf("c%d", i), typ: typ, values: dom,
+						card: 1 + rng.Intn(len(dom)), nullDen: []float64{0, 0.1, 0.3}[rng.Intn(3)],
+					})
+				}
+				specs = append(specs, equivColSpec{name: "seq", typ: types.Bigint, card: 1 << 30})
+				scan, conn := equivScan(rng, "t", specs, 1500)
+				reg := connector.NewRegistry()
+				reg.Register("t", conn)
+				var keys []planner.SortKey
+				for _, ch := range rng.Perm(len(kinds))[:1+rng.Intn(3)] {
+					keys = append(keys, planner.SortKey{Channel: ch, Desc: rng.Intn(2) == 0})
+				}
+				plan := &planner.Sort{Child: scan, Keys: keys}
+				want := sortOracle(serialRows(t, scan, reg), keys)
+
+				run := func(ctx *Context) [][]any {
+					op, err := Build(plan, ctx)
+					if err != nil {
+						t.Fatalf("build: %v", err)
+					}
+					return drainRows(t, op)
+				}
+				exact := func(path string, got [][]any) {
+					t.Helper()
+					for i := range max(len(got), len(want)) {
+						if i >= len(got) || i >= len(want) || fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+							t.Fatalf("trial %d, keys %+v, %s: %d rows, the oracle %d; first difference at row %d",
+								trial, keys, path, len(got), len(want), i)
+						}
+					}
+				}
+				exact("in memory", run(&Context{Catalogs: reg, Drivers: 1}))
+				pool, mgr := spillEnv(t, 24<<10)
+				exact("spilled", run(&Context{Catalogs: reg, Drivers: 1, Memory: pool, Spill: mgr}))
+				if pool.Spilled() == 0 {
+					t.Fatalf("trial %d: the sort never spilled despite the tiny limit", trial)
+				}
+				got := run(&Context{Catalogs: reg, Drivers: 8})
+				if !reflect.DeepEqual(sortKeyClasses(got, keys), sortKeyClasses(want, keys)) {
+					t.Fatalf("trial %d, keys %+v, 8 drivers: key order differs from the oracle's", trial, keys)
+				}
+				if !reflect.DeepEqual(sortedMultiset(got), sortedMultiset(want)) {
+					t.Fatalf("trial %d, keys %+v, 8 drivers: rows differ from the oracle's", trial, keys)
+				}
+			}
+		})
 	}
 }

@@ -1,10 +1,11 @@
 package execution
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"prestolite/internal/block"
 	"prestolite/internal/execution/vector"
@@ -63,20 +64,23 @@ func partialBypassRows(ctx *Context) int {
 //
 // Grouped aggregations account every page's new groups against the query
 // memory context; when a reservation is refused (and spill is enabled) the
-// whole table is flushed to a spill run as pages of [group keys...,
-// intermediate states...], sorted by encoded key, and rebuilt empty. Once
-// input is exhausted aggMerger k-way merges the runs, combining equal keys
-// with AddIntermediate — the same round trip the distributed partial→final
-// path uses — and streams pages out, so the full set of groups (which by
-// construction exceeded the budget) is never rebuilt in memory. Emission
-// order after a spill is key-encoding order, not first-seen (grouped output
-// order is unspecified). DISTINCT seen tables cannot spill (they cannot be
-// merged without double counting), so an aggregation with one reserves hard
-// and fails with Insufficient Resources over the limit.
+// whole table is flushed to a spill run — the page the in-memory result
+// would emit, with intermediates, sorted by the keys' vector.RowKeys bytes —
+// and rebuilt empty. Once input is exhausted the runs go through the ORDER
+// BY merge (streamMergeOperator), which hands over each key's rows from
+// every run on one page; the operator's own aggregators combine each run of
+// equal keys with AddIntermediate — the round trip the distributed
+// partial→final path uses — and emit as the in-memory result does, a page
+// at a time, so the full set of groups (which by construction exceeded the
+// budget) is never rebuilt in memory. Emission order after a spill is key
+// order, not first-seen (grouped output order is unspecified). DISTINCT
+// seen tables cannot spill (they cannot be merged without double
+// counting), so an aggregation with one reserves hard and fails with
+// Insufficient Resources over the limit.
 type vectorAggOperator struct {
 	node   *planner.Aggregate
 	child  Operator
-	fns    []*expr.AggregateFunction // boxed states, for the spill merge
+	fns    []*expr.AggregateFunction // for the fresh aggregators of passThrough
 	aggs   []aggregator
 	groups *keyTable
 	mem    *opMem
@@ -107,7 +111,7 @@ type vectorAggOperator struct {
 
 	charged int64
 	runs    []*resource.Run
-	merger  *aggMerger
+	merge   *streamMergeOperator // over runs, once the table has spilled
 }
 
 // newVectorAggOperator builds the hash aggregation for a plan node, with its
@@ -151,8 +155,8 @@ func (o *vectorAggOperator) Next() (*block.Page, error) {
 		}
 		o.consumed = true
 	}
-	if o.merger != nil {
-		return o.merger.next()
+	if o.merge != nil {
+		return o.mergeNext()
 	}
 	if o.passing {
 		return o.passNext()
@@ -201,7 +205,7 @@ func (o *vectorAggOperator) consume() error {
 		// a partial that is not reducing (almost one group per row) stops
 		// consuming — Next drains the hashed groups, then streams the rest
 		// of the input through in intermediate layout. Spilled operators
-		// never bypass: their emission already belongs to the run merger.
+		// never bypass: their emission already belongs to the merge.
 		if o.bypassRows >= 0 && o.node.Step == planner.AggPartial && len(o.runs) == 0 && len(o.node.GroupBy) > 0 {
 			o.rowsIn += n
 			if o.rowsIn >= o.bypassRows && o.groups.Len()*partialBypassDen >= o.rowsIn*partialBypassNum {
@@ -226,8 +230,12 @@ func (o *vectorAggOperator) consume() error {
 		if err := o.spillGroups(); err != nil {
 			return err
 		}
-		o.merger = &aggMerger{node: o.node, fns: o.fns}
-		return o.merger.open(o.runs)
+		keys := make([]planner.SortKey, len(o.node.GroupBy))
+		for i := range keys {
+			keys[i].Channel = i
+		}
+		o.merge = mergeRuns(keys, o.runs)
+		o.merge.wholeKeys = true
 	}
 	return nil
 }
@@ -337,61 +345,34 @@ func (o *vectorAggOperator) chargeGrowth() error {
 	return nil
 }
 
-// keyValues boxes group g's key into dst: the first-seen value of a nested
-// key column, the stored key otherwise.
-func (o *vectorAggOperator) keyValues(g int, dst []any) {
-	o.groups.KeyValues(g, dst)
-	for c, k := range o.groups.keys {
-		if k.nested {
-			dst[c] = k.first[g]
-		}
-	}
-}
-
-// spillGroups writes every group to one key-sorted run (the aggMerger wire
-// format) and resets the table and aggregator state, freeing their memory.
+// spillGroups writes every group to one run, in key order, as pages of the
+// group keys and each aggregate's intermediate, and resets the table and
+// aggregator state, freeing their memory.
 func (o *vectorAggOperator) spillGroups() error {
 	ng := o.groups.Len()
 	if ng == 0 {
 		return nil
 	}
 	nk := len(o.node.GroupBy)
-	// Box and encode each group's key, then sort ids by encoded key so the
-	// read-back merge can align equal groups across runs with plain cursors.
-	enc := make([]string, ng)
-	keyVals := make([]any, nk)
-	var buf []byte
-	for g := 0; g < ng; g++ {
-		o.keyValues(g, keyVals)
-		buf = buf[:0]
-		for _, v := range keyVals {
-			buf = vector.AppendKey(buf, v)
-		}
-		enc[g] = string(buf)
-	}
+	p := o.output(o.tableKeys(0, ng), 0, ng, true)
+	keys := vector.RowKeys(p.Blocks[:nk], nil, ng)
 	order := make([]int, ng)
 	for g := range order {
 		order[g] = g
 	}
-	sort.Slice(order, func(i, j int) bool { return enc[order[i]] < enc[order[j]] })
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys.At(a), keys.At(b)) })
 
 	w, err := o.mem.newRun("agg")
 	if err != nil {
 		return err
 	}
-	ts := aggSpillTypes(o.node, o.fns)
-	row := make([]any, len(ts))
+	blocks := make([]block.Block, len(p.Blocks))
 	for off := 0; off < ng; off += spillPageRows {
 		end := min(off+spillPageRows, ng)
-		pb := block.NewPageBuilder(ts)
-		for _, g := range order[off:end] {
-			o.keyValues(g, row[:nk])
-			for i, agg := range o.aggs {
-				row[nk+i] = agg.IntermediateValue(g)
-			}
-			pb.AppendRow(row)
+		for c, b := range p.Blocks {
+			blocks[c] = b.Mask(order[off:end])
 		}
-		if err := w.WritePage(pb.Build()); err != nil {
+		if err := w.WritePage(&block.Page{Blocks: blocks, N: end - off}); err != nil {
 			w.Abandon()
 			return o.mem.fail(err)
 		}
@@ -414,9 +395,7 @@ func (o *vectorAggOperator) spillGroups() error {
 	return nil
 }
 
-// emitNext streams the in-memory result a page at a time, building each
-// column directly from the table's key stores and the aggregators' state —
-// no per-row boxing on the way out, but for nested keys and boxed states.
+// emitNext streams the in-memory result a page at a time.
 func (o *vectorAggOperator) emitNext() (*block.Page, error) {
 	ng := o.groups.Len()
 	if o.emitFrom >= ng {
@@ -425,23 +404,69 @@ func (o *vectorAggOperator) emitNext() (*block.Page, error) {
 	from := o.emitFrom
 	to := min(from+spillPageRows, ng)
 	o.emitFrom = to
-	nk := len(o.node.GroupBy)
-	blocks := make([]block.Block, nk+len(o.aggs))
-	for c, k := range o.groups.keys {
-		if k.nested {
-			blocks[c] = block.FromValues(k.typ, k.first[from:to]...)
-		} else {
-			blocks[c] = o.groups.KeyBlock(c, from, to)
+	return o.output(o.tableKeys(from, to), from, to, o.node.Step == planner.AggPartial), nil
+}
+
+// mergeNext emits the groups of the next merged page of spilled rows: each
+// run of equal keys is one group, whose intermediates the aggregators
+// combine.
+func (o *vectorAggOperator) mergeNext() (*block.Page, error) {
+	p, err := o.merge.Next()
+	if err != nil {
+		return nil, err
+	}
+	p = block.MaterializePage(p)
+	var starts []int // per group: its first row
+	ids := make([]int32, p.Count())
+	for r, k := range o.merge.rowKeys {
+		if r == 0 || !bytes.Equal(k, o.merge.rowKeys[r-1]) {
+			starts = append(starts, r)
 		}
+		ids[r] = int32(len(starts) - 1)
+	}
+	ng := len(starts)
+	nk := len(o.node.GroupBy)
+	keys := make([]block.Block, nk)
+	for c := range keys {
+		keys[c] = p.Blocks[c].Mask(starts)
 	}
 	for i, agg := range o.aggs {
-		if o.node.Step == planner.AggPartial {
-			blocks[nk+i] = agg.EmitIntermediate(from, to)
-		} else {
-			blocks[nk+i] = agg.EmitFinal(from, to)
+		agg.Reset()
+		agg.Grow(ng)
+		if err := agg.AddIntermediate(ids, p.Blocks[nk+i], len(ids)); err != nil {
+			return nil, err
 		}
 	}
-	return &block.Page{Blocks: blocks, N: to - from}, nil
+	return o.output(keys, 0, ng, o.node.Step == planner.AggPartial), nil
+}
+
+// tableKeys is the key columns of the table's groups [from, to): the stored
+// keys, and a nested key's first-seen values.
+func (o *vectorAggOperator) tableKeys(from, to int) []block.Block {
+	keys := make([]block.Block, len(o.groups.keys))
+	for c, k := range o.groups.keys {
+		if k.nested {
+			keys[c] = block.FromValues(k.typ, k.first[from:to]...)
+		} else {
+			keys[c] = o.groups.KeyBlock(c, from, to)
+		}
+	}
+	return keys
+}
+
+// output is the page of groups [from, to) with key columns keys: each
+// aggregate's column follows, built straight from its state, as
+// intermediates or as finals.
+func (o *vectorAggOperator) output(keys []block.Block, from, to int, intermediate bool) *block.Page {
+	blocks := keys
+	for _, agg := range o.aggs {
+		if intermediate {
+			blocks = append(blocks, agg.EmitIntermediate(from, to))
+		} else {
+			blocks = append(blocks, agg.EmitFinal(from, to))
+		}
+	}
+	return &block.Page{Blocks: blocks, N: to - from}
 }
 
 // passNext streams the post-bypass remainder of the input: each child page
@@ -494,8 +519,8 @@ func (o *vectorAggOperator) passThrough(p *block.Page, n int) (*block.Page, erro
 
 func (o *vectorAggOperator) Close() error {
 	var errs []error
-	if o.merger != nil {
-		errs = append(errs, o.merger.close())
+	if o.merge != nil {
+		errs = append(errs, o.merge.Close())
 	}
 	for _, r := range o.runs {
 		r.Remove()

@@ -171,8 +171,9 @@ func unordered(a, b any) bool {
 }
 
 // CompareValues orders two non-null values of the same primitive type:
-// -1, 0 or 1; a NaN compares 0 with everything. Exported for use by ORDER BY
-// and min/max aggregates.
+// -1, 0 or 1; a NaN compares 0 with everything. Exported for the boxed
+// min/max states and for statistics checks; ORDER BY orders by
+// vector.AppendKey bytes instead.
 func CompareValues(a, b any) int {
 	switch x := a.(type) {
 	case int64:
