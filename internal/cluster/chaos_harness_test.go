@@ -51,7 +51,6 @@ func ChaosConfig(inj *fault.Injector) ClientConfig {
 		MaxBackoff:       20 * time.Millisecond,
 		RetryBudget:      32,
 		HedgeDelay:       -1,
-		PollInterval:     time.Millisecond,
 	}
 	if inj != nil {
 		cfg.Transport = &fault.Transport{Injector: inj}

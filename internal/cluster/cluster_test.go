@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -328,6 +327,12 @@ func TestGracefulExpansion(t *testing.T) {
 func TestGracefulShrinkNoQueryFailures(t *testing.T) {
 	catalogs := newCatalogs(t)
 	coord, workers := newCluster(t, catalogs, 3)
+	// The coordinator learns of the shrink when it asks the worker for a
+	// task, so the worker to shrink is one placement deals splits to.
+	if _, err := coord.Query(session(), "SELECT city_id, count(*) FROM trips GROUP BY city_id"); err != nil {
+		t.Fatal(err)
+	}
+	shrunk := busiestWorker(workers)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -357,8 +362,8 @@ func TestGracefulShrinkNoQueryFailures(t *testing.T) {
 	}
 	// Drain one worker mid-traffic.
 	time.Sleep(20 * time.Millisecond)
-	go workers[0].GracefulShutdown()
-	workers[0].WaitShutdown()
+	go shrunk.GracefulShutdown()
+	shrunk.WaitShutdown()
 	time.Sleep(30 * time.Millisecond)
 	close(stop)
 	wg.Wait()
@@ -366,12 +371,22 @@ func TestGracefulShrinkNoQueryFailures(t *testing.T) {
 	for err := range errs {
 		t.Errorf("query failed during graceful shrink: %v", err)
 	}
-	if workers[0].State() != StateShutdown {
-		t.Errorf("worker state = %s", workers[0].State())
+	if shrunk.State() != StateShutdown {
+		t.Errorf("worker state = %s", shrunk.State())
 	}
 	// Queries still succeed on the remaining workers.
 	if _, err := coord.Query(session(), "SELECT count(*) FROM trips"); err != nil {
 		t.Fatal(err)
+	}
+	for _, addr := range coord.Workers() {
+		if addr == shrunk.Addr() {
+			t.Errorf("the shrunk worker %s is still registered: %v", addr, coord.Workers())
+		}
+	}
+	// A graceful shrink reschedules nothing: the worker refused new tasks
+	// and finished the ones it had.
+	if n := counter(coord, "task_retries"); n != 0 {
+		t.Errorf("task_retries = %d, want 0", n)
 	}
 }
 
@@ -430,8 +445,9 @@ func (h *hostCounter) count(host string) int {
 }
 
 // TestShutDownWorkerIsForgotten: a worker whose process is gone is dropped
-// from the registry by the first liveness poll that finds it refused (or
-// answering SHUTDOWN), so later queries never dial the dead address again.
+// from the registry by the first task start that finds its connection
+// refused (or that it refuses, saying SHUTDOWN), so later queries never dial
+// the dead address again.
 func TestShutDownWorkerIsForgotten(t *testing.T) {
 	catalogs := newCatalogs(t)
 	counter := &hostCounter{n: map[string]int{}}
@@ -462,8 +478,11 @@ func TestShutDownWorkerIsForgotten(t *testing.T) {
 	const q = "SELECT city_id, count(*), sum(fare) FROM trips GROUP BY city_id ORDER BY city_id"
 	want := rows(q)
 
-	dead := workers[0].Addr()
-	workers[0].Close()
+	// A worker placement deals no split is asked nothing, so the one to shut
+	// down is one the clean query used.
+	victim := busiestWorker(workers)
+	dead := victim.Addr()
+	victim.Close()
 	if got := rows(q); got != want {
 		t.Fatalf("after the worker shut down:\n got %s\nwant %s", got, want)
 	}
@@ -480,12 +499,20 @@ func TestShutDownWorkerIsForgotten(t *testing.T) {
 		t.Errorf("%d more request(s) to the forgotten worker %s", n-dialed, dead)
 	}
 
-	// A worker that still answers, but says SHUTDOWN, is forgotten too.
-	leaving := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if err := gob.NewEncoder(rw).Encode(WorkerInfo{State: StateShutdown}); err != nil {
-			t.Error(err)
+	// A worker that still answers, but says SHUTDOWN, is forgotten too. It
+	// must be dealt a split beside the survivors to be asked for a task, so
+	// fakes are started until one is.
+	_, splits := sourceFragment(t, catalogs, "SELECT city_id FROM rawdata.trips")
+	var leaving *httptest.Server
+	for leaving == nil || !dealt(splits, append(coord.Workers(), leaving.Listener.Addr().String()), leaving.Listener.Addr().String()) {
+		if leaving != nil {
+			leaving.Close()
 		}
-	}))
+		leaving = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			rw.Header().Set(workerStateHeader, string(StateShutdown))
+			http.Error(rw, "worker is SHUTDOWN", http.StatusServiceUnavailable)
+		}))
+	}
 	defer leaving.Close()
 	coord.AddWorker(leaving.Listener.Addr().String())
 	if got := rows(q); got != want {
@@ -494,6 +521,22 @@ func TestShutDownWorkerIsForgotten(t *testing.T) {
 	if got := coord.Workers(); len(got) != 2 {
 		t.Errorf("workers = %v, want the two survivors", got)
 	}
+}
+
+// dealt reports whether split placement over the workers at addrs gives the
+// one at addr any of splits.
+func dealt(splits []connector.Split, addrs []string, addr string) bool {
+	workers := make([]*workerClient, len(addrs))
+	for i, a := range addrs {
+		workers[i] = &workerClient{addr: a}
+	}
+	assignment, _, _ := assignSplits(splits, workers)
+	for i, a := range addrs {
+		if a == addr {
+			return len(assignment[i]) > 0
+		}
+	}
+	return false
 }
 
 // firstTaskOnly lets the first POST /v1/task through and fails every later

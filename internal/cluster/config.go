@@ -46,9 +46,6 @@ type ClientConfig struct {
 	// Result fetches are idempotent (the coordinator names the page index),
 	// so whichever copy answers first wins. 0 disables hedging.
 	HedgeDelay time.Duration
-	// PollInterval is the pause between result polls of a still-running
-	// task.
-	PollInterval time.Duration
 }
 
 // DefaultClientConfig returns the production defaults.
@@ -62,7 +59,6 @@ func DefaultClientConfig() ClientConfig {
 		MaxBackoff:       time.Second,
 		RetryBudget:      8,
 		HedgeDelay:       500 * time.Millisecond,
-		PollInterval:     time.Millisecond,
 	}
 }
 
@@ -96,9 +92,6 @@ func (cfg ClientConfig) WithDefaults() ClientConfig {
 		cfg.HedgeDelay = def.HedgeDelay
 	} else if cfg.HedgeDelay < 0 {
 		cfg.HedgeDelay = 0
-	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = def.PollInterval
 	}
 	return cfg
 }

@@ -275,12 +275,21 @@ func (c *Coordinator) AddWorker(addr string) {
 	c.workers[addr] = &workerClient{addr: addr, http: c.cfg.workerHTTPClient()}
 }
 
-// RemoveWorker forgets a worker. Tasks still in flight on that worker are
-// aborted so the affected queries fail immediately with a descriptive error
-// instead of hanging until the 30s HTTP timeout against a vanished node.
-func (c *Coordinator) RemoveWorker(addr string) {
+// forgetWorker takes a worker out of the candidate set: no later task is
+// placed on it. Its tasks in flight carry on and are fetched as usual — what
+// a worker that refused a task because it is shutting down needs (§IX).
+func (c *Coordinator) forgetWorker(addr string) {
 	c.mu.Lock()
 	delete(c.workers, addr)
+	c.mu.Unlock()
+}
+
+// RemoveWorker forgets a dead worker and aborts its tasks still in flight,
+// so the affected queries reschedule them at once instead of waiting out
+// the HTTP timeout against a vanished node.
+func (c *Coordinator) RemoveWorker(addr string) {
+	c.forgetWorker(addr)
+	c.mu.Lock()
 	handles := c.inflight[addr]
 	delete(c.inflight, addr)
 	c.mu.Unlock()
@@ -316,29 +325,49 @@ func (c *Coordinator) releaseTask(th *taskHandle) {
 
 // Workers lists registered worker addresses, sorted.
 func (c *Coordinator) Workers() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.workers))
-	for a := range c.workers {
-		out = append(out, a)
+	var out []string
+	for _, w := range c.candidates("") {
+		out = append(out, w.addr)
 	}
-	sort.Strings(out)
 	return out
 }
 
-// errTaskRefused marks a worker rejecting a task assignment (it entered
-// SHUTTING_DOWN after the last state poll); the scheduler retries these on
-// another worker instead of failing the query.
-var errTaskRefused = errors.New("worker refused task")
+// candidates returns the registered workers other than except, sorted by
+// address: the set tasks are placed on. Nothing is asked of a worker to put
+// it here; it leaves when a task RPC shows it dead or leaving (see
+// startTaskAnywhere and rescheduleTask), and /v1/announce brings it back.
+func (c *Coordinator) candidates(except string) []*workerClient {
+	c.mu.Lock()
+	out := make([]*workerClient, 0, len(c.workers))
+	for addr, w := range c.workers {
+		if addr != except {
+			out = append(out, w)
+		}
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
+	return out
+}
+
+// errTaskRefused marks a worker rejecting a task assignment; the scheduler
+// retries these on another worker instead of failing the query.
+// errWorkerLeaving is the refusal of a worker that has left ACTIVE.
+var (
+	errTaskRefused   = errors.New("worker refused task")
+	errWorkerLeaving = errors.New("worker is leaving the cluster")
+)
 
 // startTaskAnywhere starts req on workers[prefer], falling back to the
-// remaining workers on refusal (a worker may begin a graceful shrink
-// between the activeWorkers poll and this request — §IX promises in-flight
-// queries survive that window) or transport failure (a worker may have just
-// died, and the surviving ones can take its splits). Whole-set failures are
-// retried with backoff for MaxAttempts rounds before the typed
-// ErrSchedulingFailed surfaces. Each round re-checks the query's deadline
-// and abort latch, so a drained or overdue query stops scheduling work.
+// remaining workers on refusal or transport failure, so the surviving
+// workers take the splits. What a failed start shows is kept: a worker
+// whose connection is refused or reset is dead and removed (its in-flight
+// tasks reschedule); one that refuses because it has left ACTIVE is
+// forgotten, and its in-flight tasks finish (§IX promises in-flight queries
+// survive a graceful shrink); a timeout or a dropped request keeps the
+// worker, because slow is not dead. Whole-set failures are retried with
+// backoff for MaxAttempts rounds before the typed ErrSchedulingFailed
+// surfaces. Each round re-checks the query's deadline and abort latch, so a
+// drained or overdue query stops scheduling work.
 func (c *Coordinator) startTaskAnywhere(qs *queryState, workers []*workerClient, prefer int, req TaskRequest) (*taskHandle, error) {
 	var lastErr error
 	for round := 1; round <= c.cfg.MaxAttempts; round++ {
@@ -352,66 +381,18 @@ func (c *Coordinator) startTaskAnywhere(qs *queryState, workers []*workerClient,
 		for off := 0; off < len(workers); off++ {
 			w := workers[(prefer+off)%len(workers)]
 			th, err := w.startTask(req)
-			if err == nil {
+			switch {
+			case err == nil:
 				return th, nil
+			case isWorkerGone(err):
+				c.RemoveWorker(w.addr)
+			case errors.Is(err, errWorkerLeaving):
+				c.forgetWorker(w.addr)
 			}
 			lastErr = fmt.Errorf("scheduling task on %s: %w", w.addr, err)
 		}
 	}
 	return nil, fmt.Errorf("%w: %v", ErrSchedulingFailed, lastErr)
-}
-
-// activeWorkers polls worker states, returning only ACTIVE ones — a worker
-// in SHUTTING_DOWN stops receiving new tasks (§IX). A worker whose process
-// is gone (the poll is refused or reset) or that answers SHUTDOWN is
-// forgotten, so no later query dials the dead address again and its
-// in-flight tasks are rescheduled at once; a restarted worker re-registers
-// through /v1/announce. A poll that merely times out or is dropped keeps the
-// worker: slow is not dead.
-func (c *Coordinator) activeWorkers() []*workerClient {
-	c.mu.Lock()
-	all := make([]*workerClient, 0, len(c.workers))
-	for _, w := range c.workers {
-		all = append(all, w)
-	}
-	c.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].addr < all[j].addr })
-	var active []*workerClient
-	for _, w := range all {
-		info, err := w.info()
-		switch {
-		case err == nil && info.State == StateActive:
-			active = append(active, w)
-		case err == nil && info.State == StateShutdown, err != nil && isWorkerGone(err):
-			c.RemoveWorker(w.addr)
-		}
-	}
-	return active
-}
-
-// activeWorkersExcept returns the active workers other than addr — the
-// candidate set for rescheduling a task away from a failed worker.
-func (c *Coordinator) activeWorkersExcept(addr string) []*workerClient {
-	var out []*workerClient
-	for _, w := range c.activeWorkers() {
-		if w.addr != addr {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-func (w *workerClient) info() (WorkerInfo, error) {
-	resp, err := w.http.Get("http://" + w.addr + "/v1/info")
-	if err != nil {
-		return WorkerInfo{}, err
-	}
-	defer resp.Body.Close()
-	var info WorkerInfo
-	if err := gob.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return WorkerInfo{}, err
-	}
-	return info, nil
 }
 
 // QueryResult is what clients receive. Over HTTP it travels as one envelope
@@ -608,9 +589,9 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 		}
 	}()
 	if !fp.SingleFragment() {
-		workers, err := c.waitActiveWorkers(qs)
-		if err != nil {
-			return nil, "", err
+		workers := c.candidates("")
+		if len(workers) == 0 {
+			return nil, "", fmt.Errorf("%w: none registered", ErrNoActiveWorkers)
 		}
 		for id, frag := range fp.Sources {
 			conn, err := c.Catalogs.Get(frag.Scan.Catalog)
@@ -784,7 +765,7 @@ type taskHandle struct {
 }
 
 // abort marks the handle failed (worker removed); readers see the error on
-// their next poll instead of timing out against a vanished node.
+// their next fetch instead of timing out against a vanished node.
 func (t *taskHandle) abort(err error) {
 	t.mu.Lock()
 	if t.abortErr == nil {
@@ -834,12 +815,26 @@ func (w *workerClient) startTask(req TaskRequest) (*taskHandle, error) {
 	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
 		return nil, fmt.Errorf("cluster: encode task: %w", err)
 	}
-	resp, err := w.http.Post("http://"+w.addr+"/v1/task", "application/x-gob", &buf)
+	hreq, err := http.NewRequest(http.MethodPost, "http://"+w.addr+"/v1/task", &buf)
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/x-gob")
+	// Marked idempotent (the nil value sends no header) so that net/http
+	// re-sends the start on a fresh connection when a kept-alive one turns
+	// out closed, as it does every GET: a dead worker then shows as refused,
+	// not as an EOF. Had a worker taken the first copy, the second would
+	// replace it under the same ID: the same fragment over the same splits.
+	hreq.Header["Idempotency-Key"] = nil
+	resp, err := w.http.Do(hreq)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
+		if state := resp.Header.Get(workerStateHeader); state != "" {
+			return nil, fmt.Errorf("%w: %s is %s", errWorkerLeaving, w.addr, state)
+		}
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024)) // best-effort error detail
 		return nil, fmt.Errorf("%w: %s", errTaskRefused, bytes.TrimSpace(body))
 	}
@@ -1007,7 +1002,7 @@ func (c *Coordinator) GracefulDrain() error {
 		c.cfg.Clock.Sleep(5 * time.Millisecond)
 	}
 	// Abort the stragglers: every RPC hop checks the latch, so each query
-	// fails with the typed error on its next poll instead of running on
+	// fails with the typed error at its next hop instead of running on
 	// against a closing server.
 	c.liveMu.Lock()
 	for _, qs := range c.live {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"prestolite/internal/fault"
-	"prestolite/internal/obs"
 )
 
 // TestCoordinatorDrainRefusesNewQueries: once the drain latches, new
@@ -265,8 +265,10 @@ func TestTaskResultsRequirePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	task := newWorkerTask()
+	task.finish(nil)
 	w.mu.Lock()
-	w.tasks["t0"] = &workerTask{stats: obs.NewTaskStats(), done: true}
+	w.tasks["t0"] = task
 	w.mu.Unlock()
 	for query, want := range map[string]int{
 		"":         http.StatusBadRequest,
@@ -282,5 +284,99 @@ func TestTaskResultsRequirePage(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("GET results%s = %d, want %d", query, resp.StatusCode, want)
 		}
+	}
+}
+
+// requestLog records, in order, each request a client starts and each one
+// that fails.
+type requestLog struct {
+	base http.RoundTripper
+	mu   sync.Mutex
+	log  []string
+}
+
+func (l *requestLog) add(event string) {
+	l.mu.Lock()
+	l.log = append(l.log, event)
+	l.mu.Unlock()
+}
+
+func (l *requestLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.add(r.Method + " " + r.URL.Host + r.URL.Path)
+	resp, err := l.base.RoundTrip(r)
+	if err != nil {
+		l.add("failed " + r.Method + " " + r.URL.Host + r.URL.Path)
+	}
+	return resp, err
+}
+
+func (l *requestLog) events() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.log...)
+}
+
+// TestRescheduleAsksNoWorker: a task whose worker stops answering moves to
+// another worker with nothing asked in between. The replacement used to be
+// picked by polling every registered worker, the failed one included, so a
+// black-holed worker cost one more WorkerTimeout on every reschedule.
+func TestRescheduleAsksNoWorker(t *testing.T) {
+	catalogs := newCatalogs(t)
+	inj := fault.NewInjector(1)
+	rlog := &requestLog{base: &fault.Transport{Injector: inj}}
+	coord := NewCoordinatorWithConfig(catalogs, ClientConfig{
+		WorkerTimeout: time.Second,
+		MaxAttempts:   1,
+		HedgeDelay:    -1,
+		Transport:     rlog,
+	})
+	var workers []*Worker
+	for i := 0; i < 2; i++ {
+		w := NewWorker(catalogs)
+		if err := w.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		coord.AddWorker(w.Addr())
+		workers = append(workers, w)
+	}
+	rows := func() string {
+		t.Helper()
+		res, err := coord.Query(session(), "SELECT city_id, count(*), sum(fare) FROM trips GROUP BY city_id ORDER BY city_id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := res.Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rows)
+	}
+	want := rows()
+	a := busiestWorker(workers).Addr()
+	inj.FaultHTTP(fault.HTTPRule{Target: a, Path: "/results", BlackHoleProb: 1})
+
+	if got := rows(); got != want {
+		t.Fatalf("after the reschedule:\n got %s\nwant %s", got, want)
+	}
+	events := rlog.events()
+	failed := -1
+	for i, e := range events {
+		if strings.HasPrefix(e, "failed GET "+a) && strings.HasSuffix(e, "/results") {
+			failed = i
+			break
+		}
+	}
+	if failed < 0 {
+		t.Fatalf("no results fetch from %s failed: %v", a, events)
+	}
+	for _, e := range events[failed+1:] {
+		if strings.HasPrefix(e, "POST ") && strings.HasSuffix(e, "/v1/task") {
+			break
+		}
+		t.Errorf("request %q between the failed fetch from %s and the replacement's start", e, a)
+	}
+	if n := counter(coord, "task_retries"); n < 1 {
+		t.Errorf("task_retries = %d, want the black-holed task rescheduled", n)
 	}
 }

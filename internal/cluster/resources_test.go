@@ -11,7 +11,6 @@ import (
 
 	"prestolite/internal/core"
 	"prestolite/internal/execution"
-	"prestolite/internal/obs"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
 	"prestolite/internal/sql"
@@ -202,7 +201,7 @@ func TestQueryMaxMemoryWithNothingConfigured(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		task := &workerTask{stats: obs.NewTaskStats()}
+		task := newWorkerTask()
 		workers[0].runTask(&TaskRequest{
 			TaskID: "join", Fragment: plan, TableKey: "hive.rawdata.trips", Splits: splits, MaxMemory: props.MaxMemory,
 		}, task)

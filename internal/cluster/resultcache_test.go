@@ -11,7 +11,6 @@ import (
 	"prestolite/internal/connectors/memory"
 	"prestolite/internal/hdfs"
 	"prestolite/internal/metastore"
-	"prestolite/internal/obs"
 	"prestolite/internal/planner"
 	"prestolite/internal/sql"
 	"prestolite/internal/types"
@@ -333,7 +332,7 @@ func TestFragmentCacheIsByteBounded(t *testing.T) {
 	t.Cleanup(func() { w.Close() })
 	run := func(version int64) {
 		t.Helper()
-		task := &workerTask{stats: obs.NewTaskStats()}
+		task := newWorkerTask()
 		w.runTask(&TaskRequest{TaskID: "t", Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits, Drivers: 1, SnapshotVersion: version}, task)
 		if task.err != nil {
 			t.Fatal(task.err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"prestolite/internal/block"
 	"prestolite/internal/obs"
@@ -17,6 +18,14 @@ import (
 // frame from the requested index on until the next would pass the cap, and
 // always at least one.
 const resultsByteCap = 1 << 20
+
+// resultsWait bounds how long the worker holds a results request for a task
+// that has not finished: it answers as soon as the task is done, or at the
+// bound with no frames and Done unset, and the coordinator asks again at
+// once. The bound sits under DefaultClientConfig's HedgeDelay, so a fetch
+// that is only waiting is never hedged at the defaults, and it is short
+// enough that the coordinator's deadline and abort checks run between waits.
+const resultsWait = 100 * time.Millisecond
 
 type resultsHeader struct {
 	First int // index of the first page frame; always the one asked for

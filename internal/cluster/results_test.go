@@ -38,7 +38,7 @@ func TestResultsServeManyPagesUpToTheByteCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	task := &workerTask{stats: obs.NewTaskStats()}
+	task := newWorkerTask()
 	task.stats.Register(0, "Output", nil)
 	var frames [][]byte
 	for p, n := range []int{rows, rows, rows, rows, rows, 4 * rows, 1} { // the sixth is over the cap by itself
@@ -191,7 +191,7 @@ func TestConcurrentIdenticalTasksShareFrames(t *testing.T) {
 	}
 	t.Cleanup(func() { w.Close() })
 	req := TaskRequest{TaskID: "warm", Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits, Drivers: 2}
-	warm := &workerTask{stats: obs.NewTaskStats()}
+	warm := newWorkerTask()
 	w.runTask(&req, warm) // fills the cache; nobody fetches it
 	if warm.err != nil {
 		t.Fatal(warm.err)
@@ -357,5 +357,116 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 				t.Fatalf("a trailing byte: accepted as %d rows", n)
 			}
 		})
+	}
+}
+
+// heldClock is real time, except that After never fires: a results request
+// on a worker running on it waits for its task and for nothing else.
+type heldClock struct{ fault.RealClock }
+
+func (heldClock) After(time.Duration) <-chan time.Time { return nil }
+
+// TestResultsFetchWaitsForTheTask: a results request for an unfinished task
+// is held on the worker until the task is done, so draining a task costs one
+// GET however long it runs; at resultsWait the worker answers "nothing yet";
+// and a DELETE of the task, or the worker's Close, ends the wait at once.
+func TestResultsFetchWaitsForTheTask(t *testing.T) {
+	held := NewWorker(newCatalogs(t))
+	held.Clock = heldClock{}
+	if err := held.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { held.Close() })
+	timed := NewWorker(newCatalogs(t))
+	if err := timed.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { timed.Close() })
+	add := func(w *Worker, id string) *workerTask {
+		task := newWorkerTask()
+		w.mu.Lock()
+		w.tasks[id] = task
+		w.mu.Unlock()
+		return task
+	}
+
+	var gets atomic.Int64
+	sent := make(chan struct{}, 16)
+	coord := NewCoordinatorWithConfig(newCatalogs(t), ClientConfig{HedgeDelay: -1, Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
+		if r.Method == http.MethodGet {
+			gets.Add(1)
+			select {
+			case sent <- struct{}{}:
+			default:
+			}
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})})
+	handle := func(w *Worker, id string) *taskHandle {
+		return &taskHandle{worker: &workerClient{addr: w.Addr(), http: coord.cfg.workerHTTPClient()}, taskID: id}
+	}
+
+	// A task that finishes ~50 ms after its first fetch arrives.
+	task := add(held, "slow")
+	frame, err := block.EncodePage(block.NewPage(&block.Int64Block{Values: []int64{1, 2, 3}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		<-sent
+		time.Sleep(50 * time.Millisecond)
+		task.finish([][]byte{frame})
+	}()
+	pages, err := coord.drainOnce(nil, handle(held, "slow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) != 1 || pages[0].Count() != 3 {
+		t.Errorf("drained %d pages, want the task's one page of 3 rows", len(pages))
+	}
+	if n := gets.Load(); n != 1 {
+		t.Errorf("draining a task that finished while its fetch waited took %d results GETs, want 1", n)
+	}
+
+	// A task that never finishes is answered at the bound, with nothing.
+	add(timed, "stuck")
+	start := time.Now()
+	res, err := handle(timed, "stuck").fetchResults(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited < resultsWait {
+		t.Errorf("the fetch of an unfinished task returned after %v, before the %v bound", waited, resultsWait)
+	}
+	if res.Done || len(res.pages) != 0 {
+		t.Errorf("answer at the bound: done=%v with %d pages, want not done and no pages", res.Done, len(res.pages))
+	}
+
+	// A DELETE, then the worker's Close, during the wait. On the held clock
+	// nothing else would end it before the client's timeout.
+	for _, end := range []struct {
+		name string
+		fn   func()
+	}{
+		{"DELETE", func() { handle(held, "DELETE").delete() }},
+		{"Close", func() { held.Close() }},
+	} {
+		add(held, end.name)
+		for len(sent) > 0 {
+			<-sent
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = handle(held, end.name).fetchResults(0) // the answer, or the error of a closed worker
+		}()
+		<-sent
+		time.Sleep(20 * time.Millisecond) // let the request reach its wait
+		end.fn()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("a %s during the wait did not end it", end.name)
+		}
 	}
 }

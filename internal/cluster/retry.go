@@ -16,8 +16,9 @@ import (
 // wrong answer. errors.Is works through all the wrapping the retry layers
 // add.
 var (
-	// ErrNoActiveWorkers: the coordinator found no ACTIVE worker after its
-	// retry rounds (empty cluster, or a full partition).
+	// ErrNoActiveWorkers: the coordinator has no worker to place a task on:
+	// none registered, or every one forgotten as dead or leaving. (Workers
+	// registered but unreachable are ErrSchedulingFailed.)
 	ErrNoActiveWorkers = errors.New("cluster: no active workers")
 	// ErrSchedulingFailed: every active worker refused or failed the task
 	// start across all retry rounds.
@@ -139,7 +140,9 @@ func (c *Coordinator) drainTask(qs *queryState, tasks []*taskHandle, i int) ([]*
 	}
 }
 
-// drainOnce fetches the complete page stream of one task attempt.
+// drainOnce fetches the complete page stream of one task attempt. A fetch
+// of an unfinished task waits on the worker, up to resultsWait, so the loop
+// asks again at once when one comes back empty.
 func (c *Coordinator) drainOnce(qs *queryState, th *taskHandle) ([]*block.Page, error) {
 	var pages []*block.Page
 	for {
@@ -156,9 +159,6 @@ func (c *Coordinator) drainOnce(qs *queryState, th *taskHandle) ([]*block.Page, 
 				th.setStats(res.Stats)
 			}
 			return pages, nil
-		}
-		if len(res.pages) == 0 {
-			c.cfg.Clock.Sleep(c.cfg.PollInterval) // task still running
 		}
 	}
 }
@@ -237,12 +237,17 @@ func (c *Coordinator) rescheduleTask(qs *queryState, th *taskHandle, cause error
 		return nil, fmt.Errorf("%w (task %s): %v", ErrRetryBudgetExhausted, th.taskID, cause)
 	}
 	c.taskRetries.Inc()
+	if errors.Is(cause, ErrWorkerGone) {
+		c.RemoveWorker(th.worker.addr)
+	}
 	// Prefer workers other than the one that just failed; fall back to the
-	// full active set when it was the only one left (its failure may have
-	// been a transient RPC problem, not death).
-	workers := c.activeWorkersExcept(th.worker.addr)
+	// whole registry when it was the only one left (its failure may have
+	// been a transient RPC problem, not death). Picking asks no worker
+	// anything: a replacement placed on a dead or leaving worker is refused,
+	// and startTaskAnywhere moves on.
+	workers := c.candidates(th.worker.addr)
 	if len(workers) == 0 {
-		workers = c.activeWorkers()
+		workers = c.candidates("")
 	}
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("%w: rescheduling task %s after: %v", ErrNoActiveWorkers, th.taskID, cause)
@@ -254,28 +259,4 @@ func (c *Coordinator) rescheduleTask(qs *queryState, th *taskHandle, cause error
 		return nil, fmt.Errorf("cluster: rescheduling task %s (after: %v): %w", th.req.TaskID, cause, err)
 	}
 	return replacement, nil
-}
-
-// waitActiveWorkers polls for ACTIVE workers, retrying with backoff when
-// workers are registered but none answer (transient churn). An empty
-// cluster fails immediately — nothing will appear by waiting.
-func (c *Coordinator) waitActiveWorkers(qs *queryState) ([]*workerClient, error) {
-	for attempt := 1; ; attempt++ {
-		if err := c.checkQuery(qs); err != nil {
-			return nil, err
-		}
-		workers := c.activeWorkers()
-		if len(workers) > 0 {
-			return workers, nil
-		}
-		if len(c.Workers()) == 0 {
-			return nil, fmt.Errorf("%w: none registered", ErrNoActiveWorkers)
-		}
-		if attempt >= c.cfg.MaxAttempts {
-			return nil, fmt.Errorf("%w: %d registered, none reachable after %d polls",
-				ErrNoActiveWorkers, len(c.Workers()), attempt)
-		}
-		c.rpcRetries.Inc()
-		c.cfg.Clock.Sleep(c.cfg.backoff(attempt))
-	}
 }

@@ -38,6 +38,10 @@ const (
 	StateShutdown     WorkerState = "SHUTDOWN"
 )
 
+// workerStateHeader carries the state of a worker that refuses a task
+// because it has left ACTIVE.
+const workerStateHeader = "X-Presto-Worker-State"
+
 // TaskRequest asks a worker to run one fragment over the given splits.
 type TaskRequest struct {
 	TaskID   string
@@ -65,12 +69,6 @@ type TaskRequest struct {
 // fragmentCacheBytes bounds each worker's fragment result cache, sized by the
 // encoded frames it holds: the same 64 MiB the chunk cache defaults to.
 const fragmentCacheBytes = 64 << 20
-
-// WorkerInfo is the status document.
-type WorkerInfo struct {
-	State       WorkerState
-	ActiveTasks int
-}
 
 // Worker executes tasks. It owns a connector registry (each worker process
 // mounts the same catalogs).
@@ -115,11 +113,10 @@ type Worker struct {
 	ln   net.Listener
 	addr string
 
-	mu       sync.Mutex
-	state    WorkerState
-	draining bool // set after the first grace period: refuse new tasks
-	tasks    map[string]*workerTask
-	closed   chan struct{}
+	mu     sync.Mutex
+	state  WorkerState
+	tasks  map[string]*workerTask
+	closed chan struct{}
 
 	fragCache *cache.LRU[string, [][]byte]
 
@@ -132,6 +129,10 @@ type Worker struct {
 
 type workerTask struct {
 	stats *obs.TaskStats // live; snapshot at any time
+	// settled is closed once the task is done or aborted: what a results
+	// request for an unfinished task waits on.
+	settled    chan struct{}
+	settleOnce sync.Once
 
 	mu sync.Mutex
 	// frames is the task's whole output, one encoded page each, published
@@ -143,6 +144,12 @@ type workerTask struct {
 	cancel    context.CancelFunc
 	cancelled bool
 }
+
+func newWorkerTask() *workerTask {
+	return &workerTask{stats: obs.NewTaskStats(), settled: make(chan struct{})}
+}
+
+func (t *workerTask) settle() { t.settleOnce.Do(func() { close(t.settled) }) }
 
 // setCancel publishes the task's cancel function once execution starts; an
 // abort that raced in beforehand (DELETE straight after the POST) fires
@@ -158,12 +165,14 @@ func (t *workerTask) setCancel(fn context.CancelFunc) {
 }
 
 // abort cancels the task's execution context, stopping all of its drivers
-// promptly (scans and exchange producers check it between pages).
+// promptly (scans and exchange producers check it between pages), and ends
+// the wait of any results request for it.
 func (t *workerTask) abort() {
 	t.mu.Lock()
 	t.cancelled = true
 	fn := t.cancel
 	t.mu.Unlock()
+	t.settle()
 	if fn != nil {
 		fn()
 	}
@@ -243,7 +252,6 @@ func (w *Worker) Start(addr string) error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/task", w.handleTask)
 	mux.HandleFunc("/v1/task/", w.handleTaskResults)
-	mux.HandleFunc("/v1/info", w.handleInfo)
 	mux.HandleFunc("/v1/stats", w.handleStats)
 	mux.HandleFunc("/v1/shutdown", w.handleShutdown)
 	w.http = &http.Server{Handler: mux}
@@ -284,20 +292,6 @@ func (w *Worker) Close() error {
 	return nil
 }
 
-func (w *Worker) handleInfo(rw http.ResponseWriter, r *http.Request) {
-	w.mu.Lock()
-	info := WorkerInfo{State: w.state, ActiveTasks: 0}
-	for _, t := range w.tasks {
-		t.mu.Lock()
-		if !t.done {
-			info.ActiveTasks++
-		}
-		t.mu.Unlock()
-	}
-	w.mu.Unlock()
-	w.replyGob(rw, info)
-}
-
 // replyGob encodes v to the client. A client that disconnects mid-response
 // is normal churn, but it must show up in /v1/stats rather than vanish.
 func (w *Worker) replyGob(rw http.ResponseWriter, v any) {
@@ -323,7 +317,9 @@ func (w *Worker) handleShutdown(rw http.ResponseWriter, r *http.Request) {
 // GracefulShutdown follows §IX exactly: enter SHUTTING_DOWN, sleep for the
 // grace period (so the coordinator notices and stops sending tasks), block
 // until active tasks complete, sleep the grace period again (so the
-// coordinator sees all tasks complete), then shut down.
+// coordinator sees all tasks complete), then shut down. From the first step
+// on, handleTask refuses new tasks and names the state: that refusal is how
+// the coordinator notices.
 func (w *Worker) GracefulShutdown() {
 	w.mu.Lock()
 	if w.state != StateActive {
@@ -333,15 +329,12 @@ func (w *Worker) GracefulShutdown() {
 	w.state = StateShuttingDown
 	w.mu.Unlock()
 
-	// Grace period 1: the coordinator notices SHUTTING_DOWN and stops
-	// assigning; racing tasks are still accepted and will complete.
+	// Grace period 1: a coordinator that asks for a task is refused and
+	// stops assigning; tasks accepted before the state changed complete.
 	w.Clock.Sleep(w.GracePeriod)
-	w.mu.Lock()
-	w.draining = true
-	w.mu.Unlock()
 	// Drain: a task is gone only when its coordinator has consumed the
 	// results and issued the DELETE — waiting for execution alone would race
-	// result polling against the listener closing below. ("The coordinator
+	// result fetches against the listener closing below. ("The coordinator
 	// sees all tasks complete", made explicit instead of timing-based.)
 	for {
 		w.mu.Lock()
@@ -368,14 +361,15 @@ func (w *Worker) GracefulShutdown() {
 func (w *Worker) WaitShutdown() { <-w.closed }
 
 func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
-	// Tasks racing the shutdown announcement are still accepted until the
-	// first grace period elapses (§IX: the coordinator becomes aware during
-	// that sleep and stops sending tasks; only then does the worker drain).
+	// A worker that has left ACTIVE takes no new task (§IX). The refusal
+	// names the state, and the coordinator forgets the worker on reading
+	// it: this answer is how the coordinator becomes aware of the shutdown.
+	// Tasks already accepted run to completion.
 	w.mu.Lock()
-	refuse := w.draining || w.state == StateShutdown
 	state := w.state
 	w.mu.Unlock()
-	if refuse {
+	if state != StateActive {
+		rw.Header().Set(workerStateHeader, string(state))
 		http.Error(rw, "worker is "+string(state), http.StatusServiceUnavailable)
 		return
 	}
@@ -390,7 +384,7 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "task "+req.TaskID+" arrived past its query deadline", http.StatusServiceUnavailable)
 		return
 	}
-	task := &workerTask{stats: obs.NewTaskStats()}
+	task := newWorkerTask()
 	w.mu.Lock()
 	w.tasks[req.TaskID] = task
 	w.mu.Unlock()
@@ -489,6 +483,7 @@ func (t *workerTask) finish(frames [][]byte) {
 	t.frames = frames
 	t.done = true
 	t.mu.Unlock()
+	t.settle()
 }
 
 func (t *workerTask) fail(err error) {
@@ -496,6 +491,7 @@ func (t *workerTask) fail(err error) {
 	t.err = err
 	t.done = true
 	t.mu.Unlock()
+	t.settle()
 }
 
 // handleTaskResults serves GET /v1/task/{id}/results, GET
@@ -535,6 +531,14 @@ func (w *Worker) handleTaskResults(rw http.ResponseWriter, r *http.Request) {
 	if err != nil || idx < 0 {
 		http.Error(rw, "bad page index", http.StatusBadRequest)
 		return
+	}
+	// Frames are published only when the task is done, so a request for an
+	// unfinished task waits for that, at most resultsWait, instead of
+	// answering "nothing yet" for the coordinator to ask again.
+	select {
+	case <-task.settled:
+	case <-w.Clock.After(resultsWait):
+	case <-r.Context().Done():
 	}
 	task.mu.Lock()
 	frames, done, taskErr := task.frames, task.done, task.err
