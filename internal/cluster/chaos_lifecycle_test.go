@@ -107,7 +107,6 @@ func (b *lcBroker) boot(partitions int) {
 		b.t.Fatal(err)
 	}
 	writer := ingest.NewSegmentWriter(log, topic, b.table, ingest.WriterConfig{
-		PollInterval:  2 * time.Millisecond,
 		MaintainEvery: 50 * time.Millisecond,
 	})
 	writer.Start()

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"prestolite/internal/connector"
 	"prestolite/internal/connectors/memory"
+	"prestolite/internal/execution"
 	"prestolite/internal/geo"
 	"prestolite/internal/types"
 )
@@ -172,5 +175,48 @@ func TestBuildGeoIndexAggregationInSQL(t *testing.T) {
 	}
 	if res.Rows()[0][0] != int64(4) {
 		t.Fatalf("geo_contains count = %v", res.Rows())
+	}
+}
+
+// TestGeoJoinBuildSideIsCharged: the spatial join buffers its whole build
+// side, so it charges the query memory pool like a hash join's build — a
+// typed Insufficient Resources under a tiny cap, the same rows without one,
+// and a nonzero peak in EXPLAIN ANALYZE's memory footer.
+func TestGeoJoinBuildSideIsCharged(t *testing.T) {
+	e := geoEngine(t)
+	const join = `SELECT t.trip_id, c.city_id FROM trips t JOIN cities c
+		ON st_contains(c.geo_shape, st_point(t.dest_lng, t.dest_lat))`
+	s := DefaultSession("memory", "geo")
+	res, err := e.Query(s, join+" ORDER BY t.trip_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]any{{int64(1), int64(0)}, {int64(2), int64(1)}, {int64(3), int64(1)}, {int64(5), int64(2)}}
+	if !reflect.DeepEqual(res.Rows(), want) {
+		t.Fatalf("rows = %v, want %v", res.Rows(), want)
+	}
+	res, err = e.Query(s, "EXPLAIN ANALYZE "+join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := res.Rows()[0][0].(string)
+	if !strings.Contains(text, "GeoSpatialJoin[quadtree") {
+		t.Fatalf("plan has no quadtree join:\n%s", text)
+	}
+	// The spatial join is the statement's only blocking operator.
+	if !regexp.MustCompile(`\nMemory: peak [1-9]\d* B, spilled 0 B\n$`).MatchString(text) {
+		t.Errorf("no memory charged for the spatial join's build side:\n%s", text)
+	}
+
+	s.Properties["query_max_memory"] = "64"
+	for _, c := range []struct{ q, op string }{
+		{join, "the build side of a spatial join"},
+		{"SELECT t.trip_id, c.city_id FROM trips t JOIN cities c ON t.trip_id = c.city_id", "the build side of a join"},
+	} {
+		_, err := e.Query(s, c.q)
+		var insufficient execution.ErrInsufficientResources
+		if !errors.As(err, &insufficient) || insufficient.Operator != c.op || insufficient.Limit != 64 {
+			t.Errorf("%s under query_max_memory=64: err = %v, want Insufficient Resources in %s", c.q, err, c.op)
+		}
 	}
 }

@@ -142,7 +142,7 @@ func build(node planner.Node, ctx *Context, n int) ([]Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return one(newGeoJoinOperator(t, left, right)), nil
+		return one(newGeoJoinOperator(t, left, right, newHardOpMem("the build side of a spatial join", ctx))), nil
 
 	case *planner.Union:
 		var streams []Operator

@@ -15,11 +15,13 @@ import (
 // are indexed into a GeoIndex (build_geo_index on the fly); probe rows look
 // up candidate shapes via the QuadTree and verify with exact
 // point-in-polygon. Like the hash join, output is masked out of both sides'
-// columns by the matched (probe row, build row) pairs.
+// columns by the matched (probe row, build row) pairs. It cannot spill: the
+// build side is charged to the query pool with hard reservations.
 type geoJoinOperator struct {
 	node  *planner.GeoJoin
 	left  Operator
 	right Operator
+	mem   *opMem
 
 	built  bool
 	index  *geo.GeoIndex
@@ -27,8 +29,8 @@ type geoJoinOperator struct {
 	build  []block.Block // the build side's columns, concatenated
 }
 
-func newGeoJoinOperator(node *planner.GeoJoin, left, right Operator) *geoJoinOperator {
-	return &geoJoinOperator{node: node, left: left, right: right}
+func newGeoJoinOperator(node *planner.GeoJoin, left, right Operator, mem *opMem) *geoJoinOperator {
+	return &geoJoinOperator{node: node, left: left, right: right, mem: mem}
 }
 
 func (o *geoJoinOperator) buildIndex() error {
@@ -41,6 +43,9 @@ func (o *geoJoinOperator) buildIndex() error {
 			break
 		}
 		if err != nil {
+			return err
+		}
+		if err := o.mem.hardReserve(int64(p.SizeBytes())); err != nil {
 			return err
 		}
 		for c, b := range p.Blocks {
@@ -124,5 +129,6 @@ func toF64(v any) float64 {
 }
 
 func (o *geoJoinOperator) Close() error {
+	o.mem.releaseAll()
 	return errors.Join(o.left.Close(), o.right.Close())
 }

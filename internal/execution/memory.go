@@ -78,17 +78,29 @@ type opMem struct {
 	revoke atomic.Bool
 }
 
-// newOpMem is called while the plan is built — before any driver goroutine
-// starts — so lazily creating the query's shared revocation hub here is
-// single-threaded.
+// newOpMem is the handle of a spillable operator: with spilling enabled it
+// joins the query's revocation hub as a member that yields when asked.
 func newOpMem(op string, ctx *Context) *opMem {
-	m := &opMem{op: op, pool: ctx.Memory, spill: ctx.Spill}
-	if m.spill != nil {
+	m := newHardOpMem(op, ctx)
+	m.spill = ctx.Spill
+	if m.hub != nil {
+		m.hub.add(m)
+	}
+	return m
+}
+
+// newHardOpMem is the handle of an operator that cannot spill: it reserves
+// hard only, so it may ask the hub's members to yield but never joins them.
+// Both constructors run while the plan is built — before any driver
+// goroutine starts — so lazily creating the query's shared hub is
+// single-threaded.
+func newHardOpMem(op string, ctx *Context) *opMem {
+	m := &opMem{op: op, pool: ctx.Memory}
+	if ctx.Spill != nil {
 		if ctx.revoke == nil {
 			ctx.revoke = &revokeHub{}
 		}
 		m.hub = ctx.revoke
-		m.hub.add(m)
 	}
 	return m
 }

@@ -35,10 +35,11 @@ type Context struct {
 	// distributed tasks); nil means "enumerate all splits".
 	Splits map[string][]connector.Split // key: catalog.schema.table
 	// Memory is the query's memory context (a child of the process-wide
-	// pool, limited to query_max_memory). Every blocking operator — join
-	// build, sort, hash aggregation — reserves its buffered bytes through it,
-	// and a refusal is the §XII.C "Insufficient Resources" error. Build gives
-	// a context that has none an unlimited pool of its own.
+	// pool, limited to query_max_memory). Every blocking operator — hash
+	// join build, spatial join build, sort, hash aggregation — reserves its
+	// buffered bytes through it, and a refusal is the §XII.C "Insufficient
+	// Resources" error. Build gives a context that has none an unlimited
+	// pool of its own.
 	Memory *resource.Pool
 	// Spill, when non-nil, lets blocking operators spill buffered pages to
 	// disk instead of failing when a reservation is refused — the §XII.C

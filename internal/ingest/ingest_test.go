@@ -2,11 +2,14 @@ package ingest
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"prestolite/internal/druid"
+	"prestolite/internal/fault"
 	"prestolite/internal/obs"
 	"prestolite/internal/types"
 )
@@ -239,7 +242,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 	topic, _ := l.CreateTopic("events", 4)
 	tab := newEventsTable(t)
 	tab.SetSegmentConfig(druid.SegmentConfig{SealRows: 500, CompactBelowRows: 200, CompactBatch: 4})
-	w := NewSegmentWriter(l, topic, tab, WriterConfig{PollInterval: time.Millisecond, MaintainEvery: 10 * time.Millisecond})
+	w := NewSegmentWriter(l, topic, tab, WriterConfig{MaintainEvery: 10 * time.Millisecond})
 	reg := obs.NewRegistry()
 	w.RegisterObsMetrics(reg)
 	w.Start()
@@ -281,5 +284,77 @@ func TestStreamingEndToEnd(t *testing.T) {
 	// The lifecycle kept segment count far below the 5000 rows appended.
 	if st := tab.Stats(); st.Open+st.Sealed+st.Compacted > 30 {
 		t.Errorf("segments after streaming = %+v, want bounded", st)
+	}
+}
+
+// stillClock is real time whose timers never fire: a writer built on it can
+// only be woken by the log.
+type stillClock struct{ fault.RealClock }
+
+func (stillClock) After(time.Duration) <-chan time.Time { return nil }
+
+// writerGoroutines counts the goroutines running inside a SegmentWriter.
+func writerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "ingest.(*SegmentWriter).") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWriterWakesOnAppend: the writer is one goroutine that sleeps until the
+// log grows — no poll interval, no timer needed — and drains a backlog
+// larger than one poll without waiting for another append.
+func TestWriterWakesOnAppend(t *testing.T) {
+	l := NewLog()
+	topic, _ := l.CreateTopic("events", 4)
+	tab := newEventsTable(t)
+	const maxPoll = 8
+	w := NewSegmentWriter(l, topic, tab, WriterConfig{MaxPoll: maxPoll, Clock: stillClock{}})
+	before := writerGoroutines()
+	w.Start()
+	if got := writerGoroutines() - before; got != 1 {
+		t.Fatalf("Start added %d goroutines, want 1", got)
+	}
+	waitRows := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Second); tab.Stats().Rows != want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("table rows = %d, want %d within 1s", tab.Stats().Rows, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	rows := 0
+	for i := 0; i < 10; i++ {
+		if _, err := topic.Append(i%4, Record{Time: time.Now(), Row: []any{int64(i), "us", int64(1)}}); err != nil {
+			t.Fatal(err)
+		}
+		rows++
+		waitRows(rows)
+	}
+	backlog := make([]Record, 3*maxPoll+1)
+	for i := range backlog {
+		backlog[i] = Record{Time: time.Now(), Row: []any{int64(100 + i), "de", int64(1)}}
+	}
+	if _, err := topic.Append(0, backlog...); err != nil {
+		t.Fatal(err)
+	}
+	rows += len(backlog)
+	waitRows(rows)
+	w.Stop()
+	if got := writerGoroutines(); got != before {
+		t.Errorf("after Stop %d writer goroutines, want %d", got, before)
+	}
+
+	killed := NewSegmentWriter(l, topic, newEventsTable(t), WriterConfig{Group: "other", Clock: stillClock{}})
+	killed.Start()
+	killed.Kill()
+	if got := writerGoroutines(); got != before {
+		t.Errorf("after Kill %d writer goroutines, want %d", got, before)
 	}
 }

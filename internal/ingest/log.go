@@ -74,13 +74,14 @@ func (l *Log) RegisterObsMetrics(reg *obs.Registry) {
 	}
 }
 
-// Close syncs and closes every WAL file. The log remains readable but
-// further durable appends reopen fresh files; callers treat Close as
-// end-of-life.
+// Close ends pending interval syncs, then syncs and closes every WAL file.
+// The log remains readable but further durable appends reopen fresh files;
+// callers treat Close as end-of-life.
 func (l *Log) Close() error {
 	if l.wal == nil {
 		return nil
 	}
+	l.wal.stopTimers()
 	first := l.wal.closeStreams()
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -179,9 +180,11 @@ func (l *Log) Lag(group, topic string) int64 {
 
 // Topic is an ordered, partitioned record log.
 type Topic struct {
-	name  string
-	parts []partition
-	wal   *WAL // nil for a memory-only log
+	name   string
+	parts  []partition
+	wal    *WAL // nil for a memory-only log
+	grewMu sync.Mutex
+	grew   chan struct{} // closed by the next successful Append; nil until asked for
 }
 
 // partition is one append-only record sequence with its own offset space.
@@ -216,7 +219,7 @@ func (t *Topic) Append(p int, recs ...Record) (int64, error) {
 	}
 	if t.wal != nil && len(recs) > 0 {
 		if part.seg == nil {
-			part.seg = t.wal.segmentStream(t.name, p, 0)
+			part.seg = t.wal.segmentStream(t.name, p, 0, &part.mu)
 		}
 		payload, err := encodeBatch(recs)
 		if err != nil {
@@ -227,11 +230,28 @@ func (t *Topic) Append(p int, recs ...Record) (int64, error) {
 		}
 	}
 	part.recs = append(part.recs, recs...)
+	t.grewMu.Lock()
+	defer t.grewMu.Unlock()
+	if t.grew != nil {
+		close(t.grew)
+		t.grew = nil
+	}
 	return base, nil
 }
 
+// appended returns a channel closed by the next successful Append to any
+// partition: the segment writer's wake signal, taken before it fetches.
+func (t *Topic) appended() <-chan struct{} {
+	t.grewMu.Lock()
+	defer t.grewMu.Unlock()
+	if t.grew == nil {
+		t.grew = make(chan struct{})
+	}
+	return t.grew
+}
+
 // Fetch reads up to max records of partition p starting at offset. An
-// offset at or past the end returns an empty batch (callers poll).
+// offset at or past the end returns an empty batch at once.
 func (t *Topic) Fetch(p int, offset int64, max int) ([]Record, error) {
 	if p < 0 || p >= len(t.parts) {
 		return nil, fmt.Errorf("ingest: topic %q has no partition %d", t.name, p)

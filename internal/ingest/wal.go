@@ -34,7 +34,9 @@ const (
 	// FsyncAlways syncs after every append: an acked record is durable.
 	FsyncAlways FsyncPolicy = iota
 	// FsyncInterval syncs at most once per WALConfig.FsyncEvery: acked
-	// records inside the window can be lost to a crash (group commit).
+	// records inside the window can be lost to a crash (group commit). A
+	// stream an append leaves unsynced is synced FsyncEvery after its last
+	// sync even if no append follows.
 	FsyncInterval
 	// FsyncNever leaves flushing to the OS: fastest, weakest.
 	FsyncNever
@@ -98,10 +100,16 @@ type WAL struct {
 	epoch    int
 	manifest *walStream
 	offsets  *walStream
+
+	// Pending interval syncs (syncLater) wait on closing; stopTimers ends
+	// and waits for them.
+	closing   chan struct{}
+	closeOnce sync.Once
+	timers    sync.WaitGroup
 }
 
 func newWAL(fs fsys.FileSystem, cfg WALConfig) *WAL {
-	return &WAL{fs: fs, cfg: cfg.withDefaults()}
+	return &WAL{fs: fs, cfg: cfg.withDefaults(), closing: make(chan struct{})}
 }
 
 // Stats snapshots the WAL's counters.
@@ -349,6 +357,7 @@ func decodeOffset(payload []byte) (group, topic string, partition int, offset in
 // (partition lock or WAL.mu) serializes.
 type walStream struct {
 	wal      *WAL
+	owner    sync.Locker // the lock that serializes this stream
 	nameFor  func(seq int) string
 	seq      int // last file sequence used (next rotation opens seq+1)
 	w        io.WriteCloser
@@ -356,6 +365,7 @@ type walStream struct {
 	rotateAt int64 // rotate when size exceeds this; 0 = never by size
 	poisoned bool
 	dirty    bool
+	armed    bool // an interval sync is pending (syncLater)
 	lastSync time.Time
 }
 
@@ -386,8 +396,45 @@ func (s *walStream) append(payload []byte, forceSync bool) error {
 		if now := s.wal.cfg.Clock.Now(); now.Sub(s.lastSync) >= s.wal.cfg.FsyncEvery {
 			return s.sync()
 		}
+		if !s.armed {
+			s.armed = true
+			s.wal.syncLater(s)
+		}
 	}
 	return nil
+}
+
+// syncLater syncs s once FsyncEvery has passed since its last sync, under
+// the lock that owns it, so the frames an append left unsynced are durable
+// within a window even when no append follows. A stream synced in the
+// meantime waits out the rest of its new window. Log.Close ends the wait.
+func (w *WAL) syncLater(s *walStream) {
+	w.timers.Add(1)
+	go func() {
+		defer w.timers.Done()
+		for {
+			s.owner.Lock()
+			wait := s.lastSync.Add(w.cfg.FsyncEvery).Sub(w.cfg.Clock.Now())
+			if !s.dirty || wait <= 0 {
+				s.armed = false
+				_ = s.sync() // a failure poisons s: the next append rotates past the file
+				s.owner.Unlock()
+				return
+			}
+			s.owner.Unlock()
+			select {
+			case <-w.closing:
+				return
+			case <-w.cfg.Clock.After(wait):
+			}
+		}
+	}()
+}
+
+// stopTimers ends every pending interval sync and waits for it to exit.
+func (w *WAL) stopTimers() {
+	w.closeOnce.Do(func() { close(w.closing) })
+	w.timers.Wait()
 }
 
 // sync forces buffered frames to stable storage. A sync error poisons the
@@ -465,11 +512,12 @@ func (w *WAL) segmentName(topic string, p, seq int) string {
 	return fmt.Sprintf("%s/t/%s/%d/seg-%06d.log", w.cfg.Dir, topic, p, seq)
 }
 
-// segmentStream creates the stream for one partition, continuing the file
-// sequence after the last recovered segment.
-func (w *WAL) segmentStream(topic string, p, lastSeq int) *walStream {
+// segmentStream creates the stream for one partition, owned by its lock,
+// continuing the file sequence after the last recovered segment.
+func (w *WAL) segmentStream(topic string, p, lastSeq int, owner sync.Locker) *walStream {
 	return &walStream{
 		wal:      w,
+		owner:    owner,
 		nameFor:  func(seq int) string { return w.segmentName(topic, p, seq) },
 		seq:      lastSeq,
 		rotateAt: w.cfg.SegmentBytes,
@@ -482,7 +530,7 @@ func (w *WAL) appendTopic(name string, partitions int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.manifest == nil {
-		w.manifest = &walStream{wal: w, nameFor: w.manifestName}
+		w.manifest = &walStream{wal: w, owner: &w.mu, nameFor: w.manifestName}
 	}
 	return w.manifest.append(encodeTopic(name, partitions), true)
 }
@@ -493,7 +541,7 @@ func (w *WAL) appendCommit(group, topic string, partition int, offset int64) err
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.offsets == nil {
-		w.offsets = &walStream{wal: w, nameFor: w.offsetsName, rotateAt: w.cfg.SegmentBytes}
+		w.offsets = &walStream{wal: w, owner: &w.mu, nameFor: w.offsetsName, rotateAt: w.cfg.SegmentBytes}
 	}
 	return w.offsets.append(encodeOffset(group, topic, partition, offset), false)
 }
@@ -604,7 +652,7 @@ func (w *WAL) recoverPartition(t *Topic, p int) error {
 	files, err := w.fs.ListFiles(dir)
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
-			t.parts[p].seg = w.segmentStream(t.name, p, 0)
+			t.parts[p].seg = w.segmentStream(t.name, p, 0, &t.parts[p].mu)
 			return nil
 		}
 		return fmt.Errorf("ingest: wal recovery: %w", err)
@@ -646,7 +694,7 @@ func (w *WAL) recoverPartition(t *Topic, p int) error {
 			return err
 		}
 	}
-	part.seg = w.segmentStream(t.name, p, lastSeq)
+	part.seg = w.segmentStream(t.name, p, lastSeq, &part.mu)
 	return nil
 }
 

@@ -541,3 +541,74 @@ func copyTree(t *testing.T, src, dst string) {
 		t.Fatal(err)
 	}
 }
+
+// TestIntervalFsyncBoundsTheWindow: under FsyncInterval an acked frame that
+// no later append syncs is still synced within FsyncEvery — on a
+// partition's segment stream and on the offsets stream — and a stream is
+// synced at most once per window however often it is appended to.
+func TestIntervalFsyncBoundsTheWindow(t *testing.T) {
+	const every = 20 * time.Millisecond
+	l, err := NewDurableLog(fsys.NewLocal(t.TempDir()), WALConfig{Fsync: FsyncInterval, FsyncEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := l.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	topic, err := l.CreateTopic("events", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsyncs := func() int64 { return l.WAL().Stats().Fsyncs }
+	// settle waits out the silence after the last append, then expects
+	// exactly want syncs: the pending one happened, and nothing else did.
+	settle := func(stream string, want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); fsyncs() < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(2 * every)
+		if got := fsyncs(); got != want {
+			t.Fatalf("%s: %d fsyncs after the silence, want %d", stream, got, want)
+		}
+	}
+	rec := func(i int) Record { return Record{Time: time.Now(), Row: []any{int64(i)}} }
+
+	// Two appends inside one window: the first syncs at once, the second is
+	// acked unsynced and must not stay so.
+	base := fsyncs()
+	for i := 0; i < 2; i++ {
+		if _, err := topic.Append(0, rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle("segment", base+2)
+
+	// The same for the offsets stream.
+	for off := int64(1); off <= 2; off++ {
+		if err := l.Commit("g", "events", 0, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle("offsets", base+4)
+
+	// A steady stream of appends: one sync per window, plus the last.
+	base = fsyncs()
+	start := time.Now()
+	for i := 0; i < 40; i++ {
+		if _, err := topic.Append(0, rec(i)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	span := time.Since(start)
+	for deadline := time.Now().Add(2 * time.Second); fsyncs() == base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(2 * every)
+	if got, max := fsyncs()-base, int64(span/every)+2; got < 1 || got > max {
+		t.Errorf("%d fsyncs over %v of appends, want 1..%d", got, span, max)
+	}
+}

@@ -22,13 +22,11 @@ type WriterConfig struct {
 	// MaxPoll bounds the records taken from one partition per poll
 	// (default 1024).
 	MaxPoll int
-	// PollInterval is the sleep between empty polls (default 5ms).
-	PollInterval time.Duration
 	// MaintainEvery is the cadence of the table lifecycle maintenance tick
 	// — age-based sealing and compaction (default 250ms).
 	MaintainEvery time.Duration
-	// Clock times polls, maintenance ticks and freshness observations
-	// (default real time); chaos replay injects a fault.ManualClock.
+	// Clock times maintenance ticks and freshness observations (default
+	// real time); chaos replay injects a fault.ManualClock.
 	Clock fault.Clock
 }
 
@@ -38,9 +36,6 @@ func (c WriterConfig) withDefaults() WriterConfig {
 	}
 	if c.MaxPoll <= 0 {
 		c.MaxPoll = 1024
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 5 * time.Millisecond
 	}
 	if c.MaintainEvery <= 0 {
 		c.MaintainEvery = 250 * time.Millisecond
@@ -52,10 +47,10 @@ func (c WriterConfig) withDefaults() WriterConfig {
 }
 
 // SegmentWriter is the streaming consumer closing the log→store loop: one
-// goroutine per partition fetches batches from its committed offset,
-// appends the rows into the druid table's open mutable segment and commits,
-// while a maintenance ticker drives sealing and compaction. Freshness —
-// event time to queryable — is observed per record at append time.
+// goroutine fetches every partition's batches from its committed offset,
+// appends the rows into the druid table's open mutable segment, commits, and
+// drives sealing and compaction on the maintenance tick. Freshness — event
+// time to queryable — is observed per record at append time.
 type SegmentWriter struct {
 	log   *Log
 	topic *Topic
@@ -102,8 +97,7 @@ func (w *SegmentWriter) RegisterObsMetrics(reg *obs.Registry) {
 // Freshness returns the event-to-queryable histogram.
 func (w *SegmentWriter) Freshness() *obs.Histogram { return w.freshness }
 
-// Start launches one consumer goroutine per partition plus the maintenance
-// ticker. Stop waits for them.
+// Start launches the writer's goroutine. Stop waits for it.
 func (w *SegmentWriter) Start() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -111,79 +105,73 @@ func (w *SegmentWriter) Start() {
 		return
 	}
 	w.stopCh = make(chan struct{})
-	stop := w.stopCh
-	for p := 0; p < w.topic.Partitions(); p++ {
-		w.wg.Add(1)
-		go w.consumePartition(p, stop)
-	}
 	w.wg.Add(1)
-	go w.maintainLoop(stop)
+	go w.run(w.stopCh)
 }
 
-// Stop halts the consumers, drains whatever the log already holds (so a
+// Stop halts the writer, drains whatever the log already holds (so a
 // quiesced producer's records are fully written), and runs one final
 // maintenance pass.
 func (w *SegmentWriter) Stop() {
-	w.mu.Lock()
-	stop := w.stopCh
-	w.stopCh = nil
-	w.mu.Unlock()
-	if stop == nil {
-		return
+	if w.halt() {
+		for w.RunOnce() > 0 {
+		}
+		w.table.Maintain(w.cfg.Clock.Now())
 	}
-	close(stop)
-	w.wg.Wait()
-	for w.RunOnce() > 0 {
-	}
-	w.table.Maintain(w.cfg.Clock.Now())
 }
 
-// Kill halts the consumer goroutines abruptly — no drain, no final
-// maintenance pass. This is the simulated SIGKILL the rolling-restart chaos
-// suite uses; whatever was fetched-but-uncommitted is redelivered (and
-// deduplicated) after recovery.
+// Kill halts the writer's goroutine abruptly — no drain, no final
+// maintenance pass: the rolling-restart chaos suite's simulated SIGKILL.
+// Whatever was fetched-but-uncommitted is redelivered (and deduplicated).
 //
 //lint:ignore reachability the SIGKILL the lifecycle chaos suite injects; a binary is killed by its operating system
-func (w *SegmentWriter) Kill() {
+func (w *SegmentWriter) Kill() { w.halt() }
+
+// halt stops the writer's goroutine and waits for it; false if none ran.
+func (w *SegmentWriter) halt() bool {
 	w.mu.Lock()
 	stop := w.stopCh
 	w.stopCh = nil
 	w.mu.Unlock()
 	if stop == nil {
-		return
+		return false
 	}
 	close(stop)
 	w.wg.Wait()
+	return true
 }
 
-func (w *SegmentWriter) consumePartition(p int, stop chan struct{}) {
+// run is the writer's one loop, asleep until the log grows or maintenance is
+// due. One goroutine suffices: every append takes the table's write lock and
+// every commit the log's. A full MaxPoll batch goes round again at once; a
+// failed commit waits for the next append or tick, never hot-looping.
+func (w *SegmentWriter) run(stop chan struct{}) {
 	defer w.wg.Done()
+	nextMaintain := w.cfg.Clock.Now().Add(w.cfg.MaintainEvery)
 	for {
-		n := w.pollPartition(p)
-		if n == 0 {
+		appended := w.topic.appended() // before fetching: an append from here on wakes the wait
+		full := false
+		for p := 0; p < w.topic.Partitions(); p++ {
+			full = w.pollPartition(p) == w.cfg.MaxPoll || full
+		}
+		now := w.cfg.Clock.Now()
+		if !now.Before(nextMaintain) {
+			w.table.Maintain(now)
+			nextMaintain = now.Add(w.cfg.MaintainEvery)
+		}
+		if full {
 			select {
 			case <-stop:
 				return
-			case <-w.cfg.Clock.After(w.cfg.PollInterval):
+			default:
+				continue
 			}
-			continue
 		}
 		select {
 		case <-stop:
 			return
-		default:
-		}
-	}
-}
-
-func (w *SegmentWriter) maintainLoop(stop chan struct{}) {
-	defer w.wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-w.cfg.Clock.After(w.cfg.MaintainEvery):
-			w.table.Maintain(w.cfg.Clock.Now())
+		case <-appended:
+		case <-w.cfg.Clock.After(nextMaintain.Sub(now)):
 		}
 	}
 }
@@ -200,8 +188,7 @@ func (w *SegmentWriter) source(p int) string {
 // the committed offset, so a batch redelivered after a crash between append
 // and commit is deduplicated by the table's source watermark.
 func (w *SegmentWriter) pollPartition(p int) int {
-	group := w.cfg.Group
-	offset := w.log.Committed(group, w.topic.Name(), p)
+	offset := w.log.Committed(w.cfg.Group, w.topic.Name(), p)
 	recs, err := w.topic.Fetch(p, offset, w.cfg.MaxPoll)
 	if err != nil || len(recs) == 0 {
 		return 0
@@ -215,32 +202,25 @@ func (w *SegmentWriter) pollPartition(p int) int {
 	if err != nil {
 		// A malformed batch cannot become well-formed on retry: count it,
 		// commit past it and keep consuming instead of hot-looping.
-		if w.writeErrors != nil {
-			w.writeErrors.Add(int64(len(recs)))
-		}
+		w.writeErrors.Add(int64(len(recs)))
 		return w.commit(p, offset+int64(len(recs)), len(recs))
 	}
 	// Rows the watermark skipped were appended (and observed) by an earlier
 	// delivery; only the fresh suffix counts.
-	if w.rowsWritten != nil {
-		w.rowsWritten.Add(int64(appended))
-	}
-	if w.freshness != nil {
-		for _, r := range recs[len(recs)-appended:] {
-			w.freshness.Observe(now.Sub(r.Time))
-		}
+	w.rowsWritten.Add(int64(appended))
+	for _, r := range recs[len(recs)-appended:] {
+		w.freshness.Observe(now.Sub(r.Time))
 	}
 	return w.commit(p, offset+int64(len(recs)), len(recs))
 }
 
-// commit advances the group's offset. A failed (durable) commit backs the
-// poll loop off: the batch is refetched and the druid watermark swallows the
-// redelivery, so progress resumes once the offsets WAL accepts writes again.
+// commit advances the group's offset. A failed (durable) commit reports
+// nothing consumed, so the loop waits: the batch is refetched on the next
+// wake and the druid watermark swallows the redelivery, so progress resumes
+// once the offsets WAL accepts writes again.
 func (w *SegmentWriter) commit(p int, offset int64, consumed int) int {
 	if err := w.log.Commit(w.cfg.Group, w.topic.Name(), p, offset); err != nil {
-		if w.commitErrors != nil {
-			w.commitErrors.Inc()
-		}
+		w.commitErrors.Inc()
 		return 0
 	}
 	return consumed
