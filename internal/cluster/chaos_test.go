@@ -501,18 +501,24 @@ func TestChaosMemoryPressure(t *testing.T) {
 }
 
 // TestChaosOOMKillerUnderOverload: spill disabled, OOM killer on, and a pool
-// two concurrent sorts cannot share. Queries must drain — each either exact
-// or typed (killed by the OOM killer, or cleanly refused with Insufficient
-// Resources) — the killer must actually fire, and the pool must return to
-// zero so the next workload starts clean.
+// one sort fits but two concurrent sorts cannot share. Queries must drain —
+// each either exact or typed (killed by the OOM killer, or cleanly refused
+// with Insufficient Resources) — the killer must actually fire, at least one
+// query per burst must complete (the rung's purpose: kill one so the rest
+// finish), and the pool must return to zero so the next workload starts
+// clean.
 func TestChaosOOMKillerUnderOverload(t *testing.T) {
 	want := chaosMemBaseline(t)
+	// The pool is sized from one sort's peak, measured uncapped.
+	clean, _ := chaosCluster(t, chaosCatalogs(t, nil), 3, ClientConfig{})
+	mustRows(t, clean, chaosMemQueries[0])
+	peak := clean.QueryInfos()[0].PeakMemoryBytes
 	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
 		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		if err := coord.ConfigureResources(ResourceConfig{
-			MemoryLimit: 64 << 10,
+			MemoryLimit: peak + peak/4, // one sort fits, two do not
 			OOMKill:     true,
 			Groups: []resource.GroupConfig{{
 				Name: "chaos", MaxConcurrency: 2, MaxQueued: 16,
@@ -529,6 +535,7 @@ func TestChaosOOMKillerUnderOverload(t *testing.T) {
 		inj.FaultHTTP(fault.HTTPRule{Path: "/results", DelayProb: 1, Delay: 5 * time.Millisecond})
 		const concurrent = 4
 		errs := make(chan error, concurrent)
+		var completed atomic.Int64
 		Watchdog(t, 120*time.Second, func() {
 			var wg sync.WaitGroup
 			for i := 0; i < concurrent; i++ {
@@ -551,7 +558,9 @@ func TestChaosOOMKillerUnderOverload(t *testing.T) {
 					}
 					if got := fmt.Sprint(rows); got != want[0] {
 						errs <- fmt.Errorf("rows diverged under OOM pressure\ngot  %s\nwant %s", got, want[0])
+						return
 					}
+					completed.Add(1)
 				}()
 			}
 			wg.Wait()
@@ -562,6 +571,10 @@ func TestChaosOOMKillerUnderOverload(t *testing.T) {
 		}
 		if n := counter(coord, "oom_kills"); n < 1 {
 			t.Errorf("seed %d: oom_kills = %d, want >= 1 (overload never reached the killer)", seed, n)
+		}
+		t.Logf("seed %d: pool %d B, %d of %d completed, oom_kills %d", seed, peak+peak/4, completed.Load(), concurrent, counter(coord, "oom_kills"))
+		if completed.Load() == 0 {
+			t.Errorf("seed %d: no query completed — the killer left no room for the rest", seed)
 		}
 		if g := coord.Obs().Snapshot().Gauges["pool_reserved_bytes"]; g != 0 {
 			t.Errorf("seed %d: pool_reserved_bytes = %v after the overload drained", seed, g)

@@ -162,10 +162,12 @@ func TestParallelEquivalenceOrdered(t *testing.T) {
 // far below the working set and spill enabled, at 1 and 8 drivers: rows stay
 // exact, spill actually fires, no spill run or reservation survives. The
 // third query stacks 24 concurrent spillable operators (8 aggregation
-// partials, 8 finals, 8 sorts) in one pool — the shape that starves without
-// cooperative memory revocation (memory.go's revokeHub), so it pins that
-// mechanism down. The fourth is a LEFT self-join with a residual whose
-// build side outgrows the pool at either driver count: the multi-pass join.
+// partials, 8 finals, 8 sorts) in one pool. The fourth is a LEFT self-join
+// with a residual whose build side outgrows the pool at either driver
+// count: the multi-pass join, whose passes load build runs with hard
+// reservations that the pool's ladder (resource.Pool.Reserve) must serve by
+// asking spillable siblings to yield and waiting for loaded siblings to
+// finish.
 func TestParallelEquivalenceUnderSpill(t *testing.T) {
 	// 16x the files of the main suite: the sort's working set (~1 MB) and the
 	// aggregation's group table (~2 MB) dwarf the 512 KiB cap at any driver

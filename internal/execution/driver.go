@@ -142,7 +142,7 @@ func build(node planner.Node, ctx *Context, n int) ([]Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return one(newGeoJoinOperator(t, left, right, newHardOpMem("the build side of a spatial join", ctx))), nil
+		return one(newGeoJoinOperator(t, left, right, newOpMem("the build side of a spatial join", ctx, false))), nil
 
 	case *planner.Union:
 		var streams []Operator
@@ -345,7 +345,7 @@ func buildJoin(t *planner.Join, ctx *Context, n int) ([]Operator, error) {
 		return nil, err
 	}
 	join := func(probe, build Operator) Operator {
-		return ctx.instrument(t, newVectorJoinOperator(t, probe, build, newOpMem("the build side of a join", ctx)))
+		return ctx.instrument(t, newVectorJoinOperator(t, probe, build, newOpMem("the build side of a join", ctx, true)))
 	}
 	if len(t.LeftKeys) == 0 || (len(ls) == 1 && len(rs) == 1) {
 		return []Operator{join(gatherOne(ctx, ls), gatherOne(ctx, rs))}, nil
@@ -371,13 +371,13 @@ func buildSort(t *planner.Sort, ctx *Context, n int) ([]Operator, error) {
 		return nil, err
 	}
 	if len(streams) == 1 {
-		op := newSortOperator(t, streams[0], newOpMem("ORDER BY buffering", ctx))
+		op := newSortOperator(t, streams[0], newOpMem("ORDER BY buffering", ctx, true))
 		return []Operator{ctx.instrument(t, op)}, nil
 	}
 	sorts := make([]Operator, len(streams))
 	for i, s := range streams {
 		// Not instrumented per driver: the merge below is the node's output.
-		sorts[i] = newSortOperator(t, s, newOpMem("ORDER BY buffering", ctx))
+		sorts[i] = newSortOperator(t, s, newOpMem("ORDER BY buffering", ctx, true))
 	}
 	endpoints := newLocalExchange(ctx, sorts, exPassthrough, nil, len(sorts))
 	merge := newStreamMergeOperator(t.Keys, endpoints)

@@ -38,8 +38,11 @@ type Context struct {
 	// pool, limited to query_max_memory). Every blocking operator — hash
 	// join build, spatial join build, sort, hash aggregation — reserves its
 	// buffered bytes through it, and a refusal is the §XII.C "Insufficient
-	// Resources" error. Build gives a context that has none an unlimited
-	// pool of its own.
+	// Resources" error. With Spill set, an operator that can spill reserves
+	// through a yielder child of its own: a refused hard reservation at or
+	// above it asks it to spill before the pool kills or waits
+	// (resource.Pool.Reserve). Build gives a context that has none an
+	// unlimited pool of its own.
 	Memory *resource.Pool
 	// Spill, when non-nil, lets blocking operators spill buffered pages to
 	// disk instead of failing when a reservation is refused — the §XII.C
@@ -80,29 +83,36 @@ type Context struct {
 	// instances of one plan operator record into one accumulator (their
 	// atomics make that safe) instead of registering N duplicate rows.
 	opStats map[planner.Node]*obs.OperatorStats
-	// revoke is the query's cooperative memory-revocation hub, created
-	// lazily by the first spillable opMem (see memory.go).
-	revoke *revokeHub
 }
 
-// ErrInsufficientResources is returned when a blocking operator exceeds the
-// session memory limit — the top complaint in the paper's user surveys
+// ErrInsufficientResources is returned when a blocking operator exceeds a
+// memory pool's limit — the top complaint in the paper's user surveys
 // (§XII.C): "when users are joining two large tables, Presto will return an
 // error with message Insufficient Resources".
 type ErrInsufficientResources struct {
 	Operator string
-	Limit    int64
+	// Pool and Limit name the pool that refused the reservation (the query's
+	// or the process's); both are zero when spilling itself failed.
+	Pool  string
+	Limit int64
+	// Spill says the operator had a spill manager: spill was on.
+	Spill bool
 	// Cause is the underlying pool/spill error (resource.ErrPoolExhausted,
 	// resource.ErrSpillBudgetExhausted, ...); errors.Is sees through it.
 	Cause error
 }
 
 func (e ErrInsufficientResources) Error() string {
-	msg := fmt.Sprintf("Insufficient Resources: %s exceeded the query memory limit of %d bytes; retry on a batch engine (e.g. Presto on Spark), raise query_max_memory, or enable spill_enabled", e.Operator, e.Limit)
-	if e.Cause != nil {
-		msg += " (" + e.Cause.Error() + ")"
+	what := fmt.Sprintf("exceeded the %d-byte limit of memory pool %q", e.Limit, e.Pool)
+	if e.Pool == "" {
+		what = "could not spill"
 	}
-	return msg
+	advice := ", or enable spill_enabled"
+	if e.Spill {
+		advice = ""
+	}
+	return fmt.Sprintf("Insufficient Resources: %s %s; retry on a batch engine (e.g. Presto on Spark) or raise query_max_memory%s (%v)",
+		e.Operator, what, advice, e.Cause)
 }
 
 // Unwrap exposes the underlying resource error.

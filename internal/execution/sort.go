@@ -67,6 +67,7 @@ func (o *sortOperator) Next() (*block.Page, error) {
 			return nil, err
 		}
 		o.consumed = true
+		o.mem.pool.Leave()
 	}
 	if o.merge != nil {
 		return o.merge.Next()
@@ -158,26 +159,14 @@ func (o *sortOperator) spillBuffer() error {
 		return nil
 	}
 	view := o.sortedView()
-	w, err := o.mem.newRun("sort")
-	if err != nil {
-		return err
-	}
-	for off := 0; off < view.Count(); off += spillPageRows {
-		n := spillPageRows
-		if off+n > view.Count() {
-			n = view.Count() - off
-		}
-		if err := w.WritePage(view.Region(off, n)); err != nil {
-			w.Abandon()
-			return o.mem.fail(err)
-		}
-	}
-	run, err := w.Finish()
+	rows := view.Count()
+	run, err := o.mem.writeRun("sort", (rows+spillPageRows-1)/spillPageRows, func(i int) *block.Page {
+		return view.Region(i*spillPageRows, min(spillPageRows, rows-i*spillPageRows))
+	})
 	if err != nil {
 		return err
 	}
 	o.runs = append(o.runs, run)
-	o.mem.addSpilled(run.Bytes())
 	o.pages, o.pageKeys, o.rows = nil, nil, nil
 	o.mem.releaseAll()
 	return nil

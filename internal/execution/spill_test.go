@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"prestolite/internal/block"
@@ -237,6 +238,51 @@ func testJoinSpill(t *testing.T, kind planner.JoinKind) {
 func TestInnerJoinSpillEquivalence(t *testing.T) { testJoinSpill(t, planner.JoinInner) }
 func TestLeftJoinSpillEquivalence(t *testing.T)  { testJoinSpill(t, planner.JoinLeft) }
 
+// releaseOnNext runs release before its first page: a sibling driver that
+// finishes, and gives its memory back, once probe pages flow.
+type releaseOnNext struct {
+	Operator
+	release func()
+}
+
+func (r *releaseOnNext) Next() (*block.Page, error) {
+	if r.release != nil {
+		r.release()
+		r.release = nil
+	}
+	return r.Operator.Next()
+}
+
+// TestJoinSpillsWhatASiblingLeftNoRoomFor: a sibling holds 7 KiB of the
+// join's 8 KiB pool until the probe side's first page. Each build page is
+// then refused twice — before and after the chunk in front of it spilled —
+// and must go to disk as a run of its own rather than wait on a hard
+// reservation nobody can satisfy; once the sibling is gone the passes load
+// each run whole and the join returns the rows it returns uncapped.
+func TestJoinSpillsWhatASiblingLeftNoRoomFor(t *testing.T) {
+	for _, kind := range []planner.JoinKind{planner.JoinInner, planner.JoinLeft} {
+		node := joinNode(kind)
+		probe := twoColPages(1500, 96, 100)
+		build := twoColPages(3000, 96, 50)
+		want := sortedMultiset(drainRows(t, newVectorJoinOperator(node,
+			&pagesOperator{pages: probe}, &pagesOperator{pages: build}, &opMem{op: "test"})))
+
+		pool, mgr := spillEnv(t, 8<<10)
+		if err := pool.TryReserve(7 << 10); err != nil {
+			t.Fatal(err)
+		}
+		sibling := &releaseOnNext{Operator: &pagesOperator{pages: probe}, release: func() { pool.Release(7 << 10) }}
+		got := sortedMultiset(drainRows(t, newVectorJoinOperator(node,
+			sibling, &pagesOperator{pages: build}, &opMem{op: "test", pool: pool, spill: mgr})))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("kind %v: %d rows, want %d", kind, len(got), len(want))
+		}
+		if pool.Spilled() == 0 {
+			t.Fatalf("kind %v: the join never spilled", kind)
+		}
+	}
+}
+
 func aggNode() *planner.Aggregate {
 	return &planner.Aggregate{
 		Child:   twoColValues(),
@@ -308,6 +354,11 @@ func TestAggregateSpillEquivalence(t *testing.T) {
 	if !errors.As(err, &insufficient) {
 		t.Fatalf("DISTINCT over the cap: want ErrInsufficientResources, got %v", err)
 	}
+	// Spill was on: the error names the pool that refused and does not
+	// advise turning spill on.
+	if msg := err.Error(); !strings.Contains(msg, `limit of memory pool "query"`) || strings.Contains(msg, "spill_enabled") {
+		t.Errorf("DISTINCT over the cap with spill on: %q", msg)
+	}
 	if pool.Spilled() != 0 {
 		t.Fatalf("a DISTINCT aggregation spilled %d bytes", pool.Spilled())
 	}
@@ -330,6 +381,9 @@ func TestAggregateEnforcesLimitWithoutSpill(t *testing.T) {
 	}
 	if !errors.Is(err, resource.ErrPoolExhausted) {
 		t.Fatalf("cause should be pool exhaustion, got %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `limit of memory pool "query"`) || !strings.Contains(msg, "enable spill_enabled") {
+		t.Errorf("without spill: %q should name the pool and advise spill_enabled", msg)
 	}
 	if got := pool.Reserved(); got != 0 {
 		t.Fatalf("failed aggregation leaked %d bytes", got)

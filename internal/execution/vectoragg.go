@@ -122,15 +122,18 @@ func newVectorAggOperator(ctx *Context, node *planner.Aggregate, child Operator)
 	for i, ch := range node.GroupBy {
 		keyTypes[i] = childCols[ch].Type
 	}
+	// Nothing of a DISTINCT aggregation spills: its charges are hard.
+	hasDistinct := slices.ContainsFunc(node.Aggs, func(a planner.Aggregation) bool { return a.Distinct })
 	o := &vectorAggOperator{
-		node:       node,
-		child:      child,
-		mem:        newOpMem("hash aggregation", ctx),
-		groups:     newKeyTable(keyTypes),
-		keyCols:    make([]block.Block, len(node.GroupBy)),
-		bypassRows: partialBypassRows(ctx),
-		args:       make([][]block.Block, len(node.Aggs)),
-		distinct:   make([]*keyTable, len(node.Aggs)),
+		node:        node,
+		child:       child,
+		mem:         newOpMem("hash aggregation", ctx, !hasDistinct),
+		hasDistinct: hasDistinct,
+		groups:      newKeyTable(keyTypes),
+		keyCols:     make([]block.Block, len(node.GroupBy)),
+		bypassRows:  partialBypassRows(ctx),
+		args:        make([][]block.Block, len(node.Aggs)),
+		distinct:    make([]*keyTable, len(node.Aggs)),
 	}
 	for i, a := range node.Aggs {
 		fn, err := expr.ResolveAggregate(a.FuncName, a.ArgTypes)
@@ -142,7 +145,6 @@ func newVectorAggOperator(ctx *Context, node *planner.Aggregate, child Operator)
 		o.args[i] = make([]block.Block, len(a.Args))
 		if a.Distinct {
 			o.distinct[i] = newKeyTable(append([]*types.Type{types.Bigint}, a.ArgTypes...))
-			o.hasDistinct = true
 		}
 	}
 	return o, nil
@@ -154,6 +156,7 @@ func (o *vectorAggOperator) Next() (*block.Page, error) {
 			return nil, err
 		}
 		o.consumed = true
+		o.mem.pool.Leave()
 	}
 	if o.merge != nil {
 		return o.mergeNext()
@@ -362,27 +365,18 @@ func (o *vectorAggOperator) spillGroups() error {
 	}
 	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys.At(a), keys.At(b)) })
 
-	w, err := o.mem.newRun("agg")
-	if err != nil {
-		return err
-	}
 	blocks := make([]block.Block, len(p.Blocks))
-	for off := 0; off < ng; off += spillPageRows {
-		end := min(off+spillPageRows, ng)
+	run, err := o.mem.writeRun("agg", (ng+spillPageRows-1)/spillPageRows, func(i int) *block.Page {
+		off, end := i*spillPageRows, min((i+1)*spillPageRows, ng)
 		for c, b := range p.Blocks {
 			blocks[c] = b.Mask(order[off:end])
 		}
-		if err := w.WritePage(&block.Page{Blocks: blocks, N: end - off}); err != nil {
-			w.Abandon()
-			return o.mem.fail(err)
-		}
-	}
-	run, err := w.Finish()
+		return &block.Page{Blocks: blocks, N: end - off}
+	})
 	if err != nil {
 		return err
 	}
 	o.runs = append(o.runs, run)
-	o.mem.addSpilled(run.Bytes())
 	o.groups.Reset()
 	for _, k := range o.groups.keys {
 		k.first = nil

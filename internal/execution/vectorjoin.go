@@ -35,12 +35,15 @@ const crossJoinBatch = 1 << 14
 //
 // Under memory pressure (with spill enabled) it becomes a multi-pass join:
 // each refused reservation writes the build rows held before the refused
-// page out as one run and starts a fresh table with that page, the probe
-// side is buffered into runs too, and then each build run in turn is
-// loaded into a fresh table and the whole probe stream replayed against it. LEFT joins carry match flags by
+// page out as one run and starts a fresh table with that page (a page
+// refused again is a run of its own), the probe side is buffered into runs
+// too, and then each build run in turn is loaded into a fresh table and the
+// whole probe stream replayed against it. LEFT joins carry match flags by
 // global probe row across the passes and emit the null-extended rows in a
 // last one. Output order differs from the streaming path (hash-join output
-// order is unspecified).
+// order is unspecified). Only loading a run reserves hard, and it reserves
+// the run whole before reading it, so a pass that waits for memory holds
+// none.
 type vectorJoinOperator struct {
 	node  *planner.Join
 	left  Operator
@@ -81,11 +84,13 @@ type vectorJoinOperator struct {
 
 	pending []*block.Page
 
-	// Multi-pass state: the spilled build chunks (next is the one to load),
-	// the buffered probe side and the replay of it in progress, whose next
-	// page starts at global probe row base; hits holds a LEFT join's match
-	// flags by global probe row, and final marks its null-extension pass.
+	// Multi-pass state: the spilled build chunks (next is the one to load)
+	// and what each held in memory, the buffered probe side and the replay
+	// of it in progress, whose next page starts at global probe row base;
+	// hits holds a LEFT join's match flags by global probe row, and final
+	// marks its null-extension pass.
 	buildRuns []*resource.Run
+	buildHeld []int64
 	probeRuns []*resource.Run
 	replay    *runReplay
 	next      int
@@ -200,8 +205,9 @@ func (o *vectorJoinOperator) scratchHashes(n int) []uint64 {
 // build consumes the build side into the chunk, reserving what it retains.
 // A refused reservation spills the chunk as it was before the page that
 // did not fit — a chunk the budget held, so a pass can load it back — and
-// starts the next chunk with that page. Once any chunk spilled, the last
-// one is spilled too and the probe side buffered, for the multi-pass join.
+// starts the next chunk with that page; refused again, the page is spilled
+// as a chunk of its own. Once any chunk spilled, the last one is spilled
+// too and the probe side buffered, for the multi-pass join.
 func (o *vectorJoinOperator) build() error {
 	for {
 		p, err := o.right.Next()
@@ -226,14 +232,19 @@ func (o *vectorJoinOperator) build() error {
 		if ok {
 			continue
 		}
-		if err := o.spillChunk(fit); err != nil {
+		if err := o.spillChunk(fit, o.charged-grown); err != nil {
 			return err
 		}
 		if grown, err = o.add(p); err != nil {
 			return err
 		}
-		if err := o.mem.hardReserve(grown); err != nil {
+		if ok, err = o.mem.reserve(grown); err != nil {
 			return err
+		}
+		if !ok {
+			if err := o.spillChunk(len(o.ends), o.charged); err != nil {
+				return err
+			}
 		}
 	}
 	if o.buildRuns == nil {
@@ -242,36 +253,36 @@ func (o *vectorJoinOperator) build() error {
 	}
 	// Loading a build run back hard-reserves it whole, so nothing else may
 	// stay charged: the last chunk goes to disk, then the probe side.
-	if err := o.spillChunk(len(o.ends)); err != nil {
+	if err := o.spillChunk(len(o.ends), o.charged); err != nil {
 		return err
 	}
 	return o.bufferProbe()
 }
 
 // spillChunk writes the chunk's first pages out as one run — page by page
-// as they came, so a pass that loads the run back holds what the chunk held
-// — then empties the chunk, freeing its reservation.
-func (o *vectorJoinOperator) spillChunk(pages int) error {
+// as they came, so a pass that loads the run back holds what the chunk
+// held, which the caller gives as held — then empties the chunk, freeing
+// its reservation.
+func (o *vectorJoinOperator) spillChunk(pages int, held int64) error {
 	if pages > 0 {
-		out := make([]*block.Page, pages)
 		from := 0
-		for i, to := range o.ends[:pages] {
+		run, err := o.mem.writeRun("join-build", pages, func(i int) *block.Page {
 			blocks := make([]block.Block, len(o.cols))
 			for c, col := range o.cols {
 				if col == nil {
 					blocks[c] = o.parts[c][i]
 				} else {
-					blocks[c] = col.Block(from, to)
+					blocks[c] = col.Block(from, o.ends[i])
 				}
 			}
-			out[i] = &block.Page{Blocks: blocks, N: to - from}
-			from = to
-		}
-		run, err := o.spill("join-build", out)
+			p := &block.Page{Blocks: blocks, N: o.ends[i] - from}
+			from = o.ends[i]
+			return p
+		})
 		if err != nil {
 			return err
 		}
-		o.buildRuns = append(o.buildRuns, run)
+		o.buildRuns, o.buildHeld = append(o.buildRuns, run), append(o.buildHeld, held)
 	}
 	o.resetChunk()
 	o.mem.releaseAll()
@@ -279,15 +290,16 @@ func (o *vectorJoinOperator) spillChunk(pages int) error {
 }
 
 // bufferProbe consumes the probe side into runs for the passes to replay:
-// buffered pages are spilled whenever a reservation is refused, and at the
-// end, since every pass loads a build run with the whole budget.
+// buffered pages are spilled whenever a reservation is refused — a page
+// refused again after that with them, as a run of its own — and at the end,
+// since every pass loads a build run with the whole budget.
 func (o *vectorJoinOperator) bufferProbe() error {
 	var pages []*block.Page
 	flush := func() error {
 		if len(pages) == 0 {
 			return nil
 		}
-		run, err := o.spill("join-probe", pages)
+		run, err := o.mem.writeRun("join-probe", len(pages), func(i int) *block.Page { return pages[i] })
 		if err != nil {
 			return err
 		}
@@ -316,40 +328,30 @@ func (o *vectorJoinOperator) bufferProbe() error {
 			if err := flush(); err != nil {
 				return err
 			}
-			if err := o.mem.hardReserve(sz); err != nil {
+			if ok, err = o.mem.reserve(sz); err != nil {
 				return err
 			}
 		}
 		pages = append(pages, p)
+		if !ok {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
 	}
 	return flush()
 }
 
-// spill writes pages out as one run.
-func (o *vectorJoinOperator) spill(tag string, pages []*block.Page) (*resource.Run, error) {
-	w, err := o.mem.newRun(tag)
-	if err != nil {
-		return nil, err
+// loadRun reads spilled build run i back into the empty chunk and removes
+// it. It reserves without a spill fallback — the multi-pass join has
+// nothing left to spill — and before the first page is read: what the
+// chunk held when it spilled, with any difference the reload shows charged
+// after it.
+func (o *vectorJoinOperator) loadRun(i int) error {
+	if err := o.mem.hardReserve(o.buildHeld[i]); err != nil {
+		return err
 	}
-	for _, p := range pages {
-		if err := w.WritePage(p); err != nil {
-			w.Abandon()
-			return nil, o.mem.fail(err)
-		}
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return nil, err
-	}
-	o.mem.addSpilled(run.Bytes())
-	return run, nil
-}
-
-// loadRun reads a spilled build run back into the empty chunk and removes
-// it. It reserves without a spill fallback: the multi-pass join has
-// nothing left to spill.
-func (o *vectorJoinOperator) loadRun(run *resource.Run) error {
-	rr, err := run.Open()
+	rr, err := o.buildRuns[i].Open()
 	if err != nil {
 		return err
 	}
@@ -359,10 +361,7 @@ func (o *vectorJoinOperator) loadRun(run *resource.Run) error {
 			break
 		}
 		if err == nil {
-			var grown int64
-			if grown, err = o.add(p); err == nil {
-				err = o.mem.hardReserve(grown)
-			}
+			_, err = o.add(p)
 		}
 		if err != nil {
 			return errors.Join(err, rr.Close())
@@ -371,9 +370,9 @@ func (o *vectorJoinOperator) loadRun(run *resource.Run) error {
 	if err := rr.Close(); err != nil {
 		return err
 	}
-	run.Remove()
+	o.buildRuns[i].Remove()
 	o.finishChunk()
-	return nil
+	return o.mem.hardReserve(o.charged - o.buildHeld[i])
 }
 
 func (o *vectorJoinOperator) Next() (*block.Page, error) {
@@ -382,6 +381,9 @@ func (o *vectorJoinOperator) Next() (*block.Page, error) {
 			return nil, err
 		}
 		o.built = true
+		if o.buildRuns == nil {
+			o.mem.pool.Leave() // a multi-pass join stays: each pass gives its run back
+		}
 	}
 	for len(o.pending) == 0 {
 		var err error
@@ -431,7 +433,7 @@ func (o *vectorJoinOperator) replayNext() error {
 	if o.replay == nil {
 		switch {
 		case o.next < len(o.buildRuns):
-			if err := o.loadRun(o.buildRuns[o.next]); err != nil {
+			if err := o.loadRun(o.next); err != nil {
 				return err
 			}
 			o.next++

@@ -39,6 +39,7 @@ type ExhaustedError struct {
 	Limit     int64
 	Requested int64
 	Reserved  int64
+	pool      *Pool // for Reserve's ladder
 }
 
 func (e ExhaustedError) Error() string {
@@ -49,18 +50,16 @@ func (e ExhaustedError) Error() string {
 // Is makes errors.Is(err, ErrPoolExhausted) true.
 func (e ExhaustedError) Is(target error) bool { return target == ErrPoolExhausted }
 
-// oomKillWaits bounds how long a reservation blocks for an OOM-killed
-// victim to unwind and release its memory before giving up.
-const (
-	oomKillWaits    = 200
-	oomKillWaitStep = time.Millisecond
-)
+// memoryWaitMax bounds how long a refused hard reservation waits for memory
+// to come back before it fails typed.
+const memoryWaitMax = 5 * time.Second
 
 // Pool is one node of the hierarchical memory-pool tree: a process-wide
-// worker pool at the root, one child per query (or per task on workers).
-// Reserve and Release are atomic and propagate to every ancestor, so the
-// root always sees the true aggregate reservation; Peak tracks the
-// high-water mark per pool for observability.
+// worker pool at the root, one child per query (or per task on workers),
+// and below that one unlimited yielder per spilling operator. Reserve and
+// Release are atomic and propagate to every ancestor, so the root always
+// sees the true aggregate reservation; Peak tracks the high-water mark per
+// pool for observability.
 type Pool struct {
 	name   string
 	limit  int64 // 0 = unlimited
@@ -75,13 +74,19 @@ type Pool struct {
 	mu       sync.Mutex
 	children map[*Pool]struct{}
 
+	// released is closed by the next release under this pool (or kill); a
+	// waiting Reserve creates it. yields marks a Yielder until it leaves;
+	// asked is a refused hard reservation's request to it.
+	released atomic.Pointer[chan struct{}]
+	yields   atomic.Bool
+	asked    atomic.Bool
+
 	// Root-only OOM-killer policy (EnableOOMKiller).
 	oomKill  atomic.Bool
 	oomKills *obs.Counter
 
-	// Root-only time source for the OOM-kill wait loop (SetClock); nil
-	// means real time. Pools built by operators mid-query inherit real
-	// time, which is fine — the waits they time are never replayed.
+	// Root-only time source that bounds a reservation's wait (SetClock);
+	// nil means real time.
 	clock fault.Clock
 }
 
@@ -103,6 +108,29 @@ func (p *Pool) Child(name string, limit int64) *Pool {
 	return c
 }
 
+// Yielder creates the unlimited child pool of an operator that gives its
+// bytes back without a kill — by spilling when asked (Asked), or at the end
+// of a pass — until it leaves (Leave). A refused hard reservation at or
+// above it asks it to yield and waits for the bytes.
+func (p *Pool) Yielder(name string) *Pool {
+	c := p.Child(name, 0)
+	c.yields.Store(true)
+	return c
+}
+
+// Asked reports, once, whether a refused hard reservation asked this
+// yielder to yield since the last call. Like TryReserve and Release it
+// takes a nil pool, which limits nothing and is never asked.
+func (p *Pool) Asked() bool { return p != nil && p.asked.Load() && p.asked.CompareAndSwap(true, false) }
+
+// Leave stops asking this pool to yield: its operator reserves no more and
+// keeps what it holds until it closes.
+func (p *Pool) Leave() {
+	if p != nil {
+		p.yields.Store(false)
+	}
+}
+
 // EnableOOMKiller turns on the last-resort policy at this (root) pool: when
 // a reservation finds the pool stuck at its limit, the child with the
 // largest reservation is killed so the rest of the workload can finish.
@@ -112,8 +140,8 @@ func (p *Pool) EnableOOMKiller(kills *obs.Counter) {
 	p.oomKill.Store(true)
 }
 
-// SetClock injects the time source the OOM-kill wait loop sleeps on. Set it
-// on the root pool (like EnableOOMKiller); Reserve always consults the root.
+// SetClock injects the time source that bounds Reserve's wait. Set it on
+// the root pool (like EnableOOMKiller); Reserve always consults the root.
 func (p *Pool) SetClock(c fault.Clock) {
 	if c != nil {
 		p.clock = c
@@ -129,9 +157,6 @@ func (p *Pool) clockOrReal() fault.Clock {
 
 // Name returns the pool's name.
 func (p *Pool) Name() string { return p.name }
-
-// Limit returns the pool's byte limit (0 = unlimited).
-func (p *Pool) Limit() int64 { return p.limit }
 
 // Reserved returns the current reservation.
 func (p *Pool) Reserved() int64 { return p.reserved.Load() }
@@ -180,9 +205,11 @@ func (p *Pool) TryReserve(n int64) error {
 	}
 	for q := p; q != nil; q = q.parent {
 		if err := q.reserveLocal(n); err != nil {
-			// Roll back the levels already reserved.
+			// Roll back the levels already reserved: a reservation refused
+			// meanwhile because of them may now fit.
 			for r := p; r != q; r = r.parent {
 				r.reserved.Add(-n)
+				r.wake()
 			}
 			return err
 		}
@@ -196,7 +223,7 @@ func (p *Pool) reserveLocal(n int64) error {
 		cur := p.reserved.Load()
 		next := cur + n
 		if p.limit > 0 && next > p.limit {
-			return ExhaustedError{Pool: p.name, Limit: p.limit, Requested: n, Reserved: cur}
+			return ExhaustedError{Pool: p.name, Limit: p.limit, Requested: n, Reserved: cur, pool: p}
 		}
 		if p.reserved.CompareAndSwap(cur, next) {
 			for {
@@ -209,34 +236,85 @@ func (p *Pool) reserveLocal(n int64) error {
 	}
 }
 
-// Reserve reserves n bytes, escalating to the root's OOM killer when the
-// shared pool is the one that is full: the killer marks the largest child
-// dead and this reservation waits (bounded) for the victim's memory to come
-// back. A caller whose own query is the largest is killed itself and gets
-// ErrQueryKilledOOM immediately. Operators use TryReserve + spill first and
-// Reserve as the last resort, which is exactly the §XII.C ladder.
+// Reserve reserves n bytes with no spill fallback — the §XII.C ladder, and
+// the only place a reservation waits. While the pool X whose limit refused
+// it stays full it asks every yielder at or below X but p to yield; when
+// none holds bytes and X is a root with the killer on, it kills the largest
+// child unless one killed earlier still holds memory; then it waits for the
+// next release under X. It fails at once when its own query is the victim
+// or when neither a yielder nor a victim will give memory back, and after
+// memoryWaitMax of waiting.
 func (p *Pool) Reserve(n int64) error {
-	err := p.TryReserve(n)
-	if err == nil || !errors.Is(err, ErrPoolExhausted) {
-		return err
-	}
-	root := p.root()
-	var ex ExhaustedError
-	if !root.oomKill.Load() || !errors.As(err, &ex) || ex.Pool != root.name {
-		return err
-	}
-	clock := root.clockOrReal()
-	for i := 0; i < oomKillWaits; i++ {
-		if killErr := root.oomKillFor(p); killErr != nil {
-			return killErr
+	var x *Pool
+	var wake <-chan struct{}
+	var timeout <-chan time.Time
+	for {
+		err := p.TryReserve(n)
+		ex, ok := err.(ExhaustedError)
+		if !ok {
+			return err
 		}
-		clock.Sleep(oomKillWaitStep)
-		err = p.TryReserve(n)
-		if err == nil || !errors.Is(err, ErrPoolExhausted) {
+		if ex.pool != x {
+			// Take the refusing pool's signal before trying again, so that
+			// a release in between is not lost.
+			x, wake = ex.pool, ex.pool.releasedSignal()
+			continue
+		}
+		coming := x.ask(p)
+		if !coming && x.parent == nil && x.oomKill.Load() {
+			var killErr error
+			if coming, killErr = x.oomKillFor(p); killErr != nil {
+				return killErr
+			}
+		}
+		if !coming {
+			return err
+		}
+		if timeout == nil {
+			timeout = p.root().clockOrReal().After(memoryWaitMax)
+		}
+		select {
+		case <-wake:
+			wake = x.releasedSignal()
+		case <-timeout:
 			return err
 		}
 	}
-	return err
+}
+
+// ask flags every yielder at or below p that holds bytes, except self, and
+// reports whether it flagged any.
+func (p *Pool) ask(self *Pool) bool {
+	asked := p != self && p.yields.Load() && p.reserved.Load() > 0
+	if asked {
+		p.asked.Store(true)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for c := range p.children {
+		asked = c.ask(self) || asked
+	}
+	return asked
+}
+
+// releasedSignal returns the channel the next release under p closes.
+func (p *Pool) releasedSignal() <-chan struct{} {
+	for {
+		if c := p.released.Load(); c != nil {
+			return *c
+		}
+		c := make(chan struct{})
+		if p.released.CompareAndSwap(nil, &c) {
+			return c
+		}
+	}
+}
+
+// wake closes p's release signal, if a waiter took one.
+func (p *Pool) wake() {
+	if c := p.released.Load(); c != nil && p.released.CompareAndSwap(c, nil) {
+		close(*c)
+	}
 }
 
 // Release returns n bytes to this pool and every ancestor.
@@ -246,6 +324,7 @@ func (p *Pool) Release(n int64) {
 	}
 	for q := p; q != nil; q = q.parent {
 		q.reserved.Add(-n)
+		q.wake()
 	}
 }
 
@@ -254,12 +333,9 @@ func (p *Pool) Release(n int64) {
 // from failed operators cannot poison the shared pool.
 func (p *Pool) Close() {
 	rem := p.reserved.Swap(0)
-	if rem > 0 {
-		for q := p.parent; q != nil; q = q.parent {
-			q.reserved.Add(-rem)
-		}
-	}
+	p.wake()
 	if p.parent != nil {
+		p.parent.Release(rem)
 		p.parent.mu.Lock()
 		delete(p.parent.children, p)
 		p.parent.mu.Unlock()
@@ -284,19 +360,23 @@ func (p *Pool) topAncestorBelow(root *Pool) *Pool {
 	return q
 }
 
-// oomKillFor runs one round of the OOM policy on behalf of a blocked
-// reservation originating at origin: pick the live child with the largest
-// reservation; if it is the origin's own query, kill it and return the
-// error for the caller to propagate, otherwise kill it (once) and return
-// nil so the caller can wait for the memory to come back.
-func (p *Pool) oomKillFor(origin *Pool) error {
+// oomKillFor runs one round of the OOM policy for a blocked reservation at
+// origin: unless a child killed earlier still holds memory, it kills the
+// live child with the largest reservation (ties by name) and wakes the
+// waiters under it. It returns the kill error when that child is origin's
+// own query, and otherwise whether a victim's memory is still to come back.
+func (p *Pool) oomKillFor(origin *Pool) (bool, error) {
 	originTop := origin.topAncestorBelow(p)
 	p.mu.Lock()
 	var victim *Pool
 	var victimSize int64
 	for c := range p.children {
 		if c.killed.Load() != nil {
-			continue // already dying; let it unwind
+			if c.reserved.Load() > 0 {
+				p.mu.Unlock()
+				return true, nil // one victim at a time: let it unwind
+			}
+			continue
 		}
 		if sz := c.reserved.Load(); victim == nil || sz > victimSize ||
 			(sz == victimSize && c.name < victim.name) {
@@ -305,18 +385,18 @@ func (p *Pool) oomKillFor(origin *Pool) error {
 	}
 	p.mu.Unlock()
 	if victim == nil || victimSize == 0 {
-		// Everything sizable is already unwinding (or nothing is reserved);
-		// waiting is the only option.
-		return nil
+		return false, nil
 	}
 	killErr := fmt.Errorf("%w: %s held %d bytes of pool %s (limit %d)",
 		ErrQueryKilledOOM, victim.name, victimSize, p.name, p.limit)
 	victim.kill(killErr)
+	victim.wake()
+	p.wake()
 	if p.oomKills != nil {
 		p.oomKills.Inc()
 	}
 	if victim == originTop {
-		return killErr
+		return false, killErr
 	}
-	return nil
+	return true, nil
 }

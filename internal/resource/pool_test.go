@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"prestolite/internal/fault"
 	"prestolite/internal/obs"
 )
 
@@ -164,5 +165,122 @@ func TestAddSpilledPropagates(t *testing.T) {
 	q.AddSpilled(123)
 	if q.Spilled() != 123 || root.Spilled() != 123 {
 		t.Fatalf("spilled: q=%d root=%d, want 123/123", q.Spilled(), root.Spilled())
+	}
+}
+
+// stuckClock never lets time pass: Sleep and After never return, so only a
+// release can end a wait on it.
+type stuckClock struct{}
+
+func (stuckClock) Now() time.Time                       { return time.Time{} }
+func (stuckClock) Sleep(time.Duration)                  { select {} }
+func (stuckClock) After(time.Duration) <-chan time.Time { return nil }
+
+// cascade builds a 1,000-byte root with the killer on under clock, and three
+// queries holding 500, 300 and 100 bytes; the largest unwinds 20 ms after it
+// sees its kill, and its Close time is sent on the returned channel.
+func cascade(t *testing.T, clock fault.Clock) (root, large, mid, small *Pool, kills *obs.Counter, closed <-chan time.Time) {
+	t.Helper()
+	kills = obs.NewRegistry().Counter("oom_kills")
+	root = NewPool("root", 1000)
+	root.EnableOOMKiller(kills)
+	root.SetClock(clock)
+	large, mid, small = root.Child("large", 0), root.Child("mid", 0), root.Child("small", 0)
+	for _, h := range []struct {
+		q *Pool
+		n int64
+	}{{large, 500}, {mid, 300}, {small, 100}} {
+		if err := h.q.TryReserve(h.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := make(chan time.Time, 1)
+	go func() {
+		for large.KilledErr() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		large.Close()
+		c <- time.Now()
+	}()
+	return root, large, mid, small, kills, c
+}
+
+// TestOOMKillerKillsOneVictimAtATime: the smallest query asks for 300 bytes
+// of a full root. Killing the largest frees 500, so the killer must wait for
+// that victim to unwind rather than kill the next largest — and then the
+// requester itself.
+func TestOOMKillerKillsOneVictimAtATime(t *testing.T) {
+	_, large, mid, small, kills, _ := cascade(t, nil)
+	if err := small.Reserve(300); err != nil {
+		t.Fatalf("reserve after one kill: %v", err)
+	}
+	if got := kills.Load(); got != 1 {
+		t.Errorf("oom_kills = %d, want 1", got)
+	}
+	if !errors.Is(large.KilledErr(), ErrQueryKilledOOM) {
+		t.Errorf("the largest query was not killed: %v", large.KilledErr())
+	}
+	if mid.KilledErr() != nil || small.KilledErr() != nil {
+		t.Errorf("a second victim: mid %v, small %v", mid.KilledErr(), small.KilledErr())
+	}
+}
+
+// TestReserveWakesOnRelease: the same cascade on a clock that never lets
+// time pass. The waiting reservation must be woken by the victim's Close
+// itself, not by a timer.
+func TestReserveWakesOnRelease(t *testing.T) {
+	_, _, _, small, kills, closed := cascade(t, stuckClock{})
+	done := make(chan error, 1)
+	go func() { done <- small.Reserve(300) }()
+	var at time.Time
+	select {
+	case at = <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the largest query was never killed")
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("reserve: %v", err)
+		}
+		if d := time.Since(at); d > time.Second {
+			t.Errorf("returned %v after the victim's Close", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Reserve still waiting 1 s after the victim's Close")
+	}
+	if got := kills.Load(); got != 1 {
+		t.Errorf("oom_kills = %d, want 1", got)
+	}
+}
+
+// TestReserveAsksYieldersBeforeKilling: query a's yielder holds 600 bytes
+// of a 1,000-byte root and gives them back when asked. Query b's hard
+// reservation of 500 must be served by that spill, across queries, with no
+// kill.
+func TestReserveAsksYieldersBeforeKilling(t *testing.T) {
+	kills := obs.NewRegistry().Counter("oom_kills")
+	root := NewPool("root", 1000)
+	root.EnableOOMKiller(kills)
+	a, b := root.Child("a", 0), root.Child("b", 0)
+	sorter := a.Yielder("sort")
+	if err := sorter.TryReserve(600); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for !sorter.Asked() {
+			time.Sleep(time.Millisecond)
+		}
+		sorter.Release(600)
+	}()
+	if err := b.Reserve(500); err != nil {
+		t.Fatalf("reserve: %v", err)
+	}
+	if got := kills.Load(); got != 0 {
+		t.Errorf("oom_kills = %d, want 0: a yielder was there to spill", got)
+	}
+	if a.KilledErr() != nil {
+		t.Errorf("query a was killed: %v", a.KilledErr())
 	}
 }
