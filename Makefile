@@ -53,9 +53,12 @@ chaos-lifecycle:
 # frame: a page or an error, no panic, nothing allocated that the input's size
 # does not cover, and a decoded page encodes back to itself), the envelope
 # every response that carries pages is read from (any bytes, as they come and
-# sealed into a valid header frame so the gob header decoder sees them: a
+# sealed into a valid header frame so its binary layout is read too: a
 # result or an error, no panic, nothing returned that the input does not
-# cover) and the rendering of pushed comparisons (two decoded from the input: equal strings
+# cover, and what reads encodes back to itself), the statement and task
+# documents of the binary codec (any bytes: a document that encodes back to
+# the same bytes, or an error, no panic) and the rendering of pushed
+# comparisons (two decoded from the input: equal strings
 # only from equal comparisons, since the plan text keys a cache). CI
 # runs this as a smoke; crank -fuzztime locally to dig deeper. New crashers
 # land in testdata/fuzz — check them in.
@@ -68,12 +71,14 @@ fuzz-smoke:
 	go test -fuzz '^FuzzReadFile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parquet/
 	go test -fuzz '^FuzzDecodePage$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/block/
 	go test -fuzz '^FuzzReadEnvelope$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/block/
+	go test -fuzz '^FuzzDecodeStatement$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	go test -fuzz '^FuzzDecodeTask$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	go test -fuzz '^FuzzComparisonString$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/expr/
 
 # Static analysis: go vet plus the project's own invariant suite
-# (internal/analysis, run by cmd/prestolint). prestolint enforces eleven
+# (internal/analysis, run by cmd/prestolint). prestolint enforces twelve
 # analyzers — lockheld, ctxflow, errdrop, atomicmix, hotalloc, goleak,
-# chanmisuse, clockdet, closeleak, obshygiene, reachability — and exits
+# chanmisuse, clockdet, closeleak, obshygiene, reachability, nogob — and exits
 # non-zero on any unsuppressed finding (hotalloc covers the vector kernels, the
 # block package and the druid store and connector that run on them;
 # reachability flags what no binary under cmd/ or examples/ reaches, and needs

@@ -36,11 +36,13 @@
 //   - obshygiene: no obs metrics that are registered but never updated,
 //     constructed outside a registry, or registered under colliding names.
 //
-// and one about the shape of the module rather than its behaviour:
+// and two about the shape of the module rather than its behaviour:
 //
 //   - reachability: no function, method or package that no package main
 //     under cmd/ or examples/ reaches — what only tests call is deleted,
 //     reached, or (a test fake) excused by name.
+//   - nogob: no non-test import of encoding/gob — documents travel in
+//     internal/frame's bounded binary codec.
 //
 // The framework is deliberately free of golang.org/x/tools: packages are
 // loaded with `go list -export` plus go/types (see load.go), analyzers are
@@ -116,7 +118,7 @@ func All() []*Analyzer {
 	all := []*Analyzer{
 		AtomicMix, CtxFlow, ErrDrop, HotAlloc, LockHeld,
 		ChanMisuse, ClockDet, CloseLeak, GoLeak, ObsHygiene,
-		Reachability,
+		NoGob, Reachability,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all

@@ -35,6 +35,9 @@ var goldenCases = []struct {
 	// chaos replay, so the cache package is held to injected time.
 	{"cachettl", "prestolite/internal/cache/ttlfixture", []string{"clockdet"}},
 	{"closeleak", "prestolite/internal/analysis/testdata/closeleak", []string{"closeleak"}},
+	// nogob has one plain import of encoding/gob and one suppressed with a
+	// reason: only the first is a finding.
+	{"nogob", "prestolite/internal/analysis/testdata/nogob", []string{"nogob"}},
 	{"obshygiene", "prestolite/internal/analysis/testdata/obshygiene", []string{"obshygiene"}},
 	// vectorhot loads under the vector kernels' import path, where the
 	// hot-loop, clock-determinism and metrics-hygiene rules all apply to

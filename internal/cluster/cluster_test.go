@@ -24,7 +24,7 @@ import (
 
 // newCatalogs builds a hive warehouse with many files so splits spread
 // across workers, plus a memory catalog.
-func newCatalogs(t *testing.T) *connector.Registry {
+func newCatalogs(t testing.TB) *connector.Registry {
 	t.Helper()
 	nn := hdfs.New(hdfs.Config{})
 	ms := metastore.New()

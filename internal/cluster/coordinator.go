@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +19,7 @@ import (
 	"prestolite/internal/cache"
 	"prestolite/internal/connector"
 	"prestolite/internal/execution"
+	"prestolite/internal/frame"
 	"prestolite/internal/obs"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
@@ -396,17 +396,12 @@ func (c *Coordinator) startTaskAnywhere(qs *queryState, workers []*workerClient,
 }
 
 // QueryResult is what clients receive. Over HTTP it travels as one envelope
-// (block.EncodeEnvelope): a statementHeader, then Pages as they are.
+// (block.EncodeEnvelope): a header of Columns and Types
+// (appendStatementHeader), then Pages as they are.
 type QueryResult struct {
 	Columns []string
 	Types   []string
 	Pages   [][]byte // encoded pages
-}
-
-// statementHeader precedes a statement answer's page frames.
-type statementHeader struct {
-	Columns []string
-	Types   []string
 }
 
 // Rows decodes all pages into boxed rows.
@@ -612,6 +607,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 			c.affinityPlaced.Add(int64(placed))
 			c.affinityOverflow.Add(int64(overflow))
 			snapVersion := c.fragmentSnapshotVersion(conn, frag.Scan)
+			shared := encodeFragment(frag.Root, frag.TableKey)
 			for wi, splitSet := range assignment {
 				if len(splitSet) == 0 {
 					continue
@@ -627,6 +623,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 					MaxMemory:       memLimit,
 					Deadline:        deadlineNanos(qs.deadline),
 					SnapshotVersion: snapVersion,
+					fragment:        shared,
 				})
 				if err != nil {
 					return nil, "", err
@@ -804,22 +801,23 @@ func (t *taskHandle) taskStats() []obs.OperatorStatsSnapshot {
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	if err := gob.NewDecoder(resp.Body).Decode(&s); err != nil {
+	body, err := readAll(io.LimitReader(resp.Body, maxStatsBytes+1), min(resp.ContentLength, maxStatsBytes))
+	if err != nil || len(body) > maxStatsBytes {
+		return nil
+	}
+	r := frame.NewReader(body)
+	if s = obs.ReadSnapshots(r); r.Close() != nil {
 		return nil
 	}
 	return s
 }
 
 func (w *workerClient) startTask(req TaskRequest) (*taskHandle, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		return nil, fmt.Errorf("cluster: encode task: %w", err)
-	}
-	hreq, err := http.NewRequest(http.MethodPost, "http://"+w.addr+"/v1/task", &buf)
+	hreq, err := http.NewRequest(http.MethodPost, "http://"+w.addr+"/v1/task", bytes.NewReader(req.encode()))
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/x-gob")
+	hreq.Header.Set("Content-Type", "application/octet-stream")
 	// Marked idempotent (the nil value sends no header) so that net/http
 	// re-sends the start on a fresh connection when a kept-alive one turns
 	// out closed, as it does every GET: a dead worker then shows as refused,
@@ -857,19 +855,11 @@ func (t *taskHandle) fetchResults(page int) (taskResults, error) {
 		return taskResults{}, fmt.Errorf("task %s on %s: status %d: %s",
 			t.taskID, t.worker.addr, resp.StatusCode, bytes.TrimSpace(body))
 	}
-	body, err := readBody(resp)
+	body, err := readAll(resp.Body, resp.ContentLength)
 	if err != nil {
 		return taskResults{}, err
 	}
 	return readResults(body, page)
-}
-
-// readBody reads an envelope response whole; when its length was announced,
-// in one exact-size buffer.
-func readBody(resp *http.Response) ([]byte, error) {
-	body := bytes.NewBuffer(make([]byte, 0, max(resp.ContentLength, 0)+bytes.MinRead))
-	_, err := body.ReadFrom(resp.Body)
-	return body.Bytes(), err
 }
 
 func (t *taskHandle) delete() {
@@ -943,7 +933,6 @@ func (c *Coordinator) Start(addr string) error {
 	c.addr = ln.Addr().String()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/statement", c.handleStatement)
-	mux.HandleFunc("/v1/workers", c.handleWorkers)
 	mux.HandleFunc("/v1/announce", c.handleAnnounce)
 	mux.HandleFunc("/v1/stats", c.handleStats)
 	mux.HandleFunc("/v1/query", c.handleQueries)
@@ -1025,33 +1014,9 @@ func (c *Coordinator) handleShutdown(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusAccepted)
 }
 
-// Request bodies are gob documents from outside the process; each handler
-// decodes at most this much. A statement is SQL text and a few properties; a
-// task is a plan fragment and the descriptions of its splits.
-const (
-	maxStatementBytes = 1 << 20
-	maxTaskBytes      = 16 << 20
-)
-
-// decodeBody gob-decodes a request body of at most limit bytes into v. It
-// answers 413 for a longer body, 400 for one that does not decode, and
-// reports whether the handler should go on.
-func decodeBody(rw http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := gob.NewDecoder(http.MaxBytesReader(rw, r.Body, limit)).Decode(v)
-	if err == nil {
-		return true
-	}
-	status := http.StatusBadRequest
-	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	http.Error(rw, "bad request: "+err.Error(), status)
-	return false
-}
-
 func (c *Coordinator) handleStatement(rw http.ResponseWriter, r *http.Request) {
-	var req StatementRequest
-	if !decodeBody(rw, r, maxStatementBytes, &req) {
+	req, _, ok := ReadStatement(rw, r)
+	if !ok {
 		return
 	}
 	session := &planner.Session{Catalog: req.Catalog, Schema: req.Schema, User: req.User, Properties: req.Properties}
@@ -1079,24 +1044,12 @@ func (c *Coordinator) handleStatement(rw http.ResponseWriter, r *http.Request) {
 	}
 	// The result's pages — fresh, or a result-cache entry's — go out as the
 	// frames they already are.
-	body := block.EncodeEnvelope(statementHeader{Columns: res.Columns, Types: res.Types}, res.Pages)
+	body := block.EncodeEnvelope(appendStatementHeader(res.Columns, res.Types), res.Pages)
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if _, err := rw.Write(body); err != nil {
 		c.httpWriteErrs.Inc()
 	}
-}
-
-// replyGob encodes v to the client. A client that disconnects mid-response
-// is normal churn, but it must show up in /v1/stats rather than vanish.
-func (c *Coordinator) replyGob(rw http.ResponseWriter, v any) {
-	if err := gob.NewEncoder(rw).Encode(v); err != nil {
-		c.httpWriteErrs.Inc()
-	}
-}
-
-func (c *Coordinator) handleWorkers(rw http.ResponseWriter, r *http.Request) {
-	c.replyGob(rw, c.Workers())
 }
 
 // handleStats serves the coordinator's metrics registry as JSON.
@@ -1183,15 +1136,11 @@ func (cl *Client) QueryWithSession(req StatementRequest, user, group, session st
 // answer: a response cut short or damaged on the way is an error, never a
 // shorter result. A nil hc means the default statement client.
 func PostStatement(hc *http.Client, url string, req StatementRequest, user, group, session string) (*QueryResult, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequest(http.MethodPost, url, &buf)
+	httpReq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(req.encode()))
 	if err != nil {
 		return nil, err
 	}
-	httpReq.Header.Set("Content-Type", "application/x-gob")
+	httpReq.Header.Set("Content-Type", "application/octet-stream")
 	httpReq.Header.Set("X-Presto-User", user)
 	httpReq.Header.Set("X-Presto-Group", group)
 	if session != "" {
@@ -1210,13 +1159,17 @@ func PostStatement(hc *http.Client, url string, req StatementRequest, user, grou
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) // best-effort error detail
 		return nil, fmt.Errorf("query failed (status %d): %s", resp.StatusCode, bytes.TrimSpace(body))
 	}
-	body, err := readBody(resp)
+	body, err := readAll(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reading the answer from %s: %w", url, err)
 	}
-	hdr, frames, err := block.ReadEnvelope[statementHeader](body)
+	hdr, frames, err := block.ReadEnvelope(body)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: answer from %s: %w", url, err)
 	}
-	return &QueryResult{Columns: hdr.Columns, Types: hdr.Types, Pages: frames}, nil
+	columns, types, err := readStatementHeader(hdr)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: answer from %s: header: %w", url, err)
+	}
+	return &QueryResult{Columns: columns, Types: types, Pages: frames}, nil
 }

@@ -158,7 +158,7 @@ func lazyColumnCatalogs(t *testing.T, inj *fault.Injector) (reg *connector.Regis
 
 // sourceFragment plans query (catalog hive, schema s) and returns its one
 // source fragment with the splits of the table it scans.
-func sourceFragment(t *testing.T, reg *connector.Registry, query string) (*planner.Fragment, []connector.Split) {
+func sourceFragment(t testing.TB, reg *connector.Registry, query string) (*planner.Fragment, []connector.Split) {
 	t.Helper()
 	stmt, err := sql.Parse(query)
 	if err != nil {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -53,11 +52,8 @@ func TestCoordinatorDrainRefusesNewQueries(t *testing.T) {
 
 	// HTTP surface: 503 + Retry-After + X-Presto-Retryable, while the
 	// listener is still up (no live queries hold the drain open).
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&StatementRequest{Query: "SELECT count(*) FROM trips", Catalog: "hive", Schema: "rawdata"}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post("http://"+coord.Addr()+"/v1/statement", "application/x-gob", &buf)
+	stmt := StatementRequest{Query: "SELECT count(*) FROM trips", Catalog: "hive", Schema: "rawdata"}
+	resp, err := http.Post("http://"+coord.Addr()+"/v1/statement", "application/octet-stream", bytes.NewReader(stmt.encode()))
 	if err == nil {
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
@@ -197,17 +193,15 @@ func TestQueryDeadline(t *testing.T) {
 	}
 
 	// Worker half: a task whose Deadline is already past is refused 503.
-	w := NewWorker(newCatalogs(t))
+	reg := newCatalogs(t)
+	w := NewWorker(reg)
 	if err := w.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	var buf bytes.Buffer
-	req := TaskRequest{TaskID: "expired", Deadline: w.Clock.Now().Add(-time.Second).UnixNano()}
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post("http://"+w.Addr()+"/v1/task", "application/x-gob", &buf)
+	frag, splits := sourceFragment(t, reg, "SELECT count(*) FROM hive.rawdata.trips")
+	req := TaskRequest{TaskID: "expired", Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits, Deadline: w.Clock.Now().Add(-time.Second).UnixNano()}
+	resp, err := http.Post("http://"+w.Addr()+"/v1/task", "application/octet-stream", bytes.NewReader(req.encode()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net/http"
@@ -128,13 +127,8 @@ func TestStatementQueueFull429(t *testing.T) {
 	}
 	t.Cleanup(func() { coord.Close() })
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&StatementRequest{
-		Query: chaosQueries[1], Catalog: "hive", Schema: "tpch", User: "chaos",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post("http://"+coord.Addr()+"/v1/statement", "application/x-gob", &buf)
+	stmt := StatementRequest{Query: chaosQueries[1], Catalog: "hive", Schema: "tpch", User: "chaos"}
+	resp, err := http.Post("http://"+coord.Addr()+"/v1/statement", "application/octet-stream", bytes.NewReader(stmt.encode()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,32 +237,30 @@ func TestQueryMaxMemoryWithNothingConfigured(t *testing.T) {
 	}
 }
 
-// TestRequestBodiesAreBounded: the two handlers that gob-decode a request
-// body stop reading at their limit and answer 413; a short body that is not
-// gob is still a 400.
+// TestRequestBodiesAreBounded: the two handlers that read a request document
+// stop reading at their limit and answer 413; a short body that is no
+// document is still a 400.
 func TestRequestBodiesAreBounded(t *testing.T) {
-	coord, workers := newCluster(t, newCatalogs(t), 1)
+	reg := newCatalogs(t)
+	coord, workers := newCluster(t, reg, 1)
 	if err := coord.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
+	frag, splits := sourceFragment(t, reg, "SELECT city_id FROM hive.rawdata.trips")
 	for _, tc := range []struct {
 		url  string
-		huge any
+		huge []byte
 	}{
-		{"http://" + coord.Addr() + "/v1/statement", &StatementRequest{Query: strings.Repeat("x", maxStatementBytes)}},
-		{"http://" + workers[0].Addr() + "/v1/task", &TaskRequest{TaskID: strings.Repeat("x", maxTaskBytes)}},
+		{"http://" + coord.Addr() + "/v1/statement", (&StatementRequest{Query: strings.Repeat("x", maxStatementBytes)}).encode()},
+		{"http://" + workers[0].Addr() + "/v1/task", (&TaskRequest{TaskID: strings.Repeat("x", maxTaskBytes), Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits}).encode()},
 	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(tc.huge); err != nil {
-			t.Fatal(err)
-		}
 		for body, want := range map[*bytes.Buffer]int{
-			&buf:                          http.StatusRequestEntityTooLarge,
+			bytes.NewBuffer(tc.huge):      http.StatusRequestEntityTooLarge,
 			bytes.NewBufferString("junk"): http.StatusBadRequest,
 		} {
 			size := body.Len()
-			resp, err := http.Post(tc.url, "application/x-gob", body)
+			resp, err := http.Post(tc.url, "application/octet-stream", body)
 			if err != nil {
 				t.Fatal(err)
 			}

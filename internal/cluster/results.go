@@ -9,7 +9,8 @@ import (
 )
 
 // The answer to GET /v1/task/{id}/results?page=N is one envelope
-// (block.EncodeEnvelope): a checksummed resultsHeader followed by the page
+// (block.EncodeEnvelope): a checksummed resultsHeader (in its binary form,
+// resultsHeader.encode) followed by the page
 // frames it covers, exactly as block.EncodePage wrote them when the task
 // published its output. A response damaged in flight is an error the fetch
 // retries, never a page with other values in it.
@@ -63,14 +64,18 @@ func encodeResults(frames [][]byte, first int, finished bool, taskErr error, sta
 	if taskErr != nil {
 		hdr.Err = taskErr.Error()
 	}
-	return block.EncodeEnvelope(hdr, send[:n])
+	return block.EncodeEnvelope(hdr.encode(), send[:n])
 }
 
 // readResults checks and decodes the response to a request for page first.
 func readResults(body []byte, first int) (res taskResults, err error) {
-	hdr, frames, err := block.ReadEnvelope[resultsHeader](body)
+	raw, frames, err := block.ReadEnvelope(body)
 	if err != nil {
 		return res, fmt.Errorf("cluster: results response: %w", err)
+	}
+	hdr, err := readResultsHeader(raw)
+	if err != nil {
+		return res, fmt.Errorf("cluster: results response header: %w", err)
 	}
 	if hdr.First != first {
 		return res, fmt.Errorf("cluster: results response starts at page %d, asked for %d", hdr.First, first)

@@ -255,13 +255,9 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 			return read(strings.TrimPrefix(srv.URL, "http://"))
 		}
 	}
-	post := func(url string, doc any) []byte {
+	post := func(url string, doc []byte) []byte {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(doc); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(url, "application/x-gob", &buf)
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,6 +290,10 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 	}
 	t.Cleanup(func() { broker.Close() })
 	query := druid.Query{Table: "events", Columns: []string{"country", "clicks"}}
+	var queryDoc bytes.Buffer // a broker's query body is still gob
+	if err := gob.NewEncoder(&queryDoc).Encode(query); err != nil {
+		t.Fatal(err)
+	}
 
 	frame, err := block.EncodePage(block.NewPage(&block.Int64Block{Values: []int64{1, 2, 3}}))
 	if err != nil {
@@ -315,7 +315,7 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 				}
 				return n, err
 			}},
-		{"broker to connector", post("http://"+broker.Addr()+"/druid/v2/query", query), 3,
+		{"broker to connector", post("http://"+broker.Addr()+"/druid/v2/query", queryDoc.Bytes()), 3,
 			serving(func(addr string) (int, error) {
 				res, err := druid.NewHTTPClient(addr).Execute(query)
 				if err != nil {
@@ -327,7 +327,7 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 				}
 				return n, nil
 			})},
-		{"coordinator to client", post("http://"+coord.Addr()+"/v1/statement", &statement), 80,
+		{"coordinator to client", post("http://"+coord.Addr()+"/v1/statement", statement.encode()), 80,
 			serving(func(addr string) (int, error) {
 				res, err := NewClient(addr).QueryWithSession(statement, "test", "", "")
 				if err != nil {

@@ -1,0 +1,187 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"prestolite/internal/connector"
+	"prestolite/internal/obs"
+	"prestolite/internal/planner"
+	"prestolite/internal/sql"
+)
+
+// TestStatementEncodingIsCanonical: a statement's properties go in key
+// order, so two equal requests encode to the same bytes however their
+// properties were filled in, and the document reads back equal.
+func TestStatementEncodingIsCanonical(t *testing.T) {
+	keys := []string{"task_concurrency", "result_cache", "query_max_memory", "a", "zz"}
+	forward := StatementRequest{Query: "SELECT 1", Catalog: "hive", Schema: "rawdata", User: "bob", Properties: map[string]string{}}
+	backward := forward
+	backward.Properties = map[string]string{}
+	for i := range keys {
+		forward.Properties[keys[i]] = keys[i] + "-value"
+		backward.Properties[keys[len(keys)-1-i]] = keys[len(keys)-1-i] + "-value"
+	}
+	a, b := forward.encode(), backward.encode()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("equal statements encode apart:\n%x\n%x", a, b)
+	}
+	back, err := decodeStatement(a)
+	if err != nil || !reflect.DeepEqual(back, forward) {
+		t.Fatalf("read back %+v, %v; want %+v", back, err, forward)
+	}
+}
+
+// goldenStatements are the SQL texts of the benchmark's answer key.
+func goldenStatements(f *testing.F) []string {
+	data, err := os.ReadFile("../e2ebench/golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var golden struct {
+		Statements map[string]json.RawMessage `json:"statements"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		f.Fatal(err)
+	}
+	var out []string
+	for sql := range golden.Statements {
+		out = append(out, sql)
+	}
+	return out
+}
+
+// FuzzDecodeStatement: any bytes are a statement document or an error — no
+// panic — and a document that reads encodes back to the same bytes. Seeded
+// with the benchmark's statements.
+func FuzzDecodeStatement(f *testing.F) {
+	for i, sql := range goldenStatements(f) {
+		req := StatementRequest{Query: sql, Catalog: "hive", Schema: "rawdata", User: "bench"}
+		if i%2 == 0 {
+			req.Properties = map[string]string{"result_cache": "false", "task_concurrency": "2"}
+		}
+		data := req.encode()
+		if _, err := decodeStatement(data); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("junk"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeStatement(data)
+		if err != nil {
+			return
+		}
+		if again := req.encode(); !bytes.Equal(again, data) {
+			t.Fatalf("a statement that read does not encode back to itself:\n%x\n%x", data, again)
+		}
+	})
+}
+
+// FuzzDecodeTask: any bytes are a task request or an error — no panic, and
+// nothing allocated that the input's size does not cover — and a request
+// that reads encodes back to the same bytes. Seeded with the source
+// fragments of statements shaped like the planner tests', over a hive
+// warehouse and a memory catalog, each with its real splits.
+func FuzzDecodeTask(f *testing.F) {
+	reg := newCatalogs(f)
+	for _, q := range []string{
+		"SELECT city_id, fare FROM hive.rawdata.trips WHERE fare >= 10.0",
+		"SELECT city_id, count(*), sum(fare), avg(fare) FROM hive.rawdata.trips GROUP BY city_id",
+		"SELECT t.fare, c.name FROM hive.rawdata.trips t JOIN memory.meta.cities c ON t.city_id = c.city_id WHERE c.name IN ('sf', 'la')",
+		"SELECT fare * 2 + 1, city_id IS NULL FROM hive.rawdata.trips WHERE city_id BETWEEN 1 AND 3 ORDER BY 1 DESC LIMIT 4",
+		"SELECT name FROM memory.meta.cities WHERE city_id <> 2 LIMIT 2",
+	} {
+		for _, frag := range sourceFragments(f, reg, q) {
+			for i, splits := range [][]int{nil, {0}, {0, 1, 2}} {
+				req := TaskRequest{TaskID: "q1.f1.t0", Fragment: frag.root, TableKey: frag.tableKey, Drivers: i, MaxMemory: 1 << 20, Deadline: 1e18, SnapshotVersion: int64(i)}
+				for _, s := range splits {
+					if s < len(frag.splits) {
+						req.Splits = append(req.Splits, frag.splits[s])
+					}
+				}
+				data := req.encode()
+				if _, err := decodeTask(data, reg); err != nil {
+					f.Fatalf("%s: %v", q, err)
+				}
+				f.Add(data)
+			}
+		}
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeTask(data, reg)
+		if err != nil {
+			return
+		}
+		if len(req.Splits) > len(data) {
+			t.Fatalf("%d bytes read as %d splits", len(data), len(req.Splits))
+		}
+		if again := req.encode(); !bytes.Equal(again, data) {
+			t.Fatalf("a task that read does not encode back to itself:\n%x\n%x", data, again)
+		}
+	})
+}
+
+type testFragment struct {
+	root     planner.Node
+	tableKey string
+	splits   []connector.Split
+}
+
+// sourceFragments plans query and returns each of its source fragments with
+// the splits of its scan.
+func sourceFragments(tb testing.TB, reg *connector.Registry, query string) []testFragment {
+	tb.Helper()
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := planner.PlanQuery(reg, &planner.Session{Catalog: "hive", Schema: "rawdata"}, stmt.(*sql.Query))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []testFragment
+	for _, frag := range (&planner.Fragmenter{}).Fragment(plan).Sources {
+		conn, err := reg.Get(frag.Scan.Catalog)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		splits, err := conn.SplitManager().Splits(frag.Scan.Handle)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, testFragment{frag.Root, frag.TableKey, splits})
+	}
+	return out
+}
+
+// TestLiveStatsAreBounded: the coordinator reads a task's live
+// /v1/task/{id}/stats answer in the stats codec and under a byte bound — a
+// well-formed answer past the bound is dropped, not read.
+func TestLiveStatsAreBounded(t *testing.T) {
+	small := []obs.OperatorStatsSnapshot{{ID: 1, Name: "TableScan", RowsOut: 42, WallNanos: 7, Tasks: 1, Drivers: 2}}
+	huge := []obs.OperatorStatsSnapshot{{ID: 1, Name: strings.Repeat("x", maxStatsBytes)}}
+	var serve atomic.Pointer[[]obs.OperatorStatsSnapshot]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(obs.AppendSnapshots(nil, *serve.Load())) // the test reads what arrived
+	}))
+	t.Cleanup(srv.Close)
+	th := &taskHandle{worker: &workerClient{addr: strings.TrimPrefix(srv.URL, "http://"), http: srv.Client()}, taskID: "t0"}
+	serve.Store(&small)
+	if got := th.taskStats(); !reflect.DeepEqual(got, small) {
+		t.Errorf("live stats read as %+v, want %+v", got, small)
+	}
+	serve.Store(&huge)
+	if got := th.taskStats(); got != nil {
+		t.Errorf("a %d-byte stats answer was read", len(obs.AppendSnapshots(nil, huge)))
+	}
+}

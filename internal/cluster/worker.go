@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"net/http"
@@ -64,6 +63,11 @@ type TaskRequest struct {
 	// fragment-result cache key, so cached fragment output over data that has
 	// since changed is unreachable rather than stale.
 	SnapshotVersion int64
+
+	// fragment is the encoded part of the request every task of its fragment
+	// shares (encodeFragment), when the coordinator encoded it once for all
+	// of them; nil otherwise.
+	fragment []byte
 }
 
 // fragmentCacheBytes bounds each worker's fragment result cache, sized by the
@@ -292,14 +296,6 @@ func (w *Worker) Close() error {
 	return nil
 }
 
-// replyGob encodes v to the client. A client that disconnects mid-response
-// is normal churn, but it must show up in /v1/stats rather than vanish.
-func (w *Worker) replyGob(rw http.ResponseWriter, v any) {
-	if err := gob.NewEncoder(rw).Encode(v); err != nil {
-		w.httpWriteErrs.Inc()
-	}
-}
-
 // handleStats serves the worker's metrics registry as JSON.
 func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
@@ -374,8 +370,13 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req TaskRequest
-	if !decodeBody(rw, r, maxTaskBytes, &req) {
+	body, ok := readRequest(rw, r, maxTaskBytes)
+	if !ok {
+		return
+	}
+	req, err := decodeTask(body, w.Catalogs)
+	if err != nil {
+		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if req.Deadline > 0 && w.Clock.Now().UnixNano() >= req.Deadline {
@@ -519,7 +520,11 @@ func (w *Worker) handleTaskResults(rw http.ResponseWriter, r *http.Request) {
 	if len(parts) > 1 && parts[1] == "stats" {
 		// Live per-operator snapshot (used by the coordinator for tasks it
 		// did not drain to completion, e.g. under LIMIT).
-		w.replyGob(rw, task.stats.Snapshot())
+		body := obs.AppendSnapshots(nil, task.stats.Snapshot())
+		rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		if _, err := rw.Write(body); err != nil {
+			w.httpWriteErrs.Inc()
+		}
 		return
 	}
 	// Idempotent paged protocol: GET ...?page=N serves the published frames

@@ -53,8 +53,8 @@ func (t *TableSchema) ColumnIndex(name string) int {
 }
 
 // TableHandle is a connector-private handle for a table plus any pushed-down
-// state (predicate, projection, limit, aggregation). Handles must be
-// serializable with encoding/gob (register concrete types in init).
+// state (predicate, projection, limit, aggregation). A handle that ships to
+// workers has a binary form: it is an Encoder, and its connector a Decoder.
 type TableHandle interface {
 	// Description renders the handle, including pushed state, for EXPLAIN.
 	// The plan text is also the coordinator's result-cache key, so two
@@ -65,7 +65,8 @@ type TableHandle interface {
 }
 
 // Split is one unit of parallel work — one shard of the underlying data
-// (ConnectorSplit). Splits must be gob-serializable.
+// (ConnectorSplit). A split that ships to workers is an Encoder, read back by
+// its connector's Decoder.
 type Split interface {
 	// Description renders the split for logs.
 	Description() string

@@ -7,7 +7,6 @@
 package druid
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -15,13 +14,8 @@ import (
 	"prestolite/internal/connector"
 	driver "prestolite/internal/druid"
 	"prestolite/internal/expr"
+	"prestolite/internal/frame"
 )
-
-func init() {
-	gob.Register(&TableHandle{})
-	gob.Register(&Split{})
-	gob.Register(driver.Aggregation{})
-}
 
 // Connector is the Presto-Druid connector.
 type Connector struct {
@@ -135,6 +129,43 @@ type Split struct {
 
 // Description implements connector.Split.
 func (s *Split) Description() string { return "druid:" + s.Handle.Table }
+
+// AppendWire implements connector.Encoder.
+func (h *TableHandle) AppendWire(dst []byte) []byte {
+	dst = connector.AppendColumns(frame.AppendString(dst, h.Table), h.Columns)
+	dst = frame.AppendInts(expr.AppendComparisons(dst, h.Filters), h.Projection)
+	dst = frame.AppendUvarint(dst, uint64(len(h.Aggregations)))
+	for _, a := range h.Aggregations {
+		dst = frame.AppendString(frame.AppendString(frame.AppendString(dst, a.Func), a.Column), a.Name)
+	}
+	dst = frame.AppendBool(frame.AppendStrings(dst, h.GroupByNames), h.AggPushed)
+	return frame.AppendVarint(dst, h.Limit)
+}
+
+// AppendWire implements connector.Encoder.
+func (s *Split) AppendWire(dst []byte) []byte { return s.Handle.AppendWire(dst) }
+
+// DecodeHandle implements connector.Decoder.
+func (c *Connector) DecodeHandle(r *frame.Reader) connector.TableHandle { return readHandle(r) }
+
+// DecodeSplit implements connector.Decoder.
+func (c *Connector) DecodeSplit(r *frame.Reader) connector.Split {
+	return &Split{Handle: readHandle(r)}
+}
+
+func readHandle(r *frame.Reader) *TableHandle {
+	h := &TableHandle{Table: r.Str(), Columns: connector.ReadColumns(r), Filters: expr.ReadComparisons(r), Projection: r.Ints()}
+	if n := r.Count(); n > 0 {
+		h.Aggregations = make([]driver.Aggregation, n)
+		for i := range h.Aggregations {
+			h.Aggregations[i] = driver.Aggregation{Func: r.Str(), Column: r.Str(), Name: r.Str()}
+		}
+	}
+	h.GroupByNames = r.Strs()
+	h.AggPushed = r.Bool()
+	h.Limit = r.Varint()
+	return h
+}
 
 // ---------------------------------------------------------------------------
 

@@ -11,7 +11,6 @@
 package hive
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -24,17 +23,13 @@ import (
 	"prestolite/internal/cache"
 	"prestolite/internal/connector"
 	"prestolite/internal/expr"
+	"prestolite/internal/frame"
 	"prestolite/internal/fsys"
 	"prestolite/internal/metastore"
 	"prestolite/internal/obs"
 	"prestolite/internal/parquet"
 	"prestolite/internal/types"
 )
-
-func init() {
-	gob.Register(&TableHandle{})
-	gob.Register(&Split{})
-}
 
 // Options configures reader strategy and caches.
 type Options struct {
@@ -187,8 +182,8 @@ func allColumns(t *metastore.Table) []connector.Column {
 	return out
 }
 
-// TableHandle carries table identity plus pushed-down state. Serializable
-// for distributed scheduling.
+// TableHandle carries table identity plus pushed-down state; its binary
+// form (AppendWire) ships it to workers.
 type TableHandle struct {
 	Schema string
 	Table  string
@@ -235,6 +230,41 @@ type Split struct {
 
 // Description implements connector.Split.
 func (s *Split) Description() string { return "hive:" + s.Path }
+
+// AppendWire implements connector.Encoder.
+func (h *TableHandle) AppendWire(dst []byte) []byte {
+	dst = frame.AppendString(frame.AppendString(dst, h.Schema), h.Table)
+	dst = expr.AppendComparisons(dst, h.PartitionPreds)
+	dst = expr.AppendComparisons(dst, h.DataPreds)
+	dst = frame.AppendStrings(frame.AppendInts(dst, h.Projection), h.NestedPaths)
+	return frame.AppendVarint(dst, h.Limit)
+}
+
+// AppendWire implements connector.Encoder.
+func (s *Split) AppendWire(dst []byte) []byte {
+	dst = frame.AppendString(s.Handle.AppendWire(dst), s.Path)
+	return frame.AppendStringMap(dst, s.PartitionValues)
+}
+
+// DecodeHandle implements connector.Decoder.
+func (c *Connector) DecodeHandle(r *frame.Reader) connector.TableHandle { return readHandle(r) }
+
+// DecodeSplit implements connector.Decoder.
+func (c *Connector) DecodeSplit(r *frame.Reader) connector.Split {
+	return &Split{Handle: readHandle(r), Path: r.Str(), PartitionValues: r.StrMap()}
+}
+
+func readHandle(r *frame.Reader) *TableHandle {
+	return &TableHandle{
+		Schema:         r.Str(),
+		Table:          r.Str(),
+		PartitionPreds: expr.ReadComparisons(r),
+		DataPreds:      expr.ReadComparisons(r),
+		Projection:     r.Ints(),
+		NestedPaths:    r.Strs(),
+		Limit:          r.Varint(),
+	}
+}
 
 // ---------------------------------------------------------------------------
 

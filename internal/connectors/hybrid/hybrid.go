@@ -8,17 +8,12 @@
 package hybrid
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 
 	"prestolite/internal/connector"
 	"prestolite/internal/types"
 )
-
-func init() {
-	gob.Register(&TableHandle{})
-}
 
 // TableConfig declares one hybrid table.
 type TableConfig struct {

@@ -5,7 +5,6 @@
 package memory
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
@@ -13,13 +12,9 @@ import (
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
 	"prestolite/internal/expr"
+	"prestolite/internal/frame"
 	"prestolite/internal/types"
 )
-
-func init() {
-	gob.Register(&TableHandle{})
-	gob.Register(&Split{})
-}
 
 // Connector is an in-memory catalog of schemas and tables.
 type Connector struct {
@@ -143,6 +138,36 @@ type Split struct {
 // Description implements connector.Split.
 func (s *Split) Description() string {
 	return fmt.Sprintf("%s pages[%d:%d]", s.Handle.Description(), s.PageStart, s.PageEnd)
+}
+
+// AppendWire implements connector.Encoder.
+func (h *TableHandle) AppendWire(dst []byte) []byte {
+	dst = frame.AppendString(frame.AppendString(dst, h.Schema), h.Table)
+	dst = frame.AppendInts(frame.AppendBytes(dst, h.PredicateJSON), h.Projection)
+	return frame.AppendVarint(dst, h.Limit)
+}
+
+// AppendWire implements connector.Encoder.
+func (s *Split) AppendWire(dst []byte) []byte {
+	return frame.AppendVarint(frame.AppendVarint(s.Handle.AppendWire(dst), int64(s.PageStart)), int64(s.PageEnd))
+}
+
+// DecodeHandle implements connector.Decoder.
+func (c *Connector) DecodeHandle(r *frame.Reader) connector.TableHandle { return readHandle(r) }
+
+// DecodeSplit implements connector.Decoder.
+func (c *Connector) DecodeSplit(r *frame.Reader) connector.Split {
+	return &Split{Handle: readHandle(r), PageStart: r.Int(), PageEnd: r.Int()}
+}
+
+func readHandle(r *frame.Reader) *TableHandle {
+	h := &TableHandle{Schema: r.Str(), Table: r.Str()}
+	if p := r.Bytes(); len(p) > 0 {
+		h.PredicateJSON = p
+	}
+	h.Projection = r.Ints()
+	h.Limit = r.Varint()
+	return h
 }
 
 type metadata Connector

@@ -6,20 +6,15 @@
 package mysql
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
 	"prestolite/internal/expr"
+	"prestolite/internal/frame"
 	"prestolite/internal/mysqlite"
 	"prestolite/internal/types"
 )
-
-func init() {
-	gob.Register(&TableHandle{})
-	gob.Register(&Split{})
-}
 
 // Connector maps a mysqlite database into the engine under one schema.
 type Connector struct {
@@ -74,6 +69,34 @@ type Split struct{ Handle *TableHandle }
 
 // Description implements connector.Split.
 func (s *Split) Description() string { return "mysql:" + s.Handle.Table }
+
+// AppendWire implements connector.Encoder.
+func (h *TableHandle) AppendWire(dst []byte) []byte {
+	dst = connector.AppendColumns(frame.AppendString(dst, h.Table), h.Columns)
+	dst = frame.AppendInts(expr.AppendComparisons(dst, h.Predicates), h.Projection)
+	return frame.AppendVarint(dst, h.Limit)
+}
+
+// AppendWire implements connector.Encoder.
+func (s *Split) AppendWire(dst []byte) []byte { return s.Handle.AppendWire(dst) }
+
+// DecodeHandle implements connector.Decoder.
+func (c *Connector) DecodeHandle(r *frame.Reader) connector.TableHandle { return readHandle(r) }
+
+// DecodeSplit implements connector.Decoder.
+func (c *Connector) DecodeSplit(r *frame.Reader) connector.Split {
+	return &Split{Handle: readHandle(r)}
+}
+
+func readHandle(r *frame.Reader) *TableHandle {
+	return &TableHandle{
+		Table:      r.Str(),
+		Columns:    connector.ReadColumns(r),
+		Predicates: expr.ReadComparisons(r),
+		Projection: r.Ints(),
+		Limit:      r.Varint(),
+	}
+}
 
 type mysqlMetadata Connector
 

@@ -2,6 +2,7 @@ package druid
 
 import (
 	"bytes"
+	//lint:ignore nogob ROADMAP item 12(e): the broker query body moves to the frame codec
 	"encoding/gob"
 	"io"
 	"net/http"

@@ -1,6 +1,7 @@
 package druid
 
 import (
+	//lint:ignore nogob ROADMAP item 12(e): the broker query body and the tables and schema answers move to the frame codec
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -13,14 +14,16 @@ import (
 
 	"prestolite/internal/block"
 	"prestolite/internal/fault"
+	"prestolite/internal/frame"
 	"prestolite/internal/types"
 )
 
 // Server exposes the store over HTTP (the broker endpoint a Presto-Druid
 // connector talks to). A query is a gob Query in the request body; its answer
-// is one envelope (block.EncodeEnvelope): a checksummed resultHeader followed
-// by the result's pages as block.EncodePage wrote them — dictionary columns
-// stay dictionary-encoded on the wire, and every byte is under a checksum.
+// is one envelope (block.EncodeEnvelope): a checksummed header, the result's
+// column names (frame.AppendStrings), followed by the result's pages as
+// block.EncodePage wrote them — dictionary columns stay dictionary-encoded on
+// the wire, and every byte is under a checksum.
 type Server struct {
 	store *Store
 	http  *http.Server
@@ -32,11 +35,6 @@ type Server struct {
 // maxQueryBytes bounds the request body handleQuery decodes: a Query is a
 // table name, a few column names and a few literals.
 const maxQueryBytes = 1 << 20
-
-// resultHeader precedes a result's page frames.
-type resultHeader struct {
-	Columns []string
-}
 
 // NewServer wraps a store.
 func NewServer(store *Store) *Server {
@@ -107,27 +105,32 @@ func encodeResult(res *Result) ([]byte, error) {
 		}
 		frames[i] = f
 	}
-	return block.EncodeEnvelope(resultHeader{Columns: res.Columns}, frames), nil
+	return block.EncodeEnvelope(frame.AppendStrings(nil, res.Columns), frames), nil
 }
 
 // decodeResult checks and decodes what encodeResult wrote. Anything else — a
 // truncation, a flipped byte, a header announcing frames that are not there —
 // is an error, never a shorter result.
 func decodeResult(body []byte) (*Result, error) {
-	hdr, frames, err := block.ReadEnvelope[resultHeader](body)
+	hdr, frames, err := block.ReadEnvelope(body)
 	if err != nil {
 		return nil, err
+	}
+	r := frame.NewReader(hdr)
+	columns := r.Strs()
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("druid: result header: %w", err)
 	}
 	pages, err := block.DecodePages(frames)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range pages {
-		if len(p.Blocks) != len(hdr.Columns) {
-			return nil, fmt.Errorf("page %d has %d columns, the header names %d", i, len(p.Blocks), len(hdr.Columns))
+		if len(p.Blocks) != len(columns) {
+			return nil, fmt.Errorf("page %d has %d columns, the header names %d", i, len(p.Blocks), len(columns))
 		}
 	}
-	return &Result{Columns: hdr.Columns, Pages: pages}, nil
+	return &Result{Columns: columns, Pages: pages}, nil
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {

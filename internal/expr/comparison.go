@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"encoding/gob"
 	"fmt"
 	"strconv"
 	"strings"
@@ -14,14 +13,6 @@ import (
 // store evaluates. A connector lowers a predicate's conjuncts with
 // LowerComparison and its own column resolver; everything it does not take
 // stays with the engine as the residual.
-
-func init() {
-	// Comparison.Values is boxed: these are the types it may hold.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
-}
 
 // CompareOp enumerates the comparisons a store evaluates for the engine. An
 // integer, because the Parquet reader's typed selection kernels switch on it.

@@ -1,6 +1,7 @@
 // Package frame is the one length + CRC32 framing every checksummed byte
 // stream in the repository uses: the ingest write-ahead log, the page codec
-// and the task-results response.
+// and the task-results response. It also holds the primitives of the binary
+// documents processes send each other (codec.go).
 //
 // Frame format: [len uint32 LE][crc32(payload) uint32 LE][payload].
 package frame

@@ -21,7 +21,6 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,10 +79,6 @@ const resubmitBudget = 3
 // breakerThreshold is the consecutive-failure count that opens a cluster's
 // circuit.
 const breakerThreshold = 3
-
-// maxStatementBody bounds the statement document /v1/execute buffers for
-// replay across resubmission attempts.
-const maxStatementBody = 1 << 20
 
 // Gateway routes query traffic.
 type Gateway struct {
@@ -509,14 +504,8 @@ func IsIdempotentStatement(query string) bool {
 // /v1/statement (redirect) stays the default path; /v1/execute is for
 // clients that want the gateway to absorb rolling restarts for them.
 func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxStatementBody))
-	if err != nil {
-		http.Error(w, "gateway: reading statement: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	var req cluster.StatementRequest
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-		http.Error(w, "gateway: bad statement request: "+err.Error(), http.StatusBadRequest)
+	req, body, ok := cluster.ReadStatement(w, r)
+	if !ok {
 		return
 	}
 	user := r.Header.Get("X-Presto-User")
@@ -614,7 +603,7 @@ func (g *Gateway) forward(addr string, body []byte, user, group, session string)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	req.Header.Set("Content-Type", "application/x-gob")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set("X-Presto-User", user)
 	req.Header.Set("X-Presto-Group", group)
 	if session != "" {

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -174,6 +175,33 @@ func TestExecuteRelaysStatementErrors(t *testing.T) {
 	}
 	if gw.breakerFor(dedicated.Addr()).State() != BreakerClosed {
 		t.Fatal("a statement error must not trip the cluster's breaker")
+	}
+}
+
+// TestExecuteRefusesOversizedStatement: /v1/execute reads the statement the
+// way a coordinator does — a document past the bound is refused 413 whole
+// (it used to be cut at the bound and then fail to decode, a 400), and a body
+// that is no statement is a 400. Neither reaches a cluster.
+func TestExecuteRefusesOversizedStatement(t *testing.T) {
+	gw, _, _ := newGateway(t)
+	_, err := NewClient(gw.Addr()).Execute(cluster.StatementRequest{
+		Query:   "SELECT cluster FROM whoami WHERE cluster <> '" + strings.Repeat("x", 2<<20) + "'",
+		Catalog: "memory",
+		Schema:  "meta",
+	}, "alice", "")
+	if err == nil || !strings.Contains(err.Error(), "status 413") {
+		t.Fatalf("a 2 MiB statement: %v, want status 413", err)
+	}
+	resp, err := http.Post("http://"+gw.Addr()+"/v1/execute", "application/octet-stream", strings.NewReader("junk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a body that is no statement: %s, want 400", resp.Status)
+	}
+	if got := gw.Obs().Snapshot().Counters["gateway_resubmissions"]; got != 0 {
+		t.Fatalf("gateway_resubmissions = %d, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package geo
 import (
 	"bytes"
 	"encoding/base64"
+	//lint:ignore nogob ROADMAP item 12: the serialized geo index moves to the frame codec
 	"encoding/gob"
 	"fmt"
 	"sync"

@@ -5,7 +5,6 @@
 package planner
 
 import (
-	"encoding/gob"
 	"fmt"
 	"strings"
 
@@ -14,41 +13,15 @@ import (
 	"prestolite/internal/types"
 )
 
-func init() {
-	gob.Register(&TableScan{})
-	gob.Register(&Values{})
-	gob.Register(&Filter{})
-	gob.Register(&Project{})
-	gob.Register(&Aggregate{})
-	gob.Register(&Join{})
-	gob.Register(&GeoJoin{})
-	gob.Register(&Sort{})
-	gob.Register(&Limit{})
-	gob.Register(&Output{})
-	gob.Register(&RemoteSource{})
-	gob.Register(&Union{})
-	gob.Register(&expr.Constant{})
-	gob.Register(&expr.Variable{})
-	gob.Register(&expr.Call{})
-	gob.Register(&expr.SpecialForm{})
-	gob.Register(&expr.Lambda{})
-	// Boxed values inside Values rows and expression constants.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register(false)
-	gob.Register("")
-	gob.Register([]any{})
-	gob.Register([][2]any{})
-}
-
 // Column is one output channel of a plan node.
 type Column struct {
 	Name string
 	Type *types.Type
 }
 
-// Node is a logical (and, post-fragmentation, physical) plan node. All nodes
-// must be gob-serializable so fragments can ship to workers.
+// Node is a logical (and, post-fragmentation, physical) plan node. Every
+// node type has a binary form (Encode, Decode in wire.go), in which fragments
+// ship to workers.
 type Node interface {
 	// Outputs lists the node's output channels in order.
 	Outputs() []Column

@@ -233,25 +233,6 @@ func TestCheckTypesCatchesBadChannels(t *testing.T) {
 	}
 }
 
-func TestPlanGobRoundTrip(t *testing.T) {
-	// Fragments ship to workers via gob; the full node tree must survive.
-	n := plan(t, "SELECT b, count(*) FROM t WHERE a > 1 GROUP BY b", true)
-	fp := (&Fragmenter{}).Fragment(n)
-	for _, frag := range fp.Sources {
-		data, err := encodeGob(frag.Root)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		back, err := decodeGob(data)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if Format(back) != Format(frag.Root) {
-			t.Errorf("gob round trip changed plan:\n%s\nvs\n%s", Format(back), Format(frag.Root))
-		}
-	}
-}
-
 func TestConstantFolding(t *testing.T) {
 	n := plan(t, "SELECT a + (1 + 2) FROM t WHERE b = upper('x')", true)
 	s := Format(n)
