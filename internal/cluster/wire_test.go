@@ -99,8 +99,13 @@ func FuzzDecodeTask(f *testing.F) {
 		"SELECT t.fare, c.name FROM hive.rawdata.trips t JOIN memory.meta.cities c ON t.city_id = c.city_id WHERE c.name IN ('sf', 'la')",
 		"SELECT fare * 2 + 1, city_id IS NULL FROM hive.rawdata.trips WHERE city_id BETWEEN 1 AND 3 ORDER BY 1 DESC LIMIT 4",
 		"SELECT name FROM memory.meta.cities WHERE city_id <> 2 LIMIT 2",
+		// A global aggregate the hive scan answers from its footers.
+		"SELECT count(*), max(city_id), count(city_id) FROM hive.rawdata.trips WHERE city_id < 100",
 	} {
 		for _, frag := range sourceFragments(f, reg, q) {
+			if strings.Contains(q, "count(city_id)") && !strings.Contains(planner.Format(frag.root), "aggregates=") {
+				f.Fatalf("%s: the source fragment absorbs no aggregate:\n%s", q, planner.Format(frag.root))
+			}
 			for i, splits := range [][]int{nil, {0}, {0, 1, 2}} {
 				req := TaskRequest{TaskID: "q1.f1.t0", Fragment: frag.root, TableKey: frag.tableKey, Drivers: i, MaxMemory: 1 << 20, Deadline: 1e18, SnapshotVersion: int64(i)}
 				for _, s := range splits {

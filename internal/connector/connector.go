@@ -203,14 +203,25 @@ type NestedProjectionPushdown interface {
 	PushNestedPaths(handle TableHandle, paths []string) (TableHandle, []Column, bool)
 }
 
-// AggregationPushdown lets real-time stores (Druid, Pinot) execute
-// aggregations natively so only aggregated rows stream into the engine
-// (§IV.B, Fig 2).
+// AggregationPushdown lets a connector execute an aggregation natively so
+// only aggregated rows stream into the engine (§IV.B, Fig 2): a real-time
+// store (Druid, Pinot) over its in-memory structures, a warehouse from its
+// files' footer statistics.
+//
+// The optimizer offers an aggregate that sits directly on the connector's
+// scan, so every predicate is already in the handle. A PARTIAL (one side of
+// a split union) is offered only when each aggregate's intermediate type is
+// its final type (count, sum, min, max).
 type AggregationPushdown interface {
-	// PushAggregation absorbs a grouped aggregation. groupBy lists
-	// table-column ordinals. On success the scan's output becomes
-	// groupBy columns followed by aggregate outputs.
-	PushAggregation(handle TableHandle, aggs []AggregateSpec, groupBy []int) (TableHandle, bool)
+	// PushAggregation absorbs the aggregation. groupBy lists table-column
+	// ordinals. On success the scan's output becomes groupBy columns
+	// followed by aggregate outputs, and perSplit says what those rows are.
+	// false: the whole answer, one row per group over every split, which a
+	// single-split store such as druid gives. true: each split answers its
+	// own rows, one partial row per group, so the optimizer keeps a FINAL
+	// above the scan — it pushes a SINGLE aggregate as its PARTIAL under
+	// FinalOver, and only when each intermediate type is the final type.
+	PushAggregation(handle TableHandle, aggs []AggregateSpec, groupBy []int) (h TableHandle, perSplit, ok bool)
 }
 
 // ---------------------------------------------------------------------------

@@ -305,11 +305,12 @@ func (c *Connector) PushLimit(handle connector.TableHandle, limit int64) (connec
 
 // PushAggregation absorbs a grouped aggregation (§IV.B, Fig 2): druid
 // executes it natively over its in-memory structures and only aggregated
-// rows are streamed into the engine.
-func (c *Connector) PushAggregation(handle connector.TableHandle, aggs []connector.AggregateSpec, groupBy []int) (connector.TableHandle, bool) {
+// rows are streamed into the engine. Its one broker split covers the whole
+// table, so the answer is whole, not per split.
+func (c *Connector) PushAggregation(handle connector.TableHandle, aggs []connector.AggregateSpec, groupBy []int) (connector.TableHandle, bool, bool) {
 	h, ok := handle.(*TableHandle)
 	if !ok || h.AggPushed {
-		return handle, false
+		return handle, false, false
 	}
 	cols := h.Columns
 	nh := *h
@@ -329,12 +330,12 @@ func (c *Connector) PushAggregation(handle connector.TableHandle, aggs []connect
 		switch a.Function {
 		case "count", "sum", "min", "max", "avg":
 		default:
-			return handle, false
+			return handle, false, false
 		}
 		nh.Aggregations = append(nh.Aggregations, na)
 	}
 	nh.Projection = nil
-	return &nh, true
+	return &nh, false, true
 }
 
 func resolveOrdinal(h *TableHandle, ch int) int {

@@ -4,7 +4,8 @@
 // keyed like datestr=2017-03-02 (the layout Uber's trips tables use, §II/§V).
 //
 // The connector exercises the full §IV pushdown surface (predicate,
-// projection, limit), routes listFiles through the coordinator file-list
+// projection, limit, and a global count/min/max answered from the Parquet
+// footers), routes listFiles through the coordinator file-list
 // cache and footer reads through the worker footer cache (§VII), prunes
 // partitions from pushed predicates, and reads files with either the legacy
 // or the new Parquet reader (§V).
@@ -149,6 +150,12 @@ func (c *Connector) RegisterObsMetrics(reg *obs.Registry) {
 		"fetch_batches": &m.FetchBatches,
 		"ranges_read":   &m.RangesRead,
 		"bytes_read":    &m.BytesRead,
+
+		// What the footer statistics settled without evaluating: row
+		// groups a pushed aggregate was answered from, and predicates
+		// every row of a row group passes.
+		"row_groups_answered_stats": &m.RowGroupsAnsweredStats,
+		"predicates_covered":        &m.PredicatesCovered,
 	} {
 		v := v
 		reg.GaugeFunc(c.name+".reader."+name, func() float64 { return float64(v.Load()) })
@@ -198,6 +205,10 @@ type TableHandle struct {
 	NestedPaths []string
 	// Limit is a per-split row limit (-1 = none).
 	Limit int64
+	// Aggs, when set, replaces the scan's output with one partial row per
+	// split of these global aggregates, answered from the footer where the
+	// statistics prove the answer (PushAggregation).
+	Aggs []Aggregate
 }
 
 // Description implements connector.TableHandle.
@@ -218,6 +229,9 @@ func (h *TableHandle) Description() string {
 	if h.Limit >= 0 {
 		s += fmt.Sprintf(" limit=%d", h.Limit)
 	}
+	if h.Aggs != nil {
+		s += fmt.Sprintf(" aggregates=%v", h.Aggs)
+	}
 	return s
 }
 
@@ -237,7 +251,11 @@ func (h *TableHandle) AppendWire(dst []byte) []byte {
 	dst = expr.AppendComparisons(dst, h.PartitionPreds)
 	dst = expr.AppendComparisons(dst, h.DataPreds)
 	dst = frame.AppendStrings(frame.AppendInts(dst, h.Projection), h.NestedPaths)
-	return frame.AppendVarint(dst, h.Limit)
+	dst = frame.AppendUvarint(frame.AppendVarint(dst, h.Limit), uint64(len(h.Aggs)))
+	for _, a := range h.Aggs {
+		dst = frame.AppendVarint(frame.AppendString(dst, a.Func), int64(a.Column))
+	}
+	return dst
 }
 
 // AppendWire implements connector.Encoder.
@@ -255,7 +273,7 @@ func (c *Connector) DecodeSplit(r *frame.Reader) connector.Split {
 }
 
 func readHandle(r *frame.Reader) *TableHandle {
-	return &TableHandle{
+	h := &TableHandle{
 		Schema:         r.Str(),
 		Table:          r.Str(),
 		PartitionPreds: expr.ReadComparisons(r),
@@ -264,6 +282,16 @@ func readHandle(r *frame.Reader) *TableHandle {
 		NestedPaths:    r.Strs(),
 		Limit:          r.Varint(),
 	}
+	// Count checks the aggregates against the bytes left before allocating;
+	// their functions and ordinals are checked against the table when a
+	// split is read.
+	if n := r.Count(); n > 0 {
+		h.Aggs = make([]Aggregate, n)
+		for i := range h.Aggs {
+			h.Aggs[i] = Aggregate{Func: r.Str(), Column: int(r.Varint())}
+		}
+	}
+	return h
 }
 
 // ---------------------------------------------------------------------------
@@ -390,6 +418,12 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 			ordinals[i] = col
 		}
 	}
+	var sa *splitAggregation
+	if h.Aggs != nil {
+		if sa, err = newSplitAggregation(h.Aggs, t, columns); err != nil {
+			return nil, err
+		}
+	}
 
 	// Stat the file through the worker caches (§VII.B). It is not opened
 	// here: the reader's I/O plan opens it with the first chunk the chunk
@@ -425,6 +459,30 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 			_ = file.Close() // already failing: the footer error is the one to report
 			return nil, err
 		}
+	}
+	// Predicates on columns missing from the file never match rows with a
+	// non-null requirement... except OpNeq, which still cannot match NULL.
+	for _, p := range h.DataPreds {
+		if entry.schema.Resolve(p.Column) == nil {
+			_ = file.Close() // pruned split: nothing was read, nothing to report
+			if sa != nil {
+				return &aggregateSource{sa: sa}, nil
+			}
+			return &connector.SlicePageSource{}, nil
+		}
+	}
+	if sa != nil {
+		reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, c.readerOptions(sa.bind(entry.schema), h.DataPreds, sp.Path))
+		if err != nil {
+			_ = file.Close() // already failing: the reader error is the one to report
+			return nil, err
+		}
+		reader.AnswerFromStats(sa.fromStats)
+		if sa.err != nil {
+			_ = reader.Close() // already failing: the fold error is the one to report
+			return nil, sa.err
+		}
+		return &aggregateSource{sa: sa, next: reader.Next, close: reader.Close}, nil
 	}
 
 	// Partition-key columns come from the split; data columns from the
@@ -468,15 +526,6 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		dataSlot[i] = len(dataPaths)
 		dataPaths = append(dataPaths, outName(ord))
 	}
-	// Predicates on columns missing from the file never match rows with a
-	// non-null requirement... except OpNeq, which still cannot match NULL.
-	for _, p := range h.DataPreds {
-		if entry.schema.Resolve(p.Column) == nil {
-			_ = file.Close() // pruned split: nothing was read, nothing to report
-			return &connector.SlicePageSource{}, nil
-		}
-	}
-
 	src := &pageSource{
 		conn:        c,
 		split:       sp,
@@ -496,10 +545,23 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		src.fileTypes = legacy.OutputTypes()
 		return src, nil
 	}
+	reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, c.readerOptions(dataPaths, h.DataPreds, sp.Path))
+	if err != nil {
+		_ = file.Close() // already failing: the reader error is the one to report
+		return nil, err
+	}
+	src.nextPage, src.closeReader = reader.Next, reader.Close
+	src.fileTypes = reader.OutputTypes()
+	return src, nil
+}
+
+// readerOptions is how the connector reads columns of the file at path under
+// preds: its toggles, its metrics and its chunk cache.
+func (c *Connector) readerOptions(columns []string, preds []expr.Comparison, path string) parquet.ReaderOptions {
 	tog := c.opts.Reader
 	opts := parquet.ReaderOptions{
-		Columns:            dataPaths,
-		Predicate:          h.DataPreds,
+		Columns:            columns,
+		Predicate:          preds,
 		ColumnPruning:      !tog.NoColumnPruning,
 		PredicatePushdown:  !tog.NoPredicatePushdown,
 		DictionaryPushdown: !tog.NoDictionaryPushdown,
@@ -508,17 +570,10 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		Metrics:            &c.readerMetrics,
 	}
 	if !c.opts.DisableChunkCache {
-		opts.Path = sp.Path
+		opts.Path = path
 		opts.Chunks = c.chunkCache
 	}
-	reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, opts)
-	if err != nil {
-		_ = file.Close() // already failing: the reader error is the one to report
-		return nil, err
-	}
-	src.nextPage, src.closeReader = reader.Next, reader.Close
-	src.fileTypes = reader.OutputTypes()
-	return src, nil
+	return opts
 }
 
 // pageSource adapts a file reader into a connector.PageSource, appending

@@ -15,6 +15,8 @@ import (
 //   - conjuncts on partition keys            → partition pruning
 //   - simple comparisons on primitive leaves → reader-level predicates
 //     (stats + dictionary row-group skipping, §V.F/§V.G)
+//   - a global count/min/max                 → answered per split from the
+//     footer statistics (aggregate.go, §IV.B)
 // Everything else is returned as residual for the engine.
 
 var (
@@ -28,7 +30,7 @@ var (
 // to dotted struct paths, so the reader only decodes the required leaves.
 func (c *Connector) PushNestedPaths(handle connector.TableHandle, paths []string) (connector.TableHandle, []connector.Column, bool) {
 	h, ok := handle.(*TableHandle)
-	if !ok {
+	if !ok || h.Aggs != nil {
 		return handle, nil, false
 	}
 	t, err := c.ms.GetTable(h.Schema, h.Table)
@@ -87,7 +89,7 @@ func typeAtPath(t *metastore.Table, path string) *types.Type {
 // PushFilter implements connector.FilterPushdown.
 func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowExpression) (connector.TableHandle, expr.RowExpression, bool) {
 	h, ok := handle.(*TableHandle)
-	if !ok {
+	if !ok || h.Aggs != nil {
 		return handle, predicate, false
 	}
 	t, err := c.ms.GetTable(h.Schema, h.Table)
@@ -134,7 +136,7 @@ func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowE
 // PushProjection implements connector.ProjectionPushdown.
 func (c *Connector) PushProjection(handle connector.TableHandle, columns []int) (connector.TableHandle, bool) {
 	h, ok := handle.(*TableHandle)
-	if !ok {
+	if !ok || h.Aggs != nil {
 		return handle, false
 	}
 	nh := *h
@@ -153,7 +155,7 @@ func (c *Connector) PushProjection(handle connector.TableHandle, columns []int) 
 // PushLimit implements connector.LimitPushdown: per-split, not guaranteed.
 func (c *Connector) PushLimit(handle connector.TableHandle, limit int64) (connector.TableHandle, bool, bool) {
 	h, ok := handle.(*TableHandle)
-	if !ok {
+	if !ok || h.Aggs != nil {
 		return handle, false, false
 	}
 	// Only safe when the split applies every pushed predicate itself.

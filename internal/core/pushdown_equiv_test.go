@@ -273,6 +273,10 @@ func TestPushdownOnOffDifferential(t *testing.T) {
 					// on the hybrid table this is partial pushdown on and off,
 					// with NULLs on both sides of the boundary.
 					"SELECT s, count(*), count(n), sum(n), min(d), max(d), avg(d) FROM t WHERE " + tc.where + " GROUP BY s",
+					// Global count/min/max: hive answers the first from its
+					// footers; a double min or max keeps the second whole.
+					"SELECT count(*), count(n), min(id), max(id), min(s), max(s) FROM t WHERE " + tc.where,
+					"SELECT count(*), count(n), min(id), max(id), min(s), max(s), min(d), max(d) FROM t WHERE " + tc.where,
 				} {
 					got, err := pushed.Query(session, stmt)
 					if err != nil {

@@ -79,11 +79,13 @@ func (f *gateFile) ReadAt(p []byte, off int64) (int, error) {
 // that only serves reads in pairs, a scan with a predicate on a and outputs
 // c and e completes in three paired fetches — {a of row group 0, a of row
 // group 1}, {c, e of row group 0}, {c, e of row group 1}. The page-at-a-time
-// reader deadlocks on its first chunk.
+// reader deadlocks on its first chunk. Every row passes the IN list, but the
+// statistics cannot prove it, so a is read and evaluated.
 func TestPlanReadsRangesTogetherAndAhead(t *testing.T) {
 	f, meta, schema := fiveColumns(t, 8, 4)
 	gate := &gateFile{BytesFile: f, k: 2}
-	opts := AllOptimizations([]string{"c", "e"}, []expr.Comparison{{Column: "a", Op: expr.OpGte, Values: []any{int64(0)}}})
+	in := []any{int64(0), int64(1), int64(2), int64(3), int64(4), int64(5), int64(6), int64(7)}
+	opts := AllOptimizations([]string{"c", "e"}, []expr.Comparison{{Column: "a", Op: expr.OpIn, Values: in}})
 	r, err := NewReaderWithFooter(gate, meta, schema, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,8 @@ import (
 // turn them off one at a time; all-on is the production configuration).
 type ReaderOptions struct {
 	// Columns lists the output paths (top-level column names or nested
-	// struct paths). Empty means all top-level columns.
+	// struct paths). nil means all top-level columns; an empty list means
+	// none, so that each page only counts its rows.
 	Columns []string
 	// Predicate is a conjunction evaluated inside the reader. Each Column is
 	// the dotted path of a (possibly nested, non-repeated) primitive leaf,
@@ -30,7 +31,9 @@ type ReaderOptions struct {
 	// ColumnPruning reads only required leaves from disk (§V.D). When off,
 	// every leaf is read and decoded (like the old reader).
 	ColumnPruning bool
-	// PredicatePushdown skips row groups via footer min/max stats (§V.F).
+	// PredicatePushdown reads the footer's min/max and NULL counts (§V.F):
+	// a row group no row of which can pass the predicate is skipped, and a
+	// predicate every row of a row group passes is not evaluated there.
 	PredicatePushdown bool
 	// DictionaryPushdown probes dictionary pages to skip row groups (§V.G).
 	DictionaryPushdown bool
@@ -84,6 +87,13 @@ type Metrics struct {
 	FetchBatches atomic.Int64
 	RangesRead   atomic.Int64
 	BytesRead    atomic.Int64
+
+	// RowGroupsAnsweredStats counts row groups the caller answered from
+	// their statistics (Reader.AnswerFromStats) instead of reading them.
+	RowGroupsAnsweredStats atomic.Int64
+	// PredicatesCovered counts (row group, predicate) pairs whose statistics
+	// prove that every row passes, so the predicate was not evaluated.
+	PredicatesCovered atomic.Int64
 }
 
 // readAheadBytes caps the file bytes of chunks a reader has requested for
@@ -114,11 +124,18 @@ type rowGroupPlan struct {
 	// pruned: footer statistics prove that no row matches (§V.F, Fig 7: "one
 	// row group city_id max is 10, skip this row group"). Nothing is read.
 	pruned bool
-	// pred holds the predicate leaves, proj the other leaves the outputs
+	// answered: the caller answered the row group from its statistics
+	// (AnswerFromStats). Nothing is read.
+	answered bool
+	// preds are the predicates the row group evaluates: the ones its
+	// statistics do not cover. A covered predicate holds for every row, so
+	// its leaf is read only if an output needs it.
+	preds []*leafPredicate
+	// pred holds the leaves of preds, proj the other leaves the outputs
 	// need. pred is read ahead; proj is requested once the selection is known
 	// to be non-empty, so a row group the predicate empties costs no
-	// projected byte. Without a predicate proj is the whole row group and is
-	// read ahead itself.
+	// projected byte. Without a predicate to evaluate proj is the whole row
+	// group and is read ahead itself.
 	pred, proj batch
 }
 
@@ -132,9 +149,6 @@ type Reader struct {
 	outputs []*Node // one per output column
 	// preds is opts.Predicate bound to the file's schema, once per file.
 	preds []leafPredicate
-	// eager[i] reports that output i shares a leaf with a predicate, so its
-	// chunks are decoded anyway and deferring it would save nothing.
-	eager []bool
 
 	plan    []rowGroupPlan
 	rgIndex int   // the next row group Next turns into a page
@@ -166,7 +180,7 @@ func NewReaderWithFooter(f fsys.File, meta *FileMeta, schema *Schema, opts Reade
 	}
 	r.fetcher.f, r.fetcher.m = f, r.Metrics
 	cols := opts.Columns
-	if len(cols) == 0 {
+	if cols == nil {
 		cols = schema.Names
 	}
 	for _, path := range cols {
@@ -176,48 +190,49 @@ func NewReaderWithFooter(f fsys.File, meta *FileMeta, schema *Schema, opts Reade
 		}
 		r.outputs = append(r.outputs, n)
 	}
-	predicateLeaves := map[int]bool{}
 	for _, p := range opts.Predicate {
 		lp, err := bindPredicate(p, schema)
 		if err != nil {
 			return nil, err
 		}
 		r.preds = append(r.preds, lp)
-		predicateLeaves[lp.node.LeafIndex] = true
 	}
-	r.eager = make([]bool, len(r.outputs))
-	for i, out := range r.outputs {
-		for _, li := range out.leaves {
-			r.eager[i] = r.eager[i] || predicateLeaves[li]
-		}
-	}
-	r.planReads(predicateLeaves)
+	r.planReads()
 	r.Metrics.RowGroupsTotal.Add(int64(len(meta.RowGroups)))
 	return r, nil
 }
 
 // planReads computes the file's I/O plan: per row group that statistics do
-// not exclude, the chunks of the predicate leaves and of the other leaves
-// the outputs need (every leaf when column pruning is off).
-func (r *Reader) planReads(predicateLeaves map[int]bool) {
+// not exclude, the chunks of the leaves of the predicates it evaluates and
+// of the other leaves the outputs need (every leaf when column pruning is
+// off).
+func (r *Reader) planReads() {
 	needed := make([]bool, len(r.schema.Leaves))
 	for _, out := range r.outputs {
 		for _, li := range out.leaves {
 			needed[li] = true
 		}
 	}
+	all := make([]*leafPredicate, len(r.preds))
+	for i := range r.preds {
+		all[i] = &r.preds[i]
+	}
 	r.plan = make([]rowGroupPlan, len(r.meta.RowGroups))
 	for i := range r.plan {
 		rp, rg := &r.plan[i], &r.meta.RowGroups[i]
-		if r.opts.PredicatePushdown && r.statsExclude(rg) {
-			rp.pruned = true
-			continue
+		rp.preds = all
+		if r.opts.PredicatePushdown {
+			rp.preds, rp.pruned = r.classify(rg)
+			if rp.pruned {
+				continue
+			}
+			r.Metrics.PredicatesCovered.Add(int64(len(r.preds) - len(rp.preds)))
 		}
 		// rg.Chunks is in leaf order, so the batches come out in file order.
 		for j := range rg.Chunks {
 			cm := &rg.Chunks[j]
 			b := &rp.proj
-			if predicateLeaves[cm.LeafIndex] {
+			if evaluates(rp.preds, cm.LeafIndex) {
 				b = &rp.pred
 			} else if r.opts.ColumnPruning && !needed[cm.LeafIndex] {
 				continue
@@ -229,17 +244,57 @@ func (r *Reader) planReads(predicateLeaves map[int]bool) {
 	}
 }
 
-// statsExclude reports that a predicate cannot match any value between the
-// footer's min and max of its chunk.
-func (r *Reader) statsExclude(rg *RowGroupMeta) bool {
+// classify sorts the predicates by what the footer statistics of rg prove
+// (§V.F). A predicate is excluded when no row can pass it: its chunk holds
+// only NULLs, which match nothing, or no value between min and max matches.
+// Then the row group is pruned. It is covered when every row passes it: no
+// NULL, and every value between min and max matches. Double statistics do
+// not count NaNs, so a double predicate is never covered. Every other
+// predicate is evaluated and returned.
+func (r *Reader) classify(rg *RowGroupMeta) (evaluate []*leafPredicate, pruned bool) {
 	for i := range r.preds {
 		p := &r.preds[i]
-		cm := r.chunkFor(rg, p.node.LeafIndex)
-		if cm != nil && !p.OverlapsStats(cm.Stats.Min(p.node.Prim), cm.Stats.Max(p.node.Prim)) {
+		cm := rg.Chunk(p.node.LeafIndex)
+		if cm == nil {
+			evaluate = append(evaluate, p)
+			continue
+		}
+		st, prim := &cm.Stats, p.node.Prim
+		min, max := st.Min(prim), st.Max(prim)
+		switch {
+		case st.NullCount == rg.NumRows || !p.OverlapsStats(min, max):
+			return nil, true
+		case prim.Kind != types.KindDouble && st.NullCount == 0 && p.CoversStats(min, max):
+		default:
+			evaluate = append(evaluate, p)
+		}
+	}
+	return evaluate, false
+}
+
+// evaluates reports whether one of preds reads leaf li.
+func evaluates(preds []*leafPredicate, li int) bool {
+	for _, p := range preds {
+		if p.node.LeafIndex == li {
 			return true
 		}
 	}
 	return false
+}
+
+// AnswerFromStats offers answer every row group whose footer statistics
+// settle the predicate: none of its rows fails it, so whatever the caller
+// computes from the statistics is exact. A true answer marks the row group
+// answered: the reader fetches nothing of it and Next skips it. Call it
+// before the first Next.
+func (r *Reader) AnswerFromStats(answer func(rg *RowGroupMeta) bool) {
+	for i := range r.plan {
+		rp := &r.plan[i]
+		if !rp.pruned && len(rp.preds) == 0 && answer(&r.meta.RowGroups[i]) {
+			rp.answered = true
+			r.Metrics.RowGroupsAnsweredStats.Add(1)
+		}
+	}
 }
 
 // OutputTypes returns the SQL type of each output column.
@@ -272,15 +327,6 @@ func (r *Reader) Next() (*block.Page, error) {
 // its page left Next.
 func (r *Reader) Close() error { return r.fetcher.close() }
 
-func (r *Reader) chunkFor(rg *RowGroupMeta, leafIndex int) *ChunkMeta {
-	for i := range rg.Chunks {
-		if rg.Chunks[i].LeafIndex == leafIndex {
-			return &rg.Chunks[i]
-		}
-	}
-	return nil
-}
-
 // chunkFetch keys the chunks of a row group in the reader's chunk cache.
 func (r *Reader) chunkFetch(rgIndex int) chunkFetch {
 	return chunkFetch{cache: r.opts.Chunks, path: r.opts.Path, rowGroup: rgIndex}
@@ -288,7 +334,7 @@ func (r *Reader) chunkFetch(rgIndex int) chunkFetch {
 
 // first is the batch a row group is read ahead by.
 func (r *Reader) first(rp *rowGroupPlan) *batch {
-	if len(r.preds) > 0 {
+	if len(rp.preds) > 0 {
 		return &rp.pred
 	}
 	return &rp.proj
@@ -321,7 +367,7 @@ func (r *Reader) readAhead(cur int) {
 	var ranges []*byteRange
 	for ; r.issued < len(r.plan); r.issued++ {
 		rp := &r.plan[r.issued]
-		if rp.pruned {
+		if rp.pruned || rp.answered {
 			continue
 		}
 		b := r.first(rp)
@@ -340,6 +386,9 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 		r.Metrics.RowGroupsSkippedStats.Add(1)
 		return nil, nil
 	}
+	if rp.answered {
+		return nil, nil
+	}
 	r.readAhead(rgIndex)
 	first := r.first(rp)
 	r.ahead -= first.size
@@ -348,7 +397,7 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 	}
 	// The row group's bytes leave the plan here: what outlives this call
 	// (a lazy column) holds its own row group's chunks, not the file's.
-	pred, proj := rp.pred, rp.proj
+	preds, pred, proj := rp.preds, rp.pred, rp.proj
 	rp.pred, rp.proj = batch{}, batch{}
 	cf := r.chunkFetch(rgIndex)
 	codec := r.meta.Codec
@@ -356,8 +405,7 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 	// 1. Dictionary pushdown: even if stats match, the dictionary may prove
 	//    no value matches (Fig 8).
 	if r.opts.DictionaryPushdown {
-		for i := range r.preds {
-			p := &r.preds[i]
+		for _, p := range preds {
 			if p.Op != expr.OpEq && p.Op != expr.OpIn {
 				continue
 			}
@@ -406,15 +454,19 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 	// 2. Decode predicate leaves first and evaluate the predicate on the
 	//    fly (Figs 7-9: read, evaluate, and build in one step): each
 	//    predicate narrows the selection with a typed loop over its chunk.
+	//    nil selects every record: a predicate every record passes builds no
+	//    selection, and no block is masked.
 	var selection []int
-	for i := range r.preds {
-		p := &r.preds[i]
+	for _, p := range preds {
 		if err := decode(p.node.LeafIndex); err != nil {
 			return nil, err
 		}
 		selection = p.filter(chunks[p.node.LeafIndex], selection, numRecords)
 		if len(selection) == 0 {
 			return nil, nil
+		}
+		if len(selection) == numRecords {
+			selection = nil
 		}
 	}
 	rows := numRecords
@@ -426,7 +478,7 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 	// 3. Rows survive: fetch the projected leaves, all of them at once, and
 	//    wait — the page must not leave with bytes still in the file, or a
 	//    lazy column would need the handle after Close.
-	if len(r.preds) > 0 {
+	if len(preds) > 0 {
 		r.fetch(r.locate(rgIndex, &proj))
 	}
 	if err := waitRanges(proj.ranges); err != nil {
@@ -439,6 +491,12 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 	out := make([]block.Block, len(r.outputs))
 	for i, node := range r.outputs {
 		node := node
+		// An output that shares a leaf with an evaluated predicate is
+		// decoded anyway: deferring it would save nothing.
+		eager := false
+		for _, li := range node.leaves {
+			eager = eager || pred.chunk(li) != nil
+		}
 		buildNow := func() (block.Block, error) {
 			sub := make(map[int]*chunkData, len(node.leaves))
 			for _, li := range node.leaves {
@@ -449,7 +507,7 @@ func (r *Reader) readRowGroup(rgIndex int) (*block.Page, error) {
 			}
 			return assembleBlock(node, sub, numRecords, selection)
 		}
-		if !r.opts.LazyReads || r.eager[i] {
+		if !r.opts.LazyReads || eager {
 			b, err := buildNow()
 			if err != nil {
 				return nil, err

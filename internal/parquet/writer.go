@@ -32,6 +32,16 @@ type RowGroupMeta struct {
 	Chunks  []ChunkMeta
 }
 
+// Chunk returns the chunk of leaf leafIndex, or nil.
+func (rg *RowGroupMeta) Chunk(leafIndex int) *ChunkMeta {
+	for i := range rg.Chunks {
+		if rg.Chunks[i].LeafIndex == leafIndex {
+			return &rg.Chunks[i]
+		}
+	}
+	return nil
+}
+
 // FileMeta is the footer payload (Fig 3: file metadata + row group
 // metadata).
 type FileMeta struct {

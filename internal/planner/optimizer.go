@@ -437,12 +437,14 @@ func pushAggregationThroughUnion(n Node) Node {
 
 // pushAggregationIntoScan absorbs Aggregate(TableScan) into connectors that
 // implement AggregationPushdown (§IV.B): Druid/Pinot-style stores execute
-// the aggregation natively and only aggregated rows stream into the engine.
-// A PARTIAL (one side of a split union) is absorbed too when every aggregate's
-// intermediate type is its final type — count, sum, min, max: the connector
-// runs the aggregation it always ran and the FINAL above merges it. avg, whose
-// intermediate is a (sum, count) pair, stays an engine-side partial over the
-// scan.
+// the aggregation natively, hive answers it from its footers, and only
+// aggregated rows stream into the engine. A PARTIAL (one side of a split
+// union) is absorbed too when every aggregate's intermediate type is its
+// final type — count, sum, min, max: the connector runs the aggregation it
+// always ran and the FINAL above merges it. avg, whose intermediate is a
+// (sum, count) pair, stays an engine-side partial over the scan. A connector
+// that answers per split gets a SINGLE aggregate as its PARTIAL, under the
+// FINAL that merges the splits.
 func (o *Optimizer) pushAggregationIntoScan(n Node) Node {
 	agg, ok := n.(*Aggregate)
 	if !ok || agg.Step == AggFinal {
@@ -475,9 +477,13 @@ func (o *Optimizer) pushAggregationIntoScan(n Node) Node {
 	if !ok {
 		return n
 	}
+	mergeable := true // each partial row is a valid input of the FINAL
+	for _, a := range agg.Aggs {
+		mergeable = mergeable && a.InterType.Equals(a.FinalType)
+	}
 	var specs []connector.AggregateSpec
 	for _, a := range agg.Aggs {
-		if a.Distinct || (agg.Step == AggPartial && !a.InterType.Equals(a.FinalType)) {
+		if a.Distinct || (agg.Step == AggPartial && !mergeable) {
 			return n
 		}
 		spec := connector.AggregateSpec{Function: a.FuncName, ArgColumn: -1, OutputName: a.OutputName, OutputType: a.FinalType}
@@ -502,8 +508,8 @@ func (o *Optimizer) pushAggregationIntoScan(n Node) Node {
 	for i, ch := range agg.GroupBy {
 		groupOrds[i] = mapChannel(ch)
 	}
-	newHandle, pushed := ap.PushAggregation(scan.Handle, specs, groupOrds)
-	if !pushed {
+	newHandle, perSplit, pushed := ap.PushAggregation(scan.Handle, specs, groupOrds)
+	if !pushed || (perSplit && !mergeable) {
 		return n
 	}
 	// Scan output becomes group keys then aggregate results.
@@ -520,6 +526,9 @@ func (o *Optimizer) pushAggregationIntoScan(n Node) Node {
 		descs[i] = agg.Aggs[i].describe(agg.Child)
 	}
 	ns.PushedAgg = strings.Join(descs, ", ")
+	if perSplit && agg.Step == AggSingle {
+		return FinalOver(&ns, agg)
+	}
 	return &ns
 }
 

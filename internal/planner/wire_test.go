@@ -3,6 +3,7 @@ package planner
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"prestolite/internal/connector"
@@ -165,19 +166,44 @@ func TestPlanWireRoundTrip(t *testing.T) {
 	}
 
 	handles := wireHandles(t)
-	splits := map[string]connector.Split{
-		"hive":   &hive.Split{Handle: handles["hive"].(*hive.TableHandle), Path: "/w/trips/datestr=2017-03-01/0.parquet", PartitionValues: map[string]string{"datestr": "2017-03-01", "region": "us"}},
-		"druid":  &druidconn.Split{Handle: handles["druid"].(*druidconn.TableHandle)},
-		"memory": &memory.Split{Handle: handles["memory"].(*memory.TableHandle), PageStart: 2, PageEnd: 9},
-		"mysql":  &mysql.Split{Handle: handles["mysql"].(*mysql.TableHandle)},
+	// A hive scan that absorbed a global aggregate, under the FINAL that
+	// merges its splits' partial rows.
+	hiveAggs := &hive.TableHandle{
+		Schema: "web", Table: "events_hist",
+		DataPreds: []expr.Comparison{{Column: "ts", Op: expr.OpLt, Values: []any{int64(1000000)}}},
+		Limit:     -1,
+		Aggs:      []hive.Aggregate{{Func: "count", Column: -1}, {Func: "max", Column: 0}, {Func: "min", Column: 1}, {Func: "count", Column: 2}},
 	}
-	for catalog, split := range splits {
+	bigint := types.Bigint
+	aggScan := &TableScan{Catalog: "hive", Schema: "web", Table: "events_hist", Handle: hiveAggs, PushedAgg: "n := count(*), m := max(ts)",
+		Cols: []Column{{Name: "n", Type: bigint}, {Name: "m", Type: bigint}}, ColumnOrdinals: []int{0, 1}}
+	final := FinalOver(aggScan, &Aggregate{Child: aggScan, Step: AggPartial, Aggs: []Aggregation{
+		{FuncName: "count", OutputName: "n", InterType: bigint, FinalType: bigint},
+		{FuncName: "max", Args: []int{1}, ArgTypes: []*types.Type{bigint}, OutputName: "m", InterType: bigint, FinalType: bigint},
+	}})
+	data := Encode(final)
+	if back, err := Decode(data, reg); err != nil {
+		t.Fatalf("decode:\n%s: %v", Format(final), err)
+	} else if again := Encode(back); !bytes.Equal(again, data) || Format(back) != Format(final) || !strings.Contains(Format(back), "aggregates=[count(*) max(#0) min(#1) count(#2)]") {
+		t.Errorf("the pushed aggregates do not survive the wire:\n%s\nvs\n%s", Format(back), Format(final))
+	}
+
+	splits := map[string]connector.Split{
+		"hive":            &hive.Split{Handle: handles["hive"].(*hive.TableHandle), Path: "/w/trips/datestr=2017-03-01/0.parquet", PartitionValues: map[string]string{"datestr": "2017-03-01", "region": "us"}},
+		"druid":           &druidconn.Split{Handle: handles["druid"].(*druidconn.TableHandle)},
+		"memory":          &memory.Split{Handle: handles["memory"].(*memory.TableHandle), PageStart: 2, PageEnd: 9},
+		"mysql":           &mysql.Split{Handle: handles["mysql"].(*mysql.TableHandle)},
+		"hive aggregates": &hive.Split{Handle: hiveAggs, Path: "/warehouse/web/events_hist/datestr=2017-03-01/part-00000", PartitionValues: map[string]string{"datestr": "2017-03-01"}},
+	}
+	handles["hive aggregates"] = hiveAggs
+	for name, split := range splits {
+		catalog, _, _ := strings.Cut(name, " ")
 		conn, err := reg.Get(catalog)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dec := conn.(connector.Decoder)
-		for i, v := range []connector.Encoder{handles[catalog].(connector.Encoder), split.(connector.Encoder)} {
+		for i, v := range []connector.Encoder{handles[name].(connector.Encoder), split.(connector.Encoder)} {
 			data := v.AppendWire(nil)
 			r := frame.NewReader(data)
 			var back any
@@ -187,13 +213,13 @@ func TestPlanWireRoundTrip(t *testing.T) {
 				back = dec.DecodeSplit(r)
 			}
 			if err := r.Close(); err != nil {
-				t.Fatalf("%s: %T: %v", catalog, v, err)
+				t.Fatalf("%s: %T: %v", name, v, err)
 			}
 			if !reflect.DeepEqual(back, v) {
-				t.Errorf("%s: %T read back as\n%+v, want\n%+v", catalog, v, back, v)
+				t.Errorf("%s: %T read back as\n%+v, want\n%+v", name, v, back, v)
 			}
 			if again := back.(connector.Encoder).AppendWire(nil); !bytes.Equal(again, data) {
-				t.Errorf("%s: %T does not encode back to its bytes", catalog, v)
+				t.Errorf("%s: %T does not encode back to its bytes", name, v)
 			}
 		}
 	}
