@@ -3,6 +3,7 @@ package block
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"prestolite/internal/frame"
 )
@@ -19,29 +20,55 @@ import (
 // The header frame's payload: the header as length-prefixed bytes, the
 // number of page frames, and each frame's length (frame's varints).
 
-// EncodeEnvelope builds the response that carries header and frames, each of
-// which EncodePage wrote.
-func EncodeEnvelope(header []byte, frames [][]byte) []byte {
+// Envelope is one response that carries pages, ready to be written: its
+// header frame is built, and its page frames are kept as they are. The frames
+// are never copied into one body: WriteTo writes the header frame, then each
+// page frame, so a response costs the small header and nothing else.
+type Envelope struct {
+	head   []byte // the sealed header frame
+	frames [][]byte
+	size   int
+}
+
+// NewEnvelope builds the header frame for header and frames, each of which
+// EncodePage wrote. The frames are written as they are by WriteTo, so they
+// must not change until it returns.
+func NewEnvelope(header []byte, frames [][]byte) Envelope {
 	size := 0
 	for _, f := range frames {
 		size += len(f)
 	}
-	buf := make([]byte, frame.HeaderSize, frame.HeaderSize+len(header)+10*(len(frames)+2)+size)
-	buf = frame.AppendUvarint(frame.AppendBytes(buf, header), uint64(len(frames)))
+	head := make([]byte, frame.HeaderSize, frame.HeaderSize+len(header)+10*(len(frames)+2))
+	head = frame.AppendUvarint(frame.AppendBytes(head, header), uint64(len(frames)))
 	for _, f := range frames {
-		buf = frame.AppendUvarint(buf, uint64(len(f)))
+		head = frame.AppendUvarint(head, uint64(len(f)))
 	}
-	frame.Seal(buf)
-	for _, f := range frames {
-		buf = append(buf, f...)
-	}
-	return buf
+	frame.Seal(head)
+	return Envelope{head: head, frames: frames, size: len(head) + size}
 }
 
-// ReadEnvelope checks what EncodeEnvelope wrote and returns the header and the
+// Len is the number of bytes WriteTo writes: what a response announces as
+// its Content-Length.
+func (e Envelope) Len() int { return e.size }
+
+// WriteTo writes the header frame, then the page frames as they are.
+func (e Envelope) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(e.head)
+	written := int64(n)
+	for _, f := range e.frames {
+		if err != nil {
+			break
+		}
+		n, err = w.Write(f)
+		written += int64(n)
+	}
+	return written, err
+}
+
+// ReadEnvelope checks what an Envelope wrote and returns the header and the
 // page frames, which alias body. A header frame or page frame that fails its
 // checksum, a length the body does not cover and bytes left over are errors.
-// The frames are verified, not decoded: DecodePages does that.
+// The frames are verified, not decoded: DecodePage does that, one at a time.
 func ReadEnvelope(body []byte) (header []byte, frames [][]byte, err error) {
 	payload, n, ok := frame.Next(body)
 	if !ok {

@@ -41,12 +41,18 @@ const (
 // restricted to counts and sums of small integral doubles (l_quantity is
 // 1..50), so results are bit-exact regardless of the order partial aggregates
 // merge in — which is what lets the suite assert row-exact equality even when
-// tasks are re-executed on different workers.
+// tasks are re-executed on different workers. The projection moves rows, not
+// aggregates: one page frame per file from each source task, so the results
+// responses it is fetched in carry several frames each. Each file numbers its
+// orders from 1, so it orders by every column it selects: rows that tie are
+// equal.
 var chaosQueries = []string{
 	`SELECT l_returnflag, l_linestatus, count(*) AS n, sum(l_quantity) AS q
 		FROM lineitem GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`,
 	`SELECT count(*) AS n FROM lineitem WHERE l_quantity < 25.0`,
 	`SELECT l_shipmode, count(*) AS n FROM lineitem GROUP BY l_shipmode ORDER BY l_shipmode`,
+	`SELECT l_orderkey, l_linenumber, l_quantity FROM lineitem WHERE l_quantity < 10.0
+		ORDER BY l_orderkey, l_linenumber, l_quantity`,
 }
 
 // chaosCatalogs builds a hive warehouse of TPC-H LINEITEM files over the

@@ -396,7 +396,7 @@ func (c *Coordinator) startTaskAnywhere(qs *queryState, workers []*workerClient,
 }
 
 // QueryResult is what clients receive. Over HTTP it travels as one envelope
-// (block.EncodeEnvelope): a header of Columns and Types
+// (block.Envelope): a header of Columns and Types
 // (appendStatementHeader), then Pages as they are.
 type QueryResult struct {
 	Columns []string
@@ -877,34 +877,44 @@ func (t *taskHandle) delete() {
 // task is drained to completion (through the retry/reschedule/hedging
 // machinery in retry.go) before any of its pages flow downstream, so a task
 // that dies halfway is replaced wholesale and can never leak a partial —
-// and therefore wrong — page stream into the query.
+// and therefore wrong — page stream into the query. What a drain holds is
+// the task's checked page frames as they came; each is decoded when Next
+// reaches it, and dropped as it is.
 type remoteSourceOperator struct {
 	c     *Coordinator
 	qs    *queryState
 	tasks []*taskHandle
 
 	pos     int
-	buf     []*block.Page // drained pages of tasks[pos]
-	bufPos  int
+	frames  [][]byte // drained page frames of tasks[pos]
+	next    int      // index of the frame Next decodes next
 	drained bool
 }
 
 func (o *remoteSourceOperator) Next() (*block.Page, error) {
 	for o.pos < len(o.tasks) {
 		if !o.drained {
-			pages, err := o.c.drainTask(o.qs, o.tasks, o.pos)
+			frames, err := o.c.drainTask(o.qs, o.tasks, o.pos)
 			if err != nil {
 				return nil, err
 			}
-			o.buf, o.bufPos, o.drained = pages, 0, true
+			o.frames, o.next, o.drained = frames, 0, true
 		}
-		if o.bufPos < len(o.buf) {
-			p := o.buf[o.bufPos]
-			o.bufPos++
+		if o.next < len(o.frames) {
+			f := o.frames[o.next]
+			o.frames[o.next] = nil
+			o.next++
+			// The frame passed its checksum when it was fetched, so a frame
+			// that does not decode is what the worker serves: fetching it
+			// again cannot help.
+			p, err := block.DecodePage(f)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: task %s, page %d: %w", o.tasks[o.pos].taskID, o.next-1, err)
+			}
 			return p, nil
 		}
 		o.pos++
-		o.buf, o.drained = nil, false
+		o.frames, o.drained = nil, false
 	}
 	return nil, io.EOF
 }
@@ -1043,11 +1053,11 @@ func (c *Coordinator) handleStatement(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The result's pages — fresh, or a result-cache entry's — go out as the
-	// frames they already are.
-	body := block.EncodeEnvelope(appendStatementHeader(res.Columns, res.Types), res.Pages)
+	// frames they already are, after the header frame.
+	env := block.NewEnvelope(appendStatementHeader(res.Columns, res.Types), res.Pages)
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if _, err := rw.Write(body); err != nil {
+	rw.Header().Set("Content-Length", strconv.Itoa(env.Len()))
+	if _, err := env.WriteTo(rw); err != nil {
 		c.httpWriteErrs.Inc()
 	}
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // The answer to GET /v1/task/{id}/results?page=N is one envelope
-// (block.EncodeEnvelope): a checksummed resultsHeader (in its binary form,
+// (block.Envelope): a checksummed resultsHeader (in its binary form,
 // resultsHeader.encode) followed by the page
 // frames it covers, exactly as block.EncodePage wrote them when the task
 // published its output. A response damaged in flight is an error the fetch
-// retries, never a page with other values in it.
+// retries, never a page with other values in it: every checksum is checked
+// when the response arrives, and the frames are kept as they came, to be
+// decoded one at a time as the query reads them (remoteSourceOperator).
 
 // resultsByteCap bounds the page frames of one response: every published
 // frame from the requested index on until the next would pass the cap, and
@@ -40,15 +42,15 @@ type resultsHeader struct {
 	Stats []obs.OperatorStatsSnapshot
 }
 
-// taskResults is one checked and decoded results response.
+// taskResults is one checked results response.
 type taskResults struct {
 	resultsHeader
-	pages []*block.Page
+	frames [][]byte // checked page frames, aliasing the response body
 }
 
-// encodeResults builds the response to a request for page first of a task
+// resultsEnvelope is the response to a request for page first of a task
 // whose published output is frames.
-func encodeResults(frames [][]byte, first int, finished bool, taskErr error, stats *obs.TaskStats) []byte {
+func resultsEnvelope(frames [][]byte, first int, finished bool, taskErr error, stats *obs.TaskStats) block.Envelope {
 	send := frames[min(first, len(frames)):]
 	n, size := 0, 0
 	for ; n < len(send); n++ {
@@ -64,10 +66,11 @@ func encodeResults(frames [][]byte, first int, finished bool, taskErr error, sta
 	if taskErr != nil {
 		hdr.Err = taskErr.Error()
 	}
-	return block.EncodeEnvelope(hdr.encode(), send[:n])
+	return block.NewEnvelope(hdr.encode(), send[:n])
 }
 
-// readResults checks and decodes the response to a request for page first.
+// readResults checks the response to a request for page first: the header
+// and every page frame's checksum.
 func readResults(body []byte, first int) (res taskResults, err error) {
 	raw, frames, err := block.ReadEnvelope(body)
 	if err != nil {
@@ -80,9 +83,5 @@ func readResults(body []byte, first int) (res taskResults, err error) {
 	if hdr.First != first {
 		return res, fmt.Errorf("cluster: results response starts at page %d, asked for %d", hdr.First, first)
 	}
-	pages, err := block.DecodePages(frames)
-	if err != nil {
-		return res, fmt.Errorf("cluster: results response from page %d: %w", first, err)
-	}
-	return taskResults{resultsHeader: hdr, pages: pages}, nil
+	return taskResults{resultsHeader: hdr, frames: frames}, nil
 }

@@ -26,6 +26,26 @@ type roundTripperFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripperFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
+// decodeFrames decodes fetched or drained page frames.
+func decodeFrames(t *testing.T, frames [][]byte) []*block.Page {
+	t.Helper()
+	pages, err := block.DecodePages(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pages
+}
+
+// envelopeBytes is what env writes.
+func envelopeBytes(t *testing.T, env block.Envelope) []byte {
+	t.Helper()
+	var body bytes.Buffer
+	if _, err := env.WriteTo(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Bytes()
+}
+
 // TestResultsServeManyPagesUpToTheByteCap: one GET answers with every
 // published frame from the requested index on, up to resultsByteCap — and with
 // one frame when that one alone is larger — so a task's output costs a round
@@ -68,21 +88,22 @@ func TestResultsServeManyPagesUpToTheByteCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.pages) != 2 || first.Done || first.Stats != nil {
-		t.Errorf("GET page=0: %d pages, done=%v, stats=%v; want the 2 frames that fit %d bytes, not done, no stats", len(first.pages), first.Done, first.Stats, resultsByteCap)
+	if len(first.frames) != 2 || first.Done || first.Stats != nil {
+		t.Errorf("GET page=0: %d pages, done=%v, stats=%v; want the 2 frames that fit %d bytes, not done, no stats", len(first.frames), first.Done, first.Stats, resultsByteCap)
 	}
-	if big, err := th.fetchResults(5); err != nil || len(big.pages) != 1 || big.pages[0].Count() != 4*rows {
-		t.Errorf("GET page=5 (one frame over the cap): %d pages, err %v; want that frame alone", len(big.pages), err)
+	if big, err := th.fetchResults(5); err != nil || len(big.frames) != 1 || decodeFrames(t, big.frames)[0].Count() != 4*rows {
+		t.Errorf("GET page=5 (one frame over the cap): %d pages, err %v; want that frame alone", len(big.frames), err)
 	}
-	if end, err := th.fetchResults(7); err != nil || len(end.pages) != 0 || !end.Done {
+	if end, err := th.fetchResults(7); err != nil || len(end.frames) != 0 || !end.Done {
 		t.Errorf("GET page=7 (past the end of a finished task): %+v, err %v; want done and empty", end.resultsHeader, err)
 	}
 
 	gets.Store(0)
-	pages, err := coord.drainOnce(nil, th)
+	drained, err := coord.drainOnce(nil, th)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pages := decodeFrames(t, drained)
 	if len(pages) != len(frames) {
 		t.Fatalf("drained %d pages, want %d", len(pages), len(frames))
 	}
@@ -217,7 +238,11 @@ func TestConcurrentIdenticalTasksShareFrames(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pages, err := coord.drainOnce(nil, th)
+			frames, err := coord.drainOnce(nil, th)
+			if err != nil {
+				t.Error(err)
+			}
+			pages, err := block.DecodePages(frames)
 			if err != nil {
 				t.Error(err)
 			}
@@ -238,17 +263,30 @@ func TestConcurrentIdenticalTasksShareFrames(t *testing.T) {
 	}
 }
 
+// StartGateway starts a gateway that routes every statement to the
+// coordinator at addr and returns the gateway's address. The gateway package
+// imports this one, so the external test package, which may import both,
+// sets it.
+var StartGateway func(t *testing.T, coordinator string) (addr string)
+
 // TestDamagedResponsesAreErrorsAtEveryHop: the three responses that carry
 // pages — a task's results to the coordinator, a broker's answer to the druid
-// connector, a statement's answer to the client — are one envelope, and at
-// each hop every truncation and every flipped byte of it is an error: never a
-// shorter result, never other values.
+// connector, a statement's answer to the client, directly or relayed by a
+// gateway — are one envelope, and at each hop every truncation and every
+// flipped byte of it is an error: never a shorter result, never other values.
 func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 	// serving returns a check that serves the body it is given to every
-	// request and reads it back through the hop's own client.
+	// request (and, as an idle coordinator does, an empty stats document)
+	// and reads it back through the hop's own client.
 	serving := func(read func(addr string) (rows int, err error)) func([]byte) (int, error) {
 		var body atomic.Pointer[[]byte]
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { _, _ = w.Write(*body.Load()) }))
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/stats" {
+				_, _ = io.WriteString(w, `{"Gauges":{}}`)
+				return
+			}
+			_, _ = w.Write(*body.Load())
+		}))
 		t.Cleanup(srv.Close)
 		return func(b []byte) (int, error) {
 			body.Store(&b)
@@ -300,17 +338,45 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A statement's answer, read at the URL url gives for the address of the
+	// server that serves it: that server itself, or a gateway in front of it.
+	answer := post("http://"+coord.Addr()+"/v1/statement", statement.encode())
+	readAnswer := func(url func(addr string) string) func(addr string) (int, error) {
+		return func(addr string) (int, error) {
+			res, err := PostStatement(nil, url(addr), statement, "test", "", "")
+			if err != nil {
+				return 0, err
+			}
+			rows, err := res.Rows()
+			return len(rows), err
+		}
+	}
+	if StartGateway == nil {
+		t.Fatal("StartGateway is not set")
+	}
+	var gateway string // in front of the one server the gateway hop serves from
+	gateways := func(addr string) string {
+		if gateway == "" {
+			gateway = StartGateway(t, addr)
+		}
+		return gateway
+	}
+
 	for _, hop := range []struct {
 		name string
 		body []byte
 		rows int
 		read func([]byte) (int, error)
 	}{
-		{"worker to coordinator", encodeResults([][]byte{frame, frame}, 0, true, nil, obs.NewTaskStats()), 6,
+		{"worker to coordinator", envelopeBytes(t, resultsEnvelope([][]byte{frame, frame}, 0, true, nil, obs.NewTaskStats())), 6,
 			func(b []byte) (int, error) {
 				res, err := readResults(b, 0)
+				if err != nil {
+					return 0, err
+				}
+				pages, err := block.DecodePages(res.frames)
 				n := 0
-				for _, p := range res.pages {
+				for _, p := range pages {
 					n += p.Count()
 				}
 				return n, err
@@ -327,15 +393,8 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 				}
 				return n, nil
 			})},
-		{"coordinator to client", post("http://"+coord.Addr()+"/v1/statement", statement.encode()), 80,
-			serving(func(addr string) (int, error) {
-				res, err := NewClient(addr).QueryWithSession(statement, "test", "", "")
-				if err != nil {
-					return 0, err
-				}
-				rows, err := res.Rows()
-				return len(rows), err
-			})},
+		{"coordinator to client", answer, 80, serving(readAnswer(func(addr string) string { return "http://" + addr + "/v1/statement" }))},
+		{"gateway to client", answer, 80, serving(readAnswer(func(addr string) string { return "http://" + gateways(addr) + "/v1/execute" }))},
 	} {
 		t.Run(hop.name, func(t *testing.T) {
 			if n, err := hop.read(hop.body); err != nil || n != hop.rows {
@@ -417,11 +476,11 @@ func TestResultsFetchWaitsForTheTask(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		task.finish([][]byte{frame})
 	}()
-	pages, err := coord.drainOnce(nil, handle(held, "slow"))
+	drained, err := coord.drainOnce(nil, handle(held, "slow"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pages) != 1 || pages[0].Count() != 3 {
+	if pages := decodeFrames(t, drained); len(pages) != 1 || pages[0].Count() != 3 {
 		t.Errorf("drained %d pages, want the task's one page of 3 rows", len(pages))
 	}
 	if n := gets.Load(); n != 1 {
@@ -438,8 +497,8 @@ func TestResultsFetchWaitsForTheTask(t *testing.T) {
 	if waited := time.Since(start); waited < resultsWait {
 		t.Errorf("the fetch of an unfinished task returned after %v, before the %v bound", waited, resultsWait)
 	}
-	if res.Done || len(res.pages) != 0 {
-		t.Errorf("answer at the bound: done=%v with %d pages, want not done and no pages", res.Done, len(res.pages))
+	if res.Done || len(res.frames) != 0 {
+		t.Errorf("answer at the bound: done=%v with %d pages, want not done and no pages", res.Done, len(res.frames))
 	}
 
 	// A DELETE, then the worker's Close, during the wait. On the held clock

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"prestolite/internal/block"
 )
 
 // Typed availability errors. A query that cannot make progress fails with
@@ -115,17 +113,17 @@ func (c *Coordinator) checkQuery(qs *queryState) error {
 	return nil
 }
 
-// drainTask pulls every result page of tasks[i], rescheduling the task onto
+// drainTask pulls every result page frame of tasks[i], rescheduling the task onto
 // a surviving worker (and re-draining from page zero) whenever the current
 // attempt fails. The all-or-nothing drain is what keeps results row-exact
 // under worker death: no page reaches downstream operators until one task
 // attempt has produced its complete, consistent page stream.
-func (c *Coordinator) drainTask(qs *queryState, tasks []*taskHandle, i int) ([]*block.Page, error) {
+func (c *Coordinator) drainTask(qs *queryState, tasks []*taskHandle, i int) ([][]byte, error) {
 	for {
 		th := tasks[i]
-		pages, err := c.drainOnce(qs, th)
+		frames, err := c.drainOnce(qs, th)
 		if err == nil {
-			return pages, nil
+			return frames, nil
 		}
 		if isTerminal(err) {
 			return nil, err
@@ -140,25 +138,25 @@ func (c *Coordinator) drainTask(qs *queryState, tasks []*taskHandle, i int) ([]*
 	}
 }
 
-// drainOnce fetches the complete page stream of one task attempt. A fetch
-// of an unfinished task waits on the worker, up to resultsWait, so the loop
-// asks again at once when one comes back empty.
-func (c *Coordinator) drainOnce(qs *queryState, th *taskHandle) ([]*block.Page, error) {
-	var pages []*block.Page
+// drainOnce fetches the complete page stream of one task attempt, as checked
+// page frames. A fetch of an unfinished task waits on the worker, up to
+// resultsWait, so the loop asks again at once when one comes back empty.
+func (c *Coordinator) drainOnce(qs *queryState, th *taskHandle) ([][]byte, error) {
+	var frames [][]byte
 	for {
-		res, err := c.fetchResults(qs, th, len(pages))
+		res, err := c.fetchResults(qs, th, len(frames))
 		if err != nil {
 			return nil, err
 		}
 		if res.Err != "" {
 			return nil, fmt.Errorf("cluster: task %s failed on %s: %s", th.taskID, th.worker.addr, res.Err)
 		}
-		pages = append(pages, res.pages...)
+		frames = append(frames, res.frames...)
 		if res.Done {
 			if res.Stats != nil {
 				th.setStats(res.Stats)
 			}
-			return pages, nil
+			return frames, nil
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"prestolite/internal/connector"
 	"prestolite/internal/frame"
@@ -16,7 +17,7 @@ import (
 // The documents of a statement's path, in the binary form internal/frame
 // builds: the statement a client posts (to a gateway's /v1/execute or a
 // coordinator's /v1/statement), the task a coordinator posts to a worker, and
-// the headers of the envelopes that answer them (block.EncodeEnvelope). Each
+// the headers of the envelopes that answer them (block.Envelope). Each
 // has exactly one encoding, and a reader checks every length against the
 // bytes it has before it allocates.
 
@@ -82,13 +83,40 @@ func readRequest(rw http.ResponseWriter, r *http.Request, limit int64) ([]byte, 
 	return nil, false
 }
 
-// readAll reads r whole; when its size is announced, into one buffer of that
-// size.
+// readAll reads r whole. An announced size is where the buffer is headed,
+// not what it starts at, since it comes from the peer: the buffer starts at
+// most readAllStart bytes and, each time it fills, grows to at most
+// readAllGrowth times what has arrived, never past the size. A truthful size
+// thus ends in one buffer of exactly that size (and bytes.MinRead to see the
+// end), and a peer that announces more than it sends costs memory in
+// proportion to what it sent.
 func readAll(r io.Reader, size int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, max(size, 0)+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	limit := int(min(max(size, 0), maxAnnounced)) + bytes.MinRead
+	buf := make([]byte, 0, min(limit, readAllStart))
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, max(min(limit, readAllGrowth*len(buf)), 2*len(buf))-len(buf))
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
+
+// How readAll trusts an announced size: the buffer it starts with, how many
+// times what has arrived it may grow to, and the size past which an
+// announcement is as good as none (and adding to it cannot overflow).
+// With these, an answer of up to 4 MiB costs 64 KiB more than its size.
+const (
+	readAllStart  = 64 << 10
+	readAllGrowth = 64
+	maxAnnounced  = 1 << 48
+)
 
 // A task document is the fragment's part, then the task's own. The fragment's
 // part — the encoded plan fragment and its table key — is the same for every

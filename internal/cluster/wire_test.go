@@ -6,7 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -188,5 +191,41 @@ func TestLiveStatsAreBounded(t *testing.T) {
 	serve.Store(&huge)
 	if got := th.taskStats(); got != nil {
 		t.Errorf("a %d-byte stats answer was read", len(obs.AppendSnapshots(nil, huge)))
+	}
+}
+
+// TestAnnouncedSizeIsNotAnAllocation: a peer's Content-Length says where a
+// body ends, not how much memory to set aside for it before it arrives. A
+// server announces a terabyte and sends 10 bytes; a task's results fetch and
+// a statement's post each fail, and the two allocate under 1 MiB in all. It
+// runs in a child process: a reader that trusted the header would abort the
+// process instead of failing a test.
+func TestAnnouncedSizeIsNotAnAllocation(t *testing.T) {
+	const child = "CLUSTER_ANNOUNCED_SIZE_CHILD"
+	if os.Getenv(child) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestAnnouncedSizeIsNotAnAllocation$", "-test.count=1")
+		cmd.Env = append(os.Environ(), child+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("the child process: %v\n%s", err, out[:min(len(out), 2048)])
+		}
+		return
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(1<<40))
+		_, _ = w.Write([]byte("0123456789")) // then the server closes the connection
+	}))
+	t.Cleanup(srv.Close)
+	th := &taskHandle{worker: &workerClient{addr: strings.TrimPrefix(srv.URL, "http://"), http: srv.Client()}, taskID: "t0"}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, fetchErr := th.fetchResults(0)
+	_, postErr := PostStatement(srv.Client(), srv.URL+"/v1/statement", StatementRequest{Query: "SELECT 1"}, "u", "", "")
+	runtime.ReadMemStats(&after)
+	if fetchErr == nil || postErr == nil {
+		t.Errorf("10 bytes of an announced terabyte: results fetch %v, statement post %v; want errors", fetchErr, postErr)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("reading 10 bytes of an announced terabyte twice allocated %d bytes, want under 1 MiB", alloc)
 	}
 }

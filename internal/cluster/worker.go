@@ -550,10 +550,11 @@ func (w *Worker) handleTaskResults(rw http.ResponseWriter, r *http.Request) {
 	task.mu.Unlock()
 	// Built and written with the lock released: the HTTP write can block on
 	// a slow client and must not stall the task's goroutine. The length is
-	// announced so the reader can take the body in one exact-size read.
-	body := encodeResults(frames, idx, done, taskErr, task.stats)
-	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if _, err := rw.Write(body); err != nil {
+	// announced so the reader can take the body in one exact-size read; the
+	// published frames are written as they are, after the header frame.
+	env := resultsEnvelope(frames, idx, done, taskErr, task.stats)
+	rw.Header().Set("Content-Length", strconv.Itoa(env.Len()))
+	if _, err := env.WriteTo(rw); err != nil {
 		w.httpWriteErrs.Inc()
 	}
 }

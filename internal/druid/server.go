@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 
 // Server exposes the store over HTTP (the broker endpoint a Presto-Druid
 // connector talks to). A query is a gob Query in the request body; its answer
-// is one envelope (block.EncodeEnvelope): a checksummed header, the result's
+// is one envelope (block.Envelope): a checksummed header, the result's
 // column names (frame.AppendStrings), followed by the result's pages as
 // block.EncodePage wrote them — dictionary columns stay dictionary-encoded on
 // the wire, and every byte is under a checksum.
@@ -87,25 +88,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, err := encodeResult(res)
+	env, err := encodeResult(res)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(body) // client went away mid-response; nothing to send it
+	w.Header().Set("Content-Length", strconv.Itoa(env.Len()))
+	_, _ = env.WriteTo(w) // client went away mid-response; nothing to send it
 }
 
-func encodeResult(res *Result) ([]byte, error) {
+func encodeResult(res *Result) (block.Envelope, error) {
 	frames := make([][]byte, len(res.Pages))
 	for i, p := range res.Pages {
 		f, err := block.EncodePage(p)
 		if err != nil {
-			return nil, fmt.Errorf("druid: encode result page %d: %w", i, err)
+			return block.Envelope{}, fmt.Errorf("druid: encode result page %d: %w", i, err)
 		}
 		frames[i] = f
 	}
-	return block.EncodeEnvelope(frame.AppendStrings(nil, res.Columns), frames), nil
+	return block.NewEnvelope(frame.AppendStrings(nil, res.Columns), frames), nil
 }
 
 // decodeResult checks and decodes what encodeResult wrote. Anything else — a

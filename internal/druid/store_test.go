@@ -1,6 +1,7 @@
 package druid
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -232,6 +233,20 @@ func TestHTTPServerRoundTrip(t *testing.T) {
 	}
 }
 
+// encodedResult is the body the broker answers res with.
+func encodedResult(t *testing.T, res *Result) []byte {
+	t.Helper()
+	env, err := encodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if _, err := env.WriteTo(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Bytes()
+}
+
 // TestHTTPClientRejectsDamagedResults: the client decodes frames it did not
 // write. A damaged response is an error naming the broker — never a panic,
 // never a shorter result.
@@ -240,19 +255,13 @@ func TestHTTPClientRejectsDamagedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := encodeResult(good)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := encodedResult(t, good)
 	// A header that announces the page twice, followed by the page once.
 	frame, err := block.EncodePage(good.Pages[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, err := encodeResult(&Result{Columns: good.Columns, Pages: []*block.Page{good.Pages[0], good.Pages[0]}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	twice := encodedResult(t, &Result{Columns: good.Columns, Pages: []*block.Page{good.Pages[0], good.Pages[0]}})
 	flip := func(i int) []byte {
 		out := append([]byte(nil), body...)
 		out[i] ^= 0x40

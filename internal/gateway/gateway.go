@@ -76,6 +76,10 @@ const defaultLoadTTL = 250 * time.Millisecond
 // exactly one attempt.
 const resubmitBudget = 3
 
+// maxErrorBytes bounds what /v1/execute reads and relays of a coordinator's
+// answer that is not a result: its error text.
+const maxErrorBytes = 4096
+
 // breakerThreshold is the consecutive-failure count that opens a cluster's
 // circuit.
 const breakerThreshold = 3
@@ -500,6 +504,11 @@ func IsIdempotentStatement(query string) bool {
 // resubmitBudget. Only idempotent statements resubmit; failures trip the
 // per-cluster circuit breaker so a down cluster stops consuming budget.
 //
+// A 200 answer is relayed as it arrives, not read whole first, so
+// resubmission ends where the answer starts: a coordinator that dies in the
+// middle of one aborts the client's connection (a transport error, never a
+// shorter answer) and counts against its breaker.
+//
 // The §XII.B lesson that a proxying gateway becomes the bottleneck is why
 // /v1/statement (redirect) stays the default path; /v1/execute is for
 // clients that want the gateway to absorb rolling restarts for them.
@@ -529,7 +538,7 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 			g.resubmissions.Inc()
 		}
 		br := g.breakerFor(addr)
-		status, hdr, respBody, err := g.forward(addr, body, user, group, session)
+		resp, err := g.forward(addr, body, user, group, session)
 		if err != nil {
 			// Transport failure: the coordinator process is gone or
 			// unreachable. Trip the breaker and resubmit elsewhere.
@@ -537,28 +546,37 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 			lastErr = fmt.Errorf("cluster %s: %w", addr, err)
 			continue
 		}
-		if status == http.StatusOK {
+		if resp.StatusCode == http.StatusOK {
+			err := relay(w, resp)
+			_ = resp.Body.Close() // read to its end or to its error; relay decided
+			if err != nil {
+				// The answer's first bytes may have gone out: the client can
+				// be given no other answer, and a short one must not read as
+				// one. Abort the connection, so the client sees a transport
+				// error, and blame the cluster.
+				br.Failure()
+				panic(http.ErrAbortHandler)
+			}
 			br.Success()
-			w.Header().Set("Content-Type", hdr.Get("Content-Type"))
-			w.Header().Set("Content-Length", strconv.Itoa(len(respBody)))
-			_, _ = w.Write(respBody) // best-effort: client hung up mid-result
 			return
 		}
-		if status == http.StatusServiceUnavailable && hdr.Get("X-Presto-Retryable") == "true" {
+		detail, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBytes)) // best-effort error detail
+		_ = resp.Body.Close()                                             // the rest of an error body is dropped
+		if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("X-Presto-Retryable") == "true" {
 			// The coordinator refused for availability reasons (drain, no
 			// active worker): safe to replay verbatim on the next cluster.
 			br.Failure()
-			lastErr = fmt.Errorf("cluster %s: %s", addr, strings.TrimSpace(string(respBody)))
+			lastErr = fmt.Errorf("cluster %s: %s", addr, strings.TrimSpace(string(detail)))
 			continue
 		}
 		// The coordinator answered with a verdict on the statement itself
-		// (planning error, admission 429): relay it verbatim — resubmitting
-		// would not change it, and it is not the cluster's fault.
-		if ra := hdr.Get("Retry-After"); ra != "" {
+		// (planning error, admission 429): relay it — resubmitting would not
+		// change it, and it is not the cluster's fault.
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			w.Header().Set("Retry-After", ra)
 		}
-		w.WriteHeader(status)
-		_, _ = w.Write(respBody) // best-effort error relay
+		w.WriteHeader(resp.StatusCode)
+		_, _ = w.Write(detail) // best-effort error relay
 		return
 	}
 	w.Header().Set("Retry-After", "1")
@@ -597,11 +615,12 @@ func (g *Gateway) executeTarget(user, group, session string, tried map[string]bo
 	return addr, err
 }
 
-// forward replays the statement document against one coordinator.
-func (g *Gateway) forward(addr string, body []byte, user, group, session string) (int, http.Header, []byte, error) {
+// forward replays the statement document against one coordinator. The
+// caller closes the response's body.
+func (g *Gateway) forward(addr string, body []byte, user, group, session string) (*http.Response, error) {
 	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/statement", bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set("X-Presto-User", user)
@@ -609,16 +628,35 @@ func (g *Gateway) forward(addr string, body []byte, user, group, session string)
 	if session != "" {
 		req.Header.Set("X-Presto-Session", session)
 	}
-	resp, err := g.stmtHTTP.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
+	return g.stmtHTTP.Do(req)
+}
+
+// relay copies a coordinator's answer to the client as it arrives, with the
+// length the coordinator announced, so the gateway holds a copy buffer of
+// the answer and never all of it. It returns the error of reading the
+// answer; a client that hangs up is not the cluster's fault.
+func relay(w http.ResponseWriter, resp *http.Response) error {
+	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, nil, err
+	src := &answerReader{r: resp.Body}
+	_, _ = io.Copy(w, src) // a failed write is the client's; src keeps a failed read
+	return src.err
+}
+
+// answerReader keeps the error of reading a coordinator's answer.
+type answerReader struct {
+	r   io.Reader
+	err error
+}
+
+func (a *answerReader) Read(p []byte) (int, error) {
+	n, err := a.r.Read(p)
+	if err != nil && err != io.EOF {
+		a.err = err
 	}
-	return resp.StatusCode, resp.Header, respBody, nil
+	return n, err
 }
 
 // Client executes statements through the gateway's proxying /v1/execute
