@@ -1,13 +1,16 @@
 // Package cache implements the caching layer of §VII: one generic LRU
 // (count cap, TTL, shareable byte budget, hit/miss metrics) and the tiers
 // that are thin instances of it here — the coordinator-side file list cache
-// (sealed directories only, §VII.A), the worker-side file handle + footer
-// cache (§VII.B) and the sharded chunk cache.
+// (sealed directories only, §VII.A), the worker-side footer cache (§VII.B)
+// and the sharded chunk cache. The three storage tiers key by identity, not
+// by name: a listing by its partition's metastore version, a footer and a
+// chunk by the stamp their file was listed with. What changes gets a new key,
+// so nothing here is ever invalidated; capacity bounds evict what is no
+// longer addressed.
 package cache
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +21,8 @@ import (
 )
 
 // Metrics counts cache effectiveness; experiments read these to reproduce
-// the "listFile calls reduced to less than 40%" and "90% of getFileInfo
-// calls reduced" results. Every LRU built on the same Metrics (NewSizedLRU)
+// the "listFile calls reduced to less than 40%" result and the footer reads
+// the footer cache saves. Every LRU built on the same Metrics (NewSizedLRU)
 // shares its counters and its byte budget.
 type Metrics struct {
 	Hits      atomic.Int64
@@ -164,31 +167,6 @@ func (c *LRU[K, V]) removeLocked(el *list.Element) {
 	c.Metrics.Bytes.Add(-entry.size)
 }
 
-// Invalidate drops a key.
-func (c *LRU[K, V]) Invalidate(key K) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeLocked(el)
-	}
-}
-
-// InvalidateFunc drops every entry whose key matches pred and returns the
-// number dropped. Used for prefix invalidation when an ingest or seal event
-// touches a directory: every path-derived key under it must go.
-func (c *LRU[K, V]) InvalidateFunc(pred func(K) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for key, el := range c.items {
-		if pred(key) {
-			c.removeLocked(el)
-			dropped++
-		}
-	}
-	return dropped
-}
-
 // Len returns the current entry count.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
@@ -202,89 +180,79 @@ func (c *LRU[K, V]) SetClock(clk fault.Clock) { c.clock = clk }
 // ---------------------------------------------------------------------------
 // File list cache (§VII.A): the coordinator caches directory listings to
 // avoid listFile RPCs against the NameNode. Only sealed directories are
-// cached; open partitions (near-real-time ingestion keeps writing files)
-// bypass the cache to guarantee data freshness.
+// cached, each under the metastore version its partition was registered at:
+// a partition registered again is listed again. Open partitions
+// (near-real-time ingestion keeps writing files) bypass the cache to
+// guarantee data freshness.
 
 // FileListCache fronts FileSystem.ListFiles.
 type FileListCache struct {
 	fs  fsys.FileSystem
-	lru *LRU[string, []fsys.FileInfo]
+	lru *LRU[listingKey, []fsys.FileInfo]
 
 	// Metrics includes bypasses for open partitions.
 	Metrics *Metrics
 }
 
+type listingKey struct {
+	dir     string
+	version int64
+}
+
 // NewFileListCache wraps fs.
-func NewFileListCache(fs fsys.FileSystem, capacity int, ttl time.Duration) *FileListCache {
-	lru := NewLRU[string, []fsys.FileInfo](capacity, ttl)
+func NewFileListCache(fs fsys.FileSystem, capacity int) *FileListCache {
+	lru := NewLRU[listingKey, []fsys.FileInfo](capacity, 0)
 	return &FileListCache{fs: fs, lru: lru, Metrics: lru.Metrics}
 }
 
-// List lists dir. sealed=false (open partition) always goes to the
-// filesystem and is never cached.
-func (c *FileListCache) List(dir string, sealed bool) ([]fsys.FileInfo, error) {
+// List lists dir, a partition registered at version. sealed=false (open
+// partition) always goes to the filesystem and is never cached.
+func (c *FileListCache) List(dir string, version int64, sealed bool) ([]fsys.FileInfo, error) {
 	if !sealed {
 		c.Metrics.Bypasses.Add(1)
 		return c.fs.ListFiles(dir)
 	}
-	if files, ok := c.lru.Get(dir); ok {
+	k := listingKey{dir, version}
+	if files, ok := c.lru.Get(k); ok {
 		return files, nil
 	}
 	files, err := c.fs.ListFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	c.lru.Put(dir, files)
+	c.lru.Put(k, files)
 	return files, nil
 }
 
-// Invalidate drops a directory (called when a partition is rewritten).
-func (c *FileListCache) Invalidate(dir string) { c.lru.Invalidate(dir) }
-
-// InvalidatePrefix drops every cached listing under prefix. Seal and ingest
-// events fire this so a just-sealed partition's listing is re-read instead of
-// served stale until TTL.
-func (c *FileListCache) InvalidatePrefix(prefix string) int {
-	return c.lru.InvalidateFunc(func(dir string) bool { return strings.HasPrefix(dir, prefix) })
-}
-
 // ---------------------------------------------------------------------------
-// File handle + footer cache (§VII.B): workers cache file descriptors
-// (avoiding getFileInfo calls) and the decoded footers, which have a very
-// high hit rate "as they are the indexes to the data itself".
+// Footer cache (§VII.B): workers cache the decoded footers, which have a very
+// high hit rate "as they are the indexes to the data itself". A footer is
+// keyed by its file's path and the stamp the file was listed with, so a file
+// written again is a miss, never the old footer.
 
-// FooterCache caches per-path file metadata and footer payloads.
+// FooterCache caches footer payloads by (path, stamp).
 type FooterCache[F any] struct {
-	infos   *LRU[string, fsys.FileInfo]
-	footers *LRU[string, F]
+	footers *LRU[FileID, F]
 
-	// InfoMetrics and FooterMetrics expose the two hit rates separately.
-	InfoMetrics   *Metrics
-	FooterMetrics *Metrics
+	Metrics *Metrics
 }
 
-// NewFooterCache creates a worker-side cache.
-func NewFooterCache[F any](capacity int, ttl time.Duration) *FooterCache[F] {
-	infos, footers := NewLRU[string, fsys.FileInfo](capacity, ttl), NewLRU[string, F](capacity, ttl)
-	return &FooterCache[F]{infos: infos, footers: footers, InfoMetrics: infos.Metrics, FooterMetrics: footers.Metrics}
+// FileID is one version of one file: its path and the stamp a listing gave
+// it (fsys.FileInfo).
+type FileID struct {
+	Path  string
+	Stamp int64
 }
 
-// GetFileInfo stats through the cache.
-func (c *FooterCache[F]) GetFileInfo(fs fsys.FileSystem, path string) (fsys.FileInfo, error) {
-	if info, ok := c.infos.Get(path); ok {
-		return info, nil
-	}
-	info, err := fs.GetFileInfo(path)
-	if err != nil {
-		return fsys.FileInfo{}, err
-	}
-	c.infos.Put(path, info)
-	return info, nil
+// NewFooterCache creates a worker-side cache of at most capacity footers.
+func NewFooterCache[F any](capacity int) *FooterCache[F] {
+	footers := NewLRU[FileID, F](capacity, 0)
+	return &FooterCache[F]{footers: footers, Metrics: footers.Metrics}
 }
 
 // GetFooter loads a footer through the cache.
-func (c *FooterCache[F]) GetFooter(path string, load func() (F, error)) (F, error) {
-	if f, ok := c.footers.Get(path); ok {
+func (c *FooterCache[F]) GetFooter(id FileID, load func() (F, error)) (F, error) {
+	if f, ok := c.footers.Get(id); ok {
 		return f, nil
 	}
 	f, err := load()
@@ -292,13 +260,6 @@ func (c *FooterCache[F]) GetFooter(path string, load func() (F, error)) (F, erro
 		var zero F
 		return zero, err
 	}
-	c.footers.Put(path, f)
+	c.footers.Put(id, f)
 	return f, nil
-}
-
-// InvalidatePrefix drops every info and footer entry whose path starts with
-// prefix (a table or partition directory being rewritten or sealed).
-func (c *FooterCache[F]) InvalidatePrefix(prefix string) int {
-	pred := func(path string) bool { return strings.HasPrefix(path, prefix) }
-	return c.infos.InvalidateFunc(pred) + c.footers.InvalidateFunc(pred)
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -27,10 +28,6 @@ func TestLRUBasics(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("len = %d", c.Len())
-	}
-	c.Invalidate("a")
-	if _, ok := c.Get("a"); ok {
-		t.Error("a should be invalidated")
 	}
 	// Update existing key.
 	c.Put("c", 30)
@@ -74,10 +71,9 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-// countingFS counts ListFiles/GetFileInfo calls.
+// countingFS counts ListFiles calls.
 type countingFS struct {
 	lists int
-	infos int
 	fail  bool
 }
 
@@ -89,19 +85,15 @@ func (f *countingFS) ListFiles(dir string) ([]fsys.FileInfo, error) {
 	return []fsys.FileInfo{{Path: dir + "/f1", Size: 1}}, nil
 }
 func (f *countingFS) Open(path string) (fsys.File, error) { return &fsys.BytesFile{}, nil }
-func (f *countingFS) GetFileInfo(path string) (fsys.FileInfo, error) {
-	f.infos++
-	return fsys.FileInfo{Path: path, Size: 1}, nil
-}
 func (f *countingFS) Create(path string) (io.WriteCloser, error) {
 	return nil, errors.New("read only")
 }
 
 func TestFileListCacheSealedVsOpen(t *testing.T) {
 	fs := &countingFS{}
-	c := NewFileListCache(fs, 16, time.Minute)
+	c := NewFileListCache(fs, 16)
 	for i := 0; i < 5; i++ {
-		if _, err := c.List("/sealed", true); err != nil {
+		if _, err := c.List("/sealed", 1, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +101,7 @@ func TestFileListCacheSealedVsOpen(t *testing.T) {
 		t.Errorf("sealed dir listed %d times, want 1", fs.lists)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := c.List("/open", false); err != nil {
+		if _, err := c.List("/open", 1, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,43 +113,37 @@ func TestFileListCacheSealedVsOpen(t *testing.T) {
 	}
 	// Errors are not cached.
 	fs.fail = true
-	if _, err := c.List("/other", true); err == nil {
+	if _, err := c.List("/other", 1, true); err == nil {
 		t.Error("error should propagate")
 	}
-	// Invalidation forces a reload.
+	// The partition registered again (a new metastore version) is listed
+	// again; the old version's listing is no longer addressed.
 	fs.fail = false
-	c.Invalidate("/sealed")
-	c.List("/sealed", true)
-	if fs.lists != 8 { // 6 + failed /other + reload
+	c.List("/sealed", 2, true)
+	c.List("/sealed", 2, true)
+	if fs.lists != 8 { // 6 + failed /other + version 2
 		t.Errorf("lists = %d", fs.lists)
 	}
 }
 
 func TestFooterCache(t *testing.T) {
-	fs := &countingFS{}
-	c := NewFooterCache[string](16, time.Minute)
-	for i := 0; i < 4; i++ {
-		if _, err := c.GetFileInfo(fs, "/f"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fs.infos != 1 {
-		t.Errorf("getFileInfo called %d times", fs.infos)
-	}
+	c := NewFooterCache[string](16)
 	loads := 0
 	for i := 0; i < 4; i++ {
-		v, err := c.GetFooter("/f", func() (string, error) {
+		// The same path written again lists with a new stamp: a new footer.
+		stamp := int64(i / 2)
+		v, err := c.GetFooter(FileID{"/f", stamp}, func() (string, error) {
 			loads++
-			return "footer", nil
+			return fmt.Sprint("footer@", stamp), nil
 		})
-		if err != nil || v != "footer" {
+		if want := fmt.Sprint("footer@", stamp); err != nil || v != want {
 			t.Fatal(v, err)
 		}
 	}
-	if loads != 1 {
-		t.Errorf("footer loaded %d times", loads)
+	if loads != 2 {
+		t.Errorf("footer loaded %d times, want once per stamp", loads)
 	}
-	if _, err := c.GetFooter("/bad", func() (string, error) { return "", errors.New("io") }); err == nil {
+	if _, err := c.GetFooter(FileID{Path: "/bad"}, func() (string, error) { return "", errors.New("io") }); err == nil {
 		t.Error("load error should propagate")
 	}
 }

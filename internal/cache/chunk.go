@@ -3,16 +3,18 @@ package cache
 import (
 	"hash/fnv"
 	"math"
-	"strings"
 )
 
-// ChunkKey identifies one decompressed parquet column chunk: the file, the
-// leaf column, the row group within the file, and whether the bytes are the
-// chunk's dictionary page or its data pages. This mirrors the Alluxio local
-// cache's page keys: caching below the decoder but above the filesystem, so
-// a hit skips both the ReadAt and the decompression.
+// ChunkKey identifies one decompressed parquet column chunk: the file (its
+// path and the stamp it was listed with), the leaf column, the row group
+// within the file, and whether the bytes are the chunk's dictionary page or
+// its data pages. This mirrors the Alluxio local cache's page keys: caching
+// below the decoder but above the filesystem, so a hit skips both the ReadAt
+// and the decompression. A file written again has a new stamp and so new
+// keys; its old chunks age out.
 type ChunkKey struct {
 	Path     string
+	Stamp    int64
 	Column   string
 	RowGroup int
 	Dict     bool
@@ -50,6 +52,8 @@ func NewChunkCache(maxBytes int64) *ChunkCache {
 	return c
 }
 
+// shard picks k's shard by everything but the stamp: every version of a
+// chunk lands in the same shard.
 func (c *ChunkCache) shard(k ChunkKey) *LRU[ChunkKey, []byte] {
 	h := fnv.New64a()
 	h.Write([]byte(k.Path))
@@ -82,24 +86,13 @@ func (c *ChunkCache) Put(k ChunkKey, body []byte) {
 // interface without parquet importing this package.
 
 // GetChunk implements parquet.ChunkCache.
-func (c *ChunkCache) GetChunk(path, column string, rowGroup int, dict bool) ([]byte, bool) {
-	return c.Get(ChunkKey{Path: path, Column: column, RowGroup: rowGroup, Dict: dict})
+func (c *ChunkCache) GetChunk(path string, stamp int64, column string, rowGroup int, dict bool) ([]byte, bool) {
+	return c.Get(ChunkKey{Path: path, Stamp: stamp, Column: column, RowGroup: rowGroup, Dict: dict})
 }
 
 // PutChunk implements parquet.ChunkCache.
-func (c *ChunkCache) PutChunk(path, column string, rowGroup int, dict bool, body []byte) {
-	c.Put(ChunkKey{Path: path, Column: column, RowGroup: rowGroup, Dict: dict}, body)
-}
-
-// InvalidatePrefix drops every chunk whose path starts with prefix and
-// returns the count. Fired when ingest/seal/compaction rewrites files under
-// a table or partition directory.
-func (c *ChunkCache) InvalidatePrefix(prefix string) int {
-	dropped := 0
-	for _, s := range c.shards {
-		dropped += s.InvalidateFunc(func(k ChunkKey) bool { return strings.HasPrefix(k.Path, prefix) })
-	}
-	return dropped
+func (c *ChunkCache) PutChunk(path string, stamp int64, column string, rowGroup int, dict bool, body []byte) {
+	c.Put(ChunkKey{Path: path, Stamp: stamp, Column: column, RowGroup: rowGroup, Dict: dict}, body)
 }
 
 // Len returns the total entry count across shards.

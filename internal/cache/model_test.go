@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -78,17 +77,6 @@ func (m *model[K, V]) put(l int, key K, value V, size int64) {
 	}
 }
 
-func (m *model[K, V]) invalidate(l int, pred func(K) bool) int {
-	dropped := 0
-	for i := len(m.lists[l]) - 1; i >= 0; i-- {
-		if pred(m.lists[l][i].key) {
-			m.remove(l, i)
-			dropped++
-		}
-	}
-	return dropped
-}
-
 // check compares the counters every LRU of the group shares with the model's.
 func (m *model[K, V]) check(t *testing.T, step int, got *Metrics) {
 	t.Helper()
@@ -102,7 +90,7 @@ func (m *model[K, V]) check(t *testing.T, step int, got *Metrics) {
 	}
 }
 
-// TestLRUMatchesModel drives seeded random Get/Put/Invalidate*/clock-advance
+// TestLRUMatchesModel drives seeded random Get/Put/clock-advance
 // sequences through two LRUs sharing one byte budget (as the chunk-cache
 // shards do) and through the reference model, asserting after every step that
 // results, lengths and counters agree, that neither LRU exceeds its count cap,
@@ -138,25 +126,12 @@ func TestLRUMatchesModel(t *testing.T) {
 				if got != want || ok != wantOK {
 					t.Fatalf("seed %d step %d: Get(%d) = %d, %v; model says %d, %v", seed, step, key, got, ok, want, wantOK)
 				}
-			case op < 15:
+			case op < 18:
 				size := int64(rng.Intn(90)) // a few of these alone approach the budget
 				lrus[l].PutSized(key, step, size)
 				m.put(l, key, step, size)
 				if n := lrus[l].Len(); n > 1 && shared.Bytes.Load() > budget {
 					t.Fatalf("seed %d step %d: %d resident bytes over budget %d with %d entries left to evict", seed, step, shared.Bytes.Load(), budget, n)
-				}
-			case op < 16:
-				lrus[l].Invalidate(key)
-				m.invalidate(l, func(k int) bool { return k == key })
-			case op < 17:
-				pred := func(k int) bool { return k%3 == key%3 }
-				if got, want := lrus[l].InvalidateFunc(pred), m.invalidate(l, pred); got != want {
-					t.Fatalf("seed %d step %d: InvalidateFunc dropped %d, model says %d", seed, step, got, want)
-				}
-			case op < 18:
-				all := func(int) bool { return true }
-				if got, want := lrus[l].InvalidateFunc(all), m.invalidate(l, all); got != want {
-					t.Fatalf("seed %d step %d: invalidate-all dropped %d, model says %d", seed, step, got, want)
 				}
 			default:
 				clk.Advance(time.Duration(rng.Intn(40)) * time.Second)
@@ -175,7 +150,8 @@ func TestLRUMatchesModel(t *testing.T) {
 // shards picked by the key hash, bodies above a sixteenth of the budget
 // bypassed and counted, eviction from the inserting shard while the shared
 // total is over budget. The working set is several times the budget, so
-// most Puts evict.
+// most Puts evict; files come in two stamps, as rewritten files do, and a
+// stamp's chunks are never served for the other's.
 func TestChunkCacheMatchesModel(t *testing.T) {
 	const (
 		budget = 16 * 1024
@@ -199,33 +175,24 @@ func TestChunkCacheMatchesModel(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			k := ChunkKey{
 				Path:     fmt.Sprintf("/warehouse/t%d/part-%d.parquet", rng.Intn(2), rng.Intn(6)),
+				Stamp:    int64(rng.Intn(2)),
 				Column:   fmt.Sprintf("c%d", rng.Intn(4)),
 				RowGroup: rng.Intn(3),
 				Dict:     rng.Intn(4) == 0,
 			}
-			switch op := rng.Intn(20); {
-			case op < 9:
+			if rng.Intn(20) < 9 {
 				got, ok := cc.Get(k)
 				want, wantOK := m.get(shardOf(k), k)
 				if ok != wantOK || len(got) != len(want) || (len(got) > 0 && &got[0] != &want[0]) {
 					t.Fatalf("seed %d step %d: Get(%+v) = %d bytes, %v; model says %d bytes, %v", seed, step, k, len(got), ok, len(want), wantOK)
 				}
-			case op < 19:
+			} else {
 				body := make([]byte, rng.Intn(budget/chunkShards+200)) // the top ~200 sizes bypass
 				cc.Put(k, body)
 				if len(body) > budget/chunkShards {
 					bypasses++
 				} else {
 					m.put(shardOf(k), k, body, int64(len(body)))
-				}
-			default:
-				prefix := fmt.Sprintf("/warehouse/t%d/part-%d", rng.Intn(2), rng.Intn(6))
-				want := 0
-				for i := range m.lists {
-					want += m.invalidate(i, func(k ChunkKey) bool { return strings.HasPrefix(k.Path, prefix) })
-				}
-				if got := cc.InvalidatePrefix(prefix); got != want {
-					t.Fatalf("seed %d step %d: InvalidatePrefix dropped %d, model says %d", seed, step, got, want)
 				}
 			}
 			entries := 0

@@ -9,10 +9,22 @@ import (
 	"prestolite/internal/fault"
 )
 
-// TestLRUConcurrentStress hammers one LRU from parallel readers, writers and
-// invalidators. Run under -race this is the memory-safety proof for the
-// shared coordinator/worker caches; the final Len bound proves capacity is
-// never exceeded regardless of interleaving.
+// residentBytes sums the sizes of the entries c holds, walking them under
+// its lock: what Metrics.Bytes must say when no operation is in flight.
+func residentBytes[K comparable, V any](c *LRU[K, V]) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		sum += el.Value.(*lruEntry[K, V]).size
+	}
+	return sum
+}
+
+// TestLRUConcurrentStress hammers one LRU from parallel readers and
+// writers. Run under -race this is the memory-safety proof for the shared
+// coordinator/worker caches; the final Len bound proves capacity is never
+// exceeded regardless of interleaving.
 func TestLRUConcurrentStress(t *testing.T) {
 	const (
 		workers = 8
@@ -28,19 +40,10 @@ func TestLRUConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				k := fmt.Sprintf("k%d", (w*31+i)%keys)
-				switch i % 4 {
-				case 0, 1:
-					c.Get(k)
-				case 2:
+				if i%4 == 2 {
 					c.Put(k, i)
-				case 3:
-					if i%64 == 3 {
-						c.Invalidate(k)
-					} else if i%512 == 7 {
-						c.InvalidateFunc(func(key string) bool { return key < "k2" })
-					} else {
-						c.Get(k)
-					}
+				} else {
+					c.Get(k)
 				}
 			}
 		}(w)
@@ -55,17 +58,19 @@ func TestLRUConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestChunkCacheConcurrentStress runs parallel GetChunk/PutChunk/Invalidate
-// against the sharded chunk cache, then checks the byte accounting is exact:
-// after a full InvalidatePrefix sweep the resident byte counter must return
-// to zero — any drift means an eviction or invalidation leaked its size.
+// TestChunkCacheConcurrentStress runs parallel GetChunk/PutChunk against the
+// sharded chunk cache — bodies of several sizes, files under several stamps
+// as rewritten files list, a budget small enough that most puts evict — then
+// checks the byte accounting is exact: the resident byte counter equals the
+// sizes the shards hold, within the budget. Any drift means an eviction or a
+// replaced entry leaked its size.
 func TestChunkCacheConcurrentStress(t *testing.T) {
 	const (
 		workers = 8
 		ops     = 2000
 	)
-	c := NewChunkCache(1 << 20) // 1 MiB, small enough to force evictions
-	body := make([]byte, 2048)
+	const budget = 256 << 10 // small enough to force evictions
+	c := NewChunkCache(budget)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -73,35 +78,29 @@ func TestChunkCacheConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				path := fmt.Sprintf("/warehouse/t%d/part-%d.parquet", w%2, i%40)
-				col := fmt.Sprintf("c%d", i%4)
-				switch i % 3 {
-				case 0:
-					if b, ok := c.GetChunk(path, col, i%8, false); ok && len(b) != len(body) {
-						t.Errorf("corrupt body length %d", len(b))
-						return
-					}
-				case 1:
-					c.PutChunk(path, col, i%8, i%16 == 1, body)
-				case 2:
-					if i%128 == 2 {
-						c.InvalidatePrefix(fmt.Sprintf("/warehouse/t%d/", w%2))
-					} else {
-						c.GetChunk(path, col, i%8, false)
-					}
+				stamp, col := int64(i/3%3), fmt.Sprintf("c%d", i%4)
+				// A body's size is a function of its key, so a hit shows
+				// whether it came back whole.
+				size := 1024 * (1 + int(stamp) + i%4)
+				if i%3 == 1 {
+					c.PutChunk(path, stamp, col, i%8, i%16 == 1, make([]byte, size))
+				} else if b, ok := c.GetChunk(path, stamp, col, i%8, i%16 == 1); ok && len(b) != size {
+					t.Errorf("corrupt body length %d, want %d", len(b), size)
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Metrics.Bytes.Load() < 0 {
-		t.Errorf("negative resident bytes %d", c.Metrics.Bytes.Load())
+	var held int64
+	for _, s := range c.shards {
+		held += residentBytes(s)
 	}
-	c.InvalidatePrefix("/")
-	if c.Len() != 0 {
-		t.Errorf("len %d after full invalidation", c.Len())
+	if got := c.Metrics.Bytes.Load(); got != held || got > budget {
+		t.Errorf("resident bytes counter %d, shards hold %d (budget %d)", got, held, budget)
 	}
-	if c.Metrics.Bytes.Load() != 0 {
-		t.Errorf("resident bytes %d after full invalidation, want 0", c.Metrics.Bytes.Load())
+	if c.Metrics.Evictions.Load() == 0 {
+		t.Error("the run evicted nothing: the budget was never under pressure")
 	}
 }
 
@@ -111,27 +110,30 @@ func TestChunkCacheConcurrentStress(t *testing.T) {
 func TestChunkCacheBasics(t *testing.T) {
 	c := NewChunkCache(16 * 4096)
 	body := []byte("decompressed-bytes")
-	c.PutChunk("/t/f1", "col", 0, false, body)
-	if got, ok := c.GetChunk("/t/f1", "col", 0, false); !ok || string(got) != string(body) {
+	c.PutChunk("/t/f1", 7, "col", 0, false, body)
+	if got, ok := c.GetChunk("/t/f1", 7, "col", 0, false); !ok || string(got) != string(body) {
 		t.Fatalf("miss after put: %q %v", got, ok)
 	}
-	if _, ok := c.GetChunk("/t/f1", "col", 0, true); ok {
+	if _, ok := c.GetChunk("/t/f1", 7, "col", 0, true); ok {
 		t.Error("dict page must not alias data page")
 	}
-	if _, ok := c.GetChunk("/t/f1", "col", 1, false); ok {
+	if _, ok := c.GetChunk("/t/f1", 7, "col", 1, false); ok {
 		t.Error("row groups must not alias")
+	}
+	if _, ok := c.GetChunk("/t/f1", 8, "col", 0, false); ok {
+		t.Error("the file written again (a new stamp) must not alias the old one")
 	}
 	// A body larger than a whole shard's budget is refused, not cached.
 	huge := make([]byte, 16*4096)
-	c.PutChunk("/t/huge", "col", 0, false, huge)
-	if _, ok := c.GetChunk("/t/huge", "col", 0, false); ok {
+	c.PutChunk("/t/huge", 7, "col", 0, false, huge)
+	if _, ok := c.GetChunk("/t/huge", 7, "col", 0, false); ok {
 		t.Error("oversized body should bypass the cache")
 	}
 	if c.Metrics.Bypasses.Load() == 0 {
 		t.Error("bypass not counted")
 	}
-	if n := c.InvalidatePrefix("/t/"); n != 1 {
-		t.Errorf("invalidated %d, want 1", n)
+	if n := c.Len(); n != 1 {
+		t.Errorf("len %d, want 1", n)
 	}
 }
 
@@ -141,7 +143,7 @@ func TestChunkCacheEviction(t *testing.T) {
 	c := NewChunkCache(32 * 1024)
 	body := make([]byte, 1024)
 	for i := 0; i < 256; i++ {
-		c.PutChunk("/t/f", fmt.Sprintf("c%d", i), 0, false, body)
+		c.PutChunk("/t/f", 1, fmt.Sprintf("c%d", i), 0, false, body)
 	}
 	if c.Metrics.Bytes.Load() > 32*1024 {
 		t.Errorf("resident %d bytes exceeds budget", c.Metrics.Bytes.Load())
@@ -151,10 +153,8 @@ func TestChunkCacheEviction(t *testing.T) {
 	}
 }
 
-func everyKey(string) bool { return true }
-
 // TestResultCache covers the version-stamped result cache: TTL expiry on the
-// injected clock, byte-bound eviction, and explicit full invalidation.
+// injected clock and byte-bound eviction.
 func TestResultCache(t *testing.T) {
 	c := NewSizedLRU[string, string](8, time.Minute, NewBudget(100))
 	clk := fault.NewManualClock(time.Unix(5000, 0))
@@ -182,18 +182,18 @@ func TestResultCache(t *testing.T) {
 	if c.Metrics.Evictions.Load() == 0 {
 		t.Error("eviction not counted")
 	}
-	if n := c.InvalidateFunc(everyKey); n == 0 {
-		t.Error("invalidate-all dropped nothing")
-	}
-	if c.Len() != 0 || c.Metrics.Bytes.Load() != 0 {
-		t.Errorf("len=%d bytes=%d after invalidate-all", c.Len(), c.Metrics.Bytes.Load())
+	if got, held := c.Metrics.Bytes.Load(), residentBytes(c); got != held || got != 80 {
+		t.Errorf("resident bytes counter %d, entries hold %d, want 80", got, held)
 	}
 }
 
-// TestResultCacheConcurrentStress runs parallel Get/Put/invalidate-all under
-// -race.
+// TestResultCacheConcurrentStress runs parallel Get/Put under -race, with
+// entries expiring on the injected clock as they go, then checks the byte
+// accounting is exact.
 func TestResultCacheConcurrentStress(t *testing.T) {
 	c := NewSizedLRU[string, int](64, time.Minute, NewBudget(1<<20))
+	clk := fault.NewManualClock(time.Unix(5000, 0))
+	c.SetClock(clk)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -201,27 +201,19 @@ func TestResultCacheConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				k := fmt.Sprintf("q%d", (w+i)%128)
-				switch i % 3 {
-				case 0:
+				switch {
+				case i%3 == 1:
+					c.PutSized(k, i, int64(256*(1+i%4)))
+				case i%512 == 2:
+					clk.Advance(time.Minute / 2)
+				default:
 					c.Get(k)
-				case 1:
-					c.PutSized(k, i, 256)
-				case 2:
-					if i%512 == 2 {
-						c.InvalidateFunc(everyKey)
-					} else {
-						c.Get(k)
-					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if b := c.Metrics.Bytes.Load(); b < 0 || b > 1<<20 {
-		t.Errorf("resident bytes %d outside [0, budget]", b)
-	}
-	c.InvalidateFunc(everyKey)
-	if b := c.Metrics.Bytes.Load(); b != 0 {
-		t.Errorf("resident bytes %d after invalidate-all, want 0", b)
+	if got, held := c.Metrics.Bytes.Load(), residentBytes(c); got != held || got > 1<<20 {
+		t.Errorf("resident bytes counter %d, entries hold %d (budget %d)", got, held, 1<<20)
 	}
 }

@@ -245,10 +245,11 @@ func planCacheKey(plan planner.Node, stamps []string, splits []connector.Split) 
 }
 
 // fragmentSnapshotVersion resolves the snapshot version a source fragment's
-// scan is running against (0 when the catalog cannot report one). It rides
-// in the TaskRequest so the worker's fragment-result cache key moves with
-// the data: without it, a sealed-then-backfilled table would keep serving
-// the pre-backfill pages until the worker cache TTL.
+// scan is running against: 0 when the catalog cannot report one, -1 when it
+// can but the table has none now (the worker then does not cache the task).
+// It rides in the TaskRequest so the worker's fragment-result cache key moves
+// with the data: without it, a sealed-then-backfilled table would keep
+// serving the pre-backfill pages until the worker cache TTL.
 func (c *Coordinator) fragmentSnapshotVersion(conn connector.Connector, scan *planner.TableScan) int64 {
 	sv, ok := conn.(connector.SnapshotVersioner)
 	if !ok || scan == nil {
@@ -256,7 +257,7 @@ func (c *Coordinator) fragmentSnapshotVersion(conn connector.Connector, scan *pl
 	}
 	v, vok := sv.SnapshotVersion(scan.Schema, scan.Table)
 	if !vok {
-		return 0
+		return -1
 	}
 	return v
 }

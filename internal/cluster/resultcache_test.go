@@ -11,6 +11,7 @@ import (
 	"prestolite/internal/connectors/memory"
 	"prestolite/internal/hdfs"
 	"prestolite/internal/metastore"
+	"prestolite/internal/parquet"
 	"prestolite/internal/planner"
 	"prestolite/internal/sql"
 	"prestolite/internal/types"
@@ -362,5 +363,87 @@ func TestFragmentCacheIsByteBounded(t *testing.T) {
 	}
 	if got := snap.Gauges["fragment_cache.bytes"]; got != float64(m.Bytes.Load()) {
 		t.Errorf("fragment_cache.bytes = %v, want %d", got, m.Bytes.Load())
+	}
+}
+
+// TestResultCacheOpenPartitionSeesNewFile: a table with an open partition
+// reports no snapshot version — files land in it without the metastore
+// hearing of it — so the result cache counts its statements as uncacheable
+// instead of serving the answer from before a second file landed, and the
+// workers' fragment cache keeps none of its tasks.
+func TestResultCacheOpenPartitionSeesNewFile(t *testing.T) {
+	fs := hdfs.New(hdfs.Config{})
+	ms := metastore.New()
+	loader := &hive.Loader{MS: ms, FS: fs}
+	cols := []metastore.Column{{Name: "city_id", Type: types.Bigint}}
+	page := func() *block.Page {
+		pb := block.NewPageBuilder([]*types.Type{types.Bigint})
+		for i := 0; i < 10; i++ {
+			pb.AppendRow([]any{int64(i % 5)})
+		}
+		return pb.Build()
+	}
+	if err := loader.CreatePartitionedTable("rawdata", "trips", cols, "datestr",
+		map[string][]*block.Page{"today": {page()}}, map[string]bool{"today": false}); err != nil {
+		t.Fatal(err)
+	}
+	catalogs := connector.NewRegistry()
+	catalogs.Register("hive", hive.New("hive", ms, fs, hive.Options{}))
+	coord, workers := newCluster(t, catalogs, 2)
+	coord.EnableResultCache(64, 8<<20, time.Hour)
+	for _, w := range workers {
+		w.EnableFragmentResultCache = true
+	}
+
+	count := func() int64 {
+		t.Helper()
+		res, err := coord.Query(session(), "SELECT count(*) FROM trips WHERE city_id >= 0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := res.Rows()
+		return rows[0][0].(int64)
+	}
+	if n := count(); n != 10 {
+		t.Fatalf("count = %d, want 10", n)
+	}
+
+	// A second file lands in the open partition: a raw write, as the
+	// ingestion job appending micro-batches makes it.
+	schema, err := parquet.NewSchema([]string{"city_id"}, []*types.Type{types.Bigint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := fs.Create("/warehouse/rawdata/trips/datestr=today/part-00001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := parquet.NewNativeWriter(w, schema, parquet.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.WritePage(page()); err != nil {
+		t.Fatal(err)
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if n := count(); n != 20 {
+		t.Errorf("count after a second file = %d, want 20", n)
+	}
+	if n := coord.resultCache.Len(); n != 0 {
+		t.Errorf("a statement over an open partition was cached (len %d)", n)
+	}
+	if n := coord.Obs().Snapshot().Counters["coordinator.cache.result.uncacheable"]; n != 2 {
+		t.Errorf("uncacheable = %d, want 2", n)
+	}
+	for i, w := range workers {
+		if n := w.fragCache.Len(); n != 0 {
+			t.Errorf("worker %d cached %d tasks over an open partition", i, n)
+		}
 	}
 }

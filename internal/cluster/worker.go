@@ -59,9 +59,11 @@ type TaskRequest struct {
 	// coordinator's per-RPC deadline enforcement.
 	Deadline int64
 	// SnapshotVersion is the scanned table's snapshot version at scheduling
-	// time (0 when the catalog cannot report one). It is part of the worker's
-	// fragment-result cache key, so cached fragment output over data that has
-	// since changed is unreachable rather than stale.
+	// time (0 when the catalog cannot report one; -1 when it can but the
+	// table has none now, as a hive table with an open partition). It is part
+	// of the worker's fragment-result cache key, so cached fragment output
+	// over data that has since changed is unreachable rather than stale; a
+	// task at -1 is not cached.
 	SnapshotVersion int64
 
 	// fragment is the encoded part of the request every task of its fragment
@@ -398,7 +400,7 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 	w.tasksStarted.Inc()
 	start := w.Clock.Now()
 	var cacheKey string
-	if w.EnableFragmentResultCache {
+	if w.EnableFragmentResultCache && req.SnapshotVersion >= 0 {
 		cacheKey = planCacheKey(req.Fragment, []string{strconv.FormatInt(req.SnapshotVersion, 10)}, req.Splits)
 		if frames, ok := w.fragCache.Get(cacheKey); ok {
 			w.tasksCompleted.Inc()
@@ -439,7 +441,7 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 		task.fail(err)
 		return
 	}
-	if w.EnableFragmentResultCache {
+	if cacheKey != "" {
 		w.fragCache.PutSized(cacheKey, frames, size)
 	}
 	w.tasksCompleted.Inc()

@@ -8,7 +8,9 @@
 // footers), routes listFiles through the coordinator file-list
 // cache and footer reads through the worker footer cache (§VII), prunes
 // partitions from pushed predicates, and reads files with either the legacy
-// or the new Parquet reader (§V).
+// or the new Parquet reader (§V). The caches key by identity — a partition's
+// metastore version, the stamp a file was listed with — so nothing is
+// invalidated when files or partitions change.
 package hive
 
 import (
@@ -18,7 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"prestolite/internal/block"
 	"prestolite/internal/cache"
@@ -41,7 +42,8 @@ type Options struct {
 	Reader ReaderToggles
 	// DisableFileListCache turns off §VII.A caching.
 	DisableFileListCache bool
-	// DisableFooterCache turns off §VII.B caching.
+	// DisableFooterCache turns off §VII.B caching: every split reads its
+	// file's footer.
 	DisableFooterCache bool
 	// DisableChunkCache turns off the worker-local data cache for
 	// decompressed column chunks (§VII tier 1).
@@ -81,56 +83,41 @@ type footerEntry struct {
 	schema *parquet.Schema
 }
 
-// New creates a hive connector over a metastore and filesystem. It
-// subscribes to the metastore's change feed: a partition added, sealed or a
-// schema evolved invalidates the affected directory across all three cache
-// tiers immediately instead of serving stale entries until TTL.
+// New creates a hive connector over a metastore and filesystem.
 func New(name string, ms *metastore.Metastore, fs fsys.FileSystem, opts Options) *Connector {
-	c := &Connector{
+	return &Connector{
 		name:        name,
 		ms:          ms,
 		fs:          fs,
 		opts:        opts,
-		listCache:   cache.NewFileListCache(fs, 4096, 10*time.Minute),
-		footerCache: cache.NewFooterCache[footerEntry](8192, 10*time.Minute),
+		listCache:   cache.NewFileListCache(fs, 4096),
+		footerCache: cache.NewFooterCache[footerEntry](8192),
 		chunkCache:  cache.NewChunkCache(opts.ChunkCacheBytes),
 	}
-	ms.OnChange(func(ch metastore.Change) {
-		if ch.Location == "" {
-			return
-		}
-		c.invalidateLocation(ch.Location)
-	})
-	return c
-}
-
-// invalidateLocation drops every cache entry under dir: the file listing,
-// stat/footer entries for its files, and their decompressed chunks.
-func (c *Connector) invalidateLocation(dir string) {
-	c.listCache.Invalidate(dir)
-	c.listCache.InvalidatePrefix(dir)
-	c.footerCache.InvalidatePrefix(dir)
-	c.chunkCache.InvalidatePrefix(dir)
 }
 
 // SnapshotVersion implements connector.SnapshotVersioner from the
-// metastore's per-table change version.
+// metastore's per-table change version. A table with an open partition has
+// none: files land in it without the metastore hearing of it.
 func (c *Connector) SnapshotVersion(schema, table string) (int64, bool) {
-	return c.ms.TableVersion(schema, table)
+	t, err := c.ms.GetTable(schema, table)
+	if err != nil || t.HasOpenPartition() {
+		return 0, false
+	}
+	return t.Version(), true
 }
 
 // FileListCacheMetrics exposes §VII.A cache effectiveness.
 func (c *Connector) FileListCacheMetrics() *cache.Metrics { return c.listCache.Metrics }
 
 // FooterCacheMetrics exposes §VII.B cache effectiveness.
-func (c *Connector) FooterCacheMetrics() *cache.Metrics { return c.footerCache.FooterMetrics }
+func (c *Connector) FooterCacheMetrics() *cache.Metrics { return c.footerCache.Metrics }
 
 // RegisterObsMetrics implements obs.MetricsSource: the §VII cache hit rates
 // appear in /v1/stats snapshots and EXPLAIN ANALYZE cache footers.
 func (c *Connector) RegisterObsMetrics(reg *obs.Registry) {
 	c.listCache.Metrics.RegisterObs(reg, c.name+".cache.file_list")
-	c.footerCache.InfoMetrics.RegisterObs(reg, c.name+".cache.file_info")
-	c.footerCache.FooterMetrics.RegisterObs(reg, c.name+".cache.footer")
+	c.footerCache.Metrics.RegisterObs(reg, c.name+".cache.footer")
 	c.chunkCache.Metrics.RegisterObs(reg, c.name+".cache.chunk")
 	// What pushdown saved (row groups skipped by statistics and by
 	// dictionary) and what the scans still cost. leaves_decoded over
@@ -235,10 +222,14 @@ func (h *TableHandle) Description() string {
 	return s
 }
 
-// Split is one file of one partition.
+// Split is one file of one partition, with the size and stamp its listing
+// gave it: the worker keys the file's footer and chunks by (Path, Stamp) and
+// stats nothing.
 type Split struct {
 	Handle          *TableHandle
 	Path            string
+	Size            int64
+	Stamp           int64
 	PartitionValues map[string]string
 }
 
@@ -261,15 +252,21 @@ func (h *TableHandle) AppendWire(dst []byte) []byte {
 // AppendWire implements connector.Encoder.
 func (s *Split) AppendWire(dst []byte) []byte {
 	dst = frame.AppendString(s.Handle.AppendWire(dst), s.Path)
+	dst = frame.AppendVarint(frame.AppendVarint(dst, s.Size), s.Stamp)
 	return frame.AppendStringMap(dst, s.PartitionValues)
 }
 
 // DecodeHandle implements connector.Decoder.
 func (c *Connector) DecodeHandle(r *frame.Reader) connector.TableHandle { return readHandle(r) }
 
-// DecodeSplit implements connector.Decoder.
+// DecodeSplit implements connector.Decoder. A negative size is refused.
 func (c *Connector) DecodeSplit(r *frame.Reader) connector.Split {
-	return &Split{Handle: readHandle(r), Path: r.Str(), PartitionValues: r.StrMap()}
+	s := &Split{Handle: readHandle(r), Path: r.Str(), Size: r.Varint(), Stamp: r.Varint()}
+	if s.Size < 0 {
+		r.Fail(fmt.Errorf("hive: split of %s has negative size %d", s.Path, s.Size))
+	}
+	s.PartitionValues = r.StrMap()
+	return s
 }
 
 func readHandle(r *frame.Reader) *TableHandle {
@@ -330,13 +327,14 @@ func (sm *hiveSplits) Splits(handle connector.TableHandle) ([]connector.Split, e
 		return nil, err
 	}
 	type partDir struct {
-		dir    string
-		sealed bool
-		values map[string]string
+		dir     string
+		version int64
+		sealed  bool
+		values  map[string]string
 	}
 	var dirs []partDir
 	if len(t.PartitionKeys) == 0 {
-		dirs = append(dirs, partDir{dir: t.Location, sealed: true, values: map[string]string{}})
+		dirs = append(dirs, partDir{dir: t.Location, version: t.Version(), sealed: true, values: map[string]string{}})
 	} else {
 		for _, p := range t.Partitions() {
 			values, err := parsePartitionName(p.Name)
@@ -346,7 +344,7 @@ func (sm *hiveSplits) Splits(handle connector.TableHandle) ([]connector.Split, e
 			if !partitionMatches(values, h.PartitionPreds) {
 				continue // partition pruning from pushed predicates
 			}
-			dirs = append(dirs, partDir{dir: p.Location, sealed: p.Sealed, values: values})
+			dirs = append(dirs, partDir{dir: p.Location, version: p.Version, sealed: p.Sealed, values: values})
 		}
 	}
 	var splits []connector.Split
@@ -355,7 +353,7 @@ func (sm *hiveSplits) Splits(handle connector.TableHandle) ([]connector.Split, e
 		if c.opts.DisableFileListCache {
 			files, err = c.fs.ListFiles(d.dir)
 		} else {
-			files, err = c.listCache.List(d.dir, d.sealed)
+			files, err = c.listCache.List(d.dir, d.version, d.sealed)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("hive: listing %s: %w", d.dir, err)
@@ -364,7 +362,7 @@ func (sm *hiveSplits) Splits(handle connector.TableHandle) ([]connector.Split, e
 			if strings.HasSuffix(f.Path, "/.keep") {
 				continue // directory marker, not data
 			}
-			splits = append(splits, &Split{Handle: h, Path: f.Path, PartitionValues: d.values})
+			splits = append(splits, &Split{Handle: h, Path: f.Path, Size: f.Size, Stamp: f.Stamp, PartitionValues: d.values})
 		}
 	}
 	return splits, nil
@@ -425,40 +423,25 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		}
 	}
 
-	// Stat the file through the worker caches (§VII.B). It is not opened
-	// here: the reader's I/O plan opens it with the first chunk the chunk
-	// cache does not hold (or the footer, on a footer-cache miss), so a split
-	// that is pruned or served from the caches costs no open at all.
-	var info fsys.FileInfo
-	if c.opts.DisableFooterCache {
-		info, err = c.fs.GetFileInfo(sp.Path)
-	} else {
-		info, err = c.footerCache.GetFileInfo(c.fs, sp.Path)
+	// The file is not opened here, and nothing stats it: the split carries
+	// the size and stamp its listing gave it. The reader's I/O plan opens the
+	// file with the first chunk the chunk cache does not hold (or the footer,
+	// on a footer-cache miss), so a split that is pruned or served from the
+	// caches costs no open at all.
+	file := &lazyFile{fs: c.fs, path: sp.Path, size: sp.Size}
+	readFooter := func() (footerEntry, error) {
+		meta, schema, err := parquet.ReadFooter(file)
+		return footerEntry{meta: meta, schema: schema}, err
 	}
-	if err != nil {
-		return nil, err
-	}
-	file := &lazyFile{fs: c.fs, path: sp.Path, size: info.Size}
 	var entry footerEntry
 	if c.opts.DisableFooterCache {
-		meta, schema, ferr := parquet.ReadFooter(file)
-		if ferr != nil {
-			_ = file.Close() // already failing: the footer error is the one to report
-			return nil, ferr
-		}
-		entry = footerEntry{meta: meta, schema: schema}
+		entry, err = readFooter()
 	} else {
-		entry, err = c.footerCache.GetFooter(sp.Path, func() (footerEntry, error) {
-			meta, schema, err := parquet.ReadFooter(file)
-			if err != nil {
-				return footerEntry{}, err
-			}
-			return footerEntry{meta: meta, schema: schema}, nil
-		})
-		if err != nil {
-			_ = file.Close() // already failing: the footer error is the one to report
-			return nil, err
-		}
+		entry, err = c.footerCache.GetFooter(cache.FileID{Path: sp.Path, Stamp: sp.Stamp}, readFooter)
+	}
+	if err != nil {
+		_ = file.Close() // already failing: the footer error is the one to report
+		return nil, err
 	}
 	// Predicates on columns missing from the file never match rows with a
 	// non-null requirement... except OpNeq, which still cannot match NULL.
@@ -472,7 +455,7 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		}
 	}
 	if sa != nil {
-		reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, c.readerOptions(sa.bind(entry.schema), h.DataPreds, sp.Path))
+		reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, c.readerOptions(sa.bind(entry.schema), h.DataPreds, sp))
 		if err != nil {
 			_ = file.Close() // already failing: the reader error is the one to report
 			return nil, err
@@ -545,7 +528,7 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 		src.fileTypes = legacy.OutputTypes()
 		return src, nil
 	}
-	reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, c.readerOptions(dataPaths, h.DataPreds, sp.Path))
+	reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, c.readerOptions(dataPaths, h.DataPreds, sp))
 	if err != nil {
 		_ = file.Close() // already failing: the reader error is the one to report
 		return nil, err
@@ -555,9 +538,9 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 	return src, nil
 }
 
-// readerOptions is how the connector reads columns of the file at path under
+// readerOptions is how the connector reads columns of the split's file under
 // preds: its toggles, its metrics and its chunk cache.
-func (c *Connector) readerOptions(columns []string, preds []expr.Comparison, path string) parquet.ReaderOptions {
+func (c *Connector) readerOptions(columns []string, preds []expr.Comparison, sp *Split) parquet.ReaderOptions {
 	tog := c.opts.Reader
 	opts := parquet.ReaderOptions{
 		Columns:            columns,
@@ -570,7 +553,7 @@ func (c *Connector) readerOptions(columns []string, preds []expr.Comparison, pat
 		Metrics:            &c.readerMetrics,
 	}
 	if !c.opts.DisableChunkCache {
-		opts.Path = path
+		opts.Path, opts.Stamp = sp.Path, sp.Stamp
 		opts.Chunks = c.chunkCache
 	}
 	return opts
@@ -637,8 +620,14 @@ func (s *pageSource) Close() error {
 	return s.closeReader()
 }
 
+// ErrFileChanged fails a split whose file, when first opened, is not the
+// size its listing gave: the file was written again after it was listed, and
+// a footer cached for the listed file must not be read against other bytes.
+var ErrFileChanged = errors.New("hive: file changed since it was listed")
+
 // lazyFile is a fsys.File of known size that is opened by its first read —
 // one fs.Open however many reads race for it — and never when nothing reads.
+// The open checks the file is still the size it was listed with.
 type lazyFile struct {
 	fs   fsys.FileSystem
 	path string
@@ -651,11 +640,17 @@ type lazyFile struct {
 
 // ReadAt implements io.ReaderAt.
 func (l *lazyFile) ReadAt(p []byte, off int64) (int, error) {
-	l.once.Do(func() { l.f, l.err = l.fs.Open(l.path) })
+	l.once.Do(l.open)
 	if l.err != nil {
 		return 0, l.err
 	}
 	return l.f.ReadAt(p, off)
+}
+
+func (l *lazyFile) open() {
+	if l.f, l.err = l.fs.Open(l.path); l.err == nil && l.f.Size() != l.size {
+		l.err = fmt.Errorf("%w: %s was listed at %d bytes and opened at %d", ErrFileChanged, l.path, l.size, l.f.Size())
+	}
 }
 
 // Size implements fsys.File.

@@ -260,21 +260,31 @@ func TestOpenPartitionBypassesCacheAndSeesNewFiles(t *testing.T) {
 	}
 }
 
-func TestFooterCacheReducesGetFileInfo(t *testing.T) {
+// TestFooterCacheWarmScanStatsAndOpensNothing: a split carries the size and
+// stamp its listing gave its file, so neither a cold nor a warm scan makes a
+// GetFileInfo call; and a warm scan, answered by the footer and chunk caches,
+// opens no file.
+func TestFooterCacheWarmScanStatsAndOpensNothing(t *testing.T) {
 	e, _, nn := newWarehouse(t, Options{})
 	s := core.DefaultSession("hive", "rawdata")
-	q := "SELECT count(*) FROM trips"
+	q := "SELECT sum(fare) FROM trips"
 	if _, err := e.Query(s, q); err != nil {
 		t.Fatal(err)
 	}
-	afterFirst := nn.Counters.GetFileInfoCalls.Load()
+	opens := nn.Counters.OpenCalls.Load()
+	if opens == 0 {
+		t.Fatal("the cold scan opened no file")
+	}
 	for i := 0; i < 9; i++ {
 		if _, err := e.Query(s, q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := nn.Counters.GetFileInfoCalls.Load(); got != afterFirst {
-		t.Errorf("getFileInfo calls grew from %d to %d despite cache", afterFirst, got)
+	if got := nn.Counters.OpenCalls.Load(); got != opens {
+		t.Errorf("open calls grew from %d to %d on warm scans", opens, got)
+	}
+	if got := nn.Counters.GetFileInfoCalls.Load(); got != 0 {
+		t.Errorf("getFileInfo calls = %d, want 0", got)
 	}
 }
 

@@ -102,9 +102,9 @@ func (c *Connector) RecordSetProvider() connector.RecordSetProvider { return (*r
 type TableHandle struct {
 	Schema string
 	Table  string
-	// PredicateJSON is the serialized pushed predicate (channels are table
-	// ordinals); empty when none.
-	PredicateJSON []byte
+	// Predicate is the pushed predicate (channels are table ordinals); nil
+	// when none.
+	Predicate expr.RowExpression
 	// Projection lists retained table ordinals; nil means all.
 	Projection []int
 	// Limit is a pushed row limit; negative means none.
@@ -114,10 +114,8 @@ type TableHandle struct {
 // Description implements connector.TableHandle.
 func (h *TableHandle) Description() string {
 	s := fmt.Sprintf("memory:%s.%s", h.Schema, h.Table)
-	if len(h.PredicateJSON) > 0 {
-		if e, err := expr.Unmarshal(h.PredicateJSON); err == nil {
-			s += fmt.Sprintf(" filter=%s", e)
-		}
+	if h.Predicate != nil {
+		s += fmt.Sprintf(" filter=%s", h.Predicate)
 	}
 	if h.Projection != nil {
 		s += fmt.Sprintf(" columns=%v", h.Projection)
@@ -143,7 +141,7 @@ func (s *Split) Description() string {
 // AppendWire implements connector.Encoder.
 func (h *TableHandle) AppendWire(dst []byte) []byte {
 	dst = frame.AppendString(frame.AppendString(dst, h.Schema), h.Table)
-	dst = frame.AppendInts(frame.AppendBytes(dst, h.PredicateJSON), h.Projection)
+	dst = frame.AppendInts(expr.AppendExpr(dst, h.Predicate), h.Projection)
 	return frame.AppendVarint(dst, h.Limit)
 }
 
@@ -161,13 +159,7 @@ func (c *Connector) DecodeSplit(r *frame.Reader) connector.Split {
 }
 
 func readHandle(r *frame.Reader) *TableHandle {
-	h := &TableHandle{Schema: r.Str(), Table: r.Str()}
-	if p := r.Bytes(); len(p) > 0 {
-		h.PredicateJSON = p
-	}
-	h.Projection = r.Ints()
-	h.Limit = r.Varint()
-	return h
+	return &TableHandle{Schema: r.Str(), Table: r.Str(), Predicate: expr.ReadExpr(r), Projection: r.Ints(), Limit: r.Varint()}
 }
 
 type metadata Connector
@@ -242,14 +234,6 @@ func (rs *recordSet) CreatePageSource(handle connector.TableHandle, split connec
 	pages := t.pages[sp.PageStart:sp.PageEnd]
 	c.mu.RUnlock()
 
-	var pred expr.RowExpression
-	if len(h.PredicateJSON) > 0 {
-		pred, err = expr.Unmarshal(h.PredicateJSON)
-		if err != nil {
-			return nil, fmt.Errorf("memory: bad pushed predicate: %w", err)
-		}
-	}
-
 	// The handle's projection remaps table ordinals; `columns` are indexes
 	// into the post-projection schema.
 	effective := make([]int, len(columns))
@@ -267,8 +251,8 @@ func (rs *recordSet) CreatePageSource(handle connector.TableHandle, split connec
 		if remaining == 0 {
 			break
 		}
-		if pred != nil {
-			positions, err := expr.EvalFilter(pred, p)
+		if h.Predicate != nil {
+			positions, err := expr.EvalFilter(h.Predicate, p)
 			if err != nil {
 				return nil, fmt.Errorf("memory: pushed predicate: %w", err)
 			}
@@ -310,12 +294,8 @@ func (c *Connector) PushFilter(handle connector.TableHandle, predicate expr.RowE
 		// limit (the optimizer runs rules in that order).
 		return handle, predicate, false
 	}
-	data, err := expr.Marshal(predicate)
-	if err != nil {
-		return handle, predicate, false
-	}
 	nh := *h
-	nh.PredicateJSON = data
+	nh.Predicate = predicate
 	return &nh, nil, true
 }
 

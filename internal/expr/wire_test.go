@@ -3,12 +3,20 @@ package expr
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
+	"prestolite/internal/frame"
 	"prestolite/internal/types"
 )
+
+// roundTrip writes e in its binary form and reads it back, as a worker reads
+// a plan fragment or a connector handle.
+func roundTrip(e RowExpression) (RowExpression, error) {
+	r := frame.NewReader(AppendExpr(nil, e))
+	back := ReadExpr(r)
+	return back, r.Close()
+}
 
 // TestTableI verifies the property Table I of the paper claims for each of
 // the five RowExpression subtypes: the representation is completely
@@ -26,6 +34,7 @@ func TestTableI(t *testing.T) {
 	}
 	exprs := map[string]RowExpression{
 		"ConstantExpression (1L, BIGINT)":   bigint(1),
+		"ConstantExpression (2^62, BIGINT)": bigint(1 << 62), // no float64 on the way
 		"ConstantExpression ('string')":     str("string"),
 		"ConstantExpression (null)":         Null(),
 		"VariableReferenceExpression":       NewVariable("columnA", 2, types.Bigint),
@@ -44,28 +53,20 @@ func TestTableI(t *testing.T) {
 		},
 	}
 	for name, e := range exprs {
-		data, err := Marshal(e)
+		back, err := roundTrip(e)
 		if err != nil {
-			t.Errorf("%s: marshal: %v", name, err)
+			t.Errorf("%s: read back: %v", name, err)
 			continue
 		}
-		back, err := Unmarshal(data)
-		if err != nil {
-			t.Errorf("%s: unmarshal: %v", name, err)
-			continue
+		if !reflect.DeepEqual(back, e) {
+			t.Errorf("%s: round trip changed the expression: %#v vs %#v", name, back, e)
 		}
-		if back.String() != e.String() {
-			t.Errorf("%s: round trip changed rendering: %q vs %q", name, back.String(), e.String())
-		}
-		if !back.TypeOf().Equals(e.TypeOf()) {
-			t.Errorf("%s: round trip changed type: %v vs %v", name, back.TypeOf(), e.TypeOf())
+		if back.String() != e.String() || !back.TypeOf().Equals(e.TypeOf()) {
+			t.Errorf("%s: round trip changed rendering or type: %q %v vs %q %v", name, back, back.TypeOf(), e, e.TypeOf())
 		}
 		// Evaluate both sides where evaluable without inputs (lambdas and
 		// variables need inputs; skip those).
-		if _, isLambda := e.(*Lambda); isLambda {
-			continue
-		}
-		if len(ReferencedChannels(e)) > 0 {
+		if _, isLambda := e.(*Lambda); isLambda || len(ReferencedChannels(e)) > 0 {
 			continue
 		}
 		want, err1 := EvalRowValue(e, nil)
@@ -80,22 +81,11 @@ func TestTableI(t *testing.T) {
 	}
 }
 
+// TestFunctionHandleIsSelfContained: a call read back carries its full
+// function resolution — name, argument types, return type — so a worker
+// evaluates it without resolving anything.
 func TestFunctionHandleIsSelfContained(t *testing.T) {
-	// The serialized form must carry full function-resolution info.
-	c := MustCall("add", bigint(1), dbl(2.0).asBigintForTest())
-	_ = c
-	call := MustCall("eq", str("a"), str("b"))
-	data, err := Marshal(call)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(data)
-	for _, want := range []string{`"functionHandle"`, `"eq"`, `"varchar"`, `"boolean"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("serialized call missing %s: %s", want, s)
-		}
-	}
-	back, err := Unmarshal(data)
+	back, err := roundTrip(MustCall("eq", str("a"), str("b")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,55 +95,40 @@ func TestFunctionHandleIsSelfContained(t *testing.T) {
 	}
 }
 
-// asBigintForTest is a throwaway helper to keep the above compile-simple.
-func (c *Constant) asBigintForTest() *Constant { return bigint(2) }
-
-func TestUnmarshalErrors(t *testing.T) {
-	bad := []string{
-		``,
-		`{}`,
-		`{"@type":"nope"}`,
-		`{"@type":"constant","type":"bad type!!","value":{"int":"1"}}`,
-		`{"@type":"call","type":"bigint"}`,
-		`{"@type":"lambda","params":["x"],"paramTypes":["bigint"],"args":[]}`,
+// TestReadExprRefusesBadDocuments: bytes no AppendExpr wrote are refused,
+// never read as an expression.
+func TestReadExprRefusesBadDocuments(t *testing.T) {
+	call := AppendExpr(nil, MustCall("add", bigint(1), bigint(2)))
+	bad := map[string][]byte{
+		"empty":               nil,
+		"unknown tag":         {0x7f},
+		"truncated call":      call[:len(call)-3],
+		"call missing an arg": AppendExpr(nil, &Call{Handle: FunctionHandle{Name: "not"}, Args: []RowExpression{nil}, Ret: types.Boolean}),
+		"trailing bytes":      append(AppendExpr(nil, bigint(1)), 0),
 	}
-	for _, s := range bad {
-		if _, err := Unmarshal([]byte(s)); err == nil {
-			t.Errorf("Unmarshal(%q) unexpectedly succeeded", s)
+	deep := []byte{}
+	for i := 0; i <= maxWireDepth+1; i++ {
+		deep = append(deep, exprLambda, 0, 0) // no params, then the body
+	}
+	bad["nested too deep"] = append(deep, exprNil) // complete, but too deep
+	for name, data := range bad {
+		r := frame.NewReader(data)
+		ReadExpr(r)
+		if r.Close() == nil {
+			t.Errorf("%s: read without an error", name)
 		}
 	}
 }
 
-func TestInt64PrecisionSurvivesJSON(t *testing.T) {
-	big := int64(1) << 62
-	e := bigint(big)
-	data, err := Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.(*Constant).Value != big {
-		t.Errorf("int64 lost precision: %v", back.(*Constant).Value)
-	}
-}
-
-// Property: random predicate trees survive serialization and evaluate
+// Property: random predicate trees survive the binary form and evaluate
 // identically on both sides.
 func TestQuickSerializationRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := randomPredicate(r, 3)
-		data, err := Marshal(e)
+		back, err := roundTrip(e)
 		if err != nil {
-			t.Logf("marshal: %v", err)
-			return false
-		}
-		back, err := Unmarshal(data)
-		if err != nil {
-			t.Logf("unmarshal: %v", err)
+			t.Logf("read back: %v", err)
 			return false
 		}
 		want, err1 := EvalRowValue(e, nil)
@@ -176,7 +151,7 @@ func randomPredicate(r *rand.Rand, depth int) RowExpression {
 			MustCall("lt", dbl(r.Float64()), dbl(r.Float64())),
 			MustCall("like", str("abc"), str("a%")),
 			boolean(r.Intn(2) == 0),
-			MustCall("gt", bigint(r.Int63n(5)), Null().asBigintNull()),
+			MustCall("gt", bigint(r.Int63n(5)), NewConstant(nil, types.Bigint)),
 		}
 		return leaf[r.Intn(len(leaf))]
 	}
@@ -189,6 +164,3 @@ func randomPredicate(r *rand.Rand, depth int) RowExpression {
 		return Not(randomPredicate(r, depth-1))
 	}
 }
-
-// asBigintNull returns a NULL constant typed bigint so comparisons resolve.
-func (c *Constant) asBigintNull() *Constant { return NewConstant(nil, types.Bigint) }

@@ -61,7 +61,7 @@ type HTTPRule struct {
 
 // FSRule describes faults for filesystem operations on paths containing
 // Path (empty matches everything). Ops restricts which operations fault
-// ("open", "read", "list", "stat", "create", "write", "sync"); nil matches
+// ("open", "read", "list", "create", "write", "sync"); nil matches
 // all.
 type FSRule struct {
 	Path string

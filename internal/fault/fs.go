@@ -45,14 +45,6 @@ func (f *FS) ListFiles(dir string) ([]fsys.FileInfo, error) {
 	return f.Base.ListFiles(dir)
 }
 
-// GetFileInfo implements fsys.FileSystem.
-func (f *FS) GetFileInfo(path string) (fsys.FileInfo, error) {
-	if err := f.apply("stat", path); err != nil {
-		return fsys.FileInfo{}, err
-	}
-	return f.Base.GetFileInfo(path)
-}
-
 // Open implements fsys.FileSystem; the returned File injects faults into
 // every ReadAt.
 func (f *FS) Open(path string) (fsys.File, error) {

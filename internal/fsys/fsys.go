@@ -13,10 +13,15 @@ import (
 	"strings"
 )
 
-// FileInfo describes one file.
+// FileInfo describes one file as a listing found it. Stamp is the file's
+// identity at that path: it changes whenever the file is written again, so
+// what a cache keys by (path, stamp) is never served for other bytes. Each
+// filesystem sets it from what it knows: a NameNode generation, an S3
+// object's generation (an ETag's role), a local file's mtime and inode.
 type FileInfo struct {
-	Path string
-	Size int64
+	Path  string
+	Size  int64
+	Stamp int64
 }
 
 // File supports random-access reads (the readers seek to footers and column
@@ -46,14 +51,12 @@ func Sync(w io.Writer) error {
 
 // FileSystem abstracts a (possibly remote) store of immutable files.
 type FileSystem interface {
-	// ListFiles lists the files directly under dir, sorted by path. This is
-	// the call the file-list cache (§VII.A) fronts.
+	// ListFiles lists the files directly under dir, sorted by path, each
+	// with its size and stamp. This is the call the file-list cache (§VII.A)
+	// fronts, and the only metadata call a scan makes.
 	ListFiles(dir string) ([]FileInfo, error)
 	// Open opens a file for random-access reads.
 	Open(path string) (File, error)
-	// GetFileInfo stats one file. This is the call the file-handle cache
-	// (§VII.B) fronts.
-	GetFileInfo(path string) (FileInfo, error)
 	// Create opens a new file for sequential writing, creating parent
 	// directories as needed.
 	Create(path string) (io.WriteCloser, error)
@@ -89,7 +92,7 @@ func (l *Local) ListFiles(dir string) ([]FileInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, FileInfo{Path: strings.TrimSuffix(dir, "/") + "/" + e.Name(), Size: info.Size()})
+		out = append(out, FileInfo{Path: strings.TrimSuffix(dir, "/") + "/" + e.Name(), Size: info.Size(), Stamp: localStamp(info)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
@@ -107,15 +110,6 @@ func (l *Local) Open(path string) (File, error) {
 		return nil, err
 	}
 	return &localFile{File: f, size: st.Size()}, nil
-}
-
-// GetFileInfo implements FileSystem.
-func (l *Local) GetFileInfo(path string) (FileInfo, error) {
-	st, err := os.Stat(l.resolve(path))
-	if err != nil {
-		return FileInfo{}, fmt.Errorf("fsys: stat %s: %w", path, err)
-	}
-	return FileInfo{Path: path, Size: st.Size()}, nil
 }
 
 // Create implements FileSystem.

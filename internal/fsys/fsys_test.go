@@ -2,7 +2,9 @@ package fsys
 
 import (
 	"io"
+	"os"
 	"testing"
+	"time"
 )
 
 func TestLocalRoundTrip(t *testing.T) {
@@ -18,12 +20,8 @@ func TestLocalRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := fs.GetFileInfo("/warehouse/t/part-0")
-	if err != nil || info.Size != 5 {
-		t.Fatalf("info = %v, %v", info, err)
-	}
 	files, err := fs.ListFiles("/warehouse/t")
-	if err != nil || len(files) != 1 {
+	if err != nil || len(files) != 1 || files[0].Size != 5 || files[0].Stamp == 0 {
 		t.Fatalf("files = %v, %v", files, err)
 	}
 	f, err := fs.Open("/warehouse/t/part-0")
@@ -43,6 +41,37 @@ func TestLocalRoundTrip(t *testing.T) {
 	}
 	if _, err := fs.ListFiles("/missing"); err == nil {
 		t.Error("missing list accepted")
+	}
+}
+
+// TestLocalStampMovesWhenAFileIsReplaced: a file written to a temporary name
+// and renamed over the old one — how a loader replaces a file whole — lists
+// with a new stamp even within one timestamp tick, because its inode is new.
+func TestLocalStampMovesWhenAFileIsReplaced(t *testing.T) {
+	root := t.TempDir()
+	fs := NewLocal(root)
+	stamp := func() int64 {
+		t.Helper()
+		files, err := fs.ListFiles("/d")
+		if err != nil || len(files) != 1 {
+			t.Fatalf("files = %v, %v", files, err)
+		}
+		return files[0].Stamp
+	}
+	for _, p := range []string{"/d/f", "/tmp/f"} {
+		w, _ := fs.Create(p)
+		w.Write([]byte("same"))
+		w.Close()
+	}
+	before := stamp()
+	if err := os.Chtimes(fs.resolve("/tmp/f"), time.Time{}, time.Unix(0, before)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(fs.resolve("/tmp/f"), fs.resolve("/d/f")); err != nil {
+		t.Fatal(err)
+	}
+	if after := stamp(); after == before {
+		t.Errorf("a replaced file kept its stamp %d", after)
 	}
 }
 

@@ -49,17 +49,47 @@ func TestListFiles(t *testing.T) {
 	}
 }
 
+// TestStampMovesWithEveryWrite: each Close of a written file gives it a new
+// generation, which its listings carry as the stamp; a file not written again
+// keeps its stamp.
+func TestStampMovesWithEveryWrite(t *testing.T) {
+	nn := New(Config{})
+	write := func(path, body string) {
+		t.Helper()
+		w, _ := nn.Create(path)
+		w.Write([]byte(body))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stamps := func() []int64 {
+		t.Helper()
+		files, err := nn.ListFiles("/d")
+		if err != nil || len(files) != 2 {
+			t.Fatalf("files = %v, %v", files, err)
+		}
+		return []int64{files[0].Stamp, files[1].Stamp}
+	}
+	write("/d/a", "xyz")
+	write("/d/b", "xyz")
+	before := stamps()
+	write("/d/a", "xyz") // the same bytes again: still a new file
+	after := stamps()
+	if after[0] == before[0] || after[1] != before[1] {
+		t.Errorf("stamps %v -> %v: want a's moved and b's kept", before, after)
+	}
+}
+
 func TestOpenReadStat(t *testing.T) {
 	nn := newFS(t)
-	info, err := nn.GetFileInfo("/warehouse/t/datestr=2017-03-01/part-0")
-	if err != nil || info.Size != 3 {
-		t.Fatalf("info = %v, %v", info, err)
-	}
 	f, err := nn.Open("/warehouse/t/datestr=2017-03-01/part-0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	if f.Size() != 3 {
+		t.Fatalf("size = %d", f.Size())
+	}
 	buf := make([]byte, 2)
 	if _, err := f.ReadAt(buf, 1); err != nil || string(buf) != "aa" {
 		t.Fatalf("read = %q, %v", buf, err)
@@ -69,9 +99,6 @@ func TestOpenReadStat(t *testing.T) {
 	}
 	if _, err := nn.Open("/missing"); err == nil {
 		t.Error("missing open accepted")
-	}
-	if _, err := nn.GetFileInfo("/missing"); err == nil {
-		t.Error("missing stat accepted")
 	}
 	if nn.Counters.BytesRead.Load() != 2 {
 		t.Errorf("bytes read = %d", nn.Counters.BytesRead.Load())

@@ -33,6 +33,10 @@ type Partition struct {
 	// Sealed marks immutable partitions; open partitions receive
 	// near-real-time ingestion and bypass the file list cache (§VII.A).
 	Sealed bool
+	// Version is the table version the partition was registered at. A
+	// partition registered again — rewritten by a loader, or sealed — gets a
+	// new one, so a listing cached under the old version is not addressed.
+	Version int64
 }
 
 // TableVersion is one historical schema.
@@ -41,7 +45,9 @@ type TableVersion struct {
 	Columns []Column
 }
 
-// Table is a registered table.
+// Table is a registered table. A *Table the metastore hands out is a
+// snapshot that never changes: every write builds a new value and swaps it
+// in, so a reader iterates its partitions and columns without a lock.
 type Table struct {
 	Schema        string
 	Name          string
@@ -50,89 +56,34 @@ type Table struct {
 	Location      string
 	Versions      []TableVersion
 
-	partitions map[string]*Partition
-	// changeVersion counts every mutation to the table's data layout:
-	// partitions added or sealed, schema evolved. It is the snapshot version
-	// stamped into result-cache keys (§VII): any bump makes old keys
-	// unreachable, which is how cached query results are invalidated without
-	// a scan of the cache.
-	changeVersion int64
+	partitions []*Partition // sorted by name
+	// version counts every mutation to the table's data layout: partitions
+	// added or sealed, schema evolved.
+	version int64
+	open    int // partitions not sealed
 }
 
-// Partitions returns partitions sorted by name.
-func (t *Table) Partitions() []*Partition {
-	out := make([]*Partition, 0, len(t.partitions))
-	for _, p := range t.partitions {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Partitions returns the partitions sorted by name. The slice and the
+// partitions are shared by every reader of this snapshot: read-only.
+func (t *Table) Partitions() []*Partition { return t.partitions }
 
-// Change describes one table mutation, delivered to OnChange listeners.
-// Caches key invalidation off Location: for partition events it is the
-// partition directory, for schema events the table directory.
-type Change struct {
-	Schema   string
-	Table    string
-	Kind     ChangeKind
-	Location string
-	// Version is the table's change version after the mutation.
-	Version int64
-}
+// Version is the table's change version: 0 for a freshly created table,
+// bumped on every partition add or seal and every schema evolution.
+func (t *Table) Version() int64 { return t.version }
 
-// ChangeKind enumerates table mutations.
-type ChangeKind int
-
-const (
-	// ChangePartitionAdded fires when a partition directory is registered.
-	ChangePartitionAdded ChangeKind = iota
-	// ChangeSchemaEvolved fires when EvolveTable records a new version.
-	ChangeSchemaEvolved
-)
+// HasOpenPartition reports whether any partition is unsealed, that is,
+// whether files may land in the table without the metastore hearing of it.
+func (t *Table) HasOpenPartition() bool { return t.open > 0 }
 
 // Metastore is the in-process schema service.
 type Metastore struct {
-	mu        sync.RWMutex
-	tables    map[string]*Table // "schema.table"
-	listeners []func(Change)
+	mu     sync.RWMutex
+	tables map[string]*Table // "schema.table"
 }
 
 // New creates an empty metastore.
 func New() *Metastore {
 	return &Metastore{tables: map[string]*Table{}}
-}
-
-// OnChange registers a listener invoked after every table mutation.
-// Listeners run synchronously, outside the metastore lock, in registration
-// order; connectors subscribe their cache invalidation here.
-func (m *Metastore) OnChange(fn func(Change)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.listeners = append(m.listeners, fn)
-}
-
-// notify delivers ch to listeners. Callers must NOT hold m.mu.
-func (m *Metastore) notify(ch Change) {
-	m.mu.RLock()
-	fns := m.listeners
-	m.mu.RUnlock()
-	for _, fn := range fns {
-		fn(ch)
-	}
-}
-
-// TableVersion returns the current change version of a table: 0 for a
-// freshly created table, bumped on every partition add/seal and schema
-// evolution. ok is false when the table does not exist.
-func (m *Metastore) TableVersion(schema, table string) (int64, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	t, ok := m.tables[key(schema, table)]
-	if !ok {
-		return 0, false
-	}
-	return t.changeVersion, true
 }
 
 func key(schema, table string) string { return schema + "." + table }
@@ -152,7 +103,6 @@ func (m *Metastore) CreateTable(schema, name, location string, columns []Column,
 		PartitionKeys: partitionKeys,
 		Location:      location,
 		Versions:      []TableVersion{{Version: 1, Columns: columns}},
-		partitions:    map[string]*Partition{},
 	}
 	m.tables[k] = t
 	return t, nil
@@ -183,51 +133,66 @@ func (m *Metastore) ListTables(schema string) []string {
 	return out
 }
 
-// AddPartition registers a partition directory.
-func (m *Metastore) AddPartition(schema, table string, p Partition) error {
+// update swaps in a new snapshot of a table, built by edit from a copy of
+// the current one.
+func (m *Metastore) update(schema, table string, edit func(t *Table) error) error {
 	m.mu.Lock()
-	t, ok := m.tables[key(schema, table)]
+	defer m.mu.Unlock()
+	k := key(schema, table)
+	old, ok := m.tables[k]
 	if !ok {
-		m.mu.Unlock()
 		return fmt.Errorf("metastore: table %s.%s does not exist", schema, table)
 	}
-	cp := p
-	t.partitions[p.Name] = &cp
-	t.changeVersion++
-	ch := Change{Schema: schema, Table: table, Kind: ChangePartitionAdded, Location: p.Location, Version: t.changeVersion}
-	m.mu.Unlock()
-	m.notify(ch)
+	t := *old
+	t.version++
+	if err := edit(&t); err != nil {
+		return err
+	}
+	m.tables[k] = &t
 	return nil
+}
+
+// AddPartition registers a partition directory, or registers it again: a
+// partition of the same name is replaced.
+func (m *Metastore) AddPartition(schema, table string, p Partition) error {
+	return m.update(schema, table, func(t *Table) error {
+		p.Version = t.version
+		i, found := sort.Find(len(t.partitions), func(i int) int { return strings.Compare(p.Name, t.partitions[i].Name) })
+		parts := make([]*Partition, 0, len(t.partitions)+1)
+		parts = append(append(parts, t.partitions[:i]...), &p)
+		if found {
+			if !t.partitions[i].Sealed {
+				t.open--
+			}
+			i++
+		}
+		t.partitions = append(parts, t.partitions[i:]...)
+		if !p.Sealed {
+			t.open++
+		}
+		return nil
+	})
 }
 
 // EvolveTable applies a schema change, enforcing the evolution rules. On
 // success a new version is recorded.
 func (m *Metastore) EvolveTable(schema, table string, newColumns []Column) error {
-	m.mu.Lock()
-	t, ok := m.tables[key(schema, table)]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("metastore: table %s.%s does not exist", schema, table)
-	}
-	oldByName := map[string]*types.Type{}
-	for _, c := range t.Columns {
-		oldByName[strings.ToLower(c.Name)] = c.Type
-	}
-	for _, c := range newColumns {
-		if old, exists := oldByName[strings.ToLower(c.Name)]; exists {
-			if err := CheckEvolution(old, c.Type, c.Name); err != nil {
-				m.mu.Unlock()
-				return err
+	return m.update(schema, table, func(t *Table) error {
+		oldByName := map[string]*types.Type{}
+		for _, c := range t.Columns {
+			oldByName[strings.ToLower(c.Name)] = c.Type
+		}
+		for _, c := range newColumns {
+			if old, exists := oldByName[strings.ToLower(c.Name)]; exists {
+				if err := CheckEvolution(old, c.Type, c.Name); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	t.Columns = newColumns
-	t.Versions = append(t.Versions, TableVersion{Version: len(t.Versions) + 1, Columns: newColumns})
-	t.changeVersion++
-	ch := Change{Schema: schema, Table: table, Kind: ChangeSchemaEvolved, Location: t.Location, Version: t.changeVersion}
-	m.mu.Unlock()
-	m.notify(ch)
-	return nil
+		t.Columns = newColumns
+		t.Versions = append(t.Versions[:len(t.Versions):len(t.Versions)], TableVersion{Version: len(t.Versions) + 1, Columns: newColumns})
+		return nil
+	})
 }
 
 // RenameColumn always fails: "field rename ... not allowed. Field name is

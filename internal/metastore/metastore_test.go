@@ -1,7 +1,9 @@
 package metastore
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"prestolite/internal/types"
@@ -164,5 +166,115 @@ func TestCheckEvolutionNestedContainers(t *testing.T) {
 	badKey := types.NewMap(types.Bigint, types.Bigint)
 	if err := CheckEvolution(types.NewMap(types.Varchar, types.Bigint), badKey, "col"); err == nil {
 		t.Error("map key type change accepted")
+	}
+}
+
+// TestMetastoreTableIsASnapshot: a table a reader got does not change under
+// it; the next GetTable sees the writes.
+func TestMetastoreTableIsASnapshot(t *testing.T) {
+	ms := newMS(t)
+	before, _ := ms.GetTable("rawdata", "trips")
+	if err := ms.AddPartition("rawdata", "trips", Partition{Name: "datestr=2017-03-01", Location: "/p0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.EvolveTable("rawdata", "trips", append(before.Columns[:len(before.Columns):len(before.Columns)], Column{Name: "tip", Type: types.Double})); err != nil {
+		t.Fatal(err)
+	}
+	if n, c := len(before.Partitions()), len(before.Columns); n != 0 || c != 2 {
+		t.Errorf("the snapshot moved: %d partitions, %d columns", n, c)
+	}
+	after, _ := ms.GetTable("rawdata", "trips")
+	if n, c := len(after.Partitions()), len(after.Columns); n != 1 || c != 3 {
+		t.Errorf("the writes are not visible: %d partitions, %d columns", n, c)
+	}
+}
+
+// TestMetastoreConcurrentWritersAndReaders runs AddPartition and EvolveTable
+// against readers of Partitions and Columns; under -race any shared write
+// is reported. Every snapshot a reader sees is sorted and only grows.
+func TestMetastoreConcurrentWritersAndReaders(t *testing.T) {
+	ms := newMS(t)
+	const writes = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < writes; i++ {
+			if err := ms.AddPartition("rawdata", "trips", Partition{Name: fmt.Sprintf("datestr=%04d", i), Location: fmt.Sprintf("/p%d", i)}); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%20 == 0 {
+				tab, _ := ms.GetTable("rawdata", "trips")
+				cols := append(tab.Columns[:len(tab.Columns):len(tab.Columns)], Column{Name: fmt.Sprintf("c%d", i), Type: types.Bigint})
+				if err := ms.EvolveTable("rawdata", "trips", cols); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen, cols := 0, 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				tab, err := ms.GetTable("rawdata", "trips")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				parts := tab.Partitions()
+				for i := 1; i < len(parts); i++ {
+					if parts[i-1].Name >= parts[i].Name {
+						t.Errorf("partitions out of order: %s, %s", parts[i-1].Name, parts[i].Name)
+						return
+					}
+				}
+				if len(parts) < seen || len(tab.Columns) < cols {
+					t.Errorf("a later snapshot shrank: %d partitions after %d, %d columns after %d", len(parts), seen, len(tab.Columns), cols)
+					return
+				}
+				seen, cols = len(parts), len(tab.Columns)
+			}
+		}()
+	}
+	wg.Wait()
+	tab, _ := ms.GetTable("rawdata", "trips")
+	if n := len(tab.Partitions()); n != writes {
+		t.Errorf("partitions = %d, want %d", n, writes)
+	}
+}
+
+// TestMetastorePartitionVersions: a partition carries the table version it
+// was registered at, registering it again — a seal, a rewrite — gives it a
+// new one, and the table knows whether any partition is still open.
+func TestMetastorePartitionVersions(t *testing.T) {
+	ms := newMS(t)
+	add := func(name string, sealed bool) *Table {
+		t.Helper()
+		if err := ms.AddPartition("rawdata", "trips", Partition{Name: name, Location: "/" + name, Sealed: sealed}); err != nil {
+			t.Fatal(err)
+		}
+		tab, _ := ms.GetTable("rawdata", "trips")
+		return tab
+	}
+	tab := add("datestr=b", false)
+	if !tab.HasOpenPartition() || tab.Version() != 1 || tab.Partitions()[0].Version != 1 {
+		t.Fatalf("after an open add: open=%v version=%d partition=%+v", tab.HasOpenPartition(), tab.Version(), tab.Partitions()[0])
+	}
+	tab = add("datestr=a", true)
+	if !tab.HasOpenPartition() || tab.Partitions()[0].Version != 2 || tab.Partitions()[1].Version != 1 {
+		t.Fatalf("after a sealed add: %+v %+v", tab.Partitions()[0], tab.Partitions()[1])
+	}
+	tab = add("datestr=b", true) // the open partition is sealed
+	if tab.HasOpenPartition() || len(tab.Partitions()) != 2 || tab.Partitions()[1].Version != 3 || tab.Version() != 3 {
+		t.Fatalf("after sealing: open=%v version=%d partitions=%+v %+v", tab.HasOpenPartition(), tab.Version(), tab.Partitions()[0], tab.Partitions()[1])
 	}
 }

@@ -24,19 +24,19 @@ func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
 
 // TestChunkCacheShortCircuitsReads re-reads the same file through one
 // ChunkCache and asserts (a) identical rows, (b) zero chunk ReadAt calls on
-// the warm pass — only the footer is touched — and (c) hit/miss counters
-// moving the right way.
+// the warm pass — only the footer is touched — (c) hit/miss counters
+// moving the right way, and (d) a new stamp for the same path reading cold.
 func TestChunkCacheShortCircuitsReads(t *testing.T) {
 	s := tripSchema(t)
 	rows := tripRows()
 	base := writeFile(t, s, rows, WriterOptions{RowGroupRows: 2, Codec: CodecSnappy}, true)
 	cc := cache.NewChunkCache(1 << 20)
 
-	read := func() ([][]any, int64) {
+	read := func(stamp int64) ([][]any, int64) {
 		f := &countingFile{BytesFile: &fsys.BytesFile{Data: base.Data}}
 		opts := AllOptimizations(nil, nil)
 		opts.LazyReads = false
-		opts.Path = "/warehouse/trips/part-0.parquet"
+		opts.Path, opts.Stamp = "/warehouse/trips/part-0.parquet", stamp
 		opts.Chunks = cc
 		r, err := NewReader(f, opts)
 		if err != nil {
@@ -46,7 +46,7 @@ func TestChunkCacheShortCircuitsReads(t *testing.T) {
 		return got, f.reads.Load()
 	}
 
-	cold, coldReads := read()
+	cold, coldReads := read(1)
 	if !reflect.DeepEqual(normalizeRows(cold), normalizeRows(rows)) {
 		t.Fatalf("cold read mismatch: %v", cold)
 	}
@@ -55,7 +55,7 @@ func TestChunkCacheShortCircuitsReads(t *testing.T) {
 			cc.Metrics.Misses.Load(), cc.Len())
 	}
 
-	warm, warmReads := read()
+	warm, warmReads := read(1)
 	if !reflect.DeepEqual(normalizeRows(warm), normalizeRows(cold)) {
 		t.Fatalf("warm read mismatch")
 	}
@@ -68,15 +68,13 @@ func TestChunkCacheShortCircuitsReads(t *testing.T) {
 		t.Error("warm pass recorded no cache hits")
 	}
 
-	// Invalidation drops the file's chunks; the next read goes to disk again.
-	if n := cc.InvalidatePrefix("/warehouse/trips/"); n == 0 {
-		t.Fatal("invalidation dropped nothing")
+	// The same path listed with a new stamp is another file: its chunks are
+	// read from the filesystem again, never served from the old stamp's.
+	rewritten, rewrittenReads := read(2)
+	if !reflect.DeepEqual(normalizeRows(rewritten), normalizeRows(cold)) {
+		t.Fatalf("new-stamp read mismatch")
 	}
-	inval, invalReads := read()
-	if !reflect.DeepEqual(normalizeRows(inval), normalizeRows(cold)) {
-		t.Fatalf("post-invalidation read mismatch")
-	}
-	if invalReads <= 2 {
-		t.Errorf("post-invalidation pass did %d ReadAts, want chunk reads again", invalReads)
+	if rewrittenReads != coldReads {
+		t.Errorf("new-stamp pass did %d ReadAts, want the cold pass's %d", rewrittenReads, coldReads)
 	}
 }

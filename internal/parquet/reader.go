@@ -111,15 +111,16 @@ func (c *chunkData) valueAt(i int) any {
 }
 
 // ChunkCache is the worker-local data cache contract (tier 1 of the §VII
-// hierarchy): decompressed column-chunk bodies keyed by file path, leaf
-// column path, row group ordinal and page kind (data vs dictionary).
+// hierarchy): decompressed column-chunk bodies keyed by file path and stamp
+// (the file's identity, ReaderOptions.Stamp), leaf column path, row group
+// ordinal and page kind (data vs dictionary).
 // Implementations must treat returned slices as shared and read-only; the
 // reader never mutates a cached body. Defined here (and satisfied by
 // internal/cache.ChunkCache) so parquet does not depend on the cache
 // package.
 type ChunkCache interface {
-	GetChunk(path, column string, rowGroup int, dict bool) ([]byte, bool)
-	PutChunk(path, column string, rowGroup int, dict bool, body []byte)
+	GetChunk(path string, stamp int64, column string, rowGroup int, dict bool) ([]byte, bool)
+	PutChunk(path string, stamp int64, column string, rowGroup int, dict bool, body []byte)
 }
 
 // pages is one contiguous run of a column chunk in the file — its data pages
@@ -192,6 +193,7 @@ func (cb *chunkBytes) runs(visit func(*pages)) {
 type chunkFetch struct {
 	cache    ChunkCache
 	path     string
+	stamp    int64
 	rowGroup int
 }
 
@@ -202,7 +204,7 @@ func (cf chunkFetch) lookup(p *pages) bool {
 	if cf.cache == nil {
 		return false
 	}
-	p.body, p.cached = cf.cache.GetChunk(cf.path, p.leaf.Node.Path, cf.rowGroup, p.dict)
+	p.body, p.cached = cf.cache.GetChunk(cf.path, cf.stamp, p.leaf.Node.Path, cf.rowGroup, p.dict)
 	return p.cached
 }
 
@@ -219,7 +221,7 @@ func (cf chunkFetch) keep(p *pages, codec Codec) {
 		// window would pin the whole read beyond what the cache accounts.
 		body = bytes.Clone(body)
 	}
-	cf.cache.PutChunk(cf.path, p.leaf.Node.Path, cf.rowGroup, p.dict, body)
+	cf.cache.PutChunk(cf.path, cf.stamp, p.leaf.Node.Path, cf.rowGroup, p.dict, body)
 	p.cached = true
 }
 

@@ -42,9 +42,11 @@ type ReaderOptions struct {
 	// Vectorized selects the batched triplet decoder (§V.I).
 	Vectorized bool
 
-	// Path is the file's warehouse path, used only as the cache key prefix
-	// for Chunks. Required when Chunks is set.
-	Path string
+	// Path and Stamp identify the file in Chunks: its warehouse path and the
+	// stamp a listing gave it (fsys.FileInfo), so a file written again is
+	// never answered with the old one's chunks. Required when Chunks is set.
+	Path  string
+	Stamp int64
 	// Chunks, when non-nil, caches decompressed column-chunk bodies across
 	// reader instances (the worker-local data cache, §VII). nil reads every
 	// chunk from the filesystem.
@@ -329,7 +331,7 @@ func (r *Reader) Close() error { return r.fetcher.close() }
 
 // chunkFetch keys the chunks of a row group in the reader's chunk cache.
 func (r *Reader) chunkFetch(rgIndex int) chunkFetch {
-	return chunkFetch{cache: r.opts.Chunks, path: r.opts.Path, rowGroup: rgIndex}
+	return chunkFetch{cache: r.opts.Chunks, path: r.opts.Path, stamp: r.opts.Stamp, rowGroup: rgIndex}
 }
 
 // first is the batch a row group is read ahead by.

@@ -36,10 +36,7 @@ func wireCatalogs(t testing.TB) *connector.Registry {
 // the pushed state its connector can carry.
 func wireHandles(t testing.TB) map[string]connector.TableHandle {
 	t.Helper()
-	pred, err := expr.Marshal(expr.MustCall("gt", expr.NewVariable("a", 0, types.Bigint), expr.NewConstant(int64(1), types.Bigint)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := expr.MustCall("gt", expr.NewVariable("a", 0, types.Bigint), expr.NewConstant(int64(1), types.Bigint))
 	cols := []connector.Column{{Name: "country", Type: types.Varchar}, {Name: "clicks", Type: types.Bigint}}
 	return map[string]connector.TableHandle{
 		"hive": &hive.TableHandle{
@@ -62,7 +59,7 @@ func wireHandles(t testing.TB) map[string]connector.TableHandle {
 			AggPushed:    true,
 			Limit:        10,
 		},
-		"memory": &memory.TableHandle{Schema: "s", Table: "t", PredicateJSON: pred, Projection: []int{}, Limit: 3},
+		"memory": &memory.TableHandle{Schema: "s", Table: "t", Predicate: pred, Projection: []int{}, Limit: 3},
 		"mysql": &mysql.TableHandle{
 			Table: "users", Columns: cols,
 			Predicates: []expr.Comparison{{Column: "clicks", Op: expr.OpLte, Values: []any{int64(5)}}},
@@ -189,7 +186,7 @@ func TestPlanWireRoundTrip(t *testing.T) {
 	}
 
 	splits := map[string]connector.Split{
-		"hive":            &hive.Split{Handle: handles["hive"].(*hive.TableHandle), Path: "/w/trips/datestr=2017-03-01/0.parquet", PartitionValues: map[string]string{"datestr": "2017-03-01", "region": "us"}},
+		"hive":            &hive.Split{Handle: handles["hive"].(*hive.TableHandle), Path: "/w/trips/datestr=2017-03-01/0.parquet", Size: 4096, Stamp: 17, PartitionValues: map[string]string{"datestr": "2017-03-01", "region": "us"}},
 		"druid":           &druidconn.Split{Handle: handles["druid"].(*druidconn.TableHandle)},
 		"memory":          &memory.Split{Handle: handles["memory"].(*memory.TableHandle), PageStart: 2, PageEnd: 9},
 		"mysql":           &mysql.Split{Handle: handles["mysql"].(*mysql.TableHandle)},

@@ -141,7 +141,7 @@ func TestExponentialBackoffSurvivesThrottling(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatalf("put %d failed despite backoff: %v", i, err)
 		}
-		if _, err := fs.GetFileInfo("/k"); err != nil {
+		if _, err := fs.Open("/k"); err != nil {
 			t.Fatalf("head %d failed despite backoff: %v", i, err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestExponentialBackoffSurvivesThrottling(t *testing.T) {
 	fs2 := NewFileSystem(s2, cfg2)
 	failed := false
 	for i := 0; i < 10; i++ {
-		if _, err := fs2.GetFileInfo("/nope-" + string(rune('a'+i))); err != nil {
+		if _, err := fs2.Open("/nope-" + string(rune('a'+i))); err != nil {
 			if _, transient := err.(ErrNoSuchKey); !transient {
 				failed = true
 				break
@@ -286,5 +286,40 @@ func TestS3Select(t *testing.T) {
 	}
 	if _, err := s.SelectObject("missing", []string{"id"}, nil); err == nil {
 		t.Error("missing key accepted")
+	}
+}
+
+// TestStampIsTheObjectGeneration: every write of a key — a Put or a completed
+// multipart upload — gives the object a new generation, and PrestoS3FileSystem
+// listings carry it as the file's stamp, as a client would the ETag.
+func TestStampIsTheObjectGeneration(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MultipartPartSize = 4
+	fs := NewFileSystem(NewStore(Config{}), cfg)
+	write := func(path, body string) {
+		t.Helper()
+		w, _ := fs.Create(path)
+		w.Write([]byte(body))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stamps := func() []int64 {
+		t.Helper()
+		files, err := fs.ListFiles("/d")
+		if err != nil || len(files) != 2 {
+			t.Fatalf("files = %v, %v", files, err)
+		}
+		return []int64{files[0].Stamp, files[1].Stamp}
+	}
+	write("/d/a", "abc")
+	write("/d/b", "abc")
+	first := stamps()
+	write("/d/a", "abc") // the same bytes again, by one Put
+	second := stamps()
+	write("/d/a", "abcdefghij") // by a multipart upload
+	third := stamps()
+	if second[0] == first[0] || third[0] == second[0] || third[1] != first[1] {
+		t.Errorf("stamps %v -> %v -> %v: want a's moved by every write and b's kept", first, second, third)
 	}
 }

@@ -109,13 +109,13 @@ func (fs *FileSystem) ListFiles(dir string) ([]fsys.FileInfo, error) {
 		if strings.Contains(rest, "/") {
 			continue // deeper "directory" level
 		}
-		out = append(out, fsys.FileInfo{Path: "/" + o.Key, Size: o.Size})
+		out = append(out, fsys.FileInfo{Path: "/" + o.Key, Size: o.Size, Stamp: o.Gen})
 	}
 	return out, nil
 }
 
-// GetFileInfo implements fsys.FileSystem.
-func (fs *FileSystem) GetFileInfo(path string) (fsys.FileInfo, error) {
+// Open implements fsys.FileSystem: a HEAD for the object's size.
+func (fs *FileSystem) Open(path string) (fsys.File, error) {
 	var size int64
 	err := fs.withBackoff(func() error {
 		var e error
@@ -123,18 +123,9 @@ func (fs *FileSystem) GetFileInfo(path string) (fsys.FileInfo, error) {
 		return e
 	})
 	if err != nil {
-		return fsys.FileInfo{}, err
-	}
-	return fsys.FileInfo{Path: path, Size: size}, nil
-}
-
-// Open implements fsys.FileSystem.
-func (fs *FileSystem) Open(path string) (fsys.File, error) {
-	info, err := fs.GetFileInfo(path)
-	if err != nil {
 		return nil, err
 	}
-	return &s3File{fs: fs, key: key(path), size: info.Size}, nil
+	return &s3File{fs: fs, key: key(path), size: size}, nil
 }
 
 // Create implements fsys.FileSystem, using multipart upload when the object

@@ -20,14 +20,14 @@ func (s *Store) SelectObject(key string, columns []string, preds []expr.Comparis
 		return nil, err
 	}
 	s.mu.RLock()
-	data, ok := s.objects[key]
+	obj, ok := s.objects[key]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, ErrNoSuchKey{Key: key}
 	}
 	// Server-side scan: no GET counters, no per-range latency — the service
 	// reads its own storage.
-	r, err := parquet.NewReader(&fsFileNoCounters{data: data}, parquet.AllOptimizations(columns, preds))
+	r, err := parquet.NewReader(&fsFileNoCounters{data: obj.data}, parquet.AllOptimizations(columns, preds))
 	if err != nil {
 		return nil, fmt.Errorf("s3 select: %w", err)
 	}

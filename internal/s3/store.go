@@ -48,14 +48,30 @@ type Store struct {
 	cfg Config
 
 	mu      sync.RWMutex
-	objects map[string][]byte
+	objects map[string]object
 	uploads map[string]*multipartUpload
+	gen     int64 // bumped by every object written
 
 	reqSeq   atomic.Int64
 	uploadID atomic.Int64
 
 	// Counters are exported for experiments.
 	Counters Counters
+}
+
+// object is one object's bytes and the generation that wrote it. The
+// generation plays an ETag's role: a listing reports it, and it changes
+// whenever the key is written again.
+type object struct {
+	data []byte
+	gen  int64
+}
+
+// putLocked stores data under key with a new generation; the caller holds
+// s.mu.
+func (s *Store) putLocked(key string, data []byte) {
+	s.gen++
+	s.objects[key] = object{data: data, gen: s.gen}
 }
 
 type multipartUpload struct {
@@ -65,7 +81,7 @@ type multipartUpload struct {
 
 // NewStore creates an empty bucket.
 func NewStore(cfg Config) *Store {
-	return &Store{cfg: cfg, objects: map[string][]byte{}, uploads: map[string]*multipartUpload{}}
+	return &Store{cfg: cfg, objects: map[string]object{}, uploads: map[string]*multipartUpload{}}
 }
 
 // maybeFail charges latency and injects throttles.
@@ -90,7 +106,7 @@ func (s *Store) Put(key string, data []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	s.objects[key] = append([]byte(nil), data...)
+	s.putLocked(key, append([]byte(nil), data...))
 	s.mu.Unlock()
 	return nil
 }
@@ -103,11 +119,11 @@ func (s *Store) Head(key string) (int64, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	data, ok := s.objects[key]
+	obj, ok := s.objects[key]
 	if !ok {
 		return 0, ErrNoSuchKey{Key: key}
 	}
-	return int64(len(data)), nil
+	return int64(len(obj.data)), nil
 }
 
 // GetRange opens a ranged GET starting at offset (to end of object). The
@@ -118,11 +134,12 @@ func (s *Store) GetRange(key string, offset int64) (*ObjectReader, error) {
 		return nil, err
 	}
 	s.mu.RLock()
-	data, ok := s.objects[key]
+	obj, ok := s.objects[key]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, ErrNoSuchKey{Key: key}
 	}
+	data := obj.data
 	if offset < 0 || offset > int64(len(data)) {
 		return nil, fmt.Errorf("s3: range start %d out of bounds for %q (%d bytes)", offset, key, len(data))
 	}
@@ -150,7 +167,7 @@ func (r *ObjectReader) Read(p []byte) (int, error) {
 // Pos returns the stream position.
 func (r *ObjectReader) Pos() int64 { return r.pos }
 
-// List returns keys under a prefix, sorted, with sizes.
+// List returns keys under a prefix, sorted, with sizes and generations.
 func (s *Store) List(prefix string) ([]ObjectInfo, error) {
 	s.Counters.ListRequests.Add(1)
 	if err := s.maybeFail(); err != nil {
@@ -159,9 +176,9 @@ func (s *Store) List(prefix string) ([]ObjectInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []ObjectInfo
-	for k, v := range s.objects {
+	for k, obj := range s.objects {
 		if strings.HasPrefix(k, prefix) {
-			out = append(out, ObjectInfo{Key: k, Size: int64(len(v))})
+			out = append(out, ObjectInfo{Key: k, Size: int64(len(obj.data)), Gen: obj.gen})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -172,6 +189,7 @@ func (s *Store) List(prefix string) ([]ObjectInfo, error) {
 type ObjectInfo struct {
 	Key  string
 	Size int64
+	Gen  int64 // the object's generation: what an ETag tells a client
 }
 
 // ---------------------------------------------------------------------------
@@ -226,7 +244,7 @@ func (s *Store) CompleteMultipart(uploadID string) error {
 	for _, n := range nums {
 		buf.Write(up.parts[n])
 	}
-	s.objects[up.key] = buf.Bytes()
+	s.putLocked(up.key, buf.Bytes())
 	delete(s.uploads, uploadID)
 	return nil
 }
