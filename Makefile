@@ -57,11 +57,12 @@ chaos-lifecycle:
 # result or an error, no panic, nothing returned that the input does not
 # cover, and what reads encodes back to itself), the statement and task
 # documents of the binary codec (any bytes: a document that encodes back to
-# the same bytes, or an error, no panic) and the rendering of pushed
-# comparisons (two decoded from the input: equal strings
-# only from equal comparisons, since the plan text keys a cache). CI
-# runs this as a smoke; crank -fuzztime locally to dig deeper. New crashers
-# land in testdata/fuzz — check them in.
+# the same bytes, or an error, no panic), the rendering of pushed comparisons
+# (two decoded from the input: equal strings only from equal comparisons,
+# since EXPLAIN shows them) and the WAL's record batches (any payload: a batch
+# that encodes back to the same bytes, or an error, no panic, no count
+# allocated past the payload). CI runs this as a smoke; crank -fuzztime
+# locally to dig deeper. New crashers land in testdata/fuzz — check them in.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -fuzz '^FuzzGroupTable$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/execution/vector/
@@ -74,6 +75,7 @@ fuzz-smoke:
 	go test -fuzz '^FuzzDecodeStatement$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	go test -fuzz '^FuzzDecodeTask$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	go test -fuzz '^FuzzComparisonString$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/expr/
+	go test -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/ingest/
 
 # Static analysis: go vet plus the project's own invariant suite
 # (internal/analysis, run by cmd/prestolint). prestolint enforces twelve

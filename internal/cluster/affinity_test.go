@@ -7,12 +7,16 @@ import (
 	"testing"
 
 	"prestolite/internal/connector"
+	"prestolite/internal/frame"
 )
 
-// fakeSplit is a named split for exercising the assignment logic directly.
+// fakeSplit is a named split for exercising the assignment logic and the
+// fragment-cache key directly.
 type fakeSplit string
 
 func (s fakeSplit) Description() string { return string(s) }
+
+func (s fakeSplit) AppendWire(dst []byte) []byte { return frame.AppendString(dst, string(s)) }
 
 func fakeWorkers(n int) []*workerClient {
 	out := make([]*workerClient, n)

@@ -230,6 +230,20 @@ func TestChaosLifecycleRollingRestart(t *testing.T) {
 		var acked atomic.Int64   // events durably acked (Send returned nil)
 		var ackedClicks int64    // written by the stream loop only
 		var markers atomic.Int64 // freshness probes, ts >= cluster.ChaosEventsBoundary too
+		// sending counts the sends under way. An event may be visible before
+		// its send returns, so it counts toward the ceiling from the moment
+		// its send starts; it leaves sending only after it is counted as
+		// acked (or not, if the send failed).
+		var sending atomic.Int64
+		send := func(key string, eventTime time.Time, row []any, ok *atomic.Int64) error {
+			sending.Add(1)
+			defer sending.Add(-1)
+			err := broker.send(key, eventTime, row)
+			if err == nil {
+				ok.Add(1)
+			}
+			return err
+		}
 		seq := int64(0)
 
 		// streamBatch sends n events, counting only acked ones. A Send may
@@ -240,10 +254,9 @@ func TestChaosLifecycleRollingRestart(t *testing.T) {
 				s := seq
 				seq++
 				clicks := (s*7 + seed) % 11
-				err := broker.send(fmt.Sprintf("k%d", s%17), time.Now(),
-					[]any{cluster.ChaosEventsBoundary + s, []string{"us", "de", "jp"}[s%3], clicks})
+				err := send(fmt.Sprintf("k%d", s%17), time.Now(),
+					[]any{cluster.ChaosEventsBoundary + s, []string{"us", "de", "jp"}[s%3], clicks}, &acked)
 				if err == nil {
-					acked.Add(1)
 					ackedClicks += clicks
 				}
 			}
@@ -257,13 +270,12 @@ func TestChaosLifecycleRollingRestart(t *testing.T) {
 			markerTs := int64(10_000_000) + probe
 			probe++
 			sent := time.Now()
-			for broker.send("marker", sent, []any{markerTs, "marker", int64(1)}) != nil {
+			for send("marker", sent, []any{markerTs, "marker", int64(1)}, &markers) != nil {
 				if time.Since(sent) > lcSLA {
 					t.Fatalf("seed %d: %s: marker send not acked within %v", seed, stage, lcSLA)
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			markers.Add(1)
 			q := fmt.Sprintf("SELECT count(*) AS n FROM events WHERE ts = %d", markerTs)
 			for {
 				n, err := lcExecute(cl, q)
@@ -308,10 +320,13 @@ func TestChaosLifecycleRollingRestart(t *testing.T) {
 						t.Errorf("seed %d: count went backwards: %d -> %d", seed, prev, n)
 					}
 					// Read the ceiling after the query so it can only be
-					// an overestimate of what the query could have seen.
-					ceiling := int64(lcHistRows) + acked.Load() + markers.Load()
+					// an overestimate of what the query could have seen:
+					// sending first, so a send that ends between the two
+					// reads is counted twice, never missed.
+					inFlight := sending.Load()
+					ceiling := int64(lcHistRows) + inFlight + acked.Load() + markers.Load()
 					if n > ceiling {
-						t.Errorf("seed %d: count %d exceeds acked rows %d — duplicates", seed, n, ceiling)
+						t.Errorf("seed %d: count %d exceeds acked and in-flight rows %d — duplicates", seed, n, ceiling)
 					}
 					prev = n
 					time.Sleep(time.Millisecond)

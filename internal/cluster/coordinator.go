@@ -73,8 +73,8 @@ type Coordinator struct {
 	res *coordResources
 
 	// resultCache is tier 2 of the cache hierarchy: whole query results
-	// keyed by canonical plan text plus every scanned table's snapshot
-	// version. nil until EnableResultCache.
+	// keyed by the plan's binary encoding plus every scanned table's
+	// snapshot version (resultCacheKey). nil until EnableResultCache.
 	resultCache       *cache.LRU[string, cachedResult]
 	resultUncacheable *obs.Counter
 
@@ -152,10 +152,10 @@ type cachedResult struct {
 
 // EnableResultCache turns on the coordinator's fragment-result cache (§VII,
 // tier 2 of the hierarchy): SELECT results are cached under a key built from
-// the canonical optimized plan and the snapshot version of every table it
+// the encoded optimized plan and the snapshot version of every table it
 // scans. Version-in-key makes invalidation implicit — a metastore partition
-// add, a druid segment seal or a hybrid boundary move bumps the version and
-// the stale entry simply stops being addressed; ttl and maxBytes only bound
+// add or a druid append, seal or compaction bumps the version and the stale
+// entry simply stops being addressed; ttl and maxBytes only bound
 // residency. Queries over tables whose connectors cannot report a snapshot
 // version are never cached (counted in coordinator.cache.result.uncacheable).
 func (c *Coordinator) EnableResultCache(capacity int, maxBytes int64, ttl time.Duration) {
@@ -166,14 +166,17 @@ func (c *Coordinator) EnableResultCache(capacity int, maxBytes int64, ttl time.D
 	c.resultCache = rc
 }
 
-// resultCacheKey derives the cache key for an optimized plan: planCacheKey
-// over the plan (handles render their pushed state, so two queries
-// normalizing to the same plan share a key) and a sorted
-// "catalog.schema.table@version" stamp per scanned table. ok is false — the
-// query is uncacheable — when the plan scans no tables (nothing pins
-// freshness) or any scanned catalog cannot report a snapshot version.
+// resultCacheKey derives the cache key for an optimized plan: its binary
+// encoding (planner.Encode), then the snapshot version of each table it scans
+// as a varint, in the order the walk meets the scans. Each scan's catalog,
+// schema and table are in the encoding, so that order names every version.
+// ok is false — the query is uncacheable — when the plan scans no tables
+// (nothing pins freshness) or a scan has no version (snapshotVersion). The
+// plan is encoded only once every scan has a version, and a versioned
+// connector's handles have a binary form (connector.SnapshotVersioner), so a
+// hybrid scan, say, makes a plan uncacheable, never a panic.
 func (c *Coordinator) resultCacheKey(plan planner.Node) (string, bool) {
-	var stamps []string
+	var versions []int64
 	ok := true
 	var walk func(n planner.Node)
 	walk = func(n planner.Node) {
@@ -181,82 +184,46 @@ func (c *Coordinator) resultCacheKey(plan planner.Node) (string, bool) {
 			return
 		}
 		if ts, isScan := n.(*planner.TableScan); isScan {
-			conn, err := c.Catalogs.Get(ts.Catalog)
-			if err != nil {
+			v := c.snapshotVersion(ts)
+			if v < 0 {
 				ok = false
 				return
 			}
-			sv, hasVersion := conn.(connector.SnapshotVersioner)
-			if !hasVersion {
-				ok = false
-				return
-			}
-			v, vok := sv.SnapshotVersion(ts.Schema, ts.Table)
-			if !vok {
-				ok = false
-				return
-			}
-			stamps = append(stamps, fmt.Sprintf("%s.%s.%s@%d", ts.Catalog, ts.Schema, ts.Table, v))
+			versions = append(versions, v)
 		}
 		for _, child := range n.Children() {
 			walk(child)
 		}
 	}
 	walk(plan)
-	if !ok || len(stamps) == 0 {
+	if !ok || len(versions) == 0 {
 		return "", false
 	}
-	sort.Strings(stamps)
-	return planCacheKey(plan, stamps, nil), true
+	key := planner.Encode(plan)
+	for _, v := range versions {
+		key = frame.AppendVarint(key, v)
+	}
+	return string(key), true
 }
 
-// planCacheKey is the one key scheme of the plan-keyed cache tiers — the
-// coordinator's result cache and the workers' fragment cache: the full
-// canonical plan text, the version stamps that pin freshness, and (worker
-// tier) the description of every split the task covers. Each field is
-// length-prefixed and the stamp count is a field of its own, so no byte can
-// move between fields or lists and make two different inputs share a key;
-// nothing is digested, so equal keys mean equal inputs.
-func planCacheKey(plan planner.Node, stamps []string, splits []connector.Split) string {
-	text := planner.Format(plan)
-	size := len(text) + 16
-	for _, stamp := range stamps {
-		size += len(stamp) + 8
+// snapshotVersion is the snapshot version of the table a scan reads, by the
+// one rule of both plan-keyed cache tiers: -1 — do not cache — when its
+// catalog cannot report one or the table has none now (a hive table with an
+// open partition). It rides in the TaskRequest too, so the worker's
+// fragment-cache key moves with the data: without it, a sealed-then-
+// backfilled table would keep serving the pre-backfill pages until the worker
+// cache TTL.
+func (c *Coordinator) snapshotVersion(scan *planner.TableScan) int64 {
+	conn, err := c.Catalogs.Get(scan.Catalog)
+	if err != nil {
+		return -1
 	}
-	// The coordinator's key (no splits) is built in one allocation: this runs
-	// on every result-cache probe.
-	var sb strings.Builder
-	sb.Grow(size)
-	var num [20]byte
-	field := func(s string) {
-		sb.Write(strconv.AppendInt(num[:0], int64(len(s)), 10))
-		sb.WriteByte(':')
-		sb.WriteString(s)
-	}
-	field(text)
-	field(strconv.Itoa(len(stamps)))
-	for _, stamp := range stamps {
-		field(stamp)
-	}
-	for _, split := range splits {
-		field(split.Description())
-	}
-	return sb.String()
-}
-
-// fragmentSnapshotVersion resolves the snapshot version a source fragment's
-// scan is running against: 0 when the catalog cannot report one, -1 when it
-// can but the table has none now (the worker then does not cache the task).
-// It rides in the TaskRequest so the worker's fragment-result cache key moves
-// with the data: without it, a sealed-then-backfilled table would keep
-// serving the pre-backfill pages until the worker cache TTL.
-func (c *Coordinator) fragmentSnapshotVersion(conn connector.Connector, scan *planner.TableScan) int64 {
 	sv, ok := conn.(connector.SnapshotVersioner)
-	if !ok || scan == nil {
-		return 0
+	if !ok {
+		return -1
 	}
-	v, vok := sv.SnapshotVersion(scan.Schema, scan.Table)
-	if !vok {
+	v, ok := sv.SnapshotVersion(scan.Schema, scan.Table)
+	if !ok {
 		return -1
 	}
 	return v
@@ -607,7 +574,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 			assignment, placed, overflow := assignSplits(splits, workers)
 			c.affinityPlaced.Add(int64(placed))
 			c.affinityOverflow.Add(int64(overflow))
-			snapVersion := c.fragmentSnapshotVersion(conn, frag.Scan)
+			snapVersion := c.snapshotVersion(frag.Scan)
 			shared := encodeFragment(frag.Root, frag.TableKey)
 			for wi, splitSet := range assignment {
 				if len(splitSet) == 0 {

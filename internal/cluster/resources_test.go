@@ -198,7 +198,7 @@ func TestQueryMaxMemoryWithNothingConfigured(t *testing.T) {
 		task := newWorkerTask()
 		workers[0].runTask(&TaskRequest{
 			TaskID: "join", Fragment: plan, TableKey: "hive.rawdata.trips", Splits: splits, MaxMemory: props.MaxMemory,
-		}, task)
+		}, nil, task)
 		return task.err
 	}
 	for _, tc := range []struct {

@@ -7,10 +7,15 @@ import (
 
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
+	druidconn "prestolite/internal/connectors/druid"
 	"prestolite/internal/connectors/hive"
+	"prestolite/internal/connectors/hybrid"
 	"prestolite/internal/connectors/memory"
+	"prestolite/internal/connectors/mysql"
+	"prestolite/internal/druid"
 	"prestolite/internal/hdfs"
 	"prestolite/internal/metastore"
+	"prestolite/internal/mysqlite"
 	"prestolite/internal/parquet"
 	"prestolite/internal/planner"
 	"prestolite/internal/sql"
@@ -136,15 +141,20 @@ func TestCoordinatorResultCache(t *testing.T) {
 	}
 }
 
-// TestResultCacheSeparatesPushedPredicates: the plan text is the cache key and
-// a pushed predicate is only in the handle's description, so two IN lists that
-// differ only in where a string ends must not render alike: the second
-// statement matches no partition and must not be served the first one's rows.
+// TestResultCacheSeparatesPushedPredicates: a pushed predicate is only in the
+// scan's handle, so the result-cache key — the plan's encoding, handles
+// included — must tell apart two IN lists that differ only in where a string
+// ends: the second statement matches no partition and must not be served the
+// first one's rows.
 func TestResultCacheSeparatesPushedPredicates(t *testing.T) {
 	catalogs, _, _ := resultCacheFixture(t)
 	coord, _ := newCluster(t, catalogs, 2)
 	coord.EnableResultCache(64, 8<<20, time.Hour)
 
+	stmt := func(in string) string { return "SELECT city_id, fare FROM trips WHERE datestr IN (" + in + ")" }
+	if resultKey(t, coord, stmt("'2017-03-01', '2017-03-02'")) == resultKey(t, coord, stmt("'2017-03-01,2017-03-02'")) {
+		t.Error("the two IN lists share a result-cache key")
+	}
 	for _, tc := range []struct {
 		in   string
 		rows int
@@ -153,7 +163,7 @@ func TestResultCacheSeparatesPushedPredicates(t *testing.T) {
 		{"'2017-03-01,2017-03-02'", 0},
 		{"'2017-03-01', '2017-03-02'", 10}, // the first entry is still there, and still right
 	} {
-		res, err := coord.Query(session(), "SELECT city_id, fare FROM trips WHERE datestr IN ("+tc.in+")")
+		res, err := coord.Query(session(), stmt(tc.in))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,6 +179,24 @@ func TestResultCacheSeparatesPushedPredicates(t *testing.T) {
 	if !infos[0].FromCache {
 		t.Errorf("the repeated statement missed the cache: %+v", infos[0])
 	}
+}
+
+// resultKey plans a statement as coord would and returns its result-cache key.
+func resultKey(t *testing.T, coord *Coordinator, stmt string) string {
+	t.Helper()
+	q, err := sql.Parse(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.PlanQuery(coord.Catalogs, session(), q.(*sql.Query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ok := coord.resultCacheKey(plan)
+	if !ok {
+		t.Fatalf("%s is uncacheable", stmt)
+	}
+	return key
 }
 
 // TestResultCacheUncacheablePaths: queries over versionless catalogs, session
@@ -250,10 +278,10 @@ func BenchmarkResultCacheHit(b *testing.B) {
 	}
 }
 
-// TestPlanCacheKeySeparatesInputs: the key shared by the coordinator result
-// cache and the worker fragment cache is injective over its inputs — two
-// requests differing in one split description, in the snapshot version, or
-// only in where a field boundary falls never share a key.
+// TestPlanCacheKeySeparatesInputs: the workers' fragment-cache key is
+// injective over its inputs — two tasks differing in one split, in the
+// snapshot version, or only in where a field boundary falls never share a
+// key — and it carries the encoded fragment and the splits, not a digest.
 func TestPlanCacheKeySeparatesInputs(t *testing.T) {
 	splits := func(descs ...string) []connector.Split {
 		out := make([]connector.Split, len(descs))
@@ -263,35 +291,40 @@ func TestPlanCacheKeySeparatesInputs(t *testing.T) {
 		return out
 	}
 	type input struct {
-		stamps []string
-		splits []connector.Split
+		tableKey string
+		version  int64
+		splits   []connector.Split
 	}
-	base := input{[]string{"7"}, splits("/t/part-0", "/t/part-1")}
+	base := input{"memory.s.t", 7, splits("/t/part-0", "/t/part-1")}
 	others := map[string]input{
-		"one split description differs":      {[]string{"7"}, splits("/t/part-0", "/t/part-2")},
-		"snapshot version differs":           {[]string{"8"}, splits("/t/part-0", "/t/part-1")},
-		"byte moved across a split boundary": {[]string{"7"}, splits("/t/part-0/", "t/part-1")},
-		"split boundary dropped":             {[]string{"7"}, splits("/t/part-0/t/part-1")},
-		"stamp moved into the splits":        {nil, splits("7", "/t/part-0", "/t/part-1")},
-		"split moved into the stamps":        {[]string{"7", "/t/part-0"}, splits("/t/part-1")},
-		"length prefix forged in a field":    {[]string{"7"}, splits("/t/part-09:/t/part-1")},
-		"NUL and comma separators forged":    {[]string{"7"}, splits("/t/part-0\x00/t/part-1", ",")},
+		"one split description differs":      {"memory.s.t", 7, splits("/t/part-0", "/t/part-2")},
+		"snapshot version differs":           {"memory.s.t", 8, splits("/t/part-0", "/t/part-1")},
+		"byte moved across a split boundary": {"memory.s.t", 7, splits("/t/part-0/", "t/part-1")},
+		"split boundary dropped":             {"memory.s.t", 7, splits("/t/part-0/t/part-1")},
+		"version moved into the splits":      {"memory.s.t", 0, splits("\x0e", "/t/part-0", "/t/part-1")},
+		"split moved into the fragment":      {"memory.s.t/t/part-0", 7, splits("/t/part-1")},
+		"length prefix forged in a field":    {"memory.s.t", 7, splits("/t/part-0\x09/t/part-1")},
+		"NUL and comma separators forged":    {"memory.s.t", 7, splits("/t/part-0\x00/t/part-1", ",")},
 	}
 	plan := &planner.Values{}
-	baseKey := planCacheKey(plan, base.stamps, base.splits)
-	if again := planCacheKey(plan, []string{"7"}, splits("/t/part-0", "/t/part-1")); again != baseKey {
+	key := func(in input) string {
+		req := TaskRequest{Fragment: plan, TableKey: in.tableKey, SnapshotVersion: in.version, Splits: in.splits}
+		return string(req.cacheKey())
+	}
+	baseKey := key(base)
+	if again := key(input{"memory.s.t", 7, splits("/t/part-0", "/t/part-1")}); again != baseKey {
 		t.Fatal("equal inputs produced different keys")
 	}
-	if !strings.Contains(baseKey, planner.Format(plan)) || !strings.Contains(baseKey, "/t/part-1") {
+	if !strings.Contains(baseKey, string(planner.Encode(plan))) || !strings.Contains(baseKey, "/t/part-1") {
 		t.Errorf("key digests its inputs instead of carrying them: %q", baseKey)
 	}
 	seen := map[string]string{baseKey: "base"}
 	for name, in := range others {
-		key := planCacheKey(plan, in.stamps, in.splits)
-		if prev, dup := seen[key]; dup {
-			t.Errorf("%s: shares key %q with %s", name, key, prev)
+		k := key(in)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s: shares key %q with %s", name, k, prev)
 		}
-		seen[key] = name
+		seen[k] = name
 	}
 }
 
@@ -334,7 +367,7 @@ func TestFragmentCacheIsByteBounded(t *testing.T) {
 	run := func(version int64) {
 		t.Helper()
 		task := newWorkerTask()
-		w.runTask(&TaskRequest{TaskID: "t", Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits, Drivers: 1, SnapshotVersion: version}, task)
+		w.runTask(&TaskRequest{TaskID: "t", Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits, Drivers: 1, SnapshotVersion: version}, nil, task)
 		if task.err != nil {
 			t.Fatal(task.err)
 		}
@@ -445,5 +478,138 @@ func TestResultCacheOpenPartitionSeesNewFile(t *testing.T) {
 		if n := w.fragCache.Len(); n != 0 {
 			t.Errorf("worker %d cached %d tasks over an open partition", i, n)
 		}
+	}
+}
+
+// TestFragmentCacheRefusesUnversionedCatalog: a catalog that cannot report a
+// snapshot version — mysql, whose rows change in place — gets no task kept in
+// the workers' fragment cache, as it gets no result kept in the coordinator's:
+// a statement run again after an Upsert reads the new row.
+func TestFragmentCacheRefusesUnversionedCatalog(t *testing.T) {
+	db := mysqlite.New()
+	if _, err := db.CreateTable("cities", []mysqlite.Column{
+		{Name: "city_id", Type: types.Bigint},
+		{Name: "name", Type: types.Varchar},
+	}, "city_id"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("cities", []any{int64(12), "san francisco"}); err != nil {
+		t.Fatal(err)
+	}
+	catalogs := connector.NewRegistry()
+	catalogs.Register("mysql", mysql.New("mysql", "prod", db))
+	coord, workers := newCluster(t, catalogs, 2)
+	for _, w := range workers {
+		w.EnableFragmentResultCache = true
+	}
+	s := session()
+	s.Catalog, s.Schema = "mysql", "prod"
+	name := func() any {
+		t.Helper()
+		res, err := coord.Query(s, "SELECT name FROM cities WHERE city_id = 12")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := res.Rows()
+		if len(rows) != 1 {
+			t.Fatalf("rows = %v", rows)
+		}
+		return rows[0][0]
+	}
+	if got := name(); got != "san francisco" {
+		t.Fatalf("name = %v", got)
+	}
+	if err := db.Upsert("cities", []any{int64(12), "sf"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := name(); got != "sf" {
+		t.Errorf("after the Upsert: name = %v, want sf (the fragment cache served the old row?)", got)
+	}
+	for i, w := range workers {
+		if n := w.fragCache.Len(); n != 0 {
+			t.Errorf("worker %d kept %d tasks over an unversioned catalog", i, n)
+		}
+	}
+}
+
+// TestResultCacheHybridSeesBothSides: a hybrid statement is planned into one
+// scan per side, and its result-cache key carries each side's own snapshot
+// version, so an append to the real-time side and a partition added to the
+// historical side each make the next run miss and read the new rows.
+func TestResultCacheHybridSeesBothSides(t *testing.T) {
+	const boundary = 1000
+	fs := hdfs.New(hdfs.Config{})
+	ms := metastore.New()
+	loader := &hive.Loader{MS: ms, FS: fs}
+	cols := []metastore.Column{{Name: "ts", Type: types.Bigint}, {Name: "clicks", Type: types.Bigint}}
+	page := func(ts ...int64) *block.Page {
+		pb := block.NewPageBuilder([]*types.Type{types.Bigint, types.Bigint})
+		for _, v := range ts {
+			pb.AppendRow([]any{v, int64(1)})
+		}
+		return pb.Build()
+	}
+	if err := loader.CreatePartitionedTable("web", "events_hist", cols, "day",
+		map[string][]*block.Page{"d1": {page(1, 2, 3)}}, map[string]bool{"d1": true}); err != nil {
+		t.Fatal(err)
+	}
+	store := druid.NewStore()
+	rt, err := store.CreateTable("events_rt", []druid.Column{
+		{Name: "ts", Type: types.Bigint},
+		{Name: "clicks", Type: types.Bigint},
+		{Name: "day", Type: types.Varchar},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Ingest([][]any{{int64(boundary), int64(1), "d9"}}); err != nil {
+		t.Fatal(err)
+	}
+	catalogs := connector.NewRegistry()
+	catalogs.Register("hive", hive.New("hive", ms, fs, hive.Options{}))
+	catalogs.Register("druid", druidconn.New("druid", &druid.EmbeddedClient{Store: store}))
+	hc := hybrid.New("hybrid", catalogs)
+	if err := hc.AddTable("events", hybrid.TableConfig{
+		Historical: connector.HybridPart{Catalog: "hive", Schema: "web", Table: "events_hist"},
+		Realtime:   connector.HybridPart{Catalog: "druid", Schema: "default", Table: "events_rt"},
+		TimeColumn: "ts",
+		Boundary:   boundary,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	catalogs.Register("hybrid", hc)
+	coord, _ := newCluster(t, catalogs, 2)
+	coord.EnableResultCache(64, 8<<20, time.Hour)
+
+	s := session()
+	s.Catalog, s.Schema = "hybrid", "default"
+	run := func(stage string, want int64, cached bool) {
+		t.Helper()
+		res, err := coord.Query(s, "SELECT count(*), sum(clicks) FROM events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := res.Rows()
+		if rows[0][0] != want || rows[0][1] != want {
+			t.Errorf("%s: count, sum = %v, want %d, %d", stage, rows[0], want, want)
+		}
+		if info := coord.QueryInfos()[0]; info.FromCache != cached {
+			t.Errorf("%s: FromCache = %v, want %v", stage, info.FromCache, cached)
+		}
+	}
+	run("first run", 4, false)
+	run("repeat", 4, true)
+	if err := rt.Ingest([][]any{{int64(boundary + 1), int64(1), "d9"}}); err != nil {
+		t.Fatal(err)
+	}
+	run("after a druid append", 5, false)
+	run("repeat after the append", 5, true)
+	if err := loader.AddPartition("web", "events_hist", "day", "d2", []*block.Page{page(10, 11)}, true); err != nil {
+		t.Fatal(err)
+	}
+	run("after a hive AddPartition", 7, false)
+	run("repeat after the partition", 7, true)
+	if n := coord.Obs().Snapshot().Counters["coordinator.cache.result.uncacheable"]; n != 0 {
+		t.Errorf("uncacheable = %d, want 0", n)
 	}
 }

@@ -213,7 +213,7 @@ func TestConcurrentIdenticalTasksShareFrames(t *testing.T) {
 	t.Cleanup(func() { w.Close() })
 	req := TaskRequest{TaskID: "warm", Fragment: frag.Root, TableKey: frag.TableKey, Splits: splits, Drivers: 2}
 	warm := newWorkerTask()
-	w.runTask(&req, warm) // fills the cache; nobody fetches it
+	w.runTask(&req, nil, warm) // fills the cache; nobody fetches it
 	if warm.err != nil {
 		t.Fatal(warm.err)
 	}

@@ -23,8 +23,8 @@ import (
 
 // Request bodies come from outside the process; each handler reads at most
 // this much. A statement is SQL text and a few properties; a task is a plan
-// fragment and the descriptions of its splits. A live stats answer is one
-// small record per operator of a fragment.
+// fragment and its splits. A live stats answer is one small record per
+// operator of a fragment.
 const (
 	maxStatementBytes = 1 << 20
 	maxTaskBytes      = 16 << 20
@@ -118,10 +118,14 @@ const (
 	maxAnnounced  = 1 << 48
 )
 
-// A task document is the fragment's part, then the task's own. The fragment's
-// part — the encoded plan fragment and its table key — is the same for every
-// task of the fragment: execQuery encodes it once per query, and each task of
-// the fragment and each reschedule of one reuses those bytes.
+// A task document is its fragment-cache key, then the task's own fields. The
+// key is the fragment's part — the encoded plan fragment and its table key,
+// the same for every task of the fragment: execQuery encodes it once per
+// query, and each task of the fragment and each reschedule of one reuses
+// those bytes — then the snapshot version and the task's splits. Each of
+// these has one encoding, so equal keys mean the same fragment over the same
+// splits at the same version; a hive split's form carries its file's path,
+// size and stamp.
 
 // encodeFragment writes the part of a task document every task of one
 // fragment shares.
@@ -129,18 +133,15 @@ func encodeFragment(root planner.Node, tableKey string) []byte {
 	return frame.AppendString(frame.AppendBytes(nil, planner.Encode(root)), tableKey)
 }
 
-// encode writes the task document: the fragment's part (encoded here only if
-// the request does not carry it already), then the task's own fields.
-func (req *TaskRequest) encode() []byte {
+// cacheKey writes the key part of the task document (the fragment's part is
+// encoded here only if the request does not carry it already).
+func (req *TaskRequest) cacheKey() []byte {
 	shared := req.fragment
 	if shared == nil {
 		shared = encodeFragment(req.Fragment, req.TableKey)
 	}
-	dst := make([]byte, 0, len(shared)+len(req.TaskID)+64*(len(req.Splits)+1))
-	dst = frame.AppendString(append(dst, shared...), req.TaskID)
-	dst = frame.AppendVarint(dst, int64(req.Drivers))
-	dst = frame.AppendVarint(frame.AppendVarint(dst, req.MaxMemory), req.Deadline)
-	dst = frame.AppendVarint(dst, req.SnapshotVersion)
+	dst := make([]byte, 0, len(shared)+64*(len(req.Splits)+1)+len(req.TaskID))
+	dst = frame.AppendVarint(append(dst, shared...), req.SnapshotVersion)
 	dst = frame.AppendUvarint(dst, uint64(len(req.Splits)))
 	for _, s := range req.Splits {
 		enc, ok := s.(connector.Encoder)
@@ -152,35 +153,44 @@ func (req *TaskRequest) encode() []byte {
 	return dst
 }
 
+// encode writes the task document: the key part, then the task's own fields.
+func (req *TaskRequest) encode() []byte {
+	dst := frame.AppendString(req.cacheKey(), req.TaskID)
+	dst = frame.AppendVarint(dst, int64(req.Drivers))
+	return frame.AppendVarint(frame.AppendVarint(dst, req.MaxMemory), req.Deadline)
+}
+
 // decodeTask reads what encode wrote. The fragment's handles and its splits
-// are read by the connector of the fragment's scan, found in catalogs.
-func decodeTask(b []byte, catalogs *connector.Registry) (TaskRequest, error) {
+// are read by the connector of the fragment's scan, found in catalogs. key is
+// the document's key part, as it came (it aliases b).
+func decodeTask(b []byte, catalogs *connector.Registry) (req TaskRequest, key []byte, err error) {
 	r := frame.NewReader(b)
 	plan := r.Bytes()
-	req := TaskRequest{TableKey: r.Str(), TaskID: r.Str(), Drivers: r.Int()}
-	req.MaxMemory, req.Deadline, req.SnapshotVersion = r.Varint(), r.Varint(), r.Varint()
+	req = TaskRequest{TableKey: r.Str(), SnapshotVersion: r.Varint()}
 	n := r.Count()
 	if err := r.Err(); err != nil {
-		return TaskRequest{}, fmt.Errorf("cluster: task document: %w", err)
+		return TaskRequest{}, nil, fmt.Errorf("cluster: task document: %w", err)
 	}
-	var err error
 	if req.Fragment, err = planner.Decode(plan, catalogs); err != nil {
-		return TaskRequest{}, err
+		return TaskRequest{}, nil, err
 	}
 	if n > 0 {
 		dec, err := splitDecoder(req.Fragment, catalogs)
 		if err != nil {
-			return TaskRequest{}, err
+			return TaskRequest{}, nil, err
 		}
 		req.Splits = make([]connector.Split, n)
 		for i := range req.Splits {
 			req.Splits[i] = dec.DecodeSplit(r)
 		}
 	}
+	key = b[:len(b)-r.Len()]
+	req.TaskID, req.Drivers = r.Str(), r.Int()
+	req.MaxMemory, req.Deadline = r.Varint(), r.Varint()
 	if err := r.Close(); err != nil {
-		return TaskRequest{}, fmt.Errorf("cluster: task document: %w", err)
+		return TaskRequest{}, nil, fmt.Errorf("cluster: task document: %w", err)
 	}
-	return req, nil
+	return req, key, nil
 }
 
 // splitDecoder finds the connector that reads a source fragment's splits: the

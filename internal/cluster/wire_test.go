@@ -91,9 +91,10 @@ func FuzzDecodeStatement(f *testing.F) {
 
 // FuzzDecodeTask: any bytes are a task request or an error — no panic, and
 // nothing allocated that the input's size does not cover — and a request
-// that reads encodes back to the same bytes. Seeded with the source
-// fragments of statements shaped like the planner tests', over a hive
-// warehouse and a memory catalog, each with its real splits.
+// that reads encodes back to the same bytes, its fragment-cache key to the
+// key part decodeTask cut from them. Seeded with the source fragments of
+// statements shaped like the planner tests', over a hive warehouse and a
+// memory catalog, each with its real splits.
 func FuzzDecodeTask(f *testing.F) {
 	reg := newCatalogs(f)
 	for _, q := range []string{
@@ -117,7 +118,7 @@ func FuzzDecodeTask(f *testing.F) {
 					}
 				}
 				data := req.encode()
-				if _, err := decodeTask(data, reg); err != nil {
+				if _, _, err := decodeTask(data, reg); err != nil {
 					f.Fatalf("%s: %v", q, err)
 				}
 				f.Add(data)
@@ -126,7 +127,7 @@ func FuzzDecodeTask(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeTask(data, reg)
+		req, key, err := decodeTask(data, reg)
 		if err != nil {
 			return
 		}
@@ -135,6 +136,9 @@ func FuzzDecodeTask(f *testing.F) {
 		}
 		if again := req.encode(); !bytes.Equal(again, data) {
 			t.Fatalf("a task that read does not encode back to itself:\n%x\n%x", data, again)
+		}
+		if again := req.cacheKey(); !bytes.Equal(again, key) {
+			t.Fatalf("the key cut from a task differs from the key encoded from it:\n%x\n%x", key, again)
 		}
 	})
 }

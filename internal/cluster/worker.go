@@ -59,11 +59,11 @@ type TaskRequest struct {
 	// coordinator's per-RPC deadline enforcement.
 	Deadline int64
 	// SnapshotVersion is the scanned table's snapshot version at scheduling
-	// time (0 when the catalog cannot report one; -1 when it can but the
-	// table has none now, as a hive table with an open partition). It is part
-	// of the worker's fragment-result cache key, so cached fragment output
-	// over data that has since changed is unreachable rather than stale; a
-	// task at -1 is not cached.
+	// time: -1 when the catalog cannot report one or the table has none now,
+	// as a hive table with an open partition. It is part of the worker's
+	// fragment-result cache key (cacheKey), so cached fragment output over
+	// data that has since changed is unreachable rather than stale; a task at
+	// -1 is not cached.
 	SnapshotVersion int64
 
 	// fragment is the encoded part of the request every task of its fragment
@@ -376,7 +376,7 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := decodeTask(body, w.Catalogs)
+	req, key, err := decodeTask(body, w.Catalogs)
 	if err != nil {
 		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -392,16 +392,22 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	w.tasks[req.TaskID] = task
 	w.mu.Unlock()
 
-	go w.runTask(&req, task)
+	go w.runTask(&req, key, task)
 	rw.WriteHeader(http.StatusAccepted)
 }
 
-func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
+// runTask runs a task to its end. key is the key part of the task document
+// the request was read from (decodeTask), the task's fragment-cache key; nil
+// for a request built in memory, whose key is encoded here if it is needed.
+func (w *Worker) runTask(req *TaskRequest, key []byte, task *workerTask) {
 	w.tasksStarted.Inc()
 	start := w.Clock.Now()
 	var cacheKey string
 	if w.EnableFragmentResultCache && req.SnapshotVersion >= 0 {
-		cacheKey = planCacheKey(req.Fragment, []string{strconv.FormatInt(req.SnapshotVersion, 10)}, req.Splits)
+		if key == nil {
+			key = req.cacheKey()
+		}
+		cacheKey = string(key)
 		if frames, ok := w.fragCache.Get(cacheKey); ok {
 			w.tasksCompleted.Inc()
 			task.finish(frames)

@@ -57,10 +57,8 @@ func (t *TableSchema) ColumnIndex(name string) int {
 // workers has a binary form: it is an Encoder, and its connector a Decoder.
 type TableHandle interface {
 	// Description renders the handle, including pushed state, for EXPLAIN.
-	// The plan text is also the coordinator's result-cache key, so two
-	// handles that select different rows must never render alike: pushed
-	// comparisons go through expr.Comparison.String, and pushed state is
-	// rendered in a fixed order.
+	// It is display only: what identifies a handle — in a shipped fragment
+	// and in both plan-keyed cache tiers — is its binary form.
 	Description() string
 }
 
@@ -111,10 +109,13 @@ type Connector interface {
 
 // SnapshotVersioner is an optional capability: connectors that can report a
 // monotonic per-table snapshot version implement it, and the coordinator
-// stamps those versions into fragment-result cache keys (§VII). A version
-// must change whenever the table's visible data changes (partition added or
-// sealed, segment appended/sealed/compacted, schema evolved). ok=false
-// marks the table unversionable — queries over it are never result-cached.
+// appends those versions to the keys of the result cache and the workers'
+// fragment cache (§VII). A version must change whenever the table's visible
+// data changes (partition added or sealed, segment appended/sealed/compacted,
+// schema evolved). A connector without it, or ok=false, marks the table
+// unversionable: neither tier caches a query or a task over it. A connector
+// that implements it gives its handles a binary form (Encoder): the result
+// cache's key is the encoded plan.
 type SnapshotVersioner interface {
 	SnapshotVersion(schema, table string) (version int64, ok bool)
 }

@@ -59,39 +59,6 @@ func (c *Connector) AddTable(table string, cfg TableConfig) error {
 	return nil
 }
 
-// SnapshotVersion implements connector.SnapshotVersioner by folding both
-// sides' versions (a table's boundary is fixed when it is declared): the
-// hybrid table's visible data changes exactly when one side's does. ok is
-// false when either side's connector cannot report a version.
-func (c *Connector) SnapshotVersion(schema, table string) (int64, bool) {
-	if schema != c.schema {
-		return 0, false
-	}
-	c.mu.RLock()
-	cfg, ok := c.tables[table]
-	c.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	var sum int64
-	for _, part := range []connector.HybridPart{cfg.Historical, cfg.Realtime} {
-		conn, err := c.catalogs.Get(part.Catalog)
-		if err != nil {
-			return 0, false
-		}
-		sv, ok := conn.(connector.SnapshotVersioner)
-		if !ok {
-			return 0, false
-		}
-		v, ok := sv.SnapshotVersion(part.Schema, part.Table)
-		if !ok {
-			return 0, false
-		}
-		sum += v
-	}
-	return sum, true
-}
-
 // TableHandle names a hybrid table plus its resolved spec.
 type TableHandle struct {
 	Table string

@@ -152,7 +152,7 @@ func TestHybridExpansionExplain(t *testing.T) {
 		t.Errorf("ts >= 1500 lost the real-time side:\n%s", plan)
 	}
 	// The predicate implies the side's bound, so the scan carries it alone:
-	// the plan text is the result-cache key and the store runs every filter.
+	// the store runs every filter it is handed.
 	for where, pushed := range map[string]string{"ts >= 1500": "filter[", "ts >= 1000": "filter[", "ts < 1000": "predicate[", "ts < 500": "predicate["} {
 		plan = explain("SELECT count(*) FROM events WHERE " + where)
 		if n := strings.Count(plan, pushed); n != 1 {

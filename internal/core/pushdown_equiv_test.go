@@ -257,7 +257,7 @@ func TestPushdownOnOffDifferential(t *testing.T) {
 			session := DefaultSession(fx.catalog, fx.schema)
 
 			// rowsByPlan: statements whose optimized plans render alike must
-			// select the same rows — the plan text is the result-cache key.
+			// select the same rows, or EXPLAIN hides what a plan selects.
 			rowsByPlan := map[string][]string{}
 			wherePushed := 0
 			for _, tc := range append(append([]pushdownCase(nil), pushdownCases...), fx.extra...) {

@@ -287,11 +287,10 @@ func orderedMatcher[T int64 | float64 | string](op CompareOp, lits []T) func(T) 
 	return func(T) bool { return false }
 }
 
-// String renders the comparison for TableHandle.Description, which is part of
-// the result-cache key: two comparisons that select different rows must never
-// render alike. Strings are quoted, a float64 never looks like an int64, an IN
-// list is delimited, and a column that is not a plain dotted identifier is
-// quoted too.
+// String renders the comparison for TableHandle.Description, for EXPLAIN:
+// two comparisons that select different rows should not read alike. Strings
+// are quoted, a float64 never looks like an int64, an IN list is delimited,
+// and a column that is not a plain dotted identifier is quoted too.
 func (c Comparison) String() string {
 	var sb strings.Builder
 	if plainColumn(c.Column) {

@@ -255,7 +255,7 @@ func sameComparison(a, b Comparison) bool {
 	return true
 }
 
-// FuzzComparisonString: the rendering is part of the result-cache key, so
+// FuzzComparisonString: EXPLAIN shows pushed comparisons in this rendering, so
 // equal strings may only come from equal comparisons.
 func FuzzComparisonString(f *testing.F) {
 	f.Add([]byte("\x04name\x06\x01\x02\x07san fra\x04name\x06\x02\x02\x03san\x02\x03fra"))

@@ -66,6 +66,9 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 // Err returns the first failure.
 func (r *Reader) Err() error { return r.err }
 
+// Len returns the number of bytes left to read.
+func (r *Reader) Len() int { return len(r.b) }
+
 // Fail records err as the Reader's failure, unless one is already recorded.
 func (r *Reader) Fail(err error) {
 	if r.err == nil {

@@ -282,11 +282,7 @@ func TestSerializeIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := SerializeIndex(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DeserializeIndex(s)
+	back, err := DeserializeIndex(SerializeIndex(idx))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 package geo
 
 import (
-	"bytes"
 	"encoding/base64"
-	//lint:ignore nogob ROADMAP item 12: the serialized geo index moves to the frame codec
-	"encoding/gob"
 	"fmt"
 	"sync"
 
 	"prestolite/internal/expr"
+	"prestolite/internal/frame"
 	"prestolite/internal/types"
 )
 
@@ -52,9 +50,9 @@ func StContains(shapeWKT, pointWKT string) (bool, error) {
 	return Contains(shape, *pt.Point), nil
 }
 
-// SerializeIndex encodes a GeoIndex for transport as a varchar.
-func SerializeIndex(idx *GeoIndex) (string, error) {
-	var buf bytes.Buffer
+// SerializeIndex encodes a GeoIndex for transport as a varchar: its shapes'
+// WKTs as a frame string list, in base64.
+func SerializeIndex(idx *GeoIndex) string {
 	wkts := make([]string, len(idx.Shapes))
 	for i, g := range idx.Shapes {
 		if g.Point != nil {
@@ -63,10 +61,7 @@ func SerializeIndex(idx *GeoIndex) (string, error) {
 			wkts[i] = FormatMultiPolygon(g.Polygons)
 		}
 	}
-	if err := gob.NewEncoder(&buf).Encode(wkts); err != nil {
-		return "", fmt.Errorf("geo: serialize index: %w", err)
-	}
-	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
+	return base64.StdEncoding.EncodeToString(frame.AppendStrings(nil, wkts))
 }
 
 // DeserializeIndex rebuilds a GeoIndex (including its QuadTree) from the
@@ -76,8 +71,9 @@ func DeserializeIndex(s string) (*GeoIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("geo: deserialize index: %w", err)
 	}
-	var wkts []string
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&wkts); err != nil {
+	r := frame.NewReader(raw)
+	wkts := r.Strs()
+	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("geo: deserialize index: %w", err)
 	}
 	return BuildIndex(wkts)
@@ -134,11 +130,7 @@ func (s *buildGeoIndexState) Final() any {
 		// immediately in results).
 		return nil
 	}
-	serialized, err := SerializeIndex(idx)
-	if err != nil {
-		return nil
-	}
-	return serialized
+	return SerializeIndex(idx)
 }
 
 func fixedType(t *types.Type) func([]*types.Type) *types.Type {

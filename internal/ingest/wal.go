@@ -10,12 +10,10 @@
 package ingest
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	iofs "io/fs"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,136 +148,61 @@ func appendCell(dst []byte, v any) ([]byte, error) {
 	case nil:
 		return append(dst, valNil), nil
 	case bool:
-		dst = append(dst, valBool)
-		if x {
-			return append(dst, 1), nil
-		}
-		return append(dst, 0), nil
+		return frame.AppendBool(append(dst, valBool), x), nil
 	case int64:
-		dst = append(dst, valInt64)
-		return binary.AppendVarint(dst, x), nil
+		return frame.AppendVarint(append(dst, valInt64), x), nil
 	case float64:
-		dst = append(dst, valFloat64)
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		return append(dst, buf[:]...), nil
+		return frame.AppendFloat64(append(dst, valFloat64), x), nil
 	case string:
-		dst = append(dst, valString)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...), nil
+		return frame.AppendString(append(dst, valString), x), nil
 	case []byte:
-		dst = append(dst, valBytes)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...), nil
+		return frame.AppendBytes(append(dst, valBytes), x), nil
 	case time.Time:
-		dst = append(dst, valTime)
-		return binary.AppendVarint(dst, x.UnixNano()), nil
+		return frame.AppendVarint(append(dst, valTime), x.UnixNano()), nil
 	default:
 		return nil, fmt.Errorf("ingest: wal cannot encode cell of type %T", v)
 	}
 }
 
-// payloadReader is a cursor over one frame payload; the first decode error
-// sticks.
-type payloadReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *payloadReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("ingest: wal payload: truncated %s", what)
-	}
-}
-
-func (r *payloadReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *payloadReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *payloadReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("bytes")
-		return nil
-	}
-	b := r.b[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *payloadReader) byteVal() byte {
-	b := r.bytes(1)
-	if len(b) != 1 {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *payloadReader) str() string { return string(r.bytes(int(r.uvarint()))) }
-
-func (r *payloadReader) cell() any {
-	switch tag := r.byteVal(); tag {
+func readCell(r *frame.Reader) any {
+	switch tag := r.Byte(); tag {
 	case valNil:
 		return nil
 	case valBool:
-		return r.byteVal() != 0
+		return r.Bool()
 	case valInt64:
-		return r.varint()
+		return r.Varint()
 	case valFloat64:
-		b := r.bytes(8)
-		if len(b) != 8 {
-			return nil
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+		return r.Float64()
 	case valString:
-		return r.str()
+		return r.Str()
 	case valBytes:
-		return append([]byte(nil), r.bytes(int(r.uvarint()))...)
+		return append([]byte(nil), r.Bytes()...)
 	case valTime:
-		return time.Unix(0, r.varint())
+		return time.Unix(0, r.Varint())
 	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("ingest: wal payload: unknown cell tag %d", tag)
-		}
+		r.Fail(fmt.Errorf("ingest: wal payload: unknown cell tag %d", tag))
 		return nil
 	}
+}
+
+// walPayload wraps a payload decoding failure as the WAL's.
+func walPayload(err error) error {
+	if err != nil {
+		return fmt.Errorf("ingest: wal payload: %w", err)
+	}
+	return nil
 }
 
 // encodeBatch frames one Topic.Append batch: record count, then per record
 // offset, event time, key and tagged row cells.
 func encodeBatch(recs []Record) ([]byte, error) {
-	dst := binary.AppendUvarint(nil, uint64(len(recs)))
+	dst := frame.AppendUvarint(nil, uint64(len(recs)))
 	for _, rec := range recs {
-		dst = binary.AppendUvarint(dst, uint64(rec.Offset))
-		dst = binary.AppendVarint(dst, rec.Time.UnixNano())
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Key)))
-		dst = append(dst, rec.Key...)
-		dst = binary.AppendUvarint(dst, uint64(len(rec.Row)))
+		dst = frame.AppendUvarint(dst, uint64(rec.Offset))
+		dst = frame.AppendVarint(dst, rec.Time.UnixNano())
+		dst = frame.AppendString(dst, rec.Key)
+		dst = frame.AppendUvarint(dst, uint64(len(rec.Row)))
 		for _, cell := range rec.Row {
 			var err error
 			dst, err = appendCell(dst, cell)
@@ -291,59 +214,51 @@ func encodeBatch(recs []Record) ([]byte, error) {
 	return dst, nil
 }
 
+// decodeBatch reads what encodeBatch wrote. Every count is checked against
+// the bytes left before anything is allocated for it.
 func decodeBatch(payload []byte) ([]Record, error) {
-	r := &payloadReader{b: payload}
-	n := r.uvarint()
-	recs := make([]Record, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var rec Record
-		rec.Offset = int64(r.uvarint())
-		rec.Time = time.Unix(0, r.varint())
-		rec.Key = r.str()
-		cells := r.uvarint()
-		if cells > 0 {
+	r := frame.NewReader(payload)
+	recs := make([]Record, r.Count())
+	for i := range recs {
+		rec := &recs[i]
+		rec.Offset = int64(r.Uvarint())
+		rec.Time = time.Unix(0, r.Varint())
+		rec.Key = r.Str()
+		if cells := r.Count(); cells > 0 {
 			rec.Row = make([]any, cells)
 			for c := range rec.Row {
-				rec.Row[c] = r.cell()
+				rec.Row[c] = readCell(r)
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		recs = append(recs, rec)
+	}
+	if err := walPayload(r.Close()); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
 
 func encodeTopic(name string, partitions int) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(name)))
-	dst = append(dst, name...)
-	return binary.AppendUvarint(dst, uint64(partitions))
+	return frame.AppendUvarint(frame.AppendString(nil, name), uint64(partitions))
 }
 
 func decodeTopic(payload []byte) (name string, partitions int, err error) {
-	r := &payloadReader{b: payload}
-	name = r.str()
-	partitions = int(r.uvarint())
-	return name, partitions, r.err
+	r := frame.NewReader(payload)
+	name = r.Str()
+	partitions = int(r.Uvarint())
+	return name, partitions, walPayload(r.Close())
 }
 
 func encodeOffset(group, topic string, partition int, offset int64) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(group)))
-	dst = append(dst, group...)
-	dst = binary.AppendUvarint(dst, uint64(len(topic)))
-	dst = append(dst, topic...)
-	dst = binary.AppendUvarint(dst, uint64(partition))
-	return binary.AppendUvarint(dst, uint64(offset))
+	dst := frame.AppendString(frame.AppendString(nil, group), topic)
+	return frame.AppendUvarint(frame.AppendUvarint(dst, uint64(partition)), uint64(offset))
 }
 
 func decodeOffset(payload []byte) (group, topic string, partition int, offset int64, err error) {
-	r := &payloadReader{b: payload}
-	group = r.str()
-	topic = r.str()
-	partition = int(r.uvarint())
-	offset = int64(r.uvarint())
-	return group, topic, partition, offset, r.err
+	r := frame.NewReader(payload)
+	group, topic = r.Str(), r.Str()
+	partition = int(r.Uvarint())
+	offset = int64(r.Uvarint())
+	return group, topic, partition, offset, walPayload(r.Close())
 }
 
 // ---------------------------------------------------------------------------

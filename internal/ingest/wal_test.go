@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"os"
@@ -611,4 +612,42 @@ func TestIntervalFsyncBoundsTheWindow(t *testing.T) {
 	if got, max := fsyncs()-base, int64(span/every)+2; got < 1 || got > max {
 		t.Errorf("%d fsyncs over %v of appends, want 1..%d", got, span, max)
 	}
+}
+
+// FuzzDecodeBatch: any payload is a batch or an error — no panic, and no
+// count read from disk allocates past the payload's size — and a batch that
+// reads encodes back to the same bytes.
+func FuzzDecodeBatch(f *testing.F) {
+	at := time.Unix(1_700_000_000, 5)
+	for _, recs := range [][]Record{
+		nil,
+		{{Offset: 0, Time: at, Key: "k0", Row: []any{int64(1), "us", 3.5, true, nil}}},
+		{
+			{Offset: 7, Time: at, Key: "", Row: []any{int64(-2), "de", -0.25, false, []byte{0xfe, 0xff}}},
+			{Offset: 8, Time: at.Add(time.Second), Key: "k", Row: []any{at.Add(time.Minute), []byte{}}},
+		},
+	} {
+		payload, err := encodeBatch(recs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		recs, err := decodeBatch(payload)
+		if err != nil {
+			return
+		}
+		if len(recs) > len(payload) {
+			t.Fatalf("%d bytes read as %d records", len(payload), len(recs))
+		}
+		again, err := encodeBatch(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("a batch that read does not encode back to itself:\n%x\n%x", payload, again)
+		}
+	})
 }

@@ -70,7 +70,7 @@ func (o *Optimizer) expandHybrid(scan *TableScan, spec connector.HybridSpec, pre
 	var sources []Node
 	// A side whose bound the query's own predicate already proves gets no
 	// boundary conjunct: the store would evaluate the same comparison twice
-	// per row, and the plan text — the result-cache key — would carry it twice.
+	// per row.
 	if needHist {
 		op := "lt"
 		if hi != nil && *hi <= spec.Boundary {

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -69,12 +70,17 @@ func TestAggregationThroughJoinProjection(t *testing.T) {
 	wantAll(t, "double division", got, "Aggregate(PARTIAL)")
 }
 
-// Plan text is the result-cache key: grouping by t.a and u.a in either order
-// must print two plans, though both columns are named a.
+// Grouping by t.a and u.a in either order must give two result-cache keys —
+// the key starts with the plan's encoding — and print two plans, though both
+// columns are named a.
 func TestAggregationThroughJoinKeepsQualifiers(t *testing.T) {
-	first := Format(plan(t, "SELECT t.a AS x, u.a AS y, count(*) FROM t JOIN u ON t.b = u.d GROUP BY t.a, u.a", true))
-	swapped := Format(plan(t, "SELECT u.a AS x, t.a AS y, count(*) FROM t JOIN u ON t.b = u.d GROUP BY u.a, t.a", true))
+	firstPlan := plan(t, "SELECT t.a AS x, u.a AS y, count(*) FROM t JOIN u ON t.b = u.d GROUP BY t.a, u.a", true)
+	swappedPlan := plan(t, "SELECT u.a AS x, t.a AS y, count(*) FROM t JOIN u ON t.b = u.d GROUP BY u.a, t.a", true)
+	first, swapped := Format(firstPlan), Format(swappedPlan)
 	wantAll(t, "first", first, "Aggregate(PARTIAL)")
+	if bytes.Equal(Encode(firstPlan), Encode(swappedPlan)) {
+		t.Errorf("swapped group keys encode to the same plan:\n%s", first)
+	}
 	if first == swapped {
 		t.Errorf("swapped group keys print the same plan:\n%s", first)
 	}

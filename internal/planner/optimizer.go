@@ -393,7 +393,7 @@ func pushAggregationThroughJoin(n Node) Node {
 	above := &Project{Child: nj}
 	for g, ch := range agg.GroupBy {
 		e := expr.RemapChannels(exprs[ch], other)
-		if pos, ok := pushedKey[g]; ok { // named t.g, not g: plan text is the result-cache key
+		if pos, ok := pushedKey[g]; ok { // named t.g, not g: EXPLAIN tells the two apart
 			e = expr.NewVariable(exprs[ch].String(), at+pos, exprs[ch].TypeOf())
 		}
 		above.Exprs, above.Names = append(above.Exprs, e), append(above.Names, aggIn[ch].Name)
