@@ -78,6 +78,16 @@ type PageSource interface {
 	Close() error
 }
 
+// ChargedSource is a PageSource whose state grows with its input — a split
+// that folds its file into groups. The scan hands it the query's memory
+// before the first Next; the source reports through charge the bytes it
+// holds each time they grow, and fails its Next with charge's error. What it
+// held is released when the scan closes it.
+type ChargedSource interface {
+	PageSource
+	ChargeTo(charge func(held int64) error)
+}
+
 // Metadata exposes schema information (ConnectorMetadata).
 type Metadata interface {
 	// ListTables returns table names in a schema in sorted order.

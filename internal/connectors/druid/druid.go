@@ -15,6 +15,7 @@ import (
 	driver "prestolite/internal/druid"
 	"prestolite/internal/expr"
 	"prestolite/internal/frame"
+	"prestolite/internal/obs"
 )
 
 // Connector is the Presto-Druid connector.
@@ -43,6 +44,15 @@ func (c *Connector) SnapshotVersion(schema, table string) (int64, bool) {
 		return 0, false
 	}
 	return v.TableVersion(table)
+}
+
+// RegisterObsMetrics implements obs.MetricsSource: over an in-process store,
+// the memo of sealed segments' partial aggregates appears as
+// <catalog>.partials.* in /v1/stats snapshots.
+func (c *Connector) RegisterObsMetrics(reg *obs.Registry) {
+	if r, ok := c.client.(driver.PartialsReporter); ok {
+		r.PartialsMetrics().RegisterObs(reg, c.name+".partials")
+	}
 }
 
 func (c *Connector) tableColumns(table string) ([]connector.Column, error) {

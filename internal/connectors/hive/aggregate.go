@@ -4,28 +4,39 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
 	"prestolite/internal/execution/vector"
+	"prestolite/internal/frame"
 	"prestolite/internal/metastore"
 	"prestolite/internal/parquet"
 	"prestolite/internal/types"
 )
 
-// Global count, min and max from the Parquet footer (§IV.B, §V.F). A file's
-// footer holds, per row group and column, the row count, the NULL count and
-// the min and max; the footer cache already holds it on every worker
-// (§VII.B). So a split answers a pushed global aggregate row group by row
-// group: a row group the statistics prune adds nothing; one whose every
-// predicate they cover, and whose every aggregate they hold exactly, is
-// answered from them; only the rest is read. The split emits one partial
-// row, and the FINAL above the scan merges the splits.
+// Aggregation per file (§IV.B, §V.F, §VII). A hive scan absorbs a grouped
+// or global count, sum, min or max of top-level data columns and answers it
+// split by split: each split emits its file's partial groups, and the FINAL
+// above the scan merges the splits. The groups count against the query's
+// memory as they grow (connector.ChargedSource).
+//
+// A file is write-once under the (path, stamp) its listing gave it, so its
+// partial is good for every later statement of the same shape: the
+// connector memoises it (partials), keyed by the split's wire form — handle,
+// path, size, stamp — and by the name and type each key and argument column
+// resolved to. A later statement reads no file at all.
+//
+// On a miss the file is read. For a global aggregate of counts, mins and
+// maxes, a row group the statistics prune adds nothing, one whose every
+// predicate they cover and whose every aggregate they hold exactly is
+// answered from them, and only the rest is read. A grouped aggregate, or a
+// sum, reads every row group the predicate does not prune.
 
 var _ connector.AggregationPushdown = (*Connector)(nil)
 
 // Aggregate is one aggregate a hive scan absorbed: count(*) (Column −1), or
-// the count, min or max of a top-level data column, by table ordinal.
+// the count, sum, min or max of a top-level data column, by table ordinal.
 type Aggregate struct {
 	Func   string
 	Column int
@@ -38,14 +49,18 @@ func (a Aggregate) String() string {
 	return fmt.Sprintf("%s(#%d)", a.Func, a.Column)
 }
 
-// PushAggregation implements connector.AggregationPushdown for a global
-// count, min or max over a scan that carries no limit and no nested paths.
-// The answer is per split (perSplit): each split's footer answers for its
-// own file. The legacy reader and a reader without statistics (§V.C, the
-// NoPredicatePushdown ablation) read every row, so they absorb nothing.
+// PushAggregation implements connector.AggregationPushdown for a grouped or
+// global aggregation over a scan that carries no limit and no nested paths:
+// its group keys top-level data columns and its aggregates count(*) or
+// count, sum, min or max of them (dataColumn and absorbs say which kinds).
+// The answer is per split (perSplit): each split answers for its own file,
+// one partial row per group. A grouped one is absorbed only where the
+// footers show the files folding (foldsGroups). The legacy reader and a
+// reader without statistics (§V.C, the NoPredicatePushdown ablation) read
+// every row, so they absorb nothing.
 func (c *Connector) PushAggregation(handle connector.TableHandle, aggs []connector.AggregateSpec, groupBy []int) (connector.TableHandle, bool, bool) {
 	h, ok := handle.(*TableHandle)
-	if !ok || h.Aggs != nil || h.Limit >= 0 || h.NestedPaths != nil || len(groupBy) > 0 || len(aggs) == 0 ||
+	if !ok || h.Aggs != nil || h.Limit >= 0 || h.NestedPaths != nil || len(aggs) == 0 ||
 		c.opts.UseLegacyReader || c.opts.Reader.NoPredicatePushdown {
 		return handle, false, false
 	}
@@ -53,113 +68,302 @@ func (c *Connector) PushAggregation(handle connector.TableHandle, aggs []connect
 	if err != nil {
 		return handle, false, false
 	}
+	ordinal := func(col int) (int, bool) {
+		if h.Projection == nil {
+			return col, true
+		}
+		if col < 0 || col >= len(h.Projection) {
+			return 0, false
+		}
+		return h.Projection[col], true
+	}
 	nh := *h
 	nh.Projection = nil
+	for _, g := range groupBy {
+		ord, ok := ordinal(g)
+		if !ok || !dataColumn(t, ord) {
+			return handle, false, false
+		}
+		nh.GroupBy = append(nh.GroupBy, ord)
+	}
 	for _, a := range aggs {
 		pa := Aggregate{Func: a.Function, Column: a.ArgColumn}
-		if a.ArgColumn >= 0 && h.Projection != nil {
-			if a.ArgColumn >= len(h.Projection) {
+		if a.ArgColumn >= 0 {
+			if pa.Column, ok = ordinal(a.ArgColumn); !ok {
 				return handle, false, false
 			}
-			pa.Column = h.Projection[a.ArgColumn]
 		}
-		if footerAnswers(pa, t) != nil {
+		if !absorbs(pa, t) {
 			return handle, false, false
 		}
 		nh.Aggs = append(nh.Aggs, pa)
 	}
+	if len(nh.GroupBy) > 0 && !c.foldsGroups(&nh, t) {
+		return handle, false, false
+	}
 	return &nh, true, true
 }
 
-// footerAnswers checks that a row group's statistics can hold a's answer:
-// count(*), or the count, min or max of a top-level data column of a
-// primitive kind other than double. Double statistics leave NaN out and
-// record no NaN count, so they prove no double min or max.
-func footerAnswers(a Aggregate, t *metastore.Table) error {
-	switch {
-	case a.Func == "count" && a.Column == -1:
-		return nil
-	case a.Func != "count" && a.Func != "min" && a.Func != "max":
-		return fmt.Errorf("hive: no answer from statistics for %s", a)
-	case a.Column < 0 || a.Column >= len(t.Columns):
-		return fmt.Errorf("hive: aggregate %s: %s.%s has no data column %d", a, t.Schema, t.Name, a.Column)
-	}
-	switch t.Columns[a.Column].Type.Kind {
-	case types.KindBigint, types.KindInteger, types.KindDate, types.KindVarchar, types.KindBoolean:
-		return nil
-	}
-	return fmt.Errorf("hive: no answer from statistics for %s over a %s column", a, t.Columns[a.Column].Type)
+// A grouped aggregate pays per file only where a file folds into far fewer
+// groups than it has rows. Where keys barely repeat within a file, the
+// engine's own partial aggregation does less work: it merges groups across
+// all of a task's splits, and passes rows through when they do not reduce.
+const (
+	// minFoldReduction is how many times fewer groups than rows the
+	// sampled footers must bound.
+	minFoldReduction = 8
+	// foldSample bounds the files whose footers PushAggregation reads.
+	foldSample = 16
+)
+
+// foldKey names a foldsGroups answer: the table's metastore version and the
+// handle's wire form.
+type foldKey struct {
+	version int64
+	handle  string
 }
 
-// splitAggregation is a handle's aggregates over one split: one kernel per
-// aggregate, folded with what each row group's statistics answer and with
-// the rows of the row groups they do not.
-type splitAggregation struct {
-	specs []Aggregate
-	aggs  []vector.Agg
-	// cols[i] is aggregate i's table column, the zero Column for count(*).
-	cols []metastore.Column
-	// leaves[i] is aggregate i's column in the file, nil when the file has
-	// no such column (schema evolution, §V.A: it reads as NULL, so it counts
-	// 0 and has no min or max). slots[i] is its block in the reader's pages.
-	leaves  []*parquet.Node
-	slots   []int
-	columns []int // the scan's output: aggregate indexes
-
-	err  error // a row group's answer that did not fold
-	one  block.Int64Block
-	ids  []int32 // all 0: the global group's id, one per row
-	view vector.View
+// foldsGroups reports whether the footers of h's first foldSample files
+// bound their groups under h.GroupBy to at most 1/minFoldReduction of
+// their rows. The footers come through the footer cache, which the splits
+// then read them from. Every statement is planned, so an answer is
+// remembered until the table's version changes; it is a cost estimate, not
+// an answer to the statement, so files that land in an open partition
+// meanwhile need not move it. A table with no rows yet shows nothing, and
+// is asked again.
+func (c *Connector) foldsGroups(h *TableHandle, t *metastore.Table) bool {
+	key := foldKey{t.Version(), string(h.AppendWire(nil))}
+	if folds, ok := c.folds.Get(key); ok {
+		return folds
+	}
+	keys := make([]metastore.Column, len(h.GroupBy))
+	for i, ord := range h.GroupBy {
+		keys[i] = t.Columns[ord]
+	}
+	splits, err := (*hiveSplits)(c).Splits(h)
+	if err != nil {
+		return false
+	}
+	var rows, groups int64
+	for _, s := range splits[:min(len(splits), foldSample)] {
+		file, entry, err := c.footer(s.(*Split))
+		if err != nil {
+			return false
+		}
+		_ = file.Close() // only the footer was read
+		r, g := fileGroups(entry, keys)
+		rows, groups = rows+r, groups+g
+	}
+	folds := groups*minFoldReduction <= rows
+	if rows > 0 {
+		c.folds.Put(key, folds)
+	}
+	return folds
 }
 
-// newSplitAggregation binds specs to the table. An unknown function, an
-// ordinal outside the table or a column the statistics cannot answer is an
-// error here, before any file is touched.
-func newSplitAggregation(specs []Aggregate, t *metastore.Table, columns []int) (*splitAggregation, error) {
-	sa := &splitAggregation{specs: specs, columns: columns, one: block.Int64Block{Values: make([]int64, 1)}, ids: make([]int32, 1)}
-	for _, col := range columns {
-		if col < 0 || col >= len(specs) {
-			return nil, fmt.Errorf("hive: column %d of a scan with %d aggregates", col, len(specs))
+// fileGroups bounds, from its footer, how many groups a file's rows fall
+// into under keys: at most the product of each key's values, and at most
+// the rows.
+func fileGroups(entry footerEntry, keys []metastore.Column) (rows, groups int64) {
+	for _, rg := range entry.meta.RowGroups {
+		rows += rg.NumRows
+	}
+	groups = min(rows, 1)
+	for _, col := range keys {
+		if v := keyValues(entry, col, rows); groups > rows/v {
+			groups = rows
+		} else {
+			groups *= v
 		}
 	}
-	for _, a := range specs {
-		if err := footerAnswers(a, t); err != nil {
-			return nil, err
+	return rows, groups
+}
+
+// keyValues bounds the distinct values, NULL among them, a key column holds
+// in a file of rows rows: per row group its dictionary's entries (its rows
+// when plain), over the file an integer's range or a boolean's two, never
+// more than the non-NULL rows. A column the file lacks, or holds as another
+// type, reads NULL in every row: one value.
+func keyValues(entry footerEntry, col metastore.Column, rows int64) int64 {
+	n := entry.schema.Resolve(col.Name)
+	if n == nil || n.Kind != parquet.KindPrimitive || !parquet.TypeAt(n).Equals(col.Type) {
+		return 1
+	}
+	var values, nulls int64
+	lo, hi, ranged := int64(math.MaxInt64), int64(math.MinInt64), true
+	for _, rg := range entry.meta.RowGroups {
+		cm := rg.Chunk(n.LeafIndex)
+		if cm == nil {
+			return rows + 1
+		}
+		nulls += cm.Stats.NullCount
+		if cm.Dictionary && cm.DictEntries > 0 {
+			values += cm.DictEntries
+		} else {
+			values += rg.NumRows
+		}
+		switch {
+		case cm.Stats.HasMinMax:
+			lo, hi = min(lo, cm.Stats.MinI), max(hi, cm.Stats.MaxI)
+		case cm.Stats.NullCount != rg.NumRows:
+			ranged = false
+		}
+	}
+	switch col.Type.Kind {
+	case types.KindBoolean:
+		values = min(values, 2)
+	case types.KindBigint, types.KindInteger, types.KindDate:
+		if ranged && lo <= hi && uint64(hi)-uint64(lo) < uint64(values) {
+			values = hi - lo + 1
+		}
+	}
+	values = min(values, rows-nulls)
+	if nulls > 0 {
+		values++
+	}
+	return max(values, 1)
+}
+
+// dataColumn reports whether ord is a top-level data column of a kind
+// whose footer statistics and vector kernels both hold exactly: bigint,
+// integer, date, varchar or boolean. Double statistics leave NaN out and
+// record no NaN count, so they prove no double min or max. Every statement
+// is planned, so this and absorbs build no error to say why not.
+func dataColumn(t *metastore.Table, ord int) bool {
+	if ord < 0 || ord >= len(t.Columns) {
+		return false
+	}
+	switch t.Columns[ord].Type.Kind {
+	case types.KindBigint, types.KindInteger, types.KindDate, types.KindVarchar, types.KindBoolean:
+		return true
+	}
+	return false
+}
+
+// absorbs reports whether a split can answer a: count(*), or the count,
+// min, max or sum of a data column (dataColumn), the sum only of an integer
+// kind. A double sum's rounding depends on the order of its addends, so a
+// pushed and an unpushed one would not agree to the bit.
+func absorbs(a Aggregate, t *metastore.Table) bool {
+	switch {
+	case a.Func == "count" && a.Column == -1:
+		return true
+	case a.Func != "count" && a.Func != "sum" && a.Func != "min" && a.Func != "max", !dataColumn(t, a.Column):
+		return false
+	}
+	k := t.Columns[a.Column].Type.Kind
+	return a.Func != "sum" || k == types.KindBigint || k == types.KindInteger
+}
+
+// fileAggregation is a handle's aggregation over one split's file: the
+// shared vector.Partial, fed by each row group's statistics where they hold
+// a global answer, else by the rows the reader returns.
+type fileAggregation struct {
+	specs []Aggregate
+	// keys are the group keys' table columns; args[i] is aggregate i's, the
+	// zero Column for count(*).
+	keys, args []metastore.Column
+	p          *vector.Partial
+	// fromStatsOK: a global aggregate of counts, mins and maxes, which a
+	// row group's statistics can answer.
+	fromStatsOK bool
+
+	// slots lists, per key and then per aggregate, the column's block in
+	// the reader's pages: -1 when the file has no such column, or has it as
+	// another type (schema evolution, §V.A: it reads as NULL, as evolveBlock
+	// reads it). leaves[i] is aggregate i's column in the file, or nil.
+	slots  []int
+	leaves []*parquet.Node
+
+	err        error // a row group's answer that did not fold
+	one        block.Int64Block
+	keyBlocks  []block.Block
+	argBlocks  []block.Block
+	nullBlocks []block.Block // per key: its one-row NULL, for a file without the column
+}
+
+// newFileAggregation binds the handle's keys and aggregates to the table. An
+// unknown function, an ordinal outside the table or a column no split can
+// answer is an error here, before any file is touched.
+func newFileAggregation(h *TableHandle, t *metastore.Table) (*fileAggregation, error) {
+	fa := &fileAggregation{specs: h.Aggs, one: block.Int64Block{Values: make([]int64, 1)}, fromStatsOK: len(h.GroupBy) == 0}
+	var keyTypes []*types.Type
+	for _, ord := range h.GroupBy {
+		if !dataColumn(t, ord) {
+			return nil, fmt.Errorf("hive: no per-split answer grouped by column #%d of %s.%s", ord, t.Schema, t.Name)
+		}
+		fa.keys = append(fa.keys, t.Columns[ord])
+		keyTypes = append(keyTypes, t.Columns[ord].Type)
+		fa.nullBlocks = append(fa.nullBlocks, nullBlock(t.Columns[ord].Type, 1))
+	}
+	specs := make([]vector.AggSpec, len(h.Aggs))
+	for i, a := range h.Aggs {
+		if !absorbs(a, t) {
+			return nil, fmt.Errorf("hive: no per-split answer for %s over %s.%s", a, t.Schema, t.Name)
 		}
 		var col metastore.Column
 		if a.Column >= 0 {
 			col = t.Columns[a.Column]
 		}
-		agg, ok := vector.NewAgg(a.Func, col.Type)
-		if !ok {
-			return nil, fmt.Errorf("hive: no kernel for %s", a)
-		}
-		agg.Grow(1) // the one global group
-		sa.aggs = append(sa.aggs, agg)
-		sa.cols = append(sa.cols, col)
+		fa.args = append(fa.args, col)
+		specs[i] = vector.AggSpec{Func: a.Func, Arg: col.Type}
+		fa.fromStatsOK = fa.fromStatsOK && a.Func != "sum"
 	}
-	sa.leaves = make([]*parquet.Node, len(specs))
-	sa.slots = make([]int, len(specs))
-	return sa, nil
+	p, err := vector.NewPartial(keyTypes, specs)
+	if err != nil {
+		return nil, fmt.Errorf("hive: %w", err)
+	}
+	fa.p = p
+	fa.keyBlocks = make([]block.Block, len(fa.keys))
+	fa.argBlocks = make([]block.Block, len(fa.args))
+	return fa, nil
 }
 
-// bind resolves each aggregate's column in a file's schema and returns the
-// paths the reader must output for the row groups it reads, one per
-// aggregate over a column the file has. Never nil: a count(*) alone reads
-// no column.
-func (sa *splitAggregation) bind(schema *parquet.Schema) []string {
+// memoKey is the split's partial's key in the memo: the split's wire form,
+// then the name and type each key and argument column resolved to, so that
+// a table evolved to put another column at an ordinal misses.
+func (fa *fileAggregation) memoKey(sp *Split) string {
+	dst := sp.AppendWire(nil)
+	for _, col := range append(fa.keys[:len(fa.keys):len(fa.keys)], fa.args...) {
+		dst = frame.AppendString(dst, col.Name)
+		if col.Type != nil {
+			dst = types.AppendType(dst, col.Type)
+		}
+	}
+	return string(dst)
+}
+
+// bind resolves each key and argument column in a file's schema and returns
+// the paths the reader must output, each once. Never nil: a count(*) alone
+// reads no column.
+func (fa *fileAggregation) bind(schema *parquet.Schema) []string {
 	paths := []string{}
-	for i, col := range sa.cols {
-		sa.leaves[i], sa.slots[i] = nil, -1
+	resolve := func(col metastore.Column) (*parquet.Node, int) {
 		if col.Type == nil {
-			continue
+			return nil, -1
 		}
 		n := schema.Resolve(col.Name)
 		if n == nil || n.Kind != parquet.KindPrimitive || !parquet.TypeAt(n).Equals(col.Type) {
-			continue // absent, or of another type: evolveBlock reads it as NULL
+			return nil, -1 // absent, or of another type
 		}
-		sa.leaves[i], sa.slots[i] = n, len(paths)
+		for slot, p := range paths {
+			if p == col.Name {
+				return n, slot
+			}
+		}
 		paths = append(paths, col.Name)
+		return n, len(paths) - 1
+	}
+	fa.slots = fa.slots[:0]
+	for _, col := range fa.keys {
+		_, slot := resolve(col)
+		fa.slots = append(fa.slots, slot)
+	}
+	fa.leaves = make([]*parquet.Node, len(fa.args))
+	for i, col := range fa.args {
+		var slot int
+		fa.leaves[i], slot = resolve(col)
+		fa.slots = append(fa.slots, slot)
 	}
 	return paths
 }
@@ -167,25 +371,25 @@ func (sa *splitAggregation) bind(schema *parquet.Schema) []string {
 // fromStats answers row group rg from its statistics if they hold every
 // aggregate exactly — every row of rg passes the predicate, which
 // AnswerFromStats guarantees — and reports whether it did.
-func (sa *splitAggregation) fromStats(rg *parquet.RowGroupMeta) bool {
-	for i, leaf := range sa.leaves {
+func (fa *fileAggregation) fromStats(rg *parquet.RowGroupMeta) bool {
+	for i, leaf := range fa.leaves {
 		if leaf == nil {
 			continue
 		}
 		cm := rg.Chunk(leaf.LeafIndex)
-		if cm == nil || (sa.specs[i].Func != "count" && !cm.Stats.HasMinMax && cm.Stats.NullCount != rg.NumRows) {
+		if cm == nil || (fa.specs[i].Func != "count" && !cm.Stats.HasMinMax && cm.Stats.NullCount != rg.NumRows) {
 			return false
 		}
 	}
-	for i, a := range sa.specs {
-		var b block.Block = &sa.one
-		switch leaf := sa.leaves[i]; {
+	for i, a := range fa.specs {
+		var b block.Block = &fa.one
+		switch leaf := fa.leaves[i]; {
 		case a.Column < 0:
-			sa.one.Values[0] = rg.NumRows
+			fa.one.Values[0] = rg.NumRows
 		case a.Func == "count" && leaf == nil:
 			continue // counts 0
 		case a.Func == "count":
-			sa.one.Values[0] = rg.NumRows - rg.Chunk(leaf.LeafIndex).Stats.NullCount
+			fa.one.Values[0] = rg.NumRows - rg.Chunk(leaf.LeafIndex).Stats.NullCount
 		case leaf == nil:
 			continue // no min or max
 		default:
@@ -197,75 +401,144 @@ func (sa *splitAggregation) fromStats(rg *parquet.RowGroupMeta) bool {
 			if v == nil {
 				continue // every row is NULL
 			}
-			b = block.SingleValue(sa.cols[i].Type, v)
+			b = block.SingleValue(fa.args[i].Type, v)
 		}
-		if err := sa.aggs[i].AddIntermediate(sa.ids[:1], b, 1); err != nil {
-			sa.err = err
+		if err := fa.p.AddGlobal(i, b); err != nil {
+			fa.err = err
 			return false
 		}
 	}
 	return true
 }
 
-// addPage folds the rows of a row group the statistics did not answer.
-func (sa *splitAggregation) addPage(p *block.Page) error {
-	n := p.Count()
-	if len(sa.ids) < n {
-		sa.ids = make([]int32, n)
-	}
-	ids := sa.ids[:n]
-	for i, a := range sa.specs {
-		switch {
-		case a.Column < 0:
-			sa.aggs[i].AddRaw(ids, nil, n)
-		case sa.leaves[i] == nil:
-			// NULL in every row: no count, no min or max.
-		default:
-			if b := p.Blocks[sa.slots[i]]; !vector.Of(b, &sa.view) {
-				return fmt.Errorf("hive: %s over a %T", a, b)
-			}
-			sa.aggs[i].AddRaw(ids, &sa.view, n)
+// addPage folds the rows of a row group the statistics did not answer. A
+// column the file lacks is NULL in every row: a NULL key, an argument that
+// adds nothing.
+func (fa *fileAggregation) addPage(p *block.Page) error {
+	n, nk := p.Count(), len(fa.keys)
+	for k := range fa.keys {
+		if slot := fa.slots[k]; slot >= 0 {
+			fa.keyBlocks[k] = p.Blocks[slot]
+		} else {
+			fa.keyBlocks[k] = block.NewRunLengthBlock(fa.nullBlocks[k], n)
 		}
 	}
-	return nil
-}
-
-// page is the split's one partial row, in the scan's column order.
-func (sa *splitAggregation) page() *block.Page {
-	blocks := make([]block.Block, len(sa.columns))
-	for j, col := range sa.columns {
-		blocks[j] = sa.aggs[col].EmitIntermediate(0, 1)
+	for i := range fa.args {
+		fa.argBlocks[i] = nil
+		if slot := fa.slots[nk+i]; slot >= 0 {
+			fa.argBlocks[i] = p.Blocks[slot]
+		}
 	}
-	return &block.Page{Blocks: blocks, N: 1}
+	return fa.p.AddRows(fa.keyBlocks, fa.argBlocks, n)
 }
 
-// aggregateSource emits a split's partial row: it reads what the footer did
-// not answer on the first Next.
-type aggregateSource struct {
-	sa    *splitAggregation
-	next  func() (*block.Page, error) // nil: nothing to read
-	close func() error
-	done  bool
+// aggregateSource answers an aggregate split: from the memo, or from its
+// file, whose partial it memoises. columns index the scan's output — the
+// group keys, then the aggregates.
+func (c *Connector) aggregateSource(h *TableHandle, sp *Split, t *metastore.Table, columns []int) (connector.PageSource, error) {
+	for _, col := range columns {
+		if col < 0 || col >= len(h.GroupBy)+len(h.Aggs) {
+			return nil, fmt.Errorf("hive: column %d of a scan with %d keys and %d aggregates", col, len(h.GroupBy), len(h.Aggs))
+		}
+	}
+	fa, err := newFileAggregation(h, t)
+	if err != nil {
+		return nil, err
+	}
+	src := &aggregateSource{fa: fa, columns: columns}
+	key := fa.memoKey(sp)
+	if page, ok := c.partials.Get(key); ok {
+		src.page = page
+		return src, nil
+	}
+	src.memoise = func(p *block.Page) { c.partials.Put(key, len(key), p) }
+	file, entry, err := c.footer(sp)
+	if err != nil {
+		return nil, err
+	}
+	if prunedByMissingColumn(h, entry.schema) {
+		_ = file.Close() // pruned split: nothing was read, nothing to report
+		return src, nil
+	}
+	reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, c.readerOptions(fa.bind(entry.schema), h.DataPreds, sp))
+	if err != nil {
+		_ = file.Close() // already failing: the reader error is the one to report
+		return nil, err
+	}
+	if fa.fromStatsOK {
+		reader.AnswerFromStats(fa.fromStats)
+		if fa.err != nil {
+			_ = reader.Close() // already failing: the fold error is the one to report
+			return nil, fa.err
+		}
+	}
+	src.next, src.close = reader.Next, reader.Close
+	return src, nil
 }
+
+// aggregateSource emits a split's partial rows, if it has any (a global
+// aggregate always has its one row): the memoised page, or the page it
+// computes from what the footer did not answer on the first Next.
+type aggregateSource struct {
+	fa      *fileAggregation
+	columns []int
+	page    *block.Page                 // a memo hit; read-only
+	next    func() (*block.Page, error) // nil: nothing to read
+	close   func() error
+	memoise func(*block.Page) // puts a computed page in the memo
+	charge  func(held int64) error
+	done    bool
+}
+
+// ChargeTo implements connector.ChargedSource: the groups a split folds
+// from its file count against the query's memory as they grow, and a memo
+// hit's page counts as what it hands on. A global aggregate's one group is
+// constant size and charges nothing.
+func (s *aggregateSource) ChargeTo(charge func(held int64) error) { s.charge = charge }
 
 func (s *aggregateSource) Next() (*block.Page, error) {
 	if s.done {
 		return nil, io.EOF
 	}
 	s.done = true
-	for s.next != nil {
-		p, err := s.next()
-		if errors.Is(err, io.EOF) {
-			break
+	if s.page == nil {
+		for s.next != nil {
+			p, err := s.next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			if p.Count() == 0 {
+				continue
+			}
+			if err := s.fa.addPage(p); err != nil {
+				return nil, err
+			}
+			if s.charge != nil {
+				if err := s.charge(s.fa.p.Bytes()); err != nil {
+					return nil, err
+				}
+			}
 		}
-		if err != nil {
-			return nil, err
-		}
-		if err := s.sa.addPage(p); err != nil {
+		s.page = s.fa.p.Intermediate()
+		s.memoise(s.page)
+	} else if s.charge != nil && len(s.fa.keys) > 0 {
+		// A memo hit's groups count as well: whether a query fits its
+		// memory must not depend on what the memo holds.
+		if err := s.charge(int64(s.page.SizeBytes())); err != nil {
 			return nil, err
 		}
 	}
-	return s.sa.page(), nil
+	if s.page.Count() == 0 {
+		return nil, io.EOF
+	}
+	blocks := make([]block.Block, len(s.columns))
+	for j, col := range s.columns {
+		blocks[j] = s.page.Blocks[col]
+	}
+	return &block.Page{Blocks: blocks, N: s.page.Count()}, nil
 }
 
 func (s *aggregateSource) Close() error {

@@ -4,8 +4,9 @@
 // keyed like datestr=2017-03-02 (the layout Uber's trips tables use, §II/§V).
 //
 // The connector exercises the full §IV pushdown surface (predicate,
-// projection, limit, and a global count/min/max answered from the Parquet
-// footers), routes listFiles through the coordinator file-list
+// projection, limit, and a grouped or global count/sum/min/max answered per
+// file — from a memo of the file's partial, from the Parquet footer, or by
+// reading it), routes listFiles through the coordinator file-list
 // cache and footer reads through the worker footer cache (§VII), prunes
 // partitions from pushed predicates, and reads files with either the legacy
 // or the new Parquet reader (§V). The caches key by identity — a partition's
@@ -72,6 +73,10 @@ type Connector struct {
 	listCache   *cache.FileListCache
 	footerCache *cache.FooterCache[footerEntry]
 	chunkCache  *cache.ChunkCache
+	// partials memoises each split's partial aggregate (aggregate.go).
+	partials *cache.PageMemo[string]
+	// folds remembers foldsGroups' answers (aggregate.go).
+	folds *cache.LRU[foldKey, bool]
 
 	// readerMetrics sums the work of every new-reader instance the connector
 	// opens (the legacy reader counts nothing).
@@ -93,6 +98,8 @@ func New(name string, ms *metastore.Metastore, fs fsys.FileSystem, opts Options)
 		listCache:   cache.NewFileListCache(fs, 4096),
 		footerCache: cache.NewFooterCache[footerEntry](8192),
 		chunkCache:  cache.NewChunkCache(opts.ChunkCacheBytes),
+		partials:    cache.NewPageMemo[string](cache.PartialsBudget),
+		folds:       cache.NewLRU[foldKey, bool](1024, 0),
 	}
 }
 
@@ -119,6 +126,7 @@ func (c *Connector) RegisterObsMetrics(reg *obs.Registry) {
 	c.listCache.Metrics.RegisterObs(reg, c.name+".cache.file_list")
 	c.footerCache.Metrics.RegisterObs(reg, c.name+".cache.footer")
 	c.chunkCache.Metrics.RegisterObs(reg, c.name+".cache.chunk")
+	c.partials.Metrics.RegisterObs(reg, c.name+".partials")
 	// What pushdown saved (row groups skipped by statistics and by
 	// dictionary) and what the scans still cost. leaves_decoded over
 	// row_groups_read is the width of the average scan: 26 when a query
@@ -192,10 +200,14 @@ type TableHandle struct {
 	NestedPaths []string
 	// Limit is a per-split row limit (-1 = none).
 	Limit int64
-	// Aggs, when set, replaces the scan's output with one partial row per
-	// split of these global aggregates, answered from the footer where the
-	// statistics prove the answer (PushAggregation).
-	Aggs []Aggregate
+	// Aggs, when set, replaces the scan's output with each split's partial
+	// aggregation (PushAggregation): one row per group of GroupBy — the
+	// keys, by table ordinal, then these aggregates — or one row when
+	// GroupBy is empty. A split's partial comes from the connector's memo,
+	// or from its file, answered from the footer where the statistics prove
+	// the answer (aggregate.go).
+	Aggs    []Aggregate
+	GroupBy []int
 }
 
 // Description implements connector.TableHandle.
@@ -218,6 +230,9 @@ func (h *TableHandle) Description() string {
 	}
 	if h.Aggs != nil {
 		s += fmt.Sprintf(" aggregates=%v", h.Aggs)
+	}
+	if h.GroupBy != nil {
+		s += fmt.Sprintf(" groupBy=%v", h.GroupBy)
 	}
 	return s
 }
@@ -246,7 +261,7 @@ func (h *TableHandle) AppendWire(dst []byte) []byte {
 	for _, a := range h.Aggs {
 		dst = frame.AppendVarint(frame.AppendString(dst, a.Func), int64(a.Column))
 	}
-	return dst
+	return frame.AppendInts(dst, h.GroupBy)
 }
 
 // AppendWire implements connector.Encoder.
@@ -280,14 +295,15 @@ func readHandle(r *frame.Reader) *TableHandle {
 		Limit:          r.Varint(),
 	}
 	// Count checks the aggregates against the bytes left before allocating;
-	// their functions and ordinals are checked against the table when a
-	// split is read.
+	// their functions and ordinals, and the group keys', are checked against
+	// the table when a split is read.
 	if n := r.Count(); n > 0 {
 		h.Aggs = make([]Aggregate, n)
 		for i := range h.Aggs {
 			h.Aggs[i] = Aggregate{Func: r.Str(), Column: int(r.Varint())}
 		}
 	}
+	h.GroupBy = r.Ints()
 	return h
 }
 
@@ -405,6 +421,9 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 	if err != nil {
 		return nil, err
 	}
+	if h.Aggs != nil {
+		return c.aggregateSource(h, sp, t, columns)
+	}
 	all := allColumns(t)
 
 	// Map requested post-projection indexes to table ordinals.
@@ -416,56 +435,13 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 			ordinals[i] = col
 		}
 	}
-	var sa *splitAggregation
-	if h.Aggs != nil {
-		if sa, err = newSplitAggregation(h.Aggs, t, columns); err != nil {
-			return nil, err
-		}
-	}
-
-	// The file is not opened here, and nothing stats it: the split carries
-	// the size and stamp its listing gave it. The reader's I/O plan opens the
-	// file with the first chunk the chunk cache does not hold (or the footer,
-	// on a footer-cache miss), so a split that is pruned or served from the
-	// caches costs no open at all.
-	file := &lazyFile{fs: c.fs, path: sp.Path, size: sp.Size}
-	readFooter := func() (footerEntry, error) {
-		meta, schema, err := parquet.ReadFooter(file)
-		return footerEntry{meta: meta, schema: schema}, err
-	}
-	var entry footerEntry
-	if c.opts.DisableFooterCache {
-		entry, err = readFooter()
-	} else {
-		entry, err = c.footerCache.GetFooter(cache.FileID{Path: sp.Path, Stamp: sp.Stamp}, readFooter)
-	}
+	file, entry, err := c.footer(sp)
 	if err != nil {
-		_ = file.Close() // already failing: the footer error is the one to report
 		return nil, err
 	}
-	// Predicates on columns missing from the file never match rows with a
-	// non-null requirement... except OpNeq, which still cannot match NULL.
-	for _, p := range h.DataPreds {
-		if entry.schema.Resolve(p.Column) == nil {
-			_ = file.Close() // pruned split: nothing was read, nothing to report
-			if sa != nil {
-				return &aggregateSource{sa: sa}, nil
-			}
-			return &connector.SlicePageSource{}, nil
-		}
-	}
-	if sa != nil {
-		reader, err := parquet.NewReaderWithFooter(file, entry.meta, entry.schema, c.readerOptions(sa.bind(entry.schema), h.DataPreds, sp))
-		if err != nil {
-			_ = file.Close() // already failing: the reader error is the one to report
-			return nil, err
-		}
-		reader.AnswerFromStats(sa.fromStats)
-		if sa.err != nil {
-			_ = reader.Close() // already failing: the fold error is the one to report
-			return nil, sa.err
-		}
-		return &aggregateSource{sa: sa, next: reader.Next, close: reader.Close}, nil
+	if prunedByMissingColumn(h, entry.schema) {
+		_ = file.Close() // pruned split: nothing was read, nothing to report
+		return &connector.SlicePageSource{}, nil
 	}
 
 	// Partition-key columns come from the split; data columns from the
@@ -536,6 +512,44 @@ func (r *hiveRecords) CreatePageSource(handle connector.TableHandle, split conne
 	src.nextPage, src.closeReader = reader.Next, reader.Close
 	src.fileTypes = reader.OutputTypes()
 	return src, nil
+}
+
+// footer returns the split's file, unopened, and its footer from the footer
+// cache. The file is not opened here, and nothing stats it: the split
+// carries the size and stamp its listing gave it. The reader's I/O plan
+// opens the file with the first chunk the chunk cache does not hold (or the
+// footer, on a footer-cache miss), so a split that is pruned or served from
+// the caches costs no open at all.
+func (c *Connector) footer(sp *Split) (*lazyFile, footerEntry, error) {
+	file := &lazyFile{fs: c.fs, path: sp.Path, size: sp.Size}
+	readFooter := func() (footerEntry, error) {
+		meta, schema, err := parquet.ReadFooter(file)
+		return footerEntry{meta: meta, schema: schema}, err
+	}
+	var entry footerEntry
+	var err error
+	if c.opts.DisableFooterCache {
+		entry, err = readFooter()
+	} else {
+		entry, err = c.footerCache.GetFooter(cache.FileID{Path: sp.Path, Stamp: sp.Stamp}, readFooter)
+	}
+	if err != nil {
+		_ = file.Close() // already failing: the footer error is the one to report
+		return nil, footerEntry{}, err
+	}
+	return file, entry, nil
+}
+
+// prunedByMissingColumn reports whether a pushed predicate names a column
+// the file lacks: it reads as NULL there, and NULL passes no comparison —
+// not even OpNeq — so no row of the file matches.
+func prunedByMissingColumn(h *TableHandle, schema *parquet.Schema) bool {
+	for _, p := range h.DataPreds {
+		if schema.Resolve(p.Column) == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // readerOptions is how the connector reads columns of the split's file under

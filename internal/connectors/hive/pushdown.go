@@ -15,8 +15,9 @@ import (
 //   - conjuncts on partition keys            → partition pruning
 //   - simple comparisons on primitive leaves → reader-level predicates
 //     (stats + dictionary row-group skipping, §V.F/§V.G)
-//   - a global count/min/max                 → answered per split from the
-//     footer statistics (aggregate.go, §IV.B)
+//   - a grouped or global count/sum/min/max  → answered per split, from the
+//     memo of the file's partial or the footer statistics (aggregate.go,
+//     §IV.B)
 // Everything else is returned as residual for the engine.
 
 var (

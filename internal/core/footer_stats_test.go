@@ -240,8 +240,17 @@ func TestFooterStatisticsEquivalence(t *testing.T) {
 // gained e bigint, so the files of p=0 and p=1 have no e.
 func footerStatsWarehouse(t *testing.T, r *rand.Rand) connector.Connector {
 	t.Helper()
+	ms, fs := footerStatsFiles(t, r, parquet.WriterOptions{})
+	return hive.New("hive", ms, fs, hive.Options{})
+}
+
+// footerStatsFiles writes footerStatsWarehouse's table with the writer
+// options opts and returns its metastore and filesystem. Each file draws its
+// own row group size: 8 to 40 rows, or opts.RowGroupRows to 32 more.
+func footerStatsFiles(t *testing.T, r *rand.Rand, opts parquet.WriterOptions) (*metastore.Metastore, *hdfs.NameNode) {
+	t.Helper()
 	fs, ms := hdfs.New(hdfs.Config{}), metastore.New()
-	loader := &hive.Loader{MS: ms, FS: fs}
+	loader := &hive.Loader{MS: ms, FS: fs, WriterOptions: opts}
 	col := func(name string, typ *types.Type) metastore.Column { return metastore.Column{Name: name, Type: typ} }
 	cols := []metastore.Column{col("k", types.Bigint), col("n", types.Bigint), col("d", types.Double), col("s", types.Varchar), col("flag", types.Boolean), col("dt", types.Date)}
 	pick := func(null int, vals ...any) any { // NULL one time in null
@@ -285,7 +294,7 @@ func footerStatsWarehouse(t *testing.T, r *rand.Rand) connector.Connector {
 		return pb.Build()
 	}
 	write := func(part int, withE bool) {
-		loader.WriterOptions.RowGroupRows = 8 + r.Intn(33)
+		loader.WriterOptions.RowGroupRows = max(opts.RowGroupRows, 8) + r.Intn(33)
 		pages := []*block.Page{file(withE)}
 		if r.Intn(2) == 0 {
 			pages = append(pages, file(withE))
@@ -304,7 +313,7 @@ func footerStatsWarehouse(t *testing.T, r *rand.Rand) connector.Connector {
 	}
 	write(2, true)
 	write(3, true)
-	return hive.New("hive", ms, fs, hive.Options{})
+	return ms, fs
 }
 
 // footerStatsPredicates draws WHERE clauses: every op on every column, with

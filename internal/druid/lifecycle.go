@@ -333,7 +333,9 @@ func (t *Table) sealLocked() {
 	if t.open == nil || t.open.n == 0 {
 		return
 	}
-	t.segments = append(t.segments, t.open.seal())
+	seg := t.open.seal()
+	seg.id = t.store.segmentIDs.Add(1)
+	t.segments = append(t.segments, seg)
 	t.open = nil
 	t.version++
 	if m := t.metrics(); m != nil {
@@ -398,7 +400,7 @@ func (t *Table) mergeSegments(idxs []int) *segment {
 	for _, i := range idxs {
 		total += t.segments[i].n
 	}
-	merged := &segment{n: total, compacted: true, cols: make([]segColumn, len(t.Columns))}
+	merged := &segment{id: t.store.segmentIDs.Add(1), n: total, compacted: true, cols: make([]segColumn, len(t.Columns))}
 	for ci, col := range t.Columns {
 		m := &merged.cols[ci]
 		switch col.Type.Kind {

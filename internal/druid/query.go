@@ -4,8 +4,11 @@
 // filter can match no row of the segment (skip it), must match every row
 // (drop the filter there) or has to run, as a typed loop; a select hands the
 // surviving rows out as a page, an aggregation feeds them to the engine's
-// vector kernels (vector.GroupTable, vector.Agg), and a global count, min or
-// max whose filters all cover a segment is answered from its metadata.
+// vector kernels (vector.Partial), and a global count, min or max whose
+// filters all cover a segment is answered from its metadata. A sealed
+// segment's partial aggregate is computed once per query shape and memoised
+// (Store.partials); only the open segment's frozen view is aggregated by
+// every query.
 package druid
 
 import (
@@ -15,8 +18,10 @@ import (
 	"strings"
 
 	"prestolite/internal/block"
+	"prestolite/internal/cache"
 	"prestolite/internal/execution/vector"
 	"prestolite/internal/expr"
+	"prestolite/internal/frame"
 	"prestolite/internal/types"
 )
 
@@ -26,7 +31,7 @@ func (s *Store) Execute(q Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := &executor{t: t, filters: make([]boundFilter, len(q.Filters))}
+	ex := &executor{t: t, filters: make([]boundFilter, len(q.Filters)), memo: s.partials}
 	for i, f := range q.Filters {
 		ci, err := t.ordinal("filter", f.Column)
 		if err != nil {
@@ -69,6 +74,9 @@ type boundFilter struct {
 type executor struct {
 	t       *Table
 	filters []boundFilter
+	keyCols []int // group-by ordinals
+	aggs    []boundAgg
+	memo    *cache.PageMemo[partialKey]
 	sel     []int
 	match   []bool
 }
@@ -201,147 +209,127 @@ func (ex *executor) selectRows(segs []*segment, q Query) (*Result, error) {
 	return res, nil
 }
 
-// aggregation is the state of one aggregate query on the vector kernels. A
-// global aggregate is the keyless table's one group, as in the engine.
-type aggregation struct {
-	table   *vector.GroupTable
-	keyCols []int
-	aggs    []boundAgg
-
-	hasher   vector.Hasher
-	hashes   []uint64
-	ids      []int32
-	keyViews []*vector.View
-	argView  vector.View
-	// oneL and oneD carry a segment's metadata answer into an aggregator.
-	oneL block.Int64Block
-	oneD block.Float64Block
-}
-
-// boundAgg is one aggregate's kernel, its function and its argument column
-// (-1 for count(*)).
+// boundAgg is one aggregate's function and argument column (-1 for
+// count(*)).
 type boundAgg struct {
-	vector.Agg
 	fn  string
 	col int
 }
 
+// aggregate answers an aggregate query: the partials of the sealed segments,
+// each from the store's memo or computed once and memoised, merged with a
+// fresh aggregation of the open segment's frozen view. A global aggregate
+// is the keyless Partial's one group.
 func (ex *executor) aggregate(segs []*segment, q Query) (*Result, error) {
 	t, res := ex.t, &Result{}
-	a := &aggregation{
-		hashes: make([]uint64, 1),
-		ids:    make([]int32, 1),
-		oneL:   block.Int64Block{Values: make([]int64, 1)},
-		oneD:   block.Float64Block{Values: make([]float64, 1)},
-	}
 	var keyTypes []*types.Type
 	for _, g := range q.GroupBy {
 		ci, err := t.ordinal("group", g)
 		if err != nil {
 			return nil, err
 		}
-		a.keyCols = append(a.keyCols, ci)
-		a.keyViews = append(a.keyViews, &vector.View{})
+		ex.keyCols = append(ex.keyCols, ci)
 		keyTypes = append(keyTypes, t.Columns[ci].Type)
 		res.Columns = append(res.Columns, g)
 	}
-	a.table, _ = vector.NewGroupTable(keyTypes) // every druid column kind is a vector kind
-	global := len(keyTypes) == 0
-	if global {
-		a.table.Assign(nil, 1, a.hashes, a.ids) // its one group is there whatever the segments hold
-	}
+	var specs []vector.AggSpec
 	for _, spec := range q.Aggregations {
-		fn, ci := strings.ToLower(spec.Func), -1
+		a := boundAgg{fn: strings.ToLower(spec.Func), col: -1}
 		var argType *types.Type
 		if spec.Column != "" {
 			var err error
-			if ci, err = t.ordinal("aggregation", spec.Column); err != nil {
+			if a.col, err = t.ordinal("aggregation", spec.Column); err != nil {
 				return nil, err
 			}
-			argType = t.Columns[ci].Type
-		}
-		var agg vector.Agg
-		if argType != nil || fn == "count" { // only count takes no argument
-			agg, _ = vector.NewAgg(fn, argType)
-		}
-		if agg == nil {
-			return nil, fmt.Errorf("druid: unsupported aggregation %s(%s)", spec.Func, spec.Column)
+			argType = t.Columns[a.col].Type
 		}
 		name := spec.Name
 		if name == "" {
 			name = spec.Func
 		}
-		a.aggs = append(a.aggs, boundAgg{Agg: agg, fn: fn, col: ci})
+		ex.aggs = append(ex.aggs, a)
+		specs = append(specs, vector.AggSpec{Func: a.fn, Arg: argType})
 		res.Columns = append(res.Columns, name)
 	}
+	newPartial := func() (*vector.Partial, error) {
+		p, err := vector.NewPartial(keyTypes, specs)
+		if err != nil {
+			return nil, fmt.Errorf("druid: unsupported aggregation: %w", err)
+		}
+		return p, nil
+	}
+	total, err := newPartial()
+	if err != nil {
+		return nil, err
+	}
+	var shape string // the memo key's query half, encoded at the first sealed segment
 	for _, seg := range segs {
-		sel, all := ex.selection(seg)
-		if !all && len(sel) == 0 {
+		if seg.id == 0 {
+			// The open segment's frozen view: aggregated fresh, every time.
+			if err := ex.addSegment(total, seg); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		if all && global {
-			done, err := a.addFromStats(seg)
+		if shape == "" {
+			shape = q.partialShape()
+		}
+		key := partialKey{segment: seg.id, shape: shape}
+		page, ok := ex.memo.Get(key)
+		if !ok {
+			p, err := newPartial()
 			if err != nil {
 				return nil, err
 			}
-			if done {
-				continue
+			if err := ex.addSegment(p, seg); err != nil {
+				return nil, err
 			}
+			page = p.Intermediate()
+			ex.memo.Put(key, len(shape)+8, page)
 		}
-		a.add(seg, sel, all)
+		if err := total.AddIntermediate(page); err != nil {
+			return nil, err
+		}
 	}
-	if p := a.page(q.Limit); p != nil {
+	if p := ex.page(total.Final(), q.Limit); p != nil {
 		res.Pages = append(res.Pages, p)
 	}
 	return res, nil
 }
 
-// addFromStats answers a global aggregate over every row of seg without
-// visiting one, when each aggregate is a count, or the min or max of a column
-// whose statistics hold. It reports whether it did.
-func (a *aggregation) addFromStats(seg *segment) (bool, error) {
-	for _, agg := range a.aggs {
-		switch agg.fn {
-		case "count":
-		case "min", "max":
-			if st := &seg.cols[agg.col].stats; st.min == nil && st.nulls != seg.n {
-				return false, nil // varchar, or a NaN among the values
-			}
-		default:
-			return false, nil
-		}
-	}
-	for _, agg := range a.aggs {
-		agg.Grow(1)
-		var one block.Block = &a.oneL
-		if agg.fn == "count" {
-			a.oneL.Values[0] = int64(seg.n)
-			if agg.col >= 0 {
-				a.oneL.Values[0] -= int64(seg.cols[agg.col].stats.nulls)
-			}
-		} else {
-			v := seg.cols[agg.col].stats.min
-			if agg.fn == "max" {
-				v = seg.cols[agg.col].stats.max
-			}
-			switch x := v.(type) {
-			case int64:
-				a.oneL.Values[0] = x
-			case float64:
-				a.oneD.Values[0], one = x, &a.oneD
-			default:
-				continue // every row is NULL
-			}
-		}
-		if err := agg.AddIntermediate(a.ids[:1], one, 1); err != nil { // ids[0] is group 0
-			return false, err
-		}
-	}
-	return true, nil
+// partialKey names one sealed segment's partial for one query shape.
+type partialKey struct {
+	segment uint64
+	shape   string
 }
 
-// add feeds the selected rows of seg (every row when all) to the kernels.
-func (a *aggregation) add(seg *segment, sel []int, all bool) {
+// partialShape encodes what a segment's partial depends on besides the
+// segment: the filters, the group-by columns and each aggregate's function
+// and argument. Limit and output names are applied after the merge.
+func (q *Query) partialShape() string {
+	dst := expr.AppendComparisons(nil, q.Filters)
+	dst = frame.AppendStrings(dst, q.GroupBy)
+	dst = frame.AppendUvarint(dst, uint64(len(q.Aggregations)))
+	for _, a := range q.Aggregations {
+		dst = frame.AppendString(frame.AppendString(dst, strings.ToLower(a.Func)), a.Column)
+	}
+	return string(dst)
+}
+
+// addSegment folds the rows of seg the filters select into p: from the
+// segment's metadata when they cover it and it can answer the global
+// aggregate, else row by row.
+func (ex *executor) addSegment(p *vector.Partial, seg *segment) error {
+	sel, all := ex.selection(seg)
+	if !all && len(sel) == 0 {
+		return nil
+	}
+	if all && len(ex.keyCols) == 0 {
+		done, err := ex.addFromStats(p, seg)
+		if done || err != nil {
+			return err
+		}
+	}
 	n := seg.n
 	if !all {
 		n = len(sel)
@@ -352,42 +340,69 @@ func (a *aggregation) add(seg *segment, sel []int, all bool) {
 		}
 		return seg.cols[ci].blk.Mask(sel)
 	}
-	if cap(a.ids) < n {
-		a.ids, a.hashes = make([]int32, n), make([]uint64, n)
+	keys := make([]block.Block, len(ex.keyCols))
+	for k, ci := range ex.keyCols {
+		keys[k] = col(ci)
 	}
-	ids, hashes := a.ids[:n], a.hashes[:n]
-	clear(hashes)
-	for k, ci := range a.keyCols {
-		b := col(ci)
-		a.hasher.HashBlock(b, n, hashes)
-		vector.Of(b, a.keyViews[k])
-	}
-	a.table.Assign(a.keyViews, n, hashes, ids)
-	for _, agg := range a.aggs {
-		agg.Grow(a.table.Len())
-		if agg.col < 0 {
-			agg.AddRaw(ids, nil, n)
-			continue
+	args := make([]block.Block, len(ex.aggs))
+	for i, a := range ex.aggs {
+		if a.col >= 0 {
+			args[i] = col(a.col)
 		}
-		vector.Of(col(agg.col), &a.argView)
-		agg.AddRaw(ids, &a.argView, n)
 	}
+	return p.AddRows(keys, args, n)
 }
 
-// page emits the groups in ascending key order (NULL first), cut at limit; nil
-// when there is none.
-func (a *aggregation) page(limit int64) *block.Page {
-	groups, nk := a.table.Len(), len(a.keyCols)
+// addFromStats answers a global aggregate over every row of seg without
+// visiting one, when each aggregate is a count, or the min or max of a column
+// whose statistics hold. It reports whether it did.
+func (ex *executor) addFromStats(p *vector.Partial, seg *segment) (bool, error) {
+	for _, a := range ex.aggs {
+		switch a.fn {
+		case "count":
+		case "min", "max":
+			if st := &seg.cols[a.col].stats; st.min == nil && st.nulls != seg.n {
+				return false, nil // varchar, or a NaN among the values
+			}
+		default:
+			return false, nil
+		}
+	}
+	for i, a := range ex.aggs {
+		var one block.Block
+		if a.fn == "count" {
+			n := int64(seg.n)
+			if a.col >= 0 {
+				n -= int64(seg.cols[a.col].stats.nulls)
+			}
+			one = &block.Int64Block{Values: []int64{n}}
+		} else {
+			v := seg.cols[a.col].stats.min
+			if a.fn == "max" {
+				v = seg.cols[a.col].stats.max
+			}
+			switch x := v.(type) {
+			case int64:
+				one = &block.Int64Block{Values: []int64{x}}
+			case float64:
+				one = &block.Float64Block{Values: []float64{x}}
+			default:
+				continue // every row is NULL
+			}
+		}
+		if err := p.AddGlobal(i, one); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// page orders the final groups by key (NULL first) and cuts them at limit;
+// nil when there is none.
+func (ex *executor) page(p *block.Page, limit int64) *block.Page {
+	groups, nk := p.Count(), len(ex.keyCols)
 	if groups == 0 {
 		return nil
-	}
-	p := &block.Page{Blocks: make([]block.Block, nk+len(a.aggs)), N: groups}
-	for k := range a.keyCols {
-		p.Blocks[k] = a.table.KeyBlock(k, 0, groups)
-	}
-	for i, agg := range a.aggs {
-		agg.Grow(groups)
-		p.Blocks[nk+i] = agg.EmitFinal(0, groups)
 	}
 	order := make([]int, groups)
 	for g := range order {

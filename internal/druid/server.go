@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"prestolite/internal/block"
+	"prestolite/internal/cache"
 	"prestolite/internal/fault"
 	"prestolite/internal/frame"
 	"prestolite/internal/types"
@@ -249,6 +250,13 @@ type Versioner interface {
 	TableVersion(table string) (int64, bool)
 }
 
+// PartialsReporter is an optional Client capability: a client over an
+// in-process store reports the store's memo of sealed segments' partial
+// aggregates, so the connector can publish it.
+type PartialsReporter interface {
+	PartialsMetrics() *cache.Metrics
+}
+
 // LatencyClient wraps a Client, charging a fixed round-trip latency per
 // request. Benchmarks use it for both the native and the connector path so
 // comparisons include the broker RTT every production client pays.
@@ -314,6 +322,9 @@ func (c *EmbeddedClient) Tables() ([]string, error) { return c.Store.Tables(), n
 func (c *EmbeddedClient) TableVersion(table string) (int64, bool) {
 	return c.Store.TableVersion(table)
 }
+
+// PartialsMetrics implements PartialsReporter.
+func (c *EmbeddedClient) PartialsMetrics() *cache.Metrics { return c.Store.PartialsMetrics() }
 
 // Schema implements Client.
 func (c *EmbeddedClient) Schema(table string) ([]Column, error) {

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"prestolite/internal/block"
+	"prestolite/internal/cache"
 	"prestolite/internal/expr"
 	"prestolite/internal/fault"
 	"prestolite/internal/types"
@@ -32,7 +33,7 @@ type Table struct {
 	Name    string
 	Columns []Column
 
-	store *Store // back-pointer for lifecycle metrics; nil in tests
+	store *Store // back-pointer: lifecycle metrics, clock, segment ids
 
 	mu       sync.RWMutex
 	cfg      SegmentConfig
@@ -49,6 +50,11 @@ type Table struct {
 // are immutable; frozen views of the open segment share its buffers but
 // carry no inverted indexes (index == nil).
 type segment struct {
+	// id names a sealed or compacted segment within its store
+	// (Store.segmentIDs); 0 for a frozen view of the open segment. It keys
+	// the segment's memoised partials: a compaction's merged segment gets a
+	// new id, so no partial of the segments it replaced applies to it.
+	id        uint64
 	n         int
 	compacted bool
 	cols      []segColumn // by table ordinal
@@ -117,7 +123,15 @@ type Store struct {
 	tables  map[string]*Table
 	metrics atomic.Pointer[storeMetrics]
 	clock   fault.Clock
+	// partials memoises each sealed segment's partial aggregate per query
+	// shape (Execute), keyed by segment ids drawn from segmentIDs.
+	partials   *cache.PageMemo[partialKey]
+	segmentIDs atomic.Uint64
 }
+
+// PartialsMetrics reports the memo of sealed segments' partial aggregates:
+// its hits, misses, evictions and resident bytes.
+func (s *Store) PartialsMetrics() *cache.Metrics { return s.partials.Metrics }
 
 // TableVersion returns the table's snapshot version: bumped on every
 // append, watermark advance, seal and compaction. ok is false when the
@@ -141,7 +155,7 @@ func (t *Table) Version() int64 {
 
 // NewStore creates an empty store on the real clock.
 func NewStore() *Store {
-	return &Store{tables: map[string]*Table{}, clock: fault.RealClock{}}
+	return &Store{tables: map[string]*Table{}, clock: fault.RealClock{}, partials: cache.NewPageMemo[partialKey](cache.PartialsBudget)}
 }
 
 // clockOrReal is the table-level accessor: tables created without a store

@@ -8,16 +8,12 @@ import (
 	"prestolite/internal/types"
 )
 
-// Estimated heap cost of hash-aggregation state: a fixed overhead per group
-// plus one state per aggregate, and a per-entry cost for DISTINCT seen
-// tables. Group costs are only charged for grouped aggregations — a global
-// aggregate is a single constant-size state, so the paper's "count(*) works
-// at any limit" expectation holds.
-const (
-	aggGroupBaseCost = 96
-	aggStateCost     = 48
-	aggDistinctCost  = 32
-)
+// Estimated heap cost of an entry of a DISTINCT seen table; groups cost
+// vector.GroupBaseCost plus vector.AggStateCost per aggregate. Group costs
+// are only charged for grouped aggregations — a global aggregate is a single
+// constant-size state, so the paper's "count(*) works at any limit"
+// expectation holds.
+const aggDistinctCost = 32
 
 // aggregator is one aggregate's state by group id: a typed kernel
 // (typedAgg), or boxedAgg for an aggregate with no typed kernel. Both take

@@ -188,6 +188,7 @@ func buildScan(t *planner.TableScan, ctx *Context, n int) ([]Operator, error) {
 	for i := range streams {
 		streams[i] = ctx.instrument(t, &scanOperator{
 			scan: t, provider: provider, queue: queue, columns: t.ColumnOrdinals, ctx: ctx.Ctx,
+			mem: newOpMem("a connector's aggregation of a split", ctx, false),
 		})
 	}
 	if len(streams) < n && len(splits) > 0 {

@@ -241,6 +241,9 @@ type scanOperator struct {
 	columns  []int
 	ctx      context.Context
 	current  connector.PageSource
+	// mem charges what a connector.ChargedSource holds, until its split
+	// closes.
+	mem *opMem
 }
 
 // scanSplits resolves the provider and split list for a table scan.
@@ -278,12 +281,14 @@ func (o *scanOperator) Next() (*block.Page, error) {
 			if err != nil {
 				return nil, fmt.Errorf("execution: opening split %d of %s.%s: %w", idx, o.scan.Schema, o.scan.Table, err)
 			}
+			if cs, ok := src.(connector.ChargedSource); ok {
+				cs.ChargeTo(o.charge)
+			}
 			o.current = src
 		}
 		p, err := o.current.Next()
 		if errors.Is(err, io.EOF) {
-			closeErr := o.current.Close()
-			o.current = nil
+			closeErr := o.closeSplit()
 			if closeErr != nil {
 				return nil, fmt.Errorf("execution: closing split of %s.%s: %w", o.scan.Schema, o.scan.Table, closeErr)
 			}
@@ -298,11 +303,23 @@ func (o *scanOperator) Next() (*block.Page, error) {
 
 func (o *scanOperator) Close() error {
 	if o.current != nil {
-		err := o.current.Close()
-		o.current = nil
-		return err
+		return o.closeSplit()
 	}
 	return nil
+}
+
+// charge reserves what the current split's source holds beyond what it
+// was charged: a connector cannot spill, so the reservation is hard.
+func (o *scanOperator) charge(held int64) error {
+	return o.mem.hardReserve(held - o.mem.reserved)
+}
+
+// closeSplit closes the current split's source and releases its charge.
+func (o *scanOperator) closeSplit() error {
+	err := o.current.Close()
+	o.current = nil
+	o.mem.releaseAll()
+	return err
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,14 @@ import (
 // initialSlots is the starting slot-array size (power of two).
 const initialSlots = 64
 
+// Estimated heap cost of a group of a grouped aggregation: a fixed overhead
+// per group plus one state per aggregate, on top of the key stores. Hash
+// aggregation charges its groups by it, and so does a connector's Partial.
+const (
+	GroupBaseCost = 96
+	AggStateCost  = 48
+)
+
 // GroupTable is a flat open-addressing (linear probe) hash table mapping
 // group keys to dense group ids 0..Len()-1. Keys live in typed Column
 // stores and rows arrive pre-hashed, so assigning a batch of rows does no
@@ -57,6 +65,11 @@ func (t *GroupTable) KeyBytes() int64 {
 		n += c.Bytes()
 	}
 	return n
+}
+
+// Bytes estimates what the groups hold with aggs aggregate states each.
+func (t *GroupTable) Bytes(aggs int) int64 {
+	return int64(t.Len())*(GroupBaseCost+int64(aggs)*AggStateCost) + t.KeyBytes()
 }
 
 // Assign maps each of the n pre-hashed rows (key columns in views) to its

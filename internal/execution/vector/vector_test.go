@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"prestolite/internal/block"
@@ -410,5 +412,73 @@ func TestAggResetClearsState(t *testing.T) {
 				t.Errorf("%s: group 1 after Reset = %v, want %v", name, got, w)
 			}
 		}
+	}
+}
+
+// A Partial over all rows and the merge of Partials over chunks of them emit
+// the same groups: NULL, NaN and ±0.0 keys, dictionary-coded strings, and a
+// keyless Partial's one group even over no row.
+func TestPartialMergeMatchesOneTable(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const n = 600
+	keyF, keyS, arg := make([]float64, n), make([]int32, n), make([]int64, n)
+	nullF, nullArg := make([]bool, n), make([]bool, n)
+	dict := &block.VarcharBlock{Values: []string{"a", "b", "c"}}
+	for i := 0; i < n; i++ {
+		keyF[i] = []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5}[r.Intn(4)]
+		nullF[i] = r.Intn(7) == 0
+		keyS[i] = int32(r.Intn(4)) - 1 // -1: NULL
+		arg[i], nullArg[i] = int64(r.Intn(100)), r.Intn(5) == 0
+	}
+	specs := []AggSpec{{Func: "count"}, {Func: "sum", Arg: types.Bigint}, {Func: "min", Arg: types.Bigint}, {Func: "max", Arg: types.Varchar}}
+	rows := func(keys []*types.Type, from, to int) (kb, ab []block.Block) {
+		s := &block.DictionaryBlock{Dictionary: dict, Ids: keyS[from:to]}
+		if len(keys) > 0 {
+			kb = []block.Block{&block.Float64Block{Values: keyF[from:to], Nulls: nullF[from:to]}, s}
+		}
+		return kb, []block.Block{nil, &block.Int64Block{Values: arg[from:to], Nulls: nullArg[from:to]}, &block.Int64Block{Values: arg[from:to], Nulls: nullArg[from:to]}, s}
+	}
+	emit := func(p *block.Page) []string {
+		var out []string
+		for i := 0; i < p.Count(); i++ {
+			out = append(out, fmt.Sprintf("%v", p.Row(i)))
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, keys := range [][]*types.Type{{types.Double, types.Varchar}, nil} {
+		whole, err := NewPartial(keys, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb, ab := rows(keys, 0, n)
+		if err := whole.AddRows(kb, ab, n); err != nil {
+			t.Fatal(err)
+		}
+		merged, _ := NewPartial(keys, specs)
+		for from := 0; from < n; from += 130 {
+			chunk, _ := NewPartial(keys, specs)
+			to := min(from+130, n)
+			kb, ab := rows(keys, from, to)
+			if err := chunk.AddRows(kb, ab, to-from); err != nil {
+				t.Fatal(err)
+			}
+			if err := merged.AddIntermediate(chunk.Intermediate()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := emit(merged.Final()), emit(whole.Final()); !reflect.DeepEqual(got, want) {
+			t.Errorf("keys %v: merged %v, whole %v", keys, got, want)
+		}
+		if groups := whole.Final().Count(); len(keys) > 0 && groups < 10 {
+			t.Errorf("only %d groups: the keys are not exercised", groups)
+		}
+		empty, _ := NewPartial(keys, specs)
+		if got, want := empty.Intermediate().Count(), map[bool]int{true: 0, false: 1}[len(keys) > 0]; got != want {
+			t.Errorf("keys %v: a Partial of no row emits %d rows, want %d", keys, got, want)
+		}
+	}
+	if _, err := NewPartial(nil, []AggSpec{{Func: "sum"}}); err == nil {
+		t.Error("sum without an argument was bound")
 	}
 }

@@ -326,7 +326,7 @@ func (o *vectorAggOperator) distinctRows(seen *keyTable, ids []int32, args []blo
 func (o *vectorAggOperator) chargeGrowth() error {
 	var held int64
 	if len(o.node.GroupBy) > 0 {
-		held = int64(o.groups.Len())*(aggGroupBaseCost+int64(len(o.aggs))*aggStateCost) + o.groups.KeyBytes()
+		held = o.groups.Bytes(len(o.aggs))
 	}
 	for _, seen := range o.distinct {
 		if seen != nil {

@@ -347,14 +347,26 @@ func TestWriterWakesOnAppend(t *testing.T) {
 	rows += len(backlog)
 	waitRows(rows)
 	w.Stop()
-	if got := writerGoroutines(); got != before {
+	if got := settledWriterGoroutines(before); got != before {
 		t.Errorf("after Stop %d writer goroutines, want %d", got, before)
 	}
 
 	killed := NewSegmentWriter(l, topic, newEventsTable(t), WriterConfig{Group: "other", Clock: stillClock{}})
 	killed.Start()
 	killed.Kill()
-	if got := writerGoroutines(); got != before {
+	if got := settledWriterGoroutines(before); got != before {
 		t.Errorf("after Kill %d writer goroutines, want %d", got, before)
 	}
+}
+
+// settledWriterGoroutines polls writerGoroutines for up to a second until it
+// reads want. Stop and Kill return once run's deferred wg.Done has run, which
+// is before the goroutine has left run's frame: a stack dump taken right
+// after may still show it.
+func settledWriterGoroutines(want int) int {
+	got := writerGoroutines()
+	for deadline := time.Now().Add(time.Second); got != want && time.Now().Before(deadline); got = writerGoroutines() {
+		time.Sleep(time.Millisecond)
+	}
+	return got
 }

@@ -103,8 +103,8 @@ func (l *Log) Close() error {
 // CreateTopic registers a topic with the given partition count. On a durable
 // log the creation is WAL-logged (and fsynced) before it takes effect.
 func (l *Log) CreateTopic(name string, partitions int) (*Topic, error) {
-	if partitions <= 0 {
-		return nil, fmt.Errorf("ingest: topic %q needs at least one partition", name)
+	if partitions <= 0 || partitions > MaxPartitions {
+		return nil, fmt.Errorf("ingest: topic %q needs 1 to %d partitions, not %d", name, MaxPartitions, partitions)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -241,11 +241,28 @@ func encodeTopic(name string, partitions int) []byte {
 	return frame.AppendUvarint(frame.AppendString(nil, name), uint64(partitions))
 }
 
+// MaxPartitions bounds a topic's partition count: CreateTopic refuses more,
+// and so does recovery of a topic record.
+const MaxPartitions = 4096
+
+// ErrInvalidRecord fails recovery at a WAL record whose frame is intact (its
+// CRC holds) but whose contents are out of range: a topic with a partition
+// count CreateTopic refuses, or a committed offset for a partition outside
+// its topic. Such a record is not a torn tail, so replay stops with this
+// error instead of truncating.
+var ErrInvalidRecord = errors.New("ingest: wal record out of range")
+
 func decodeTopic(payload []byte) (name string, partitions int, err error) {
 	r := frame.NewReader(payload)
 	name = r.Str()
-	partitions = int(r.Uvarint())
-	return name, partitions, walPayload(r.Close())
+	n := r.Uvarint()
+	if err := walPayload(r.Close()); err != nil {
+		return "", 0, err
+	}
+	if n < 1 || n > MaxPartitions {
+		return "", 0, fmt.Errorf("%w: topic %q with %d partitions", ErrInvalidRecord, name, n)
+	}
+	return name, int(n), nil
 }
 
 func encodeOffset(group, topic string, partition int, offset int64) []byte {
@@ -256,9 +273,15 @@ func encodeOffset(group, topic string, partition int, offset int64) []byte {
 func decodeOffset(payload []byte) (group, topic string, partition int, offset int64, err error) {
 	r := frame.NewReader(payload)
 	group, topic = r.Str(), r.Str()
-	partition = int(r.Uvarint())
+	p := r.Uvarint()
 	offset = int64(r.Uvarint())
-	return group, topic, partition, offset, walPayload(r.Close())
+	if err := walPayload(r.Close()); err != nil {
+		return "", "", 0, 0, err
+	}
+	if p >= MaxPartitions {
+		return "", "", 0, 0, fmt.Errorf("%w: offset of %s partition %d", ErrInvalidRecord, topic, p)
+	}
+	return group, topic, int(p), offset, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -544,6 +567,9 @@ func (w *WAL) recover(l *Log) error {
 			if err != nil {
 				return err
 			}
+			if t, ok := l.topics[topic]; ok && partition >= len(t.parts) {
+				return fmt.Errorf("%w: offset of %s partition %d, which has %d", ErrInvalidRecord, topic, partition, len(t.parts))
+			}
 			k := groupKey{group, topic, partition}
 			if offset > l.committed[k] {
 				l.committed[k] = offset
@@ -639,8 +665,11 @@ func (w *WAL) replayFile(fi fsys.FileInfo, fn func(payload []byte) error) error 
 			break
 		}
 		if err := fn(payload); err != nil {
-			if errors.Is(err, errStopReplay) {
+			switch {
+			case errors.Is(err, errStopReplay):
 				return nil
+			case errors.Is(err, ErrInvalidRecord):
+				return fmt.Errorf("ingest: wal recovery: %s: %w", fi.Path, err)
 			}
 			break // corrupt payload: truncate from here
 		}

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
@@ -650,4 +651,70 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("a batch that read does not encode back to itself:\n%x\n%x", payload, again)
 		}
 	})
+}
+
+// TestWALRecoveryRefusesOutOfRangeRecords: a record whose frame is intact
+// but whose contents no CreateTopic or Commit could have written fails
+// recovery with ErrInvalidRecord — it neither allocates a partition table
+// of the count it names nor panics, and it is not truncated away as if torn.
+func TestWALRecoveryRefusesOutOfRangeRecords(t *testing.T) {
+	forgedTopic := func(partitions uint64) []byte {
+		return frame.AppendUvarint(frame.AppendString(nil, "events"), partitions)
+	}
+	forgedOffset := func(partition uint64) []byte {
+		dst := frame.AppendString(frame.AppendString(nil, "g"), "events")
+		return frame.AppendUvarint(frame.AppendUvarint(dst, partition), 1)
+	}
+	for _, tc := range []struct {
+		name            string
+		topics, offsets [][]byte
+	}{
+		{name: "no partitions", topics: [][]byte{forgedTopic(0)}},
+		{name: "a huge partition count", topics: [][]byte{forgedTopic(1 << 40)}},
+		{name: "a count that wraps negative as an int", topics: [][]byte{forgedTopic(1 << 63)}},
+		{name: "one partition over the bound", topics: [][]byte{forgedTopic(MaxPartitions + 1)}},
+		{name: "an offset past its topic's partitions", topics: [][]byte{encodeTopic("events", 2)}, offsets: [][]byte{forgedOffset(2)}},
+		{name: "an offset partition that wraps negative", topics: [][]byte{encodeTopic("events", 2)}, offsets: [][]byte{forgedOffset(1 << 63)}},
+		{name: "an offset partition over the bound, topic unknown", offsets: [][]byte{forgedOffset(MaxPartitions)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := fsys.NewLocal(t.TempDir())
+			write := func(path string, payloads [][]byte) {
+				if len(payloads) == 0 {
+					return
+				}
+				var buf []byte
+				for _, p := range payloads {
+					buf = frame.Append(buf, p)
+				}
+				w, err := fs.Create(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Write(buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write("wal/topics-000001-000001.log", tc.topics)
+			write("wal/offsets-000001-000001.log", tc.offsets)
+			l, err := NewDurableLog(fs, walConfig(fault.RealClock{}))
+			if !errors.Is(err, ErrInvalidRecord) {
+				if l != nil {
+					_ = l.Close() // the failure is the missing error
+				}
+				t.Fatalf("recovery error = %v, want ErrInvalidRecord", err)
+			}
+		})
+	}
+	// A topic at the bound is still a topic.
+	l := NewLog()
+	if _, err := l.CreateTopic("wide", MaxPartitions); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.CreateTopic("wider", MaxPartitions+1); err == nil {
+		t.Error("CreateTopic took more than MaxPartitions partitions")
+	}
 }

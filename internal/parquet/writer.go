@@ -23,7 +23,10 @@ type ChunkMeta struct {
 	DataLen    int32
 	NumEntries int64 // triplets (including nulls/empties)
 	Dictionary bool
-	Stats      Stats
+	// DictEntries is the dictionary's entry count, when Dictionary: at most
+	// that many distinct values are present in the chunk.
+	DictEntries int64
+	Stats       Stats
 }
 
 // RowGroupMeta describes one horizontal partition.
@@ -199,8 +202,9 @@ func (c *chunkWriter) addBoxed(rep int, v any) error {
 	return nil
 }
 
-// serialize produces (dictPage, dataPage) bodies, uncompressed.
-func (c *chunkWriter) serialize(allowDict bool) (dict []byte, data []byte, usedDict bool, err error) {
+// serialize produces (dictPage, dataPage) bodies, uncompressed, and the
+// dictionary's entry count: 0 when the chunk is plain.
+func (c *chunkWriter) serialize(allowDict bool) (dict []byte, data []byte, dictEntries int, err error) {
 	var enc valueEncoder
 	enc.putUvarint(uint64(c.entries()))
 	for _, r := range c.reps {
@@ -215,10 +219,12 @@ func (c *chunkWriter) serialize(allowDict bool) (dict []byte, data []byte, usedD
 	if allowDict && n >= 8 && (kind == types.KindVarchar || kind == types.KindBigint || kind == types.KindInteger || kind == types.KindDate) {
 		if dictPage, ids, ok := c.dictionaryEncode(n); ok {
 			enc.buf.WriteByte(1) // dictionary-encoded data
+			entries := 0         // ids are dense, in first-use order
 			for _, id := range ids {
 				enc.putUvarint(uint64(id))
+				entries = max(entries, int(id)+1)
 			}
-			return dictPage, enc.buf.Bytes(), true, nil
+			return dictPage, enc.buf.Bytes(), entries, nil
 		}
 	}
 
@@ -241,7 +247,7 @@ func (c *chunkWriter) serialize(allowDict bool) (dict []byte, data []byte, usedD
 			enc.putInt64(v)
 		}
 	}
-	return nil, enc.buf.Bytes(), false, nil
+	return nil, enc.buf.Bytes(), 0, nil
 }
 
 // dictionaryEncode builds the chunk's dictionary page and one id per value,
@@ -394,17 +400,18 @@ func (fw *fileWriter) flushRowGroup() error {
 	}
 	rg := RowGroupMeta{NumRows: fw.rowsInGroup}
 	for _, cw := range fw.chunks {
-		dict, data, usedDict, err := cw.serialize(!fw.opts.DisableDictionary)
+		dict, data, dictEntries, err := cw.serialize(!fw.opts.DisableDictionary)
 		if err != nil {
 			return err
 		}
 		cm := ChunkMeta{
-			LeafIndex:  cw.leaf.Index,
-			NumEntries: int64(cw.entries()),
-			Dictionary: usedDict,
-			Stats:      cw.stats,
+			LeafIndex:   cw.leaf.Index,
+			NumEntries:  int64(cw.entries()),
+			Dictionary:  dictEntries > 0,
+			DictEntries: int64(dictEntries),
+			Stats:       cw.stats,
 		}
-		if usedDict {
+		if cm.Dictionary {
 			comp, err := compress(fw.opts.Codec, dict)
 			if err != nil {
 				return err
