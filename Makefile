@@ -57,7 +57,9 @@ chaos-lifecycle:
 # result or an error, no panic, nothing returned that the input does not
 # cover, and what reads encodes back to itself), the statement and task
 # documents of the binary codec (any bytes: a document that encodes back to
-# the same bytes, or an error, no panic), the rendering of pushed comparisons
+# the same bytes, or an error, no panic), the druid broker's query body (any
+# bytes: a query that encodes back to the same bytes, or an error, no panic,
+# no list longer than the input), the rendering of pushed comparisons
 # (two decoded from the input: equal strings only from equal comparisons,
 # since EXPLAIN shows them) and the WAL's record batches (any payload: a batch
 # that encodes back to the same bytes, or an error, no panic, no count
@@ -74,6 +76,7 @@ fuzz-smoke:
 	go test -fuzz '^FuzzReadEnvelope$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/block/
 	go test -fuzz '^FuzzDecodeStatement$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	go test -fuzz '^FuzzDecodeTask$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	go test -fuzz '^FuzzDecodeQuery$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/druid/
 	go test -fuzz '^FuzzComparisonString$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/expr/
 	go test -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/ingest/
 

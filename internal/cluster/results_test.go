@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net/http"
@@ -328,10 +327,6 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 	}
 	t.Cleanup(func() { broker.Close() })
 	query := druid.Query{Table: "events", Columns: []string{"country", "clicks"}}
-	var queryDoc bytes.Buffer // a broker's query body is still gob
-	if err := gob.NewEncoder(&queryDoc).Encode(query); err != nil {
-		t.Fatal(err)
-	}
 
 	frame, err := block.EncodePage(block.NewPage(&block.Int64Block{Values: []int64{1, 2, 3}}))
 	if err != nil {
@@ -381,7 +376,7 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 				}
 				return n, err
 			}},
-		{"broker to connector", post("http://"+broker.Addr()+"/druid/v2/query", queryDoc.Bytes()), 3,
+		{"broker to connector", post("http://"+broker.Addr()+"/druid/v2/query", druid.AppendQuery(nil, query)), 3,
 			serving(func(addr string) (int, error) {
 				res, err := druid.NewHTTPClient(addr).Execute(query)
 				if err != nil {

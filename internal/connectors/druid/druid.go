@@ -8,6 +8,7 @@ package druid
 
 import (
 	"fmt"
+	"io"
 	"sync"
 
 	"prestolite/internal/block"
@@ -233,24 +234,72 @@ func (r *druidRecords) CreatePageSource(handle connector.TableHandle, split conn
 			q.Columns = append(q.Columns, h.Columns[ord].Name)
 		}
 	}
-	res, err := c.client.Execute(q)
-	if err != nil {
-		return nil, fmt.Errorf("druid: executing native query: %w", err)
-	}
+	return &querySource{c: c, q: q, columns: columns}, nil
+}
 
-	// Select the requested output channels out of the native result's pages:
-	// the blocks pass through as the store built them, aliasing its segments.
-	pages := make([]*block.Page, len(res.Pages))
-	for i, p := range res.Pages {
-		pages[i] = &block.Page{Blocks: make([]block.Block, len(columns)), N: p.N}
-		for ch, col := range columns {
-			if col < 0 || col >= len(p.Blocks) {
-				return nil, fmt.Errorf("druid: native result has %d columns, the scan reads column %d", len(p.Blocks), col)
-			}
-			pages[i].Blocks[ch] = p.Blocks[col]
+// querySource runs its native query at the first Next and hands out the
+// answer's pages, selecting the requested output channels: the blocks pass
+// through as the store built them. A grouped answer's groups count against
+// the query's memory (connector.ChargedSource) before a page goes out; a
+// global aggregate's one row is constant size, and a select's pages alias
+// segment memory the store holds anyway, so neither is charged.
+type querySource struct {
+	c       *Connector
+	q       driver.Query
+	columns []int
+	charge  func(held int64) error
+	pages   []*block.Page
+	ran     bool
+}
+
+// ChargeTo implements connector.ChargedSource.
+func (s *querySource) ChargeTo(charge func(held int64) error) { s.charge = charge }
+
+func (s *querySource) Next() (*block.Page, error) {
+	if !s.ran {
+		s.ran = true
+		if err := s.run(); err != nil {
+			return nil, err
 		}
 	}
-	return &connector.SlicePageSource{Pages: pages}, nil
+	if len(s.pages) == 0 {
+		return nil, io.EOF
+	}
+	p := s.pages[0]
+	s.pages = s.pages[1:]
+	return p, nil
+}
+
+func (s *querySource) run() error {
+	res, err := s.c.client.Execute(s.q)
+	if err != nil {
+		return fmt.Errorf("druid: executing native query: %w", err)
+	}
+	if s.charge != nil && len(s.q.GroupBy) > 0 {
+		var held int64
+		for _, p := range res.Pages {
+			held += int64(p.SizeBytes())
+		}
+		if err := s.charge(held); err != nil {
+			return err
+		}
+	}
+	s.pages = make([]*block.Page, len(res.Pages))
+	for i, p := range res.Pages {
+		s.pages[i] = &block.Page{Blocks: make([]block.Block, len(s.columns)), N: p.N}
+		for ch, col := range s.columns {
+			if col < 0 || col >= len(p.Blocks) {
+				return fmt.Errorf("druid: native result has %d columns, the scan reads column %d", len(p.Blocks), col)
+			}
+			s.pages[i].Blocks[ch] = p.Blocks[col]
+		}
+	}
+	return nil
+}
+
+func (s *querySource) Close() error {
+	s.ran, s.pages = true, nil
+	return nil
 }
 
 func effectiveColumns(h *TableHandle) []int {

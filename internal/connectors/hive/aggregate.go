@@ -256,8 +256,8 @@ func absorbs(a Aggregate, t *metastore.Table) bool {
 }
 
 // fileAggregation is a handle's aggregation over one split's file: the
-// shared vector.Partial, fed by each row group's statistics where they hold
-// a global answer, else by the rows the reader returns.
+// engine's vector.Partial, fed by each row group's statistics where they
+// hold a global answer, else by the rows the reader returns.
 type fileAggregation struct {
 	specs []Aggregate
 	// keys are the group keys' table columns; args[i] is aggregate i's, the
@@ -275,11 +275,10 @@ type fileAggregation struct {
 	slots  []int
 	leaves []*parquet.Node
 
-	err        error // a row group's answer that did not fold
-	one        block.Int64Block
-	keyBlocks  []block.Block
-	argBlocks  []block.Block
-	nullBlocks []block.Block // per key: its one-row NULL, for a file without the column
+	err   error // a row group's answer that did not fold
+	one   block.Int64Block
+	cols  []block.Block // per key and then per aggregate: its column in a page
+	nulls []block.Block // per key and then per aggregate: its one-row NULL, nil for count(*)
 }
 
 // newFileAggregation binds the handle's keys and aggregates to the table. An
@@ -294,9 +293,8 @@ func newFileAggregation(h *TableHandle, t *metastore.Table) (*fileAggregation, e
 		}
 		fa.keys = append(fa.keys, t.Columns[ord])
 		keyTypes = append(keyTypes, t.Columns[ord].Type)
-		fa.nullBlocks = append(fa.nullBlocks, nullBlock(t.Columns[ord].Type, 1))
 	}
-	specs := make([]vector.AggSpec, len(h.Aggs))
+	aggs := make([]vector.Agg, len(h.Aggs))
 	for i, a := range h.Aggs {
 		if !absorbs(a, t) {
 			return nil, fmt.Errorf("hive: no per-split answer for %s over %s.%s", a, t.Schema, t.Name)
@@ -306,16 +304,18 @@ func newFileAggregation(h *TableHandle, t *metastore.Table) (*fileAggregation, e
 			col = t.Columns[a.Column]
 		}
 		fa.args = append(fa.args, col)
-		specs[i] = vector.AggSpec{Func: a.Func, Arg: col.Type}
+		aggs[i], _ = vector.NewAgg(a.Func, col.Type) // a kernel takes all absorbs does
 		fa.fromStatsOK = fa.fromStatsOK && a.Func != "sum"
 	}
-	p, err := vector.NewPartial(keyTypes, specs)
-	if err != nil {
-		return nil, fmt.Errorf("hive: %w", err)
+	fa.p = vector.NewPartial(keyTypes, aggs)
+	for _, col := range append(fa.keys[:len(fa.keys):len(fa.keys)], fa.args...) {
+		var null block.Block
+		if col.Type != nil {
+			null = nullBlock(col.Type, 1)
+		}
+		fa.nulls = append(fa.nulls, null)
 	}
-	fa.p = p
-	fa.keyBlocks = make([]block.Block, len(fa.keys))
-	fa.argBlocks = make([]block.Block, len(fa.args))
+	fa.cols = make([]block.Block, len(fa.nulls))
 	return fa, nil
 }
 
@@ -415,21 +415,19 @@ func (fa *fileAggregation) fromStats(rg *parquet.RowGroupMeta) bool {
 // column the file lacks is NULL in every row: a NULL key, an argument that
 // adds nothing.
 func (fa *fileAggregation) addPage(p *block.Page) error {
-	n, nk := p.Count(), len(fa.keys)
-	for k := range fa.keys {
-		if slot := fa.slots[k]; slot >= 0 {
-			fa.keyBlocks[k] = p.Blocks[slot]
-		} else {
-			fa.keyBlocks[k] = block.NewRunLengthBlock(fa.nullBlocks[k], n)
+	n := p.Count()
+	for i, slot := range fa.slots {
+		switch {
+		case slot >= 0:
+			fa.cols[i] = p.Blocks[slot]
+		case fa.nulls[i] != nil:
+			fa.cols[i] = block.NewRunLengthBlock(fa.nulls[i], n)
+		default:
+			fa.cols[i] = nil // count(*) reads no column
 		}
 	}
-	for i := range fa.args {
-		fa.argBlocks[i] = nil
-		if slot := fa.slots[nk+i]; slot >= 0 {
-			fa.argBlocks[i] = p.Blocks[slot]
-		}
-	}
-	return fa.p.AddRows(fa.keyBlocks, fa.argBlocks, n)
+	nk := len(fa.keys)
+	return fa.p.AddRows(fa.cols[:nk], fa.cols[nk:], n)
 }
 
 // aggregateSource answers an aggregate split: from the memo, or from its
@@ -522,7 +520,7 @@ func (s *aggregateSource) Next() (*block.Page, error) {
 				}
 			}
 		}
-		s.page = s.fa.p.Intermediate()
+		s.page = s.fa.p.Emit(0, s.fa.p.Len(), false)
 		s.memoise(s.page)
 	} else if s.charge != nil && len(s.fa.keys) > 0 {
 		// A memo hit's groups count as well: whether a query fits its

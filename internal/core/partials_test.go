@@ -15,7 +15,9 @@ import (
 	"prestolite/internal/block"
 	"prestolite/internal/cluster"
 	"prestolite/internal/connector"
+	druidconn "prestolite/internal/connectors/druid"
 	"prestolite/internal/connectors/hive"
+	"prestolite/internal/druid"
 	"prestolite/internal/execution"
 	"prestolite/internal/hdfs"
 	"prestolite/internal/metastore"
@@ -324,5 +326,39 @@ func TestPartialsChargeQueryMemory(t *testing.T) {
 	_, err := partialsCluster(t, conn).Query(&planner.Session{Catalog: "hive", Schema: "s", User: "test", Properties: map[string]string{"query_max_memory": "16"}}, grouped)
 	if err == nil || !strings.Contains(err.Error(), "failed on") || !strings.Contains(err.Error(), "Insufficient Resources") {
 		t.Errorf("cluster: %s under query_max_memory=16: err = %v, want a worker task refused for memory", grouped, err)
+	}
+}
+
+// A pushed druid GROUP BY comes back from the store whole: its groups count
+// against the query's memory before the scan hands a page on, so a cap
+// refuses one over a unique column, while a global aggregate's one row and
+// the same GROUP BY uncapped pass.
+func TestDruidAggregateChargesQueryMemory(t *testing.T) {
+	store := druid.NewStore()
+	tab, err := store.CreateTable("events", []druid.Column{{Name: "id", Type: types.Bigint}, {Name: "clicks", Type: types.Bigint}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]any
+	for i := 0; i < 200; i++ {
+		rows = append(rows, []any{int64(i), int64(i % 7)})
+	}
+	if err := tab.Ingest(rows); err != nil {
+		t.Fatal(err)
+	}
+	e := New()
+	e.Register("druid", druidconn.New("druid", &druid.EmbeddedClient{Store: store}))
+	capped := DefaultSession("druid", "default")
+	capped.Properties["query_max_memory"] = "16"
+	const grouped = "SELECT id, count(*), sum(clicks) FROM events GROUP BY id"
+	var insufficient execution.ErrInsufficientResources
+	if _, err := e.Query(capped, grouped); !errors.As(err, &insufficient) || !strings.Contains(insufficient.Operator, "connector") {
+		t.Errorf("%s under query_max_memory=16: err = %v, want the scan's split refused", grouped, err)
+	}
+	if _, err := e.Query(capped, "SELECT count(*), max(clicks) FROM events"); err != nil {
+		t.Errorf("global aggregate under query_max_memory=16: %v", err)
+	}
+	if got := partialsRows(t, e, DefaultSession("druid", "default"), grouped); len(got) != len(rows) {
+		t.Errorf("uncapped: %d groups, want %d", len(got), len(rows))
 	}
 }

@@ -2,7 +2,9 @@ package druid
 
 import (
 	"math/rand"
+	"os"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -38,8 +40,18 @@ func checkQuery(t *testing.T, s *Store, rows [][]any, q Query, what string) {
 	}
 }
 
+// Replay a failure with
+// EQUIV_SEED=<seed> go test -run TestSegmentPartialsEquivalence ./internal/druid/.
 func TestSegmentPartialsEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
+	seeds := []int64{1, 7, 42}
+	if env := os.Getenv("EQUIV_SEED"); env != "" {
+		seed, err := strconv.ParseInt(env, 10, 64)
+		if err != nil {
+			t.Fatalf("bad EQUIV_SEED %q: %v", env, err)
+		}
+		seeds = []int64{seed}
+	}
+	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
 		s, rows := propTable(t, rng)
 		queries := []Query{h2()}

@@ -4,7 +4,7 @@
 // filter can match no row of the segment (skip it), must match every row
 // (drop the filter there) or has to run, as a typed loop; a select hands the
 // surviving rows out as a page, an aggregation feeds them to the engine's
-// vector kernels (vector.Partial), and a global count, min or max whose
+// own grouped aggregation (vector.Partial), and a global count, min or max whose
 // filters all cover a segment is answered from its metadata. A sealed
 // segment's partial aggregate is computed once per query shape and memoised
 // (Store.partials); only the open segment's frozen view is aggregated by
@@ -21,7 +21,6 @@ import (
 	"prestolite/internal/cache"
 	"prestolite/internal/execution/vector"
 	"prestolite/internal/expr"
-	"prestolite/internal/frame"
 	"prestolite/internal/types"
 )
 
@@ -232,31 +231,33 @@ func (ex *executor) aggregate(segs []*segment, q Query) (*Result, error) {
 		keyTypes = append(keyTypes, t.Columns[ci].Type)
 		res.Columns = append(res.Columns, g)
 	}
-	var specs []vector.AggSpec
-	for _, spec := range q.Aggregations {
+	argTypes := make([]*types.Type, len(q.Aggregations))
+	for i, spec := range q.Aggregations {
 		a := boundAgg{fn: strings.ToLower(spec.Func), col: -1}
-		var argType *types.Type
 		if spec.Column != "" {
 			var err error
 			if a.col, err = t.ordinal("aggregation", spec.Column); err != nil {
 				return nil, err
 			}
-			argType = t.Columns[a.col].Type
+			argTypes[i] = t.Columns[a.col].Type
 		}
 		name := spec.Name
 		if name == "" {
 			name = spec.Func
 		}
 		ex.aggs = append(ex.aggs, a)
-		specs = append(specs, vector.AggSpec{Func: a.fn, Arg: argType})
 		res.Columns = append(res.Columns, name)
 	}
 	newPartial := func() (*vector.Partial, error) {
-		p, err := vector.NewPartial(keyTypes, specs)
-		if err != nil {
-			return nil, fmt.Errorf("druid: unsupported aggregation: %w", err)
+		aggs := make([]vector.Agg, len(ex.aggs))
+		for i, a := range ex.aggs {
+			agg, ok := vector.NewAgg(a.fn, argTypes[i])
+			if !ok {
+				return nil, fmt.Errorf("druid: unsupported aggregation %s(%v)", a.fn, argTypes[i])
+			}
+			aggs[i] = agg
 		}
-		return p, nil
+		return vector.NewPartial(keyTypes, aggs), nil
 	}
 	total, err := newPartial()
 	if err != nil {
@@ -272,7 +273,7 @@ func (ex *executor) aggregate(segs []*segment, q Query) (*Result, error) {
 			continue
 		}
 		if shape == "" {
-			shape = q.partialShape()
+			shape = string(q.appendShape(nil))
 		}
 		key := partialKey{segment: seg.id, shape: shape}
 		page, ok := ex.memo.Get(key)
@@ -284,36 +285,24 @@ func (ex *executor) aggregate(segs []*segment, q Query) (*Result, error) {
 			if err := ex.addSegment(p, seg); err != nil {
 				return nil, err
 			}
-			page = p.Intermediate()
+			page = p.Emit(0, p.Len(), false)
 			ex.memo.Put(key, len(shape)+8, page)
 		}
 		if err := total.AddIntermediate(page); err != nil {
 			return nil, err
 		}
 	}
-	if p := ex.page(total.Final(), q.Limit); p != nil {
+	if p := ex.page(total.Emit(0, total.Len(), true), q.Limit); p != nil {
 		res.Pages = append(res.Pages, p)
 	}
 	return res, nil
 }
 
-// partialKey names one sealed segment's partial for one query shape.
+// partialKey names one sealed segment's partial for one query shape
+// (Query.appendShape).
 type partialKey struct {
 	segment uint64
 	shape   string
-}
-
-// partialShape encodes what a segment's partial depends on besides the
-// segment: the filters, the group-by columns and each aggregate's function
-// and argument. Limit and output names are applied after the merge.
-func (q *Query) partialShape() string {
-	dst := expr.AppendComparisons(nil, q.Filters)
-	dst = frame.AppendStrings(dst, q.GroupBy)
-	dst = frame.AppendUvarint(dst, uint64(len(q.Aggregations)))
-	for _, a := range q.Aggregations {
-		dst = frame.AppendString(frame.AppendString(dst, strings.ToLower(a.Func)), a.Column)
-	}
-	return string(dst)
 }
 
 // addSegment folds the rows of seg the filters select into p: from the

@@ -1,8 +1,7 @@
 package druid
 
 import (
-	//lint:ignore nogob ROADMAP item 12(e): the broker query body and the tables and schema answers move to the frame codec
-	"encoding/gob"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -21,8 +20,8 @@ import (
 )
 
 // Server exposes the store over HTTP (the broker endpoint a Presto-Druid
-// connector talks to). A query is a gob Query in the request body; its answer
-// is one envelope (block.Envelope): a checksummed header, the result's
+// connector talks to). A query is its binary form (AppendQuery) in the
+// request body; its answer is one envelope (block.Envelope): a checksummed header, the result's
 // column names (frame.AppendStrings), followed by the result's pages as
 // block.EncodePage wrote them — dictionary columns stay dictionary-encoded on
 // the wire, and every byte is under a checksum.
@@ -34,8 +33,9 @@ type Server struct {
 	once  sync.Once
 }
 
-// maxQueryBytes bounds the request body handleQuery decodes: a Query is a
-// table name, a few column names and a few literals.
+// maxQueryBytes bounds the request body handleQuery decodes — a Query is a
+// table name, a few column names and a few literals — and the tables and
+// schema answers a client reads, which are lists of names.
 const maxQueryBytes = 1 << 20
 
 // NewServer wraps a store.
@@ -75,8 +75,12 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 	var q Query
-	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&q); err != nil {
+	if err == nil {
+		q, err = DecodeQuery(body)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
@@ -136,29 +140,30 @@ func decodeResult(body []byte) (*Result, error) {
 	return &Result{Columns: columns, Pages: pages}, nil
 }
 
+// handleTables answers the store's table names (frame.AppendStrings).
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	_ = gob.NewEncoder(w).Encode(s.store.Tables()) // client went away mid-response; nothing to send it
+	writeDoc(w, frame.AppendStrings(nil, s.store.Tables()))
 }
 
-// SchemaResponse describes one table.
-type SchemaResponse struct {
-	Columns []string
-	Types   []string
-}
-
+// handleSchema answers a table's columns: their count, then each one's name
+// and type (types.AppendType).
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("table")
-	t, err := s.store.GetTable(name)
+	t, err := s.store.GetTable(r.URL.Query().Get("table"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	resp := SchemaResponse{}
+	doc := frame.AppendUvarint(nil, uint64(len(t.Columns)))
 	for _, c := range t.Columns {
-		resp.Columns = append(resp.Columns, c.Name)
-		resp.Types = append(resp.Types, c.Type.String())
+		doc = types.AppendType(frame.AppendString(doc, c.Name), c.Type)
 	}
-	_ = gob.NewEncoder(w).Encode(resp) // client went away mid-response; nothing to send it
+	writeDoc(w, doc)
+}
+
+func writeDoc(w http.ResponseWriter, doc []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
+	_, _ = w.Write(doc) // client went away mid-response; nothing to send it
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +188,7 @@ func NewHTTPClient(addr string) *HTTPClient {
 
 // Execute implements Client.
 func (c *HTTPClient) Execute(q Query) (*Result, error) {
-	resp, err := c.HTTP.Post(c.BaseURL+"/druid/v2/query", "application/x-gob", pipeEncode(q))
+	resp, err := c.HTTP.Post(c.BaseURL+"/druid/v2/query", "application/octet-stream", bytes.NewReader(AppendQuery(nil, q)))
 	if err != nil {
 		return nil, fmt.Errorf("druid: query: %w", err)
 	}
@@ -204,41 +209,57 @@ func (c *HTTPClient) Execute(q Query) (*Result, error) {
 
 // Tables implements Client.
 func (c *HTTPClient) Tables() ([]string, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/druid/v2/tables")
+	r, err := c.getDoc("/druid/v2/tables")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	var out []string
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
+	out := r.Strs()
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("druid: broker %s: tables: %w", c.BaseURL, err)
 	}
 	return out, nil
 }
 
 // Schema implements Client.
 func (c *HTTPClient) Schema(table string) ([]Column, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/druid/v2/schema?" + url.Values{"table": {table}}.Encode())
+	r, err := c.getDoc("/druid/v2/schema?" + url.Values{"table": {table}}.Encode())
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Column, r.Count())
+	for i := range out {
+		out[i] = Column{Name: r.Str(), Type: types.ReadType(r)}
+	}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("druid: broker %s: schema of %s: %w", c.BaseURL, table, err)
+	}
+	return out, nil
+}
+
+// getDoc reads the broker's answer to a GET of path, at most
+// maxQueryBytes of it.
+func (c *HTTPClient) getDoc(path string) (*frame.Reader, error) {
+	resp, err := c.HTTP.Get(c.BaseURL + path)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("druid: schema: %s", readError(resp))
+		return nil, fmt.Errorf("druid: %s: %s", path, readError(resp))
 	}
-	var sr SchemaResponse
-	if err := gob.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxQueryBytes+1))
+	if err != nil {
 		return nil, err
 	}
-	out := make([]Column, len(sr.Columns))
-	for i := range sr.Columns {
-		t, err := types.Parse(sr.Types[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Column{Name: sr.Columns[i], Type: t}
+	if len(body) > maxQueryBytes {
+		return nil, fmt.Errorf("druid: broker %s: %s answered over %d bytes", c.BaseURL, path, maxQueryBytes)
 	}
-	return out, nil
+	return frame.NewReader(body), nil
+}
+
+func readError(resp *http.Response) string {
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) // best-effort error detail
+	return string(bytes.TrimSpace(data))
 }
 
 // Versioner is an optional Client capability: clients with access to the

@@ -288,7 +288,8 @@ func TestHTTPClientRejectsDamagedResults(t *testing.T) {
 	}
 }
 
-// TestHTTPServerBoundsQueryBody: the broker reads a bounded request.
+// TestHTTPServerBoundsQueryBody: the broker reads a bounded request, and
+// answers one that is no query's encoding with a 400.
 func TestHTTPServerBoundsQueryBody(t *testing.T) {
 	srv := NewServer(testStore(t))
 	if err := srv.Start("127.0.0.1:0"); err != nil {
@@ -296,13 +297,22 @@ func TestHTTPServerBoundsQueryBody(t *testing.T) {
 	}
 	defer srv.Close()
 	huge := Query{Table: "events", Columns: []string{strings.Repeat("x", maxQueryBytes)}}
-	resp, err := http.Post("http://"+srv.Addr()+"/druid/v2/query", "application/x-gob", pipeEncode(huge))
+	resp, err := http.Post("http://"+srv.Addr()+"/druid/v2/query", "application/octet-stream", bytes.NewReader(AppendQuery(nil, huge)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("a %d-byte query answered %s, want 413", maxQueryBytes, resp.Status)
+	}
+	malformed := append(AppendQuery(nil, Query{Table: "events"}), 0)
+	resp, err = http.Post("http://"+srv.Addr()+"/druid/v2/query", "application/octet-stream", bytes.NewReader(malformed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("a query with a trailing byte answered %s, want 400", resp.Status)
 	}
 }
 

@@ -15,57 +15,17 @@ import (
 // expectation holds.
 const aggDistinctCost = 32
 
-// aggregator is one aggregate's state by group id: a typed kernel
-// (typedAgg), or boxedAgg for an aggregate with no typed kernel. Both take
-// raw rows as argument blocks and emit the same intermediates, so spill and
-// the partial/final split cannot tell them apart.
-type aggregator interface {
-	// Grow extends the state to cover group ids < n.
-	Grow(n int)
-	// addRaw accumulates n raw input rows; args are the argument columns.
-	addRaw(ids []int32, args []block.Block, n int) error
-	AddIntermediate(ids []int32, b block.Block, n int) error
-	EmitIntermediate(from, to int) block.Block
-	EmitFinal(from, to int) block.Block
-	// Reset drops all state; blocks emitted before it keep their values.
-	Reset()
-}
-
-// newAggregator builds aggregate a's state: its typed kernel when it has
-// one, boxed states of fn otherwise.
-func newAggregator(a planner.Aggregation, fn *expr.AggregateFunction) aggregator {
-	if agg, ok := vector.NewAgg(a.FuncName, aggArgType(a)); ok {
-		kind, _ := vector.KindOf(aggArgType(a))
-		return &typedAgg{Agg: agg, kind: kind}
+// newAgg builds aggregate a's state: its typed kernel when it has one,
+// boxed states of fn otherwise.
+func newAgg(a planner.Aggregation, fn *expr.AggregateFunction) vector.Agg {
+	var arg *types.Type // nil for count(*)
+	if len(a.ArgTypes) > 0 {
+		arg = a.ArgTypes[0]
+	}
+	if agg, ok := vector.NewAgg(a.FuncName, arg); ok {
+		return agg
 	}
 	return &boxedAgg{fn: fn, a: a}
-}
-
-// aggArgType is the aggregate's raw argument type, nil for count(*).
-func aggArgType(a planner.Aggregation) *types.Type {
-	if len(a.ArgTypes) == 0 {
-		return nil
-	}
-	return a.ArgTypes[0]
-}
-
-// typedAgg feeds a typed kernel its argument as a view.
-type typedAgg struct {
-	vector.Agg
-	kind vector.Kind
-	view vector.View
-}
-
-func (a *typedAgg) addRaw(ids []int32, args []block.Block, n int) error {
-	if len(args) == 0 {
-		a.AddRaw(ids, nil, n)
-		return nil
-	}
-	if err := viewOf(args[0], a.kind, n, &a.view); err != nil {
-		return err
-	}
-	a.AddRaw(ids, &a.view, n)
-	return nil
 }
 
 // boxedAgg runs an aggregate with no typed kernel — approx_distinct, a
@@ -85,7 +45,7 @@ func (b *boxedAgg) Grow(n int) {
 	}
 }
 
-func (b *boxedAgg) addRaw(ids []int32, args []block.Block, n int) error {
+func (b *boxedAgg) AddRaw(ids []int32, args []block.Block, n int) error {
 	if len(b.vals) != len(args) {
 		b.vals = make([]any, len(args))
 	}

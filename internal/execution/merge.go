@@ -25,10 +25,8 @@ type streamMergeOperator struct {
 	// pass spillPageRows by the rest of a run of equal keys — at most one row
 	// per stream for the aggregation spill, whose runs hold each key once.
 	wholeKeys bool
-	// rowKeys[i] is the order key of row i of the page Next last returned.
-	rowKeys [][]byte
-	opened  bool
-	done    bool
+	opened    bool
+	done      bool
 }
 
 // streamCursor tracks one sorted input stream, holding one page at a time
@@ -96,14 +94,14 @@ func (o *streamMergeOperator) Next() (*block.Page, error) {
 	}
 	var pages []*block.Page
 	var pageIdx, rowIdx []int32
-	o.rowKeys = o.rowKeys[:0]
+	var last []byte // the key of the page's last row
 	for {
 		c := o.minCursor()
 		if c == nil {
 			break
 		}
 		key := c.keys.At(c.row)
-		if len(pageIdx) >= spillPageRows && !(o.wholeKeys && bytes.Equal(key, o.rowKeys[len(o.rowKeys)-1])) {
+		if len(pageIdx) >= spillPageRows && !(o.wholeKeys && bytes.Equal(key, last)) {
 			break
 		}
 		if c.slot < 0 {
@@ -112,7 +110,7 @@ func (o *streamMergeOperator) Next() (*block.Page, error) {
 		}
 		pageIdx = append(pageIdx, c.slot)
 		rowIdx = append(rowIdx, int32(c.row))
-		o.rowKeys = append(o.rowKeys, key)
+		last = key
 		c.row++
 		if c.row == c.page.Count() {
 			if err := o.advance(c); err != nil {

@@ -9,10 +9,13 @@ import (
 	"prestolite/internal/types"
 )
 
-// Agg is a typed batch aggregator: one flat state slice indexed by group
-// id, updated a page at a time. Intermediate and final emissions build
-// typed blocks straight from the state slices (no boxing), at the plan's
-// intermediate types:
+// Agg is one aggregate's state by group id, updated a page at a time: a
+// typed kernel (NewAgg), or a caller's boxed states for an aggregate no
+// kernel takes (the engine's approx_distinct, plugins, nested arguments).
+// Both take raw rows as argument blocks and emit the plan's intermediate
+// and final types, so a Partial, spill and the partial/final split cannot
+// tell them apart. The kernels emit typed blocks straight from their flat
+// state slices (no boxing), at these intermediate types:
 //
 //	count            -> int64 (never null)
 //	sum(bigint)      -> int64 or null
@@ -22,8 +25,9 @@ import (
 type Agg interface {
 	// Grow extends the state to cover group ids < n.
 	Grow(n int)
-	// AddRaw accumulates raw input rows (arg is nil for count(*)).
-	AddRaw(ids []int32, arg *View, n int)
+	// AddRaw accumulates n raw input rows; args are the argument columns,
+	// none for count(*).
+	AddRaw(ids []int32, args []block.Block, n int) error
 	// AddIntermediate merges an intermediate column (the FINAL step).
 	AddIntermediate(ids []int32, b block.Block, n int) error
 	// EmitIntermediate / EmitFinal emit groups [from, to) as a column.
@@ -34,16 +38,56 @@ type Agg interface {
 	Reset()
 }
 
-// NewAgg builds the typed aggregator for a function name and argument type
+// kernel is a typed aggregate over its argument's view (nil for count(*)).
+type kernel interface {
+	Grow(n int)
+	add(ids []int32, arg *View, n int)
+	AddIntermediate(ids []int32, b block.Block, n int) error
+	EmitIntermediate(from, to int) block.Block
+	EmitFinal(from, to int) block.Block
+	Reset()
+}
+
+// typed is the Agg of a kernel: it views the argument column as the kernel
+// reads it.
+type typed struct {
+	kernel
+	kind Kind
+	star bool // count(*): reads no argument
+	view View
+}
+
+func (a *typed) AddRaw(ids []int32, args []block.Block, n int) error {
+	if a.star {
+		a.add(ids, nil, n)
+		return nil
+	}
+	if err := ViewAs(args[0], a.kind, n, &a.view); err != nil {
+		return err
+	}
+	a.add(ids, &a.view, n)
+	return nil
+}
+
+// NewAgg builds the typed aggregate for a function name and argument type
 // (nil for count(*)); ok is false for aggregates with no typed kernel
 // (approx_distinct, plugins, nested argument types), which the caller runs
-// on boxed expr states. DISTINCT is the caller's too.
+// on states of its own. DISTINCT is the caller's too.
 func NewAgg(name string, argType *types.Type) (Agg, bool) {
-	switch strings.ToLower(name) {
+	k, ok := newKernel(strings.ToLower(name), argType)
+	if !ok {
+		return nil, false
+	}
+	kind, _ := KindOf(argType)
+	return &typed{kernel: k, kind: kind, star: argType == nil}, true
+}
+
+func newKernel(name string, argType *types.Type) (kernel, bool) {
+	if argType == nil { // only count takes no argument
+		return &countAgg{}, name == "count"
+	}
+	switch name {
 	case "count":
-		if argType == nil {
-			return &countAgg{star: true}, true
-		}
 		if _, ok := KindOf(argType); !ok {
 			return nil, false
 		}
@@ -61,7 +105,7 @@ func NewAgg(name string, argType *types.Type) (Agg, bool) {
 		if !ok {
 			return nil, false
 		}
-		return &minMaxAgg{kind: k, typ: argType, isMax: strings.ToLower(name) == "max"}, true
+		return &minMaxAgg{kind: k, typ: argType, isMax: name == "max"}, true
 	case "avg":
 		switch argType.Kind {
 		case types.KindBigint, types.KindInteger, types.KindDouble:
@@ -71,6 +115,20 @@ func NewAgg(name string, argType *types.Type) (Agg, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// ViewAs views rows [0, n) of b, which must be of kind k, flattening first
+// the encodings the typed views reject (a dictionary over a dictionary, the
+// sort's indirection blocks).
+func ViewAs(b block.Block, k Kind, n int, v *View) error {
+	if Of(b, v) && v.Kind == k && v.N >= n {
+		return nil
+	}
+	flat := block.MaterializePage(&block.Page{Blocks: []block.Block{b}, N: n}).Blocks[0]
+	if !Of(flat, v) || v.Kind != k || v.N < n {
+		return fmt.Errorf("vector: a %T where %d rows of kind %d belong", b, n, k)
+	}
+	return nil
 }
 
 // viewOrNil fills v from b, returning nil on unsupported shapes (callers
@@ -86,15 +144,14 @@ func viewOrNil(b block.Block, v *View) *View {
 // count / count(x)
 
 type countAgg struct {
-	star   bool
 	counts []int64
 	view   View
 }
 
 func (a *countAgg) Grow(n int) { a.counts = grown(a.counts, n) }
 
-func (a *countAgg) AddRaw(ids []int32, arg *View, n int) {
-	if a.star {
+func (a *countAgg) add(ids []int32, arg *View, n int) {
+	if arg == nil {
 		for r := 0; r < n; r++ {
 			a.counts[ids[r]]++
 		}
@@ -140,7 +197,7 @@ func (a *sumInt64Agg) Grow(n int) {
 	a.set = grown(a.set, n)
 }
 
-func (a *sumInt64Agg) AddRaw(ids []int32, arg *View, n int) {
+func (a *sumInt64Agg) add(ids []int32, arg *View, n int) {
 	if arg.flat() {
 		for r, x := range arg.I64[:n] {
 			g := ids[r]
@@ -163,7 +220,7 @@ func (a *sumInt64Agg) AddIntermediate(ids []int32, b block.Block, n int) error {
 	if v == nil || v.Kind != KindInt64 {
 		return fmt.Errorf("vector: sum(bigint) intermediate is %T, want int64", b)
 	}
-	a.AddRaw(ids, v, n)
+	a.add(ids, v, n)
 	return nil
 }
 
@@ -187,7 +244,7 @@ func (a *sumFloat64Agg) Grow(n int) {
 	a.set = grown(a.set, n)
 }
 
-func (a *sumFloat64Agg) AddRaw(ids []int32, arg *View, n int) {
+func (a *sumFloat64Agg) add(ids []int32, arg *View, n int) {
 	if arg.flat() {
 		for r, x := range arg.F64[:n] {
 			g := ids[r]
@@ -210,7 +267,7 @@ func (a *sumFloat64Agg) AddIntermediate(ids []int32, b block.Block, n int) error
 	if v == nil || v.Kind != KindFloat64 {
 		return fmt.Errorf("vector: sum(double) intermediate is %T, want float64", b)
 	}
-	a.AddRaw(ids, v, n)
+	a.add(ids, v, n)
 	return nil
 }
 
@@ -250,7 +307,7 @@ func (a *minMaxAgg) Grow(n int) {
 	a.set = grown(a.set, n)
 }
 
-func (a *minMaxAgg) AddRaw(ids []int32, arg *View, n int) {
+func (a *minMaxAgg) add(ids []int32, arg *View, n int) {
 	for r := 0; r < n; r++ {
 		i := arg.at(r)
 		if i < 0 {
@@ -300,7 +357,7 @@ func (a *minMaxAgg) AddIntermediate(ids []int32, b block.Block, n int) error {
 	if v == nil || v.Kind != a.kind {
 		return fmt.Errorf("vector: min/max intermediate is %T, want kind %d", b, a.kind)
 	}
-	a.AddRaw(ids, v, n)
+	a.add(ids, v, n)
 	return nil
 }
 
@@ -339,7 +396,7 @@ func (a *avgAgg) Grow(n int) {
 	a.counts = grown(a.counts, n)
 }
 
-func (a *avgAgg) AddRaw(ids []int32, arg *View, n int) {
+func (a *avgAgg) add(ids []int32, arg *View, n int) {
 	for r := 0; r < n; r++ {
 		i := arg.at(r)
 		if i < 0 {

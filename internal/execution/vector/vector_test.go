@@ -238,8 +238,7 @@ func TestAggsMatchSemantics(t *testing.T) {
 	ids := []int32{0, 1, 0, 1}
 	argVals := []int64{10, 0, 32, 0}
 	argNulls := []bool{false, true, false, true}
-	arg := &View{}
-	Of(&block.Int64Block{Values: argVals, Nulls: argNulls}, arg)
+	arg := []block.Block{&block.Int64Block{Values: argVals, Nulls: argNulls}}
 
 	cases := []struct {
 		name      string
@@ -259,7 +258,9 @@ func TestAggsMatchSemantics(t *testing.T) {
 			t.Fatalf("NewAgg(%s) not supported", tc.name)
 		}
 		a.Grow(2)
-		a.AddRaw(ids, arg, len(ids))
+		if err := a.AddRaw(ids, arg, len(ids)); err != nil {
+			t.Fatal(err)
+		}
 		fin := a.EmitFinal(0, 2)
 		if got := fin.Value(0); got != tc.wantG0 {
 			t.Fatalf("%s group 0 = %v (%T), want %v", tc.name, got, got, tc.wantG0)
@@ -302,17 +303,18 @@ func TestAggsMatchSemantics(t *testing.T) {
 func TestMinMaxFloatNaN(t *testing.T) {
 	a, _ := NewAgg("max", types.Double)
 	a.Grow(1)
-	v := &View{}
-	Of(&block.Float64Block{Values: []float64{1.5, math.NaN(), 2.5}}, v)
-	a.AddRaw([]int32{0, 0, 0}, v, 3)
+	if err := a.AddRaw([]int32{0, 0, 0}, []block.Block{&block.Float64Block{Values: []float64{1.5, math.NaN(), 2.5}}}, 3); err != nil {
+		t.Fatal(err)
+	}
 	if got := a.EmitFinal(0, 1).Value(0); got != 2.5 {
 		t.Fatalf("max with NaN = %v, want 2.5", got)
 	}
 	// NaN orders below every number, wherever it arrives: min is NaN.
 	b, _ := NewAgg("min", types.Double)
 	b.Grow(1)
-	Of(&block.Float64Block{Values: []float64{math.NaN(), 1.0}}, v)
-	b.AddRaw([]int32{0, 0}, v, 2)
+	if err := b.AddRaw([]int32{0, 0}, []block.Block{&block.Float64Block{Values: []float64{math.NaN(), 1.0}}}, 2); err != nil {
+		t.Fatal(err)
+	}
 	got := b.EmitFinal(0, 1).Value(0)
 	if f, ok := got.(float64); !ok || !math.IsNaN(f) {
 		t.Fatalf("min(NaN, 1.0) = %v, want NaN", got)
@@ -385,9 +387,11 @@ func TestAggResetClearsState(t *testing.T) {
 		if !ok {
 			t.Fatalf("NewAgg(%s) not ok", name)
 		}
-		arg := &View{Kind: KindInt64, N: 3, I64: []int64{7, 8, 9}}
+		arg := []block.Block{&block.Int64Block{Values: []int64{7, 8, 9}}}
 		agg.Grow(3)
-		agg.AddRaw([]int32{0, 1, 2}, arg, 3)
+		if err := agg.AddRaw([]int32{0, 1, 2}, arg, 3); err != nil {
+			t.Fatal(err)
+		}
 		before := agg.EmitIntermediate(0, 3)
 		wantBefore := fmt.Sprint(before.Value(0), before.Value(1), before.Value(2))
 		agg.Reset()
@@ -400,7 +404,9 @@ func TestAggResetClearsState(t *testing.T) {
 				}
 			}
 		}
-		agg.AddRaw([]int32{0, 1, 2}, &View{Kind: KindInt64, N: 3, I64: []int64{1, 2, 3}}, 3)
+		if err := agg.AddRaw([]int32{0, 1, 2}, []block.Block{&block.Int64Block{Values: []int64{1, 2, 3}}}, 3); err != nil {
+			t.Fatal(err)
+		}
 		// A block emitted before Reset keeps its values: a spill merge
 		// resets the aggregators between the pages it emits.
 		if got := fmt.Sprint(before.Value(0), before.Value(1), before.Value(2)); got != wantBefore {
@@ -416,69 +422,111 @@ func TestAggResetClearsState(t *testing.T) {
 }
 
 // A Partial over all rows and the merge of Partials over chunks of them emit
-// the same groups: NULL, NaN and ±0.0 keys, dictionary-coded strings, and a
-// keyless Partial's one group even over no row.
+// the same groups: NULL, NaN and ±0.0 keys, dictionary-coded strings, array
+// and row keys (grouped on their key bytes, emitting the first-seen value),
+// a bare NULL key, a dictionary over a dictionary, and a keyless Partial's
+// one group even over no row.
 func TestPartialMergeMatchesOneTable(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	const n = 600
-	keyF, keyS, arg := make([]float64, n), make([]int32, n), make([]int64, n)
-	nullF, nullArg := make([]bool, n), make([]bool, n)
+	keyF, keyS, keyA, arg := make([]float64, n), make([]int32, n), make([]int, n), make([]int64, n)
+	nullF, nullArg, nulls := make([]bool, n), make([]bool, n), make([]bool, n)
 	dict := &block.VarcharBlock{Values: []string{"a", "b", "c"}}
+	arrays := []any{nil, []any{}, []any{int64(1)}, []any{int64(1), nil}, []any{int64(2)}}
+	rows := []any{nil, []any{"x", 0.0}, []any{"x", math.Copysign(0, -1)}, []any{"x", math.NaN()}, []any{nil, 1.5}, []any{"y", 1.5}}
 	for i := 0; i < n; i++ {
 		keyF[i] = []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5}[r.Intn(4)]
 		nullF[i] = r.Intn(7) == 0
 		keyS[i] = int32(r.Intn(4)) - 1 // -1: NULL
-		arg[i], nullArg[i] = int64(r.Intn(100)), r.Intn(5) == 0
+		keyA[i] = r.Intn(len(arrays) * len(rows))
+		arg[i], nullArg[i], nulls[i] = int64(r.Intn(100)), r.Intn(5) == 0, true
 	}
-	specs := []AggSpec{{Func: "count"}, {Func: "sum", Arg: types.Bigint}, {Func: "min", Arg: types.Bigint}, {Func: "max", Arg: types.Varchar}}
-	rows := func(keys []*types.Type, from, to int) (kb, ab []block.Block) {
-		s := &block.DictionaryBlock{Dictionary: dict, Ids: keyS[from:to]}
-		if len(keys) > 0 {
-			kb = []block.Block{&block.Float64Block{Values: keyF[from:to], Nulls: nullF[from:to]}, s}
+	arrayType := types.NewArray(types.Bigint)
+	rowType := types.NewRow(types.Field{Name: "a", Type: types.Varchar}, types.Field{Name: "b", Type: types.Double})
+	doubles := func(from, to int) block.Block {
+		return &block.Float64Block{Values: keyF[from:to], Nulls: nullF[from:to]}
+	}
+	strs := func(from, to int) block.Block { return &block.DictionaryBlock{Dictionary: dict, Ids: keyS[from:to]} }
+	inputs := []struct {
+		name      string
+		keys      []*types.Type
+		blocks    func(from, to int) []block.Block
+		minGroups int
+	}{
+		{"double, varchar", []*types.Type{types.Double, types.Varchar}, func(from, to int) []block.Block {
+			return []block.Block{doubles(from, to), strs(from, to)}
+		}, 10},
+		{"keyless", nil, func(int, int) []block.Block { return nil }, 1},
+		{"array, row", []*types.Type{arrayType, rowType}, func(from, to int) []block.Block {
+			var as, rs []any
+			for _, k := range keyA[from:to] {
+				as, rs = append(as, arrays[k%len(arrays)]), append(rs, rows[k/len(arrays)])
+			}
+			return []block.Block{block.FromValues(arrayType, as...), block.FromValues(rowType, rs...)}
+		}, 20},
+		{"bare NULL, varchar", []*types.Type{types.Unknown, types.Varchar}, func(from, to int) []block.Block {
+			return []block.Block{&block.Int64Block{Values: arg[from:to], Nulls: nulls[from:to]}, strs(from, to)}
+		}, 4},
+		{"dictionary over a dictionary, double", []*types.Type{types.Varchar, types.Double}, func(from, to int) []block.Block {
+			inner := &block.DictionaryBlock{Dictionary: dict, Ids: []int32{2, 0, -1, 1}}
+			return []block.Block{&block.DictionaryBlock{Dictionary: inner, Ids: keyS[from:to]}, doubles(from, to)}
+		}, 10},
+	}
+	newPartial := func(keys []*types.Type) *Partial {
+		var aggs []Agg
+		for _, s := range []struct {
+			fn  string
+			arg *types.Type
+		}{{"count", nil}, {"sum", types.Bigint}, {"min", types.Bigint}, {"max", types.Varchar}} {
+			agg, ok := NewAgg(s.fn, s.arg)
+			if !ok {
+				t.Fatalf("no kernel for %s(%v)", s.fn, s.arg)
+			}
+			aggs = append(aggs, agg)
 		}
-		return kb, []block.Block{nil, &block.Int64Block{Values: arg[from:to], Nulls: nullArg[from:to]}, &block.Int64Block{Values: arg[from:to], Nulls: nullArg[from:to]}, s}
+		return NewPartial(keys, aggs)
 	}
-	emit := func(p *block.Page) []string {
+	args := func(from, to int) []block.Block {
+		a := &block.Int64Block{Values: arg[from:to], Nulls: nullArg[from:to]}
+		return []block.Block{nil, a, a, strs(from, to)}
+	}
+	emit := func(p *Partial) []string {
+		page := p.Emit(0, p.Len(), true)
 		var out []string
-		for i := 0; i < p.Count(); i++ {
-			out = append(out, fmt.Sprintf("%v", p.Row(i)))
+		for i := 0; i < page.Count(); i++ {
+			out = append(out, fmt.Sprintf("%v", page.Row(i)))
 		}
 		sort.Strings(out)
 		return out
 	}
-	for _, keys := range [][]*types.Type{{types.Double, types.Varchar}, nil} {
-		whole, err := NewPartial(keys, specs)
-		if err != nil {
-			t.Fatal(err)
+	for _, in := range inputs {
+		whole := newPartial(in.keys)
+		if err := whole.AddRows(in.blocks(0, n), args(0, n), n); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
 		}
-		kb, ab := rows(keys, 0, n)
-		if err := whole.AddRows(kb, ab, n); err != nil {
-			t.Fatal(err)
-		}
-		merged, _ := NewPartial(keys, specs)
+		merged := newPartial(in.keys)
 		for from := 0; from < n; from += 130 {
-			chunk, _ := NewPartial(keys, specs)
+			chunk := newPartial(in.keys)
 			to := min(from+130, n)
-			kb, ab := rows(keys, from, to)
-			if err := chunk.AddRows(kb, ab, to-from); err != nil {
-				t.Fatal(err)
+			if err := chunk.AddRows(in.blocks(from, to), args(from, to), to-from); err != nil {
+				t.Fatalf("%s: %v", in.name, err)
 			}
-			if err := merged.AddIntermediate(chunk.Intermediate()); err != nil {
-				t.Fatal(err)
+			if err := merged.AddIntermediate(chunk.Emit(0, chunk.Len(), false)); err != nil {
+				t.Fatalf("%s: %v", in.name, err)
 			}
 		}
-		if got, want := emit(merged.Final()), emit(whole.Final()); !reflect.DeepEqual(got, want) {
-			t.Errorf("keys %v: merged %v, whole %v", keys, got, want)
+		if got, want := emit(merged), emit(whole); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: merged %v, whole %v", in.name, got, want)
 		}
-		if groups := whole.Final().Count(); len(keys) > 0 && groups < 10 {
-			t.Errorf("only %d groups: the keys are not exercised", groups)
+		if groups := whole.Len(); groups < in.minGroups {
+			t.Errorf("%s: only %d groups: the keys are not exercised", in.name, groups)
 		}
-		empty, _ := NewPartial(keys, specs)
-		if got, want := empty.Intermediate().Count(), map[bool]int{true: 0, false: 1}[len(keys) > 0]; got != want {
-			t.Errorf("keys %v: a Partial of no row emits %d rows, want %d", keys, got, want)
+		empty := newPartial(in.keys)
+		if got, want := empty.Emit(0, empty.Len(), false).Count(), map[bool]int{true: 0, false: 1}[len(in.keys) > 0]; got != want {
+			t.Errorf("%s: a Partial of no row emits %d rows, want %d", in.name, got, want)
 		}
 	}
-	if _, err := NewPartial(nil, []AggSpec{{Func: "sum"}}); err == nil {
+	if _, ok := NewAgg("sum", nil); ok {
 		t.Error("sum without an argument was bound")
 	}
 }

@@ -1,8 +1,8 @@
 // Package vector implements the batch-at-a-time kernel layer of the
 // execution engine: typed views over the block encodings, value-based batch
 // hashing, flat open-addressing hash tables keyed on pre-hashed column
-// vectors, the WHERE selection kernel (SelectTrue), and typed batch
-// aggregators.
+// vectors, the WHERE selection kernel (SelectTrue), typed batch
+// aggregators, and the one grouped aggregation built on them (Partial).
 //
 // A row-at-a-time operator pays one interface dispatch (Block.Value) plus
 // one boxed key encoding per row per column; this package replaces those

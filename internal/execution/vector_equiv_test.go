@@ -28,6 +28,7 @@ import (
 
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
+	"prestolite/internal/execution/vector"
 	"prestolite/internal/expr"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
@@ -955,18 +956,18 @@ func TestVectorAggDictionaryKeyEquivalence(t *testing.T) {
 			for i, ch := range groupBy {
 				keyTypes[i] = scan.Cols[ch].Type
 			}
-			encoded, flat := newKeyTable(keyTypes), newKeyTable(keyTypes)
+			encoded, flat := vector.NewPartial(keyTypes, nil), vector.NewPartial(keyTypes, nil)
 			for pi, p := range pages {
 				cols := make([]block.Block, len(groupBy))
 				for i, ch := range groupBy {
 					cols[i] = p.Blocks[ch]
 				}
-				got, err := encoded.assign(cols, p.Count())
+				got, err := encoded.Assign(cols, p.Count())
 				if err != nil {
 					t.Fatal(err)
 				}
 				got = slices.Clone(got)
-				want, err := flat.assign(block.MaterializePage(block.NewPage(cols...)).Blocks, p.Count())
+				want, err := flat.Assign(block.MaterializePage(block.NewPage(cols...)).Blocks, p.Count())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,7 +3,6 @@ package execution
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"slices"
 
@@ -50,17 +49,18 @@ func partialBypassRows(ctx *Context) int {
 // vectorAggOperator is the hash aggregation, over the vector kernels, with
 // three step modes (Fig 2): SINGLE consumes raw rows and emits finals;
 // PARTIAL consumes raw rows and emits intermediates; FINAL consumes
-// intermediates and emits finals. Pages are hashed in batch, group ids
-// assigned through the open-addressing GroupTable, and each aggregate's
-// per-group state is updated a column at a time. It runs every aggregation
-// the planner emits:
+// intermediates and emits finals. Its groups live in a vector.Partial —
+// the one grouped aggregation the connectors' per-unit partials run on too
+// — which hashes each page in batch, assigns group ids through the
+// open-addressing GroupTable, groups a row, array or map key on its
+// vector.AppendKey bytes and emits its first-seen value. Each aggregate's
+// per-group state is updated a column at a time; one with no typed kernel
+// runs on boxed expr states (boxedAgg). What the operator adds is its own:
 //
-//   - an aggregate with no typed kernel runs on boxed expr states
-//     (boxedAgg);
 //   - a DISTINCT aggregate owns a seen table keyed on (group id, argument),
 //     and a row reaches the aggregate only when it opens an entry there;
-//   - a row, array or map key is grouped on its vector.AppendKey bytes and
-//     emits its first-seen value; a bare NULL key is a column of nulls.
+//   - the adaptive bypass of a partial step that does not reduce;
+//   - memory charging, and spill.
 //
 // Grouped aggregations account every page's new groups against the query
 // memory context; when a reservation is refused (and spill is enabled) the
@@ -68,28 +68,27 @@ func partialBypassRows(ctx *Context) int {
 // would emit, with intermediates, sorted by the keys' vector.RowKeys bytes —
 // and rebuilt empty. Once input is exhausted the runs go through the ORDER
 // BY merge (streamMergeOperator), which hands over each key's rows from
-// every run on one page; the operator's own aggregators combine each run of
-// equal keys with AddIntermediate — the round trip the distributed
-// partial→final path uses — and emit as the in-memory result does, a page
-// at a time, so the full set of groups (which by construction exceeded the
-// budget) is never rebuilt in memory. Emission order after a spill is key
-// order, not first-seen (grouped output order is unspecified). DISTINCT
-// seen tables cannot spill (they cannot be merged without double
-// counting), so an aggregation with one reserves hard and fails with
-// Insufficient Resources over the limit.
+// every run on one page; the Partial, reset, folds each page's
+// intermediates with AddIntermediate — the round trip the distributed
+// partial→final path uses — and emits them, so the full set of groups
+// (which by construction exceeded the budget) is never rebuilt in memory.
+// Emission order after a spill is key order, not first-seen (grouped output
+// order is unspecified). DISTINCT seen tables cannot spill (they cannot be
+// merged without double counting), so an aggregation with one reserves hard
+// and fails with Insufficient Resources over the limit.
 type vectorAggOperator struct {
 	node   *planner.Aggregate
 	child  Operator
-	fns    []*expr.AggregateFunction // for the fresh aggregators of passThrough
-	aggs   []aggregator
-	groups *keyTable
+	fns    []*expr.AggregateFunction // for the fresh aggregates of passThrough
+	aggs   []vector.Agg              // the groups' aggregates, owned by groups
+	groups *vector.Partial
 	mem    *opMem
 
 	keyCols []block.Block   // the page's GROUP BY columns
 	args    [][]block.Block // per aggregate: its argument columns
 	// distinct[i] is aggregate i's seen table, keyed on (group id,
 	// arguments...), or nil unless it is DISTINCT.
-	distinct    []*keyTable
+	distinct    []*vector.Partial
 	hasDistinct bool
 	seenCols    []block.Block
 	gids        []int64
@@ -129,11 +128,10 @@ func newVectorAggOperator(ctx *Context, node *planner.Aggregate, child Operator)
 		child:       child,
 		mem:         newOpMem("hash aggregation", ctx, !hasDistinct),
 		hasDistinct: hasDistinct,
-		groups:      newKeyTable(keyTypes),
 		keyCols:     make([]block.Block, len(node.GroupBy)),
 		bypassRows:  partialBypassRows(ctx),
 		args:        make([][]block.Block, len(node.Aggs)),
-		distinct:    make([]*keyTable, len(node.Aggs)),
+		distinct:    make([]*vector.Partial, len(node.Aggs)),
 	}
 	for i, a := range node.Aggs {
 		fn, err := expr.ResolveAggregate(a.FuncName, a.ArgTypes)
@@ -141,12 +139,13 @@ func newVectorAggOperator(ctx *Context, node *planner.Aggregate, child Operator)
 			return nil, err
 		}
 		o.fns = append(o.fns, fn)
-		o.aggs = append(o.aggs, newAggregator(a, fn))
+		o.aggs = append(o.aggs, newAgg(a, fn))
 		o.args[i] = make([]block.Block, len(a.Args))
 		if a.Distinct {
-			o.distinct[i] = newKeyTable(append([]*types.Type{types.Bigint}, a.ArgTypes...))
+			o.distinct[i] = vector.NewPartial(append([]*types.Type{types.Bigint}, a.ArgTypes...), nil)
 		}
 	}
+	o.groups = vector.NewPartial(keyTypes, o.aggs)
 	return o, nil
 }
 
@@ -173,19 +172,6 @@ func (o *vectorAggOperator) Next() (*block.Page, error) {
 		return o.passNext()
 	}
 	return p, err
-}
-
-// viewOf fills v from b, flattening first the encodings the typed views
-// reject (a dictionary over a dictionary, the sort's indirection blocks).
-func viewOf(b block.Block, k vector.Kind, n int, v *vector.View) error {
-	if vector.Of(b, v) {
-		return nil
-	}
-	flat := block.MaterializePage(&block.Page{Blocks: []block.Block{b}, N: n}).Blocks[0]
-	if !vector.Of(flat, v) || v.Kind != k {
-		return fmt.Errorf("execution: block %T does not match its declared column type", b)
-	}
-	return nil
 }
 
 func (o *vectorAggOperator) consume() error {
@@ -217,16 +203,6 @@ func (o *vectorAggOperator) consume() error {
 			}
 		}
 	}
-	if len(o.node.GroupBy) == 0 && o.groups.Len() == 0 {
-		// A global aggregate over empty input still produces its one group:
-		// a keyless row opens it, and no aggregator sees a value.
-		if _, err := o.groups.assign(nil, 1); err != nil {
-			return err
-		}
-		for _, agg := range o.aggs {
-			agg.Grow(1)
-		}
-	}
 	if len(o.runs) > 0 {
 		// Spilled at least once: flush the remainder as the last sorted run
 		// and hand emission over to the streaming merge.
@@ -249,17 +225,12 @@ func (o *vectorAggOperator) addPage(p *block.Page, n int) error {
 	for i, ch := range o.node.GroupBy {
 		o.keyCols[i] = p.Blocks[ch]
 	}
-	ids, err := o.groups.assign(o.keyCols, n)
+	ids, err := o.groups.Assign(o.keyCols, n)
 	if err != nil {
 		return err
 	}
-	for i, k := range o.groups.keys {
-		k.record(o.keyCols[i], ids)
-	}
-	groups := o.groups.Len()
 	for i, a := range o.node.Aggs {
 		agg := o.aggs[i]
-		agg.Grow(groups)
 		if o.node.Step == planner.AggFinal {
 			// The input channel holds the intermediate value.
 			if err := agg.AddIntermediate(ids, p.Blocks[a.Args[0]], n); err != nil {
@@ -278,7 +249,7 @@ func (o *vectorAggOperator) addPage(p *block.Page, n int) error {
 			}
 			rows = len(rowIDs)
 		}
-		if err := agg.addRaw(rowIDs, args, rows); err != nil {
+		if err := agg.AddRaw(rowIDs, args, rows); err != nil {
 			return err
 		}
 	}
@@ -289,14 +260,14 @@ func (o *vectorAggOperator) addPage(p *block.Page, n int) error {
 // argument columns args, masked in place — to those that open an entry in
 // its seen table and have a non-NULL first argument, and returns their
 // group ids.
-func (o *vectorAggOperator) distinctRows(seen *keyTable, ids []int32, args []block.Block, n int) ([]int32, error) {
+func (o *vectorAggOperator) distinctRows(seen *vector.Partial, ids []int32, args []block.Block, n int) ([]int32, error) {
 	o.gids = o.gids[:0]
 	for _, g := range ids {
 		o.gids = append(o.gids, int64(g))
 	}
 	o.seenCols = append(append(o.seenCols[:0], &block.Int64Block{Values: o.gids}), args...)
 	next := int32(seen.Len())
-	entries, err := seen.assign(o.seenCols, n)
+	entries, err := seen.Assign(o.seenCols, n)
 	if err != nil {
 		return nil, err
 	}
@@ -318,16 +289,13 @@ func (o *vectorAggOperator) distinctRows(seen *keyTable, ids []int32, args []blo
 }
 
 // chargeGrowth accounts what the groups and the DISTINCT entries grew by
-// since the last charge. Groups are charged for grouped aggregations only: a
-// global aggregate's one group is constant size. A refused reservation
-// flushes the whole table to a sorted run, including the groups just
-// assigned, so nothing is re-reserved afterwards. With a DISTINCT aggregate
-// nothing may spill, so the charge is hard.
+// since the last charge. A global aggregate's one group is constant size
+// (vector.Partial.Bytes). A refused reservation flushes the whole table to
+// a sorted run, including the groups just assigned, so nothing is
+// re-reserved afterwards. With a DISTINCT aggregate nothing may spill, so
+// the charge is hard.
 func (o *vectorAggOperator) chargeGrowth() error {
-	var held int64
-	if len(o.node.GroupBy) > 0 {
-		held = o.groups.Bytes(len(o.aggs))
-	}
+	held := o.groups.Bytes()
 	for _, seen := range o.distinct {
 		if seen != nil {
 			held += int64(seen.Len())*aggDistinctCost + seen.KeyBytes()
@@ -349,16 +317,15 @@ func (o *vectorAggOperator) chargeGrowth() error {
 }
 
 // spillGroups writes every group to one run, in key order, as pages of the
-// group keys and each aggregate's intermediate, and resets the table and
-// aggregator state, freeing their memory.
+// group keys and each aggregate's intermediate, and resets the groups,
+// freeing their memory.
 func (o *vectorAggOperator) spillGroups() error {
 	ng := o.groups.Len()
 	if ng == 0 {
 		return nil
 	}
-	nk := len(o.node.GroupBy)
-	p := o.output(o.tableKeys(0, ng), 0, ng, true)
-	keys := vector.RowKeys(p.Blocks[:nk], nil, ng)
+	p := o.groups.Emit(0, ng, false)
+	keys := vector.RowKeys(p.Blocks[:len(o.node.GroupBy)], nil, ng)
 	order := make([]int, ng)
 	for g := range order {
 		order[g] = g
@@ -378,12 +345,6 @@ func (o *vectorAggOperator) spillGroups() error {
 	}
 	o.runs = append(o.runs, run)
 	o.groups.Reset()
-	for _, k := range o.groups.keys {
-		k.first = nil
-	}
-	for _, agg := range o.aggs {
-		agg.Reset()
-	}
 	o.charged = 0
 	o.mem.releaseAll()
 	return nil
@@ -396,71 +357,23 @@ func (o *vectorAggOperator) emitNext() (*block.Page, error) {
 		return nil, io.EOF
 	}
 	from := o.emitFrom
-	to := min(from+spillPageRows, ng)
-	o.emitFrom = to
-	return o.output(o.tableKeys(from, to), from, to, o.node.Step == planner.AggPartial), nil
+	o.emitFrom = min(from+spillPageRows, ng)
+	return o.groups.Emit(from, o.emitFrom, o.node.Step != planner.AggPartial), nil
 }
 
-// mergeNext emits the groups of the next merged page of spilled rows: each
-// run of equal keys is one group, whose intermediates the aggregators
-// combine.
+// mergeNext emits the groups of the next merged page of spilled rows: the
+// page holds every run's row of each of its keys, which the reset groups
+// fold into one.
 func (o *vectorAggOperator) mergeNext() (*block.Page, error) {
 	p, err := o.merge.Next()
 	if err != nil {
 		return nil, err
 	}
-	p = block.MaterializePage(p)
-	var starts []int // per group: its first row
-	ids := make([]int32, p.Count())
-	for r, k := range o.merge.rowKeys {
-		if r == 0 || !bytes.Equal(k, o.merge.rowKeys[r-1]) {
-			starts = append(starts, r)
-		}
-		ids[r] = int32(len(starts) - 1)
+	o.groups.Reset()
+	if err := o.groups.AddIntermediate(block.MaterializePage(p)); err != nil {
+		return nil, err
 	}
-	ng := len(starts)
-	nk := len(o.node.GroupBy)
-	keys := make([]block.Block, nk)
-	for c := range keys {
-		keys[c] = p.Blocks[c].Mask(starts)
-	}
-	for i, agg := range o.aggs {
-		agg.Reset()
-		agg.Grow(ng)
-		if err := agg.AddIntermediate(ids, p.Blocks[nk+i], len(ids)); err != nil {
-			return nil, err
-		}
-	}
-	return o.output(keys, 0, ng, o.node.Step == planner.AggPartial), nil
-}
-
-// tableKeys is the key columns of the table's groups [from, to): the stored
-// keys, and a nested key's first-seen values.
-func (o *vectorAggOperator) tableKeys(from, to int) []block.Block {
-	keys := make([]block.Block, len(o.groups.keys))
-	for c, k := range o.groups.keys {
-		if k.nested {
-			keys[c] = block.FromValues(k.typ, k.first[from:to]...)
-		} else {
-			keys[c] = o.groups.KeyBlock(c, from, to)
-		}
-	}
-	return keys
-}
-
-// output is the page of groups [from, to) with key columns keys: each
-// aggregate's column follows, built straight from its state, as
-// intermediates or as finals.
-func (o *vectorAggOperator) output(keys []block.Block, from, to int, intermediate bool) *block.Page {
-	blocks := keys
-	for _, agg := range o.aggs {
-		if intermediate {
-			blocks = append(blocks, agg.EmitIntermediate(from, to))
-		} else {
-			blocks = append(blocks, agg.EmitFinal(from, to))
-		}
-	}
-	return &block.Page{Blocks: blocks, N: to - from}
+	return o.groups.Emit(0, o.groups.Len(), o.node.Step != planner.AggPartial), nil
 }
 
 // passNext streams the post-bypass remainder of the input: each child page
@@ -479,10 +392,10 @@ func (o *vectorAggOperator) passNext() (*block.Page, error) {
 
 // passThrough converts one raw page to the partial output layout by
 // treating every row as its own group: key columns pass through unchanged
-// and each aggregate's intermediate column is produced by a single addRaw
-// over identity group ids. Fresh aggregator instances per page keep the
-// emitted blocks from aliasing state slices that the next page would
-// overwrite — exchange sinks buffer emitted pages.
+// and each aggregate's intermediate column is produced by a single AddRaw
+// over identity group ids. Fresh aggregates per page keep the emitted
+// blocks from aliasing state slices that the next page would overwrite —
+// exchange sinks buffer emitted pages.
 func (o *vectorAggOperator) passThrough(p *block.Page, n int) (*block.Page, error) {
 	if cap(o.passIDs) < n {
 		o.passIDs = make([]int32, n)
@@ -497,13 +410,13 @@ func (o *vectorAggOperator) passThrough(p *block.Page, n int) (*block.Page, erro
 		blocks[i] = p.Blocks[ch]
 	}
 	for i, a := range o.node.Aggs {
-		agg := newAggregator(a, o.fns[i])
+		agg := newAgg(a, o.fns[i])
 		agg.Grow(n)
 		args := o.args[i]
 		for j, ch := range a.Args {
 			args[j] = p.Blocks[ch]
 		}
-		if err := agg.addRaw(ids, args, n); err != nil {
+		if err := agg.AddRaw(ids, args, n); err != nil {
 			return nil, err
 		}
 		blocks[nk+i] = agg.EmitIntermediate(0, n)
@@ -523,112 +436,4 @@ func (o *vectorAggOperator) Close() error {
 	o.mem.releaseAll()
 	errs = append(errs, o.child.Close())
 	return errors.Join(errs...)
-}
-
-// keyTable is a GroupTable over key columns of any type — the GROUP BY
-// keys, or a DISTINCT aggregate's (group id, arguments...) — each viewed as
-// its keyColumn stores it.
-type keyTable struct {
-	*vector.GroupTable
-	keys   []*keyColumn
-	views  []*vector.View
-	hasher vector.Hasher
-	memo   vector.DictMemo
-	hashes []uint64
-	ids    []int32
-}
-
-func newKeyTable(keyTypes []*types.Type) *keyTable {
-	t := &keyTable{}
-	stored := make([]*types.Type, len(keyTypes))
-	for i, typ := range keyTypes {
-		k := newKeyColumn(typ)
-		t.keys = append(t.keys, k)
-		t.views = append(t.views, &k.view)
-		stored[i] = k.stored
-	}
-	t.GroupTable, _ = vector.NewGroupTable(stored) // every stored type has a vector kind
-	return t
-}
-
-// assign maps n rows of the key columns cols to entry ids, opening an entry
-// for each key not seen before; the ids are valid until the next call. When
-// every key column is dictionary-encoded over few enough entries, the memo
-// assigns each combination of ids once; otherwise every row is hashed and
-// probed.
-func (t *keyTable) assign(cols []block.Block, n int) ([]int32, error) {
-	if cap(t.hashes) < n {
-		t.hashes = make([]uint64, n)
-		t.ids = make([]int32, n)
-	}
-	hashes, ids := t.hashes[:n], t.ids[:n]
-	for i, b := range cols {
-		if err := t.keys[i].fill(b, n); err != nil {
-			return nil, err
-		}
-	}
-	if t.memo.Assign(t.GroupTable, t.views, n, ids) {
-		return ids, nil
-	}
-	clear(hashes)
-	for _, v := range t.views {
-		t.hasher.HashView(v, n, hashes)
-	}
-	t.Assign(t.views, n, hashes, ids)
-	return ids, nil
-}
-
-// keyColumn views one key column as a GroupTable stores it: a scalar by its
-// vector kind, a bare NULL as a bigint column of nulls (as the join treats
-// it), and an array, map or row as the varchar of its vector.AppendKey
-// bytes.
-type keyColumn struct {
-	typ    *types.Type // declared
-	stored *types.Type // what the table stores
-	kind   vector.Kind
-	nested bool
-	view   vector.View
-	strs   []string
-	buf    []byte
-	// first is a nested GROUP BY key's first-seen value per group, which is
-	// what the group emits.
-	first []any
-}
-
-func newKeyColumn(t *types.Type) *keyColumn {
-	if kind, ok := vector.KindOf(t); ok {
-		return &keyColumn{typ: t, stored: t, kind: kind}
-	}
-	if t.Kind == types.KindUnknown {
-		return &keyColumn{typ: t, stored: types.Bigint, kind: vector.KindInt64}
-	}
-	return &keyColumn{typ: t, stored: types.Varchar, nested: true}
-}
-
-// fill views rows [0, n) of b.
-func (k *keyColumn) fill(b block.Block, n int) error {
-	if !k.nested {
-		return viewOf(b, k.kind, n, &k.view)
-	}
-	// NULL has key bytes of its own, so it needs no null mask.
-	k.strs = k.strs[:0]
-	for r := 0; r < n; r++ {
-		k.buf = vector.AppendKey(k.buf[:0], b.Value(r))
-		k.strs = append(k.strs, string(k.buf))
-	}
-	k.view = vector.View{Kind: vector.KindString, N: n, S: k.strs}
-	return nil
-}
-
-// record keeps, for a nested key, the value of b in each row that opened a
-// group (ids from the assign that viewed b).
-func (k *keyColumn) record(b block.Block, ids []int32) {
-	if !k.nested {
-		return
-	}
-	for r, g := range ids {
-		if int(g) == len(k.first) {
-			k.first = append(k.first, b.Value(r))
-		}
-	}
 }

@@ -160,7 +160,7 @@ func (o *vectorJoinOperator) add(p *block.Page) (int64, error) {
 			o.keptBytes += int64(b.SizeBytes())
 			continue
 		}
-		if err := viewOf(p.Blocks[c], o.rightKinds[c], n, o.rowViews[c]); err != nil {
+		if err := vector.ViewAs(p.Blocks[c], o.rightKinds[c], n, o.rowViews[c]); err != nil {
 			return 0, err
 		}
 		col.Append(o.rowViews[c], n)
@@ -170,7 +170,7 @@ func (o *vectorJoinOperator) add(p *block.Page) (int64, error) {
 		if o.cols[ch] == nil {
 			// A key with no vector kind is a bare NULL (`=` takes no other
 			// such type): viewed, every row inserts as a null key.
-			if err := viewOf(p.Blocks[ch], o.rightKinds[ch], n, o.rowViews[ch]); err != nil {
+			if err := vector.ViewAs(p.Blocks[ch], o.rightKinds[ch], n, o.rowViews[ch]); err != nil {
 				return 0, err
 			}
 		}
@@ -500,7 +500,7 @@ func (o *vectorJoinOperator) probeSlice(p *block.Page, hits []bool) error {
 	hashes := o.scratchHashes(n)
 	o.hasher.HashPage(p, o.node.LeftKeys, hashes)
 	for i, ch := range o.node.LeftKeys {
-		if err := viewOf(p.Blocks[ch], o.keyKinds[i], n, o.keyViews[i]); err != nil {
+		if err := vector.ViewAs(p.Blocks[ch], o.keyKinds[i], n, o.keyViews[i]); err != nil {
 			return err
 		}
 	}
