@@ -114,23 +114,39 @@ func NewSizedLRU[K comparable, V any](capacity int, ttl time.Duration, m *Metric
 }
 
 // Get returns the cached value, if present and fresh.
-func (c *LRU[K, V]) Get(key K) (V, bool) {
+func (c *LRU[K, V]) Get(key K) (V, bool) { return c.GetFresh(key, nil) }
+
+// GetFresh is Get for values that go stale by more than age: a lookup whose
+// entry fresh (when not nil) rejects counts as a miss. fresh runs without
+// the cache's lock held, so it may take locks of its own. The stale entry
+// stays, to be replaced by the caller's next Put under the key or aged out.
+func (c *LRU[K, V]) GetFresh(key K, fresh func(V) bool) (V, bool) {
+	value, ok := c.get(key)
+	if ok && (fresh == nil || fresh(value)) {
+		c.Metrics.Hits.Add(1)
+		return value, true
+	}
+	c.Metrics.Misses.Add(1)
+	var zero V
+	return zero, false
+}
+
+// get looks key up, dropping its entry if it has expired, and counts
+// nothing.
+func (c *LRU[K, V]) get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var zero V
 	el, ok := c.items[key]
 	if !ok {
-		c.Metrics.Misses.Add(1)
 		return zero, false
 	}
 	entry := el.Value.(*lruEntry[K, V])
 	if c.ttl > 0 && c.clock.Now().After(entry.expires) {
 		c.removeLocked(el)
-		c.Metrics.Misses.Add(1)
 		return zero, false
 	}
 	c.order.MoveToFront(el)
-	c.Metrics.Hits.Add(1)
 	return entry.value, true
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -72,9 +73,12 @@ type Coordinator struct {
 	// ConfigureResources replaces it.
 	res *coordResources
 
-	// resultCache is tier 2 of the cache hierarchy: whole query results
-	// keyed by the plan's binary encoding plus every scanned table's
-	// snapshot version (resultCacheKey). nil until EnableResultCache.
+	// planMemo keeps each statement's optimized plan under its text and
+	// session (planMemoKey), above tier 2; always on. resultCache is tier 2
+	// of the cache hierarchy: whole query results keyed by the plan's binary
+	// encoding plus every scanned table's snapshot version (keyPlan). nil
+	// until EnableResultCache.
+	planMemo          *cache.LRU[string, planEntry]
 	resultCache       *cache.LRU[string, cachedResult]
 	resultUncacheable *obs.Counter
 
@@ -129,6 +133,8 @@ func NewCoordinatorWithConfig(catalogs *connector.Registry, cfg ClientConfig) *C
 	c.queryWall = c.obs.Histogram("query_wall")
 	c.affinityPlaced = c.obs.Counter("splits_affinity_placed")
 	c.affinityOverflow = c.obs.Counter("splits_affinity_overflow")
+	c.planMemo = cache.NewSizedLRU[string, planEntry](math.MaxInt, 0, cache.NewBudget(planMemoBudget))
+	c.planMemo.Metrics.RegisterObs(c.obs, "coordinator.cache.plan")
 	c.obs.GaugeFunc("coordinator_draining", func() float64 {
 		if c.draining.Load() {
 			return 1
@@ -153,9 +159,9 @@ type cachedResult struct {
 // EnableResultCache turns on the coordinator's fragment-result cache (§VII,
 // tier 2 of the hierarchy): SELECT results are cached under a key built from
 // the encoded optimized plan and the snapshot version of every table it
-// scans. Version-in-key makes invalidation implicit — a metastore partition
-// add or a druid append, seal or compaction bumps the version and the stale
-// entry simply stops being addressed; ttl and maxBytes only bound
+// scans (keyPlan). Version-in-key makes invalidation implicit — a metastore
+// partition add or a druid append, seal or compaction bumps the version and
+// the stale entry simply stops being addressed; ttl and maxBytes only bound
 // residency. Queries over tables whose connectors cannot report a snapshot
 // version are never cached (counted in coordinator.cache.result.uncacheable).
 func (c *Coordinator) EnableResultCache(capacity int, maxBytes int64, ttl time.Duration) {
@@ -164,69 +170,6 @@ func (c *Coordinator) EnableResultCache(capacity int, maxBytes int64, ttl time.D
 	rc.Metrics.RegisterObs(c.obs, "coordinator.cache.result")
 	c.resultUncacheable = c.obs.Counter("coordinator.cache.result.uncacheable")
 	c.resultCache = rc
-}
-
-// resultCacheKey derives the cache key for an optimized plan: its binary
-// encoding (planner.Encode), then the snapshot version of each table it scans
-// as a varint, in the order the walk meets the scans. Each scan's catalog,
-// schema and table are in the encoding, so that order names every version.
-// ok is false — the query is uncacheable — when the plan scans no tables
-// (nothing pins freshness) or a scan has no version (snapshotVersion). The
-// plan is encoded only once every scan has a version, and a versioned
-// connector's handles have a binary form (connector.SnapshotVersioner), so a
-// hybrid scan, say, makes a plan uncacheable, never a panic.
-func (c *Coordinator) resultCacheKey(plan planner.Node) (string, bool) {
-	var versions []int64
-	ok := true
-	var walk func(n planner.Node)
-	walk = func(n planner.Node) {
-		if !ok {
-			return
-		}
-		if ts, isScan := n.(*planner.TableScan); isScan {
-			v := c.snapshotVersion(ts)
-			if v < 0 {
-				ok = false
-				return
-			}
-			versions = append(versions, v)
-		}
-		for _, child := range n.Children() {
-			walk(child)
-		}
-	}
-	walk(plan)
-	if !ok || len(versions) == 0 {
-		return "", false
-	}
-	key := planner.Encode(plan)
-	for _, v := range versions {
-		key = frame.AppendVarint(key, v)
-	}
-	return string(key), true
-}
-
-// snapshotVersion is the snapshot version of the table a scan reads, by the
-// one rule of both plan-keyed cache tiers: -1 — do not cache — when its
-// catalog cannot report one or the table has none now (a hive table with an
-// open partition). It rides in the TaskRequest too, so the worker's
-// fragment-cache key moves with the data: without it, a sealed-then-
-// backfilled table would keep serving the pre-backfill pages until the worker
-// cache TTL.
-func (c *Coordinator) snapshotVersion(scan *planner.TableScan) int64 {
-	conn, err := c.Catalogs.Get(scan.Catalog)
-	if err != nil {
-		return -1
-	}
-	sv, ok := conn.(connector.SnapshotVersioner)
-	if !ok {
-		return -1
-	}
-	v, ok := sv.SnapshotVersion(scan.Schema, scan.Table)
-	if !ok {
-		return -1
-	}
-	return v
 }
 
 // QueryInfos lists the retained recent queries, most recent first.
@@ -397,13 +340,18 @@ func (c *Coordinator) Query(session *planner.Session, query string) (*QueryResul
 		// resubmit verbatim on another cluster.
 		return nil, ErrCoordinatorDraining
 	}
+	memoKey := planMemoKey(session, query)
+	if e, ok := c.planMemo.GetFresh(memoKey, c.current); ok {
+		res, _, err := c.runTracked(session, statement{memo: e}, query, false)
+		return res, err
+	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
 	switch t := stmt.(type) {
 	case *sql.Query:
-		res, _, err := c.runTracked(session, t, query, false)
+		res, _, err := c.runTracked(session, statement{q: t, memoKey: memoKey}, query, false)
 		return res, err
 	case *sql.Explain:
 		q, ok := t.Stmt.(*sql.Query)
@@ -418,7 +366,7 @@ func (c *Coordinator) Query(session *planner.Session, query string) (*QueryResul
 			fragmenter := &planner.Fragmenter{}
 			return planTextResult(planner.FormatFragments(fragmenter.Fragment(plan)))
 		}
-		_, text, err := c.runTracked(session, q, query, true)
+		_, text, err := c.runTracked(session, statement{q: q}, query, true)
 		if err != nil {
 			return nil, err
 		}
@@ -441,16 +389,25 @@ func planTextResult(text string) (*QueryResult, error) {
 	}, nil
 }
 
+// statement is what execQuery runs: a parsed query q to plan and, when it
+// has a memoKey (a SELECT, not EXPLAIN ANALYZE), to memoise once it
+// succeeds; or, with q nil, the memo's plan.
+type statement struct {
+	q       *sql.Query
+	memoKey string
+	memo    planEntry
+}
+
 // runTracked wraps execQuery with QueryInfo lifecycle tracking and the
 // cluster-level metrics the gateway routes on.
-func (c *Coordinator) runTracked(session *planner.Session, q *sql.Query, rawSQL string, analyze bool) (*QueryResult, string, error) {
+func (c *Coordinator) runTracked(session *planner.Session, st statement, rawSQL string, analyze bool) (*QueryResult, string, error) {
 	queryID := fmt.Sprintf("q%d", c.queryCounter.Add(1))
 	c.queries.add(&QueryInfo{ID: queryID, Query: rawSQL, User: session.User, State: QueryQueued, Queued: c.cfg.Clock.Now()})
 	c.submitted.Inc()
 	c.outstanding.Add(1)
 	start := c.cfg.Clock.Now()
 
-	res, text, err := c.admitAndExec(session, q, queryID, analyze, start)
+	res, text, err := c.admitAndExec(session, st, queryID, analyze, start)
 
 	c.outstanding.Add(-1)
 	c.queryWall.Observe(c.cfg.Clock.Now().Sub(start))
@@ -473,7 +430,7 @@ func (c *Coordinator) runTracked(session *planner.Session, q *sql.Query, rawSQL 
 // queue (staying in the QUEUED state it was added with) until a concurrency
 // slot frees up. A full queue rejects immediately with the typed
 // resource.ErrQueueFull, which the HTTP front end maps to 429.
-func (c *Coordinator) admitAndExec(session *planner.Session, q *sql.Query, queryID string, analyze bool, queued time.Time) (*QueryResult, string, error) {
+func (c *Coordinator) admitAndExec(session *planner.Session, st statement, queryID string, analyze bool, queued time.Time) (*QueryResult, string, error) {
 	if g := c.groupFor(session); g != nil {
 		release, err := g.Acquire(nil)
 		if err != nil {
@@ -484,19 +441,28 @@ func (c *Coordinator) admitAndExec(session *planner.Session, q *sql.Query, query
 		queuedMs := c.cfg.Clock.Now().Sub(queued).Milliseconds()
 		c.queries.update(queryID, func(qi *QueryInfo) { qi.QueuedMs = queuedMs })
 	}
-	return c.execQuery(session, q, queryID, analyze)
+	return c.execQuery(session, st, queryID, analyze)
 }
 
-func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID string, analyze bool) (*QueryResult, string, error) {
+func (c *Coordinator) execQuery(session *planner.Session, st statement, queryID string, analyze bool) (*QueryResult, string, error) {
 	c.queries.update(queryID, func(qi *QueryInfo) { qi.State = QueryPlanning; qi.Planning = c.cfg.Clock.Now() })
 	props, err := session.ExecProperties()
 	if err != nil {
 		return nil, "", err
 	}
 	memLimit := queryMemoryLimit(props, c.groupFor(session))
-	plan, err := planner.PlanQuery(c.Catalogs, session, q)
-	if err != nil {
-		return nil, "", err
+	// A memoised statement is planned already, and its entry is its key.
+	// Otherwise plan it; what EXPLAIN ANALYZE plans is neither memoised nor
+	// result-cached, so it is not keyed either.
+	entry, keyed := st.memo, st.q == nil
+	var plan planner.Node
+	if st.q != nil {
+		if plan, err = planner.PlanQuery(c.Catalogs, session, st.q); err != nil {
+			return nil, "", err
+		}
+		if !analyze {
+			entry, keyed = keyPlan(plan)
+		}
 	}
 
 	// Result-cache probe (tier 2). EXPLAIN ANALYZE always executes — its
@@ -504,8 +470,9 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	// out per query with result_cache=false.
 	resultCacheKey := ""
 	if c.resultCache != nil && !analyze && props.ResultCache {
-		if key, cacheable := c.resultCacheKey(plan); cacheable {
-			if hit, found := c.resultCache.Get(key); found {
+		if keyed {
+			if hit, found := c.resultCache.Get(entry.resultKey); found {
+				c.memoise(st, entry)
 				now := c.cfg.Clock.Now()
 				c.queries.update(queryID, func(qi *QueryInfo) {
 					qi.State = QueryFinished
@@ -515,9 +482,14 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 				})
 				return hit.res, "", nil
 			}
-			resultCacheKey = key
+			resultCacheKey = entry.resultKey
 		} else {
 			c.resultUncacheable.Inc()
+		}
+	}
+	if plan == nil {
+		if plan, err = c.decodePlan(entry); err != nil {
+			return nil, "", err
 		}
 	}
 
@@ -574,7 +546,6 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 			assignment, placed, overflow := assignSplits(splits, workers)
 			c.affinityPlaced.Add(int64(placed))
 			c.affinityOverflow.Add(int64(overflow))
-			snapVersion := c.snapshotVersion(frag.Scan)
 			shared := encodeFragment(frag.Root, frag.TableKey)
 			for wi, splitSet := range assignment {
 				if len(splitSet) == 0 {
@@ -590,7 +561,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 					Drivers:         props.TaskConcurrency,
 					MaxMemory:       memLimit,
 					Deadline:        deadlineNanos(qs.deadline),
-					SnapshotVersion: snapVersion,
+					SnapshotVersion: frag.Scan.Version,
 					fragment:        shared,
 				})
 				if err != nil {
@@ -674,10 +645,14 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 		qi.Finished = now
 		qi.Rows = rows
 		qi.Stages = stages
+		qi.fragments = fp
 		qi.PeakMemoryBytes = peak
 		qi.SpilledBytes = spilled
 	})
 
+	if keyed {
+		c.memoise(st, entry)
+	}
 	if resultCacheKey != "" {
 		size := int64(0)
 		for _, data := range res.Pages {

@@ -316,3 +316,78 @@ func TestQueryLogEviction(t *testing.T) {
 		t.Error("q0 not evicted")
 	}
 }
+
+// TestOperatorNamesRenderedOnRead: tasks record operator statistics by id
+// alone, and the coordinator names them from the fragments' plans when they
+// are read. For a distributed join under an aggregate, the EXPLAIN ANALYZE
+// plan text and the QueryInfo operator names are those of the eager
+// rendering this replaced, byte for byte (the statistics, which vary with
+// the drivers and the split placement, and the footers are left out; each
+// operator still has its statistics line).
+func TestOperatorNamesRenderedOnRead(t *testing.T) {
+	coord, _ := newCluster(t, newCatalogs(t), 2)
+	const q = "SELECT c.name, count(*) AS n, sum(t.fare) AS f FROM trips t JOIN memory.meta.cities c ON t.city_id = c.city_id GROUP BY c.name ORDER BY c.name"
+	res, err := coord.Query(session(), "EXPLAIN ANALYZE "+q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := res.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := rows[0][0].(string)
+	text = text[:strings.Index(text, "Cache:")]
+	text = regexp.MustCompile(`(?m)^( *)rows: .*$`).ReplaceAllString(text, "${1}rows:")
+	const wantText = `Fragment 0 (coordinator):
+- Output[name, n, f]
+  rows:
+    - Sort[name]
+      rows:
+        - Project[name := $group0, n := $agg0, f := $agg1]
+          rows:
+            - Aggregate(FINAL)[keys=[name]; count(*) := count(count(*)), sum(t.fare) := sum(sum(t.fare))]
+              rows:
+                - Project[name := c.name, count(*) := count(*), sum(t.fare) := sum(t.fare)]
+                  rows:
+                    - INNERJoin[city_id = city_id]
+                      rows:
+                        - RemoteSource[fragment 1]
+                          rows:
+                        - RemoteSource[fragment 2]
+                          rows:
+Fragment 1 (source, table hive.rawdata.trips, 2 tasks):
+- Aggregate(PARTIAL)[keys=[city_id]; count(*) := count(*), sum(t.fare) := sum(fare)]
+  rows:
+    - TableScan[hive.rawdata.trips, hive:rawdata.trips] => [city_id, fare]
+      rows:
+Fragment 2 (source, table memory.meta.cities, 1 tasks):
+- TableScan[memory.meta.cities, memory:meta.cities] => [city_id, name]
+  rows:
+`
+	if text != wantText {
+		t.Errorf("EXPLAIN ANALYZE plan text:\n%s\nwant\n%s", text, wantText)
+	}
+
+	var names []string
+	for _, st := range coord.QueryInfos()[0].Stages {
+		for _, op := range st.Operators {
+			names = append(names, fmt.Sprintf("%d %d %s", st.FragmentID, op.ID, op.Name))
+		}
+	}
+	wantNames := []string{
+		"0 0 Output[name, n, f]",
+		"0 1 Sort[name]",
+		"0 2 Project[name := $group0, n := $agg0, f := $agg1]",
+		"0 3 Aggregate(FINAL)[keys=[name]; count(*) := count(count(*)), sum(t.fare) := sum(sum(t.fare))]",
+		"0 4 Project[name := c.name, count(*) := count(*), sum(t.fare) := sum(t.fare)]",
+		"0 5 INNERJoin[city_id = city_id]",
+		"0 6 RemoteSource[fragment 1]",
+		"0 7 RemoteSource[fragment 2]",
+		"1 0 Aggregate(PARTIAL)[keys=[city_id]; count(*) := count(*), sum(t.fare) := sum(fare)]",
+		"1 1 TableScan[hive.rawdata.trips, hive:rawdata.trips] => [city_id, fare]",
+		"2 0 TableScan[memory.meta.cities, memory:meta.cities] => [city_id, name]",
+	}
+	if !reflect.DeepEqual(names, wantNames) {
+		t.Errorf("QueryInfo operator names:\n%s\nwant\n%s", strings.Join(names, "\n"), strings.Join(wantNames, "\n"))
+	}
+}

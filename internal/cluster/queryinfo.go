@@ -4,7 +4,9 @@ import (
 	"sync"
 	"time"
 
+	"prestolite/internal/execution"
 	"prestolite/internal/obs"
+	"prestolite/internal/planner"
 )
 
 // QueryState is the coordinator-side query lifecycle (§VIII: the coordinator
@@ -59,6 +61,29 @@ type QueryInfo struct {
 	SpilledBytes    int64 `json:",omitempty"`
 
 	Stages []StageInfo
+
+	// fragments is the plan Stages ran. Tasks record operator statistics by
+	// id alone; the names are rendered from it when the info is first read
+	// (nameOperators).
+	fragments *planner.FragmentedPlan
+}
+
+// nameOperators names each stage's operators by their plan text, once: the
+// first read renders them into new Stages and lets the plan go.
+func (qi *QueryInfo) nameOperators() {
+	if qi.fragments == nil {
+		return
+	}
+	stages := make([]StageInfo, len(qi.Stages))
+	for i, s := range qi.Stages {
+		root := qi.fragments.Root.Root
+		if s.FragmentID != 0 {
+			root = qi.fragments.Sources[s.FragmentID].Root
+		}
+		s.Operators = execution.NameOperators(root, s.Operators)
+		stages[i] = s
+	}
+	qi.Stages, qi.fragments = stages, nil
 }
 
 // queryLog is a bounded ring of recent queries (live queries included). All
@@ -99,8 +124,8 @@ func (l *queryLog) update(id string, fn func(*QueryInfo)) {
 	}
 }
 
-// get returns a copy (stages shared read-only; they are replaced wholesale,
-// never mutated in place).
+// get returns a copy, its operators named (stages shared read-only; they are
+// replaced wholesale, never mutated in place).
 func (l *queryLog) get(id string) (QueryInfo, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -108,6 +133,7 @@ func (l *queryLog) get(id string) (QueryInfo, bool) {
 	if !ok {
 		return QueryInfo{}, false
 	}
+	qi.nameOperators()
 	return *qi, true
 }
 
@@ -117,7 +143,9 @@ func (l *queryLog) list() []QueryInfo {
 	defer l.mu.Unlock()
 	out := make([]QueryInfo, 0, len(l.order))
 	for i := len(l.order) - 1; i >= 0; i-- {
-		out = append(out, *l.byID[l.order[i]])
+		qi := l.byID[l.order[i]]
+		qi.nameOperators()
+		out = append(out, *qi)
 	}
 	return out
 }

@@ -192,11 +192,11 @@ func resultKey(t *testing.T, coord *Coordinator, stmt string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, ok := coord.resultCacheKey(plan)
+	entry, ok := keyPlan(plan)
 	if !ok {
 		t.Fatalf("%s is uncacheable", stmt)
 	}
-	return key
+	return entry.resultKey
 }
 
 // TestResultCacheUncacheablePaths: queries over versionless catalogs, session

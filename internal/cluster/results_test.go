@@ -58,7 +58,7 @@ func TestResultsServeManyPagesUpToTheByteCap(t *testing.T) {
 	}
 	t.Cleanup(func() { w.Close() })
 	task := newWorkerTask()
-	task.stats.Register(0, "Output", nil)
+	task.stats.Register(0, nil)
 	var frames [][]byte
 	for p, n := range []int{rows, rows, rows, rows, rows, 4 * rows, 1} { // the sixth is over the cap by itself
 		vals := make([]int64, n)

@@ -58,9 +58,9 @@ type TaskRequest struct {
 	// worker refuses tasks that arrive already expired — the last hop of the
 	// coordinator's per-RPC deadline enforcement.
 	Deadline int64
-	// SnapshotVersion is the scanned table's snapshot version at scheduling
-	// time: -1 when the catalog cannot report one or the table has none now,
-	// as a hive table with an open partition. It is part of the worker's
+	// SnapshotVersion is the scanned table's snapshot version as planning
+	// read it (planner.TableScan.Version): -1 when the catalog cannot report
+	// one or the table had none, as a hive table with an open partition. It is part of the worker's
 	// fragment-result cache key (cacheKey), so cached fragment output over
 	// data that has since changed is unreachable rather than stale; a task at
 	// -1 is not cached.

@@ -130,6 +130,21 @@ type SnapshotVersioner interface {
 	SnapshotVersion(schema, table string) (version int64, ok bool)
 }
 
+// TableVersion is a table's snapshot version by the one rule of every
+// version-keyed cache: -1 — do not cache — when conn cannot report one or
+// the table has none now (a hive table with an open partition).
+func TableVersion(conn Connector, schema, table string) int64 {
+	sv, ok := conn.(SnapshotVersioner)
+	if !ok {
+		return -1
+	}
+	v, ok := sv.SnapshotVersion(schema, table)
+	if !ok {
+		return -1
+	}
+	return v
+}
+
 // ---------------------------------------------------------------------------
 // Pushdown capabilities (§IV.A, §IV.B). Predicates arrive as RowExpressions
 // whose Variable channels are table-column ordinals, so they are

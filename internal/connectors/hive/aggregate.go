@@ -126,11 +126,12 @@ type foldKey struct {
 // foldsGroups reports whether the footers of h's first foldSample files
 // bound their groups under h.GroupBy to at most 1/minFoldReduction of
 // their rows. The footers come through the footer cache, which the splits
-// then read them from. Every statement is planned, so an answer is
-// remembered until the table's version changes; it is a cost estimate, not
-// an answer to the statement, so files that land in an open partition
-// meanwhile need not move it. A table with no rows yet shows nothing, and
-// is asked again.
+// then read them from. A statement is planned again whenever any table it
+// reads moves — a hybrid statement at every append to its druid side — so
+// an answer is remembered until this table's version changes; it is a cost
+// estimate, not an answer to the statement, so files that land in an open
+// partition meanwhile need not move it. A table with no rows yet shows
+// nothing, and is asked again.
 func (c *Connector) foldsGroups(h *TableHandle, t *metastore.Table) bool {
 	key := foldKey{t.Version(), string(h.AppendWire(nil))}
 	if folds, ok := c.folds.Get(key); ok {

@@ -196,15 +196,49 @@ func (c *HTTPClient) Execute(q Query) (*Result, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("druid: query failed: %s", readError(resp))
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readAnswer(resp, c.BaseURL, maxAnswerBytes)
 	if err != nil {
-		return nil, fmt.Errorf("druid: broker %s: reading result: %w", c.BaseURL, err)
+		return nil, err
 	}
 	res, err := decodeResult(body)
 	if err != nil {
 		return nil, fmt.Errorf("druid: broker %s: result: %w", c.BaseURL, err)
 	}
 	return res, nil
+}
+
+// maxAnswerBytes bounds the answer to a query Execute reads from a broker.
+// A pushed aggregation answers in groups and a select in the rows of the
+// splits it reads, one time range; 64 MiB is far past either in this
+// module's workloads, and an answer past it is refused, not read.
+const maxAnswerBytes = 64 << 20
+
+// AnswerTooLargeError is a broker's answer to a query that runs past what
+// Execute reads (maxAnswerBytes).
+type AnswerTooLargeError struct {
+	Broker string
+	Cap    int64
+}
+
+func (e *AnswerTooLargeError) Error() string {
+	return fmt.Sprintf("druid: broker %s answered a query with over %d bytes", e.Broker, e.Cap)
+}
+
+// readAnswer reads resp's body, at most limit bytes of it: an answer that
+// announces more is refused before a byte is read, and one that runs past
+// limit unannounced is refused once limit+1 bytes have arrived.
+func readAnswer(resp *http.Response, broker string, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, &AnswerTooLargeError{Broker: broker, Cap: limit}
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("druid: broker %s: reading result: %w", broker, err)
+	}
+	if int64(len(body)) > limit {
+		return nil, &AnswerTooLargeError{Broker: broker, Cap: limit}
+	}
+	return body, nil
 }
 
 // Tables implements Client.

@@ -2,9 +2,13 @@ package druid
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -352,4 +356,55 @@ func (r *Result) Rows() [][]any {
 		}
 	}
 	return rows
+}
+
+// endless is a body that never ends, counting what is read from it.
+type endless struct{ read int64 }
+
+func (e *endless) Read(p []byte) (int, error) {
+	e.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestBrokerAnswerIsBounded: a broker whose answer to a query runs past
+// maxAnswerBytes gets an error that names it and the cap. An answer that
+// announces cap+1 bytes is refused before its body is read, so the client
+// allocates next to nothing of it; one that does not announce its length is
+// read to cap+1 bytes and no further.
+func TestBrokerAnswerIsBounded(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxAnswerBytes+1))
+		chunk := make([]byte, 64<<10)
+		for left := maxAnswerBytes + 1; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+				return // the client stopped reading, as it should
+			}
+		}
+	}))
+	defer srv.Close()
+	client := &HTTPClient{BaseURL: srv.URL, HTTP: srv.Client()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := client.Execute(Query{Table: "events"})
+	runtime.ReadMemStats(&after)
+	var tooLarge *AnswerTooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Broker != srv.URL || tooLarge.Cap != maxAnswerBytes {
+		t.Fatalf("a %d-byte answer: err = %v", maxAnswerBytes+1, err)
+	}
+	if !strings.Contains(err.Error(), srv.URL) || !strings.Contains(err.Error(), strconv.Itoa(maxAnswerBytes)) {
+		t.Errorf("the error does not name the broker and the cap: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("refusing a %d-byte answer allocated %d bytes", maxAnswerBytes+1, grew)
+	}
+
+	const limit = 1 << 10
+	body := &endless{}
+	_, err = readAnswer(&http.Response{ContentLength: -1, Body: io.NopCloser(body)}, "b", limit)
+	if !errors.As(err, &tooLarge) || tooLarge.Cap != limit {
+		t.Fatalf("an endless unannounced answer: err = %v", err)
+	}
+	if body.read != limit+1 {
+		t.Errorf("read %d bytes of an endless answer, want %d", body.read, limit+1)
+	}
 }

@@ -50,7 +50,7 @@ func (ctx *Context) instrument(node planner.Node, op Operator) Operator {
 		for i, c := range children {
 			childIDs[i] = ctx.ids[c]
 		}
-		st = ctx.Stats.Register(ctx.ids[node], node.Describe(), childIDs)
+		st = ctx.Stats.Register(ctx.ids[node], childIDs)
 		if ctx.opStats == nil {
 			ctx.opStats = map[planner.Node]*obs.OperatorStats{}
 		}
@@ -121,6 +121,24 @@ func FormatAnnotated(root planner.Node, snaps []obs.OperatorStatsSnapshot) strin
 	}
 	walk(root, 0)
 	return sb.String()
+}
+
+// NameOperators returns snaps with each operator named by the plan text of
+// its node in root, matched by the shared pre-order ids. Stats are recorded
+// by id alone; the names are rendered here, where something reads them.
+func NameOperators(root planner.Node, snaps []obs.OperatorStatsSnapshot) []obs.OperatorStatsSnapshot {
+	nodes := map[int]planner.Node{}
+	for n, id := range planOperatorIDs(root) {
+		nodes[id] = n
+	}
+	out := make([]obs.OperatorStatsSnapshot, len(snaps))
+	for i, s := range snaps {
+		if n, ok := nodes[s.ID]; ok {
+			s.Name = n.Describe()
+		}
+		out[i] = s
+	}
+	return out
 }
 
 // MemoryFooter renders the EXPLAIN ANALYZE memory footer — the query pool's

@@ -25,7 +25,8 @@ func valuesPlan() planner.Node {
 func TestBuildRecordsOperatorStats(t *testing.T) {
 	stats := obs.NewTaskStats()
 	ctx := &Context{Stats: stats}
-	op, err := Build(valuesPlan(), ctx)
+	plan := valuesPlan()
+	op, err := Build(plan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestBuildRecordsOperatorStats(t *testing.T) {
 		t.Fatalf("pages = %v", pages)
 	}
 
-	snap := stats.Snapshot()
+	snap := NameOperators(plan, stats.Snapshot())
 	if len(snap) != 3 {
 		t.Fatalf("want 3 operators, got %d: %+v", len(snap), snap)
 	}

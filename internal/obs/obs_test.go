@@ -108,7 +108,7 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 			defer writerWG.Done()
 			c := r.Counter("pages")
 			h := r.Histogram("lat")
-			rec := NewRecorder(ts.Register(w, "Scan", nil))
+			rec := NewRecorder(ts.Register(w, nil))
 			defer rec.Flush()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
@@ -145,9 +145,9 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 
 func TestTaskStatsDerivedInputs(t *testing.T) {
 	ts := NewTaskStats()
-	scan := ts.Register(2, "TableScan[t]", nil)
-	filter := ts.Register(1, "Filter[x > 1]", []int{2})
-	out := ts.Register(0, "Output[x]", []int{1})
+	scan := ts.Register(2, nil)
+	filter := ts.Register(1, []int{2})
+	out := ts.Register(0, []int{1})
 
 	record := func(op *OperatorStats, rows int, bytes int64) {
 		rec := NewRecorder(op)
@@ -175,7 +175,7 @@ func TestTaskStatsDerivedInputs(t *testing.T) {
 
 func TestRecorderFlushExactness(t *testing.T) {
 	ts := NewTaskStats()
-	op := ts.Register(0, "Scan", nil)
+	op := ts.Register(0, nil)
 	rec := NewRecorder(op)
 	const pages = flushEvery*3 + 17 // force partial tail
 	for i := 0; i < pages; i++ {

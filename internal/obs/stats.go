@@ -20,7 +20,6 @@ type OperatorStats struct {
 	drivers       atomic.Int64
 
 	id       int
-	name     string
 	childIDs []int
 }
 
@@ -97,7 +96,9 @@ func (r *Recorder) Flush() {
 
 // OperatorStatsSnapshot is the wire/JSON form of one operator's statistics.
 // RowsIn/BytesIn are derived at snapshot time from the operator's children
-// (for leaves, input equals output: a scan's input is what it read).
+// (for leaves, input equals output: a scan's input is what it read). Name
+// is the operator's plan text, empty until a holder of the plan renders it
+// by ID (execution.NameOperators).
 type OperatorStatsSnapshot struct {
 	ID            int
 	Name          string
@@ -129,8 +130,10 @@ func NewTaskStats() *TaskStats { return &TaskStats{} }
 
 // Register adds an operator identified by its pre-order plan id. childIDs
 // are the ids of the operator's plan children, used to derive input rows.
-func (t *TaskStats) Register(id int, name string, childIDs []int) *OperatorStats {
-	s := &OperatorStats{id: id, name: name, childIDs: append([]int(nil), childIDs...)}
+// The operator's name is not kept: whoever holds the plan renders it by id
+// when the stats are read (execution.NameOperators).
+func (t *TaskStats) Register(id int, childIDs []int) *OperatorStats {
+	s := &OperatorStats{id: id, childIDs: append([]int(nil), childIDs...)}
 	s.drivers.Store(1)
 	t.mu.Lock()
 	t.ops = append(t.ops, s)
@@ -150,7 +153,6 @@ func (t *TaskStats) Snapshot() []OperatorStatsSnapshot {
 	for i, s := range ops {
 		out[i] = OperatorStatsSnapshot{
 			ID:            s.id,
-			Name:          s.name,
 			RowsOut:       s.rowsOut.Load(),
 			BytesOut:      s.bytesOut.Load(),
 			WallNanos:     s.wallNanos.Load(),

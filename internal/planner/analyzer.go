@@ -338,6 +338,7 @@ func (a *Analyzer) planTableName(t *sql.TableName) (Node, *scope, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	version := connector.TableVersion(conn, schema, table)
 	ts, handle, err := conn.Metadata().GetTable(schema, table)
 	if err != nil {
 		return nil, nil, err
@@ -361,6 +362,7 @@ func (a *Analyzer) planTableName(t *sql.TableName) (Node, *scope, error) {
 		Handle:         handle,
 		Cols:           cols,
 		ColumnOrdinals: ordinals,
+		Version:        version,
 	}, sc, nil
 }
 

@@ -115,6 +115,7 @@ func (o *Optimizer) buildSideScan(scan *TableScan, part connector.HybridPart, ti
 	if err != nil {
 		return nil, err
 	}
+	version := connector.TableVersion(conn, part.Schema, part.Table)
 	schema, handle, err := conn.Metadata().GetTable(part.Schema, part.Table)
 	if err != nil {
 		return nil, err
@@ -124,6 +125,7 @@ func (o *Optimizer) buildSideScan(scan *TableScan, part connector.HybridPart, ti
 		Schema:  part.Schema,
 		Table:   part.Table,
 		Handle:  handle,
+		Version: version,
 	}
 	timeCh := -1
 	for i, c := range scan.Cols {

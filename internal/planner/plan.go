@@ -60,6 +60,12 @@ type TableScan struct {
 	// PushedAgg describes an aggregation the connector absorbed; filters,
 	// projections and limits it absorbed are in the handle's description.
 	PushedAgg string
+	// Version is the table's snapshot version (connector.TableVersion),
+	// read before planning first read the table's metadata, so a table that
+	// changes while it is planned keys the plan by its older version; -1
+	// when it has none. It is planning state: neither the plan's binary
+	// form nor its text carries it, and a decoded scan has -1.
+	Version int64
 }
 
 func (t *TableScan) Outputs() []Column { return t.Cols }

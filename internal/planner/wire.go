@@ -168,7 +168,7 @@ func (d *decoder) node(depth int) Node {
 		}
 		return v
 	case nodeTableScan:
-		t := &TableScan{Catalog: r.Str(), Schema: r.Str(), Table: r.Str()}
+		t := &TableScan{Catalog: r.Str(), Schema: r.Str(), Table: r.Str(), Version: -1}
 		if r.Bool() {
 			t.Handle = d.handle(t.Catalog)
 		}
