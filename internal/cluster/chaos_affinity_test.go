@@ -49,10 +49,10 @@ func TestChaosAffinityCachedWorkerDeath(t *testing.T) {
 		}
 
 		// Kill the cached worker: it still accepts tasks (affinity keeps
-		// hashing splits onto it) but every result fetch is dropped — the
-		// deterministic stand-in for a node dying with hot caches.
+		// hashing splits onto it) but every answer carrying task output is
+		// lost — the deterministic stand-in for a node dying with hot caches.
 		victim := busiestWorker(workers)
-		inj.FaultHTTP(fault.HTTPRule{Target: victim.Addr(), Path: "/results", DropProb: 1})
+		inj.FaultHTTP(fault.HTTPRule{Target: victim.Addr(), Path: "/v1/task", LoseProb: 1})
 		survivorHits := func() int64 {
 			n := int64(0)
 			for _, w := range workers {
@@ -72,6 +72,9 @@ func TestChaosAffinityCachedWorkerDeath(t *testing.T) {
 				}
 			}
 		})
+		if n := inj.Counters.Lost.Load(); n < 1 {
+			t.Errorf("seed %d: no answer was lost — the victim was never faulted", seed)
+		}
 		if n := counter(coord, "task_retries") - retriesBefore; n < 1 {
 			t.Errorf("seed %d: task_retries moved by %d, want >= 1 (dead worker's splits were never rescheduled)", seed, n)
 		}

@@ -79,7 +79,9 @@ func TestChaosIngestFreshnessAndExactness(t *testing.T) {
 			CompactBatch:     8,
 		})
 		coord, workers := chaosCluster(t, catalogs, 3, ChaosConfig(inj))
-		inj.FaultHTTP(fault.HTTPRule{Target: workers[0].Addr(), Path: "/results", DropProb: 1})
+		// workers[0] runs its tasks, and every answer carrying their output
+		// is lost on the way back.
+		inj.FaultHTTP(fault.HTTPRule{Target: workers[0].Addr(), Path: "/v1/task", LoseProb: 1})
 		inj.FaultFS(fault.FSRule{Path: "events_hist", Ops: []string{"read"}, DelayProb: 0.2, Delay: 2 * time.Millisecond})
 
 		log := ingest.NewLog()

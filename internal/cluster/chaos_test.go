@@ -158,11 +158,12 @@ func busiestWorker(workers []*Worker) *Worker {
 	return busiest
 }
 
-// TestChaosWorkerDeathReschedules: one worker accepts tasks but every result
-// fetch to it fails (the deterministic stand-in for a node dying mid-query).
-// Every query must still return the exact baseline rows, and the recovery
-// must be visible as task_retries — dead-worker splits re-executed on
-// survivors.
+// TestChaosWorkerDeathReschedules: one worker accepts tasks but every answer
+// carrying task output from it is lost on the way back — the task's POST and
+// each GET that reads it again (the deterministic stand-in for a node dying
+// mid-query). Every query must still return the exact baseline rows, and the
+// recovery must be visible as task_retries — dead-worker splits re-executed
+// on survivors.
 func TestChaosWorkerDeathReschedules(t *testing.T) {
 	want := chaosBaseline(t)
 	for _, seed := range ChaosSeeds(t) {
@@ -170,7 +171,7 @@ func TestChaosWorkerDeathReschedules(t *testing.T) {
 		inj := fault.NewInjector(seed)
 		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		mustRows(t, coord, chaosQueries[0]) // a clean pass, so busiestWorker has something to read
-		inj.FaultHTTP(fault.HTTPRule{Target: busiestWorker(workers).Addr(), Path: "/results", DropProb: 1})
+		inj.FaultHTTP(fault.HTTPRule{Target: busiestWorker(workers).Addr(), Path: "/v1/task", LoseProb: 1})
 
 		Watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
@@ -179,6 +180,9 @@ func TestChaosWorkerDeathReschedules(t *testing.T) {
 				}
 			}
 		})
+		if n := inj.Counters.Lost.Load(); n < 1 {
+			t.Errorf("seed %d: no answer was lost — the chaos run was a no-op", seed)
+		}
 		if n := counter(coord, "task_retries"); n < 1 {
 			t.Errorf("seed %d: task_retries = %d, want >= 1 (no split was rescheduled off the dead worker)", seed, n)
 		}
@@ -239,7 +243,10 @@ func TestChaosDroppedRPCs(t *testing.T) {
 // TestChaosStragglerHedging: storage reads stall and most result fetches are
 // slow. With hedging enabled, duplicate fetches race the stragglers
 // (idempotent paged protocol makes the duplicates safe); results stay exact
-// and hedged_fetches shows the mitigation actually fired.
+// and hedged_fetches shows the mitigation actually fired. A task's POST is
+// never hedged, and it carries the whole output of a task that ends within
+// resultsWait; every read here stalls that long, so each task outlasts its
+// POST and is read with GETs, which are hedged.
 func TestChaosStragglerHedging(t *testing.T) {
 	want := chaosBaseline(t)
 	for _, seed := range ChaosSeeds(t) {
@@ -249,6 +256,7 @@ func TestChaosStragglerHedging(t *testing.T) {
 		cfg.HedgeDelay = 40 * time.Millisecond
 		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, cfg)
 		inj.FaultFS(fault.FSRule{Ops: []string{"read"}, DelayProb: 0.3, Delay: 20 * time.Millisecond})
+		inj.FaultFS(fault.FSRule{Ops: []string{"read"}, DelayProb: 1, Delay: resultsWait})
 		inj.FaultHTTP(fault.HTTPRule{Path: "/results", DelayProb: 0.75, Delay: 250 * time.Millisecond})
 
 		Watchdog(t, 60*time.Second, func() {
@@ -522,7 +530,7 @@ func TestChaosOOMKillerUnderOverload(t *testing.T) {
 	for _, seed := range ChaosSeeds(t) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
-		coord, _ := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
+		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, ChaosConfig(inj))
 		if err := coord.ConfigureResources(ResourceConfig{
 			MemoryLimit: peak + peak/4, // one sort fits, two do not
 			OOMKill:     true,
@@ -534,11 +542,18 @@ func TestChaosOOMKillerUnderOverload(t *testing.T) {
 		}
 
 		// Same contract as ever — one round of four sorts, the killer must
-		// fire — but every result fetch takes 5 ms, so the two admitted sorts
-		// are both holding pages while they wait. Without it a 7 ms sort can
-		// finish before the other gets a core (one run in four beside a CPU
-		// burner on the 2-core host, 0 of 150 with it).
-		inj.FaultHTTP(fault.HTTPRule{Path: "/results", DelayProb: 1, Delay: 5 * time.Millisecond})
+		// fire — but every request for task output (the task POSTs, which
+		// carry it) takes 5 ms, and the one to the worker whose task the root
+		// reads last 20 ms more, so the two admitted sorts are both holding
+		// pages while they wait. Without it a 7 ms sort can finish before the
+		// other gets a core (one run in four beside a CPU burner on the
+		// 2-core host, 0 of 150 with it).
+		last := workers[0].Addr()
+		for _, w := range workers {
+			last = max(last, w.Addr()) // tasks are placed, and read, in address order
+		}
+		inj.FaultHTTP(fault.HTTPRule{Path: "/v1/task", DelayProb: 1, Delay: 5 * time.Millisecond})
+		inj.FaultHTTP(fault.HTTPRule{Target: last, Path: "/v1/task", DelayProb: 1, Delay: 20 * time.Millisecond})
 		const concurrent = 4
 		errs := make(chan error, concurrent)
 		var completed atomic.Int64

@@ -16,6 +16,7 @@ import (
 	"prestolite/internal/connector"
 	"prestolite/internal/connectors/hive"
 	"prestolite/internal/connectors/memory"
+	"prestolite/internal/fsys"
 	"prestolite/internal/hdfs"
 	"prestolite/internal/metastore"
 	"prestolite/internal/planner"
@@ -25,6 +26,14 @@ import (
 // newCatalogs builds a hive warehouse with many files so splits spread
 // across workers, plus a memory catalog.
 func newCatalogs(t testing.TB) *connector.Registry {
+	t.Helper()
+	return newWarehouse(t)(nil)
+}
+
+// newWarehouse builds newCatalogs' warehouse and returns a function making
+// registries over it, each with its own hive connector reading the files
+// through wrap(fs) (nil: as they are).
+func newWarehouse(t testing.TB) func(wrap func(fsys.FileSystem) fsys.FileSystem) *connector.Registry {
 	t.Helper()
 	nn := hdfs.New(hdfs.Config{})
 	ms := metastore.New()
@@ -59,10 +68,16 @@ func newCatalogs(t testing.TB) *connector.Registry {
 		t.Fatal(err)
 	}
 
-	reg := connector.NewRegistry()
-	reg.Register("hive", hive.New("hive", ms, nn, hive.Options{}))
-	reg.Register("memory", mem)
-	return reg
+	return func(wrap func(fsys.FileSystem) fsys.FileSystem) *connector.Registry {
+		var fs fsys.FileSystem = nn
+		if wrap != nil {
+			fs = wrap(fs)
+		}
+		reg := connector.NewRegistry()
+		reg.Register("hive", hive.New("hive", ms, fs, hive.Options{}))
+		reg.Register("memory", mem)
+		return reg
+	}
 }
 
 // newCluster starts a coordinator and n workers sharing catalogs.

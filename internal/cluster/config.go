@@ -24,8 +24,9 @@ type ClientConfig struct {
 	StatementTimeout time.Duration
 
 	// Transport is the base RoundTripper for every client this config
-	// builds; nil means http.DefaultTransport. Chaos tests install a
-	// *fault.Transport here.
+	// builds; nil means http.DefaultTransport, and workerTransport for the
+	// coordinator's worker clients. Chaos tests install a *fault.Transport
+	// here.
 	Transport http.RoundTripper
 	// Clock drives backoff sleeps and hedge timers; nil means real time.
 	Clock fault.Clock
@@ -96,9 +97,32 @@ func (cfg ClientConfig) WithDefaults() ClientConfig {
 	return cfg
 }
 
+// workerIdleConns is how many idle connections the coordinator keeps to each
+// worker: what it can have in flight to one at a time — each statement
+// running posts every task at once, one per source fragment on the worker
+// (two or three), and a few statements run at once — with room to spare.
+// http.DefaultTransport keeps two, so concurrent statements would close
+// connections and dial them again.
+const workerIdleConns = 64
+
+// workerTransport carries coordinator→worker RPCs when the config names no
+// Transport.
+var workerTransport = newWorkerTransport()
+
+func newWorkerTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no bound across workers; each has workerIdleConns
+	t.MaxIdleConnsPerHost = workerIdleConns
+	return t
+}
+
 // workerHTTPClient builds the per-worker RPC client.
 func (cfg *ClientConfig) workerHTTPClient() *http.Client {
-	return &http.Client{Timeout: cfg.WorkerTimeout, Transport: cfg.Transport}
+	var rt http.RoundTripper = workerTransport
+	if cfg.Transport != nil {
+		rt = cfg.Transport
+	}
+	return &http.Client{Timeout: cfg.WorkerTimeout, Transport: rt}
 }
 
 // statementHTTPClient builds the client→coordinator statement client.

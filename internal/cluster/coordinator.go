@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptrace"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,11 +96,42 @@ type Coordinator struct {
 
 	affinityPlaced   *obs.Counter
 	affinityOverflow *obs.Counter
+
+	// The requests the coordinator makes of workers, by kind: task starts
+	// (POST /v1/task), results fetches (GET ?page=N), DELETEs and live stats
+	// reads. On the no-fault path a task costs one start and nothing else.
+	rpcStart, rpcFetch, rpcDelete, rpcStats *obs.Counter
 }
 
 type workerClient struct {
 	addr string
 	http *http.Client
+
+	mu sync.Mutex
+	// acks are the tasks on this worker whose Done answer was read, for the
+	// next task document to it to acknowledge (TaskRequest.Acks).
+	acks []string
+}
+
+// ack queues acknowledgements for the next task document to w. Past
+// maxTaskAcks the oldest go unsent: the worker releases those after
+// releaseAfter.
+func (w *workerClient) ack(ids ...string) {
+	w.mu.Lock()
+	w.acks = append(w.acks, ids...)
+	if over := len(w.acks) - maxTaskAcks; over > 0 {
+		w.acks = append(w.acks[:0], w.acks[over:]...)
+	}
+	w.mu.Unlock()
+}
+
+// takeAcks takes the queued acknowledgements.
+func (w *workerClient) takeAcks() []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	acks := w.acks
+	w.acks = nil
+	return acks
 }
 
 // NewCoordinator creates a coordinator over a catalog registry with the
@@ -133,6 +165,10 @@ func NewCoordinatorWithConfig(catalogs *connector.Registry, cfg ClientConfig) *C
 	c.queryWall = c.obs.Histogram("query_wall")
 	c.affinityPlaced = c.obs.Counter("splits_affinity_placed")
 	c.affinityOverflow = c.obs.Counter("splits_affinity_overflow")
+	c.rpcStart = c.obs.Counter("coordinator.task_rpc.start")
+	c.rpcFetch = c.obs.Counter("coordinator.task_rpc.fetch")
+	c.rpcDelete = c.obs.Counter("coordinator.task_rpc.delete")
+	c.rpcStats = c.obs.Counter("coordinator.task_rpc.stats")
 	c.planMemo = cache.NewSizedLRU[string, planEntry](math.MaxInt, 0, cache.NewBudget(planMemoBudget))
 	c.planMemo.Metrics.RegisterObs(c.obs, "coordinator.cache.plan")
 	c.obs.GaugeFunc("coordinator_draining", func() float64 {
@@ -221,8 +257,11 @@ func (c *Coordinator) trackTask(th *taskHandle) {
 	m[th] = struct{}{}
 }
 
-// releaseTask untracks and deletes a task on its worker.
-func (c *Coordinator) releaseTask(th *taskHandle) {
+// releaseTask untracks a task and releases it on its worker: a task whose
+// Done answer was read is acknowledged on the next task document to the
+// worker; one abandoned before that (under LIMIT, on a failure or an abort),
+// or one of a query that failed, is deleted.
+func (c *Coordinator) releaseTask(th *taskHandle, abandoned bool) {
 	c.mu.Lock()
 	if m, ok := c.inflight[th.worker.addr]; ok {
 		delete(m, th)
@@ -231,6 +270,11 @@ func (c *Coordinator) releaseTask(th *taskHandle) {
 		}
 	}
 	c.mu.Unlock()
+	if !abandoned && th.answered() {
+		th.worker.ack(th.taskID)
+		return
+	}
+	c.rpcDelete.Inc()
 	th.delete()
 }
 
@@ -269,13 +313,14 @@ var (
 )
 
 // startTaskAnywhere starts req on workers[prefer], falling back to the
-// remaining workers on refusal or transport failure, so the surviving
-// workers take the splits. What a failed start shows is kept: a worker
-// whose connection is refused or reset is dead and removed (its in-flight
-// tasks reschedule); one that refuses because it has left ACTIVE is
-// forgotten, and its in-flight tasks finish (§IX promises in-flight queries
-// survive a graceful shrink); a timeout or a dropped request keeps the
-// worker, because slow is not dead. Whole-set failures are retried with
+// remaining workers on refusal or on a request that did not reach the
+// worker, so the surviving workers take the splits. What a failed start
+// shows is kept: a worker whose connection is refused or reset is dead and
+// removed (its in-flight tasks reschedule); one that refuses because it has
+// left ACTIVE is forgotten, and its in-flight tasks finish (§IX promises
+// in-flight queries survive a graceful shrink); a timeout or a dropped
+// request keeps the worker, because slow is not dead. A start that reached
+// the worker is not failed here (startTask). Whole-set failures are retried with
 // backoff for MaxAttempts rounds before the typed ErrSchedulingFailed
 // surfaces. Each round re-checks the query's deadline and abort latch, so a
 // drained or overdue query stops scheduling work.
@@ -291,6 +336,7 @@ func (c *Coordinator) startTaskAnywhere(qs *queryState, workers []*workerClient,
 		}
 		for off := 0; off < len(workers); off++ {
 			w := workers[(prefer+off)%len(workers)]
+			c.rpcStart.Inc()
 			th, err := w.startTask(req)
 			switch {
 			case err == nil:
@@ -515,11 +561,16 @@ func (c *Coordinator) execQuery(session *planner.Session, st statement, queryID 
 	}()
 	remotes := map[int][]*taskHandle{}
 	// Registered before the first task starts: a query that fails while
-	// scheduling must still delete the tasks it already placed.
+	// scheduling must still release the tasks it already placed, once their
+	// starts have settled — at once, since no later statement may come to
+	// acknowledge them.
+	failed := true
 	defer func() {
 		for _, ths := range remotes {
 			for _, th := range ths {
-				c.releaseTask(th)
+				if th.wait() == nil {
+					c.releaseTask(th, failed)
+				}
 			}
 		}
 	}()
@@ -551,9 +602,10 @@ func (c *Coordinator) execQuery(session *planner.Session, st statement, queryID 
 				if len(splitSet) == 0 {
 					continue
 				}
-				taskID := fmt.Sprintf("%s.f%d.t%d", queryID, id, wi)
-				th, err := c.startTaskAnywhere(qs, workers, wi, TaskRequest{
-					TaskID:   taskID,
+				// Every task of every source fragment is posted at once; the
+				// root takes them in order as their answers come (drainTask).
+				th := &taskHandle{started: make(chan struct{}), req: TaskRequest{
+					TaskID:   fmt.Sprintf("%s.f%d.t%d", queryID, id, wi),
 					Fragment: frag.Root,
 					TableKey: frag.TableKey,
 					Splits:   splitSet,
@@ -563,11 +615,9 @@ func (c *Coordinator) execQuery(session *planner.Session, st statement, queryID 
 					Deadline:        deadlineNanos(qs.deadline),
 					SnapshotVersion: frag.Scan.Version,
 					fragment:        shared,
-				})
-				if err != nil {
-					return nil, "", err
-				}
-				c.trackTask(th)
+				}}
+				th.taskID = th.req.TaskID
+				go c.start(qs, workers, wi, th)
 				remotes[id] = append(remotes[id], th)
 			}
 			if len(remotes[id]) == 0 {
@@ -614,7 +664,10 @@ func (c *Coordinator) execQuery(session *planner.Session, st statement, queryID 
 		stage := StageInfo{FragmentID: id, TableKey: frag.TableKey, Tasks: len(remotes[id])}
 		var taskSnaps [][]obs.OperatorStatsSnapshot
 		for _, th := range remotes[id] {
-			taskSnaps = append(taskSnaps, th.taskStats())
+			if th.wait() != nil {
+				continue // a fragment the root never read, whose start failed
+			}
+			taskSnaps = append(taskSnaps, c.taskStats(th))
 			stage.Workers = append(stage.Workers, th.worker.addr)
 		}
 		stage.Operators = obs.MergeSnapshots(taskSnaps...)
@@ -666,6 +719,7 @@ func (c *Coordinator) execQuery(session *planner.Session, st statement, queryID 
 		snap := c.obs.Snapshot()
 		text = formatAnalyzedFragments(fp, stages) + snap.CacheSection() + snap.ReaderSection() + execution.MemoryFooter(qpool)
 	}
+	failed = false
 	return res, text, nil
 }
 
@@ -698,10 +752,79 @@ type taskHandle struct {
 	// req is kept so a dead worker's task can be rescheduled onto a
 	// survivor: the same fragment over the same splits.
 	req TaskRequest
+	// started, when not nil, is closed once a start running beside the
+	// query has settled (Coordinator.start): worker and first are set then,
+	// or startErr.
+	started  chan struct{}
+	startErr error
+	// first is the answer to the task's POST — its output from page 0, or
+	// why that answer could not be read — until the drain takes it.
+	first *firstAnswer
 
 	mu       sync.Mutex
 	stats    []obs.OperatorStatsSnapshot // from the response that reported done, if seen
+	done     bool                        // the drain read a Done answer
 	abortErr error
+}
+
+// firstAnswer is the answer a task start came back with.
+type firstAnswer struct {
+	res taskResults
+	err error
+}
+
+// start runs th's start beside the query, on workers[prefer] or the next
+// worker that takes it, and closes th.started.
+func (c *Coordinator) start(qs *queryState, workers []*workerClient, prefer int, th *taskHandle) {
+	defer close(th.started)
+	started, err := c.startTaskAnywhere(qs, workers, prefer, th.req)
+	if err != nil {
+		th.startErr = err
+		return
+	}
+	th.worker, th.first = started.worker, started.first
+	c.trackTask(th)
+}
+
+// wait waits for the task's start to settle and returns its error.
+func (t *taskHandle) wait() error {
+	if t.started != nil {
+		<-t.started
+	}
+	return t.startErr
+}
+
+// takeFirst takes the start's answer, as the first attempt at page 0.
+func (t *taskHandle) takeFirst(page int) *firstAnswer {
+	a := t.first
+	if page != 0 || a == nil {
+		return nil
+	}
+	t.first = nil
+	return a
+}
+
+// read notes a checked answer the drain consumed: a Done one (the task
+// ended, failed or not) carries the task's stats, and from then on the
+// worker may release the task on acknowledgement. A task whose Done answer
+// arrived but was never consumed was abandoned, and is deleted.
+func (t *taskHandle) read(res taskResults) {
+	if !res.Done {
+		return
+	}
+	t.mu.Lock()
+	t.done = true
+	if res.Stats != nil {
+		t.stats = res.Stats
+	}
+	t.mu.Unlock()
+}
+
+// answered reports whether a Done answer of the task was read.
+func (t *taskHandle) answered() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.done
 }
 
 // abort marks the handle failed (worker removed); readers see the error on
@@ -720,22 +843,22 @@ func (t *taskHandle) aborted() error {
 	return t.abortErr
 }
 
-func (t *taskHandle) setStats(s []obs.OperatorStatsSnapshot) {
-	t.mu.Lock()
-	t.stats = s
-	t.mu.Unlock()
-}
-
-// taskStats returns the task's operator statistics. Tasks drained to
+// taskStats returns a task's operator statistics. Tasks drained to
 // completion shipped them with their last pages; tasks abandoned early (LIMIT
 // satisfied upstream) are asked for a live snapshot.
-func (t *taskHandle) taskStats() []obs.OperatorStatsSnapshot {
-	t.mu.Lock()
-	s := t.stats
-	t.mu.Unlock()
+func (c *Coordinator) taskStats(th *taskHandle) []obs.OperatorStatsSnapshot {
+	th.mu.Lock()
+	s := th.stats
+	th.mu.Unlock()
 	if s != nil {
 		return s
 	}
+	c.rpcStats.Inc()
+	return th.liveStats()
+}
+
+// liveStats asks the worker for the task's operator statistics so far.
+func (t *taskHandle) liveStats() []obs.OperatorStatsSnapshot {
 	resp, err := t.worker.http.Get("http://" + t.worker.addr + "/v1/task/" + t.taskID + "/stats")
 	if err != nil {
 		return nil
@@ -749,17 +872,34 @@ func (t *taskHandle) taskStats() []obs.OperatorStatsSnapshot {
 		return nil
 	}
 	r := frame.NewReader(body)
-	if s = obs.ReadSnapshots(r); r.Close() != nil {
-		return nil
+	if s := obs.ReadSnapshots(r); r.Close() == nil {
+		return s
 	}
-	return s
+	return nil
 }
 
+// startTask posts req, with the acknowledgements queued for w, and reads
+// the answer: the task's output from page 0, or nothing yet with Done unset
+// (Worker.handleTask). An error means the task did not start on w — the
+// worker refused it, or the request never reached it — and the caller may
+// place it elsewhere. A request that reached the worker and whose answer
+// was cut, damaged or lost still returns the handle, with that failure as
+// its first answer: the drain reads the answer again with GET ?page=0, and a
+// 404 there (the task never started after all) reschedules it.
 func (w *workerClient) startTask(req TaskRequest) (*taskHandle, error) {
-	hreq, err := http.NewRequest(http.MethodPost, "http://"+w.addr+"/v1/task", bytes.NewReader(req.encode()))
+	doc := req
+	doc.Acks = w.takeAcks()
+	hreq, err := http.NewRequest(http.MethodPost, "http://"+w.addr+"/v1/task", bytes.NewReader(doc.encode()))
 	if err != nil {
+		w.ack(doc.Acks...)
 		return nil, err
 	}
+	// wrote records whether the last attempt at the request went out whole.
+	var wrote atomic.Bool
+	hreq = hreq.WithContext(httptrace.WithClientTrace(hreq.Context(), &httptrace.ClientTrace{
+		GetConn:      func(string) { wrote.Store(false) },
+		WroteRequest: func(info httptrace.WroteRequestInfo) { wrote.Store(info.Err == nil) },
+	}))
 	hreq.Header.Set("Content-Type", "application/octet-stream")
 	// Marked idempotent (the nil value sends no header) so that net/http
 	// re-sends the start on a fresh connection when a kept-alive one turns
@@ -769,17 +909,40 @@ func (w *workerClient) startTask(req TaskRequest) (*taskHandle, error) {
 	hreq.Header["Idempotency-Key"] = nil
 	resp, err := w.http.Do(hreq)
 	if err != nil {
-		return nil, err
+		w.ack(doc.Acks...) // they may not have arrived; a repeat is harmless
+		if isWorkerGone(err) || !wrote.Load() {
+			return nil, err
+		}
+		return w.handle(req, taskResults{}, fmt.Errorf("cluster: answer of task %s from %s: %w", req.TaskID, w.addr, err)), nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
+	if resp.StatusCode != http.StatusOK {
 		if state := resp.Header.Get(workerStateHeader); state != "" {
 			return nil, fmt.Errorf("%w: %s is %s", errWorkerLeaving, w.addr, state)
 		}
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024)) // best-effort error detail
 		return nil, fmt.Errorf("%w: %s", errTaskRefused, bytes.TrimSpace(body))
 	}
-	return &taskHandle{worker: w, taskID: req.TaskID, req: req}, nil
+	body, err := readAll(resp.Body, resp.ContentLength)
+	var res taskResults
+	if err == nil {
+		res, err = readResults(body, 0)
+	}
+	if err != nil {
+		err = fmt.Errorf("cluster: answer of task %s from %s: %w", req.TaskID, w.addr, err)
+	}
+	return w.handle(req, res, err), nil
+}
+
+// handle is the handle of a task started on w whose start was answered with
+// res, or err. A Done answer's stats are the task's even if the query never
+// reads its frames.
+func (w *workerClient) handle(req TaskRequest, res taskResults, err error) *taskHandle {
+	th := &taskHandle{worker: w, taskID: req.TaskID, req: req, first: &firstAnswer{res: res, err: err}}
+	if err == nil && res.Done {
+		th.stats = res.Stats
+	}
+	return th
 }
 
 // fetchResults fetches the task's published pages from index page on.
@@ -793,6 +956,9 @@ func (t *taskHandle) fetchResults(page int) (taskResults, error) {
 		return taskResults{}, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return taskResults{}, fmt.Errorf("%w: task %s on %s", errTaskUnknown, t.taskID, t.worker.addr)
+	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024)) // best-effort error detail
 		return taskResults{}, fmt.Errorf("task %s on %s: status %d: %s",

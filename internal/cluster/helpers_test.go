@@ -17,3 +17,22 @@ func errOr(resp *http.Response, err error) error {
 	}
 	return nil
 }
+
+// unacknowledged is the bytes of the frames w holds for finished tasks whose
+// acknowledgement has not come: all that w's pool may hold between
+// statements, since the acknowledgements ride on the next task document.
+func unacknowledged(w *Worker) int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := int64(0)
+	for _, t := range w.tasks {
+		t.mu.Lock()
+		if t.pool != nil {
+			for _, f := range t.frames {
+				n += int64(len(f))
+			}
+		}
+		t.mu.Unlock()
+	}
+	return n
+}

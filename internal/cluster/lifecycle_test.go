@@ -260,7 +260,7 @@ func TestTaskResultsRequirePage(t *testing.T) {
 	}
 	defer w.Close()
 	task := newWorkerTask()
-	task.finish(nil)
+	task.finish(nil, nil)
 	w.mu.Lock()
 	w.tasks["t0"] = task
 	w.mu.Unlock()
@@ -310,10 +310,11 @@ func (l *requestLog) events() []string {
 	return append([]string(nil), l.log...)
 }
 
-// TestRescheduleAsksNoWorker: a task whose worker stops answering moves to
-// another worker with nothing asked in between. The replacement used to be
-// picked by polling every registered worker, the failed one included, so a
-// black-holed worker cost one more WorkerTimeout on every reschedule.
+// TestRescheduleAsksNoWorker: a task whose worker stops answering — it takes
+// the task, and the answer never comes back — moves to another worker with
+// nothing asked in between. The replacement used to be picked by polling
+// every registered worker, the failed one included, so a black-holed worker
+// cost one more WorkerTimeout on every reschedule.
 func TestRescheduleAsksNoWorker(t *testing.T) {
 	catalogs := newCatalogs(t)
 	inj := fault.NewInjector(1)
@@ -348,7 +349,7 @@ func TestRescheduleAsksNoWorker(t *testing.T) {
 	}
 	want := rows()
 	a := busiestWorker(workers).Addr()
-	inj.FaultHTTP(fault.HTTPRule{Target: a, Path: "/results", BlackHoleProb: 1})
+	inj.FaultHTTP(fault.HTTPRule{Target: a, Path: "/v1/task", LoseProb: 1})
 
 	if got := rows(); got != want {
 		t.Fatalf("after the reschedule:\n got %s\nwant %s", got, want)
@@ -356,13 +357,13 @@ func TestRescheduleAsksNoWorker(t *testing.T) {
 	events := rlog.events()
 	failed := -1
 	for i, e := range events {
-		if strings.HasPrefix(e, "failed GET "+a) && strings.HasSuffix(e, "/results") {
+		if strings.HasPrefix(e, "failed POST "+a) && strings.HasSuffix(e, "/v1/task") {
 			failed = i
 			break
 		}
 	}
 	if failed < 0 {
-		t.Fatalf("no results fetch from %s failed: %v", a, events)
+		t.Fatalf("no task start on %s lost its answer: %v", a, events)
 	}
 	for _, e := range events[failed+1:] {
 		if strings.HasPrefix(e, "POST ") && strings.HasSuffix(e, "/v1/task") {

@@ -217,13 +217,13 @@ func TestDistributedExplainAnalyze(t *testing.T) {
 
 	// Nothing was configured, and the query was accounted all the same: the
 	// plan ends in the coordinator pool's footer, and each worker's pool held
-	// its partial aggregation's groups and gave them back when the task was
-	// deleted.
+	// its partial aggregation's groups and gave them back when the task
+	// ended, keeping only its output frames until they are acknowledged.
 	if !regexp.MustCompile(`\nMemory: peak [1-9]\d* B, spilled 0 B\n$`).MatchString(text) {
 		t.Errorf("plan does not end in a memory footer with a nonzero peak:\n%s", text)
 	}
-	if reserved, ok := wsnap.Gauges["pool_reserved_bytes"]; !ok || reserved != 0 {
-		t.Errorf("worker pool_reserved_bytes = %v (present: %v) after its tasks were deleted", reserved, ok)
+	if reserved, ok := wsnap.Gauges["pool_reserved_bytes"]; !ok || reserved != float64(unacknowledged(workers[0])) {
+		t.Errorf("worker pool_reserved_bytes = %v (present: %v) after its tasks ended, want the %d bytes of frames awaiting acknowledgement", reserved, ok, unacknowledged(workers[0]))
 	}
 	for _, w := range workers {
 		if w.pool.Peak() == 0 {

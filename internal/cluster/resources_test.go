@@ -199,6 +199,7 @@ func TestQueryMaxMemoryWithNothingConfigured(t *testing.T) {
 		workers[0].runTask(&TaskRequest{
 			TaskID: "join", Fragment: plan, TableKey: "hive.rawdata.trips", Splits: splits, MaxMemory: props.MaxMemory,
 		}, nil, task)
+		task.free() // nobody fetches it: released at once
 		return task.err
 	}
 	for _, tc := range []struct {
@@ -231,8 +232,8 @@ func TestQueryMaxMemoryWithNothingConfigured(t *testing.T) {
 		t.Fatalf("grouped query under query_max_memory=16: err = %v, want a worker task refused for memory", err)
 	}
 	for _, w := range workers {
-		if got := w.pool.Reserved(); got != 0 {
-			t.Errorf("worker %s still holds %d bytes", w.Addr(), got)
+		if got, frames := w.pool.Reserved(), unacknowledged(w); got != frames {
+			t.Errorf("worker %s still holds %d bytes, %d of them frames awaiting acknowledgement", w.Addr(), got, frames)
 		}
 	}
 }

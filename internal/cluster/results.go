@@ -8,7 +8,8 @@ import (
 	"prestolite/internal/obs"
 )
 
-// The answer to GET /v1/task/{id}/results?page=N is one envelope
+// The answer to POST /v1/task (for page 0) and to GET
+// /v1/task/{id}/results?page=N is one envelope
 // (block.Envelope): a checksummed resultsHeader (in its binary form,
 // resultsHeader.encode) followed by the page
 // frames it covers, exactly as block.EncodePage wrote them when the task
@@ -22,12 +23,15 @@ import (
 // always at least one.
 const resultsByteCap = 1 << 20
 
-// resultsWait bounds how long the worker holds a results request for a task
-// that has not finished: it answers as soon as the task is done, or at the
-// bound with no frames and Done unset, and the coordinator asks again at
-// once. The bound sits under DefaultClientConfig's HedgeDelay, so a fetch
-// that is only waiting is never hedged at the defaults, and it is short
-// enough that the coordinator's deadline and abort checks run between waits.
+// resultsWait bounds how long the worker holds a request for a task's output
+// — the task POST itself, then each GET ?page=N — while the task has not
+// finished: it answers as soon as the task is done, or at the bound with no
+// frames and Done unset, and the coordinator goes on with GET ?page=N at
+// once. A task that ends within the bound thus costs its coordinator the
+// POST alone. The bound sits under DefaultClientConfig's HedgeDelay, so a
+// fetch that is only waiting is never hedged at the defaults (the POST never
+// is), and it is short enough that the coordinator's deadline and abort
+// checks run between waits.
 const resultsWait = 100 * time.Millisecond
 
 type resultsHeader struct {
@@ -49,8 +53,9 @@ type taskResults struct {
 }
 
 // resultsEnvelope is the response to a request for page first of a task
-// whose published output is frames.
-func resultsEnvelope(frames [][]byte, first int, finished bool, taskErr error, stats *obs.TaskStats) block.Envelope {
+// whose published output is frames; done reports whether it is the task's
+// Done answer.
+func resultsEnvelope(frames [][]byte, first int, finished bool, taskErr error, stats *obs.TaskStats) (env block.Envelope, done bool) {
 	send := frames[min(first, len(frames)):]
 	n, size := 0, 0
 	for ; n < len(send); n++ {
@@ -66,7 +71,7 @@ func resultsEnvelope(frames [][]byte, first int, finished bool, taskErr error, s
 	if taskErr != nil {
 		hdr.Err = taskErr.Error()
 	}
-	return block.NewEnvelope(hdr.encode(), send[:n])
+	return block.NewEnvelope(hdr.encode(), send[:n]), hdr.Done
 }
 
 // readResults checks the response to a request for page first: the header

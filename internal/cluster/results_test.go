@@ -35,6 +35,9 @@ func decodeFrames(t *testing.T, frames [][]byte) []*block.Page {
 	return pages
 }
 
+// envOnly is the envelope of a resultsEnvelope answer.
+func envOnly(env block.Envelope, _ bool) block.Envelope { return env }
+
 // envelopeBytes is what env writes.
 func envelopeBytes(t *testing.T, env block.Envelope) []byte {
 	t.Helper()
@@ -71,7 +74,7 @@ func TestResultsServeManyPagesUpToTheByteCap(t *testing.T) {
 		}
 		frames = append(frames, data)
 	}
-	task.finish(frames)
+	task.finish(frames, nil)
 	w.mu.Lock()
 	w.tasks["t0"] = task
 	w.mu.Unlock()
@@ -114,17 +117,19 @@ func TestResultsServeManyPagesUpToTheByteCap(t *testing.T) {
 	if got := gets.Load(); got != 5 { // {0,1} {2,3} {4} {5} {6, done}
 		t.Errorf("draining %d frames took %d GETs, want 5", len(frames), got)
 	}
-	if th.taskStats() == nil {
+	if !th.answered() || th.stats == nil {
 		t.Error("the operator stats did not arrive with the last pages")
 	}
 }
 
 // TestChaosCorruptedResultsAreRejected: one byte of one worker's first K
-// results responses is flipped in flight. Every one of them must be refused —
-// a checksum covers each byte of the response — and take the ordinary
+// responses carrying task output (the task POST's answer, then the GETs that
+// read it again) is flipped in flight. Every one of them must be refused — a
+// checksum covers each byte of the response — and take the ordinary
 // retry → reschedule path, so the query is row-exact against the embedded
-// engine (or fails typed). Before pages were framed a flip inside an int64 or
-// float64 buffer decoded into a different number and was served.
+// engine (or fails typed): a damaged POST answer is read again with GET
+// ?page=0. Before pages were framed a flip inside an int64 or float64 buffer
+// decoded into a different number and was served.
 func TestChaosCorruptedResultsAreRejected(t *testing.T) {
 	embedded := core.New()
 	reg := chaosCatalogs(t, nil)
@@ -150,7 +155,8 @@ func TestChaosCorruptedResultsAreRejected(t *testing.T) {
 			var left atomic.Int64
 			faulty := cfg.Transport
 			cfg.Transport = roundTripperFunc(func(r *http.Request) (*http.Response, error) {
-				if r.URL.Host == victim.Load() && strings.HasSuffix(r.URL.Path, "/results") && left.Add(-1) >= 0 {
+				output := r.URL.Path == "/v1/task" || strings.HasSuffix(r.URL.Path, "/results")
+				if r.URL.Host == victim.Load() && output && left.Add(-1) >= 0 {
 					return faulty.RoundTrip(r)
 				}
 				return http.DefaultTransport.RoundTrip(r)
@@ -158,7 +164,7 @@ func TestChaosCorruptedResultsAreRejected(t *testing.T) {
 			coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, cfg)
 			mustRows(t, coord, chaosQueries[0]) // a clean pass, so busiestWorker has something to read
 			addr := busiestWorker(workers).Addr()
-			inj.FaultHTTP(fault.HTTPRule{Target: addr, Path: "/results", CorruptProb: 1})
+			inj.FaultHTTP(fault.HTTPRule{Target: addr, Path: "/v1/task", CorruptProb: 1})
 			left.Store(k)
 			victim.Store(addr)
 
@@ -190,6 +196,10 @@ func TestChaosCorruptedResultsAreRejected(t *testing.T) {
 			if refused := counter(coord, "rpc_retries") + counter(coord, "task_retries"); refused != corrupted {
 				t.Errorf("seed %d k %d: %d corrupted responses but %d refused (rpc_retries %d + task_retries %d)",
 					seed, k, corrupted, refused, counter(coord, "rpc_retries"), counter(coord, "task_retries"))
+			}
+			// One damaged answer is read again from the same worker.
+			if n := counter(coord, "task_retries"); k == 1 && n != 0 {
+				t.Errorf("seed %d: one damaged answer cost %d reschedules, want a re-read and none", seed, n)
 			}
 		}
 	}
@@ -363,7 +373,7 @@ func TestDamagedResponsesAreErrorsAtEveryHop(t *testing.T) {
 		rows int
 		read func([]byte) (int, error)
 	}{
-		{"worker to coordinator", envelopeBytes(t, resultsEnvelope([][]byte{frame, frame}, 0, true, nil, obs.NewTaskStats())), 6,
+		{"worker to coordinator", envelopeBytes(t, envOnly(resultsEnvelope([][]byte{frame, frame}, 0, true, nil, obs.NewTaskStats()))), 6,
 			func(b []byte) (int, error) {
 				res, err := readResults(b, 0)
 				if err != nil {
@@ -469,7 +479,7 @@ func TestResultsFetchWaitsForTheTask(t *testing.T) {
 	go func() {
 		<-sent
 		time.Sleep(50 * time.Millisecond)
-		task.finish([][]byte{frame})
+		task.finish([][]byte{frame}, nil)
 	}()
 	drained, err := coord.drainOnce(nil, handle(held, "slow"))
 	if err != nil {

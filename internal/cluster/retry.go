@@ -35,6 +35,12 @@ var (
 	// ErrDeadlineExceeded: the query overran its deadline. Terminal — it is
 	// never rescheduled, and every RPC hop checks it.
 	ErrDeadlineExceeded = errors.New("cluster: query deadline exceeded")
+
+	// errTaskUnknown: a worker answered a results fetch with 404 — the task
+	// never started there (its start was lost on the way), or the worker
+	// released it or restarted. Asking again cannot help; the task is
+	// rescheduled.
+	errTaskUnknown = errors.New("cluster: worker does not know the task")
 )
 
 // IsRetryable reports whether a failed query may be resubmitted elsewhere
@@ -119,6 +125,9 @@ func (c *Coordinator) checkQuery(qs *queryState) error {
 // under worker death: no page reaches downstream operators until one task
 // attempt has produced its complete, consistent page stream.
 func (c *Coordinator) drainTask(qs *queryState, tasks []*taskHandle, i int) ([][]byte, error) {
+	if err := tasks[i].wait(); err != nil {
+		return nil, err // startTaskAnywhere tried every worker already
+	}
 	for {
 		th := tasks[i]
 		frames, err := c.drainOnce(qs, th)
@@ -133,14 +142,15 @@ func (c *Coordinator) drainTask(qs *queryState, tasks []*taskHandle, i int) ([][
 			return nil, rerr
 		}
 		c.trackTask(replacement)
-		c.releaseTask(th) // best-effort DELETE on the failed worker
+		c.releaseTask(th, false) // an acknowledgement if it answered Done (failed), else a DELETE
 		tasks[i] = replacement
 	}
 }
 
 // drainOnce fetches the complete page stream of one task attempt, as checked
-// page frames. A fetch of an unfinished task waits on the worker, up to
-// resultsWait, so the loop asks again at once when one comes back empty.
+// page frames, starting from the answer its start came back with. A fetch of
+// an unfinished task waits on the worker, up to resultsWait, so the loop
+// asks again at once when one comes back empty.
 func (c *Coordinator) drainOnce(qs *queryState, th *taskHandle) ([][]byte, error) {
 	var frames [][]byte
 	for {
@@ -148,26 +158,27 @@ func (c *Coordinator) drainOnce(qs *queryState, th *taskHandle) ([][]byte, error
 		if err != nil {
 			return nil, err
 		}
+		th.read(res)
 		if res.Err != "" {
 			return nil, fmt.Errorf("cluster: task %s failed on %s: %s", th.taskID, th.worker.addr, res.Err)
 		}
 		frames = append(frames, res.frames...)
 		if res.Done {
-			if res.Stats != nil {
-				th.setStats(res.Stats)
-			}
 			return frames, nil
 		}
 	}
 }
 
 // fetchResults fetches a task's pages from index page on with per-RPC
-// retries (exponential backoff + jitter) and hedging. Fetches are idempotent
-// — the request names the page index, the worker keeps no cursor — so retried
-// and hedged copies of the same fetch are safe. A connection-refused/reset
-// failure short-circuits the retry loop as ErrWorkerGone: the process is
-// dead, and rescheduling should engage on the first failed fetch, not after
-// MaxAttempts rounds of backoff against a corpse.
+// retries (exponential backoff + jitter) and hedging. For page 0 the first
+// attempt is the answer the task's start came back with; a damaged, cut or
+// lost one is read again with GET ?page=0 like any failed fetch. Fetches are
+// idempotent — the request names the page index, the worker keeps no cursor
+// — so retried and hedged copies of the same fetch are safe. A
+// connection-refused/reset failure short-circuits the retry loop as
+// ErrWorkerGone: the process is dead, and rescheduling should engage on the
+// first failed fetch, not after MaxAttempts rounds of backoff against a
+// corpse. So does a 404 (errTaskUnknown): the worker has no such task.
 func (c *Coordinator) fetchResults(qs *queryState, th *taskHandle, page int) (taskResults, error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
@@ -181,7 +192,13 @@ func (c *Coordinator) fetchResults(qs *queryState, th *taskHandle, page int) (ta
 			c.rpcRetries.Inc()
 			c.cfg.Clock.Sleep(c.cfg.backoff(attempt - 1))
 		}
-		res, err := c.fetchResultsHedged(th, page)
+		var res taskResults
+		var err error
+		if a := th.takeFirst(page); a != nil {
+			res, err = a.res, a.err
+		} else {
+			res, err = c.fetchResultsHedged(th, page)
+		}
 		if err == nil {
 			return res, nil
 		}
@@ -189,16 +206,21 @@ func (c *Coordinator) fetchResults(qs *queryState, th *taskHandle, page int) (ta
 			return taskResults{}, fmt.Errorf("%w: fetching results of task %s from %s: %v",
 				ErrWorkerGone, th.taskID, th.worker.addr, err)
 		}
+		if errors.Is(err, errTaskUnknown) {
+			return taskResults{}, err
+		}
 		lastErr = err
 	}
 	return taskResults{}, fmt.Errorf("cluster: fetching results from %s: %w", th.worker.addr, lastErr)
 }
 
-// fetchResultsHedged fires the fetch and, if no response arrives within
+// fetchResultsHedged fires a GET ?page=N and, if no response arrives within
 // HedgeDelay, races a duplicate against it (§VII straggler mitigation for
 // result pulls). First response wins; an abandoned copy finishes on its own
-// within the client timeout and is discarded.
+// within the client timeout and is discarded. A task's POST is never
+// hedged: a duplicate start would run the task twice.
 func (c *Coordinator) fetchResultsHedged(th *taskHandle, page int) (taskResults, error) {
+	c.rpcFetch.Inc()
 	if c.cfg.HedgeDelay <= 0 {
 		return th.fetchResults(page)
 	}
@@ -217,6 +239,7 @@ func (c *Coordinator) fetchResultsHedged(th *taskHandle, page int) (taskResults,
 		return r.res, r.err
 	case <-c.cfg.Clock.After(c.cfg.HedgeDelay):
 		c.hedgedFetches.Inc()
+		c.rpcFetch.Inc()
 		go fetch()
 	}
 	r := <-ch

@@ -153,11 +153,22 @@ func (req *TaskRequest) cacheKey() []byte {
 	return dst
 }
 
-// encode writes the task document: the key part, then the task's own fields.
+// maxTaskAcks bounds the acknowledgements one task document carries (and a
+// coordinator keeps for one worker): a worker releases an unacknowledged
+// task after releaseAfter anyway.
+const maxTaskAcks = 1024
+
+// encode writes the task document: the key part, then the task's own fields,
+// then the acknowledgements.
 func (req *TaskRequest) encode() []byte {
 	dst := frame.AppendString(req.cacheKey(), req.TaskID)
 	dst = frame.AppendVarint(dst, int64(req.Drivers))
-	return frame.AppendVarint(frame.AppendVarint(dst, req.MaxMemory), req.Deadline)
+	dst = frame.AppendVarint(frame.AppendVarint(dst, req.MaxMemory), req.Deadline)
+	dst = frame.AppendUvarint(dst, uint64(len(req.Acks)))
+	for _, id := range req.Acks {
+		dst = frame.AppendString(dst, id)
+	}
+	return dst
 }
 
 // decodeTask reads what encode wrote. The fragment's handles and its splits
@@ -187,6 +198,14 @@ func decodeTask(b []byte, catalogs *connector.Registry) (req TaskRequest, key []
 	key = b[:len(b)-r.Len()]
 	req.TaskID, req.Drivers = r.Str(), r.Int()
 	req.MaxMemory, req.Deadline = r.Varint(), r.Varint()
+	if n := r.Count(); n > maxTaskAcks {
+		r.Fail(fmt.Errorf("%d acknowledgements, more than %d", n, maxTaskAcks))
+	} else if n > 0 {
+		req.Acks = make([]string, n)
+		for i := range req.Acks {
+			req.Acks[i] = r.Str()
+		}
+	}
 	if err := r.Close(); err != nil {
 		return TaskRequest{}, nil, fmt.Errorf("cluster: task document: %w", err)
 	}

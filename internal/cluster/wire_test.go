@@ -90,11 +90,12 @@ func FuzzDecodeStatement(f *testing.F) {
 }
 
 // FuzzDecodeTask: any bytes are a task request or an error — no panic, and
-// nothing allocated that the input's size does not cover — and a request
-// that reads encodes back to the same bytes, its fragment-cache key to the
-// key part decodeTask cut from them. Seeded with the source fragments of
-// statements shaped like the planner tests', over a hive warehouse and a
-// memory catalog, each with its real splits.
+// nothing allocated that the input's size does not cover, nor more than
+// maxTaskAcks acknowledgements — and a request that reads encodes back to
+// the same bytes, its fragment-cache key to the key part decodeTask cut from
+// them. Seeded with the source fragments of statements shaped like the
+// planner tests', over a hive warehouse and a memory catalog, each with its
+// real splits and with none, one or several acknowledgements.
 func FuzzDecodeTask(f *testing.F) {
 	reg := newCatalogs(f)
 	for _, q := range []string{
@@ -110,8 +111,9 @@ func FuzzDecodeTask(f *testing.F) {
 			if strings.Contains(q, "count(city_id)") && !strings.Contains(planner.Format(frag.root), "aggregates=") {
 				f.Fatalf("%s: the source fragment absorbs no aggregate:\n%s", q, planner.Format(frag.root))
 			}
+			acks := [][]string{nil, {"q0.f1.t0"}, {"q0.f1.t1", "q0.f2.t1.r1", ""}}
 			for i, splits := range [][]int{nil, {0}, {0, 1, 2}} {
-				req := TaskRequest{TaskID: "q1.f1.t0", Fragment: frag.root, TableKey: frag.tableKey, Drivers: i, MaxMemory: 1 << 20, Deadline: 1e18, SnapshotVersion: int64(i)}
+				req := TaskRequest{TaskID: "q1.f1.t0", Fragment: frag.root, TableKey: frag.tableKey, Drivers: i, MaxMemory: 1 << 20, Deadline: 1e18, SnapshotVersion: int64(i), Acks: acks[i]}
 				for _, s := range splits {
 					if s < len(frag.splits) {
 						req.Splits = append(req.Splits, frag.splits[s])
@@ -134,6 +136,9 @@ func FuzzDecodeTask(f *testing.F) {
 		if len(req.Splits) > len(data) {
 			t.Fatalf("%d bytes read as %d splits", len(data), len(req.Splits))
 		}
+		if len(req.Acks) > min(len(data), maxTaskAcks) {
+			t.Fatalf("%d bytes read as %d acknowledgements", len(data), len(req.Acks))
+		}
 		if again := req.encode(); !bytes.Equal(again, data) {
 			t.Fatalf("a task that read does not encode back to itself:\n%x\n%x", data, again)
 		}
@@ -141,6 +146,39 @@ func FuzzDecodeTask(f *testing.F) {
 			t.Fatalf("the key cut from a task differs from the key encoded from it:\n%x\n%x", key, again)
 		}
 	})
+}
+
+// TestAcksAreNotInTheCacheKey: a task document's acknowledgements follow
+// the task's own fields, so its fragment-cache key — encoded, or cut from
+// the document by decodeTask — is byte-identical with and without them; and
+// a document acknowledging more than maxTaskAcks tasks is refused.
+func TestAcksAreNotInTheCacheKey(t *testing.T) {
+	reg := newCatalogs(t)
+	frag := sourceFragments(t, reg, "SELECT city_id, count(*) FROM hive.rawdata.trips GROUP BY city_id")[0]
+	bare := TaskRequest{TaskID: "q2.f1.t0", Fragment: frag.root, TableKey: frag.tableKey, Splits: frag.splits, SnapshotVersion: 3}
+	acked := bare
+	acked.Acks = []string{"q1.f1.t0", "q1.f2.t0"}
+	if !bytes.Equal(bare.cacheKey(), acked.cacheKey()) {
+		t.Fatal("the acknowledgements changed the encoded cache key")
+	}
+	_, bareKey, err := decodeTask(bare.encode(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ackedKey, err := decodeTask(acked.encode(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bareKey, ackedKey) || !bytes.Equal(bareKey, bare.cacheKey()) {
+		t.Fatalf("the key cut from a document with acknowledgements differs:\n%x\n%x", bareKey, ackedKey)
+	}
+	if !reflect.DeepEqual(got.Acks, acked.Acks) {
+		t.Errorf("acknowledgements read as %q, want %q", got.Acks, acked.Acks)
+	}
+	acked.Acks = make([]string, maxTaskAcks+1)
+	if _, _, err := decodeTask(acked.encode(), reg); err == nil {
+		t.Errorf("a document with %d acknowledgements was read", len(acked.Acks))
+	}
 }
 
 type testFragment struct {
@@ -189,11 +227,11 @@ func TestLiveStatsAreBounded(t *testing.T) {
 	t.Cleanup(srv.Close)
 	th := &taskHandle{worker: &workerClient{addr: strings.TrimPrefix(srv.URL, "http://"), http: srv.Client()}, taskID: "t0"}
 	serve.Store(&small)
-	if got := th.taskStats(); !reflect.DeepEqual(got, small) {
+	if got := th.liveStats(); !reflect.DeepEqual(got, small) {
 		t.Errorf("live stats read as %+v, want %+v", got, small)
 	}
 	serve.Store(&huge)
-	if got := th.taskStats(); got != nil {
+	if got := th.liveStats(); got != nil {
 		t.Errorf("a %d-byte stats answer was read", len(obs.AppendSnapshots(nil, huge)))
 	}
 }

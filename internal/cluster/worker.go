@@ -65,6 +65,12 @@ type TaskRequest struct {
 	// data that has since changed is unreachable rather than stale; a task at
 	// -1 is not cached.
 	SnapshotVersion int64
+	// Acks names earlier tasks on this worker whose Done answer the
+	// coordinator has read: the worker releases them (their frames and the
+	// pool bytes charging them). It rides on the next task document to the
+	// worker, after the task's own fields and outside the cache key, and
+	// holds at most maxTaskAcks ids.
+	Acks []string
 
 	// fragment is the encoded part of the request every task of its fragment
 	// shares (encodeFragment), when the coordinator encoded it once for all
@@ -93,9 +99,9 @@ type Worker struct {
 	// task counters, a task wall-time histogram, and the §VII cache metrics
 	// of every connector that exposes them.
 	Obs *obs.Registry
-	// Clock drives the graceful-shutdown grace periods and drain polls;
-	// defaults to real time. Fault-injection tests substitute a manual
-	// clock.
+	// Clock drives the graceful-shutdown grace periods, the results waits
+	// and the release of unacknowledged tasks; defaults to real time.
+	// Fault-injection tests substitute a manual clock.
 	Clock fault.Clock
 	// MemoryLimit caps the worker's process-wide memory pool (§XII.C), which
 	// Start creates; every task runs in, and is accounted by, a child of it.
@@ -139,6 +145,10 @@ type workerTask struct {
 	// request for an unfinished task waits on.
 	settled    chan struct{}
 	settleOnce sync.Once
+	// answered is closed once the task has served its Done answer or has
+	// been aborted: what a graceful drain waits on.
+	answered   chan struct{}
+	answerOnce sync.Once
 
 	mu sync.Mutex
 	// frames is the task's whole output, one encoded page each, published
@@ -149,11 +159,27 @@ type workerTask struct {
 	err       error
 	cancel    context.CancelFunc
 	cancelled bool
+	// pool is the child of the worker pool charged with the frames' bytes
+	// from the moment they are published until the task is released.
+	pool *resource.Pool
+	// stopRelease stops the release timer the first Done answer started.
+	stopRelease func() bool
 }
 
 func newWorkerTask() *workerTask {
-	return &workerTask{stats: obs.NewTaskStats(), settled: make(chan struct{})}
+	return &workerTask{stats: obs.NewTaskStats(), settled: make(chan struct{}), answered: make(chan struct{})}
 }
+
+// releaseAfter is how long a worker keeps a finished task after serving its
+// Done answer when no acknowledgement comes (the coordinator acknowledges it
+// on its next task document to the worker). Until then the frames stay
+// charged to the worker pool, so a coordinator that went away costs a
+// bounded, accounted amount of memory. The bound covers the coordinator's
+// retry window at the defaults, in which a lost or damaged answer is read
+// again with GET ?page=0: MaxAttempts (3) fetches of up to WorkerTimeout
+// (30 s) each, with backoffs of at most MaxBackoff (1 s) between them, is
+// 92 s. A re-read after the release finds no task and reschedules it.
+const releaseAfter = 2 * time.Minute
 
 func (t *workerTask) settle() { t.settleOnce.Do(func() { close(t.settled) }) }
 
@@ -172,16 +198,81 @@ func (t *workerTask) setCancel(fn context.CancelFunc) {
 
 // abort cancels the task's execution context, stopping all of its drivers
 // promptly (scans and exchange producers check it between pages), and ends
-// the wait of any results request for it.
+// the wait of any results request for it and of a graceful drain.
 func (t *workerTask) abort() {
 	t.mu.Lock()
 	t.cancelled = true
 	fn := t.cancel
 	t.mu.Unlock()
 	t.settle()
+	t.answerOnce.Do(func() { close(t.answered) })
 	if fn != nil {
 		fn()
 	}
+}
+
+// free aborts the task and gives back what it holds: the release timer and
+// the pool bytes charging its frames. A task still running frees its pool
+// itself as it ends (finish, runTask).
+func (t *workerTask) free() {
+	t.abort()
+	t.mu.Lock()
+	pool, stop := t.pool, t.stopRelease
+	t.pool, t.stopRelease = nil, nil
+	t.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+	if pool != nil {
+		pool.Close()
+	}
+}
+
+// release forgets task id and frees it, unless the id names another task
+// by now.
+func (w *Worker) release(id string, t *workerTask) {
+	w.mu.Lock()
+	if w.tasks[id] == t {
+		delete(w.tasks, id)
+	}
+	w.mu.Unlock()
+	t.free()
+}
+
+// releaseAcked releases the acknowledged tasks; an id that names no task
+// (released already, or unknown) is ignored.
+func (w *Worker) releaseAcked(ids []string) {
+	for _, id := range ids {
+		w.mu.Lock()
+		t := w.tasks[id]
+		w.mu.Unlock()
+		if t != nil {
+			w.release(id, t)
+		}
+	}
+}
+
+// releaseAll releases every task.
+func (w *Worker) releaseAll() {
+	w.mu.Lock()
+	tasks := w.tasks
+	w.tasks = map[string]*workerTask{}
+	w.mu.Unlock()
+	for _, t := range tasks {
+		t.free()
+	}
+}
+
+// answer notes that t has served its Done answer: the drain stops waiting
+// for it, and it is released after releaseAfter unless acknowledged first.
+func (w *Worker) answer(id string, t *workerTask) {
+	t.answerOnce.Do(func() {
+		stop := w.Clock.AfterFunc(releaseAfter, func() { w.release(id, t) })
+		t.mu.Lock()
+		t.stopRelease = stop
+		t.mu.Unlock()
+		close(t.answered)
+	})
 }
 
 // NewWorker creates a worker with the given catalogs.
@@ -276,19 +367,11 @@ func (w *Worker) State() WorkerState {
 }
 
 // Close stops the server immediately (ungraceful). In-flight tasks are
-// cancelled (their drivers stop at the next page boundary) and their spill
-// runs swept, so a killed worker leaves neither goroutines scanning nor temp
-// files behind.
+// cancelled (their drivers stop at the next page boundary), finished ones
+// released, and their spill runs swept, so a killed worker leaves neither
+// goroutines scanning nor temp files behind.
 func (w *Worker) Close() error {
-	w.mu.Lock()
-	tasks := make([]*workerTask, 0, len(w.tasks))
-	for _, t := range w.tasks {
-		tasks = append(tasks, t)
-	}
-	w.mu.Unlock()
-	for _, t := range tasks {
-		t.abort()
-	}
+	w.releaseAll()
 	if w.spill != nil {
 		w.spill.RemoveAll()
 	}
@@ -314,10 +397,13 @@ func (w *Worker) handleShutdown(rw http.ResponseWriter, r *http.Request) {
 
 // GracefulShutdown follows §IX exactly: enter SHUTTING_DOWN, sleep for the
 // grace period (so the coordinator notices and stops sending tasks), block
-// until active tasks complete, sleep the grace period again (so the
-// coordinator sees all tasks complete), then shut down. From the first step
-// on, handleTask refuses new tasks and names the state: that refusal is how
-// the coordinator notices.
+// until every task has served its Done answer or has been aborted, sleep
+// the grace period again (so the coordinator sees all tasks complete), then
+// release what is left and shut down. From the first step on, handleTask
+// refuses new tasks and names the state: that refusal is how the
+// coordinator notices. The drain waits on each task's answer, not on its
+// release: the acknowledgements ride on task documents, which a leaving
+// worker refuses.
 func (w *Worker) GracefulShutdown() {
 	w.mu.Lock()
 	if w.state != StateActive {
@@ -330,24 +416,26 @@ func (w *Worker) GracefulShutdown() {
 	// Grace period 1: a coordinator that asks for a task is refused and
 	// stops assigning; tasks accepted before the state changed complete.
 	w.Clock.Sleep(w.GracePeriod)
-	// Drain: a task is gone only when its coordinator has consumed the
-	// results and issued the DELETE — waiting for execution alone would race
-	// result fetches against the listener closing below. ("The coordinator
-	// sees all tasks complete", made explicit instead of timing-based.)
-	for {
-		w.mu.Lock()
-		remaining := len(w.tasks)
-		w.mu.Unlock()
-		if remaining == 0 {
-			break
-		}
-		w.Clock.Sleep(10 * time.Millisecond)
+	// Drain: a task is through when its Done answer has gone out (or it was
+	// aborted) — waiting for execution alone would race result fetches
+	// against the listener closing below. No task is added from here on:
+	// handleTask registers one only while the worker is ACTIVE.
+	w.mu.Lock()
+	tasks := make([]*workerTask, 0, len(w.tasks))
+	for _, t := range w.tasks {
+		tasks = append(tasks, t)
 	}
+	w.mu.Unlock()
+	for _, t := range tasks {
+		<-t.answered
+	}
+	// Grace period 2: an answer lost on its way is read again meanwhile.
 	w.Clock.Sleep(w.GracePeriod)
 
 	w.mu.Lock()
 	w.state = StateShutdown
 	w.mu.Unlock()
+	w.releaseAll()
 	close(w.closed)
 	if w.spill != nil {
 		w.spill.RemoveAll()
@@ -358,20 +446,13 @@ func (w *Worker) GracefulShutdown() {
 // WaitShutdown blocks until the worker exits.
 func (w *Worker) WaitShutdown() { <-w.closed }
 
+// handleTask serves POST /v1/task: it releases the tasks the document
+// acknowledges, starts the task, and answers on the same request exactly
+// what GET ?page=0 would (serveResults): the task's output from its first
+// frame once it settles, or nothing with Done unset at resultsWait, after
+// which the coordinator goes on with GET ?page=N. A task that ends within
+// resultsWait thus costs its coordinator this one request.
 func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
-	// A worker that has left ACTIVE takes no new task (§IX). The refusal
-	// names the state, and the coordinator forgets the worker on reading
-	// it: this answer is how the coordinator becomes aware of the shutdown.
-	// Tasks already accepted run to completion.
-	w.mu.Lock()
-	state := w.state
-	w.mu.Unlock()
-	if state != StateActive {
-		rw.Header().Set(workerStateHeader, string(state))
-		http.Error(rw, "worker is "+string(state), http.StatusServiceUnavailable)
-		return
-	}
-
 	body, ok := readRequest(rw, r, maxTaskBytes)
 	if !ok {
 		return
@@ -381,19 +462,40 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	w.releaseAcked(req.Acks)
+	// A worker that has left ACTIVE takes no new task (§IX). The refusal
+	// names the state, and the coordinator forgets the worker on reading
+	// it: this answer is how the coordinator becomes aware of the shutdown.
+	// Tasks already accepted run to completion. The state is checked where
+	// the task is registered, so a graceful drain sees every task accepted.
+	task := newWorkerTask()
+	w.mu.Lock()
+	state := w.state
+	var replaced *workerTask
+	if state == StateActive {
+		replaced = w.tasks[req.TaskID]
+		w.tasks[req.TaskID] = task
+	}
+	w.mu.Unlock()
+	if state != StateActive {
+		rw.Header().Set(workerStateHeader, string(state))
+		http.Error(rw, "worker is "+string(state), http.StatusServiceUnavailable)
+		return
+	}
+	if replaced != nil {
+		// A re-sent start (the coordinator's client repeats one whose
+		// connection broke): the same fragment over the same splits.
+		replaced.free()
+	}
 	if req.Deadline > 0 && w.Clock.Now().UnixNano() >= req.Deadline {
 		// The query blew its deadline in flight; starting the task would
 		// only burn cycles the coordinator will never collect.
+		w.release(req.TaskID, task)
 		http.Error(rw, "task "+req.TaskID+" arrived past its query deadline", http.StatusServiceUnavailable)
 		return
 	}
-	task := newWorkerTask()
-	w.mu.Lock()
-	w.tasks[req.TaskID] = task
-	w.mu.Unlock()
-
 	go w.runTask(&req, key, task)
-	rw.WriteHeader(http.StatusAccepted)
+	w.serveResults(rw, r, req.TaskID, task, 0)
 }
 
 // runTask runs a task to its end. key is the key part of the task document
@@ -401,6 +503,33 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 // for a request built in memory, whose key is encoded here if it is needed.
 func (w *Worker) runTask(req *TaskRequest, key []byte, task *workerTask) {
 	w.tasksStarted.Inc()
+	// Per-task memory context: tasks share the worker pool, and a failed
+	// task cannot leak reservations past its Close.
+	tpool := w.pool.Child(req.TaskID, req.MaxMemory)
+	frames, size, err := w.execTask(req, key, task, tpool)
+	tpool.Close()
+	// The output frames are charged to a child of their own, under the
+	// worker's limit but not the query's (query_max_memory caps what its
+	// operators hold), until the task is released.
+	var held *resource.Pool
+	if err == nil {
+		held = w.pool.Child(req.TaskID, 0)
+		if err = held.Reserve(size); err != nil {
+			held.Close()
+		}
+	}
+	if err != nil {
+		w.tasksFailed.Inc()
+		task.fail(err)
+		return
+	}
+	w.tasksCompleted.Inc()
+	task.finish(frames, held)
+}
+
+// execTask produces a task's output frames: from the fragment cache, or by
+// running the fragment under tpool.
+func (w *Worker) execTask(req *TaskRequest, key []byte, task *workerTask, tpool *resource.Pool) ([][]byte, int64, error) {
 	start := w.Clock.Now()
 	var cacheKey string
 	if w.EnableFragmentResultCache && req.SnapshotVersion >= 0 {
@@ -409,9 +538,11 @@ func (w *Worker) runTask(req *TaskRequest, key []byte, task *workerTask) {
 		}
 		cacheKey = string(key)
 		if frames, ok := w.fragCache.Get(cacheKey); ok {
-			w.tasksCompleted.Inc()
-			task.finish(frames)
-			return
+			size := int64(0)
+			for _, f := range frames {
+				size += int64(len(f))
+			}
+			return frames, size, nil
 		}
 	}
 	// The task context is the cancellation root for every driver this task
@@ -421,10 +552,6 @@ func (w *Worker) runTask(req *TaskRequest, key []byte, task *workerTask) {
 	tctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	task.setCancel(cancel)
-	// Per-task memory context: tasks share the worker pool, and a failed
-	// task cannot leak reservations past its Close.
-	tpool := w.pool.Child(req.TaskID, req.MaxMemory)
-	defer tpool.Close()
 	ctx := &execution.Context{
 		Catalogs: w.Catalogs,
 		Splits:   map[string][]connector.Split{req.TableKey: req.Splits},
@@ -436,22 +563,17 @@ func (w *Worker) runTask(req *TaskRequest, key []byte, task *workerTask) {
 	}
 	op, err := execution.Build(req.Fragment, ctx)
 	if err != nil {
-		w.tasksFailed.Inc()
-		task.fail(err)
-		return
+		return nil, 0, err
 	}
 	frames, size, err := drainFrames(op)
 	w.taskWall.Observe(w.Clock.Now().Sub(start))
 	if err != nil {
-		w.tasksFailed.Inc()
-		task.fail(err)
-		return
+		return nil, 0, err
 	}
 	if cacheKey != "" {
 		w.fragCache.PutSized(cacheKey, frames, size)
 	}
-	w.tasksCompleted.Inc()
-	task.finish(frames)
+	return frames, size, nil
 }
 
 // drainFrames runs a task's operator tree to completion and encodes each
@@ -487,11 +609,21 @@ func (w *Worker) taskDrivers(req *TaskRequest) int {
 	return runtime.NumCPU()
 }
 
-func (t *workerTask) finish(frames [][]byte) {
+// finish publishes the task's output, charged to pool (nil: charged
+// nowhere). The pool is the task's to close from then on: at its release,
+// or at once when the task was aborted meanwhile.
+func (t *workerTask) finish(frames [][]byte, pool *resource.Pool) {
 	t.mu.Lock()
 	t.frames = frames
 	t.done = true
+	aborted := t.cancelled
+	if !aborted {
+		t.pool = pool
+	}
 	t.mu.Unlock()
+	if aborted && pool != nil {
+		pool.Close()
+	}
 	t.settle()
 }
 
@@ -516,12 +648,10 @@ func (w *Worker) handleTaskResults(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method == http.MethodDelete {
-		w.mu.Lock()
-		delete(w.tasks, taskID)
-		w.mu.Unlock()
-		// A deleted task may still be executing (e.g. the coordinator
-		// abandoned it under LIMIT): cancel it so its drivers stop scanning.
-		task.abort()
+		// A deleted task was abandoned before its Done answer was read (under
+		// LIMIT, or on a failure or an abort) and may still be executing:
+		// cancel it so its drivers stop scanning.
+		w.release(taskID, task)
 		rw.WriteHeader(http.StatusOK)
 		return
 	}
@@ -545,6 +675,12 @@ func (w *Worker) handleTaskResults(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad page index", http.StatusBadRequest)
 		return
 	}
+	w.serveResults(rw, r, taskID, task, idx)
+}
+
+// serveResults answers a request for task's frames from index idx on: the
+// task POST (idx 0) and GET ?page=N alike.
+func (w *Worker) serveResults(rw http.ResponseWriter, r *http.Request, taskID string, task *workerTask, idx int) {
 	// Frames are published only when the task is done, so a request for an
 	// unfinished task waits for that, at most resultsWait, instead of
 	// answering "nothing yet" for the coordinator to ask again.
@@ -560,7 +696,10 @@ func (w *Worker) handleTaskResults(rw http.ResponseWriter, r *http.Request) {
 	// a slow client and must not stall the task's goroutine. The length is
 	// announced so the reader can take the body in one exact-size read; the
 	// published frames are written as they are, after the header frame.
-	env := resultsEnvelope(frames, idx, done, taskErr, task.stats)
+	env, answered := resultsEnvelope(frames, idx, done, taskErr, task.stats)
+	if answered {
+		w.answer(taskID, task)
+	}
 	rw.Header().Set("Content-Length", strconv.Itoa(env.Len()))
 	if _, err := env.WriteTo(rw); err != nil {
 		w.httpWriteErrs.Inc()

@@ -1,6 +1,6 @@
 // Package fault is the deterministic fault-injection layer: a seeded
 // Injector drives an http.RoundTripper (Transport) that can drop, delay,
-// corrupt or black-hole requests per target/per path, and a fsys.FileSystem
+// corrupt or black-hole requests, or lose their responses, per target/per path, and a fsys.FileSystem
 // wrapper (FS) that injects errors and latency into storage reads. Both draw
 // every probability decision from one seeded RNG, so a chaos run is
 // reproducible from its logged seed: the same seed yields the same fault
@@ -57,6 +57,11 @@ type HTTPRule struct {
 	// CorruptProb is the probability one byte of the response body is
 	// flipped after a successful round trip.
 	CorruptProb float64
+	// LoseProb is the probability the response is lost on its way back: the
+	// server receives and handles the request, and the client gets an
+	// InjectedError. DropProb cannot express it, since a dropped request
+	// never reaches the server.
+	LoseProb float64
 }
 
 // FSRule describes faults for filesystem operations on paths containing
@@ -113,6 +118,7 @@ type Counters struct {
 	BlackHoled atomic.Int64
 	Delayed    atomic.Int64
 	Corrupted  atomic.Int64
+	Lost       atomic.Int64
 	FSErrors   atomic.Int64
 	FSDelays   atomic.Int64
 	// FSTornWrites counts writes that persisted only a prefix before failing.
@@ -195,6 +201,7 @@ type httpDecision struct {
 	blackHole bool
 	delay     time.Duration
 	corrupt   bool
+	lose      bool
 }
 
 // decideHTTP evaluates every matching rule in order against one request.
@@ -223,6 +230,9 @@ func (in *Injector) decideHTTP(host, path string) httpDecision {
 		}
 		if r.CorruptProb > 0 && in.rng.Float64() < r.CorruptProb {
 			d.corrupt = true
+		}
+		if r.LoseProb > 0 && in.rng.Float64() < r.LoseProb {
+			d.lose = true
 		}
 	}
 	return d

@@ -287,3 +287,84 @@ func TestManualClock(t *testing.T) {
 		t.Fatalf("Now = %v, want %v", clk.Now(), want)
 	}
 }
+
+// TestTransportResponseLoss: a lost response reaches the server, which
+// handles the request to its end, and the client gets an InjectedError; a
+// drop never reaches the server.
+func TestTransportResponseLoss(t *testing.T) {
+	handled := make(chan string, 4)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte("answer"))
+		handled <- r.URL.Path
+	}))
+	defer srv.Close()
+
+	in := NewInjector(1)
+	in.FaultHTTP(HTTPRule{Path: "/v1/task", LoseProb: 1})
+	in.FaultHTTP(HTTPRule{Path: "/v1/drop", DropProb: 1})
+	client := &http.Client{Transport: &Transport{Injector: in}}
+
+	_, err := client.Post(srv.URL+"/v1/task", "application/octet-stream", nil)
+	var injected *InjectedError
+	if !errors.As(err, &injected) || injected.Op != "lose" {
+		t.Fatalf("lost response: err = %v, want an injected lose", err)
+	}
+	select {
+	case path := <-handled:
+		if path != "/v1/task" {
+			t.Fatalf("the server handled %s", path)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a request whose response was lost never reached the server")
+	}
+	if n := in.Counters.Lost.Load(); n != 1 {
+		t.Fatalf("Lost = %d, want 1", n)
+	}
+
+	if _, err := client.Get(srv.URL + "/v1/drop"); err == nil {
+		t.Fatal("dropped request succeeded")
+	}
+	resp, err := client.Get(srv.URL + "/v1/info")
+	if err != nil {
+		t.Fatalf("out-of-scope request failed: %v", err)
+	}
+	_ = resp.Body.Close()
+	if path := <-handled; path != "/v1/info" {
+		t.Fatalf("the server handled %s: the dropped request reached it", path)
+	}
+}
+
+// TestManualClockTimers: a timer fires when the clock is moved to its time,
+// by Advance or Sleep, and not before; a stopped one never fires.
+func TestManualClockTimers(t *testing.T) {
+	clk := NewManualClock(time.Unix(0, 0))
+	fired := make(chan string, 3)
+	clk.AfterFunc(time.Minute, func() { fired <- "a" })
+	stopB := clk.AfterFunc(time.Minute, func() { fired <- "b" })
+	clk.AfterFunc(2*time.Minute, func() { fired <- "c" })
+	if !stopB() {
+		t.Fatal("stopping a pending timer reported it had fired")
+	}
+	clk.Advance(time.Minute - time.Nanosecond)
+	select {
+	case f := <-fired:
+		t.Fatalf("timer %s fired before its time", f)
+	case <-time.After(20 * time.Millisecond):
+	}
+	clk.Advance(time.Nanosecond)
+	if f := <-fired; f != "a" {
+		t.Fatalf("timer %s fired at one minute, want a", f)
+	}
+	clk.Sleep(time.Minute)
+	if f := <-fired; f != "c" {
+		t.Fatalf("timer %s fired at two minutes, want c", f)
+	}
+	if stopB() {
+		t.Fatal("a stopped timer stopped twice")
+	}
+	select {
+	case f := <-fired:
+		t.Fatalf("timer %s fired after it was stopped", f)
+	case <-time.After(20 * time.Millisecond):
+	}
+}

@@ -49,8 +49,18 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		base = http.DefaultTransport
 	}
 	resp, err := base.RoundTrip(req)
-	if err != nil || !d.corrupt {
+	if err != nil {
 		return resp, err
+	}
+	if d.lose {
+		// The server answers in full; the answer goes nowhere.
+		_, _ = io.Copy(io.Discard, resp.Body) // read out so the handler runs to its end
+		_ = resp.Body.Close()                 // the answer is discarded whatever happens
+		in.Counters.Lost.Add(1)
+		return nil, &InjectedError{Op: "lose", Target: req.URL.Host}
+	}
+	if !d.corrupt {
+		return resp, nil
 	}
 
 	// Corrupt: flip one byte of the response body at a seeded position.

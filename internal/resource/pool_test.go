@@ -172,9 +172,10 @@ func TestAddSpilledPropagates(t *testing.T) {
 // release can end a wait on it.
 type stuckClock struct{}
 
-func (stuckClock) Now() time.Time                       { return time.Time{} }
-func (stuckClock) Sleep(time.Duration)                  { select {} }
-func (stuckClock) After(time.Duration) <-chan time.Time { return nil }
+func (stuckClock) Now() time.Time                              { return time.Time{} }
+func (stuckClock) Sleep(time.Duration)                         { select {} }
+func (stuckClock) After(time.Duration) <-chan time.Time        { return nil }
+func (stuckClock) AfterFunc(time.Duration, func()) func() bool { return func() bool { return true } }
 
 // cascade builds a 1,000-byte root with the killer on under clock, and three
 // queries holding 500, 300 and 100 bytes; the largest unwinds 20 ms after it
