@@ -80,6 +80,9 @@ type LRU[K comparable, V any] struct {
 
 	Metrics *Metrics
 	clock   fault.Clock
+	// onEvict, when set, sees each entry count or byte pressure evicts,
+	// under the lock.
+	onEvict func(K, V)
 }
 
 type lruEntry[K comparable, V any] struct {
@@ -174,8 +177,13 @@ func (c *LRU[K, V]) PutSized(key K, value V, size int64) {
 	}
 	max := c.Metrics.maxBytes
 	for c.order.Len() > c.capacity || (max > 0 && c.Metrics.Bytes.Load() > max && c.order.Len() > 1) {
-		c.removeLocked(c.order.Back())
+		el := c.order.Back()
+		c.removeLocked(el)
 		c.Metrics.Evictions.Add(1)
+		if c.onEvict != nil {
+			entry := el.Value.(*lruEntry[K, V])
+			c.onEvict(entry.key, entry.value)
+		}
 	}
 }
 

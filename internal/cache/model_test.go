@@ -159,7 +159,7 @@ func TestChunkCacheMatchesModel(t *testing.T) {
 	)
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cc := NewChunkCache(budget)
+		cc := NewChunkCache[[]byte](budget)
 		m := &model[ChunkKey, []byte]{capacity: math.MaxInt, maxBytes: budget, clock: fault.RealClock{}, lists: make([][]modelEntry[ChunkKey, []byte], chunkShards)}
 		shardOf := func(k ChunkKey) int {
 			for i, s := range cc.shards {
@@ -188,7 +188,7 @@ func TestChunkCacheMatchesModel(t *testing.T) {
 				}
 			} else {
 				body := make([]byte, rng.Intn(budget/chunkShards+200)) // the top ~200 sizes bypass
-				cc.Put(k, body)
+				cc.Put(k, body, int64(len(body)))
 				if len(body) > budget/chunkShards {
 					bypasses++
 				} else {

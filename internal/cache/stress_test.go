@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func TestChunkCacheConcurrentStress(t *testing.T) {
 		ops     = 2000
 	)
 	const budget = 256 << 10 // small enough to force evictions
-	c := NewChunkCache(budget)
+	c := NewChunkCache[[]byte](budget)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -83,7 +84,7 @@ func TestChunkCacheConcurrentStress(t *testing.T) {
 				// whether it came back whole.
 				size := 1024 * (1 + int(stamp) + i%4)
 				if i%3 == 1 {
-					c.PutChunk(path, stamp, col, i%8, i%16 == 1, make([]byte, size))
+					c.PutChunk(path, stamp, col, i%8, i%16 == 1, make([]byte, size), int64(size))
 				} else if b, ok := c.GetChunk(path, stamp, col, i%8, i%16 == 1); ok && len(b) != size {
 					t.Errorf("corrupt body length %d, want %d", len(b), size)
 					return
@@ -108,9 +109,9 @@ func TestChunkCacheConcurrentStress(t *testing.T) {
 // dict and data pages are distinct keys, oversized bodies bypass, and byte
 // pressure evicts the least recently used chunk.
 func TestChunkCacheBasics(t *testing.T) {
-	c := NewChunkCache(16 * 4096)
+	c := NewChunkCache[[]byte](16 * 4096)
 	body := []byte("decompressed-bytes")
-	c.PutChunk("/t/f1", 7, "col", 0, false, body)
+	c.PutChunk("/t/f1", 7, "col", 0, false, body, int64(len(body)))
 	if got, ok := c.GetChunk("/t/f1", 7, "col", 0, false); !ok || string(got) != string(body) {
 		t.Fatalf("miss after put: %q %v", got, ok)
 	}
@@ -125,7 +126,7 @@ func TestChunkCacheBasics(t *testing.T) {
 	}
 	// A body larger than a whole shard's budget is refused, not cached.
 	huge := make([]byte, 16*4096)
-	c.PutChunk("/t/huge", 7, "col", 0, false, huge)
+	c.PutChunk("/t/huge", 7, "col", 0, false, huge, int64(len(huge)))
 	if _, ok := c.GetChunk("/t/huge", 7, "col", 0, false); ok {
 		t.Error("oversized body should bypass the cache")
 	}
@@ -140,10 +141,10 @@ func TestChunkCacheBasics(t *testing.T) {
 // TestChunkCacheEviction fills past the byte budget and checks eviction both
 // happens and is counted.
 func TestChunkCacheEviction(t *testing.T) {
-	c := NewChunkCache(32 * 1024)
+	c := NewChunkCache[[]byte](32 * 1024)
 	body := make([]byte, 1024)
 	for i := 0; i < 256; i++ {
-		c.PutChunk("/t/f", 1, fmt.Sprintf("c%d", i), 0, false, body)
+		c.PutChunk("/t/f", 1, fmt.Sprintf("c%d", i), 0, false, body, int64(len(body)))
 	}
 	if c.Metrics.Bytes.Load() > 32*1024 {
 		t.Errorf("resident %d bytes exceeds budget", c.Metrics.Bytes.Load())
@@ -216,4 +217,52 @@ func TestResultCacheConcurrentStress(t *testing.T) {
 	if got, held := c.Metrics.Bytes.Load(), residentBytes(c); got != held || got > 1<<20 {
 		t.Errorf("resident bytes counter %d, entries hold %d (budget %d)", got, held, 1<<20)
 	}
+}
+
+// summed is an entry CheckChunks can sum.
+type summed struct{ b []byte }
+
+func (s *summed) Checksum() uint64 {
+	var h uint64
+	for _, c := range s.b {
+		h = h*31 + uint64(c)
+	}
+	return h
+}
+
+// TestCheckChunksCatchesWrites: under the test hook, an entry written after
+// it was put panics on its next Get, and on its eviction when no Get meets
+// it first; an entry left alone does neither.
+func TestCheckChunksCatchesWrites(t *testing.T) {
+	defer func(on bool) { CheckChunks = on }(CheckChunks)
+	CheckChunks = true
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "written after it was cached") {
+				t.Errorf("%s: recovered %v", what, r)
+			}
+		}()
+		f()
+	}
+	c := NewChunkCache[*summed](16 * 64)
+	kept, written := &summed{[]byte("kept")}, &summed{[]byte("written")}
+	c.PutChunk("/t/f", 1, "a", 0, false, kept, 32)
+	c.PutChunk("/t/f", 1, "b", 0, false, written, 32)
+	written.b[0] = 'W'
+	if got, ok := c.GetChunk("/t/f", 1, "a", 0, false); !ok || got != kept {
+		t.Fatalf("the entry left alone: %v, %v", got, ok)
+	}
+	mustPanic("get", func() { c.GetChunk("/t/f", 1, "b", 0, false) })
+
+	// Fill b's shard until it evicts b, which no Get meets first.
+	shard := c.shard(ChunkKey{Path: "/t/f", Stamp: 1, Column: "b"})
+	mustPanic("eviction", func() {
+		for i := 0; i < 1000; i++ {
+			k := ChunkKey{Path: "/t/g", Stamp: 1, Column: fmt.Sprint(i)}
+			if c.shard(k) == shard {
+				c.Put(k, &summed{[]byte("x")}, 32)
+			}
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptrace"
@@ -65,6 +66,11 @@ type Coordinator struct {
 	liveMu sync.Mutex
 	live   map[string]*queryState
 
+	// id prefixes every task id the coordinator posts (id.q<N>.f<F>.t<W>):
+	// minted once, at random, so that two coordinators sharing a worker
+	// never post the same id, whose answer or acknowledgement the worker
+	// would give the other.
+	id           string
 	queryCounter atomic.Int64
 	queries      *queryLog
 	obs          *obs.Registry
@@ -147,6 +153,7 @@ func NewCoordinatorWithConfig(catalogs *connector.Registry, cfg ClientConfig) *C
 	c := &Coordinator{
 		Catalogs: catalogs,
 		cfg:      cfg.WithDefaults(),
+		id:       strconv.FormatUint(rand.Uint64(), 36),
 		workers:  map[string]*workerClient{},
 		inflight: map[string]map[*taskHandle]struct{}{},
 		live:     map[string]*queryState{},
@@ -605,7 +612,7 @@ func (c *Coordinator) execQuery(session *planner.Session, st statement, queryID 
 				// Every task of every source fragment is posted at once; the
 				// root takes them in order as their answers come (drainTask).
 				th := &taskHandle{started: make(chan struct{}), req: TaskRequest{
-					TaskID:   fmt.Sprintf("%s.f%d.t%d", queryID, id, wi),
+					TaskID:   fmt.Sprintf("%s.%s.f%d.t%d", c.id, queryID, id, wi),
 					Fragment: frag.Root,
 					TableKey: frag.TableKey,
 					Splits:   splitSet,

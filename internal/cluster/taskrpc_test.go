@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptrace"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,7 +180,7 @@ func TestAcknowledgementReleasesTasks(t *testing.T) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		for id := range w.tasks {
-			if strings.HasPrefix(id, queryID+".") {
+			if strings.HasPrefix(id, coord.id+"."+queryID+".") {
 				ids = append(ids, id)
 			}
 		}
@@ -261,6 +262,95 @@ func TestUnacknowledgedFramesReleasedAfterBound(t *testing.T) {
 	}
 	if _, err := th.fetchResults(0); err == nil || !strings.Contains(err.Error(), "does not know") {
 		t.Errorf("a fetch of the released task = %v, want the worker not to know it", err)
+	}
+}
+
+// TestTaskIDsDistinctAcrossCoordinators: two coordinators that share a
+// worker count their statements from the same q1, yet post distinct task
+// ids, so at once each gets its own answer, and a coordinator's
+// acknowledgements release its own tasks on the worker and never the
+// other's.
+func TestTaskIDsDistinctAcrossCoordinators(t *testing.T) {
+	catalogs := newCatalogs(t)
+	_, workers := newCluster(t, catalogs, 1)
+	w := workers[0]
+	coords := []*Coordinator{NewCoordinator(catalogs), NewCoordinator(catalogs)}
+	queries := []string{
+		"SELECT city_id, count(*) AS n FROM trips GROUP BY city_id ORDER BY city_id",
+		"SELECT sum(fare) AS f FROM trips WHERE fare >= 10.0",
+	}
+	answer := func(c int) (string, error) {
+		res, err := coords[c].Query(session(), queries[c])
+		if err != nil {
+			return "", err
+		}
+		rows, err := res.Rows()
+		return fmt.Sprint(rows), err
+	}
+	var want [2]string
+	for c, coord := range coords {
+		coord.AddWorker(w.Addr())
+		var err error
+		if want[c], err = answer(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if coords[0].id == coords[1].id {
+		t.Fatalf("both coordinators minted %q", coords[0].id)
+	}
+	held := func(c int) (ids []string) {
+		prefix := coords[c].id + "." + coords[c].QueryInfos()[0].ID + "."
+		for _, id := range tasksOf(w) {
+			if strings.HasPrefix(id, prefix) {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+
+	// Both statements run at once, again and again: each coordinator reads
+	// its own answer.
+	var wg sync.WaitGroup
+	for c := range coords {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, err := answer(c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[c] {
+					t.Errorf("coordinator %d, run %d: answered %s, want %s", c, i, got, want[c])
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	// The worker holds the last statement's tasks of each coordinator until
+	// that coordinator's next task document acknowledges them.
+	last := held(1)
+	if len(last) == 0 || len(held(0)) == 0 {
+		t.Fatalf("the worker holds %v of coordinator 0's last statement and %v of coordinator 1's", held(0), last)
+	}
+	if _, err := answer(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range last {
+		if !slices.Contains(tasksOf(w), id) {
+			t.Errorf("coordinator 0's acknowledgements released coordinator 1's task %s", id)
+		}
+	}
+	if _, err := answer(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range last {
+		if slices.Contains(tasksOf(w), id) {
+			t.Errorf("coordinator 1's next statement did not release its task %s", id)
+		}
 	}
 }
 

@@ -46,8 +46,8 @@ type Options struct {
 	// DisableFooterCache turns off §VII.B caching: every split reads its
 	// file's footer.
 	DisableFooterCache bool
-	// DisableChunkCache turns off the worker-local data cache for
-	// decompressed column chunks (§VII tier 1).
+	// DisableChunkCache turns off the worker-local data cache of decoded
+	// column chunks (§VII tier 1).
 	DisableChunkCache bool
 	// ChunkCacheBytes bounds the chunk cache (default 64 MiB).
 	ChunkCacheBytes int64
@@ -72,7 +72,7 @@ type Connector struct {
 
 	listCache   *cache.FileListCache
 	footerCache *cache.FooterCache[footerEntry]
-	chunkCache  *cache.ChunkCache
+	chunkCache  *cache.ChunkCache[any]
 	// partials memoises each split's partial aggregate (aggregate.go).
 	partials *cache.PageMemo[string]
 	// folds remembers foldsGroups' answers (aggregate.go).
@@ -97,7 +97,7 @@ func New(name string, ms *metastore.Metastore, fs fsys.FileSystem, opts Options)
 		opts:        opts,
 		listCache:   cache.NewFileListCache(fs, 4096),
 		footerCache: cache.NewFooterCache[footerEntry](8192),
-		chunkCache:  cache.NewChunkCache(opts.ChunkCacheBytes),
+		chunkCache:  cache.NewChunkCache[any](opts.ChunkCacheBytes),
 		partials:    cache.NewPageMemo[string](cache.PartialsBudget),
 		folds:       cache.NewLRU[foldKey, bool](1024, 0),
 	}

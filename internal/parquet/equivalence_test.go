@@ -92,7 +92,7 @@ func TestReaderEquivalence(t *testing.T) {
 					// (the second pass over one cache), and one too small to
 					// hold a row group, where hits and misses mix per chunk.
 					for toggle, opts := range readerToggles(proj) {
-						for _, cc := range []ChunkCache{nil, cache.NewChunkCache(1 << 20), cache.NewChunkCache(16 * 48)} {
+						for _, cc := range []ChunkCache{nil, cache.NewChunkCache[any](1 << 20), cache.NewChunkCache[any](16 * 512)} {
 							for pass := 0; pass < 2; pass++ {
 								opts.Chunks, opts.Path = cc, "/t/part-0"
 								newR, err := NewReader(file, opts)

@@ -214,9 +214,9 @@ func TestQuickPredicateEquivalence(t *testing.T) {
 		opts.Path = "/t/part-0"
 		switch uint64(seed) % 3 {
 		case 1:
-			opts.Chunks = cache.NewChunkCache(1 << 20)
+			opts.Chunks = cache.NewChunkCache[any](1 << 20)
 		case 2:
-			opts.Chunks = cache.NewChunkCache(16 * 64)
+			opts.Chunks = cache.NewChunkCache[any](16 * 384)
 		}
 		for pass := 0; pass < 2; pass++ {
 			rd, err := NewReader(file, opts)

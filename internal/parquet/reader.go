@@ -6,6 +6,7 @@ import (
 	//lint:ignore nogob ROADMAP item 12(d): the footer becomes a typed binary footer, bounded before allocation
 	"encoding/gob"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -68,28 +69,107 @@ func ReadFooter(f fsys.File) (*FileMeta, *Schema, error) {
 // ---------------------------------------------------------------------------
 // Column chunk decoding.
 
-// chunkData is a decoded leaf chunk: level streams plus typed values.
+// chunkData is a decoded leaf chunk: level streams plus typed values. It is
+// complete when decodeChunkBody returns it and nothing writes it afterwards:
+// the chunk cache shares one chunkData among every query that hits it, and
+// the blocks flatBlock builds wrap its slices.
 type chunkData struct {
 	leaf *Leaf
 	reps []uint8 // nil when MaxRep == 0
-	defs []uint8 // nil when MaxDef == 0
+	defs []uint8 // nil when MaxDef == 0 or every entry has a value
 
 	// The typed values, one per present entry; for a dictionary-encoded
-	// chunk, the dictionary's entries instead, which ids index.
+	// chunk, the dictionary's entries instead, which ids index. A chunk the
+	// cache holds never carries its dictionary's: withDictionary adds them
+	// to a copy.
 	ints   []int64
 	floats []float64
 	bools  []bool
 	strs   []string
 	// ids holds, when the chunk is dictionary-encoded, one dictionary index
-	// per present entry.
-	ids []int32
-	// present counts the entries with a value (def == MaxDef), once, when
-	// the chunk is decoded.
+	// per present entry, each checked against a dictionary of dictSize
+	// entries.
+	ids      []int32
+	dictSize int
+	// present counts the entries with a value (def == MaxDef).
 	present int
-	// valueIdx and indexed belong to valueIndex.
-	valueIdx []int32
-	indexed  bool
-	entries  int
+	entries int
+	// strBytes is what the varchar values' bytes take.
+	strBytes int
+}
+
+// chunkEntryBytes is what a cached entry costs besides its slices: the
+// chunkData or dictionary header and the cache's map slot, list element and
+// entry.
+const chunkEntryBytes = 256
+
+// decodedSize is what the chunk occupies decoded, what the chunk cache
+// charges for it.
+func (c *chunkData) decodedSize() int64 {
+	return int64(chunkEntryBytes + len(c.reps) + len(c.defs) + 8*len(c.ints) + 8*len(c.floats) +
+		len(c.bools) + 16*len(c.strs) + c.strBytes + 4*len(c.ids))
+}
+
+// Checksum sums everything a reader sees of the chunk: the chunk cache
+// checks it under its test hook (cache.CheckChunks).
+func (c *chunkData) Checksum() uint64 {
+	var s checksum
+	sumEach(&s, c.reps, func(v uint8) uint64 { return uint64(v) })
+	sumEach(&s, c.defs, func(v uint8) uint64 { return uint64(v) })
+	sumEach(&s, c.ints, func(v int64) uint64 { return uint64(v) })
+	sumEach(&s, c.floats, math.Float64bits)
+	sumEach(&s, c.bools, func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	})
+	sumEach(&s, c.strs, s.str)
+	sumEach(&s, c.ids, func(v int32) uint64 { return uint64(v) })
+	sumEach(&s, []int{c.dictSize, c.present, c.entries, c.strBytes}, func(v int) uint64 { return uint64(v) })
+	return uint64(s)
+}
+
+// Checksum sums the dictionary's entries, as chunkData.Checksum does.
+func (d *dictionary) Checksum() uint64 {
+	var s checksum
+	sumEach(&s, d.ints, func(v int64) uint64 { return uint64(v) })
+	sumEach(&s, d.strs, s.str)
+	s.word(uint64(d.strBytes))
+	return uint64(s)
+}
+
+// checksum folds 64-bit words in, FNV-1a style.
+type checksum uint64
+
+func (s *checksum) word(v uint64) { *s = (*s ^ checksum(v)) * 1099511628211 }
+
+// str folds a string's bytes in and stands for it with its length.
+func (s *checksum) str(v string) uint64 {
+	for i := 0; i < len(v); i++ {
+		s.word(uint64(v[i]))
+	}
+	return uint64(len(v))
+}
+
+// sumEach folds a slice in: its length, then each value as word makes it.
+func sumEach[T any](s *checksum, vals []T, word func(T) uint64) {
+	s.word(uint64(len(vals)))
+	for _, v := range vals {
+		s.word(word(v))
+	}
+}
+
+// withDictionary returns the dictionary-encoded chunk c reading its ids
+// through d: a copy, so that a cached chunk never pins its dictionary, which
+// the cache keeps and evicts apart.
+func (c *chunkData) withDictionary(d *dictionary) (*chunkData, error) {
+	if d.size() != c.dictSize {
+		return nil, fmt.Errorf("parquet: chunk %s: its ids index %d dictionary entries, its dictionary has %d", c.leaf.Node.Path, c.dictSize, d.size())
+	}
+	view := *c
+	view.ints, view.strs = d.ints, d.strs
+	return &view, nil
 }
 
 // valueAt boxes present value i (the nested assembly and the legacy reader),
@@ -111,33 +191,29 @@ func (c *chunkData) valueAt(i int) any {
 }
 
 // ChunkCache is the worker-local data cache contract (tier 1 of the §VII
-// hierarchy): decompressed column-chunk bodies keyed by file path and stamp
-// (the file's identity, ReaderOptions.Stamp), leaf column path, row group
-// ordinal and page kind (data vs dictionary).
-// Implementations must treat returned slices as shared and read-only; the
-// reader never mutates a cached body. Defined here (and satisfied by
-// internal/cache.ChunkCache) so parquet does not depend on the cache
-// package.
+// hierarchy): decoded column chunks keyed by file path and stamp (the
+// file's identity, ReaderOptions.Stamp), leaf column path, row group ordinal
+// and entry kind (data vs dictionary). An entry is a *chunkData or a
+// *dictionary, charged at its decoded size; the reader puts it only once it
+// decoded without error and writes it never after, so implementations may
+// hand one entry to any number of readers at once. Defined here (and
+// satisfied by internal/cache.ChunkCache[any]) so parquet does not depend on
+// the cache package.
 type ChunkCache interface {
-	GetChunk(path string, stamp int64, column string, rowGroup int, dict bool) ([]byte, bool)
-	PutChunk(path string, stamp int64, column string, rowGroup int, dict bool, body []byte)
+	GetChunk(path string, stamp int64, column string, rowGroup int, dict bool) (any, bool)
+	PutChunk(path string, stamp int64, column string, rowGroup int, dict bool, chunk any, size int64)
 }
 
 // pages is one contiguous run of a column chunk in the file — its data pages
-// or its dictionary page — on the way from a byte range to a decompressed
-// body. The I/O plan fills it in two steps: the chunk cache is asked once
-// (chunkFetch.lookup), and what it did not hold is read as part of a
-// byteRange.
+// or its dictionary page — that the chunk cache did not hold decoded: the I/O
+// plan reads it as part of a byteRange.
 type pages struct {
 	leaf *Leaf
 	dict bool
 	off  int64
 	n    int
 
-	raw    []byte // bytes of the file, set when the read covering them lands
-	body   []byte // decompressed: the cache's, or raw's at first use
-	cached bool   // the chunk cache holds body already
-	shared bool   // raw is a window on a read that covered other runs too
+	raw []byte // bytes of the file, set when the read covering them lands
 }
 
 func (p *pages) String() string {
@@ -147,26 +223,18 @@ func (p *pages) String() string {
 	return "chunk " + p.leaf.Node.Path
 }
 
-// open returns the run's decompressed body.
-func (p *pages) open(codec Codec) ([]byte, error) {
-	if p.body == nil {
-		body, err := decompress(codec, p.raw)
-		if err != nil {
-			return nil, err
-		}
-		p.body, p.raw = body, nil
-	}
-	return p.body, nil
-}
-
 // chunkBytes is one leaf chunk of one row group in the I/O plan.
 type chunkBytes struct {
 	cm   *ChunkMeta
 	data pages
 	dict pages // only when cm.Dictionary
-	// entries is the dictionary page decoded, by whichever of the
-	// dictionary-pushdown probe and the chunk's decode needs it first.
+	// entries is the dictionary decoded: the chunk cache's, or the
+	// dictionary page's, by whichever of the dictionary-pushdown probe and
+	// the chunk's decode needs it first.
 	entries *dictionary
+	// decoded is the chunk cache's entry for the data pages, when it had
+	// one.
+	decoded *chunkData
 }
 
 func newChunkBytes(cm *ChunkMeta, leaf *Leaf) chunkBytes {
@@ -180,12 +248,15 @@ func newChunkBytes(cm *ChunkMeta, leaf *Leaf) chunkBytes {
 // size is what the chunk occupies in the file.
 func (cb *chunkBytes) size() int64 { return int64(cb.data.n + cb.dict.n) }
 
-// runs calls visit on the chunk's page runs in file order.
+// runs calls visit, in file order, on the chunk's page runs that the chunk
+// cache did not hold decoded.
 func (cb *chunkBytes) runs(visit func(*pages)) {
-	if cb.cm.Dictionary {
+	if cb.cm.Dictionary && cb.entries == nil {
 		visit(&cb.dict)
 	}
-	visit(&cb.data)
+	if cb.decoded == nil {
+		visit(&cb.data)
+	}
 }
 
 // chunkFetch keys one row group's chunks in the data cache. The zero value
@@ -197,32 +268,32 @@ type chunkFetch struct {
 	rowGroup int
 }
 
-// lookup asks the cache for p's body: a hit skips both the read and the
-// decompression, the two costs the Alluxio-style local cache exists to
-// remove. Each run is looked up once, when its batch is planned.
-func (cf chunkFetch) lookup(p *pages) bool {
+// lookup takes what the cache holds of cb, decoded: its dictionary and its
+// data pages. A hit skips the read, the decompression and the decode, the
+// costs the Alluxio-style local cache exists to remove. Each chunk is looked
+// up once, when its batch is planned.
+func (cf chunkFetch) lookup(cb *chunkBytes) {
 	if cf.cache == nil {
-		return false
-	}
-	p.body, p.cached = cf.cache.GetChunk(cf.path, cf.stamp, p.leaf.Node.Path, cf.rowGroup, p.dict)
-	return p.cached
-}
-
-// keep caches a body that was read from the file, once the caller has
-// decoded it: a corrupt read fails one query instead of being served from the
-// cache to every later one.
-func (cf chunkFetch) keep(p *pages, codec Codec) {
-	if cf.cache == nil || p.cached {
 		return
 	}
-	body := p.body
-	if p.shared && codec == CodecNone {
-		// Uncompressed, the body is the bytes read themselves: caching the
-		// window would pin the whole read beyond what the cache accounts.
-		body = bytes.Clone(body)
+	column := cb.data.leaf.Node.Path
+	if cb.cm.Dictionary {
+		if v, ok := cf.cache.GetChunk(cf.path, cf.stamp, column, cf.rowGroup, true); ok {
+			cb.entries = v.(*dictionary)
+		}
 	}
-	cf.cache.PutChunk(cf.path, cf.stamp, p.leaf.Node.Path, cf.rowGroup, p.dict, body)
-	p.cached = true
+	if v, ok := cf.cache.GetChunk(cf.path, cf.stamp, column, cf.rowGroup, false); ok {
+		cb.decoded = v.(*chunkData)
+	}
+}
+
+// keep caches an entry of leaf that the caller has decoded without error: a
+// corrupt read fails one query instead of being served from the cache to
+// every later one.
+func (cf chunkFetch) keep(leaf *Leaf, dict bool, entry any, size int64) {
+	if cf.cache != nil {
+		cf.cache.PutChunk(cf.path, cf.stamp, leaf.Node.Path, cf.rowGroup, dict, entry, size)
+	}
 }
 
 // byteRange is one read of the I/O plan: page runs that touch in the file
@@ -263,7 +334,7 @@ func (g *byteRange) read(f fsys.File) {
 	}
 	for _, p := range g.runs {
 		at := int(p.off - g.off)
-		p.raw, p.shared = buf[at:at+p.n:at+p.n], len(g.runs) > 1
+		p.raw = buf[at : at+p.n : at+p.n]
 	}
 }
 
@@ -369,16 +440,26 @@ func checkRowGroups(meta *FileMeta, schema *Schema, size int64) error {
 
 // dictionary is a decoded dictionary page: its entries as the leaf's kind
 // stores them (varchar in strs, the integer kinds in ints; the writer
-// dictionary-encodes no other kind).
+// dictionary-encodes no other kind). Like chunkData, it is complete when
+// readDictionary returns it and never written afterwards.
 type dictionary struct {
 	ints []int64
 	strs []string
+	// strBytes is what the varchar entries' bytes take.
+	strBytes int
 }
 
-// readDictionary decodes the dictionary page of a dictionary-encoded chunk,
-// once per chunk read: the dictionary-pushdown probe (§V.G) and the chunk's
-// decode share the result. A varchar dictionary is one string copy of the
-// page body, every entry a substring of it.
+// decodedSize is what the dictionary occupies decoded, what the chunk cache
+// charges for it.
+func (d *dictionary) decodedSize() int64 {
+	return int64(chunkEntryBytes + 8*len(d.ints) + 16*len(d.strs) + d.strBytes)
+}
+
+// readDictionary returns the dictionary of a dictionary-encoded chunk: the
+// chunk cache's, or the dictionary page decoded, once per chunk read and
+// then cached. The dictionary-pushdown probe (§V.G) and the chunk's decode
+// share the result. A varchar dictionary is one string copy of the page
+// body, every entry a substring of it.
 func (cb *chunkBytes) readDictionary(codec Codec, cf chunkFetch) (*dictionary, error) {
 	if cb.entries != nil {
 		return cb.entries, nil
@@ -390,7 +471,7 @@ func (cb *chunkBytes) readDictionary(codec Codec, cf chunkFetch) (*dictionary, e
 	if k := leaf.Node.Prim.Kind; k == types.KindDouble || k == types.KindBoolean {
 		return nil, fmt.Errorf("parquet: chunk %s is dictionary-encoded, which its type never is", leaf.Node.Path)
 	}
-	body, err := cb.dict.open(codec)
+	body, err := decompress(codec, cb.dict.raw)
 	if err != nil {
 		return nil, err
 	}
@@ -403,18 +484,10 @@ func (cb *chunkBytes) readDictionary(codec Codec, cf chunkFetch) (*dictionary, e
 	}
 	d := &dictionary{}
 	if leaf.Node.Prim.Kind == types.KindVarchar {
-		all := string(body[pos:])
-		d.strs = make([]string, n)
-		at := 0 // into all
-		for i := range d.strs {
-			size, k := binary.Uvarint(body[pos+at:])
-			if k <= 0 || size > uint64(len(all)-at-k) {
-				return nil, fmt.Errorf("parquet: dictionary of %s: entry %d runs past the page", leaf.Node.Path, i)
-			}
-			at += k
-			d.strs[i] = all[at : at+int(size)]
-			at += int(size)
+		if d.strs, _, err = substrings(body[pos:], int(n)); err != nil {
+			return nil, fmt.Errorf("parquet: dictionary of %s: %w", leaf.Node.Path, err)
 		}
+		d.strBytes = len(body) - pos
 	} else {
 		d.ints = make([]int64, n)
 		for i := range d.ints {
@@ -426,15 +499,37 @@ func (cb *chunkBytes) readDictionary(codec Codec, cf chunkFetch) (*dictionary, e
 			pos += k
 		}
 	}
-	cf.keep(&cb.dict, codec)
+	cf.keep(leaf, true, d, d.decodedSize())
 	cb.entries = d
 	return d, nil
+}
+
+// substrings decodes n length-prefixed strings from the start of b with one
+// string copy of b, every value a substring of it, and returns how many
+// bytes of b they took.
+func substrings(b []byte, n int) ([]string, int, error) {
+	all := string(b)
+	strs := make([]string, n)
+	at := 0 // into all
+	for i := range strs {
+		size, k := binary.Uvarint(b[at:])
+		if k <= 0 || size > uint64(len(all)-at-k) {
+			return nil, 0, fmt.Errorf("entry %d runs past the page", i)
+		}
+		at += k
+		strs[i] = all[at : at+int(size)]
+		at += int(size)
+	}
+	return strs, at, nil
 }
 
 // size is the number of entries.
 func (d *dictionary) size() int { return len(d.ints) + len(d.strs) }
 
-// decodeChunk decodes one fetched leaf chunk fully.
+// decodeChunk returns one leaf chunk decoded: the chunk cache's entry, when
+// locate found one, or the chunk's fetched pages decoded and then cached. A
+// dictionary-encoded chunk comes back reading its ids through its
+// dictionary.
 //
 // vectorized selects the batched triplet decoder (§V.I) for plain values:
 // they are decoded in batches of 1000 with decoder state kept in locals
@@ -443,18 +538,31 @@ func (d *dictionary) size() int { return len(d.ints) + len(d.strs) }
 // state each time. A dictionary-encoded chunk decodes the same way for
 // both: its dictionary once, then its ids in one loop, never expanded.
 func decodeChunk(cb *chunkBytes, codec Codec, vectorized bool, cf chunkFetch) (*chunkData, error) {
-	body, err := cb.data.open(codec)
+	cd := cb.decoded
+	if cd == nil {
+		body, err := decompress(codec, cb.data.raw)
+		if err != nil {
+			return nil, err
+		}
+		if cd, err = decodeChunkBody(body, cb, codec, vectorized, cf); err != nil {
+			return nil, err
+		}
+		cf.keep(cd.leaf, false, cd, cd.decodedSize())
+	}
+	if cd.ids == nil {
+		return cd, nil
+	}
+	dict, err := cb.readDictionary(codec, cf)
 	if err != nil {
 		return nil, err
 	}
-	cd, err := decodeChunkBody(body, cb, codec, vectorized, cf)
-	if err != nil {
-		return nil, err
-	}
-	cf.keep(&cb.data, codec)
-	return cd, nil
+	return cd.withDictionary(dict)
 }
 
+// decodeChunkBody decodes a chunk's decompressed data pages into what the
+// chunk cache keeps of them: the levels copied out of body (the definition
+// levels only when some entry has no value), and the values or, for a
+// dictionary-encoded chunk, the ids.
 func decodeChunkBody(body []byte, cb *chunkBytes, codec Codec, vectorized bool, cf chunkFetch) (*chunkData, error) {
 	leaf := cb.data.leaf
 	dec := &valueDecoder{data: body}
@@ -468,31 +576,29 @@ func decodeChunkBody(body []byte, cb *chunkBytes, codec Codec, vectorized bool, 
 		return nil, fmt.Errorf("parquet: chunk %s holds %d entries in %d bytes, its footer says %d", leaf.Node.Path, n64, len(body), cb.cm.NumEntries)
 	}
 	n := int(n64)
-	cd := &chunkData{leaf: leaf, entries: n}
+	cd := &chunkData{leaf: leaf, entries: n, present: n}
 	if leaf.MaxRep > 0 {
 		if dec.pos+n > len(body) {
 			return nil, fmt.Errorf("parquet: truncated rep levels in %s", leaf.Node.Path)
 		}
-		cd.reps = body[dec.pos : dec.pos+n]
+		cd.reps = bytes.Clone(body[dec.pos : dec.pos+n])
 		dec.pos += n
 	}
 	if leaf.MaxDef > 0 {
 		if dec.pos+n > len(body) {
 			return nil, fmt.Errorf("parquet: truncated def levels in %s", leaf.Node.Path)
 		}
-		cd.defs = body[dec.pos : dec.pos+n]
+		defs := body[dec.pos : dec.pos+n]
 		dec.pos += n
+		if cd.present = bytes.Count(defs, []byte{uint8(leaf.MaxDef)}); cd.present < n {
+			cd.defs = bytes.Clone(defs)
+		}
 	}
 	if dec.pos >= len(body) {
 		return nil, fmt.Errorf("parquet: truncated chunk %s", leaf.Node.Path)
 	}
 	encoding := body[dec.pos]
 	dec.pos++
-
-	cd.present = n
-	if cd.defs != nil {
-		cd.present = bytes.Count(cd.defs, []byte{uint8(leaf.MaxDef)})
-	}
 
 	if encoding == 1 {
 		dict, err := cb.readDictionary(codec, cf)
@@ -536,14 +642,15 @@ func decodePlainChunk(cd *chunkData, dec *valueDecoder, vectorized bool) (*chunk
 				cd.bools[i] = v
 			}
 		case types.KindVarchar:
-			cd.strs = make([]string, numValues)
-			for i := 0; i < numValues; i++ {
-				v, err := dec.string()
-				if err != nil {
-					return nil, err
-				}
-				cd.strs[i] = v
+			// One string copy of the rest of the body, every value a
+			// substring of it: one allocation, and one object for the GC
+			// to mark, whatever the number of values.
+			strs, k, err := substrings(dec.data[dec.pos:], numValues)
+			if err != nil {
+				return nil, fmt.Errorf("parquet: chunk %s: %w", cd.leaf.Node.Path, err)
 			}
+			cd.strs, cd.strBytes = strs, len(dec.data)-dec.pos
+			dec.pos += k
 		default:
 			cd.ints = make([]int64, numValues)
 			data, pos := dec.data, dec.pos
@@ -580,6 +687,7 @@ func decodePlainChunk(cd *chunkData, dec *valueDecoder, vectorized bool) (*chunk
 				return nil, err
 			}
 			cd.strs = append(cd.strs, v)
+			cd.strBytes += len(v)
 		default:
 			v, err := dec.int64()
 			if err != nil {
@@ -592,8 +700,8 @@ func decodePlainChunk(cd *chunkData, dec *valueDecoder, vectorized bool) (*chunk
 }
 
 // decodeDictChunk decodes the ids of a dictionary-encoded chunk, one per
-// present entry, in one loop, and keeps them beside the dictionary instead of
-// expanding them into values.
+// present entry, in one loop, checked against the dictionary but never
+// expanded into its values.
 func decodeDictChunk(cd *chunkData, dec *valueDecoder, dict *dictionary) (*chunkData, error) {
 	size := uint64(dict.size())
 	ids := make([]int32, cd.present)
@@ -620,6 +728,6 @@ func decodeDictChunk(cd *chunkData, dec *valueDecoder, dict *dictionary) (*chunk
 		ids[i] = int32(id)
 	}
 	dec.pos = pos
-	cd.ids, cd.ints, cd.strs = ids, dict.ints, dict.strs
+	cd.ids, cd.dictSize = ids, dict.size()
 	return cd, nil
 }

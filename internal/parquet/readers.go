@@ -47,9 +47,9 @@ type ReaderOptions struct {
 	// never answered with the old one's chunks. Required when Chunks is set.
 	Path  string
 	Stamp int64
-	// Chunks, when non-nil, caches decompressed column-chunk bodies across
-	// reader instances (the worker-local data cache, §VII). nil reads every
-	// chunk from the filesystem.
+	// Chunks, when non-nil, caches decoded column chunks across reader
+	// instances (the worker-local data cache, §VII): a hit is neither read,
+	// decompressed nor decoded. nil reads and decodes every chunk.
 	Chunks ChunkCache
 
 	// Metrics, when non-nil, is where the reader counts its work instead of
@@ -80,9 +80,11 @@ type Metrics struct {
 	RowGroupsSkippedStats atomic.Int64
 	RowGroupsSkippedDict  atomic.Int64
 	RowGroupsRead         atomic.Int64
-	LeavesDecoded         atomic.Int64
-	RowsMatched           atomic.Int64
-	RowsScanned           atomic.Int64
+	// LeavesDecoded counts the leaf chunks pages were built from, decoded
+	// or taken decoded from the chunk cache.
+	LeavesDecoded atomic.Int64
+	RowsMatched   atomic.Int64
+	RowsScanned   atomic.Int64
 	// What the I/O plan asked of storage: batches of ranges read together
 	// (one round trip each), the ranges (one ReadAt each) and their bytes.
 	// All three stay 0 while the chunk cache holds everything a scan needs.
@@ -342,17 +344,15 @@ func (r *Reader) first(rp *rowGroupPlan) *batch {
 	return &rp.proj
 }
 
-// locate looks every page run of b up in the chunk cache — the one lookup a
-// chunk gets — and returns the reads for what is missing: a chunk's
-// dictionary page and data pages are adjacent in the file and become one
-// range, and so do neighbouring leaves (fare|surge|tip).
+// locate looks every chunk of b up in the chunk cache — the one lookup a
+// chunk gets — and returns the reads for what it did not hold decoded: a
+// chunk's dictionary page and data pages are adjacent in the file and become
+// one range, and so do neighbouring leaves (fare|surge|tip).
 func (r *Reader) locate(rgIndex int, b *batch) []*byteRange {
 	cf := r.chunkFetch(rgIndex)
 	for i := range b.chunks {
+		cf.lookup(&b.chunks[i])
 		b.chunks[i].runs(func(p *pages) {
-			if cf.lookup(p) {
-				return
-			}
 			if n := len(b.ranges); n == 0 || !b.ranges[n-1].extend(p) {
 				b.ranges = append(b.ranges, newByteRange(p))
 			}

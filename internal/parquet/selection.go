@@ -46,20 +46,20 @@ func bindPredicate(p expr.Comparison, schema *Schema) (leafPredicate, error) {
 // one of the chunk's n records — to the records whose value matches. A NULL
 // never matches. A non-nil sel is narrowed in place.
 func (p *leafPredicate) filter(cd *chunkData, sel []int, n int) []int {
-	idx := cd.valueIndex()
+	defs, maxDef := cd.defs, uint8(cd.leaf.MaxDef)
 	if cd.ids != nil {
 		hits := p.entryMatches(&dictionary{ints: cd.ints, strs: cd.strs})
-		return filterValues(cd.ids, idx, sel, n, func(id int32) bool { return hits[id] })
+		return filterValues(cd.ids, defs, maxDef, sel, n, func(id int32) bool { return hits[id] })
 	}
 	switch {
 	case p.m.Floats != nil:
-		return filterValues(cd.floats, idx, sel, n, p.m.Floats)
+		return filterValues(cd.floats, defs, maxDef, sel, n, p.m.Floats)
 	case p.m.Strs != nil:
-		return filterValues(cd.strs, idx, sel, n, p.m.Strs)
+		return filterValues(cd.strs, defs, maxDef, sel, n, p.m.Strs)
 	case p.m.Bools != nil:
-		return filterValues(cd.bools, idx, sel, n, p.m.Bools)
+		return filterValues(cd.bools, defs, maxDef, sel, n, p.m.Bools)
 	default:
-		return filterValues(cd.ints, idx, sel, n, p.m.Ints)
+		return filterValues(cd.ints, defs, maxDef, sel, n, p.m.Ints)
 	}
 }
 
@@ -78,24 +78,37 @@ func (p *leafPredicate) entryMatches(d *dictionary) []bool {
 	return hits
 }
 
-// filterValues is filter over one typed value slice. idx maps a record to its
-// value (negative = NULL); nil means record i holds vals[i].
-func filterValues[T any](vals []T, idx []int32, sel []int, n int, keep func(T) bool) []int {
+// filterValues is filter over one typed value slice. defs, when not nil,
+// holds each record's definition level: a record at maxDef holds the next
+// of vals, any other is NULL. nil means record i holds vals[i]. The walk
+// counts values as it goes, so the chunk, which queries share, carries no
+// record-to-value index and is never written.
+func filterValues[T any](vals []T, defs []uint8, maxDef uint8, sel []int, n int, keep func(T) bool) []int {
 	if sel != nil {
 		out := sel[:0]
-		for _, rec := range sel {
-			vi := rec
-			if idx != nil {
-				vi = int(idx[rec])
+		if defs == nil {
+			for _, s := range sel {
+				if keep(vals[s]) {
+					out = append(out, s)
+				}
 			}
-			if vi >= 0 && keep(vals[vi]) {
-				out = append(out, rec)
+			return out
+		}
+		vi, rec := 0, 0 // vi counts the values of the records before rec
+		for _, s := range sel {
+			for ; rec < s; rec++ {
+				if defs[rec] == maxDef {
+					vi++
+				}
+			}
+			if defs[s] == maxDef && keep(vals[vi]) {
+				out = append(out, s)
 			}
 		}
 		return out
 	}
 	out := make([]int, 0, n)
-	if idx == nil {
+	if defs == nil {
 		for rec, v := range vals[:n] {
 			if keep(v) {
 				out = append(out, rec)
@@ -103,35 +116,14 @@ func filterValues[T any](vals []T, idx []int32, sel []int, n int, keep func(T) b
 		}
 		return out
 	}
-	for rec, vi := range idx {
-		if vi >= 0 && keep(vals[vi]) {
-			out = append(out, rec)
+	vi := 0
+	for rec, d := range defs {
+		if d == maxDef {
+			if keep(vals[vi]) {
+				out = append(out, rec)
+			}
+			vi++
 		}
 	}
 	return out
-}
-
-// valueIndex maps each record of a non-repeated chunk to the index of its
-// value, negative for NULL. It is nil when every record has a value, so that
-// record i holds value i. Computed on first use.
-func (c *chunkData) valueIndex() []int32 {
-	if c.defs == nil || c.indexed {
-		return c.valueIdx
-	}
-	c.indexed = true
-	if c.present == c.entries {
-		return nil // no NULL, the common case: nothing to allocate
-	}
-	maxDef := uint8(c.leaf.MaxDef)
-	c.valueIdx = make([]int32, c.entries)
-	vi := int32(0)
-	for i, d := range c.defs {
-		if d == maxDef {
-			c.valueIdx[i] = vi
-			vi++
-		} else {
-			c.valueIdx[i] = -1
-		}
-	}
-	return c.valueIdx
 }
